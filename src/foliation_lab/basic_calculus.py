@@ -17,7 +17,7 @@ from ._spectral_diff import fourier_derivative
 from .model_spaces import GridSpec, MetricProfile
 
 DEGREE_FUNCTION = "function"
-DEGREE_ONE_FORM = "one_form_coefficient"
+DEGREE_ONE_FORM = "one_form"
 _DEGREES = (DEGREE_FUNCTION, DEGREE_ONE_FORM)
 
 TWO_PI = 2.0 * np.pi

@@ -13,13 +13,12 @@ import json
 import math
 import os
 import sys
-from dataclasses import dataclass, field
 from pathlib import Path
 
 import numpy as np
 
 from . import __version__
-from .basic_calculus import LeafVolumeDensity
+from .basic_calculus import DEGREE_FUNCTION, DEGREE_ONE_FORM, LeafVolumeDensity
 from .bounds import bound_rows_csv, piecewise_reference, s3_bounds
 from .model_spaces import GridSpec, MetricProfile, load_profile
 from .operators import (
@@ -40,31 +39,6 @@ _OPERATOR_CHOICES = (
     "laplacian-functions",
     "laplacian-one-forms",
 )
-
-
-@dataclass(frozen=True)
-class RunConfig:
-    command: str
-    model: str = "torus"
-    grid_size: int = 128
-    window: float = 10.0
-    profile_paths: list = field(default_factory=list)
-    r_values: list = field(default_factory=list)
-    output_dir: Path = Path(".")
-    format: str = "csv"
-
-    def __post_init__(self):
-        if self.grid_size < 8 or self.grid_size % 2 != 0:
-            raise ValueError(f"grid size must be even and >= 8, got {self.grid_size}")
-        if self.window > self.grid_size / 8.0:
-            raise ValueError(
-                f"window {self.window} exceeds the trusted range grid/8 = {self.grid_size / 8.0}"
-            )
-        for r in self.r_values:
-            if not r > 0.0:
-                raise ValueError(f"flow parameter r must be positive, got {r}")
-        if self.format not in ("csv", "json"):
-            raise ValueError(f"format must be csv or json, got {self.format!r}")
 
 
 def _atomic_write(path: Path, text: str) -> None:
@@ -111,34 +85,27 @@ def _assemble(operator_name: str, density: LeafVolumeDensity, grid: GridSpec):
     if operator_name == "dirac-forms":
         return assemble_basic_dirac_forms(density, grid)
     if operator_name == "laplacian-functions":
-        return assemble_basic_laplacian(density, grid, "function")
-    return assemble_basic_laplacian(density, grid, "one_form")
+        return assemble_basic_laplacian(density, grid, DEGREE_FUNCTION)
+    return assemble_basic_laplacian(density, grid, DEGREE_ONE_FORM)
 
 
 def _cmd_spectrum(args) -> int:
-    config = RunConfig(
-        command="spectrum",
-        model=args.model,
-        grid_size=args.grid,
-        window=args.window,
-        profile_paths=[args.profile],
-        output_dir=Path(args.output_dir),
-        format=args.format,
-    )
-    if config.model != "torus":
+    grid = GridSpec(args.grid, args.spin)
+    grid.validate_window(args.window)
+    if args.model != "torus":
         raise ValueError("spectrum is only assembled for the torus model")
-    profile = _load_profiles(config.profile_paths)[0]
-    grid = GridSpec(config.grid_size, args.spin)
+    profile = _load_profiles([args.profile])[0]
     density = LeafVolumeDensity.from_profile(profile, grid)
     op = _assemble(args.operator, density, grid)
     report = eigenvalues_weighted(op)
-    config.output_dir.mkdir(parents=True, exist_ok=True)
+    output_dir = Path(args.output_dir)
+    output_dir.mkdir(parents=True, exist_ok=True)
     stem = Path(args.profile).stem
-    out = config.output_dir / f"spectrum_{args.operator}_{stem}.{config.format}"
-    if config.format == "csv":
-        report.to_csv(out, window=config.window)
+    out = output_dir / f"spectrum_{args.operator}_{stem}.{args.format}"
+    if args.format == "csv":
+        report.to_csv(out, window=args.window)
     else:
-        report.to_json(out, window=config.window)
+        report.to_json(out, window=args.window)
     print(f"wrote {out}")
     return 0
 
@@ -162,10 +129,11 @@ def _bounds_all_match(reports) -> bool:
     return True
 
 
-def _write_bounds(reports, config: RunConfig, name: str) -> Path:
-    config.output_dir.mkdir(parents=True, exist_ok=True)
-    out = config.output_dir / f"{name}.{config.format}"
-    if config.format == "csv":
+def _write_bounds(reports, args, name: str) -> Path:
+    output_dir = Path(args.output_dir)
+    output_dir.mkdir(parents=True, exist_ok=True)
+    out = output_dir / f"{name}.{args.format}"
+    if args.format == "csv":
         bound_rows_csv(reports, out)
     else:
         payload = [
@@ -182,35 +150,22 @@ def _write_bounds(reports, config: RunConfig, name: str) -> Path:
 
 
 def _cmd_bounds(args) -> int:
-    config = RunConfig(
-        command="bounds",
-        model=args.model,
-        r_values=list(args.r),
-        output_dir=Path(args.output_dir),
-        format=args.format,
-    )
-    if config.model != "s3":
+    if args.model != "s3":
         raise ValueError("bounds are evaluated on the s3 model")
-    reports = _bounds_reports(config.r_values, args.resolution)
-    out = _write_bounds(reports, config, "bounds")
+    reports = _bounds_reports(args.r, args.resolution)
+    out = _write_bounds(reports, args, "bounds")
     print(f"wrote {out}")
     return 0 if _bounds_all_match(reports) else 1
 
 
 def _cmd_sweep(args) -> int:
-    config = RunConfig(
-        command="sweep",
-        model=args.model,
-        output_dir=Path(args.output_dir),
-        format=args.format,
-    )
-    if config.model != "s3":
+    if args.model != "s3":
         raise ValueError("sweep is defined for the s3 model")
     if not (args.r_min > 0.0 and args.r_max > args.r_min):
         raise ValueError("need 0 < r-min < r-max")
     r_values = np.geomspace(args.r_min, args.r_max, args.count)
     reports = _bounds_reports(r_values, args.resolution)
-    out = _write_bounds(reports, config, "sweep_bounds")
+    out = _write_bounds(reports, args, "sweep_bounds")
     print(f"wrote {out}")
     return 0 if _bounds_all_match(reports) else 1
 
@@ -261,21 +216,15 @@ def _run_verification(profiles, grid, window, pairs, seed) -> list:
 
 
 def _cmd_verify(args) -> int:
-    config = RunConfig(
-        command="verify",
-        grid_size=args.grid,
-        window=args.window,
-        profile_paths=list(args.profiles),
-        output_dir=Path(args.output_dir),
-        format="json",
-    )
+    grid = GridSpec(args.grid, "trivial")
+    grid.validate_window(args.window)
     seed = _seed_from_env(args.seed)
-    profiles = _load_profiles(config.profile_paths)
-    grid = GridSpec(config.grid_size, "trivial")
-    reports = _run_verification(profiles, grid, config.window, args.pairs, seed)
-    bundle = _verification_bundle(reports, grid, config.window, seed)
-    config.output_dir.mkdir(parents=True, exist_ok=True)
-    out = config.output_dir / "verify_bundle.json"
+    profiles = _load_profiles(args.profiles)
+    reports = _run_verification(profiles, grid, args.window, args.pairs, seed)
+    bundle = _verification_bundle(reports, grid, args.window, seed)
+    output_dir = Path(args.output_dir)
+    output_dir.mkdir(parents=True, exist_ok=True)
+    out = output_dir / "verify_bundle.json"
     _atomic_write(out, json.dumps(bundle, indent=2, sort_keys=True) + "\n")
     failed = [report for report in reports if not report.passed]
     print(f"wrote {out}: {len(reports) - len(failed)}/{len(reports)} checks passed")
@@ -283,22 +232,14 @@ def _cmd_verify(args) -> int:
 
 
 def _cmd_invariance(args) -> int:
-    config = RunConfig(
-        command="invariance",
-        grid_size=args.grid,
-        window=args.window,
-        profile_paths=list(args.profiles),
-        output_dir=Path(args.output_dir),
-        format="json",
-    )
-    if len(config.profile_paths) != 2:
-        raise ValueError("invariance needs exactly two profile files")
-    p1, p2 = _load_profiles(config.profile_paths)
-    grid = GridSpec(config.grid_size, "trivial")
-    reports = run_pair_checks(p1, p2, grid, config.window)
-    bundle = _verification_bundle(reports, grid, config.window, seed=None)
-    config.output_dir.mkdir(parents=True, exist_ok=True)
-    out = config.output_dir / "invariance_bundle.json"
+    grid = GridSpec(args.grid, "trivial")
+    grid.validate_window(args.window)
+    p1, p2 = _load_profiles(args.profiles)
+    reports = run_pair_checks(p1, p2, grid, args.window)
+    bundle = _verification_bundle(reports, grid, args.window, seed=None)
+    output_dir = Path(args.output_dir)
+    output_dir.mkdir(parents=True, exist_ok=True)
+    out = output_dir / "invariance_bundle.json"
     _atomic_write(out, json.dumps(bundle, indent=2, sort_keys=True) + "\n")
     failed = [report for report in reports if not report.passed]
     print(f"wrote {out}: {len(reports) - len(failed)}/{len(reports)} checks passed")

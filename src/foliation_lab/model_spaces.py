@@ -110,9 +110,6 @@ class MetricProfile:
     def max_t_frequency(self) -> int:
         return max((abs(term.n) for term in self.terms), default=0)
 
-    def max_theta_frequency(self) -> int:
-        return max((abs(term.m) for term in self.terms), default=0)
-
     def to_dict(self) -> dict:
         return {
             "constant": self.constant,
@@ -189,6 +186,13 @@ class GridSpec:
     def trust_window(self) -> float:
         """Largest |eigenvalue| trusted for this collocation size."""
         return self.n_points / 8.0
+
+    def validate_window(self, window: float) -> None:
+        """Refuse an eigenvalue window wider than the trusted range."""
+        if window > self.trust_window:
+            raise ValueError(
+                f"window {window} exceeds the trusted range n_points/8 = {self.trust_window}"
+            )
 
 
 def torus_metric_sample(profile: MetricProfile, grid: GridSpec) -> np.ndarray:

@@ -30,14 +30,8 @@ from ._spectral_diff import (
     fourier_derivative,
     spinor_differentiation_matrix,
 )
-from .basic_calculus import TWO_PI, LeafVolumeDensity
+from .basic_calculus import DEGREE_FUNCTION, DEGREE_ONE_FORM, TWO_PI, LeafVolumeDensity
 from .model_spaces import GridSpec
-
-DEGREE_FUNCTION = "function"
-DEGREE_ONE_FORM = "one_form"
-
-# An operator this much above round-off symmetry error is an assembly bug.
-SYMMETRY_TOLERANCE = 1e-12
 
 
 @dataclass(frozen=True)

@@ -16,6 +16,7 @@ import numpy as np
 
 from ._spectral_diff import fourier_derivative
 from .basic_calculus import (
+    DEGREE_FUNCTION,
     LeafVolumeDensity,
     basic_mean_curvature,
     dlog,
@@ -30,7 +31,6 @@ from .model_spaces import (
     torus_metric_sample,
 )
 from .operators import (
-    DEGREE_FUNCTION,
     assemble_basic_dirac_forms,
     assemble_basic_dirac_spinor,
     assemble_basic_laplacian,
@@ -75,13 +75,6 @@ class VerificationReport:
         )
 
 
-def _validate_window(grid: GridSpec, window: float) -> None:
-    if window > grid.trust_window:
-        raise ValueError(
-            f"window {window} exceeds the trusted range n_points/8 = {grid.trust_window}"
-        )
-
-
 def _pair_metadata(p1: MetricProfile, p2: MetricProfile, grid: GridSpec) -> dict:
     return {
         "profile_1": p1.to_dict(),
@@ -99,7 +92,7 @@ def invariance_check(
     The residual is the larger of the two windowed spectrum deviations; a
     multiplicity mismatch yields an infinite residual with a diagnostic.
     """
-    _validate_window(grid, window)
+    grid.validate_window(window)
     d1 = LeafVolumeDensity.from_profile(p1, grid)
     d2 = LeafVolumeDensity.from_profile(p2, grid)
     spinor_1 = eigenvalues_weighted(assemble_basic_dirac_spinor(d1, grid))
@@ -246,7 +239,7 @@ def laplacian_dependence(
     residual is infinite and the report flags the metrics as spectrally
     indistinguishable for the basic Laplacian.
     """
-    _validate_window(grid, window)
+    grid.validate_window(window)
     d1 = LeafVolumeDensity.from_profile(p1, grid)
     d2 = LeafVolumeDensity.from_profile(p2, grid)
     laplacian_1 = eigenvalues_weighted(assemble_basic_laplacian(d1, grid, DEGREE_FUNCTION))

@@ -174,6 +174,12 @@ class TestVerifyCommand:
         assert len(failed) == 1
         assert failed[0]["check_name"] == "laplacian_dependence"
 
+    def test_untrusted_window_without_pair_checks_is_config_error(self, wavy_path):
+        code = run(
+            ["verify", "--pairs", "0", "--profiles", str(wavy_path), "--grid", "64", "--window", "16"]
+        )
+        assert code == 2
+
 
 class TestInvarianceCommand:
     def test_pair_bundle(self, tmp_path, flat_path, wavy_path):

@@ -1,8 +1,4 @@
-"""Backend selection and agreement for the grid-evaluation kernels."""
-
-import os
-import subprocess
-import sys
+"""The grid-evaluation kernels against a direct broadcast evaluation."""
 
 import numpy as np
 import pytest
@@ -10,9 +6,8 @@ import pytest
 from foliation_lab import _kernels
 
 
-def _term_data():
+def _term_data(n_terms):
     rng = np.random.default_rng(5150)
-    n_terms = 6
     return (
         rng.integers(-3, 4, n_terms).astype(np.float64),
         rng.integers(-3, 4, n_terms).astype(np.float64),
@@ -22,43 +17,36 @@ def _term_data():
     )
 
 
-@pytest.mark.skipif(not _kernels.HAVE_NUMBA, reason="numba unavailable")
-class TestBackendAgreement:
-    def test_sample_profile(self):
-        nodes = 2 * np.pi * np.arange(96) / 96
-        args = (2.0, *_term_data(), nodes, nodes)
-        np.testing.assert_allclose(
-            _kernels.sample_profile_numpy(*args),
-            _kernels.sample_profile_numba(*args),
-            atol=1e-14,
-        )
-
-    def test_profile_min(self):
-        nodes = 2 * np.pi * np.arange(96) / 96
-        args = (2.0, *_term_data(), nodes, nodes)
-        assert _kernels.profile_min_numpy(*args) == pytest.approx(
-            _kernels.profile_min_numba(*args), abs=1e-14
-        )
-
-
-def test_env_flag_selects_numpy_backend():
-    code = (
-        "from foliation_lab import _kernels\n"
-        "assert not _kernels.USING_NUMBA\n"
-        "assert _kernels.sample_profile is _kernels.sample_profile_numpy\n"
-        "from foliation_lab import MetricProfile, ProfileTerm\n"
-        "p = MetricProfile(2.0, (ProfileTerm(0, 1, 1.0),))\n"
-        "assert p.min_value(64) > 0\n"
-        "print('numpy backend ok')\n"
+def _oracle(constant, m, n, amp, phase_theta, phase_t, thetas, ts):
+    """constant + sum_i amp_i cos(m_i*theta + ph_i) cos(n_i*t + qh_i), term by term."""
+    theta = thetas[None, :, None]
+    t = ts[None, None, :]
+    terms = (
+        amp[:, None, None]
+        * np.cos(m[:, None, None] * theta + phase_theta[:, None, None])
+        * np.cos(n[:, None, None] * t + phase_t[:, None, None])
     )
-    env = dict(os.environ, FOLIATION_LAB_DISABLE_NUMBA="1")
-    result = subprocess.run(
-        [sys.executable, "-c", code], env=env, capture_output=True, text=True
-    )
-    assert result.returncode == 0, result.stderr
-    assert "numpy backend ok" in result.stdout
+    return constant + terms.sum(axis=0)
 
 
-def test_default_backend_is_numba_when_available():
-    if _kernels.HAVE_NUMBA and not _kernels._env_disables_numba():
-        assert _kernels.USING_NUMBA
+def _nodes(size):
+    return 2 * np.pi * np.arange(size) / size
+
+
+@pytest.mark.parametrize(
+    "n_terms, thetas, ts",
+    [
+        (6, _nodes(96), _nodes(96)),
+        (0, _nodes(32), _nodes(32)),
+        (6, np.zeros(1), _nodes(64)),
+        (6, _nodes(40), _nodes(72)),
+    ],
+    ids=["square", "constant-profile", "one-theta-point", "non-square"],
+)
+def test_kernels_match_broadcast_oracle(n_terms, thetas, ts):
+    args = (2.0, *_term_data(n_terms), thetas, ts)
+    expected = _oracle(*args)
+    values = _kernels.sample_profile(*args)
+    assert values.shape == (thetas.size, ts.size)
+    np.testing.assert_allclose(values, expected, rtol=0, atol=1e-14)
+    assert _kernels.profile_min(*args) == pytest.approx(expected.min(), rel=0, abs=1e-14)
