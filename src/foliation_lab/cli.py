@@ -21,13 +21,9 @@ from . import __version__
 from .basic_calculus import DEGREE_FUNCTION, DEGREE_ONE_FORM, LeafVolumeDensity
 from .bounds import bound_rows_csv, piecewise_reference, s3_bounds
 from .model_spaces import GridSpec, MetricProfile, load_profile
-from .operators import (
-    assemble_basic_dirac_forms,
-    assemble_basic_dirac_spinor,
-    assemble_basic_laplacian,
-)
-from .spectral import eigenvalues_weighted
-from .verify import run_pair_checks, run_profile_checks
+from .operators import assemble_basic_dirac_spinor, assemble_basic_laplacian
+from .spectral import eigenvalues_weighted, forms_dirac_spectrum
+from .verify import random_profile_pair, run_pair_checks, run_profile_checks
 
 DEFAULT_SEED = 7041
 SEED_ENV_VAR = "FOLIATION_LAB_SEED"
@@ -79,14 +75,13 @@ def _load_profiles(paths) -> list[MetricProfile]:
     return profiles
 
 
-def _assemble(operator_name: str, density: LeafVolumeDensity, grid: GridSpec):
-    if operator_name == "dirac-spinor":
-        return assemble_basic_dirac_spinor(density, grid)
+def _spectrum(operator_name: str, density: LeafVolumeDensity, grid: GridSpec):
     if operator_name == "dirac-forms":
-        return assemble_basic_dirac_forms(density, grid)
-    if operator_name == "laplacian-functions":
-        return assemble_basic_laplacian(density, grid, DEGREE_FUNCTION)
-    return assemble_basic_laplacian(density, grid, DEGREE_ONE_FORM)
+        return forms_dirac_spectrum(density, grid)
+    if operator_name == "dirac-spinor":
+        return eigenvalues_weighted(assemble_basic_dirac_spinor(density, grid))
+    degree = DEGREE_FUNCTION if operator_name == "laplacian-functions" else DEGREE_ONE_FORM
+    return eigenvalues_weighted(assemble_basic_laplacian(density, grid, degree))
 
 
 def _cmd_spectrum(args) -> int:
@@ -96,8 +91,7 @@ def _cmd_spectrum(args) -> int:
         raise ValueError("spectrum is only assembled for the torus model")
     profile = _load_profiles([args.profile])[0]
     density = LeafVolumeDensity.from_profile(profile, grid)
-    op = _assemble(args.operator, density, grid)
-    report = eigenvalues_weighted(op)
+    report = _spectrum(args.operator, density, grid)
     output_dir = Path(args.output_dir)
     output_dir.mkdir(parents=True, exist_ok=True)
     stem = Path(args.profile).stem
@@ -170,8 +164,27 @@ def _cmd_sweep(args) -> int:
     return 0 if _bounds_all_match(reports) else 1
 
 
-def _verification_bundle(reports, grid: GridSpec, window: float, seed) -> dict:
-    return {
+def _run_verification(profiles, grid, window, pairs, seed) -> list:
+    reports = []
+    if len(profiles) >= 2:
+        for i in range(len(profiles) - 1):
+            reports.extend(run_pair_checks(profiles[i], profiles[i + 1], grid, window))
+    else:
+        rng = np.random.default_rng(seed)
+        for _ in range(pairs):
+            p1, p2 = random_profile_pair(rng)
+            reports.extend(
+                run_pair_checks(p1, p2, grid, window, skip_indistinct_laplacian=True)
+            )
+    for profile in profiles:
+        reports.extend(run_profile_checks(profile, grid))
+    return reports
+
+
+def _write_bundle(reports, grid: GridSpec, window: float, seed, args, name: str) -> int:
+    """Write the verification bundle, name each failed or skipped check on
+    stderr, and return the exit code."""
+    bundle = {
         "meta": {
             "package_version": __version__,
             "grid": grid.n_points,
@@ -194,25 +207,20 @@ def _verification_bundle(reports, grid: GridSpec, window: float, seed) -> dict:
             for report in reports
         ],
     }
-
-
-def _run_verification(profiles, grid, window, pairs, seed) -> list:
-    from .verify import random_profile_pair
-
-    reports = []
-    if len(profiles) >= 2:
-        for i in range(len(profiles) - 1):
-            reports.extend(run_pair_checks(profiles[i], profiles[i + 1], grid, window))
-    else:
-        rng = np.random.default_rng(seed)
-        for _ in range(pairs):
-            p1, p2 = random_profile_pair(rng)
-            reports.extend(
-                run_pair_checks(p1, p2, grid, window, skip_indistinct_laplacian=True)
-            )
-    for profile in profiles:
-        reports.extend(run_profile_checks(profile, grid))
-    return reports
+    output_dir = Path(args.output_dir)
+    output_dir.mkdir(parents=True, exist_ok=True)
+    out = output_dir / name
+    _atomic_write(out, json.dumps(bundle, indent=2, sort_keys=True) + "\n")
+    failed = [report for report in reports if not report.passed]
+    for report in reports:
+        if report.metadata.get("skipped"):
+            print(f"skipped {report.check_name}: {report.metadata['reason']}", file=sys.stderr)
+        elif not report.passed:
+            diagnostic = report.metadata.get("diagnostic", "no diagnostic")
+            print(f"failed {report.check_name}: residual {report.residual:.3e} > threshold "
+                  f"{report.threshold:.0e}: {diagnostic}", file=sys.stderr)
+    print(f"wrote {out}: {len(reports) - len(failed)}/{len(reports)} checks passed")
+    return 1 if failed else 0
 
 
 def _cmd_verify(args) -> int:
@@ -221,14 +229,7 @@ def _cmd_verify(args) -> int:
     seed = _seed_from_env(args.seed)
     profiles = _load_profiles(args.profiles)
     reports = _run_verification(profiles, grid, args.window, args.pairs, seed)
-    bundle = _verification_bundle(reports, grid, args.window, seed)
-    output_dir = Path(args.output_dir)
-    output_dir.mkdir(parents=True, exist_ok=True)
-    out = output_dir / "verify_bundle.json"
-    _atomic_write(out, json.dumps(bundle, indent=2, sort_keys=True) + "\n")
-    failed = [report for report in reports if not report.passed]
-    print(f"wrote {out}: {len(reports) - len(failed)}/{len(reports)} checks passed")
-    return 1 if failed else 0
+    return _write_bundle(reports, grid, args.window, seed, args, "verify_bundle.json")
 
 
 def _cmd_invariance(args) -> int:
@@ -236,14 +237,7 @@ def _cmd_invariance(args) -> int:
     grid.validate_window(args.window)
     p1, p2 = _load_profiles(args.profiles)
     reports = run_pair_checks(p1, p2, grid, args.window)
-    bundle = _verification_bundle(reports, grid, args.window, seed=None)
-    output_dir = Path(args.output_dir)
-    output_dir.mkdir(parents=True, exist_ok=True)
-    out = output_dir / "invariance_bundle.json"
-    _atomic_write(out, json.dumps(bundle, indent=2, sort_keys=True) + "\n")
-    failed = [report for report in reports if not report.passed]
-    print(f"wrote {out}: {len(reports) - len(failed)}/{len(reports)} checks passed")
-    return 1 if failed else 0
+    return _write_bundle(reports, grid, args.window, None, args, "invariance_bundle.json")
 
 
 def build_parser() -> argparse.ArgumentParser:

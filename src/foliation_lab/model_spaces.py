@@ -88,11 +88,8 @@ class MetricProfile:
         return self.sample(np.zeros(1), ts)[0]
 
     def min_value(self, grid_points: int = VALIDATION_GRID) -> float:
-        nodes_theta = 2.0 * np.pi * np.arange(grid_points) / grid_points
-        nodes_t = 2.0 * np.pi * np.arange(grid_points) / grid_points
-        return _kernels.profile_min(
-            self.constant, *self.term_arrays(), nodes_theta, nodes_t
-        )
+        nodes = 2.0 * np.pi * np.arange(grid_points) / grid_points
+        return _kernels.profile_min(self.constant, *self.term_arrays(), nodes, nodes)
 
     def theta_average(self) -> "MetricProfile":
         """Exact theta-average: only m = 0 modes survive.
@@ -175,10 +172,6 @@ class GridSpec:
             )
 
     @property
-    def theta_nodes(self) -> np.ndarray:
-        return 2.0 * np.pi * np.arange(self.n_points) / self.n_points
-
-    @property
     def t_nodes(self) -> np.ndarray:
         return 2.0 * np.pi * np.arange(self.n_points) / self.n_points
 
@@ -197,7 +190,7 @@ class GridSpec:
 
 def torus_metric_sample(profile: MetricProfile, grid: GridSpec) -> np.ndarray:
     """Sample f on the grid, rejecting non-metric (nonpositive) values."""
-    values = profile.sample(grid.theta_nodes, grid.t_nodes)
+    values = profile.sample(grid.t_nodes, grid.t_nodes)
     minimum = values.min()
     if not minimum > 0.0:
         raise ValueError(

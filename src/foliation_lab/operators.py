@@ -51,16 +51,18 @@ class WeightedOperator:
         if not (self.weights > 0.0).all():
             raise ValueError("weights must be strictly positive")
 
-    def symmetrized(self) -> np.ndarray:
-        """Similarity transform W^{1/2} M W^{-1/2}, Hermitian for symmetric operators."""
+    def hermitian_spectrum(self) -> tuple[np.ndarray, float]:
+        """Eigenvalues of H = (S + S^H)/2, S = W^{1/2} M W^{-1/2}, and the gate ratio
+        ||S - S^H||_F / max|lambda(H)| >= ||S - S^H||_2 / ||S||_2 (as ||H||_2 <= ||S||_2)."""
         root = np.sqrt(self.weights)
-        return (root[:, None] * self.matrix) / root[None, :]
+        sym = (root[:, None] * self.matrix) / root[None, :]
+        values = np.linalg.eigvalsh(0.5 * (sym + sym.conj().T))
+        scale = max(float(np.max(np.abs(values))), np.finfo(float).tiny)
+        return values, float(np.linalg.norm(sym - sym.conj().T) / scale)
 
     def symmetry_residual(self) -> float:
-        """Relative deviation of the symmetrized matrix from Hermitian."""
-        sym = self.symmetrized()
-        scale = max(np.linalg.norm(sym, 2), np.finfo(float).tiny)
-        return float(np.linalg.norm(sym - sym.conj().T, 2) / scale)
+        """Relative deviation of the symmetrized matrix from Hermitian (the gate ratio)."""
+        return self.hermitian_spectrum()[1]
 
     def to_csv(self, path) -> None:
         """Row-major dump with each complex entry as a (re, im) pair."""
@@ -79,7 +81,7 @@ def _conjugated_derivative(d_matrix: np.ndarray, g: np.ndarray) -> np.ndarray:
     return (d_matrix * root[None, :]) / root[:, None]
 
 
-def _quadrature_weights(density: LeafVolumeDensity) -> np.ndarray:
+def quadrature_weights(density: LeafVolumeDensity) -> np.ndarray:
     return (TWO_PI / density.n_points) * density.g_values
 
 
@@ -102,7 +104,7 @@ def assemble_basic_dirac_spinor(
     matrix = 1j * _conjugated_derivative(d_spin, density.g_values)
     return WeightedOperator(
         matrix=matrix,
-        weights=_quadrature_weights(density),
+        weights=quadrature_weights(density),
         label=f"dirac_spinor[{grid.spin_structure},N={grid.n_points}]",
         n_points=grid.n_points,
     )
@@ -122,14 +124,13 @@ def assemble_basic_dirac_forms(
     Acts as (u, v) -> (-v' + k v/2, u' - k u/2) with k = -g'/g: the twisted
     differential in the lower-left block and its exact weighted adjoint in
     the upper-right.  On the codimension-one transversal the adjoint equals
-    minus the twisted differential.
+    minus the twisted differential.  ``spectral.forms_dirac_spectrum`` solves
+    it as +-spec(iT); this 2N assembly is its test oracle.
     """
     n = grid.n_points
     d_tw = twisted_differential(density, grid)
-    matrix = np.zeros((2 * n, 2 * n), dtype=np.complex128)
-    matrix[:n, n:] = -d_tw
-    matrix[n:, :n] = d_tw
-    weights = np.concatenate([_quadrature_weights(density)] * 2)
+    matrix = np.block([[np.zeros_like(d_tw), -d_tw], [d_tw, np.zeros_like(d_tw)]])
+    weights = np.concatenate([quadrature_weights(density)] * 2)
     return WeightedOperator(
         matrix=matrix,
         weights=weights,
@@ -167,7 +168,7 @@ def assemble_basic_laplacian(
         )
     return WeightedOperator(
         matrix=matrix,
-        weights=_quadrature_weights(density),
+        weights=quadrature_weights(density),
         label=f"laplacian_{degree}[N={grid.n_points}]",
         n_points=grid.n_points,
     )
@@ -194,7 +195,7 @@ def connection_laplacian_spinor(
     )
     return WeightedOperator(
         matrix=matrix,
-        weights=_quadrature_weights(density),
+        weights=quadrature_weights(density),
         label=f"connection_laplacian[{grid.spin_structure},N={grid.n_points}]",
         n_points=grid.n_points,
     )

@@ -8,7 +8,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .operators import WeightedOperator
+from .basic_calculus import LeafVolumeDensity
+from .model_spaces import GridSpec
+from .operators import WeightedOperator, quadrature_weights, twisted_differential
 
 # Relative symmetrization residual above which an eigensolve is refused.
 SYMMETRIZATION_TOLERANCE = 1e-8
@@ -68,28 +70,43 @@ class SpectrumReport:
             handle.write("\n")
 
 
-def eigenvalues_weighted(op: WeightedOperator) -> SpectrumReport:
-    """Full real spectrum of a weighted-Hermitian operator.
-
-    Solves the Hermitian problem W^{1/2} M W^{-1/2} and refuses operators
-    whose symmetrization residual exceeds the tolerance (that signals an
-    assembly bug, not a numerical marginality).
-    """
-    residual = op.symmetry_residual()
+def _gated_report(values, residual: float, n_points: int, label: str) -> SpectrumReport:
+    """Spectrum of a solve whose gate ratio passed; a failing ratio is an assembly bug."""
     if residual > SYMMETRIZATION_TOLERANCE:
         raise OperatorSymmetryError(
-            f"operator {op.label!r} is not symmetric in its weighted metric: "
+            f"operator {label!r} is not symmetric in its weighted metric: "
             f"relative residual {residual:.3e} > {SYMMETRIZATION_TOLERANCE:.0e}"
         )
-    sym = op.symmetrized()
-    hermitian = 0.5 * (sym + sym.conj().T)
-    values = np.linalg.eigvalsh(hermitian)
-    return SpectrumReport(
-        eigenvalues=values,
-        window=op.n_points / 8.0,
-        grid_size=op.n_points,
-        operator_label=op.label,
-    )
+    return SpectrumReport(values, n_points / 8.0, n_points, label)
+
+
+def eigenvalues_weighted(op: WeightedOperator) -> SpectrumReport:
+    """Full real spectrum of a weighted-Hermitian operator, refused when the
+    gate ratio of ``WeightedOperator.hermitian_spectrum`` exceeds the tolerance."""
+    values, residual = op.hermitian_spectrum()
+    return _gated_report(values, residual, op.n_points, op.label)
+
+
+def forms_dirac_spectrum(density: LeafVolumeDensity, grid: GridSpec) -> SpectrumReport:
+    """Spectrum of the basic forms Dirac operator [[0, -T], [T, 0]] from one N x N solve.
+
+    T, the twisted differential, is anti-Hermitian in the weighted metric, so the
+    spectrum is +-spec(iT).  The 2N matrix's anti-Hermitian part is two copies of
+    that of iT, so sqrt(2) times the gate ratio of iT is exactly the ratio of the
+    2N solve ``eigenvalues_weighted(assemble_basic_dirac_forms(...))``.
+    """
+    n, label = grid.n_points, f"dirac_forms[N={grid.n_points}]"
+    weights = quadrature_weights(density)
+    half = WeightedOperator(1j * twisted_differential(density, grid), weights, label, n)
+    values, residual = half.hermitian_spectrum()
+    return _gated_report(np.concatenate([-values, values]), math.sqrt(2.0) * residual, n, label)
+
+
+def max_deviation(a: np.ndarray, b: np.ndarray) -> float:
+    """Maximum |a - b| of two sorted value arrays; math.inf when their sizes differ."""
+    if a.size != b.size:
+        return math.inf
+    return float(np.max(np.abs(a - b))) if a.size else 0.0
 
 
 def spectrum_compare(a: SpectrumReport, b: SpectrumReport, window: float) -> float:
@@ -98,10 +115,4 @@ def spectrum_compare(a: SpectrumReport, b: SpectrumReport, window: float) -> flo
     Returns math.inf as the sentinel when the in-window multiplicity counts
     disagree (a structurally different spectrum, not a numeric deviation).
     """
-    va = a.in_window(window)
-    vb = b.in_window(window)
-    if va.size != vb.size:
-        return math.inf
-    if va.size == 0:
-        return 0.0
-    return float(np.max(np.abs(va - vb)))
+    return max_deviation(a.in_window(window), b.in_window(window))

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from functools import lru_cache
 
 import numpy as np
 
@@ -18,7 +19,6 @@ from ._spectral_diff import fourier_derivative
 from .basic_calculus import (
     DEGREE_FUNCTION,
     LeafVolumeDensity,
-    basic_mean_curvature,
     dlog,
     project_basic,
 )
@@ -31,13 +31,13 @@ from .model_spaces import (
     torus_metric_sample,
 )
 from .operators import (
-    assemble_basic_dirac_forms,
     assemble_basic_dirac_spinor,
     assemble_basic_laplacian,
     assemble_lichnerowicz_sides,
     finite_difference_laplacian,
 )
-from .spectral import SpectrumReport, eigenvalues_weighted, spectrum_compare
+from .spectral import (SpectrumReport, eigenvalues_weighted, forms_dirac_spectrum,
+                       max_deviation, spectrum_compare)
 
 INVARIANCE_THRESHOLD = 1e-8
 KAPPA_TRANSFORM_THRESHOLD = 1e-10
@@ -84,6 +84,28 @@ def _pair_metadata(p1: MetricProfile, p2: MetricProfile, grid: GridSpec) -> dict
     }
 
 
+# Shared by the pair checks and memoised on their frozen inputs, so a pair battery
+# computes each once; run_pair_checks clears them so every battery does that work.
+@lru_cache(maxsize=2)
+def _density(profile: MetricProfile, grid: GridSpec) -> LeafVolumeDensity:
+    return LeafVolumeDensity.from_profile(profile, grid)
+
+
+@lru_cache(maxsize=2)
+def _forms_spectrum(profile: MetricProfile, grid: GridSpec) -> SpectrumReport:
+    return forms_dirac_spectrum(_density(profile, grid), grid)
+
+
+@lru_cache(maxsize=1)
+def _basic_projection_of_volume_ratio(
+    p1: MetricProfile, p2: MetricProfile, grid: GridSpec
+) -> np.ndarray:
+    """alpha = P_b(dvol'/dvol) computed under the first metric's weighting."""
+    f1 = torus_metric_sample(p1, grid)
+    f2 = torus_metric_sample(p2, grid)
+    return project_basic(f2 / f1, f1, grid).values.real
+
+
 def invariance_check(
     p1: MetricProfile, p2: MetricProfile, grid: GridSpec, window: float
 ) -> VerificationReport:
@@ -93,12 +115,10 @@ def invariance_check(
     multiplicity mismatch yields an infinite residual with a diagnostic.
     """
     grid.validate_window(window)
-    d1 = LeafVolumeDensity.from_profile(p1, grid)
-    d2 = LeafVolumeDensity.from_profile(p2, grid)
-    spinor_1 = eigenvalues_weighted(assemble_basic_dirac_spinor(d1, grid))
-    spinor_2 = eigenvalues_weighted(assemble_basic_dirac_spinor(d2, grid))
-    forms_1 = eigenvalues_weighted(assemble_basic_dirac_forms(d1, grid))
-    forms_2 = eigenvalues_weighted(assemble_basic_dirac_forms(d2, grid))
+    spinor_1 = eigenvalues_weighted(assemble_basic_dirac_spinor(_density(p1, grid), grid))
+    spinor_2 = eigenvalues_weighted(assemble_basic_dirac_spinor(_density(p2, grid), grid))
+    forms_1 = _forms_spectrum(p1, grid)
+    forms_2 = _forms_spectrum(p2, grid)
     spinor_residual = spectrum_compare(spinor_1, spinor_2, window)
     forms_residual = spectrum_compare(forms_1, forms_2, window)
     metadata = _pair_metadata(p1, p2, grid)
@@ -120,15 +140,6 @@ def invariance_check(
     )
 
 
-def _basic_projection_of_volume_ratio(
-    p1: MetricProfile, p2: MetricProfile, grid: GridSpec
-) -> np.ndarray:
-    """alpha = P_b(dvol'/dvol) computed under the first metric's weighting."""
-    f1 = torus_metric_sample(p1, grid)
-    f2 = torus_metric_sample(p2, grid)
-    return project_basic(f2 / f1, f1, grid).values.real
-
-
 def kappa_transform_residual(
     p1: MetricProfile, p2: MetricProfile, grid: GridSpec
 ) -> VerificationReport:
@@ -139,8 +150,8 @@ def kappa_transform_residual(
     makes the two Dirac operators conjugate.
     """
     alpha = _basic_projection_of_volume_ratio(p1, p2, grid)
-    k1 = basic_mean_curvature(p1, grid).values
-    k2 = basic_mean_curvature(p2, grid).values
+    k1 = _density(p1, grid).mean_curvature_values()
+    k2 = _density(p2, grid).mean_curvature_values()
     residual = float(np.max(np.abs(k2 - k1 + dlog(alpha, grid).values)))
     metadata = _pair_metadata(p1, p2, grid)
     metadata.update({"tag": "inv", "alpha_min": float(alpha.min())})
@@ -152,13 +163,14 @@ def kappa_transform_residual(
 def conjugation_residual(
     p1: MetricProfile, p2: MetricProfile, grid: GridSpec
 ) -> VerificationReport:
-    """Operator-norm distance between D' and alpha^{-1/2} D alpha^{1/2}."""
+    """Frobenius distance between D' and alpha^{-1/2} D alpha^{1/2}: it bounds the
+    operator-norm distance, so it is the stricter residual and needs no SVD."""
     alpha = _basic_projection_of_volume_ratio(p1, p2, grid)
-    d1 = assemble_basic_dirac_spinor(LeafVolumeDensity.from_profile(p1, grid), grid)
-    d2 = assemble_basic_dirac_spinor(LeafVolumeDensity.from_profile(p2, grid), grid)
+    d1 = assemble_basic_dirac_spinor(_density(p1, grid), grid)
+    d2 = assemble_basic_dirac_spinor(_density(p2, grid), grid)
     root = np.sqrt(alpha)
     conjugated = (d1.matrix * root[None, :]) / root[:, None]
-    residual = float(np.linalg.norm(d2.matrix - conjugated, 2))
+    residual = float(np.linalg.norm(d2.matrix - conjugated))
     metadata = _pair_metadata(p1, p2, grid)
     metadata["tag"] = "inv"
     return VerificationReport.from_residual(
@@ -223,11 +235,6 @@ def lichnerowicz_residual(profile: MetricProfile, grid: GridSpec) -> Verificatio
     )
 
 
-def _windowed_squares(report: SpectrumReport, window: float) -> np.ndarray:
-    values = report.in_window(window)
-    return np.sort(values * values)
-
-
 def laplacian_dependence(
     p1: MetricProfile, p2: MetricProfile, grid: GridSpec, window: float
 ) -> VerificationReport:
@@ -240,8 +247,7 @@ def laplacian_dependence(
     indistinguishable for the basic Laplacian.
     """
     grid.validate_window(window)
-    d1 = LeafVolumeDensity.from_profile(p1, grid)
-    d2 = LeafVolumeDensity.from_profile(p2, grid)
+    d1, d2 = _density(p1, grid), _density(p2, grid)
     laplacian_1 = eigenvalues_weighted(assemble_basic_laplacian(d1, grid, DEGREE_FUNCTION))
     laplacian_2 = eigenvalues_weighted(assemble_basic_laplacian(d2, grid, DEGREE_FUNCTION))
     # Compare the shared low end of both Laplacian spectra: eigenvalue shifts
@@ -251,16 +257,9 @@ def laplacian_dependence(
     low_2 = laplacian_2.in_window(window * window)
     shared = min(low_1.size, low_2.size)
     gap = float(np.max(np.abs(low_1[:shared] - low_2[:shared]))) if shared else 0.0
-    forms_1 = eigenvalues_weighted(assemble_basic_dirac_forms(d1, grid))
-    forms_2 = eigenvalues_weighted(assemble_basic_dirac_forms(d2, grid))
-    sq1 = _windowed_squares(forms_1, window)
-    sq2 = _windowed_squares(forms_2, window)
-    if sq1.size != sq2.size:
-        forms_residual = math.inf
-    elif sq1.size == 0:
-        forms_residual = 0.0
-    else:
-        forms_residual = float(np.max(np.abs(sq1 - sq2)))
+    sq1 = np.sort(_forms_spectrum(p1, grid).in_window(window) ** 2)
+    sq2 = np.sort(_forms_spectrum(p2, grid).in_window(window) ** 2)
+    forms_residual = max_deviation(sq1, sq2)
     metadata = _pair_metadata(p1, p2, grid)
     metadata.update(
         {
@@ -350,8 +349,8 @@ def densities_distinguishable(
 ) -> bool:
     """Whether the two theta-averaged densities differ enough for the
     Laplacian-dependence contrast to be meaningful."""
-    g1 = LeafVolumeDensity.from_profile(p1, grid).g_values
-    g2 = LeafVolumeDensity.from_profile(p2, grid).g_values
+    g1 = _density(p1, grid).g_values
+    g2 = _density(p2, grid).g_values
     return float(np.max(np.abs(g1 - g2))) > margin
 
 
@@ -369,6 +368,8 @@ def run_pair_checks(
     contrast check is recorded as skipped when the pair does not meet its
     distinct-density precondition, instead of failing by design.
     """
+    for cached in (_density, _forms_spectrum, _basic_projection_of_volume_ratio):
+        cached.cache_clear()
     reports = [
         invariance_check(p1, p2, grid, window),
         kappa_transform_residual(p1, p2, grid),

@@ -37,7 +37,7 @@ class TestProjectBasic:
 
     def test_kills_mean_zero_oscillation_for_flat_metric(self, flat_profile, grid64):
         f = torus_metric_sample(flat_profile, grid64)
-        field = np.cos(grid64.theta_nodes)[:, None] * np.ones(grid64.n_points)
+        field = np.cos(grid64.t_nodes)[:, None] * np.ones(grid64.n_points)
         projected = project_basic(field, f, grid64)
         np.testing.assert_allclose(projected.values, 0.0, atol=1e-14)
 

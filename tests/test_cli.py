@@ -174,6 +174,30 @@ class TestVerifyCommand:
         assert len(failed) == 1
         assert failed[0]["check_name"] == "laplacian_dependence"
 
+    def test_failed_and_skipped_checks_named_on_stderr(self, tmp_path, capsys):
+        args = ["verify", "--all", "--grid", "64", "--window", "8", "--seed", "7041"]
+        assert run(args + ["--pairs", "5", "--output-dir", str(tmp_path / "five")]) == 1
+        captured = capsys.readouterr()
+        assert captured.out.strip().endswith("19/20 checks passed")
+        assert captured.err.splitlines() == [
+            "failed laplacian_dependence: residual inf > threshold 1e-08: "
+            "metrics spectrally indistinguishable for the basic Laplacian",
+            "skipped laplacian_dependence: "
+            "theta-averaged densities are not distinct for this pair",
+        ]
+        # the first two pairs pass: their records are the same bytes in a
+        # bundle that has a failure and in one that has none
+        assert run(args + ["--pairs", "2", "--output-dir", str(tmp_path / "two")]) == 0
+        assert capsys.readouterr().err == ""
+        five = (tmp_path / "five" / "verify_bundle.json").read_text()
+        two = (tmp_path / "two" / "verify_bundle.json").read_text()
+        records_two = json.loads(two)["reports"]
+        records_five = json.loads(five)["reports"][: len(records_two)]
+        assert [json.dumps(r, indent=2, sort_keys=True) for r in records_five] == [
+            json.dumps(r, indent=2, sort_keys=True) for r in records_two
+        ]
+        assert five == json.dumps(json.loads(five), indent=2, sort_keys=True) + "\n"
+
     def test_untrusted_window_without_pair_checks_is_config_error(self, wavy_path):
         code = run(
             ["verify", "--pairs", "0", "--profiles", str(wavy_path), "--grid", "64", "--window", "16"]

@@ -135,7 +135,7 @@ class TestTorusGeometry:
         f_expr = 2 + sp.Rational(1, 2) * sp.cos(theta + 0.3) * sp.cos(t + 0.7)
         kappa_fn = sp.lambdify((theta, t), -sp.diff(f_expr, t) / f_expr)
         geometry = torus_geometry(profile, grid128)
-        thetas = grid128.theta_nodes[:, None]
+        thetas = grid128.t_nodes[:, None]
         ts = grid128.t_nodes[None, :]
         np.testing.assert_allclose(geometry.kappa_coeff, kappa_fn(thetas, ts), atol=1e-12)
 

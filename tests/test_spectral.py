@@ -14,9 +14,15 @@ from foliation_lab import (
     eigenvalues_weighted,
     spectrum_compare,
 )
+from foliation_lab import spectral
 from foliation_lab.basic_calculus import LeafVolumeDensity
-from foliation_lab.operators import WeightedOperator
-from foliation_lab.spectral import OperatorSymmetryError, SpectrumReport
+from foliation_lab.operators import (
+    WeightedOperator,
+    assemble_basic_dirac_forms,
+    quadrature_weights,
+    twisted_differential,
+)
+from foliation_lab.spectral import OperatorSymmetryError, SpectrumReport, forms_dirac_spectrum
 
 
 def _density(profile, grid):
@@ -50,6 +56,57 @@ class TestEigenvaluesWeighted:
     def test_window_recorded_from_grid(self, cosine_profile, grid128):
         op = assemble_basic_dirac_spinor(_density(cosine_profile, grid128), grid128)
         assert eigenvalues_weighted(op).window == 16.0
+
+
+class TestSymmetryGate:
+    @pytest.mark.parametrize("asymmetry", [1.0, 1e-3, 1e-9])
+    def test_gate_ratio_never_below_operator_norm_ratio(self, asymmetry):
+        """||S - S^H||_F / max|lambda(H)| bounds the former ||S - S^H||_2 / ||S||_2."""
+        rng = np.random.default_rng(4242)
+        for n in (2, 7, 32):
+            hermitian = rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n))
+            hermitian = hermitian + hermitian.conj().T
+            noise = rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n))
+            op = WeightedOperator(hermitian + asymmetry * noise, rng.uniform(0.5, 2.0, n), "r", n)
+            root = np.sqrt(op.weights)
+            sym = (root[:, None] * op.matrix) / root[None, :]
+            old_ratio = np.linalg.norm(sym - sym.conj().T, 2) / np.linalg.norm(sym, 2)
+            assert op.symmetry_residual() >= old_ratio
+
+
+class TestFormsDiracSpectrum:
+    @pytest.mark.parametrize("n_points", [64, 128, 256])
+    @pytest.mark.parametrize("profile_name", ["flat_profile", "cosine_profile", "mixed_profile"])
+    def test_matches_full_block_solve(self, request, profile_name, n_points):
+        grid = GridSpec(n_points)
+        density = _density(request.getfixturevalue(profile_name), grid)
+        oracle = eigenvalues_weighted(assemble_basic_dirac_forms(density, grid))
+        report = forms_dirac_spectrum(density, grid)
+        assert report.operator_label == oracle.operator_label
+        assert (report.window, report.grid_size) == (oracle.window, oracle.grid_size)
+        np.testing.assert_allclose(report.eigenvalues, oracle.eigenvalues, rtol=0.0, atol=1e-12)
+
+    def test_gate_ratio_equals_block_ratio(self, mixed_profile, grid64):
+        rng = np.random.default_rng(5)
+        density = _density(mixed_profile, grid64)
+        broken = twisted_differential(density, grid64) + 1e-6 * rng.normal(size=(64, 64))
+        weights = quadrature_weights(density)
+        half = WeightedOperator(1j * broken, weights, "half", 64)
+        zero = np.zeros_like(broken)
+        block = WeightedOperator(
+            np.block([[zero, -broken], [broken, zero]]), np.concatenate([weights] * 2), "full", 64
+        )
+        assert np.sqrt(2.0) * half.symmetry_residual() == pytest.approx(
+            block.symmetry_residual(), rel=1e-12
+        )
+
+    def test_refuses_broken_twisted_differential(self, cosine_profile, grid64, monkeypatch):
+        def broken(density, grid):
+            return twisted_differential(density, grid) + 1e-6 * np.eye(grid.n_points)
+
+        monkeypatch.setattr(spectral, "twisted_differential", broken)
+        with pytest.raises(OperatorSymmetryError, match="dirac_forms"):
+            forms_dirac_spectrum(_density(cosine_profile, grid64), grid64)
 
 
 class TestSpectrumCompare:

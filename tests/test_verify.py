@@ -16,7 +16,7 @@ from foliation_lab import (
     lichnerowicz_residual,
     scal_relation_residual,
 )
-from foliation_lab.verify import random_profile, random_profile_pair
+from foliation_lab.verify import random_profile, random_profile_pair, run_pair_checks
 
 from conftest import exp_cos_profile, exp_sin_profile
 
@@ -184,3 +184,26 @@ def test_property_sweep_over_seeded_pairs(n_points):
         assert report.passed, report.metadata
         assert kappa_transform_residual(p1, p2, grid).passed
         assert conjugation_residual(p1, p2, grid).passed
+
+
+def test_pair_battery_solves_each_spectrum_once(flat_profile, cosine_profile, grid64, monkeypatch):
+    """Two spinor, two N x N forms and two Laplacian solves per pair, and no SVD."""
+    eigvalsh_sizes, svd_calls = [], []
+    eigvalsh, svd = np.linalg.eigvalsh, np.linalg.svd
+
+    def counted_eigvalsh(matrix, *args, **kwargs):
+        eigvalsh_sizes.append(matrix.shape)
+        return eigvalsh(matrix, *args, **kwargs)
+
+    def counted_svd(*args, **kwargs):
+        svd_calls.append(1)
+        return svd(*args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "eigvalsh", counted_eigvalsh)
+    monkeypatch.setattr(np.linalg, "svd", counted_svd)
+    # np.linalg.norm(x, 2) reaches svd through the implementation module
+    monkeypatch.setattr(np.linalg._linalg, "svd", counted_svd)
+    reports = run_pair_checks(flat_profile, cosine_profile, grid64, 8.0)
+    assert [report.passed for report in reports] == [True] * 4
+    assert eigvalsh_sizes == [(64, 64)] * 6
+    assert svd_calls == []
