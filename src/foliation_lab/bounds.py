@@ -1,6 +1,6 @@
 """Eigenvalue lower bounds for the basic Dirac operator and their sphere-flow values.
 
-Five bound families are evaluated from infimum/supremum data:
+``eval_bound`` evaluates five bound families from infimum/supremum data:
 
 * ``esti``     lambda^2 >= q/(4(q-1)) * inf(transverse scalar curvature)
 * ``estima``   lambda^2 >= q/(4(q-1)) * inf(Scal_M - Scal_L + |A|^2 + |T|^2)
@@ -8,10 +8,14 @@ Five bound families are evaluated from infimum/supremum data:
 * ``minmax``   lambda^2 >= lambda^2(D_M)/2 - (n/16) * sup(|A|^2)
 * ``collapse`` lambda^2 >= (q+1)/(4q) * inf(Scal_M + |A|^2)
 
-On the sphere flows every quantity is a closed-form function of s = |z|^2,
-so the extrema reduce to one-dimensional optimization over [0, 1]: a
-uniform scan followed by golden-section refinement.  The resulting values
-reproduce the closed piecewise-in-r references.
+``s3_bounds`` evaluates four of them on the sphere flows: ``esti``,
+``estmflot``, ``minmax`` and ``collapse``; ``estima`` is reachable only
+through ``eval_bound``.  On the sphere flows every quantity is a closed-form
+function of s = |z|^2, so the extrema reduce to one-dimensional optimization
+over [0, 1]: a uniform scan, one array evaluation over the scan points,
+followed by scalar golden-section refinement.  The resulting values
+reproduce the closed piecewise-in-r references that ``piecewise_reference``
+gives for all four.
 """
 
 from __future__ import annotations
@@ -106,11 +110,15 @@ def golden_section_min(fn, a: float, b: float, tol: float = 1e-10):
 
 
 def minimize_on_interval(fn, a: float, b: float, resolution: int):
-    """Uniform scan (endpoints included) plus golden-section refinement."""
+    """Uniform scan (endpoints included) plus golden-section refinement.
+
+    ``fn`` must accept an ndarray of points: the scan is one call on the
+    ``resolution`` scan points, and every refinement call passes a scalar.
+    """
     if resolution < 100:
         raise ValueError(f"resolution must be >= 100, got {resolution}")
     xs = np.linspace(a, b, resolution)
-    values = np.array([fn(x) for x in xs])
+    values = fn(xs)
     best = int(np.argmin(values))
     lo = xs[max(best - 1, 0)]
     hi = xs[min(best + 1, resolution - 1)]
@@ -121,6 +129,7 @@ def minimize_on_interval(fn, a: float, b: float, resolution: int):
 
 
 def maximize_on_interval(fn, a: float, b: float, resolution: int):
+    """Maximize by minimizing ``-fn``; ``fn`` takes arrays as in minimize_on_interval."""
     x, negative = minimize_on_interval(lambda s: -fn(s), a, b, resolution)
     return x, -negative
 
@@ -131,17 +140,17 @@ def s3_bounds(r: float, resolution: int = 1000) -> list[BoundReport]:
         raise ValueError(f"flow parameter r must be positive, got {r}")
 
     def scal_transverse(s):
-        return float(s3_transverse_scal(r, s))
+        return s3_transverse_scal(r, s)
 
     def scal_plus_tensors(s):
-        kappa = float(s3_kappa_norm(r, s))
-        return S3_SCALAR_CURVATURE + float(s3_a_norm_sq(r, s)) + kappa * kappa
+        kappa = s3_kappa_norm(r, s)
+        return S3_SCALAR_CURVATURE + s3_a_norm_sq(r, s) + kappa * kappa
 
     def scal_plus_a_sq(s):
-        return S3_SCALAR_CURVATURE + float(s3_a_norm_sq(r, s))
+        return S3_SCALAR_CURVATURE + s3_a_norm_sq(r, s)
 
     def a_sq(s):
-        return float(s3_a_norm_sq(r, s))
+        return s3_a_norm_sq(r, s)
 
     q, n = S3_FLOW_Q, S3_FLOW_N
     reports = []
@@ -179,11 +188,13 @@ def piecewise_reference(r: float) -> dict:
             "esti": 1.0 + 3.0 * r * r,
             "estmflot": r * r + 3.0,
             "minmax": 9.0 / 8.0 - 1.0 / (4.0 * r * r),
+            "collapse": 3.0 / 8.0 * (6.0 + 2.0 * r * r),
         }
     return {
         "esti": 4.0,
         "estmflot": 1.0 / (r * r) + 3.0,
         "minmax": 9.0 / 8.0 - r * r / 4.0,
+        "collapse": 3.0 / 8.0 * (6.0 + 2.0 / (r * r)),
     }
 
 

@@ -232,11 +232,12 @@ class S3FlowGeometry:
 
 
 def s3_denominator(r: float, s) -> np.ndarray:
-    """r^2 |z|^2 + |w|^2 expressed through s = |z|^2."""
-    return r * r * np.asarray(s, dtype=np.float64) + (1.0 - np.asarray(s, dtype=np.float64))
+    """r^2 |z|^2 + |w|^2 expressed through s = |z|^2, a float or float array."""
+    return r * r * s + (1.0 - s)
 
 
 def s3_transverse_scal(r: float, s) -> np.ndarray:
+    s = np.asarray(s, dtype=np.float64)
     return 2.0 + 6.0 * r * r / s3_denominator(r, s)
 
 
@@ -247,6 +248,7 @@ def s3_kappa_norm(r: float, s) -> np.ndarray:
 
 def s3_a_norm_sq(r: float, s) -> np.ndarray:
     """Squared O'Neill-tensor norm: both transverse frame directions contribute (r/denominator)^2."""
+    s = np.asarray(s, dtype=np.float64)
     return 2.0 * (r / s3_denominator(r, s)) ** 2
 
 

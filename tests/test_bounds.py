@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from foliation_lab import eval_bound, piecewise_reference, s3_bounds
+from foliation_lab import bounds, eval_bound, piecewise_reference, s3_bounds
 from foliation_lab.bounds import (
     bound_rows_csv,
     golden_section_min,
@@ -98,6 +98,19 @@ class TestScanOptimizers:
         with pytest.raises(ValueError, match="resolution"):
             minimize_on_interval(lambda s: s, 0.0, 1.0, 10)
 
+    @pytest.mark.parametrize("optimizer", [minimize_on_interval, maximize_on_interval])
+    @pytest.mark.parametrize("resolution", [100, 437, 1000])
+    def test_scan_is_one_array_call(self, optimizer, resolution):
+        shapes = []
+
+        def recording(s):
+            shapes.append(np.shape(s))
+            return np.cos(7.0 * np.asarray(s))
+
+        optimizer(recording, 0.0, 1.0, resolution)
+        assert shapes.count((resolution,)) == 1
+        assert shapes.count(()) == len(shapes) - 1
+
 
 class TestS3Bounds:
     @pytest.mark.parametrize(
@@ -149,6 +162,42 @@ class TestS3Bounds:
             s3_bounds(0.0)
 
 
+def _scalar_scan_min(fn, a, b, resolution):
+    """The point-by-point scan: one scalar call per scan point, then golden section."""
+    xs = np.linspace(a, b, resolution)
+    values = np.array([float(fn(x)) for x in xs])
+    best = int(np.argmin(values))
+    lo = xs[max(best - 1, 0)]
+    hi = xs[min(best + 1, resolution - 1)]
+    x_ref, f_ref = golden_section_min(lambda x: float(fn(x)), lo, hi)
+    if values[best] < f_ref:
+        return float(xs[best]), float(values[best])
+    return float(x_ref), float(f_ref)
+
+
+class TestArrayScanParity:
+    R_VALUES = np.concatenate(
+        [np.geomspace(0.1, 10.0, 50), np.random.default_rng(20081).uniform(0.09, 11.0, 30)]
+    )
+
+    @pytest.mark.parametrize("resolution,tolerance", [(1000, 0.0), (437, 1e-15), (100, 1e-15)])
+    def test_matches_scalar_scan(self, monkeypatch, resolution, tolerance):
+        # array x**2 squares while scalar x**2 calls pow; they differ by at
+        # most one ulp, which can move a scan's pick by ~2e-16.  On these r
+        # no resolution-1000 report moves at all.
+        array_reports = [s3_bounds(r, resolution) for r in self.R_VALUES]
+        monkeypatch.setattr(bounds, "minimize_on_interval", _scalar_scan_min)
+        scalar_reports = [s3_bounds(r, resolution) for r in self.R_VALUES]
+        for fast, slow in zip(array_reports, scalar_reports):
+            for got, want in zip(fast, slow):
+                assert got.kind == want.kind
+                assert abs(got.value - want.value) <= tolerance, (got.kind, got.r)
+                assert abs(got.inputs["arg_s"] - want.inputs["arg_s"]) <= tolerance, (
+                    got.kind,
+                    got.r,
+                )
+
+
 class TestPiecewiseReference:
     def test_quarter(self):
         assert piecewise_reference(0.25)["esti"] == pytest.approx(1.1875)
@@ -161,6 +210,15 @@ class TestPiecewiseReference:
 
     def test_three(self):
         assert piecewise_reference(3.0)["estmflot"] == pytest.approx(3.0 + 1.0 / 9.0)
+
+    def test_collapse_branches(self):
+        assert piecewise_reference(0.5)["collapse"] == pytest.approx(3.0 / 8.0 * 6.5)
+        assert piecewise_reference(1.0)["collapse"] == pytest.approx(3.0)
+        assert piecewise_reference(2.0)["collapse"] == pytest.approx(3.0 / 8.0 * 6.5)
+
+    def test_every_sphere_flow_bound_has_a_reference(self):
+        for r in (0.3, 1.0, 3.0):
+            assert set(piecewise_reference(r)) == {report.kind for report in s3_bounds(r, 100)}
 
     def test_rejects_nonpositive(self):
         with pytest.raises(ValueError):
@@ -179,4 +237,6 @@ class TestCsvRows:
         assert float(esti[2]) == pytest.approx(1.75)
         assert float(esti[3]) == pytest.approx(1.75)
         assert float(esti[4]) < 1e-9
-        assert rows["collapse"][3] == ""
+        collapse = rows["collapse"]
+        assert float(collapse[3]) == pytest.approx(3.0 / 8.0 * 6.5)
+        assert float(collapse[4]) < 1e-9
