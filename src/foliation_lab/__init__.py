@@ -21,9 +21,7 @@ from .model_spaces import (
     GridSpec,
     MetricProfile,
     ProfileTerm,
-    S3FlowGeometry,
     load_profile,
-    s3_geometry,
     save_profile,
     torus_geometry,
     torus_metric_sample,
@@ -59,7 +57,6 @@ __all__ = [
     "MetricProfile",
     "NonBasicMeanCurvatureError",
     "ProfileTerm",
-    "S3FlowGeometry",
     "SpectrumReport",
     "VerificationReport",
     "WeightedOperator",
@@ -81,7 +78,6 @@ __all__ = [
     "piecewise_reference",
     "project_basic",
     "s3_bounds",
-    "s3_geometry",
     "save_profile",
     "scal_relation_residual",
     "spectrum_compare",

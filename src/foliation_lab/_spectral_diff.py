@@ -11,11 +11,20 @@ is the convention used throughout the operator assembly.  The functional
 derivative used for real fields zeroes the extreme mode instead (the
 standard real-signal convention for odd derivative orders); the two agree
 on all resolved frequencies.
+
+There is one cached, read-only differentiation matrix per (grid size, spin
+structure); the operator assembly derives every first-order operator and
+the codifferential from it by diagonal scaling.
 """
 
 from __future__ import annotations
 
+from functools import lru_cache
+
 import numpy as np
+
+# Matrices kept: both spin structures on the few grid sizes a run uses.
+_CACHED_MATRICES = 8
 
 
 def wavenumbers(n_points: int) -> np.ndarray:
@@ -33,11 +42,9 @@ def fourier_derivative(values: np.ndarray, order: int = 1, axis: int = -1) -> np
     """
     values = np.asarray(values)
     n = values.shape[axis]
-    k = np.fft.fftfreq(n, d=1.0 / n)
+    k = wavenumbers(n)
     if order % 2 == 1:
         k[n // 2] = 0.0
-    else:
-        k[n // 2] = n // 2
     factor = (1j * k) ** order
     shape = [1] * values.ndim
     shape[axis] = n
@@ -48,26 +55,25 @@ def fourier_derivative(values: np.ndarray, order: int = 1, axis: int = -1) -> np
     return out
 
 
-def differentiation_matrix(n_points: int) -> np.ndarray:
-    """Dense complex first-derivative matrix D with D = F^-1 diag(i k) F."""
-    k = wavenumbers(n_points)
-    eye_hat = np.fft.fft(np.eye(n_points), axis=0)
-    return np.fft.ifft((1j * k)[:, None] * eye_hat, axis=0)
+@lru_cache(maxsize=_CACHED_MATRICES)
+def differentiation_matrix(n_points: int, spin_structure: str = "trivial") -> np.ndarray:
+    """Read-only first-derivative matrix on sections of the chosen spin structure.
 
-
-def spinor_differentiation_matrix(n_points: int, spin_structure: str) -> np.ndarray:
-    """First-derivative matrix acting on sections of the chosen spin structure.
-
-    Trivial structure: periodic sections, plain Fourier matrix.  Nontrivial
+    Trivial structure: periodic sections, D = F^-1 diag(i k) F.  Nontrivial
     structure: antiperiodic sections psi = e^{i t/2} phi with phi periodic,
     giving the conjugated matrix E (D + i/2) E^-1 on sampled values of psi.
+    Callers pass both arguments positionally, so each grid has one cache key.
     """
-    d = differentiation_matrix(n_points)
     if spin_structure == "trivial":
-        return d
-    if spin_structure == "nontrivial":
+        k = wavenumbers(n_points)
+        eye_hat = np.fft.fft(np.eye(n_points), axis=0)
+        matrix = np.fft.ifft((1j * k)[:, None] * eye_hat, axis=0)
+    elif spin_structure == "nontrivial":
         t = 2.0 * np.pi * np.arange(n_points) / n_points
         half_phase = np.exp(0.5j * t)
-        shifted = d + 0.5j * np.eye(n_points)
-        return half_phase[:, None] * shifted * np.conj(half_phase)[None, :]
-    raise ValueError(f"unknown spin structure: {spin_structure!r}")
+        shifted = differentiation_matrix(n_points, "trivial") + 0.5j * np.eye(n_points)
+        matrix = half_phase[:, None] * shifted * np.conj(half_phase)[None, :]
+    else:
+        raise ValueError(f"unknown spin structure: {spin_structure!r}")
+    matrix.flags.writeable = False
+    return matrix

@@ -22,9 +22,8 @@ VALIDATION_GRID = 512
 
 SPIN_STRUCTURES = ("trivial", "nontrivial")
 
-# Unit round 3-sphere constants: scalar curvature 6, one-dimensional leaves.
+# Scalar curvature of the unit round 3-sphere.
 S3_SCALAR_CURVATURE = 6.0
-S3_LEAF_SCALAR_CURVATURE = 0.0
 
 
 @dataclass(frozen=True)
@@ -219,18 +218,6 @@ def torus_geometry(profile: MetricProfile, grid: GridSpec) -> TorusGeometry:
     return TorusGeometry(kappa_coeff=-f_t / f, scal_m=-2.0 * f_tt / f)
 
 
-@dataclass(frozen=True)
-class S3FlowGeometry:
-    """Pointwise geometric data of the flow with parameter r at s = |z|^2."""
-
-    r: float
-    scal_transverse: float
-    kappa_norm: float
-    a_norm_sq: float
-    scal_m: float = S3_SCALAR_CURVATURE
-    leaf_scal: float = S3_LEAF_SCALAR_CURVATURE
-
-
 def s3_denominator(r: float, s) -> np.ndarray:
     """r^2 |z|^2 + |w|^2 expressed through s = |z|^2, a float or float array."""
     return r * r * s + (1.0 - s)
@@ -251,16 +238,3 @@ def s3_a_norm_sq(r: float, s) -> np.ndarray:
     s = np.asarray(s, dtype=np.float64)
     return 2.0 * (r / s3_denominator(r, s)) ** 2
 
-
-def s3_geometry(r: float, s: float) -> S3FlowGeometry:
-    """Evaluate the closed-form flow geometry at parameter r and s = |z|^2."""
-    if not r > 0.0:
-        raise ValueError(f"flow parameter r must be positive, got {r}")
-    if not 0.0 <= s <= 1.0:
-        raise ValueError(f"s = |z|^2 must lie in [0, 1], got {s}")
-    return S3FlowGeometry(
-        r=float(r),
-        scal_transverse=float(s3_transverse_scal(r, s)),
-        kappa_norm=float(s3_kappa_norm(r, s)),
-        a_norm_sq=float(s3_a_norm_sq(r, s)),
-    )

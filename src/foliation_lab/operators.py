@@ -10,8 +10,12 @@ accuracy:
   volume-normalized (conservative) form g^{-1/2} D g^{1/2}, which is the
   exact discrete conjugate of the plain derivative matrix D;
 * the codifferential is the exact matrix adjoint of the discrete
-  differential under the weighted inner product, never an independently
-  discretized expression.
+  differential under the weighted inner product, -g^{-1} D g, never an
+  independently discretized expression.
+
+Both are ``diagonal_conjugate`` scalings w^{-1} D w of the one cached,
+read-only Fourier matrix D per (grid, spin structure) from
+``_spectral_diff.differentiation_matrix``.
 
 With these choices the spinor Dirac matrix is exactly unitarily
 equivalent to i*D, so its spectrum is the integer lattice for every
@@ -25,11 +29,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._spectral_diff import (
-    differentiation_matrix,
-    fourier_derivative,
-    spinor_differentiation_matrix,
-)
+from ._spectral_diff import differentiation_matrix, fourier_derivative
 from .basic_calculus import DEGREE_FUNCTION, DEGREE_ONE_FORM, TWO_PI, LeafVolumeDensity
 from .model_spaces import GridSpec
 
@@ -75,10 +75,10 @@ class WeightedOperator:
                 handle.write(",".join(cells) + "\n")
 
 
-def _conjugated_derivative(d_matrix: np.ndarray, g: np.ndarray) -> np.ndarray:
-    """g^{-1/2} D g^{1/2}: the conservative discretization of u' + (g'/2g) u."""
-    root = np.sqrt(g)
-    return (d_matrix * root[None, :]) / root[:, None]
+def diagonal_conjugate(matrix: np.ndarray, w: np.ndarray) -> np.ndarray:
+    """w^{-1} M w for diagonal w: with w = g^{1/2} and M = D, the conservative
+    discretization of u' + (g'/2g) u."""
+    return (matrix * w[None, :]) / w[:, None]
 
 
 def quadrature_weights(density: LeafVolumeDensity) -> np.ndarray:
@@ -100,8 +100,8 @@ def assemble_basic_dirac_spinor(
     one antiperiodic sections (half-integer frequency lattice).
     """
     _check_grid(density, grid)
-    d_spin = spinor_differentiation_matrix(grid.n_points, grid.spin_structure)
-    matrix = 1j * _conjugated_derivative(d_spin, density.g_values)
+    d_spin = differentiation_matrix(grid.n_points, grid.spin_structure)
+    matrix = 1j * diagonal_conjugate(d_spin, np.sqrt(density.g_values))
     return WeightedOperator(
         matrix=matrix,
         weights=quadrature_weights(density),
@@ -113,7 +113,8 @@ def assemble_basic_dirac_spinor(
 def twisted_differential(density: LeafVolumeDensity, grid: GridSpec) -> np.ndarray:
     """Twisted differential on basic functions: u -> (u' - k u / 2) dt, k = -g'/g."""
     _check_grid(density, grid)
-    return _conjugated_derivative(differentiation_matrix(grid.n_points), density.g_values)
+    d = differentiation_matrix(grid.n_points, "trivial")
+    return diagonal_conjugate(d, np.sqrt(density.g_values))
 
 
 def assemble_basic_dirac_forms(
@@ -142,9 +143,8 @@ def assemble_basic_dirac_forms(
 def codifferential(density: LeafVolumeDensity, grid: GridSpec) -> np.ndarray:
     """Weighted adjoint of the plain differential: v dt -> -(g v)'/g."""
     _check_grid(density, grid)
-    d = differentiation_matrix(grid.n_points)
-    g = density.g_values
-    return -(d * g[None, :]) / g[:, None]
+    d = differentiation_matrix(grid.n_points, "trivial")
+    return -diagonal_conjugate(d, density.g_values)
 
 
 def assemble_basic_laplacian(
@@ -156,7 +156,7 @@ def assemble_basic_laplacian(
     its eigenvalues depend on the choice of density.
     """
     _check_grid(density, grid)
-    d = differentiation_matrix(grid.n_points)
+    d = differentiation_matrix(grid.n_points, "trivial")
     delta = codifferential(density, grid)
     if degree == DEGREE_FUNCTION:
         matrix = delta @ d
@@ -185,12 +185,12 @@ def connection_laplacian_spinor(
     with the Dirac square and operator-norm comparisons stay meaningful.
     """
     _check_grid(density, grid)
-    d_spin = spinor_differentiation_matrix(grid.n_points, grid.spin_structure)
+    d_spin = differentiation_matrix(grid.n_points, grid.spin_structure)
     half_log_derivative = density.g_dot_values / (2.0 * density.g_values)
     correction = (
         fourier_derivative(half_log_derivative, order=1) + half_log_derivative**2
     )
-    matrix = -_conjugated_derivative(d_spin @ d_spin, density.g_values) + np.diag(
+    matrix = -diagonal_conjugate(d_spin @ d_spin, np.sqrt(density.g_values)) + np.diag(
         correction.astype(np.complex128)
     )
     return WeightedOperator(

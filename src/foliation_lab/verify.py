@@ -34,6 +34,7 @@ from .operators import (
     assemble_basic_dirac_spinor,
     assemble_basic_laplacian,
     assemble_lichnerowicz_sides,
+    diagonal_conjugate,
     finite_difference_laplacian,
 )
 from .spectral import (SpectrumReport, eigenvalues_weighted, forms_dirac_spectrum,
@@ -63,6 +64,18 @@ class VerificationReport:
     threshold: float
     passed: bool
     metadata: dict = field(default_factory=dict)
+
+    @classmethod
+    def skipped(cls, check_name: str, threshold: float, reason: str, metadata: dict):
+        """A check whose precondition does not hold: recorded as passed with zero
+        residual, and flagged ``skipped`` with its reason in the metadata."""
+        return cls(
+            check_name=check_name,
+            residual=0.0,
+            threshold=threshold,
+            passed=True,
+            metadata={**metadata, "skipped": True, "reason": reason},
+        )
 
     @classmethod
     def from_residual(cls, check_name: str, residual: float, threshold: float, metadata: dict):
@@ -168,8 +181,7 @@ def conjugation_residual(
     alpha = _basic_projection_of_volume_ratio(p1, p2, grid)
     d1 = assemble_basic_dirac_spinor(_density(p1, grid), grid)
     d2 = assemble_basic_dirac_spinor(_density(p2, grid), grid)
-    root = np.sqrt(alpha)
-    conjugated = (d1.matrix * root[None, :]) / root[:, None]
+    conjugated = diagonal_conjugate(d1.matrix, np.sqrt(alpha))
     residual = float(np.linalg.norm(d2.matrix - conjugated))
     metadata = _pair_metadata(p1, p2, grid)
     metadata["tag"] = "inv"
@@ -377,15 +389,12 @@ def run_pair_checks(
     ]
     if skip_indistinct_laplacian and not densities_distinguishable(p1, p2, grid):
         reports.append(
-            VerificationReport(
-                check_name="laplacian_dependence",
-                residual=0.0,
-                threshold=LAPLACIAN_FORMS_THRESHOLD,
-                passed=True,
-                metadata={
+            VerificationReport.skipped(
+                "laplacian_dependence",
+                LAPLACIAN_FORMS_THRESHOLD,
+                "theta-averaged densities are not distinct for this pair",
+                {
                     "tag": "inv",
-                    "skipped": True,
-                    "reason": "theta-averaged densities are not distinct for this pair",
                     "profile_1": p1.to_dict(),
                     "profile_2": p2.to_dict(),
                     "grid": grid.n_points,
@@ -405,18 +414,11 @@ def run_profile_checks(profile: MetricProfile, grid: GridSpec) -> list[Verificat
         reports.append(lichnerowicz_residual(profile, grid))
     except NonBasicMeanCurvatureError as exc:
         reports.append(
-            VerificationReport(
-                check_name="lichnerowicz",
-                residual=0.0,
-                threshold=LICHNEROWICZ_THRESHOLD,
-                passed=True,
-                metadata={
-                    "tag": "schlich",
-                    "profile": profile.to_dict(),
-                    "grid": grid.n_points,
-                    "skipped": True,
-                    "reason": str(exc),
-                },
+            VerificationReport.skipped(
+                "lichnerowicz",
+                LICHNEROWICZ_THRESHOLD,
+                str(exc),
+                {"tag": "schlich", "profile": profile.to_dict(), "grid": grid.n_points},
             )
         )
     return reports

@@ -13,10 +13,15 @@ from foliation_lab import (
     MetricProfile,
     ProfileTerm,
     load_profile,
-    s3_geometry,
     save_profile,
     torus_geometry,
     torus_metric_sample,
+)
+from foliation_lab.model_spaces import (
+    S3_SCALAR_CURVATURE,
+    s3_a_norm_sq,
+    s3_kappa_norm,
+    s3_transverse_scal,
 )
 
 from conftest import exp_cos_profile
@@ -143,49 +148,34 @@ class TestTorusGeometry:
 class TestS3Geometry:
     def test_hopf_flow_is_homogeneous(self):
         for s in (0.0, 0.3, 0.5, 1.0):
-            geometry = s3_geometry(1.0, s)
-            assert geometry.scal_transverse == pytest.approx(8.0)
-            assert geometry.kappa_norm == pytest.approx(0.0)
-            assert geometry.a_norm_sq == pytest.approx(2.0)
+            assert s3_transverse_scal(1.0, s) == pytest.approx(8.0)
+            assert s3_kappa_norm(1.0, s) == pytest.approx(0.0)
+            assert s3_a_norm_sq(1.0, s) == pytest.approx(2.0)
 
     def test_frozen_rational_point_values(self):
-        geometry = s3_geometry(0.5, 0.5)
-        assert geometry.scal_transverse == pytest.approx(4.4)
-        assert geometry.kappa_norm == pytest.approx(0.6)
-        assert geometry.a_norm_sq == pytest.approx(1.28)
+        assert s3_transverse_scal(0.5, 0.5) == pytest.approx(4.4)
+        assert s3_kappa_norm(0.5, 0.5) == pytest.approx(0.6)
+        assert s3_a_norm_sq(0.5, 0.5) == pytest.approx(1.28)
 
-        geometry = s3_geometry(2.0, 0.0)
-        assert geometry.scal_transverse == pytest.approx(26.0)
-        assert geometry.kappa_norm == pytest.approx(0.0)
-        assert geometry.a_norm_sq == pytest.approx(8.0)
+        assert s3_transverse_scal(2.0, 0.0) == pytest.approx(26.0)
+        assert s3_kappa_norm(2.0, 0.0) == pytest.approx(0.0)
+        assert s3_a_norm_sq(2.0, 0.0) == pytest.approx(8.0)
 
     def test_ambient_constants(self):
-        geometry = s3_geometry(0.7, 0.2)
-        assert geometry.scal_m == 6.0
-        assert geometry.leaf_scal == 0.0
+        assert S3_SCALAR_CURVATURE == 6.0
 
     @pytest.mark.parametrize("r", [0.3, 0.5, 2.0, 5.0])
     def test_kappa_vanishes_exactly_at_poles(self, r):
-        assert s3_geometry(r, 0.0).kappa_norm == 0.0
-        assert s3_geometry(r, 1.0).kappa_norm == 0.0
-        assert s3_geometry(r, 0.5).kappa_norm > 0.0
+        assert s3_kappa_norm(r, 0.0) == 0.0
+        assert s3_kappa_norm(r, 1.0) == 0.0
+        assert s3_kappa_norm(r, 0.5) > 0.0
 
     @pytest.mark.parametrize("r", [0.25, 0.5, 2.0, 4.0])
     def test_transverse_scal_monotone_in_s(self, r):
         s_values = np.linspace(0.0, 1.0, 200)
-        scal = np.array([s3_geometry(r, s).scal_transverse for s in s_values])
+        scal = np.array([float(s3_transverse_scal(r, s)) for s in s_values])
         diffs = np.diff(scal)
         if r < 1.0:
             assert (diffs >= -1e-12).all()
         else:
             assert (diffs <= 1e-12).all()
-
-    def test_domain_violations_rejected(self):
-        with pytest.raises(ValueError):
-            s3_geometry(0.0, 0.5)
-        with pytest.raises(ValueError):
-            s3_geometry(-1.0, 0.5)
-        with pytest.raises(ValueError):
-            s3_geometry(1.0, 1.5)
-        with pytest.raises(ValueError):
-            s3_geometry(1.0, -0.1)

@@ -44,6 +44,24 @@ def _all_operators(profile, grid):
     return ops
 
 
+class TestDifferentiationMatrix:
+    @pytest.mark.parametrize("n_points", [64, 128])
+    def test_cached_read_only_and_nontrivial_is_shifted_conjugate(self, n_points):
+        trivial = differentiation_matrix(n_points, "trivial")
+        nontrivial = differentiation_matrix(n_points, "nontrivial")
+        assert differentiation_matrix(n_points, "trivial") is trivial
+        assert differentiation_matrix(n_points, "nontrivial") is nontrivial
+        for matrix in (trivial, nontrivial):
+            with pytest.raises(ValueError):
+                matrix[0, 0] = 0.0
+        # Oracle: antiperiodic sections psi = e^{it/2} phi, so E (D + i/2) E^-1.
+        t = TWO_PI * np.arange(n_points) / n_points
+        half_phase = np.exp(0.5j * t)
+        shifted = trivial + 0.5j * np.eye(n_points)
+        expected = half_phase[:, None] * shifted * np.conj(half_phase)[None, :]
+        assert np.array_equal(nontrivial, expected)
+
+
 class TestSpinorDirac:
     def test_flat_metric_exact_integer_lattice(self, flat_profile, grid64):
         op = assemble_basic_dirac_spinor(_density(flat_profile, grid64), grid64)
@@ -82,7 +100,7 @@ class TestSpinorDirac:
         op = assemble_basic_dirac_spinor(density, grid128)
         root = np.sqrt(density.g_values)
         conjugated = (root[:, None] * op.matrix) / root[None, :]
-        target = 1j * differentiation_matrix(grid128.n_points)
+        target = 1j * differentiation_matrix(grid128.n_points, "trivial")
         assert np.linalg.norm(conjugated - target, 2) < 1e-10
 
 
@@ -155,7 +173,7 @@ class TestBasicLaplacian:
 class TestLichnerowicz:
     def test_flat_metric_sides_are_second_derivative(self, flat_profile, grid64):
         lhs, rhs = assemble_lichnerowicz_sides(_density(flat_profile, grid64), grid64)
-        d = differentiation_matrix(grid64.n_points)
+        d = differentiation_matrix(grid64.n_points, "trivial")
         np.testing.assert_allclose(lhs.matrix, -(d @ d), atol=1e-10)
         assert np.linalg.norm(lhs.matrix - rhs.matrix, 2) < 1e-10
 
@@ -184,7 +202,7 @@ class TestWeightedOperatorInvariants:
 
     def test_discrete_adjointness_is_exact(self, cosine_profile, grid64):
         density = _density(cosine_profile, grid64)
-        d = differentiation_matrix(grid64.n_points)
+        d = differentiation_matrix(grid64.n_points, "trivial")
         delta = codifferential(density, grid64)
         rng = np.random.default_rng(7)
         u = rng.normal(size=64) + 1j * rng.normal(size=64)

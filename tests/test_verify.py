@@ -16,6 +16,7 @@ from foliation_lab import (
     lichnerowicz_residual,
     scal_relation_residual,
 )
+from foliation_lab._spectral_diff import differentiation_matrix
 from foliation_lab.verify import random_profile, random_profile_pair, run_pair_checks
 
 from conftest import exp_cos_profile, exp_sin_profile
@@ -187,7 +188,8 @@ def test_property_sweep_over_seeded_pairs(n_points):
 
 
 def test_pair_battery_solves_each_spectrum_once(flat_profile, cosine_profile, grid64, monkeypatch):
-    """Two spinor, two N x N forms and two Laplacian solves per pair, and no SVD."""
+    """Two spinor, two N x N forms and two Laplacian solves per pair, no SVD, and
+    one derivative matrix for the pair's (grid, spin structure)."""
     eigvalsh_sizes, svd_calls = [], []
     eigvalsh, svd = np.linalg.eigvalsh, np.linalg.svd
 
@@ -203,7 +205,9 @@ def test_pair_battery_solves_each_spectrum_once(flat_profile, cosine_profile, gr
     monkeypatch.setattr(np.linalg, "svd", counted_svd)
     # np.linalg.norm(x, 2) reaches svd through the implementation module
     monkeypatch.setattr(np.linalg._linalg, "svd", counted_svd)
+    differentiation_matrix.cache_clear()
     reports = run_pair_checks(flat_profile, cosine_profile, grid64, 8.0)
     assert [report.passed for report in reports] == [True] * 4
     assert eigvalsh_sizes == [(64, 64)] * 6
     assert svd_calls == []
+    assert differentiation_matrix.cache_info().misses == 1
