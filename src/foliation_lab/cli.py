@@ -9,6 +9,7 @@ fixed ordering, no timestamps, 17 significant digits.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import os
@@ -22,7 +23,7 @@ from .basic_calculus import DEGREE_FUNCTION, DEGREE_ONE_FORM, LeafVolumeDensity
 from .bounds import bound_rows_csv, piecewise_reference, s3_bounds
 from .model_spaces import GridSpec, MetricProfile, load_profile
 from .operators import assemble_basic_dirac_spinor, assemble_basic_laplacian
-from .spectral import eigenvalues_weighted, forms_dirac_spectrum
+from .spectral import dirac_spectra, eigenvalues_weighted
 from .verify import random_profile_pair, run_pair_checks, run_profile_checks
 
 DEFAULT_SEED = 7041
@@ -77,7 +78,8 @@ def _load_profiles(paths) -> list[MetricProfile]:
 
 def _spectrum(operator_name: str, density: LeafVolumeDensity, grid: GridSpec):
     if operator_name == "dirac-forms":
-        return forms_dirac_spectrum(density, grid)
+        # The forms operator acts on periodic forms whatever --spin says.
+        return dirac_spectra(density, GridSpec(grid.n_points))[1]
     if operator_name == "dirac-spinor":
         return eigenvalues_weighted(assemble_basic_dirac_spinor(density, grid))
     degree = DEGREE_FUNCTION if operator_name == "laplacian-functions" else DEGREE_ONE_FORM
@@ -226,6 +228,10 @@ def _write_bundle(reports, grid: GridSpec, window: float, seed, args, name: str)
 def _cmd_verify(args) -> int:
     grid = GridSpec(args.grid, "trivial")
     grid.validate_window(args.window)
+    if not args.profiles and args.pairs < 1:
+        raise ValueError(
+            f"verify has no checks to run: --pairs {args.pairs} and no --profiles"
+        )
     seed = _seed_from_env(args.seed)
     profiles = _load_profiles(args.profiles)
     reports = _run_verification(profiles, grid, args.window, args.pairs, seed)
@@ -240,7 +246,9 @@ def _cmd_invariance(args) -> int:
     return _write_bundle(reports, grid, args.window, None, args, "invariance_bundle.json")
 
 
+@functools.lru_cache(maxsize=1)
 def build_parser() -> argparse.ArgumentParser:
+    """The CLI parser, built once per process: parse_args leaves it unchanged."""
     parser = argparse.ArgumentParser(
         prog="foliation-lab",
         description="Spectral laboratory for basic Dirac operators on model flows",

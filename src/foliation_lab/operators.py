@@ -56,9 +56,10 @@ class WeightedOperator:
         ||S - S^H||_F / max|lambda(H)| >= ||S - S^H||_2 / ||S||_2 (as ||H||_2 <= ||S||_2)."""
         root = np.sqrt(self.weights)
         sym = (root[:, None] * self.matrix) / root[None, :]
-        values = np.linalg.eigvalsh(0.5 * (sym + sym.conj().T))
+        adjoint = sym.conj().T
+        values = np.linalg.eigvalsh(0.5 * (sym + adjoint))
         scale = max(float(np.max(np.abs(values))), np.finfo(float).tiny)
-        return values, float(np.linalg.norm(sym - sym.conj().T) / scale)
+        return values, float(np.linalg.norm(sym - adjoint) / scale)
 
     def symmetry_residual(self) -> float:
         """Relative deviation of the symmetrized matrix from Hermitian (the gate ratio)."""
@@ -125,8 +126,9 @@ def assemble_basic_dirac_forms(
     Acts as (u, v) -> (-v' + k v/2, u' - k u/2) with k = -g'/g: the twisted
     differential in the lower-left block and its exact weighted adjoint in
     the upper-right.  On the codimension-one transversal the adjoint equals
-    minus the twisted differential.  ``spectral.forms_dirac_spectrum`` solves
-    it as +-spec(iT); this 2N assembly is its test oracle.
+    minus the twisted differential.  ``spectral.dirac_spectra`` reads its
+    spectrum +-spec(iT) from the trivial spinor solve; this 2N assembly is its
+    test oracle.
     """
     n = grid.n_points
     d_tw = twisted_differential(density, grid)

@@ -1,4 +1,8 @@
-"""Eigenvalue extraction for weighted-Hermitian operators and spectrum comparison."""
+"""Eigenvalue extraction for weighted-Hermitian operators and spectrum comparison.
+
+``eigenvalues_weighted`` solves one operator; ``dirac_spectra`` reads both basic
+Dirac spectra, spinor and forms, from one solve of the trivial spinor matrix.
+"""
 
 from __future__ import annotations
 
@@ -10,7 +14,7 @@ import numpy as np
 
 from .basic_calculus import LeafVolumeDensity
 from .model_spaces import GridSpec
-from .operators import WeightedOperator, quadrature_weights, twisted_differential
+from .operators import WeightedOperator, assemble_basic_dirac_spinor
 
 # Relative symmetrization residual above which an eigensolve is refused.
 SYMMETRIZATION_TOLERANCE = 1e-8
@@ -87,19 +91,31 @@ def eigenvalues_weighted(op: WeightedOperator) -> SpectrumReport:
     return _gated_report(values, residual, op.n_points, op.label)
 
 
-def forms_dirac_spectrum(density: LeafVolumeDensity, grid: GridSpec) -> SpectrumReport:
-    """Spectrum of the basic forms Dirac operator [[0, -T], [T, 0]] from one N x N solve.
+def dirac_spectra(
+    density: LeafVolumeDensity, grid: GridSpec
+) -> tuple[SpectrumReport, SpectrumReport]:
+    """Spinor and forms basic Dirac spectra from one N x N solve.
 
-    T, the twisted differential, is anti-Hermitian in the weighted metric, so the
-    spectrum is +-spec(iT).  The 2N matrix's anti-Hermitian part is two copies of
-    that of iT, so sqrt(2) times the gate ratio of iT is exactly the ratio of the
-    2N solve ``eigenvalues_weighted(assemble_basic_dirac_forms(...))``.
+    On the trivial spin structure the spinor Dirac matrix is iT, T the twisted
+    differential (bitwise: both scale the same cached derivative matrix), and
+    the forms operator is [[0, -T], [T, 0]], whose spectrum is +-spec(iT).  The
+    2N matrix's anti-Hermitian part is two copies of that of iT, so sqrt(2)
+    times the spinor gate ratio is exactly the ratio of the 2N solve
+    ``eigenvalues_weighted(assemble_basic_dirac_forms(...))``: the forms gate
+    stays sqrt(2) stricter.  Antiperiodic sections break the identity, so a
+    nontrivial grid is refused.
     """
-    n, label = grid.n_points, f"dirac_forms[N={grid.n_points}]"
-    weights = quadrature_weights(density)
-    half = WeightedOperator(1j * twisted_differential(density, grid), weights, label, n)
-    values, residual = half.hermitian_spectrum()
-    return _gated_report(np.concatenate([-values, values]), math.sqrt(2.0) * residual, n, label)
+    if grid.spin_structure != "trivial":
+        raise ValueError(
+            f"dirac_spectra needs the trivial spin structure, got {grid.spin_structure!r}"
+        )
+    n, spinor = grid.n_points, assemble_basic_dirac_spinor(density, grid)
+    values, residual = spinor.hermitian_spectrum()
+    forms_values = np.concatenate([-values, values])
+    return (
+        _gated_report(values, residual, n, spinor.label),
+        _gated_report(forms_values, math.sqrt(2.0) * residual, n, f"dirac_forms[N={n}]"),
+    )
 
 
 def max_deviation(a: np.ndarray, b: np.ndarray) -> float:

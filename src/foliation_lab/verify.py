@@ -5,6 +5,9 @@ Each check returns a VerificationReport whose ``passed`` flag is exactly
 ``residual <= threshold``.  Structural failures (multiplicity mismatches,
 indistinguishable Laplacian spectra) are reported with an infinite residual
 and a diagnostic in the metadata, never silently.
+
+A pair battery makes one Dirac solve (``dirac_spectra``: spinor and forms
+spectra) and one function-Laplacian solve per profile.
 """
 
 from __future__ import annotations
@@ -37,8 +40,8 @@ from .operators import (
     diagonal_conjugate,
     finite_difference_laplacian,
 )
-from .spectral import (SpectrumReport, eigenvalues_weighted, forms_dirac_spectrum,
-                       max_deviation, spectrum_compare)
+from .spectral import (SpectrumReport, dirac_spectra, eigenvalues_weighted, max_deviation,
+                       spectrum_compare)
 
 INVARIANCE_THRESHOLD = 1e-8
 KAPPA_TRANSFORM_THRESHOLD = 1e-10
@@ -105,8 +108,8 @@ def _density(profile: MetricProfile, grid: GridSpec) -> LeafVolumeDensity:
 
 
 @lru_cache(maxsize=2)
-def _forms_spectrum(profile: MetricProfile, grid: GridSpec) -> SpectrumReport:
-    return forms_dirac_spectrum(_density(profile, grid), grid)
+def _dirac_spectra(profile: MetricProfile, grid: GridSpec) -> tuple[SpectrumReport, ...]:
+    return dirac_spectra(_density(profile, grid), grid)
 
 
 @lru_cache(maxsize=1)
@@ -125,13 +128,13 @@ def invariance_check(
     """Compare basic Dirac spectra (spinor and forms) of two bundle-like metrics.
 
     The residual is the larger of the two windowed spectrum deviations; a
-    multiplicity mismatch yields an infinite residual with a diagnostic.
+    multiplicity mismatch yields an infinite residual with a diagnostic.  Both
+    spectra of a profile come from one solve, so on the trivial spin structure
+    ``forms_residual`` re-reads the spinor solve rather than testing anew.
     """
     grid.validate_window(window)
-    spinor_1 = eigenvalues_weighted(assemble_basic_dirac_spinor(_density(p1, grid), grid))
-    spinor_2 = eigenvalues_weighted(assemble_basic_dirac_spinor(_density(p2, grid), grid))
-    forms_1 = _forms_spectrum(p1, grid)
-    forms_2 = _forms_spectrum(p2, grid)
+    spinor_1, forms_1 = _dirac_spectra(p1, grid)
+    spinor_2, forms_2 = _dirac_spectra(p2, grid)
     spinor_residual = spectrum_compare(spinor_1, spinor_2, window)
     forms_residual = spectrum_compare(forms_1, forms_2, window)
     metadata = _pair_metadata(p1, p2, grid)
@@ -269,8 +272,8 @@ def laplacian_dependence(
     low_2 = laplacian_2.in_window(window * window)
     shared = min(low_1.size, low_2.size)
     gap = float(np.max(np.abs(low_1[:shared] - low_2[:shared]))) if shared else 0.0
-    sq1 = np.sort(_forms_spectrum(p1, grid).in_window(window) ** 2)
-    sq2 = np.sort(_forms_spectrum(p2, grid).in_window(window) ** 2)
+    sq1 = np.sort(_dirac_spectra(p1, grid)[1].in_window(window) ** 2)
+    sq2 = np.sort(_dirac_spectra(p2, grid)[1].in_window(window) ** 2)
     forms_residual = max_deviation(sq1, sq2)
     metadata = _pair_metadata(p1, p2, grid)
     metadata.update(
@@ -380,7 +383,7 @@ def run_pair_checks(
     contrast check is recorded as skipped when the pair does not meet its
     distinct-density precondition, instead of failing by design.
     """
-    for cached in (_density, _forms_spectrum, _basic_projection_of_volume_ratio):
+    for cached in (_density, _dirac_spectra, _basic_projection_of_volume_ratio):
         cached.cache_clear()
     reports = [
         invariance_check(p1, p2, grid, window),

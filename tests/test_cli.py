@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from foliation_lab import MetricProfile, ProfileTerm, save_profile
-from foliation_lab.cli import run
+from foliation_lab.cli import build_parser, run
 
 
 @pytest.fixture
@@ -204,6 +204,18 @@ class TestVerifyCommand:
         )
         assert code == 2
 
+    @pytest.mark.parametrize("pairs", ["0", "-3"])
+    def test_zero_check_run_is_refused(self, tmp_path, capsys, pairs):
+        out = tmp_path / "out"
+        code = run(["verify", "--all", "--pairs", pairs, "--output-dir", str(out)])
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.err == (
+            f"error: verify has no checks to run: --pairs {pairs} and no --profiles\n"
+        )
+        assert captured.out == ""
+        assert not out.exists()
+
 
 class TestInvarianceCommand:
     def test_pair_bundle(self, tmp_path, flat_path, wavy_path):
@@ -255,3 +267,27 @@ class TestSweepCommand:
 
     def test_bad_range_rejected(self):
         assert run(["sweep", "--r-min", "2.0", "--r-max", "1.0"]) == 2
+
+
+def test_one_parser_serves_every_command(tmp_path, capsys, flat_path, wavy_path):
+    """The cached parser gives each command the same result whatever ran before it."""
+    assert build_parser() is build_parser()
+    assert run(["spectrum", "--grid", "64"]) == 2
+    usage = capsys.readouterr()
+    assert usage.out == ""
+    assert usage.err.startswith("usage: foliation-lab spectrum")
+    assert "the following arguments are required: --profile" in usage.err
+
+    sweep_args = ["sweep", "--count", "3", "--resolution", "100"]
+    assert run([*sweep_args, "--output-dir", str(tmp_path / "s")]) == 0
+    assert capsys.readouterr().out == f"wrote {tmp_path / 's' / 'sweep_bounds.csv'}\n"
+
+    verify_args = ["verify", "--profiles", str(flat_path), str(wavy_path), "--grid", "64",
+                   "--window", "8", "--output-dir", str(tmp_path / "v")]
+    assert run(verify_args) == 0
+    verified = capsys.readouterr()
+    assert verified.err == ""
+    assert verified.out == f"wrote {tmp_path / 'v' / 'verify_bundle.json'}: 8/8 checks passed\n"
+
+    assert run(["spectrum", "--grid", "64"]) == 2
+    assert capsys.readouterr() == usage

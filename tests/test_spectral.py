@@ -22,7 +22,7 @@ from foliation_lab.operators import (
     quadrature_weights,
     twisted_differential,
 )
-from foliation_lab.spectral import OperatorSymmetryError, SpectrumReport, forms_dirac_spectrum
+from foliation_lab.spectral import OperatorSymmetryError, SpectrumReport, dirac_spectra
 
 
 def _density(profile, grid):
@@ -81,10 +81,35 @@ class TestFormsDiracSpectrum:
         grid = GridSpec(n_points)
         density = _density(request.getfixturevalue(profile_name), grid)
         oracle = eigenvalues_weighted(assemble_basic_dirac_forms(density, grid))
-        report = forms_dirac_spectrum(density, grid)
+        report = dirac_spectra(density, grid)[1]
         assert report.operator_label == oracle.operator_label
         assert (report.window, report.grid_size) == (oracle.window, oracle.grid_size)
         np.testing.assert_allclose(report.eigenvalues, oracle.eigenvalues, rtol=0.0, atol=1e-12)
+
+    @pytest.mark.parametrize("n_points", [64, 128, 256])
+    @pytest.mark.parametrize("profile_name", ["flat_profile", "cosine_profile", "mixed_profile"])
+    def test_trivial_spinor_matrix_is_i_times_twisted_differential(
+        self, request, profile_name, n_points
+    ):
+        grid = GridSpec(n_points)
+        density = _density(request.getfixturevalue(profile_name), grid)
+        spinor = assemble_basic_dirac_spinor(density, grid)
+        assert np.array_equal(spinor.matrix, 1j * twisted_differential(density, grid))
+        assert np.array_equal(spinor.weights, quadrature_weights(density))
+
+    @pytest.mark.parametrize("profile_name", ["flat_profile", "cosine_profile", "mixed_profile"])
+    def test_spinor_report_is_the_spinor_solve(self, request, profile_name, grid128):
+        density = _density(request.getfixturevalue(profile_name), grid128)
+        oracle = eigenvalues_weighted(assemble_basic_dirac_spinor(density, grid128))
+        report = dirac_spectra(density, grid128)[0]
+        assert report.operator_label == oracle.operator_label == "dirac_spinor[trivial,N=128]"
+        assert (report.window, report.grid_size) == (oracle.window, oracle.grid_size)
+        assert np.array_equal(report.eigenvalues, oracle.eigenvalues)
+
+    def test_nontrivial_grid_refused(self, cosine_profile):
+        grid = GridSpec(64, "nontrivial")
+        with pytest.raises(ValueError, match="trivial spin structure"):
+            dirac_spectra(_density(cosine_profile, grid), grid)
 
     def test_gate_ratio_equals_block_ratio(self, mixed_profile, grid64):
         rng = np.random.default_rng(5)
@@ -100,13 +125,37 @@ class TestFormsDiracSpectrum:
             block.symmetry_residual(), rel=1e-12
         )
 
-    def test_refuses_broken_twisted_differential(self, cosine_profile, grid64, monkeypatch):
-        def broken(density, grid):
-            return twisted_differential(density, grid) + 1e-6 * np.eye(grid.n_points)
+    @staticmethod
+    def _shifted_spinor(density, grid, monkeypatch, scale):
+        """Make ``dirac_spectra`` solve the spinor matrix shifted by i*eps*I, which is
+        T + eps*I in the forms blocks; eps puts the spinor gate ratio at ``scale``
+        times the tolerance.  Returns that ratio."""
+        clean = assemble_basic_dirac_spinor(density, grid)
+        shift = 1j * np.eye(grid.n_points)
+        unit = WeightedOperator(clean.matrix + shift, clean.weights, clean.label, grid.n_points)
+        eps = scale * spectral.SYMMETRIZATION_TOLERANCE / unit.hermitian_spectrum()[1]
+        shifted = WeightedOperator(
+            clean.matrix + eps * shift, clean.weights, clean.label, grid.n_points
+        )
+        monkeypatch.setattr(spectral, "assemble_basic_dirac_spinor", lambda d, g: shifted)
+        return shifted.hermitian_spectrum()[1]
 
-        monkeypatch.setattr(spectral, "twisted_differential", broken)
-        with pytest.raises(OperatorSymmetryError, match="dirac_forms"):
-            forms_dirac_spectrum(_density(cosine_profile, grid64), grid64)
+    def test_refuses_broken_twisted_differential(self, cosine_profile, grid64, monkeypatch):
+        """Above the tolerance the spinor gate, checked first, refuses the solve."""
+        density = _density(cosine_profile, grid64)
+        ratio = self._shifted_spinor(density, grid64, monkeypatch, 100.0)
+        assert ratio > spectral.SYMMETRIZATION_TOLERANCE
+        with pytest.raises(OperatorSymmetryError, match=r"dirac_spinor\[trivial"):
+            dirac_spectra(density, grid64)
+
+    def test_forms_gate_is_sqrt2_stricter(self, cosine_profile, grid64, monkeypatch):
+        """Between tol/sqrt(2) and tol the spinor passes and the forms gate refuses."""
+        density = _density(cosine_profile, grid64)
+        ratio = self._shifted_spinor(density, grid64, monkeypatch, 0.85)
+        tol = spectral.SYMMETRIZATION_TOLERANCE
+        assert tol / math.sqrt(2.0) < ratio <= tol
+        with pytest.raises(OperatorSymmetryError, match=r"dirac_forms\[N=64\]"):
+            dirac_spectra(density, grid64)
 
 
 class TestSpectrumCompare:

@@ -188,8 +188,8 @@ def test_property_sweep_over_seeded_pairs(n_points):
 
 
 def test_pair_battery_solves_each_spectrum_once(flat_profile, cosine_profile, grid64, monkeypatch):
-    """Two spinor, two N x N forms and two Laplacian solves per pair, no SVD, and
-    one derivative matrix for the pair's (grid, spin structure)."""
+    """One Dirac solve (spinor and forms spectra) and one Laplacian solve per
+    profile, no SVD, and one derivative matrix for the pair's (grid, spin structure)."""
     eigvalsh_sizes, svd_calls = [], []
     eigvalsh, svd = np.linalg.eigvalsh, np.linalg.svd
 
@@ -208,6 +208,6 @@ def test_pair_battery_solves_each_spectrum_once(flat_profile, cosine_profile, gr
     differentiation_matrix.cache_clear()
     reports = run_pair_checks(flat_profile, cosine_profile, grid64, 8.0)
     assert [report.passed for report in reports] == [True] * 4
-    assert eigvalsh_sizes == [(64, 64)] * 6
+    assert eigvalsh_sizes == [(64, 64)] * 4
     assert svd_calls == []
     assert differentiation_matrix.cache_info().misses == 1
