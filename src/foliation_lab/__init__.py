@@ -3,11 +3,8 @@
 __version__ = "0.1.0"
 
 from .basic_calculus import (
-    BasicField,
     LeafVolumeDensity,
-    basic_mean_curvature,
     dlog,
-    periodic_derivative,
     project_basic,
     weighted_inner_product,
 )
@@ -50,7 +47,6 @@ from .verify import (
 )
 
 __all__ = [
-    "BasicField",
     "BoundReport",
     "GridSpec",
     "LeafVolumeDensity",
@@ -64,7 +60,6 @@ __all__ = [
     "assemble_basic_dirac_spinor",
     "assemble_basic_laplacian",
     "assemble_lichnerowicz_sides",
-    "basic_mean_curvature",
     "conjugation_residual",
     "dlog",
     "eval_bound",
@@ -74,7 +69,6 @@ __all__ = [
     "laplacian_dependence",
     "lichnerowicz_residual",
     "load_profile",
-    "periodic_derivative",
     "piecewise_reference",
     "project_basic",
     "s3_bounds",

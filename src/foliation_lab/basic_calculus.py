@@ -1,10 +1,14 @@
 """Leafwise averaging, the basic projection, and weighted calculus on the t-circle.
 
 Basic (leafwise-constant) objects on the torus flow are functions of t only
-and are stored on the t-grid.  The L^2-orthogonal projection onto them is
-the leaf-volume-weighted theta-average; the weight is the metric profile f
-itself.  All quadrature is uniform trapezoid on the periodic grid, which is
-exact for band-limited integrands.
+and are plain arrays on the t-grid; a basic function and the coefficient of a
+basic 1-form share that representation, and the Laplacian takes the degree
+(DEGREE_FUNCTION or DEGREE_ONE_FORM) as a separate argument.  The
+L^2-orthogonal projection onto basic fields is the leaf-volume-weighted
+theta-average; the weight is the metric profile f itself.  The basic mean
+curvature is ``LeafVolumeDensity.mean_curvature_values``.  All quadrature is
+uniform trapezoid on the periodic grid, which is exact for band-limited
+integrands.
 """
 
 from __future__ import annotations
@@ -18,33 +22,8 @@ from .model_spaces import GridSpec, MetricProfile
 
 DEGREE_FUNCTION = "function"
 DEGREE_ONE_FORM = "one_form"
-_DEGREES = (DEGREE_FUNCTION, DEGREE_ONE_FORM)
 
 TWO_PI = 2.0 * np.pi
-
-
-@dataclass(frozen=True)
-class BasicField:
-    """Values of a basic function or basic 1-form coefficient on the t-grid."""
-
-    values: np.ndarray
-    degree: str = DEGREE_FUNCTION
-
-    def __post_init__(self):
-        object.__setattr__(self, "values", np.asarray(self.values))
-        if self.values.ndim != 1:
-            raise ValueError("basic fields are one-dimensional t-grid arrays")
-        if self.degree not in _DEGREES:
-            raise ValueError(f"degree must be one of {_DEGREES}, got {self.degree!r}")
-
-    def __len__(self) -> int:
-        return self.values.size
-
-
-def _values_of(field) -> np.ndarray:
-    if isinstance(field, BasicField):
-        return field.values
-    return np.asarray(field)
 
 
 @dataclass(frozen=True)
@@ -97,12 +76,7 @@ class LeafVolumeDensity:
         return -self.g_dot_values / self.g_values
 
 
-def project_basic(
-    field: np.ndarray,
-    f_values: np.ndarray,
-    grid: GridSpec,
-    degree: str = DEGREE_FUNCTION,
-) -> BasicField:
+def project_basic(field: np.ndarray, f_values: np.ndarray, grid: GridSpec) -> np.ndarray:
     """Leaf-volume-weighted theta-average of a (theta, t) field.
 
     output[k] = sum_j field[j, k] f[j, k] / sum_j f[j, k].  This is the
@@ -115,47 +89,23 @@ def project_basic(
         raise ValueError("field and metric samples must share the grid")
     if field.shape != (grid.n_points, grid.n_points):
         raise ValueError("field shape does not match the grid")
-    numerator = (field * f_values).sum(axis=0)
-    return BasicField(numerator / f_values.sum(axis=0), degree=degree)
+    return (field * f_values).sum(axis=0) / f_values.sum(axis=0)
 
 
-def basic_mean_curvature(profile: MetricProfile, grid: GridSpec) -> BasicField:
-    """Basic component of the mean curvature: k(t) = -g_dot(t)/g(t)."""
-    density = LeafVolumeDensity.from_profile(profile, grid)
-    return BasicField(density.mean_curvature_values(), degree=DEGREE_ONE_FORM)
-
-
-def periodic_derivative(values, grid: GridSpec) -> np.ndarray:
-    """Fourier-collocation derivative on the t-circle.
-
-    Exact for band-limited inputs with frequency < n_points/2.
-    """
-    values = _values_of(values)
-    if values.size != grid.n_points:
-        raise ValueError(
-            f"expected {grid.n_points} samples, got {values.size}"
-        )
-    return fourier_derivative(values, order=1)
-
-
-def dlog(alpha, grid: GridSpec | None = None) -> BasicField:
+def dlog(alpha: np.ndarray, grid: GridSpec) -> np.ndarray:
     """Logarithmic derivative d(log alpha) = alpha'/alpha of a positive basic field."""
-    values = _values_of(alpha)
-    if np.iscomplexobj(values) or not (values > 0.0).all():
+    alpha = np.asarray(alpha)
+    if np.iscomplexobj(alpha) or not (alpha > 0.0).all():
         raise ValueError("dlog requires a strictly positive real field")
-    if grid is not None and values.size != grid.n_points:
-        raise ValueError(f"expected {grid.n_points} samples, got {values.size}")
-    derivative = fourier_derivative(values, order=1)
-    return BasicField(derivative / values, degree=DEGREE_ONE_FORM)
+    if alpha.size != grid.n_points:
+        raise ValueError(f"expected {grid.n_points} samples, got {alpha.size}")
+    return fourier_derivative(alpha, order=1) / alpha
 
 
-def weighted_inner_product(a, b, density: LeafVolumeDensity) -> complex:
+def weighted_inner_product(a: np.ndarray, b: np.ndarray, density: LeafVolumeDensity) -> complex:
     """Trapezoid-rule inner product (2pi/N) sum conj(a) b g on the t-circle."""
-    a_values = _values_of(a)
-    b_values = _values_of(b)
-    if a_values.size != b_values.size or a_values.size != density.n_points:
+    a = np.asarray(a)
+    b = np.asarray(b)
+    if a.size != b.size or a.size != density.n_points:
         raise ValueError("fields and density must share the t-grid")
-    return complex(
-        (TWO_PI / density.n_points)
-        * np.sum(np.conj(a_values) * b_values * density.g_values)
-    )
+    return complex((TWO_PI / density.n_points) * np.sum(np.conj(a) * b * density.g_values))

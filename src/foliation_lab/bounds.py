@@ -48,6 +48,9 @@ _REQUIRED_QUANTITIES = {
     "collapse": ("inf_scal_plus_a_sq",),
 }
 
+# Largest |value - reference| of a sphere-flow bound row that still matches.
+BOUND_REFERENCE_TOLERANCE = 1e-6
+
 GOLDEN_RATIO = (1.0 + np.sqrt(5.0)) / 2.0
 
 
@@ -198,19 +201,34 @@ def piecewise_reference(r: float) -> dict:
     }
 
 
+def reference_error(report: BoundReport) -> tuple[float, float] | None:
+    """(reference, |value - reference|) of a row with a closed reference, else None."""
+    reference = None if report.r is None else piecewise_reference(report.r).get(report.kind)
+    return None if reference is None else (reference, abs(report.value - reference))
+
+
+def bound_failures(reports: list[BoundReport]) -> list[str]:
+    """One line per row farther than BOUND_REFERENCE_TOLERANCE from its reference."""
+    failures = []
+    for report in reports:
+        compared = reference_error(report)
+        if compared is not None and compared[1] > BOUND_REFERENCE_TOLERANCE:
+            failures.append(
+                f"failed {report.kind} r={report.r:.17g}: abs_error {compared[1]:.3e} "
+                f"> threshold {BOUND_REFERENCE_TOLERANCE:.0e}"
+            )
+    return failures
+
+
 def bound_rows_csv(reports: list[BoundReport], path) -> None:
     """CSV rows kind, r, value, reference_value, abs_error (reference when known)."""
     with open(path, "w", encoding="utf-8", newline="\n") as handle:
         handle.write("kind,r,value,reference_value,abs_error\n")
         for report in reports:
             r_text = "" if report.r is None else f"{report.r:.17g}"
-            reference_text = ""
-            error_text = ""
-            if report.r is not None:
-                reference = piecewise_reference(report.r).get(report.kind)
-                if reference is not None:
-                    reference_text = f"{reference:.17g}"
-                    error_text = f"{abs(report.value - reference):.17g}"
+            compared = reference_error(report)
+            reference_text = "" if compared is None else f"{compared[0]:.17g}"
+            error_text = "" if compared is None else f"{compared[1]:.17g}"
             handle.write(
                 f"{report.kind},{r_text},{report.value:.17g},{reference_text},{error_text}\n"
             )

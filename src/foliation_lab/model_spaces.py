@@ -37,12 +37,6 @@ class ProfileTerm:
     phase_t: float = 0.0
 
 
-def _coerce_term(term) -> ProfileTerm:
-    if isinstance(term, ProfileTerm):
-        return term
-    return ProfileTerm(*term)
-
-
 @dataclass(frozen=True)
 class MetricProfile:
     """Strictly positive doubly 2*pi-periodic function f(theta, t).
@@ -57,9 +51,7 @@ class MetricProfile:
 
     def __post_init__(self):
         object.__setattr__(self, "constant", float(self.constant))
-        object.__setattr__(
-            self, "terms", tuple(_coerce_term(term) for term in self.terms)
-        )
+        object.__setattr__(self, "terms", tuple(self.terms))
         if not self.constant > 0.0:
             raise ValueError(f"profile constant must be positive, got {self.constant}")
         minimum = self.min_value(VALIDATION_GRID)
@@ -153,6 +145,11 @@ def save_profile(profile: MetricProfile, path) -> None:
         handle.write("\n")
 
 
+def trust_window_for(n_points: int) -> float:
+    """Largest |eigenvalue| trusted for a collocation size of n_points per circle."""
+    return n_points / 8.0
+
+
 @dataclass(frozen=True)
 class GridSpec:
     """Uniform product grid size per circle plus the spinor boundary condition."""
@@ -176,8 +173,7 @@ class GridSpec:
 
     @property
     def trust_window(self) -> float:
-        """Largest |eigenvalue| trusted for this collocation size."""
-        return self.n_points / 8.0
+        return trust_window_for(self.n_points)
 
     def validate_window(self, window: float) -> None:
         """Refuse an eigenvalue window wider than the trusted range."""

@@ -65,16 +65,6 @@ class WeightedOperator:
         """Relative deviation of the symmetrized matrix from Hermitian (the gate ratio)."""
         return self.hermitian_spectrum()[1]
 
-    def to_csv(self, path) -> None:
-        """Row-major dump with each complex entry as a (re, im) pair."""
-        with open(path, "w", encoding="utf-8", newline="\n") as handle:
-            for row in self.matrix:
-                cells = []
-                for entry in row:
-                    cells.append(f"{entry.real:.17g}")
-                    cells.append(f"{entry.imag:.17g}")
-                handle.write(",".join(cells) + "\n")
-
 
 def diagonal_conjugate(matrix: np.ndarray, w: np.ndarray) -> np.ndarray:
     """w^{-1} M w for diagonal w: with w = g^{1/2} and M = D, the conservative

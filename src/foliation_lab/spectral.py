@@ -13,7 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .basic_calculus import LeafVolumeDensity
-from .model_spaces import GridSpec
+from .model_spaces import GridSpec, trust_window_for
 from .operators import WeightedOperator, assemble_basic_dirac_spinor
 
 # Relative symmetrization residual above which an eigensolve is refused.
@@ -81,7 +81,7 @@ def _gated_report(values, residual: float, n_points: int, label: str) -> Spectru
             f"operator {label!r} is not symmetric in its weighted metric: "
             f"relative residual {residual:.3e} > {SYMMETRIZATION_TOLERANCE:.0e}"
         )
-    return SpectrumReport(values, n_points / 8.0, n_points, label)
+    return SpectrumReport(values, trust_window_for(n_points), n_points, label)
 
 
 def eigenvalues_weighted(op: WeightedOperator) -> SpectrumReport:

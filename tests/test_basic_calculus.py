@@ -8,15 +8,14 @@ from foliation_lab import (
     GridSpec,
     MetricProfile,
     ProfileTerm,
-    basic_mean_curvature,
     dlog,
-    periodic_derivative,
     project_basic,
     torus_geometry,
     torus_metric_sample,
     weighted_inner_product,
 )
-from foliation_lab.basic_calculus import BasicField, LeafVolumeDensity
+from foliation_lab._spectral_diff import fourier_derivative
+from foliation_lab.basic_calculus import LeafVolumeDensity
 
 from conftest import exp_sin_profile
 
@@ -27,34 +26,36 @@ def _rng():
     return np.random.default_rng(1234)
 
 
+def _mean_curvature(profile, grid):
+    return LeafVolumeDensity.from_profile(profile, grid).mean_curvature_values()
+
+
 class TestProjectBasic:
     def test_fixes_basic_fields(self, mixed_profile, grid64):
         f = torus_metric_sample(mixed_profile, grid64)
         basic = np.cos(grid64.t_nodes) + 0.3
         field = np.broadcast_to(basic, (grid64.n_points, grid64.n_points))
         projected = project_basic(field, f, grid64)
-        np.testing.assert_allclose(projected.values, basic, atol=1e-13)
+        np.testing.assert_allclose(projected, basic, atol=1e-13)
 
     def test_kills_mean_zero_oscillation_for_flat_metric(self, flat_profile, grid64):
         f = torus_metric_sample(flat_profile, grid64)
         field = np.cos(grid64.t_nodes)[:, None] * np.ones(grid64.n_points)
         projected = project_basic(field, f, grid64)
-        np.testing.assert_allclose(projected.values, 0.0, atol=1e-14)
+        np.testing.assert_allclose(projected, 0.0, atol=1e-14)
 
     def test_projection_of_mean_curvature_matches_leaf_average(self, mixed_profile, grid128):
         f = torus_metric_sample(mixed_profile, grid128)
         kappa = torus_geometry(mixed_profile, grid128).kappa_coeff
         projected = project_basic(kappa, f, grid128)
-        expected = basic_mean_curvature(mixed_profile, grid128)
-        np.testing.assert_allclose(projected.values, expected.values, atol=1e-10)
+        expected = _mean_curvature(mixed_profile, grid128)
+        np.testing.assert_allclose(projected, expected, atol=1e-10)
 
     def test_idempotent(self, mixed_profile, grid64):
         f = torus_metric_sample(mixed_profile, grid64)
         field = _rng().normal(size=(grid64.n_points, grid64.n_points))
-        once = project_basic(field, f, grid64).values
-        twice = project_basic(
-            np.broadcast_to(once, field.shape), f, grid64
-        ).values
+        once = project_basic(field, f, grid64)
+        twice = project_basic(np.broadcast_to(once, field.shape), f, grid64)
         np.testing.assert_allclose(once, twice, atol=1e-13)
 
     def test_self_adjoint_for_weighted_inner_product(self, mixed_profile, grid64):
@@ -67,8 +68,8 @@ class TestProjectBasic:
         def pair(x, y):
             return ((TWO_PI / n) ** 2) * np.sum(np.conj(x) * y * f)
 
-        pa = np.broadcast_to(project_basic(a, f, grid64).values, a.shape)
-        pb = np.broadcast_to(project_basic(b, f, grid64).values, b.shape)
+        pa = np.broadcast_to(project_basic(a, f, grid64), a.shape)
+        pb = np.broadcast_to(project_basic(b, f, grid64), b.shape)
         assert pair(pa, b) == pytest.approx(pair(a, pb), abs=1e-12)
 
     def test_shape_mismatch_rejected(self, flat_profile, grid64):
@@ -79,34 +80,33 @@ class TestProjectBasic:
 
 class TestBasicMeanCurvature:
     def test_constant_profile(self, grid64):
-        field = basic_mean_curvature(MetricProfile(3.0), grid64)
-        np.testing.assert_allclose(field.values, 0.0)
+        np.testing.assert_allclose(_mean_curvature(MetricProfile(3.0), grid64), 0.0)
 
     def test_cosine_profile_against_symbolic_oracle(self, cosine_profile, grid128):
         t = sp.symbols("t")
         g_expr = 2 + sp.cos(t)
         oracle = sp.lambdify(t, -sp.diff(g_expr, t) / g_expr)
-        field = basic_mean_curvature(cosine_profile, grid128)
-        np.testing.assert_allclose(field.values, oracle(grid128.t_nodes), atol=1e-13)
+        np.testing.assert_allclose(
+            _mean_curvature(cosine_profile, grid128), oracle(grid128.t_nodes), atol=1e-13
+        )
 
     def test_theta_oscillation_averages_away(self, grid64):
         profile = MetricProfile(2.0, (ProfileTerm(1, 0, 1.0),))
         density = LeafVolumeDensity.from_profile(profile, grid64)
         np.testing.assert_allclose(density.g_values, 2.0)
-        field = basic_mean_curvature(profile, grid64)
-        np.testing.assert_allclose(field.values, 0.0)
+        np.testing.assert_allclose(density.mean_curvature_values(), 0.0)
 
 
 class TestPeriodicDerivative:
     def test_band_limited_exactness(self, grid64):
         values = np.sin(grid64.t_nodes)
         np.testing.assert_allclose(
-            periodic_derivative(values, grid64), np.cos(grid64.t_nodes), atol=1e-13
+            fourier_derivative(values, order=1), np.cos(grid64.t_nodes), atol=1e-13
         )
 
     def test_constant_gives_zero(self, grid64):
         np.testing.assert_allclose(
-            periodic_derivative(np.full(64, 2.5), grid64), 0.0, atol=1e-13
+            fourier_derivative(np.full(64, 2.5), order=1), 0.0, atol=1e-13
         )
 
     def test_analytic_function_within_tolerance(self, grid128):
@@ -114,17 +114,13 @@ class TestPeriodicDerivative:
         values = np.exp(np.cos(ts))
         expected = -np.sin(ts) * np.exp(np.cos(ts))
         np.testing.assert_allclose(
-            periodic_derivative(values, grid128), expected, atol=1e-12
+            fourier_derivative(values, order=1), expected, atol=1e-12
         )
-
-    def test_wrong_length_rejected(self, grid64):
-        with pytest.raises(ValueError):
-            periodic_derivative(np.ones(32), grid64)
 
 
 class TestDlog:
     def test_constant_field(self, grid64):
-        np.testing.assert_allclose(dlog(np.ones(64), grid64).values, 0.0, atol=1e-14)
+        np.testing.assert_allclose(dlog(np.ones(64), grid64), 0.0, atol=1e-14)
 
     def test_cosine_against_symbolic_oracle(self, grid128):
         t = sp.symbols("t")
@@ -132,12 +128,12 @@ class TestDlog:
         oracle = sp.lambdify(t, sp.diff(alpha_expr, t) / alpha_expr)
         ts = grid128.t_nodes
         result = dlog(2.0 + np.cos(ts), grid128)
-        np.testing.assert_allclose(result.values, oracle(ts), atol=1e-13)
+        np.testing.assert_allclose(result, oracle(ts), atol=1e-13)
 
     def test_exponential_sine(self, grid128):
         ts = grid128.t_nodes
         result = dlog(np.exp(np.sin(ts)), grid128)
-        np.testing.assert_allclose(result.values, np.cos(ts), atol=1e-12)
+        np.testing.assert_allclose(result, np.cos(ts), atol=1e-12)
 
     def test_rejects_nonpositive(self, grid64):
         with pytest.raises(ValueError):
@@ -174,16 +170,6 @@ class TestWeightedInnerProduct:
         norm_sq = weighted_inner_product(a, a, density)
         assert norm_sq.imag == pytest.approx(0.0, abs=1e-12)
         assert norm_sq.real > 0.0
-
-
-class TestBasicField:
-    def test_rejects_bad_degree(self):
-        with pytest.raises(ValueError):
-            BasicField(np.ones(8), degree="two_form")
-
-    def test_rejects_2d_values(self):
-        with pytest.raises(ValueError):
-            BasicField(np.ones((4, 4)))
 
 
 class TestLeafVolumeDensity:

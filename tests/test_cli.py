@@ -5,7 +5,7 @@ import json
 import numpy as np
 import pytest
 
-from foliation_lab import MetricProfile, ProfileTerm, save_profile
+from foliation_lab import MetricProfile, ProfileTerm, bounds, save_profile
 from foliation_lab.cli import build_parser, run
 
 
@@ -100,6 +100,30 @@ class TestBoundsCommand:
         rows = (out / "bounds.csv").read_text().strip().split("\n")[1:]
         esti = next(row for row in rows if row.startswith("esti"))
         assert float(esti.split(",")[2]) == pytest.approx(1.75, abs=1e-9)
+
+    def test_row_missing_its_reference_is_named_on_stderr(self, tmp_path, capsys, monkeypatch):
+        reference = bounds.piecewise_reference
+
+        def wrong_esti(r):
+            return {**reference(r), "esti": reference(r)["esti"] + 1.0}
+
+        monkeypatch.setattr(bounds, "piecewise_reference", wrong_esti)
+        out = tmp_path / "out"
+        assert run(["bounds", "--r", "0.5", "--output-dir", str(out)]) == 1
+        captured = capsys.readouterr()
+        assert captured.err.splitlines() == [
+            "failed esti r=0.5: abs_error 1.000e+00 > threshold 1e-06"
+        ]
+        assert captured.out == f"wrote {out / 'bounds.csv'}\n"
+        esti = next(row for row in (out / "bounds.csv").read_text().split("\n")
+                    if row.startswith("esti"))
+        assert float(esti.split(",")[3]) == pytest.approx(2.75)
+        sweep = ["sweep", "--count", "3", "--resolution", "100", "--output-dir", str(out)]
+        assert run(sweep) == 1
+        failed = capsys.readouterr().err.splitlines()
+        assert [line.split(":")[0] for line in failed] == [
+            f"failed esti r={r:.17g}" for r in np.geomspace(0.1, 10.0, 3)
+        ]
 
     def test_torus_model_rejected(self):
         assert run(["bounds", "--model", "torus", "--r", "0.5"]) == 2

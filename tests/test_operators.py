@@ -217,15 +217,6 @@ class TestWeightedOperatorInvariants:
         with pytest.raises(ValueError):
             WeightedOperator(np.eye(3), np.array([1.0, -1.0, 1.0]), "bad", 3)
 
-    def test_csv_export_round_trips(self, cosine_profile, grid64, tmp_path):
-        op = assemble_basic_dirac_spinor(_density(cosine_profile, grid64), grid64)
-        path = tmp_path / "operator.csv"
-        op.to_csv(path)
-        rows = [line.split(",") for line in path.read_text().strip().split("\n")]
-        data = np.array([[float(cell) for cell in row] for row in rows])
-        reloaded = data[:, 0::2] + 1j * data[:, 1::2]
-        np.testing.assert_allclose(reloaded, op.matrix, atol=0.0)
-
 
 class TestFiniteDifferenceOracle:
     def test_flat_case_converges_to_circle_laplacian(self):

@@ -17,7 +17,14 @@ from foliation_lab import (
     scal_relation_residual,
 )
 from foliation_lab._spectral_diff import differentiation_matrix
-from foliation_lab.verify import random_profile, random_profile_pair, run_pair_checks
+from foliation_lab.basic_calculus import LeafVolumeDensity
+from foliation_lab.operators import assemble_lichnerowicz_sides
+from foliation_lab.verify import (
+    random_profile,
+    random_profile_pair,
+    run_pair_checks,
+    run_profile_checks,
+)
 
 from conftest import exp_cos_profile, exp_sin_profile
 
@@ -137,6 +144,29 @@ class TestLichnerowicz:
         fine = lichnerowicz_residual(cosine_profile, GridSpec(32)).residual
         assert coarse > 100.0 * fine
 
+    @pytest.mark.parametrize(
+        "name, grid",
+        [
+            ("flat", GridSpec(64)),
+            ("product", GridSpec(128)),
+            ("exp_sin", GridSpec(128)),
+            ("cosine", GridSpec(128, "nontrivial")),
+        ],
+    )
+    def test_residual_is_tight_upper_bound_on_operator_norm(
+        self, name, grid, flat_profile, product_profile, cosine_profile
+    ):
+        profile = {
+            "flat": flat_profile,
+            "product": product_profile,
+            "exp_sin": exp_sin_profile(0.5),
+            "cosine": cosine_profile,
+        }[name]
+        lhs, rhs = assemble_lichnerowicz_sides(LeafVolumeDensity.from_profile(profile, grid), grid)
+        two_norm = np.linalg.norm(lhs.matrix - rhs.matrix, 2)
+        residual = lichnerowicz_residual(profile, grid).residual
+        assert two_norm <= residual <= two_norm + 1e-10
+
 
 class TestLaplacianDependence:
     def test_flat_versus_wavy(self, grid128):
@@ -211,3 +241,20 @@ def test_pair_battery_solves_each_spectrum_once(flat_profile, cosine_profile, gr
     assert eigvalsh_sizes == [(64, 64)] * 4
     assert svd_calls == []
     assert differentiation_matrix.cache_info().misses == 1
+
+
+def test_profile_checks_make_no_svd(product_profile, grid128, monkeypatch):
+    """The curvature and Lichnerowicz residuals need no singular values."""
+    svd_calls = []
+    svd = np.linalg._linalg.svd
+
+    def counted_svd(*args, **kwargs):
+        svd_calls.append(1)
+        return svd(*args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "svd", counted_svd)
+    monkeypatch.setattr(np.linalg._linalg, "svd", counted_svd)
+    reports = run_profile_checks(product_profile, grid128)
+    assert [report.check_name for report in reports] == ["scal_relation", "lichnerowicz"]
+    assert all(report.passed for report in reports)
+    assert svd_calls == []
