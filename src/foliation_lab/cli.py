@@ -105,13 +105,6 @@ def _cmd_spectrum(args) -> int:
     return 0
 
 
-def _bounds_reports(r_values, resolution):
-    reports = []
-    for r in r_values:
-        reports.extend(s3_bounds(r, resolution))
-    return reports
-
-
 def _write_bounds(reports, args, name: str) -> int:
     """Write the bounds report, name each row that misses its reference on
     stderr, and return the exit code."""
@@ -141,18 +134,16 @@ def _write_bounds(reports, args, name: str) -> int:
 def _cmd_bounds(args) -> int:
     if args.model != "s3":
         raise ValueError("bounds are evaluated on the s3 model")
-    reports = _bounds_reports(args.r, args.resolution)
-    return _write_bounds(reports, args, "bounds")
+    return _write_bounds(s3_bounds(args.r, args.resolution), args, "bounds")
 
 
 def _cmd_sweep(args) -> int:
     if args.model != "s3":
         raise ValueError("sweep is defined for the s3 model")
-    if not (args.r_min > 0.0 and args.r_max > args.r_min):
-        raise ValueError("need 0 < r-min < r-max")
+    if not 0.0 < args.r_min < args.r_max < math.inf:
+        raise ValueError("need 0 < r-min < r-max < inf")
     r_values = np.geomspace(args.r_min, args.r_max, args.count)
-    reports = _bounds_reports(r_values, args.resolution)
-    return _write_bounds(reports, args, "sweep_bounds")
+    return _write_bounds(s3_bounds(r_values, args.resolution), args, "sweep_bounds")
 
 
 def _run_verification(profiles, grid, window, pairs, seed) -> list:

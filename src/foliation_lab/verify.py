@@ -113,6 +113,12 @@ def _dirac_spectra(profile: MetricProfile, grid: GridSpec) -> tuple[SpectrumRepo
 
 
 @lru_cache(maxsize=1)
+def _geometry(profile: MetricProfile, grid: GridSpec) -> TorusGeometry:
+    """Shared by the single-profile checks; run_profile_checks clears it."""
+    return torus_geometry(profile, grid)
+
+
+@lru_cache(maxsize=1)
 def _basic_projection_of_volume_ratio(
     p1: MetricProfile, p2: MetricProfile, grid: GridSpec
 ) -> np.ndarray:
@@ -200,7 +206,7 @@ def scal_relation_residual(profile: MetricProfile, grid: GridSpec) -> Verificati
     A-tensor, the relation reduces to Scal_M = -2|kappa|^2 + 2 div(kappa),
     with the divergence computed spectrally along t.
     """
-    geometry = torus_geometry(profile, grid)
+    geometry = _geometry(profile, grid)
     kappa = geometry.kappa_coeff
     divergence = fourier_derivative(kappa, order=1, axis=1)
     rhs = -2.0 * kappa * kappa + 2.0 * divergence
@@ -237,7 +243,7 @@ def lichnerowicz_residual(profile: MetricProfile, grid: GridSpec) -> Verificatio
     for profiles with basic mean curvature; other profiles are rejected with
     NonBasicMeanCurvatureError.
     """
-    variation = _require_basic_mean_curvature(torus_geometry(profile, grid))
+    variation = _require_basic_mean_curvature(_geometry(profile, grid))
     density = LeafVolumeDensity.from_profile(profile, grid)
     lhs, rhs = assemble_lichnerowicz_sides(density, grid)
     difference = lhs.matrix - rhs.matrix
@@ -416,7 +422,9 @@ def run_pair_checks(
 
 def run_profile_checks(profile: MetricProfile, grid: GridSpec) -> list[VerificationReport]:
     """Single-profile identities: the curvature relation always, the
-    Lichnerowicz identity when the mean curvature is basic."""
+    Lichnerowicz identity when the mean curvature is basic.  Both read one
+    torus geometry of the profile."""
+    _geometry.cache_clear()
     reports = [scal_relation_residual(profile, grid)]
     try:
         reports.append(lichnerowicz_residual(profile, grid))

@@ -7,12 +7,18 @@ from hypothesis import strategies as st
 
 from foliation_lab import bounds, eval_bound, piecewise_reference, s3_bounds
 from foliation_lab.bounds import (
+    bound_failures,
     bound_rows_csv,
     golden_section_min,
     maximize_on_interval,
     minimize_on_interval,
 )
-from foliation_lab.model_spaces import s3_a_norm_sq
+from foliation_lab.model_spaces import (
+    S3_SCALAR_CURVATURE,
+    s3_a_norm_sq,
+    s3_kappa_norm,
+    s3_transverse_scal,
+)
 
 
 def _by_kind(reports):
@@ -84,15 +90,39 @@ class TestScanOptimizers:
         assert x == pytest.approx(0.37, abs=1e-6)
         assert fx == pytest.approx(0.0, abs=1e-13)
 
+    def test_golden_section_runs_searches_elementwise(self):
+        centres = np.array([[0.1], [0.37], [0.8]])
+        x, fx = golden_section_min(lambda s: (s - centres) ** 2, np.zeros((3, 1)), np.ones((3, 1)))
+        assert x.shape == fx.shape == (3, 1)
+        np.testing.assert_allclose(x, centres, atol=1e-6)
+        np.testing.assert_allclose(fx, 0.0, atol=1e-13)
+
+    def test_golden_section_freezes_each_search_where_the_scalar_loop_stops(self):
+        # Brackets of widths 1 down to 1e-11 take from about 48 steps down to none.
+        lo = np.array([[0.0], [0.2], [0.5], [0.3], [0.6]])
+        hi = lo + np.array([[1.0], [1e-2], [1e-9], [1e-3], [1e-11]])
+        centres = np.array([[0.37], [0.205], [0.5], [0.9], [0.0]])
+        x, fx = golden_section_min(lambda s: (s - centres) * (s - centres), lo, hi)
+        for i in range(5):
+            c = float(centres[i, 0])
+            want = _scalar_golden_min(lambda s: (s - c) * (s - c), float(lo[i, 0]), float(hi[i, 0]))
+            assert (x[i, 0], fx[i, 0]) == want
+
     def test_scan_finds_endpoint_minimum(self):
-        x, fx = minimize_on_interval(lambda s: s, 0.0, 1.0, 100)
+        (x,), (fx,) = minimize_on_interval(lambda s: s, 0.0, 1.0, 100)
         assert x == pytest.approx(0.0, abs=1e-9)
         assert fx == pytest.approx(0.0, abs=1e-9)
 
     def test_maximize(self):
-        x, fx = maximize_on_interval(lambda s: -(s - 0.25) ** 2 + 2.0, 0.0, 1.0, 200)
+        (x,), (fx,) = maximize_on_interval(lambda s: -(s - 0.25) ** 2 + 2.0, 0.0, 1.0, 200)
         assert x == pytest.approx(0.25, abs=1e-6)
         assert fx == pytest.approx(2.0, abs=1e-12)
+
+    def test_one_extremum_per_row(self):
+        offsets = np.array([[0.2], [0.5], [0.9]])
+        x, fx = minimize_on_interval(lambda s: (s - offsets) ** 2 - offsets, 0.0, 1.0, 300)
+        np.testing.assert_allclose(x, offsets[:, 0], atol=1e-6)
+        np.testing.assert_allclose(fx, -offsets[:, 0], atol=1e-12)
 
     def test_low_resolution_rejected(self):
         with pytest.raises(ValueError, match="resolution"):
@@ -101,15 +131,26 @@ class TestScanOptimizers:
     @pytest.mark.parametrize("optimizer", [minimize_on_interval, maximize_on_interval])
     @pytest.mark.parametrize("resolution", [100, 437, 1000])
     def test_scan_is_one_array_call(self, optimizer, resolution):
-        shapes = []
+        """One (R, resolution) scan call, then (R, 1) refinement calls, as many
+        as the slowest of the R searches makes on its own."""
+        offsets = np.linspace(0.0, 0.45, 50)[:, np.newaxis]
 
-        def recording(s):
-            shapes.append(np.shape(s))
-            return np.cos(7.0 * np.asarray(s))
+        def recorded_shapes(rows):
+            shapes = []
 
-        optimizer(recording, 0.0, 1.0, resolution)
-        assert shapes.count((resolution,)) == 1
-        assert shapes.count(()) == len(shapes) - 1
+            def recording(s):
+                values = np.cos(7.0 * (s + rows))
+                shapes.append(values.shape)
+                return values
+
+            optimizer(recording, 0.0, 1.0, resolution)
+            return shapes
+
+        shapes = recorded_shapes(offsets)
+        assert shapes.count((50, resolution)) == 1
+        assert shapes.count((50, 1)) == len(shapes) - 1
+        alone = [len(recorded_shapes(offsets[i : i + 1])) for i in range(50)]
+        assert len(shapes) == max(alone)
 
 
 class TestS3Bounds:
@@ -161,41 +202,122 @@ class TestS3Bounds:
         with pytest.raises(ValueError):
             s3_bounds(0.0)
 
+    def test_sequence_of_r_is_r_major(self):
+        reports = s3_bounds([0.5, 2.0, 1.0], 300)
+        kinds = ("esti", "estmflot", "minmax", "collapse")
+        assert [(report.r, report.kind) for report in reports] == [
+            (r, kind) for r in (0.5, 2.0, 1.0) for kind in kinds
+        ]
+        assert all(type(report.r) is float for report in reports)
+        assert reports[4:8] == s3_bounds(2.0, 300)
+
+    @pytest.mark.parametrize("bad", [-1.0, 0.0, np.inf, -np.inf, np.nan])
+    def test_every_r_is_checked_before_any_work(self, monkeypatch, bad):
+        def unreachable(*args):
+            raise AssertionError("evaluated before every r was checked")
+
+        monkeypatch.setattr(bounds, "minimize_on_interval", unreachable)
+        monkeypatch.setattr(bounds, "maximize_on_interval", unreachable)
+        with pytest.raises(ValueError, match="positive and finite"):
+            s3_bounds([0.5, 2.0, bad])
+
+    def test_rejects_nested_r(self):
+        with pytest.raises(ValueError, match="1-D"):
+            s3_bounds([[0.5, 2.0]])
+
+    def test_overflowing_r_fails_its_reference(self):
+        with np.errstate(over="ignore", invalid="ignore"):
+            reports = s3_bounds(1e200, 100)
+        assert [line.split(":")[0] for line in bound_failures(reports)] == [
+            f"failed {kind} r={1e200:.17g}" for kind in ("esti", "estmflot", "minmax")
+        ]
+
+
+def _scalar_golden_min(fn, a, b, tol=1e-10):
+    """The scalar golden-section loop whose steps every batched search must take."""
+    inv = 1.0 / bounds.GOLDEN_RATIO
+    c = b - (b - a) * inv
+    d = a + (b - a) * inv
+    fc = fn(c)
+    fd = fn(d)
+    while abs(b - a) > tol:
+        if fc < fd:
+            b, d, fd = d, c, fc
+            c = b - (b - a) * inv
+            fc = fn(c)
+        else:
+            a, c, fc = c, d, fd
+            d = a + (b - a) * inv
+            fd = fn(d)
+    x = 0.5 * (a + b)
+    return x, fn(x)
+
 
 def _scalar_scan_min(fn, a, b, resolution):
     """The point-by-point scan: one scalar call per scan point, then golden section."""
     xs = np.linspace(a, b, resolution)
-    values = np.array([float(fn(x)) for x in xs])
+    values = [fn(float(x)) for x in xs]
     best = int(np.argmin(values))
-    lo = xs[max(best - 1, 0)]
-    hi = xs[min(best + 1, resolution - 1)]
-    x_ref, f_ref = golden_section_min(lambda x: float(fn(x)), lo, hi)
+    lo = float(xs[max(best - 1, 0)])
+    hi = float(xs[min(best + 1, resolution - 1)])
+    x_ref, f_ref = _scalar_golden_min(fn, lo, hi)
     if values[best] < f_ref:
-        return float(xs[best]), float(values[best])
-    return float(x_ref), float(f_ref)
+        return float(xs[best]), values[best]
+    return x_ref, f_ref
+
+
+def _scalar_s3_bounds(r, resolution):
+    """Per-r oracle for s3_bounds: scalar scans and scalar golden sections.
+
+    Each curvature value is read from a one-element array, so that x**2
+    squares as it does in the batch: a scalar x**2 calls pow, which differs
+    from squaring by one ulp for about one x in a thousand.  Every other
+    operation is the same IEEE operation on Python floats.
+    """
+
+    def at(curvature, s):
+        return float(curvature(r, np.array([s]))[0])
+
+    def combined(s):
+        kappa = at(s3_kappa_norm, s)
+        return S3_SCALAR_CURVATURE + at(s3_a_norm_sq, s) + kappa * kappa
+
+    s_esti, esti = _scalar_scan_min(lambda s: at(s3_transverse_scal, s), 0.0, 1.0, resolution)
+    s_flot, flot = _scalar_scan_min(combined, 0.0, 1.0, resolution)
+    s_max, negative_sup = _scalar_scan_min(lambda s: -at(s3_a_norm_sq, s), 0.0, 1.0, resolution)
+    s_col, col = _scalar_scan_min(
+        lambda s: S3_SCALAR_CURVATURE + at(s3_a_norm_sq, s), 0.0, 1.0, resolution
+    )
+    rows = (
+        ("esti", {"inf_scal_transverse": esti}, s_esti),
+        ("estmflot", {"inf_scal_plus_tensors": flot}, s_flot),
+        ("minmax", {"lambda_dm_sq": 2.25, "sup_a_sq": -negative_sup}, s_max),
+        ("collapse", {"inf_scal_plus_a_sq": col}, s_col),
+    )
+    return [(kind, eval_bound(kind, 2, 2, quantities).value, arg_s)
+            for kind, quantities, arg_s in rows]
 
 
 class TestArrayScanParity:
+    # r = 1 makes every integrand flat, so its arg_s comes from the refinement.
     R_VALUES = np.concatenate(
-        [np.geomspace(0.1, 10.0, 50), np.random.default_rng(20081).uniform(0.09, 11.0, 30)]
+        [
+            np.geomspace(0.1, 10.0, 50),
+            [1.0],
+            np.random.default_rng(20081).uniform(0.09, 11.0, 30),
+        ]
     )
 
-    @pytest.mark.parametrize("resolution,tolerance", [(1000, 0.0), (437, 1e-15), (100, 1e-15)])
-    def test_matches_scalar_scan(self, monkeypatch, resolution, tolerance):
-        # array x**2 squares while scalar x**2 calls pow; they differ by at
-        # most one ulp, which can move a scan's pick by ~2e-16.  On these r
-        # no resolution-1000 report moves at all.
-        array_reports = [s3_bounds(r, resolution) for r in self.R_VALUES]
-        monkeypatch.setattr(bounds, "minimize_on_interval", _scalar_scan_min)
-        scalar_reports = [s3_bounds(r, resolution) for r in self.R_VALUES]
-        for fast, slow in zip(array_reports, scalar_reports):
-            for got, want in zip(fast, slow):
-                assert got.kind == want.kind
-                assert abs(got.value - want.value) <= tolerance, (got.kind, got.r)
-                assert abs(got.inputs["arg_s"] - want.inputs["arg_s"]) <= tolerance, (
-                    got.kind,
-                    got.r,
-                )
+    @pytest.mark.parametrize("resolution", [1000, 437, 100])
+    def test_matches_scalar_scan(self, resolution):
+        batched = s3_bounds(self.R_VALUES, resolution)
+        expected = [
+            (float(r), *row) for r in self.R_VALUES for row in _scalar_s3_bounds(r, resolution)
+        ]
+        got = [(report.r, report.kind, report.value, report.inputs["arg_s"]) for report in batched]
+        assert got == expected
+        at_one = next(report for report in batched if report.r == 1.0)
+        assert at_one.inputs["arg_s"] not in np.linspace(0.0, 1.0, resolution)
 
 
 class TestPiecewiseReference:

@@ -92,6 +92,10 @@ class TestSpectrumCommand:
         assert code == 2
 
 
+BAD_R = "flow parameter r must be positive and finite, got"
+BAD_RANGE = "need 0 < r-min < r-max < inf"
+
+
 class TestBoundsCommand:
     def test_reference_row(self, tmp_path):
         out = tmp_path / "out"
@@ -130,6 +134,49 @@ class TestBoundsCommand:
 
     def test_nonpositive_r_rejected(self):
         assert run(["bounds", "--model", "s3", "--r", "-1.0"]) == 2
+
+    @pytest.mark.parametrize(
+        "argv,message",
+        [
+            (["bounds", "--r", "0.5", "-1.0"], f"{BAD_R} -1.0"),
+            (["bounds", "--r", "inf"], f"{BAD_R} inf"),
+            (["bounds", "--r", "0.5", "nan"], f"{BAD_R} nan"),
+            (["sweep", "--r-max", "inf", "--count", "3"], BAD_RANGE),
+            (["sweep", "--r-min", "nan"], BAD_RANGE),
+        ],
+    )
+    def test_refused_r_writes_nothing(self, tmp_path, capsys, argv, message):
+        out = tmp_path / "out"
+        assert run([*argv, "--output-dir", str(out)]) == 2
+        assert capsys.readouterr() == ("", f"error: {message}\n")
+        assert not out.exists()
+
+    def test_overflowing_r_fails(self, tmp_path, capsys):
+        out = tmp_path / "out"
+        with np.errstate(over="ignore", invalid="ignore"):
+            assert run(["bounds", "--r", "1e200", "--output-dir", str(out)]) == 1
+        failed = [line.split(":")[0] for line in capsys.readouterr().err.splitlines()]
+        kinds = ("esti", "estmflot", "minmax")
+        assert failed == [f"failed {kind} r={1e200:.17g}" for kind in kinds]
+        assert (out / "bounds.csv").exists()
+
+    @pytest.mark.parametrize("fmt", ["csv", "json"])
+    def test_sweep_rows_equal_per_r_bounds_rows(self, tmp_path, fmt):
+        sweep = ["sweep", "--r-min", "0.3", "--r-max", "3.0", "--count", "7",
+                 "--resolution", "437", "--format", fmt]
+        assert run([*sweep, "--output-dir", str(tmp_path / "sweep")]) == 0
+        rows = []
+        for i, r in enumerate(np.geomspace(0.3, 3.0, 7)):
+            single = tmp_path / f"bounds-{i}"
+            argv = ["bounds", "--r", repr(float(r)), "--resolution", "437", "--format", fmt]
+            assert run([*argv, "--output-dir", str(single)]) == 0
+            text = (single / f"bounds.{fmt}").read_text()
+            rows.extend(text.splitlines()[1:] if fmt == "csv" else json.loads(text))
+        swept = (tmp_path / "sweep" / f"sweep_bounds.{fmt}").read_text()
+        if fmt == "csv":
+            assert swept.splitlines()[1:] == rows
+        else:
+            assert swept == json.dumps(rows, indent=2, sort_keys=True) + "\n"
 
 
 class TestVerifyCommand:

@@ -258,3 +258,23 @@ def test_profile_checks_make_no_svd(product_profile, grid128, monkeypatch):
     assert [report.check_name for report in reports] == ["scal_relation", "lichnerowicz"]
     assert all(report.passed for report in reports)
     assert svd_calls == []
+
+
+def test_profile_checks_build_one_geometry_per_profile(product_profile, skew_profile, grid128,
+                                                       monkeypatch):
+    """Both single-profile checks read one torus geometry, and every call of
+    run_profile_checks builds its own."""
+    from foliation_lab import verify
+
+    built = []
+    torus_geometry = verify.torus_geometry
+
+    def counted(profile, grid):
+        built.append(profile)
+        return torus_geometry(profile, grid)
+
+    monkeypatch.setattr(verify, "torus_geometry", counted)
+    for profile in (product_profile, skew_profile, product_profile):
+        reports = run_profile_checks(profile, grid128)
+        assert [report.check_name for report in reports] == ["scal_relation", "lichnerowicz"]
+    assert built == [product_profile, skew_profile, product_profile]
