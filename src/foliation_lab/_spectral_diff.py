@@ -27,6 +27,11 @@ import numpy as np
 _CACHED_MATRICES = 8
 
 
+def uniform_nodes(n_points: int) -> np.ndarray:
+    """The grid t_j = 2*pi*j/N, j = 0, ..., N-1."""
+    return 2.0 * np.pi * np.arange(n_points) / n_points
+
+
 def wavenumbers(n_points: int) -> np.ndarray:
     """Integer frequency lattice {-N/2+1, ..., N/2} in fft ordering."""
     k = np.fft.fftfreq(n_points, d=1.0 / n_points)
@@ -69,8 +74,7 @@ def differentiation_matrix(n_points: int, spin_structure: str = "trivial") -> np
         eye_hat = np.fft.fft(np.eye(n_points), axis=0)
         matrix = np.fft.ifft((1j * k)[:, None] * eye_hat, axis=0)
     elif spin_structure == "nontrivial":
-        t = 2.0 * np.pi * np.arange(n_points) / n_points
-        half_phase = np.exp(0.5j * t)
+        half_phase = np.exp(0.5j * uniform_nodes(n_points))
         shifted = differentiation_matrix(n_points, "trivial") + 0.5j * np.eye(n_points)
         matrix = half_phase[:, None] * shifted * np.conj(half_phase)[None, :]
     else:

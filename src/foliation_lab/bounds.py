@@ -166,18 +166,24 @@ def maximize_on_interval(fn, a: float, b: float, resolution: int):
 def s3_bounds(r, resolution: int = 1000) -> list[BoundReport]:
     """All four sphere-flow bounds at each flow parameter via numeric extrema in s.
 
-    ``r`` is one flow parameter or a 1-D sequence of them; every r must be
-    finite and positive, and all are checked before any is evaluated.  The
-    extrema of every r come from one batched scan and refinement per bound
-    family.  Reports are r-major: esti, estmflot, minmax, collapse per r.
+    ``r`` is one flow parameter or a nonempty 1-D sequence of them; every r
+    must be finite and positive with a square that does not underflow to 0
+    (the references divide by r^2), and all are checked before any is
+    evaluated.  The extrema of every r come from one batched scan and
+    refinement per bound family.  Reports are r-major: esti, estmflot,
+    minmax, collapse per r.
     """
     r_values = np.atleast_1d(np.asarray(r, dtype=np.float64))
     if r_values.ndim != 1:
         raise ValueError(f"flow parameters must be one number or a 1-D sequence, got shape "
                          f"{r_values.shape}")
-    for value in r_values:
+    if r_values.size == 0:
+        raise ValueError("no flow parameters to evaluate")
+    for value in r_values.tolist():
         if not (np.isfinite(value) and value > 0.0):
             raise ValueError(f"flow parameter r must be positive and finite, got {value}")
+        if value * value == 0.0:
+            raise ValueError(f"flow parameter r = {value} is too small: r*r underflows to 0")
     # One row per flow parameter, broadcast against the points in s.
     r_col = r_values[:, np.newaxis]
 
@@ -257,15 +263,13 @@ def bound_failures(reports: list[BoundReport]) -> list[str]:
     return failures
 
 
-def bound_rows_csv(reports: list[BoundReport], path) -> None:
-    """CSV rows kind, r, value, reference_value, abs_error (reference when known)."""
-    with open(path, "w", encoding="utf-8", newline="\n") as handle:
-        handle.write("kind,r,value,reference_value,abs_error\n")
-        for report in reports:
-            r_text = "" if report.r is None else f"{report.r:.17g}"
-            compared = reference_error(report)
-            reference_text = "" if compared is None else f"{compared[0]:.17g}"
-            error_text = "" if compared is None else f"{compared[1]:.17g}"
-            handle.write(
-                f"{report.kind},{r_text},{report.value:.17g},{reference_text},{error_text}\n"
-            )
+def bound_rows_csv(reports: list[BoundReport]) -> str:
+    """CSV text: rows kind, r, value, reference_value, abs_error (reference when known)."""
+    lines = ["kind,r,value,reference_value,abs_error\n"]
+    for report in reports:
+        r_text = "" if report.r is None else f"{report.r:.17g}"
+        compared = reference_error(report)
+        reference_text = "" if compared is None else f"{compared[0]:.17g}"
+        error_text = "" if compared is None else f"{compared[1]:.17g}"
+        lines.append(f"{report.kind},{r_text},{report.value:.17g},{reference_text},{error_text}\n")
+    return "".join(lines)

@@ -3,7 +3,8 @@
 Exit codes: 0 when every requested check passes, 1 when any verification
 fails, 2 on usage or configuration errors (malformed profiles, positivity
 violations, out-of-range windows).  Outputs are deterministic: fixed seeds,
-fixed ordering, no timestamps, 17 significant digits.
+fixed ordering, no timestamps, 17 significant digits.  Every report is built
+as text and written whole by ``_emit``, so a failed command leaves no file.
 """
 
 from __future__ import annotations
@@ -21,9 +22,9 @@ import numpy as np
 from . import __version__
 from .basic_calculus import DEGREE_FUNCTION, DEGREE_ONE_FORM, LeafVolumeDensity
 from .bounds import bound_failures, bound_rows_csv, s3_bounds
-from .model_spaces import GridSpec, MetricProfile, load_profile
+from .model_spaces import SPIN_STRUCTURES, GridSpec, MetricProfile, load_profile
 from .operators import assemble_basic_dirac_spinor, assemble_basic_laplacian
-from .spectral import dirac_spectra, eigenvalues_weighted
+from .spectral import SpectrumReport, dirac_spectra, eigenvalues_weighted
 from .verify import random_profile_pair, run_pair_checks, run_profile_checks
 
 DEFAULT_SEED = 7041
@@ -37,24 +38,49 @@ _OPERATOR_CHOICES = (
 )
 
 
-def _atomic_write(path: Path, text: str) -> None:
-    tmp = path.with_suffix(path.suffix + ".tmp")
-    tmp.write_text(text, encoding="utf-8")
-    os.replace(tmp, path)
-
-
 def _json_safe(value):
-    if isinstance(value, float) and not math.isfinite(value):
-        return "inf" if value > 0 else "-inf"
+    """``value`` with numpy scalars made Python numbers and every non-finite
+    float written as the string "inf", "-inf" or "nan"."""
     if isinstance(value, dict):
         return {key: _json_safe(item) for key, item in value.items()}
     if isinstance(value, (list, tuple)):
         return [_json_safe(item) for item in value]
-    if isinstance(value, np.floating):
-        return float(value)
     if isinstance(value, np.integer):
         return int(value)
+    if isinstance(value, (float, np.floating)):
+        value = float(value)
+        return value if math.isfinite(value) else str(value)
     return value
+
+
+def _json_text(payload) -> str:
+    """The text of every JSON report: standard JSON (no bare NaN or Infinity),
+    sorted keys, one trailing newline."""
+    return json.dumps(_json_safe(payload), indent=2, sort_keys=True, allow_nan=False) + "\n"
+
+
+def _emit(args, name: str, text: str, stderr_lines, failed: bool, summary: str = "") -> int:
+    """Write one report whole, announce it, and return the exit code.
+
+    The text goes to ``<name>.tmp`` in the output directory and is renamed
+    over ``<name>``; a failed write removes the temporary file, so no command
+    leaves a partial report.  Then each stderr line and the ``wrote`` line
+    are printed.  Returns 1 if ``failed``, else 0.
+    """
+    output_dir = Path(args.output_dir)
+    output_dir.mkdir(parents=True, exist_ok=True)
+    out = output_dir / name
+    tmp = output_dir / f"{name}.tmp"
+    try:
+        tmp.write_text(text, encoding="utf-8", newline="\n")
+        os.replace(tmp, out)
+    except OSError:
+        tmp.unlink(missing_ok=True)
+        raise
+    for line in stderr_lines:
+        print(line, file=sys.stderr)
+    print(f"wrote {out}{summary}")
+    return 1 if failed else 0
 
 
 def _seed_from_env(cli_seed: int | None) -> int:
@@ -85,6 +111,23 @@ def _spectrum(operator_name: str, density: LeafVolumeDensity, grid: GridSpec):
     return eigenvalues_weighted(assemble_basic_laplacian(density, grid, degree))
 
 
+def _spectrum_text(report: SpectrumReport, fmt: str, window: float) -> str:
+    """The in-window eigenvalues as CSV (a comment header, then one per row) or JSON."""
+    values = report.in_window(window)
+    if fmt == "csv":
+        header = (f"# operator={report.operator_label},grid={report.grid_size},"
+                  f"window={window:.17g},tag=inv\neigenvalue\n")
+        return header + "".join(f"{value:.17g}\n" for value in values)
+    return _json_text({
+        "operator_label": report.operator_label,
+        "grid_size": report.grid_size,
+        "window": window,
+        "tag": "inv",
+        "n_total": report.eigenvalues.size,
+        "eigenvalues": values.tolist(),
+    })
+
+
 def _cmd_spectrum(args) -> int:
     grid = GridSpec(args.grid, args.spin)
     grid.validate_window(args.window)
@@ -92,43 +135,23 @@ def _cmd_spectrum(args) -> int:
         raise ValueError("spectrum is only assembled for the torus model")
     profile = _load_profiles([args.profile])[0]
     density = LeafVolumeDensity.from_profile(profile, grid)
-    report = _spectrum(args.operator, density, grid)
-    output_dir = Path(args.output_dir)
-    output_dir.mkdir(parents=True, exist_ok=True)
-    stem = Path(args.profile).stem
-    out = output_dir / f"spectrum_{args.operator}_{stem}.{args.format}"
-    if args.format == "csv":
-        report.to_csv(out, window=args.window)
-    else:
-        report.to_json(out, window=args.window)
-    print(f"wrote {out}")
-    return 0
+    text = _spectrum_text(_spectrum(args.operator, density, grid), args.format, args.window)
+    name = f"spectrum_{args.operator}_{Path(args.profile).stem}.{args.format}"
+    return _emit(args, name, text, [], False)
 
 
-def _write_bounds(reports, args, name: str) -> int:
+def _write_bounds(reports, args, stem: str) -> int:
     """Write the bounds report, name each row that misses its reference on
     stderr, and return the exit code."""
-    output_dir = Path(args.output_dir)
-    output_dir.mkdir(parents=True, exist_ok=True)
-    out = output_dir / f"{name}.{args.format}"
     if args.format == "csv":
-        bound_rows_csv(reports, out)
+        text = bound_rows_csv(reports)
     else:
-        payload = [
-            {
-                "kind": report.kind,
-                "r": report.r,
-                "value": report.value,
-                "inputs": _json_safe(report.inputs),
-            }
+        text = _json_text([
+            {"kind": report.kind, "r": report.r, "value": report.value, "inputs": report.inputs}
             for report in reports
-        ]
-        _atomic_write(out, json.dumps(payload, indent=2, sort_keys=True) + "\n")
+        ])
     failures = bound_failures(reports)
-    for line in failures:
-        print(line, file=sys.stderr)
-    print(f"wrote {out}")
-    return 1 if failures else 0
+    return _emit(args, f"{stem}.{args.format}", text, failures, bool(failures))
 
 
 def _cmd_bounds(args) -> int:
@@ -163,7 +186,7 @@ def _run_verification(profiles, grid, window, pairs, seed) -> list:
     return reports
 
 
-def _write_bundle(reports, grid: GridSpec, window: float, seed, args, name: str) -> int:
+def _write_bundle(reports, grid: GridSpec, seed, args, name: str) -> int:
     """Write the verification bundle, name each failed or skipped check on
     stderr, and return the exit code."""
     bundle = {
@@ -171,38 +194,33 @@ def _write_bundle(reports, grid: GridSpec, window: float, seed, args, name: str)
             "package_version": __version__,
             "grid": grid.n_points,
             "spin_structure": grid.spin_structure,
-            "window": window,
+            "window": args.window,
             "seed": seed,
             "n_checks": len(reports),
         },
         "reports": [
-            _json_safe(
-                {
-                    "check_name": report.check_name,
-                    "tag": report.metadata.get("tag", ""),
-                    "residual": report.residual,
-                    "threshold": report.threshold,
-                    "passed": report.passed,
-                    "metadata": report.metadata,
-                }
-            )
+            {
+                "check_name": report.check_name,
+                "tag": report.metadata.get("tag", ""),
+                "residual": report.residual,
+                "threshold": report.threshold,
+                "passed": report.passed,
+                "metadata": report.metadata,
+            }
             for report in reports
         ],
     }
-    output_dir = Path(args.output_dir)
-    output_dir.mkdir(parents=True, exist_ok=True)
-    out = output_dir / name
-    _atomic_write(out, json.dumps(bundle, indent=2, sort_keys=True) + "\n")
-    failed = [report for report in reports if not report.passed]
+    lines = []
     for report in reports:
         if report.metadata.get("skipped"):
-            print(f"skipped {report.check_name}: {report.metadata['reason']}", file=sys.stderr)
+            lines.append(f"skipped {report.check_name}: {report.metadata['reason']}")
         elif not report.passed:
             diagnostic = report.metadata.get("diagnostic", "no diagnostic")
-            print(f"failed {report.check_name}: residual {report.residual:.3e} > threshold "
-                  f"{report.threshold:.0e}: {diagnostic}", file=sys.stderr)
-    print(f"wrote {out}: {len(reports) - len(failed)}/{len(reports)} checks passed")
-    return 1 if failed else 0
+            lines.append(f"failed {report.check_name}: residual {report.residual:.3e} > "
+                         f"threshold {report.threshold:.0e}: {diagnostic}")
+    n_passed = sum(report.passed for report in reports)
+    return _emit(args, name, _json_text(bundle), lines, n_passed < len(reports),
+                 f": {n_passed}/{len(reports)} checks passed")
 
 
 def _cmd_verify(args) -> int:
@@ -215,7 +233,7 @@ def _cmd_verify(args) -> int:
     seed = _seed_from_env(args.seed)
     profiles = _load_profiles(args.profiles)
     reports = _run_verification(profiles, grid, args.window, args.pairs, seed)
-    return _write_bundle(reports, grid, args.window, seed, args, "verify_bundle.json")
+    return _write_bundle(reports, grid, seed, args, "verify_bundle.json")
 
 
 def _cmd_invariance(args) -> int:
@@ -223,7 +241,7 @@ def _cmd_invariance(args) -> int:
     grid.validate_window(args.window)
     p1, p2 = _load_profiles(args.profiles)
     reports = run_pair_checks(p1, p2, grid, args.window)
-    return _write_bundle(reports, grid, args.window, None, args, "invariance_bundle.json")
+    return _write_bundle(reports, grid, None, args, "invariance_bundle.json")
 
 
 @functools.lru_cache(maxsize=1)
@@ -241,7 +259,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_spec.add_argument("--grid", type=int, default=128)
     p_spec.add_argument("--window", type=float, default=10.0)
     p_spec.add_argument("--operator", choices=_OPERATOR_CHOICES, default="dirac-spinor")
-    p_spec.add_argument("--spin", choices=("trivial", "nontrivial"), default="trivial")
+    p_spec.add_argument("--spin", choices=SPIN_STRUCTURES, default="trivial")
     p_spec.add_argument("--output-dir", default=".")
     p_spec.add_argument("--format", choices=("csv", "json"), default="csv")
     p_spec.set_defaults(func=_cmd_spectrum)

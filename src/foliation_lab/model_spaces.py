@@ -16,7 +16,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import _kernels
-from ._spectral_diff import fourier_derivative
+from ._spectral_diff import fourier_derivative, uniform_nodes
 
 VALIDATION_GRID = 512
 
@@ -70,8 +70,6 @@ class MetricProfile:
 
     def sample(self, thetas: np.ndarray, ts: np.ndarray) -> np.ndarray:
         """Values f(theta_j, t_k) on the product of the two node sets."""
-        thetas = np.asarray(thetas, dtype=np.float64)
-        ts = np.asarray(ts, dtype=np.float64)
         return _kernels.sample_profile(self.constant, *self.term_arrays(), thetas, ts)
 
     def sample_t(self, ts: np.ndarray) -> np.ndarray:
@@ -79,7 +77,7 @@ class MetricProfile:
         return self.sample(np.zeros(1), ts)[0]
 
     def min_value(self, grid_points: int = VALIDATION_GRID) -> float:
-        nodes = 2.0 * np.pi * np.arange(grid_points) / grid_points
+        nodes = uniform_nodes(grid_points)
         return _kernels.profile_min(self.constant, *self.term_arrays(), nodes, nodes)
 
     def theta_average(self) -> "MetricProfile":
@@ -169,14 +167,16 @@ class GridSpec:
 
     @property
     def t_nodes(self) -> np.ndarray:
-        return 2.0 * np.pi * np.arange(self.n_points) / self.n_points
+        return uniform_nodes(self.n_points)
 
     @property
     def trust_window(self) -> float:
         return trust_window_for(self.n_points)
 
     def validate_window(self, window: float) -> None:
-        """Refuse an eigenvalue window wider than the trusted range."""
+        """Refuse an eigenvalue window outside 0 < window <= n_points/8, NaN included."""
+        if not window > 0.0:
+            raise ValueError(f"window must be positive, got {window}")
         if window > self.trust_window:
             raise ValueError(
                 f"window {window} exceeds the trusted range n_points/8 = {self.trust_window}"

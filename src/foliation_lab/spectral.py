@@ -6,7 +6,6 @@ Dirac spectra, spinor and forms, from one solve of the trivial spinor matrix.
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass
 
@@ -46,32 +45,6 @@ class SpectrumReport:
         limit = self.window if window is None else window
         values = self.eigenvalues
         return values[np.abs(values) <= limit + WINDOW_EDGE_SLACK]
-
-    def to_csv(self, path, window: float | None = None) -> None:
-        """One trusted eigenvalue per row, preceded by a comment header."""
-        values = self.in_window(window)
-        with open(path, "w", encoding="utf-8", newline="\n") as handle:
-            handle.write(
-                f"# operator={self.operator_label},grid={self.grid_size},"
-                f"window={self.window if window is None else window:.17g},tag=inv\n"
-            )
-            handle.write("eigenvalue\n")
-            for value in values:
-                handle.write(f"{value:.17g}\n")
-
-    def to_json(self, path, window: float | None = None) -> None:
-        values = self.in_window(window)
-        payload = {
-            "operator_label": self.operator_label,
-            "grid_size": self.grid_size,
-            "window": self.window if window is None else window,
-            "tag": "inv",
-            "n_total": int(self.eigenvalues.size),
-            "eigenvalues": [float(v) for v in values],
-        }
-        with open(path, "w", encoding="utf-8", newline="\n") as handle:
-            json.dump(payload, handle, indent=2, sort_keys=True)
-            handle.write("\n")
 
 
 def _gated_report(values, residual: float, n_points: int, label: str) -> SpectrumReport:

@@ -18,7 +18,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from ._spectral_diff import fourier_derivative
+from ._spectral_diff import fourier_derivative, uniform_nodes
 from .basic_calculus import (
     DEGREE_FUNCTION,
     LeafVolumeDensity,
@@ -324,7 +324,7 @@ def fd_laplacian_spectrum(profile: MetricProfile, n_points: int) -> SpectrumRepo
     typically much finer than the spectral one; accuracy is O(h^2).
     """
     reduced = profile.theta_average()
-    nodes = 2.0 * np.pi * np.arange(n_points) / n_points
+    nodes = uniform_nodes(n_points)
     midpoints = nodes + np.pi / n_points
     g_nodes = reduced.sample_t(nodes)
     g_mid = reduced.sample_t(midpoints)

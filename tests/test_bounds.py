@@ -348,10 +348,8 @@ class TestPiecewiseReference:
 
 
 class TestCsvRows:
-    def test_rows_carry_kind_and_reference(self, tmp_path):
-        path = tmp_path / "bounds.csv"
-        bound_rows_csv(s3_bounds(0.5), path)
-        lines = path.read_text().strip().split("\n")
+    def test_rows_carry_kind_and_reference(self):
+        lines = bound_rows_csv(s3_bounds(0.5)).strip().split("\n")
         assert lines[0] == "kind,r,value,reference_value,abs_error"
         rows = {line.split(",")[0]: line.split(",") for line in lines[1:]}
         assert set(rows) == {"esti", "estmflot", "minmax", "collapse"}

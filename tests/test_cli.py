@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from foliation_lab import MetricProfile, ProfileTerm, bounds, save_profile
-from foliation_lab.cli import build_parser, run
+from foliation_lab.cli import _json_text, build_parser, run
 
 
 @pytest.fixture
@@ -92,8 +92,26 @@ class TestSpectrumCommand:
         assert code == 2
 
 
+@pytest.mark.parametrize("window", ["-1", "0", "nan"])
+@pytest.mark.parametrize("command", ["spectrum", "invariance", "verify"])
+def test_window_that_empties_a_verdict_is_refused(
+    tmp_path, capsys, flat_path, wavy_path, command, window
+):
+    inputs = {
+        "spectrum": ["--profile", str(wavy_path)],
+        "invariance": ["--profiles", str(flat_path), str(wavy_path)],
+        "verify": ["--all", "--pairs", "1"],
+    }[command]
+    out = tmp_path / "out"
+    argv = [command, *inputs, "--grid", "64", "--window", window, "--output-dir", str(out)]
+    assert run(argv) == 2
+    assert capsys.readouterr() == ("", f"error: window must be positive, got {float(window)}\n")
+    assert not out.exists()
+
+
 BAD_R = "flow parameter r must be positive and finite, got"
 BAD_RANGE = "need 0 < r-min < r-max < inf"
+TINY_R = "flow parameter r = 1e-200 is too small: r*r underflows to 0"
 
 
 class TestBoundsCommand:
@@ -150,6 +168,58 @@ class TestBoundsCommand:
         assert run([*argv, "--output-dir", str(out)]) == 2
         assert capsys.readouterr() == ("", f"error: {message}\n")
         assert not out.exists()
+
+    @pytest.mark.parametrize(
+        "argv,message",
+        [
+            (["bounds", "--r", "1e-200"], TINY_R),
+            (["sweep", "--r-min", "1e-200", "--r-max", "1"], TINY_R),
+            (["sweep", "--count", "0"], "no flow parameters to evaluate"),
+        ],
+    )
+    def test_unevaluable_r_writes_nothing(self, tmp_path, capsys, argv, message):
+        out = tmp_path / "out"
+        assert run([*argv, "--output-dir", str(out)]) == 2
+        assert capsys.readouterr() == ("", f"error: {message}\n")
+        assert not out.exists()
+
+    @pytest.mark.parametrize("fmt", ["csv", "json"])
+    def test_failure_while_building_the_report_writes_nothing(
+        self, tmp_path, capsys, monkeypatch, fmt
+    ):
+        def unavailable(r):
+            raise ValueError("reference unavailable")
+
+        monkeypatch.setattr(bounds, "piecewise_reference", unavailable)
+        out = tmp_path / "out"
+        assert run(["bounds", "--r", "0.5", "--format", fmt, "--output-dir", str(out)]) == 2
+        assert capsys.readouterr() == ("", "error: reference unavailable\n")
+        assert not (out / f"bounds.{fmt}").exists()
+        assert not (out / f"bounds.{fmt}.tmp").exists()
+
+    def test_failed_write_leaves_no_temporary_file(self, tmp_path, capsys):
+        out = tmp_path / "out"
+        (out / "bounds.csv").mkdir(parents=True)  # the rename onto it fails
+        assert run(["bounds", "--r", "0.5", "--output-dir", str(out)]) == 2
+        assert capsys.readouterr().err.startswith("error: ")
+        assert sorted(path.name for path in out.iterdir()) == ["bounds.csv"]
+        assert (out / "bounds.csv").is_dir()
+
+    def test_nan_bounds_are_written_as_standard_json(self, tmp_path):
+        out = tmp_path / "out"
+        with np.errstate(over="ignore", invalid="ignore"):
+            argv = ["bounds", "--r", "1e200", "--format", "json", "--output-dir", str(out)]
+            assert run(argv) == 1
+
+        def refuse(constant):
+            raise AssertionError(f"non-standard JSON constant {constant}")
+
+        rows = json.loads((out / "bounds.json").read_text(), parse_constant=refuse)
+        by_kind = {row["kind"]: row for row in rows}
+        assert by_kind["esti"]["value"] == "nan"
+        assert by_kind["esti"]["inputs"]["inf_scal_transverse"] == "nan"
+        assert by_kind["estmflot"]["value"] == "nan"
+        assert by_kind["estmflot"]["inputs"]["inf_scal_plus_tensors"] == "nan"
 
     def test_overflowing_r_fails(self, tmp_path, capsys):
         out = tmp_path / "out"
@@ -338,6 +408,11 @@ class TestSweepCommand:
 
     def test_bad_range_rejected(self):
         assert run(["sweep", "--r-min", "2.0", "--r-max", "1.0"]) == 2
+
+
+def test_json_text_spells_every_non_finite_float():
+    payload = {"a": [np.inf, -np.inf], "b": (np.float32("nan"), float("nan")), "c": np.float64(0.5)}
+    assert json.loads(_json_text(payload)) == {"a": ["inf", "-inf"], "b": ["nan", "nan"], "c": 0.5}
 
 
 def test_one_parser_serves_every_command(tmp_path, capsys, flat_path, wavy_path):

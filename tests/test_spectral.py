@@ -16,6 +16,7 @@ from foliation_lab import (
 )
 from foliation_lab import spectral
 from foliation_lab.basic_calculus import LeafVolumeDensity
+from foliation_lab.cli import _spectrum_text
 from foliation_lab.operators import (
     WeightedOperator,
     assemble_basic_dirac_forms,
@@ -223,25 +224,21 @@ class TestSimilarityInvariance:
 
 
 class TestSerialization:
-    def test_csv_one_eigenvalue_per_row(self, cosine_profile, grid64, tmp_path):
+    def test_csv_one_eigenvalue_per_row(self, cosine_profile, grid64):
         op = assemble_basic_dirac_spinor(_density(cosine_profile, grid64), grid64)
         report = eigenvalues_weighted(op)
-        path = tmp_path / "spectrum.csv"
-        report.to_csv(path, window=8.0)
-        lines = path.read_text().strip().split("\n")
+        lines = _spectrum_text(report, "csv", 8.0).strip().split("\n")
         assert lines[0].startswith("#")
         assert lines[1] == "eigenvalue"
         values = np.array([float(line) for line in lines[2:]])
         np.testing.assert_allclose(values, np.arange(-8, 9), atol=1e-8)
 
-    def test_json_metadata(self, cosine_profile, grid64, tmp_path):
+    def test_json_metadata(self, cosine_profile, grid64):
         import json
 
         op = assemble_basic_dirac_spinor(_density(cosine_profile, grid64), grid64)
         report = eigenvalues_weighted(op)
-        path = tmp_path / "spectrum.json"
-        report.to_json(path, window=8.0)
-        payload = json.loads(path.read_text())
+        payload = json.loads(_spectrum_text(report, "json", 8.0))
         assert payload["grid_size"] == 64
         assert payload["window"] == 8.0
         assert payload["n_total"] == 64
