@@ -19,7 +19,6 @@ from .model_spaces import (
     MetricProfile,
     ProfileTerm,
     load_profile,
-    save_profile,
     torus_geometry,
     torus_metric_sample,
 )
@@ -72,7 +71,6 @@ __all__ = [
     "piecewise_reference",
     "project_basic",
     "s3_bounds",
-    "save_profile",
     "scal_relation_residual",
     "spectrum_compare",
     "torus_geometry",

@@ -8,9 +8,9 @@ The differentiation matrix assigns the unpaired extreme frequency to +N/2
 (rather than the fft default -N/2).  With that choice i*D has the simple
 eigenvalue lattice {-N/2, ..., N/2 - 1}, one eigenvalue per integer, which
 is the convention used throughout the operator assembly.  The functional
-derivative used for real fields zeroes the extreme mode instead (the
-standard real-signal convention for odd derivative orders); the two agree
-on all resolved frequencies.
+derivative of sampled real fields, ``fourier_derivative``, uses real FFTs
+and zeroes the extreme mode instead (the standard real-signal convention
+for odd derivative orders); the two agree on all resolved frequencies.
 
 There is one cached, read-only differentiation matrix per (grid size, spin
 structure); the operator assembly derives every first-order operator and
@@ -40,24 +40,27 @@ def wavenumbers(n_points: int) -> np.ndarray:
 
 
 def fourier_derivative(values: np.ndarray, order: int = 1, axis: int = -1) -> np.ndarray:
-    """Spectral derivative of periodically sampled values along an axis.
+    """Spectral derivative of real, periodically sampled values along an axis.
 
-    Real input yields real output.  For odd orders the extreme mode is
+    One real FFT pair: rfft, multiplication by (i k)^order for k = 0, ..., N/2,
+    irfft back to N points.  For odd orders the extreme mode k = N/2 is
     annihilated; for even orders it carries the factor (-1)^(order/2)*(N/2)^order.
+    Complex input or an odd number of samples along the axis raises ValueError.
     """
     values = np.asarray(values)
     n = values.shape[axis]
-    k = wavenumbers(n)
+    if np.iscomplexobj(values):
+        raise ValueError("fourier_derivative takes real samples, got a complex array")
+    if n % 2 != 0:
+        raise ValueError(f"fourier_derivative needs an even number of samples, got {n}")
+    k = np.arange(n // 2 + 1, dtype=np.float64)
     if order % 2 == 1:
         k[n // 2] = 0.0
     factor = (1j * k) ** order
     shape = [1] * values.ndim
-    shape[axis] = n
-    hat = np.fft.fft(values, axis=axis) * factor.reshape(shape)
-    out = np.fft.ifft(hat, axis=axis)
-    if np.isrealobj(values):
-        return out.real
-    return out
+    shape[axis] = k.size
+    hat = np.fft.rfft(values, axis=axis) * factor.reshape(shape)
+    return np.fft.irfft(hat, n=n, axis=axis)
 
 
 @lru_cache(maxsize=_CACHED_MATRICES)

@@ -18,7 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from ._spectral_diff import fourier_derivative
-from .model_spaces import GridSpec, MetricProfile
+from .model_spaces import GridSpec, MetricProfile, require_resolved
 
 DEGREE_FUNCTION = "function"
 DEGREE_ONE_FORM = "one_form"
@@ -33,7 +33,7 @@ class LeafVolumeDensity:
     The exact theta-average of a Fourier profile keeps only its m = 0 modes,
     so g is again a trigonometric polynomial; its derivative g_dot is stored
     termwise-exactly alongside the values.  t_bandwidth records the largest
-    |n| present, for grid-resolution checks.
+    |n| present; a density whose bandwidth the grid aliases is refused.
     """
 
     g_values: np.ndarray
@@ -49,6 +49,7 @@ class LeafVolumeDensity:
             raise ValueError("leaf volume density must be strictly positive")
         if self.g_values.shape != self.g_dot_values.shape:
             raise ValueError("density and derivative grids differ")
+        require_resolved(self.n_points, self.t_bandwidth)
 
     @property
     def n_points(self) -> int:

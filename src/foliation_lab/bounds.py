@@ -168,7 +168,8 @@ def s3_bounds(r, resolution: int = 1000) -> list[BoundReport]:
 
     ``r`` is one flow parameter or a nonempty 1-D sequence of them; every r
     must be finite and positive with a square that does not underflow to 0
-    (the references divide by r^2), and all are checked before any is
+    (the references divide by r^2) and with 6 r^2, the transverse scalar
+    curvature's largest term, finite; all are checked before any is
     evaluated.  The extrema of every r come from one batched scan and
     refinement per bound family.  Reports are r-major: esti, estmflot,
     minmax, collapse per r.
@@ -184,6 +185,8 @@ def s3_bounds(r, resolution: int = 1000) -> list[BoundReport]:
             raise ValueError(f"flow parameter r must be positive and finite, got {value}")
         if value * value == 0.0:
             raise ValueError(f"flow parameter r = {value} is too small: r*r underflows to 0")
+        if not np.isfinite(6.0 * value * value):
+            raise ValueError(f"flow parameter r = {value} is too large: 6*r*r overflows")
     # One row per flow parameter, broadcast against the points in s.
     r_col = r_values[:, np.newaxis]
 

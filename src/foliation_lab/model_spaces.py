@@ -11,6 +11,7 @@ data depend on the point only through s = |z|^2.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -19,6 +20,9 @@ from . import _kernels
 from ._spectral_diff import fourier_derivative, uniform_nodes
 
 VALIDATION_GRID = 512
+
+# Finest grid the positivity certificate refines to before it refuses a profile.
+CERTIFICATE_GRID_CAP = 4096
 
 SPIN_STRUCTURES = ("trivial", "nontrivial")
 
@@ -41,9 +45,29 @@ class ProfileTerm:
 class MetricProfile:
     """Strictly positive doubly 2*pi-periodic function f(theta, t).
 
-    Positivity is validated at construction by sampling a fixed
-    VALIDATION_GRID x VALIDATION_GRID product grid; profiles whose sampled
-    minimum is not positive are rejected.
+    Positivity is certified at construction.  With A = sum|amp_i| and
+    L = sum|amp_i|(|m_i| + |n_i|), which bounds |f_theta| + |f_t|:
+
+    1. f >= constant - A everywhere, so constant - A > e accepts outright,
+       without sampling.
+    2. Otherwise f is sampled on the G x G grid, G = VALIDATION_GRID.  Every
+       point lies within h/2 = pi/G of a node in each angle, so the true
+       minimum is at least (sampled minimum) - e - (h/2) L; the profile is
+       accepted when the sampled minimum minus (h/2) L exceeds e.
+    3. Otherwise G doubles, up to CERTIFICATE_GRID_CAP, and step 2 repeats.
+       A sample <= 0, or reaching the cap, rejects the profile.  Grids finer
+       than VALIDATION_GRID are evaluated in blocks of theta rows, none
+       larger than the VALIDATION_GRID x VALIDATION_GRID array.
+
+    The allowance e bounds the round-off of a computed sample.  With unit
+    round-off u = eps/2 and K terms: a node 2*pi*j/G is off by less than 19u,
+    so a computed cos(m*x + ph) is off by at most u(1 + 38|m| + 2|ph|)
+    (argument error, then the rounded product, sum and cosine); a term's two
+    products add 2u of its amplitude; and summing the K + 1 terms (the
+    constant included) adds at most 1.01(K + 1)u times their magnitudes.
+    So a sample is off by less than 39.01(K + 1)u S, with
+    S = constant + sum|amp_i|(1 + |m_i| + |n_i| + |ph_i| + |qh_i|), and
+    e = 32(K + 1) eps S leaves room for the rounding of the bound itself.
     """
 
     constant: float
@@ -54,11 +78,35 @@ class MetricProfile:
         object.__setattr__(self, "terms", tuple(self.terms))
         if not self.constant > 0.0:
             raise ValueError(f"profile constant must be positive, got {self.constant}")
-        minimum = self.min_value(VALIDATION_GRID)
-        if not minimum > 0.0:
-            raise ValueError(
-                f"profile is not a metric: sampled minimum {minimum:.6g} <= 0"
-            )
+        self._certify_positive()
+
+    def _certify_positive(self) -> None:
+        """Prove f > 0 everywhere as the class docstring describes, or raise ValueError."""
+        m, n, amp, ph_theta, ph_t = self.term_arrays()
+        size = np.abs(amp)
+        spread = np.abs(m) + np.abs(n)
+        scale = self.constant + float(
+            np.sum(size * (1.0 + spread + np.abs(ph_theta) + np.abs(ph_t)))
+        )
+        allowance = 32.0 * (amp.size + 1) * np.finfo(np.float64).eps * scale
+        if self.constant - float(size.sum()) > allowance:
+            return
+        lipschitz = float(np.sum(size * spread))
+        grid_points = VALIDATION_GRID
+        while grid_points <= CERTIFICATE_GRID_CAP:
+            minimum = self.min_value(grid_points)
+            if not minimum > 0.0:
+                raise ValueError(
+                    f"profile is not a metric: sampled minimum {minimum:.6g} <= 0"
+                )
+            if minimum - (math.pi / grid_points) * lipschitz > allowance:
+                return
+            grid_points *= 2
+        raise ValueError(
+            "profile is not a metric: positivity is not certified on a "
+            f"{CERTIFICATE_GRID_CAP}^2 grid (sampled minimum {minimum:.6g}, "
+            f"cell bound {(math.pi / CERTIFICATE_GRID_CAP) * lipschitz:.6g})"
+        )
 
     def term_arrays(self):
         m = np.array([term.m for term in self.terms], dtype=np.float64)
@@ -77,8 +125,15 @@ class MetricProfile:
         return self.sample(np.zeros(1), ts)[0]
 
     def min_value(self, grid_points: int = VALIDATION_GRID) -> float:
+        """Minimum over the grid_points x grid_points node grid, evaluated in
+        theta-row blocks of at most VALIDATION_GRID^2 points."""
         nodes = uniform_nodes(grid_points)
-        return _kernels.profile_min(self.constant, *self.term_arrays(), nodes, nodes)
+        rows = max(1, VALIDATION_GRID * VALIDATION_GRID // grid_points)
+        arrays = self.term_arrays()
+        return min(
+            _kernels.profile_min(self.constant, *arrays, nodes[start:start + rows], nodes)
+            for start in range(0, grid_points, rows)
+        )
 
     def theta_average(self) -> "MetricProfile":
         """Exact theta-average: only m = 0 modes survive.
@@ -95,6 +150,9 @@ class MetricProfile:
 
     def max_t_frequency(self) -> int:
         return max((abs(term.n) for term in self.terms), default=0)
+
+    def max_theta_frequency(self) -> int:
+        return max((abs(term.m) for term in self.terms), default=0)
 
     def to_dict(self) -> dict:
         return {
@@ -137,10 +195,13 @@ def load_profile(path) -> MetricProfile:
     return MetricProfile.from_dict(data)
 
 
-def save_profile(profile: MetricProfile, path) -> None:
-    with open(path, "w", encoding="utf-8") as handle:
-        json.dump(profile.to_dict(), handle, indent=2, sort_keys=True)
-        handle.write("\n")
+def require_resolved(n_points: int, frequency: int, axis: str = "t") -> None:
+    """Refuse a frequency that n_points samples per circle alias: 2*|frequency| < n_points."""
+    if not 2 * abs(frequency) < n_points:
+        raise ValueError(
+            f"{axis}-frequency {frequency} is not resolved on {n_points} points per circle: "
+            f"need 2*|frequency| < {n_points}"
+        )
 
 
 def trust_window_for(n_points: int) -> float:
@@ -184,7 +245,10 @@ class GridSpec:
 
 
 def torus_metric_sample(profile: MetricProfile, grid: GridSpec) -> np.ndarray:
-    """Sample f on the grid, rejecting non-metric (nonpositive) values."""
+    """Sample f on the grid, rejecting unresolved frequencies and non-metric
+    (nonpositive) values."""
+    require_resolved(grid.n_points, profile.max_theta_frequency(), "theta")
+    require_resolved(grid.n_points, profile.max_t_frequency())
     values = profile.sample(grid.t_nodes, grid.t_nodes)
     minimum = values.min()
     if not minimum > 0.0:

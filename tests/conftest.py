@@ -1,4 +1,7 @@
-"""Shared fixtures: reference profiles and Fourier expansions of exponential metrics."""
+"""Shared fixtures: reference profiles, Fourier expansions of exponential
+metrics, and a writer for profile documents."""
+
+import json
 
 import numpy as np
 import pytest
@@ -24,6 +27,13 @@ def exp_sin_profile(a: float, k_max: int = 12) -> MetricProfile:
         for k in range(1, k_max + 1)
     ]
     return MetricProfile(float(iv(0, a)), tuple(terms))
+
+
+def save_profile(profile: MetricProfile, path) -> None:
+    """Write a profile as the JSON document that ``load_profile`` reads."""
+    with open(path, "w", encoding="utf-8") as handle:
+        json.dump(profile.to_dict(), handle, indent=2, sort_keys=True)
+        handle.write("\n")
 
 
 @pytest.fixture

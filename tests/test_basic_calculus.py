@@ -117,6 +117,39 @@ class TestPeriodicDerivative:
             fourier_derivative(values, order=1), expected, atol=1e-12
         )
 
+    @pytest.mark.parametrize("order", [1, 2, 3])
+    @pytest.mark.parametrize("axis", [0, 1])
+    def test_trigonometric_polynomials_exactly(self, order, axis):
+        rng = np.random.default_rng(2024 + 10 * order + axis)
+        ts = np.linspace(0.0, TWO_PI, 48, endpoint=False)
+        other = rng.standard_normal(6)
+        freqs = rng.integers(0, 24, size=5)  # every frequency below N/2 = 24
+        amps = rng.standard_normal(5)
+        phases = rng.uniform(0.0, TWO_PI, size=5)
+        values = sum(a * np.cos(k * ts + p) for k, a, p in zip(freqs, amps, phases))
+        exact = sum(a * k**order * np.cos(k * ts + p + order * np.pi / 2)
+                    for k, a, p in zip(freqs, amps, phases))
+        field, expected = np.outer(other, values), np.outer(other, exact)
+        if axis == 0:
+            field, expected = field.T, expected.T
+        scale = float(np.max(np.abs(expected)))
+        np.testing.assert_allclose(
+            fourier_derivative(field, order=order, axis=axis), expected, rtol=0, atol=1e-12 * scale
+        )
+
+    @pytest.mark.parametrize("order,factor", [(1, 0.0), (2, -(16.0**2)), (3, 0.0), (4, 16.0**4)])
+    def test_extreme_mode_convention(self, order, factor):
+        nyquist = np.cos(16.0 * np.linspace(0.0, TWO_PI, 32, endpoint=False))
+        np.testing.assert_allclose(
+            fourier_derivative(nyquist, order=order), factor * nyquist, rtol=0, atol=1e-9
+        )
+
+    def test_refuses_complex_and_odd_length_samples(self):
+        with pytest.raises(ValueError, match="real samples"):
+            fourier_derivative(np.exp(1j * np.arange(16)))
+        with pytest.raises(ValueError, match="even number of samples, got 15"):
+            fourier_derivative(np.ones((4, 15)), axis=1)
+
 
 class TestDlog:
     def test_constant_field(self, grid64):

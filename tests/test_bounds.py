@@ -1,5 +1,7 @@
 """Bound formulas, sphere-flow extrema, and the closed piecewise references."""
 
+import re
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -225,12 +227,19 @@ class TestS3Bounds:
         with pytest.raises(ValueError, match="1-D"):
             s3_bounds([[0.5, 2.0]])
 
-    def test_overflowing_r_fails_its_reference(self):
-        with np.errstate(over="ignore", invalid="ignore"):
-            reports = s3_bounds(1e200, 100)
-        assert [line.split(":")[0] for line in bound_failures(reports)] == [
-            f"failed {kind} r={1e200:.17g}" for kind in ("esti", "estmflot", "minmax")
-        ]
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_rejects_r_whose_scans_overflow(self, monkeypatch):
+        assert len(s3_bounds(5e153, 100)) == 4
+
+        def unreachable(*args):
+            raise AssertionError("evaluated before every r was checked")
+
+        monkeypatch.setattr(bounds, "minimize_on_interval", unreachable)
+        monkeypatch.setattr(bounds, "maximize_on_interval", unreachable)
+        for big in (1e154, 1e200, 1e300):
+            message = f"r = {big} is too large: 6*r*r overflows"
+            with pytest.raises(ValueError, match=re.escape(message)):
+                s3_bounds([0.5, big])
 
 
 def _scalar_golden_min(fn, a, b, tol=1e-10):

@@ -5,8 +5,10 @@ import json
 import numpy as np
 import pytest
 
-from foliation_lab import MetricProfile, ProfileTerm, bounds, save_profile
+from foliation_lab import MetricProfile, ProfileTerm, bounds
 from foliation_lab.cli import _json_text, build_parser, run
+
+from conftest import save_profile
 
 
 @pytest.fixture
@@ -90,6 +92,19 @@ class TestSpectrumCommand:
     def test_untrusted_window_is_config_error(self, flat_path):
         code = run(["spectrum", "--profile", str(flat_path), "--grid", "64", "--window", "16"])
         assert code == 2
+
+    def test_aliased_t_frequency_is_config_error(self, tmp_path, capsys):
+        path = tmp_path / "fast.json"
+        save_profile(MetricProfile(2.0, (ProfileTerm(0, 40, 0.5),)), path)
+        out = tmp_path / "out"
+        argv = ["spectrum", "--profile", str(path), "--window", "4", "--output-dir", str(out)]
+        assert run([*argv, "--grid", "64"]) == 2
+        assert capsys.readouterr().err == (
+            "error: t-frequency 40 is not resolved on 64 points per circle: "
+            "need 2*|frequency| < 64\n"
+        )
+        assert not out.exists()
+        assert run([*argv, "--grid", "128"]) == 0
 
 
 @pytest.mark.parametrize("window", ["-1", "0", "nan"])
@@ -205,11 +220,15 @@ class TestBoundsCommand:
         assert sorted(path.name for path in out.iterdir()) == ["bounds.csv"]
         assert (out / "bounds.csv").is_dir()
 
-    def test_nan_bounds_are_written_as_standard_json(self, tmp_path):
+    def test_nan_bounds_are_written_as_standard_json(self, tmp_path, monkeypatch):
+        def undefined(r, s):
+            return np.full(np.broadcast(r, s).shape, np.nan)
+
+        monkeypatch.setattr(bounds, "s3_transverse_scal", undefined)
+        monkeypatch.setattr(bounds, "s3_kappa_norm", undefined)
         out = tmp_path / "out"
-        with np.errstate(over="ignore", invalid="ignore"):
-            argv = ["bounds", "--r", "1e200", "--format", "json", "--output-dir", str(out)]
-            assert run(argv) == 1
+        argv = ["bounds", "--r", "0.5", "--format", "json", "--output-dir", str(out)]
+        assert run(argv) == 1
 
         def refuse(constant):
             raise AssertionError(f"non-standard JSON constant {constant}")
@@ -221,14 +240,21 @@ class TestBoundsCommand:
         assert by_kind["estmflot"]["value"] == "nan"
         assert by_kind["estmflot"]["inputs"]["inf_scal_plus_tensors"] == "nan"
 
-    def test_overflowing_r_fails(self, tmp_path, capsys):
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    @pytest.mark.parametrize(
+        "argv,r",
+        [
+            (["bounds", "--r", "0.5", "1e200"], 1e200),
+            (["bounds", "--r", "1e154"], 1e154),
+            (["sweep", "--r-min", "1", "--r-max", "1e200", "--count", "3"], 1e200),
+        ],
+    )
+    def test_overflowing_r_is_refused(self, tmp_path, capsys, argv, r):
         out = tmp_path / "out"
-        with np.errstate(over="ignore", invalid="ignore"):
-            assert run(["bounds", "--r", "1e200", "--output-dir", str(out)]) == 1
-        failed = [line.split(":")[0] for line in capsys.readouterr().err.splitlines()]
-        kinds = ("esti", "estmflot", "minmax")
-        assert failed == [f"failed {kind} r={1e200:.17g}" for kind in kinds]
-        assert (out / "bounds.csv").exists()
+        assert run([*argv, "--output-dir", str(out)]) == 2
+        message = f"flow parameter r = {r} is too large: 6*r*r overflows"
+        assert capsys.readouterr() == ("", f"error: {message}\n")
+        assert not out.exists()
 
     @pytest.mark.parametrize("fmt", ["csv", "json"])
     def test_sweep_rows_equal_per_r_bounds_rows(self, tmp_path, fmt):
@@ -344,6 +370,20 @@ class TestVerifyCommand:
             ["verify", "--pairs", "0", "--profiles", str(wavy_path), "--grid", "64", "--window", "16"]
         )
         assert code == 2
+
+    def test_aliased_theta_frequency_is_config_error(self, tmp_path, capsys):
+        path = tmp_path / "ridged.json"
+        save_profile(MetricProfile(2.0, (ProfileTerm(40, 1, 0.5),)), path)
+        out = tmp_path / "out"
+        argv = ["verify", "--pairs", "0", "--profiles", str(path), "--window", "4",
+                "--output-dir", str(out)]
+        assert run([*argv, "--grid", "64"]) == 2
+        assert capsys.readouterr().err == (
+            "error: theta-frequency 40 is not resolved on 64 points per circle: "
+            "need 2*|frequency| < 64\n"
+        )
+        assert not out.exists()
+        assert run([*argv, "--grid", "128"]) == 0
 
     @pytest.mark.parametrize("pairs", ["0", "-3"])
     def test_zero_check_run_is_refused(self, tmp_path, capsys, pairs):

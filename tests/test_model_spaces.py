@@ -10,13 +10,14 @@ from hypothesis import strategies as st
 
 from foliation_lab import (
     GridSpec,
+    LeafVolumeDensity,
     MetricProfile,
     ProfileTerm,
     load_profile,
-    save_profile,
     torus_geometry,
     torus_metric_sample,
 )
+from foliation_lab import _kernels
 from foliation_lab.model_spaces import (
     S3_SCALAR_CURVATURE,
     s3_a_norm_sq,
@@ -24,7 +25,7 @@ from foliation_lab.model_spaces import (
     s3_transverse_scal,
 )
 
-from conftest import exp_cos_profile
+from conftest import exp_cos_profile, save_profile
 
 
 class TestMetricProfile:
@@ -48,6 +49,41 @@ class TestMetricProfile:
     def test_nonpositive_profile_rejected_at_construction(self):
         with pytest.raises(ValueError, match="not a metric"):
             MetricProfile(1.0, (ProfileTerm(0, 1, 2.0),))
+
+    def test_positive_samples_of_a_negative_profile_are_refused(self):
+        # 0.5 - sin(256 t) samples to 0.5 on every node of the 512 grid
+        with pytest.raises(ValueError, match="not a metric"):
+            MetricProfile(0.5, [ProfileTerm(0, 256, 1.0, 0.0, np.pi / 2.0)])
+
+    def test_profile_below_its_constant_is_built_without_sampling(self, monkeypatch):
+        calls = []
+        monkeypatch.setattr(_kernels, "profile_min", lambda *args: calls.append(args))
+        MetricProfile(2.0, (ProfileTerm(3, 5, 0.9, 0.4, 1.0), ProfileTerm(0, 7, -1.0)))
+        assert calls == []
+
+    def test_refined_certificate_accepts_in_bounded_blocks(self, monkeypatch):
+        # (1 + cos(30 theta)/2)(1 + cos(30 t)/2): minimum 1/4, attained on the
+        # 512 grid, but the cell bound there exceeds it
+        sizes = []
+        kernel = _kernels.profile_min
+
+        def recorded(*args):
+            sizes.append(args[6].size * args[7].size)
+            return kernel(*args)
+
+        monkeypatch.setattr(_kernels, "profile_min", recorded)
+        terms = (ProfileTerm(30, 0, 0.5), ProfileTerm(0, 30, 0.5), ProfileTerm(30, 30, 0.25))
+        profile = MetricProfile(1.0, terms)
+        assert max(sizes) <= 512 * 512
+        assert sum(sizes) == 512**2 + 1024**2
+        assert profile.min_value(1024) == pytest.approx(0.25, abs=1e-12)
+
+    def test_profile_not_certified_by_the_finest_grid_is_refused(self):
+        # (1 + cos(300 theta)/2)(1 + cos(300 t)/2) is positive, but its
+        # minimum 1/4 stays below the cell bound 0.35 of the 4096 grid
+        terms = (ProfileTerm(300, 0, 0.5), ProfileTerm(0, 300, 0.5), ProfileTerm(300, 300, 0.25))
+        with pytest.raises(ValueError, match="not a metric: positivity is not certified"):
+            MetricProfile(1.0, terms)
 
     def test_nonpositive_constant_rejected(self):
         with pytest.raises(ValueError, match="constant"):
@@ -96,6 +132,20 @@ class TestGridSpec:
 
     def test_trust_window(self):
         assert GridSpec(128).trust_window == 16.0
+
+    def test_aliased_frequencies_are_refused_where_the_grid_samples_them(self):
+        grid = GridSpec(64)
+        t_fast = MetricProfile(2.0, (ProfileTerm(0, 32, 0.5),))
+        theta_fast = MetricProfile(2.0, (ProfileTerm(32, 1, 0.5),))
+        with pytest.raises(ValueError, match="t-frequency 32 is not resolved on 64 points"):
+            LeafVolumeDensity.from_profile(t_fast, grid)
+        with pytest.raises(ValueError, match="t-frequency 32 is not resolved on 64 points"):
+            torus_metric_sample(t_fast, grid)
+        with pytest.raises(ValueError, match="theta-frequency 32 is not resolved"):
+            torus_geometry(theta_fast, grid)
+        # the density of theta_fast keeps only m = 0 modes, so it is resolved
+        assert LeafVolumeDensity.from_profile(theta_fast, grid).t_bandwidth == 0
+        assert torus_metric_sample(t_fast, GridSpec(66)).shape == (66, 66)
 
 
 class TestTorusGeometry:
