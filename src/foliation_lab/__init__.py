@@ -6,7 +6,6 @@ from .basic_calculus import (
     LeafVolumeDensity,
     dlog,
     project_basic,
-    weighted_inner_product,
 )
 from .bounds import (
     BoundReport,
@@ -75,5 +74,4 @@ __all__ = [
     "spectrum_compare",
     "torus_geometry",
     "torus_metric_sample",
-    "weighted_inner_product",
 ]

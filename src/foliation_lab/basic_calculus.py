@@ -65,13 +65,6 @@ class LeafVolumeDensity:
             g_dot -= term.amplitude * term.n * np.sin(term.n * ts + term.phase_t)
         return cls(g, g_dot, t_bandwidth=reduced.max_t_frequency())
 
-    @classmethod
-    def from_values(cls, g_values: np.ndarray) -> "LeafVolumeDensity":
-        """Density given directly by samples; g_dot falls back to the spectral derivative."""
-        g_values = np.asarray(g_values, dtype=np.float64)
-        g_dot = fourier_derivative(g_values, order=1)
-        return cls(g_values, g_dot, t_bandwidth=g_values.size // 2 - 1)
-
     def mean_curvature_values(self) -> np.ndarray:
         """Coefficient of the basic mean-curvature 1-form: -g_dot/g."""
         return -self.g_dot_values / self.g_values
@@ -101,12 +94,3 @@ def dlog(alpha: np.ndarray, grid: GridSpec) -> np.ndarray:
     if alpha.size != grid.n_points:
         raise ValueError(f"expected {grid.n_points} samples, got {alpha.size}")
     return fourier_derivative(alpha, order=1) / alpha
-
-
-def weighted_inner_product(a: np.ndarray, b: np.ndarray, density: LeafVolumeDensity) -> complex:
-    """Trapezoid-rule inner product (2pi/N) sum conj(a) b g on the t-circle."""
-    a = np.asarray(a)
-    b = np.asarray(b)
-    if a.size != b.size or a.size != density.n_points:
-        raise ValueError("fields and density must share the t-grid")
-    return complex((TWO_PI / density.n_points) * np.sum(np.conj(a) * b * density.g_values))

@@ -1,24 +1,22 @@
 """Eigenvalue lower bounds for the basic Dirac operator and their sphere-flow values.
 
-``eval_bound`` evaluates five bound families from infimum/supremum data:
+``eval_bound`` evaluates four bound families from infimum/supremum data:
 
 * ``esti``     lambda^2 >= q/(4(q-1)) * inf(transverse scalar curvature)
-* ``estima``   lambda^2 >= q/(4(q-1)) * inf(Scal_M - Scal_L + |A|^2 + |T|^2)
 * ``estmflot`` lambda^2 >= q/(4(q-1)) * inf(Scal_M + |A|^2 + |kappa|^2)  (flows)
 * ``minmax``   lambda^2 >= lambda^2(D_M)/2 - (n/16) * sup(|A|^2)
 * ``collapse`` lambda^2 >= (q+1)/(4q) * inf(Scal_M + |A|^2)
 
-``s3_bounds`` evaluates four of them on the sphere flows: ``esti``,
-``estmflot``, ``minmax`` and ``collapse``; ``estima`` is reachable only
-through ``eval_bound``.  On the sphere flows every quantity is a closed-form
-function of s = |z|^2, so the extrema reduce to one-dimensional optimization
-over [0, 1]: a uniform scan followed by golden-section refinement around the
-best scan point.  Both run for every flow parameter of a call at once: per
-bound family, the scan is one array evaluation of shape (R, resolution) for
-R flow parameters, and the R refinements advance together on (R, 1)
-brackets, one evaluation per step.  The resulting values reproduce the
-closed piecewise-in-r references that ``piecewise_reference`` gives for all
-four.
+``s3_bounds`` evaluates all four on the sphere flows.  There every quantity
+is a closed-form function of s = |z|^2, so the extrema reduce to
+one-dimensional optimization over [0, 1]: a uniform scan followed by
+golden-section refinement around the best scan point.  Both run for every
+flow parameter of a call at once: per bound family, the scan is one array
+evaluation of shape (R, resolution) for R flow parameters, and the R
+refinements advance together on (R, 1) brackets, one evaluation per step.
+The resulting values reproduce the closed piecewise-in-r references that
+``piecewise_reference`` gives for all four; every row ``s3_bounds`` returns
+carries its r, and the report writers compare it with its reference.
 """
 
 from __future__ import annotations
@@ -34,7 +32,7 @@ from .model_spaces import (
     s3_transverse_scal,
 )
 
-BOUND_KINDS = ("esti", "estima", "estmflot", "minmax", "collapse")
+BOUND_KINDS = ("esti", "estmflot", "minmax", "collapse")
 
 # First squared Dirac eigenvalue of the unit round 3-sphere: (3/2)^2.
 FIRST_DIRAC_EIGENVALUE_SQ_S3 = 2.25
@@ -45,7 +43,6 @@ S3_FLOW_N = 2
 
 _REQUIRED_QUANTITIES = {
     "esti": ("inf_scal_transverse",),
-    "estima": ("inf_scal_diff_plus_tensors",),
     "estmflot": ("inf_scal_plus_tensors",),
     "minmax": ("lambda_dm_sq", "sup_a_sq"),
     "collapse": ("inf_scal_plus_a_sq",),
@@ -81,8 +78,6 @@ def eval_bound(kind: str, q: int, n: int, quantities: dict) -> BoundReport:
             raise ValueError(f"bound {kind!r} requires missing quantity {symbol!r}")
     if kind == "esti":
         value = q / (4.0 * (q - 1.0)) * quantities["inf_scal_transverse"]
-    elif kind == "estima":
-        value = q / (4.0 * (q - 1.0)) * quantities["inf_scal_diff_plus_tensors"]
     elif kind == "estmflot":
         value = q / (4.0 * (q - 1.0)) * quantities["inf_scal_plus_tensors"]
     elif kind == "minmax":
@@ -246,33 +241,31 @@ def piecewise_reference(r: float) -> dict:
     }
 
 
-def reference_error(report: BoundReport) -> tuple[float, float] | None:
-    """(reference, |value - reference|) of a row with a closed reference, else None."""
-    reference = None if report.r is None else piecewise_reference(report.r).get(report.kind)
-    return None if reference is None else (reference, abs(report.value - reference))
+def reference_error(report: BoundReport) -> tuple[float, float]:
+    """(reference, |value - reference|) of a sphere-flow row, one of ``s3_bounds``."""
+    reference = piecewise_reference(report.r)[report.kind]
+    return reference, abs(report.value - reference)
 
 
 def bound_failures(reports: list[BoundReport]) -> list[str]:
-    """One line per row with a reference that its value does not match to within
-    BOUND_REFERENCE_TOLERANCE; a NaN error fails."""
+    """One line per sphere-flow row whose value does not match its reference to
+    within BOUND_REFERENCE_TOLERANCE; a NaN error fails."""
     failures = []
     for report in reports:
-        compared = reference_error(report)
-        if compared is not None and not compared[1] <= BOUND_REFERENCE_TOLERANCE:
+        error = reference_error(report)[1]
+        if not error <= BOUND_REFERENCE_TOLERANCE:
             failures.append(
-                f"failed {report.kind} r={report.r:.17g}: abs_error {compared[1]:.3e} "
+                f"failed {report.kind} r={report.r:.17g}: abs_error {error:.3e} "
                 f"> threshold {BOUND_REFERENCE_TOLERANCE:.0e}"
             )
     return failures
 
 
 def bound_rows_csv(reports: list[BoundReport]) -> str:
-    """CSV text: rows kind, r, value, reference_value, abs_error (reference when known)."""
+    """CSV text of sphere-flow rows: kind, r, value, reference_value, abs_error."""
     lines = ["kind,r,value,reference_value,abs_error\n"]
     for report in reports:
-        r_text = "" if report.r is None else f"{report.r:.17g}"
-        compared = reference_error(report)
-        reference_text = "" if compared is None else f"{compared[0]:.17g}"
-        error_text = "" if compared is None else f"{compared[1]:.17g}"
-        lines.append(f"{report.kind},{r_text},{report.value:.17g},{reference_text},{error_text}\n")
+        reference, error = reference_error(report)
+        lines.append(f"{report.kind},{report.r:.17g},{report.value:.17g},{reference:.17g},"
+                     f"{error:.17g}\n")
     return "".join(lines)

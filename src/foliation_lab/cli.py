@@ -131,8 +131,6 @@ def _spectrum_text(report: SpectrumReport, fmt: str, window: float) -> str:
 def _cmd_spectrum(args) -> int:
     grid = GridSpec(args.grid, args.spin)
     grid.validate_window(args.window)
-    if args.model != "torus":
-        raise ValueError("spectrum is only assembled for the torus model")
     profile = _load_profiles([args.profile])[0]
     density = LeafVolumeDensity.from_profile(profile, grid)
     text = _spectrum_text(_spectrum(args.operator, density, grid), args.format, args.window)
@@ -155,14 +153,10 @@ def _write_bounds(reports, args, stem: str) -> int:
 
 
 def _cmd_bounds(args) -> int:
-    if args.model != "s3":
-        raise ValueError("bounds are evaluated on the s3 model")
     return _write_bounds(s3_bounds(args.r, args.resolution), args, "bounds")
 
 
 def _cmd_sweep(args) -> int:
-    if args.model != "s3":
-        raise ValueError("sweep is defined for the s3 model")
     if not 0.0 < args.r_min < args.r_max < math.inf:
         raise ValueError("need 0 < r-min < r-max < inf")
     r_values = np.geomspace(args.r_min, args.r_max, args.count)
@@ -254,7 +248,6 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p_spec = sub.add_parser("spectrum", help="Eigenvalues of one assembled operator")
-    p_spec.add_argument("--model", choices=("torus", "s3"), default="torus")
     p_spec.add_argument("--profile", required=True, help="Metric profile JSON file")
     p_spec.add_argument("--grid", type=int, default=128)
     p_spec.add_argument("--window", type=float, default=10.0)
@@ -272,7 +265,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_inv.set_defaults(func=_cmd_invariance)
 
     p_bounds = sub.add_parser("bounds", help="Sphere-flow eigenvalue bounds")
-    p_bounds.add_argument("--model", choices=("torus", "s3"), default="s3")
     p_bounds.add_argument("--r", type=float, nargs="+", required=True)
     p_bounds.add_argument("--resolution", type=int, default=1000)
     p_bounds.add_argument("--output-dir", default=".")
@@ -292,7 +284,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_verify.set_defaults(func=_cmd_verify)
 
     p_sweep = sub.add_parser("sweep", help="Bounds over a log grid of flow parameters")
-    p_sweep.add_argument("--model", choices=("torus", "s3"), default="s3")
     p_sweep.add_argument("--r-min", type=float, default=0.1)
     p_sweep.add_argument("--r-max", type=float, default=10.0)
     p_sweep.add_argument("--count", type=int, default=50)

@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import json
 import math
+import sys
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -171,22 +172,42 @@ class MetricProfile:
 
     @classmethod
     def from_dict(cls, data: dict) -> "MetricProfile":
-        try:
-            constant = data["constant"]
-            raw_terms = data.get("terms", [])
-            terms = tuple(
-                ProfileTerm(
-                    int(entry["m"]),
-                    int(entry["n"]),
-                    float(entry["amp"]),
-                    float(entry.get("phase_theta", 0.0)),
-                    float(entry.get("phase_t", 0.0)),
-                )
-                for entry in raw_terms
+        """Read a profile document; a malformed one raises ValueError naming the field."""
+        constant = _read_number(data, "constant")
+        raw_terms = data.get("terms", [])
+        if not isinstance(raw_terms, list):
+            raise ValueError("malformed profile document: field 'terms' must be a list")
+        terms = tuple(
+            ProfileTerm(
+                _read_number(entry, "m", f"terms[{i}].", integral=True),
+                _read_number(entry, "n", f"terms[{i}].", integral=True),
+                _read_number(entry, "amp", f"terms[{i}]."),
+                _read_number(entry, "phase_theta", f"terms[{i}].", 0.0),
+                _read_number(entry, "phase_t", f"terms[{i}].", 0.0),
             )
-        except (KeyError, TypeError) as exc:
-            raise ValueError(f"malformed profile document: missing field {exc}") from exc
+            for i, entry in enumerate(raw_terms)
+        )
         return cls(constant, terms)
+
+
+def _read_number(doc, key: str, where: str = "", default=None, integral: bool = False):
+    """doc[key], a JSON number (not a bool) in float range, as a float, or as an int
+    when ``integral`` and it has no fractional part (2.0 reads as 2); ``default`` if absent."""
+    malformed = "malformed profile document:"
+    if not isinstance(doc, dict):
+        raise ValueError(f"{malformed} {where.rstrip('.') or 'the document'} is not an object")
+    if key not in doc:
+        if default is None:
+            raise ValueError(f"{malformed} missing field {key!r}")
+        return default
+    value, name = doc[key], repr(where + key)
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        raise ValueError(f"{malformed} field {name} must be a number, got {value!r}")
+    if isinstance(value, int) and abs(value) > sys.float_info.max:
+        raise ValueError(f"{malformed} field {name} is out of range")
+    if integral and not float(value).is_integer():
+        raise ValueError(f"{malformed} field {name} must be an integer, got {value!r}")
+    return int(value) if integral else float(value)
 
 
 def load_profile(path) -> MetricProfile:
@@ -202,11 +223,6 @@ def require_resolved(n_points: int, frequency: int, axis: str = "t") -> None:
             f"{axis}-frequency {frequency} is not resolved on {n_points} points per circle: "
             f"need 2*|frequency| < {n_points}"
         )
-
-
-def trust_window_for(n_points: int) -> float:
-    """Largest |eigenvalue| trusted for a collocation size of n_points per circle."""
-    return n_points / 8.0
 
 
 @dataclass(frozen=True)
@@ -232,7 +248,8 @@ class GridSpec:
 
     @property
     def trust_window(self) -> float:
-        return trust_window_for(self.n_points)
+        """Largest |eigenvalue| trusted for a collocation size of n_points per circle."""
+        return self.n_points / 8.0
 
     def validate_window(self, window: float) -> None:
         """Refuse an eigenvalue window outside 0 < window <= n_points/8, NaN included."""

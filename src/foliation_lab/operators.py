@@ -233,32 +233,3 @@ def assemble_lichnerowicz_sides(
     )
     return lhs, rhs
 
-
-def finite_difference_laplacian(
-    g_values: np.ndarray, g_midpoints: np.ndarray
-) -> WeightedOperator:
-    """Second-order conservative finite-difference Laplacian on functions.
-
-    Independent oracle backend for the spectral assembly: discretizes
-    u -> -(g u')'/g with flux coefficients at cell midpoints.  Accuracy is
-    O(h^2), which is enough to confirm spectral eigenvalues to a few digits.
-    """
-    g_values = np.asarray(g_values, dtype=np.float64)
-    g_midpoints = np.asarray(g_midpoints, dtype=np.float64)
-    n = g_values.size
-    if g_midpoints.size != n:
-        raise ValueError("need one midpoint value per cell")
-    h = TWO_PI / n
-    matrix = np.zeros((n, n))
-    for j in range(n):
-        right = g_midpoints[j]            # between node j and j+1
-        left = g_midpoints[j - 1]         # between node j-1 and j
-        matrix[j, j] = (right + left) / (g_values[j] * h * h)
-        matrix[j, (j + 1) % n] = -right / (g_values[j] * h * h)
-        matrix[j, (j - 1) % n] = -left / (g_values[j] * h * h)
-    return WeightedOperator(
-        matrix=matrix.astype(np.complex128),
-        weights=h * g_values,
-        label=f"laplacian_fd[N={n}]",
-        n_points=n,
-    )

@@ -2,6 +2,8 @@
 
 ``eigenvalues_weighted`` solves one operator; ``dirac_spectra`` reads both basic
 Dirac spectra, spinor and forms, from one solve of the trivial spinor matrix.
+A ``SpectrumReport`` carries no window: callers pass one that
+``GridSpec.validate_window`` has checked to ``in_window``.
 """
 
 from __future__ import annotations
@@ -12,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .basic_calculus import LeafVolumeDensity
-from .model_spaces import GridSpec, trust_window_for
+from .model_spaces import GridSpec
 from .operators import WeightedOperator, assemble_basic_dirac_spinor
 
 # Relative symmetrization residual above which an eigensolve is refused.
@@ -29,10 +31,9 @@ class OperatorSymmetryError(ValueError):
 
 @dataclass(frozen=True)
 class SpectrumReport:
-    """Sorted real spectrum with the trusted window and grid provenance."""
+    """Sorted real spectrum with its grid provenance."""
 
     eigenvalues: np.ndarray
-    window: float
     grid_size: int
     operator_label: str
 
@@ -41,10 +42,9 @@ class SpectrumReport:
             self, "eigenvalues", np.sort(np.asarray(self.eigenvalues, dtype=np.float64))
         )
 
-    def in_window(self, window: float | None = None) -> np.ndarray:
-        limit = self.window if window is None else window
+    def in_window(self, window: float) -> np.ndarray:
         values = self.eigenvalues
-        return values[np.abs(values) <= limit + WINDOW_EDGE_SLACK]
+        return values[np.abs(values) <= window + WINDOW_EDGE_SLACK]
 
 
 def _gated_report(values, residual: float, n_points: int, label: str) -> SpectrumReport:
@@ -54,7 +54,7 @@ def _gated_report(values, residual: float, n_points: int, label: str) -> Spectru
             f"operator {label!r} is not symmetric in its weighted metric: "
             f"relative residual {residual:.3e} > {SYMMETRIZATION_TOLERANCE:.0e}"
         )
-    return SpectrumReport(values, trust_window_for(n_points), n_points, label)
+    return SpectrumReport(values, n_points, label)
 
 
 def eigenvalues_weighted(op: WeightedOperator) -> SpectrumReport:

@@ -1,5 +1,7 @@
 """Shared fixtures: reference profiles, Fourier expansions of exponential
-metrics, and a writer for profile documents."""
+metrics, a writer for profile documents, and the reference implementations
+the tests check the library against: a finite-difference Laplacian and the
+weighted inner product on the t-circle."""
 
 import json
 
@@ -7,7 +9,17 @@ import numpy as np
 import pytest
 from scipy.special import iv
 
-from foliation_lab import GridSpec, MetricProfile, ProfileTerm
+from foliation_lab import (
+    GridSpec,
+    LeafVolumeDensity,
+    MetricProfile,
+    ProfileTerm,
+    SpectrumReport,
+    WeightedOperator,
+    eigenvalues_weighted,
+)
+from foliation_lab._spectral_diff import uniform_nodes
+from foliation_lab.basic_calculus import TWO_PI
 
 
 def exp_cos_profile(a: float, k_max: int = 12) -> MetricProfile:
@@ -34,6 +46,67 @@ def save_profile(profile: MetricProfile, path) -> None:
     with open(path, "w", encoding="utf-8") as handle:
         json.dump(profile.to_dict(), handle, indent=2, sort_keys=True)
         handle.write("\n")
+
+
+def weighted_inner_product(a: np.ndarray, b: np.ndarray, density: LeafVolumeDensity) -> complex:
+    """Trapezoid-rule inner product (2pi/N) sum conj(a) b g on the t-circle."""
+    a = np.asarray(a)
+    b = np.asarray(b)
+    if a.size != b.size or a.size != density.n_points:
+        raise ValueError("fields and density must share the t-grid")
+    return complex((TWO_PI / density.n_points) * np.sum(np.conj(a) * b * density.g_values))
+
+
+def finite_difference_laplacian(
+    g_values: np.ndarray, g_midpoints: np.ndarray
+) -> WeightedOperator:
+    """Second-order conservative finite-difference Laplacian on functions.
+
+    Independent oracle backend for the spectral assembly: discretizes
+    u -> -(g u')'/g with flux coefficients at cell midpoints.  Accuracy is
+    O(h^2), which is enough to confirm spectral eigenvalues to a few digits.
+    """
+    g_values = np.asarray(g_values, dtype=np.float64)
+    g_midpoints = np.asarray(g_midpoints, dtype=np.float64)
+    n = g_values.size
+    if g_midpoints.size != n:
+        raise ValueError("need one midpoint value per cell")
+    h = TWO_PI / n
+    matrix = np.zeros((n, n))
+    for j in range(n):
+        right = g_midpoints[j]            # between node j and j+1
+        left = g_midpoints[j - 1]         # between node j-1 and j
+        matrix[j, j] = (right + left) / (g_values[j] * h * h)
+        matrix[j, (j + 1) % n] = -right / (g_values[j] * h * h)
+        matrix[j, (j - 1) % n] = -left / (g_values[j] * h * h)
+    return WeightedOperator(
+        matrix=matrix.astype(np.complex128),
+        weights=h * g_values,
+        label=f"laplacian_fd[N={n}]",
+        n_points=n,
+    )
+
+
+def fd_laplacian_spectrum(profile: MetricProfile, n_points: int) -> SpectrumReport:
+    """Independent finite-difference spectrum of the function Laplacian.
+
+    Uses exact density values at nodes and cell midpoints of a grid that is
+    typically much finer than the spectral one; accuracy is O(h^2).
+    """
+    reduced = profile.theta_average()
+    nodes = uniform_nodes(n_points)
+    midpoints = nodes + np.pi / n_points
+    g_nodes = reduced.sample_t(nodes)
+    g_mid = reduced.sample_t(midpoints)
+    return eigenvalues_weighted(finite_difference_laplacian(g_nodes, g_mid))
+
+
+def laplacian_first_nonzero_eigenvalue(report: SpectrumReport, zero_tol: float = 1e-6) -> float:
+    """Smallest eigenvalue above the harmonic (constant) mode."""
+    for value in report.eigenvalues:
+        if value > zero_tol:
+            return float(value)
+    raise ValueError("spectrum contains no nonzero eigenvalue above tolerance")
 
 
 @pytest.fixture

@@ -27,13 +27,9 @@ from foliation_lab import (
 )
 from foliation_lab.basic_calculus import LeafVolumeDensity
 from foliation_lab.operators import assemble_basic_laplacian
-from foliation_lab.verify import (
-    fd_laplacian_spectrum,
-    laplacian_first_nonzero_eigenvalue,
-    random_profile_pair,
-)
+from foliation_lab.verify import random_profile_pair
 
-from conftest import exp_sin_profile
+from conftest import exp_sin_profile, fd_laplacian_spectrum, laplacian_first_nonzero_eigenvalue
 
 GRID = GridSpec(128)
 WINDOW = 10.0

@@ -12,12 +12,11 @@ from foliation_lab import (
     project_basic,
     torus_geometry,
     torus_metric_sample,
-    weighted_inner_product,
 )
 from foliation_lab._spectral_diff import fourier_derivative
 from foliation_lab.basic_calculus import LeafVolumeDensity
 
-from conftest import exp_sin_profile
+from conftest import exp_sin_profile, weighted_inner_product
 
 TWO_PI = 2.0 * np.pi
 
@@ -218,13 +217,7 @@ class TestLeafVolumeDensity:
             atol=1e-13,
         )
 
-    def test_from_values_matches_from_profile(self, cosine_profile, grid64):
-        from_profile = LeafVolumeDensity.from_profile(cosine_profile, grid64)
-        from_values = LeafVolumeDensity.from_values(from_profile.g_values)
-        np.testing.assert_allclose(
-            from_values.g_dot_values, from_profile.g_dot_values, atol=1e-12
-        )
-
     def test_rejects_nonpositive_density(self):
-        with pytest.raises(ValueError):
-            LeafVolumeDensity.from_values(np.cos(np.arange(16)))
+        g = np.cos(np.arange(16))
+        with pytest.raises(ValueError, match="strictly positive"):
+            LeafVolumeDensity(g, fourier_derivative(g, order=1))

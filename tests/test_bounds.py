@@ -40,10 +40,6 @@ class TestEvalBound:
         report = eval_bound("minmax", 2, 2, {"lambda_dm_sq": 2.25, "sup_a_sq": 4.0})
         assert report.value == pytest.approx(0.625)
 
-    def test_estima_formula(self):
-        report = eval_bound("estima", 3, 3, {"inf_scal_diff_plus_tensors": 8.0})
-        assert report.value == pytest.approx(3.0)
-
     def test_collapse_formula(self):
         report = eval_bound("collapse", 2, 2, {"inf_scal_plus_a_sq": 8.0})
         assert report.value == pytest.approx(3.0)
@@ -53,8 +49,9 @@ class TestEvalBound:
             eval_bound("minmax", 2, 2, {"lambda_dm_sq": 2.25})
 
     def test_unknown_kind_rejected(self):
-        with pytest.raises(ValueError, match="kind"):
-            eval_bound("friedrich", 2, 2, {})
+        for kind in ("friedrich", "estima"):
+            with pytest.raises(ValueError, match="kind"):
+                eval_bound(kind, 2, 2, {})
 
     def test_codimension_one_rejected(self):
         with pytest.raises(ValueError, match="q"):

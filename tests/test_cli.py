@@ -1,6 +1,7 @@
 """Command-line interface: flags, report files, exit codes, determinism."""
 
 import json
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -31,8 +32,6 @@ class TestSpectrumCommand:
         code = run(
             [
                 "spectrum",
-                "--model",
-                "torus",
                 "--profile",
                 str(flat_path),
                 "--grid",
@@ -70,8 +69,15 @@ class TestSpectrumCommand:
         payload = json.loads((out / "spectrum_dirac-spinor_wavy.json").read_text())
         assert len(payload["eigenvalues"]) == 21
 
-    def test_s3_model_is_config_error(self, flat_path):
-        assert run(["spectrum", "--model", "s3", "--profile", str(flat_path)]) == 2
+    def test_s3_model_is_config_error(self, tmp_path, capsys, flat_path):
+        """--model is not an option: the torus is the only model a spectrum is assembled on."""
+        out = tmp_path / "out"
+        for model in ("s3", "torus"):
+            argv = ["spectrum", "--model", model, "--profile", str(flat_path),
+                    "--output-dir", str(out)]
+            assert run(argv) == 2
+            assert f"unrecognized arguments: --model {model}" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_missing_profile_is_config_error(self, tmp_path):
         missing = tmp_path / "nope.json"
@@ -107,6 +113,65 @@ class TestSpectrumCommand:
         assert run([*argv, "--grid", "128"]) == 0
 
 
+MALFORMED_PROFILES = [
+    ('{"constant": null}', "field 'constant' must be a number, got None"),
+    ('{"constant": [1]}', "field 'constant' must be a number, got [1]"),
+    ('{"constant": "2"}', "field 'constant' must be a number, got '2'"),
+    ('{"constant": 2, "terms": [{"m": Infinity, "n": 0, "amp": 0.1}]}',
+     "field 'terms[0].m' must be an integer, got inf"),
+    ('{"constant": 2, "terms": [{"m": NaN, "n": 0, "amp": 0.1}]}',
+     "field 'terms[0].m' must be an integer, got nan"),
+    ('{"constant": 2, "terms": [{"m": 0, "n": 1.5, "amp": 0.1}]}',
+     "field 'terms[0].n' must be an integer, got 1.5"),
+    ('{"constant": 2, "terms": [{"m": true, "n": 1, "amp": 0.1}]}',
+     "field 'terms[0].m' must be a number, got True"),
+    ('{"constant": 2, "terms": [{"m": 0, "n": 1, "amp": "x"}]}',
+     "field 'terms[0].amp' must be a number, got 'x'"),
+    ('{"constant": 2, "terms": [{"m": 0, "n": 1}]}', "missing field 'amp'"),
+    ('{"constant": 2, "terms": 3}', "field 'terms' must be a list"),
+    ('{"constant": 2, "terms": [1]}', "terms[0] is not an object"),
+    ("[1, 2]", "the document is not an object"),
+    ('{"constant": 1' + "0" * 400 + "}", "field 'constant' is out of range"),
+    ('{"constant": 2, "terms": [{"m": -1' + "0" * 400 + ', "n": 0, "amp": 0.1}]}',
+     "field 'terms[0].m' is out of range"),
+]
+
+
+@pytest.mark.parametrize("command", ["spectrum", "verify"])
+@pytest.mark.parametrize("document,message", MALFORMED_PROFILES)
+def test_malformed_profile_document_is_refused(tmp_path, capsys, command, document, message):
+    path = tmp_path / "bad.json"
+    path.write_text(document)
+    out = tmp_path / "out"
+    flag = "--profile" if command == "spectrum" else "--profiles"
+    argv = [command, flag, str(path), "--grid", "16", "--window", "2", "--output-dir", str(out)]
+    assert run(argv) == 2
+    assert capsys.readouterr() == ("", f"error: malformed profile document: {message}\n")
+    assert not out.exists()
+
+
+def test_integral_float_frequencies_are_read_as_integers(tmp_path):
+    texts = []
+    for name, m, n in (("ints", "1", "2"), ("floats", "1.0", "2.0")):
+        path = tmp_path / f"{name}.json"
+        path.write_text(f'{{"constant": 2, "terms": [{{"m": {m}, "n": {n}, "amp": 0.5}}]}}')
+        out = tmp_path / name
+        assert run(["spectrum", "--profile", str(path), "--grid", "16", "--window", "2",
+                    "--operator", "laplacian-functions", "--output-dir", str(out)]) == 0
+        texts.append((out / f"spectrum_laplacian-functions_{name}.csv").read_bytes())
+    assert texts[0] == texts[1]
+
+
+def test_readme_command_lines_parse():
+    """Every foliation-lab line in README's command-line block is accepted by the parser."""
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    section = readme.split("## Command line", 1)[1].split("\n## ", 1)[0]
+    lines = [line.split() for line in section.splitlines() if line.startswith("foliation-lab ")]
+    assert len(lines) == 5
+    for argv in lines:
+        build_parser().parse_args(argv[1:])
+
+
 @pytest.mark.parametrize("window", ["-1", "0", "nan"])
 @pytest.mark.parametrize("command", ["spectrum", "invariance", "verify"])
 def test_window_that_empties_a_verdict_is_refused(
@@ -132,7 +197,7 @@ TINY_R = "flow parameter r = 1e-200 is too small: r*r underflows to 0"
 class TestBoundsCommand:
     def test_reference_row(self, tmp_path):
         out = tmp_path / "out"
-        code = run(["bounds", "--model", "s3", "--r", "0.5", "--output-dir", str(out)])
+        code = run(["bounds", "--r", "0.5", "--output-dir", str(out)])
         assert code == 0
         rows = (out / "bounds.csv").read_text().strip().split("\n")[1:]
         esti = next(row for row in rows if row.startswith("esti"))
@@ -162,11 +227,17 @@ class TestBoundsCommand:
             f"failed esti r={r:.17g}" for r in np.geomspace(0.1, 10.0, 3)
         ]
 
-    def test_torus_model_rejected(self):
-        assert run(["bounds", "--model", "torus", "--r", "0.5"]) == 2
+    def test_torus_model_rejected(self, tmp_path, capsys):
+        """--model is not an option: the sphere flows are the only model with bounds."""
+        out = tmp_path / "out"
+        for command in (["bounds", "--r", "0.5"], ["sweep"]):
+            for model in ("torus", "s3"):
+                assert run([*command, "--model", model, "--output-dir", str(out)]) == 2
+                assert f"unrecognized arguments: --model {model}" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_nonpositive_r_rejected(self):
-        assert run(["bounds", "--model", "s3", "--r", "-1.0"]) == 2
+        assert run(["bounds", "--r", "-1.0"]) == 2
 
     @pytest.mark.parametrize(
         "argv,message",
@@ -427,8 +498,6 @@ class TestSweepCommand:
         code = run(
             [
                 "sweep",
-                "--model",
-                "s3",
                 "--r-min",
                 "0.2",
                 "--r-max",

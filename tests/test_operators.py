@@ -15,15 +15,16 @@ from foliation_lab import (
     spectrum_compare,
 )
 from foliation_lab._spectral_diff import differentiation_matrix
-from foliation_lab.basic_calculus import LeafVolumeDensity, weighted_inner_product
-from foliation_lab.operators import (
-    WeightedOperator,
-    codifferential,
-    finite_difference_laplacian,
-)
-from foliation_lab.verify import fd_laplacian_spectrum, laplacian_first_nonzero_eigenvalue
+from foliation_lab.basic_calculus import LeafVolumeDensity
+from foliation_lab.operators import WeightedOperator, codifferential
 
-from conftest import exp_sin_profile
+from conftest import (
+    exp_sin_profile,
+    fd_laplacian_spectrum,
+    finite_difference_laplacian,
+    laplacian_first_nonzero_eigenvalue,
+    weighted_inner_product,
+)
 
 TWO_PI = 2.0 * np.pi
 

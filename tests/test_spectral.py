@@ -35,7 +35,7 @@ class TestEigenvaluesWeighted:
         op = WeightedOperator(np.diag([3.0, 1.0, 2.0]), np.ones(3), "diag", 8)
         report = eigenvalues_weighted(op)
         np.testing.assert_allclose(report.eigenvalues, [1.0, 2.0, 3.0])
-        assert report.window == 1.0
+        assert report.grid_size == 8
         assert report.operator_label == "diag"
 
     def test_flat_spinor_lattice(self, flat_profile, grid64):
@@ -53,10 +53,6 @@ class TestEigenvaluesWeighted:
         op = WeightedOperator(matrix, np.ones(2), "broken", 8)
         with pytest.raises(OperatorSymmetryError, match="broken"):
             eigenvalues_weighted(op)
-
-    def test_window_recorded_from_grid(self, cosine_profile, grid128):
-        op = assemble_basic_dirac_spinor(_density(cosine_profile, grid128), grid128)
-        assert eigenvalues_weighted(op).window == 16.0
 
 
 class TestSymmetryGate:
@@ -84,7 +80,7 @@ class TestFormsDiracSpectrum:
         oracle = eigenvalues_weighted(assemble_basic_dirac_forms(density, grid))
         report = dirac_spectra(density, grid)[1]
         assert report.operator_label == oracle.operator_label
-        assert (report.window, report.grid_size) == (oracle.window, oracle.grid_size)
+        assert report.grid_size == oracle.grid_size
         np.testing.assert_allclose(report.eigenvalues, oracle.eigenvalues, rtol=0.0, atol=1e-12)
 
     @pytest.mark.parametrize("n_points", [64, 128, 256])
@@ -104,7 +100,7 @@ class TestFormsDiracSpectrum:
         oracle = eigenvalues_weighted(assemble_basic_dirac_spinor(density, grid128))
         report = dirac_spectra(density, grid128)[0]
         assert report.operator_label == oracle.operator_label == "dirac_spinor[trivial,N=128]"
-        assert (report.window, report.grid_size) == (oracle.window, oracle.grid_size)
+        assert report.grid_size == oracle.grid_size
         assert np.array_equal(report.eigenvalues, oracle.eigenvalues)
 
     def test_nontrivial_grid_refused(self, cosine_profile):
@@ -187,13 +183,13 @@ class TestSpectrumCompare:
         assert gap > 1e-3
 
     def test_multiplicity_mismatch_sentinel(self):
-        a = SpectrumReport(np.array([0.0, 1.0, 2.0]), 8.0, 64, "a")
-        b = SpectrumReport(np.array([0.0, 1.0]), 8.0, 64, "b")
+        a = SpectrumReport(np.array([0.0, 1.0, 2.0]), 64, "a")
+        b = SpectrumReport(np.array([0.0, 1.0]), 64, "b")
         assert math.isinf(spectrum_compare(a, b, 8.0))
 
     def test_empty_window(self):
-        a = SpectrumReport(np.array([50.0]), 8.0, 64, "a")
-        b = SpectrumReport(np.array([60.0]), 8.0, 64, "b")
+        a = SpectrumReport(np.array([50.0]), 64, "a")
+        b = SpectrumReport(np.array([60.0]), 64, "b")
         assert spectrum_compare(a, b, 8.0) == 0.0
 
 

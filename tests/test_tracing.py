@@ -1,21 +1,30 @@
 """The benchmark tracer in perfbench/ still finds every name it spans.
 
 The tracer wraps functions and methods by name, so a source change that
-drops or renames a traced name breaks traced benchmark runs; this test
-catches it in the ordinary suite.
+drops or renames a traced name, or changes a signature a wrapper passes
+through, breaks traced benchmark runs; these tests catch it in the ordinary
+suite.
 """
 
 import importlib
 from pathlib import Path
 
-from foliation_lab import bounds, cli
+import pytest
+
+from foliation_lab import MetricProfile, ProfileTerm, bounds, cli
+
+from conftest import save_profile
 
 PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
 
 
-def test_tracer_installs_every_span_and_restores_the_originals(tmp_path, monkeypatch):
+@pytest.fixture
+def tracing(monkeypatch):
     monkeypatch.syspath_prepend(str(PERFBENCH))
-    tracing = importlib.import_module("tracing")
+    return importlib.import_module("tracing")
+
+
+def test_tracer_installs_every_span_and_restores_the_originals(tmp_path, tracing):
     owners = [(home, attr) for home, attr, _ in tracing.FUNCTION_SPANS]
     owners += [(cls, attr) for cls, attr, _ in tracing.METHOD_SPANS]
     before = {(owner, attr): owner.__dict__[attr] for owner, attr in owners}
@@ -28,3 +37,25 @@ def test_tracer_installs_every_span_and_restores_the_originals(tmp_path, monkeyp
     counts = tracer.span_counts()
     assert counts["bounds.report_write"] == 1
     assert counts["bounds.scan"] > 0
+
+
+def test_traced_verify_and_spectrum_write_the_untraced_reports(tmp_path, tracing):
+    profile = tmp_path / "wavy.json"
+    save_profile(MetricProfile(2.0, (ProfileTerm(0, 1, 1.0),)), profile)
+    commands = {
+        "verify_bundle.json": ["verify", "--pairs", "1", "--grid", "64", "--window", "8"],
+        "spectrum_dirac-spinor_wavy.csv": ["spectrum", "--profile", str(profile),
+                                           "--grid", "64", "--window", "8"],
+    }
+    untraced, traced = tmp_path / "untraced", tmp_path / "traced"
+    for argv in commands.values():
+        assert cli.run([*argv, "--output-dir", str(untraced)]) == 0
+    tracer = tracing.Tracer()
+    with tracer.installed():
+        for argv in commands.values():
+            assert cli.run([*argv, "--output-dir", str(traced)]) == 0
+    for name in commands:
+        assert (traced / name).read_bytes() == (untraced / name).read_bytes()
+    counts = tracer.span_counts()
+    assert counts["verify.random_profile"] == 2
+    assert counts["spectral.eigensolve"] > 0
