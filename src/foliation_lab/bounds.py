@@ -7,16 +7,17 @@
 * ``minmax``   lambda^2 >= lambda^2(D_M)/2 - (n/16) * sup(|A|^2)
 * ``collapse`` lambda^2 >= (q+1)/(4q) * inf(Scal_M + |A|^2)
 
-``s3_bounds`` evaluates all four on the sphere flows.  There every quantity
-is a closed-form function of s = |z|^2, so the extrema reduce to
-one-dimensional optimization over [0, 1]: a uniform scan followed by
-golden-section refinement around the best scan point.  Both run for every
-flow parameter of a call at once: per bound family, the scan is one array
-evaluation of shape (R, resolution) for R flow parameters, and the R
-refinements advance together on (R, 1) brackets, one evaluation per step.
-The resulting values reproduce the closed piecewise-in-r references that
-``piecewise_reference`` gives for all four; every row ``s3_bounds`` returns
-carries its r, and the report writers compare it with its reference.
+``s3_bounds`` evaluates all four on the sphere flows, where every quantity is
+a closed-form function of s = |z|^2: the extrema are a uniform scan of [0, 1]
+and golden-section refinement around the best scan point.  For R flow
+parameters the four families are one search over 4R integrands, R rows each
+(minmax as its negated integrand).  The scan evaluates the curvature once on
+(R, resolution) points, 400 KB per array at the ``sweep`` defaults (R = 50,
+resolution 1000), and scans the four family blocks without stacking them;
+one golden-section call refines all 4R brackets as (4R, 1) columns.  The
+values reproduce the closed piecewise-in-r references of
+``piecewise_reference``; every row ``s3_bounds`` returns carries its r, and
+the report writers compare it with its reference.
 """
 
 from __future__ import annotations
@@ -64,8 +65,9 @@ class BoundReport:
     r: float | None = None
 
 
-def eval_bound(kind: str, q: int, n: int, quantities: dict) -> BoundReport:
-    """Evaluate one bound formula from the extrema it requires.
+def eval_bound(kind: str, q: int, n: int, quantities: dict, r=None, arg_s=None) -> BoundReport:
+    """Evaluate one bound formula from the extrema it requires; a sphere-flow
+    row also carries its ``r`` and the point ``arg_s`` of its extremum.
 
     Raises ValueError naming the first missing quantity.
     """
@@ -84,10 +86,10 @@ def eval_bound(kind: str, q: int, n: int, quantities: dict) -> BoundReport:
         value = 0.5 * quantities["lambda_dm_sq"] - (n / 16.0) * quantities["sup_a_sq"]
     else:  # collapse
         value = (q + 1.0) / (4.0 * q) * quantities["inf_scal_plus_a_sq"]
-    inputs = dict(quantities)
-    inputs["q"] = q
-    inputs["n"] = n
-    return BoundReport(kind=kind, value=float(value), inputs=inputs)
+    inputs = {**quantities, "q": q, "n": n}
+    if arg_s is not None:
+        inputs["arg_s"] = arg_s
+    return BoundReport(kind, float(value), inputs, r)
 
 
 def golden_section_min(fn, a, b, tol: float = 1e-10):
@@ -133,17 +135,21 @@ def minimize_on_interval(fn, a: float, b: float, resolution: int):
 
     ``fn`` evaluates a batch of R integrands: given points of shape (1, k) or
     (R, k) it returns values of shape (R, k), row i belonging to the i-th
-    integrand.  The scan is one call on the ``resolution`` scan points as one
-    row; the refinement passes (R, 1) columns.  Returns the arrays
+    integrand; at the scan points it may return a sequence of row blocks
+    instead, which are scanned block by block and never stacked.  The scan
+    is one call on the ``resolution`` scan points as one row; the refinement
+    is one golden-section search on (R, 1) columns.  Returns the arrays
     ``(argmin, min)``, each of shape (R,).
     """
     if resolution < 100:
         raise ValueError(f"resolution must be >= 100, got {resolution}")
     xs = np.linspace(a, b, resolution)
     values = fn(xs[np.newaxis, :])
-    best = np.argmin(values, axis=1)
-    scan_min = np.take_along_axis(values, best[:, np.newaxis], axis=1)[:, 0]
-    del values  # the refinement needs no (R, resolution) array
+    blocks = (values,) if isinstance(values, np.ndarray) else values
+    best = [np.argmin(block, axis=1) for block in blocks]
+    scan_min = np.concatenate([block[np.arange(rows.size), rows] for block, rows in zip(blocks, best)])
+    best = np.concatenate(best)
+    del values, blocks  # the refinement needs no (R, resolution) array
     lo = xs[np.maximum(best - 1, 0)]
     hi = xs[np.minimum(best + 1, resolution - 1)]
     x_ref, f_ref = golden_section_min(fn, lo[:, np.newaxis], hi[:, np.newaxis])
@@ -153,7 +159,7 @@ def minimize_on_interval(fn, a: float, b: float, resolution: int):
 
 
 def maximize_on_interval(fn, a: float, b: float, resolution: int):
-    """Maximize by minimizing ``-fn``; ``fn`` is batched as in minimize_on_interval."""
+    """Maximize by minimizing ``-fn``; ``fn`` returns arrays batched as in minimize_on_interval."""
     x, negative = minimize_on_interval(lambda s: -fn(s), a, b, resolution)
     return x, -negative
 
@@ -165,9 +171,9 @@ def s3_bounds(r, resolution: int = 1000) -> list[BoundReport]:
     must be finite and positive with a square that does not underflow to 0
     (the references divide by r^2) and with 6 r^2, the transverse scalar
     curvature's largest term, finite; all are checked before any is
-    evaluated.  The extrema of every r come from one batched scan and
-    refinement per bound family.  Reports are r-major: esti, estmflot,
-    minmax, collapse per r.
+    evaluated.  The extrema of every r come from one stacked scan and
+    refinement over all four families.  Reports are r-major: esti,
+    estmflot, minmax, collapse per r.
     """
     r_values = np.atleast_1d(np.asarray(r, dtype=np.float64))
     if r_values.ndim != 1:
@@ -182,40 +188,34 @@ def s3_bounds(r, resolution: int = 1000) -> list[BoundReport]:
             raise ValueError(f"flow parameter r = {value} is too small: r*r underflows to 0")
         if not np.isfinite(6.0 * value * value):
             raise ValueError(f"flow parameter r = {value} is too large: 6*r*r overflows")
-    # One row per flow parameter, broadcast against the points in s.
-    r_col = r_values[:, np.newaxis]
+    # One row per r for the scan; family-major for the refinement: row k*R + i is family k at r_i.
+    count, r_col = r_values.size, r_values[:, np.newaxis]
+    r_stack = np.tile(r_col, (len(BOUND_KINDS), 1))
 
-    def scal_transverse(s):
-        return s3_transverse_scal(r_col, s)
+    def integrands(s):
+        """Family blocks (R, k) at the (1, k) scan points, else the (4R, 1) stack."""
+        scan = s.shape[0] == 1
+        r_s = r_col if scan else r_stack
+        kappa = s3_kappa_norm(r_s, s)
+        a_sq = s3_a_norm_sq(r_s, s)
+        blocks = (s3_transverse_scal(r_s, s), S3_SCALAR_CURVATURE + a_sq + kappa * kappa,
+                  -a_sq, S3_SCALAR_CURVATURE + a_sq)
+        if scan:
+            return blocks
+        return np.concatenate([block[k * count:(k + 1) * count] for k, block in enumerate(blocks)])
 
-    def scal_plus_tensors(s):
-        kappa = s3_kappa_norm(r_col, s)
-        return S3_SCALAR_CURVATURE + s3_a_norm_sq(r_col, s) + kappa * kappa
-
-    def scal_plus_a_sq(s):
-        return S3_SCALAR_CURVATURE + s3_a_norm_sq(r_col, s)
-
-    def a_sq(s):
-        return s3_a_norm_sq(r_col, s)
-
-    # (kind, fixed inputs, extremum symbol, (argument, extremum) per r)
-    families = (
-        ("esti", {}, "inf_scal_transverse",
-         minimize_on_interval(scal_transverse, 0.0, 1.0, resolution)),
-        ("estmflot", {}, "inf_scal_plus_tensors",
-         minimize_on_interval(scal_plus_tensors, 0.0, 1.0, resolution)),
-        ("minmax", {"lambda_dm_sq": FIRST_DIRAC_EIGENVALUE_SQ_S3}, "sup_a_sq",
-         maximize_on_interval(a_sq, 0.0, 1.0, resolution)),
-        ("collapse", {}, "inf_scal_plus_a_sq",
-         minimize_on_interval(scal_plus_a_sq, 0.0, 1.0, resolution)),
-    )
+    args, extremes = minimize_on_interval(integrands, 0.0, 1.0, resolution)
     q, n = S3_FLOW_Q, S3_FLOW_N
     reports = []
-    for i, r_i in enumerate(r_values.tolist()):
-        for kind, fixed, symbol, (args, extremes) in families:
-            report = eval_bound(kind, q, n, {**fixed, symbol: float(extremes[i])})
-            inputs = {**report.inputs, "arg_s": float(args[i])}
-            reports.append(BoundReport(kind, report.value, inputs, r_i))
+    for r_i, arg_row, (esti, flot, negative_sup, col) in zip(
+        r_values.tolist(), args.reshape(len(BOUND_KINDS), count).T.tolist(),
+        extremes.reshape(len(BOUND_KINDS), count).T.tolist(),
+    ):
+        quantities = ({"inf_scal_transverse": esti}, {"inf_scal_plus_tensors": flot},
+                      {"lambda_dm_sq": FIRST_DIRAC_EIGENVALUE_SQ_S3, "sup_a_sq": -negative_sup},
+                      {"inf_scal_plus_a_sq": col})
+        reports += [eval_bound(kind, q, n, values, r_i, arg_s)
+                    for kind, values, arg_s in zip(BOUND_KINDS, quantities, arg_row)]
     return reports
 
 

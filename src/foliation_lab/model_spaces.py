@@ -77,13 +77,22 @@ class MetricProfile:
     def __post_init__(self):
         object.__setattr__(self, "constant", float(self.constant))
         object.__setattr__(self, "terms", tuple(self.terms))
+        arrays = self.term_arrays()
+        # Refused before the certificate samples, each named as in the profile document.
+        numbers = (("constant", np.array([self.constant])), ("terms[{}].amp", arrays[2]),
+                   ("terms[{}].phase_theta", arrays[3]), ("terms[{}].phase_t", arrays[4]))
+        for name, values in numbers:
+            bad = np.flatnonzero(~np.isfinite(values))
+            if bad.size:
+                raise ValueError(f"malformed profile document: field {name.format(bad[0])!r} "
+                                 f"must be finite, got {float(values[bad[0]])!r}")
         if not self.constant > 0.0:
             raise ValueError(f"profile constant must be positive, got {self.constant}")
-        self._certify_positive()
+        self._certify_positive(*arrays)
 
-    def _certify_positive(self) -> None:
-        """Prove f > 0 everywhere as the class docstring describes, or raise ValueError."""
-        m, n, amp, ph_theta, ph_t = self.term_arrays()
+    def _certify_positive(self, m, n, amp, ph_theta, ph_t) -> None:
+        """Prove f > 0 everywhere as the class docstring describes, or raise ValueError;
+        the arguments are the ``term_arrays``."""
         size = np.abs(amp)
         spread = np.abs(m) + np.abs(n)
         scale = self.constant + float(

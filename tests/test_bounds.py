@@ -239,6 +239,51 @@ class TestS3Bounds:
                 s3_bounds([0.5, big])
 
 
+def _family_integrands(r):
+    """The four integrands of one r, each searched on its own: esti, estmflot, -|A|^2, collapse."""
+
+    def scal_plus_tensors(s):
+        kappa = s3_kappa_norm(r, s)
+        return S3_SCALAR_CURVATURE + s3_a_norm_sq(r, s) + kappa * kappa
+
+    return (lambda s: s3_transverse_scal(r, s), scal_plus_tensors,
+            lambda s: -s3_a_norm_sq(r, s), lambda s: S3_SCALAR_CURVATURE + s3_a_norm_sq(r, s))
+
+
+@pytest.mark.parametrize("resolution", [100, 437, 1000])
+def test_one_stacked_search_serves_all_four_families(monkeypatch, resolution):
+    """One scan and one golden-section search over the 4R stacked integrands,
+    with as many refinement steps as the slowest of the 4R single searches."""
+    r_values = np.concatenate([np.geomspace(0.1, 10.0, 6), [1.0, 3e-3, 7e4]])
+    rows = r_values.size
+
+    def single_refinements(fn):
+        calls = []
+        minimize_on_interval(lambda s: calls.append(s) or fn(s), 0.0, 1.0, resolution)
+        return len(calls) - 1
+
+    slowest = max(single_refinements(fn) for r in r_values for fn in _family_integrands(r))
+
+    calls = {"minimize_on_interval": 0, "golden_section_min": 0}
+    shapes = {name: [] for name in ("s3_transverse_scal", "s3_kappa_norm", "s3_a_norm_sq")}
+    for name in calls:
+        def counted(*args, _name=name, _fn=getattr(bounds, name)):
+            calls[_name] += 1
+            return _fn(*args)
+
+        monkeypatch.setattr(bounds, name, counted)
+    for name in shapes:
+        def recorded(r, s, _name=name, _fn=getattr(bounds, name)):
+            shapes[_name].append(np.broadcast(r, s).shape)
+            return _fn(r, s)
+
+        monkeypatch.setattr(bounds, name, recorded)
+    s3_bounds(r_values, resolution)
+    assert calls == {"minimize_on_interval": 1, "golden_section_min": 1}
+    for name, seen in shapes.items():
+        assert seen == [(rows, resolution)] + [(4 * rows, 1)] * slowest, name
+
+
 def _scalar_golden_min(fn, a, b, tol=1e-10):
     """The scalar golden-section loop whose steps every batched search must take."""
     inv = 1.0 / bounds.GOLDEN_RATIO

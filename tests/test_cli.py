@@ -134,6 +134,14 @@ MALFORMED_PROFILES = [
     ('{"constant": 1' + "0" * 400 + "}", "field 'constant' is out of range"),
     ('{"constant": 2, "terms": [{"m": -1' + "0" * 400 + ', "n": 0, "amp": 0.1}]}',
      "field 'terms[0].m' is out of range"),
+    ('{"constant": Infinity}', "field 'constant' must be finite, got inf"),
+    ('{"constant": NaN}', "field 'constant' must be finite, got nan"),
+    ('{"constant": 2, "terms": [{"m": 0, "n": 1, "amp": Infinity}]}',
+     "field 'terms[0].amp' must be finite, got inf"),
+    ('{"constant": 2, "terms": [{"m": 1, "n": 0, "amp": 0.1, "phase_theta": -Infinity}]}',
+     "field 'terms[0].phase_theta' must be finite, got -inf"),
+    ('{"constant": 2, "terms": [{"m": 0, "n": 1, "amp": 0.1}, {"m": 0, "n": 1, "amp": 0.1, '
+     '"phase_t": NaN}]}', "field 'terms[1].phase_t' must be finite, got nan"),
 ]
 
 

@@ -1,6 +1,7 @@
 """Model-family geometry: profile sampling, torus curvature data, sphere flows."""
 
 import json
+import re
 
 import numpy as np
 import pytest
@@ -84,6 +85,25 @@ class TestMetricProfile:
         terms = (ProfileTerm(300, 0, 0.5), ProfileTerm(0, 300, 0.5), ProfileTerm(300, 300, 0.25))
         with pytest.raises(ValueError, match="not a metric: positivity is not certified"):
             MetricProfile(1.0, terms)
+
+    @pytest.mark.parametrize(
+        "constant,term,field",
+        [
+            (np.inf, None, "'constant'"),
+            (np.nan, None, "'constant'"),
+            (2.0, ProfileTerm(0, 1, -np.inf), "'terms[1].amp'"),
+            (2.0, ProfileTerm(1, 0, 0.1, np.nan), "'terms[1].phase_theta'"),
+            (2.0, ProfileTerm(0, 1, 0.1, 0.0, np.inf), "'terms[1].phase_t'"),
+        ],
+    )
+    def test_non_finite_number_is_refused_before_sampling(self, monkeypatch, constant, term,
+                                                          field):
+        calls = []
+        monkeypatch.setattr(_kernels, "profile_min", lambda *args: calls.append(args))
+        terms = (ProfileTerm(0, 1, 0.5),) + ((term,) if term else ())
+        with pytest.raises(ValueError, match=re.escape(f"field {field} must be finite")):
+            MetricProfile(constant, terms)
+        assert calls == []
 
     def test_nonpositive_constant_rejected(self):
         with pytest.raises(ValueError, match="constant"):

@@ -59,3 +59,17 @@ def test_traced_verify_and_spectrum_write_the_untraced_reports(tmp_path, tracing
     counts = tracer.span_counts()
     assert counts["verify.random_profile"] == 2
     assert counts["spectral.eigensolve"] > 0
+
+
+def test_traced_sweep_writes_the_untraced_rows_from_one_search(tmp_path, tracing):
+    argv = ["sweep", "--count", "3", "--resolution", "100"]
+    untraced, traced = tmp_path / "untraced", tmp_path / "traced"
+    assert cli.run([*argv, "--output-dir", str(untraced)]) == 0
+    tracer = tracing.Tracer()
+    with tracer.installed():
+        assert cli.run([*argv, "--output-dir", str(traced)]) == 0
+    name = "sweep_bounds.csv"
+    assert (traced / name).read_bytes() == (untraced / name).read_bytes()
+    counts = tracer.span_counts()
+    assert (counts["bounds.scan"], counts["bounds.golden"]) == (1, 1)
+    assert tracer.counters["bounds.curvature_evals"] > 0
