@@ -52,6 +52,22 @@ _REQUIRED_QUANTITIES = {
 # Largest |value - reference| of a sphere-flow bound row that still matches.
 BOUND_REFERENCE_TOLERANCE = 1e-6
 
+# Round-off a row may carry against its reference, in units of
+# np.spacing(|reference|); s3_bounds refuses an r whose reference is so large
+# that this many units exceed BOUND_REFERENCE_TOLERANCE.  Only the minmax
+# reference grows without bound: 9/8 - P/4 for r >= 1 and 9/8 - 1/(4P) for
+# r < 1, with P = fl(r*r) = r^2 (1 + d1).  For r >= 1 the supremum of |A|^2
+# is the scan point s = 0, where the integrand is 2P, and (2/16) 2P = P/4
+# exactly, so the row is the reference bit for bit.  For r < 1 it is the scan
+# point s = 1, where the integrand is 2 fl(fl(r/P)^2), so the row's large term
+# fl(fl(r/P)^2)/4 is 1/(4r^2) (1 + d2)^2 (1 + d3) / (1 + d1)^2 against the
+# reference's fl(1/(4P)) = 1/(4r^2) (1 + d4) / (1 + d1), every |d| <= u =
+# eps/2.  The two differ by at most 5u of their size to first order, and
+# subtracting each from 9/8 rounds once more, within u|reference|: under
+# 7u|reference|, which is under 7 spacings.  The eighth covers a refinement
+# point that beats the scan point by round-off.
+REFERENCE_ROUNDOFF_ULPS = 8
+
 GOLDEN_RATIO = (1.0 + np.sqrt(5.0)) / 2.0
 
 
@@ -169,8 +185,10 @@ def s3_bounds(r, resolution: int = 1000) -> list[BoundReport]:
 
     ``r`` is one flow parameter or a nonempty 1-D sequence of them; every r
     must be finite and positive with a square that does not underflow to 0
-    (the references divide by r^2) and with 6 r^2, the transverse scalar
-    curvature's largest term, finite; all are checked before any is
+    (the references divide by r^2), with 6 r^2, the transverse scalar
+    curvature's largest term, finite, and with references small enough that
+    BOUND_REFERENCE_TOLERANCE exceeds REFERENCE_ROUNDOFF_ULPS of them, which
+    keeps r between about 1.53e-5 and 65536; all are checked before any is
     evaluated.  The extrema of every r come from one stacked scan and
     refinement over all four families.  Reports are r-major: esti,
     estmflot, minmax, collapse per r.
@@ -188,6 +206,16 @@ def s3_bounds(r, resolution: int = 1000) -> list[BoundReport]:
             raise ValueError(f"flow parameter r = {value} is too small: r*r underflows to 0")
         if not np.isfinite(6.0 * value * value):
             raise ValueError(f"flow parameter r = {value} is too large: 6*r*r overflows")
+    for value in r_values.tolist():
+        reference = piecewise_reference(value)
+        kind = max(reference, key=lambda name: abs(reference[name]))
+        roundoff = REFERENCE_ROUNDOFF_ULPS * float(np.spacing(abs(reference[kind])))
+        if not roundoff <= BOUND_REFERENCE_TOLERANCE:
+            raise ValueError(
+                f"flow parameter r = {value} is out of range: {REFERENCE_ROUNDOFF_ULPS} ulps "
+                f"of its {kind} reference {reference[kind]:.6g} are {roundoff:.3g}, more than "
+                f"the reference tolerance {BOUND_REFERENCE_TOLERANCE:.0e}"
+            )
     # One row per r for the scan; family-major for the refinement: row k*R + i is family k at r_i.
     count, r_col = r_values.size, r_values[:, np.newaxis]
     r_stack = np.tile(r_col, (len(BOUND_KINDS), 1))

@@ -104,7 +104,8 @@ def _load_profiles(paths) -> list[MetricProfile]:
 def _spectrum(operator_name: str, density: LeafVolumeDensity, grid: GridSpec):
     if operator_name == "dirac-forms":
         # The forms operator acts on periodic forms whatever --spin says.
-        return dirac_spectra(density, GridSpec(grid.n_points))[1]
+        periodic = GridSpec(grid.n_points)
+        return dirac_spectra(assemble_basic_dirac_spinor(density, periodic), periodic)[1]
     if operator_name == "dirac-spinor":
         return eigenvalues_weighted(assemble_basic_dirac_spinor(density, grid))
     degree = DEGREE_FUNCTION if operator_name == "laplacian-functions" else DEGREE_ONE_FORM

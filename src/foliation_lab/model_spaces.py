@@ -55,10 +55,12 @@ class MetricProfile:
        point lies within h/2 = pi/G of a node in each angle, so the true
        minimum is at least (sampled minimum) - e - (h/2) L; the profile is
        accepted when the sampled minimum minus (h/2) L exceeds e.
-    3. Otherwise G doubles, up to CERTIFICATE_GRID_CAP, and step 2 repeats.
-       A sample <= 0, or reaching the cap, rejects the profile.  Grids finer
-       than VALIDATION_GRID are evaluated in blocks of theta rows, none
-       larger than the VALIDATION_GRID x VALIDATION_GRID array.
+    3. Otherwise G doubles, up to CERTIFICATE_GRID_CAP, and step 2 repeats
+       with the minimum over every node sampled so far: the G/2 grid's nodes
+       are the even nodes of the G grid, so only the other three quarters
+       are sampled.  A sample <= 0, or reaching the cap, rejects the
+       profile.  ``_kernels.profile_min`` forms the values in blocks of
+       theta rows, none larger than _kernels.BLOCK_POINTS = 512 x 512.
 
     The allowance e bounds the round-off of a computed sample.  With unit
     round-off u = eps/2 and K terms: a node 2*pi*j/G is off by less than 19u,
@@ -102,9 +104,10 @@ class MetricProfile:
         if self.constant - float(size.sum()) > allowance:
             return
         lipschitz = float(np.sum(size * spread))
+        profile = (self.constant, m, n, amp, ph_theta, ph_t)
         grid_points = VALIDATION_GRID
-        while grid_points <= CERTIFICATE_GRID_CAP:
-            minimum = self.min_value(grid_points)
+        minimum = self.min_value(grid_points)
+        while True:
             if not minimum > 0.0:
                 raise ValueError(
                     f"profile is not a metric: sampled minimum {minimum:.6g} <= 0"
@@ -112,6 +115,13 @@ class MetricProfile:
             if minimum - (math.pi / grid_points) * lipschitz > allowance:
                 return
             grid_points *= 2
+            if grid_points > CERTIFICATE_GRID_CAP:
+                break
+            # The coarser grid's nodes are the even nodes of this one, bit for
+            # bit, so only the nodes with an odd theta or t index are new.
+            nodes = uniform_nodes(grid_points)
+            minimum = min(minimum, _kernels.profile_min(*profile, nodes[1::2], nodes),
+                          _kernels.profile_min(*profile, nodes[::2], nodes[1::2]))
         raise ValueError(
             "profile is not a metric: positivity is not certified on a "
             f"{CERTIFICATE_GRID_CAP}^2 grid (sampled minimum {minimum:.6g}, "
@@ -135,15 +145,9 @@ class MetricProfile:
         return self.sample(np.zeros(1), ts)[0]
 
     def min_value(self, grid_points: int = VALIDATION_GRID) -> float:
-        """Minimum over the grid_points x grid_points node grid, evaluated in
-        theta-row blocks of at most VALIDATION_GRID^2 points."""
+        """Minimum over the grid_points x grid_points node grid."""
         nodes = uniform_nodes(grid_points)
-        rows = max(1, VALIDATION_GRID * VALIDATION_GRID // grid_points)
-        arrays = self.term_arrays()
-        return min(
-            _kernels.profile_min(self.constant, *arrays, nodes[start:start + rows], nodes)
-            for start in range(0, grid_points, rows)
-        )
+        return _kernels.profile_min(self.constant, *self.term_arrays(), nodes, nodes)
 
     def theta_average(self) -> "MetricProfile":
         """Exact theta-average: only m = 0 modes survive.

@@ -17,6 +17,18 @@ Both are ``diagonal_conjugate`` scalings w^{-1} D w of the one cached,
 read-only Fourier matrix D per (grid, spin structure) from
 ``_spectral_diff.differentiation_matrix``.
 
+Diagonal scalings, here and in ``WeightedOperator.hermitian_spectrum``, act
+on the float64 view of the complex matrix: the real and imaginary parts of
+each entry are multiplied by w and then by a precomputed 1/w.  That is the
+arithmetic numpy does for the complex forms M * w and M / w with a real w
+promoted to complex: a product (a + bi)(w + 0i) is (aw - b0) + (a0 + bw)i,
+and a quotient by w + 0i in Smith's form is (a + b0)(1/w) + (b - a0)(1/w)i.
+Adding the zero products changes no nonzero value, so every scaled entry
+is bitwise the complex result, except that a zero entry may differ in sign.
+The view skips the zero products and the complex division.  Scalings by i
+or -1 and the symmetrization's sums are done in place, with the same
+arithmetic as the expressions they replace.
+
 With these choices the spinor Dirac matrix is exactly unitarily
 equivalent to i*D, so its spectrum is the integer lattice for every
 density, and all assembled operators pass the weighted-Hermitian check at
@@ -44,7 +56,9 @@ class WeightedOperator:
     n_points: int
 
     def __post_init__(self):
-        object.__setattr__(self, "matrix", np.asarray(self.matrix, dtype=np.complex128))
+        object.__setattr__(
+            self, "matrix", np.ascontiguousarray(self.matrix, dtype=np.complex128)
+        )
         object.__setattr__(self, "weights", np.asarray(self.weights, dtype=np.float64))
         if self.matrix.shape != (self.weights.size, self.weights.size):
             raise ValueError("matrix and weights sizes are inconsistent")
@@ -55,11 +69,18 @@ class WeightedOperator:
         """Eigenvalues of H = (S + S^H)/2, S = W^{1/2} M W^{-1/2}, and the gate ratio
         ||S - S^H||_F / max|lambda(H)| >= ||S - S^H||_2 / ||S||_2 (as ||H||_2 <= ||S||_2)."""
         root = np.sqrt(self.weights)
-        sym = (root[:, None] * self.matrix) / root[None, :]
+        scaled = self.matrix.view(np.float64) * root[:, None]
+        scaled *= np.repeat(1.0 / root, 2)
+        sym = scaled.view(np.complex128)
         adjoint = sym.conj().T
-        values = np.linalg.eigvalsh(0.5 * (sym + adjoint))
+        hermitian = sym + adjoint
+        hermitian *= 0.5
+        sym -= adjoint
+        asymmetry = np.linalg.norm(sym)
+        del scaled, sym, adjoint  # not held while eigvalsh copies hermitian
+        values = np.linalg.eigvalsh(hermitian)
         scale = max(float(np.max(np.abs(values))), np.finfo(float).tiny)
-        return values, float(np.linalg.norm(sym - adjoint) / scale)
+        return values, float(asymmetry / scale)
 
     def symmetry_residual(self) -> float:
         """Relative deviation of the symmetrized matrix from Hermitian (the gate ratio)."""
@@ -67,9 +88,14 @@ class WeightedOperator:
 
 
 def diagonal_conjugate(matrix: np.ndarray, w: np.ndarray) -> np.ndarray:
-    """w^{-1} M w for diagonal w: with w = g^{1/2} and M = D, the conservative
-    discretization of u' + (g'/2g) u."""
-    return (matrix * w[None, :]) / w[:, None]
+    """w^{-1} M w for diagonal w and a C-contiguous complex M, as a new array:
+    with w = g^{1/2} and M = D, the conservative discretization of u' + (g'/2g) u.
+
+    Scales the float64 view of M by w, then by a precomputed 1/w, which is
+    bitwise (M * w[None, :]) / w[:, None] (see the module docstring)."""
+    scaled = matrix.view(np.float64) * np.repeat(w, 2)
+    scaled *= (1.0 / w)[:, None]
+    return scaled.view(np.complex128)
 
 
 def quadrature_weights(density: LeafVolumeDensity) -> np.ndarray:
@@ -92,7 +118,8 @@ def assemble_basic_dirac_spinor(
     """
     _check_grid(density, grid)
     d_spin = differentiation_matrix(grid.n_points, grid.spin_structure)
-    matrix = 1j * diagonal_conjugate(d_spin, np.sqrt(density.g_values))
+    matrix = diagonal_conjugate(d_spin, np.sqrt(density.g_values))
+    matrix *= 1j
     return WeightedOperator(
         matrix=matrix,
         weights=quadrature_weights(density),
@@ -136,7 +163,8 @@ def codifferential(density: LeafVolumeDensity, grid: GridSpec) -> np.ndarray:
     """Weighted adjoint of the plain differential: v dt -> -(g v)'/g."""
     _check_grid(density, grid)
     d = differentiation_matrix(grid.n_points, "trivial")
-    return -diagonal_conjugate(d, density.g_values)
+    delta = diagonal_conjugate(d, density.g_values)
+    return np.negative(delta, out=delta)
 
 
 def assemble_basic_laplacian(

@@ -1,7 +1,8 @@
 """Eigenvalue extraction for weighted-Hermitian operators and spectrum comparison.
 
 ``eigenvalues_weighted`` solves one operator; ``dirac_spectra`` reads both basic
-Dirac spectra, spinor and forms, from one solve of the trivial spinor matrix.
+Dirac spectra, spinor and forms, from one solve of an assembled trivial spinor
+matrix, so a caller that reuses that matrix assembles it once.
 A ``SpectrumReport`` carries no window: callers pass one that
 ``GridSpec.validate_window`` has checked to ``in_window``.
 """
@@ -13,9 +14,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .basic_calculus import LeafVolumeDensity
 from .model_spaces import GridSpec
-from .operators import WeightedOperator, assemble_basic_dirac_spinor
+from .operators import WeightedOperator
 
 # Relative symmetrization residual above which an eigensolve is refused.
 SYMMETRIZATION_TOLERANCE = 1e-8
@@ -65,9 +65,10 @@ def eigenvalues_weighted(op: WeightedOperator) -> SpectrumReport:
 
 
 def dirac_spectra(
-    density: LeafVolumeDensity, grid: GridSpec
+    spinor: WeightedOperator, grid: GridSpec
 ) -> tuple[SpectrumReport, SpectrumReport]:
-    """Spinor and forms basic Dirac spectra from one N x N solve.
+    """Spinor and forms basic Dirac spectra from one N x N solve of ``spinor``,
+    the matrix ``assemble_basic_dirac_spinor(density, grid)``.
 
     On the trivial spin structure the spinor Dirac matrix is iT, T the twisted
     differential (bitwise: both scale the same cached derivative matrix), and
@@ -82,7 +83,7 @@ def dirac_spectra(
         raise ValueError(
             f"dirac_spectra needs the trivial spin structure, got {grid.spin_structure!r}"
         )
-    n, spinor = grid.n_points, assemble_basic_dirac_spinor(density, grid)
+    n = grid.n_points
     values, residual = spinor.hermitian_spectrum()
     forms_values = np.concatenate([-values, values])
     return (

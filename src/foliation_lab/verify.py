@@ -6,8 +6,10 @@ Each check returns a VerificationReport whose ``passed`` flag is exactly
 indistinguishable Laplacian spectra) are reported with an infinite residual
 and a diagnostic in the metadata, never silently.
 
-A pair battery makes one Dirac solve (``dirac_spectra``: spinor and forms
-spectra) and one function-Laplacian solve per profile.
+A pair battery assembles each profile's spinor Dirac operator once and
+makes one Dirac solve of it (``dirac_spectra``: spinor and forms spectra)
+and one function-Laplacian solve per profile; the conjugation check reads
+the same two assembled operators.
 """
 
 from __future__ import annotations
@@ -34,6 +36,7 @@ from .model_spaces import (
     torus_metric_sample,
 )
 from .operators import (
+    WeightedOperator,
     assemble_basic_dirac_spinor,
     assemble_basic_laplacian,
     assemble_lichnerowicz_sides,
@@ -107,8 +110,17 @@ def _density(profile: MetricProfile, grid: GridSpec) -> LeafVolumeDensity:
 
 
 @lru_cache(maxsize=2)
+def _dirac_operator(profile: MetricProfile, grid: GridSpec) -> WeightedOperator:
+    """The spinor Dirac operator the battery solves and conjugates, read-only
+    because every check shares it."""
+    operator = assemble_basic_dirac_spinor(_density(profile, grid), grid)
+    operator.matrix.flags.writeable = False
+    return operator
+
+
+@lru_cache(maxsize=2)
 def _dirac_spectra(profile: MetricProfile, grid: GridSpec) -> tuple[SpectrumReport, ...]:
-    return dirac_spectra(_density(profile, grid), grid)
+    return dirac_spectra(_dirac_operator(profile, grid), grid)
 
 
 @lru_cache(maxsize=1)
@@ -187,10 +199,9 @@ def conjugation_residual(
     """Frobenius distance between D' and alpha^{-1/2} D alpha^{1/2}: it bounds the
     operator-norm distance, so it is the stricter residual and needs no SVD."""
     alpha = _basic_projection_of_volume_ratio(p1, p2, grid)
-    d1 = assemble_basic_dirac_spinor(_density(p1, grid), grid)
-    d2 = assemble_basic_dirac_spinor(_density(p2, grid), grid)
-    conjugated = diagonal_conjugate(d1.matrix, np.sqrt(alpha))
-    residual = float(np.linalg.norm(d2.matrix - conjugated))
+    difference = diagonal_conjugate(_dirac_operator(p1, grid).matrix, np.sqrt(alpha))
+    np.subtract(_dirac_operator(p2, grid).matrix, difference, out=difference)
+    residual = float(np.linalg.norm(difference))
     metadata = _pair_metadata(p1, p2, grid)
     metadata["tag"] = "inv"
     return VerificationReport.from_residual(
@@ -364,13 +375,15 @@ def run_pair_checks(
     contrast check is recorded as skipped when the pair does not meet its
     distinct-density precondition, instead of failing by design.
     """
-    for cached in (_density, _dirac_spectra, _basic_projection_of_volume_ratio):
+    for cached in (_density, _dirac_operator, _dirac_spectra,
+                   _basic_projection_of_volume_ratio):
         cached.cache_clear()
     reports = [
         invariance_check(p1, p2, grid, window),
         kappa_transform_residual(p1, p2, grid),
         conjugation_residual(p1, p2, grid),
     ]
+    _dirac_operator.cache_clear()  # its last reader has run: free it before the Laplacians
     if skip_indistinct_laplacian and not densities_distinguishable(p1, p2, grid):
         reports.append(
             VerificationReport.skipped(

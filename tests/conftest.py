@@ -1,7 +1,8 @@
 """Shared fixtures: reference profiles, Fourier expansions of exponential
 metrics, a writer for profile documents, and the reference implementations
-the tests check the library against: a finite-difference Laplacian and the
-weighted inner product on the t-circle."""
+the tests check the library against: a finite-difference Laplacian, the
+weighted inner product on the t-circle, and the complex-arithmetic diagonal
+scaling and symmetrized solve that the real-view ones reproduce bit for bit."""
 
 import json
 
@@ -55,6 +56,24 @@ def weighted_inner_product(a: np.ndarray, b: np.ndarray, density: LeafVolumeDens
     if a.size != b.size or a.size != density.n_points:
         raise ValueError("fields and density must share the t-grid")
     return complex((TWO_PI / density.n_points) * np.sum(np.conj(a) * b * density.g_values))
+
+
+def complex_diagonal_conjugate(matrix: np.ndarray, w: np.ndarray) -> np.ndarray:
+    """w^{-1} M w in complex arithmetic: the reference for
+    ``operators.diagonal_conjugate``."""
+    return (matrix * w[None, :]) / w[:, None]
+
+
+def complex_hermitian_spectrum(op: WeightedOperator) -> tuple[np.ndarray, float]:
+    """Eigenvalues of (S + S^H)/2, S = W^{1/2} M W^{-1/2}, and the gate ratio
+    ||S - S^H||_F / max|lambda|, in complex arithmetic with a temporary for
+    every step: the reference for ``WeightedOperator.hermitian_spectrum``."""
+    root = np.sqrt(op.weights)
+    sym = (root[:, None] * op.matrix) / root[None, :]
+    adjoint = sym.conj().T
+    values = np.linalg.eigvalsh(0.5 * (sym + adjoint))
+    scale = max(float(np.max(np.abs(values))), np.finfo(float).tiny)
+    return values, float(np.linalg.norm(sym - adjoint) / scale)
 
 
 def finite_difference_laplacian(

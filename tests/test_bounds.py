@@ -11,6 +11,7 @@ from foliation_lab import bounds, eval_bound, piecewise_reference, s3_bounds
 from foliation_lab.bounds import (
     bound_failures,
     bound_rows_csv,
+    reference_error,
     golden_section_min,
     maximize_on_interval,
     minimize_on_interval,
@@ -226,7 +227,7 @@ class TestS3Bounds:
 
     @pytest.mark.filterwarnings("error::RuntimeWarning")
     def test_rejects_r_whose_scans_overflow(self, monkeypatch):
-        assert len(s3_bounds(5e153, 100)) == 4
+        assert len(s3_bounds(65536.0, 100)) == 4
 
         def unreachable(*args):
             raise AssertionError("evaluated before every r was checked")
@@ -237,6 +238,23 @@ class TestS3Bounds:
             message = f"r = {big} is too large: 6*r*r overflows"
             with pytest.raises(ValueError, match=re.escape(message)):
                 s3_bounds([0.5, big])
+
+
+    @pytest.mark.parametrize("r", [1.5258789054506396e-05, 65536.00003433226])
+    def test_largest_references_still_resolved_match_them(self, r):
+        reports = s3_bounds(r)
+        assert bound_failures(reports) == []
+        assert max(abs(reference_error(report)[0]) for report in reports) > 2.0**29
+
+    @pytest.mark.parametrize("r", [1.5258789054506394e-05, 65536.00003433228, 1e-150, 5e153])
+    def test_rejects_r_whose_reference_the_tolerance_cannot_resolve(self, monkeypatch, r):
+        def unreachable(*args):
+            raise AssertionError("evaluated before every r was checked")
+
+        monkeypatch.setattr(bounds, "minimize_on_interval", unreachable)
+        message = f"flow parameter r = {r} is out of range: 8 ulps of its minmax reference"
+        with pytest.raises(ValueError, match=re.escape(message)):
+            s3_bounds([0.5, r])
 
 
 def _family_integrands(r):
@@ -254,7 +272,7 @@ def _family_integrands(r):
 def test_one_stacked_search_serves_all_four_families(monkeypatch, resolution):
     """One scan and one golden-section search over the 4R stacked integrands,
     with as many refinement steps as the slowest of the 4R single searches."""
-    r_values = np.concatenate([np.geomspace(0.1, 10.0, 6), [1.0, 3e-3, 7e4]])
+    r_values = np.concatenate([np.geomspace(0.1, 10.0, 6), [1.0, 3e-3, 6e4]])
     rows = r_values.size
 
     def single_refinements(fn):

@@ -335,6 +335,24 @@ class TestBoundsCommand:
         assert capsys.readouterr() == ("", f"error: {message}\n")
         assert not out.exists()
 
+    @pytest.mark.parametrize(
+        "argv,r",
+        [
+            (["bounds", "--r", "0.5", "70000"], 70000.0),
+            (["sweep", "--r-min", "1e-150", "--r-max", "5e153", "--count", "9"], 1e-150),
+        ],
+    )
+    def test_r_whose_reference_the_tolerance_cannot_resolve_is_refused(
+        self, tmp_path, capsys, argv, r
+    ):
+        out = tmp_path / "out"
+        assert run([*argv, "--output-dir", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: flow parameter r = {r} is out of range: 8 ulps of its "
+                              "minmax reference")
+        assert err.endswith("more than the reference tolerance 1e-06\n")
+        assert not out.exists()
+
     @pytest.mark.parametrize("fmt", ["csv", "json"])
     def test_sweep_rows_equal_per_r_bounds_rows(self, tmp_path, fmt):
         sweep = ["sweep", "--r-min", "0.3", "--r-max", "3.0", "--count", "7",

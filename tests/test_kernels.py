@@ -50,3 +50,12 @@ def test_kernels_match_broadcast_oracle(n_terms, thetas, ts):
     assert values.shape == (thetas.size, ts.size)
     np.testing.assert_allclose(values, expected, rtol=0, atol=1e-14)
     assert _kernels.profile_min(*args) == pytest.approx(expected.min(), rel=0, abs=1e-14)
+
+
+@pytest.mark.parametrize("block_points", [1, 7 * 72 + 3, 40 * 72])
+def test_profile_min_blocks_cover_every_theta_row(monkeypatch, block_points):
+    """Blocks of one row, of seven rows with a remainder, and of the whole grid."""
+    args = (2.0, *_term_data(6), _nodes(40), _nodes(72))
+    expected = _kernels.sample_profile(*args).min()
+    monkeypatch.setattr(_kernels, "BLOCK_POINTS", block_points)
+    assert _kernels.profile_min(*args) == pytest.approx(expected, rel=0, abs=1e-14)

@@ -62,21 +62,22 @@ class TestMetricProfile:
         MetricProfile(2.0, (ProfileTerm(3, 5, 0.9, 0.4, 1.0), ProfileTerm(0, 7, -1.0)))
         assert calls == []
 
-    def test_refined_certificate_accepts_in_bounded_blocks(self, monkeypatch):
+    def test_refined_certificate_samples_only_new_nodes(self, monkeypatch):
         # (1 + cos(30 theta)/2)(1 + cos(30 t)/2): minimum 1/4, attained on the
-        # 512 grid, but the cell bound there exceeds it
-        sizes = []
+        # 512 grid, but the cell bound there exceeds it.  The 1024 grid adds
+        # its odd theta rows and, on the even rows, its odd t columns.
+        shapes = []
         kernel = _kernels.profile_min
 
         def recorded(*args):
-            sizes.append(args[6].size * args[7].size)
+            shapes.append((args[6].size, args[7].size))
             return kernel(*args)
 
         monkeypatch.setattr(_kernels, "profile_min", recorded)
         terms = (ProfileTerm(30, 0, 0.5), ProfileTerm(0, 30, 0.5), ProfileTerm(30, 30, 0.25))
         profile = MetricProfile(1.0, terms)
-        assert max(sizes) <= 512 * 512
-        assert sum(sizes) == 512**2 + 1024**2
+        assert shapes == [(512, 512), (512, 1024), (512, 512)]
+        assert sum(a * b for a, b in shapes) == 512**2 + 3 * 1024**2 // 4
         assert profile.min_value(1024) == pytest.approx(0.25, abs=1e-12)
 
     def test_profile_not_certified_by_the_finest_grid_is_refused(self):

@@ -14,11 +14,15 @@ from foliation_lab import (
     eigenvalues_weighted,
     spectrum_compare,
 )
+from foliation_lab import operators, verify
 from foliation_lab._spectral_diff import differentiation_matrix
 from foliation_lab.basic_calculus import LeafVolumeDensity
-from foliation_lab.operators import WeightedOperator, codifferential
+from foliation_lab.cli import run
+from foliation_lab.operators import WeightedOperator, codifferential, diagonal_conjugate
 
 from conftest import (
+    complex_diagonal_conjugate,
+    complex_hermitian_spectrum,
     exp_sin_profile,
     fd_laplacian_spectrum,
     finite_difference_laplacian,
@@ -230,3 +234,62 @@ class TestFiniteDifferenceOracle:
     def test_midpoint_count_must_match(self):
         with pytest.raises(ValueError):
             finite_difference_laplacian(np.ones(8), np.ones(7))
+
+
+def _bits(array) -> np.ndarray:
+    return np.ascontiguousarray(array).view(np.uint64)
+
+
+class TestRealViewScalingBitParity:
+    """The real-view scalings and the in-place steps reproduce the bits of the
+    complex-arithmetic references in ``conftest``."""
+
+    @pytest.mark.parametrize("n_points", [64, 256])
+    @pytest.mark.parametrize("spin", ["trivial", "nontrivial"])
+    def test_diagonal_conjugate(self, n_points, spin):
+        rng = np.random.default_rng(n_points)
+        d = differentiation_matrix(n_points, spin)
+        noise = rng.normal(size=(n_points, n_points)) + 1j * rng.normal(size=(n_points, n_points))
+        for matrix in (d, d @ d, noise):
+            w = rng.uniform(0.2, 5.0, n_points)
+            expected = complex_diagonal_conjugate(matrix, w)
+            assert np.array_equal(_bits(diagonal_conjugate(matrix, w)), _bits(expected))
+
+    @pytest.mark.parametrize("n_points", [64, 256])
+    @pytest.mark.parametrize("spin", ["trivial", "nontrivial"])
+    def test_hermitian_spectrum(self, n_points, spin):
+        rng = np.random.default_rng(n_points + 1)
+        g = rng.uniform(0.2, 5.0, n_points)
+        weights = (TWO_PI / n_points) * g
+        dirac = 1j * complex_diagonal_conjugate(differentiation_matrix(n_points, spin), np.sqrt(g))
+        noise = rng.normal(size=(n_points, n_points)) + 1j * rng.normal(size=(n_points, n_points))
+        for matrix in (dirac, noise):
+            op = WeightedOperator(matrix, weights, "random", n_points)
+            values, ratio = op.hermitian_spectrum()
+            expected_values, expected_ratio = complex_hermitian_spectrum(op)
+            assert np.array_equal(_bits(values), _bits(expected_values))
+            assert ratio.hex() == expected_ratio.hex()
+
+    @pytest.mark.parametrize("n_points", [64, 256])
+    @pytest.mark.parametrize("spin", ["trivial", "nontrivial"])
+    def test_in_place_scalings(self, n_points, spin, mixed_profile):
+        grid = GridSpec(n_points, spin)
+        density = _density(mixed_profile, grid)
+        root = np.sqrt(density.g_values)
+        spinor = assemble_basic_dirac_spinor(density, grid)
+        expected = 1j * complex_diagonal_conjugate(differentiation_matrix(n_points, spin), root)
+        assert np.array_equal(_bits(spinor.matrix), _bits(expected))
+        trivial = differentiation_matrix(n_points, "trivial")
+        expected = -complex_diagonal_conjugate(trivial, density.g_values)
+        assert np.array_equal(_bits(codifferential(density, grid)), _bits(expected))
+
+    def test_pair_bundle_is_the_bundle_of_the_references(self, tmp_path, monkeypatch):
+        args = ["verify", "--all", "--grid", "64", "--window", "8", "--pairs", "2"]
+        code = run([*args, "--output-dir", str(tmp_path / "view")])
+        monkeypatch.setattr(operators, "diagonal_conjugate", complex_diagonal_conjugate)
+        monkeypatch.setattr(verify, "diagonal_conjugate", complex_diagonal_conjugate)
+        monkeypatch.setattr(WeightedOperator, "hermitian_spectrum", complex_hermitian_spectrum)
+        assert run([*args, "--output-dir", str(tmp_path / "complex")]) == code
+        bundle = "verify_bundle.json"
+        view = (tmp_path / "view" / bundle).read_bytes()
+        assert view == (tmp_path / "complex" / bundle).read_bytes()

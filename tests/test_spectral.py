@@ -78,7 +78,7 @@ class TestFormsDiracSpectrum:
         grid = GridSpec(n_points)
         density = _density(request.getfixturevalue(profile_name), grid)
         oracle = eigenvalues_weighted(assemble_basic_dirac_forms(density, grid))
-        report = dirac_spectra(density, grid)[1]
+        report = dirac_spectra(assemble_basic_dirac_spinor(density, grid), grid)[1]
         assert report.operator_label == oracle.operator_label
         assert report.grid_size == oracle.grid_size
         np.testing.assert_allclose(report.eigenvalues, oracle.eigenvalues, rtol=0.0, atol=1e-12)
@@ -97,8 +97,9 @@ class TestFormsDiracSpectrum:
     @pytest.mark.parametrize("profile_name", ["flat_profile", "cosine_profile", "mixed_profile"])
     def test_spinor_report_is_the_spinor_solve(self, request, profile_name, grid128):
         density = _density(request.getfixturevalue(profile_name), grid128)
-        oracle = eigenvalues_weighted(assemble_basic_dirac_spinor(density, grid128))
-        report = dirac_spectra(density, grid128)[0]
+        spinor = assemble_basic_dirac_spinor(density, grid128)
+        oracle = eigenvalues_weighted(spinor)
+        report = dirac_spectra(spinor, grid128)[0]
         assert report.operator_label == oracle.operator_label == "dirac_spinor[trivial,N=128]"
         assert report.grid_size == oracle.grid_size
         assert np.array_equal(report.eigenvalues, oracle.eigenvalues)
@@ -106,7 +107,7 @@ class TestFormsDiracSpectrum:
     def test_nontrivial_grid_refused(self, cosine_profile):
         grid = GridSpec(64, "nontrivial")
         with pytest.raises(ValueError, match="trivial spin structure"):
-            dirac_spectra(_density(cosine_profile, grid), grid)
+            dirac_spectra(assemble_basic_dirac_spinor(_density(cosine_profile, grid), grid), grid)
 
     def test_gate_ratio_equals_block_ratio(self, mixed_profile, grid64):
         rng = np.random.default_rng(5)
@@ -123,10 +124,10 @@ class TestFormsDiracSpectrum:
         )
 
     @staticmethod
-    def _shifted_spinor(density, grid, monkeypatch, scale):
-        """Make ``dirac_spectra`` solve the spinor matrix shifted by i*eps*I, which is
-        T + eps*I in the forms blocks; eps puts the spinor gate ratio at ``scale``
-        times the tolerance.  Returns that ratio."""
+    def _shifted_spinor(density, grid, scale):
+        """The spinor matrix shifted by i*eps*I, which is T + eps*I in the forms
+        blocks; eps puts the spinor gate ratio at ``scale`` times the tolerance.
+        Returns the operator and that ratio."""
         clean = assemble_basic_dirac_spinor(density, grid)
         shift = 1j * np.eye(grid.n_points)
         unit = WeightedOperator(clean.matrix + shift, clean.weights, clean.label, grid.n_points)
@@ -134,25 +135,24 @@ class TestFormsDiracSpectrum:
         shifted = WeightedOperator(
             clean.matrix + eps * shift, clean.weights, clean.label, grid.n_points
         )
-        monkeypatch.setattr(spectral, "assemble_basic_dirac_spinor", lambda d, g: shifted)
-        return shifted.hermitian_spectrum()[1]
+        return shifted, shifted.hermitian_spectrum()[1]
 
-    def test_refuses_broken_twisted_differential(self, cosine_profile, grid64, monkeypatch):
+    def test_refuses_broken_twisted_differential(self, cosine_profile, grid64):
         """Above the tolerance the spinor gate, checked first, refuses the solve."""
         density = _density(cosine_profile, grid64)
-        ratio = self._shifted_spinor(density, grid64, monkeypatch, 100.0)
+        shifted, ratio = self._shifted_spinor(density, grid64, 100.0)
         assert ratio > spectral.SYMMETRIZATION_TOLERANCE
         with pytest.raises(OperatorSymmetryError, match=r"dirac_spinor\[trivial"):
-            dirac_spectra(density, grid64)
+            dirac_spectra(shifted, grid64)
 
-    def test_forms_gate_is_sqrt2_stricter(self, cosine_profile, grid64, monkeypatch):
+    def test_forms_gate_is_sqrt2_stricter(self, cosine_profile, grid64):
         """Between tol/sqrt(2) and tol the spinor passes and the forms gate refuses."""
         density = _density(cosine_profile, grid64)
-        ratio = self._shifted_spinor(density, grid64, monkeypatch, 0.85)
+        shifted, ratio = self._shifted_spinor(density, grid64, 0.85)
         tol = spectral.SYMMETRIZATION_TOLERANCE
         assert tol / math.sqrt(2.0) < ratio <= tol
         with pytest.raises(OperatorSymmetryError, match=r"dirac_forms\[N=64\]"):
-            dirac_spectra(density, grid64)
+            dirac_spectra(shifted, grid64)
 
 
 class TestSpectrumCompare:

@@ -18,7 +18,8 @@ from foliation_lab import (
 )
 from foliation_lab._spectral_diff import differentiation_matrix
 from foliation_lab.basic_calculus import LeafVolumeDensity
-from foliation_lab.operators import assemble_lichnerowicz_sides
+from foliation_lab import verify
+from foliation_lab.operators import WeightedOperator, assemble_lichnerowicz_sides
 from foliation_lab.verify import (
     random_profile,
     random_profile_pair,
@@ -238,6 +239,40 @@ def test_pair_battery_solves_each_spectrum_once(flat_profile, cosine_profile, gr
     assert eigvalsh_sizes == [(64, 64)] * 4
     assert svd_calls == []
     assert differentiation_matrix.cache_info().misses == 1
+
+
+def test_pair_battery_assembles_each_dirac_operator_once(cosine_profile, mixed_profile, grid64,
+                                                         monkeypatch):
+    """Two spinor Dirac assemblies per battery; the conjugation check reads the
+    two operators the invariance check solved, not fresh assemblies."""
+    assembled, solved, read = [], [], []
+    assemble, solve = verify.assemble_basic_dirac_spinor, WeightedOperator.hermitian_spectrum
+    cached = verify._dirac_operator
+
+    def counted_assembly(density, grid):
+        assembled.append(assemble(density, grid))
+        return assembled[-1]
+
+    def recorded_solve(op):
+        solved.append(op)
+        return solve(op)
+
+    def recorded_read(profile, grid):
+        read.append(cached(profile, grid))
+        return read[-1]
+
+    recorded_read.cache_clear = cached.cache_clear
+    monkeypatch.setattr(verify, "assemble_basic_dirac_spinor", counted_assembly)
+    monkeypatch.setattr(WeightedOperator, "hermitian_spectrum", recorded_solve)
+    monkeypatch.setattr(verify, "_dirac_operator", recorded_read)
+    reports = run_pair_checks(cosine_profile, mixed_profile, grid64, 8.0)
+    assert [report.passed for report in reports] == [True] * 4
+    assert len(assembled) == 2
+    assert all(op is assembled_op for op, assembled_op in zip(solved[:2], assembled))
+    conjugation_reads = read[2:]
+    assert len(conjugation_reads) == 2
+    assert all(op is solved_op for op, solved_op in zip(conjugation_reads, solved[:2]))
+    assert not any(op.matrix.flags.writeable for op in assembled)
 
 
 def test_profile_checks_make_no_svd(product_profile, grid128, monkeypatch):
