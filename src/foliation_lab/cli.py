@@ -84,12 +84,17 @@ def _emit(args, name: str, text: str, stderr_lines, failed: bool, summary: str =
 
 
 def _seed_from_env(cli_seed: int | None) -> int:
+    """The seed from ``--seed``, else from the environment, else the default;
+    a non-integer or negative seed is refused with its source named."""
     if cli_seed is not None:
-        return cli_seed
-    env = os.environ.get(SEED_ENV_VAR, "").strip()
-    if env:
-        return int(env)
-    return DEFAULT_SEED
+        source, text = "--seed", str(cli_seed)
+    else:
+        source, text = SEED_ENV_VAR, os.environ.get(SEED_ENV_VAR, "").strip()
+        if not text:
+            return DEFAULT_SEED
+    if not text.isdecimal():
+        raise ValueError(f"{source} must be a non-negative integer, got {text!r}")
+    return int(text)
 
 
 def _load_profiles(paths) -> list[MetricProfile]:

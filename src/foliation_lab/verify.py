@@ -6,17 +6,19 @@ Each check returns a VerificationReport whose ``passed`` flag is exactly
 indistinguishable Laplacian spectra) are reported with an infinite residual
 and a diagnostic in the metadata, never silently.
 
-A pair battery assembles each profile's spinor Dirac operator once and
-makes one Dirac solve of it (``dirac_spectra``: spinor and forms spectra)
-and one function-Laplacian solve per profile; the conjugation check reads
-the same two assembled operators.
+Every check is a pure function of the values it is passed.  The two batteries
+build those values once and hold them as locals: ``run_pair_checks`` builds
+each profile's leaf-volume density, spinor Dirac operator and one Dirac solve
+of it (``dirac_spectra``: spinor and forms spectra), and the pair's volume
+ratio alpha; the conjugation check reads the two operators that were solved,
+and they are released before the function-Laplacian solves.
+``run_profile_checks`` builds one torus geometry for both of its checks.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from functools import lru_cache
 
 import numpy as np
 
@@ -52,6 +54,9 @@ SCAL_RELATION_THRESHOLD = 1e-6
 LICHNEROWICZ_THRESHOLD = 1e-8
 LAPLACIAN_FORMS_THRESHOLD = 1e-8
 LAPLACIAN_GAP_THRESHOLD = 1e-3
+# Least max|g1 - g2| of the theta-averaged densities for which an
+# auto-generated pair runs the Laplacian-dependence contrast.
+DENSITY_MARGIN = 1e-2
 
 # How far the mean-curvature coefficient may vary along theta before the
 # profile is refused by checks that assume basic mean curvature.
@@ -93,7 +98,8 @@ class VerificationReport:
         )
 
 
-def _pair_metadata(p1: MetricProfile, p2: MetricProfile, grid: GridSpec) -> dict:
+def pair_metadata(p1: MetricProfile, p2: MetricProfile, grid: GridSpec) -> dict:
+    """The metadata every pair check's report starts from."""
     return {
         "profile_1": p1.to_dict(),
         "profile_2": p2.to_dict(),
@@ -102,37 +108,11 @@ def _pair_metadata(p1: MetricProfile, p2: MetricProfile, grid: GridSpec) -> dict
     }
 
 
-# Shared by the pair checks and memoised on their frozen inputs, so a pair battery
-# computes each once; run_pair_checks clears them so every battery does that work.
-@lru_cache(maxsize=2)
-def _density(profile: MetricProfile, grid: GridSpec) -> LeafVolumeDensity:
-    return LeafVolumeDensity.from_profile(profile, grid)
+def _profile_metadata(tag: str, profile: MetricProfile, grid: GridSpec) -> dict:
+    return {"tag": tag, "profile": profile.to_dict(), "grid": grid.n_points}
 
 
-@lru_cache(maxsize=2)
-def _dirac_operator(profile: MetricProfile, grid: GridSpec) -> WeightedOperator:
-    """The spinor Dirac operator the battery solves and conjugates, read-only
-    because every check shares it."""
-    operator = assemble_basic_dirac_spinor(_density(profile, grid), grid)
-    operator.matrix.flags.writeable = False
-    return operator
-
-
-@lru_cache(maxsize=2)
-def _dirac_spectra(profile: MetricProfile, grid: GridSpec) -> tuple[SpectrumReport, ...]:
-    return dirac_spectra(_dirac_operator(profile, grid), grid)
-
-
-@lru_cache(maxsize=1)
-def _geometry(profile: MetricProfile, grid: GridSpec) -> TorusGeometry:
-    """Shared by the single-profile checks; run_profile_checks clears it."""
-    return torus_geometry(profile, grid)
-
-
-@lru_cache(maxsize=1)
-def _basic_projection_of_volume_ratio(
-    p1: MetricProfile, p2: MetricProfile, grid: GridSpec
-) -> np.ndarray:
+def basic_volume_ratio(p1: MetricProfile, p2: MetricProfile, grid: GridSpec) -> np.ndarray:
     """alpha = P_b(dvol'/dvol) computed under the first metric's weighting."""
     f1 = torus_metric_sample(p1, grid)
     f2 = torus_metric_sample(p2, grid)
@@ -140,31 +120,32 @@ def _basic_projection_of_volume_ratio(
 
 
 def invariance_check(
-    p1: MetricProfile, p2: MetricProfile, grid: GridSpec, window: float
+    spectra_1: tuple[SpectrumReport, SpectrumReport],
+    spectra_2: tuple[SpectrumReport, SpectrumReport],
+    window: float,
+    metadata: dict,
 ) -> VerificationReport:
-    """Compare basic Dirac spectra (spinor and forms) of two bundle-like metrics.
+    """Compare basic Dirac spectra (spinor and forms) of two bundle-like metrics,
+    each pair ``(spinor, forms)`` as ``dirac_spectra`` returns it.
 
     The residual is the larger of the two windowed spectrum deviations; a
     multiplicity mismatch yields an infinite residual with a diagnostic.  Both
     spectra of a profile come from one solve, so on the trivial spin structure
     ``forms_residual`` re-reads the spinor solve rather than testing anew.
     """
-    grid.validate_window(window)
-    spinor_1, forms_1 = _dirac_spectra(p1, grid)
-    spinor_2, forms_2 = _dirac_spectra(p2, grid)
+    spinor_1, forms_1 = spectra_1
+    spinor_2, forms_2 = spectra_2
     spinor_residual = spectrum_compare(spinor_1, spinor_2, window)
     forms_residual = spectrum_compare(forms_1, forms_2, window)
-    metadata = _pair_metadata(p1, p2, grid)
-    metadata.update(
-        {
-            "tag": "inv",
-            "window": window,
-            "spinor_residual": spinor_residual,
-            "forms_residual": forms_residual,
-            "spinor_counts": [spinor_1.in_window(window).size, spinor_2.in_window(window).size],
-            "forms_counts": [forms_1.in_window(window).size, forms_2.in_window(window).size],
-        }
-    )
+    metadata = {
+        **metadata,
+        "tag": "inv",
+        "window": window,
+        "spinor_residual": spinor_residual,
+        "forms_residual": forms_residual,
+        "spinor_counts": [spinor_1.in_window(window).size, spinor_2.in_window(window).size],
+        "forms_counts": [forms_1.in_window(window).size, forms_2.in_window(window).size],
+    }
     residual = max(spinor_residual, forms_residual)
     if math.isinf(residual):
         metadata["diagnostic"] = "multiplicity mismatch inside the comparison window"
@@ -174,60 +155,57 @@ def invariance_check(
 
 
 def kappa_transform_residual(
-    p1: MetricProfile, p2: MetricProfile, grid: GridSpec
+    d1: LeafVolumeDensity,
+    d2: LeafVolumeDensity,
+    alpha: np.ndarray,
+    grid: GridSpec,
+    metadata: dict,
 ) -> VerificationReport:
     """Check the mean-curvature transformation k' = k - dlog(alpha).
 
-    alpha is the basic projection of the volume ratio of the two metrics;
-    the vanishing of k' - k + dlog(alpha) is the endomorphism identity that
-    makes the two Dirac operators conjugate.
+    alpha is the basic projection of the volume ratio of the two metrics
+    (``basic_volume_ratio``); the vanishing of k' - k + dlog(alpha) is the
+    endomorphism identity that makes the two Dirac operators conjugate.
     """
-    alpha = _basic_projection_of_volume_ratio(p1, p2, grid)
-    k1 = _density(p1, grid).mean_curvature_values()
-    k2 = _density(p2, grid).mean_curvature_values()
+    k1 = d1.mean_curvature_values()
+    k2 = d2.mean_curvature_values()
     residual = float(np.max(np.abs(k2 - k1 + dlog(alpha, grid))))
-    metadata = _pair_metadata(p1, p2, grid)
-    metadata.update({"tag": "inv", "alpha_min": float(alpha.min())})
+    metadata = {**metadata, "tag": "inv", "alpha_min": float(alpha.min())}
     return VerificationReport.from_residual(
         "kappa_transform", residual, KAPPA_TRANSFORM_THRESHOLD, metadata
     )
 
 
 def conjugation_residual(
-    p1: MetricProfile, p2: MetricProfile, grid: GridSpec
+    dirac_1: WeightedOperator, dirac_2: WeightedOperator, alpha: np.ndarray, metadata: dict
 ) -> VerificationReport:
     """Frobenius distance between D' and alpha^{-1/2} D alpha^{1/2}: it bounds the
     operator-norm distance, so it is the stricter residual and needs no SVD."""
-    alpha = _basic_projection_of_volume_ratio(p1, p2, grid)
-    difference = diagonal_conjugate(_dirac_operator(p1, grid).matrix, np.sqrt(alpha))
-    np.subtract(_dirac_operator(p2, grid).matrix, difference, out=difference)
+    difference = diagonal_conjugate(dirac_1.matrix, np.sqrt(alpha))
+    np.subtract(dirac_2.matrix, difference, out=difference)
     residual = float(np.linalg.norm(difference))
-    metadata = _pair_metadata(p1, p2, grid)
-    metadata["tag"] = "inv"
     return VerificationReport.from_residual(
-        "conjugation", residual, CONJUGATION_THRESHOLD, metadata
+        "conjugation", residual, CONJUGATION_THRESHOLD, {**metadata, "tag": "inv"}
     )
 
 
-def scal_relation_residual(profile: MetricProfile, grid: GridSpec) -> VerificationReport:
-    """Pointwise curvature relation on the torus flow.
+def scal_relation_residual(
+    profile: MetricProfile, grid: GridSpec, geometry: TorusGeometry
+) -> VerificationReport:
+    """Pointwise curvature relation on the torus flow, read from the profile's
+    ``torus_geometry``.
 
     With vanishing transverse and leaf curvature and vanishing O'Neill
     A-tensor, the relation reduces to Scal_M = -2|kappa|^2 + 2 div(kappa),
     with the divergence computed spectrally along t.
     """
-    geometry = _geometry(profile, grid)
     kappa = geometry.kappa_coeff
     divergence = fourier_derivative(kappa, order=1, axis=1)
     rhs = -2.0 * kappa * kappa + 2.0 * divergence
     residual = float(np.max(np.abs(geometry.scal_m - rhs)))
-    metadata = {
-        "tag": "scal",
-        "profile": profile.to_dict(),
-        "grid": grid.n_points,
-    }
     return VerificationReport.from_residual(
-        "scal_relation", residual, SCAL_RELATION_THRESHOLD, metadata
+        "scal_relation", residual, SCAL_RELATION_THRESHOLD,
+        _profile_metadata("scal", profile, grid),
     )
 
 
@@ -245,45 +223,47 @@ def _require_basic_mean_curvature(geometry: TorusGeometry) -> float:
     return variation
 
 
-def lichnerowicz_residual(profile: MetricProfile, grid: GridSpec) -> VerificationReport:
+def lichnerowicz_residual(
+    profile: MetricProfile, grid: GridSpec, geometry: TorusGeometry
+) -> VerificationReport:
     """Residual of the squared-Dirac Lichnerowicz identity D^2 = rhs.
 
     With M = lhs - rhs the residual is max|diag M| + ||M - diag(diag M)||_F, an
     upper bound on the operator norm ||M||_2 that needs no SVD.  Only defined
-    for profiles with basic mean curvature; other profiles are rejected with
+    for profiles with basic mean curvature, read from the profile's
+    ``torus_geometry``; other profiles are rejected with
     NonBasicMeanCurvatureError.
     """
-    variation = _require_basic_mean_curvature(_geometry(profile, grid))
+    variation = _require_basic_mean_curvature(geometry)
     density = LeafVolumeDensity.from_profile(profile, grid)
     lhs, rhs = assemble_lichnerowicz_sides(density, grid)
     difference = lhs.matrix - rhs.matrix
     diagonal = float(np.max(np.abs(np.diagonal(difference))))
     np.fill_diagonal(difference, 0.0)
     residual = diagonal + float(np.linalg.norm(difference))
-    metadata = {
-        "tag": "schlich",
-        "profile": profile.to_dict(),
-        "grid": grid.n_points,
-        "kappa_theta_variation": variation,
-    }
+    metadata = {**_profile_metadata("schlich", profile, grid), "kappa_theta_variation": variation}
     return VerificationReport.from_residual(
         "lichnerowicz", residual, LICHNEROWICZ_THRESHOLD, metadata
     )
 
 
 def laplacian_dependence(
-    p1: MetricProfile, p2: MetricProfile, grid: GridSpec, window: float
+    d1: LeafVolumeDensity,
+    d2: LeafVolumeDensity,
+    forms_1: SpectrumReport,
+    forms_2: SpectrumReport,
+    grid: GridSpec,
+    window: float,
+    metadata: dict,
 ) -> VerificationReport:
     """Metric dependence of the basic Laplacian against invariance of the squared Dirac.
 
-    Passes only when (a) the function Laplacian spectra differ by more than
-    the gap threshold somewhere in the window, and (b) the squared forms
-    Dirac spectra agree within the forms threshold.  When (a) fails the
-    residual is infinite and the report flags the metrics as spectrally
-    indistinguishable for the basic Laplacian.
+    Passes only when (a) the function Laplacian spectra of the two densities
+    differ by more than the gap threshold somewhere in the window, and (b)
+    the squared forms Dirac spectra agree within the forms threshold.  When
+    (a) fails the residual is infinite and the report flags the metrics as
+    spectrally indistinguishable for the basic Laplacian.
     """
-    grid.validate_window(window)
-    d1, d2 = _density(p1, grid), _density(p2, grid)
     laplacian_1 = eigenvalues_weighted(assemble_basic_laplacian(d1, grid, DEGREE_FUNCTION))
     laplacian_2 = eigenvalues_weighted(assemble_basic_laplacian(d2, grid, DEGREE_FUNCTION))
     # Compare the shared low end of both Laplacian spectra: eigenvalue shifts
@@ -293,19 +273,17 @@ def laplacian_dependence(
     low_2 = laplacian_2.in_window(window * window)
     shared = min(low_1.size, low_2.size)
     gap = float(np.max(np.abs(low_1[:shared] - low_2[:shared]))) if shared else 0.0
-    sq1 = np.sort(_dirac_spectra(p1, grid)[1].in_window(window) ** 2)
-    sq2 = np.sort(_dirac_spectra(p2, grid)[1].in_window(window) ** 2)
+    sq1 = np.sort(forms_1.in_window(window) ** 2)
+    sq2 = np.sort(forms_2.in_window(window) ** 2)
     forms_residual = max_deviation(sq1, sq2)
-    metadata = _pair_metadata(p1, p2, grid)
-    metadata.update(
-        {
-            "tag": "inv",
-            "window": window,
-            "laplacian_gap": gap,
-            "laplacian_gap_threshold": LAPLACIAN_GAP_THRESHOLD,
-            "squared_forms_residual": forms_residual,
-        }
-    )
+    metadata = {
+        **metadata,
+        "tag": "inv",
+        "window": window,
+        "laplacian_gap": gap,
+        "laplacian_gap_threshold": LAPLACIAN_GAP_THRESHOLD,
+        "squared_forms_residual": forms_residual,
+    }
     gap_detected = gap > LAPLACIAN_GAP_THRESHOLD
     if not gap_detected:
         metadata["diagnostic"] = (
@@ -351,14 +329,11 @@ def random_profile_pair(rng: np.random.Generator) -> tuple[MetricProfile, Metric
     return random_profile(rng), random_profile(rng)
 
 
-def densities_distinguishable(
-    p1: MetricProfile, p2: MetricProfile, grid: GridSpec, margin: float = 1e-2
-) -> bool:
-    """Whether the two theta-averaged densities differ enough for the
-    Laplacian-dependence contrast to be meaningful."""
-    g1 = _density(p1, grid).g_values
-    g2 = _density(p2, grid).g_values
-    return float(np.max(np.abs(g1 - g2))) > margin
+def densities_distinguishable(d1: LeafVolumeDensity, d2: LeafVolumeDensity) -> bool:
+    """Whether the two theta-averaged densities differ by more than
+    DENSITY_MARGIN, enough for the Laplacian-dependence contrast to be
+    meaningful."""
+    return float(np.max(np.abs(d1.g_values - d2.g_values))) > DENSITY_MARGIN
 
 
 def run_pair_checks(
@@ -371,20 +346,29 @@ def run_pair_checks(
     """The full metric-pair battery: invariance, kappa transform, conjugation,
     and the Laplacian-dependence contrast.
 
-    With ``skip_indistinct_laplacian`` (used for auto-generated pairs) the
+    Refuses a window outside the grid's trusted range, then builds each
+    profile's density, spinor Dirac operator and Dirac solve, and alpha,
+    once, and passes them to the checks.  With
+    ``skip_indistinct_laplacian`` (used for auto-generated pairs) the
     contrast check is recorded as skipped when the pair does not meet its
     distinct-density precondition, instead of failing by design.
     """
-    for cached in (_density, _dirac_operator, _dirac_spectra,
-                   _basic_projection_of_volume_ratio):
-        cached.cache_clear()
+    grid.validate_window(window)
+    d1 = LeafVolumeDensity.from_profile(p1, grid)
+    d2 = LeafVolumeDensity.from_profile(p2, grid)
+    dirac_1 = assemble_basic_dirac_spinor(d1, grid)
+    spectra_1 = dirac_spectra(dirac_1, grid)
+    dirac_2 = assemble_basic_dirac_spinor(d2, grid)
+    spectra_2 = dirac_spectra(dirac_2, grid)
+    alpha = basic_volume_ratio(p1, p2, grid)
+    metadata = pair_metadata(p1, p2, grid)
     reports = [
-        invariance_check(p1, p2, grid, window),
-        kappa_transform_residual(p1, p2, grid),
-        conjugation_residual(p1, p2, grid),
+        invariance_check(spectra_1, spectra_2, window, metadata),
+        kappa_transform_residual(d1, d2, alpha, grid, metadata),
+        conjugation_residual(dirac_1, dirac_2, alpha, metadata),
     ]
-    _dirac_operator.cache_clear()  # its last reader has run: free it before the Laplacians
-    if skip_indistinct_laplacian and not densities_distinguishable(p1, p2, grid):
+    del dirac_1, dirac_2  # their last reader has run: free them before the Laplacians
+    if skip_indistinct_laplacian and not densities_distinguishable(d1, d2):
         reports.append(
             VerificationReport.skipped(
                 "laplacian_dependence",
@@ -399,7 +383,9 @@ def run_pair_checks(
             )
         )
     else:
-        reports.append(laplacian_dependence(p1, p2, grid, window))
+        reports.append(
+            laplacian_dependence(d1, d2, spectra_1[1], spectra_2[1], grid, window, metadata)
+        )
     return reports
 
 
@@ -407,17 +393,17 @@ def run_profile_checks(profile: MetricProfile, grid: GridSpec) -> list[Verificat
     """Single-profile identities: the curvature relation always, the
     Lichnerowicz identity when the mean curvature is basic.  Both read one
     torus geometry of the profile."""
-    _geometry.cache_clear()
-    reports = [scal_relation_residual(profile, grid)]
+    geometry = torus_geometry(profile, grid)
+    reports = [scal_relation_residual(profile, grid, geometry)]
     try:
-        reports.append(lichnerowicz_residual(profile, grid))
+        reports.append(lichnerowicz_residual(profile, grid, geometry))
     except NonBasicMeanCurvatureError as exc:
         reports.append(
             VerificationReport.skipped(
                 "lichnerowicz",
                 LICHNEROWICZ_THRESHOLD,
                 str(exc),
-                {"tag": "schlich", "profile": profile.to_dict(), "grid": grid.n_points},
+                _profile_metadata("schlich", profile, grid),
             )
         )
     return reports

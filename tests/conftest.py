@@ -1,10 +1,12 @@
 """Shared fixtures: reference profiles, Fourier expansions of exponential
 metrics, a writer for profile documents, and the reference implementations
 the tests check the library against: a finite-difference Laplacian, the
-weighted inner product on the t-circle, and the complex-arithmetic diagonal
-scaling and symmetrized solve that the real-view ones reproduce bit for bit."""
+weighted inner product on the t-circle, the complex-arithmetic diagonal
+scaling and symmetrized solve that the real-view ones reproduce bit for bit,
+and the inputs a pair check reads, built as the pair battery builds them."""
 
 import json
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -17,10 +19,13 @@ from foliation_lab import (
     ProfileTerm,
     SpectrumReport,
     WeightedOperator,
+    assemble_basic_dirac_spinor,
     eigenvalues_weighted,
 )
 from foliation_lab._spectral_diff import uniform_nodes
 from foliation_lab.basic_calculus import TWO_PI
+from foliation_lab.spectral import dirac_spectra
+from foliation_lab.verify import basic_volume_ratio, pair_metadata
 
 
 def exp_cos_profile(a: float, k_max: int = 12) -> MetricProfile:
@@ -126,6 +131,24 @@ def laplacian_first_nonzero_eigenvalue(report: SpectrumReport, zero_tol: float =
         if value > zero_tol:
             return float(value)
     raise ValueError("spectrum contains no nonzero eigenvalue above tolerance")
+
+
+def pair_inputs(p1: MetricProfile, p2: MetricProfile, grid: GridSpec) -> SimpleNamespace:
+    """What ``run_pair_checks`` passes to the pair checks, for calling one alone:
+    the two ``densities``, spinor Dirac operators ``dirac``, their
+    ``dirac_spectra`` solves ``spectra`` with the ``forms`` spectra of each,
+    ``alpha`` and the pair ``metadata``."""
+    densities = tuple(LeafVolumeDensity.from_profile(p, grid) for p in (p1, p2))
+    dirac = tuple(assemble_basic_dirac_spinor(d, grid) for d in densities)
+    spectra = tuple(dirac_spectra(op, grid) for op in dirac)
+    return SimpleNamespace(
+        densities=densities,
+        dirac=dirac,
+        spectra=spectra,
+        forms=tuple(forms for _, forms in spectra),
+        alpha=basic_volume_ratio(p1, p2, grid),
+        metadata=pair_metadata(p1, p2, grid),
+    )
 
 
 @pytest.fixture

@@ -24,12 +24,18 @@ from foliation_lab import (
     piecewise_reference,
     s3_bounds,
     scal_relation_residual,
+    torus_geometry,
 )
 from foliation_lab.basic_calculus import LeafVolumeDensity
 from foliation_lab.operators import assemble_basic_laplacian
 from foliation_lab.verify import random_profile_pair
 
-from conftest import exp_sin_profile, fd_laplacian_spectrum, laplacian_first_nonzero_eigenvalue
+from conftest import (
+    exp_sin_profile,
+    fd_laplacian_spectrum,
+    laplacian_first_nonzero_eigenvalue,
+    pair_inputs,
+)
 
 GRID = GridSpec(128)
 WINDOW = 10.0
@@ -75,10 +81,10 @@ def test_criterion_2_metric_invariance():
     ok = True
     worst = {"spectrum": 0.0, "conjugation": 0.0, "kappa": 0.0}
     for _ in range(5):
-        p1, p2 = random_profile_pair(rng)
-        inv = invariance_check(p1, p2, GRID, WINDOW)
-        conj = conjugation_residual(p1, p2, GRID)
-        kap = kappa_transform_residual(p1, p2, GRID)
+        pair = pair_inputs(*random_profile_pair(rng), GRID)
+        inv = invariance_check(*pair.spectra, WINDOW, pair.metadata)
+        conj = conjugation_residual(*pair.dirac, pair.alpha, pair.metadata)
+        kap = kappa_transform_residual(*pair.densities, pair.alpha, GRID, pair.metadata)
         worst["spectrum"] = max(worst["spectrum"], inv.residual)
         worst["conjugation"] = max(worst["conjugation"], conj.residual)
         worst["kappa"] = max(worst["kappa"], kap.residual)
@@ -130,11 +136,14 @@ def test_criterion_4_curvature_identity():
     ok = True
     worst = 0.0
     for profile in profiles.values():
-        residual = scal_relation_residual(profile, GRID).residual
+        residual = scal_relation_residual(profile, GRID, torus_geometry(profile, GRID)).residual
         worst = max(worst, residual)
         ok = ok and residual < 1e-6
-    coarse = scal_relation_residual(profiles["cosine"], GridSpec(16)).residual
-    fine = scal_relation_residual(profiles["cosine"], GridSpec(32)).residual
+    cosine = profiles["cosine"]
+    coarse, fine = (
+        scal_relation_residual(cosine, grid, torus_geometry(cosine, grid)).residual
+        for grid in (GridSpec(16), GridSpec(32))
+    )
     decay = coarse / fine
     ok = ok and decay >= 100.0
     _report(4, "curvature identity", ok, f"worst residual={worst:.2e}, decay factor={decay:.1e}")
@@ -151,14 +160,14 @@ def test_criterion_5_lichnerowicz_identity():
     ok = True
     worst = 0.0
     for profile in products.values():
-        residual = lichnerowicz_residual(profile, GRID).residual
+        residual = lichnerowicz_residual(profile, GRID, torus_geometry(profile, GRID)).residual
         worst = max(worst, residual)
         ok = ok and residual < 1e-8
     skew = MetricProfile(
         2.0, (ProfileTerm(1, 1, 1.0), ProfileTerm(1, 1, -1.0, np.pi / 2.0, np.pi / 2.0))
     )
     try:
-        lichnerowicz_residual(skew, GRID)
+        lichnerowicz_residual(skew, GRID, torus_geometry(skew, GRID))
         rejected = False
     except NonBasicMeanCurvatureError:
         rejected = True
@@ -170,7 +179,8 @@ def test_criterion_5_lichnerowicz_identity():
 def test_criterion_6_laplacian_contrast():
     p1 = MetricProfile(1.0)
     p2 = MetricProfile(1.0, (ProfileTerm(0, 1, 0.5),))
-    report = laplacian_dependence(p1, p2, GRID, WINDOW)
+    pair = pair_inputs(p1, p2, GRID)
+    report = laplacian_dependence(*pair.densities, *pair.forms, GRID, WINDOW, pair.metadata)
     lam_1 = laplacian_first_nonzero_eigenvalue(
         eigenvalues_weighted(
             assemble_basic_laplacian(LeafVolumeDensity.from_profile(p1, GRID), GRID)

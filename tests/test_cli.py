@@ -394,11 +394,21 @@ class TestVerifyCommand:
         assert all(report["passed"] for report in bundle["reports"])
         assert all(report["tag"] in {"inv", "scal", "schlich"} for report in bundle["reports"])
 
-    def test_random_pairs_deterministic_bundles(self, tmp_path):
+    def test_random_pairs_deterministic_bundles(self, tmp_path, flat_path, wavy_path):
+        """Two identical runs write the same bytes, with other runs between
+        them: no call leaves state that a later call reads."""
         out1 = tmp_path / "a"
         out2 = tmp_path / "b"
         args = ["verify", "--all", "--grid", "64", "--window", "8", "--pairs", "2"]
         assert run(args + ["--output-dir", str(out1)]) == 0
+        profiles = [str(flat_path), str(wavy_path)]
+        between = [
+            ["verify", "--all", "--grid", "128", "--pairs", "2", "--seed", "1"],
+            ["verify", "--all", "--profiles", *profiles, "--grid", "64", "--window", "8"],
+            ["invariance", "--profiles", *profiles, "--grid", "128"],
+        ]
+        for i, argv in enumerate(between):
+            assert run(argv + ["--output-dir", str(tmp_path / f"between-{i}")]) == 0
         assert run(args + ["--output-dir", str(out2)]) == 0
         assert (out1 / "verify_bundle.json").read_bytes() == (
             out2 / "verify_bundle.json"
@@ -413,6 +423,26 @@ class TestVerifyCommand:
         assert code == 0
         bundle = json.loads((out / "verify_bundle.json").read_text())
         assert bundle["meta"]["seed"] == 31337
+
+    @pytest.mark.parametrize(
+        "seed_args, env, message",
+        [
+            (["--seed", "-1"], None, "--seed must be a non-negative integer, got '-1'"),
+            ([], "abc", "FOLIATION_LAB_SEED must be a non-negative integer, got 'abc'"),
+            ([], "-3", "FOLIATION_LAB_SEED must be a non-negative integer, got '-3'"),
+        ],
+    )
+    def test_invalid_seed_names_its_source(self, tmp_path, capsys, monkeypatch, seed_args,
+                                           env, message):
+        if env is None:
+            monkeypatch.delenv("FOLIATION_LAB_SEED", raising=False)
+        else:
+            monkeypatch.setenv("FOLIATION_LAB_SEED", env)
+        out = tmp_path / "out"
+        argv = ["verify", "--all", "--grid", "64", "--window", "8", "--pairs", "1", *seed_args]
+        assert run(argv + ["--output-dir", str(out)]) == 2
+        assert capsys.readouterr() == ("", f"error: {message}\n")
+        assert not out.exists()
 
     def test_failed_check_yields_exit_one(self, tmp_path, wavy_path):
         # identical user-supplied profiles fail the Laplacian contrast by design

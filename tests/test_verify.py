@@ -1,5 +1,7 @@
 """Verification harnesses: invariance battery, residual identities, contrasts."""
 
+import weakref
+
 import numpy as np
 import pytest
 import sympy as sp
@@ -15,6 +17,7 @@ from foliation_lab import (
     laplacian_dependence,
     lichnerowicz_residual,
     scal_relation_residual,
+    torus_geometry,
 )
 from foliation_lab._spectral_diff import differentiation_matrix
 from foliation_lab.basic_calculus import LeafVolumeDensity
@@ -27,38 +30,67 @@ from foliation_lab.verify import (
     run_profile_checks,
 )
 
-from conftest import exp_cos_profile, exp_sin_profile
+from conftest import exp_cos_profile, exp_sin_profile, pair_inputs
+
+
+# Each check run alone on the values its battery would pass it.
+def invariance(p1, p2, grid, window):
+    pair = pair_inputs(p1, p2, grid)
+    return invariance_check(*pair.spectra, window, pair.metadata)
+
+
+def kappa_transform(p1, p2, grid):
+    pair = pair_inputs(p1, p2, grid)
+    return kappa_transform_residual(*pair.densities, pair.alpha, grid, pair.metadata)
+
+
+def conjugation(p1, p2, grid):
+    pair = pair_inputs(p1, p2, grid)
+    return conjugation_residual(*pair.dirac, pair.alpha, pair.metadata)
+
+
+def contrast(p1, p2, grid, window):
+    pair = pair_inputs(p1, p2, grid)
+    return laplacian_dependence(*pair.densities, *pair.forms, grid, window, pair.metadata)
+
+
+def scal_relation(profile, grid):
+    return scal_relation_residual(profile, grid, torus_geometry(profile, grid))
+
+
+def lichnerowicz(profile, grid):
+    return lichnerowicz_residual(profile, grid, torus_geometry(profile, grid))
 
 
 class TestInvarianceCheck:
     def test_same_profile_zero_residual(self, cosine_profile, grid64):
-        report = invariance_check(cosine_profile, cosine_profile, grid64, 8.0)
+        report = invariance(cosine_profile, cosine_profile, grid64, 8.0)
         assert report.passed
         assert report.residual < 1e-12
 
     def test_flat_versus_wavy(self, flat_profile, cosine_profile, grid128):
-        report = invariance_check(flat_profile, cosine_profile, grid128, 10.0)
+        report = invariance(flat_profile, cosine_profile, grid128, 10.0)
         assert report.passed
         assert report.residual < 1e-8
 
     def test_theta_dependent_pair(self, cosine_profile, mixed_profile, grid128):
-        report = invariance_check(cosine_profile, mixed_profile, grid128, 10.0)
+        report = invariance(cosine_profile, mixed_profile, grid128, 10.0)
         assert report.passed
 
     def test_spinor_and_forms_verdicts_agree(self, flat_profile, mixed_profile, grid128):
-        report = invariance_check(flat_profile, mixed_profile, grid128, 10.0)
+        report = invariance(flat_profile, mixed_profile, grid128, 10.0)
         spinor_ok = report.metadata["spinor_residual"] <= report.threshold
         forms_ok = report.metadata["forms_residual"] <= report.threshold
         assert spinor_ok == forms_ok
 
     def test_window_beyond_trust_rejected(self, flat_profile, cosine_profile, grid64):
         with pytest.raises(ValueError, match="window"):
-            invariance_check(flat_profile, cosine_profile, grid64, 20.0)
+            run_pair_checks(flat_profile, cosine_profile, grid64, 20.0)
 
 
 class TestKappaTransform:
     def test_same_profile(self, cosine_profile, grid64):
-        report = kappa_transform_residual(cosine_profile, cosine_profile, grid64)
+        report = kappa_transform(cosine_profile, cosine_profile, grid64)
         assert report.residual < 1e-13
         assert report.metadata["alpha_min"] == pytest.approx(1.0)
 
@@ -69,31 +101,31 @@ class TestKappaTransform:
         g2 = 2 + sp.cos(t)
         residual_expr = sp.simplify(-sp.diff(g2, t) / g2 - 0 + sp.diff(g2, t) / g2)
         assert residual_expr == 0
-        report = kappa_transform_residual(flat_profile, cosine_profile, grid128)
+        report = kappa_transform(flat_profile, cosine_profile, grid128)
         assert report.residual < 1e-10
 
     def test_exponential_pair(self, cosine_profile, grid128):
-        report = kappa_transform_residual(exp_sin_profile(1.0), cosine_profile, grid128)
+        report = kappa_transform(exp_sin_profile(1.0), cosine_profile, grid128)
         assert report.passed
         assert report.residual < 1e-10
 
 
 class TestConjugation:
     def test_same_profile(self, cosine_profile, grid64):
-        assert conjugation_residual(cosine_profile, cosine_profile, grid64).residual < 1e-12
+        assert conjugation(cosine_profile, cosine_profile, grid64).residual < 1e-12
 
     def test_flat_to_wavy(self, flat_profile, cosine_profile, grid128):
-        assert conjugation_residual(flat_profile, cosine_profile, grid128).residual < 1e-9
+        assert conjugation(flat_profile, cosine_profile, grid128).residual < 1e-9
 
     def test_two_curved_profiles(self, grid128):
         p1 = MetricProfile(2.0, (ProfileTerm(0, 1, 0.5, 0.0, -np.pi / 2.0),))  # 2 + sin(t)/2
         p2 = exp_cos_profile(1.0)
-        assert conjugation_residual(p1, p2, grid128).residual < 1e-9
+        assert conjugation(p1, p2, grid128).residual < 1e-9
 
 
 class TestScalRelation:
     def test_flat(self, flat_profile, grid64):
-        report = scal_relation_residual(flat_profile, grid64)
+        report = scal_relation(flat_profile, grid64)
         assert report.residual < 1e-12
 
     def test_cosine_profile_and_symbolic_sides(self, cosine_profile, grid128):
@@ -108,41 +140,41 @@ class TestScalRelation:
         np.testing.assert_allclose(
             expected, 2 * np.cos(grid128.t_nodes) / (2 + np.cos(grid128.t_nodes)), atol=1e-12
         )
-        report = scal_relation_residual(cosine_profile, grid128)
+        report = scal_relation(cosine_profile, grid128)
         assert report.residual < 1e-8
 
     def test_theta_dependent_profile(self, grid128):
         profile = MetricProfile(2.0, (ProfileTerm(1, 1, 0.5),))
-        report = scal_relation_residual(profile, grid128)
+        report = scal_relation(profile, grid128)
         assert report.residual < 1e-6
 
     def test_spectral_decay_under_refinement(self, cosine_profile):
-        coarse = scal_relation_residual(cosine_profile, GridSpec(16)).residual
-        fine = scal_relation_residual(cosine_profile, GridSpec(32)).residual
+        coarse = scal_relation(cosine_profile, GridSpec(16)).residual
+        fine = scal_relation(cosine_profile, GridSpec(32)).residual
         assert coarse > 100.0 * fine
 
 
 class TestLichnerowicz:
     def test_flat(self, flat_profile, grid64):
-        report = lichnerowicz_residual(flat_profile, grid64)
+        report = lichnerowicz(flat_profile, grid64)
         assert report.residual < 1e-10
 
     def test_product_profile(self, product_profile, grid128):
-        report = lichnerowicz_residual(product_profile, grid128)
+        report = lichnerowicz(product_profile, grid128)
         assert report.passed
         assert report.residual < 1e-8
 
     def test_exponential_profile(self, grid128):
-        report = lichnerowicz_residual(exp_sin_profile(0.5), grid128)
+        report = lichnerowicz(exp_sin_profile(0.5), grid128)
         assert report.residual < 1e-8
 
     def test_non_basic_profile_rejected(self, skew_profile, grid128):
         with pytest.raises(NonBasicMeanCurvatureError, match="not basic"):
-            lichnerowicz_residual(skew_profile, grid128)
+            lichnerowicz(skew_profile, grid128)
 
     def test_spectral_decay_under_refinement(self, cosine_profile):
-        coarse = lichnerowicz_residual(cosine_profile, GridSpec(16)).residual
-        fine = lichnerowicz_residual(cosine_profile, GridSpec(32)).residual
+        coarse = lichnerowicz(cosine_profile, GridSpec(16)).residual
+        fine = lichnerowicz(cosine_profile, GridSpec(32)).residual
         assert coarse > 100.0 * fine
 
     @pytest.mark.parametrize(
@@ -165,7 +197,7 @@ class TestLichnerowicz:
         }[name]
         lhs, rhs = assemble_lichnerowicz_sides(LeafVolumeDensity.from_profile(profile, grid), grid)
         two_norm = np.linalg.norm(lhs.matrix - rhs.matrix, 2)
-        residual = lichnerowicz_residual(profile, grid).residual
+        residual = lichnerowicz(profile, grid).residual
         assert two_norm <= residual <= two_norm + 1e-10
 
 
@@ -173,18 +205,18 @@ class TestLaplacianDependence:
     def test_flat_versus_wavy(self, grid128):
         p1 = MetricProfile(1.0)
         p2 = MetricProfile(1.0, (ProfileTerm(0, 1, 0.5),))
-        report = laplacian_dependence(p1, p2, grid128, 10.0)
+        report = contrast(p1, p2, grid128, 10.0)
         assert report.passed
         assert report.metadata["laplacian_gap"] > 1e-3
         assert report.metadata["squared_forms_residual"] < 1e-8
 
     def test_identical_profiles_flagged(self, cosine_profile, grid128):
-        report = laplacian_dependence(cosine_profile, cosine_profile, grid128, 10.0)
+        report = contrast(cosine_profile, cosine_profile, grid128, 10.0)
         assert not report.passed
         assert "indistinguishable" in report.metadata["diagnostic"]
 
     def test_constant_rescale_keeps_dirac_spectrum(self, grid128):
-        report = laplacian_dependence(MetricProfile(1.0), MetricProfile(2.0), grid128, 10.0)
+        report = contrast(MetricProfile(1.0), MetricProfile(2.0), grid128, 10.0)
         # leaf-volume rescale: squared forms spectra agree exactly, no Laplacian gap
         assert report.metadata["squared_forms_residual"] < 1e-8
         assert not report.passed
@@ -208,18 +240,31 @@ def test_property_sweep_over_seeded_pairs(n_points):
     grid = GridSpec(n_points)
     window = min(8.0, grid.trust_window)
     for _ in range(3):
-        p1, p2 = random_profile_pair(rng)
-        report = invariance_check(p1, p2, grid, window)
+        pair = pair_inputs(*random_profile_pair(rng), grid)
+        report = invariance_check(*pair.spectra, window, pair.metadata)
         assert report.passed, report.metadata
-        assert kappa_transform_residual(p1, p2, grid).passed
-        assert conjugation_residual(p1, p2, grid).passed
+        assert kappa_transform_residual(*pair.densities, pair.alpha, grid, pair.metadata).passed
+        assert conjugation_residual(*pair.dirac, pair.alpha, pair.metadata).passed
 
 
-def test_pair_battery_solves_each_spectrum_once(flat_profile, cosine_profile, grid64, monkeypatch):
-    """One Dirac solve (spinor and forms spectra) and one Laplacian solve per
-    profile, no SVD, and one derivative matrix for the pair's (grid, spin structure)."""
-    eigvalsh_sizes, svd_calls = [], []
+@pytest.mark.parametrize(
+    "second, skip, solves",
+    [
+        (MetricProfile(2.0, (ProfileTerm(0, 1, 1.0),)), False, 4),
+        # the theta-average of 1 + cos(theta)/2 is flat: the contrast is skipped
+        (MetricProfile(1.0, (ProfileTerm(1, 0, 0.5),)), True, 2),
+    ],
+)
+def test_pair_battery_solves_each_spectrum_once(flat_profile, grid64, monkeypatch, second, skip,
+                                                solves):
+    """Per battery: two densities, two spinor Dirac assemblies, one alpha, one
+    Dirac solve (spinor and forms spectra) and, unless the contrast is
+    skipped, one Laplacian solve per profile, no SVD, and one derivative
+    matrix for the pair's (grid, spin structure)."""
+    eigvalsh_sizes, svd_calls, built = [], [], []
     eigvalsh, svd = np.linalg.eigvalsh, np.linalg.svd
+    from_profile = LeafVolumeDensity.from_profile.__func__
+    assemble, ratio = verify.assemble_basic_dirac_spinor, verify.basic_volume_ratio
 
     def counted_eigvalsh(matrix, *args, **kwargs):
         eigvalsh_sizes.append(matrix.shape)
@@ -229,14 +274,26 @@ def test_pair_battery_solves_each_spectrum_once(flat_profile, cosine_profile, gr
         svd_calls.append(1)
         return svd(*args, **kwargs)
 
+    def counted(name, function):
+        def wrapper(*args):
+            built.append(name)
+            return function(*args)
+        return wrapper
+
     monkeypatch.setattr(np.linalg, "eigvalsh", counted_eigvalsh)
     monkeypatch.setattr(np.linalg, "svd", counted_svd)
     # np.linalg.norm(x, 2) reaches svd through the implementation module
     monkeypatch.setattr(np.linalg._linalg, "svd", counted_svd)
+    monkeypatch.setattr(LeafVolumeDensity, "from_profile",
+                        classmethod(counted("density", from_profile)))
+    monkeypatch.setattr(verify, "assemble_basic_dirac_spinor", counted("dirac", assemble))
+    monkeypatch.setattr(verify, "basic_volume_ratio", counted("alpha", ratio))
     differentiation_matrix.cache_clear()
-    reports = run_pair_checks(flat_profile, cosine_profile, grid64, 8.0)
+    reports = run_pair_checks(flat_profile, second, grid64, 8.0, skip_indistinct_laplacian=skip)
     assert [report.passed for report in reports] == [True] * 4
-    assert eigvalsh_sizes == [(64, 64)] * 4
+    assert [report.metadata.get("skipped", False) for report in reports] == [False] * 3 + [skip]
+    assert built == ["density", "density", "dirac", "dirac", "alpha"]
+    assert eigvalsh_sizes == [(64, 64)] * solves
     assert svd_calls == []
     assert differentiation_matrix.cache_info().misses == 1
 
@@ -244,35 +301,43 @@ def test_pair_battery_solves_each_spectrum_once(flat_profile, cosine_profile, gr
 def test_pair_battery_assembles_each_dirac_operator_once(cosine_profile, mixed_profile, grid64,
                                                          monkeypatch):
     """Two spinor Dirac assemblies per battery; the conjugation check reads the
-    two operators the invariance check solved, not fresh assemblies."""
-    assembled, solved, read = [], [], []
+    two operators that were solved, not fresh assemblies, and both are
+    released before the first Laplacian assembly."""
+    assembled, solved, conjugated, alive_at_laplacian = [], [], [], []
     assemble, solve = verify.assemble_basic_dirac_spinor, WeightedOperator.hermitian_spectrum
-    cached = verify._dirac_operator
+    conjugate, laplacian = verify.conjugation_residual, verify.assemble_basic_laplacian
 
     def counted_assembly(density, grid):
-        assembled.append(assemble(density, grid))
-        return assembled[-1]
+        op = assemble(density, grid)
+        assembled.append(weakref.ref(op))
+        return op
+
+    def assembly_index(op):
+        return next((i for i, ref in enumerate(assembled) if ref() is op), None)
 
     def recorded_solve(op):
-        solved.append(op)
+        solved.append(assembly_index(op))
         return solve(op)
 
-    def recorded_read(profile, grid):
-        read.append(cached(profile, grid))
-        return read[-1]
+    def recorded_conjugation(dirac_1, dirac_2, alpha, metadata):
+        conjugated.extend([assembly_index(dirac_1), assembly_index(dirac_2)])
+        return conjugate(dirac_1, dirac_2, alpha, metadata)
 
-    recorded_read.cache_clear = cached.cache_clear
+    def checked_laplacian(*args):
+        if not alive_at_laplacian:
+            alive_at_laplacian.extend(ref() is not None for ref in assembled)
+        return laplacian(*args)
+
     monkeypatch.setattr(verify, "assemble_basic_dirac_spinor", counted_assembly)
     monkeypatch.setattr(WeightedOperator, "hermitian_spectrum", recorded_solve)
-    monkeypatch.setattr(verify, "_dirac_operator", recorded_read)
+    monkeypatch.setattr(verify, "conjugation_residual", recorded_conjugation)
+    monkeypatch.setattr(verify, "assemble_basic_laplacian", checked_laplacian)
     reports = run_pair_checks(cosine_profile, mixed_profile, grid64, 8.0)
     assert [report.passed for report in reports] == [True] * 4
     assert len(assembled) == 2
-    assert all(op is assembled_op for op, assembled_op in zip(solved[:2], assembled))
-    conjugation_reads = read[2:]
-    assert len(conjugation_reads) == 2
-    assert all(op is solved_op for op, solved_op in zip(conjugation_reads, solved[:2]))
-    assert not any(op.matrix.flags.writeable for op in assembled)
+    assert solved == [0, 1, None, None]
+    assert conjugated == [0, 1]
+    assert alive_at_laplacian == [False, False]
 
 
 def test_profile_checks_make_no_svd(product_profile, grid128, monkeypatch):

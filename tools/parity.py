@@ -1,0 +1,134 @@
+"""Parity runner: run a fixed list of CLI cases in-process against one source
+tree and write everything each case produces, so that two trees compare with
+``diff -r``.
+
+    python3 tools/parity.py TREE OUT
+
+``TREE`` is a checkout whose ``src/foliation_lab`` is imported; ``OUT`` must
+not exist yet.  ``OUT/inputs`` holds the profile documents, and
+``OUT/cases/<case>`` holds the case's report files under ``out/`` plus
+``stdout.txt``, ``stderr.txt`` and ``exit_code.txt``.  Every case runs in its
+own directory with relative paths, so no output names ``OUT``.  Compare two
+trees with
+
+    python3 tools/parity.py parent /tmp/a && python3 tools/parity.py change /tmp/b
+    diff -r /tmp/a /tmp/b
+
+The cases run one after another in one process, so state that one call left
+behind would show up as a difference in a later case.  BLAS runs on one
+thread unless the environment says otherwise.
+"""
+
+from __future__ import annotations
+
+import contextlib
+import io
+import json
+import os
+import sys
+import traceback
+from pathlib import Path
+
+for _variable in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
+    os.environ.setdefault(_variable, "1")
+
+PROFILES = {
+    "flat": {"constant": 1.0, "terms": []},
+    "flat2": {"constant": 2.0, "terms": []},
+    "wavy": {"constant": 2.0, "terms": [{"m": 0, "n": 1, "amp": 1.0}]},
+    "skew": {"constant": 2.0, "terms": [{"m": 1, "n": 1, "amp": 0.5}]},
+}
+GRIDS = (64, 128, 256)
+SEEDS = (7041, 1, 2, 3, 4, 5)
+OPERATORS = ("dirac-spinor", "dirac-forms", "laplacian-functions", "laplacian-one-forms")
+SPINS = ("trivial", "nontrivial")
+
+
+def profile(name: str) -> str:
+    return f"../../inputs/{name}.json"
+
+
+def cases() -> dict[str, list[str]]:
+    """Case name -> CLI arguments, without ``--output-dir``."""
+    table = {}
+    for grid in GRIDS:
+        window = str(min(10, grid // 8))
+        for seed in SEEDS:
+            table[f"verify-all-n{grid}-seed{seed}"] = [
+                "verify", "--all", "--grid", str(grid), "--window", window, "--seed", str(seed)]
+    small = ["--grid", "64", "--window", "8"]
+    table["verify-three-profiles"] = [
+        "verify", "--all", "--profiles", profile("flat"), profile("wavy"), profile("skew"), *small]
+    table["verify-one-profile-pairs"] = [
+        "verify", "--all", "--profiles", profile("wavy"), "--pairs", "3", "--seed", "11", *small]
+    table["verify-flat-pair"] = [
+        "verify", "--all", "--profiles", profile("flat"), profile("flat2"), *small]
+    table["verify-untrusted-window"] = ["verify", "--all", "--grid", "64", "--window", "10"]
+    table["invariance-flat-wavy"] = [
+        "invariance", "--profiles", profile("flat"), profile("wavy"), "--grid", "128"]
+    table["invariance-wavy-skew"] = [
+        "invariance", "--profiles", profile("wavy"), profile("skew"), *small]
+    for operator in OPERATORS:
+        for spin in SPINS:
+            table[f"spectrum-{operator}-{spin}"] = [
+                "spectrum", "--profile", profile("wavy"), "--operator", operator,
+                "--spin", spin, *small]
+    table["bounds-json"] = ["bounds", "--r", "0.25", "0.5", "2", "4", "--format", "json"]
+    table["sweep-default"] = ["sweep"]
+    return table
+
+
+def import_cli(tree: Path):
+    """``foliation_lab.cli`` imported from ``tree/src``, refusing any other copy."""
+    src = (tree / "src").resolve()
+    sys.path.insert(0, str(src))
+    from foliation_lab import cli
+
+    if Path(cli.__file__).resolve() != src / "foliation_lab" / "cli.py":
+        raise SystemExit(f"error: foliation_lab was not imported from {src}")
+    return cli
+
+
+def run_case(cli, argv: list[str], case_dir: Path) -> None:
+    case_dir.mkdir(parents=True)
+    stdout, stderr = io.StringIO(), io.StringIO()
+    cwd = os.getcwd()
+    os.chdir(case_dir)
+    try:
+        with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(stderr):
+            try:
+                code = cli.run([*argv, "--output-dir", "out"])
+            except Exception as exc:  # recorded, so the comparison shows it
+                code = -1
+                print("".join(traceback.format_exception_only(exc)), end="", file=sys.stderr)
+    finally:
+        os.chdir(cwd)
+    (case_dir / "stdout.txt").write_text(stdout.getvalue(), encoding="utf-8")
+    (case_dir / "stderr.txt").write_text(stderr.getvalue(), encoding="utf-8")
+    (case_dir / "exit_code.txt").write_text(f"{code}\n", encoding="utf-8")
+
+
+def main(argv=None) -> int:
+    argv = sys.argv[1:] if argv is None else argv
+    if len(argv) != 2:
+        print(__doc__.split("\n\n")[1], file=sys.stderr)
+        return 2
+    tree, out = Path(argv[0]), Path(argv[1]).resolve()
+    if out.exists():
+        print(f"error: {out} exists", file=sys.stderr)
+        return 2
+    cli = import_cli(tree)
+    inputs = out / "inputs"
+    inputs.mkdir(parents=True)
+    for name, document in PROFILES.items():
+        (inputs / f"{name}.json").write_text(json.dumps(document, sort_keys=True) + "\n",
+                                             encoding="utf-8")
+    table = cases()
+    for name, case_argv in table.items():
+        run_case(cli, case_argv, out / "cases" / name)
+    print(f"wrote {len(table)} cases to {out}")
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())
