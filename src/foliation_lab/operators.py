@@ -17,7 +17,7 @@ Both are ``diagonal_conjugate`` scalings w^{-1} D w of the one cached,
 read-only Fourier matrix D per (grid, spin structure) from
 ``_spectral_diff.differentiation_matrix``.
 
-Diagonal scalings, here and in ``WeightedOperator.hermitian_spectrum``, act
+Diagonal scalings, here and in ``WeightedOperator.symmetrized``, act
 on the float64 view of the complex matrix: the real and imaginary parts of
 each entry are multiplied by w and then by a precomputed 1/w.  That is the
 arithmetic numpy does for the complex forms M * w and M / w with a real w
@@ -65,9 +65,9 @@ class WeightedOperator:
         if not (self.weights > 0.0).all():
             raise ValueError("weights must be strictly positive")
 
-    def hermitian_spectrum(self) -> tuple[np.ndarray, float]:
-        """Eigenvalues of H = (S + S^H)/2, S = W^{1/2} M W^{-1/2}, and the gate ratio
-        ||S - S^H||_F / max|lambda(H)| >= ||S - S^H||_2 / ||S||_2 (as ||H||_2 <= ||S||_2)."""
+    def symmetrized(self) -> tuple[np.ndarray, float]:
+        """H = (S + S^H)/2 for S = W^{1/2} M W^{-1/2}, a new array (exactly
+        Hermitian), and the asymmetry ||S - S^H||_F; nothing else stays alive."""
         root = np.sqrt(self.weights)
         scaled = self.matrix.view(np.float64) * root[:, None]
         scaled *= np.repeat(1.0 / root, 2)
@@ -76,11 +76,15 @@ class WeightedOperator:
         hermitian = sym + adjoint
         hermitian *= 0.5
         sym -= adjoint
-        asymmetry = np.linalg.norm(sym)
-        del scaled, sym, adjoint  # not held while eigvalsh copies hermitian
+        return hermitian, float(np.linalg.norm(sym))
+
+    def hermitian_spectrum(self) -> tuple[np.ndarray, float]:
+        """Eigenvalues of the ``symmetrized`` H and the gate ratio
+        ||S - S^H||_F / max|lambda(H)| >= ||S - S^H||_2 / ||S||_2 (as ||H||_2 <= ||S||_2)."""
+        hermitian, asymmetry = self.symmetrized()
         values = np.linalg.eigvalsh(hermitian)
         scale = max(float(np.max(np.abs(values))), np.finfo(float).tiny)
-        return values, float(asymmetry / scale)
+        return values, asymmetry / scale
 
     def symmetry_residual(self) -> float:
         """Relative deviation of the symmetrized matrix from Hermitian (the gate ratio)."""

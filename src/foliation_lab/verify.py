@@ -2,17 +2,29 @@
 the identities behind it, and the curvature/Lichnerowicz residual checks.
 
 Each check returns a VerificationReport whose ``passed`` flag is exactly
-``residual <= threshold``.  Structural failures (multiplicity mismatches,
+``residual <= threshold``.  Structural failures (an uncertified window edge,
 indistinguishable Laplacian spectra) are reported with an infinite residual
 and a diagnostic in the metadata, never silently.
 
 Every check is a pure function of the values it is passed.  The two batteries
 build those values once and hold them as locals: ``run_pair_checks`` builds
-each profile's leaf-volume density, spinor Dirac operator and one Dirac solve
-of it (``dirac_spectra``: spinor and forms spectra), and the pair's volume
-ratio alpha; the conjugation check reads the two operators that were solved,
-and they are released before the function-Laplacian solves.
+each profile's leaf-volume density, spinor Dirac operator and its
+``lattice_certificate``, and the pair's volume ratio alpha; the conjugation
+check reads the two operators that were certified, and they are released
+before the function-Laplacian solves, the battery's only eigensolves.
 ``run_profile_checks`` builds one torus geometry for both of its checks.
+
+No basic Dirac spectrum is solved here.  The paper proves invariance by
+unitary equivalence, and each certificate bounds its eigenvalues by Weyl's
+inequality: with eps_i = ||H_i - iD||_F, H_i the symmetrized spinor matrix,
+every ordered eigenvalue of H_1 lies within eps_1 + eps_2 of that of H_2.
+When no lattice point lies within a certificate's radius of the window edges
++-(window + WINDOW_EDGE_SLACK), both windowed counts are the lattice's, and
+``invariance`` reads the bound eps_1 + eps_2 for the spinor spectra and the
+forms spectra +-spec(iT); ``laplacian_dependence`` reads
+2 (window + WINDOW_EDGE_SLACK) (eps_1 + eps_2) for the squared forms
+spectra.  Otherwise the residual is infinite.  The bounds concern the exact
+spectra of the assembled matrices (``spectral`` derives them).
 """
 
 from __future__ import annotations
@@ -44,8 +56,13 @@ from .operators import (
     assemble_lichnerowicz_sides,
     diagonal_conjugate,
 )
-from .spectral import (SpectrumReport, dirac_spectra, eigenvalues_weighted, max_deviation,
-                       spectrum_compare)
+from .spectral import (
+    WINDOW_EDGE_SLACK,
+    LatticeCertificate,
+    certified_deviation,
+    eigenvalues_weighted,
+    lattice_certificate,
+)
 
 INVARIANCE_THRESHOLD = 1e-8
 KAPPA_TRANSFORM_THRESHOLD = 1e-10
@@ -57,6 +74,9 @@ LAPLACIAN_GAP_THRESHOLD = 1e-3
 # Least max|g1 - g2| of the theta-averaged densities for which an
 # auto-generated pair runs the Laplacian-dependence contrast.
 DENSITY_MARGIN = 1e-2
+
+# Why a certified Dirac bound is infinite (``spectral.certified_deviation``).
+EDGE_DIAGNOSTIC = "a lattice point lies within the certified distance of the window edge"
 
 # How far the mean-curvature coefficient may vary along theta before the
 # profile is refused by checks that assume basic mean curvature.
@@ -120,37 +140,32 @@ def basic_volume_ratio(p1: MetricProfile, p2: MetricProfile, grid: GridSpec) -> 
 
 
 def invariance_check(
-    spectra_1: tuple[SpectrumReport, SpectrumReport],
-    spectra_2: tuple[SpectrumReport, SpectrumReport],
-    window: float,
-    metadata: dict,
+    cert_1: LatticeCertificate, cert_2: LatticeCertificate, window: float, metadata: dict
 ) -> VerificationReport:
-    """Compare basic Dirac spectra (spinor and forms) of two bundle-like metrics,
-    each pair ``(spinor, forms)`` as ``dirac_spectra`` returns it.
+    """Bound the windowed deviation of the basic Dirac spectra (spinor and
+    forms) of two bundle-like metrics by their ``lattice_certificate``s.
 
-    The residual is the larger of the two windowed spectrum deviations; a
-    multiplicity mismatch yields an infinite residual with a diagnostic.  Both
-    spectra of a profile come from one solve, so on the trivial spin structure
-    ``forms_residual`` re-reads the spinor solve rather than testing anew.
+    Both residuals are the certified bound eps_1 + eps_2 (``certified_deviation``),
+    since the forms spectrum is +-spec(iT); the counts are the lattice's.  A
+    lattice point within a certificate's radius of the window edge leaves the
+    counts uncertified (null): the residual is infinite, with a diagnostic.
     """
-    spinor_1, forms_1 = spectra_1
-    spinor_2, forms_2 = spectra_2
-    spinor_residual = spectrum_compare(spinor_1, spinor_2, window)
-    forms_residual = spectrum_compare(forms_1, forms_2, window)
+    counts = [cert_1.window_count(window), cert_2.window_count(window)]
+    bound = certified_deviation(cert_1, cert_2, window)
     metadata = {
         **metadata,
         "tag": "inv",
         "window": window,
-        "spinor_residual": spinor_residual,
-        "forms_residual": forms_residual,
-        "spinor_counts": [spinor_1.in_window(window).size, spinor_2.in_window(window).size],
-        "forms_counts": [forms_1.in_window(window).size, forms_2.in_window(window).size],
+        "spinor_residual": bound,
+        "forms_residual": bound,
+        "spinor_counts": counts,
+        "forms_counts": [None if count is None else 2 * count for count in counts],
+        "lattice_distance": [cert_1.radius, cert_2.radius],
     }
-    residual = max(spinor_residual, forms_residual)
-    if math.isinf(residual):
-        metadata["diagnostic"] = "multiplicity mismatch inside the comparison window"
+    if math.isinf(bound):
+        metadata["diagnostic"] = EDGE_DIAGNOSTIC
     return VerificationReport.from_residual(
-        "invariance", residual, INVARIANCE_THRESHOLD, metadata
+        "invariance", bound, INVARIANCE_THRESHOLD, metadata
     )
 
 
@@ -250,8 +265,8 @@ def lichnerowicz_residual(
 def laplacian_dependence(
     d1: LeafVolumeDensity,
     d2: LeafVolumeDensity,
-    forms_1: SpectrumReport,
-    forms_2: SpectrumReport,
+    cert_1: LatticeCertificate,
+    cert_2: LatticeCertificate,
     grid: GridSpec,
     window: float,
     metadata: dict,
@@ -260,9 +275,11 @@ def laplacian_dependence(
 
     Passes only when (a) the function Laplacian spectra of the two densities
     differ by more than the gap threshold somewhere in the window, and (b)
-    the squared forms Dirac spectra agree within the forms threshold.  When
-    (a) fails the residual is infinite and the report flags the metrics as
-    spectrally indistinguishable for the basic Laplacian.
+    the squared forms Dirac spectra agree within the forms threshold, by the
+    certified bound 2 (window + WINDOW_EDGE_SLACK) (eps_1 + eps_2), infinite
+    when a window count is not certified.  When (a) fails the residual is
+    infinite and the report flags the metrics as spectrally indistinguishable
+    for the basic Laplacian.
     """
     laplacian_1 = eigenvalues_weighted(assemble_basic_laplacian(d1, grid, DEGREE_FUNCTION))
     laplacian_2 = eigenvalues_weighted(assemble_basic_laplacian(d2, grid, DEGREE_FUNCTION))
@@ -273,9 +290,8 @@ def laplacian_dependence(
     low_2 = laplacian_2.in_window(window * window)
     shared = min(low_1.size, low_2.size)
     gap = float(np.max(np.abs(low_1[:shared] - low_2[:shared]))) if shared else 0.0
-    sq1 = np.sort(forms_1.in_window(window) ** 2)
-    sq2 = np.sort(forms_2.in_window(window) ** 2)
-    forms_residual = max_deviation(sq1, sq2)
+    edge = window + WINDOW_EDGE_SLACK
+    forms_residual = 2.0 * edge * certified_deviation(cert_1, cert_2, window)
     metadata = {
         **metadata,
         "tag": "inv",
@@ -292,6 +308,8 @@ def laplacian_dependence(
         residual = math.inf
     else:
         residual = forms_residual
+        if math.isinf(residual):
+            metadata["diagnostic"] = EDGE_DIAGNOSTIC
     return VerificationReport.from_residual(
         "laplacian_dependence", residual, LAPLACIAN_FORMS_THRESHOLD, metadata
     )
@@ -347,8 +365,8 @@ def run_pair_checks(
     and the Laplacian-dependence contrast.
 
     Refuses a window outside the grid's trusted range, then builds each
-    profile's density, spinor Dirac operator and Dirac solve, and alpha,
-    once, and passes them to the checks.  With
+    profile's density, spinor Dirac operator and lattice certificate, and
+    alpha, once, and passes them to the checks.  With
     ``skip_indistinct_laplacian`` (used for auto-generated pairs) the
     contrast check is recorded as skipped when the pair does not meet its
     distinct-density precondition, instead of failing by design.
@@ -357,13 +375,13 @@ def run_pair_checks(
     d1 = LeafVolumeDensity.from_profile(p1, grid)
     d2 = LeafVolumeDensity.from_profile(p2, grid)
     dirac_1 = assemble_basic_dirac_spinor(d1, grid)
-    spectra_1 = dirac_spectra(dirac_1, grid)
+    cert_1 = lattice_certificate(dirac_1, grid)
     dirac_2 = assemble_basic_dirac_spinor(d2, grid)
-    spectra_2 = dirac_spectra(dirac_2, grid)
+    cert_2 = lattice_certificate(dirac_2, grid)
     alpha = basic_volume_ratio(p1, p2, grid)
     metadata = pair_metadata(p1, p2, grid)
     reports = [
-        invariance_check(spectra_1, spectra_2, window, metadata),
+        invariance_check(cert_1, cert_2, window, metadata),
         kappa_transform_residual(d1, d2, alpha, grid, metadata),
         conjugation_residual(dirac_1, dirac_2, alpha, metadata),
     ]
@@ -384,7 +402,7 @@ def run_pair_checks(
         )
     else:
         reports.append(
-            laplacian_dependence(d1, d2, spectra_1[1], spectra_2[1], grid, window, metadata)
+            laplacian_dependence(d1, d2, cert_1, cert_2, grid, window, metadata)
         )
     return reports
 

@@ -24,7 +24,7 @@ from foliation_lab import (
 )
 from foliation_lab._spectral_diff import uniform_nodes
 from foliation_lab.basic_calculus import TWO_PI
-from foliation_lab.spectral import dirac_spectra
+from foliation_lab.spectral import lattice_certificate
 from foliation_lab.verify import basic_volume_ratio, pair_metadata
 
 
@@ -136,16 +136,14 @@ def laplacian_first_nonzero_eigenvalue(report: SpectrumReport, zero_tol: float =
 def pair_inputs(p1: MetricProfile, p2: MetricProfile, grid: GridSpec) -> SimpleNamespace:
     """What ``run_pair_checks`` passes to the pair checks, for calling one alone:
     the two ``densities``, spinor Dirac operators ``dirac``, their
-    ``dirac_spectra`` solves ``spectra`` with the ``forms`` spectra of each,
-    ``alpha`` and the pair ``metadata``."""
+    ``lattice_certificate``s ``certificates``, ``alpha`` and the pair
+    ``metadata``."""
     densities = tuple(LeafVolumeDensity.from_profile(p, grid) for p in (p1, p2))
     dirac = tuple(assemble_basic_dirac_spinor(d, grid) for d in densities)
-    spectra = tuple(dirac_spectra(op, grid) for op in dirac)
     return SimpleNamespace(
         densities=densities,
         dirac=dirac,
-        spectra=spectra,
-        forms=tuple(forms for _, forms in spectra),
+        certificates=tuple(lattice_certificate(op, grid) for op in dirac),
         alpha=basic_volume_ratio(p1, p2, grid),
         metadata=pair_metadata(p1, p2, grid),
     )

@@ -15,6 +15,7 @@ from foliation_lab import (
     spectrum_compare,
 )
 from foliation_lab import spectral
+from foliation_lab._spectral_diff import differentiation_matrix, wavenumbers
 from foliation_lab.basic_calculus import LeafVolumeDensity
 from foliation_lab.cli import _spectrum_text
 from foliation_lab.operators import (
@@ -23,7 +24,15 @@ from foliation_lab.operators import (
     quadrature_weights,
     twisted_differential,
 )
-from foliation_lab.spectral import OperatorSymmetryError, SpectrumReport, dirac_spectra
+from foliation_lab.spectral import (
+    OperatorSymmetryError,
+    SpectrumReport,
+    certified_deviation,
+    dirac_spectra,
+    lattice_certificate,
+    lattice_round_off,
+)
+from foliation_lab.verify import random_profile_pair
 
 
 def _density(profile, grid):
@@ -106,8 +115,11 @@ class TestFormsDiracSpectrum:
 
     def test_nontrivial_grid_refused(self, cosine_profile):
         grid = GridSpec(64, "nontrivial")
+        op = assemble_basic_dirac_spinor(_density(cosine_profile, grid), grid)
         with pytest.raises(ValueError, match="trivial spin structure"):
-            dirac_spectra(assemble_basic_dirac_spinor(_density(cosine_profile, grid), grid), grid)
+            dirac_spectra(op, grid)
+        with pytest.raises(ValueError, match="trivial spin structure"):
+            lattice_certificate(op, grid)
 
     def test_gate_ratio_equals_block_ratio(self, mixed_profile, grid64):
         rng = np.random.default_rng(5)
@@ -144,6 +156,8 @@ class TestFormsDiracSpectrum:
         assert ratio > spectral.SYMMETRIZATION_TOLERANCE
         with pytest.raises(OperatorSymmetryError, match=r"dirac_spinor\[trivial"):
             dirac_spectra(shifted, grid64)
+        with pytest.raises(OperatorSymmetryError, match=r"dirac_spinor\[trivial"):
+            lattice_certificate(shifted, grid64)
 
     def test_forms_gate_is_sqrt2_stricter(self, cosine_profile, grid64):
         """Between tol/sqrt(2) and tol the spinor passes and the forms gate refuses."""
@@ -153,6 +167,92 @@ class TestFormsDiracSpectrum:
         assert tol / math.sqrt(2.0) < ratio <= tol
         with pytest.raises(OperatorSymmetryError, match=r"dirac_forms\[N=64\]"):
             dirac_spectra(shifted, grid64)
+        with pytest.raises(OperatorSymmetryError, match=r"dirac_forms\[N=64\]"):
+            lattice_certificate(shifted, grid64)
+
+
+class TestLatticeCertificate:
+    """The certificate against the dense solve it replaces in ``verify``.
+
+    Allowance for the solve: ``eigvalsh`` is backward stable, so its values are
+    the exact eigenvalues of H + E with ||E||_2 <= p(N) eps ||H||_2, p a
+    modestly growing function of N (LAPACK's bound for the Hermitian
+    eigenproblem); take p(N) = N.  By Weyl's inequality each solved value is
+    then within a = N eps ||H||_2 of the exact one, and ||H||_2 <= N/2 + radius
+    by the certificate.  So two solved spectra deviate by at most
+    eps_1 + eps_2 + a_1 + a_2 index by index, and each solved value lies within
+    radius + a of its lattice point.  The allowance is derived, not fitted, and
+    it is needed: on these seeds the solved deviation exceeds eps_1 + eps_2
+    (9.9e-14 against 4.4e-14 at N = 64, 3.9e-13 against 1.6e-13 at N = 128),
+    while a_1 + a_2 is 9.1e-13 and 3.6e-12 there.
+    """
+
+    @staticmethod
+    def _allowance(cert):
+        return cert.n_points * np.finfo(np.float64).eps * (cert.n_points / 2 + cert.radius)
+
+    @pytest.mark.parametrize("n_points", [64, 128, 256])
+    def test_solved_spectra_obey_the_certified_bounds(self, n_points):
+        rng = np.random.default_rng(2718 + n_points)
+        grid = GridSpec(n_points)
+        window = min(10.0, grid.trust_window)
+        edge = window + spectral.WINDOW_EDGE_SLACK
+        lattice = np.sort(-wavenumbers(n_points))
+        for _ in range(3):
+            ops = [assemble_basic_dirac_spinor(_density(p, grid), grid)
+                   for p in random_profile_pair(rng)]
+            certs = [lattice_certificate(op, grid) for op in ops]
+            solved = [dirac_spectra(op, grid) for op in ops]
+            bound = certified_deviation(*certs, window)
+            allowance = self._allowance(certs[0]) + self._allowance(certs[1])
+            assert bound == certs[0].distance + certs[1].distance
+            for kind in (0, 1):  # spinor, forms
+                first, second = solved[0][kind], solved[1][kind]
+                assert spectrum_compare(first, second, window) <= bound + allowance
+                full = np.max(np.abs(first.eigenvalues - second.eigenvalues))
+                assert full <= bound + allowance
+            squares = [np.sort(forms.in_window(window) ** 2) for _, forms in solved]
+            assert np.max(np.abs(squares[0] - squares[1])) <= 2.0 * edge * (bound + allowance)
+            for cert, (spinor, forms) in zip(certs, solved):
+                deviation = np.max(np.abs(spinor.eigenvalues - lattice))
+                assert deviation <= cert.radius + self._allowance(cert)
+                assert spinor.in_window(window).size == cert.window_count(window)
+                assert forms.in_window(window).size == 2 * cert.window_count(window)
+
+    @pytest.mark.parametrize("n_points", [64, 128, 256])
+    def test_round_off_bounds_the_computed_lattice_operator(self, n_points):
+        """||iD - L||_F <= lattice_round_off(N), L from the closed form
+        D_jk = (-1)^(j-k) cot((j-k) pi/N) / 2 off the diagonal plus the +N/2
+        mode's (i/2)(-1)^(j-k), evaluated in long double."""
+        offset = np.subtract.outer(np.arange(n_points), np.arange(n_points))
+        sign = np.where(offset % 2 == 0, 1.0, -1.0)
+        angle = offset.astype(np.longdouble) * np.pi / n_points
+        cot = np.zeros_like(angle)
+        cot[offset != 0] = 1.0 / np.tan(angle[offset != 0])
+        i_d = 1j * differentiation_matrix(n_points, "trivial")
+        real_error = i_d.real - (-0.5 * sign)
+        imag_error = i_d.imag - 0.5 * sign * cot
+        error = float(np.sqrt(np.sum(real_error**2) + np.sum(imag_error**2)))
+        assert error <= lattice_round_off(n_points)
+
+    @pytest.mark.parametrize("n_points", [64, 128, 256])
+    @pytest.mark.parametrize(
+        "profile_name",
+        ["flat_profile", "cosine_profile", "mixed_profile", "product_profile", "skew_profile"],
+    )
+    def test_gate_ratio_never_below_the_solve_ratio(self, request, profile_name, n_points):
+        grid = GridSpec(n_points)
+        op = assemble_basic_dirac_spinor(_density(request.getfixturevalue(profile_name), grid), grid)
+        assert lattice_certificate(op, grid).gate_ratio >= op.hermitian_spectrum()[1]
+
+    def test_window_count_refuses_an_edge_within_the_radius(self, cosine_profile, grid128):
+        cert = lattice_certificate(
+            assemble_basic_dirac_spinor(_density(cosine_profile, grid128), grid128), grid128
+        )
+        assert cert.window_count(10.0) == 21
+        assert cert.window_count(10.0 - spectral.WINDOW_EDGE_SLACK) is None
+        assert cert.window_count(10.0 - spectral.WINDOW_EDGE_SLACK + 2.0 * cert.radius) == 21
+        assert math.isinf(certified_deviation(cert, cert, 10.0 - spectral.WINDOW_EDGE_SLACK))
 
 
 class TestSpectrumCompare:

@@ -1,5 +1,6 @@
 """Verification harnesses: invariance battery, residual identities, contrasts."""
 
+import math
 import weakref
 
 import numpy as np
@@ -11,6 +12,7 @@ from foliation_lab import (
     MetricProfile,
     NonBasicMeanCurvatureError,
     ProfileTerm,
+    cli,
     conjugation_residual,
     invariance_check,
     kappa_transform_residual,
@@ -22,7 +24,14 @@ from foliation_lab import (
 from foliation_lab._spectral_diff import differentiation_matrix
 from foliation_lab.basic_calculus import LeafVolumeDensity
 from foliation_lab import verify
-from foliation_lab.operators import WeightedOperator, assemble_lichnerowicz_sides
+from foliation_lab.operators import (
+    WeightedOperator,
+    assemble_basic_dirac_spinor,
+    assemble_lichnerowicz_sides,
+    diagonal_conjugate,
+    quadrature_weights,
+)
+from foliation_lab.spectral import WINDOW_EDGE_SLACK, OperatorSymmetryError, lattice_certificate
 from foliation_lab.verify import (
     random_profile,
     random_profile_pair,
@@ -30,13 +39,13 @@ from foliation_lab.verify import (
     run_profile_checks,
 )
 
-from conftest import exp_cos_profile, exp_sin_profile, pair_inputs
+from conftest import exp_cos_profile, exp_sin_profile, pair_inputs, save_profile
 
 
 # Each check run alone on the values its battery would pass it.
 def invariance(p1, p2, grid, window):
     pair = pair_inputs(p1, p2, grid)
-    return invariance_check(*pair.spectra, window, pair.metadata)
+    return invariance_check(*pair.certificates, window, pair.metadata)
 
 
 def kappa_transform(p1, p2, grid):
@@ -51,7 +60,7 @@ def conjugation(p1, p2, grid):
 
 def contrast(p1, p2, grid, window):
     pair = pair_inputs(p1, p2, grid)
-    return laplacian_dependence(*pair.densities, *pair.forms, grid, window, pair.metadata)
+    return laplacian_dependence(*pair.densities, *pair.certificates, grid, window, pair.metadata)
 
 
 def scal_relation(profile, grid):
@@ -86,6 +95,42 @@ class TestInvarianceCheck:
     def test_window_beyond_trust_rejected(self, flat_profile, cosine_profile, grid64):
         with pytest.raises(ValueError, match="window"):
             run_pair_checks(flat_profile, cosine_profile, grid64, 20.0)
+
+    def test_counts_are_the_lattice_counts(self, flat_profile, mixed_profile, grid128):
+        report = invariance(flat_profile, mixed_profile, grid128, 10.0)
+        assert report.metadata["spinor_counts"] == [21, 21]
+        assert report.metadata["forms_counts"] == [42, 42]
+        distances = report.metadata["lattice_distance"]
+        assert len(distances) == 2 and max(distances) < 1e-10
+
+    def test_window_edge_on_a_lattice_point_is_not_a_silent_pass(
+        self, flat_profile, cosine_profile, grid128
+    ):
+        """At window 10 - WINDOW_EDGE_SLACK the edge is the lattice point 10:
+        the counts are not certified, so both verdicts read an infinite residual."""
+        window = 10.0 - WINDOW_EDGE_SLACK
+        report = invariance(flat_profile, cosine_profile, grid128, window)
+        assert math.isinf(report.residual) and not report.passed
+        assert "window edge" in report.metadata["diagnostic"]
+        assert report.metadata["spinor_counts"] == [None, None]
+        assert report.metadata["forms_counts"] == [None, None]
+        squared = contrast(flat_profile, cosine_profile, grid128, window)
+        assert math.isinf(squared.metadata["squared_forms_residual"]) and not squared.passed
+        assert squared.metadata["diagnostic"] == report.metadata["diagnostic"]
+
+    def test_residual_is_the_sum_of_the_certified_distances(
+        self, cosine_profile, mixed_profile, grid128
+    ):
+        pair = pair_inputs(cosine_profile, mixed_profile, grid128)
+        report = invariance_check(*pair.certificates, 10.0, pair.metadata)
+        bound = sum(cert.distance for cert in pair.certificates)
+        assert report.residual == report.metadata["spinor_residual"] == bound
+        assert report.metadata["forms_residual"] == bound
+        squared = laplacian_dependence(*pair.densities, *pair.certificates, grid128, 10.0,
+                                       pair.metadata)
+        assert squared.metadata["squared_forms_residual"] == (
+            2.0 * (10.0 + WINDOW_EDGE_SLACK) * bound
+        )
 
 
 class TestKappaTransform:
@@ -241,7 +286,7 @@ def test_property_sweep_over_seeded_pairs(n_points):
     window = min(8.0, grid.trust_window)
     for _ in range(3):
         pair = pair_inputs(*random_profile_pair(rng), grid)
-        report = invariance_check(*pair.spectra, window, pair.metadata)
+        report = invariance_check(*pair.certificates, window, pair.metadata)
         assert report.passed, report.metadata
         assert kappa_transform_residual(*pair.densities, pair.alpha, grid, pair.metadata).passed
         assert conjugation_residual(*pair.dirac, pair.alpha, pair.metadata).passed
@@ -250,17 +295,17 @@ def test_property_sweep_over_seeded_pairs(n_points):
 @pytest.mark.parametrize(
     "second, skip, solves",
     [
-        (MetricProfile(2.0, (ProfileTerm(0, 1, 1.0),)), False, 4),
+        (MetricProfile(2.0, (ProfileTerm(0, 1, 1.0),)), False, 2),
         # the theta-average of 1 + cos(theta)/2 is flat: the contrast is skipped
-        (MetricProfile(1.0, (ProfileTerm(1, 0, 0.5),)), True, 2),
+        (MetricProfile(1.0, (ProfileTerm(1, 0, 0.5),)), True, 0),
     ],
 )
 def test_pair_battery_solves_each_spectrum_once(flat_profile, grid64, monkeypatch, second, skip,
                                                 solves):
-    """Per battery: two densities, two spinor Dirac assemblies, one alpha, one
-    Dirac solve (spinor and forms spectra) and, unless the contrast is
-    skipped, one Laplacian solve per profile, no SVD, and one derivative
-    matrix for the pair's (grid, spin structure)."""
+    """Per battery: two densities, two spinor Dirac assemblies, one alpha, no
+    Dirac solve (each operator is certified against the lattice instead)
+    and, unless the contrast is skipped, one Laplacian solve per profile, no
+    SVD, and one derivative matrix for the pair's (grid, spin structure)."""
     eigvalsh_sizes, svd_calls, built = [], [], []
     eigvalsh, svd = np.linalg.eigvalsh, np.linalg.svd
     from_profile = LeafVolumeDensity.from_profile.__func__
@@ -300,11 +345,13 @@ def test_pair_battery_solves_each_spectrum_once(flat_profile, grid64, monkeypatc
 
 def test_pair_battery_assembles_each_dirac_operator_once(cosine_profile, mixed_profile, grid64,
                                                          monkeypatch):
-    """Two spinor Dirac assemblies per battery; the conjugation check reads the
-    two operators that were solved, not fresh assemblies, and both are
-    released before the first Laplacian assembly."""
-    assembled, solved, conjugated, alive_at_laplacian = [], [], [], []
+    """Two spinor Dirac assemblies per battery, each certified once and never
+    solved: only the two Laplacians reach ``hermitian_spectrum``.  The
+    conjugation check reads the two operators that were certified, not fresh
+    assemblies, and both are released before the first Laplacian assembly."""
+    assembled, certified, solved, conjugated, alive_at_laplacian = [], [], [], [], []
     assemble, solve = verify.assemble_basic_dirac_spinor, WeightedOperator.hermitian_spectrum
+    certify = verify.lattice_certificate
     conjugate, laplacian = verify.conjugation_residual, verify.assemble_basic_laplacian
 
     def counted_assembly(density, grid):
@@ -315,8 +362,12 @@ def test_pair_battery_assembles_each_dirac_operator_once(cosine_profile, mixed_p
     def assembly_index(op):
         return next((i for i, ref in enumerate(assembled) if ref() is op), None)
 
+    def recorded_certificate(op, grid):
+        certified.append(assembly_index(op))
+        return certify(op, grid)
+
     def recorded_solve(op):
-        solved.append(assembly_index(op))
+        solved.append((assembly_index(op), op.label))
         return solve(op)
 
     def recorded_conjugation(dirac_1, dirac_2, alpha, metadata):
@@ -329,13 +380,15 @@ def test_pair_battery_assembles_each_dirac_operator_once(cosine_profile, mixed_p
         return laplacian(*args)
 
     monkeypatch.setattr(verify, "assemble_basic_dirac_spinor", counted_assembly)
+    monkeypatch.setattr(verify, "lattice_certificate", recorded_certificate)
     monkeypatch.setattr(WeightedOperator, "hermitian_spectrum", recorded_solve)
     monkeypatch.setattr(verify, "conjugation_residual", recorded_conjugation)
     monkeypatch.setattr(verify, "assemble_basic_laplacian", checked_laplacian)
     reports = run_pair_checks(cosine_profile, mixed_profile, grid64, 8.0)
     assert [report.passed for report in reports] == [True] * 4
     assert len(assembled) == 2
-    assert solved == [0, 1, None, None]
+    assert certified == [0, 1]
+    assert solved == [(None, "laplacian_function[N=64]")] * 2
     assert conjugated == [0, 1]
     assert alive_at_laplacian == [False, False]
 
@@ -375,3 +428,87 @@ def test_profile_checks_build_one_geometry_per_profile(product_profile, skew_pro
         reports = run_profile_checks(profile, grid128)
         assert [report.check_name for report in reports] == ["scal_relation", "lichnerowicz"]
     assert built == [product_profile, skew_profile, product_profile]
+
+
+class TestMutations:
+    """Assembly mistakes that the pair battery must refuse or fail, and which
+    check catches each:
+
+    * ``g'/g`` in place of ``g'/2g`` (``diagonal_conjugate(D, g)``): S becomes
+      i g^{-1/2} D g^{1/2}, which is not Hermitian, so the symmetry gate of
+      ``lattice_certificate`` refuses the operator (OperatorSymmetryError)
+      before any check runs; ``conjugation`` also fails on the mutants alone.
+    * Weights without the density: S is then the matrix itself,
+      i g^{-1/2} D g^{1/2} again, refused by the same gate.
+    * An antiperiodic operator certified against the periodic lattice: its H
+      is Hermitian but near the half-integer lattice, so ||H - iD||_F exceeds
+      N/2, the gate's floor N/2 - radius is negative, the gate ratio is
+      infinite and ``lattice_certificate`` refuses it.
+    """
+
+    @staticmethod
+    def _half_too_strong(density, grid):
+        matrix = diagonal_conjugate(differentiation_matrix(grid.n_points, "trivial"),
+                                    density.g_values)
+        matrix *= 1j
+        return WeightedOperator(matrix, quadrature_weights(density), "mutant_g", grid.n_points)
+
+    @staticmethod
+    def _unweighted(density, grid):
+        op = assemble_basic_dirac_spinor(density, grid)
+        weights = np.full(grid.n_points, 2.0 * np.pi / grid.n_points)
+        return WeightedOperator(op.matrix, weights, "mutant_weights", grid.n_points)
+
+    @pytest.mark.parametrize("mutant", ["_half_too_strong", "_unweighted"])
+    def test_gate_refuses_the_battery(self, mutant, flat_profile, cosine_profile, grid64,
+                                      monkeypatch):
+        monkeypatch.setattr(verify, "assemble_basic_dirac_spinor", getattr(self, mutant))
+        with pytest.raises(OperatorSymmetryError, match="mutant"):
+            run_pair_checks(flat_profile, cosine_profile, grid64, 8.0)
+
+    def test_conjugation_fails_for_the_g_over_g_mutant(self, flat_profile, cosine_profile,
+                                                        grid64):
+        pair = pair_inputs(flat_profile, cosine_profile, grid64)
+        mutants = [self._half_too_strong(density, grid64) for density in pair.densities]
+        assert not conjugation_residual(*mutants, pair.alpha, pair.metadata).passed
+
+    @pytest.mark.parametrize("n_points", [64, 128])
+    def test_antiperiodic_operator_refused_by_the_periodic_certificate(self, cosine_profile,
+                                                                        n_points):
+        antiperiodic = GridSpec(n_points, "nontrivial")
+        op = assemble_basic_dirac_spinor(
+            LeafVolumeDensity.from_profile(cosine_profile, antiperiodic), antiperiodic
+        )
+        with pytest.raises(OperatorSymmetryError, match=r"dirac_spinor\[nontrivial.*inf"):
+            lattice_certificate(op, GridSpec(n_points))
+
+
+def test_verify_and_invariance_never_solve_a_dirac_operator(flat_profile, cosine_profile,
+                                                            tmp_path, monkeypatch):
+    """Every eigensolve of the ``verify`` and ``invariance`` commands is a
+    function Laplacian: no Dirac operator reaches ``eigvalsh``."""
+    labels, sizes = [], []
+    solve, eigvalsh = WeightedOperator.hermitian_spectrum, np.linalg.eigvalsh
+
+    def recorded_solve(op):
+        labels.append(op.label)
+        return solve(op)
+
+    def counted_eigvalsh(matrix, *args, **kwargs):
+        sizes.append(matrix.shape)
+        return eigvalsh(matrix, *args, **kwargs)
+
+    monkeypatch.setattr(WeightedOperator, "hermitian_spectrum", recorded_solve)
+    monkeypatch.setattr(np.linalg, "eigvalsh", counted_eigvalsh)
+    flat, wavy = str(tmp_path / "flat.json"), str(tmp_path / "wavy.json")
+    save_profile(flat_profile, flat)
+    save_profile(cosine_profile, wavy)
+    out = ["--grid", "64", "--window", "8", "--output-dir", str(tmp_path / "out")]
+    for argv in (
+        ["verify", "--all", "--pairs", "3", "--seed", "1", *out],
+        ["verify", "--profiles", flat, wavy, *out],
+        ["invariance", "--profiles", flat, wavy, *out],
+    ):
+        assert cli.run(argv) in (0, 1)
+    assert labels and set(labels) == {"laplacian_function[N=64]"}
+    assert sizes == [(64, 64)] * len(labels)
