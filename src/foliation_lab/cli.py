@@ -25,7 +25,7 @@ from .bounds import bound_failures, bound_rows_csv, s3_bounds
 from .model_spaces import SPIN_STRUCTURES, GridSpec, MetricProfile, load_profile
 from .operators import assemble_basic_dirac_spinor, assemble_basic_laplacian
 from .spectral import SpectrumReport, dirac_spectra, eigenvalues_weighted
-from .verify import random_profile_pair, run_pair_checks, run_profile_checks
+from .verify import PairWorkspace, random_profile_pair, run_pair_checks, run_profile_checks
 
 DEFAULT_SEED = 7041
 SEED_ENV_VAR = "FOLIATION_LAB_SEED"
@@ -171,16 +171,20 @@ def _cmd_sweep(args) -> int:
 
 def _run_verification(profiles, grid, window, pairs, seed) -> list:
     reports = []
+    workspace = PairWorkspace()  # one set of N x N buffers for every pair battery
     if len(profiles) >= 2:
         for i in range(len(profiles) - 1):
-            reports.extend(run_pair_checks(profiles[i], profiles[i + 1], grid, window))
+            reports.extend(
+                run_pair_checks(profiles[i], profiles[i + 1], grid, window, workspace=workspace)
+            )
     else:
         rng = np.random.default_rng(seed)
         for _ in range(pairs):
             p1, p2 = random_profile_pair(rng)
-            reports.extend(
-                run_pair_checks(p1, p2, grid, window, skip_indistinct_laplacian=True)
-            )
+            reports.extend(run_pair_checks(
+                p1, p2, grid, window, skip_indistinct_laplacian=True, workspace=workspace
+            ))
+    del workspace  # released before the single-profile checks assemble theirs
     for profile in profiles:
         reports.extend(run_profile_checks(profile, grid))
     return reports
@@ -316,3 +320,7 @@ def run(argv) -> int:
 
 def main() -> None:
     raise SystemExit(run(sys.argv[1:]))
+
+
+if __name__ == "__main__":
+    main()

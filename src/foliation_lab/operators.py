@@ -29,6 +29,21 @@ The view skips the zero products and the complex division.  Scalings by i
 or -1 and the symmetrization's sums are done in place, with the same
 arithmetic as the expressions they replace.
 
+Every N x N result can be written to caller-owned arrays instead of new
+ones: ``diagonal_conjugate``, ``assemble_basic_dirac_spinor`` and
+``codifferential`` take one ``out`` array, ``assemble_basic_laplacian`` two
+(delta, then delta @ D or D @ delta), and ``WeightedOperator.symmetrized``
+three (S, conj(S), H).  S may be written over the operator's own matrix,
+which then ends the operator.  Each step runs the same ufunc on the same
+operands with or without ``out``, so the bits are the same; without it
+numpy allocates, as for ``out=None``.  The pair battery
+(``verify.run_pair_checks``) keeps four N x N buffers, 0 to 3: the two
+spinor Dirac matrices in 0 and 1 and the conjugation difference in 2; each
+certificate's S over its operator in 0 or 1, S^H in 2 and H in 3; each
+Laplacian's delta in 0 and delta @ D in 1, then its S over it in 1, S^H in
+0 and H in 2.  An operator built on such a buffer is valid only until the
+battery's next phase.
+
 With these choices the spinor Dirac matrix is exactly unitarily
 equivalent to i*D, so its spectrum is the integer lattice for every
 density, and all assembled operators pass the weighted-Hermitian check at
@@ -65,23 +80,26 @@ class WeightedOperator:
         if not (self.weights > 0.0).all():
             raise ValueError("weights must be strictly positive")
 
-    def symmetrized(self) -> tuple[np.ndarray, float]:
-        """H = (S + S^H)/2 for S = W^{1/2} M W^{-1/2}, a new array (exactly
-        Hermitian), and the asymmetry ||S - S^H||_F; nothing else stays alive."""
+    def symmetrized(self, out=None) -> tuple[np.ndarray, float]:
+        """H = (S + S^H)/2 for S = W^{1/2} M W^{-1/2} (exactly Hermitian) and the
+        asymmetry ||S - S^H||_F.  ``out``, three N x N complex arrays, receives
+        S, conj(S) and H (overwritten, returned as H); without it each is a new
+        array, and only H stays alive."""
+        s_out, adjoint_out, hermitian_out = (None,) * 3 if out is None else out
         root = np.sqrt(self.weights)
-        scaled = self.matrix.view(np.float64) * root[:, None]
+        scaled = np.multiply(self.matrix.view(np.float64), root[:, None], out=_real_view(s_out))
         scaled *= np.repeat(1.0 / root, 2)
         sym = scaled.view(np.complex128)
-        adjoint = sym.conj().T
-        hermitian = sym + adjoint
+        adjoint = np.conjugate(sym, out=adjoint_out).T
+        hermitian = np.add(sym, adjoint, out=hermitian_out)
         hermitian *= 0.5
         sym -= adjoint
         return hermitian, float(np.linalg.norm(sym))
 
-    def hermitian_spectrum(self) -> tuple[np.ndarray, float]:
-        """Eigenvalues of the ``symmetrized`` H and the gate ratio
+    def hermitian_spectrum(self, out=None) -> tuple[np.ndarray, float]:
+        """Eigenvalues of the ``symmetrized`` H (``out`` as there) and the gate ratio
         ||S - S^H||_F / max|lambda(H)| >= ||S - S^H||_2 / ||S||_2 (as ||H||_2 <= ||S||_2)."""
-        hermitian, asymmetry = self.symmetrized()
+        hermitian, asymmetry = self.symmetrized(out=out)
         values = np.linalg.eigvalsh(hermitian)
         scale = max(float(np.max(np.abs(values))), np.finfo(float).tiny)
         return values, asymmetry / scale
@@ -91,13 +109,19 @@ class WeightedOperator:
         return self.hermitian_spectrum()[1]
 
 
-def diagonal_conjugate(matrix: np.ndarray, w: np.ndarray) -> np.ndarray:
-    """w^{-1} M w for diagonal w and a C-contiguous complex M, as a new array:
-    with w = g^{1/2} and M = D, the conservative discretization of u' + (g'/2g) u.
+def _real_view(out: np.ndarray | None) -> np.ndarray | None:
+    """The float64 view of a complex ``out`` array; None stays None."""
+    return None if out is None else out.view(np.float64)
+
+
+def diagonal_conjugate(matrix: np.ndarray, w: np.ndarray, out=None) -> np.ndarray:
+    """w^{-1} M w for diagonal w and a C-contiguous complex M, written to ``out``
+    (a C-contiguous complex array of M's shape) or to a new array: with
+    w = g^{1/2} and M = D, the conservative discretization of u' + (g'/2g) u.
 
     Scales the float64 view of M by w, then by a precomputed 1/w, which is
     bitwise (M * w[None, :]) / w[:, None] (see the module docstring)."""
-    scaled = matrix.view(np.float64) * np.repeat(w, 2)
+    scaled = np.multiply(matrix.view(np.float64), np.repeat(w, 2), out=_real_view(out))
     scaled *= (1.0 / w)[:, None]
     return scaled.view(np.complex128)
 
@@ -112,17 +136,18 @@ def _check_grid(density: LeafVolumeDensity, grid: GridSpec) -> None:
 
 
 def assemble_basic_dirac_spinor(
-    density: LeafVolumeDensity, grid: GridSpec
+    density: LeafVolumeDensity, grid: GridSpec, out=None
 ) -> WeightedOperator:
     """Basic Dirac operator on basic spinors: psi -> i(psi' + (g'/2g) psi).
 
     Clifford multiplication by the unit transverse coframe is multiplication
     by i.  The trivial spin structure uses periodic sections, the nontrivial
-    one antiperiodic sections (half-integer frequency lattice).
+    one antiperiodic sections (half-integer frequency lattice).  The matrix
+    is written to ``out`` when it is given (see ``diagonal_conjugate``).
     """
     _check_grid(density, grid)
     d_spin = differentiation_matrix(grid.n_points, grid.spin_structure)
-    matrix = diagonal_conjugate(d_spin, np.sqrt(density.g_values))
+    matrix = diagonal_conjugate(d_spin, np.sqrt(density.g_values), out=out)
     matrix *= 1j
     return WeightedOperator(
         matrix=matrix,
@@ -163,29 +188,32 @@ def assemble_basic_dirac_forms(
     )
 
 
-def codifferential(density: LeafVolumeDensity, grid: GridSpec) -> np.ndarray:
-    """Weighted adjoint of the plain differential: v dt -> -(g v)'/g."""
+def codifferential(density: LeafVolumeDensity, grid: GridSpec, out=None) -> np.ndarray:
+    """Weighted adjoint of the plain differential: v dt -> -(g v)'/g, written to
+    ``out`` when it is given (see ``diagonal_conjugate``)."""
     _check_grid(density, grid)
     d = differentiation_matrix(grid.n_points, "trivial")
-    delta = diagonal_conjugate(d, density.g_values)
+    delta = diagonal_conjugate(d, density.g_values, out=out)
     return np.negative(delta, out=delta)
 
 
 def assemble_basic_laplacian(
-    density: LeafVolumeDensity, grid: GridSpec, degree: str = DEGREE_FUNCTION
+    density: LeafVolumeDensity, grid: GridSpec, degree: str = DEGREE_FUNCTION, out=None
 ) -> WeightedOperator:
     """Basic Laplacian: delta d on functions, d delta on 1-form coefficients.
 
     On functions this is u -> -u'' - (g'/g) u'.  Unlike the Dirac spectrum,
-    its eigenvalues depend on the choice of density.
+    its eigenvalues depend on the choice of density.  ``out``, two N x N
+    complex arrays, receives the codifferential and the product.
     """
     _check_grid(density, grid)
+    delta_out, product_out = (None, None) if out is None else out
     d = differentiation_matrix(grid.n_points, "trivial")
-    delta = codifferential(density, grid)
+    delta = codifferential(density, grid, out=delta_out)
     if degree == DEGREE_FUNCTION:
-        matrix = delta @ d
+        matrix = np.matmul(delta, d, out=product_out)
     elif degree == DEGREE_ONE_FORM:
-        matrix = d @ delta
+        matrix = np.matmul(d, delta, out=product_out)
     else:
         raise ValueError(
             f"degree must be {DEGREE_FUNCTION!r} or {DEGREE_ONE_FORM!r}, got {degree!r}"

@@ -83,10 +83,11 @@ def _require_symmetric(residual: float, label: str) -> None:
         )
 
 
-def eigenvalues_weighted(op: WeightedOperator) -> SpectrumReport:
+def eigenvalues_weighted(op: WeightedOperator, out=None) -> SpectrumReport:
     """Full real spectrum of a weighted-Hermitian operator, refused when the
-    gate ratio of ``WeightedOperator.hermitian_spectrum`` exceeds the tolerance."""
-    values, residual = op.hermitian_spectrum()
+    gate ratio of ``WeightedOperator.hermitian_spectrum`` exceeds the tolerance;
+    ``out`` is passed to it."""
+    values, residual = op.hermitian_spectrum(out=out)
     _require_symmetric(residual, op.label)
     return SpectrumReport(values, op.n_points, op.label)
 
@@ -162,9 +163,12 @@ class LatticeCertificate:
         return int(np.count_nonzero(magnitudes <= edge))
 
 
-def lattice_certificate(spinor: WeightedOperator, grid: GridSpec) -> LatticeCertificate:
+def lattice_certificate(
+    spinor: WeightedOperator, grid: GridSpec, out=None
+) -> LatticeCertificate:
     """Certify ``spinor`` = ``assemble_basic_dirac_spinor(density, grid)`` against
-    the lattice without an eigensolve: O(N^2), one N x N matrix held.
+    the lattice without an eigensolve: O(N^2), one N x N matrix held, in the
+    H array of ``out`` when it is given (``WeightedOperator.symmetrized``).
 
     Refused, as by ``dirac_spectra``, on a nontrivial grid, or with
     OperatorSymmetryError when the gate ratio (spinor) or sqrt(2) times it
@@ -174,7 +178,7 @@ def lattice_certificate(spinor: WeightedOperator, grid: GridSpec) -> LatticeCert
     """
     _require_trivial(grid, "lattice_certificate")
     n = grid.n_points
-    hermitian, asymmetry = spinor.symmetrized()
+    hermitian, asymmetry = spinor.symmetrized(out=out)
     view = hermitian.view(np.float64)
     derivative = differentiation_matrix(n, "trivial").view(np.float64)
     view[:, 0::2] += derivative[:, 1::2]

@@ -10,9 +10,26 @@ Every check is a pure function of the values it is passed.  The two batteries
 build those values once and hold them as locals: ``run_pair_checks`` builds
 each profile's leaf-volume density, spinor Dirac operator and its
 ``lattice_certificate``, and the pair's volume ratio alpha; the conjugation
-check reads the two operators that were certified, and they are released
-before the function-Laplacian solves, the battery's only eigensolves.
-``run_profile_checks`` builds one torus geometry for both of its checks.
+check reads the two operators before they are certified, and they end with
+their certificates, before the function-Laplacian solves, the battery's only
+eigensolves.  ``run_profile_checks`` builds one torus geometry for both of its
+checks.
+
+The pair battery writes every N x N complex intermediate into the four
+buffers of a caller-owned ``PairWorkspace``: ``cli`` makes one per ``verify``
+call and passes it to each battery, so that consecutive batteries touch no
+fresh pages, and ``run_pair_checks`` makes its own when given none (the one
+battery of ``invariance``).  Buffer by phase:
+
+* assembly: dirac_1 in 0, dirac_2 in 1, and the conjugation difference in 2;
+* certificates, first of dirac_1, then of dirac_2: S written over the
+  operator's own buffer (0, then 1), S^H in 2 and H in 3;
+* Laplacian solves, one profile after the other: the codifferential delta
+  in 0, the matrix delta @ D in 1, then S written over it in 1, S^H over
+  delta in 0, and H in 2.
+
+An operator or array built on a workspace buffer is valid only until the
+battery's next phase.
 
 No basic Dirac spectrum is solved here.  The paper proves invariance by
 unitary equivalence, and each certificate bounds its eigenvalues by Weyl's
@@ -192,11 +209,16 @@ def kappa_transform_residual(
 
 
 def conjugation_residual(
-    dirac_1: WeightedOperator, dirac_2: WeightedOperator, alpha: np.ndarray, metadata: dict
+    dirac_1: WeightedOperator,
+    dirac_2: WeightedOperator,
+    alpha: np.ndarray,
+    metadata: dict,
+    out: np.ndarray | None = None,
 ) -> VerificationReport:
     """Frobenius distance between D' and alpha^{-1/2} D alpha^{1/2}: it bounds the
-    operator-norm distance, so it is the stricter residual and needs no SVD."""
-    difference = diagonal_conjugate(dirac_1.matrix, np.sqrt(alpha))
+    operator-norm distance, so it is the stricter residual and needs no SVD.
+    The difference is formed in ``out`` when it is given."""
+    difference = diagonal_conjugate(dirac_1.matrix, np.sqrt(alpha), out=out)
     np.subtract(dirac_2.matrix, difference, out=difference)
     residual = float(np.linalg.norm(difference))
     return VerificationReport.from_residual(
@@ -270,6 +292,7 @@ def laplacian_dependence(
     grid: GridSpec,
     window: float,
     metadata: dict,
+    out: tuple[np.ndarray, ...] | None = None,
 ) -> VerificationReport:
     """Metric dependence of the basic Laplacian against invariance of the squared Dirac.
 
@@ -280,9 +303,21 @@ def laplacian_dependence(
     when a window count is not certified.  When (a) fails the residual is
     infinite and the report flags the metrics as spectrally indistinguishable
     for the basic Laplacian.
+
+    ``out``, three N x N complex arrays, holds each Laplacian's codifferential
+    and then S^H in the first, its matrix delta @ D and then S (written over
+    it) in the second, and H in the third.
     """
-    laplacian_1 = eigenvalues_weighted(assemble_basic_laplacian(d1, grid, DEGREE_FUNCTION))
-    laplacian_2 = eigenvalues_weighted(assemble_basic_laplacian(d2, grid, DEGREE_FUNCTION))
+    assembly_out = solve_out = None
+    if out is not None:
+        assembly_out, solve_out = out[:2], (out[1], out[0], out[2])
+    laplacian_1, laplacian_2 = (
+        eigenvalues_weighted(
+            assemble_basic_laplacian(density, grid, DEGREE_FUNCTION, out=assembly_out),
+            out=solve_out,
+        )
+        for density in (d1, d2)
+    )
     # Compare the shared low end of both Laplacian spectra: eigenvalue shifts
     # can move a state across the window edge, so a raw count comparison
     # would spuriously report a structural mismatch.
@@ -354,38 +389,66 @@ def densities_distinguishable(d1: LeafVolumeDensity, d2: LeafVolumeDensity) -> b
     return float(np.max(np.abs(d1.g_values - d2.g_values))) > DENSITY_MARGIN
 
 
+class PairWorkspace:
+    """The pair battery's N x N complex buffers (the module docstring gives
+    what each holds in each phase), owned by the caller and reused by every
+    battery it is passed to.  ``buffers(n_points)`` allocates them at the
+    first call for a grid size and again when the size changes, releasing the
+    old ones first; otherwise it returns the same arrays, still holding what
+    the last battery wrote."""
+
+    SIZE = 4
+
+    def __init__(self):
+        self._buffers: tuple[np.ndarray, ...] = ()
+
+    def buffers(self, n_points: int) -> tuple[np.ndarray, ...]:
+        if not self._buffers or self._buffers[0].shape != (n_points, n_points):
+            self._buffers = ()
+            self._buffers = tuple(
+                np.empty((n_points, n_points), np.complex128) for _ in range(self.SIZE)
+            )
+        return self._buffers
+
+
 def run_pair_checks(
     p1: MetricProfile,
     p2: MetricProfile,
     grid: GridSpec,
     window: float,
     skip_indistinct_laplacian: bool = False,
+    workspace: PairWorkspace | None = None,
 ) -> list[VerificationReport]:
     """The full metric-pair battery: invariance, kappa transform, conjugation,
     and the Laplacian-dependence contrast.
 
     Refuses a window outside the grid's trusted range, then builds each
-    profile's density, spinor Dirac operator and lattice certificate, and
-    alpha, once, and passes them to the checks.  With
-    ``skip_indistinct_laplacian`` (used for auto-generated pairs) the
+    profile's density and spinor Dirac operator, and alpha, once, runs the
+    conjugation check on them, certifies both operators, and passes the rest
+    to the other checks.  Every N x N intermediate is written to the buffers
+    of ``workspace`` (module docstring), a new one when none is given.
+    With ``skip_indistinct_laplacian`` (used for auto-generated pairs) the
     contrast check is recorded as skipped when the pair does not meet its
     distinct-density precondition, instead of failing by design.
     """
     grid.validate_window(window)
+    b0, b1, b2, b3 = (PairWorkspace() if workspace is None else workspace).buffers(grid.n_points)
     d1 = LeafVolumeDensity.from_profile(p1, grid)
     d2 = LeafVolumeDensity.from_profile(p2, grid)
-    dirac_1 = assemble_basic_dirac_spinor(d1, grid)
-    cert_1 = lattice_certificate(dirac_1, grid)
-    dirac_2 = assemble_basic_dirac_spinor(d2, grid)
-    cert_2 = lattice_certificate(dirac_2, grid)
+    dirac_1 = assemble_basic_dirac_spinor(d1, grid, out=b0)
+    dirac_2 = assemble_basic_dirac_spinor(d2, grid, out=b1)
     alpha = basic_volume_ratio(p1, p2, grid)
     metadata = pair_metadata(p1, p2, grid)
+    conjugation = conjugation_residual(dirac_1, dirac_2, alpha, metadata, out=b2)
+    # Each certificate writes its S over the operator's matrix: the operators end here.
+    cert_1 = lattice_certificate(dirac_1, grid, out=(b0, b2, b3))
+    cert_2 = lattice_certificate(dirac_2, grid, out=(b1, b2, b3))
+    del dirac_1, dirac_2
     reports = [
         invariance_check(cert_1, cert_2, window, metadata),
         kappa_transform_residual(d1, d2, alpha, grid, metadata),
-        conjugation_residual(dirac_1, dirac_2, alpha, metadata),
+        conjugation,
     ]
-    del dirac_1, dirac_2  # their last reader has run: free them before the Laplacians
     if skip_indistinct_laplacian and not densities_distinguishable(d1, d2):
         reports.append(
             VerificationReport.skipped(
@@ -402,7 +465,9 @@ def run_pair_checks(
         )
     else:
         reports.append(
-            laplacian_dependence(d1, d2, cert_1, cert_2, grid, window, metadata)
+            laplacian_dependence(
+                d1, d2, cert_1, cert_2, grid, window, metadata, out=(b0, b1, b2)
+            )
         )
     return reports
 

@@ -2,8 +2,9 @@
 metrics, a writer for profile documents, and the reference implementations
 the tests check the library against: a finite-difference Laplacian, the
 weighted inner product on the t-circle, the complex-arithmetic diagonal
-scaling and symmetrized solve that the real-view ones reproduce bit for bit,
-and the inputs a pair check reads, built as the pair battery builds them."""
+scaling, symmetrization and solve that the real-view ones reproduce bit for
+bit (each accepts the ``out`` of the function it stands in for), and the
+inputs a pair check reads, built as the pair battery builds them."""
 
 import json
 from types import SimpleNamespace
@@ -63,22 +64,31 @@ def weighted_inner_product(a: np.ndarray, b: np.ndarray, density: LeafVolumeDens
     return complex((TWO_PI / density.n_points) * np.sum(np.conj(a) * b * density.g_values))
 
 
-def complex_diagonal_conjugate(matrix: np.ndarray, w: np.ndarray) -> np.ndarray:
-    """w^{-1} M w in complex arithmetic: the reference for
-    ``operators.diagonal_conjugate``."""
-    return (matrix * w[None, :]) / w[:, None]
+def complex_diagonal_conjugate(matrix: np.ndarray, w: np.ndarray, out=None) -> np.ndarray:
+    """w^{-1} M w in complex arithmetic, written to ``out`` when it is given: the
+    reference for ``operators.diagonal_conjugate``."""
+    return np.divide(matrix * w[None, :], w[:, None], out=out)
 
 
-def complex_hermitian_spectrum(op: WeightedOperator) -> tuple[np.ndarray, float]:
-    """Eigenvalues of (S + S^H)/2, S = W^{1/2} M W^{-1/2}, and the gate ratio
-    ||S - S^H||_F / max|lambda|, in complex arithmetic with a temporary for
-    every step: the reference for ``WeightedOperator.hermitian_spectrum``."""
+def complex_symmetrized(op: WeightedOperator, out=None) -> tuple[np.ndarray, float]:
+    """(S + S^H)/2, S = W^{1/2} M W^{-1/2}, and ||S - S^H||_F in complex
+    arithmetic with a temporary for every step, H written to the last array of
+    ``out`` when it is given: the reference for ``WeightedOperator.symmetrized``."""
     root = np.sqrt(op.weights)
     sym = (root[:, None] * op.matrix) / root[None, :]
     adjoint = sym.conj().T
-    values = np.linalg.eigvalsh(0.5 * (sym + adjoint))
+    hermitian = np.multiply(0.5, sym + adjoint, out=None if out is None else out[2])
+    return hermitian, float(np.linalg.norm(sym - adjoint))
+
+
+def complex_hermitian_spectrum(op: WeightedOperator, out=None) -> tuple[np.ndarray, float]:
+    """Eigenvalues of ``complex_symmetrized``'s H and the gate ratio
+    ||S - S^H||_F / max|lambda|: the reference for
+    ``WeightedOperator.hermitian_spectrum``."""
+    hermitian, asymmetry = complex_symmetrized(op, out)
+    values = np.linalg.eigvalsh(hermitian)
     scale = max(float(np.max(np.abs(values))), np.finfo(float).tiny)
-    return values, float(np.linalg.norm(sym - adjoint) / scale)
+    return values, asymmetry / scale
 
 
 def finite_difference_laplacian(

@@ -1,11 +1,15 @@
 """Command-line interface: flags, report files, exit codes, determinism."""
 
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
 import pytest
 
+import foliation_lab
 from foliation_lab import MetricProfile, ProfileTerm, bounds
 from foliation_lab.cli import _json_text, build_parser, run
 
@@ -602,3 +606,25 @@ def test_one_parser_serves_every_command(tmp_path, capsys, flat_path, wavy_path)
 
     assert run(["spectrum", "--grid", "64"]) == 2
     assert capsys.readouterr() == usage
+
+
+@pytest.mark.parametrize("module", ["foliation_lab", "foliation_lab.cli"])
+@pytest.mark.parametrize("names, code", [(("flat", "wavy"), 0), (("wavy", "wavy"), 1)])
+def test_python_m_runs_the_cli(tmp_path, capsys, flat_path, wavy_path, module, names, code):
+    """``python -m foliation_lab`` and ``python -m foliation_lab.cli`` write the
+    report of ``cli.run`` with its exit code and stderr: 0 for a passing
+    battery, 1 for identical profiles, whose Laplacian contrast fails."""
+    paths = {"flat": flat_path, "wavy": wavy_path}
+    args = ["verify", "--profiles", *(str(paths[name]) for name in names),
+            "--grid", "64", "--window", "8"]
+    assert run([*args, "--output-dir", str(tmp_path / "run")]) == code
+    expected_err = capsys.readouterr().err
+    package_root = str(Path(foliation_lab.__file__).resolve().parents[1])
+    search_path = os.pathsep.join(filter(None, [package_root, os.environ.get("PYTHONPATH")]))
+    result = subprocess.run(
+        [sys.executable, "-m", module, *args, "--output-dir", str(tmp_path / "module")],
+        capture_output=True, text=True, env={**os.environ, "PYTHONPATH": search_path},
+    )
+    assert (result.returncode, result.stderr) == (code, expected_err)
+    bundle = "verify_bundle.json"
+    assert (tmp_path / "module" / bundle).read_bytes() == (tmp_path / "run" / bundle).read_bytes()

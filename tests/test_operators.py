@@ -19,14 +19,25 @@ from foliation_lab._spectral_diff import differentiation_matrix
 from foliation_lab.basic_calculus import LeafVolumeDensity
 from foliation_lab.cli import run
 from foliation_lab.operators import WeightedOperator, codifferential, diagonal_conjugate
+from foliation_lab.spectral import lattice_certificate
+from foliation_lab.verify import (
+    PairWorkspace,
+    conjugation_residual,
+    invariance_check,
+    kappa_transform_residual,
+    laplacian_dependence,
+    run_pair_checks,
+)
 
 from conftest import (
     complex_diagonal_conjugate,
     complex_hermitian_spectrum,
+    complex_symmetrized,
     exp_sin_profile,
     fd_laplacian_spectrum,
     finite_difference_laplacian,
     laplacian_first_nonzero_eigenvalue,
+    pair_inputs,
     weighted_inner_product,
 )
 
@@ -283,11 +294,96 @@ class TestRealViewScalingBitParity:
         expected = -complex_diagonal_conjugate(trivial, density.g_values)
         assert np.array_equal(_bits(codifferential(density, grid)), _bits(expected))
 
+    @pytest.mark.parametrize("n_points", [64, 256])
+    @pytest.mark.parametrize("spin", ["trivial", "nontrivial"])
+    def test_out_arrays(self, n_points, spin, mixed_profile):
+        """Every ``out=`` path writes the reference's bits into the array it is
+        given, whatever that array held before (NaN here)."""
+        grid = GridSpec(n_points, spin)
+        density = _density(mixed_profile, grid)
+        root = np.sqrt(density.g_values)
+        trivial = differentiation_matrix(n_points, "trivial")
+
+        def stale(count=1):
+            arrays = tuple(np.full((n_points, n_points), np.nan, complex) for _ in range(count))
+            return arrays if count > 1 else arrays[0]
+
+        out = stale()
+        scaled = diagonal_conjugate(differentiation_matrix(n_points, spin), root, out=out)
+        assert np.shares_memory(scaled, out)
+        expected = complex_diagonal_conjugate(differentiation_matrix(n_points, spin), root)
+        assert np.array_equal(_bits(scaled), _bits(expected))
+
+        spinor = assemble_basic_dirac_spinor(density, grid, out=stale())
+        assert np.array_equal(_bits(spinor.matrix), _bits(1j * expected))
+        delta = codifferential(density, grid, out=stale())
+        expected_delta = -complex_diagonal_conjugate(trivial, density.g_values)
+        assert np.array_equal(_bits(delta), _bits(expected_delta))
+        for degree in ("function", "one_form"):
+            laplacian = assemble_basic_laplacian(density, grid, degree, out=stale(2))
+            fresh = assemble_basic_laplacian(density, grid, degree)
+            assert np.array_equal(_bits(laplacian.matrix), _bits(fresh.matrix))
+
+        for op in (spinor, laplacian):
+            expected_h, expected_asymmetry = complex_symmetrized(op)
+            hermitian, asymmetry = op.symmetrized(out=stale(3))
+            assert np.array_equal(_bits(hermitian), _bits(expected_h))
+            assert asymmetry.hex() == expected_asymmetry.hex()
+            values, ratio = op.hermitian_spectrum(out=stale(3))
+            expected_values, expected_ratio = complex_hermitian_spectrum(op)
+            assert np.array_equal(_bits(values), _bits(expected_values))
+            assert ratio.hex() == expected_ratio.hex()
+            # S written over the operator's own matrix: the battery's layout
+            consumed = WeightedOperator(op.matrix.copy(), op.weights, op.label, n_points)
+            hermitian, asymmetry = consumed.symmetrized(out=(consumed.matrix, *stale(2)))
+            assert np.array_equal(_bits(hermitian), _bits(expected_h))
+            assert asymmetry.hex() == expected_asymmetry.hex()
+        if spin == "trivial":
+            certificate = lattice_certificate(spinor, grid)
+            assert lattice_certificate(spinor, grid, out=stale(3)) == certificate
+
+    @staticmethod
+    def _allocating_battery(p1, p2, grid, window):
+        """The pair battery's four checks on inputs built without ``out``."""
+        pair = pair_inputs(p1, p2, grid)
+        return [
+            invariance_check(*pair.certificates, window, pair.metadata),
+            kappa_transform_residual(*pair.densities, pair.alpha, grid, pair.metadata),
+            conjugation_residual(*pair.dirac, pair.alpha, pair.metadata),
+            laplacian_dependence(*pair.densities, *pair.certificates, grid, window, pair.metadata),
+        ]
+
+    def test_battery_on_a_reused_workspace(self, cosine_profile, mixed_profile, grid64):
+        """Stale-buffer guard: a battery run twice on one workspace, first filled
+        with NaN, gives the reports of the checks run on fresh arrays."""
+        workspace = PairWorkspace()
+        for buffer in workspace.buffers(64):
+            buffer.fill(np.nan)
+        expected = self._allocating_battery(cosine_profile, mixed_profile, grid64, 8.0)
+        for _ in range(2):
+            reports = run_pair_checks(cosine_profile, mixed_profile, grid64, 8.0,
+                                      workspace=workspace)
+            assert reports == expected
+
+    def test_battery_on_a_workspace_across_grids(self, cosine_profile, mixed_profile):
+        """Stale-buffer guard: one workspace used on grids 64, 128, 64 resizes
+        to each and gives the reports of a fresh workspace on every grid."""
+        workspace = PairWorkspace()
+        for n_points in (64, 128, 64):
+            grid = GridSpec(n_points)
+            reports = run_pair_checks(cosine_profile, mixed_profile, grid, 8.0,
+                                      workspace=workspace)
+            assert [buffer.shape for buffer in workspace.buffers(n_points)] == (
+                [(n_points, n_points)] * PairWorkspace.SIZE)
+            assert reports == run_pair_checks(cosine_profile, mixed_profile, grid, 8.0)
+            assert reports == self._allocating_battery(cosine_profile, mixed_profile, grid, 8.0)
+
     def test_pair_bundle_is_the_bundle_of_the_references(self, tmp_path, monkeypatch):
         args = ["verify", "--all", "--grid", "64", "--window", "8", "--pairs", "2"]
         code = run([*args, "--output-dir", str(tmp_path / "view")])
         monkeypatch.setattr(operators, "diagonal_conjugate", complex_diagonal_conjugate)
         monkeypatch.setattr(verify, "diagonal_conjugate", complex_diagonal_conjugate)
+        monkeypatch.setattr(WeightedOperator, "symmetrized", complex_symmetrized)
         monkeypatch.setattr(WeightedOperator, "hermitian_spectrum", complex_hermitian_spectrum)
         assert run([*args, "--output-dir", str(tmp_path / "complex")]) == code
         bundle = "verify_bundle.json"

@@ -1,6 +1,7 @@
 """Verification harnesses: invariance battery, residual identities, contrasts."""
 
 import math
+import tracemalloc
 import weakref
 
 import numpy as np
@@ -33,6 +34,7 @@ from foliation_lab.operators import (
 )
 from foliation_lab.spectral import WINDOW_EDGE_SLACK, OperatorSymmetryError, lattice_certificate
 from foliation_lab.verify import (
+    PairWorkspace,
     random_profile,
     random_profile_pair,
     run_pair_checks,
@@ -320,9 +322,9 @@ def test_pair_battery_solves_each_spectrum_once(flat_profile, grid64, monkeypatc
         return svd(*args, **kwargs)
 
     def counted(name, function):
-        def wrapper(*args):
+        def wrapper(*args, **kwargs):
             built.append(name)
-            return function(*args)
+            return function(*args, **kwargs)
         return wrapper
 
     monkeypatch.setattr(np.linalg, "eigvalsh", counted_eigvalsh)
@@ -354,30 +356,30 @@ def test_pair_battery_assembles_each_dirac_operator_once(cosine_profile, mixed_p
     certify = verify.lattice_certificate
     conjugate, laplacian = verify.conjugation_residual, verify.assemble_basic_laplacian
 
-    def counted_assembly(density, grid):
-        op = assemble(density, grid)
+    def counted_assembly(density, grid, out=None):
+        op = assemble(density, grid, out=out)
         assembled.append(weakref.ref(op))
         return op
 
     def assembly_index(op):
         return next((i for i, ref in enumerate(assembled) if ref() is op), None)
 
-    def recorded_certificate(op, grid):
+    def recorded_certificate(op, grid, out=None):
         certified.append(assembly_index(op))
-        return certify(op, grid)
+        return certify(op, grid, out=out)
 
-    def recorded_solve(op):
+    def recorded_solve(op, out=None):
         solved.append((assembly_index(op), op.label))
-        return solve(op)
+        return solve(op, out=out)
 
-    def recorded_conjugation(dirac_1, dirac_2, alpha, metadata):
+    def recorded_conjugation(dirac_1, dirac_2, alpha, metadata, out=None):
         conjugated.extend([assembly_index(dirac_1), assembly_index(dirac_2)])
-        return conjugate(dirac_1, dirac_2, alpha, metadata)
+        return conjugate(dirac_1, dirac_2, alpha, metadata, out=out)
 
-    def checked_laplacian(*args):
+    def checked_laplacian(*args, **kwargs):
         if not alive_at_laplacian:
             alive_at_laplacian.extend(ref() is not None for ref in assembled)
-        return laplacian(*args)
+        return laplacian(*args, **kwargs)
 
     monkeypatch.setattr(verify, "assemble_basic_dirac_spinor", counted_assembly)
     monkeypatch.setattr(verify, "lattice_certificate", recorded_certificate)
@@ -391,6 +393,41 @@ def test_pair_battery_assembles_each_dirac_operator_once(cosine_profile, mixed_p
     assert solved == [(None, "laplacian_function[N=64]")] * 2
     assert conjugated == [0, 1]
     assert alive_at_laplacian == [False, False]
+
+
+def test_pair_battery_allocates_less_than_three_matrices(cosine_profile, mixed_profile,
+                                                         monkeypatch):
+    """Allocation budget: on a warm workspace, one battery (contrast included)
+    allocates a traced peak below three N x N complex arrays; the 2-D samples
+    of alpha are most of it.  With alpha given, the rest of the battery stays
+    below one such array, so no N x N intermediate of the assemblies, the
+    conjugation, the symmetrizations or the Laplacians is a fresh array.
+    ``tracemalloc`` counts numpy's data buffers, whatever the allocator and
+    the OS do with them."""
+    n_points = 128
+    grid = GridSpec(n_points)
+    matrix_bytes = 16 * n_points**2
+    workspace = PairWorkspace()
+
+    def traced_battery():
+        tracemalloc.start()
+        try:
+            reports = run_pair_checks(cosine_profile, mixed_profile, grid, 8.0,
+                                      workspace=workspace)
+            return reports, tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    run_pair_checks(cosine_profile, mixed_profile, grid, 8.0, workspace=workspace)
+    reports, peak = traced_battery()
+    assert [report.passed for report in reports] == [True] * 4
+    assert not reports[3].metadata.get("skipped", False)
+    assert peak < 3 * matrix_bytes
+    alpha = verify.basic_volume_ratio(cosine_profile, mixed_profile, grid)
+    monkeypatch.setattr(verify, "basic_volume_ratio", lambda *args: alpha)
+    given_alpha, peak = traced_battery()
+    assert given_alpha == reports
+    assert peak < matrix_bytes
 
 
 def test_profile_checks_make_no_svd(product_profile, grid128, monkeypatch):
@@ -447,15 +484,15 @@ class TestMutations:
     """
 
     @staticmethod
-    def _half_too_strong(density, grid):
+    def _half_too_strong(density, grid, out=None):
         matrix = diagonal_conjugate(differentiation_matrix(grid.n_points, "trivial"),
-                                    density.g_values)
+                                    density.g_values, out=out)
         matrix *= 1j
         return WeightedOperator(matrix, quadrature_weights(density), "mutant_g", grid.n_points)
 
     @staticmethod
-    def _unweighted(density, grid):
-        op = assemble_basic_dirac_spinor(density, grid)
+    def _unweighted(density, grid, out=None):
+        op = assemble_basic_dirac_spinor(density, grid, out=out)
         weights = np.full(grid.n_points, 2.0 * np.pi / grid.n_points)
         return WeightedOperator(op.matrix, weights, "mutant_weights", grid.n_points)
 
@@ -490,9 +527,9 @@ def test_verify_and_invariance_never_solve_a_dirac_operator(flat_profile, cosine
     labels, sizes = [], []
     solve, eigvalsh = WeightedOperator.hermitian_spectrum, np.linalg.eigvalsh
 
-    def recorded_solve(op):
+    def recorded_solve(op, out=None):
         labels.append(op.label)
-        return solve(op)
+        return solve(op, out=out)
 
     def counted_eigvalsh(matrix, *args, **kwargs):
         sizes.append(matrix.shape)

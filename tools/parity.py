@@ -15,7 +15,9 @@ trees with
     diff -r /tmp/a /tmp/b
 
 The cases run one after another in one process, so state that one call left
-behind would show up as a difference in a later case.  BLAS runs on one
+behind would show up as a difference in a later case; the last four cases
+run a grid-256 ``verify`` twice in a row, then an ``invariance`` at grid 128
+right after a grid-64 ``verify``.  BLAS runs on one
 thread unless the environment says otherwise.
 """
 
@@ -75,6 +77,14 @@ def cases() -> dict[str, list[str]]:
                 "--spin", spin, *small]
     table["bounds-json"] = ["bounds", "--r", "0.25", "0.5", "2", "4", "--format", "json"]
     table["sweep-default"] = ["sweep"]
+    # Back-to-back pair batteries: a buffer that one call leaves stale or
+    # sized for another grid would change the second call's bytes.
+    repeated = ["verify", "--all", "--grid", "256", "--window", "10", "--seed", "3"]
+    table["twice-verify-all-n256-seed3-first"] = repeated
+    table["twice-verify-all-n256-seed3-second"] = repeated
+    table["regrid-verify-all-n64"] = ["verify", "--all", *small, "--seed", "3"]
+    table["regrid-invariance-n128"] = [
+        "invariance", "--profiles", profile("flat"), profile("wavy"), "--grid", "128"]
     return table
 
 
