@@ -25,7 +25,7 @@ from .bounds import bound_failures, bound_rows_csv, s3_bounds
 from .model_spaces import SPIN_STRUCTURES, GridSpec, MetricProfile, load_profile
 from .operators import assemble_basic_dirac_spinor, assemble_basic_laplacian
 from .spectral import SpectrumReport, dirac_spectra, eigenvalues_weighted
-from .verify import PairWorkspace, random_profile_pair, run_pair_checks, run_profile_checks
+from .verify import random_profile_pair, run_pair_checks, run_profile_checks
 
 DEFAULT_SEED = 7041
 SEED_ENV_VAR = "FOLIATION_LAB_SEED"
@@ -170,21 +170,13 @@ def _cmd_sweep(args) -> int:
 
 
 def _run_verification(profiles, grid, window, pairs, seed) -> list:
-    reports = []
-    workspace = PairWorkspace()  # one set of N x N buffers for every pair battery
-    if len(profiles) >= 2:
-        for i in range(len(profiles) - 1):
-            reports.extend(
-                run_pair_checks(profiles[i], profiles[i + 1], grid, window, workspace=workspace)
-            )
-    else:
-        rng = np.random.default_rng(seed)
-        for _ in range(pairs):
-            p1, p2 = random_profile_pair(rng)
-            reports.extend(run_pair_checks(
-                p1, p2, grid, window, skip_indistinct_laplacian=True, workspace=workspace
-            ))
-    del workspace  # released before the single-profile checks assemble theirs
+    generated = len(profiles) < 2
+    rng = np.random.default_rng(seed)
+    reports = run_pair_checks(
+        [random_profile_pair(rng) for _ in range(pairs)] if generated
+        else list(zip(profiles, profiles[1:])),
+        grid, window, skip_indistinct_laplacian=generated,
+    )
     for profile in profiles:
         reports.extend(run_profile_checks(profile, grid))
     return reports
@@ -244,7 +236,7 @@ def _cmd_invariance(args) -> int:
     grid = GridSpec(args.grid, "trivial")
     grid.validate_window(args.window)
     p1, p2 = _load_profiles(args.profiles)
-    reports = run_pair_checks(p1, p2, grid, args.window)
+    reports = run_pair_checks([(p1, p2)], grid, args.window)
     return _write_bundle(reports, grid, None, args, "invariance_bundle.json")
 
 

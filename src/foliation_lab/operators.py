@@ -36,13 +36,7 @@ ones: ``diagonal_conjugate``, ``assemble_basic_dirac_spinor`` and
 three (S, conj(S), H).  S may be written over the operator's own matrix,
 which then ends the operator.  Each step runs the same ufunc on the same
 operands with or without ``out``, so the bits are the same; without it
-numpy allocates, as for ``out=None``.  The pair battery
-(``verify.run_pair_checks``) keeps four N x N buffers, 0 to 3: the two
-spinor Dirac matrices in 0 and 1 and the conjugation difference in 2; each
-certificate's S over its operator in 0 or 1, S^H in 2 and H in 3; each
-Laplacian's delta in 0 and delta @ D in 1, then its S over it in 1, S^H in
-0 and H in 2.  An operator built on such a buffer is valid only until the
-battery's next phase.
+numpy allocates, as for ``out=None``.
 
 With these choices the spinor Dirac matrix is exactly unitarily
 equivalent to i*D, so its spectrum is the integer lattice for every
@@ -164,6 +158,10 @@ def twisted_differential(density: LeafVolumeDensity, grid: GridSpec) -> np.ndarr
     return diagonal_conjugate(d, np.sqrt(density.g_values))
 
 
+def forms_label(n_points: int) -> str:
+    return f"dirac_forms[N={n_points}]"
+
+
 def assemble_basic_dirac_forms(
     density: LeafVolumeDensity, grid: GridSpec
 ) -> WeightedOperator:
@@ -183,7 +181,7 @@ def assemble_basic_dirac_forms(
     return WeightedOperator(
         matrix=matrix,
         weights=weights,
-        label=f"dirac_forms[N={n}]",
+        label=forms_label(n),
         n_points=n,
     )
 

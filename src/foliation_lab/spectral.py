@@ -42,7 +42,7 @@ import numpy as np
 
 from ._spectral_diff import differentiation_matrix, wavenumbers
 from .model_spaces import GridSpec
-from .operators import WeightedOperator
+from .operators import WeightedOperator, forms_label
 
 # Relative symmetrization residual above which an eigensolve is refused.
 SYMMETRIZATION_TOLERANCE = 1e-8
@@ -118,11 +118,10 @@ def dirac_spectra(
     n = grid.n_points
     values, residual = spinor.hermitian_spectrum()
     _require_symmetric(residual, spinor.label)
-    forms_label = f"dirac_forms[N={n}]"
-    _require_symmetric(math.sqrt(2.0) * residual, forms_label)
+    _require_symmetric(math.sqrt(2.0) * residual, forms_label(n))
     return (
         SpectrumReport(values, n, spinor.label),
-        SpectrumReport(np.concatenate([-values, values]), n, forms_label),
+        SpectrumReport(np.concatenate([-values, values]), n, forms_label(n)),
     )
 
 
@@ -188,7 +187,7 @@ def lattice_certificate(
     floor = n / 2 - radius
     gate_ratio = asymmetry / floor if floor > 0.0 else math.inf
     _require_symmetric(gate_ratio, spinor.label)
-    _require_symmetric(math.sqrt(2.0) * gate_ratio, f"dirac_forms[N={n}]")
+    _require_symmetric(math.sqrt(2.0) * gate_ratio, forms_label(n))
     return LatticeCertificate(distance, radius, gate_ratio, n)
 
 

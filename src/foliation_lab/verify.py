@@ -9,17 +9,15 @@ and a diagnostic in the metadata, never silently.
 Every check is a pure function of the values it is passed.  The two batteries
 build those values once and hold them as locals: ``run_pair_checks`` builds
 each profile's leaf-volume density, spinor Dirac operator and its
-``lattice_certificate``, and the pair's volume ratio alpha; the conjugation
-check reads the two operators before they are certified, and they end with
-their certificates, before the function-Laplacian solves, the battery's only
-eigensolves.  ``run_profile_checks`` builds one torus geometry for both of its
-checks.
+``lattice_certificate``, the pair's volume ratio alpha, and the two
+function-Laplacian spectra of the contrast, the battery's only eigensolves;
+the conjugation check reads the two operators before they are certified, and
+they end with their certificates.  ``run_profile_checks`` builds one torus
+geometry for both of its checks.
 
-The pair battery writes every N x N complex intermediate into the four
-buffers of a caller-owned ``PairWorkspace``: ``cli`` makes one per ``verify``
-call and passes it to each battery, so that consecutive batteries touch no
-fresh pages, and ``run_pair_checks`` makes its own when given none (the one
-battery of ``invariance``).  Buffer by phase:
+``run_pair_checks`` runs every pair of one command.  When there is at least
+one pair it allocates four N x N complex buffers, 0 to 3, and writes every
+N x N complex intermediate of every pair into them.  Buffer by phase:
 
 * assembly: dirac_1 in 0, dirac_2 in 1, and the conjugation difference in 2;
 * certificates, first of dirac_1, then of dirac_2: S written over the
@@ -28,8 +26,7 @@ battery of ``invariance``).  Buffer by phase:
   in 0, the matrix delta @ D in 1, then S written over it in 1, S^H over
   delta in 0, and H in 2.
 
-An operator or array built on a workspace buffer is valid only until the
-battery's next phase.
+An operator built on a buffer is valid only until the next phase.
 
 No basic Dirac spectrum is solved here.  The paper proves invariance by
 unitary equivalence, and each certificate bounds its eigenvalues by Weyl's
@@ -76,6 +73,7 @@ from .operators import (
 from .spectral import (
     WINDOW_EDGE_SLACK,
     LatticeCertificate,
+    SpectrumReport,
     certified_deviation,
     eigenvalues_weighted,
     lattice_certificate,
@@ -153,7 +151,7 @@ def basic_volume_ratio(p1: MetricProfile, p2: MetricProfile, grid: GridSpec) -> 
     """alpha = P_b(dvol'/dvol) computed under the first metric's weighting."""
     f1 = torus_metric_sample(p1, grid)
     f2 = torus_metric_sample(p2, grid)
-    return project_basic(f2 / f1, f1, grid).real
+    return project_basic(np.divide(f2, f1, out=f2), f1, grid).real
 
 
 def invariance_check(
@@ -234,7 +232,10 @@ def scal_relation_residual(
 
     With vanishing transverse and leaf curvature and vanishing O'Neill
     A-tensor, the relation reduces to Scal_M = -2|kappa|^2 + 2 div(kappa),
-    with the divergence computed spectrally along t.
+    with the divergence computed spectrally along t.  On this family that is
+    algebra (-2 kappa^2 + 2 kappa' = -2 f_tt/f for kappa = -f_t/f), so the
+    residual is only the aliasing error of kappa's spectral derivative: the
+    check guards a future certificate that the grid resolves kappa.
     """
     kappa = geometry.kappa_coeff
     divergence = fourier_derivative(kappa, order=1, axis=1)
@@ -285,14 +286,12 @@ def lichnerowicz_residual(
 
 
 def laplacian_dependence(
-    d1: LeafVolumeDensity,
-    d2: LeafVolumeDensity,
+    laplacian_1: SpectrumReport,
+    laplacian_2: SpectrumReport,
     cert_1: LatticeCertificate,
     cert_2: LatticeCertificate,
-    grid: GridSpec,
     window: float,
     metadata: dict,
-    out: tuple[np.ndarray, ...] | None = None,
 ) -> VerificationReport:
     """Metric dependence of the basic Laplacian against invariance of the squared Dirac.
 
@@ -303,21 +302,7 @@ def laplacian_dependence(
     when a window count is not certified.  When (a) fails the residual is
     infinite and the report flags the metrics as spectrally indistinguishable
     for the basic Laplacian.
-
-    ``out``, three N x N complex arrays, holds each Laplacian's codifferential
-    and then S^H in the first, its matrix delta @ D and then S (written over
-    it) in the second, and H in the third.
     """
-    assembly_out = solve_out = None
-    if out is not None:
-        assembly_out, solve_out = out[:2], (out[1], out[0], out[2])
-    laplacian_1, laplacian_2 = (
-        eigenvalues_weighted(
-            assemble_basic_laplacian(density, grid, DEGREE_FUNCTION, out=assembly_out),
-            out=solve_out,
-        )
-        for density in (d1, d2)
-    )
     # Compare the shared low end of both Laplacian spectra: eigenvalue shifts
     # can move a state across the window edge, so a raw count comparison
     # would spuriously report a structural mismatch.
@@ -389,85 +374,71 @@ def densities_distinguishable(d1: LeafVolumeDensity, d2: LeafVolumeDensity) -> b
     return float(np.max(np.abs(d1.g_values - d2.g_values))) > DENSITY_MARGIN
 
 
-class PairWorkspace:
-    """The pair battery's N x N complex buffers (the module docstring gives
-    what each holds in each phase), owned by the caller and reused by every
-    battery it is passed to.  ``buffers(n_points)`` allocates them at the
-    first call for a grid size and again when the size changes, releasing the
-    old ones first; otherwise it returns the same arrays, still holding what
-    the last battery wrote."""
-
-    SIZE = 4
-
-    def __init__(self):
-        self._buffers: tuple[np.ndarray, ...] = ()
-
-    def buffers(self, n_points: int) -> tuple[np.ndarray, ...]:
-        if not self._buffers or self._buffers[0].shape != (n_points, n_points):
-            self._buffers = ()
-            self._buffers = tuple(
-                np.empty((n_points, n_points), np.complex128) for _ in range(self.SIZE)
-            )
-        return self._buffers
-
-
 def run_pair_checks(
-    p1: MetricProfile,
-    p2: MetricProfile,
+    pairs: list[tuple[MetricProfile, MetricProfile]],
     grid: GridSpec,
     window: float,
     skip_indistinct_laplacian: bool = False,
-    workspace: PairWorkspace | None = None,
 ) -> list[VerificationReport]:
-    """The full metric-pair battery: invariance, kappa transform, conjugation,
-    and the Laplacian-dependence contrast.
+    """The full metric-pair battery for each pair in turn: invariance, kappa
+    transform, conjugation, and the Laplacian-dependence contrast.
 
-    Refuses a window outside the grid's trusted range, then builds each
-    profile's density and spinor Dirac operator, and alpha, once, runs the
-    conjugation check on them, certifies both operators, and passes the rest
-    to the other checks.  Every N x N intermediate is written to the buffers
-    of ``workspace`` (module docstring), a new one when none is given.
+    Refuses a window outside the grid's trusted range, then, per pair, builds
+    each profile's density and spinor Dirac operator, and alpha, once, runs
+    the conjugation check on them, certifies both operators, solves the two
+    function Laplacians, and passes the rest to the other checks.  Every
+    N x N intermediate is written to the four buffers of the module docstring.
     With ``skip_indistinct_laplacian`` (used for auto-generated pairs) the
     contrast check is recorded as skipped when the pair does not meet its
     distinct-density precondition, instead of failing by design.
     """
     grid.validate_window(window)
-    b0, b1, b2, b3 = (PairWorkspace() if workspace is None else workspace).buffers(grid.n_points)
-    d1 = LeafVolumeDensity.from_profile(p1, grid)
-    d2 = LeafVolumeDensity.from_profile(p2, grid)
-    dirac_1 = assemble_basic_dirac_spinor(d1, grid, out=b0)
-    dirac_2 = assemble_basic_dirac_spinor(d2, grid, out=b1)
-    alpha = basic_volume_ratio(p1, p2, grid)
-    metadata = pair_metadata(p1, p2, grid)
-    conjugation = conjugation_residual(dirac_1, dirac_2, alpha, metadata, out=b2)
-    # Each certificate writes its S over the operator's matrix: the operators end here.
-    cert_1 = lattice_certificate(dirac_1, grid, out=(b0, b2, b3))
-    cert_2 = lattice_certificate(dirac_2, grid, out=(b1, b2, b3))
-    del dirac_1, dirac_2
-    reports = [
-        invariance_check(cert_1, cert_2, window, metadata),
-        kappa_transform_residual(d1, d2, alpha, grid, metadata),
-        conjugation,
-    ]
-    if skip_indistinct_laplacian and not densities_distinguishable(d1, d2):
-        reports.append(
-            VerificationReport.skipped(
-                "laplacian_dependence",
-                LAPLACIAN_FORMS_THRESHOLD,
-                "theta-averaged densities are not distinct for this pair",
-                {
-                    "tag": "inv",
-                    "profile_1": p1.to_dict(),
-                    "profile_2": p2.to_dict(),
-                    "grid": grid.n_points,
-                },
+    if not pairs:
+        return []
+    n = grid.n_points
+    b0, b1, b2, b3 = (np.empty((n, n), np.complex128) for _ in range(4))
+    reports = []
+    for p1, p2 in pairs:
+        d1 = LeafVolumeDensity.from_profile(p1, grid)
+        d2 = LeafVolumeDensity.from_profile(p2, grid)
+        dirac_1 = assemble_basic_dirac_spinor(d1, grid, out=b0)
+        dirac_2 = assemble_basic_dirac_spinor(d2, grid, out=b1)
+        alpha = basic_volume_ratio(p1, p2, grid)
+        metadata = pair_metadata(p1, p2, grid)
+        conjugation = conjugation_residual(dirac_1, dirac_2, alpha, metadata, out=b2)
+        # Each certificate writes its S over the operator's matrix: the operators end here.
+        cert_1 = lattice_certificate(dirac_1, grid, out=(b0, b2, b3))
+        cert_2 = lattice_certificate(dirac_2, grid, out=(b1, b2, b3))
+        del dirac_1, dirac_2
+        reports += [
+            invariance_check(cert_1, cert_2, window, metadata),
+            kappa_transform_residual(d1, d2, alpha, grid, metadata),
+            conjugation,
+        ]
+        if skip_indistinct_laplacian and not densities_distinguishable(d1, d2):
+            reports.append(
+                VerificationReport.skipped(
+                    "laplacian_dependence",
+                    LAPLACIAN_FORMS_THRESHOLD,
+                    "theta-averaged densities are not distinct for this pair",
+                    {
+                        "tag": "inv",
+                        "profile_1": p1.to_dict(),
+                        "profile_2": p2.to_dict(),
+                        "grid": n,
+                    },
+                )
             )
+            continue
+        laplacian_1, laplacian_2 = (
+            eigenvalues_weighted(
+                assemble_basic_laplacian(density, grid, DEGREE_FUNCTION, out=(b0, b1)),
+                out=(b1, b0, b2),
+            )
+            for density in (d1, d2)
         )
-    else:
         reports.append(
-            laplacian_dependence(
-                d1, d2, cert_1, cert_2, grid, window, metadata, out=(b0, b1, b2)
-            )
+            laplacian_dependence(laplacian_1, laplacian_2, cert_1, cert_2, window, metadata)
         )
     return reports
 

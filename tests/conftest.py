@@ -21,6 +21,7 @@ from foliation_lab import (
     SpectrumReport,
     WeightedOperator,
     assemble_basic_dirac_spinor,
+    assemble_basic_laplacian,
     eigenvalues_weighted,
 )
 from foliation_lab._spectral_diff import uniform_nodes
@@ -146,14 +147,16 @@ def laplacian_first_nonzero_eigenvalue(report: SpectrumReport, zero_tol: float =
 def pair_inputs(p1: MetricProfile, p2: MetricProfile, grid: GridSpec) -> SimpleNamespace:
     """What ``run_pair_checks`` passes to the pair checks, for calling one alone:
     the two ``densities``, spinor Dirac operators ``dirac``, their
-    ``lattice_certificate``s ``certificates``, ``alpha`` and the pair
-    ``metadata``."""
+    ``lattice_certificate``s ``certificates``, the function-Laplacian spectra
+    ``laplacians``, ``alpha`` and the pair ``metadata``."""
     densities = tuple(LeafVolumeDensity.from_profile(p, grid) for p in (p1, p2))
     dirac = tuple(assemble_basic_dirac_spinor(d, grid) for d in densities)
     return SimpleNamespace(
         densities=densities,
         dirac=dirac,
         certificates=tuple(lattice_certificate(op, grid) for op in dirac),
+        laplacians=tuple(eigenvalues_weighted(assemble_basic_laplacian(d, grid))
+                         for d in densities),
         alpha=basic_volume_ratio(p1, p2, grid),
         metadata=pair_metadata(p1, p2, grid),
     )

@@ -180,7 +180,7 @@ def test_criterion_6_laplacian_contrast():
     p1 = MetricProfile(1.0)
     p2 = MetricProfile(1.0, (ProfileTerm(0, 1, 0.5),))
     pair = pair_inputs(p1, p2, GRID)
-    report = laplacian_dependence(*pair.densities, *pair.certificates, GRID, WINDOW, pair.metadata)
+    report = laplacian_dependence(*pair.laplacians, *pair.certificates, WINDOW, pair.metadata)
     lam_1 = laplacian_first_nonzero_eigenvalue(
         eigenvalues_weighted(
             assemble_basic_laplacian(LeafVolumeDensity.from_profile(p1, GRID), GRID)

@@ -21,7 +21,6 @@ from foliation_lab.cli import run
 from foliation_lab.operators import WeightedOperator, codifferential, diagonal_conjugate
 from foliation_lab.spectral import lattice_certificate
 from foliation_lab.verify import (
-    PairWorkspace,
     conjugation_residual,
     invariance_check,
     kappa_transform_residual,
@@ -350,32 +349,28 @@ class TestRealViewScalingBitParity:
             invariance_check(*pair.certificates, window, pair.metadata),
             kappa_transform_residual(*pair.densities, pair.alpha, grid, pair.metadata),
             conjugation_residual(*pair.dirac, pair.alpha, pair.metadata),
-            laplacian_dependence(*pair.densities, *pair.certificates, grid, window, pair.metadata),
+            laplacian_dependence(*pair.laplacians, *pair.certificates, window, pair.metadata),
         ]
 
-    def test_battery_on_a_reused_workspace(self, cosine_profile, mixed_profile, grid64):
-        """Stale-buffer guard: a battery run twice on one workspace, first filled
-        with NaN, gives the reports of the checks run on fresh arrays."""
-        workspace = PairWorkspace()
-        for buffer in workspace.buffers(64):
-            buffer.fill(np.nan)
-        expected = self._allocating_battery(cosine_profile, mixed_profile, grid64, 8.0)
-        for _ in range(2):
-            reports = run_pair_checks(cosine_profile, mixed_profile, grid64, 8.0,
-                                      workspace=workspace)
-            assert reports == expected
+    def test_battery_reuses_its_buffers_across_pairs(self, cosine_profile, mixed_profile,
+                                                     product_profile, grid64):
+        """Stale-buffer guard: a three-pair call, whose later pairs run on the
+        buffers the earlier ones wrote, gives the reports of three one-pair
+        calls and of the checks run on fresh arrays."""
+        pairs = [(cosine_profile, mixed_profile), (mixed_profile, product_profile),
+                 (product_profile, cosine_profile)]
+        reports = run_pair_checks(pairs, grid64, 8.0)
+        assert reports == [report for pair in pairs
+                           for report in run_pair_checks([pair], grid64, 8.0)]
+        assert reports == [report for pair in pairs
+                           for report in self._allocating_battery(*pair, grid64, 8.0)]
 
-    def test_battery_on_a_workspace_across_grids(self, cosine_profile, mixed_profile):
-        """Stale-buffer guard: one workspace used on grids 64, 128, 64 resizes
-        to each and gives the reports of a fresh workspace on every grid."""
-        workspace = PairWorkspace()
+    def test_battery_across_grids(self, cosine_profile, mixed_profile):
+        """Stale-buffer guard: consecutive calls on grids 64, 128 and 64 give
+        the reports of the checks run on fresh arrays on every grid."""
         for n_points in (64, 128, 64):
             grid = GridSpec(n_points)
-            reports = run_pair_checks(cosine_profile, mixed_profile, grid, 8.0,
-                                      workspace=workspace)
-            assert [buffer.shape for buffer in workspace.buffers(n_points)] == (
-                [(n_points, n_points)] * PairWorkspace.SIZE)
-            assert reports == run_pair_checks(cosine_profile, mixed_profile, grid, 8.0)
+            reports = run_pair_checks([(cosine_profile, mixed_profile)], grid, 8.0)
             assert reports == self._allocating_battery(cosine_profile, mixed_profile, grid, 8.0)
 
     def test_pair_bundle_is_the_bundle_of_the_references(self, tmp_path, monkeypatch):

@@ -22,7 +22,7 @@ from foliation_lab import (
     scal_relation_residual,
     torus_geometry,
 )
-from foliation_lab._spectral_diff import differentiation_matrix
+from foliation_lab._spectral_diff import differentiation_matrix, fourier_derivative
 from foliation_lab.basic_calculus import LeafVolumeDensity
 from foliation_lab import verify
 from foliation_lab.operators import (
@@ -34,7 +34,6 @@ from foliation_lab.operators import (
 )
 from foliation_lab.spectral import WINDOW_EDGE_SLACK, OperatorSymmetryError, lattice_certificate
 from foliation_lab.verify import (
-    PairWorkspace,
     random_profile,
     random_profile_pair,
     run_pair_checks,
@@ -62,7 +61,7 @@ def conjugation(p1, p2, grid):
 
 def contrast(p1, p2, grid, window):
     pair = pair_inputs(p1, p2, grid)
-    return laplacian_dependence(*pair.densities, *pair.certificates, grid, window, pair.metadata)
+    return laplacian_dependence(*pair.laplacians, *pair.certificates, window, pair.metadata)
 
 
 def scal_relation(profile, grid):
@@ -96,7 +95,7 @@ class TestInvarianceCheck:
 
     def test_window_beyond_trust_rejected(self, flat_profile, cosine_profile, grid64):
         with pytest.raises(ValueError, match="window"):
-            run_pair_checks(flat_profile, cosine_profile, grid64, 20.0)
+            run_pair_checks([(flat_profile, cosine_profile)], grid64, 20.0)
 
     def test_counts_are_the_lattice_counts(self, flat_profile, mixed_profile, grid128):
         report = invariance(flat_profile, mixed_profile, grid128, 10.0)
@@ -128,8 +127,7 @@ class TestInvarianceCheck:
         bound = sum(cert.distance for cert in pair.certificates)
         assert report.residual == report.metadata["spinor_residual"] == bound
         assert report.metadata["forms_residual"] == bound
-        squared = laplacian_dependence(*pair.densities, *pair.certificates, grid128, 10.0,
-                                       pair.metadata)
+        squared = laplacian_dependence(*pair.laplacians, *pair.certificates, 10.0, pair.metadata)
         assert squared.metadata["squared_forms_residual"] == (
             2.0 * (10.0 + WINDOW_EDGE_SLACK) * bound
         )
@@ -336,7 +334,8 @@ def test_pair_battery_solves_each_spectrum_once(flat_profile, grid64, monkeypatc
     monkeypatch.setattr(verify, "assemble_basic_dirac_spinor", counted("dirac", assemble))
     monkeypatch.setattr(verify, "basic_volume_ratio", counted("alpha", ratio))
     differentiation_matrix.cache_clear()
-    reports = run_pair_checks(flat_profile, second, grid64, 8.0, skip_indistinct_laplacian=skip)
+    reports = run_pair_checks([(flat_profile, second)], grid64, 8.0,
+                              skip_indistinct_laplacian=skip)
     assert [report.passed for report in reports] == [True] * 4
     assert [report.metadata.get("skipped", False) for report in reports] == [False] * 3 + [skip]
     assert built == ["density", "density", "dirac", "dirac", "alpha"]
@@ -386,7 +385,7 @@ def test_pair_battery_assembles_each_dirac_operator_once(cosine_profile, mixed_p
     monkeypatch.setattr(WeightedOperator, "hermitian_spectrum", recorded_solve)
     monkeypatch.setattr(verify, "conjugation_residual", recorded_conjugation)
     monkeypatch.setattr(verify, "assemble_basic_laplacian", checked_laplacian)
-    reports = run_pair_checks(cosine_profile, mixed_profile, grid64, 8.0)
+    reports = run_pair_checks([(cosine_profile, mixed_profile)], grid64, 8.0)
     assert [report.passed for report in reports] == [True] * 4
     assert len(assembled) == 2
     assert certified == [0, 1]
@@ -395,39 +394,44 @@ def test_pair_battery_assembles_each_dirac_operator_once(cosine_profile, mixed_p
     assert alive_at_laplacian == [False, False]
 
 
-def test_pair_battery_allocates_less_than_three_matrices(cosine_profile, mixed_profile,
-                                                         monkeypatch):
-    """Allocation budget: on a warm workspace, one battery (contrast included)
-    allocates a traced peak below three N x N complex arrays; the 2-D samples
-    of alpha are most of it.  With alpha given, the rest of the battery stays
-    below one such array, so no N x N intermediate of the assemblies, the
-    conjugation, the symmetrizations or the Laplacians is a fresh array.
-    ``tracemalloc`` counts numpy's data buffers, whatever the allocator and
-    the OS do with them."""
+def test_pair_battery_allocates_its_four_buffers_and_little_else(cosine_profile, mixed_profile,
+                                                                 monkeypatch):
+    """Allocation budget at N = 128, warm caches: one battery (contrast
+    included) peaks below its four N x N complex buffers plus two more such
+    arrays; the 2-D samples of alpha are most of the rest.  With alpha given,
+    it stays below the four buffers plus one array, so no N x N intermediate
+    of the assemblies, the conjugation, the symmetrizations or the Laplacians
+    is a fresh array; three pairs in one call peak no higher, and a call with
+    no pair allocates no buffer.  ``tracemalloc`` counts numpy's data
+    buffers, whatever the allocator and the OS do with them."""
     n_points = 128
     grid = GridSpec(n_points)
     matrix_bytes = 16 * n_points**2
-    workspace = PairWorkspace()
+    pair = (cosine_profile, mixed_profile)
 
-    def traced_battery():
+    def traced_battery(pairs):
         tracemalloc.start()
         try:
-            reports = run_pair_checks(cosine_profile, mixed_profile, grid, 8.0,
-                                      workspace=workspace)
+            reports = run_pair_checks(pairs, grid, 8.0)
             return reports, tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
 
-    run_pair_checks(cosine_profile, mixed_profile, grid, 8.0, workspace=workspace)
-    reports, peak = traced_battery()
+    run_pair_checks([pair], grid, 8.0)
+    reports, peak = traced_battery([pair])
     assert [report.passed for report in reports] == [True] * 4
     assert not reports[3].metadata.get("skipped", False)
-    assert peak < 3 * matrix_bytes
+    assert peak < (4 + 2) * matrix_bytes
     alpha = verify.basic_volume_ratio(cosine_profile, mixed_profile, grid)
     monkeypatch.setattr(verify, "basic_volume_ratio", lambda *args: alpha)
-    given_alpha, peak = traced_battery()
+    given_alpha, peak = traced_battery([pair])
     assert given_alpha == reports
-    assert peak < matrix_bytes
+    assert peak < (4 + 1) * matrix_bytes
+    three_pairs, peak = traced_battery([pair] * 3)
+    assert three_pairs == reports * 3
+    assert peak < (4 + 1) * matrix_bytes
+    no_pair, peak = traced_battery([])
+    assert no_pair == [] and peak < matrix_bytes
 
 
 def test_profile_checks_make_no_svd(product_profile, grid128, monkeypatch):
@@ -481,6 +485,10 @@ class TestMutations:
       is Hermitian but near the half-integer lattice, so ||H - iD||_F exceeds
       N/2, the gate's floor N/2 - radius is negative, the gate ratio is
       infinite and ``lattice_certificate`` refuses it.
+    * An unprojected kappa: densities of the theta = 0 slice f(0, t) instead
+      of the theta-average.  Each operator is still unitarily equivalent to
+      iD, so ``invariance`` passes, but alpha stays the true projection, so on
+      a theta-dependent pair ``kappa_transform`` and ``conjugation`` fail.
     """
 
     @staticmethod
@@ -501,13 +509,27 @@ class TestMutations:
                                       monkeypatch):
         monkeypatch.setattr(verify, "assemble_basic_dirac_spinor", getattr(self, mutant))
         with pytest.raises(OperatorSymmetryError, match="mutant"):
-            run_pair_checks(flat_profile, cosine_profile, grid64, 8.0)
+            run_pair_checks([(flat_profile, cosine_profile)], grid64, 8.0)
 
     def test_conjugation_fails_for_the_g_over_g_mutant(self, flat_profile, cosine_profile,
                                                         grid64):
         pair = pair_inputs(flat_profile, cosine_profile, grid64)
         mutants = [self._half_too_strong(density, grid64) for density in pair.densities]
         assert not conjugation_residual(*mutants, pair.alpha, pair.metadata).passed
+
+    @staticmethod
+    def _unprojected(cls, profile, grid):
+        slice_values = profile.sample_t(grid.t_nodes)
+        return cls(slice_values, fourier_derivative(slice_values, order=1),
+                   profile.max_t_frequency())
+
+    def test_unprojected_kappa_fails_kappa_transform_and_conjugation(
+        self, cosine_profile, mixed_profile, grid64, monkeypatch
+    ):
+        monkeypatch.setattr(LeafVolumeDensity, "from_profile", classmethod(self._unprojected))
+        reports = run_pair_checks([(cosine_profile, mixed_profile)], grid64, 8.0)
+        failed = [report.check_name for report in reports if not report.passed]
+        assert failed == ["kappa_transform", "conjugation"]
 
     @pytest.mark.parametrize("n_points", [64, 128])
     def test_antiperiodic_operator_refused_by_the_periodic_certificate(self, cosine_profile,

@@ -14,11 +14,11 @@ trees with
     python3 tools/parity.py parent /tmp/a && python3 tools/parity.py change /tmp/b
     diff -r /tmp/a /tmp/b
 
-The cases run one after another in one process, so state that one call left
-behind would show up as a difference in a later case; the last four cases
-run a grid-256 ``verify`` twice in a row, then an ``invariance`` at grid 128
-right after a grid-64 ``verify``.  BLAS runs on one
-thread unless the environment says otherwise.
+The 40 cases run one after another in one process, so state that one call
+left behind would show up as a difference in a later case; the last four
+cases run a grid-256 ``verify`` twice in a row, then an ``invariance`` at
+grid 128 right after a grid-64 ``verify``.  BLAS runs on one thread unless
+the environment says otherwise.
 """
 
 from __future__ import annotations
@@ -70,6 +70,13 @@ def cases() -> dict[str, list[str]]:
         "invariance", "--profiles", profile("flat"), profile("wavy"), "--grid", "128"]
     table["invariance-wavy-skew"] = [
         "invariance", "--profiles", profile("wavy"), profile("skew"), *small]
+    # The edge rule: the window edge 10 lies on a lattice point, exit 1.
+    table["invariance-edge-window"] = [
+        "invariance", "--profiles", profile("flat"), profile("wavy"), "--grid", "128",
+        "--window", "9.999999"]
+    # One profile and no pair: the single-profile checks alone.
+    table["verify-one-profile-no-pairs"] = [
+        "verify", "--all", "--profiles", profile("skew"), "--pairs", "0", "--grid", "128"]
     for operator in OPERATORS:
         for spin in SPINS:
             table[f"spectrum-{operator}-{spin}"] = [
