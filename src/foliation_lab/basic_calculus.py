@@ -13,6 +13,7 @@ integrands.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -34,11 +35,19 @@ class LeafVolumeDensity:
     so g is again a trigonometric polynomial; its derivative g_dot is stored
     termwise-exactly alongside the values.  t_bandwidth records the largest
     |n| present; a density whose bandwidth the grid aliases is refused.
+
+    ``period`` is the translation period of g in grid points, a divisor of
+    N: g(t_{j+P}) = g(t_j) for every node.  From a profile it is exact,
+    P = N / gcd(N, n_1, ..., n_k) over the t-frequencies of the
+    theta-average (1 for a constant density); densities made from arrays
+    claim none, P = N.  Operators assembled from g commute with the shift by
+    P grid points, which ``WeightedOperator.hermitian_spectrum`` uses.
     """
 
     g_values: np.ndarray
     g_dot_values: np.ndarray
     t_bandwidth: int = 0
+    period: int | None = None
 
     def __post_init__(self):
         object.__setattr__(self, "g_values", np.asarray(self.g_values, dtype=np.float64))
@@ -50,6 +59,10 @@ class LeafVolumeDensity:
         if self.g_values.shape != self.g_dot_values.shape:
             raise ValueError("density and derivative grids differ")
         require_resolved(self.n_points, self.t_bandwidth)
+        if self.period is None:
+            object.__setattr__(self, "period", self.n_points)
+        if not (self.period >= 1 and self.n_points % self.period == 0):
+            raise ValueError(f"period {self.period} does not divide {self.n_points} grid points")
 
     @property
     def n_points(self) -> int:
@@ -63,7 +76,9 @@ class LeafVolumeDensity:
         g_dot = np.zeros_like(g)
         for term in reduced.terms:
             g_dot -= term.amplitude * term.n * np.sin(term.n * ts + term.phase_t)
-        return cls(g, g_dot, t_bandwidth=reduced.max_t_frequency())
+        n = grid.n_points
+        period = n // math.gcd(n, *(term.n for term in reduced.terms))
+        return cls(g, g_dot, t_bandwidth=reduced.max_t_frequency(), period=period)
 
     def mean_curvature_values(self) -> np.ndarray:
         """Coefficient of the basic mean-curvature 1-form: -g_dot/g."""

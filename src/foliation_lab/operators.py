@@ -33,10 +33,22 @@ Every N x N result can be written to caller-owned arrays instead of new
 ones: ``diagonal_conjugate``, ``assemble_basic_dirac_spinor`` and
 ``codifferential`` take one ``out`` array, ``assemble_basic_laplacian`` two
 (delta, then delta @ D or D @ delta), and ``WeightedOperator.symmetrized``
-three (S, conj(S), H).  S may be written over the operator's own matrix,
-which then ends the operator.  Each step runs the same ufunc on the same
-operands with or without ``out``, so the bits are the same; without it
-numpy allocates, as for ``out=None``.
+and ``hermitian_spectrum`` three (S, conj(S), H); a blocked solve reuses the
+S and conj(S) arrays once the asymmetry norm is taken.  S may be written
+over the operator's own matrix, which then ends the operator.  Each step
+runs the same ufunc on the same operands with or without ``out``, so the
+bits are the same; without it numpy allocates, as for ``out=None``.
+
+Translation symmetry.  The periodic D is circulant, so an operator built
+from it and a density of period P grid points (``LeafVolumeDensity.period``)
+commutes with the cyclic shift by P rows and columns.  The Laplacians of
+both degrees and the trivial spinor Dirac record P as
+``WeightedOperator.period``; the antiperiodic D is not circulant and the 2N
+forms matrix is not block circulant in N blocks, so those claim none.  With
+P < N, ``hermitian_spectrum`` solves the block-circulant projection P(H) of
+H as N/P Hermitian P x P blocks (``block_circulant_spectrum``) and adds
+2 ||H - P(H)||_F to the gate's numerator; with P = N it is the dense solve,
+bit for bit.
 
 With these choices the spinor Dirac matrix is exactly unitarily
 equivalent to i*D, so its spectrum is the integer lattice for every
@@ -57,12 +69,19 @@ from .model_spaces import GridSpec
 
 @dataclass(frozen=True)
 class WeightedOperator:
-    """Dense matrix plus the positive weights of its symmetry inner product."""
+    """Dense matrix plus the positive weights of its symmetry inner product.
+
+    ``period`` P, a divisor of the matrix size, claims that the matrix
+    commutes with the cyclic shift by P rows and columns and the weights
+    repeat after P entries; None claims no symmetry (P = the size).  The
+    claim is checked, not trusted: ``hermitian_spectrum`` gates on the
+    distance it measures from it."""
 
     matrix: np.ndarray
     weights: np.ndarray
     label: str
     n_points: int
+    period: int | None = None
 
     def __post_init__(self):
         object.__setattr__(
@@ -73,6 +92,11 @@ class WeightedOperator:
             raise ValueError("matrix and weights sizes are inconsistent")
         if not (self.weights > 0.0).all():
             raise ValueError("weights must be strictly positive")
+        size = self.weights.size
+        if self.period is None:
+            object.__setattr__(self, "period", size)
+        if not (self.period >= 1 and size % self.period == 0):
+            raise ValueError(f"period {self.period} does not divide the matrix size {size}")
 
     def symmetrized(self, out=None) -> tuple[np.ndarray, float]:
         """H = (S + S^H)/2 for S = W^{1/2} M W^{-1/2} (exactly Hermitian) and the
@@ -91,16 +115,73 @@ class WeightedOperator:
         return hermitian, float(np.linalg.norm(sym))
 
     def hermitian_spectrum(self, out=None) -> tuple[np.ndarray, float]:
-        """Eigenvalues of the ``symmetrized`` H (``out`` as there) and the gate ratio
-        ||S - S^H||_F / max|lambda(H)| >= ||S - S^H||_2 / ||S||_2 (as ||H||_2 <= ||S||_2)."""
+        """Ascending eigenvalues of the ``symmetrized`` H (``out`` as there), or
+        of its block-circulant projection when ``period`` < N
+        (``block_circulant_spectrum``, which writes into the S and conj(S)
+        arrays of ``out``), and the gate ratio
+
+            (||S - S^H||_F + 2 ||H - P(H)||_F) / max|lambda|,
+
+        with P(H) = H and the dense solve when period = N.  The numerator
+        bounds ||S - P(H)||_F + ||S^H - P(H)||_F, the distance of S and S^H
+        from the matrix solved.  As max|lambda(P(H))| <= max|lambda(H)| +
+        ||H - P(H)||_2, the ratio is never below the dense one,
+        ||S - S^H||_F / max|lambda(H)| >= ||S - S^H||_2 / ||S||_2 (as
+        ||H||_2 <= ||S||_2), while that is at most 2: the gate only gets
+        stricter, and a period H does not have fails it."""
         hermitian, asymmetry = self.symmetrized(out=out)
-        values = np.linalg.eigvalsh(hermitian)
+        if self.period == hermitian.shape[0]:
+            values, distance = np.linalg.eigvalsh(hermitian), 0.0
+        else:
+            spare = None if out is None else out[:2]
+            values, distance = block_circulant_spectrum(hermitian, self.period, out=spare)
         scale = max(float(np.max(np.abs(values))), np.finfo(float).tiny)
-        return values, asymmetry / scale
+        return values, (asymmetry + 2.0 * distance) / scale
 
     def symmetry_residual(self) -> float:
         """Relative deviation of the symmetrized matrix from Hermitian (the gate ratio)."""
         return self.hermitian_spectrum()[1]
+
+
+def block_circulant_spectrum(
+    hermitian: np.ndarray, period: int, out=None
+) -> tuple[np.ndarray, float]:
+    """Ascending eigenvalues of P(H), the projection of the Hermitian N x N
+    matrix H onto matrices that commute with the cyclic shift by ``period`` = p
+    rows and columns, and the distance ||H - P(H)||_F.
+
+    Seen as m x m blocks of size p (m = N/p), such a matrix is block circulant:
+    block (a, b) is B_{(b - a) mod m}.  P(H) averages H along its block
+    diagonals, B_r = (1/m) sum_a H_{a, a+r}, the average over the shifts, so
+    it is the Frobenius-orthogonal projection and is Hermitian.  Its spectrum
+    is the union over k of the spectra of the Hermitian p x p blocks
+    C_k = sum_r B_r e^{-2 pi i r k / m}, solved in one stacked ``eigvalsh``
+    call; by Weyl, the k-th eigenvalues of H and P(H) differ by at most
+    ||H - P(H)||_2 <= ||H - P(H)||_F.
+
+    ``out``, two N x N complex arrays, holds the work: the first the gathered
+    H, block row a rolled left by a blocks, then H - P(H) in that layout; the
+    second the B_r and the C_k, N p entries each (p <= N/2).  Without it both
+    are new arrays.
+    """
+    size = hermitian.shape[0]
+    m = size // period
+    gather_out, spare_out = (None, None) if out is None else out
+    blocks = hermitian.reshape(m, period, m, period)
+    rolled = np.empty_like(hermitian) if gather_out is None else gather_out
+    rolled = rolled.reshape(m, period, m, period)
+    for a in range(m):
+        rolled[a, :, : m - a] = blocks[a, :, a:]
+        rolled[a, :, m - a :] = blocks[a, :, :a]
+    spare = np.empty(2 * size * period, np.complex128) if spare_out is None else spare_out
+    spare = spare.reshape(-1)[: 2 * size * period]
+    means_out, circulant_out = spare.reshape(2, period, m, period)
+    means = np.mean(rolled, axis=0, out=means_out)
+    rolled -= means
+    distance = float(np.linalg.norm(rolled))
+    circulant = np.fft.fft(means, axis=1, out=circulant_out)
+    values = np.linalg.eigvalsh(circulant.transpose(1, 0, 2))
+    return np.sort(values, axis=None), distance
 
 
 def _real_view(out: np.ndarray | None) -> np.ndarray | None:
@@ -148,6 +229,7 @@ def assemble_basic_dirac_spinor(
         weights=quadrature_weights(density),
         label=f"dirac_spinor[{grid.spin_structure},N={grid.n_points}]",
         n_points=grid.n_points,
+        period=density.period if grid.spin_structure == "trivial" else None,
     )
 
 
@@ -221,6 +303,7 @@ def assemble_basic_laplacian(
         weights=quadrature_weights(density),
         label=f"laplacian_{degree}[N={grid.n_points}]",
         n_points=grid.n_points,
+        period=density.period,
     )
 
 

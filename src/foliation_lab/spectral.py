@@ -3,9 +3,13 @@ and the lattice certificate that replaces the basic Dirac solves in ``verify``.
 
 ``eigenvalues_weighted`` solves one operator; ``dirac_spectra`` reads both basic
 Dirac spectra, spinor and forms, from one solve of an assembled trivial spinor
-matrix.  ``lattice_certificate`` bounds that same spectrum without solving it.
-A ``SpectrumReport`` carries no window: callers pass one that
-``GridSpec.validate_window`` has checked to ``in_window``.
+matrix.  Both solve through ``WeightedOperator.hermitian_spectrum``: block by
+block along the translation period the operator records, dense when it
+records none, and gated on the distance of H from its block-circulant
+projection as well as on its asymmetry.  ``lattice_certificate`` bounds that
+same spectrum without solving it.  A ``SpectrumReport`` carries no window:
+callers pass one that ``GridSpec.validate_window`` has checked to
+``in_window``.
 
 The certificate.  The symmetrization H = (S + S^H)/2 of a trivial spinor Dirac
 matrix (``WeightedOperator.symmetrized``, the matrix ``hermitian_spectrum``
@@ -30,7 +34,7 @@ squared forms spectra deviate by at most 2 (window + WINDOW_EDGE_SLACK)
 within the radius of an edge the count is not certified and the deviation is
 math.inf.  These bounds concern the exact spectra of the assembled matrices H;
 eigenvalues computed by ``eigvalsh`` carry a further backward error of order
-N * eps_machine * ||H||_2.
+N * eps_machine * ||H||_2, and a blocked solve a further ||H - P(H)||_F.
 """
 
 from __future__ import annotations
@@ -109,10 +113,11 @@ def dirac_spectra(
     differential (bitwise: both scale the same cached derivative matrix), and
     the forms operator is [[0, -T], [T, 0]], whose spectrum is +-spec(iT).  The
     2N matrix's anti-Hermitian part is two copies of that of iT, so sqrt(2)
-    times the spinor gate ratio is exactly the ratio of the 2N solve
+    times the dense spinor gate ratio is exactly the ratio of the 2N solve
     ``eigenvalues_weighted(assemble_basic_dirac_forms(...))``: the forms gate
-    stays sqrt(2) stricter.  Antiperiodic sections break the identity, so a
-    nontrivial grid is refused.
+    stays sqrt(2) stricter.  A blocked spinor solve (a density with a
+    translation period) only adds its projection term to that ratio.
+    Antiperiodic sections break the identity, so a nontrivial grid is refused.
     """
     _require_trivial(grid, "dirac_spectra")
     n = grid.n_points
@@ -145,7 +150,9 @@ class LatticeCertificate:
     ``distance`` = ||H - iD||_F, and every ordered eigenvalue of H lies within
     ``radius`` = distance + lattice_round_off(N) of its lattice point.
     ``gate_ratio`` is ||S - S^H||_F / (N/2 - radius), never below the ratio of
-    ``hermitian_spectrum``, since max|lambda(H)| >= N/2 - radius."""
+    the dense solve of H, ||S - S^H||_F / max|lambda(H)|, since
+    max|lambda(H)| >= N/2 - radius.  The certificate bounds the spectrum of H
+    itself, so the projection term of a blocked solve does not enter it."""
 
     distance: float
     radius: float

@@ -10,7 +10,8 @@ Every check is a pure function of the values it is passed.  The two batteries
 build those values once and hold them as locals: ``run_pair_checks`` builds
 each profile's leaf-volume density, spinor Dirac operator and its
 ``lattice_certificate``, the pair's volume ratio alpha, and the two
-function-Laplacian spectra of the contrast, the battery's only eigensolves;
+function-Laplacian spectra of the contrast, the battery's only eigensolves,
+each solved block by block along its density's translation period;
 the conjugation check reads the two operators before they are certified, and
 they end with their certificates.  ``run_profile_checks`` builds one torus
 geometry for both of its checks.
@@ -24,7 +25,9 @@ N x N complex intermediate of every pair into them.  Buffer by phase:
   operator's own buffer (0, then 1), S^H in 2 and H in 3;
 * Laplacian solves, one profile after the other: the codifferential delta
   in 0, the matrix delta @ D in 1, then S written over it in 1, S^H over
-  delta in 0, and H in 2.
+  delta in 0, and H in 2; when the density has a translation period
+  P < N, the blocked solve then gathers H's block diagonals into 1 and
+  writes the block means and their DFT into 0.
 
 An operator built on a buffer is valid only until the next phase.
 
@@ -421,12 +424,7 @@ def run_pair_checks(
                     "laplacian_dependence",
                     LAPLACIAN_FORMS_THRESHOLD,
                     "theta-averaged densities are not distinct for this pair",
-                    {
-                        "tag": "inv",
-                        "profile_1": p1.to_dict(),
-                        "profile_2": p2.to_dict(),
-                        "grid": n,
-                    },
+                    {**metadata, "tag": "inv"},
                 )
             )
             continue

@@ -26,6 +26,7 @@ from foliation_lab import (
 )
 from foliation_lab._spectral_diff import uniform_nodes
 from foliation_lab.basic_calculus import TWO_PI
+from foliation_lab.operators import block_circulant_spectrum
 from foliation_lab.spectral import lattice_certificate
 from foliation_lab.verify import basic_volume_ratio, pair_metadata
 
@@ -83,13 +84,17 @@ def complex_symmetrized(op: WeightedOperator, out=None) -> tuple[np.ndarray, flo
 
 
 def complex_hermitian_spectrum(op: WeightedOperator, out=None) -> tuple[np.ndarray, float]:
-    """Eigenvalues of ``complex_symmetrized``'s H and the gate ratio
-    ||S - S^H||_F / max|lambda|: the reference for
-    ``WeightedOperator.hermitian_spectrum``."""
+    """Eigenvalues of ``complex_symmetrized``'s H, solved dense or, when the
+    operator's period is below its size, by ``block_circulant_spectrum`` on
+    fresh arrays, and the gate ratio (||S - S^H||_F + 2 ||H - P(H)||_F) /
+    max|lambda|: the reference for ``WeightedOperator.hermitian_spectrum``."""
     hermitian, asymmetry = complex_symmetrized(op, out)
-    values = np.linalg.eigvalsh(hermitian)
+    if op.period == hermitian.shape[0]:
+        values, distance = np.linalg.eigvalsh(hermitian), 0.0
+    else:
+        values, distance = block_circulant_spectrum(hermitian, op.period)
     scale = max(float(np.max(np.abs(values))), np.finfo(float).tiny)
-    return values, asymmetry / scale
+    return values, (asymmetry + 2.0 * distance) / scale
 
 
 def finite_difference_laplacian(

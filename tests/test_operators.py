@@ -233,6 +233,66 @@ class TestWeightedOperatorInvariants:
             WeightedOperator(np.eye(3), np.array([1.0, -1.0, 1.0]), "bad", 3)
 
 
+class TestTranslationPeriod:
+    """Densities record P = N / gcd(N, n_1, ..., n_k) over the t-frequencies of
+    the theta-average; the assemblers pass it on where the operator commutes
+    with the shift by P grid points."""
+
+    @pytest.mark.parametrize(
+        "terms, period",
+        [
+            ((), 1),
+            ((ProfileTerm(1, 3, 0.4), ProfileTerm(2, 0, 0.3, 0.5)), 1),  # theta terms average out
+            ((ProfileTerm(0, 0, 0.3, 0.2),), 1),
+            ((ProfileTerm(0, 2, 0.5), ProfileTerm(0, -2, 0.2, 0.0, 1.0)), 32),
+            ((ProfileTerm(0, 4, 0.4), ProfileTerm(0, 8, 0.3), ProfileTerm(1, 1, 0.2)), 16),
+            ((ProfileTerm(0, 8, 0.6, 0.0, 0.7),), 8),
+            ((ProfileTerm(0, 2, 0.5), ProfileTerm(0, 3, 0.2)), 64),
+            ((ProfileTerm(0, 1, 1.0),), 64),
+        ],
+    )
+    def test_density_period_from_profile(self, terms, period, grid64):
+        """g repeats after P nodes up to the round-off of its samples: each
+        term a cos(n t_j + phi) errs by at most |a| eps (2 (2 pi |n| + |phi|) + 1)
+        (argument and cosine), and summing k + 1 terms adds (k + 1) eps sum|term|;
+        two samples differ by at most twice that."""
+        profile = MetricProfile(2.0, terms)
+        density = _density(profile, grid64)
+        assert density.period == period
+        reduced = profile.theta_average().terms
+        eps = np.finfo(np.float64).eps
+        sample = sum(abs(t.amplitude) * eps * (2.0 * (TWO_PI * abs(t.n) + abs(t.phase_t)) + 1.0)
+                     for t in reduced)
+        total = 2.0 + sum(abs(t.amplitude) for t in reduced)
+        bound = 2.0 * (sample + (len(reduced) + 1) * eps * total)
+        shifted = np.roll(density.g_values, period)
+        assert np.max(np.abs(shifted - density.g_values)) <= bound
+
+    def test_array_densities_claim_no_symmetry(self, grid64):
+        g = np.full(64, 2.0)
+        assert LeafVolumeDensity(g, np.zeros(64)).period == 64
+        with pytest.raises(ValueError, match="does not divide"):
+            LeafVolumeDensity(g, np.zeros(64), period=24)
+        with pytest.raises(ValueError, match="does not divide"):
+            WeightedOperator(np.eye(6), np.ones(6), "bad", 6, period=4)
+        assert WeightedOperator(np.eye(6), np.ones(6), "ok", 6).period == 6
+
+    @pytest.mark.parametrize("spin", ["trivial", "nontrivial"])
+    def test_assemblers_record_the_period(self, spin):
+        grid = GridSpec(64, spin)
+        density = _density(MetricProfile(2.0, (ProfileTerm(0, 4, 0.5), ProfileTerm(1, 1, 0.3))),
+                           grid)
+        assert density.period == 16
+        spinor = assemble_basic_dirac_spinor(density, grid)
+        assert spinor.period == (16 if spin == "trivial" else 64)
+        for degree in ("function", "one_form"):
+            laplacian = assemble_basic_laplacian(density, grid, degree)
+            assert laplacian.period == 16
+        assert assemble_basic_dirac_forms(density, grid).period == 128
+        for op in assemble_lichnerowicz_sides(density, grid):
+            assert op.period == 64
+
+
 class TestFiniteDifferenceOracle:
     def test_flat_case_converges_to_circle_laplacian(self):
         # second-order scheme: eigenvalue error ~ k^4 h^2 / 12
@@ -372,6 +432,28 @@ class TestRealViewScalingBitParity:
             grid = GridSpec(n_points)
             reports = run_pair_checks([(cosine_profile, mixed_profile)], grid, 8.0)
             assert reports == self._allocating_battery(cosine_profile, mixed_profile, grid, 8.0)
+
+    @pytest.mark.parametrize("n_points", [64, 256])
+    def test_blocked_out_arrays(self, n_points):
+        """The blocked solve writes its work into the S and conj(S) arrays of
+        ``out`` and gives the bits of the reference on fresh arrays, also with S
+        written over the operator's own matrix (the battery's layout)."""
+        grid = GridSpec(n_points)
+        for terms in ((), (ProfileTerm(0, 2, 0.5), ProfileTerm(1, 1, 0.3))):
+            density = _density(MetricProfile(2.0, terms), grid)
+            assert density.period < n_points
+            ops = [assemble_basic_dirac_spinor(density, grid)]
+            ops += [assemble_basic_laplacian(density, grid, degree)
+                    for degree in ("function", "one_form")]
+            for op in ops:
+                expected_values, expected_ratio = complex_hermitian_spectrum(op)
+                stale = tuple(np.full((n_points, n_points), np.nan, complex) for _ in range(3))
+                consumed = WeightedOperator(op.matrix.copy(), op.weights, op.label, n_points,
+                                            op.period)
+                for solved, out in ((op, stale), (consumed, (consumed.matrix, *stale[1:]))):
+                    values, ratio = solved.hermitian_spectrum(out=out)
+                    assert np.array_equal(_bits(values), _bits(expected_values))
+                    assert ratio.hex() == expected_ratio.hex()
 
     def test_pair_bundle_is_the_bundle_of_the_references(self, tmp_path, monkeypatch):
         args = ["verify", "--all", "--grid", "64", "--window", "8", "--pairs", "2"]

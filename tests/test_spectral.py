@@ -21,6 +21,7 @@ from foliation_lab.cli import _spectrum_text
 from foliation_lab.operators import (
     WeightedOperator,
     assemble_basic_dirac_forms,
+    block_circulant_spectrum,
     quadrature_weights,
     twisted_differential,
 )
@@ -241,9 +242,12 @@ class TestLatticeCertificate:
         ["flat_profile", "cosine_profile", "mixed_profile", "product_profile", "skew_profile"],
     )
     def test_gate_ratio_never_below_the_solve_ratio(self, request, profile_name, n_points):
+        """The certificate bounds the spectrum of H itself, so its ratio is
+        compared with the dense solve of H (no period claimed)."""
         grid = GridSpec(n_points)
         op = assemble_basic_dirac_spinor(_density(request.getfixturevalue(profile_name), grid), grid)
-        assert lattice_certificate(op, grid).gate_ratio >= op.hermitian_spectrum()[1]
+        dense = WeightedOperator(op.matrix, op.weights, op.label, op.n_points)
+        assert lattice_certificate(op, grid).gate_ratio >= dense.hermitian_spectrum()[1]
 
     def test_window_count_refuses_an_edge_within_the_radius(self, cosine_profile, grid128):
         cert = lattice_certificate(
@@ -253,6 +257,159 @@ class TestLatticeCertificate:
         assert cert.window_count(10.0 - spectral.WINDOW_EDGE_SLACK) is None
         assert cert.window_count(10.0 - spectral.WINDOW_EDGE_SLACK + 2.0 * cert.radius) == 21
         assert math.isinf(certified_deviation(cert, cert, 10.0 - spectral.WINDOW_EDGE_SLACK))
+
+
+def _periodic_profile(terms):
+    """2 + the given (n, amplitude, phase_t) cosines in t, plus theta-dependent
+    terms, which leave the theta-average and so the period unchanged."""
+    return MetricProfile(
+        2.0,
+        tuple(ProfileTerm(0, n, amp, 0.0, phase) for n, amp, phase in terms)
+        + (ProfileTerm(1, 3, 0.2, 0.4, 1.1), ProfileTerm(2, 1, -0.15, 0.0, 0.3)),
+    )
+
+
+# t-frequencies and the period they give on N = 64 and 128 points.
+PERIODIC_TERMS = {
+    "flat": ([], lambda n: 1),
+    "half": ([(2, 0.5, 0.3), (-2, 0.2, 1.0)], lambda n: n // 2),
+    "quarter": ([(4, 0.4, 0.0), (8, 0.3, 2.0)], lambda n: n // 4),
+    "eighth": ([(8, 0.6, 0.7)], lambda n: n // 8),
+}
+
+
+def _laplacian_function(density, grid):
+    return assemble_basic_laplacian(density, grid, "function")
+
+
+def _laplacian_one_form(density, grid):
+    return assemble_basic_laplacian(density, grid, "one_form")
+
+
+class TestBlockCirculantSolve:
+    """The solve along the density's translation symmetry against the dense
+    solve of the same H.
+
+    Allowance.  Let E = ||H - P(H)||_F.  By Weyl's inequality the k-th exact
+    eigenvalues of H and P(H) differ by at most E.  The computed values carry
+    these further errors, with m = N/p blocks of size p, eps the machine
+    epsilon and gamma_m = m eps / (1 - m eps):
+
+    (a) the dense ``eigvalsh(H)`` is backward stable: its values are exact for
+        H + F with ||F||_2 <= p(N) eps ||H||_2, p(N) a modestly growing
+        function (LAPACK's bound for the Hermitian eigenproblem); take
+        p(N) = N, as ``TestLatticeCertificate`` does: N eps ||H||_2;
+    (b) each block mean B_r is a recursive sum of m entries of H and a
+        division by m, so each entry errs by at most (gamma_m / m) sum_a |h_a|
+        <= (gamma_m / sqrt(m)) (sum_a |h_a|^2)^(1/2); over all entries
+        ||dB||_F <= gamma_m ||H||_F / sqrt(m), and the exact DFT of dB has
+        Frobenius norm sqrt(m) ||dB||_F <= gamma_m ||H||_F;
+    (c) a length-m FFT errs normwise by at most log2(m) eta / (1 - log2(m) eta)
+        relative, eta = mu + gamma_4 (sqrt(2) + mu) < 7 eps for twiddle
+        factors accurate to mu <= eps (Higham, *Accuracy and Stability of
+        Numerical Algorithms*, Theorem 24.2); the transforms' total is
+        sum_k ||C_k||_F^2 = ||P(H)||_F^2 <= ||H||_F^2;
+    (d) each p x p block solve is backward stable as in (a), with
+        ||C_k||_2 <= ||P(H)||_2 <= ||H||_2: p eps ||H||_2;
+    (e) the computed E is the norm of H minus the computed means, within
+        sqrt(m) ||dB||_F <= gamma_m ||H||_F of the exact E.
+
+    The perturbations (b)-(d) act on diag(C_k), which is unitarily similar to
+    P(H), and the 2-norm of a block-diagonal perturbation is at most its
+    Frobenius norm over all blocks.  So the sorted blocked and dense values
+    differ index by index by at most E (computed) plus the allowance
+
+        (N + p) eps ||H||_2 + (2 gamma_m + 7 log2(m) eps / (1 - 7 log2(m) eps)) ||H||_F.
+
+    It is derived, not fitted.
+    """
+
+    @staticmethod
+    def _allowance(hermitian, period, norm_2):
+        n = hermitian.shape[0]
+        m = n // period
+        eps = np.finfo(np.float64).eps
+        gamma = m * eps / (1.0 - m * eps)
+        fft = 7.0 * math.log2(m) * eps
+        return (n + period) * eps * norm_2 + (
+            2.0 * gamma + fft / (1.0 - fft)
+        ) * np.linalg.norm(hermitian)
+
+    @pytest.mark.parametrize("n_points", [64, 128])
+    @pytest.mark.parametrize("name", list(PERIODIC_TERMS))
+    @pytest.mark.parametrize(
+        "assemble", [_laplacian_function, _laplacian_one_form, assemble_basic_dirac_spinor]
+    )
+    def test_reduced_spectrum_matches_dense(self, n_points, name, assemble):
+        terms, period = PERIODIC_TERMS[name]
+        grid = GridSpec(n_points)
+        density = _density(_periodic_profile(terms), grid)
+        op = assemble(density, grid)
+        assert density.period == op.period == period(n_points)
+        hermitian, asymmetry = op.symmetrized()
+        dense = np.linalg.eigvalsh(hermitian)
+        blocked, distance = block_circulant_spectrum(hermitian, op.period)
+        norm_2 = float(np.max(np.abs(dense)))
+        bound = distance + self._allowance(hermitian, op.period, norm_2)
+        assert np.max(np.abs(blocked - dense)) <= bound
+        values, ratio = op.hermitian_spectrum()
+        assert np.array_equal(values, blocked)
+        assert ratio == (asymmetry + 2.0 * distance) / float(np.max(np.abs(blocked)))
+        # The stricter gate: never below the dense solve's ratio.
+        assert ratio >= asymmetry / norm_2
+
+    @pytest.mark.parametrize("n_points", [64, 128])
+    @pytest.mark.parametrize("spin", ["trivial", "nontrivial"])
+    def test_full_period_is_bitwise_the_dense_solve(self, n_points, spin, mixed_profile):
+        """A density without symmetry, and the nontrivial spin structure for
+        any density, keep P = N: the values and the ratio are the dense solve's."""
+        grid = GridSpec(n_points, spin)
+        ops = [assemble_basic_dirac_spinor(_density(mixed_profile, grid), grid)]
+        if spin == "trivial":
+            ops += [assemble(_density(mixed_profile, grid), grid)
+                    for assemble in (_laplacian_function, _laplacian_one_form)]
+        else:
+            ops.append(assemble_basic_dirac_spinor(_density(MetricProfile(1.0), grid), grid))
+        for op in ops:
+            assert op.period == n_points
+            hermitian, asymmetry = op.symmetrized()
+            expected = np.linalg.eigvalsh(hermitian)
+            scale = float(np.max(np.abs(expected)))
+            values, ratio = op.hermitian_spectrum()
+            assert np.array_equal(values.view(np.uint64), expected.view(np.uint64))
+            assert ratio.hex() == (asymmetry / scale).hex()
+
+    @pytest.mark.parametrize("assemble", [_laplacian_function, _laplacian_one_form])
+    def test_false_period_is_refused(self, cosine_profile, grid64, assemble):
+        """g = 2 + cos t has no translation symmetry: a density that claims
+        period N/2 yields Laplacians whose projection distance fails the gate."""
+        true = _density(cosine_profile, grid64)
+        false = LeafVolumeDensity(true.g_values, true.g_dot_values, true.t_bandwidth, period=32)
+        op = assemble(false, grid64)
+        assert op.period == 32
+        with pytest.raises(OperatorSymmetryError, match="not symmetric"):
+            eigenvalues_weighted(op)
+        eigenvalues_weighted(assemble(true, grid64))  # the honest claim passes
+
+    def test_any_period_holds_for_the_symmetrized_spinor_dirac(self, cosine_profile, grid64):
+        """The spinor Dirac's H is iD up to round-off for every density (unitary
+        equivalence), so it commutes with every shift: even the period g lacks
+        passes the gate, and the solve stays within the allowance of the dense one.
+
+        With L the exact lattice operator, P(L) = L and P a contraction, so
+        ||H - P(H)||_F <= ||H - iD||_F + ||iD - L||_F, at most the certificate's
+        distance plus sqrt(N) lattice_round_off(N)."""
+        true = _density(cosine_profile, grid64)
+        false = LeafVolumeDensity(true.g_values, true.g_dot_values, true.t_bandwidth, period=32)
+        op = assemble_basic_dirac_spinor(false, grid64)
+        hermitian, _ = op.symmetrized()
+        dense = np.linalg.eigvalsh(hermitian)
+        report, _ = dirac_spectra(op, grid64)
+        _, distance = block_circulant_spectrum(hermitian, 32)
+        bound = distance + self._allowance(hermitian, 32, float(np.max(np.abs(dense))))
+        certificate = lattice_certificate(op, grid64)
+        assert distance <= certificate.distance + math.sqrt(64) * lattice_round_off(64)
+        assert np.max(np.abs(report.eigenvalues - dense)) <= bound
 
 
 class TestSpectrumCompare:

@@ -34,6 +34,7 @@ from foliation_lab.operators import (
 )
 from foliation_lab.spectral import WINDOW_EDGE_SLACK, OperatorSymmetryError, lattice_certificate
 from foliation_lab.verify import (
+    pair_metadata,
     random_profile,
     random_profile_pair,
     run_pair_checks,
@@ -293,19 +294,21 @@ def test_property_sweep_over_seeded_pairs(n_points):
 
 
 @pytest.mark.parametrize(
-    "second, skip, solves",
+    "second, skip, shapes",
     [
-        (MetricProfile(2.0, (ProfileTerm(0, 1, 1.0),)), False, 2),
+        # flat density: 64 blocks of size 1; 2 + cos t: no symmetry, one dense solve
+        (MetricProfile(2.0, (ProfileTerm(0, 1, 1.0),)), False, [(64, 1, 1), (64, 64)]),
         # the theta-average of 1 + cos(theta)/2 is flat: the contrast is skipped
-        (MetricProfile(1.0, (ProfileTerm(1, 0, 0.5),)), True, 0),
+        (MetricProfile(1.0, (ProfileTerm(1, 0, 0.5),)), True, []),
     ],
 )
 def test_pair_battery_solves_each_spectrum_once(flat_profile, grid64, monkeypatch, second, skip,
-                                                solves):
+                                                shapes):
     """Per battery: two densities, two spinor Dirac assemblies, one alpha, no
     Dirac solve (each operator is certified against the lattice instead)
-    and, unless the contrast is skipped, one Laplacian solve per profile, no
-    SVD, and one derivative matrix for the pair's (grid, spin structure)."""
+    and, unless the contrast is skipped, one ``eigvalsh`` call per Laplacian,
+    on the stacked blocks of its density's period, no SVD, and one
+    derivative matrix for the pair's (grid, spin structure)."""
     eigvalsh_sizes, svd_calls, built = [], [], []
     eigvalsh, svd = np.linalg.eigvalsh, np.linalg.svd
     from_profile = LeafVolumeDensity.from_profile.__func__
@@ -338,8 +341,12 @@ def test_pair_battery_solves_each_spectrum_once(flat_profile, grid64, monkeypatc
                               skip_indistinct_laplacian=skip)
     assert [report.passed for report in reports] == [True] * 4
     assert [report.metadata.get("skipped", False) for report in reports] == [False] * 3 + [skip]
+    # every report, the skipped contrast included, starts from the pair metadata
+    for report in reports:
+        for key, value in pair_metadata(flat_profile, second, grid64).items():
+            assert report.metadata[key] == value
     assert built == ["density", "density", "dirac", "dirac", "alpha"]
-    assert eigvalsh_sizes == [(64, 64)] * solves
+    assert eigvalsh_sizes == shapes
     assert svd_calls == []
     assert differentiation_matrix.cache_info().misses == 1
 
@@ -545,12 +552,14 @@ class TestMutations:
 def test_verify_and_invariance_never_solve_a_dirac_operator(flat_profile, cosine_profile,
                                                             tmp_path, monkeypatch):
     """Every eigensolve of the ``verify`` and ``invariance`` commands is a
-    function Laplacian: no Dirac operator reaches ``eigvalsh``."""
-    labels, sizes = [], []
+    function Laplacian: no Dirac operator reaches ``eigvalsh``, and each
+    Laplacian is one call on the stacked blocks of its period."""
+    labels, periods, sizes = [], [], []
     solve, eigvalsh = WeightedOperator.hermitian_spectrum, np.linalg.eigvalsh
 
     def recorded_solve(op, out=None):
         labels.append(op.label)
+        periods.append(op.period)
         return solve(op, out=out)
 
     def counted_eigvalsh(matrix, *args, **kwargs):
@@ -570,4 +579,6 @@ def test_verify_and_invariance_never_solve_a_dirac_operator(flat_profile, cosine
     ):
         assert cli.run(argv) in (0, 1)
     assert labels and set(labels) == {"laplacian_function[N=64]"}
-    assert sizes == [(64, 64)] * len(labels)
+    # the flat profile has period 1, 2 + cos t none
+    assert periods[-4:] == [1, 64] * 2
+    assert sizes == [(64, 64) if p == 64 else (64 // p, p, p) for p in periods]

@@ -14,7 +14,7 @@ trees with
     python3 tools/parity.py parent /tmp/a && python3 tools/parity.py change /tmp/b
     diff -r /tmp/a /tmp/b
 
-The 40 cases run one after another in one process, so state that one call
+The 50 cases run one after another in one process, so state that one call
 left behind would show up as a difference in a later case; the last four
 cases run a grid-256 ``verify`` twice in a row, then an ``invariance`` at
 grid 128 right after a grid-64 ``verify``.  BLAS runs on one thread unless
@@ -39,6 +39,10 @@ PROFILES = {
     "flat2": {"constant": 2.0, "terms": []},
     "wavy": {"constant": 2.0, "terms": [{"m": 0, "n": 1, "amp": 1.0}]},
     "skew": {"constant": 2.0, "terms": [{"m": 1, "n": 1, "amp": 0.5}]},
+    # theta-average with only n = +-2 terms: translation period N/2
+    "wavy2": {"constant": 2.0, "terms": [{"m": 0, "n": 2, "amp": 0.6},
+                                         {"m": 0, "n": -2, "amp": 0.3, "phase_t": 1.0},
+                                         {"m": 1, "n": 1, "amp": 0.4}]},
 }
 GRIDS = (64, 128, 256)
 SEEDS = (7041, 1, 2, 3, 4, 5)
@@ -77,10 +81,18 @@ def cases() -> dict[str, list[str]]:
     # One profile and no pair: the single-profile checks alone.
     table["verify-one-profile-no-pairs"] = [
         "verify", "--all", "--profiles", profile("skew"), "--pairs", "0", "--grid", "128"]
+    table["verify-wavy2-pairs"] = [
+        "verify", "--all", "--profiles", profile("wavy2"), profile("wavy"), profile("flat2"),
+        *small]
+    table["invariance-wavy2-skew"] = [
+        "invariance", "--profiles", profile("wavy2"), profile("skew"), "--grid", "128"]
     for operator in OPERATORS:
         for spin in SPINS:
             table[f"spectrum-{operator}-{spin}"] = [
                 "spectrum", "--profile", profile("wavy"), "--operator", operator,
+                "--spin", spin, *small]
+            table[f"spectrum-{operator}-{spin}-wavy2"] = [
+                "spectrum", "--profile", profile("wavy2"), "--operator", operator,
                 "--spin", spin, *small]
     table["bounds-json"] = ["bounds", "--r", "0.25", "0.5", "2", "4", "--format", "json"]
     table["sweep-default"] = ["sweep"]
