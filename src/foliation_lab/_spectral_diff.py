@@ -63,6 +63,11 @@ def fourier_derivative(values: np.ndarray, order: int = 1, axis: int = -1) -> np
     return np.fft.irfft(hat, n=n, axis=axis)
 
 
+def half_phase(n_points: int) -> np.ndarray:
+    """E = e^{i t/2} on the grid: psi = E phi is antiperiodic when phi is periodic."""
+    return np.exp(0.5j * uniform_nodes(n_points))
+
+
 @lru_cache(maxsize=_CACHED_MATRICES)
 def differentiation_matrix(n_points: int, spin_structure: str = "trivial") -> np.ndarray:
     """Read-only first-derivative matrix on sections of the chosen spin structure.
@@ -77,9 +82,9 @@ def differentiation_matrix(n_points: int, spin_structure: str = "trivial") -> np
         eye_hat = np.fft.fft(np.eye(n_points), axis=0)
         matrix = np.fft.ifft((1j * k)[:, None] * eye_hat, axis=0)
     elif spin_structure == "nontrivial":
-        half_phase = np.exp(0.5j * uniform_nodes(n_points))
+        phase = half_phase(n_points)
         shifted = differentiation_matrix(n_points, "trivial") + 0.5j * np.eye(n_points)
-        matrix = half_phase[:, None] * shifted * np.conj(half_phase)[None, :]
+        matrix = phase[:, None] * shifted * np.conj(phase)[None, :]
     else:
         raise ValueError(f"unknown spin structure: {spin_structure!r}")
     matrix.flags.writeable = False

@@ -110,7 +110,7 @@ def _spectrum(operator_name: str, density: LeafVolumeDensity, grid: GridSpec):
     if operator_name == "dirac-forms":
         # The forms operator acts on periodic forms whatever --spin says.
         periodic = GridSpec(grid.n_points)
-        return dirac_spectra(assemble_basic_dirac_spinor(density, periodic), periodic)[1]
+        return dirac_spectra(assemble_basic_dirac_spinor(density, periodic))[1]
     if operator_name == "dirac-spinor":
         return eigenvalues_weighted(assemble_basic_dirac_spinor(density, grid))
     degree = DEGREE_FUNCTION if operator_name == "laplacian-functions" else DEGREE_ONE_FORM
@@ -214,9 +214,11 @@ def _write_bundle(reports, grid: GridSpec, seed, args, name: str) -> int:
             diagnostic = report.metadata.get("diagnostic", "no diagnostic")
             lines.append(f"failed {report.check_name}: residual {report.residual:.3e} > "
                          f"threshold {report.threshold:.0e}: {diagnostic}")
-    n_passed = sum(report.passed for report in reports)
-    return _emit(args, name, _json_text(bundle), lines, n_passed < len(reports),
-                 f": {n_passed}/{len(reports)} checks passed")
+    n_failed = sum(not report.passed for report in reports)
+    n_skipped = sum(bool(report.metadata.get("skipped")) for report in reports)
+    return _emit(args, name, _json_text(bundle), lines, n_failed > 0,
+                 f": {len(reports) - n_failed - n_skipped} passed, {n_failed} failed, "
+                 f"{n_skipped} skipped")
 
 
 def _cmd_verify(args) -> int:

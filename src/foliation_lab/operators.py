@@ -41,19 +41,17 @@ bits are the same; without it numpy allocates, as for ``out=None``.
 
 Translation symmetry.  The periodic D is circulant, so an operator built
 from it and a density of period P grid points (``LeafVolumeDensity.period``)
-commutes with the cyclic shift by P rows and columns.  The Laplacians of
-both degrees and the trivial spinor Dirac record P as
-``WeightedOperator.period``; the antiperiodic D is not circulant and the 2N
-forms matrix is not block circulant in N blocks, so those claim none.  With
-P < N, ``hermitian_spectrum`` solves the block-circulant projection P(H) of
-H as N/P Hermitian P x P blocks (``block_circulant_spectrum``) and adds
-2 ||H - P(H)||_F to the gate's numerator; with P = N it is the dense solve,
-bit for bit.
-
-With these choices the spinor Dirac matrix is exactly unitarily
-equivalent to i*D, so its spectrum is the integer lattice for every
-density, and all assembled operators pass the weighted-Hermitian check at
-round-off level.
+commutes with the cyclic shift by P rows and columns; the Laplacians of both
+degrees record P as ``WeightedOperator.period``.  The spinor Dirac matrix
+records P = 1 for every density: the density cancels from its
+symmetrization, which is i D_s up to round-off, and on the antiperiodic
+structure D_s = E (D + i/2) E^{-1} with E = ``half_phase``, which the
+operator records as its ``phase``.  The 2N forms matrix claims none.  With
+P < N, ``hermitian_spectrum`` solves the block-circulant projection P of
+E^{-1} H E (E = I without a phase) as N/P Hermitian P x P blocks
+(``block_circulant_spectrum``) and adds 2 ||E^{-1} H E - P||_F to the gate's
+numerator; with P = N it is the dense solve, bit for bit.
+``spectral`` derives what a P = 1 read certifies about the spectrum of H.
 """
 
 from __future__ import annotations
@@ -61,8 +59,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
+from numpy.lib.stride_tricks import as_strided
 
-from ._spectral_diff import differentiation_matrix, fourier_derivative
+from ._spectral_diff import differentiation_matrix, fourier_derivative, half_phase
 from .basic_calculus import DEGREE_FUNCTION, DEGREE_ONE_FORM, TWO_PI, LeafVolumeDensity
 from .model_spaces import GridSpec
 
@@ -73,15 +72,17 @@ class WeightedOperator:
 
     ``period`` P, a divisor of the matrix size, claims that the matrix
     commutes with the cyclic shift by P rows and columns and the weights
-    repeat after P entries; None claims no symmetry (P = the size).  The
-    claim is checked, not trusted: ``hermitian_spectrum`` gates on the
-    distance it measures from it."""
+    repeat after P entries; None claims no symmetry (P = the size).  With a
+    ``phase``, a unit-modulus diagonal E, the claim is made of E^{-1} M E
+    instead of M.  The claim is checked, not trusted: ``hermitian_spectrum``
+    gates on the distance it measures from it."""
 
     matrix: np.ndarray
     weights: np.ndarray
     label: str
     n_points: int
     period: int | None = None
+    phase: np.ndarray | None = None
 
     def __post_init__(self):
         object.__setattr__(
@@ -114,29 +115,32 @@ class WeightedOperator:
         sym -= adjoint
         return hermitian, float(np.linalg.norm(sym))
 
-    def hermitian_spectrum(self, out=None) -> tuple[np.ndarray, float]:
-        """Ascending eigenvalues of the ``symmetrized`` H (``out`` as there), or
-        of its block-circulant projection when ``period`` < N
-        (``block_circulant_spectrum``, which writes into the S and conj(S)
-        arrays of ``out``), and the gate ratio
+    def hermitian_spectrum(self, out=None) -> tuple[np.ndarray, float, float]:
+        """Ascending eigenvalues of the ``symmetrized`` H, or, when ``period`` < N,
+        of the block-circulant projection P of X = E^{-1} H E, E the ``phase``
+        (X formed in place of H; ``block_circulant_spectrum`` writes into the
+        S and conj(S) arrays of ``out``); the gate ratio
 
-            (||S - S^H||_F + 2 ||H - P(H)||_F) / max|lambda|,
+            (||S - S^H||_F + 2 d) / max|lambda|,   d = ||X - P||_F;
 
-        with P(H) = H and the dense solve when period = N.  The numerator
-        bounds ||S - P(H)||_F + ||S^H - P(H)||_F, the distance of S and S^H
-        from the matrix solved.  As max|lambda(P(H))| <= max|lambda(H)| +
-        ||H - P(H)||_2, the ratio is never below the dense one,
-        ||S - S^H||_F / max|lambda(H)| >= ||S - S^H||_2 / ||S||_2 (as
-        ||H||_2 <= ||S||_2), while that is at most 2: the gate only gets
-        stricter, and a period H does not have fails it."""
+        and d.  With period = N, P = H and d = 0: the dense solve.  As E is
+        unitary, the numerator bounds the distance of S and S^H from the
+        matrix solved, E P E^{-1}.  As max|lambda(P)| <= max|lambda(H)| + d,
+        the ratio is never below the dense one, ||S - S^H||_F / max|lambda(H)|
+        >= ||S - S^H||_2 / ||S||_2 (as ||H||_2 <= ||S||_2), while that is at
+        most 2: the gate only gets stricter, and a period H does not have
+        fails it."""
         hermitian, asymmetry = self.symmetrized(out=out)
+        if self.phase is not None:
+            hermitian *= np.conj(self.phase)[:, None]
+            hermitian *= self.phase
         if self.period == hermitian.shape[0]:
             values, distance = np.linalg.eigvalsh(hermitian), 0.0
         else:
             spare = None if out is None else out[:2]
             values, distance = block_circulant_spectrum(hermitian, self.period, out=spare)
         scale = max(float(np.max(np.abs(values))), np.finfo(float).tiny)
-        return values, (asymmetry + 2.0 * distance) / scale
+        return values, (asymmetry + 2.0 * distance) / scale, distance
 
     def symmetry_residual(self) -> float:
         """Relative deviation of the symmetrized matrix from Hermitian (the gate ratio)."""
@@ -162,23 +166,29 @@ def block_circulant_spectrum(
     ``out``, two N x N complex arrays, holds the work: the first the gathered
     H, block row a rolled left by a blocks, then H - P(H) in that layout; the
     second the B_r and the C_k, N p entries each (p <= N/2).  Without it both
-    are new arrays.
+    are new arrays.  The gather is two strided reads of H, block row a from
+    block a + r, before the block diagonals wrap (a + r < m) and after.
     """
     size = hermitian.shape[0]
     m = size // period
     gather_out, spare_out = (None, None) if out is None else out
-    blocks = hermitian.reshape(m, period, m, period)
     rolled = np.empty_like(hermitian) if gather_out is None else gather_out
     rolled = rolled.reshape(m, period, m, period)
-    for a in range(m):
-        rolled[a, :, : m - a] = blocks[a, :, a:]
-        rolled[a, :, m - a :] = blocks[a, :, :a]
+    flat, item = hermitian.reshape(-1), hermitian.itemsize
+    shape = (m - 1, period, m, period)
+    strides = ((size + 1) * period * item, size * item, period * item, item)
+    rolled[:-1] = as_strided(flat, shape, strides)
+    rolled[-1, :, 0] = hermitian.reshape(m, period, m, period)[-1, :, -1]
+    wrapped = np.greater_equal.outer(np.arange(1, m), m - np.arange(m))
+    wrapped = np.ascontiguousarray(np.broadcast_to(wrapped[:, None, :, None], shape))
+    np.copyto(rolled[1:], as_strided(flat[(size + 1) * period - size :], shape, strides),
+              where=wrapped)
     spare = np.empty(2 * size * period, np.complex128) if spare_out is None else spare_out
     spare = spare.reshape(-1)[: 2 * size * period]
     means_out, circulant_out = spare.reshape(2, period, m, period)
     means = np.mean(rolled, axis=0, out=means_out)
     rolled -= means
-    distance = float(np.linalg.norm(rolled))
+    distance = float(np.linalg.norm(rolled.view(np.float64)))
     circulant = np.fft.fft(means, axis=1, out=circulant_out)
     values = np.linalg.eigvalsh(circulant.transpose(1, 0, 2))
     return np.sort(values, axis=None), distance
@@ -217,8 +227,9 @@ def assemble_basic_dirac_spinor(
 
     Clifford multiplication by the unit transverse coframe is multiplication
     by i.  The trivial spin structure uses periodic sections, the nontrivial
-    one antiperiodic sections (half-integer frequency lattice).  The matrix
-    is written to ``out`` when it is given (see ``diagonal_conjugate``).
+    one antiperiodic sections (half-integer frequency lattice), and records
+    their ``half_phase``; either claims period 1 (module docstring).  The
+    matrix is written to ``out`` when it is given (see ``diagonal_conjugate``).
     """
     _check_grid(density, grid)
     d_spin = differentiation_matrix(grid.n_points, grid.spin_structure)
@@ -229,7 +240,8 @@ def assemble_basic_dirac_spinor(
         weights=quadrature_weights(density),
         label=f"dirac_spinor[{grid.spin_structure},N={grid.n_points}]",
         n_points=grid.n_points,
-        period=density.period if grid.spin_structure == "trivial" else None,
+        period=1,
+        phase=None if grid.spin_structure == "trivial" else half_phase(grid.n_points),
     )
 
 
@@ -253,8 +265,8 @@ def assemble_basic_dirac_forms(
     differential in the lower-left block and its exact weighted adjoint in
     the upper-right.  On the codimension-one transversal the adjoint equals
     minus the twisted differential.  ``spectral.dirac_spectra`` reads its
-    spectrum +-spec(iT) from the trivial spinor solve; this 2N assembly is its
-    test oracle.
+    spectrum +-spec(iT) from the trivial spinor matrix; this 2N assembly is
+    its test oracle.
     """
     n = grid.n_points
     d_tw = twisted_differential(density, grid)

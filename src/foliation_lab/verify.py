@@ -9,20 +9,21 @@ and a diagnostic in the metadata, never silently.
 Every check is a pure function of the values it is passed.  The two batteries
 build those values once and hold them as locals: ``run_pair_checks`` builds
 each profile's leaf-volume density, spinor Dirac operator and its
-``lattice_certificate``, the pair's volume ratio alpha, and the two
-function-Laplacian spectra of the contrast, the battery's only eigensolves,
-each solved block by block along its density's translation period;
-the conjugation check reads the two operators before they are certified, and
-they end with their certificates.  ``run_profile_checks`` builds one torus
-geometry for both of its checks.
+``dirac_spectra``, the pair's volume ratio alpha, and the two
+function-Laplacian spectra of the contrast, each solved block by block
+along its density's translation period; the conjugation check reads the two
+operators before they are read, and they end with their reads.
+``run_profile_checks`` builds one torus geometry for both of its checks.
 
 ``run_pair_checks`` runs every pair of one command.  When there is at least
 one pair it allocates four N x N complex buffers, 0 to 3, and writes every
 N x N complex intermediate of every pair into them.  Buffer by phase:
 
 * assembly: dirac_1 in 0, dirac_2 in 1, and the conjugation difference in 2;
-* certificates, first of dirac_1, then of dirac_2: S written over the
-  operator's own buffer (0, then 1), S^H in 2 and H in 3;
+* Dirac reads, first of dirac_1, then of dirac_2: S written over the
+  operator's own buffer (0, then 1), S^H in 2 and H in 3; then H's wrapped
+  diagonals gathered into the operator's buffer, and their means and DFT
+  written into 2;
 * Laplacian solves, one profile after the other: the codifferential delta
   in 0, the matrix delta @ D in 1, then S written over it in 1, S^H over
   delta in 0, and H in 2; when the density has a translation period
@@ -31,17 +32,11 @@ N x N complex intermediate of every pair into them.  Buffer by phase:
 
 An operator built on a buffer is valid only until the next phase.
 
-No basic Dirac spectrum is solved here.  The paper proves invariance by
-unitary equivalence, and each certificate bounds its eigenvalues by Weyl's
-inequality: with eps_i = ||H_i - iD||_F, H_i the symmetrized spinor matrix,
-every ordered eigenvalue of H_1 lies within eps_1 + eps_2 of that of H_2.
-When no lattice point lies within a certificate's radius of the window edges
-+-(window + WINDOW_EDGE_SLACK), both windowed counts are the lattice's, and
-``invariance`` reads the bound eps_1 + eps_2 for the spinor spectra and the
-forms spectra +-spec(iT); ``laplacian_dependence`` reads
-2 (window + WINDOW_EDGE_SLACK) (eps_1 + eps_2) for the squared forms
-spectra.  Otherwise the residual is infinite.  The bounds concern the exact
-spectra of the assembled matrices (``spectral`` derives them).
+Every basic Dirac spectrum is read at period 1, in O(N^2): the paper proves
+invariance by unitary equivalence to a translation-invariant operator.
+``invariance`` and ``laplacian_dependence`` read the ``dirac_bounds`` that
+``spectral`` derives for such reads, infinite when a windowed count is not
+certified.
 """
 
 from __future__ import annotations
@@ -75,11 +70,10 @@ from .operators import (
 )
 from .spectral import (
     WINDOW_EDGE_SLACK,
-    LatticeCertificate,
     SpectrumReport,
-    certified_deviation,
+    dirac_spectra,
     eigenvalues_weighted,
-    lattice_certificate,
+    spectrum_compare,
 )
 
 INVARIANCE_THRESHOLD = 1e-8
@@ -93,7 +87,8 @@ LAPLACIAN_GAP_THRESHOLD = 1e-3
 # auto-generated pair runs the Laplacian-dependence contrast.
 DENSITY_MARGIN = 1e-2
 
-# Why a certified Dirac bound is infinite (``spectral.certified_deviation``).
+# Why a Dirac bound is infinite (``dirac_bounds``): a computed eigenvalue,
+# which sits on a lattice point up to round-off, is within its radius of the edge.
 EDGE_DIAGNOSTIC = "a lattice point lies within the certified distance of the window edge"
 
 # How far the mean-curvature coefficient may vary along theta before the
@@ -115,8 +110,11 @@ class VerificationReport:
 
     @classmethod
     def skipped(cls, check_name: str, threshold: float, reason: str, metadata: dict):
-        """A check whose precondition does not hold: recorded as passed with zero
-        residual, and flagged ``skipped`` with its reason in the metadata."""
+        """A check whose precondition does not hold: flagged ``skipped`` with its
+        reason in the metadata and a zero residual.  Its ``passed`` flag stays
+        true, so a skipped check never sets the exit code and bundles keep
+        their bytes; readers count skipped checks from the flag in the
+        metadata, as the ``verify`` summary line does."""
         return cls(
             check_name=check_name,
             residual=0.0,
@@ -157,33 +155,53 @@ def basic_volume_ratio(p1: MetricProfile, p2: MetricProfile, grid: GridSpec) -> 
     return project_basic(np.divide(f2, f1, out=f2), f1, grid).real
 
 
+def dirac_bounds(spectra_1: tuple, spectra_2: tuple, window: float) -> tuple[float, float, list]:
+    """Bounds on the windowed deviation of the spinor and of the forms spectra
+    of the two operators whose ``dirac_spectra`` are given, and the two
+    spinor window counts.  Each bound is d_1 + d_2 plus the deviation of the
+    computed values, and math.inf when a count is not certified (the edge
+    rule, module docstring)."""
+    (spinor_1, forms_1), (spinor_2, forms_2) = spectra_1, spectra_2
+    counts = [spinor_1.window_count(window), spinor_2.window_count(window)]
+    if None in counts:
+        return math.inf, math.inf, counts
+    distance = spinor_1.distance + spinor_2.distance
+    return (
+        distance + spectrum_compare(spinor_1, spinor_2, window),
+        distance + spectrum_compare(forms_1, forms_2, window),
+        counts,
+    )
+
+
 def invariance_check(
-    cert_1: LatticeCertificate, cert_2: LatticeCertificate, window: float, metadata: dict
+    spectra_1: tuple[SpectrumReport, SpectrumReport],
+    spectra_2: tuple[SpectrumReport, SpectrumReport],
+    window: float,
+    metadata: dict,
 ) -> VerificationReport:
     """Bound the windowed deviation of the basic Dirac spectra (spinor and
-    forms) of two bundle-like metrics by their ``lattice_certificate``s.
+    forms) of two bundle-like metrics, each pair ``(spinor, forms)`` as
+    ``dirac_spectra`` reads it.
 
-    Both residuals are the certified bound eps_1 + eps_2 (``certified_deviation``),
-    since the forms spectrum is +-spec(iT); the counts are the lattice's.  A
-    lattice point within a certificate's radius of the window edge leaves the
-    counts uncertified (null): the residual is infinite, with a diagnostic.
+    The residual is the larger of the two ``dirac_bounds``.  A computed
+    eigenvalue within its radius of the window edge leaves the counts
+    uncertified (null): the residual is infinite, with a diagnostic.
     """
-    counts = [cert_1.window_count(window), cert_2.window_count(window)]
-    bound = certified_deviation(cert_1, cert_2, window)
+    spinor_residual, forms_residual, counts = dirac_bounds(spectra_1, spectra_2, window)
     metadata = {
         **metadata,
         "tag": "inv",
         "window": window,
-        "spinor_residual": bound,
-        "forms_residual": bound,
+        "spinor_residual": spinor_residual,
+        "forms_residual": forms_residual,
         "spinor_counts": counts,
         "forms_counts": [None if count is None else 2 * count for count in counts],
-        "lattice_distance": [cert_1.radius, cert_2.radius],
+        "projection_distance": [spectra_1[0].distance, spectra_2[0].distance],
     }
-    if math.isinf(bound):
+    if None in counts:
         metadata["diagnostic"] = EDGE_DIAGNOSTIC
     return VerificationReport.from_residual(
-        "invariance", bound, INVARIANCE_THRESHOLD, metadata
+        "invariance", max(spinor_residual, forms_residual), INVARIANCE_THRESHOLD, metadata
     )
 
 
@@ -291,8 +309,8 @@ def lichnerowicz_residual(
 def laplacian_dependence(
     laplacian_1: SpectrumReport,
     laplacian_2: SpectrumReport,
-    cert_1: LatticeCertificate,
-    cert_2: LatticeCertificate,
+    spectra_1: tuple[SpectrumReport, SpectrumReport],
+    spectra_2: tuple[SpectrumReport, SpectrumReport],
     window: float,
     metadata: dict,
 ) -> VerificationReport:
@@ -300,8 +318,8 @@ def laplacian_dependence(
 
     Passes only when (a) the function Laplacian spectra of the two densities
     differ by more than the gap threshold somewhere in the window, and (b)
-    the squared forms Dirac spectra agree within the forms threshold, by the
-    certified bound 2 (window + WINDOW_EDGE_SLACK) (eps_1 + eps_2), infinite
+    the squared forms Dirac spectra agree within the forms threshold, by
+    2 (window + WINDOW_EDGE_SLACK) times the forms ``dirac_bounds``, infinite
     when a window count is not certified.  When (a) fails the residual is
     infinite and the report flags the metrics as spectrally indistinguishable
     for the basic Laplacian.
@@ -314,7 +332,7 @@ def laplacian_dependence(
     shared = min(low_1.size, low_2.size)
     gap = float(np.max(np.abs(low_1[:shared] - low_2[:shared]))) if shared else 0.0
     edge = window + WINDOW_EDGE_SLACK
-    forms_residual = 2.0 * edge * certified_deviation(cert_1, cert_2, window)
+    forms_residual = 2.0 * edge * dirac_bounds(spectra_1, spectra_2, window)[1]
     metadata = {
         **metadata,
         "tag": "inv",
@@ -388,7 +406,7 @@ def run_pair_checks(
 
     Refuses a window outside the grid's trusted range, then, per pair, builds
     each profile's density and spinor Dirac operator, and alpha, once, runs
-    the conjugation check on them, certifies both operators, solves the two
+    the conjugation check on them, reads both Dirac spectra, solves the two
     function Laplacians, and passes the rest to the other checks.  Every
     N x N intermediate is written to the four buffers of the module docstring.
     With ``skip_indistinct_laplacian`` (used for auto-generated pairs) the
@@ -409,12 +427,12 @@ def run_pair_checks(
         alpha = basic_volume_ratio(p1, p2, grid)
         metadata = pair_metadata(p1, p2, grid)
         conjugation = conjugation_residual(dirac_1, dirac_2, alpha, metadata, out=b2)
-        # Each certificate writes its S over the operator's matrix: the operators end here.
-        cert_1 = lattice_certificate(dirac_1, grid, out=(b0, b2, b3))
-        cert_2 = lattice_certificate(dirac_2, grid, out=(b1, b2, b3))
+        # Each read writes its S over the operator's matrix: the operators end here.
+        spectra_1 = dirac_spectra(dirac_1, out=(b0, b2, b3))
+        spectra_2 = dirac_spectra(dirac_2, out=(b1, b2, b3))
         del dirac_1, dirac_2
         reports += [
-            invariance_check(cert_1, cert_2, window, metadata),
+            invariance_check(spectra_1, spectra_2, window, metadata),
             kappa_transform_residual(d1, d2, alpha, grid, metadata),
             conjugation,
         ]
@@ -436,7 +454,7 @@ def run_pair_checks(
             for density in (d1, d2)
         )
         reports.append(
-            laplacian_dependence(laplacian_1, laplacian_2, cert_1, cert_2, window, metadata)
+            laplacian_dependence(laplacian_1, laplacian_2, spectra_1, spectra_2, window, metadata)
         )
     return reports
 

@@ -3,8 +3,9 @@ metrics, a writer for profile documents, and the reference implementations
 the tests check the library against: a finite-difference Laplacian, the
 weighted inner product on the t-circle, the complex-arithmetic diagonal
 scaling, symmetrization and solve that the real-view ones reproduce bit for
-bit (each accepts the ``out`` of the function it stands in for), and the
-inputs a pair check reads, built as the pair battery builds them."""
+bit (each accepts the ``out`` of the function it stands in for), the dense
+solve that every projected Dirac read is checked against, and the inputs a
+pair check reads, built as the pair battery builds them."""
 
 import json
 from types import SimpleNamespace
@@ -27,7 +28,7 @@ from foliation_lab import (
 from foliation_lab._spectral_diff import uniform_nodes
 from foliation_lab.basic_calculus import TWO_PI
 from foliation_lab.operators import block_circulant_spectrum
-from foliation_lab.spectral import lattice_certificate
+from foliation_lab.spectral import dirac_spectra
 from foliation_lab.verify import basic_volume_ratio, pair_metadata
 
 
@@ -83,18 +84,27 @@ def complex_symmetrized(op: WeightedOperator, out=None) -> tuple[np.ndarray, flo
     return hermitian, float(np.linalg.norm(sym - adjoint))
 
 
-def complex_hermitian_spectrum(op: WeightedOperator, out=None) -> tuple[np.ndarray, float]:
-    """Eigenvalues of ``complex_symmetrized``'s H, solved dense or, when the
-    operator's period is below its size, by ``block_circulant_spectrum`` on
-    fresh arrays, and the gate ratio (||S - S^H||_F + 2 ||H - P(H)||_F) /
-    max|lambda|: the reference for ``WeightedOperator.hermitian_spectrum``."""
+def complex_hermitian_spectrum(op: WeightedOperator, out=None) -> tuple[np.ndarray, float, float]:
+    """Eigenvalues of ``complex_symmetrized``'s H, conjugated by the operator's
+    phase E as E^{-1} H E, solved dense or, when the operator's period is below
+    its size, by ``block_circulant_spectrum`` on fresh arrays; the gate ratio
+    (||S - S^H||_F + 2 d) / max|lambda| and the projection distance d: the
+    reference for ``WeightedOperator.hermitian_spectrum``."""
     hermitian, asymmetry = complex_symmetrized(op, out)
+    if op.phase is not None:
+        hermitian = hermitian * np.conj(op.phase)[:, None] * op.phase
     if op.period == hermitian.shape[0]:
         values, distance = np.linalg.eigvalsh(hermitian), 0.0
     else:
         values, distance = block_circulant_spectrum(hermitian, op.period)
     scale = max(float(np.max(np.abs(values))), np.finfo(float).tiny)
-    return values, (asymmetry + 2.0 * distance) / scale
+    return values, (asymmetry + 2.0 * distance) / scale, distance
+
+
+def dense_spectrum(op: WeightedOperator) -> np.ndarray:
+    """Ascending eigenvalues of the operator's symmetrized H by one dense
+    ``eigvalsh``, whatever period it claims: the oracle for projected reads."""
+    return np.linalg.eigvalsh(op.symmetrized()[0])
 
 
 def finite_difference_laplacian(
@@ -152,14 +162,14 @@ def laplacian_first_nonzero_eigenvalue(report: SpectrumReport, zero_tol: float =
 def pair_inputs(p1: MetricProfile, p2: MetricProfile, grid: GridSpec) -> SimpleNamespace:
     """What ``run_pair_checks`` passes to the pair checks, for calling one alone:
     the two ``densities``, spinor Dirac operators ``dirac``, their
-    ``lattice_certificate``s ``certificates``, the function-Laplacian spectra
+    ``dirac_spectra`` ``spectra``, the function-Laplacian spectra
     ``laplacians``, ``alpha`` and the pair ``metadata``."""
     densities = tuple(LeafVolumeDensity.from_profile(p, grid) for p in (p1, p2))
     dirac = tuple(assemble_basic_dirac_spinor(d, grid) for d in densities)
     return SimpleNamespace(
         densities=densities,
         dirac=dirac,
-        certificates=tuple(lattice_certificate(op, grid) for op in dirac),
+        spectra=tuple(dirac_spectra(op) for op in dirac),
         laplacians=tuple(eigenvalues_weighted(assemble_basic_laplacian(d, grid))
                          for d in densities),
         alpha=basic_volume_ratio(p1, p2, grid),

@@ -82,7 +82,7 @@ def test_criterion_2_metric_invariance():
     worst = {"spectrum": 0.0, "conjugation": 0.0, "kappa": 0.0}
     for _ in range(5):
         pair = pair_inputs(*random_profile_pair(rng), GRID)
-        inv = invariance_check(*pair.certificates, WINDOW, pair.metadata)
+        inv = invariance_check(*pair.spectra, WINDOW, pair.metadata)
         conj = conjugation_residual(*pair.dirac, pair.alpha, pair.metadata)
         kap = kappa_transform_residual(*pair.densities, pair.alpha, GRID, pair.metadata)
         worst["spectrum"] = max(worst["spectrum"], inv.residual)
@@ -180,7 +180,7 @@ def test_criterion_6_laplacian_contrast():
     p1 = MetricProfile(1.0)
     p2 = MetricProfile(1.0, (ProfileTerm(0, 1, 0.5),))
     pair = pair_inputs(p1, p2, GRID)
-    report = laplacian_dependence(*pair.laplacians, *pair.certificates, WINDOW, pair.metadata)
+    report = laplacian_dependence(*pair.laplacians, *pair.spectra, WINDOW, pair.metadata)
     lam_1 = laplacian_first_nonzero_eigenvalue(
         eigenvalues_weighted(
             assemble_basic_laplacian(LeafVolumeDensity.from_profile(p1, GRID), GRID)

@@ -476,7 +476,7 @@ class TestVerifyCommand:
         args = ["verify", "--all", "--grid", "64", "--window", "8", "--seed", "7041"]
         assert run(args + ["--pairs", "5", "--output-dir", str(tmp_path / "five")]) == 1
         captured = capsys.readouterr()
-        assert captured.out.strip().endswith("19/20 checks passed")
+        assert captured.out.strip().endswith(": 18 passed, 1 failed, 1 skipped")
         assert captured.err.splitlines() == [
             "failed laplacian_dependence: residual inf > threshold 1e-08: "
             "metrics spectrally indistinguishable for the basic Laplacian",
@@ -602,7 +602,9 @@ def test_one_parser_serves_every_command(tmp_path, capsys, flat_path, wavy_path)
     assert run(verify_args) == 0
     verified = capsys.readouterr()
     assert verified.err == ""
-    assert verified.out == f"wrote {tmp_path / 'v' / 'verify_bundle.json'}: 8/8 checks passed\n"
+    assert verified.out == (
+        f"wrote {tmp_path / 'v' / 'verify_bundle.json'}: 8 passed, 0 failed, 0 skipped\n"
+    )
 
     assert run(["spectrum", "--grid", "64"]) == 2
     assert capsys.readouterr() == usage

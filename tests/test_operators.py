@@ -19,7 +19,6 @@ from foliation_lab._spectral_diff import differentiation_matrix
 from foliation_lab.basic_calculus import LeafVolumeDensity
 from foliation_lab.cli import run
 from foliation_lab.operators import WeightedOperator, codifferential, diagonal_conjugate
-from foliation_lab.spectral import lattice_certificate
 from foliation_lab.verify import (
     conjugation_residual,
     invariance_check,
@@ -235,8 +234,9 @@ class TestWeightedOperatorInvariants:
 
 class TestTranslationPeriod:
     """Densities record P = N / gcd(N, n_1, ..., n_k) over the t-frequencies of
-    the theta-average; the assemblers pass it on where the operator commutes
-    with the shift by P grid points."""
+    the theta-average; the Laplacians pass it on, and the spinor Dirac
+    operator, whose symmetrization is density-free, claims period 1 with its
+    spin structure's phase."""
 
     @pytest.mark.parametrize(
         "terms, period",
@@ -284,7 +284,11 @@ class TestTranslationPeriod:
                            grid)
         assert density.period == 16
         spinor = assemble_basic_dirac_spinor(density, grid)
-        assert spinor.period == (16 if spin == "trivial" else 64)
+        assert spinor.period == 1
+        if spin == "trivial":
+            assert spinor.phase is None
+        else:
+            assert np.array_equal(spinor.phase, np.exp(0.5j * grid.t_nodes))
         for degree in ("function", "one_form"):
             laplacian = assemble_basic_laplacian(density, grid, degree)
             assert laplacian.period == 16
@@ -335,10 +339,11 @@ class TestRealViewScalingBitParity:
         noise = rng.normal(size=(n_points, n_points)) + 1j * rng.normal(size=(n_points, n_points))
         for matrix in (dirac, noise):
             op = WeightedOperator(matrix, weights, "random", n_points)
-            values, ratio = op.hermitian_spectrum()
-            expected_values, expected_ratio = complex_hermitian_spectrum(op)
+            values, ratio, distance = op.hermitian_spectrum()
+            expected_values, expected_ratio, expected_distance = complex_hermitian_spectrum(op)
             assert np.array_equal(_bits(values), _bits(expected_values))
             assert ratio.hex() == expected_ratio.hex()
+            assert distance.hex() == expected_distance.hex()
 
     @pytest.mark.parametrize("n_points", [64, 256])
     @pytest.mark.parametrize("spin", ["trivial", "nontrivial"])
@@ -388,28 +393,26 @@ class TestRealViewScalingBitParity:
             hermitian, asymmetry = op.symmetrized(out=stale(3))
             assert np.array_equal(_bits(hermitian), _bits(expected_h))
             assert asymmetry.hex() == expected_asymmetry.hex()
-            values, ratio = op.hermitian_spectrum(out=stale(3))
-            expected_values, expected_ratio = complex_hermitian_spectrum(op)
+            values, ratio, distance = op.hermitian_spectrum(out=stale(3))
+            expected_values, expected_ratio, expected_distance = complex_hermitian_spectrum(op)
             assert np.array_equal(_bits(values), _bits(expected_values))
             assert ratio.hex() == expected_ratio.hex()
+            assert distance.hex() == expected_distance.hex()
             # S written over the operator's own matrix: the battery's layout
             consumed = WeightedOperator(op.matrix.copy(), op.weights, op.label, n_points)
             hermitian, asymmetry = consumed.symmetrized(out=(consumed.matrix, *stale(2)))
             assert np.array_equal(_bits(hermitian), _bits(expected_h))
             assert asymmetry.hex() == expected_asymmetry.hex()
-        if spin == "trivial":
-            certificate = lattice_certificate(spinor, grid)
-            assert lattice_certificate(spinor, grid, out=stale(3)) == certificate
 
     @staticmethod
     def _allocating_battery(p1, p2, grid, window):
         """The pair battery's four checks on inputs built without ``out``."""
         pair = pair_inputs(p1, p2, grid)
         return [
-            invariance_check(*pair.certificates, window, pair.metadata),
+            invariance_check(*pair.spectra, window, pair.metadata),
             kappa_transform_residual(*pair.densities, pair.alpha, grid, pair.metadata),
             conjugation_residual(*pair.dirac, pair.alpha, pair.metadata),
-            laplacian_dependence(*pair.laplacians, *pair.certificates, window, pair.metadata),
+            laplacian_dependence(*pair.laplacians, *pair.spectra, window, pair.metadata),
         ]
 
     def test_battery_reuses_its_buffers_across_pairs(self, cosine_profile, mixed_profile,
@@ -446,14 +449,14 @@ class TestRealViewScalingBitParity:
             ops += [assemble_basic_laplacian(density, grid, degree)
                     for degree in ("function", "one_form")]
             for op in ops:
-                expected_values, expected_ratio = complex_hermitian_spectrum(op)
+                expected = complex_hermitian_spectrum(op)
                 stale = tuple(np.full((n_points, n_points), np.nan, complex) for _ in range(3))
                 consumed = WeightedOperator(op.matrix.copy(), op.weights, op.label, n_points,
                                             op.period)
                 for solved, out in ((op, stale), (consumed, (consumed.matrix, *stale[1:]))):
-                    values, ratio = solved.hermitian_spectrum(out=out)
-                    assert np.array_equal(_bits(values), _bits(expected_values))
-                    assert ratio.hex() == expected_ratio.hex()
+                    values, ratio, distance = solved.hermitian_spectrum(out=out)
+                    assert np.array_equal(_bits(values), _bits(expected[0]))
+                    assert (ratio.hex(), distance.hex()) == (expected[1].hex(), expected[2].hex())
 
     def test_pair_bundle_is_the_bundle_of_the_references(self, tmp_path, monkeypatch):
         args = ["verify", "--all", "--grid", "64", "--window", "8", "--pairs", "2"]

@@ -21,19 +21,15 @@ from foliation_lab.cli import _spectrum_text
 from foliation_lab.operators import (
     WeightedOperator,
     assemble_basic_dirac_forms,
+    assemble_lichnerowicz_sides,
     block_circulant_spectrum,
     quadrature_weights,
     twisted_differential,
 )
-from foliation_lab.spectral import (
-    OperatorSymmetryError,
-    SpectrumReport,
-    certified_deviation,
-    dirac_spectra,
-    lattice_certificate,
-    lattice_round_off,
-)
-from foliation_lab.verify import random_profile_pair
+from foliation_lab.spectral import OperatorSymmetryError, SpectrumReport, dirac_spectra
+from foliation_lab.verify import invariance_check, pair_metadata, random_profile_pair
+
+from conftest import dense_spectrum, pair_inputs
 
 
 def _density(profile, grid):
@@ -85,13 +81,18 @@ class TestFormsDiracSpectrum:
     @pytest.mark.parametrize("n_points", [64, 128, 256])
     @pytest.mark.parametrize("profile_name", ["flat_profile", "cosine_profile", "mixed_profile"])
     def test_matches_full_block_solve(self, request, profile_name, n_points):
+        """The forms values +-mu are within the spinor read's radius of the
+        exact +-spec(H), and the dense 2N solve within 2N eps ||H||_2 of it
+        (``TestProjectedDiracRead``)."""
         grid = GridSpec(n_points)
         density = _density(request.getfixturevalue(profile_name), grid)
         oracle = eigenvalues_weighted(assemble_basic_dirac_forms(density, grid))
-        report = dirac_spectra(assemble_basic_dirac_spinor(density, grid), grid)[1]
+        spinor, report = dirac_spectra(assemble_basic_dirac_spinor(density, grid))
         assert report.operator_label == oracle.operator_label
         assert report.grid_size == oracle.grid_size
-        np.testing.assert_allclose(report.eigenvalues, oracle.eigenvalues, rtol=0.0, atol=1e-12)
+        assert report.distance == spinor.distance
+        allowance = spinor.radius + 2 * n_points * EPS * np.max(np.abs(oracle.eigenvalues))
+        assert np.max(np.abs(report.eigenvalues - oracle.eigenvalues)) <= allowance
 
     @pytest.mark.parametrize("n_points", [64, 128, 256])
     @pytest.mark.parametrize("profile_name", ["flat_profile", "cosine_profile", "mixed_profile"])
@@ -109,18 +110,10 @@ class TestFormsDiracSpectrum:
         density = _density(request.getfixturevalue(profile_name), grid128)
         spinor = assemble_basic_dirac_spinor(density, grid128)
         oracle = eigenvalues_weighted(spinor)
-        report = dirac_spectra(spinor, grid128)[0]
+        report = dirac_spectra(spinor)[0]
         assert report.operator_label == oracle.operator_label == "dirac_spinor[trivial,N=128]"
         assert report.grid_size == oracle.grid_size
         assert np.array_equal(report.eigenvalues, oracle.eigenvalues)
-
-    def test_nontrivial_grid_refused(self, cosine_profile):
-        grid = GridSpec(64, "nontrivial")
-        op = assemble_basic_dirac_spinor(_density(cosine_profile, grid), grid)
-        with pytest.raises(ValueError, match="trivial spin structure"):
-            dirac_spectra(op, grid)
-        with pytest.raises(ValueError, match="trivial spin structure"):
-            lattice_certificate(op, grid)
 
     def test_gate_ratio_equals_block_ratio(self, mixed_profile, grid64):
         rng = np.random.default_rng(5)
@@ -156,9 +149,7 @@ class TestFormsDiracSpectrum:
         shifted, ratio = self._shifted_spinor(density, grid64, 100.0)
         assert ratio > spectral.SYMMETRIZATION_TOLERANCE
         with pytest.raises(OperatorSymmetryError, match=r"dirac_spinor\[trivial"):
-            dirac_spectra(shifted, grid64)
-        with pytest.raises(OperatorSymmetryError, match=r"dirac_spinor\[trivial"):
-            lattice_certificate(shifted, grid64)
+            dirac_spectra(shifted)
 
     def test_forms_gate_is_sqrt2_stricter(self, cosine_profile, grid64):
         """Between tol/sqrt(2) and tol the spinor passes and the forms gate refuses."""
@@ -167,96 +158,165 @@ class TestFormsDiracSpectrum:
         tol = spectral.SYMMETRIZATION_TOLERANCE
         assert tol / math.sqrt(2.0) < ratio <= tol
         with pytest.raises(OperatorSymmetryError, match=r"dirac_forms\[N=64\]"):
-            dirac_spectra(shifted, grid64)
-        with pytest.raises(OperatorSymmetryError, match=r"dirac_forms\[N=64\]"):
-            lattice_certificate(shifted, grid64)
+            dirac_spectra(shifted)
 
 
-class TestLatticeCertificate:
-    """The certificate against the dense solve it replaces in ``verify``.
+EPS = np.finfo(np.float64).eps
 
-    Allowance for the solve: ``eigvalsh`` is backward stable, so its values are
-    the exact eigenvalues of H + E with ||E||_2 <= p(N) eps ||H||_2, p a
+
+def _lattice_operator(n_points):
+    """Real and imaginary parts, in long double, of the exact iD, whose
+    spectrum is the integer lattice: D_jk = (-1)^(j-k) cot((j-k) pi/N) / 2
+    off the diagonal plus the +N/2 mode's (i/2)(-1)^(j-k)."""
+    offset = np.subtract.outer(np.arange(n_points), np.arange(n_points))
+    sign = np.where(offset % 2 == 0, 1.0, -1.0).astype(np.longdouble)
+    angle = offset.astype(np.longdouble) * np.pi / n_points
+    cot = np.zeros_like(angle)
+    cot[offset != 0] = 1.0 / np.tan(angle[offset != 0])
+    return -0.5 * sign, 0.5 * sign * cot
+
+
+def _wavy_profiles():
+    """A theta-dependent profile whose theta-average has t-terms n = 1 and 2,
+    and one without symmetry of a single t-term."""
+    return (
+        MetricProfile(2.0, (ProfileTerm(0, 1, 0.4, 0.0, 0.3), ProfileTerm(0, 2, -0.3, 0.0, 1.1),
+                            ProfileTerm(1, 1, 0.3, 0.2, 0.5))),
+        MetricProfile(2.0, (ProfileTerm(0, 1, 1.0), ProfileTerm(1, 0, 0.4, 0.3))),
+    )
+
+
+class TestProjectedDiracRead:
+    """Every spinor Dirac spectrum is read from the circulant projection of
+    E^{-1} H E (``spectral`` derives the radius d + a of that read); the dense
+    ``eigvalsh`` of H in ``conftest`` is the oracle.
+
+    Allowance for the oracle: ``eigvalsh`` is backward stable, so its values
+    are the exact eigenvalues of H + F with ||F||_2 <= p(N) eps ||H||_2, p a
     modestly growing function of N (LAPACK's bound for the Hermitian
-    eigenproblem); take p(N) = N.  By Weyl's inequality each solved value is
-    then within a = N eps ||H||_2 of the exact one, and ||H||_2 <= N/2 + radius
-    by the certificate.  So two solved spectra deviate by at most
-    eps_1 + eps_2 + a_1 + a_2 index by index, and each solved value lies within
-    radius + a of its lattice point.  The allowance is derived, not fitted, and
-    it is needed: on these seeds the solved deviation exceeds eps_1 + eps_2
-    (9.9e-14 against 4.4e-14 at N = 64, 3.9e-13 against 1.6e-13 at N = 128),
-    while a_1 + a_2 is 9.1e-13 and 3.6e-12 there.
+    eigenproblem); take p(N) = N.  By Weyl's inequality each dense value is
+    within N eps ||H||_2 of the exact one, and each projected value within
+    the radius, so the two lie within radius + N eps ||H||_2 of each other,
+    index by index.  The allowance is derived, not fitted.
     """
 
     @staticmethod
-    def _allowance(cert):
-        return cert.n_points * np.finfo(np.float64).eps * (cert.n_points / 2 + cert.radius)
+    def _dense_allowance(dense):
+        return dense.size * EPS * float(np.max(np.abs(dense)))
+
+    @pytest.mark.parametrize("n_points", [64, 128, 256, 512])
+    @pytest.mark.parametrize("spin", ["trivial", "nontrivial"])
+    def test_projected_spectrum_matches_the_dense_solve(self, n_points, spin):
+        grid = GridSpec(n_points, spin)
+        for profile in _wavy_profiles():
+            op = assemble_basic_dirac_spinor(_density(profile, grid), grid)
+            assert op.period == 1
+            report = eigenvalues_weighted(op)
+            dense = dense_spectrum(op)
+            deviation = np.max(np.abs(report.eigenvalues - dense))
+            assert deviation <= report.radius + self._dense_allowance(dense)
+            assert report.distance < 1e-9
 
     @pytest.mark.parametrize("n_points", [64, 128, 256])
-    def test_solved_spectra_obey_the_certified_bounds(self, n_points):
+    def test_dense_spectra_obey_the_invariance_bounds(self, n_points):
+        """The dense spectra of two profiles deviate, index by index and in the
+        window, by at most the invariance residual d_1 + d_2 + |mu_1 - mu_2|
+        plus the two radii's allowances and the two dense allowances, and the
+        dense windowed counts are the certified ones: the residual bounds the
+        deviation of the exact spectra."""
         rng = np.random.default_rng(2718 + n_points)
         grid = GridSpec(n_points)
         window = min(10.0, grid.trust_window)
         edge = window + spectral.WINDOW_EDGE_SLACK
-        lattice = np.sort(-wavenumbers(n_points))
         for _ in range(3):
-            ops = [assemble_basic_dirac_spinor(_density(p, grid), grid)
-                   for p in random_profile_pair(rng)]
-            certs = [lattice_certificate(op, grid) for op in ops]
-            solved = [dirac_spectra(op, grid) for op in ops]
-            bound = certified_deviation(*certs, window)
-            allowance = self._allowance(certs[0]) + self._allowance(certs[1])
-            assert bound == certs[0].distance + certs[1].distance
-            for kind in (0, 1):  # spinor, forms
-                first, second = solved[0][kind], solved[1][kind]
-                assert spectrum_compare(first, second, window) <= bound + allowance
-                full = np.max(np.abs(first.eigenvalues - second.eigenvalues))
-                assert full <= bound + allowance
-            squares = [np.sort(forms.in_window(window) ** 2) for _, forms in solved]
-            assert np.max(np.abs(squares[0] - squares[1])) <= 2.0 * edge * (bound + allowance)
-            for cert, (spinor, forms) in zip(certs, solved):
-                deviation = np.max(np.abs(spinor.eigenvalues - lattice))
-                assert deviation <= cert.radius + self._allowance(cert)
-                assert spinor.in_window(window).size == cert.window_count(window)
-                assert forms.in_window(window).size == 2 * cert.window_count(window)
+            pair = pair_inputs(*random_profile_pair(rng), grid)
+            report = invariance_check(*pair.spectra, window, pair.metadata)
+            dense = [dense_spectrum(op) for op in pair.dirac]
+            allowance = sum(spinor.radius - spinor.distance + self._dense_allowance(values)
+                            for (spinor, _), values in zip(pair.spectra, dense))
+            spinor_dense = [SpectrumReport(values, n_points, "dense") for values in dense]
+            forms_dense = [SpectrumReport(np.concatenate([-values, values]), n_points, "dense")
+                           for values in dense]
+            bound = report.residual + allowance
+            for first, second in (spinor_dense, forms_dense):
+                assert spectrum_compare(first, second, window) <= bound
+            # index by index over the whole spectrum
+            distance = sum(spinor.distance for spinor, _ in pair.spectra)
+            projected = [spinor.eigenvalues for spinor, _ in pair.spectra]
+            assert np.max(np.abs(dense[0] - dense[1])) <= (
+                distance + np.max(np.abs(projected[0] - projected[1])) + allowance
+            )
+            squares = [np.sort(forms.in_window(window) ** 2) for forms in forms_dense]
+            forms_bound = report.metadata["forms_residual"] + allowance
+            assert np.max(np.abs(squares[0] - squares[1])) <= 2.0 * edge * forms_bound
+            for (spinor, forms), values in zip(pair.spectra, dense):
+                count = spinor.window_count(window)
+                assert SpectrumReport(values, n_points, "dense").in_window(window).size == count
+                assert forms.in_window(window).size == 2 * count
 
-    @pytest.mark.parametrize("n_points", [64, 128, 256])
-    def test_round_off_bounds_the_computed_lattice_operator(self, n_points):
-        """||iD - L||_F <= lattice_round_off(N), L from the closed form
-        D_jk = (-1)^(j-k) cot((j-k) pi/N) / 2 off the diagonal plus the +N/2
-        mode's (i/2)(-1)^(j-k), evaluated in long double."""
-        offset = np.subtract.outer(np.arange(n_points), np.arange(n_points))
-        sign = np.where(offset % 2 == 0, 1.0, -1.0)
-        angle = offset.astype(np.longdouble) * np.pi / n_points
-        cot = np.zeros_like(angle)
-        cot[offset != 0] = 1.0 / np.tan(angle[offset != 0])
+    @pytest.mark.parametrize("n_points", [64, 128, 256, 512])
+    def test_round_off_of_the_derivative_matrix(self, n_points):
+        """||iD - L||_F <= N eps N/2 for the computed iD and the exact L of
+        ``_lattice_operator``: it measures about a tenth of that, 4.7e-14 to
+        2.7e-12 from N = 64 to 512.  The lattice test below uses the bound."""
+        real, imag = _lattice_operator(n_points)
         i_d = 1j * differentiation_matrix(n_points, "trivial")
-        real_error = i_d.real - (-0.5 * sign)
-        imag_error = i_d.imag - 0.5 * sign * cot
-        error = float(np.sqrt(np.sum(real_error**2) + np.sum(imag_error**2)))
-        assert error <= lattice_round_off(n_points)
+        error = float(np.sqrt(np.sum((i_d.real - real) ** 2) + np.sum((i_d.imag - imag) ** 2)))
+        assert error <= n_points * EPS * n_points / 2
 
     @pytest.mark.parametrize("n_points", [64, 128, 256])
+    def test_nontrivial_spectra_lie_on_the_half_integer_lattice(self, n_points):
+        """Two profiles on the antiperiodic structure: each projected value is
+        within d + a of the lattice -wavenumbers(N) - 1/2, the counts are
+        certified, and ``invariance_check`` passes.
+
+        The exact operator L is circulant, so P(L) = L and, P being an
+        orthogonal projection, |mu_k - l_k| <= ||P(X) - L||_2 <= ||X - L||_F
+        for the computed X = E^{-1} H E.  That is the round-off of the
+        assembled matrix: at most N eps N/2 from D
+        (``test_round_off_of_the_derivative_matrix``) plus relative errors of
+        about 12 eps per entry from the phases, the two density scalings, the
+        two weight scalings and the symmetrization, so at most
+        N^2 eps / 2 + 12 eps ||H||_F, which a >= 2 gamma_N ||H||_F exceeds
+        for N >= 16, as ||H||_F >= N/2.  With the allowance a of the read
+        itself, each computed value is within d + 2a of its lattice point."""
+        grid = GridSpec(n_points, "nontrivial")
+        window = min(10.0, grid.trust_window)
+        lattice = np.sort(-wavenumbers(n_points) - 0.5)
+        p1, p2 = _wavy_profiles()
+        pair = pair_inputs(p1, p2, grid)
+        for spinor, _ in pair.spectra:
+            assert spinor.operator_label == f"dirac_spinor[nontrivial,N={n_points}]"
+            allowance = spinor.radius - spinor.distance
+            assert np.max(np.abs(spinor.eigenvalues - lattice)) <= spinor.distance + 2 * allowance
+            assert spinor.window_count(window) == np.count_nonzero(
+                np.abs(lattice) <= window + spectral.WINDOW_EDGE_SLACK
+            )
+        report = invariance_check(*pair.spectra, window, pair_metadata(p1, p2, grid))
+        assert report.passed, report.metadata
+        assert report.metadata["spin_structure"] == "nontrivial"
+        assert None not in report.metadata["spinor_counts"]
+
+    @pytest.mark.parametrize("n_points", [64, 128, 256])
+    @pytest.mark.parametrize("spin", ["trivial", "nontrivial"])
     @pytest.mark.parametrize(
         "profile_name",
         ["flat_profile", "cosine_profile", "mixed_profile", "product_profile", "skew_profile"],
     )
-    def test_gate_ratio_never_below_the_solve_ratio(self, request, profile_name, n_points):
-        """The certificate bounds the spectrum of H itself, so its ratio is
-        compared with the dense solve of H (no period claimed)."""
-        grid = GridSpec(n_points)
+    def test_gate_ratio_never_below_the_dense_ratio(self, request, profile_name, spin,
+                                                   n_points):
+        grid = GridSpec(n_points, spin)
         op = assemble_basic_dirac_spinor(_density(request.getfixturevalue(profile_name), grid), grid)
         dense = WeightedOperator(op.matrix, op.weights, op.label, op.n_points)
-        assert lattice_certificate(op, grid).gate_ratio >= dense.hermitian_spectrum()[1]
+        assert op.hermitian_spectrum()[1] >= dense.hermitian_spectrum()[1]
 
     def test_window_count_refuses_an_edge_within_the_radius(self, cosine_profile, grid128):
-        cert = lattice_certificate(
-            assemble_basic_dirac_spinor(_density(cosine_profile, grid128), grid128), grid128
+        report = eigenvalues_weighted(
+            assemble_basic_dirac_spinor(_density(cosine_profile, grid128), grid128)
         )
-        assert cert.window_count(10.0) == 21
-        assert cert.window_count(10.0 - spectral.WINDOW_EDGE_SLACK) is None
-        assert cert.window_count(10.0 - spectral.WINDOW_EDGE_SLACK + 2.0 * cert.radius) == 21
-        assert math.isinf(certified_deviation(cert, cert, 10.0 - spectral.WINDOW_EDGE_SLACK))
+        assert report.window_count(10.0) == 21
+        assert report.window_count(10.0 - spectral.WINDOW_EDGE_SLACK) is None
+        assert report.window_count(10.0 - spectral.WINDOW_EDGE_SLACK + 2.0 * report.radius) == 21
 
 
 def _periodic_profile(terms):
@@ -298,7 +358,7 @@ class TestBlockCirculantSolve:
     (a) the dense ``eigvalsh(H)`` is backward stable: its values are exact for
         H + F with ||F||_2 <= p(N) eps ||H||_2, p(N) a modestly growing
         function (LAPACK's bound for the Hermitian eigenproblem); take
-        p(N) = N, as ``TestLatticeCertificate`` does: N eps ||H||_2;
+        p(N) = N, as ``TestProjectedDiracRead`` does: N eps ||H||_2;
     (b) each block mean B_r is a recursive sum of m entries of H and a
         division by m, so each entry errs by at most (gamma_m / m) sum_a |h_a|
         <= (gamma_m / sqrt(m)) (sum_a |h_a|^2)^(1/2); over all entries
@@ -337,9 +397,7 @@ class TestBlockCirculantSolve:
 
     @pytest.mark.parametrize("n_points", [64, 128])
     @pytest.mark.parametrize("name", list(PERIODIC_TERMS))
-    @pytest.mark.parametrize(
-        "assemble", [_laplacian_function, _laplacian_one_form, assemble_basic_dirac_spinor]
-    )
+    @pytest.mark.parametrize("assemble", [_laplacian_function, _laplacian_one_form])
     def test_reduced_spectrum_matches_dense(self, n_points, name, assemble):
         terms, period = PERIODIC_TERMS[name]
         grid = GridSpec(n_points)
@@ -352,8 +410,8 @@ class TestBlockCirculantSolve:
         norm_2 = float(np.max(np.abs(dense)))
         bound = distance + self._allowance(hermitian, op.period, norm_2)
         assert np.max(np.abs(blocked - dense)) <= bound
-        values, ratio = op.hermitian_spectrum()
-        assert np.array_equal(values, blocked)
+        values, ratio, solved_distance = op.hermitian_spectrum()
+        assert np.array_equal(values, blocked) and solved_distance == distance
         assert ratio == (asymmetry + 2.0 * distance) / float(np.max(np.abs(blocked)))
         # The stricter gate: never below the dense solve's ratio.
         assert ratio >= asymmetry / norm_2
@@ -361,23 +419,40 @@ class TestBlockCirculantSolve:
     @pytest.mark.parametrize("n_points", [64, 128])
     @pytest.mark.parametrize("spin", ["trivial", "nontrivial"])
     def test_full_period_is_bitwise_the_dense_solve(self, n_points, spin, mixed_profile):
-        """A density without symmetry, and the nontrivial spin structure for
-        any density, keep P = N: the values and the ratio are the dense solve's."""
+        """A density without symmetry, and every operator that claims none,
+        keep P = N: the values and the ratio are the dense solve's."""
         grid = GridSpec(n_points, spin)
-        ops = [assemble_basic_dirac_spinor(_density(mixed_profile, grid), grid)]
+        density = _density(mixed_profile, grid)
+        ops = [*assemble_lichnerowicz_sides(density, grid)]
         if spin == "trivial":
-            ops += [assemble(_density(mixed_profile, grid), grid)
-                    for assemble in (_laplacian_function, _laplacian_one_form)]
-        else:
-            ops.append(assemble_basic_dirac_spinor(_density(MetricProfile(1.0), grid), grid))
+            ops += [assemble(density, grid) for assemble in (_laplacian_function,
+                                                             _laplacian_one_form,
+                                                             assemble_basic_dirac_forms)]
         for op in ops:
-            assert op.period == n_points
+            assert op.period == op.weights.size
             hermitian, asymmetry = op.symmetrized()
             expected = np.linalg.eigvalsh(hermitian)
             scale = float(np.max(np.abs(expected)))
-            values, ratio = op.hermitian_spectrum()
+            values, ratio, distance = op.hermitian_spectrum()
             assert np.array_equal(values.view(np.uint64), expected.view(np.uint64))
-            assert ratio.hex() == (asymmetry / scale).hex()
+            assert ratio.hex() == (asymmetry / scale).hex() and distance == 0.0
+
+    @pytest.mark.parametrize("period", [1, 2, 16, 32])
+    def test_gather_matches_the_average_over_shifts(self, period):
+        """The strided gather against P(H) built as the mean over the m shifts
+        of H by multiples of the period (np.roll): the distance and the
+        eigenvalues agree within the allowance, for a random Hermitian H."""
+        rng = np.random.default_rng(period)
+        n, m = 64, 64 // period
+        hermitian = rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n))
+        hermitian += hermitian.conj().T
+        projection = sum(np.roll(hermitian, (s * period, s * period), axis=(0, 1))
+                         for s in range(m)) / m
+        values, distance = block_circulant_spectrum(hermitian, period)
+        expected = np.linalg.eigvalsh(projection)
+        allowance = self._allowance(hermitian, period, float(np.max(np.abs(expected))))
+        assert abs(distance - np.linalg.norm(hermitian - projection)) <= allowance
+        assert np.max(np.abs(values - expected)) <= allowance
 
     @pytest.mark.parametrize("assemble", [_laplacian_function, _laplacian_one_form])
     def test_false_period_is_refused(self, cosine_profile, grid64, assemble):
@@ -390,26 +465,6 @@ class TestBlockCirculantSolve:
         with pytest.raises(OperatorSymmetryError, match="not symmetric"):
             eigenvalues_weighted(op)
         eigenvalues_weighted(assemble(true, grid64))  # the honest claim passes
-
-    def test_any_period_holds_for_the_symmetrized_spinor_dirac(self, cosine_profile, grid64):
-        """The spinor Dirac's H is iD up to round-off for every density (unitary
-        equivalence), so it commutes with every shift: even the period g lacks
-        passes the gate, and the solve stays within the allowance of the dense one.
-
-        With L the exact lattice operator, P(L) = L and P a contraction, so
-        ||H - P(H)||_F <= ||H - iD||_F + ||iD - L||_F, at most the certificate's
-        distance plus sqrt(N) lattice_round_off(N)."""
-        true = _density(cosine_profile, grid64)
-        false = LeafVolumeDensity(true.g_values, true.g_dot_values, true.t_bandwidth, period=32)
-        op = assemble_basic_dirac_spinor(false, grid64)
-        hermitian, _ = op.symmetrized()
-        dense = np.linalg.eigvalsh(hermitian)
-        report, _ = dirac_spectra(op, grid64)
-        _, distance = block_circulant_spectrum(hermitian, 32)
-        bound = distance + self._allowance(hermitian, 32, float(np.max(np.abs(dense))))
-        certificate = lattice_certificate(op, grid64)
-        assert distance <= certificate.distance + math.sqrt(64) * lattice_round_off(64)
-        assert np.max(np.abs(report.eigenvalues - dense)) <= bound
 
 
 class TestSpectrumCompare:

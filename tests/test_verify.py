@@ -32,7 +32,12 @@ from foliation_lab.operators import (
     diagonal_conjugate,
     quadrature_weights,
 )
-from foliation_lab.spectral import WINDOW_EDGE_SLACK, OperatorSymmetryError, lattice_certificate
+from foliation_lab.spectral import (
+    WINDOW_EDGE_SLACK,
+    OperatorSymmetryError,
+    dirac_spectra,
+    spectrum_compare,
+)
 from foliation_lab.verify import (
     pair_metadata,
     random_profile,
@@ -47,7 +52,7 @@ from conftest import exp_cos_profile, exp_sin_profile, pair_inputs, save_profile
 # Each check run alone on the values its battery would pass it.
 def invariance(p1, p2, grid, window):
     pair = pair_inputs(p1, p2, grid)
-    return invariance_check(*pair.certificates, window, pair.metadata)
+    return invariance_check(*pair.spectra, window, pair.metadata)
 
 
 def kappa_transform(p1, p2, grid):
@@ -62,7 +67,7 @@ def conjugation(p1, p2, grid):
 
 def contrast(p1, p2, grid, window):
     pair = pair_inputs(p1, p2, grid)
-    return laplacian_dependence(*pair.laplacians, *pair.certificates, window, pair.metadata)
+    return laplacian_dependence(*pair.laplacians, *pair.spectra, window, pair.metadata)
 
 
 def scal_relation(profile, grid):
@@ -102,7 +107,7 @@ class TestInvarianceCheck:
         report = invariance(flat_profile, mixed_profile, grid128, 10.0)
         assert report.metadata["spinor_counts"] == [21, 21]
         assert report.metadata["forms_counts"] == [42, 42]
-        distances = report.metadata["lattice_distance"]
+        distances = report.metadata["projection_distance"]
         assert len(distances) == 2 and max(distances) < 1e-10
 
     def test_window_edge_on_a_lattice_point_is_not_a_silent_pass(
@@ -120,17 +125,22 @@ class TestInvarianceCheck:
         assert math.isinf(squared.metadata["squared_forms_residual"]) and not squared.passed
         assert squared.metadata["diagnostic"] == report.metadata["diagnostic"]
 
-    def test_residual_is_the_sum_of_the_certified_distances(
+    def test_residual_is_the_distances_plus_the_projected_deviation(
         self, cosine_profile, mixed_profile, grid128
     ):
         pair = pair_inputs(cosine_profile, mixed_profile, grid128)
-        report = invariance_check(*pair.certificates, 10.0, pair.metadata)
-        bound = sum(cert.distance for cert in pair.certificates)
-        assert report.residual == report.metadata["spinor_residual"] == bound
-        assert report.metadata["forms_residual"] == bound
-        squared = laplacian_dependence(*pair.laplacians, *pair.certificates, 10.0, pair.metadata)
+        report = invariance_check(*pair.spectra, 10.0, pair.metadata)
+        (spinor_1, forms_1), (spinor_2, forms_2) = pair.spectra
+        distance = spinor_1.distance + spinor_2.distance
+        spinor_bound = distance + spectrum_compare(spinor_1, spinor_2, 10.0)
+        forms_bound = distance + spectrum_compare(forms_1, forms_2, 10.0)
+        assert report.metadata["spinor_residual"] == spinor_bound
+        assert report.metadata["forms_residual"] == forms_bound
+        # sorting minimizes the largest deviation, and +-x pairs with +-y
+        assert report.residual == spinor_bound >= forms_bound
+        squared = laplacian_dependence(*pair.laplacians, *pair.spectra, 10.0, pair.metadata)
         assert squared.metadata["squared_forms_residual"] == (
-            2.0 * (10.0 + WINDOW_EDGE_SLACK) * bound
+            2.0 * (10.0 + WINDOW_EDGE_SLACK) * forms_bound
         )
 
 
@@ -287,7 +297,7 @@ def test_property_sweep_over_seeded_pairs(n_points):
     window = min(8.0, grid.trust_window)
     for _ in range(3):
         pair = pair_inputs(*random_profile_pair(rng), grid)
-        report = invariance_check(*pair.certificates, window, pair.metadata)
+        report = invariance_check(*pair.spectra, window, pair.metadata)
         assert report.passed, report.metadata
         assert kappa_transform_residual(*pair.densities, pair.alpha, grid, pair.metadata).passed
         assert conjugation_residual(*pair.dirac, pair.alpha, pair.metadata).passed
@@ -296,19 +306,20 @@ def test_property_sweep_over_seeded_pairs(n_points):
 @pytest.mark.parametrize(
     "second, skip, shapes",
     [
-        # flat density: 64 blocks of size 1; 2 + cos t: no symmetry, one dense solve
-        (MetricProfile(2.0, (ProfileTerm(0, 1, 1.0),)), False, [(64, 1, 1), (64, 64)]),
+        # two Dirac reads at P = 1, then the Laplacians: the flat density's in
+        # 64 blocks of size 1, and 2 + cos t's, without symmetry, in one dense solve
+        (MetricProfile(2.0, (ProfileTerm(0, 1, 1.0),)), False, [(64, 1, 1)] * 3 + [(64, 64)]),
         # the theta-average of 1 + cos(theta)/2 is flat: the contrast is skipped
-        (MetricProfile(1.0, (ProfileTerm(1, 0, 0.5),)), True, []),
+        (MetricProfile(1.0, (ProfileTerm(1, 0, 0.5),)), True, [(64, 1, 1)] * 2),
     ],
 )
 def test_pair_battery_solves_each_spectrum_once(flat_profile, grid64, monkeypatch, second, skip,
                                                 shapes):
-    """Per battery: two densities, two spinor Dirac assemblies, one alpha, no
-    Dirac solve (each operator is certified against the lattice instead)
-    and, unless the contrast is skipped, one ``eigvalsh`` call per Laplacian,
-    on the stacked blocks of its density's period, no SVD, and one
-    derivative matrix for the pair's (grid, spin structure)."""
+    """Per battery: two densities, two spinor Dirac assemblies, one alpha, one
+    ``eigvalsh`` call per Dirac operator, on its N 1 x 1 circulant blocks,
+    and, unless the contrast is skipped, one per Laplacian, on the stacked
+    blocks of its density's period, no SVD, and one derivative matrix for
+    the pair's (grid, spin structure)."""
     eigvalsh_sizes, svd_calls, built = [], [], []
     eigvalsh, svd = np.linalg.eigvalsh, np.linalg.svd
     from_profile = LeafVolumeDensity.from_profile.__func__
@@ -353,13 +364,14 @@ def test_pair_battery_solves_each_spectrum_once(flat_profile, grid64, monkeypatc
 
 def test_pair_battery_assembles_each_dirac_operator_once(cosine_profile, mixed_profile, grid64,
                                                          monkeypatch):
-    """Two spinor Dirac assemblies per battery, each certified once and never
-    solved: only the two Laplacians reach ``hermitian_spectrum``.  The
-    conjugation check reads the two operators that were certified, not fresh
-    assemblies, and both are released before the first Laplacian assembly."""
-    assembled, certified, solved, conjugated, alive_at_laplacian = [], [], [], [], []
+    """Two spinor Dirac assemblies per battery, each read once by
+    ``dirac_spectra`` through ``hermitian_spectrum``, as are the two
+    Laplacians.  The conjugation check reads the two operators that were
+    read, not fresh assemblies, and both are released before the first
+    Laplacian assembly."""
+    assembled, read, solved, conjugated, alive_at_laplacian = [], [], [], [], []
     assemble, solve = verify.assemble_basic_dirac_spinor, WeightedOperator.hermitian_spectrum
-    certify = verify.lattice_certificate
+    spectra = verify.dirac_spectra
     conjugate, laplacian = verify.conjugation_residual, verify.assemble_basic_laplacian
 
     def counted_assembly(density, grid, out=None):
@@ -370,9 +382,9 @@ def test_pair_battery_assembles_each_dirac_operator_once(cosine_profile, mixed_p
     def assembly_index(op):
         return next((i for i, ref in enumerate(assembled) if ref() is op), None)
 
-    def recorded_certificate(op, grid, out=None):
-        certified.append(assembly_index(op))
-        return certify(op, grid, out=out)
+    def recorded_read(op, out=None):
+        read.append(assembly_index(op))
+        return spectra(op, out=out)
 
     def recorded_solve(op, out=None):
         solved.append((assembly_index(op), op.label))
@@ -388,15 +400,16 @@ def test_pair_battery_assembles_each_dirac_operator_once(cosine_profile, mixed_p
         return laplacian(*args, **kwargs)
 
     monkeypatch.setattr(verify, "assemble_basic_dirac_spinor", counted_assembly)
-    monkeypatch.setattr(verify, "lattice_certificate", recorded_certificate)
+    monkeypatch.setattr(verify, "dirac_spectra", recorded_read)
     monkeypatch.setattr(WeightedOperator, "hermitian_spectrum", recorded_solve)
     monkeypatch.setattr(verify, "conjugation_residual", recorded_conjugation)
     monkeypatch.setattr(verify, "assemble_basic_laplacian", checked_laplacian)
     reports = run_pair_checks([(cosine_profile, mixed_profile)], grid64, 8.0)
     assert [report.passed for report in reports] == [True] * 4
     assert len(assembled) == 2
-    assert certified == [0, 1]
-    assert solved == [(None, "laplacian_function[N=64]")] * 2
+    assert read == [0, 1]
+    assert solved == [(0, "dirac_spinor[trivial,N=64]"), (1, "dirac_spinor[trivial,N=64]"),
+                      (None, "laplacian_function[N=64]"), (None, "laplacian_function[N=64]")]
     assert conjugated == [0, 1]
     assert alive_at_laplacian == [False, False]
 
@@ -484,14 +497,15 @@ class TestMutations:
 
     * ``g'/g`` in place of ``g'/2g`` (``diagonal_conjugate(D, g)``): S becomes
       i g^{-1/2} D g^{1/2}, which is not Hermitian, so the symmetry gate of
-      ``lattice_certificate`` refuses the operator (OperatorSymmetryError)
-      before any check runs; ``conjugation`` also fails on the mutants alone.
+      the Dirac read (``dirac_spectra``) refuses the operator
+      (OperatorSymmetryError) before any check runs; ``conjugation`` also
+      fails on the mutants alone.
     * Weights without the density: S is then the matrix itself,
       i g^{-1/2} D g^{1/2} again, refused by the same gate.
-    * An antiperiodic operator certified against the periodic lattice: its H
-      is Hermitian but near the half-integer lattice, so ||H - iD||_F exceeds
-      N/2, the gate's floor N/2 - radius is negative, the gate ratio is
-      infinite and ``lattice_certificate`` refuses it.
+    * An antiperiodic operator read without its phase E: its H is Hermitian,
+      but E (iD - 1/2) E^{-1} is far from every circulant, so the projection
+      distance ||H - P(H)||_F, which enters the same gate twice, is of
+      order N and the read refuses it.  With the phase it is round-off.
     * An unprojected kappa: densities of the theta = 0 slice f(0, t) instead
       of the theta-average.  Each operator is still unitarily equivalent to
       iD, so ``invariance`` passes, but alpha stays the true projection, so on
@@ -503,13 +517,14 @@ class TestMutations:
         matrix = diagonal_conjugate(differentiation_matrix(grid.n_points, "trivial"),
                                     density.g_values, out=out)
         matrix *= 1j
-        return WeightedOperator(matrix, quadrature_weights(density), "mutant_g", grid.n_points)
+        return WeightedOperator(matrix, quadrature_weights(density), "mutant_g", grid.n_points,
+                                period=1)
 
     @staticmethod
     def _unweighted(density, grid, out=None):
         op = assemble_basic_dirac_spinor(density, grid, out=out)
         weights = np.full(grid.n_points, 2.0 * np.pi / grid.n_points)
-        return WeightedOperator(op.matrix, weights, "mutant_weights", grid.n_points)
+        return WeightedOperator(op.matrix, weights, "mutant_weights", grid.n_points, period=1)
 
     @pytest.mark.parametrize("mutant", ["_half_too_strong", "_unweighted"])
     def test_gate_refuses_the_battery(self, mutant, flat_profile, cosine_profile, grid64,
@@ -539,21 +554,26 @@ class TestMutations:
         assert failed == ["kappa_transform", "conjugation"]
 
     @pytest.mark.parametrize("n_points", [64, 128])
-    def test_antiperiodic_operator_refused_by_the_periodic_certificate(self, cosine_profile,
-                                                                        n_points):
+    def test_antiperiodic_operator_read_without_its_phase_is_refused(self, cosine_profile,
+                                                                      n_points):
         antiperiodic = GridSpec(n_points, "nontrivial")
         op = assemble_basic_dirac_spinor(
             LeafVolumeDensity.from_profile(cosine_profile, antiperiodic), antiperiodic
         )
-        with pytest.raises(OperatorSymmetryError, match=r"dirac_spinor\[nontrivial.*inf"):
-            lattice_certificate(op, GridSpec(n_points))
+        assert op.hermitian_spectrum()[2] < 1e-10
+        unphased = WeightedOperator(op.matrix, op.weights, op.label, n_points, period=1)
+        _, ratio, distance = unphased.hermitian_spectrum()
+        assert distance > n_points / 8 and ratio > 1.0
+        with pytest.raises(OperatorSymmetryError, match=r"dirac_spinor\[nontrivial"):
+            dirac_spectra(unphased)
 
 
-def test_verify_and_invariance_never_solve_a_dirac_operator(flat_profile, cosine_profile,
-                                                            tmp_path, monkeypatch):
-    """Every eigensolve of the ``verify`` and ``invariance`` commands is a
-    function Laplacian: no Dirac operator reaches ``eigvalsh``, and each
-    Laplacian is one call on the stacked blocks of its period."""
+def test_verify_and_invariance_read_dirac_operators_only_at_period_one(
+        flat_profile, cosine_profile, tmp_path, monkeypatch):
+    """Every eigensolve of the ``verify``, ``invariance`` and Dirac ``spectrum``
+    commands is one ``eigvalsh`` call on the stacked blocks of the operator's
+    period: a Dirac operator, on either spin structure, reaches it only as
+    N 1 x 1 blocks, never dense, and each Laplacian along its density's period."""
     labels, periods, sizes = [], [], []
     solve, eigvalsh = WeightedOperator.hermitian_spectrum, np.linalg.eigvalsh
 
@@ -576,9 +596,15 @@ def test_verify_and_invariance_never_solve_a_dirac_operator(flat_profile, cosine
         ["verify", "--all", "--pairs", "3", "--seed", "1", *out],
         ["verify", "--profiles", flat, wavy, *out],
         ["invariance", "--profiles", flat, wavy, *out],
+        *(["spectrum", "--profile", wavy, "--operator", operator, "--spin", spin, *out]
+          for operator in ("dirac-spinor", "dirac-forms") for spin in ("trivial", "nontrivial")),
     ):
         assert cli.run(argv) in (0, 1)
-    assert labels and set(labels) == {"laplacian_function[N=64]"}
+    assert set(labels) == {"laplacian_function[N=64]", "dirac_spinor[trivial,N=64]",
+                           "dirac_spinor[nontrivial,N=64]"}
+    dirac = [period for label, period in zip(labels, periods) if label.startswith("dirac")]
+    assert len(dirac) == 2 * 3 + 2 + 2 + 4 and set(dirac) == {1}
     # the flat profile has period 1, 2 + cos t none
-    assert periods[-4:] == [1, 64] * 2
+    laplacian = [period for label, period in zip(labels, periods) if label.startswith("lap")]
+    assert laplacian[-4:] == [1, 64] * 2
     assert sizes == [(64, 64) if p == 64 else (64 // p, p, p) for p in periods]

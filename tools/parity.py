@@ -14,7 +14,7 @@ trees with
     python3 tools/parity.py parent /tmp/a && python3 tools/parity.py change /tmp/b
     diff -r /tmp/a /tmp/b
 
-The 50 cases run one after another in one process, so state that one call
+The 52 cases run one after another in one process, so state that one call
 left behind would show up as a difference in a later case; the last four
 cases run a grid-256 ``verify`` twice in a row, then an ``invariance`` at
 grid 128 right after a grid-64 ``verify``.  BLAS runs on one thread unless
@@ -94,6 +94,12 @@ def cases() -> dict[str, list[str]]:
             table[f"spectrum-{operator}-{spin}-wavy2"] = [
                 "spectrum", "--profile", profile("wavy2"), "--operator", operator,
                 "--spin", spin, *small]
+    # Grid-256 Dirac spectra of a density with period N/2, on both spin
+    # structures: a projected read and a dense solve differ in the last digits.
+    for spin in SPINS:
+        table[f"spectrum-dirac-spinor-{spin}-wavy2-n256"] = [
+            "spectrum", "--profile", profile("wavy2"), "--operator", "dirac-spinor",
+            "--spin", spin, "--grid", "256", "--window", "10"]
     table["bounds-json"] = ["bounds", "--r", "0.25", "0.5", "2", "4", "--format", "json"]
     table["sweep-default"] = ["sweep"]
     # Back-to-back pair batteries: a buffer that one call leaves stale or
