@@ -12,9 +12,12 @@ derivative of sampled real fields, ``fourier_derivative``, uses real FFTs
 and zeroes the extreme mode instead (the standard real-signal convention
 for odd derivative orders); the two agree on all resolved frequencies.
 
-There is one cached, read-only differentiation matrix per (grid size, spin
-structure); the operator assembly derives every first-order operator and
-the codifferential from it by diagonal scaling.
+Antiperiodic sections psi = e^{it/2} phi are written by their periodic part
+phi, on which d/dt acts as d/dt + i/2.  So there is one cached, read-only
+differentiation matrix per (grid size, spin structure), the nontrivial one
+the trivial one plus i/2 on the diagonal; the operator assembly derives
+every first-order operator and the codifferential from them by diagonal
+scaling.
 """
 
 from __future__ import annotations
@@ -63,18 +66,11 @@ def fourier_derivative(values: np.ndarray, order: int = 1, axis: int = -1) -> np
     return np.fft.irfft(hat, n=n, axis=axis)
 
 
-def half_phase(n_points: int) -> np.ndarray:
-    """E = e^{i t/2} on the grid: psi = E phi is antiperiodic when phi is periodic."""
-    return np.exp(0.5j * uniform_nodes(n_points))
-
-
 @lru_cache(maxsize=_CACHED_MATRICES)
 def differentiation_matrix(n_points: int, spin_structure: str = "trivial") -> np.ndarray:
-    """Read-only first-derivative matrix on sections of the chosen spin structure.
-
-    Trivial structure: periodic sections, D = F^-1 diag(i k) F.  Nontrivial
-    structure: antiperiodic sections psi = e^{i t/2} phi with phi periodic,
-    giving the conjugated matrix E (D + i/2) E^-1 on sampled values of psi.
+    """Read-only first-derivative matrix on sections of the chosen spin structure,
+    acting on their periodic parts: D = F^-1 diag(i k) F on the trivial
+    structure, D + i/2 on the nontrivial one (module docstring).
     Callers pass both arguments positionally, so each grid has one cache key.
     """
     if spin_structure == "trivial":
@@ -82,9 +78,7 @@ def differentiation_matrix(n_points: int, spin_structure: str = "trivial") -> np
         eye_hat = np.fft.fft(np.eye(n_points), axis=0)
         matrix = np.fft.ifft((1j * k)[:, None] * eye_hat, axis=0)
     elif spin_structure == "nontrivial":
-        phase = half_phase(n_points)
-        shifted = differentiation_matrix(n_points, "trivial") + 0.5j * np.eye(n_points)
-        matrix = phase[:, None] * shifted * np.conj(phase)[None, :]
+        matrix = differentiation_matrix(n_points, "trivial") + 0.5j * np.eye(n_points)
     else:
         raise ValueError(f"unknown spin structure: {spin_structure!r}")
     matrix.flags.writeable = False

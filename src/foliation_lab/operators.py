@@ -43,15 +43,14 @@ Translation symmetry.  The periodic D is circulant, so an operator built
 from it and a density of period P grid points (``LeafVolumeDensity.period``)
 commutes with the cyclic shift by P rows and columns; the Laplacians of both
 degrees record P as ``WeightedOperator.period``.  The spinor Dirac matrix
-records P = 1 for every density: the density cancels from its
-symmetrization, which is i D_s up to round-off, and on the antiperiodic
-structure D_s = E (D + i/2) E^{-1} with E = ``half_phase``, which the
-operator records as its ``phase``.  The 2N forms matrix claims none.  With
-P < N, ``hermitian_spectrum`` solves the block-circulant projection P of
-E^{-1} H E (E = I without a phase) as N/P Hermitian P x P blocks
-(``block_circulant_spectrum``) and adds 2 ||E^{-1} H E - P||_F to the gate's
-numerator; with P = N it is the dense solve, bit for bit.
-``spectral`` derives what a P = 1 read certifies about the spectrum of H.
+records P = 1 for every density and either spin structure: the density
+cancels from its symmetrization, which is i D_s up to round-off, and D_s,
+the periodic D or D + i/2 (``differentiation_matrix``), is circulant.  The
+2N forms matrix claims none.  With P < N, ``hermitian_spectrum`` solves the
+block-circulant projection P of H as N/P Hermitian P x P blocks
+(``block_circulant_spectrum``) and adds 2 ||H - P||_F to the gate's
+numerator; with P = N it is the dense solve, bit for bit.  ``spectral``
+derives what a P = 1 read certifies about the spectrum of H.
 """
 
 from __future__ import annotations
@@ -61,7 +60,7 @@ from dataclasses import dataclass
 import numpy as np
 from numpy.lib.stride_tricks import as_strided
 
-from ._spectral_diff import differentiation_matrix, fourier_derivative, half_phase
+from ._spectral_diff import differentiation_matrix, fourier_derivative
 from .basic_calculus import DEGREE_FUNCTION, DEGREE_ONE_FORM, TWO_PI, LeafVolumeDensity
 from .model_spaces import GridSpec
 
@@ -72,17 +71,15 @@ class WeightedOperator:
 
     ``period`` P, a divisor of the matrix size, claims that the matrix
     commutes with the cyclic shift by P rows and columns and the weights
-    repeat after P entries; None claims no symmetry (P = the size).  With a
-    ``phase``, a unit-modulus diagonal E, the claim is made of E^{-1} M E
-    instead of M.  The claim is checked, not trusted: ``hermitian_spectrum``
-    gates on the distance it measures from it."""
+    repeat after P entries; None claims no symmetry (P = the size).  The
+    claim is checked, not trusted: ``hermitian_spectrum`` gates on the
+    distance it measures from it."""
 
     matrix: np.ndarray
     weights: np.ndarray
     label: str
     n_points: int
     period: int | None = None
-    phase: np.ndarray | None = None
 
     def __post_init__(self):
         object.__setattr__(
@@ -117,23 +114,18 @@ class WeightedOperator:
 
     def hermitian_spectrum(self, out=None) -> tuple[np.ndarray, float, float]:
         """Ascending eigenvalues of the ``symmetrized`` H, or, when ``period`` < N,
-        of the block-circulant projection P of X = E^{-1} H E, E the ``phase``
-        (X formed in place of H; ``block_circulant_spectrum`` writes into the
-        S and conj(S) arrays of ``out``); the gate ratio
+        of its block-circulant projection P (``block_circulant_spectrum``
+        writes into the S and conj(S) arrays of ``out``); the gate ratio
 
-            (||S - S^H||_F + 2 d) / max|lambda|,   d = ||X - P||_F;
+            (||S - S^H||_F + 2 d) / max|lambda|,   d = ||H - P||_F;
 
-        and d.  With period = N, P = H and d = 0: the dense solve.  As E is
-        unitary, the numerator bounds the distance of S and S^H from the
-        matrix solved, E P E^{-1}.  As max|lambda(P)| <= max|lambda(H)| + d,
-        the ratio is never below the dense one, ||S - S^H||_F / max|lambda(H)|
-        >= ||S - S^H||_2 / ||S||_2 (as ||H||_2 <= ||S||_2), while that is at
-        most 2: the gate only gets stricter, and a period H does not have
-        fails it."""
+        and d.  With period = N, P = H and d = 0: the dense solve.  The
+        numerator bounds the distance of S and S^H from the matrix solved,
+        P.  As max|lambda(P)| <= max|lambda(H)| + d, the ratio is never below
+        the dense one, ||S - S^H||_F / max|lambda(H)| >= ||S - S^H||_2 /
+        ||S||_2 (as ||H||_2 <= ||S||_2), while that is at most 2: the gate
+        only gets stricter, and a period H does not have fails it."""
         hermitian, asymmetry = self.symmetrized(out=out)
-        if self.phase is not None:
-            hermitian *= np.conj(self.phase)[:, None]
-            hermitian *= self.phase
         if self.period == hermitian.shape[0]:
             values, distance = np.linalg.eigvalsh(hermitian), 0.0
         else:
@@ -227,9 +219,10 @@ def assemble_basic_dirac_spinor(
 
     Clifford multiplication by the unit transverse coframe is multiplication
     by i.  The trivial spin structure uses periodic sections, the nontrivial
-    one antiperiodic sections (half-integer frequency lattice), and records
-    their ``half_phase``; either claims period 1 (module docstring).  The
-    matrix is written to ``out`` when it is given (see ``diagonal_conjugate``).
+    one antiperiodic sections, written by their periodic parts
+    (``_spectral_diff``; half-integer spectrum); either claims period 1
+    (module docstring).  The matrix is written to ``out`` when it is given
+    (see ``diagonal_conjugate``).
     """
     _check_grid(density, grid)
     d_spin = differentiation_matrix(grid.n_points, grid.spin_structure)
@@ -241,7 +234,6 @@ def assemble_basic_dirac_spinor(
         label=f"dirac_spinor[{grid.spin_structure},N={grid.n_points}]",
         n_points=grid.n_points,
         period=1,
-        phase=None if grid.spin_structure == "trivial" else half_phase(grid.n_points),
     )
 
 

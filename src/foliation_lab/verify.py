@@ -87,9 +87,9 @@ LAPLACIAN_GAP_THRESHOLD = 1e-3
 # auto-generated pair runs the Laplacian-dependence contrast.
 DENSITY_MARGIN = 1e-2
 
-# Why a Dirac bound is infinite (``dirac_bounds``): a computed eigenvalue,
-# which sits on a lattice point up to round-off, is within its radius of the edge.
-EDGE_DIAGNOSTIC = "a lattice point lies within the certified distance of the window edge"
+# Why a Dirac bound is infinite (``dirac_bounds``): a window count is not
+# certified (``SpectrumReport.window_count``).
+EDGE_DIAGNOSTIC = "a computed eigenvalue lies within its certified radius of the window edge"
 
 # How far the mean-curvature coefficient may vary along theta before the
 # profile is refused by checks that assume basic mean curvature.

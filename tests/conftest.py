@@ -14,21 +14,16 @@ import numpy as np
 import pytest
 from scipy.special import iv
 
-from foliation_lab import (
-    GridSpec,
-    LeafVolumeDensity,
-    MetricProfile,
-    ProfileTerm,
-    SpectrumReport,
+from foliation_lab._spectral_diff import uniform_nodes
+from foliation_lab.basic_calculus import TWO_PI, LeafVolumeDensity
+from foliation_lab.model_spaces import GridSpec, MetricProfile, ProfileTerm
+from foliation_lab.operators import (
     WeightedOperator,
     assemble_basic_dirac_spinor,
     assemble_basic_laplacian,
-    eigenvalues_weighted,
+    block_circulant_spectrum,
 )
-from foliation_lab._spectral_diff import uniform_nodes
-from foliation_lab.basic_calculus import TWO_PI
-from foliation_lab.operators import block_circulant_spectrum
-from foliation_lab.spectral import dirac_spectra
+from foliation_lab.spectral import SpectrumReport, dirac_spectra, eigenvalues_weighted
 from foliation_lab.verify import basic_volume_ratio, pair_metadata
 
 
@@ -85,14 +80,12 @@ def complex_symmetrized(op: WeightedOperator, out=None) -> tuple[np.ndarray, flo
 
 
 def complex_hermitian_spectrum(op: WeightedOperator, out=None) -> tuple[np.ndarray, float, float]:
-    """Eigenvalues of ``complex_symmetrized``'s H, conjugated by the operator's
-    phase E as E^{-1} H E, solved dense or, when the operator's period is below
-    its size, by ``block_circulant_spectrum`` on fresh arrays; the gate ratio
-    (||S - S^H||_F + 2 d) / max|lambda| and the projection distance d: the
-    reference for ``WeightedOperator.hermitian_spectrum``."""
+    """Eigenvalues of ``complex_symmetrized``'s H, solved dense or, when the
+    operator's period is below its size, by ``block_circulant_spectrum`` on
+    fresh arrays; the gate ratio (||S - S^H||_F + 2 d) / max|lambda| and the
+    projection distance d: the reference for
+    ``WeightedOperator.hermitian_spectrum``."""
     hermitian, asymmetry = complex_symmetrized(op, out)
-    if op.phase is not None:
-        hermitian = hermitian * np.conj(op.phase)[:, None] * op.phase
     if op.period == hermitian.shape[0]:
         values, distance = np.linalg.eigvalsh(hermitian), 0.0
     else:

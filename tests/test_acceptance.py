@@ -9,26 +9,21 @@ import time
 import numpy as np
 import pytest
 
-from foliation_lab import (
-    GridSpec,
-    MetricProfile,
+from foliation_lab.basic_calculus import LeafVolumeDensity
+from foliation_lab.bounds import piecewise_reference, s3_bounds
+from foliation_lab.model_spaces import GridSpec, MetricProfile, ProfileTerm, torus_geometry
+from foliation_lab.operators import assemble_basic_dirac_spinor, assemble_basic_laplacian
+from foliation_lab.spectral import eigenvalues_weighted
+from foliation_lab.verify import (
     NonBasicMeanCurvatureError,
-    ProfileTerm,
-    assemble_basic_dirac_spinor,
     conjugation_residual,
-    eigenvalues_weighted,
     invariance_check,
     kappa_transform_residual,
     laplacian_dependence,
     lichnerowicz_residual,
-    piecewise_reference,
-    s3_bounds,
+    random_profile_pair,
     scal_relation_residual,
-    torus_geometry,
 )
-from foliation_lab.basic_calculus import LeafVolumeDensity
-from foliation_lab.operators import assemble_basic_laplacian
-from foliation_lab.verify import random_profile_pair
 
 from conftest import (
     exp_sin_profile,

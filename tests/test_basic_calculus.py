@@ -4,17 +4,15 @@ import numpy as np
 import pytest
 import sympy as sp
 
-from foliation_lab import (
+from foliation_lab._spectral_diff import fourier_derivative
+from foliation_lab.basic_calculus import LeafVolumeDensity, dlog, project_basic
+from foliation_lab.model_spaces import (
     GridSpec,
     MetricProfile,
     ProfileTerm,
-    dlog,
-    project_basic,
     torus_geometry,
     torus_metric_sample,
 )
-from foliation_lab._spectral_diff import fourier_derivative
-from foliation_lab.basic_calculus import LeafVolumeDensity
 
 from conftest import exp_sin_profile, weighted_inner_product
 

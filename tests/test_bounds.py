@@ -7,14 +7,17 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from foliation_lab import bounds, eval_bound, piecewise_reference, s3_bounds
+from foliation_lab import bounds
 from foliation_lab.bounds import (
     bound_failures,
     bound_rows_csv,
+    eval_bound,
     reference_error,
     golden_section_min,
     maximize_on_interval,
     minimize_on_interval,
+    piecewise_reference,
+    s3_bounds,
 )
 from foliation_lab.model_spaces import (
     S3_SCALAR_CURVATURE,

@@ -10,7 +10,8 @@ import numpy as np
 import pytest
 
 import foliation_lab
-from foliation_lab import MetricProfile, ProfileTerm, bounds
+from foliation_lab import bounds
+from foliation_lab.model_spaces import MetricProfile, ProfileTerm
 from foliation_lab.cli import _json_text, build_parser, run
 
 from conftest import save_profile

@@ -9,21 +9,19 @@ import sympy as sp
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from foliation_lab import (
+from foliation_lab import _kernels
+from foliation_lab.basic_calculus import LeafVolumeDensity
+from foliation_lab.model_spaces import (
+    S3_SCALAR_CURVATURE,
     GridSpec,
-    LeafVolumeDensity,
     MetricProfile,
     ProfileTerm,
     load_profile,
-    torus_geometry,
-    torus_metric_sample,
-)
-from foliation_lab import _kernels
-from foliation_lab.model_spaces import (
-    S3_SCALAR_CURVATURE,
     s3_a_norm_sq,
     s3_kappa_norm,
     s3_transverse_scal,
+    torus_geometry,
+    torus_metric_sample,
 )
 
 from conftest import exp_cos_profile, save_profile

@@ -1,24 +1,26 @@
 """Operator assembly: spectra, weighted symmetry, adjointness, identities."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 
-from foliation_lab import (
-    GridSpec,
-    MetricProfile,
-    ProfileTerm,
+from foliation_lab import operators, verify
+from foliation_lab._spectral_diff import differentiation_matrix, uniform_nodes, wavenumbers
+from foliation_lab.basic_calculus import LeafVolumeDensity
+from foliation_lab.cli import run
+from foliation_lab.model_spaces import GridSpec, MetricProfile, ProfileTerm
+from foliation_lab.operators import (
+    WeightedOperator,
     assemble_basic_dirac_forms,
     assemble_basic_dirac_spinor,
     assemble_basic_laplacian,
     assemble_lichnerowicz_sides,
-    eigenvalues_weighted,
-    spectrum_compare,
+    codifferential,
+    diagonal_conjugate,
+    twisted_differential,
 )
-from foliation_lab import operators, verify
-from foliation_lab._spectral_diff import differentiation_matrix
-from foliation_lab.basic_calculus import LeafVolumeDensity
-from foliation_lab.cli import run
-from foliation_lab.operators import WeightedOperator, codifferential, diagonal_conjugate
+from foliation_lab.spectral import eigenvalues_weighted, spectrum_compare
 from foliation_lab.verify import (
     conjugation_residual,
     invariance_check,
@@ -40,6 +42,7 @@ from conftest import (
 )
 
 TWO_PI = 2.0 * np.pi
+EPS = np.finfo(np.float64).eps
 
 
 def _density(profile, grid):
@@ -60,7 +63,7 @@ def _all_operators(profile, grid):
 
 class TestDifferentiationMatrix:
     @pytest.mark.parametrize("n_points", [64, 128])
-    def test_cached_read_only_and_nontrivial_is_shifted_conjugate(self, n_points):
+    def test_cached_read_only_and_nontrivial_is_shifted(self, n_points):
         trivial = differentiation_matrix(n_points, "trivial")
         nontrivial = differentiation_matrix(n_points, "nontrivial")
         assert differentiation_matrix(n_points, "trivial") is trivial
@@ -68,12 +71,27 @@ class TestDifferentiationMatrix:
         for matrix in (trivial, nontrivial):
             with pytest.raises(ValueError):
                 matrix[0, 0] = 0.0
-        # Oracle: antiperiodic sections psi = e^{it/2} phi, so E (D + i/2) E^-1.
-        t = TWO_PI * np.arange(n_points) / n_points
-        half_phase = np.exp(0.5j * t)
-        shifted = trivial + 0.5j * np.eye(n_points)
-        expected = half_phase[:, None] * shifted * np.conj(half_phase)[None, :]
-        assert np.array_equal(nontrivial, expected)
+        # Oracle: antiperiodic sections psi = e^{it/2} phi are written by their
+        # periodic part phi, on which d/dt is D + i/2.
+        assert np.array_equal(nontrivial, trivial + 0.5j * np.eye(n_points))
+
+    @pytest.mark.parametrize("n_points", [64, 256])
+    def test_nontrivial_spinor_matrix_is_the_trivial_one_minus_a_half(self, cosine_profile,
+                                                                      n_points):
+        """i g^{-1/2} (D + i/2) g^{1/2} = i g^{-1/2} D g^{1/2} - 1/2: off the diagonal
+        the scalings meet the same entries of D, so the bits are equal.  On it
+        the shift goes through the scalings (1/w rounded and two products,
+        3 eps relative) and the reference's subtraction rounds once (eps/2),
+        so with s_j the reference the entries agree within 4 eps (1/2 + |s_j|),
+        a few ulps."""
+        trivial, nontrivial = (
+            assemble_basic_dirac_spinor(_density(cosine_profile, grid), grid).matrix
+            for grid in (GridSpec(n_points), GridSpec(n_points, "nontrivial"))
+        )
+        off = ~np.eye(n_points, dtype=bool)
+        assert np.array_equal(nontrivial[off], trivial[off])
+        shifted = np.diag(trivial) - 0.5
+        assert np.all(np.abs(np.diag(nontrivial) - shifted) <= 4 * EPS * (0.5 + np.abs(shifted)))
 
 
 class TestSpinorDirac:
@@ -116,6 +134,98 @@ class TestSpinorDirac:
         conjugated = (root[:, None] * op.matrix) / root[None, :]
         target = 1j * differentiation_matrix(grid128.n_points, "trivial")
         assert np.linalg.norm(conjugated - target, 2) < 1e-10
+
+
+class TestConsistency:
+    """The assembled first-order matrices applied to phi = e^{ikt}, |k| <= N/8,
+    against the continuous operators at the nodes, with g' from the exact
+    ``g_dot_values``: the spinor Dirac matrix against i(phi' + (g'/2g) phi) on
+    the trivial structure and i(phi' + i phi/2 + (g'/2g) phi) on the
+    nontrivial one (phi the periodic part of the section e^{it/2} phi), and
+    the twisted differential against u' - kappa u/2, kappa = -g'/g.  This
+    checks what each matrix means, not only its spectrum.
+
+    The tolerance is derived, not fitted.  Each matrix is z g^{-1/2} D_s f
+    with f = g^{1/2} phi, z = i or 1, and D_s - D = i/2 exactly, so its error
+    at node j is g_j^{-1/2} times that of D on f, plus rounding.
+
+    (a) Aliasing.  D differentiates the interpolant whose coefficient at m in
+        L_N = {-N/2+1, ..., N/2} is sum_j f^_{m+jN}: each f^_m with m outside
+        L_N is folded onto an m' with |m'| <= N/2 <= |m|, or dropped, so
+        |D f - f'| <= 2 T_N at every node, T_N = sum_{m not in L_N} |m| |f^_m|.
+    (b) The tail.  On the 4N grid the coefficients alias in the same way, so
+        T_N <= T_4N + 2 R, with T_4N the same sum of the 4N-grid coefficients
+        over the m in L_4N outside L_N, and R = sum_{|m| >= 2N} |m| |f^_m|.
+        For g = c + a cos t, g^{1/2} is analytic in |Im t| < y_0 = acosh(c/a)
+        and bounded there by (c + a cosh y_0)^{1/2} = (2c)^{1/2}, so
+        |f^_m| <= (2c)^{1/2} e^{(|k| - |m|) y_0} (Cauchy) and, with
+        r = e^{-y_0} and M = 2N,
+        R <= 2 (2c)^{1/2} e^{|k| y_0} r^M (M - (M - 1) r) / (1 - r)^2.
+    (c) Rounding, in units of eps.  The nodes are within 6 pi eps of 2 pi j/N
+        (2 pi, a product and a division), which moves each sample by 6 pi
+        eps times its t-derivative: relatively |k| for phi and |g'/2g| for
+        g^{+-1/2}, and by a/(2 min g) + lambda^2/2 for g'/2g, lambda =
+        max|g'/g|.  With gamma_N for the matrix-vector sums (Higham, Lemma
+        3.5), the complex products, the two scalings and a few eps per
+        function evaluation, the error is at most s eps (sum_l |M_jl| +
+        |k| + 1 + lambda), s = N + 16 + 12 pi (|k| + lambda + lambda^2 +
+        a / min g).  The computed D is within N^2 eps / 2 of the exact one in
+        Frobenius norm (``test_round_off_of_the_derivative_matrix``), and the
+        shift rounds each diagonal entry once more, so D errs on f by at most
+        (N^2 eps / 2 + eps) N^{1/2} max g^{1/2}.  The 4N-point FFT errs
+        normwise by at most gamma_{7 log2(4N)} (Higham, Theorem 24.2) and the
+        samples of f by s eps, so T_4N is within 2N (4N)^{1/2}
+        (gamma_{7 log2(4N)} + s eps) max g^{1/2} of its computed value.
+
+    Where the tail is large the bound is close: at N = 64 for g = 1 + 0.9 cos t
+    the error is 0.96 of it.  Elsewhere the rounding terms dominate it.
+    """
+
+    @staticmethod
+    def _tolerance(n_points, c, a, ks, matrix, g_values, g_dot_values):
+        lam = float(np.max(np.abs(g_dot_values / g_values)))
+        s = n_points + 16 + 12 * np.pi * (np.abs(ks) + lam + lam**2 + a / np.min(g_values))
+        fine = 4 * n_points
+        fft_error = 7 * np.log2(fine) * EPS / (1 - 7 * np.log2(fine) * EPS)
+        root_max, inverse_root_max = np.sqrt(np.max(g_values)), 1 / np.sqrt(np.min(g_values))
+        # (b): the tail of f = g^{1/2} e^{ikt} on the 4N grid, and R in closed form
+        nodes = uniform_nodes(fine)
+        f = np.sqrt(c + a * np.cos(nodes))[:, None] * np.exp(1j * np.outer(nodes, ks))
+        coefficients = np.abs(np.fft.fft(f, axis=0)) / fine
+        m = wavenumbers(fine)
+        outside = (m <= -n_points // 2) | (m > n_points // 2)
+        tail = np.abs(m[outside]) @ coefficients[outside]
+        tail += 2 * n_points * np.sqrt(fine) * (fft_error + s * EPS) * root_max
+        y0 = np.arccosh(c / a)
+        r, big = np.exp(-y0), 2 * n_points
+        beyond = (2 * np.sqrt(2 * c) * np.exp(np.abs(ks) * y0)
+                  * r**big * (big - (big - 1) * r) / (1 - r) ** 2)
+        aliasing = 2 * inverse_root_max * (tail + 2 * beyond)
+        # (c): rounding
+        derivative = (n_points**2 * EPS / 2 + EPS) * np.sqrt(n_points) * root_max
+        row_sum = float(np.max(np.sum(np.abs(matrix), axis=1)))
+        rounding = s * EPS * (row_sum + np.abs(ks) + 1 + lam)
+        return aliasing + inverse_root_max * derivative + rounding
+
+    @pytest.mark.parametrize("n_points", [64, 128, 256])
+    @pytest.mark.parametrize("c, a", [(2.0, 1.0), (1.0, 0.9)])
+    def test_matrices_apply_their_continuous_operators(self, n_points, c, a):
+        ks = np.arange(-(n_points // 8), n_points // 8 + 1)
+        for spin, shift in (("trivial", 0.0), ("nontrivial", 0.5j)):
+            grid = GridSpec(n_points, spin)
+            density = _density(MetricProfile(c, (ProfileTerm(0, 1, a),)), grid)
+            g, g_dot = density.g_values, density.g_dot_values
+            phi = np.exp(1j * np.outer(grid.t_nodes, ks))
+            first_order = 1j * ks + (g_dot / (2 * g))[:, None]
+            cases = [(assemble_basic_dirac_spinor(density, grid).matrix,
+                      1j * (first_order + shift) * phi)]
+            if spin == "trivial":
+                kappa = density.mean_curvature_values()
+                cases.append((twisted_differential(density, grid),
+                              (1j * ks - kappa[:, None] / 2) * phi))
+            for matrix, expected in cases:
+                error = np.max(np.abs(matrix @ phi - expected), axis=0)
+                assert np.all(error <= self._tolerance(n_points, c, a, ks, matrix, g, g_dot))
 
 
 class TestFormsDirac:
@@ -235,8 +345,8 @@ class TestWeightedOperatorInvariants:
 class TestTranslationPeriod:
     """Densities record P = N / gcd(N, n_1, ..., n_k) over the t-frequencies of
     the theta-average; the Laplacians pass it on, and the spinor Dirac
-    operator, whose symmetrization is density-free, claims period 1 with its
-    spin structure's phase."""
+    operator, whose symmetrization is density-free, claims period 1 on
+    either spin structure."""
 
     @pytest.mark.parametrize(
         "terms, period",
@@ -285,10 +395,8 @@ class TestTranslationPeriod:
         assert density.period == 16
         spinor = assemble_basic_dirac_spinor(density, grid)
         assert spinor.period == 1
-        if spin == "trivial":
-            assert spinor.phase is None
-        else:
-            assert np.array_equal(spinor.phase, np.exp(0.5j * grid.t_nodes))
+        assert [field.name for field in dataclasses.fields(spinor)] == [
+            "matrix", "weights", "label", "n_points", "period"]
         for degree in ("function", "one_form"):
             laplacian = assemble_basic_laplacian(density, grid, degree)
             assert laplacian.period == 16

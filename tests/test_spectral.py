@@ -5,28 +5,28 @@ import math
 import numpy as np
 import pytest
 
-from foliation_lab import (
-    GridSpec,
-    MetricProfile,
-    ProfileTerm,
-    assemble_basic_dirac_spinor,
-    assemble_basic_laplacian,
-    eigenvalues_weighted,
-    spectrum_compare,
-)
 from foliation_lab import spectral
 from foliation_lab._spectral_diff import differentiation_matrix, wavenumbers
 from foliation_lab.basic_calculus import LeafVolumeDensity
 from foliation_lab.cli import _spectrum_text
+from foliation_lab.model_spaces import GridSpec, MetricProfile, ProfileTerm
 from foliation_lab.operators import (
     WeightedOperator,
     assemble_basic_dirac_forms,
+    assemble_basic_dirac_spinor,
+    assemble_basic_laplacian,
     assemble_lichnerowicz_sides,
     block_circulant_spectrum,
     quadrature_weights,
     twisted_differential,
 )
-from foliation_lab.spectral import OperatorSymmetryError, SpectrumReport, dirac_spectra
+from foliation_lab.spectral import (
+    OperatorSymmetryError,
+    SpectrumReport,
+    dirac_spectra,
+    eigenvalues_weighted,
+    spectrum_compare,
+)
 from foliation_lab.verify import invariance_check, pair_metadata, random_profile_pair
 
 from conftest import dense_spectrum, pair_inputs
@@ -187,8 +187,8 @@ def _wavy_profiles():
 
 
 class TestProjectedDiracRead:
-    """Every spinor Dirac spectrum is read from the circulant projection of
-    E^{-1} H E (``spectral`` derives the radius d + a of that read); the dense
+    """Every spinor Dirac spectrum is read from the circulant projection of its
+    H (``spectral`` derives the radius d + a of that read); the dense
     ``eigvalsh`` of H in ``conftest`` is the oracle.
 
     Allowance for the oracle: ``eigvalsh`` is backward stable, so its values
@@ -270,14 +270,14 @@ class TestProjectedDiracRead:
         within d + a of the lattice -wavenumbers(N) - 1/2, the counts are
         certified, and ``invariance_check`` passes.
 
-        The exact operator L is circulant, so P(L) = L and, P being an
-        orthogonal projection, |mu_k - l_k| <= ||P(X) - L||_2 <= ||X - L||_F
-        for the computed X = E^{-1} H E.  That is the round-off of the
+        The exact operator L = iD - 1/2 is circulant, so P(L) = L and, P
+        being an orthogonal projection, |mu_k - l_k| <= ||P(H) - L||_2 <=
+        ||H - L||_F for the computed H.  That is the round-off of the
         assembled matrix: at most N eps N/2 from D
         (``test_round_off_of_the_derivative_matrix``) plus relative errors of
-        about 12 eps per entry from the phases, the two density scalings, the
+        about 10 eps per entry from the shift, the two density scalings, the
         two weight scalings and the symmetrization, so at most
-        N^2 eps / 2 + 12 eps ||H||_F, which a >= 2 gamma_N ||H||_F exceeds
+        N^2 eps / 2 + 10 eps ||H||_F, which a >= 2 gamma_N ||H||_F exceeds
         for N >= 16, as ||H||_F >= N/2.  With the allowance a of the read
         itself, each computed value is within d + 2a of its lattice point."""
         grid = GridSpec(n_points, "nontrivial")

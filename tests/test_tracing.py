@@ -11,7 +11,8 @@ from pathlib import Path
 
 import pytest
 
-from foliation_lab import MetricProfile, ProfileTerm, bounds, cli
+from foliation_lab import bounds, cli
+from foliation_lab.model_spaces import MetricProfile, ProfileTerm
 
 from conftest import save_profile
 

@@ -8,23 +8,10 @@ import numpy as np
 import pytest
 import sympy as sp
 
-from foliation_lab import (
-    GridSpec,
-    MetricProfile,
-    NonBasicMeanCurvatureError,
-    ProfileTerm,
-    cli,
-    conjugation_residual,
-    invariance_check,
-    kappa_transform_residual,
-    laplacian_dependence,
-    lichnerowicz_residual,
-    scal_relation_residual,
-    torus_geometry,
-)
+from foliation_lab import cli, verify
 from foliation_lab._spectral_diff import differentiation_matrix, fourier_derivative
 from foliation_lab.basic_calculus import LeafVolumeDensity
-from foliation_lab import verify
+from foliation_lab.model_spaces import GridSpec, MetricProfile, ProfileTerm, torus_geometry
 from foliation_lab.operators import (
     WeightedOperator,
     assemble_basic_dirac_spinor,
@@ -39,11 +26,18 @@ from foliation_lab.spectral import (
     spectrum_compare,
 )
 from foliation_lab.verify import (
+    NonBasicMeanCurvatureError,
+    conjugation_residual,
+    invariance_check,
+    kappa_transform_residual,
+    laplacian_dependence,
+    lichnerowicz_residual,
     pair_metadata,
     random_profile,
     random_profile_pair,
     run_pair_checks,
     run_profile_checks,
+    scal_relation_residual,
 )
 
 from conftest import exp_cos_profile, exp_sin_profile, pair_inputs, save_profile
@@ -502,10 +496,11 @@ class TestMutations:
       fails on the mutants alone.
     * Weights without the density: S is then the matrix itself,
       i g^{-1/2} D g^{1/2} again, refused by the same gate.
-    * An antiperiodic operator read without its phase E: its H is Hermitian,
-      but E (iD - 1/2) E^{-1} is far from every circulant, so the projection
-      distance ||H - P(H)||_F, which enters the same gate twice, is of
-      order N and the read refuses it.  With the phase it is round-off.
+    * An antiperiodic operator in the wrong frame: E M E^{-1}, E = e^{it/2},
+      acts on the samples of psi instead of its periodic part phi.  Its H is
+      Hermitian, but E (iD - 1/2) E^{-1} is far from every circulant, so the
+      projection distance ||H - P(H)||_F, which enters the same gate twice,
+      is of order N and the read refuses it.  For M itself it is round-off.
     * An unprojected kappa: densities of the theta = 0 slice f(0, t) instead
       of the theta-average.  Each operator is still unitarily equivalent to
       iD, so ``invariance`` passes, but alpha stays the true projection, so on
@@ -554,18 +549,20 @@ class TestMutations:
         assert failed == ["kappa_transform", "conjugation"]
 
     @pytest.mark.parametrize("n_points", [64, 128])
-    def test_antiperiodic_operator_read_without_its_phase_is_refused(self, cosine_profile,
-                                                                      n_points):
+    def test_antiperiodic_operator_in_the_wrong_frame_is_refused(self, cosine_profile,
+                                                                  n_points):
         antiperiodic = GridSpec(n_points, "nontrivial")
         op = assemble_basic_dirac_spinor(
             LeafVolumeDensity.from_profile(cosine_profile, antiperiodic), antiperiodic
         )
         assert op.hermitian_spectrum()[2] < 1e-10
-        unphased = WeightedOperator(op.matrix, op.weights, op.label, n_points, period=1)
-        _, ratio, distance = unphased.hermitian_spectrum()
+        phase = np.exp(0.5j * antiperiodic.t_nodes)
+        conjugated = phase[:, None] * op.matrix * np.conj(phase)[None, :]
+        mutant = WeightedOperator(conjugated, op.weights, op.label, n_points, period=1)
+        _, ratio, distance = mutant.hermitian_spectrum()
         assert distance > n_points / 8 and ratio > 1.0
         with pytest.raises(OperatorSymmetryError, match=r"dirac_spinor\[nontrivial"):
-            dirac_spectra(unphased)
+            dirac_spectra(mutant)
 
 
 def test_verify_and_invariance_read_dirac_operators_only_at_period_one(
