@@ -2,60 +2,48 @@
 
 All operators act on t-grid vectors and are symmetric with respect to the
 weighted inner product whose weights combine the trapezoid rule with the
-leaf volume density.  Assembly follows two rules that keep the symmetry
-identities exact at the matrix level rather than merely to discretization
-accuracy:
-
-* first-order operators of the form u' + (g'/2g) u are built in the
-  volume-normalized (conservative) form g^{-1/2} D g^{1/2}, which is the
-  exact discrete conjugate of the plain derivative matrix D;
-* the codifferential is the exact matrix adjoint of the discrete
-  differential under the weighted inner product, -g^{-1} D g, never an
-  independently discretized expression.
-
+leaf volume density.  Assembly keeps the symmetry identities exact at the
+matrix level: first-order operators u' + (g'/2g) u are built in the
+conservative form g^{-1/2} D g^{1/2}, the exact conjugate of the derivative
+matrix D, and the codifferential is D's exact weighted adjoint -g^{-1} D g.
 Both are ``diagonal_conjugate`` scalings w^{-1} D w of the one cached,
-read-only Fourier matrix D per (grid, spin structure) from
-``_spectral_diff.differentiation_matrix``.
+read-only matrix D per (grid, spin structure) of
+``_spectral_diff.differentiation_matrix``.  The basic Laplacians of both
+degrees are Gram products of T = g^{-1/2} D g^{1/2}: a ``GramOperator``
+holds iT and reads T's squared singular values (``spectral`` derives it).
 
-Diagonal scalings, here and in ``WeightedOperator.symmetrized``, act
-on the float64 view of the complex matrix: the real and imaginary parts of
-each entry are multiplied by w and then by a precomputed 1/w.  That is the
-arithmetic numpy does for the complex forms M * w and M / w with a real w
-promoted to complex: a product (a + bi)(w + 0i) is (aw - b0) + (a0 + bw)i,
-and a quotient by w + 0i in Smith's form is (a + b0)(1/w) + (b - a0)(1/w)i.
-Adding the zero products changes no nonzero value, so every scaled entry
-is bitwise the complex result, except that a zero entry may differ in sign.
-The view skips the zero products and the complex division.  Scalings by i
-or -1 and the symmetrization's sums are done in place, with the same
-arithmetic as the expressions they replace.
+Diagonal scalings, here and in ``WeightedOperator.symmetrized``, multiply
+the float64 view of the complex matrix by w and then by a precomputed 1/w.
+That is bitwise numpy's complex (M * w) / w with w promoted to complex,
+(aw - b0) + (a0 + bw)i and then Smith's (a + b0)(1/w) + (b - a0)(1/w)i,
+except that a zero entry may differ in sign.  Scalings by i or -1 and the
+symmetrization's sums are done in place with unchanged arithmetic.
 
-Every N x N result can be written to caller-owned arrays instead of new
-ones: ``diagonal_conjugate``, ``assemble_basic_dirac_spinor`` and
-``codifferential`` take one ``out`` array, ``assemble_basic_laplacian`` two
-(delta, then delta @ D or D @ delta), and ``WeightedOperator.symmetrized``
-and ``hermitian_spectrum`` three (S, conj(S), H); a blocked solve reuses the
-S and conj(S) arrays once the asymmetry norm is taken.  S may be written
-over the operator's own matrix, which then ends the operator.  Each step
-runs the same ufunc on the same operands with or without ``out``, so the
-bits are the same; without it numpy allocates, as for ``out=None``.
+Every N x N result can be written to caller-owned arrays: ``out`` is one
+array for ``diagonal_conjugate``, ``assemble_basic_dirac_spinor`` and
+``assemble_basic_laplacian``, and three (S, conj(S), H) for
+``WeightedOperator.symmetrized`` and both ``hermitian_spectrum`` methods,
+whose projections reuse them.  S may be written over the operator's own
+matrix, which then ends the operator; a Gram read never writes its matrix.
+Each step runs the same ufunc on the same operands with or without ``out``,
+so the bits are the same.
 
 Translation symmetry.  The periodic D is circulant, so an operator built
 from it and a density of period P grid points (``LeafVolumeDensity.period``)
-commutes with the cyclic shift by P rows and columns; the Laplacians of both
-degrees record P as ``WeightedOperator.period``.  The spinor Dirac matrix
-records P = 1 for every density and either spin structure: the density
-cancels from its symmetrization, which is i D_s up to round-off, and D_s,
-the periodic D or D + i/2 (``differentiation_matrix``), is circulant.  The
-2N forms matrix claims none.  With P < N, ``hermitian_spectrum`` solves the
-block-circulant projection P of H as N/P Hermitian P x P blocks
-(``block_circulant_spectrum``) and adds 2 ||H - P||_F to the gate's
-numerator; with P = N it is the dense solve, bit for bit.  ``spectral``
-derives what a P = 1 read certifies about the spectrum of H.
+commutes with the cyclic shift by P rows and columns; the Laplacians record
+P as ``WeightedOperator.period``.  The spinor Dirac matrix records P = 1 on
+either spin structure: its symmetrization is i D_s up to round-off, and
+D_s, the periodic D or D + i/2, is circulant.  The 2N forms matrix claims
+none.  Every read solves the N/P blocks of its projection onto
+block-circulant matrices (``block_circulant_projection``) in one stacked
+``eigvalsh`` call and gates on the projection's distance; at P = N it is
+the dense solve, bit for bit.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+import math
+from dataclasses import dataclass, replace
 
 import numpy as np
 from numpy.lib.stride_tricks import as_strided
@@ -113,24 +101,20 @@ class WeightedOperator:
         return hermitian, float(np.linalg.norm(sym))
 
     def hermitian_spectrum(self, out=None) -> tuple[np.ndarray, float, float]:
-        """Ascending eigenvalues of the ``symmetrized`` H, or, when ``period`` < N,
-        of its block-circulant projection P (``block_circulant_spectrum``
-        writes into the S and conj(S) arrays of ``out``); the gate ratio
-
-            (||S - S^H||_F + 2 d) / max|lambda|,   d = ||H - P||_F;
-
-        and d.  With period = N, P = H and d = 0: the dense solve.  The
-        numerator bounds the distance of S and S^H from the matrix solved,
-        P.  As max|lambda(P)| <= max|lambda(H)| + d, the ratio is never below
+        """Ascending eigenvalues of P, the projection of the ``symmetrized`` H
+        along ``period`` (``block_circulant_projection``, in the S and conj(S)
+        arrays of ``out``); the gate ratio (||S - S^H||_F + 2 d) / max|lambda|;
+        and d = ||H - P||_F.  With period = N, P = H and d = 0: the dense
+        solve.  The numerator bounds the distance of S and S^H from the matrix
+        solved, P.  As max|lambda(P)| <= max|lambda(H)| + d, the ratio is never below
         the dense one, ||S - S^H||_F / max|lambda(H)| >= ||S - S^H||_2 /
         ||S||_2 (as ||H||_2 <= ||S||_2), while that is at most 2: the gate
         only gets stricter, and a period H does not have fails it."""
         hermitian, asymmetry = self.symmetrized(out=out)
-        if self.period == hermitian.shape[0]:
-            values, distance = np.linalg.eigvalsh(hermitian), 0.0
-        else:
-            spare = None if out is None else out[:2]
-            values, distance = block_circulant_spectrum(hermitian, self.period, out=spare)
+        blocks, distance = block_circulant_projection(
+            hermitian, self.period, out=None if out is None else out[:2]
+        )
+        values = np.sort(np.linalg.eigvalsh(blocks), axis=None)
         scale = max(float(np.max(np.abs(values))), np.finfo(float).tiny)
         return values, (asymmetry + 2.0 * distance) / scale, distance
 
@@ -139,51 +123,68 @@ class WeightedOperator:
         return self.hermitian_spectrum()[1]
 
 
-def block_circulant_spectrum(
-    hermitian: np.ndarray, period: int, out=None
+class GramOperator(WeightedOperator):
+    """A basic Laplacian held by its factor M = iT (``spectral``: Gram reads)."""
+
+    def hermitian_spectrum(self, out=None) -> tuple[np.ndarray, float, float]:
+        """Ascending eigenvalues of the blocks C_k C_k^H of the projection P(M)
+        along ``period``; the gate ratio, the larger of M's period-1 (Dirac)
+        read ratio and d (2 sigma + d) / sigma^2, sigma^2 the largest value;
+        and d = ||M - P(M)||_F.  ``out``, three N x N complex arrays, takes the
+        gather and the C_k, the means and the C_k^H, and the C_k C_k^H, then
+        the period-1 read's S, conj(S) and H; M is not written."""
+        work = (None,) * 3 if out is None else out
+        blocks, distance = block_circulant_projection(self.matrix, self.period, out=work[:2])
+        adjoint = np.conjugate(blocks, out=_leading(work[1], blocks.shape))
+        gram = np.matmul(blocks, adjoint.transpose(0, 2, 1), out=_leading(work[2], blocks.shape))
+        values = np.sort(np.linalg.eigvalsh(gram), axis=None)
+        dirac_ratio = WeightedOperator.hermitian_spectrum(replace(self, period=1), out=out)[1]
+        scale = max(float(values[-1]), np.finfo(float).tiny)
+        shift = distance * (2.0 * math.sqrt(scale) + distance)
+        return values, max(dirac_ratio, shift / scale), distance
+
+
+def block_circulant_projection(
+    matrix: np.ndarray, period: int, out=None
 ) -> tuple[np.ndarray, float]:
-    """Ascending eigenvalues of P(H), the projection of the Hermitian N x N
-    matrix H onto matrices that commute with the cyclic shift by ``period`` = p
-    rows and columns, and the distance ||H - P(H)||_F.
+    """The blocks C_k, an (N/p, p, p) array, of P(X), the projection of the
+    N x N matrix X onto matrices that commute with the cyclic shift by
+    ``period`` = p rows and columns, and the distance ||X - P(X)||_F.
 
-    Seen as m x m blocks of size p (m = N/p), such a matrix is block circulant:
-    block (a, b) is B_{(b - a) mod m}.  P(H) averages H along its block
-    diagonals, B_r = (1/m) sum_a H_{a, a+r}, the average over the shifts, so
-    it is the Frobenius-orthogonal projection and is Hermitian.  Its spectrum
-    is the union over k of the spectra of the Hermitian p x p blocks
-    C_k = sum_r B_r e^{-2 pi i r k / m}, solved in one stacked ``eigvalsh``
-    call; by Weyl, the k-th eigenvalues of H and P(H) differ by at most
-    ||H - P(H)||_2 <= ||H - P(H)||_F.
-
-    ``out``, two N x N complex arrays, holds the work: the first the gathered
-    H, block row a rolled left by a blocks, then H - P(H) in that layout; the
-    second the B_r and the C_k, N p entries each (p <= N/2).  Without it both
-    are new arrays.  The gather is two strided reads of H, block row a from
-    block a + r, before the block diagonals wrap (a + r < m) and after.
+    In m x m blocks of size p (m = N/p), P(X) is block circulant: block (a, b)
+    is B_{(b - a) mod m} = (1/m) sum_a X_{a, a+r}, the mean over the shifts,
+    so P is the Frobenius-orthogonal projection.  The unitary block DFT gives
+    P(X) = U diag(C_k) U^H, C_k = sum_r B_r e^{-2 pi i r k / m}: the C_k carry
+    the eigenvalues of a Hermitian P(X) and the singular values of any.  At
+    p = N, P(X) = X, copied.  ``out``, two N x N complex arrays, holds the
+    gathered X (block row a from block a + r, two strided reads, before the
+    block diagonals wrap and after), then X - P(X), then the C_k; and the B_r.
     """
-    size = hermitian.shape[0]
+    size = matrix.shape[0]
     m = size // period
-    gather_out, spare_out = (None, None) if out is None else out
-    rolled = np.empty_like(hermitian) if gather_out is None else gather_out
+    gather_out, means_out = (None, None) if out is None else out
+    rolled = np.empty_like(matrix) if gather_out is None else gather_out
     rolled = rolled.reshape(m, period, m, period)
-    flat, item = hermitian.reshape(-1), hermitian.itemsize
+    flat, item = matrix.reshape(-1), matrix.itemsize
     shape = (m - 1, period, m, period)
     strides = ((size + 1) * period * item, size * item, period * item, item)
     rolled[:-1] = as_strided(flat, shape, strides)
-    rolled[-1, :, 0] = hermitian.reshape(m, period, m, period)[-1, :, -1]
+    rolled[-1, :, 0] = matrix.reshape(m, period, m, period)[-1, :, -1]
     wrapped = np.greater_equal.outer(np.arange(1, m), m - np.arange(m))
     wrapped = np.ascontiguousarray(np.broadcast_to(wrapped[:, None, :, None], shape))
     np.copyto(rolled[1:], as_strided(flat[(size + 1) * period - size :], shape, strides),
               where=wrapped)
-    spare = np.empty(2 * size * period, np.complex128) if spare_out is None else spare_out
-    spare = spare.reshape(-1)[: 2 * size * period]
-    means_out, circulant_out = spare.reshape(2, period, m, period)
-    means = np.mean(rolled, axis=0, out=means_out)
+    means = np.mean(rolled, axis=0, out=_leading(means_out, (period, m, period)))
     rolled -= means
     distance = float(np.linalg.norm(rolled.view(np.float64)))
-    circulant = np.fft.fft(means, axis=1, out=circulant_out)
-    values = np.linalg.eigvalsh(circulant.transpose(1, 0, 2))
-    return np.sort(values, axis=None), distance
+    blocks = _leading(rolled, (m, period, period))
+    np.fft.fft(means, axis=1, out=blocks.transpose(1, 0, 2))
+    return blocks, distance
+
+
+def _leading(out: np.ndarray | None, shape: tuple) -> np.ndarray | None:
+    """A view of ``shape`` over the first entries of the contiguous ``out``."""
+    return None if out is None else out.reshape(-1)[: math.prod(shape)].reshape(shape)
 
 
 def _real_view(out: np.ndarray | None) -> np.ndarray | None:
@@ -260,55 +261,36 @@ def assemble_basic_dirac_forms(
     spectrum +-spec(iT) from the trivial spinor matrix; this 2N assembly is
     its test oracle.
     """
-    n = grid.n_points
     d_tw = twisted_differential(density, grid)
     matrix = np.block([[np.zeros_like(d_tw), -d_tw], [d_tw, np.zeros_like(d_tw)]])
     weights = np.concatenate([quadrature_weights(density)] * 2)
-    return WeightedOperator(
-        matrix=matrix,
-        weights=weights,
-        label=forms_label(n),
-        n_points=n,
-    )
+    return WeightedOperator(matrix, weights, forms_label(grid.n_points), grid.n_points)
 
 
-def codifferential(density: LeafVolumeDensity, grid: GridSpec, out=None) -> np.ndarray:
-    """Weighted adjoint of the plain differential: v dt -> -(g v)'/g, written to
-    ``out`` when it is given (see ``diagonal_conjugate``)."""
+def codifferential(density: LeafVolumeDensity, grid: GridSpec) -> np.ndarray:
+    """Weighted adjoint of the plain differential: v dt -> -(g v)'/g."""
     _check_grid(density, grid)
     d = differentiation_matrix(grid.n_points, "trivial")
-    delta = diagonal_conjugate(d, density.g_values, out=out)
+    delta = diagonal_conjugate(d, density.g_values)
     return np.negative(delta, out=delta)
 
 
 def assemble_basic_laplacian(
     density: LeafVolumeDensity, grid: GridSpec, degree: str = DEGREE_FUNCTION, out=None
-) -> WeightedOperator:
-    """Basic Laplacian: delta d on functions, d delta on 1-form coefficients.
-
-    On functions this is u -> -u'' - (g'/g) u'.  Unlike the Dirac spectrum,
-    its eigenvalues depend on the choice of density.  ``out``, two N x N
-    complex arrays, receives the codifferential and the product.
+) -> GramOperator:
+    """Basic Laplacian: delta d on functions, u -> -u'' - (g'/g) u', and d delta
+    on 1-form coefficients; unlike the Dirac spectrum, its eigenvalues depend
+    on the density.  Both degrees hold the periodic spinor Dirac matrix iT,
+    whatever the grid's spin structure, written to ``out`` when it is given,
+    and are read as Gram products (``spectral``); the degree sets the label.
     """
-    _check_grid(density, grid)
-    delta_out, product_out = (None, None) if out is None else out
-    d = differentiation_matrix(grid.n_points, "trivial")
-    delta = codifferential(density, grid, out=delta_out)
-    if degree == DEGREE_FUNCTION:
-        matrix = np.matmul(delta, d, out=product_out)
-    elif degree == DEGREE_ONE_FORM:
-        matrix = np.matmul(d, delta, out=product_out)
-    else:
+    if degree not in (DEGREE_FUNCTION, DEGREE_ONE_FORM):
         raise ValueError(
             f"degree must be {DEGREE_FUNCTION!r} or {DEGREE_ONE_FORM!r}, got {degree!r}"
         )
-    return WeightedOperator(
-        matrix=matrix,
-        weights=quadrature_weights(density),
-        label=f"laplacian_{degree}[N={grid.n_points}]",
-        n_points=grid.n_points,
-        period=density.period,
-    )
+    dirac = assemble_basic_dirac_spinor(density, GridSpec(grid.n_points), out=out)
+    label = f"laplacian_{degree}[N={grid.n_points}]"
+    return GramOperator(dirac.matrix, dirac.weights, label, grid.n_points, density.period)
 
 
 def connection_laplacian_spinor(

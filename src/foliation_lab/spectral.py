@@ -2,11 +2,9 @@
 
 ``eigenvalues_weighted`` solves one operator; ``dirac_spectra`` reads both basic
 Dirac spectra, spinor and forms, from one read of an assembled periodic
-spinor matrix.  Both go through ``WeightedOperator.hermitian_spectrum``: block
-by block along the translation period the operator records, dense when it
-records none, and gated on the distance of H from its block-circulant
-projection as well as on its asymmetry.  A ``SpectrumReport`` carries no
-window: callers pass one that ``GridSpec.validate_window`` has checked to
+spinor matrix.  Both go through ``hermitian_spectrum``, block by block along
+the operator's translation period.  A ``SpectrumReport`` carries no window:
+callers pass one that ``GridSpec.validate_window`` has checked to
 ``in_window``.
 
 Basic Dirac spectra.  The paper's operator is unitarily equivalent to a
@@ -59,6 +57,23 @@ derived, not fitted.  H is projected as it is formed, with no diagonal
 scaling before the means, so no other rounding enters the read.  At
 N = 256 a is 1.5e-10 (d is 2e-12), and the projected values are within
 3.6e-13 to 6.1e-13 of dense ``eigvalsh`` values on either spin structure.
+
+Gram reads.  With T = g^{-1/2} D g^{1/2}, the twisted differential, the
+weighted symmetrizations of the basic Laplacians delta d and d delta are
+-T (g^{1/2} D g^{-1/2}) and -(g^{1/2} D g^{-1/2}) T: T T^H and T^H T when
+D^H = -D, both with eigenvalues sigma_k(T)^2.  A ``GramOperator`` holds
+M = iT and projects it along the density's period P
+(``operators.block_circulant_projection``); the N/P blocks C_k C_k^H carry
+the sigma_k(P(T))^2.  With d = ||M - P(M)||_F, Weyl's inequality for
+singular values gives |sigma_k(T) - sigma_k(P(T))| <= ||T - P(T)||_2 <= d,
+so |sigma_k(T)^2 - sigma_k(P(T))^2| <= d (2 sigma + d), sigma the largest
+computed sigma_k(P(T)): each eigenvalue moves by at most that.  The read is
+refused when d (2 sigma + d) / sigma^2, the solved matrix's distance from
+T T^H relative to the largest eigenvalue, exceeds SYMMETRIZATION_TOLERANCE,
+and when M fails the period-1 Dirac read's gate: M's symmetrization is iD,
+so that gate measures D + D^H and refuses a wrong factor such as
+g^{1/2} D g^{-1/2}, whose symmetrization i g D g^{-1} is not Hermitian.  At
+P = N, d = 0 and the read is the dense Gram product.
 """
 
 from __future__ import annotations

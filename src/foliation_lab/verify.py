@@ -9,28 +9,25 @@ and a diagnostic in the metadata, never silently.
 Every check is a pure function of the values it is passed.  The two batteries
 build those values once and hold them as locals: ``run_pair_checks`` builds
 each profile's leaf-volume density, spinor Dirac operator and its
-``dirac_spectra``, the pair's volume ratio alpha, and the two
-function-Laplacian spectra of the contrast, each solved block by block
-along its density's translation period; the conjugation check reads the two
-operators before they are read, and they end with their reads.
-``run_profile_checks`` builds one torus geometry for both of its checks.
+``dirac_spectra``, alpha, and the two function-Laplacian spectra of the
+contrast, each a Gram read along its density's period (``spectral``); the
+conjugation check reads the two operators before they are read, and they
+end with their reads.  ``run_profile_checks`` builds one torus geometry.
 
-``run_pair_checks`` runs every pair of one command.  When there is at least
-one pair it allocates four N x N complex buffers, 0 to 3, and writes every
-N x N complex intermediate of every pair into them.  Buffer by phase:
+``run_pair_checks`` allocates four N x N complex buffers, 0 to 3, once per
+command with a pair, and writes every N x N complex intermediate into them:
 
-* assembly: dirac_1 in 0, dirac_2 in 1, and the conjugation difference in 2;
-* Dirac reads, first of dirac_1, then of dirac_2: S written over the
-  operator's own buffer (0, then 1), S^H in 2 and H in 3; then H's wrapped
-  diagonals gathered into the operator's buffer, and their means and DFT
-  written into 2;
-* Laplacian solves, one profile after the other: the codifferential delta
-  in 0, the matrix delta @ D in 1, then S written over it in 1, S^H over
-  delta in 0, and H in 2; when the density has a translation period
-  P < N, the blocked solve then gathers H's block diagonals into 1 and
-  writes the block means and their DFT into 0.
+* assembly: dirac_1 in 0, dirac_2 in 1, the conjugation difference in 2;
+* Dirac reads, of dirac_1, then of dirac_2: S over the operator's buffer,
+  S^H in 2, H in 3; then H's gathered diagonals and their DFT in the
+  operator's buffer and their means in 2;
+* Laplacian reads, one after the other: iT in 0; T's gathered block
+  diagonals and then the C_k in 1, the means and then the C_k^H in 2, the
+  C_k C_k^H in 3; then iT's period-1 read, its S in 1, S^H in 2, H in 3.
 
-An operator built on a buffer is valid only until the next phase.
+The Dirac reads, with two operators alive, need all four, and a Laplacian
+read three besides its matrix.  An operator built on a buffer is valid only
+until the next phase.
 
 Every basic Dirac spectrum is read at period 1, in O(N^2): the paper proves
 invariance by unitary equivalence to a translation-invariant operator.
@@ -395,6 +392,17 @@ def densities_distinguishable(d1: LeafVolumeDensity, d2: LeafVolumeDensity) -> b
     return float(np.max(np.abs(d1.g_values - d2.g_values))) > DENSITY_MARGIN
 
 
+def contrast_skip_reason(d1: LeafVolumeDensity, d2: LeafVolumeDensity) -> str | None:
+    """Why the Laplacian contrast of a generated pair cannot pass, or None: the
+    densities are not ``densities_distinguishable``, or both are constant
+    (period 1), so that T = g^{-1/2} D g^{1/2} is D for both."""
+    if not densities_distinguishable(d1, d2):
+        return "theta-averaged densities are not distinct for this pair"
+    if d1.period == d2.period == 1:
+        return "theta-averaged densities are both constant: their basic Laplacians coincide"
+    return None
+
+
 def run_pair_checks(
     pairs: list[tuple[MetricProfile, MetricProfile]],
     grid: GridSpec,
@@ -406,12 +414,11 @@ def run_pair_checks(
 
     Refuses a window outside the grid's trusted range, then, per pair, builds
     each profile's density and spinor Dirac operator, and alpha, once, runs
-    the conjugation check on them, reads both Dirac spectra, solves the two
-    function Laplacians, and passes the rest to the other checks.  Every
-    N x N intermediate is written to the four buffers of the module docstring.
-    With ``skip_indistinct_laplacian`` (used for auto-generated pairs) the
-    contrast check is recorded as skipped when the pair does not meet its
-    distinct-density precondition, instead of failing by design.
+    the conjugation check on them, reads both Dirac spectra and the two
+    function Laplacians into the four buffers of the module docstring, and
+    passes the rest to the other checks.  With ``skip_indistinct_laplacian``
+    (for auto-generated pairs) a contrast that has a ``contrast_skip_reason``
+    is recorded as skipped, instead of failing by design.
     """
     grid.validate_window(window)
     if not pairs:
@@ -436,22 +443,16 @@ def run_pair_checks(
             kappa_transform_residual(d1, d2, alpha, grid, metadata),
             conjugation,
         ]
-        if skip_indistinct_laplacian and not densities_distinguishable(d1, d2):
-            reports.append(
-                VerificationReport.skipped(
-                    "laplacian_dependence",
-                    LAPLACIAN_FORMS_THRESHOLD,
-                    "theta-averaged densities are not distinct for this pair",
-                    {**metadata, "tag": "inv"},
-                )
-            )
+        reason = contrast_skip_reason(d1, d2) if skip_indistinct_laplacian else None
+        if reason:
+            reports.append(VerificationReport.skipped(
+                "laplacian_dependence", LAPLACIAN_FORMS_THRESHOLD, reason, {**metadata, "tag": "inv"}
+            ))
             continue
         laplacian_1, laplacian_2 = (
-            eigenvalues_weighted(
-                assemble_basic_laplacian(density, grid, DEGREE_FUNCTION, out=(b0, b1)),
-                out=(b1, b0, b2),
-            )
-            for density in (d1, d2)
+            eigenvalues_weighted(assemble_basic_laplacian(d, grid, DEGREE_FUNCTION, out=b0),
+                                 out=(b1, b2, b3))
+            for d in (d1, d2)
         )
         reports.append(
             laplacian_dependence(laplacian_1, laplacian_2, spectra_1, spectra_2, window, metadata)

@@ -4,8 +4,9 @@ the tests check the library against: a finite-difference Laplacian, the
 weighted inner product on the t-circle, the complex-arithmetic diagonal
 scaling, symmetrization and solve that the real-view ones reproduce bit for
 bit (each accepts the ``out`` of the function it stands in for), the dense
-solve that every projected Dirac read is checked against, and the inputs a
-pair check reads, built as the pair battery builds them."""
+solve that every projected Dirac read is checked against, the delta d and
+d delta assembly that every Gram read of a Laplacian is checked against, and
+the inputs a pair check reads, built as the pair battery builds them."""
 
 import json
 from types import SimpleNamespace
@@ -14,14 +15,16 @@ import numpy as np
 import pytest
 from scipy.special import iv
 
-from foliation_lab._spectral_diff import uniform_nodes
+from foliation_lab._spectral_diff import differentiation_matrix, uniform_nodes
 from foliation_lab.basic_calculus import TWO_PI, LeafVolumeDensity
 from foliation_lab.model_spaces import GridSpec, MetricProfile, ProfileTerm
 from foliation_lab.operators import (
     WeightedOperator,
     assemble_basic_dirac_spinor,
     assemble_basic_laplacian,
-    block_circulant_spectrum,
+    block_circulant_projection,
+    codifferential,
+    quadrature_weights,
 )
 from foliation_lab.spectral import SpectrumReport, dirac_spectra, eigenvalues_weighted
 from foliation_lab.verify import basic_volume_ratio, pair_metadata
@@ -79,6 +82,14 @@ def complex_symmetrized(op: WeightedOperator, out=None) -> tuple[np.ndarray, flo
     return hermitian, float(np.linalg.norm(sym - adjoint))
 
 
+def block_circulant_spectrum(hermitian: np.ndarray, period: int) -> tuple[np.ndarray, float]:
+    """Ascending eigenvalues of the block-circulant projection of a Hermitian
+    matrix, its blocks solved in one stacked ``eigvalsh``, and the projection
+    distance, on fresh arrays."""
+    blocks, distance = block_circulant_projection(hermitian, period)
+    return np.sort(np.linalg.eigvalsh(blocks), axis=None), distance
+
+
 def complex_hermitian_spectrum(op: WeightedOperator, out=None) -> tuple[np.ndarray, float, float]:
     """Eigenvalues of ``complex_symmetrized``'s H, solved dense or, when the
     operator's period is below its size, by ``block_circulant_spectrum`` on
@@ -98,6 +109,21 @@ def dense_spectrum(op: WeightedOperator) -> np.ndarray:
     """Ascending eigenvalues of the operator's symmetrized H by one dense
     ``eigvalsh``, whatever period it claims: the oracle for projected reads."""
     return np.linalg.eigvalsh(op.symmetrized()[0])
+
+
+def delta_d_laplacian(density: LeafVolumeDensity, grid: GridSpec, degree: str) -> WeightedOperator:
+    """The basic Laplacian assembled as a product with the weighted
+    codifferential delta = -g^{-1} D g: delta @ D on functions, D @ delta on
+    one-form coefficients, claiming no period.  ``dense_spectrum`` of it is
+    the oracle for the Gram reads of ``assemble_basic_laplacian``."""
+    d = differentiation_matrix(grid.n_points, "trivial")
+    delta = codifferential(density, grid)
+    return WeightedOperator(
+        matrix=delta @ d if degree == "function" else d @ delta,
+        weights=quadrature_weights(density),
+        label=f"delta_d_{degree}[N={grid.n_points}]",
+        n_points=grid.n_points,
+    )
 
 
 def finite_difference_laplacian(

@@ -179,6 +179,28 @@ class TestConsistency:
 
     Where the tail is large the bound is close: at N = 64 for g = 1 + 0.9 cos t
     the error is 0.96 of it.  Elsewhere the rounding terms dominate it.
+
+    (d) The Laplacians' Gram products, T T^H on functions and T^H T on
+        one-forms, M M^H and M^H M for the held M = iT, are applied to
+        f = g^{1/2} phi in two steps, against g^{1/2}(-phi'' - (g'/g) phi') and
+        g^{1/2}(-((g phi)'/g)'), the symmetrized delta d and d delta.  Each
+        step is a matrix w^{-1} D_w w applied to a vector u, T^H being
+        g^{1/2} D^H g^{-1/2} with D^H = -D up to the round-off of the computed
+        D, which (c) bounds for D^H as for D.  Let v = w u be the function
+        differentiated.  By (a) and (c) a step errs by at most
+        max|w^{-1}| (2 T_N(v) + (N^2 eps / 2 + eps) N^{1/2} max|v|) plus
+        s eps (sum_l |M_jl| |u_l| + max|u| (|k| + 1 + lambda)), and it carries
+        the error of its input times the absolute row sum of its matrix.  In
+        three of the four steps v is phi, g phi or k g phi, band-limited below
+        N/2, so T_N(v) = 0.  In the last step of T^H T, v is
+        h = (g phi)'/g = (ik + g'/g) phi.  As c + a cos t =
+        (a / 2r)(1 + r e^{it})(1 + r e^{-it}), r = e^{-y_0}, the coefficients
+        of g'/g = (log g)' have modulus r^{|n|}, so T_N(h) is the sum of
+        |k + n| r^{|n|} over the k + n outside L_N, in closed form:
+        r^{n_0} ((n_0 + j) / (1 - r) + r / (1 - r)^2) for n_0 = N/2 - k + 1,
+        j = k and for n_0 = N/2 + k, j = -k.  The expected values are
+        evaluated within s eps max g^{1/2} (k^2 + |k| lambda + lambda^2 +
+        a / min g), by the rules of (c).
     """
 
     @staticmethod
@@ -226,6 +248,53 @@ class TestConsistency:
             for matrix, expected in cases:
                 error = np.max(np.abs(matrix @ phi - expected), axis=0)
                 assert np.all(error <= self._tolerance(n_points, c, a, ks, matrix, g, g_dot))
+
+    @staticmethod
+    def _step_bound(n_points, ks, matrix, u, left_max, v_max, tail, s, lam):
+        """(d): the error of one step on exact input, per column k."""
+        derivative = (n_points**2 * EPS / 2 + EPS) * np.sqrt(n_points) * v_max
+        products = np.max(np.abs(matrix) @ np.abs(u), axis=0)
+        magnitude = np.max(np.abs(u), axis=0) * (np.abs(ks) + 1 + lam)
+        return left_max * (2 * tail + derivative) + s * EPS * (products + magnitude)
+
+    @pytest.mark.parametrize("n_points", [64, 128, 256])
+    @pytest.mark.parametrize("c, a", [(2.0, 1.0), (1.0, 0.9)])
+    def test_laplacians_apply_their_continuous_operators(self, n_points, c, a):
+        ks = np.arange(-(n_points // 8), n_points // 8 + 1)
+        grid = GridSpec(n_points)
+        density = _density(MetricProfile(c, (ProfileTerm(0, 1, a),)), grid)
+        g, g_dot = density.g_values, density.g_dot_values
+        log_dot, g_ddot = g_dot / g, (c - g) / g  # g'' = -a cos t = c - g
+        lam = float(np.max(np.abs(log_dot)))
+        s = n_points + 16 + 12 * np.pi * (np.abs(ks) + lam + lam**2 + a / np.min(g))
+        root_max, inverse_root_max = np.sqrt(np.max(g)), 1 / np.sqrt(np.min(g))
+        phi = np.exp(1j * np.outer(grid.t_nodes, ks))
+        f = np.sqrt(g)[:, None] * phi
+        r = np.exp(-np.arccosh(c / a))
+        n0 = np.array([n_points // 2 - ks + 1, n_points // 2 + ks])
+        j = np.array([ks, -ks])
+        tail_h = np.sum(r**n0 * ((n0 + j) / (1 - r) + r / (1 - r) ** 2), axis=0)
+        evaluation = s * EPS * root_max * (ks**2 + np.abs(ks) * lam + lam**2 + a / np.min(g))
+        kk = ks[None, :]
+        for degree in ("function", "one_form"):
+            held = assemble_basic_laplacian(density, grid, degree).matrix
+            factor, adjoint = -1j * held, (-1j * held).conj().T
+            if degree == "function":  # T (T^H f): v = phi, then v = k g phi
+                first, second = adjoint, factor
+                expected = np.sqrt(g)[:, None] * (kk**2 - 1j * kk * log_dot[:, None]) * phi
+                bounds = [(root_max, 1.0, 0.0), (inverse_root_max, np.abs(ks) * np.max(g), 0.0)]
+            else:  # T^H (T f): v = g phi, then v = h = (ik + g'/g) phi
+                first, second = factor, adjoint
+                expected = np.sqrt(g)[:, None] * (
+                    kk**2 - 1j * kk * log_dot[:, None] - (g_ddot - log_dot**2)[:, None]) * phi
+                bounds = [(inverse_root_max, np.max(g), 0.0), (root_max, np.abs(ks) + lam, tail_h)]
+            middle = first @ f
+            first_error = self._step_bound(n_points, ks, first, f, *bounds[0], s, lam)
+            second_error = self._step_bound(n_points, ks, second, middle, *bounds[1], s, lam)
+            row_sum = float(np.max(np.sum(np.abs(second), axis=1)))
+            tolerance = row_sum * first_error + second_error + evaluation
+            error = np.max(np.abs(second @ middle - expected), axis=0)
+            assert np.all(error <= tolerance), degree
 
 
 class TestFormsDirac:
@@ -278,10 +347,29 @@ class TestBasicLaplacian:
         assert lam == pytest.approx(lam_fd, abs=1e-4)
 
     def test_constants_are_harmonic_for_any_density(self, mixed_profile, grid64):
-        op = assemble_basic_laplacian(_density(mixed_profile, grid64), grid64)
-        image = op.matrix @ np.ones(grid64.n_points)
+        """The constants are g^{1/2} in the symmetrized frame, and T^H, so also
+        T T^H, annihilates g^{1/2}: T^H g^{1/2} = -g^{1/2} D 1."""
+        density = _density(mixed_profile, grid64)
+        op = assemble_basic_laplacian(density, grid64)
+        image = op.matrix.conj().T @ np.sqrt(density.g_values)
         assert np.max(np.abs(image)) < 1e-10
         assert abs(eigenvalues_weighted(op).eigenvalues[0]) < 1e-10
+
+    def test_reads_the_spectrum_of_its_factor_gram_product(self, mixed_profile):
+        """A Laplacian holds iT, the periodic spinor Dirac matrix, whatever the
+        spin structure, and ``eigenvalues_weighted`` returns the spectrum of
+        T T^H, not that of iT; both degrees read the same values."""
+        for spin in ("trivial", "nontrivial"):
+            grid = GridSpec(64, spin)
+            density = _density(mixed_profile, grid)
+            spinor = assemble_basic_dirac_spinor(density, GridSpec(64))
+            gram = np.linalg.eigvalsh(spinor.matrix @ spinor.matrix.conj().T)
+            for degree in ("function", "one_form"):
+                op = assemble_basic_laplacian(density, grid, degree)
+                report = eigenvalues_weighted(op)
+                assert np.array_equal(op.matrix, spinor.matrix)
+                assert report.operator_label == f"laplacian_{degree}[N=64]"
+                assert np.array_equal(report.eigenvalues, gram)
 
     def test_spectra_real_and_nonnegative(self, mixed_profile, grid64):
         for degree in ("function", "one_form"):
@@ -422,6 +510,17 @@ def _bits(array) -> np.ndarray:
     return np.ascontiguousarray(array).view(np.uint64)
 
 
+def _assert_gram_read_bits(laplacian, out):
+    """A Gram read into ``out`` gives the bits of the read on fresh arrays and
+    leaves the operator's matrix as it was."""
+    matrix = laplacian.matrix.copy()
+    expected = laplacian.hermitian_spectrum()
+    values, ratio, distance = laplacian.hermitian_spectrum(out=out)
+    assert np.array_equal(_bits(values), _bits(expected[0]))
+    assert (ratio.hex(), distance.hex()) == (expected[1].hex(), expected[2].hex())
+    assert np.array_equal(_bits(laplacian.matrix), _bits(matrix))
+
+
 class TestRealViewScalingBitParity:
     """The real-view scalings and the in-place steps reproduce the bits of the
     complex-arithmetic references in ``conftest``."""
@@ -488,29 +587,26 @@ class TestRealViewScalingBitParity:
 
         spinor = assemble_basic_dirac_spinor(density, grid, out=stale())
         assert np.array_equal(_bits(spinor.matrix), _bits(1j * expected))
-        delta = codifferential(density, grid, out=stale())
-        expected_delta = -complex_diagonal_conjugate(trivial, density.g_values)
-        assert np.array_equal(_bits(delta), _bits(expected_delta))
+        periodic = 1j * complex_diagonal_conjugate(trivial, root)
         for degree in ("function", "one_form"):
-            laplacian = assemble_basic_laplacian(density, grid, degree, out=stale(2))
-            fresh = assemble_basic_laplacian(density, grid, degree)
-            assert np.array_equal(_bits(laplacian.matrix), _bits(fresh.matrix))
+            laplacian = assemble_basic_laplacian(density, grid, degree, out=stale())
+            assert np.array_equal(_bits(laplacian.matrix), _bits(periodic))
+            _assert_gram_read_bits(laplacian, stale(3))
 
-        for op in (spinor, laplacian):
-            expected_h, expected_asymmetry = complex_symmetrized(op)
-            hermitian, asymmetry = op.symmetrized(out=stale(3))
-            assert np.array_equal(_bits(hermitian), _bits(expected_h))
-            assert asymmetry.hex() == expected_asymmetry.hex()
-            values, ratio, distance = op.hermitian_spectrum(out=stale(3))
-            expected_values, expected_ratio, expected_distance = complex_hermitian_spectrum(op)
-            assert np.array_equal(_bits(values), _bits(expected_values))
-            assert ratio.hex() == expected_ratio.hex()
-            assert distance.hex() == expected_distance.hex()
-            # S written over the operator's own matrix: the battery's layout
-            consumed = WeightedOperator(op.matrix.copy(), op.weights, op.label, n_points)
-            hermitian, asymmetry = consumed.symmetrized(out=(consumed.matrix, *stale(2)))
-            assert np.array_equal(_bits(hermitian), _bits(expected_h))
-            assert asymmetry.hex() == expected_asymmetry.hex()
+        expected_h, expected_asymmetry = complex_symmetrized(spinor)
+        hermitian, asymmetry = spinor.symmetrized(out=stale(3))
+        assert np.array_equal(_bits(hermitian), _bits(expected_h))
+        assert asymmetry.hex() == expected_asymmetry.hex()
+        values, ratio, distance = spinor.hermitian_spectrum(out=stale(3))
+        expected_values, expected_ratio, expected_distance = complex_hermitian_spectrum(spinor)
+        assert np.array_equal(_bits(values), _bits(expected_values))
+        assert ratio.hex() == expected_ratio.hex()
+        assert distance.hex() == expected_distance.hex()
+        # S written over the operator's own matrix: the battery's layout
+        consumed = WeightedOperator(spinor.matrix.copy(), spinor.weights, spinor.label, n_points)
+        hermitian, asymmetry = consumed.symmetrized(out=(consumed.matrix, *stale(2)))
+        assert np.array_equal(_bits(hermitian), _bits(expected_h))
+        assert asymmetry.hex() == expected_asymmetry.hex()
 
     @staticmethod
     def _allocating_battery(p1, p2, grid, window):
@@ -548,15 +644,19 @@ class TestRealViewScalingBitParity:
     def test_blocked_out_arrays(self, n_points):
         """The blocked solve writes its work into the S and conj(S) arrays of
         ``out`` and gives the bits of the reference on fresh arrays, also with S
-        written over the operator's own matrix (the battery's layout)."""
+        written over the operator's own matrix (the battery's layout); so do
+        the Gram reads of the Laplacians, into all three arrays."""
         grid = GridSpec(n_points)
         for terms in ((), (ProfileTerm(0, 2, 0.5), ProfileTerm(1, 1, 0.3))):
             density = _density(MetricProfile(2.0, terms), grid)
             assert density.period < n_points
-            ops = [assemble_basic_dirac_spinor(density, grid)]
-            ops += [assemble_basic_laplacian(density, grid, degree)
-                    for degree in ("function", "one_form")]
-            for op in ops:
+            spinor = assemble_basic_dirac_spinor(density, grid)
+            # iT's symmetrization iD commutes with every shift: any period is honest
+            along = dataclasses.replace(spinor, period=density.period)
+            for degree in ("function", "one_form"):
+                stale = tuple(np.full((n_points, n_points), np.nan, complex) for _ in range(3))
+                _assert_gram_read_bits(assemble_basic_laplacian(density, grid, degree), stale)
+            for op in (spinor, along):
                 expected = complex_hermitian_spectrum(op)
                 stale = tuple(np.full((n_points, n_points), np.nan, complex) for _ in range(3))
                 consumed = WeightedOperator(op.matrix.copy(), op.weights, op.label, n_points,

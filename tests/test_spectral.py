@@ -1,5 +1,6 @@
 """Weighted eigensolves, window handling, spectrum comparison."""
 
+import dataclasses
 import math
 
 import numpy as np
@@ -16,7 +17,8 @@ from foliation_lab.operators import (
     assemble_basic_dirac_spinor,
     assemble_basic_laplacian,
     assemble_lichnerowicz_sides,
-    block_circulant_spectrum,
+    block_circulant_projection,
+    diagonal_conjugate,
     quadrature_weights,
     twisted_differential,
 )
@@ -29,7 +31,7 @@ from foliation_lab.spectral import (
 )
 from foliation_lab.verify import invariance_check, pair_metadata, random_profile_pair
 
-from conftest import dense_spectrum, pair_inputs
+from conftest import block_circulant_spectrum, delta_d_laplacian, dense_spectrum, pair_inputs
 
 
 def _density(profile, grid):
@@ -346,6 +348,13 @@ def _laplacian_one_form(density, grid):
     return assemble_basic_laplacian(density, grid, "one_form")
 
 
+def _delta_d_along(density, grid, degree):
+    """The delta d or d delta product claiming the density's period: the
+    Hermitian read along a period 1 < P < N, which no assembled operator
+    takes now that the Laplacians are Gram reads."""
+    return dataclasses.replace(delta_d_laplacian(density, grid, degree), period=density.period)
+
+
 class TestBlockCirculantSolve:
     """The solve along the density's translation symmetry against the dense
     solve of the same H.
@@ -397,12 +406,13 @@ class TestBlockCirculantSolve:
 
     @pytest.mark.parametrize("n_points", [64, 128])
     @pytest.mark.parametrize("name", list(PERIODIC_TERMS))
-    @pytest.mark.parametrize("assemble", [_laplacian_function, _laplacian_one_form])
-    def test_reduced_spectrum_matches_dense(self, n_points, name, assemble):
+    @pytest.mark.parametrize("degree", [pytest.param("function", id="_laplacian_function"),
+                                        pytest.param("one_form", id="_laplacian_one_form")])
+    def test_reduced_spectrum_matches_dense(self, n_points, name, degree):
         terms, period = PERIODIC_TERMS[name]
         grid = GridSpec(n_points)
         density = _density(_periodic_profile(terms), grid)
-        op = assemble(density, grid)
+        op = _delta_d_along(density, grid, degree)
         assert density.period == op.period == period(n_points)
         hermitian, asymmetry = op.symmetrized()
         dense = np.linalg.eigvalsh(hermitian)
@@ -420,14 +430,22 @@ class TestBlockCirculantSolve:
     @pytest.mark.parametrize("spin", ["trivial", "nontrivial"])
     def test_full_period_is_bitwise_the_dense_solve(self, n_points, spin, mixed_profile):
         """A density without symmetry, and every operator that claims none,
-        keep P = N: the values and the ratio are the dense solve's."""
+        keep P = N: the values and the ratio are the dense solve's, and a Gram
+        read's values are those of the dense Gram product."""
         grid = GridSpec(n_points, spin)
         density = _density(mixed_profile, grid)
+        for assemble in (_laplacian_function, _laplacian_one_form):
+            laplacian = assemble(density, grid)
+            assert laplacian.period == n_points
+            gram = np.linalg.eigvalsh(laplacian.matrix @ laplacian.matrix.conj().T)
+            values, _, distance = laplacian.hermitian_spectrum()
+            assert np.array_equal(values.view(np.uint64), gram.view(np.uint64))
+            assert distance == 0.0
         ops = [*assemble_lichnerowicz_sides(density, grid)]
         if spin == "trivial":
-            ops += [assemble(density, grid) for assemble in (_laplacian_function,
-                                                             _laplacian_one_form,
-                                                             assemble_basic_dirac_forms)]
+            ops += [delta_d_laplacian(density, grid, degree) for degree in ("function",
+                                                                            "one_form")]
+            ops.append(assemble_basic_dirac_forms(density, grid))
         for op in ops:
             assert op.period == op.weights.size
             hermitian, asymmetry = op.symmetrized()
@@ -465,6 +483,144 @@ class TestBlockCirculantSolve:
         with pytest.raises(OperatorSymmetryError, match="not symmetric"):
             eigenvalues_weighted(op)
         eigenvalues_weighted(assemble(true, grid64))  # the honest claim passes
+
+
+# t-terms of the theta-average giving period 1, N/2 and N on any grid.
+GRAM_TERMS = {
+    "flat": (),
+    "half": (ProfileTerm(0, 2, 0.5, 0.0, 0.3), ProfileTerm(0, -2, 0.2, 0.0, 1.0)),
+    "none": (ProfileTerm(0, 1, 0.6, 0.0, 0.3), ProfileTerm(0, 2, -0.3, 0.0, 1.1)),
+}
+
+
+class TestGramRead:
+    """Each Laplacian is read from the blocks C_k of the projection of its
+    factor M = iT (``spectral`` derives the read); the oracle is the product
+    delta @ D or D @ delta and its dense ``eigvalsh``
+    (``conftest.delta_d_laplacian``).
+
+    Allowance.  Both reads approximate the eigenvalues sigma_k(T)^2 of T T^H
+    and T^H T, T = -iM the computed factor.  With eps the machine epsilon,
+    gamma_n = n eps / (1 - n eps), m = N/p blocks of size p and
+    phi_m = gamma_{7 log2(m)}:
+
+    (a) the Gram read.  The computed C_k are the blocks of P(M) plus E with
+        ||E||_F <= (gamma_m + phi_m) ||M||_F, and the computed distance d is
+        within gamma_m ||M||_F of the exact one (``TestBlockCirculantSolve``
+        (b), (c), (e)); so by Weyl each singular value of the computed
+        blocks is within s = d + (2 gamma_m + phi_m) ||M||_F of sigma_k(T).
+        Each product C_k C_k^H errs entrywise by at most gamma_{p+2} |C_k|
+        |C_k|^T (complex inner products of length p, Higham section 3.6),
+        in 2-norm by at most G, the largest Frobenius norm of those
+        matrices over k, and each block solve by p eps ||C_k C_k^H||_2, as
+        in ``TestBlockCirculantSolve`` (d): p eps (mu + G) for the largest
+        computed value mu.  With sigma = (mu + G + p eps (mu + G))^{1/2}
+        bounding the singular values of the computed blocks, the read's
+        values are within s (2 sigma + s) + G + p eps (mu + G) of the
+        sigma_k(T)^2.
+    (b) the oracle.  Its H is the symmetrized product; by Weyl its exact
+        eigenvalues are within ||H - T T^H||_2 of the sigma_k(T)^2 (T^H T on
+        one-forms), and that is at most the computed ||H - fl(T T^H)||_F,
+        times 1 + gamma_{2 N^2 + 2} for the subtraction and the norm, plus
+        gamma_{N+2} || |T| |T|^T ||_F for the product.  The dense
+        ``eigvalsh`` adds N eps ||H||_2 (``TestProjectedDiracRead``).
+
+    The sum of (a) and (b) is derived, not fitted; it measures about 110 to
+    1100 times the deviation.
+    """
+
+    @staticmethod
+    def _gram_allowance(op, report):
+        n, p = op.n_points, op.period
+        m = n // p
+
+        def gamma(k):
+            return k * EPS / (1.0 - k * EPS)
+
+        spread = report.distance + (2.0 * gamma(m) + gamma(7.0 * math.log2(m))) * float(
+            np.linalg.norm(op.matrix))
+        blocks = np.abs(block_circulant_projection(op.matrix, p)[0])
+        product = gamma(p + 2) * max(float(np.linalg.norm(b @ b.T)) for b in blocks)
+        solve = p * EPS * (report.eigenvalues[-1] + product)
+        sigma = math.sqrt(report.eigenvalues[-1] + product + solve)
+        return spread * (2.0 * sigma + spread) + product + solve
+
+    @staticmethod
+    def _oracle_allowance(oracle, factor, degree):
+        n = oracle.n_points
+
+        def gamma(k):
+            return k * EPS / (1.0 - k * EPS)
+
+        hermitian = oracle.symmetrized()[0]
+        absolute = np.abs(factor)
+        if degree == "function":
+            gram, bound = factor @ factor.conj().T, absolute @ absolute.T
+        else:
+            gram, bound = factor.conj().T @ factor, absolute.T @ absolute
+        distance = float(np.linalg.norm(hermitian - gram)) * (1.0 + gamma(2 * n * n + 2))
+        distance += gamma(n + 2) * float(np.linalg.norm(bound))
+        return distance + n * EPS * float(np.max(np.abs(np.linalg.eigvalsh(hermitian))))
+
+    @pytest.mark.parametrize("n_points", [64, 128, 256])
+    @pytest.mark.parametrize("name, period", [("flat", lambda n: 1), ("half", lambda n: n // 2),
+                                              ("none", lambda n: n)])
+    @pytest.mark.parametrize("degree", ["function", "one_form"])
+    def test_gram_read_matches_the_delta_d_oracle(self, n_points, name, period, degree):
+        grid = GridSpec(n_points)
+        profile = MetricProfile(2.0, GRAM_TERMS[name] + (ProfileTerm(1, 1, 0.3, 0.2, 0.5),))
+        density = _density(profile, grid)
+        op = assemble_basic_laplacian(density, grid, degree)
+        assert op.period == density.period == period(n_points)
+        report = eigenvalues_weighted(op)
+        oracle = delta_d_laplacian(density, grid, degree)
+        deviation = np.max(np.abs(report.eigenvalues - dense_spectrum(oracle)))
+        allowance = self._gram_allowance(op, report)
+        allowance += self._oracle_allowance(oracle, -1j * op.matrix, degree)
+        assert deviation <= allowance
+        # the gate: the larger of the factor's period-1 ratio and the shift bound
+        _, ratio, distance = op.hermitian_spectrum()
+        dirac_ratio = WeightedOperator.hermitian_spectrum(
+            dataclasses.replace(op, period=1))[1]
+        largest = report.eigenvalues[-1]
+        shift = distance * (2.0 * math.sqrt(largest) + distance) / largest
+        assert ratio == max(dirac_ratio, shift)
+
+    @pytest.mark.parametrize("n_points", [64, 128, 256])
+    def test_density_scale_cancels(self, n_points):
+        """g and 2g have the factor T = g^{-1/2} D g^{1/2} in exact arithmetic, so
+        their Laplacian spectra agree to round-off: by Weyl within
+        e (2 sigma + e), e = ||T_1 - T_2||_F of the computed factors, plus
+        the two reads' allowances (a)."""
+        grid = GridSpec(n_points)
+        terms = GRAM_TERMS["none"]
+        scaled = tuple(dataclasses.replace(term, amplitude=2.0 * term.amplitude)
+                       for term in terms)
+        ops = [assemble_basic_laplacian(_density(profile, grid), grid)
+               for profile in (MetricProfile(2.0, terms), MetricProfile(4.0, scaled))]
+        reports = [eigenvalues_weighted(op) for op in ops]
+        spread = float(np.linalg.norm(ops[0].matrix - ops[1].matrix))
+        sigma = math.sqrt(max(report.eigenvalues[-1] for report in reports))
+        allowance = spread * (2.0 * sigma + spread) + sum(
+            self._gram_allowance(op, report) for op, report in zip(ops, reports))
+        deviation = np.max(np.abs(reports[0].eigenvalues - reports[1].eigenvalues))
+        assert deviation <= allowance
+
+    @pytest.mark.parametrize("degree", ["function", "one_form"])
+    @pytest.mark.parametrize("name", ["half", "none"])
+    def test_mutant_factor_is_refused(self, grid64, degree, name):
+        """The factor g^{1/2} D g^{-1/2} in place of g^{-1/2} D g^{1/2}: its
+        weighted symmetrization i g D g^{-1} is not Hermitian, so the
+        factor's period-1 gate refuses the read (for a constant density the
+        two factors are one)."""
+        density = _density(MetricProfile(2.0, GRAM_TERMS[name]), grid64)
+        honest = assemble_basic_laplacian(density, grid64, degree)
+        d = differentiation_matrix(64, "trivial")
+        factor = 1j * diagonal_conjugate(d, 1.0 / np.sqrt(density.g_values))
+        mutant = dataclasses.replace(honest, matrix=factor)
+        with pytest.raises(OperatorSymmetryError, match=r"laplacian_.*not symmetric"):
+            eigenvalues_weighted(mutant)
+        eigenvalues_weighted(honest)
 
 
 class TestSpectrumCompare:

@@ -13,6 +13,7 @@ from foliation_lab._spectral_diff import differentiation_matrix, fourier_derivat
 from foliation_lab.basic_calculus import LeafVolumeDensity
 from foliation_lab.model_spaces import GridSpec, MetricProfile, ProfileTerm, torus_geometry
 from foliation_lab.operators import (
+    GramOperator,
     WeightedOperator,
     assemble_basic_dirac_spinor,
     assemble_lichnerowicz_sides,
@@ -271,6 +272,25 @@ class TestLaplacianDependence:
         assert report.metadata["squared_forms_residual"] < 1e-8
         assert not report.passed
 
+    def test_generated_constant_pair_is_skipped_as_coinciding(self, grid64):
+        """Constant theta-averages 1 and 2, distinct by the density margin: T = D
+        for both, so a generated pair's contrast is skipped with its own
+        reason; a user-supplied pair still runs it and fails."""
+        pair = (MetricProfile(1.0), MetricProfile(2.0, (ProfileTerm(1, 0, 0.3),)))
+        densities = [LeafVolumeDensity.from_profile(p, grid64) for p in pair]
+        assert verify.densities_distinguishable(*densities)
+        generated = run_pair_checks([pair], grid64, 8.0, skip_indistinct_laplacian=True)
+        assert generated[3].passed and generated[3].metadata["skipped"]
+        assert generated[3].metadata["reason"] == (
+            "theta-averaged densities are both constant: their basic Laplacians coincide")
+        supplied = run_pair_checks([pair], grid64, 8.0)[3]
+        assert not supplied.passed and "skipped" not in supplied.metadata
+        assert "indistinguishable" in supplied.metadata["diagnostic"]
+        # densities within the margin keep the reason they had
+        close = (MetricProfile(2.0), MetricProfile(2.005))
+        report = run_pair_checks([close], grid64, 8.0, skip_indistinct_laplacian=True)[3]
+        assert report.metadata["reason"] == "theta-averaged densities are not distinct for this pair"
+
 
 class TestRandomProfiles:
     def test_positivity_and_budget(self):
@@ -300,9 +320,11 @@ def test_property_sweep_over_seeded_pairs(n_points):
 @pytest.mark.parametrize(
     "second, skip, shapes",
     [
-        # two Dirac reads at P = 1, then the Laplacians: the flat density's in
-        # 64 blocks of size 1, and 2 + cos t's, without symmetry, in one dense solve
-        (MetricProfile(2.0, (ProfileTerm(0, 1, 1.0),)), False, [(64, 1, 1)] * 3 + [(64, 64)]),
+        # two Dirac reads at P = 1, then the Laplacians' Gram reads, each with its
+        # factor's P = 1 gate: the flat density's in 64 blocks of size 1, and
+        # 2 + cos t's, without symmetry, in one dense solve
+        (MetricProfile(2.0, (ProfileTerm(0, 1, 1.0),)), False,
+         [(64, 1, 1)] * 4 + [(1, 64, 64), (64, 1, 1)]),
         # the theta-average of 1 + cos(theta)/2 is flat: the contrast is skipped
         (MetricProfile(1.0, (ProfileTerm(1, 0, 0.5),)), True, [(64, 1, 1)] * 2),
     ],
@@ -311,9 +333,10 @@ def test_pair_battery_solves_each_spectrum_once(flat_profile, grid64, monkeypatc
                                                 shapes):
     """Per battery: two densities, two spinor Dirac assemblies, one alpha, one
     ``eigvalsh`` call per Dirac operator, on its N 1 x 1 circulant blocks,
-    and, unless the contrast is skipped, one per Laplacian, on the stacked
-    blocks of its density's period, no SVD, and one derivative matrix for
-    the pair's (grid, spin structure)."""
+    and, unless the contrast is skipped, two per Laplacian, on the stacked
+    Gram blocks of its density's period and on its factor's N 1 x 1 blocks,
+    no SVD, and one derivative matrix for the pair's (grid, spin
+    structure)."""
     eigvalsh_sizes, svd_calls, built = [], [], []
     eigvalsh, svd = np.linalg.eigvalsh, np.linalg.svd
     from_profile = LeafVolumeDensity.from_profile.__func__
@@ -359,8 +382,9 @@ def test_pair_battery_solves_each_spectrum_once(flat_profile, grid64, monkeypatc
 def test_pair_battery_assembles_each_dirac_operator_once(cosine_profile, mixed_profile, grid64,
                                                          monkeypatch):
     """Two spinor Dirac assemblies per battery, each read once by
-    ``dirac_spectra`` through ``hermitian_spectrum``, as are the two
-    Laplacians.  The conjugation check reads the two operators that were
+    ``dirac_spectra`` through ``hermitian_spectrum``; each of the two
+    Laplacians' Gram reads passes its factor through it once, at period 1,
+    for the gate.  The conjugation check reads the two operators that were
     read, not fresh assemblies, and both are released before the first
     Laplacian assembly."""
     assembled, read, solved, conjugated, alive_at_laplacian = [], [], [], [], []
@@ -570,20 +594,25 @@ def test_verify_and_invariance_read_dirac_operators_only_at_period_one(
     """Every eigensolve of the ``verify``, ``invariance`` and Dirac ``spectrum``
     commands is one ``eigvalsh`` call on the stacked blocks of the operator's
     period: a Dirac operator, on either spin structure, reaches it only as
-    N 1 x 1 blocks, never dense, and each Laplacian along its density's period."""
+    N 1 x 1 blocks, never dense, and each Laplacian's Gram read along its
+    density's period, followed by its factor's read at period 1."""
     labels, periods, sizes = [], [], []
     solve, eigvalsh = WeightedOperator.hermitian_spectrum, np.linalg.eigvalsh
+    gram_solve = GramOperator.hermitian_spectrum
 
-    def recorded_solve(op, out=None):
-        labels.append(op.label)
-        periods.append(op.period)
-        return solve(op, out=out)
+    def recorder(function):
+        def recorded_solve(op, out=None):
+            labels.append(op.label)
+            periods.append(op.period)
+            return function(op, out=out)
+        return recorded_solve
 
     def counted_eigvalsh(matrix, *args, **kwargs):
         sizes.append(matrix.shape)
         return eigvalsh(matrix, *args, **kwargs)
 
-    monkeypatch.setattr(WeightedOperator, "hermitian_spectrum", recorded_solve)
+    monkeypatch.setattr(WeightedOperator, "hermitian_spectrum", recorder(solve))
+    monkeypatch.setattr(GramOperator, "hermitian_spectrum", recorder(gram_solve))
     monkeypatch.setattr(np.linalg, "eigvalsh", counted_eigvalsh)
     flat, wavy = str(tmp_path / "flat.json"), str(tmp_path / "wavy.json")
     save_profile(flat_profile, flat)
@@ -601,7 +630,8 @@ def test_verify_and_invariance_read_dirac_operators_only_at_period_one(
                            "dirac_spinor[nontrivial,N=64]"}
     dirac = [period for label, period in zip(labels, periods) if label.startswith("dirac")]
     assert len(dirac) == 2 * 3 + 2 + 2 + 4 and set(dirac) == {1}
-    # the flat profile has period 1, 2 + cos t none
+    # the flat profile has period 1, 2 + cos t none; each Gram read gates its
+    # factor at period 1
     laplacian = [period for label, period in zip(labels, periods) if label.startswith("lap")]
-    assert laplacian[-4:] == [1, 64] * 2
-    assert sizes == [(64, 64) if p == 64 else (64 // p, p, p) for p in periods]
+    assert laplacian[-8:] == [1, 1, 64, 1] * 2 and set(laplacian[1::2]) == {1}
+    assert sizes == [(64 // p, p, p) for p in periods]

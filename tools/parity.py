@@ -14,7 +14,7 @@ trees with
     python3 tools/parity.py parent /tmp/a && python3 tools/parity.py change /tmp/b
     diff -r /tmp/a /tmp/b
 
-The 52 cases run one after another in one process, so state that one call
+The 58 cases run one after another in one process, so state that one call
 left behind would show up as a difference in a later case; the last four
 cases run a grid-256 ``verify`` twice in a row, then an ``invariance`` at
 grid 128 right after a grid-64 ``verify``.  BLAS runs on one thread unless
@@ -100,6 +100,13 @@ def cases() -> dict[str, list[str]]:
         table[f"spectrum-dirac-spinor-{spin}-wavy2-n256"] = [
             "spectrum", "--profile", profile("wavy2"), "--operator", "dirac-spinor",
             "--spin", spin, "--grid", "256", "--window", "10"]
+    # Grid-256 Laplacian spectra of both degrees at P = N, N/2 and 1: they
+    # record the round-off of the Gram read at the benchmark's grid.
+    for operator in OPERATORS[2:]:
+        for name in ("wavy", "wavy2", "flat2"):
+            table[f"spectrum-{operator}-{name}-n256"] = [
+                "spectrum", "--profile", profile(name), "--operator", operator,
+                "--grid", "256", "--window", "10"]
     table["bounds-json"] = ["bounds", "--r", "0.25", "0.5", "2", "4", "--format", "json"]
     table["sweep-default"] = ["sweep"]
     # Back-to-back pair batteries: a buffer that one call leaves stale or
