@@ -8,16 +8,20 @@
 * ``collapse`` lambda^2 >= (q+1)/(4q) * inf(Scal_M + |A|^2)
 
 ``s3_bounds`` evaluates all four on the sphere flows, where every quantity is
-a closed-form function of s = |z|^2: the extrema are a uniform scan of [0, 1]
-and golden-section refinement around the best scan point.  For R flow
-parameters the four families are one search over 4R integrands, R rows each
-(minmax as its negated integrand).  The scan evaluates the curvature once on
-(R, resolution) points, 400 KB per array at the ``sweep`` defaults (R = 50,
-resolution 1000), and scans the four family blocks without stacking them;
-one golden-section call refines all 4R brackets as (4R, 1) columns.  The
-values reproduce the closed piecewise-in-r references of
-``piecewise_reference``; every row ``s3_bounds`` returns carries its r, and
-the report writers compare it with its reference.
+a closed-form function of s = |z|^2, at the best points of one uniform scan
+of [0, 1], endpoints included.  The scan misses no extremum: with
+D = r^2 s + 1 - s > 0, the s-derivatives of the esti, estmflot, negated
+minmax (-|A|^2) and collapse integrands are -6 r^2 (r^2 - 1) / D^2,
+-(r^2 - 1)(r^4 s + (1 - s) + 3 r^2) / D^3, 4 r^2 (r^2 - 1) / D^3 and
+-4 r^2 (r^2 - 1) / D^3, so each integrand is strictly monotone in s for
+r != 1, constant at r = 1, and extreme at s = 0 or 1 (``tests/test_bounds.py``
+derives this with sympy).  For R flow parameters the scan evaluates the
+curvature once on (R, resolution) points, 400 KB per array at the ``sweep``
+defaults (R = 50, resolution 1000), and takes the row minima of the four
+family blocks without stacking them.  The values reproduce the closed
+piecewise-in-r references of ``piecewise_reference``; every row
+``s3_bounds`` returns carries its r, and the report writers compare it with
+its reference.
 """
 
 from __future__ import annotations
@@ -64,8 +68,7 @@ BOUND_REFERENCE_TOLERANCE = 1e-6
 # reference's fl(1/(4P)) = 1/(4r^2) (1 + d4) / (1 + d1), every |d| <= u =
 # eps/2.  The two differ by at most 5u of their size to first order, and
 # subtracting each from 9/8 rounds once more, within u|reference|: under
-# 7u|reference|, which is under 7 spacings.  The eighth covers a refinement
-# point that beats the scan point by round-off.
+# 7u|reference|, which is under 7 spacings; the eighth is a spare.
 REFERENCE_ROUNDOFF_ULPS = 8
 
 GOLDEN_RATIO = (1.0 + np.sqrt(5.0)) / 2.0
@@ -110,6 +113,8 @@ def eval_bound(kind: str, q: int, n: int, quantities: dict, r=None, arg_s=None) 
 
 def golden_section_min(fn, a, b, tol: float = 1e-10):
     """Deterministic golden-section minimizer, elementwise on brackets [a, b].
+    No command calls it or maximize_on_interval: both stay only because
+    perfbench/tracing.py wraps them by name (tests/test_tracing.py).
 
     ``a`` and ``b`` are floats or arrays of one shape, one search per
     element, and every search shares one ``fn`` call per iteration.  A
@@ -147,15 +152,15 @@ def golden_section_min(fn, a, b, tol: float = 1e-10):
 
 
 def minimize_on_interval(fn, a: float, b: float, resolution: int):
-    """Uniform scan (endpoints included) plus golden-section refinement.
+    """Minimum of a uniform scan of [a, b], endpoints included, for a batch of
+    R integrands: exact for integrands monotone in the variable, as the
+    sphere-flow ones are (module docstring).
 
-    ``fn`` evaluates a batch of R integrands: given points of shape (1, k) or
-    (R, k) it returns values of shape (R, k), row i belonging to the i-th
-    integrand; at the scan points it may return a sequence of row blocks
-    instead, which are scanned block by block and never stacked.  The scan
-    is one call on the ``resolution`` scan points as one row; the refinement
-    is one golden-section search on (R, 1) columns.  Returns the arrays
-    ``(argmin, min)``, each of shape (R,).
+    ``fn`` gets the ``resolution`` scan points as one (1, resolution) row and
+    returns values of shape (R, resolution), row i belonging to the i-th
+    integrand, or a sequence of such row blocks, which are scanned block by
+    block and never stacked.  Returns the arrays ``(argmin, min)``, each of
+    shape (R,); a tie goes to the first scan point.
     """
     if resolution < 100:
         raise ValueError(f"resolution must be >= 100, got {resolution}")
@@ -163,19 +168,12 @@ def minimize_on_interval(fn, a: float, b: float, resolution: int):
     values = fn(xs[np.newaxis, :])
     blocks = (values,) if isinstance(values, np.ndarray) else values
     best = [np.argmin(block, axis=1) for block in blocks]
-    scan_min = np.concatenate([block[np.arange(rows.size), rows] for block, rows in zip(blocks, best)])
-    best = np.concatenate(best)
-    del values, blocks  # the refinement needs no (R, resolution) array
-    lo = xs[np.maximum(best - 1, 0)]
-    hi = xs[np.minimum(best + 1, resolution - 1)]
-    x_ref, f_ref = golden_section_min(fn, lo[:, np.newaxis], hi[:, np.newaxis])
-    scan_wins = scan_min < f_ref[:, 0]
-    return (np.where(scan_wins, xs[best], x_ref[:, 0]),
-            np.where(scan_wins, scan_min, f_ref[:, 0]))
+    minima = [block[np.arange(rows.size), rows] for block, rows in zip(blocks, best)]
+    return xs[np.concatenate(best)], np.concatenate(minima)
 
 
 def maximize_on_interval(fn, a: float, b: float, resolution: int):
-    """Maximize by minimizing ``-fn``; ``fn`` returns arrays batched as in minimize_on_interval."""
+    """Maximize by minimizing ``-fn``, batched as minimize_on_interval; no command calls it."""
     x, negative = minimize_on_interval(lambda s: -fn(s), a, b, resolution)
     return x, -negative
 
@@ -189,9 +187,8 @@ def s3_bounds(r, resolution: int = 1000) -> list[BoundReport]:
     curvature's largest term, finite, and with references small enough that
     BOUND_REFERENCE_TOLERANCE exceeds REFERENCE_ROUNDOFF_ULPS of them, which
     keeps r between about 1.53e-5 and 65536; all are checked before any is
-    evaluated.  The extrema of every r come from one stacked scan and
-    refinement over all four families.  Reports are r-major: esti,
-    estmflot, minmax, collapse per r.
+    evaluated.  The extrema of every r come from one scan over all four
+    families.  Reports are r-major: esti, estmflot, minmax, collapse per r.
     """
     r_values = np.atleast_1d(np.asarray(r, dtype=np.float64))
     if r_values.ndim != 1:
@@ -216,21 +213,14 @@ def s3_bounds(r, resolution: int = 1000) -> list[BoundReport]:
                 f"of its {kind} reference {reference[kind]:.6g} are {roundoff:.3g}, more than "
                 f"the reference tolerance {BOUND_REFERENCE_TOLERANCE:.0e}"
             )
-    # One row per r for the scan; family-major for the refinement: row k*R + i is family k at r_i.
     count, r_col = r_values.size, r_values[:, np.newaxis]
-    r_stack = np.tile(r_col, (len(BOUND_KINDS), 1))
 
     def integrands(s):
-        """Family blocks (R, k) at the (1, k) scan points, else the (4R, 1) stack."""
-        scan = s.shape[0] == 1
-        r_s = r_col if scan else r_stack
-        kappa = s3_kappa_norm(r_s, s)
-        a_sq = s3_a_norm_sq(r_s, s)
-        blocks = (s3_transverse_scal(r_s, s), S3_SCALAR_CURVATURE + a_sq + kappa * kappa,
-                  -a_sq, S3_SCALAR_CURVATURE + a_sq)
-        if scan:
-            return blocks
-        return np.concatenate([block[k * count:(k + 1) * count] for k, block in enumerate(blocks)])
+        """The four family blocks, (R, k) each, at the (1, k) scan points."""
+        kappa = s3_kappa_norm(r_col, s)
+        a_sq = s3_a_norm_sq(r_col, s)
+        return (s3_transverse_scal(r_col, s), S3_SCALAR_CURVATURE + a_sq + kappa * kappa,
+                -a_sq, S3_SCALAR_CURVATURE + a_sq)
 
     args, extremes = minimize_on_interval(integrands, 0.0, 1.0, resolution)
     q, n = S3_FLOW_Q, S3_FLOW_N

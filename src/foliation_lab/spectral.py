@@ -83,7 +83,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .operators import WeightedOperator, forms_label
+from .operators import GramOperator, WeightedOperator, forms_label
 
 # Relative symmetrization residual above which an eigensolve is refused.
 SYMMETRIZATION_TOLERANCE = 1e-8
@@ -99,13 +99,14 @@ class OperatorSymmetryError(ValueError):
 
 @dataclass(frozen=True)
 class SpectrumReport:
-    """Sorted real spectrum with its grid provenance, and the ``distance``
-    ||X - P||_F of the projection it was read from (0 for a dense solve)."""
+    """Sorted real spectrum, its grid provenance, the ``distance`` ||X - P||_F of
+    the projection it was read from (0 if dense) and whether it is a P = 1 Hermitian read."""
 
     eigenvalues: np.ndarray
     grid_size: int
     operator_label: str
     distance: float = 0.0
+    radius_derived: bool = False
 
     def __post_init__(self):
         object.__setattr__(
@@ -118,8 +119,10 @@ class SpectrumReport:
 
     @property
     def radius(self) -> float:
-        """Distance plus allowance (module docstring) of a P = 1 read: every
-        eigenvalue of H lies within it of its computed value."""
+        """Distance plus allowance (module docstring) of a P = 1 Hermitian read:
+        every eigenvalue of H lies within it of its computed value; ValueError on any other."""
+        if not self.radius_derived:
+            raise ValueError(f"operator {self.operator_label!r} has no derived radius")
         n, eps = self.eigenvalues.size, np.finfo(np.float64).eps
 
         def gamma(k):
@@ -154,7 +157,11 @@ def eigenvalues_weighted(op: WeightedOperator, out=None) -> SpectrumReport:
     ``out`` is passed to it."""
     values, residual, distance = op.hermitian_spectrum(out=out)
     _require_symmetric(residual, op.label)
-    return SpectrumReport(values, op.n_points, op.label, distance)
+    return SpectrumReport(values, op.n_points, op.label, distance, _radius_derived(op))
+
+
+def _radius_derived(op: WeightedOperator) -> bool:
+    return op.period == 1 and not isinstance(op, GramOperator)
 
 
 def dirac_spectra(
@@ -173,15 +180,15 @@ def dirac_spectra(
     ``eigenvalues_weighted(assemble_basic_dirac_forms(...))``: the forms gate
     stays sqrt(2) stricter.  An antiperiodic spinor matrix is iT - 1/2, so
     its second report is +-spec(iT - 1/2), not a forms spectrum (forms are
-    periodic); no command asks.
+    periodic); no command asks.  The forms radius is never below the spinor's.
     """
-    n = spinor.n_points
+    n, derived = spinor.n_points, _radius_derived(spinor)
     values, residual, distance = spinor.hermitian_spectrum(out=out)
     _require_symmetric(residual, spinor.label)
     _require_symmetric(math.sqrt(2.0) * residual, forms_label(n))
     return (
-        SpectrumReport(values, n, spinor.label, distance),
-        SpectrumReport(np.concatenate([-values, values]), n, forms_label(n), distance),
+        SpectrumReport(values, n, spinor.label, distance, derived),
+        SpectrumReport(np.concatenate([-values, values]), n, forms_label(n), distance, derived),
     )
 
 

@@ -4,6 +4,7 @@ import re
 
 import numpy as np
 import pytest
+import sympy as sp
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -117,15 +118,17 @@ class TestScanOptimizers:
         assert fx == pytest.approx(0.0, abs=1e-9)
 
     def test_maximize(self):
-        (x,), (fx,) = maximize_on_interval(lambda s: -(s - 0.25) ** 2 + 2.0, 0.0, 1.0, 200)
-        assert x == pytest.approx(0.25, abs=1e-6)
-        assert fx == pytest.approx(2.0, abs=1e-12)
+        # 0.25 is the scan point 50 of 201, so the scan returns it exactly.
+        (x,), (fx,) = maximize_on_interval(lambda s: -(s - 0.25) ** 2 + 2.0, 0.0, 1.0, 201)
+        assert (x, fx) == (0.25, 2.0)
 
     def test_one_extremum_per_row(self):
-        offsets = np.array([[0.2], [0.5], [0.9]])
-        x, fx = minimize_on_interval(lambda s: (s - offsets) ** 2 - offsets, 0.0, 1.0, 300)
-        np.testing.assert_allclose(x, offsets[:, 0], atol=1e-6)
-        np.testing.assert_allclose(fx, -offsets[:, 0], atol=1e-12)
+        """Each row's minimum sits on a scan point, which the scan returns
+        exactly; nothing refines it off the scan."""
+        offsets = np.linspace(0.0, 1.0, 301)[[60, 150, 270], np.newaxis]
+        x, fx = minimize_on_interval(lambda s: (s - offsets) ** 2 - offsets, 0.0, 1.0, 301)
+        np.testing.assert_array_equal(x, offsets[:, 0])
+        np.testing.assert_array_equal(fx, -offsets[:, 0])
 
     def test_low_resolution_rejected(self):
         with pytest.raises(ValueError, match="resolution"):
@@ -134,26 +137,17 @@ class TestScanOptimizers:
     @pytest.mark.parametrize("optimizer", [minimize_on_interval, maximize_on_interval])
     @pytest.mark.parametrize("resolution", [100, 437, 1000])
     def test_scan_is_one_array_call(self, optimizer, resolution):
-        """One (R, resolution) scan call, then (R, 1) refinement calls, as many
-        as the slowest of the R searches makes on its own."""
+        """One (R, resolution) scan call and nothing after it."""
         offsets = np.linspace(0.0, 0.45, 50)[:, np.newaxis]
+        shapes = []
 
-        def recorded_shapes(rows):
-            shapes = []
+        def recording(s):
+            values = np.cos(7.0 * (s + offsets))
+            shapes.append(values.shape)
+            return values
 
-            def recording(s):
-                values = np.cos(7.0 * (s + rows))
-                shapes.append(values.shape)
-                return values
-
-            optimizer(recording, 0.0, 1.0, resolution)
-            return shapes
-
-        shapes = recorded_shapes(offsets)
-        assert shapes.count((50, resolution)) == 1
-        assert shapes.count((50, 1)) == len(shapes) - 1
-        alone = [len(recorded_shapes(offsets[i : i + 1])) for i in range(50)]
-        assert len(shapes) == max(alone)
+        optimizer(recording, 0.0, 1.0, resolution)
+        assert shapes == [(50, resolution)]
 
 
 class TestS3Bounds:
@@ -260,31 +254,73 @@ class TestS3Bounds:
             s3_bounds([0.5, r])
 
 
-def _family_integrands(r):
-    """The four integrands of one r, each searched on its own: esti, estmflot, -|A|^2, collapse."""
+_R, _S = sp.symbols("r s", positive=True)
+_DENOMINATOR = _R**2 * _S + 1 - _S  # s3_denominator
+_A_SQ = 2 * (_R / _DENOMINATOR) ** 2
+_KAPPA_SQ = (1 - _R**2) ** 2 * _S * (1 - _S) / _DENOMINATOR**2
+# The integrands s3_bounds minimizes over s, in BOUND_KINDS order, in closed
+# form, and the s-derivatives the bounds module docstring states.
+_INTEGRANDS = {
+    "esti": (2 + 6 * _R**2 / _DENOMINATOR, -6 * _R**2 * (_R**2 - 1) / _DENOMINATOR**2),
+    "estmflot": (S3_SCALAR_CURVATURE + _A_SQ + _KAPPA_SQ,
+                 -(_R**2 - 1) * (_R**4 * _S - _S + 3 * _R**2 + 1) / _DENOMINATOR**3),
+    "minmax": (-_A_SQ, 4 * _R**2 * (_R**2 - 1) / _DENOMINATOR**3),
+    "collapse": (S3_SCALAR_CURVATURE + _A_SQ, -4 * _R**2 * (_R**2 - 1) / _DENOMINATOR**3),
+}
 
-    def scal_plus_tensors(s):
-        kappa = s3_kappa_norm(r, s)
-        return S3_SCALAR_CURVATURE + s3_a_norm_sq(r, s) + kappa * kappa
 
-    return (lambda s: s3_transverse_scal(r, s), scal_plus_tensors,
-            lambda s: -s3_a_norm_sq(r, s), lambda s: S3_SCALAR_CURVATURE + s3_a_norm_sq(r, s))
+class TestIntegrandsAreMonotone:
+    """Why a scan of [0, 1] with both endpoints finds every sphere-flow
+    extremum exactly: each integrand's s-derivative is (r^2 - 1) times a
+    factor with no root in [0, 1] over a power of s3_denominator, which is
+    positive there, so each integrand is strictly monotone in s for r != 1
+    and constant at r = 1.  An edit to an integrand that lets an interior
+    extremum appear fails here."""
+
+    @pytest.mark.parametrize("r", [sp.Rational(1, 3), sp.Rational(1, 2), 2, sp.Rational(7, 3)])
+    @pytest.mark.parametrize("s", [0, sp.Rational(1, 4), sp.Rational(3, 5), 1])
+    def test_closed_forms_match_the_curvature_functions(self, r, s):
+        """The composition of s3_bounds at rational (r, s) is within 16 eps of
+        the exact value: each value takes at most a dozen roundings, and its
+        one subtraction, 1 - r^2, amplifies them by at most
+        r^2 / |1 - r^2| <= 4/3 at these r."""
+        s_row = np.array([[float(s)]])
+        kappa = s3_kappa_norm(float(r), s_row)
+        a_sq = s3_a_norm_sq(float(r), s_row)
+        computed = {"esti": s3_transverse_scal(float(r), s_row),
+                    "estmflot": S3_SCALAR_CURVATURE + a_sq + kappa * kappa,
+                    "minmax": -a_sq, "collapse": S3_SCALAR_CURVATURE + a_sq}
+        for kind, (integrand, _) in _INTEGRANDS.items():
+            exact = integrand.subs({_R: r, _S: s})
+            error = abs(float(computed[kind][0, 0]) - float(exact))
+            assert error <= 16 * np.finfo(np.float64).eps * abs(float(exact)), kind
+
+    @pytest.mark.parametrize("kind", list(_INTEGRANDS))
+    def test_derivative_numerator_has_no_root_in_the_interval(self, kind):
+        integrand, stated = _INTEGRANDS[kind]
+        derivative = sp.diff(integrand, _S)
+        assert sp.cancel(derivative - stated) == 0
+        numerator, denominator = sp.fraction(sp.factor(derivative))
+        base, power = denominator.as_base_exp()
+        assert sp.expand(base - _DENOMINATOR) == 0 and power.is_Integer and power > 0
+        # The denominator is positive on [0, 1]: it is linear in s, 1 at s = 0, r^2 at s = 1.
+        assert sp.degree(_DENOMINATOR, _S) == 1
+        assert _DENOMINATOR.subs(_S, 0).is_positive and _DENOMINATOR.subs(_S, 1).is_positive
+        factor, remainder = sp.div(numerator, _R**2 - 1, _R, _S)
+        assert remainder == 0
+        # The factor is at most linear in s and of one strict sign at both
+        # ends of [0, 1] for every r > 0, so it has no root in between.
+        assert sp.degree(factor, _S) <= 1
+        ends = [factor.subs(_S, 0), factor.subs(_S, 1)]
+        assert all(end.is_positive for end in ends) or all(end.is_negative for end in ends)
 
 
 @pytest.mark.parametrize("resolution", [100, 437, 1000])
 def test_one_stacked_search_serves_all_four_families(monkeypatch, resolution):
-    """One scan and one golden-section search over the 4R stacked integrands,
-    with as many refinement steps as the slowest of the 4R single searches."""
+    """One scan over the four families of every r: the curvature functions are
+    evaluated once, on (R, resolution) points, and nothing refines the scan."""
     r_values = np.concatenate([np.geomspace(0.1, 10.0, 6), [1.0, 3e-3, 6e4]])
     rows = r_values.size
-
-    def single_refinements(fn):
-        calls = []
-        minimize_on_interval(lambda s: calls.append(s) or fn(s), 0.0, 1.0, resolution)
-        return len(calls) - 1
-
-    slowest = max(single_refinements(fn) for r in r_values for fn in _family_integrands(r))
-
     calls = {"minimize_on_interval": 0, "golden_section_min": 0}
     shapes = {name: [] for name in ("s3_transverse_scal", "s3_kappa_norm", "s3_a_norm_sq")}
     for name in calls:
@@ -300,9 +336,9 @@ def test_one_stacked_search_serves_all_four_families(monkeypatch, resolution):
 
         monkeypatch.setattr(bounds, name, recorded)
     s3_bounds(r_values, resolution)
-    assert calls == {"minimize_on_interval": 1, "golden_section_min": 1}
+    assert calls == {"minimize_on_interval": 1, "golden_section_min": 0}
     for name, seen in shapes.items():
-        assert seen == [(rows, resolution)] + [(4 * rows, 1)] * slowest, name
+        assert seen == [(rows, resolution)], name
 
 
 def _scalar_golden_min(fn, a, b, tol=1e-10):
@@ -326,20 +362,15 @@ def _scalar_golden_min(fn, a, b, tol=1e-10):
 
 
 def _scalar_scan_min(fn, a, b, resolution):
-    """The point-by-point scan: one scalar call per scan point, then golden section."""
+    """The point-by-point scan: one scalar call per scan point, first minimum."""
     xs = np.linspace(a, b, resolution)
     values = [fn(float(x)) for x in xs]
     best = int(np.argmin(values))
-    lo = float(xs[max(best - 1, 0)])
-    hi = float(xs[min(best + 1, resolution - 1)])
-    x_ref, f_ref = _scalar_golden_min(fn, lo, hi)
-    if values[best] < f_ref:
-        return float(xs[best]), values[best]
-    return x_ref, f_ref
+    return float(xs[best]), values[best]
 
 
 def _scalar_s3_bounds(r, resolution):
-    """Per-r oracle for s3_bounds: scalar scans and scalar golden sections.
+    """Per-r oracle for s3_bounds: one scalar scan per family.
 
     Each curvature value is read from a one-element array, so that x**2
     squares as it does in the batch: a scalar x**2 calls pow, which differs
@@ -371,7 +402,7 @@ def _scalar_s3_bounds(r, resolution):
 
 
 class TestArrayScanParity:
-    # r = 1 makes every integrand flat, so its arg_s comes from the refinement.
+    # r = 1 makes every integrand flat, so its arg_s is the first scan point.
     R_VALUES = np.concatenate(
         [
             np.geomspace(0.1, 10.0, 50),
@@ -388,8 +419,7 @@ class TestArrayScanParity:
         ]
         got = [(report.r, report.kind, report.value, report.inputs["arg_s"]) for report in batched]
         assert got == expected
-        at_one = next(report for report in batched if report.r == 1.0)
-        assert at_one.inputs["arg_s"] not in np.linspace(0.0, 1.0, resolution)
+        assert {report.inputs["arg_s"] for report in batched if report.r == 1.0} == {0.0}
 
 
 class TestPiecewiseReference:

@@ -201,6 +201,17 @@ class TestConsistency:
         j = k and for n_0 = N/2 + k, j = -k.  The expected values are
         evaluated within s eps max g^{1/2} (k^2 + |k| lambda + lambda^2 +
         a / min g), by the rules of (c).
+
+    (e) The codifferential delta = -g^{-1} D g applied to phi against
+        -(g phi)'/g = -(ik + g'/g) phi.  Here v = g phi has its coefficients
+        at k - 1, k and k + 1, inside L_N for |k| <= N/8, so (a) and (b)
+        contribute nothing.  (c) holds with w = g for g^{1/2}: the node
+        errors move g and g^{-1} relatively by 6 pi eps lambda and the
+        expected g'/g by 6 pi eps (a / min g + lambda^2), twice the g^{1/2}
+        and g'/2g figures, which the 12 pi in s covers.  No shift rounds the
+        diagonal, so D errs on v by at most (N^2 eps / 2) N^{1/2} max g,
+        scaled by max g^{-1}, and the error is at most that plus
+        s eps (sum_l |delta_jl| + |k| + 1 + lambda).
     """
 
     @staticmethod
@@ -248,6 +259,25 @@ class TestConsistency:
             for matrix, expected in cases:
                 error = np.max(np.abs(matrix @ phi - expected), axis=0)
                 assert np.all(error <= self._tolerance(n_points, c, a, ks, matrix, g, g_dot))
+
+    @pytest.mark.parametrize("n_points", [64, 128, 256])
+    @pytest.mark.parametrize("c, a", [(2.0, 1.0), (1.0, 0.9)])
+    def test_codifferential_applies_its_continuous_operator(self, n_points, c, a):
+        ks = np.arange(-(n_points // 8), n_points // 8 + 1)
+        grid = GridSpec(n_points)
+        density = _density(MetricProfile(c, (ProfileTerm(0, 1, a),)), grid)
+        g, g_dot = density.g_values, density.g_dot_values
+        lam = float(np.max(np.abs(g_dot / g)))
+        s = n_points + 16 + 12 * np.pi * (np.abs(ks) + lam + lam**2 + a / np.min(g))
+        phi = np.exp(1j * np.outer(grid.t_nodes, ks))
+        delta = codifferential(density, grid)
+        expected = -(1j * ks + (g_dot / g)[:, None]) * phi
+        # (e): no aliasing; the derivative matrix's round-off and (c)'s rounding
+        derivative = n_points**2 * EPS / 2 * np.sqrt(n_points) * np.max(g) / np.min(g)
+        row_sum = float(np.max(np.sum(np.abs(delta), axis=1)))
+        tolerance = derivative + s * EPS * (row_sum + np.abs(ks) + 1 + lam)
+        error = np.max(np.abs(delta @ phi - expected), axis=0)
+        assert np.all(error <= tolerance)
 
     @staticmethod
     def _step_bound(n_points, ks, matrix, u, left_max, v_max, tail, s, lam):

@@ -2,6 +2,7 @@
 
 import dataclasses
 import math
+import re
 
 import numpy as np
 import pytest
@@ -319,6 +320,47 @@ class TestProjectedDiracRead:
         assert report.window_count(10.0) == 21
         assert report.window_count(10.0 - spectral.WINDOW_EDGE_SLACK) is None
         assert report.window_count(10.0 - spectral.WINDOW_EDGE_SLACK + 2.0 * report.radius) == 21
+
+    @pytest.mark.parametrize("spin", ["trivial", "nontrivial"])
+    def test_period_one_dirac_reports_keep_their_radius(self, cosine_profile, spin):
+        """Every P = 1 Dirac report, spinor or forms, has the radius of the
+        module docstring's formula, bit for bit."""
+        grid = GridSpec(256, spin)
+        op = assemble_basic_dirac_spinor(_density(cosine_profile, grid), grid)
+
+        def gamma(k):
+            return k * EPS / (1.0 - k * EPS)
+
+        for report in (eigenvalues_weighted(op), *dirac_spectra(op)):
+            n = report.eigenvalues.size
+            norm = float(np.linalg.norm(report.eigenvalues)) + report.distance
+            allowance = (2.0 * gamma(n) + gamma(7.0 * math.log2(n)) + 2.0 * EPS) * norm
+            assert report.radius == (1.0 + gamma(n * n)) * report.distance + allowance
+            # 21 integers or 20 half-integers in [-10, 10], twice for forms
+            assert report.window_count(10.0) == (n // 256) * {"trivial": 21, "nontrivial": 20}[spin]
+
+    def test_radius_is_refused_where_it_is_not_derived(self, cosine_profile):
+        """Only a P = 1 Hermitian read has a derived radius: a Gram read (at
+        P = 1 for a constant density, P = N otherwise), a Dirac read at P > 1
+        and a dense report refuse ``radius`` and ``window_count``, naming the
+        operator."""
+        grid = GridSpec(256)
+        flat2, wavy = (_density(profile, grid) for profile in (MetricProfile(2.0), cosine_profile))
+        spinor = assemble_basic_dirac_spinor(wavy, grid)
+        reports = [eigenvalues_weighted(assemble_basic_laplacian(flat2, grid, degree))
+                   for degree in ("function", "one_form")]
+        reports.append(eigenvalues_weighted(assemble_basic_laplacian(wavy, grid)))
+        reports += [eigenvalues_weighted(dataclasses.replace(spinor, period=period))
+                    for period in (2, 256)]
+        reports += dirac_spectra(dataclasses.replace(spinor, period=256))
+        reports.append(SpectrumReport(np.arange(-3.0, 4.0), 256, "dense"))
+        assert flat2.period == 1
+        for report in reports:
+            label = re.escape(repr(report.operator_label))
+            with pytest.raises(ValueError, match=f"operator {label} has no derived radius"):
+                report.radius
+            with pytest.raises(ValueError, match=f"operator {label} has no derived radius"):
+                report.window_count(10.0)
 
 
 def _periodic_profile(terms):

@@ -14,7 +14,7 @@ trees with
     python3 tools/parity.py parent /tmp/a && python3 tools/parity.py change /tmp/b
     diff -r /tmp/a /tmp/b
 
-The 58 cases run one after another in one process, so state that one call
+The 60 cases run one after another in one process, so state that one call
 left behind would show up as a difference in a later case; the last four
 cases run a grid-256 ``verify`` twice in a row, then an ``invariance`` at
 grid 128 right after a grid-64 ``verify``.  BLAS runs on one thread unless
@@ -109,6 +109,11 @@ def cases() -> dict[str, list[str]]:
                 "--grid", "256", "--window", "10"]
     table["bounds-json"] = ["bounds", "--r", "0.25", "0.5", "2", "4", "--format", "json"]
     table["sweep-default"] = ["sweep"]
+    # Flow parameters whose integrands are flat to round-off in s, so their
+    # arg_s depends on how the search breaks ties between scan points.
+    table["bounds-json-flat"] = [
+        "bounds", "--r", "1", "0.9995", "1500", "2e-4", "--format", "json"]
+    table["sweep-json-res100"] = ["sweep", "--format", "json", "--resolution", "100"]
     # Back-to-back pair batteries: a buffer that one call leaves stale or
     # sized for another grid would change the second call's bytes.
     repeated = ["verify", "--all", "--grid", "256", "--window", "10", "--seed", "3"]
