@@ -20,8 +20,8 @@ curvature once on (R, resolution) points, 400 KB per array at the ``sweep``
 defaults (R = 50, resolution 1000), and takes the row minima of the four
 family blocks without stacking them.  The values reproduce the closed
 piecewise-in-r references of ``piecewise_reference``; every row
-``s3_bounds`` returns carries its r, and the report writers compare it with
-its reference.
+``s3_bounds`` returns carries its r and its reference, read once per r, and
+the report writers compare the two.
 """
 
 from __future__ import annotations
@@ -82,11 +82,14 @@ class BoundReport:
     value: float
     inputs: dict = field(default_factory=dict)
     r: float | None = None
+    reference: float | None = None
 
 
-def eval_bound(kind: str, q: int, n: int, quantities: dict, r=None, arg_s=None) -> BoundReport:
+def eval_bound(kind: str, q: int, n: int, quantities: dict, r=None, arg_s=None,
+               reference=None) -> BoundReport:
     """Evaluate one bound formula from the extrema it requires; a sphere-flow
-    row also carries its ``r`` and the point ``arg_s`` of its extremum.
+    row also carries its ``r``, the point ``arg_s`` of its extremum and its
+    ``piecewise_reference`` value.
 
     Raises ValueError naming the first missing quantity.
     """
@@ -108,7 +111,7 @@ def eval_bound(kind: str, q: int, n: int, quantities: dict, r=None, arg_s=None) 
     inputs = {**quantities, "q": q, "n": n}
     if arg_s is not None:
         inputs["arg_s"] = arg_s
-    return BoundReport(kind, float(value), inputs, r)
+    return BoundReport(kind, float(value), inputs, r, reference)
 
 
 def golden_section_min(fn, a, b, tol: float = 1e-10):
@@ -203,8 +206,8 @@ def s3_bounds(r, resolution: int = 1000) -> list[BoundReport]:
             raise ValueError(f"flow parameter r = {value} is too small: r*r underflows to 0")
         if not np.isfinite(6.0 * value * value):
             raise ValueError(f"flow parameter r = {value} is too large: 6*r*r overflows")
-    for value in r_values.tolist():
-        reference = piecewise_reference(value)
+    references = [piecewise_reference(value) for value in r_values.tolist()]
+    for value, reference in zip(r_values.tolist(), references):
         kind = max(reference, key=lambda name: abs(reference[name]))
         roundoff = REFERENCE_ROUNDOFF_ULPS * float(np.spacing(abs(reference[kind])))
         if not roundoff <= BOUND_REFERENCE_TOLERANCE:
@@ -225,14 +228,14 @@ def s3_bounds(r, resolution: int = 1000) -> list[BoundReport]:
     args, extremes = minimize_on_interval(integrands, 0.0, 1.0, resolution)
     q, n = S3_FLOW_Q, S3_FLOW_N
     reports = []
-    for r_i, arg_row, (esti, flot, negative_sup, col) in zip(
-        r_values.tolist(), args.reshape(len(BOUND_KINDS), count).T.tolist(),
+    for r_i, reference, arg_row, (esti, flot, negative_sup, col) in zip(
+        r_values.tolist(), references, args.reshape(len(BOUND_KINDS), count).T.tolist(),
         extremes.reshape(len(BOUND_KINDS), count).T.tolist(),
     ):
         quantities = ({"inf_scal_transverse": esti}, {"inf_scal_plus_tensors": flot},
                       {"lambda_dm_sq": FIRST_DIRAC_EIGENVALUE_SQ_S3, "sup_a_sq": -negative_sup},
                       {"inf_scal_plus_a_sq": col})
-        reports += [eval_bound(kind, q, n, values, r_i, arg_s)
+        reports += [eval_bound(kind, q, n, values, r_i, arg_s, reference[kind])
                     for kind, values, arg_s in zip(BOUND_KINDS, quantities, arg_row)]
     return reports
 
@@ -259,18 +262,12 @@ def piecewise_reference(r: float) -> dict:
     }
 
 
-def reference_error(report: BoundReport) -> tuple[float, float]:
-    """(reference, |value - reference|) of a sphere-flow row, one of ``s3_bounds``."""
-    reference = piecewise_reference(report.r)[report.kind]
-    return reference, abs(report.value - reference)
-
-
 def bound_failures(reports: list[BoundReport]) -> list[str]:
     """One line per sphere-flow row whose value does not match its reference to
     within BOUND_REFERENCE_TOLERANCE; a NaN error fails."""
     failures = []
     for report in reports:
-        error = reference_error(report)[1]
+        error = abs(report.value - report.reference)
         if not error <= BOUND_REFERENCE_TOLERANCE:
             failures.append(
                 f"failed {report.kind} r={report.r:.17g}: abs_error {error:.3e} "
@@ -283,7 +280,7 @@ def bound_rows_csv(reports: list[BoundReport]) -> str:
     """CSV text of sphere-flow rows: kind, r, value, reference_value, abs_error."""
     lines = ["kind,r,value,reference_value,abs_error\n"]
     for report in reports:
-        reference, error = reference_error(report)
-        lines.append(f"{report.kind},{report.r:.17g},{report.value:.17g},{reference:.17g},"
-                     f"{error:.17g}\n")
+        error = abs(report.value - report.reference)
+        lines.append(f"{report.kind},{report.r:.17g},{report.value:.17g},"
+                     f"{report.reference:.17g},{error:.17g}\n")
     return "".join(lines)

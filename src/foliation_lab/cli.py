@@ -15,6 +15,7 @@ import json
 import math
 import os
 import sys
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -23,7 +24,7 @@ from . import __version__
 from .basic_calculus import DEGREE_FUNCTION, DEGREE_ONE_FORM, LeafVolumeDensity
 from .bounds import bound_failures, bound_rows_csv, s3_bounds
 from .model_spaces import SPIN_STRUCTURES, GridSpec, MetricProfile, load_profile
-from .operators import assemble_basic_dirac_spinor, assemble_basic_laplacian
+from .operators import assemble_basic_dirac_spinor, laplacian_label
 from .spectral import SpectrumReport, dirac_spectra, eigenvalues_weighted
 from .verify import random_profile_pair, run_pair_checks, run_profile_checks
 
@@ -107,14 +108,15 @@ def _load_profiles(paths) -> list[MetricProfile]:
 
 
 def _spectrum(operator_name: str, density: LeafVolumeDensity, grid: GridSpec):
-    if operator_name == "dirac-forms":
-        # The forms operator acts on periodic forms whatever --spin says.
-        periodic = GridSpec(grid.n_points)
-        return dirac_spectra(assemble_basic_dirac_spinor(density, periodic))[1]
     if operator_name == "dirac-spinor":
         return eigenvalues_weighted(assemble_basic_dirac_spinor(density, grid))
+    # The forms and Laplacians act on periodic sections whatever --spin says.
+    spinor = assemble_basic_dirac_spinor(density, GridSpec(grid.n_points))
+    if operator_name == "dirac-forms":
+        return dirac_spectra(spinor)[1]
     degree = DEGREE_FUNCTION if operator_name == "laplacian-functions" else DEGREE_ONE_FORM
-    return eigenvalues_weighted(assemble_basic_laplacian(density, grid, degree))
+    laplacian = dirac_spectra(spinor, period=density.period)[2]
+    return replace(laplacian, operator_label=laplacian_label(grid.n_points, degree))
 
 
 def _spectrum_text(report: SpectrumReport, fmt: str, window: float) -> str:

@@ -9,8 +9,8 @@ matrix D, and the codifferential is D's exact weighted adjoint -g^{-1} D g.
 Both are ``diagonal_conjugate`` scalings w^{-1} D w of the one cached,
 read-only matrix D per (grid, spin structure) of
 ``_spectral_diff.differentiation_matrix``.  The basic Laplacians of both
-degrees are Gram products of T = g^{-1/2} D g^{1/2}: a ``GramOperator``
-holds iT and reads T's squared singular values (``spectral`` derives it).
+degrees are Gram products of T = g^{-1/2} D g^{1/2}: ``gram_spectrum``
+reads T's squared singular values from iT (``spectral`` derives the read).
 
 Diagonal scalings, here and in ``WeightedOperator.symmetrized``, multiply
 the float64 view of the complex matrix by w and then by a precomputed 1/w.
@@ -20,18 +20,18 @@ except that a zero entry may differ in sign.  Scalings by i or -1 and the
 symmetrization's sums are done in place with unchanged arithmetic.
 
 Every N x N result can be written to caller-owned arrays: ``out`` is one
-array for ``diagonal_conjugate``, ``assemble_basic_dirac_spinor`` and
-``assemble_basic_laplacian``, and three (S, conj(S), H) for
-``WeightedOperator.symmetrized`` and both ``hermitian_spectrum`` methods,
-whose projections reuse them.  S may be written over the operator's own
-matrix, which then ends the operator; a Gram read never writes its matrix.
-Each step runs the same ufunc on the same operands with or without ``out``,
-so the bits are the same.
+array for ``diagonal_conjugate`` and ``assemble_basic_dirac_spinor``, three
+(S, conj(S), H) for ``WeightedOperator.symmetrized`` and
+``WeightedOperator.hermitian_spectrum``, whose projection reuses them, and
+three work arrays for ``gram_spectrum``.  S may be written over the
+operator's own matrix, which then ends the operator; a Gram read never
+writes its matrix.  Each step runs the same ufunc on the same operands with
+or without ``out``, so the bits are the same.
 
 Translation symmetry.  The periodic D is circulant, so an operator built
 from it and a density of period P grid points (``LeafVolumeDensity.period``)
-commutes with the cyclic shift by P rows and columns; the Laplacians record
-P as ``WeightedOperator.period``.  The spinor Dirac matrix records P = 1 on
+commutes with the cyclic shift by P rows and columns; the Laplacians are
+read along P.  The spinor Dirac matrix records P = 1 on
 either spin structure: its symmetrization is i D_s up to round-off, and
 D_s, the periodic D or D + i/2, is circulant.  The 2N forms matrix claims
 none.  Every read solves the N/P blocks of its projection onto
@@ -43,7 +43,7 @@ the dense solve, bit for bit.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 from numpy.lib.stride_tricks import as_strided
@@ -123,27 +123,6 @@ class WeightedOperator:
         return self.hermitian_spectrum()[1]
 
 
-class GramOperator(WeightedOperator):
-    """A basic Laplacian held by its factor M = iT (``spectral``: Gram reads)."""
-
-    def hermitian_spectrum(self, out=None) -> tuple[np.ndarray, float, float]:
-        """Ascending eigenvalues of the blocks C_k C_k^H of the projection P(M)
-        along ``period``; the gate ratio, the larger of M's period-1 (Dirac)
-        read ratio and d (2 sigma + d) / sigma^2, sigma^2 the largest value;
-        and d = ||M - P(M)||_F.  ``out``, three N x N complex arrays, takes the
-        gather and the C_k, the means and the C_k^H, and the C_k C_k^H, then
-        the period-1 read's S, conj(S) and H; M is not written."""
-        work = (None,) * 3 if out is None else out
-        blocks, distance = block_circulant_projection(self.matrix, self.period, out=work[:2])
-        adjoint = np.conjugate(blocks, out=_leading(work[1], blocks.shape))
-        gram = np.matmul(blocks, adjoint.transpose(0, 2, 1), out=_leading(work[2], blocks.shape))
-        values = np.sort(np.linalg.eigvalsh(gram), axis=None)
-        dirac_ratio = WeightedOperator.hermitian_spectrum(replace(self, period=1), out=out)[1]
-        scale = max(float(values[-1]), np.finfo(float).tiny)
-        shift = distance * (2.0 * math.sqrt(scale) + distance)
-        return values, max(dirac_ratio, shift / scale), distance
-
-
 def block_circulant_projection(
     matrix: np.ndarray, period: int, out=None
 ) -> tuple[np.ndarray, float]:
@@ -180,6 +159,21 @@ def block_circulant_projection(
     blocks = _leading(rolled, (m, period, period))
     np.fft.fft(means, axis=1, out=blocks.transpose(1, 0, 2))
     return blocks, distance
+
+
+def gram_spectrum(factor: np.ndarray, period: int, out=None) -> tuple[np.ndarray, float, float]:
+    """Ascending eigenvalues of the blocks C_k C_k^H of the projection P(M) of
+    the N x N ``factor`` M along ``period`` (``block_circulant_projection``);
+    the shift ratio d (2 sigma + d) / sigma^2, sigma^2 the largest value; and
+    d = ||M - P(M)||_F.  ``out``, three N x N complex arrays, takes the gather
+    and the C_k, the means and the C_k^H, and the C_k C_k^H; M is not written."""
+    work = (None,) * 3 if out is None else out
+    blocks, distance = block_circulant_projection(factor, period, out=work[:2])
+    adjoint = np.conjugate(blocks, out=_leading(work[1], blocks.shape))
+    gram = np.matmul(blocks, adjoint.transpose(0, 2, 1), out=_leading(work[2], blocks.shape))
+    values = np.sort(np.linalg.eigvalsh(gram), axis=None)
+    scale = max(float(values[-1]), np.finfo(float).tiny)
+    return values, distance * (2.0 * math.sqrt(scale) + distance) / scale, distance
 
 
 def _leading(out: np.ndarray | None, shape: tuple) -> np.ndarray | None:
@@ -275,22 +269,28 @@ def codifferential(density: LeafVolumeDensity, grid: GridSpec) -> np.ndarray:
     return np.negative(delta, out=delta)
 
 
-def assemble_basic_laplacian(
-    density: LeafVolumeDensity, grid: GridSpec, degree: str = DEGREE_FUNCTION, out=None
-) -> GramOperator:
-    """Basic Laplacian: delta d on functions, u -> -u'' - (g'/g) u', and d delta
-    on 1-form coefficients; unlike the Dirac spectrum, its eigenvalues depend
-    on the density.  Both degrees hold the periodic spinor Dirac matrix iT,
-    whatever the grid's spin structure, written to ``out`` when it is given,
-    and are read as Gram products (``spectral``); the degree sets the label.
-    """
+def laplacian_label(n_points: int, degree: str = DEGREE_FUNCTION) -> str:
     if degree not in (DEGREE_FUNCTION, DEGREE_ONE_FORM):
         raise ValueError(
             f"degree must be {DEGREE_FUNCTION!r} or {DEGREE_ONE_FORM!r}, got {degree!r}"
         )
-    dirac = assemble_basic_dirac_spinor(density, GridSpec(grid.n_points), out=out)
-    label = f"laplacian_{degree}[N={grid.n_points}]"
-    return GramOperator(dirac.matrix, dirac.weights, label, grid.n_points, density.period)
+    return f"laplacian_{degree}[N={n_points}]"
+
+
+def assemble_basic_laplacian(
+    density: LeafVolumeDensity, grid: GridSpec, degree: str = DEGREE_FUNCTION
+) -> WeightedOperator:
+    """Basic Laplacian: delta d on functions, u -> -u'' - (g'/g) u', and d delta
+    on 1-form coefficients, as the N^3 product of ``codifferential`` and D,
+    claiming the density's period.  No command assembles it: the commands
+    read its spectrum as ``dirac_spectra``'s Gram read of iT (``spectral``).
+    """
+    label = laplacian_label(grid.n_points, degree)
+    d = differentiation_matrix(grid.n_points, "trivial")
+    delta = codifferential(density, grid)
+    matrix = delta @ d if degree == DEGREE_FUNCTION else d @ delta
+    return WeightedOperator(matrix, quadrature_weights(density), label, grid.n_points,
+                            density.period)
 
 
 def connection_laplacian_spinor(

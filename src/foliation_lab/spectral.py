@@ -2,10 +2,10 @@
 
 ``eigenvalues_weighted`` solves one operator; ``dirac_spectra`` reads both basic
 Dirac spectra, spinor and forms, from one read of an assembled periodic
-spinor matrix.  Both go through ``hermitian_spectrum``, block by block along
-the operator's translation period.  A ``SpectrumReport`` carries no window:
-callers pass one that ``GridSpec.validate_window`` has checked to
-``in_window``.
+spinor matrix, and the function Laplacian's by a Gram read of it.  Both go
+through ``hermitian_spectrum``, block by block along the operator's
+translation period.  A ``SpectrumReport`` carries no window: callers pass
+one that ``GridSpec.validate_window`` has checked to ``in_window``.
 
 Basic Dirac spectra.  The paper's operator is unitarily equivalent to a
 translation-invariant one, and on a circle the nontrivial spin structure
@@ -61,19 +61,20 @@ N = 256 a is 1.5e-10 (d is 2e-12), and the projected values are within
 Gram reads.  With T = g^{-1/2} D g^{1/2}, the twisted differential, the
 weighted symmetrizations of the basic Laplacians delta d and d delta are
 -T (g^{1/2} D g^{-1/2}) and -(g^{1/2} D g^{-1/2}) T: T T^H and T^H T when
-D^H = -D, both with eigenvalues sigma_k(T)^2.  A ``GramOperator`` holds
-M = iT and projects it along the density's period P
-(``operators.block_circulant_projection``); the N/P blocks C_k C_k^H carry
-the sigma_k(P(T))^2.  With d = ||M - P(M)||_F, Weyl's inequality for
-singular values gives |sigma_k(T) - sigma_k(P(T))| <= ||T - P(T)||_2 <= d,
-so |sigma_k(T)^2 - sigma_k(P(T))^2| <= d (2 sigma + d), sigma the largest
-computed sigma_k(P(T)): each eigenvalue moves by at most that.  The read is
-refused when d (2 sigma + d) / sigma^2, the solved matrix's distance from
-T T^H relative to the largest eigenvalue, exceeds SYMMETRIZATION_TOLERANCE,
-and when M fails the period-1 Dirac read's gate: M's symmetrization is iD,
-so that gate measures D + D^H and refuses a wrong factor such as
-g^{1/2} D g^{-1/2}, whose symmetrization i g D g^{-1} is not Hermitian.  At
-P = N, d = 0 and the read is the dense Gram product.
+D^H = -D, both with eigenvalues sigma_k(T)^2.  Before its period-1 read
+writes over M = iT, the periodic spinor matrix, ``dirac_spectra`` projects
+M along the density's period P (``operators.gram_spectrum``); the N/P
+blocks C_k C_k^H carry the sigma_k(P(T))^2.  With d = ||M - P(M)||_F, Weyl's
+inequality for singular values gives |sigma_k(T) - sigma_k(P(T))| <=
+||T - P(T)||_2 <= d, so |sigma_k(T)^2 - sigma_k(P(T))^2| <= d (2 sigma + d),
+sigma the largest computed sigma_k(P(T)): each eigenvalue moves by at most
+that.  The Laplacian report is refused when d (2 sigma + d) / sigma^2, the
+solved matrix's distance from T T^H relative to the largest eigenvalue,
+exceeds SYMMETRIZATION_TOLERANCE, and when M fails the period-1 read's
+gate: M's symmetrization is iD, so that gate measures D + D^H and refuses
+a wrong factor such as g^{1/2} D g^{-1/2}, whose symmetrization
+i g D g^{-1} is not Hermitian.  At P = N, d = 0 and the read is the dense
+Gram product.
 """
 
 from __future__ import annotations
@@ -83,7 +84,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .operators import GramOperator, WeightedOperator, forms_label
+from .operators import WeightedOperator, forms_label, gram_spectrum, laplacian_label
 
 # Relative symmetrization residual above which an eigensolve is refused.
 SYMMETRIZATION_TOLERANCE = 1e-8
@@ -142,13 +143,16 @@ class SpectrumReport:
         return int(np.count_nonzero(magnitudes <= edge))
 
 
-def _require_symmetric(residual: float, label: str) -> None:
-    """Refuse an operator whose gate ratio exceeds the tolerance: an assembly bug."""
-    if residual > SYMMETRIZATION_TOLERANCE:
-        raise OperatorSymmetryError(
-            f"operator {label!r} is not symmetric in its weighted metric: "
-            f"relative residual {residual:.3e} > {SYMMETRIZATION_TOLERANCE:.0e}"
-        )
+def _require_symmetric(ratios: dict) -> None:
+    """Refuse a read when the gate ratio of any of its reports, by operator
+    label, exceeds the tolerance (an assembly bug), naming each such report."""
+    refused = [
+        f"operator {label!r} is not symmetric in its weighted metric: "
+        f"relative residual {ratio:.3e} > {SYMMETRIZATION_TOLERANCE:.0e}"
+        for label, ratio in ratios.items() if ratio > SYMMETRIZATION_TOLERANCE
+    ]
+    if refused:
+        raise OperatorSymmetryError("; ".join(refused))
 
 
 def eigenvalues_weighted(op: WeightedOperator, out=None) -> SpectrumReport:
@@ -156,20 +160,17 @@ def eigenvalues_weighted(op: WeightedOperator, out=None) -> SpectrumReport:
     gate ratio of ``WeightedOperator.hermitian_spectrum`` exceeds the tolerance;
     ``out`` is passed to it."""
     values, residual, distance = op.hermitian_spectrum(out=out)
-    _require_symmetric(residual, op.label)
-    return SpectrumReport(values, op.n_points, op.label, distance, _radius_derived(op))
+    _require_symmetric({op.label: residual})
+    return SpectrumReport(values, op.n_points, op.label, distance, op.period == 1)
 
 
-def _radius_derived(op: WeightedOperator) -> bool:
-    return op.period == 1 and not isinstance(op, GramOperator)
-
-
-def dirac_spectra(
-    spinor: WeightedOperator, out=None
-) -> tuple[SpectrumReport, SpectrumReport]:
+def dirac_spectra(spinor: WeightedOperator, out=None, period: int | None = None) -> tuple:
     """Spinor and forms basic Dirac spectra from one P = 1 read of ``spinor``,
-    the periodic matrix ``assemble_basic_dirac_spinor(density, GridSpec(N))``;
-    ``out`` is passed to ``hermitian_spectrum``.
+    the periodic matrix ``assemble_basic_dirac_spinor(density, GridSpec(N))``,
+    and given the density's ``period`` the function Laplacian's, Gram-read
+    from the matrix first (module docstring).  ``out`` is the P = 1 read's
+    S, conj(S) and H, N x N complex arrays, and with a period a fourth: the
+    Gram read works in the last three, so S may be the spinor's matrix.
 
     That matrix is iT, T the twisted differential (bitwise: both scale the
     same cached derivative matrix), and the forms operator is
@@ -178,18 +179,27 @@ def dirac_spectra(
     matrix's anti-Hermitian part is two copies of that of iT, so sqrt(2)
     times the spinor's gate ratio is never below the ratio of the 2N solve
     ``eigenvalues_weighted(assemble_basic_dirac_forms(...))``: the forms gate
-    stays sqrt(2) stricter.  An antiperiodic spinor matrix is iT - 1/2, so
-    its second report is +-spec(iT - 1/2), not a forms spectrum (forms are
-    periodic); no command asks.  The forms radius is never below the spinor's.
+    stays sqrt(2) stricter; the Laplacian's is the larger of the spinor's
+    and the Gram read's shift ratio, and a refusal names every report whose
+    gate fails.  An antiperiodic spinor matrix is iT - 1/2, so its reports
+    are +-spec(iT - 1/2) and no Laplacian (forms are periodic); no command
+    asks.  The forms radius is never below the spinor's.
     """
-    n, derived = spinor.n_points, _radius_derived(spinor)
-    values, residual, distance = spinor.hermitian_spectrum(out=out)
-    _require_symmetric(residual, spinor.label)
-    _require_symmetric(math.sqrt(2.0) * residual, forms_label(n))
-    return (
+    n, derived = spinor.n_points, spinor.period == 1
+    work = (None,) * 4 if out is None else out
+    laplacian = None if period is None else gram_spectrum(spinor.matrix, period, out=work[1:])
+    values, residual, distance = spinor.hermitian_spectrum(out=work[:3])
+    ratios = {spinor.label: residual, forms_label(n): math.sqrt(2.0) * residual}
+    reports = (
         SpectrumReport(values, n, spinor.label, distance, derived),
         SpectrumReport(np.concatenate([-values, values]), n, forms_label(n), distance, derived),
     )
+    if laplacian is not None:
+        gram, shift, gram_distance = laplacian
+        ratios[laplacian_label(n)] = max(residual, shift)
+        reports += (SpectrumReport(gram, n, laplacian_label(n), gram_distance),)
+    _require_symmetric(ratios)
+    return reports
 
 
 def spectrum_compare(a: SpectrumReport, b: SpectrumReport, window: float) -> float:

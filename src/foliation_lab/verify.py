@@ -9,25 +9,23 @@ and a diagnostic in the metadata, never silently.
 Every check is a pure function of the values it is passed.  The two batteries
 build those values once and hold them as locals: ``run_pair_checks`` builds
 each profile's leaf-volume density, spinor Dirac operator and its
-``dirac_spectra``, alpha, and the two function-Laplacian spectra of the
-contrast, each a Gram read along its density's period (``spectral``); the
-conjugation check reads the two operators before they are read, and they
-end with their reads.  ``run_profile_checks`` builds one torus geometry.
+``dirac_spectra`` (with the function Laplacian when the contrast runs), and
+alpha; the conjugation check reads the two operators before their reads end
+them.  ``run_profile_checks`` builds one torus geometry.
 
-``run_pair_checks`` allocates four N x N complex buffers, 0 to 3, once per
+``run_pair_checks`` allocates five N x N complex buffers, 0 to 4, once per
 command with a pair, and writes every N x N complex intermediate into them:
 
 * assembly: dirac_1 in 0, dirac_2 in 1, the conjugation difference in 2;
-* Dirac reads, of dirac_1, then of dirac_2: S over the operator's buffer,
-  S^H in 2, H in 3; then H's gathered diagonals and their DFT in the
-  operator's buffer and their means in 2;
-* Laplacian reads, one after the other: iT in 0; T's gathered block
-  diagonals and then the C_k in 1, the means and then the C_k^H in 2, the
-  C_k C_k^H in 3; then iT's period-1 read, its S in 1, S^H in 2, H in 3.
+* reads of dirac_1, then of dirac_2, each in its buffer: for a contrast that
+  runs, first the Gram read, which leaves that buffer as it is: the
+  gathered block diagonals and then the C_k in 2, the means and then the
+  C_k^H in 3, the C_k C_k^H in 4; then the period-1 read: S over the
+  operator's buffer, S^H in 2, H in 3, then H's gathered diagonals and
+  their DFT in the operator's buffer and their means in 2.
 
-The Dirac reads, with two operators alive, need all four, and a Laplacian
-read three besides its matrix.  An operator built on a buffer is valid only
-until the next phase.
+The Gram read of dirac_1, with both operators alive, needs all five; an
+operator built on a buffer is valid only until the next phase.
 
 Every basic Dirac spectrum is read at period 1, in O(N^2): the paper proves
 invariance by unitary equivalence to a translation-invariant operator.
@@ -44,12 +42,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from ._spectral_diff import fourier_derivative
-from .basic_calculus import (
-    DEGREE_FUNCTION,
-    LeafVolumeDensity,
-    dlog,
-    project_basic,
-)
+from .basic_calculus import LeafVolumeDensity, dlog, project_basic
 from .model_spaces import (
     GridSpec,
     MetricProfile,
@@ -61,7 +54,6 @@ from .model_spaces import (
 from .operators import (
     WeightedOperator,
     assemble_basic_dirac_spinor,
-    assemble_basic_laplacian,
     assemble_lichnerowicz_sides,
     diagonal_conjugate,
 )
@@ -69,7 +61,6 @@ from .spectral import (
     WINDOW_EDGE_SLACK,
     SpectrumReport,
     dirac_spectra,
-    eigenvalues_weighted,
     spectrum_compare,
 )
 
@@ -414,49 +405,45 @@ def run_pair_checks(
 
     Refuses a window outside the grid's trusted range, then, per pair, builds
     each profile's density and spinor Dirac operator, and alpha, once, runs
-    the conjugation check on them, reads both Dirac spectra and the two
-    function Laplacians into the four buffers of the module docstring, and
-    passes the rest to the other checks.  With ``skip_indistinct_laplacian``
-    (for auto-generated pairs) a contrast that has a ``contrast_skip_reason``
-    is recorded as skipped, instead of failing by design.
+    the conjugation check on them, reads each operator's Dirac spectra, and
+    its function Laplacian when the contrast runs, into the five buffers of
+    the module docstring, and passes the rest to the other checks.  With
+    ``skip_indistinct_laplacian`` (for auto-generated pairs) a contrast that
+    has a ``contrast_skip_reason`` is recorded as skipped, instead of failing
+    by design, and no Laplacian is read.
     """
     grid.validate_window(window)
     if not pairs:
         return []
     n = grid.n_points
-    b0, b1, b2, b3 = (np.empty((n, n), np.complex128) for _ in range(4))
+    b0, b1, b2, b3, b4 = (np.empty((n, n), np.complex128) for _ in range(5))
     reports = []
     for p1, p2 in pairs:
         d1 = LeafVolumeDensity.from_profile(p1, grid)
         d2 = LeafVolumeDensity.from_profile(p2, grid)
+        reason = contrast_skip_reason(d1, d2) if skip_indistinct_laplacian else None
         dirac_1 = assemble_basic_dirac_spinor(d1, grid, out=b0)
         dirac_2 = assemble_basic_dirac_spinor(d2, grid, out=b1)
         alpha = basic_volume_ratio(p1, p2, grid)
         metadata = pair_metadata(p1, p2, grid)
         conjugation = conjugation_residual(dirac_1, dirac_2, alpha, metadata, out=b2)
         # Each read writes its S over the operator's matrix: the operators end here.
-        spectra_1 = dirac_spectra(dirac_1, out=(b0, b2, b3))
-        spectra_2 = dirac_spectra(dirac_2, out=(b1, b2, b3))
+        periods = (None, None) if reason else (d1.period, d2.period)
+        spectra_1 = dirac_spectra(dirac_1, out=(b0, b2, b3, b4), period=periods[0])
+        spectra_2 = dirac_spectra(dirac_2, out=(b1, b2, b3, b4), period=periods[1])
         del dirac_1, dirac_2
         reports += [
-            invariance_check(spectra_1, spectra_2, window, metadata),
+            invariance_check(spectra_1[:2], spectra_2[:2], window, metadata),
             kappa_transform_residual(d1, d2, alpha, grid, metadata),
             conjugation,
         ]
-        reason = contrast_skip_reason(d1, d2) if skip_indistinct_laplacian else None
         if reason:
             reports.append(VerificationReport.skipped(
                 "laplacian_dependence", LAPLACIAN_FORMS_THRESHOLD, reason, {**metadata, "tag": "inv"}
             ))
-            continue
-        laplacian_1, laplacian_2 = (
-            eigenvalues_weighted(assemble_basic_laplacian(d, grid, DEGREE_FUNCTION, out=b0),
-                                 out=(b1, b2, b3))
-            for d in (d1, d2)
-        )
-        reports.append(
-            laplacian_dependence(laplacian_1, laplacian_2, spectra_1, spectra_2, window, metadata)
-        )
+        else:
+            reports.append(laplacian_dependence(
+                spectra_1[2], spectra_2[2], spectra_1[:2], spectra_2[:2], window, metadata))
     return reports
 
 

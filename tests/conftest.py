@@ -5,9 +5,11 @@ weighted inner product on the t-circle, the complex-arithmetic diagonal
 scaling, symmetrization and solve that the real-view ones reproduce bit for
 bit (each accepts the ``out`` of the function it stands in for), the dense
 solve that every projected Dirac read is checked against, the delta d and
-d delta assembly that every Gram read of a Laplacian is checked against, and
-the inputs a pair check reads, built as the pair battery builds them."""
+d delta assembly that every Gram read of a Laplacian is checked against, the
+Laplacian report as the commands read it, and the inputs a pair check reads,
+built as the pair battery builds them."""
 
+import dataclasses
 import json
 from types import SimpleNamespace
 
@@ -21,9 +23,9 @@ from foliation_lab.model_spaces import GridSpec, MetricProfile, ProfileTerm
 from foliation_lab.operators import (
     WeightedOperator,
     assemble_basic_dirac_spinor,
-    assemble_basic_laplacian,
     block_circulant_projection,
     codifferential,
+    laplacian_label,
     quadrature_weights,
 )
 from foliation_lab.spectral import SpectrumReport, dirac_spectra, eigenvalues_weighted
@@ -178,6 +180,16 @@ def laplacian_first_nonzero_eigenvalue(report: SpectrumReport, zero_tol: float =
     raise ValueError("spectrum contains no nonzero eigenvalue above tolerance")
 
 
+def laplacian_read(density: LeafVolumeDensity, grid: GridSpec,
+                   degree: str = "function") -> SpectrumReport:
+    """The basic Laplacian's report as ``spectrum`` reads it: the third report
+    of ``dirac_spectra`` on the density's periodic spinor Dirac matrix along
+    the density's period, labelled by degree."""
+    spinor = assemble_basic_dirac_spinor(density, GridSpec(grid.n_points))
+    report = dirac_spectra(spinor, period=density.period)[2]
+    return dataclasses.replace(report, operator_label=laplacian_label(grid.n_points, degree))
+
+
 def pair_inputs(p1: MetricProfile, p2: MetricProfile, grid: GridSpec) -> SimpleNamespace:
     """What ``run_pair_checks`` passes to the pair checks, for calling one alone:
     the two ``densities``, spinor Dirac operators ``dirac``, their
@@ -189,8 +201,7 @@ def pair_inputs(p1: MetricProfile, p2: MetricProfile, grid: GridSpec) -> SimpleN
         densities=densities,
         dirac=dirac,
         spectra=tuple(dirac_spectra(op) for op in dirac),
-        laplacians=tuple(eigenvalues_weighted(assemble_basic_laplacian(d, grid))
-                         for d in densities),
+        laplacians=tuple(laplacian_read(d, grid) for d in densities),
         alpha=basic_volume_ratio(p1, p2, grid),
         metadata=pair_metadata(p1, p2, grid),
     )

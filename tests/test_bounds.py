@@ -13,7 +13,6 @@ from foliation_lab.bounds import (
     bound_failures,
     bound_rows_csv,
     eval_bound,
-    reference_error,
     golden_section_min,
     maximize_on_interval,
     minimize_on_interval,
@@ -174,6 +173,7 @@ class TestS3Bounds:
             reference = piecewise_reference(r)
             for kind, expected in reference.items():
                 assert numeric[kind].value == pytest.approx(expected, abs=1e-6), (kind, r)
+                assert numeric[kind].reference == expected
 
     def test_estmflot_improves_esti_below_one(self):
         for r in np.geomspace(0.1, 0.99, 20):
@@ -241,7 +241,7 @@ class TestS3Bounds:
     def test_largest_references_still_resolved_match_them(self, r):
         reports = s3_bounds(r)
         assert bound_failures(reports) == []
-        assert max(abs(reference_error(report)[0]) for report in reports) > 2.0**29
+        assert max(abs(report.reference) for report in reports) > 2.0**29
 
     @pytest.mark.parametrize("r", [1.5258789054506394e-05, 65536.00003433228, 1e-150, 5e153])
     def test_rejects_r_whose_reference_the_tolerance_cannot_resolve(self, monkeypatch, r):

@@ -18,6 +18,7 @@ from foliation_lab.operators import (
     assemble_lichnerowicz_sides,
     codifferential,
     diagonal_conjugate,
+    gram_spectrum,
     twisted_differential,
 )
 from foliation_lab.spectral import eigenvalues_weighted, spectrum_compare
@@ -33,10 +34,12 @@ from conftest import (
     complex_diagonal_conjugate,
     complex_hermitian_spectrum,
     complex_symmetrized,
+    delta_d_laplacian,
     exp_sin_profile,
     fd_laplacian_spectrum,
     finite_difference_laplacian,
     laplacian_first_nonzero_eigenvalue,
+    laplacian_read,
     pair_inputs,
     weighted_inner_product,
 )
@@ -306,9 +309,9 @@ class TestConsistency:
         tail_h = np.sum(r**n0 * ((n0 + j) / (1 - r) + r / (1 - r) ** 2), axis=0)
         evaluation = s * EPS * root_max * (ks**2 + np.abs(ks) * lam + lam**2 + a / np.min(g))
         kk = ks[None, :]
+        held = assemble_basic_dirac_spinor(density, grid).matrix
+        factor, adjoint = -1j * held, (-1j * held).conj().T
         for degree in ("function", "one_form"):
-            held = assemble_basic_laplacian(density, grid, degree).matrix
-            factor, adjoint = -1j * held, (-1j * held).conj().T
             if degree == "function":  # T (T^H f): v = phi, then v = k g phi
                 first, second = adjoint, factor
                 expected = np.sqrt(g)[:, None] * (kk**2 - 1j * kk * log_dot[:, None]) * phi
@@ -360,16 +363,13 @@ class TestFormsDirac:
 
 class TestBasicLaplacian:
     def test_flat_circle_spectrum(self, flat_profile, grid64):
-        op = assemble_basic_laplacian(_density(flat_profile, grid64), grid64)
-        head = eigenvalues_weighted(op).eigenvalues[:7]
+        head = laplacian_read(_density(flat_profile, grid64), grid64).eigenvalues[:7]
         np.testing.assert_allclose(head, [0, 1, 1, 4, 4, 9, 9], atol=1e-10)
 
     def test_first_eigenvalue_shifts_with_density(self):
         grid = GridSpec(128)
         profile = MetricProfile(1.0, (ProfileTerm(0, 1, 0.5),))
-        spectral = eigenvalues_weighted(
-            assemble_basic_laplacian(_density(profile, grid), grid)
-        )
+        spectral = laplacian_read(_density(profile, grid), grid)
         lam = laplacian_first_nonzero_eigenvalue(spectral)
         assert abs(lam - 1.0) > 1e-3
         # independent second discretization agrees on the shifted value
@@ -380,31 +380,45 @@ class TestBasicLaplacian:
         """The constants are g^{1/2} in the symmetrized frame, and T^H, so also
         T T^H, annihilates g^{1/2}: T^H g^{1/2} = -g^{1/2} D 1."""
         density = _density(mixed_profile, grid64)
-        op = assemble_basic_laplacian(density, grid64)
-        image = op.matrix.conj().T @ np.sqrt(density.g_values)
+        factor = assemble_basic_dirac_spinor(density, grid64).matrix
+        image = factor.conj().T @ np.sqrt(density.g_values)
         assert np.max(np.abs(image)) < 1e-10
-        assert abs(eigenvalues_weighted(op).eigenvalues[0]) < 1e-10
+        assert abs(laplacian_read(density, grid64).eigenvalues[0]) < 1e-10
 
     def test_reads_the_spectrum_of_its_factor_gram_product(self, mixed_profile):
-        """A Laplacian holds iT, the periodic spinor Dirac matrix, whatever the
-        spin structure, and ``eigenvalues_weighted`` returns the spectrum of
-        T T^H, not that of iT; both degrees read the same values."""
+        """A Laplacian is read from iT, the periodic spinor Dirac matrix,
+        whatever the spin structure, as the spectrum of T T^H, not that of
+        iT; both degrees read the same values."""
         for spin in ("trivial", "nontrivial"):
             grid = GridSpec(64, spin)
             density = _density(mixed_profile, grid)
             spinor = assemble_basic_dirac_spinor(density, GridSpec(64))
             gram = np.linalg.eigvalsh(spinor.matrix @ spinor.matrix.conj().T)
             for degree in ("function", "one_form"):
-                op = assemble_basic_laplacian(density, grid, degree)
-                report = eigenvalues_weighted(op)
-                assert np.array_equal(op.matrix, spinor.matrix)
+                report = laplacian_read(density, grid, degree)
                 assert report.operator_label == f"laplacian_{degree}[N=64]"
                 assert np.array_equal(report.eigenvalues, gram)
 
+    def test_assembled_operator_is_the_delta_d_product(self, mixed_profile, cosine_profile,
+                                                       grid64):
+        """``assemble_basic_laplacian`` forms delta @ D or D @ delta, the product
+        the Gram read is checked against, and claims the density's period: a
+        read of it returns the Laplacian spectrum that its label names."""
+        for profile in (mixed_profile, MetricProfile(2.0, (ProfileTerm(0, 2, 0.5),))):
+            density = _density(profile, grid64)
+            for degree in ("function", "one_form"):
+                op = assemble_basic_laplacian(density, grid64, degree)
+                oracle = delta_d_laplacian(density, grid64, degree)
+                assert np.array_equal(op.matrix, oracle.matrix)
+                assert (op.label, op.period) == (f"laplacian_{degree}[N=64]", density.period)
+                report = eigenvalues_weighted(op)
+                assert report.operator_label == op.label
+                np.testing.assert_allclose(
+                    report.eigenvalues, laplacian_read(density, grid64).eigenvalues, atol=1e-9)
+
     def test_spectra_real_and_nonnegative(self, mixed_profile, grid64):
         for degree in ("function", "one_form"):
-            op = assemble_basic_laplacian(_density(mixed_profile, grid64), grid64, degree)
-            values = eigenvalues_weighted(op).eigenvalues
+            values = laplacian_read(_density(mixed_profile, grid64), grid64, degree).eigenvalues
             assert (values >= -1e-10).all()
 
     def test_rejects_unknown_degree(self, flat_profile, grid64):
@@ -540,15 +554,15 @@ def _bits(array) -> np.ndarray:
     return np.ascontiguousarray(array).view(np.uint64)
 
 
-def _assert_gram_read_bits(laplacian, out):
+def _assert_gram_read_bits(factor, period, out):
     """A Gram read into ``out`` gives the bits of the read on fresh arrays and
-    leaves the operator's matrix as it was."""
-    matrix = laplacian.matrix.copy()
-    expected = laplacian.hermitian_spectrum()
-    values, ratio, distance = laplacian.hermitian_spectrum(out=out)
+    leaves its factor as it was."""
+    matrix = factor.copy()
+    expected = gram_spectrum(factor, period)
+    values, ratio, distance = gram_spectrum(factor, period, out=out)
     assert np.array_equal(_bits(values), _bits(expected[0]))
     assert (ratio.hex(), distance.hex()) == (expected[1].hex(), expected[2].hex())
-    assert np.array_equal(_bits(laplacian.matrix), _bits(matrix))
+    assert np.array_equal(_bits(factor), _bits(matrix))
 
 
 class TestRealViewScalingBitParity:
@@ -617,11 +631,10 @@ class TestRealViewScalingBitParity:
 
         spinor = assemble_basic_dirac_spinor(density, grid, out=stale())
         assert np.array_equal(_bits(spinor.matrix), _bits(1j * expected))
-        periodic = 1j * complex_diagonal_conjugate(trivial, root)
-        for degree in ("function", "one_form"):
-            laplacian = assemble_basic_laplacian(density, grid, degree, out=stale())
-            assert np.array_equal(_bits(laplacian.matrix), _bits(periodic))
-            _assert_gram_read_bits(laplacian, stale(3))
+        periodic = assemble_basic_dirac_spinor(density, GridSpec(n_points), out=stale())
+        assert np.array_equal(_bits(periodic.matrix),
+                              _bits(1j * complex_diagonal_conjugate(trivial, root)))
+        _assert_gram_read_bits(periodic.matrix, density.period, stale(3))
 
         expected_h, expected_asymmetry = complex_symmetrized(spinor)
         hermitian, asymmetry = spinor.symmetrized(out=stale(3))
@@ -683,9 +696,8 @@ class TestRealViewScalingBitParity:
             spinor = assemble_basic_dirac_spinor(density, grid)
             # iT's symmetrization iD commutes with every shift: any period is honest
             along = dataclasses.replace(spinor, period=density.period)
-            for degree in ("function", "one_form"):
-                stale = tuple(np.full((n_points, n_points), np.nan, complex) for _ in range(3))
-                _assert_gram_read_bits(assemble_basic_laplacian(density, grid, degree), stale)
+            stale = tuple(np.full((n_points, n_points), np.nan, complex) for _ in range(3))
+            _assert_gram_read_bits(spinor.matrix, density.period, stale)
             for op in (spinor, along):
                 expected = complex_hermitian_spectrum(op)
                 stale = tuple(np.full((n_points, n_points), np.nan, complex) for _ in range(3))

@@ -7,10 +7,10 @@ import re
 import numpy as np
 import pytest
 
-from foliation_lab import spectral
+from foliation_lab import cli, spectral
 from foliation_lab._spectral_diff import differentiation_matrix, wavenumbers
 from foliation_lab.basic_calculus import LeafVolumeDensity
-from foliation_lab.cli import _spectrum_text
+from foliation_lab.cli import _spectrum, _spectrum_text
 from foliation_lab.model_spaces import GridSpec, MetricProfile, ProfileTerm
 from foliation_lab.operators import (
     WeightedOperator,
@@ -20,6 +20,7 @@ from foliation_lab.operators import (
     assemble_lichnerowicz_sides,
     block_circulant_projection,
     diagonal_conjugate,
+    gram_spectrum,
     quadrature_weights,
     twisted_differential,
 )
@@ -32,7 +33,13 @@ from foliation_lab.spectral import (
 )
 from foliation_lab.verify import invariance_check, pair_metadata, random_profile_pair
 
-from conftest import block_circulant_spectrum, delta_d_laplacian, dense_spectrum, pair_inputs
+from conftest import (
+    block_circulant_spectrum,
+    delta_d_laplacian,
+    dense_spectrum,
+    laplacian_read,
+    pair_inputs,
+)
 
 
 def _density(profile, grid):
@@ -53,8 +60,7 @@ class TestEigenvaluesWeighted:
         np.testing.assert_allclose(report.eigenvalues, np.arange(-32, 32), atol=1e-10)
 
     def test_flat_laplacian_head(self, flat_profile, grid64):
-        op = assemble_basic_laplacian(_density(flat_profile, grid64), grid64)
-        head = eigenvalues_weighted(op).eigenvalues[:7]
+        head = laplacian_read(_density(flat_profile, grid64), grid64).eigenvalues[:7]
         np.testing.assert_allclose(head, [0, 1, 1, 4, 4, 9, 9], atol=1e-10)
 
     def test_refuses_asymmetric_operator(self):
@@ -347,9 +353,8 @@ class TestProjectedDiracRead:
         grid = GridSpec(256)
         flat2, wavy = (_density(profile, grid) for profile in (MetricProfile(2.0), cosine_profile))
         spinor = assemble_basic_dirac_spinor(wavy, grid)
-        reports = [eigenvalues_weighted(assemble_basic_laplacian(flat2, grid, degree))
-                   for degree in ("function", "one_form")]
-        reports.append(eigenvalues_weighted(assemble_basic_laplacian(wavy, grid)))
+        reports = [laplacian_read(flat2, grid, degree) for degree in ("function", "one_form")]
+        reports.append(laplacian_read(wavy, grid))
         reports += [eigenvalues_weighted(dataclasses.replace(spinor, period=period))
                     for period in (2, 256)]
         reports += dirac_spectra(dataclasses.replace(spinor, period=256))
@@ -383,18 +388,11 @@ PERIODIC_TERMS = {
 
 
 def _laplacian_function(density, grid):
-    return assemble_basic_laplacian(density, grid, "function")
+    return laplacian_read(density, grid, "function")
 
 
 def _laplacian_one_form(density, grid):
-    return assemble_basic_laplacian(density, grid, "one_form")
-
-
-def _delta_d_along(density, grid, degree):
-    """The delta d or d delta product claiming the density's period: the
-    Hermitian read along a period 1 < P < N, which no assembled operator
-    takes now that the Laplacians are Gram reads."""
-    return dataclasses.replace(delta_d_laplacian(density, grid, degree), period=density.period)
+    return laplacian_read(density, grid, "one_form")
 
 
 class TestBlockCirculantSolve:
@@ -454,7 +452,7 @@ class TestBlockCirculantSolve:
         terms, period = PERIODIC_TERMS[name]
         grid = GridSpec(n_points)
         density = _density(_periodic_profile(terms), grid)
-        op = _delta_d_along(density, grid, degree)
+        op = assemble_basic_laplacian(density, grid, degree)
         assert density.period == op.period == period(n_points)
         hermitian, asymmetry = op.symmetrized()
         dense = np.linalg.eigvalsh(hermitian)
@@ -476,13 +474,13 @@ class TestBlockCirculantSolve:
         read's values are those of the dense Gram product."""
         grid = GridSpec(n_points, spin)
         density = _density(mixed_profile, grid)
+        assert density.period == n_points
+        factor = assemble_basic_dirac_spinor(density, GridSpec(n_points)).matrix
+        gram = np.linalg.eigvalsh(factor @ factor.conj().T)
         for assemble in (_laplacian_function, _laplacian_one_form):
-            laplacian = assemble(density, grid)
-            assert laplacian.period == n_points
-            gram = np.linalg.eigvalsh(laplacian.matrix @ laplacian.matrix.conj().T)
-            values, _, distance = laplacian.hermitian_spectrum()
-            assert np.array_equal(values.view(np.uint64), gram.view(np.uint64))
-            assert distance == 0.0
+            report = assemble(density, grid)
+            assert np.array_equal(report.eigenvalues.view(np.uint64), gram.view(np.uint64))
+            assert report.distance == 0.0
         ops = [*assemble_lichnerowicz_sides(density, grid)]
         if spin == "trivial":
             ops += [delta_d_laplacian(density, grid, degree) for degree in ("function",
@@ -517,14 +515,14 @@ class TestBlockCirculantSolve:
     @pytest.mark.parametrize("assemble", [_laplacian_function, _laplacian_one_form])
     def test_false_period_is_refused(self, cosine_profile, grid64, assemble):
         """g = 2 + cos t has no translation symmetry: a density that claims
-        period N/2 yields Laplacians whose projection distance fails the gate."""
+        period N/2 yields Laplacian reads whose projection distance fails the
+        gate; the Dirac reports of the same call pass theirs."""
         true = _density(cosine_profile, grid64)
         false = LeafVolumeDensity(true.g_values, true.g_dot_values, true.t_bandwidth, period=32)
-        op = assemble(false, grid64)
-        assert op.period == 32
-        with pytest.raises(OperatorSymmetryError, match="not symmetric"):
-            eigenvalues_weighted(op)
-        eigenvalues_weighted(assemble(true, grid64))  # the honest claim passes
+        with pytest.raises(OperatorSymmetryError, match="not symmetric") as refusal:
+            assemble(false, grid64)
+        assert "dirac" not in str(refusal.value)
+        assemble(true, grid64)  # the honest claim passes
 
 
 # t-terms of the theta-average giving period 1, N/2 and N on any grid.
@@ -572,16 +570,16 @@ class TestGramRead:
     """
 
     @staticmethod
-    def _gram_allowance(op, report):
-        n, p = op.n_points, op.period
+    def _gram_allowance(factor, p, report):
+        n = factor.shape[0]
         m = n // p
 
         def gamma(k):
             return k * EPS / (1.0 - k * EPS)
 
         spread = report.distance + (2.0 * gamma(m) + gamma(7.0 * math.log2(m))) * float(
-            np.linalg.norm(op.matrix))
-        blocks = np.abs(block_circulant_projection(op.matrix, p)[0])
+            np.linalg.norm(factor))
+        blocks = np.abs(block_circulant_projection(factor, p)[0])
         product = gamma(p + 2) * max(float(np.linalg.norm(b @ b.T)) for b in blocks)
         solve = p * EPS * (report.eigenvalues[-1] + product)
         sigma = math.sqrt(report.eigenvalues[-1] + product + solve)
@@ -608,25 +606,29 @@ class TestGramRead:
     @pytest.mark.parametrize("name, period", [("flat", lambda n: 1), ("half", lambda n: n // 2),
                                               ("none", lambda n: n)])
     @pytest.mark.parametrize("degree", ["function", "one_form"])
-    def test_gram_read_matches_the_delta_d_oracle(self, n_points, name, period, degree):
+    def test_gram_read_matches_the_delta_d_oracle(self, n_points, name, period, degree,
+                                                  monkeypatch):
         grid = GridSpec(n_points)
         profile = MetricProfile(2.0, GRAM_TERMS[name] + (ProfileTerm(1, 1, 0.3, 0.2, 0.5),))
         density = _density(profile, grid)
-        op = assemble_basic_laplacian(density, grid, degree)
-        assert op.period == density.period == period(n_points)
-        report = eigenvalues_weighted(op)
+        assert density.period == period(n_points)
+        spinor = assemble_basic_dirac_spinor(density, grid)
+        report = laplacian_read(density, grid, degree)
         oracle = delta_d_laplacian(density, grid, degree)
         deviation = np.max(np.abs(report.eigenvalues - dense_spectrum(oracle)))
-        allowance = self._gram_allowance(op, report)
-        allowance += self._oracle_allowance(oracle, -1j * op.matrix, degree)
+        allowance = self._gram_allowance(spinor.matrix, density.period, report)
+        allowance += self._oracle_allowance(oracle, -1j * spinor.matrix, degree)
         assert deviation <= allowance
         # the gate: the larger of the factor's period-1 ratio and the shift bound
-        _, ratio, distance = op.hermitian_spectrum()
-        dirac_ratio = WeightedOperator.hermitian_spectrum(
-            dataclasses.replace(op, period=1))[1]
+        values, shift, distance = gram_spectrum(spinor.matrix, density.period)
+        assert np.array_equal(values, report.eigenvalues) and distance == report.distance
         largest = report.eigenvalues[-1]
-        shift = distance * (2.0 * math.sqrt(largest) + distance) / largest
-        assert ratio == max(dirac_ratio, shift)
+        assert shift == distance * (2.0 * math.sqrt(largest) + distance) / largest
+        dirac_ratio = spinor.hermitian_spectrum()[1]
+        gates = []
+        monkeypatch.setattr(spectral, "_require_symmetric", gates.append)
+        dirac_spectra(spinor, period=density.period)
+        assert gates[0][f"laplacian_function[N={n_points}]"] == max(dirac_ratio, shift)
 
     @pytest.mark.parametrize("n_points", [64, 128, 256])
     def test_density_scale_cancels(self, n_points):
@@ -638,31 +640,36 @@ class TestGramRead:
         terms = GRAM_TERMS["none"]
         scaled = tuple(dataclasses.replace(term, amplitude=2.0 * term.amplitude)
                        for term in terms)
-        ops = [assemble_basic_laplacian(_density(profile, grid), grid)
-               for profile in (MetricProfile(2.0, terms), MetricProfile(4.0, scaled))]
-        reports = [eigenvalues_weighted(op) for op in ops]
-        spread = float(np.linalg.norm(ops[0].matrix - ops[1].matrix))
+        densities = [_density(profile, grid)
+                     for profile in (MetricProfile(2.0, terms), MetricProfile(4.0, scaled))]
+        factors = [assemble_basic_dirac_spinor(density, grid).matrix for density in densities]
+        reports = [laplacian_read(density, grid) for density in densities]
+        spread = float(np.linalg.norm(factors[0] - factors[1]))
         sigma = math.sqrt(max(report.eigenvalues[-1] for report in reports))
         allowance = spread * (2.0 * sigma + spread) + sum(
-            self._gram_allowance(op, report) for op, report in zip(ops, reports))
+            self._gram_allowance(factor, n_points, report)
+            for factor, report in zip(factors, reports))
         deviation = np.max(np.abs(reports[0].eigenvalues - reports[1].eigenvalues))
         assert deviation <= allowance
 
     @pytest.mark.parametrize("degree", ["function", "one_form"])
     @pytest.mark.parametrize("name", ["half", "none"])
-    def test_mutant_factor_is_refused(self, grid64, degree, name):
+    def test_mutant_factor_is_refused(self, grid64, degree, name, monkeypatch):
         """The factor g^{1/2} D g^{-1/2} in place of g^{-1/2} D g^{1/2}: its
         weighted symmetrization i g D g^{-1} is not Hermitian, so the
-        factor's period-1 gate refuses the read (for a constant density the
-        two factors are one)."""
+        factor's period-1 gate refuses the ``spectrum`` command's read (for a
+        constant density the two factors are one)."""
         density = _density(MetricProfile(2.0, GRAM_TERMS[name]), grid64)
-        honest = assemble_basic_laplacian(density, grid64, degree)
+        operator = {"function": "laplacian-functions", "one_form": "laplacian-one-forms"}[degree]
+        honest = assemble_basic_dirac_spinor(density, grid64)
         d = differentiation_matrix(64, "trivial")
         factor = 1j * diagonal_conjugate(d, 1.0 / np.sqrt(density.g_values))
         mutant = dataclasses.replace(honest, matrix=factor)
+        monkeypatch.setattr(cli, "assemble_basic_dirac_spinor", lambda *args: mutant)
         with pytest.raises(OperatorSymmetryError, match=r"laplacian_.*not symmetric"):
-            eigenvalues_weighted(mutant)
-        eigenvalues_weighted(honest)
+            _spectrum(operator, density, grid64)
+        monkeypatch.setattr(cli, "assemble_basic_dirac_spinor", lambda *args: honest)
+        _spectrum(operator, density, grid64)
 
 
 class TestSpectrumCompare:
@@ -681,13 +688,9 @@ class TestSpectrumCompare:
         assert spectrum_compare(flat, wavy, 10.0) < 1e-8
 
     def test_laplacian_spectra_genuinely_differ(self, grid128):
-        flat = eigenvalues_weighted(
-            assemble_basic_laplacian(_density(MetricProfile(1.0), grid128), grid128)
-        )
+        flat = laplacian_read(_density(MetricProfile(1.0), grid128), grid128)
         wavy_profile = MetricProfile(1.0, (ProfileTerm(0, 1, 0.5),))
-        wavy = eigenvalues_weighted(
-            assemble_basic_laplacian(_density(wavy_profile, grid128), grid128)
-        )
+        wavy = laplacian_read(_density(wavy_profile, grid128), grid128)
         shared = min(flat.in_window(10.0).size, wavy.in_window(10.0).size)
         gap = np.max(np.abs(flat.in_window(10.0)[:shared] - wavy.in_window(10.0)[:shared]))
         assert gap > 1e-3
@@ -717,12 +720,8 @@ class TestSimilarityInvariance:
     def test_refinement_stability(self, cosine_profile):
         coarse_grid = GridSpec(64)
         fine_grid = GridSpec(128)
-        coarse = eigenvalues_weighted(
-            assemble_basic_laplacian(_density(cosine_profile, coarse_grid), coarse_grid)
-        )
-        fine = eigenvalues_weighted(
-            assemble_basic_laplacian(_density(cosine_profile, fine_grid), fine_grid)
-        )
+        coarse = laplacian_read(_density(cosine_profile, coarse_grid), coarse_grid)
+        fine = laplacian_read(_density(cosine_profile, fine_grid), fine_grid)
         window = 8.0
         shared = min(coarse.in_window(window).size, fine.in_window(window).size)
         drift = np.max(np.abs(coarse.in_window(window)[:shared] - fine.in_window(window)[:shared]))

@@ -7,6 +7,7 @@ suite.
 """
 
 import importlib
+import json
 from pathlib import Path
 
 import pytest
@@ -41,24 +42,38 @@ def test_tracer_installs_every_span_and_restores_the_originals(tmp_path, tracing
 
 
 def test_traced_verify_and_spectrum_write_the_untraced_reports(tmp_path, tracing):
-    profile = tmp_path / "wavy.json"
-    save_profile(MetricProfile(2.0, (ProfileTerm(0, 1, 1.0),)), profile)
+    """Traced and untraced runs write the same bytes, also for a ``verify``
+    pair whose contrast runs (the Gram reads inside ``dirac_spectra``) and a
+    Laplacian ``spectrum``."""
+    wavy, wavy2 = tmp_path / "wavy.json", tmp_path / "wavy2.json"
+    save_profile(MetricProfile(2.0, (ProfileTerm(0, 1, 1.0),)), wavy)
+    save_profile(MetricProfile(2.0, (ProfileTerm(0, 2, 0.6), ProfileTerm(1, 1, 0.4))), wavy2)
+    small = ["--grid", "64", "--window", "8"]
     commands = {
-        "verify_bundle.json": ["verify", "--pairs", "1", "--grid", "64", "--window", "8"],
-        "spectrum_dirac-spinor_wavy.csv": ["spectrum", "--profile", str(profile),
-                                           "--grid", "64", "--window", "8"],
+        "generated": (["verify", "--pairs", "1", *small], "verify_bundle.json"),
+        "dirac": (["spectrum", "--profile", str(wavy), *small], "spectrum_dirac-spinor_wavy.csv"),
+        "contrast": (["verify", "--profiles", str(wavy), str(wavy2), *small],
+                     "verify_bundle.json"),
+        "laplacian": (["spectrum", "--profile", str(wavy2), "--operator", "laplacian-one-forms",
+                       *small], "spectrum_laplacian-one-forms_wavy2.csv"),
     }
     untraced, traced = tmp_path / "untraced", tmp_path / "traced"
-    for argv in commands.values():
-        assert cli.run([*argv, "--output-dir", str(untraced)]) == 0
+    for key, (argv, _) in commands.items():
+        assert cli.run([*argv, "--output-dir", str(untraced / key)]) == 0
     tracer = tracing.Tracer()
     with tracer.installed():
-        for argv in commands.values():
-            assert cli.run([*argv, "--output-dir", str(traced)]) == 0
-    for name in commands:
-        assert (traced / name).read_bytes() == (untraced / name).read_bytes()
+        for key, (argv, _) in commands.items():
+            assert cli.run([*argv, "--output-dir", str(traced / key)]) == 0
+    for key, (_, name) in commands.items():
+        assert (traced / key / name).read_bytes() == (untraced / key / name).read_bytes()
+    bundle = json.loads((traced / "contrast" / "verify_bundle.json").read_text())
+    contrast = [report for report in bundle["reports"]
+                if report["check_name"] == "laplacian_dependence"]
+    assert [report["passed"] for report in contrast] == [True]
+    assert "skipped" not in contrast[0]["metadata"]
     counts = tracer.span_counts()
     assert counts["verify.random_profile"] == 2
+    assert counts["verify.laplacian_dependence"] == 2
     assert counts["spectral.eigensolve"] > 0
 
 

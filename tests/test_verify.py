@@ -1,5 +1,6 @@
 """Verification harnesses: invariance battery, residual identities, contrasts."""
 
+import json
 import math
 import tracemalloc
 import weakref
@@ -8,12 +9,11 @@ import numpy as np
 import pytest
 import sympy as sp
 
-from foliation_lab import cli, verify
+from foliation_lab import cli, spectral, verify
 from foliation_lab._spectral_diff import differentiation_matrix, fourier_derivative
 from foliation_lab.basic_calculus import LeafVolumeDensity
 from foliation_lab.model_spaces import GridSpec, MetricProfile, ProfileTerm, torus_geometry
 from foliation_lab.operators import (
-    GramOperator,
     WeightedOperator,
     assemble_basic_dirac_spinor,
     assemble_lichnerowicz_sides,
@@ -320,11 +320,11 @@ def test_property_sweep_over_seeded_pairs(n_points):
 @pytest.mark.parametrize(
     "second, skip, shapes",
     [
-        # two Dirac reads at P = 1, then the Laplacians' Gram reads, each with its
-        # factor's P = 1 gate: the flat density's in 64 blocks of size 1, and
-        # 2 + cos t's, without symmetry, in one dense solve
+        # per operator its Laplacian's Gram read, then its Dirac read at P = 1:
+        # the flat density's Gram blocks are 64 of size 1, and 2 + cos t's,
+        # without symmetry, one dense block
         (MetricProfile(2.0, (ProfileTerm(0, 1, 1.0),)), False,
-         [(64, 1, 1)] * 4 + [(1, 64, 64), (64, 1, 1)]),
+         [(64, 1, 1)] * 2 + [(1, 64, 64), (64, 1, 1)]),
         # the theta-average of 1 + cos(theta)/2 is flat: the contrast is skipped
         (MetricProfile(1.0, (ProfileTerm(1, 0, 0.5),)), True, [(64, 1, 1)] * 2),
     ],
@@ -333,10 +333,9 @@ def test_pair_battery_solves_each_spectrum_once(flat_profile, grid64, monkeypatc
                                                 shapes):
     """Per battery: two densities, two spinor Dirac assemblies, one alpha, one
     ``eigvalsh`` call per Dirac operator, on its N 1 x 1 circulant blocks,
-    and, unless the contrast is skipped, two per Laplacian, on the stacked
-    Gram blocks of its density's period and on its factor's N 1 x 1 blocks,
-    no SVD, and one derivative matrix for the pair's (grid, spin
-    structure)."""
+    and, unless the contrast is skipped, one before it for the operator's
+    Laplacian, on the stacked Gram blocks of its density's period, no SVD,
+    and one derivative matrix for the pair's (grid, spin structure)."""
     eigvalsh_sizes, svd_calls, built = [], [], []
     eigvalsh, svd = np.linalg.eigvalsh, np.linalg.svd
     from_profile = LeafVolumeDensity.from_profile.__func__
@@ -382,15 +381,14 @@ def test_pair_battery_solves_each_spectrum_once(flat_profile, grid64, monkeypatc
 def test_pair_battery_assembles_each_dirac_operator_once(cosine_profile, mixed_profile, grid64,
                                                          monkeypatch):
     """Two spinor Dirac assemblies per battery, each read once by
-    ``dirac_spectra`` through ``hermitian_spectrum``; each of the two
-    Laplacians' Gram reads passes its factor through it once, at period 1,
-    for the gate.  The conjugation check reads the two operators that were
-    read, not fresh assemblies, and both are released before the first
-    Laplacian assembly."""
-    assembled, read, solved, conjugated, alive_at_laplacian = [], [], [], [], []
+    ``dirac_spectra``: the Gram read of its Laplacian, on the operator's
+    matrix along its density's period, then ``hermitian_spectrum`` at
+    period 1.  The conjugation check reads the two operators that were read,
+    not fresh assemblies, and no Laplacian is assembled."""
+    assembled, read, events, conjugated = [], [], [], []
     assemble, solve = verify.assemble_basic_dirac_spinor, WeightedOperator.hermitian_spectrum
-    spectra = verify.dirac_spectra
-    conjugate, laplacian = verify.conjugation_residual, verify.assemble_basic_laplacian
+    spectra, gram = verify.dirac_spectra, spectral.gram_spectrum
+    conjugate = verify.conjugation_residual
 
     def counted_assembly(density, grid, out=None):
         op = assemble(density, grid, out=out)
@@ -400,45 +398,44 @@ def test_pair_battery_assembles_each_dirac_operator_once(cosine_profile, mixed_p
     def assembly_index(op):
         return next((i for i, ref in enumerate(assembled) if ref() is op), None)
 
-    def recorded_read(op, out=None):
-        read.append(assembly_index(op))
-        return spectra(op, out=out)
+    def recorded_read(op, out=None, period=None):
+        read.append((assembly_index(op), period))
+        return spectra(op, out=out, period=period)
+
+    def recorded_gram(factor, period, out=None):
+        index = next(i for i, ref in enumerate(assembled) if ref().matrix is factor)
+        events.append(("gram", index, period))
+        return gram(factor, period, out=out)
 
     def recorded_solve(op, out=None):
-        solved.append((assembly_index(op), op.label))
+        events.append(("solve", assembly_index(op), op.period))
         return solve(op, out=out)
 
     def recorded_conjugation(dirac_1, dirac_2, alpha, metadata, out=None):
         conjugated.extend([assembly_index(dirac_1), assembly_index(dirac_2)])
         return conjugate(dirac_1, dirac_2, alpha, metadata, out=out)
 
-    def checked_laplacian(*args, **kwargs):
-        if not alive_at_laplacian:
-            alive_at_laplacian.extend(ref() is not None for ref in assembled)
-        return laplacian(*args, **kwargs)
-
     monkeypatch.setattr(verify, "assemble_basic_dirac_spinor", counted_assembly)
     monkeypatch.setattr(verify, "dirac_spectra", recorded_read)
+    monkeypatch.setattr(spectral, "gram_spectrum", recorded_gram)
     monkeypatch.setattr(WeightedOperator, "hermitian_spectrum", recorded_solve)
     monkeypatch.setattr(verify, "conjugation_residual", recorded_conjugation)
-    monkeypatch.setattr(verify, "assemble_basic_laplacian", checked_laplacian)
     reports = run_pair_checks([(cosine_profile, mixed_profile)], grid64, 8.0)
     assert [report.passed for report in reports] == [True] * 4
     assert len(assembled) == 2
-    assert read == [0, 1]
-    assert solved == [(0, "dirac_spinor[trivial,N=64]"), (1, "dirac_spinor[trivial,N=64]"),
-                      (None, "laplacian_function[N=64]"), (None, "laplacian_function[N=64]")]
+    assert read == [(0, 64), (1, 64)]
+    assert events == [("gram", 0, 64), ("solve", 0, 1), ("gram", 1, 64), ("solve", 1, 1)]
     assert conjugated == [0, 1]
-    assert alive_at_laplacian == [False, False]
+    assert not hasattr(verify, "assemble_basic_laplacian")
 
 
-def test_pair_battery_allocates_its_four_buffers_and_little_else(cosine_profile, mixed_profile,
+def test_pair_battery_allocates_its_five_buffers_and_little_else(cosine_profile, mixed_profile,
                                                                  monkeypatch):
     """Allocation budget at N = 128, warm caches: one battery (contrast
-    included) peaks below its four N x N complex buffers plus two more such
+    included) peaks below its five N x N complex buffers plus two more such
     arrays; the 2-D samples of alpha are most of the rest.  With alpha given,
-    it stays below the four buffers plus one array, so no N x N intermediate
-    of the assemblies, the conjugation, the symmetrizations or the Laplacians
+    it stays below the five buffers plus one array, so no N x N intermediate
+    of the assemblies, the conjugation, the symmetrizations or the Gram reads
     is a fresh array; three pairs in one call peak no higher, and a call with
     no pair allocates no buffer.  ``tracemalloc`` counts numpy's data
     buffers, whatever the allocator and the OS do with them."""
@@ -459,15 +456,15 @@ def test_pair_battery_allocates_its_four_buffers_and_little_else(cosine_profile,
     reports, peak = traced_battery([pair])
     assert [report.passed for report in reports] == [True] * 4
     assert not reports[3].metadata.get("skipped", False)
-    assert peak < (4 + 2) * matrix_bytes
+    assert peak < (5 + 2) * matrix_bytes
     alpha = verify.basic_volume_ratio(cosine_profile, mixed_profile, grid)
     monkeypatch.setattr(verify, "basic_volume_ratio", lambda *args: alpha)
     given_alpha, peak = traced_battery([pair])
     assert given_alpha == reports
-    assert peak < (4 + 1) * matrix_bytes
+    assert peak < (5 + 1) * matrix_bytes
     three_pairs, peak = traced_battery([pair] * 3)
     assert three_pairs == reports * 3
-    assert peak < (4 + 1) * matrix_bytes
+    assert peak < (5 + 1) * matrix_bytes
     no_pair, peak = traced_battery([])
     assert no_pair == [] and peak < matrix_bytes
 
@@ -591,47 +588,69 @@ class TestMutations:
 
 def test_verify_and_invariance_read_dirac_operators_only_at_period_one(
         flat_profile, cosine_profile, tmp_path, monkeypatch):
-    """Every eigensolve of the ``verify``, ``invariance`` and Dirac ``spectrum``
-    commands is one ``eigvalsh`` call on the stacked blocks of the operator's
-    period: a Dirac operator, on either spin structure, reaches it only as
-    N 1 x 1 blocks, never dense, and each Laplacian's Gram read along its
-    density's period, followed by its factor's read at period 1."""
-    labels, periods, sizes = [], [], []
-    solve, eigvalsh = WeightedOperator.hermitian_spectrum, np.linalg.eigvalsh
-    gram_solve = GramOperator.hermitian_spectrum
+    """Every eigensolve of the ``verify``, ``invariance`` and ``spectrum``
+    commands is one ``eigvalsh`` call on the stacked blocks of a period: a
+    Dirac operator, on either spin structure, reaches it only as N 1 x 1
+    blocks, never dense, and a Laplacian only by the Gram read of its
+    density's periodic spinor Dirac matrix along the density's period.  Per
+    pair: one spinor assembly and one period-1 read per density, and one
+    Gram read per density when the contrast runs; a Laplacian ``spectrum``
+    takes one of each."""
+    events, sizes, assembled = [], [], []
+    solve, gram, eigvalsh = (WeightedOperator.hermitian_spectrum, spectral.gram_spectrum,
+                             np.linalg.eigvalsh)
+    assemble = verify.assemble_basic_dirac_spinor
 
-    def recorder(function):
-        def recorded_solve(op, out=None):
-            labels.append(op.label)
-            periods.append(op.period)
-            return function(op, out=out)
-        return recorded_solve
+    def recorded_solve(op, out=None):
+        events.append((op.label, op.period))
+        return solve(op, out=out)
+
+    def recorded_gram(factor, period, out=None):
+        events.append(("gram", period))
+        return gram(factor, period, out=out)
+
+    def counted_assembly(density, grid, out=None):
+        assembled.append(grid.spin_structure)
+        return assemble(density, grid, out=out)
 
     def counted_eigvalsh(matrix, *args, **kwargs):
         sizes.append(matrix.shape)
         return eigvalsh(matrix, *args, **kwargs)
 
-    monkeypatch.setattr(WeightedOperator, "hermitian_spectrum", recorder(solve))
-    monkeypatch.setattr(GramOperator, "hermitian_spectrum", recorder(gram_solve))
+    monkeypatch.setattr(WeightedOperator, "hermitian_spectrum", recorded_solve)
+    monkeypatch.setattr(spectral, "gram_spectrum", recorded_gram)
+    monkeypatch.setattr(verify, "assemble_basic_dirac_spinor", counted_assembly)
+    monkeypatch.setattr(cli, "assemble_basic_dirac_spinor", counted_assembly)
     monkeypatch.setattr(np.linalg, "eigvalsh", counted_eigvalsh)
     flat, wavy = str(tmp_path / "flat.json"), str(tmp_path / "wavy.json")
     save_profile(flat_profile, flat)
     save_profile(cosine_profile, wavy)
     out = ["--grid", "64", "--window", "8", "--output-dir", str(tmp_path / "out")]
-    for argv in (
-        ["verify", "--all", "--pairs", "3", "--seed", "1", *out],
-        ["verify", "--profiles", flat, wavy, *out],
-        ["invariance", "--profiles", flat, wavy, *out],
-        *(["spectrum", "--profile", wavy, "--operator", operator, "--spin", spin, *out]
-          for operator in ("dirac-spinor", "dirac-forms") for spin in ("trivial", "nontrivial")),
-    ):
-        assert cli.run(argv) in (0, 1)
-    assert set(labels) == {"laplacian_function[N=64]", "dirac_spinor[trivial,N=64]",
-                           "dirac_spinor[nontrivial,N=64]"}
-    dirac = [period for label, period in zip(labels, periods) if label.startswith("dirac")]
-    assert len(dirac) == 2 * 3 + 2 + 2 + 4 and set(dirac) == {1}
-    # the flat profile has period 1, 2 + cos t none; each Gram read gates its
-    # factor at period 1
-    laplacian = [period for label, period in zip(labels, periods) if label.startswith("lap")]
-    assert laplacian[-8:] == [1, 1, 64, 1] * 2 and set(laplacian[1::2]) == {1}
-    assert sizes == [(64 // p, p, p) for p in periods]
+    spinor = "dirac_spinor[trivial,N=64]"
+
+    def run(argv):
+        del events[:], assembled[:], sizes[:]
+        assert cli.run([*argv, *out]) in (0, 1)
+        assert sizes == [(64 // period, period, period) for _, period in events]
+        return list(events), list(assembled)
+
+    # five generated pairs: only the contrasts that run read Laplacians
+    read, built = run(["verify", "--all", "--pairs", "5", "--seed", "1"])
+    bundle = json.loads((tmp_path / "out" / "verify_bundle.json").read_text())
+    contrasts = sum(not report["metadata"].get("skipped", False) for report in bundle["reports"]
+                    if report["check_name"] == "laplacian_dependence")
+    assert 0 < contrasts < 5
+    assert built == ["trivial"] * 10
+    assert [event for event in read if event[0] != "gram"] == [(spinor, 1)] * 10
+    assert sum(event[0] == "gram" for event in read) == 2 * contrasts
+    # the flat profile has period 1, 2 + cos t none: per density its Gram
+    # read, then its period-1 read
+    for argv in (["verify", "--profiles", flat, wavy], ["invariance", "--profiles", flat, wavy]):
+        assert run(argv) == ([("gram", 1), (spinor, 1), ("gram", 64), (spinor, 1)],
+                             ["trivial"] * 2)
+    for spin in ("trivial", "nontrivial"):
+        spectrum = ["spectrum", "--profile", wavy, "--spin", spin, "--operator"]
+        assert run([*spectrum, "dirac-spinor"]) == ([(f"dirac_spinor[{spin},N=64]", 1)], [spin])
+        assert run([*spectrum, "dirac-forms"]) == ([(spinor, 1)], ["trivial"])
+        for operator in ("laplacian-functions", "laplacian-one-forms"):
+            assert run([*spectrum, operator]) == ([("gram", 64), (spinor, 1)], ["trivial"])

@@ -14,7 +14,7 @@ trees with
     python3 tools/parity.py parent /tmp/a && python3 tools/parity.py change /tmp/b
     diff -r /tmp/a /tmp/b
 
-The 60 cases run one after another in one process, so state that one call
+The 61 cases run one after another in one process, so state that one call
 left behind would show up as a difference in a later case; the last four
 cases run a grid-256 ``verify`` twice in a row, then an ``invariance`` at
 grid 128 right after a grid-64 ``verify``.  BLAS runs on one thread unless
@@ -84,6 +84,11 @@ def cases() -> dict[str, list[str]]:
     table["verify-wavy2-pairs"] = [
         "verify", "--all", "--profiles", profile("wavy2"), profile("wavy"), profile("flat2"),
         *small]
+    # Gram reads at P = N/2, N and 1 through the pair battery's buffers at
+    # the benchmark's grid.
+    table["verify-wavy2-pairs-n256"] = [
+        "verify", "--all", "--profiles", profile("wavy2"), profile("wavy"), profile("flat2"),
+        "--grid", "256", "--window", "10"]
     table["invariance-wavy2-skew"] = [
         "invariance", "--profiles", profile("wavy2"), profile("skew"), "--grid", "128"]
     for operator in OPERATORS:
