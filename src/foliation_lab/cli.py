@@ -26,7 +26,7 @@ from .bounds import bound_failures, bound_rows_csv, s3_bounds
 from .model_spaces import SPIN_STRUCTURES, GridSpec, MetricProfile, load_profile
 from .operators import assemble_basic_dirac_spinor, laplacian_label
 from .spectral import SpectrumReport, dirac_spectra, eigenvalues_weighted
-from .verify import random_profile_pair, run_pair_checks, run_profile_checks
+from .verify import random_profile, run_pair_checks, run_profile_checks
 
 DEFAULT_SEED = 7041
 SEED_ENV_VAR = "FOLIATION_LAB_SEED"
@@ -175,7 +175,7 @@ def _run_verification(profiles, grid, window, pairs, seed) -> list:
     generated = len(profiles) < 2
     rng = np.random.default_rng(seed)
     reports = run_pair_checks(
-        [random_profile_pair(rng) for _ in range(pairs)] if generated
+        [(random_profile(rng), random_profile(rng)) for _ in range(pairs)] if generated
         else list(zip(profiles, profiles[1:])),
         grid, window, skip_indistinct_laplacian=generated,
     )
@@ -196,17 +196,7 @@ def _write_bundle(reports, grid: GridSpec, seed, args, name: str) -> int:
             "seed": seed,
             "n_checks": len(reports),
         },
-        "reports": [
-            {
-                "check_name": report.check_name,
-                "tag": report.metadata.get("tag", ""),
-                "residual": report.residual,
-                "threshold": report.threshold,
-                "passed": report.passed,
-                "metadata": report.metadata,
-            }
-            for report in reports
-        ],
+        "reports": [{**vars(report), "tag": report.metadata.get("tag", "")} for report in reports],
     }
     lines = []
     for report in reports:
@@ -278,7 +268,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_bounds.set_defaults(func=_cmd_bounds)
 
     p_verify = sub.add_parser("verify", help="Full verification bundle")
-    p_verify.add_argument("--all", action="store_true", help="Run every applicable check")
+    p_verify.add_argument("--all", action="store_true",
+                          help="Accepted for compatibility: verify always runs every applicable check")
     p_verify.add_argument("--profiles", nargs="*", default=[], metavar="PROFILE")
     p_verify.add_argument("--grid", type=int, default=128)
     p_verify.add_argument("--window", type=float, default=10.0)

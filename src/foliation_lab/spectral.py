@@ -155,11 +155,10 @@ def _require_symmetric(ratios: dict) -> None:
         raise OperatorSymmetryError("; ".join(refused))
 
 
-def eigenvalues_weighted(op: WeightedOperator, out=None) -> SpectrumReport:
+def eigenvalues_weighted(op: WeightedOperator) -> SpectrumReport:
     """Full real spectrum of a weighted-Hermitian operator, refused when the
-    gate ratio of ``WeightedOperator.hermitian_spectrum`` exceeds the tolerance;
-    ``out`` is passed to it."""
-    values, residual, distance = op.hermitian_spectrum(out=out)
+    gate ratio of ``WeightedOperator.hermitian_spectrum`` exceeds the tolerance."""
+    values, residual, distance = op.hermitian_spectrum()
     _require_symmetric({op.label: residual})
     return SpectrumReport(values, op.n_points, op.label, distance, op.period == 1)
 

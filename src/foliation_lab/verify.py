@@ -6,12 +6,15 @@ Each check returns a VerificationReport whose ``passed`` flag is exactly
 indistinguishable Laplacian spectra) are reported with an infinite residual
 and a diagnostic in the metadata, never silently.
 
-Every check is a pure function of the values it is passed.  The two batteries
-build those values once and hold them as locals: ``run_pair_checks`` builds
-each profile's leaf-volume density, spinor Dirac operator and its
-``dirac_spectra`` (with the function Laplacian when the contrast runs), and
-alpha; the conjugation check reads the two operators before their reads end
-them.  ``run_profile_checks`` builds one torus geometry.
+Every check is a pure function of the values it is passed, and a check whose
+precondition does not hold returns ``VerificationReport.skipped`` itself.
+The two batteries build those values once and hold them as locals:
+``run_pair_checks`` builds each profile's leaf-volume density, spinor Dirac
+operator and its ``dirac_spectra`` (with the function Laplacian when the
+contrast runs), and alpha; the conjugation check reads the two operators
+before their reads end them, and the contrast reads the forms bound that the
+invariance report recorded.  ``run_profile_checks`` builds one torus
+geometry.  Every pair report carries the tag of ``pair_metadata``.
 
 ``run_pair_checks`` allocates five N x N complex buffers, 0 to 4, once per
 command with a pair, and writes every N x N complex intermediate into them:
@@ -29,9 +32,9 @@ operator built on a buffer is valid only until the next phase.
 
 Every basic Dirac spectrum is read at period 1, in O(N^2): the paper proves
 invariance by unitary equivalence to a translation-invariant operator.
-``invariance`` and ``laplacian_dependence`` read the ``dirac_bounds`` that
-``spectral`` derives for such reads, infinite when a windowed count is not
-certified.
+``invariance_check`` computes, once per pair, the spinor and forms bounds
+that ``spectral`` derives for such reads, infinite when a windowed count is
+not certified; ``laplacian_dependence`` scales the forms bound.
 """
 
 from __future__ import annotations
@@ -75,17 +78,13 @@ LAPLACIAN_GAP_THRESHOLD = 1e-3
 # auto-generated pair runs the Laplacian-dependence contrast.
 DENSITY_MARGIN = 1e-2
 
-# Why a Dirac bound is infinite (``dirac_bounds``): a window count is not
+# Why a Dirac bound is infinite (``invariance_check``): a window count is not
 # certified (``SpectrumReport.window_count``).
 EDGE_DIAGNOSTIC = "a computed eigenvalue lies within its certified radius of the window edge"
 
 # How far the mean-curvature coefficient may vary along theta before the
 # profile is refused by checks that assume basic mean curvature.
 BASIC_KAPPA_TOLERANCE = 1e-8
-
-
-class NonBasicMeanCurvatureError(ValueError):
-    """The profile's mean curvature is not basic (depends on theta)."""
 
 
 @dataclass(frozen=True)
@@ -125,6 +124,7 @@ class VerificationReport:
 def pair_metadata(p1: MetricProfile, p2: MetricProfile, grid: GridSpec) -> dict:
     """The metadata every pair check's report starts from."""
     return {
+        "tag": "inv",
         "profile_1": p1.to_dict(),
         "profile_2": p2.to_dict(),
         "grid": grid.n_points,
@@ -143,24 +143,6 @@ def basic_volume_ratio(p1: MetricProfile, p2: MetricProfile, grid: GridSpec) -> 
     return project_basic(np.divide(f2, f1, out=f2), f1, grid).real
 
 
-def dirac_bounds(spectra_1: tuple, spectra_2: tuple, window: float) -> tuple[float, float, list]:
-    """Bounds on the windowed deviation of the spinor and of the forms spectra
-    of the two operators whose ``dirac_spectra`` are given, and the two
-    spinor window counts.  Each bound is d_1 + d_2 plus the deviation of the
-    computed values, and math.inf when a count is not certified (the edge
-    rule, module docstring)."""
-    (spinor_1, forms_1), (spinor_2, forms_2) = spectra_1, spectra_2
-    counts = [spinor_1.window_count(window), spinor_2.window_count(window)]
-    if None in counts:
-        return math.inf, math.inf, counts
-    distance = spinor_1.distance + spinor_2.distance
-    return (
-        distance + spectrum_compare(spinor_1, spinor_2, window),
-        distance + spectrum_compare(forms_1, forms_2, window),
-        counts,
-    )
-
-
 def invariance_check(
     spectra_1: tuple[SpectrumReport, SpectrumReport],
     spectra_2: tuple[SpectrumReport, SpectrumReport],
@@ -171,20 +153,28 @@ def invariance_check(
     forms) of two bundle-like metrics, each pair ``(spinor, forms)`` as
     ``dirac_spectra`` reads it.
 
-    The residual is the larger of the two ``dirac_bounds``.  A computed
-    eigenvalue within its radius of the window edge leaves the counts
-    uncertified (null): the residual is infinite, with a diagnostic.
+    Each of the spinor and forms bounds is d_1 + d_2 plus the windowed
+    deviation of the computed values (``spectral``); the residual is the
+    larger.  A computed eigenvalue within its radius of the window edge
+    leaves the counts uncertified (null): both bounds are infinite, with a
+    diagnostic.
     """
-    spinor_residual, forms_residual, counts = dirac_bounds(spectra_1, spectra_2, window)
+    (spinor_1, forms_1), (spinor_2, forms_2) = spectra_1, spectra_2
+    counts = [spinor_1.window_count(window), spinor_2.window_count(window)]
+    if None in counts:
+        spinor_residual = forms_residual = math.inf
+    else:
+        distance = spinor_1.distance + spinor_2.distance
+        spinor_residual = distance + spectrum_compare(spinor_1, spinor_2, window)
+        forms_residual = distance + spectrum_compare(forms_1, forms_2, window)
     metadata = {
         **metadata,
-        "tag": "inv",
         "window": window,
         "spinor_residual": spinor_residual,
         "forms_residual": forms_residual,
         "spinor_counts": counts,
         "forms_counts": [None if count is None else 2 * count for count in counts],
-        "projection_distance": [spectra_1[0].distance, spectra_2[0].distance],
+        "projection_distance": [spinor_1.distance, spinor_2.distance],
     }
     if None in counts:
         metadata["diagnostic"] = EDGE_DIAGNOSTIC
@@ -209,7 +199,7 @@ def kappa_transform_residual(
     k1 = d1.mean_curvature_values()
     k2 = d2.mean_curvature_values()
     residual = float(np.max(np.abs(k2 - k1 + dlog(alpha, grid))))
-    metadata = {**metadata, "tag": "inv", "alpha_min": float(alpha.min())}
+    metadata = {**metadata, "alpha_min": float(alpha.min())}
     return VerificationReport.from_residual(
         "kappa_transform", residual, KAPPA_TRANSFORM_THRESHOLD, metadata
     )
@@ -229,7 +219,7 @@ def conjugation_residual(
     np.subtract(dirac_2.matrix, difference, out=difference)
     residual = float(np.linalg.norm(difference))
     return VerificationReport.from_residual(
-        "conjugation", residual, CONJUGATION_THRESHOLD, {**metadata, "tag": "inv"}
+        "conjugation", residual, CONJUGATION_THRESHOLD, metadata
     )
 
 
@@ -256,20 +246,6 @@ def scal_relation_residual(
     )
 
 
-def _require_basic_mean_curvature(geometry: TorusGeometry) -> float:
-    """Return the theta-variation of kappa, raising when it is not basic."""
-    kappa = geometry.kappa_coeff
-    variation = float(np.max(kappa.max(axis=0) - kappa.min(axis=0)))
-    scale = max(1.0, float(np.max(np.abs(kappa))))
-    if variation > BASIC_KAPPA_TOLERANCE * scale:
-        raise NonBasicMeanCurvatureError(
-            "mean curvature is not basic: its coefficient varies along theta by "
-            f"{variation:.3e}; the Lichnerowicz identity check requires a "
-            "product-form profile f = a(theta) c(t)"
-        )
-    return variation
-
-
 def lichnerowicz_residual(
     profile: MetricProfile, grid: GridSpec, geometry: TorusGeometry
 ) -> VerificationReport:
@@ -278,27 +254,34 @@ def lichnerowicz_residual(
     With M = lhs - rhs the residual is max|diag M| + ||M - diag(diag M)||_F, an
     upper bound on the operator norm ||M||_2 that needs no SVD.  Only defined
     for profiles with basic mean curvature, read from the profile's
-    ``torus_geometry``; other profiles are rejected with
-    NonBasicMeanCurvatureError.
+    ``torus_geometry``: when kappa's coefficient varies along theta by more
+    than BASIC_KAPPA_TOLERANCE (relative to max(1, max|kappa|)) the report
+    is skipped, with the variation in its reason.
     """
-    variation = _require_basic_mean_curvature(geometry)
+    metadata = _profile_metadata("schlich", profile, grid)
+    kappa = geometry.kappa_coeff
+    variation = float(np.max(kappa.max(axis=0) - kappa.min(axis=0)))
+    if variation > BASIC_KAPPA_TOLERANCE * max(1.0, float(np.max(np.abs(kappa)))):
+        reason = ("mean curvature is not basic: its coefficient varies along theta by "
+                  f"{variation:.3e}; the Lichnerowicz identity check requires a "
+                  "product-form profile f = a(theta) c(t)")
+        return VerificationReport.skipped("lichnerowicz", LICHNEROWICZ_THRESHOLD, reason, metadata)
     density = LeafVolumeDensity.from_profile(profile, grid)
     lhs, rhs = assemble_lichnerowicz_sides(density, grid)
     difference = lhs.matrix - rhs.matrix
     diagonal = float(np.max(np.abs(np.diagonal(difference))))
     np.fill_diagonal(difference, 0.0)
     residual = diagonal + float(np.linalg.norm(difference))
-    metadata = {**_profile_metadata("schlich", profile, grid), "kappa_theta_variation": variation}
     return VerificationReport.from_residual(
-        "lichnerowicz", residual, LICHNEROWICZ_THRESHOLD, metadata
+        "lichnerowicz", residual, LICHNEROWICZ_THRESHOLD,
+        {**metadata, "kappa_theta_variation": variation},
     )
 
 
 def laplacian_dependence(
     laplacian_1: SpectrumReport,
     laplacian_2: SpectrumReport,
-    spectra_1: tuple[SpectrumReport, SpectrumReport],
-    spectra_2: tuple[SpectrumReport, SpectrumReport],
+    forms_bound: float,
     window: float,
     metadata: dict,
 ) -> VerificationReport:
@@ -307,10 +290,11 @@ def laplacian_dependence(
     Passes only when (a) the function Laplacian spectra of the two densities
     differ by more than the gap threshold somewhere in the window, and (b)
     the squared forms Dirac spectra agree within the forms threshold, by
-    2 (window + WINDOW_EDGE_SLACK) times the forms ``dirac_bounds``, infinite
-    when a window count is not certified.  When (a) fails the residual is
-    infinite and the report flags the metrics as spectrally indistinguishable
-    for the basic Laplacian.
+    2 (window + WINDOW_EDGE_SLACK) times ``forms_bound``, the forms residual
+    that the pair's ``invariance_check`` recorded, infinite when a window
+    count is not certified.  When (a) fails the residual is infinite and the
+    report flags the metrics as spectrally indistinguishable for the basic
+    Laplacian.
     """
     # Compare the shared low end of both Laplacian spectra: eigenvalue shifts
     # can move a state across the window edge, so a raw count comparison
@@ -319,11 +303,9 @@ def laplacian_dependence(
     low_2 = laplacian_2.in_window(window * window)
     shared = min(low_1.size, low_2.size)
     gap = float(np.max(np.abs(low_1[:shared] - low_2[:shared]))) if shared else 0.0
-    edge = window + WINDOW_EDGE_SLACK
-    forms_residual = 2.0 * edge * dirac_bounds(spectra_1, spectra_2, window)[1]
+    forms_residual = 2.0 * (window + WINDOW_EDGE_SLACK) * forms_bound
     metadata = {
         **metadata,
-        "tag": "inv",
         "window": window,
         "laplacian_gap": gap,
         "laplacian_gap_threshold": LAPLACIAN_GAP_THRESHOLD,
@@ -372,10 +354,6 @@ def random_profile(rng: np.random.Generator) -> MetricProfile:
     return MetricProfile(2.0, tuple(terms))
 
 
-def random_profile_pair(rng: np.random.Generator) -> tuple[MetricProfile, MetricProfile]:
-    return random_profile(rng), random_profile(rng)
-
-
 def densities_distinguishable(d1: LeafVolumeDensity, d2: LeafVolumeDensity) -> bool:
     """Whether the two theta-averaged densities differ by more than
     DENSITY_MARGIN, enough for the Laplacian-dependence contrast to be
@@ -407,7 +385,8 @@ def run_pair_checks(
     each profile's density and spinor Dirac operator, and alpha, once, runs
     the conjugation check on them, reads each operator's Dirac spectra, and
     its function Laplacian when the contrast runs, into the five buffers of
-    the module docstring, and passes the rest to the other checks.  With
+    the module docstring, and passes the rest to the other checks; the
+    contrast reads the forms bound of the pair's invariance report.  With
     ``skip_indistinct_laplacian`` (for auto-generated pairs) a contrast that
     has a ``contrast_skip_reason`` is recorded as skipped, instead of failing
     by design, and no Laplacian is read.
@@ -432,36 +411,23 @@ def run_pair_checks(
         spectra_1 = dirac_spectra(dirac_1, out=(b0, b2, b3, b4), period=periods[0])
         spectra_2 = dirac_spectra(dirac_2, out=(b1, b2, b3, b4), period=periods[1])
         del dirac_1, dirac_2
-        reports += [
-            invariance_check(spectra_1[:2], spectra_2[:2], window, metadata),
-            kappa_transform_residual(d1, d2, alpha, grid, metadata),
-            conjugation,
-        ]
+        invariance = invariance_check(spectra_1[:2], spectra_2[:2], window, metadata)
+        reports += [invariance, kappa_transform_residual(d1, d2, alpha, grid, metadata), conjugation]
         if reason:
             reports.append(VerificationReport.skipped(
-                "laplacian_dependence", LAPLACIAN_FORMS_THRESHOLD, reason, {**metadata, "tag": "inv"}
-            ))
+                "laplacian_dependence", LAPLACIAN_FORMS_THRESHOLD, reason, metadata))
         else:
             reports.append(laplacian_dependence(
-                spectra_1[2], spectra_2[2], spectra_1[:2], spectra_2[:2], window, metadata))
+                spectra_1[2], spectra_2[2], invariance.metadata["forms_residual"], window, metadata))
     return reports
 
 
 def run_profile_checks(profile: MetricProfile, grid: GridSpec) -> list[VerificationReport]:
-    """Single-profile identities: the curvature relation always, the
-    Lichnerowicz identity when the mean curvature is basic.  Both read one
+    """Single-profile identities: the curvature relation, and the Lichnerowicz
+    identity, skipped when the mean curvature is not basic.  Both read one
     torus geometry of the profile."""
     geometry = torus_geometry(profile, grid)
-    reports = [scal_relation_residual(profile, grid, geometry)]
-    try:
-        reports.append(lichnerowicz_residual(profile, grid, geometry))
-    except NonBasicMeanCurvatureError as exc:
-        reports.append(
-            VerificationReport.skipped(
-                "lichnerowicz",
-                LICHNEROWICZ_THRESHOLD,
-                str(exc),
-                _profile_metadata("schlich", profile, grid),
-            )
-        )
-    return reports
+    return [
+        scal_relation_residual(profile, grid, geometry),
+        lichnerowicz_residual(profile, grid, geometry),
+    ]

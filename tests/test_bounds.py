@@ -26,6 +26,8 @@ from foliation_lab.model_spaces import (
     s3_transverse_scal,
 )
 
+from su2_oracle import dirac_spectrum
+
 
 def _by_kind(reports):
     return {report.kind: report for report in reports}
@@ -462,3 +464,29 @@ class TestCsvRows:
         collapse = rows["collapse"]
         assert float(collapse[3]) == pytest.approx(3.0 / 8.0 * 6.5)
         assert float(collapse[4]) < 1e-9
+
+
+class TestSu2Oracle:
+    """``FIRST_DIRAC_EIGENVALUE_SQ_S3`` against the exact Peter-Weyl spectra of
+    the Berger spheres S^3_T (``su2_oracle``); T = 1 is the unit round sphere."""
+
+    def test_round_sphere_spectrum(self):
+        """Blocks n <= 6 hold every eigenvalue with |lambda| <= 6.5: +-(k + 3/2)
+        with multiplicity (k + 1)(k + 2) for k <= 5, and nothing else."""
+        values, multiplicities = dirac_spectrum(1.0, 6)
+        in_window = np.abs(values) <= 6.5 + 1e-10
+        for k in range(6):
+            for sign in (1.0, -1.0):
+                near = np.abs(values - sign * (k + 1.5)) <= 1e-10
+                assert multiplicities[near].sum() == (k + 1) * (k + 2)
+        assert multiplicities[in_window].sum() == sum(2 * (k + 1) * (k + 2) for k in range(6))
+
+    def test_first_eigenvalue_pins_the_constant(self):
+        values, _ = dirac_spectrum(1.0, 6)
+        assert np.min(values**2) == pytest.approx(bounds.FIRST_DIRAC_EIGENVALUE_SQ_S3, abs=1e-10)
+
+    @pytest.mark.parametrize("t", [0.25, 0.5, 1.5, 2.0])
+    def test_berger_first_eigenvalue(self, t):
+        """lambda_1(D_T)^2 = (2 - T/2)^2, which tends to the basic lambda_b^2 = 4 as T -> 0."""
+        values, _ = dirac_spectrum(t, 40)
+        assert np.min(values**2) == pytest.approx((2.0 - t / 2.0) ** 2, abs=1e-10)

@@ -473,29 +473,40 @@ class TestVerifyCommand:
         assert len(failed) == 1
         assert failed[0]["check_name"] == "laplacian_dependence"
 
-    def test_failed_and_skipped_checks_named_on_stderr(self, tmp_path, capsys):
-        args = ["verify", "--all", "--grid", "64", "--window", "8", "--seed", "7041"]
-        assert run(args + ["--pairs", "5", "--output-dir", str(tmp_path / "five")]) == 1
+    def test_failed_and_skipped_checks_named_on_stderr(self, tmp_path, capsys, flat_path,
+                                                      wavy_path):
+        # identical profiles fail the Laplacian contrast by design, and a
+        # profile whose mean curvature is not basic skips the Lichnerowicz check
+        skew_path = tmp_path / "skew.json"
+        save_profile(MetricProfile(2.0, (ProfileTerm(1, 1, 0.5),)), skew_path)
+        args = ["verify", "--all", "--grid", "64", "--window", "8", "--profiles",
+                str(flat_path), str(wavy_path)]
+        assert run([*args, str(wavy_path), str(skew_path),
+                    "--output-dir", str(tmp_path / "four")]) == 1
         captured = capsys.readouterr()
         assert captured.out.strip().endswith(": 18 passed, 1 failed, 1 skipped")
         assert captured.err.splitlines() == [
             "failed laplacian_dependence: residual inf > threshold 1e-08: "
             "metrics spectrally indistinguishable for the basic Laplacian",
-            "skipped laplacian_dependence: "
-            "theta-averaged densities are not distinct for this pair",
+            "skipped lichnerowicz: mean curvature is not basic: its coefficient varies "
+            "along theta by 5.000e-01; the Lichnerowicz identity check requires a "
+            "product-form profile f = a(theta) c(t)",
         ]
-        # the first two pairs pass: their records are the same bytes in a
-        # bundle that has a failure and in one that has none
-        assert run(args + ["--pairs", "2", "--output-dir", str(tmp_path / "two")]) == 0
+        # the first pair passes: its records are the same bytes in a bundle
+        # that has a failure and in one that has none
+        assert run([*args, "--output-dir", str(tmp_path / "two")]) == 0
         assert capsys.readouterr().err == ""
-        five = (tmp_path / "five" / "verify_bundle.json").read_text()
+        four = (tmp_path / "four" / "verify_bundle.json").read_text()
         two = (tmp_path / "two" / "verify_bundle.json").read_text()
-        records_two = json.loads(two)["reports"]
-        records_five = json.loads(five)["reports"][: len(records_two)]
-        assert [json.dumps(r, indent=2, sort_keys=True) for r in records_five] == [
+        records_two = json.loads(two)["reports"][:4]
+        records_four = json.loads(four)["reports"][:4]
+        assert [record["check_name"] for record in records_four] == [
+            "invariance", "kappa_transform", "conjugation", "laplacian_dependence"
+        ]
+        assert [json.dumps(r, indent=2, sort_keys=True) for r in records_four] == [
             json.dumps(r, indent=2, sort_keys=True) for r in records_two
         ]
-        assert five == json.dumps(json.loads(five), indent=2, sort_keys=True) + "\n"
+        assert four == json.dumps(json.loads(four), indent=2, sort_keys=True) + "\n"
 
     def test_untrusted_window_without_pair_checks_is_config_error(self, wavy_path):
         code = run(

@@ -655,11 +655,13 @@ class TestRealViewScalingBitParity:
     def _allocating_battery(p1, p2, grid, window):
         """The pair battery's four checks on inputs built without ``out``."""
         pair = pair_inputs(p1, p2, grid)
+        invariance = invariance_check(*pair.spectra, window, pair.metadata)
         return [
-            invariance_check(*pair.spectra, window, pair.metadata),
+            invariance,
             kappa_transform_residual(*pair.densities, pair.alpha, grid, pair.metadata),
             conjugation_residual(*pair.dirac, pair.alpha, pair.metadata),
-            laplacian_dependence(*pair.laplacians, *pair.spectra, window, pair.metadata),
+            laplacian_dependence(*pair.laplacians, invariance.metadata["forms_residual"], window,
+                                 pair.metadata),
         ]
 
     def test_battery_reuses_its_buffers_across_pairs(self, cosine_profile, mixed_profile,

@@ -31,7 +31,7 @@ from foliation_lab.spectral import (
     eigenvalues_weighted,
     spectrum_compare,
 )
-from foliation_lab.verify import invariance_check, pair_metadata, random_profile_pair
+from foliation_lab.verify import invariance_check, pair_metadata, random_profile
 
 from conftest import (
     block_circulant_spectrum,
@@ -238,7 +238,7 @@ class TestProjectedDiracRead:
         window = min(10.0, grid.trust_window)
         edge = window + spectral.WINDOW_EDGE_SLACK
         for _ in range(3):
-            pair = pair_inputs(*random_profile_pair(rng), grid)
+            pair = pair_inputs(random_profile(rng), random_profile(rng), grid)
             report = invariance_check(*pair.spectra, window, pair.metadata)
             dense = [dense_spectrum(op) for op in pair.dirac]
             allowance = sum(spinor.radius - spinor.distance + self._dense_allowance(values)

@@ -18,6 +18,7 @@ from foliation_lab.operators import (
     assemble_basic_dirac_spinor,
     assemble_lichnerowicz_sides,
     diagonal_conjugate,
+    forms_label,
     quadrature_weights,
 )
 from foliation_lab.spectral import (
@@ -27,7 +28,6 @@ from foliation_lab.spectral import (
     spectrum_compare,
 )
 from foliation_lab.verify import (
-    NonBasicMeanCurvatureError,
     conjugation_residual,
     invariance_check,
     kappa_transform_residual,
@@ -35,7 +35,6 @@ from foliation_lab.verify import (
     lichnerowicz_residual,
     pair_metadata,
     random_profile,
-    random_profile_pair,
     run_pair_checks,
     run_profile_checks,
     scal_relation_residual,
@@ -62,7 +61,8 @@ def conjugation(p1, p2, grid):
 
 def contrast(p1, p2, grid, window):
     pair = pair_inputs(p1, p2, grid)
-    return laplacian_dependence(*pair.laplacians, *pair.spectra, window, pair.metadata)
+    forms_bound = invariance_check(*pair.spectra, window, pair.metadata).metadata["forms_residual"]
+    return laplacian_dependence(*pair.laplacians, forms_bound, window, pair.metadata)
 
 
 def scal_relation(profile, grid):
@@ -133,7 +133,7 @@ class TestInvarianceCheck:
         assert report.metadata["forms_residual"] == forms_bound
         # sorting minimizes the largest deviation, and +-x pairs with +-y
         assert report.residual == spinor_bound >= forms_bound
-        squared = laplacian_dependence(*pair.laplacians, *pair.spectra, 10.0, pair.metadata)
+        squared = laplacian_dependence(*pair.laplacians, forms_bound, 10.0, pair.metadata)
         assert squared.metadata["squared_forms_residual"] == (
             2.0 * (10.0 + WINDOW_EDGE_SLACK) * forms_bound
         )
@@ -219,9 +219,11 @@ class TestLichnerowicz:
         report = lichnerowicz(exp_sin_profile(0.5), grid128)
         assert report.residual < 1e-8
 
-    def test_non_basic_profile_rejected(self, skew_profile, grid128):
-        with pytest.raises(NonBasicMeanCurvatureError, match="not basic"):
-            lichnerowicz(skew_profile, grid128)
+    def test_non_basic_profile_skipped(self, skew_profile, grid128):
+        report = lichnerowicz(skew_profile, grid128)
+        assert report.metadata["skipped"] and "not basic" in report.metadata["reason"]
+        assert report.passed and report.residual == 0.0
+        assert "kappa_theta_variation" not in report.metadata
 
     def test_spectral_decay_under_refinement(self, cosine_profile):
         coarse = lichnerowicz(cosine_profile, GridSpec(16)).residual
@@ -310,7 +312,7 @@ def test_property_sweep_over_seeded_pairs(n_points):
     grid = GridSpec(n_points)
     window = min(8.0, grid.trust_window)
     for _ in range(3):
-        pair = pair_inputs(*random_profile_pair(rng), grid)
+        pair = pair_inputs(random_profile(rng), random_profile(rng), grid)
         report = invariance_check(*pair.spectra, window, pair.metadata)
         assert report.passed, report.metadata
         assert kappa_transform_residual(*pair.densities, pair.alpha, grid, pair.metadata).passed
@@ -376,6 +378,31 @@ def test_pair_battery_solves_each_spectrum_once(flat_profile, grid64, monkeypatc
     assert eigvalsh_sizes == shapes
     assert svd_calls == []
     assert differentiation_matrix.cache_info().misses == 1
+
+
+def test_pair_battery_compares_each_dirac_spectrum_once(flat_profile, cosine_profile,
+                                                        mixed_profile, grid64, monkeypatch):
+    """Per pair whose contrast runs, two ``spectrum_compare`` calls, the
+    spinor and then the forms spectra, both in ``invariance_check``: the
+    contrast scales the forms bound that the invariance report recorded."""
+    compared = []
+    compare = verify.spectrum_compare
+
+    def counted_compare(a, b, window):
+        compared.append((a.operator_label, b.operator_label))
+        return compare(a, b, window)
+
+    monkeypatch.setattr(verify, "spectrum_compare", counted_compare)
+    pairs = [(flat_profile, cosine_profile), (cosine_profile, mixed_profile)]
+    reports = run_pair_checks(pairs, grid64, 8.0)
+    labels = ["dirac_spinor[trivial,N=64]", forms_label(64)]
+    assert compared == [(label, label) for label in labels] * len(pairs)
+    for invariance, contrast_report in (reports[0], reports[3]), (reports[4], reports[7]):
+        assert contrast_report.check_name == "laplacian_dependence"
+        assert "skipped" not in contrast_report.metadata
+        assert contrast_report.metadata["squared_forms_residual"] == (
+            2.0 * (8.0 + WINDOW_EDGE_SLACK) * invariance.metadata["forms_residual"]
+        )
 
 
 def test_pair_battery_assembles_each_dirac_operator_once(cosine_profile, mixed_profile, grid64,
