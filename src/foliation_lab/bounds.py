@@ -8,20 +8,17 @@
 * ``collapse`` lambda^2 >= (q+1)/(4q) * inf(Scal_M + |A|^2)
 
 ``s3_bounds`` evaluates all four on the sphere flows, where every quantity is
-a closed-form function of s = |z|^2, at the best points of one uniform scan
-of [0, 1], endpoints included.  The scan misses no extremum: with
-D = r^2 s + 1 - s > 0, the s-derivatives of the esti, estmflot, negated
-minmax (-|A|^2) and collapse integrands are -6 r^2 (r^2 - 1) / D^2,
--(r^2 - 1)(r^4 s + (1 - s) + 3 r^2) / D^3, 4 r^2 (r^2 - 1) / D^3 and
--4 r^2 (r^2 - 1) / D^3, so each integrand is strictly monotone in s for
-r != 1, constant at r = 1, and extreme at s = 0 or 1 (``tests/test_bounds.py``
-derives this with sympy).  For R flow parameters the scan evaluates the
-curvature once on (R, resolution) points, 400 KB per array at the ``sweep``
-defaults (R = 50, resolution 1000), and takes the row minima of the four
-family blocks without stacking them.  The values reproduce the closed
-piecewise-in-r references of ``piecewise_reference``; every row
-``s3_bounds`` returns carries its r and its reference, read once per r, and
-the report writers compare the two.
+a closed-form function of s = |z|^2, at the better end of [0, 1].  No
+interior point can do better: with D = r^2 s + 1 - s > 0, the s-derivatives
+of the esti, estmflot, negated minmax (-|A|^2) and collapse integrands are
+-6 r^2 (r^2 - 1) / D^2, -(r^2 - 1)(r^4 s + (1 - s) + 3 r^2) / D^3,
+4 r^2 (r^2 - 1) / D^3 and -4 r^2 (r^2 - 1) / D^3, so each integrand is
+strictly monotone in s for r != 1, constant at r = 1, and extreme at s = 0
+or 1 (``tests/test_bounds.py`` derives this with sympy).  For R flow
+parameters the curvature is evaluated once, on (R, 2) points.  The values
+reproduce the closed piecewise-in-r references of ``piecewise_reference``;
+every row ``s3_bounds`` returns carries its r and its reference, read once
+per r, and the report writers compare the two.
 """
 
 from __future__ import annotations
@@ -61,9 +58,9 @@ BOUND_REFERENCE_TOLERANCE = 1e-6
 # that this many units exceed BOUND_REFERENCE_TOLERANCE.  Only the minmax
 # reference grows without bound: 9/8 - P/4 for r >= 1 and 9/8 - 1/(4P) for
 # r < 1, with P = fl(r*r) = r^2 (1 + d1).  For r >= 1 the supremum of |A|^2
-# is the scan point s = 0, where the integrand is 2P, and (2/16) 2P = P/4
-# exactly, so the row is the reference bit for bit.  For r < 1 it is the scan
-# point s = 1, where the integrand is 2 fl(fl(r/P)^2), so the row's large term
+# is the endpoint s = 0, where the integrand is 2P, and (2/16) 2P = P/4
+# exactly, so the row is the reference bit for bit.  For r < 1 it is the
+# endpoint s = 1, where the integrand is 2 fl(fl(r/P)^2), so the row's large term
 # fl(fl(r/P)^2)/4 is 1/(4r^2) (1 + d2)^2 (1 + d3) / (1 + d1)^2 against the
 # reference's fl(1/(4P)) = 1/(4r^2) (1 + d4) / (1 + d1), every |d| <= u =
 # eps/2.  The two differ by at most 5u of their size to first order, and
@@ -154,34 +151,28 @@ def golden_section_min(fn, a, b, tol: float = 1e-10):
     return x, fn(x)
 
 
-def minimize_on_interval(fn, a: float, b: float, resolution: int):
-    """Minimum of a uniform scan of [a, b], endpoints included, for a batch of
-    R integrands: exact for integrands monotone in the variable, as the
-    sphere-flow ones are (module docstring).
+def minimize_on_interval(fn, a: float, b: float):
+    """The better endpoint of [a, b] for a batch of R integrands: exact only
+    for integrands monotone in the variable, as the sphere-flow ones are
+    (``tests/test_bounds.py::TestIntegrandsAreMonotone``).
 
-    ``fn`` gets the ``resolution`` scan points as one (1, resolution) row and
-    returns values of shape (R, resolution), row i belonging to the i-th
-    integrand, or a sequence of such row blocks, which are scanned block by
-    block and never stacked.  Returns the arrays ``(argmin, min)``, each of
-    shape (R,); a tie goes to the first scan point.
+    ``fn`` gets the endpoints as one (1, 2) row ``[[a, b]]`` and returns
+    values of shape (R, 2), row i belonging to the i-th integrand.  Returns
+    the arrays ``(argmin, min)``, each of shape (R,); a tie goes to ``a``.
     """
-    if resolution < 100:
-        raise ValueError(f"resolution must be >= 100, got {resolution}")
-    xs = np.linspace(a, b, resolution)
+    xs = np.array([a, b], dtype=np.float64)
     values = fn(xs[np.newaxis, :])
-    blocks = (values,) if isinstance(values, np.ndarray) else values
-    best = [np.argmin(block, axis=1) for block in blocks]
-    minima = [block[np.arange(rows.size), rows] for block, rows in zip(blocks, best)]
-    return xs[np.concatenate(best)], np.concatenate(minima)
+    best = np.argmin(values, axis=1)
+    return xs[best], values[np.arange(best.size), best]
 
 
-def maximize_on_interval(fn, a: float, b: float, resolution: int):
+def maximize_on_interval(fn, a: float, b: float):
     """Maximize by minimizing ``-fn``, batched as minimize_on_interval; no command calls it."""
-    x, negative = minimize_on_interval(lambda s: -fn(s), a, b, resolution)
+    x, negative = minimize_on_interval(lambda s: -fn(s), a, b)
     return x, -negative
 
 
-def s3_bounds(r, resolution: int = 1000) -> list[BoundReport]:
+def s3_bounds(r) -> list[BoundReport]:
     """All four sphere-flow bounds at each flow parameter via numeric extrema in s.
 
     ``r`` is one flow parameter or a nonempty 1-D sequence of them; every r
@@ -190,8 +181,8 @@ def s3_bounds(r, resolution: int = 1000) -> list[BoundReport]:
     curvature's largest term, finite, and with references small enough that
     BOUND_REFERENCE_TOLERANCE exceeds REFERENCE_ROUNDOFF_ULPS of them, which
     keeps r between about 1.53e-5 and 65536; all are checked before any is
-    evaluated.  The extrema of every r come from one scan over all four
-    families.  Reports are r-major: esti, estmflot, minmax, collapse per r.
+    evaluated.  The extrema of every r come from one endpoint read over all
+    four families.  Reports are r-major: esti, estmflot, minmax, collapse per r.
     """
     r_values = np.atleast_1d(np.asarray(r, dtype=np.float64))
     if r_values.ndim != 1:
@@ -219,13 +210,13 @@ def s3_bounds(r, resolution: int = 1000) -> list[BoundReport]:
     count, r_col = r_values.size, r_values[:, np.newaxis]
 
     def integrands(s):
-        """The four family blocks, (R, k) each, at the (1, k) scan points."""
+        """The four family blocks, (R, 2) each at the (1, 2) endpoints, stacked."""
         kappa = s3_kappa_norm(r_col, s)
         a_sq = s3_a_norm_sq(r_col, s)
-        return (s3_transverse_scal(r_col, s), S3_SCALAR_CURVATURE + a_sq + kappa * kappa,
-                -a_sq, S3_SCALAR_CURVATURE + a_sq)
+        return np.vstack((s3_transverse_scal(r_col, s), S3_SCALAR_CURVATURE + a_sq + kappa * kappa,
+                          -a_sq, S3_SCALAR_CURVATURE + a_sq))
 
-    args, extremes = minimize_on_interval(integrands, 0.0, 1.0, resolution)
+    args, extremes = minimize_on_interval(integrands, 0.0, 1.0)
     q, n = S3_FLOW_Q, S3_FLOW_N
     reports = []
     for r_i, reference, arg_row, (esti, flot, negative_sup, col) in zip(

@@ -38,6 +38,9 @@ _OPERATOR_CHOICES = (
     "laplacian-one-forms",
 )
 
+_RESOLUTION_HELP = ("Accepted for compatibility and ignored: each bound integrand is monotone "
+                    "in s, so it is read at s = 0 and s = 1 only")
+
 
 def _json_safe(value):
     """``value`` with numpy scalars made Python numbers and every non-finite
@@ -161,14 +164,14 @@ def _write_bounds(reports, args, stem: str) -> int:
 
 
 def _cmd_bounds(args) -> int:
-    return _write_bounds(s3_bounds(args.r, args.resolution), args, "bounds")
+    return _write_bounds(s3_bounds(args.r), args, "bounds")
 
 
 def _cmd_sweep(args) -> int:
     if not 0.0 < args.r_min < args.r_max < math.inf:
         raise ValueError("need 0 < r-min < r-max < inf")
     r_values = np.geomspace(args.r_min, args.r_max, args.count)
-    return _write_bounds(s3_bounds(r_values, args.resolution), args, "sweep_bounds")
+    return _write_bounds(s3_bounds(r_values), args, "sweep_bounds")
 
 
 def _run_verification(profiles, grid, window, pairs, seed) -> list:
@@ -262,7 +265,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_bounds = sub.add_parser("bounds", help="Sphere-flow eigenvalue bounds")
     p_bounds.add_argument("--r", type=float, nargs="+", required=True)
-    p_bounds.add_argument("--resolution", type=int, default=1000)
+    p_bounds.add_argument("--resolution", type=int, help=_RESOLUTION_HELP)
     p_bounds.add_argument("--output-dir", default=".")
     p_bounds.add_argument("--format", choices=("csv", "json"), default="csv")
     p_bounds.set_defaults(func=_cmd_bounds)
@@ -284,7 +287,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_sweep.add_argument("--r-min", type=float, default=0.1)
     p_sweep.add_argument("--r-max", type=float, default=10.0)
     p_sweep.add_argument("--count", type=int, default=50)
-    p_sweep.add_argument("--resolution", type=int, default=1000)
+    p_sweep.add_argument("--resolution", type=int, help=_RESOLUTION_HELP)
     p_sweep.add_argument("--output-dir", default=".")
     p_sweep.add_argument("--format", choices=("csv", "json"), default="csv")
     p_sweep.set_defaults(func=_cmd_sweep)

@@ -103,7 +103,7 @@ def test_criterion_3_sphere_flow_bounds():
     ok = True
     worst = 0.0
     for r, targets in expected.items():
-        numeric = {report.kind: report.value for report in s3_bounds(r, resolution=1000)}
+        numeric = {report.kind: report.value for report in s3_bounds(r)}
         reference = piecewise_reference(r)
         for kind, target in targets.items():
             worst = max(worst, abs(numeric[kind] - target))
@@ -114,7 +114,7 @@ def test_criterion_3_sphere_flow_bounds():
     for r in np.geomspace(0.1, 10.0, 50):
         if r >= 1.0:
             continue
-        numeric = {report.kind: report.value for report in s3_bounds(r, resolution=300)}
+        numeric = {report.kind: report.value for report in s3_bounds(r)}
         ok = ok and numeric["estmflot"] >= numeric["esti"]
         comparisons += 1
     _report(3, "sphere-flow bounds", ok, f"worst |error|={worst:.2e}, r<1 points={comparisons}")

@@ -114,41 +114,49 @@ class TestScanOptimizers:
             assert (x[i, 0], fx[i, 0]) == want
 
     def test_scan_finds_endpoint_minimum(self):
-        (x,), (fx,) = minimize_on_interval(lambda s: s, 0.0, 1.0, 100)
+        (x,), (fx,) = minimize_on_interval(lambda s: s, 0.0, 1.0)
         assert x == pytest.approx(0.0, abs=1e-9)
         assert fx == pytest.approx(0.0, abs=1e-9)
 
     def test_maximize(self):
-        # 0.25 is the scan point 50 of 201, so the scan returns it exactly.
-        (x,), (fx,) = maximize_on_interval(lambda s: -(s - 0.25) ** 2 + 2.0, 0.0, 1.0, 201)
-        assert (x, fx) == (0.25, 2.0)
+        """Rows that rise take b, rows that fall take a, each with its exact value."""
+        slopes = np.array([[2.0], [-3.0], [0.5]])
+        x, fx = maximize_on_interval(lambda s: slopes * s + 1.0, 0.25, 0.75)
+        np.testing.assert_array_equal(x, [0.75, 0.25, 0.75])
+        np.testing.assert_array_equal(fx, [2.5, 0.25, 1.375])
 
     def test_one_extremum_per_row(self):
-        """Each row's minimum sits on a scan point, which the scan returns
-        exactly; nothing refines it off the scan."""
-        offsets = np.linspace(0.0, 1.0, 301)[[60, 150, 270], np.newaxis]
-        x, fx = minimize_on_interval(lambda s: (s - offsets) ** 2 - offsets, 0.0, 1.0, 301)
-        np.testing.assert_array_equal(x, offsets[:, 0])
-        np.testing.assert_array_equal(fx, -offsets[:, 0])
+        """A batch of rising and falling rows: each row's minimum is its lower
+        endpoint value, read exactly, at its own endpoint."""
+        slopes = np.array([[1.0], [-1.0], [4.0], [-0.5]])
+        x, fx = minimize_on_interval(lambda s: slopes * (s - 0.5), -1.0, 2.0)
+        np.testing.assert_array_equal(x, [-1.0, 2.0, -1.0, 2.0])
+        np.testing.assert_array_equal(fx, [-1.5, -1.5, -6.0, -0.75])
 
-    def test_low_resolution_rejected(self):
-        with pytest.raises(ValueError, match="resolution"):
-            minimize_on_interval(lambda s: s, 0.0, 1.0, 10)
+    def test_tie_goes_to_a(self):
+        levels = np.array([[3.0], [-2.0], [0.0]])
+        for optimizer in (minimize_on_interval, maximize_on_interval):
+            x, fx = optimizer(lambda s: levels + 0.0 * s, 0.2, 0.9)
+            np.testing.assert_array_equal(x, [0.2, 0.2, 0.2])
+            np.testing.assert_array_equal(fx, levels[:, 0])
 
     @pytest.mark.parametrize("optimizer", [minimize_on_interval, maximize_on_interval])
-    @pytest.mark.parametrize("resolution", [100, 437, 1000])
-    def test_scan_is_one_array_call(self, optimizer, resolution):
-        """One (R, resolution) scan call and nothing after it."""
-        offsets = np.linspace(0.0, 0.45, 50)[:, np.newaxis]
-        shapes = []
+    @pytest.mark.parametrize("rows", [1, 7, 50])
+    def test_scan_is_one_array_call(self, optimizer, rows):
+        """One call on the (1, 2) endpoints [[a, b]], returning (R, 2), and nothing after it."""
+        offsets = np.linspace(0.0, 0.45, rows)[:, np.newaxis]
+        points, shapes = [], []
 
         def recording(s):
             values = np.cos(7.0 * (s + offsets))
+            points.append(s)
             shapes.append(values.shape)
             return values
 
-        optimizer(recording, 0.0, 1.0, resolution)
-        assert shapes == [(50, resolution)]
+        x, fx = optimizer(recording, 0.125, 0.875)
+        assert shapes == [(rows, 2)]
+        np.testing.assert_array_equal(points[0], [[0.125, 0.875]])
+        assert x.shape == fx.shape == (rows,)
 
 
 class TestS3Bounds:
@@ -171,7 +179,7 @@ class TestS3Bounds:
         for r in np.geomspace(0.1, 10.0, 25):
             if abs(r - 1.0) < 1e-9:
                 continue
-            numeric = _by_kind(s3_bounds(r, resolution=400))
+            numeric = _by_kind(s3_bounds(r))
             reference = piecewise_reference(r)
             for kind, expected in reference.items():
                 assert numeric[kind].value == pytest.approx(expected, abs=1e-6), (kind, r)
@@ -179,12 +187,12 @@ class TestS3Bounds:
 
     def test_estmflot_improves_esti_below_one(self):
         for r in np.geomspace(0.1, 0.99, 20):
-            reports = _by_kind(s3_bounds(r, resolution=300))
+            reports = _by_kind(s3_bounds(r))
             assert reports["estmflot"].value >= reports["esti"].value
 
     def test_collapse_never_beats_estmflot(self):
         for r in np.geomspace(0.1, 10.0, 20):
-            reports = _by_kind(s3_bounds(r, resolution=300))
+            reports = _by_kind(s3_bounds(r))
             assert reports["collapse"].value <= reports["estmflot"].value + 1e-12
 
     def test_a_norm_convention_reproduces_both_minmax_branches(self):
@@ -202,13 +210,13 @@ class TestS3Bounds:
             s3_bounds(0.0)
 
     def test_sequence_of_r_is_r_major(self):
-        reports = s3_bounds([0.5, 2.0, 1.0], 300)
+        reports = s3_bounds([0.5, 2.0, 1.0])
         kinds = ("esti", "estmflot", "minmax", "collapse")
         assert [(report.r, report.kind) for report in reports] == [
             (r, kind) for r in (0.5, 2.0, 1.0) for kind in kinds
         ]
         assert all(type(report.r) is float for report in reports)
-        assert reports[4:8] == s3_bounds(2.0, 300)
+        assert reports[4:8] == s3_bounds(2.0)
 
     @pytest.mark.parametrize("bad", [-1.0, 0.0, np.inf, -np.inf, np.nan])
     def test_every_r_is_checked_before_any_work(self, monkeypatch, bad):
@@ -226,7 +234,7 @@ class TestS3Bounds:
 
     @pytest.mark.filterwarnings("error::RuntimeWarning")
     def test_rejects_r_whose_scans_overflow(self, monkeypatch):
-        assert len(s3_bounds(65536.0, 100)) == 4
+        assert len(s3_bounds(65536.0)) == 4
 
         def unreachable(*args):
             raise AssertionError("evaluated before every r was checked")
@@ -317,11 +325,14 @@ class TestIntegrandsAreMonotone:
         assert all(end.is_positive for end in ends) or all(end.is_negative for end in ends)
 
 
-@pytest.mark.parametrize("resolution", [100, 437, 1000])
-def test_one_stacked_search_serves_all_four_families(monkeypatch, resolution):
-    """One scan over the four families of every r: the curvature functions are
-    evaluated once, on (R, resolution) points, and nothing refines the scan."""
-    r_values = np.concatenate([np.geomspace(0.1, 10.0, 6), [1.0, 3e-3, 6e4]])
+@pytest.mark.parametrize("r_values", [
+    np.array([0.5]),
+    np.geomspace(0.1, 10.0, 50),
+    np.concatenate([np.geomspace(0.1, 10.0, 6), [1.0, 3e-3, 6e4]]),
+], ids=["one", "sweep", "mixed"])
+def test_one_stacked_search_serves_all_four_families(monkeypatch, r_values):
+    """One endpoint read over the four families of every r: the curvature
+    functions are evaluated once, on (rows, 2) points, and nothing refines it."""
     rows = r_values.size
     calls = {"minimize_on_interval": 0, "golden_section_min": 0}
     shapes = {name: [] for name in ("s3_transverse_scal", "s3_kappa_norm", "s3_a_norm_sq")}
@@ -337,10 +348,10 @@ def test_one_stacked_search_serves_all_four_families(monkeypatch, resolution):
             return _fn(r, s)
 
         monkeypatch.setattr(bounds, name, recorded)
-    s3_bounds(r_values, resolution)
+    s3_bounds(r_values)
     assert calls == {"minimize_on_interval": 1, "golden_section_min": 0}
     for name, seen in shapes.items():
-        assert seen == [(rows, resolution)], name
+        assert seen == [(rows, 2)], name
 
 
 def _scalar_golden_min(fn, a, b, tol=1e-10):
@@ -371,8 +382,9 @@ def _scalar_scan_min(fn, a, b, resolution):
     return float(xs[best]), values[best]
 
 
-def _scalar_s3_bounds(r, resolution):
-    """Per-r oracle for s3_bounds: one scalar scan per family.
+def _scalar_integrands(r):
+    """The four family integrands s3_bounds minimizes, at one r, as scalar
+    functions of s keyed by kind.
 
     Each curvature value is read from a one-element array, so that x**2
     squares as it does in the batch: a scalar x**2 calls pow, which differs
@@ -387,12 +399,18 @@ def _scalar_s3_bounds(r, resolution):
         kappa = at(s3_kappa_norm, s)
         return S3_SCALAR_CURVATURE + at(s3_a_norm_sq, s) + kappa * kappa
 
-    s_esti, esti = _scalar_scan_min(lambda s: at(s3_transverse_scal, s), 0.0, 1.0, resolution)
-    s_flot, flot = _scalar_scan_min(combined, 0.0, 1.0, resolution)
-    s_max, negative_sup = _scalar_scan_min(lambda s: -at(s3_a_norm_sq, s), 0.0, 1.0, resolution)
-    s_col, col = _scalar_scan_min(
-        lambda s: S3_SCALAR_CURVATURE + at(s3_a_norm_sq, s), 0.0, 1.0, resolution
-    )
+    return {"esti": lambda s: at(s3_transverse_scal, s), "estmflot": combined,
+            "minmax": lambda s: -at(s3_a_norm_sq, s),
+            "collapse": lambda s: S3_SCALAR_CURVATURE + at(s3_a_norm_sq, s)}
+
+
+def _scalar_s3_bounds(r, resolution):
+    """Per-r oracle for s3_bounds: one scalar scan per family."""
+    integrands = _scalar_integrands(r)
+    s_esti, esti = _scalar_scan_min(integrands["esti"], 0.0, 1.0, resolution)
+    s_flot, flot = _scalar_scan_min(integrands["estmflot"], 0.0, 1.0, resolution)
+    s_max, negative_sup = _scalar_scan_min(integrands["minmax"], 0.0, 1.0, resolution)
+    s_col, col = _scalar_scan_min(integrands["collapse"], 0.0, 1.0, resolution)
     rows = (
         ("esti", {"inf_scal_transverse": esti}, s_esti),
         ("estmflot", {"inf_scal_plus_tensors": flot}, s_flot),
@@ -415,13 +433,41 @@ class TestArrayScanParity:
 
     @pytest.mark.parametrize("resolution", [1000, 437, 100])
     def test_matches_scalar_scan(self, resolution):
-        batched = s3_bounds(self.R_VALUES, resolution)
+        batched = s3_bounds(self.R_VALUES)
         expected = [
             (float(r), *row) for r in self.R_VALUES for row in _scalar_s3_bounds(r, resolution)
         ]
         got = [(report.r, report.kind, report.value, report.inputs["arg_s"]) for report in batched]
         assert got == expected
         assert {report.inputs["arg_s"] for report in batched if report.r == 1.0} == {0.0}
+
+
+class TestEndpointReadMatchesTheScan:
+    """The endpoint read against the 1000-point scan, over r drawn
+    log-uniformly from the accepted range and r within round-off of 1, where
+    the computed integrands are flat to round-off and the scan's first
+    minimum may be an interior point."""
+
+    R_VALUES = np.concatenate([
+        np.exp(np.random.default_rng(28).uniform(np.log(1.6e-5), np.log(65000.0), 48)),
+        [np.nextafter(1.0, np.inf), np.nextafter(1.0, -np.inf)],
+        1.0 + np.array([1e-15, -1e-15, 1e-12, -1e-12, 1e-9, -1e-9]),
+    ])
+
+    def test_values_equal_the_scan_and_arg_s_ties_its_minimum(self):
+        reports = s3_bounds(self.R_VALUES)
+        moved = set()
+        for i, r in enumerate(self.R_VALUES.tolist()):
+            integrands = _scalar_integrands(r)
+            for report, (kind, value, scan_s) in zip(reports[4 * i:4 * i + 4],
+                                                     _scalar_s3_bounds(r, 1000)):
+                assert (report.r, report.kind, report.value) == (r, kind, value)
+                arg_s = report.inputs["arg_s"]
+                assert arg_s in (0.0, 1.0)
+                if arg_s != scan_s:
+                    assert integrands[kind](arg_s) == integrands[kind](scan_s), (kind, r)
+                    moved.add(r)
+        assert moved and all(abs(r - 1.0) < 1e-12 for r in moved), sorted(moved)
 
 
 class TestPiecewiseReference:
@@ -444,7 +490,7 @@ class TestPiecewiseReference:
 
     def test_every_sphere_flow_bound_has_a_reference(self):
         for r in (0.3, 1.0, 3.0):
-            assert set(piecewise_reference(r)) == {report.kind for report in s3_bounds(r, 100)}
+            assert set(piecewise_reference(r)) == {report.kind for report in s3_bounds(r)}
 
     def test_rejects_nonpositive(self):
         with pytest.raises(ValueError):

@@ -376,6 +376,18 @@ class TestBoundsCommand:
         else:
             assert swept == json.dumps(rows, indent=2, sort_keys=True) + "\n"
 
+    @pytest.mark.parametrize("argv", [["bounds", "--r", "0.5", "1.0", "3.0"],
+                                      ["sweep", "--count", "3"]])
+    def test_resolution_is_accepted_and_ignored(self, tmp_path, argv):
+        """Any --resolution, 10 and 1 included, writes the bytes of none."""
+        name = "bounds.csv" if argv[0] == "bounds" else "sweep_bounds.csv"
+        assert run([*argv, "--output-dir", str(tmp_path / "none")]) == 0
+        expected = (tmp_path / "none" / name).read_bytes()
+        for resolution in ("1", "10", "100", "1000"):
+            out = tmp_path / resolution
+            assert run([*argv, "--resolution", resolution, "--output-dir", str(out)]) == 0
+            assert (out / name).read_bytes() == expected, resolution
+
 
 class TestVerifyCommand:
     def test_two_profiles_all_pass(self, tmp_path, flat_path, wavy_path):

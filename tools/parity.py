@@ -14,7 +14,7 @@ trees with
     python3 tools/parity.py parent /tmp/a && python3 tools/parity.py change /tmp/b
     diff -r /tmp/a /tmp/b
 
-The 61 cases run one after another in one process, so state that one call
+The 62 cases run one after another in one process, so state that one call
 left behind would show up as a difference in a later case; the last four
 cases run a grid-256 ``verify`` twice in a row, then an ``invariance`` at
 grid 128 right after a grid-64 ``verify``.  BLAS runs on one thread unless
@@ -119,6 +119,12 @@ def cases() -> dict[str, list[str]]:
     table["bounds-json-flat"] = [
         "bounds", "--r", "1", "0.9995", "1500", "2e-4", "--format", "json"]
     table["sweep-json-res100"] = ["sweep", "--format", "json", "--resolution", "100"]
+    # Flow parameters within an ulp or a few hundred of 1: the integrands are
+    # flat to round-off, and an endpoint read and a scan's first minimum may
+    # pick different points of equal value.
+    table["bounds-json-roundoff-flat"] = [
+        "bounds", "--r", "1.0000000000000002", "0.9999999999999999", "1.0000000000000437",
+        "--format", "json"]
     # Back-to-back pair batteries: a buffer that one call leaves stale or
     # sized for another grid would change the second call's bytes.
     repeated = ["verify", "--all", "--grid", "256", "--window", "10", "--seed", "3"]
