@@ -21,7 +21,7 @@ symmetrization's sums are done in place with unchanged arithmetic.
 
 Every N x N result can be written to caller-owned arrays: ``out`` is one
 array for ``diagonal_conjugate`` and ``assemble_basic_dirac_spinor``, three
-(S, conj(S), H) for ``WeightedOperator.symmetrized`` and
+(S, S^H, H) for ``WeightedOperator.symmetrized`` and
 ``WeightedOperator.hermitian_spectrum``, whose projection reuses them, and
 three work arrays for ``gram_spectrum``.  S may be written over the
 operator's own matrix, which then ends the operator; a Gram read never
@@ -87,14 +87,15 @@ class WeightedOperator:
     def symmetrized(self, out=None) -> tuple[np.ndarray, float]:
         """H = (S + S^H)/2 for S = W^{1/2} M W^{-1/2} (exactly Hermitian) and the
         asymmetry ||S - S^H||_F.  ``out``, three N x N complex arrays, receives
-        S, conj(S) and H (overwritten, returned as H); without it each is a new
-        array, and only H stays alive."""
+        S, S^H and H (overwritten, returned as H); without it each is a new
+        array, and only H stays alive.  S^H is written contiguous, so the sum
+        and the difference read rows of both."""
         s_out, adjoint_out, hermitian_out = (None,) * 3 if out is None else out
         root = np.sqrt(self.weights)
         scaled = np.multiply(self.matrix.view(np.float64), root[:, None], out=_real_view(s_out))
         scaled *= np.repeat(1.0 / root, 2)
         sym = scaled.view(np.complex128)
-        adjoint = np.conjugate(sym, out=adjoint_out).T
+        adjoint = np.conjugate(sym.T, out=adjoint_out, order="C")
         hermitian = np.add(sym, adjoint, out=hermitian_out)
         hermitian *= 0.5
         sym -= adjoint
@@ -102,7 +103,7 @@ class WeightedOperator:
 
     def hermitian_spectrum(self, out=None) -> tuple[np.ndarray, float, float]:
         """Ascending eigenvalues of P, the projection of the ``symmetrized`` H
-        along ``period`` (``block_circulant_projection``, in the S and conj(S)
+        along ``period`` (``block_circulant_projection``, in the S and S^H
         arrays of ``out``); the gate ratio (||S - S^H||_F + 2 d) / max|lambda|;
         and d = ||H - P||_F.  With period = N, P = H and d = 0: the dense
         solve.  The numerator bounds the distance of S and S^H from the matrix
@@ -135,11 +136,14 @@ def block_circulant_projection(
     so P is the Frobenius-orthogonal projection.  The unitary block DFT gives
     P(X) = U diag(C_k) U^H, C_k = sum_r B_r e^{-2 pi i r k / m}: the C_k carry
     the eigenvalues of a Hermitian P(X) and the singular values of any.  At
-    p = N, P(X) = X, copied.  ``out``, two N x N complex arrays, holds the
+    p = N, P(X) = X, returned as is: the block is X itself and ``out`` is
+    not written.  Otherwise ``out``, two N x N complex arrays, holds the
     gathered X (block row a from block a + r, two strided reads, before the
     block diagonals wrap and after), then X - P(X), then the C_k; and the B_r.
     """
     size = matrix.shape[0]
+    if period == size:
+        return matrix[None], 0.0
     m = size // period
     gather_out, means_out = (None, None) if out is None else out
     rolled = np.empty_like(matrix) if gather_out is None else gather_out

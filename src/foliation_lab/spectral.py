@@ -101,13 +101,15 @@ class OperatorSymmetryError(ValueError):
 @dataclass(frozen=True)
 class SpectrumReport:
     """Sorted real spectrum, its grid provenance, the ``distance`` ||X - P||_F of
-    the projection it was read from (0 if dense) and whether it is a P = 1 Hermitian read."""
+    the projection it was read from (0 if dense), whether it is a P = 1
+    Hermitian read, and the gate ratio the read passed."""
 
     eigenvalues: np.ndarray
     grid_size: int
     operator_label: str
     distance: float = 0.0
     radius_derived: bool = False
+    gate_ratio: float = 0.0
 
     def __post_init__(self):
         object.__setattr__(
@@ -160,16 +162,20 @@ def eigenvalues_weighted(op: WeightedOperator) -> SpectrumReport:
     gate ratio of ``WeightedOperator.hermitian_spectrum`` exceeds the tolerance."""
     values, residual, distance = op.hermitian_spectrum()
     _require_symmetric({op.label: residual})
-    return SpectrumReport(values, op.n_points, op.label, distance, op.period == 1)
+    return SpectrumReport(values, op.n_points, op.label, distance, op.period == 1, residual)
 
 
-def dirac_spectra(spinor: WeightedOperator, out=None, period: int | None = None) -> tuple:
+def dirac_spectra(spinor: WeightedOperator, out=None, period: int | None = None,
+                  known: tuple | None = None) -> tuple:
     """Spinor and forms basic Dirac spectra from one P = 1 read of ``spinor``,
     the periodic matrix ``assemble_basic_dirac_spinor(density, GridSpec(N))``,
     and given the density's ``period`` the function Laplacian's, Gram-read
     from the matrix first (module docstring).  ``out`` is the P = 1 read's
-    S, conj(S) and H, N x N complex arrays, and with a period a fourth: the
+    S, S^H and H, N x N complex arrays, and with a period a fourth: the
     Gram read works in the last three, so S may be the spinor's matrix.
+    ``known``, the spinor and forms reports of an earlier call on a
+    bitwise-equal matrix, stands in for the P = 1 read: they are returned
+    as they are, and the Laplacian's gate reads their spinor gate ratio.
 
     That matrix is iT, T the twisted differential (bitwise: both scale the
     same cached derivative matrix), and the forms operator is
@@ -187,17 +193,19 @@ def dirac_spectra(spinor: WeightedOperator, out=None, period: int | None = None)
     n, derived = spinor.n_points, spinor.period == 1
     work = (None,) * 4 if out is None else out
     laplacian = None if period is None else gram_spectrum(spinor.matrix, period, out=work[1:])
-    values, residual, distance = spinor.hermitian_spectrum(out=work[:3])
-    ratios = {spinor.label: residual, forms_label(n): math.sqrt(2.0) * residual}
-    reports = (
-        SpectrumReport(values, n, spinor.label, distance, derived),
-        SpectrumReport(np.concatenate([-values, values]), n, forms_label(n), distance, derived),
-    )
+    reports = known
+    if reports is None:
+        values, residual, distance = spinor.hermitian_spectrum(out=work[:3])
+        reports = (
+            SpectrumReport(values, n, spinor.label, distance, derived, residual),
+            SpectrumReport(np.concatenate([-values, values]), n, forms_label(n), distance,
+                           derived, math.sqrt(2.0) * residual),
+        )
     if laplacian is not None:
         gram, shift, gram_distance = laplacian
-        ratios[laplacian_label(n)] = max(residual, shift)
-        reports += (SpectrumReport(gram, n, laplacian_label(n), gram_distance),)
-    _require_symmetric(ratios)
+        ratio = max(reports[0].gate_ratio, shift)
+        reports += (SpectrumReport(gram, n, laplacian_label(n), gram_distance, gate_ratio=ratio),)
+    _require_symmetric({report.operator_label: report.gate_ratio for report in reports})
     return reports
 
 

@@ -16,6 +16,13 @@ before their reads end them, and the contrast reads the forms bound that the
 invariance report recorded.  ``run_profile_checks`` builds one torus
 geometry.  Every pair report carries the tag of ``pair_metadata``.
 
+Per command, ``run_pair_checks`` reads each distinct density once: one
+period-1 read per distinct (density bytes, period), and one Gram read per
+such density that a running contrast needs.  Equal bytes assemble a
+bitwise-equal operator, so the reports of the first read are the reports
+of every later one; the period is in the key because the Gram read depends
+on it.  The memo holds reports only and ends with the call.
+
 ``run_pair_checks`` allocates five N x N complex buffers, 0 to 4, once per
 command with a pair, and writes every N x N complex intermediate into them:
 
@@ -23,9 +30,13 @@ command with a pair, and writes every N x N complex intermediate into them:
 * reads of dirac_1, then of dirac_2, each in its buffer: for a contrast that
   runs, first the Gram read, which leaves that buffer as it is: the
   gathered block diagonals and then the C_k in 2, the means and then the
-  C_k^H in 3, the C_k C_k^H in 4; then the period-1 read: S over the
+  C_k^H in 3, the C_k C_k^H in 4 (at P = N the one block is the operator's
+  buffer itself, and 2 is not written); then the period-1 read: S over the
   operator's buffer, S^H in 2, H in 3, then H's gathered diagonals and
-  their DFT in the operator's buffer and their means in 2.
+  their DFT in the operator's buffer and their means in 2.  A density read
+  earlier in the call skips its period-1 read, and its Gram read unless
+  this is the first running contrast that needs it; a skipped read writes
+  nothing.
 
 The Gram read of dirac_1, with both operators alive, needs all five; an
 operator built on a buffer is valid only until the next phase.
@@ -372,6 +383,18 @@ def contrast_skip_reason(d1: LeafVolumeDensity, d2: LeafVolumeDensity) -> str | 
     return None
 
 
+def _read_spectra(memo: dict, density: LeafVolumeDensity, dirac: WeightedOperator, out: tuple,
+                  laplacian: bool) -> tuple:
+    """``dirac_spectra`` of ``dirac``, with its density's function Laplacian
+    when ``laplacian``, read only where ``memo`` (module docstring) lacks it."""
+    key = (density.g_values.tobytes(), density.period)
+    known = memo.get(key)
+    if known is None or (laplacian and len(known) < 3):
+        known = memo[key] = dirac_spectra(
+            dirac, out=out, period=density.period if laplacian else None, known=known)
+    return known
+
+
 def run_pair_checks(
     pairs: list[tuple[MetricProfile, MetricProfile]],
     grid: GridSpec,
@@ -385,7 +408,8 @@ def run_pair_checks(
     each profile's density and spinor Dirac operator, and alpha, once, runs
     the conjugation check on them, reads each operator's Dirac spectra, and
     its function Laplacian when the contrast runs, into the five buffers of
-    the module docstring, and passes the rest to the other checks; the
+    the module docstring, once per distinct density of the call
+    (``_read_spectra``), and passes the rest to the other checks; the
     contrast reads the forms bound of the pair's invariance report.  With
     ``skip_indistinct_laplacian`` (for auto-generated pairs) a contrast that
     has a ``contrast_skip_reason`` is recorded as skipped, instead of failing
@@ -396,7 +420,7 @@ def run_pair_checks(
         return []
     n = grid.n_points
     b0, b1, b2, b3, b4 = (np.empty((n, n), np.complex128) for _ in range(5))
-    reports = []
+    memo, reports = {}, []
     for p1, p2 in pairs:
         d1 = LeafVolumeDensity.from_profile(p1, grid)
         d2 = LeafVolumeDensity.from_profile(p2, grid)
@@ -407,9 +431,8 @@ def run_pair_checks(
         metadata = pair_metadata(p1, p2, grid)
         conjugation = conjugation_residual(dirac_1, dirac_2, alpha, metadata, out=b2)
         # Each read writes its S over the operator's matrix: the operators end here.
-        periods = (None, None) if reason else (d1.period, d2.period)
-        spectra_1 = dirac_spectra(dirac_1, out=(b0, b2, b3, b4), period=periods[0])
-        spectra_2 = dirac_spectra(dirac_2, out=(b1, b2, b3, b4), period=periods[1])
+        spectra_1 = _read_spectra(memo, d1, dirac_1, (b0, b2, b3, b4), not reason)
+        spectra_2 = _read_spectra(memo, d2, dirac_2, (b1, b2, b3, b4), not reason)
         del dirac_1, dirac_2
         invariance = invariance_check(spectra_1[:2], spectra_2[:2], window, metadata)
         reports += [invariance, kappa_transform_residual(d1, d2, alpha, grid, metadata), conjugation]

@@ -16,6 +16,7 @@ from foliation_lab.operators import (
     assemble_basic_dirac_spinor,
     assemble_basic_laplacian,
     assemble_lichnerowicz_sides,
+    block_circulant_projection,
     codifferential,
     diagonal_conjugate,
     gram_spectrum,
@@ -598,6 +599,47 @@ class TestRealViewScalingBitParity:
 
     @pytest.mark.parametrize("n_points", [64, 256])
     @pytest.mark.parametrize("spin", ["trivial", "nontrivial"])
+    def test_symmetrized_is_the_transposed_view_formula(self, n_points, spin, mixed_profile):
+        """S^H written contiguous gives the bits of the formula that read it as
+        the transposed view conj(S).T: H, the signs of its zeros included,
+        and the asymmetry."""
+        grid = GridSpec(n_points, spin)
+        spinor = assemble_basic_dirac_spinor(_density(mixed_profile, grid), grid)
+        noise = np.random.default_rng(n_points).normal(size=(n_points, n_points, 2))
+        for op in (spinor, dataclasses.replace(spinor, matrix=noise.view(complex)[..., 0])):
+            root = np.sqrt(op.weights)
+            scaled = op.matrix.view(np.float64) * root[:, None]
+            scaled *= np.repeat(1.0 / root, 2)
+            sym = scaled.view(np.complex128)
+            adjoint = np.conjugate(sym).T
+            expected = np.add(sym, adjoint)
+            expected *= 0.5
+            sym -= adjoint
+            hermitian, asymmetry = op.symmetrized()
+            assert np.array_equal(_bits(hermitian), _bits(expected))
+            assert asymmetry.hex() == float(np.linalg.norm(sym)).hex()
+            out = tuple(np.full((n_points, n_points), np.nan, complex) for _ in range(3))
+            hermitian, asymmetry = op.symmetrized(out=out)
+            assert np.shares_memory(hermitian, out[2])
+            assert np.array_equal(_bits(hermitian), _bits(expected))
+            assert asymmetry.hex() == float(np.linalg.norm(sym)).hex()
+
+    @pytest.mark.parametrize("n_points", [64, 256])
+    def test_projection_at_the_full_period_is_the_matrix(self, n_points, mixed_profile):
+        """At p = N the projection is X: its one block shares X's memory, the
+        distance is exactly 0.0, and neither array of ``out`` is written."""
+        grid = GridSpec(n_points)
+        matrix = assemble_basic_dirac_spinor(_density(mixed_profile, grid), grid).matrix
+        out = tuple(np.full((n_points, n_points), np.nan, complex) for _ in range(2))
+        for given in (None, out):
+            blocks, distance = block_circulant_projection(matrix, n_points, out=given)
+            assert blocks.shape == (1, n_points, n_points)
+            assert np.shares_memory(blocks, matrix) and np.array_equal(blocks[0], matrix)
+            assert distance == 0.0 and isinstance(distance, float)
+        assert all(np.isnan(array).all() for array in out)
+
+    @pytest.mark.parametrize("n_points", [64, 256])
+    @pytest.mark.parametrize("spin", ["trivial", "nontrivial"])
     def test_in_place_scalings(self, n_points, spin, mixed_profile):
         grid = GridSpec(n_points, spin)
         density = _density(mixed_profile, grid)
@@ -687,7 +729,7 @@ class TestRealViewScalingBitParity:
 
     @pytest.mark.parametrize("n_points", [64, 256])
     def test_blocked_out_arrays(self, n_points):
-        """The blocked solve writes its work into the S and conj(S) arrays of
+        """The blocked solve writes its work into the S and S^H arrays of
         ``out`` and gives the bits of the reference on fresh arrays, also with S
         written over the operator's own matrix (the battery's layout); so do
         the Gram reads of the Laplacians, into all three arrays."""

@@ -327,17 +327,19 @@ def test_property_sweep_over_seeded_pairs(n_points):
         # without symmetry, one dense block
         (MetricProfile(2.0, (ProfileTerm(0, 1, 1.0),)), False,
          [(64, 1, 1)] * 2 + [(1, 64, 64), (64, 1, 1)]),
-        # the theta-average of 1 + cos(theta)/2 is flat: the contrast is skipped
-        (MetricProfile(1.0, (ProfileTerm(1, 0, 0.5),)), True, [(64, 1, 1)] * 2),
+        # the theta-average of 1 + cos(theta)/2 is flat: the contrast is
+        # skipped, and the two equal flat densities are read once
+        (MetricProfile(1.0, (ProfileTerm(1, 0, 0.5),)), True, [(64, 1, 1)]),
     ],
 )
 def test_pair_battery_solves_each_spectrum_once(flat_profile, grid64, monkeypatch, second, skip,
                                                 shapes):
     """Per battery: two densities, two spinor Dirac assemblies, one alpha, one
-    ``eigvalsh`` call per Dirac operator, on its N 1 x 1 circulant blocks,
-    and, unless the contrast is skipped, one before it for the operator's
-    Laplacian, on the stacked Gram blocks of its density's period, no SVD,
-    and one derivative matrix for the pair's (grid, spin structure)."""
+    ``eigvalsh`` call per distinct density's Dirac operator, on its N 1 x 1
+    circulant blocks, and, unless the contrast is skipped, one before it for
+    the operator's Laplacian, on the stacked Gram blocks of its density's
+    period, no SVD, and one derivative matrix for the pair's (grid, spin
+    structure)."""
     eigvalsh_sizes, svd_calls, built = [], [], []
     eigvalsh, svd = np.linalg.eigvalsh, np.linalg.svd
     from_profile = LeafVolumeDensity.from_profile.__func__
@@ -425,9 +427,9 @@ def test_pair_battery_assembles_each_dirac_operator_once(cosine_profile, mixed_p
     def assembly_index(op):
         return next((i for i, ref in enumerate(assembled) if ref() is op), None)
 
-    def recorded_read(op, out=None, period=None):
+    def recorded_read(op, out=None, period=None, known=None):
         read.append((assembly_index(op), period))
-        return spectra(op, out=out, period=period)
+        return spectra(op, out=out, period=period, known=known)
 
     def recorded_gram(factor, period, out=None):
         index = next(i for i, ref in enumerate(assembled) if ref().matrix is factor)
@@ -454,6 +456,54 @@ def test_pair_battery_assembles_each_dirac_operator_once(cosine_profile, mixed_p
     assert events == [("gram", 0, 64), ("solve", 0, 1), ("gram", 1, 64), ("solve", 1, 1)]
     assert conjugated == [0, 1]
     assert not hasattr(verify, "assemble_basic_laplacian")
+
+
+# Three profiles whose densities have the same bytes, constant 2: the second's
+# theta-average is flat, the third claims no period (2 + 1e-300 cos t rounds to 2).
+FLAT_2 = MetricProfile(2.0)
+FLAT_2_SKEW = MetricProfile(2.0, (ProfileTerm(1, 0, 0.5),))
+FLAT_2_TINY = MetricProfile(2.0, (ProfileTerm(0, 1, 1e-300),))
+WAVY = MetricProfile(2.0, (ProfileTerm(0, 1, 1.0),))
+
+
+def _generated_pairs(seed: int, count: int = 5) -> list:
+    rng = np.random.default_rng(seed)
+    return [(random_profile(rng), random_profile(rng)) for _ in range(count)]
+
+
+@pytest.mark.parametrize(
+    "pairs, generated, reads",
+    [
+        *[(_generated_pairs(seed), True, None) for seed in (1, 4, 5, 7041)],
+        # constant 2 read with its contrast skipped, then needed with its
+        # Laplacian: only the Gram read of P = 1 runs on the hit
+        ([(FLAT_2, FLAT_2_SKEW), (WAVY, FLAT_2)], True, [(None, False), (64, False), (1, True)]),
+        # equal bytes, periods 1 and 64: two Gram reads, one period-1 read each
+        ([(FLAT_2, FLAT_2_TINY), (FLAT_2_TINY, WAVY), (FLAT_2, FLAT_2_SKEW)], False,
+         [(1, False), (64, False), (64, False)]),
+    ],
+)
+def test_pair_memo_changes_no_report(grid64, monkeypatch, pairs, generated, reads):
+    """One battery over the pairs gives, field for field and bitwise, the
+    reports of one battery per pair: the memo of ``dirac_spectra`` reads
+    returns what a fresh read computes.  ``reads`` lists the battery's
+    reads as (Laplacian period, whether the period-1 read was a hit)."""
+    recorded, spectra = [], verify.dirac_spectra
+
+    def recorded_read(op, out=None, period=None, known=None):
+        recorded.append((period, known is not None))
+        return spectra(op, out=out, period=period, known=known)
+
+    monkeypatch.setattr(verify, "dirac_spectra", recorded_read)
+    batched = run_pair_checks(pairs, grid64, 8.0, skip_indistinct_laplacian=generated)
+    if reads is not None:
+        assert recorded == reads
+    separate = [report for pair in pairs
+                for report in run_pair_checks([pair], grid64, 8.0,
+                                              skip_indistinct_laplacian=generated)]
+    assert len(batched) == len(separate) == 4 * len(pairs)
+    for one, other in zip(batched, separate):
+        assert vars(one) == vars(other)
 
 
 def test_pair_battery_allocates_its_five_buffers_and_little_else(cosine_profile, mixed_profile,
@@ -620,9 +670,9 @@ def test_verify_and_invariance_read_dirac_operators_only_at_period_one(
     Dirac operator, on either spin structure, reaches it only as N 1 x 1
     blocks, never dense, and a Laplacian only by the Gram read of its
     density's periodic spinor Dirac matrix along the density's period.  Per
-    pair: one spinor assembly and one period-1 read per density, and one
-    Gram read per density when the contrast runs; a Laplacian ``spectrum``
-    takes one of each."""
+    pair: one spinor assembly per density.  Per command: one period-1 read
+    per distinct density, and one Gram read per distinct density that a
+    running contrast reads; a Laplacian ``spectrum`` takes one of each."""
     events, sizes, assembled = [], [], []
     solve, gram, eigvalsh = (WeightedOperator.hermitian_spectrum, spectral.gram_spectrum,
                              np.linalg.eigvalsh)
@@ -664,12 +714,23 @@ def test_verify_and_invariance_read_dirac_operators_only_at_period_one(
     # five generated pairs: only the contrasts that run read Laplacians
     read, built = run(["verify", "--all", "--pairs", "5", "--seed", "1"])
     bundle = json.loads((tmp_path / "out" / "verify_bundle.json").read_text())
-    contrasts = sum(not report["metadata"].get("skipped", False) for report in bundle["reports"]
-                    if report["check_name"] == "laplacian_dependence")
-    assert 0 < contrasts < 5
+    contrasted = [not report["metadata"].get("skipped", False) for report in bundle["reports"]
+                  if report["check_name"] == "laplacian_dependence"]
+    assert 0 < sum(contrasted) < 5
     assert built == ["trivial"] * 10
-    assert [event for event in read if event[0] != "gram"] == [(spinor, 1)] * 10
-    assert sum(event[0] == "gram" for event in read) == 2 * contrasts
+    # the same draws: distinct densities are distinct bytes and period
+    rng, grid = np.random.default_rng(1), GridSpec(64)
+    pairs = [[LeafVolumeDensity.from_profile(random_profile(rng), grid) for _ in range(2)]
+             for _ in range(5)]
+
+    def distinct(densities):
+        return len({(density.g_values.tobytes(), density.period) for density in densities})
+
+    n_distinct = distinct([density for pair in pairs for density in pair])
+    assert n_distinct < 10
+    assert [event for event in read if event[0] != "gram"] == [(spinor, 1)] * n_distinct
+    assert sum(event[0] == "gram" for event in read) == distinct(
+        [density for pair, ran in zip(pairs, contrasted) if ran for density in pair])
     # the flat profile has period 1, 2 + cos t none: per density its Gram
     # read, then its period-1 read
     for argv in (["verify", "--profiles", flat, wavy], ["invariance", "--profiles", flat, wavy]):

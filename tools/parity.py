@@ -14,7 +14,7 @@ trees with
     python3 tools/parity.py parent /tmp/a && python3 tools/parity.py change /tmp/b
     diff -r /tmp/a /tmp/b
 
-The 62 cases run one after another in one process, so state that one call
+The 64 cases run one after another in one process, so state that one call
 left behind would show up as a difference in a later case; the last four
 cases run a grid-256 ``verify`` twice in a row, then an ``invariance`` at
 grid 128 right after a grid-64 ``verify``.  BLAS runs on one thread unless
@@ -91,6 +91,15 @@ def cases() -> dict[str, list[str]]:
         "--grid", "256", "--window", "10"]
     table["invariance-wavy2-skew"] = [
         "invariance", "--profiles", profile("wavy2"), profile("skew"), "--grid", "128"]
+    # Densities that recur within one command: the pair battery reads each
+    # distinct (density, period) once.  A chained run repeats two profiles;
+    # seed 4's twelve generated pairs read a constant density first with its
+    # contrast skipped, later with it run.
+    table["verify-chained-repeats-n256"] = [
+        "verify", "--all", "--profiles", profile("wavy"), profile("flat2"), profile("wavy"),
+        profile("wavy2"), profile("flat2"), "--grid", "256", "--window", "10"]
+    table["verify-all-n256-pairs12-seed4"] = [
+        "verify", "--all", "--grid", "256", "--window", "10", "--pairs", "12", "--seed", "4"]
     for operator in OPERATORS:
         for spin in SPINS:
             table[f"spectrum-{operator}-{spin}"] = [
