@@ -286,8 +286,9 @@ def assemble_basic_laplacian(
 ) -> WeightedOperator:
     """Basic Laplacian: delta d on functions, u -> -u'' - (g'/g) u', and d delta
     on 1-form coefficients, as the N^3 product of ``codifferential`` and D,
-    claiming the density's period.  No command assembles it: the commands
-    read its spectrum as ``dirac_spectra``'s Gram read of iT (``spectral``).
+    claiming the density's period.  No command assembles it: ``spectrum``
+    reads its spectrum as ``dirac_spectra``'s Gram read of iT, and the pair
+    battery the function Laplacian's by ``function_laplacian`` (``spectral``).
     """
     label = laplacian_label(grid.n_points, degree)
     d = differentiation_matrix(grid.n_points, "trivial")

@@ -2,10 +2,13 @@
 
 ``eigenvalues_weighted`` solves one operator; ``dirac_spectra`` reads both basic
 Dirac spectra, spinor and forms, from one read of an assembled periodic
-spinor matrix, and the function Laplacian's by a Gram read of it.  Both go
-through ``hermitian_spectrum``, block by block along the operator's
-translation period.  A ``SpectrumReport`` carries no window: callers pass
-one that ``GridSpec.validate_window`` has checked to ``in_window``.
+spinor matrix, and for ``spectrum`` the function Laplacian's by a Gram read
+of it.  Both go through ``hermitian_spectrum``, block by block along the
+operator's translation period.  ``function_laplacian`` reads the function
+Laplacian for the pair battery from the density's Fourier coefficients,
+with no grid matrix, where that is the cheaper read, else by the Gram read.
+A ``SpectrumReport`` carries no window: callers pass one that
+``GridSpec.validate_window`` has checked to ``in_window``.
 
 Basic Dirac spectra.  The paper's operator is unitarily equivalent to a
 translation-invariant one, and on a circle the nontrivial spin structure
@@ -58,23 +61,113 @@ scaling before the means, so no other rounding enters the read.  At
 N = 256 a is 1.5e-10 (d is 2e-12), and the projected values are within
 3.6e-13 to 6.1e-13 of dense ``eigvalsh`` values on either spin structure.
 
-Gram reads.  With T = g^{-1/2} D g^{1/2}, the twisted differential, the
-weighted symmetrizations of the basic Laplacians delta d and d delta are
--T (g^{1/2} D g^{-1/2}) and -(g^{1/2} D g^{-1/2}) T: T T^H and T^H T when
-D^H = -D, both with eigenvalues sigma_k(T)^2.  Before its period-1 read
-writes over M = iT, the periodic spinor matrix, ``dirac_spectra`` projects
-M along the density's period P (``operators.gram_spectrum``); the N/P
-blocks C_k C_k^H carry the sigma_k(P(T))^2.  With d = ||M - P(M)||_F, Weyl's
-inequality for singular values gives |sigma_k(T) - sigma_k(P(T))| <=
-||T - P(T)||_2 <= d, so |sigma_k(T)^2 - sigma_k(P(T))^2| <= d (2 sigma + d),
-sigma the largest computed sigma_k(P(T)): each eigenvalue moves by at most
-that.  The Laplacian report is refused when d (2 sigma + d) / sigma^2, the
-solved matrix's distance from T T^H relative to the largest eigenvalue,
-exceeds SYMMETRIZATION_TOLERANCE, and when M fails the period-1 read's
-gate: M's symmetrization is iD, so that gate measures D + D^H and refuses
-a wrong factor such as g^{1/2} D g^{-1/2}, whose symmetrization
-i g D g^{-1} is not Hermitian.  At P = N, d = 0 and the read is the dense
-Gram product.
+Gram reads (``spectrum --operator laplacian-*``, and the pair battery
+where a Galerkin read is not made).  With T = g^{-1/2} D g^{1/2}, the
+twisted differential, the weighted symmetrizations of the basic Laplacians
+delta d and d delta are -T (g^{1/2} D g^{-1/2}) and -(g^{1/2} D g^{-1/2})
+T: T T^H and T^H T when D^H = -D, both with eigenvalues sigma_k(T)^2.
+Before its period-1 read writes over M = iT, the periodic spinor matrix,
+``dirac_spectra`` projects M along the density's period P
+(``operators.gram_spectrum``); the N/P blocks C_k C_k^H carry the
+sigma_k(P(T))^2.  With d = ||M - P(M)||_F, Weyl's inequality for singular
+values gives |sigma_k(T) - sigma_k(P(T))| <= ||T - P(T)||_2 <= d, so
+|sigma_k(T)^2 - sigma_k(P(T))^2| <= d (2 sigma + d), sigma the largest
+computed sigma_k(P(T)): each eigenvalue moves by at most that.  The
+Laplacian report is refused when d (2 sigma + d) / sigma^2, the solved
+matrix's distance from T T^H relative to the largest eigenvalue, exceeds
+SYMMETRIZATION_TOLERANCE, and when M fails the period-1 read's gate: M's
+symmetrization is iD, so that gate measures D + D^H and refuses a wrong
+factor such as g^{1/2} D g^{-1/2}, whose symmetrization i g D g^{-1} is not
+Hermitian.  At P = N, d = 0 and the read is the dense Gram product.
+``spectrum`` keeps this read whatever the density, because its contract is
+the spectrum of the assembled matrix.  The pair battery's grid reads
+(``function_laplacian``) pass the shift gate only: the period-1 read of
+that matrix, or of a bitwise-equal one earlier in the command, passes the
+other.
+
+Galerkin reads (the pair battery).  The function Laplacian is
+Delta u = -(g u')'/g, self-adjoint in L^2(g dt), and g is a trigonometric
+polynomial.  Its coefficients g_m, |m| <= B, are the DFT of the samples
+over N, B the t-bandwidth less any trailing zero coefficient, with g_0
+real and g_{-m} = conj(g_m) set exactly; higher coefficients are zero, not
+read off the DFT, so none wraps.  The read is of the density
+g~ = sum g_m e^{imt}, which differs from the samples by the DFT's
+round-off.  In the basis e^{ikt}, |k| <= K, the mass matrix G_jk = g_{j-k}
+and the stiffness matrix A_jk = jk g_{j-k} are exact, with no quadrature
+and no aliasing, and Hermitian by construction.  A c = rho G c is solved
+through G = L L^H as the Hermitian problem of L^{-1} A L^{-H}, c = L^{-H} y.
+
+* Rayleigh-Ritz: the trial spaces are nested in K, so the k-th Ritz value
+  rho_k is an upper bound of lambda_k(Delta) and does not increase with K.
+* The radius.  For u = sum c_k e^{ikt}, the weak residual
+  w = -(g~ u')' - rho g~ u has the coefficients
+  w_l = sum_k (lk - rho) g_{l-k} c_k, |l| <= K + B, exactly.  Galerkin
+  orthogonality makes them vanish on |l| <= K; the computed w keeps the
+  solve's round-off there.  As Delta u - rho u = w / g~, its squared
+  g~-norm is (1/2pi) int |w|^2 / g~ <= sum |w_l|^2 / g_low, and
+  ||u||^2 = c^H G c.  So Delta has an eigenvalue within
+  r = (sum |w_l|^2 / (g_low c^H G c))^{1/2} of rho (Krylov-Bogolyubov;
+  Kato, J. Phys. Soc. Japan 4, 1949).  The computed w errs entrywise by at
+  most sqrt(2) gamma_{2K+5} (|S| + |rho| |T|) |c|, two complex products of
+  rows of 2K + 1 terms, a scaling and a difference (Higham, section 3.6),
+  whose norm the radius adds to that of w.  Radii are computed for the
+  Ritz pairs with |rho| <= window^2 + WINDOW_EDGE_SLACK only.
+* g_low = g_0 - 2 sum_{m >= 1} |g_m| <= min g~, less gamma_{B+2} (g_0 +
+  2 sum |g_m|) for the rounding of that sum.  G is the Toeplitz matrix of
+  g~, so its eigenvalues are at least g_low.  A Galerkin read needs
+  g_low > 0: this is its gate, on the density the matrices are built from,
+  since A and G are Hermitian by construction.  A positive density without
+  it, such as e^{cos t} or 1 + 0.6 cos t + 0.6 cos 2t, gets the grid read.
+* The order.  The eigenfunctions solve (g~ u')' + lambda g~ u = 0, whose
+  singular points are the complex zeros of g~.  As |g~(t + iy) - g_0| <=
+  2 sum |g_m| cosh(m y), g~ has none in the strip |Im t| < eta, eta the
+  root of g_0 = 2 sum |g_m| cosh(m eta) (``strip_width``; infinite for a
+  constant), so the eigenfunctions' coefficients decay like e^{-eta |l|}
+  and the radius at order K like e^{-eta (K - W)} times a power of K.
+  ``galerkin_laplacian`` solves first at K = floor(W + (ln(1 / tolerance)
+  + m) / eta) + 1, m = GALERKIN_MARGIN = 8, then adds ceil(m / eta) until
+  the windowed radii are all at most the tolerance.  Measured at tolerance
+  1e-8 (ln 1e8 = 18.4), over generated densities, cos t with amplitude to
+  0.99, and t-bandwidths 3 to 16 with amplitudes to 0.6, at windows 6 to
+  32, the smallest sufficient K had (K - W) eta between 13 and 26.6: the
+  first solve suffices except for densities near zero, and each further
+  step cuts the radius by about e^{-8}.
+* The tolerance.  ``verify`` passes LAPLACIAN_FORMS_THRESHOLD = 1e-8, the
+  fraction 1e-5 of LAPLACIAN_GAP_THRESHOLD = 1e-3.  The contrast passes
+  when gap - r_1 - r_2 exceeds the gap threshold, and requires the squared
+  forms spectra to agree within the forms threshold.  A radius and the
+  forms bound are both certified errors of second-order eigenvalues, so
+  this tolerance reads the Laplacian half at the precision at which the
+  Dirac half is read, and the radii move the pass line by at most 2e-8, a
+  relative 2e-5 of the gap threshold.  A looser tolerance would let a
+  Laplacian value be less certain than a deviation that the Dirac half
+  counts as a move; a tighter one changes no verdict the threshold can see
+  and costs a larger K.
+* The choice (``function_laplacian``).  A grid read solves N/P Hermitian
+  blocks of dimension P after an N^2 projection, work N P^2; a Galerkin
+  read one generalized problem of dimension 2K + 1, with a Cholesky
+  factor, three solves and eigenvectors.  The pair battery makes the
+  Galerkin read only at orders with GALERKIN_COST (2K + 1)^3 <= N P^2,
+  GALERKIN_COST = 6, and otherwise the grid read of iT along P, as
+  ``spectrum`` does, with the radius d (2 sigma + d) of each value from the
+  assembled matrix's.  At the largest such K the two reads cost about the
+  same, and below it the Galerkin read is the faster: measured (2 cores,
+  numpy 2.4 with OpenBLAS) at (N, P, K) = (64, 64, 17), (128, 128, 34),
+  (256, 128, 43), (256, 256, 69) and (512, 512, 140), 0.57, 2.5, 4.9, 11.7
+  and 70 ms against 0.41, 2.3, 5.9, 13.0 and 61 ms.  Constant densities
+  (P = 1) get the grid read, 0.75 ms at N = 256; so does the
+  t-bandwidth-8 density of ``tools/parity.py`` (K = 89 at window 10) up to
+  N = 256.
+* What is not certified.  The radius places an eigenvalue of Delta within
+  r of each rho_k, and rho_k >= lambda_k, but neither says that the
+  eigenvalue near rho_k is the k-th: the +-k pairs are near-degenerate
+  clusters.  ``verify`` pairs the sorted windowed values by index, as the
+  grid read does; certifying the index (Lehmann-Goerisch or Kato-Temple
+  lower bounds) is open.  The radii are against Delta of g~: the DFT's
+  relative round-off e in g~ moves each eigenvalue by at most a relative
+  2e / (1 - e), about 1e-15, by min-max, which no radius includes.  A grid
+  read's radius bounds its values' distance from the assembled matrix's
+  eigenvalues, not from Delta's.
 """
 
 from __future__ import annotations
@@ -83,7 +176,9 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
+from .basic_calculus import LeafVolumeDensity
 from .operators import WeightedOperator, forms_label, gram_spectrum, laplacian_label
 
 # Relative symmetrization residual above which an eigensolve is refused.
@@ -93,6 +188,20 @@ SYMMETRIZATION_TOLERANCE = 1e-8
 # comparison, so near-integer spectra behave consistently at integer windows.
 WINDOW_EDGE_SLACK = 1e-6
 
+# The margin m of the predicted Galerkin orders K = W + (ln(1 / tolerance) +
+# m) / eta + j m / eta, j = 0, 1, ... (module docstring).
+GALERKIN_MARGIN = 8.0
+
+# The pair battery reads a Laplacian by Galerkin at orders K with
+# GALERKIN_COST (2K + 1)^3 <= N P^2 (module docstring).
+GALERKIN_COST = 6.0
+
+_EPS = np.finfo(np.float64).eps
+
+
+def _gamma(k: float) -> float:
+    return k * _EPS / (1.0 - k * _EPS)
+
 
 class OperatorSymmetryError(ValueError):
     """The operator failed its weighted-Hermitian invariant; assembly bug."""
@@ -101,15 +210,14 @@ class OperatorSymmetryError(ValueError):
 @dataclass(frozen=True)
 class SpectrumReport:
     """Sorted real spectrum, its grid provenance, the ``distance`` ||X - P||_F of
-    the projection it was read from (0 if dense), whether it is a P = 1
-    Hermitian read, and the gate ratio the read passed."""
+    the projection it was read from (0 if dense), and whether it is a P = 1
+    Hermitian read."""
 
     eigenvalues: np.ndarray
     grid_size: int
     operator_label: str
     distance: float = 0.0
     radius_derived: bool = False
-    gate_ratio: float = 0.0
 
     def __post_init__(self):
         object.__setattr__(
@@ -126,14 +234,10 @@ class SpectrumReport:
         every eigenvalue of H lies within it of its computed value; ValueError on any other."""
         if not self.radius_derived:
             raise ValueError(f"operator {self.operator_label!r} has no derived radius")
-        n, eps = self.eigenvalues.size, np.finfo(np.float64).eps
-
-        def gamma(k):
-            return k * eps / (1.0 - k * eps)
-
+        n = self.eigenvalues.size
         norm = float(np.linalg.norm(self.eigenvalues)) + self.distance
-        allowance = (2.0 * gamma(n) + gamma(7.0 * math.log2(n)) + 2.0 * eps) * norm
-        return (1.0 + gamma(n * n)) * self.distance + allowance
+        allowance = (2.0 * _gamma(n) + _gamma(7.0 * math.log2(n)) + 2.0 * _EPS) * norm
+        return (1.0 + _gamma(n * n)) * self.distance + allowance
 
     def window_count(self, window: float) -> int | None:
         """Eigenvalues of H with |lambda| <= window + WINDOW_EDGE_SLACK, read off
@@ -162,20 +266,16 @@ def eigenvalues_weighted(op: WeightedOperator) -> SpectrumReport:
     gate ratio of ``WeightedOperator.hermitian_spectrum`` exceeds the tolerance."""
     values, residual, distance = op.hermitian_spectrum()
     _require_symmetric({op.label: residual})
-    return SpectrumReport(values, op.n_points, op.label, distance, op.period == 1, residual)
+    return SpectrumReport(values, op.n_points, op.label, distance, op.period == 1)
 
 
-def dirac_spectra(spinor: WeightedOperator, out=None, period: int | None = None,
-                  known: tuple | None = None) -> tuple:
+def dirac_spectra(spinor: WeightedOperator, out=None, period: int | None = None) -> tuple:
     """Spinor and forms basic Dirac spectra from one P = 1 read of ``spinor``,
     the periodic matrix ``assemble_basic_dirac_spinor(density, GridSpec(N))``,
     and given the density's ``period`` the function Laplacian's, Gram-read
-    from the matrix first (module docstring).  ``out`` is the P = 1 read's
-    S, S^H and H, N x N complex arrays, and with a period a fourth: the
-    Gram read works in the last three, so S may be the spinor's matrix.
-    ``known``, the spinor and forms reports of an earlier call on a
-    bitwise-equal matrix, stands in for the P = 1 read: they are returned
-    as they are, and the Laplacian's gate reads their spinor gate ratio.
+    from the matrix first (module docstring).  ``out``, three N x N complex
+    arrays, takes the P = 1 read's S, S^H and H, so S may be the spinor's
+    matrix; the Gram read allocates its own.
 
     That matrix is iT, T the twisted differential (bitwise: both scale the
     same cached derivative matrix), and the forms operator is
@@ -191,22 +291,166 @@ def dirac_spectra(spinor: WeightedOperator, out=None, period: int | None = None,
     asks.  The forms radius is never below the spinor's.
     """
     n, derived = spinor.n_points, spinor.period == 1
-    work = (None,) * 4 if out is None else out
-    laplacian = None if period is None else gram_spectrum(spinor.matrix, period, out=work[1:])
-    reports = known
-    if reports is None:
-        values, residual, distance = spinor.hermitian_spectrum(out=work[:3])
-        reports = (
-            SpectrumReport(values, n, spinor.label, distance, derived, residual),
-            SpectrumReport(np.concatenate([-values, values]), n, forms_label(n), distance,
-                           derived, math.sqrt(2.0) * residual),
-        )
+    laplacian = None if period is None else gram_spectrum(spinor.matrix, period)
+    values, residual, distance = spinor.hermitian_spectrum(out=out)
+    reports = (
+        SpectrumReport(values, n, spinor.label, distance, derived),
+        SpectrumReport(np.concatenate([-values, values]), n, forms_label(n), distance, derived),
+    )
+    ratios = {spinor.label: residual, forms_label(n): math.sqrt(2.0) * residual}
     if laplacian is not None:
         gram, shift, gram_distance = laplacian
-        ratio = max(reports[0].gate_ratio, shift)
-        reports += (SpectrumReport(gram, n, laplacian_label(n), gram_distance, gate_ratio=ratio),)
-    _require_symmetric({report.operator_label: report.gate_ratio for report in reports})
+        reports += (SpectrumReport(gram, n, laplacian_label(n), gram_distance),)
+        ratios[laplacian_label(n)] = max(residual, shift)
+    _require_symmetric(ratios)
     return reports
+
+
+@dataclass(frozen=True)
+class LaplacianRead:
+    """A density's windowed function-Laplacian values for the pair battery,
+    ascending, the radius of each, and the ``order`` K of a Galerkin read,
+    None for a grid read (module docstring)."""
+
+    values: np.ndarray
+    radii: np.ndarray
+    order: int | None
+
+    @property
+    def radius(self) -> float:
+        """The largest windowed radius."""
+        return float(np.max(self.radii))
+
+
+def density_coefficients(density: LeafVolumeDensity) -> np.ndarray:
+    """g_m for m = -B..B, conjugate-symmetric, B the t-bandwidth less any
+    trailing zero coefficient, from the DFT of the samples."""
+    half = np.fft.rfft(density.g_values)[: density.t_bandwidth + 1] / density.n_points
+    half = half[: np.flatnonzero(half)[-1] + 1]
+    half[0] = half[0].real
+    return np.concatenate([np.conj(half[:0:-1]), half])
+
+
+def strip_width(coefficients: np.ndarray) -> float:
+    """eta, the largest y with g_0 > 2 sum_{m >= 1} |g_m| cosh(m y), to a
+    relative 2^-30: infinite for a constant, 0 when g_0 <= 2 sum |g_m|."""
+    bandwidth = coefficients.size // 2
+    magnitudes = 2.0 * np.abs(coefficients[bandwidth + 1:])
+    frequencies = np.arange(1.0, bandwidth + 1.0)
+
+    def positive(y: float) -> bool:
+        with np.errstate(over="ignore"):
+            return coefficients[bandwidth].real > magnitudes @ np.cosh(frequencies * y)
+
+    if bandwidth == 0:
+        return math.inf
+    low, high = 0.0, 1.0
+    if not positive(low):
+        return 0.0
+    while positive(high):
+        low, high = high, 2.0 * high
+    for _ in range(30):
+        middle = 0.5 * (low + high)
+        low, high = (middle, high) if positive(middle) else (low, middle)
+    return low
+
+
+def lower_bound(coefficients: np.ndarray) -> float:
+    """g_low = g_0 - 2 sum_{m >= 1} |g_m|, less its rounding (module docstring)."""
+    bandwidth = coefficients.size // 2
+    mean = coefficients[bandwidth].real
+    total = 2.0 * float(np.sum(np.abs(coefficients[bandwidth + 1:])))
+    return mean - total - _gamma(bandwidth + 2) * (mean + total)
+
+
+def galerkin_matrices(coefficients: np.ndarray, order: int) -> tuple[np.ndarray, np.ndarray]:
+    """T and S, with rows l, |l| <= K + B, and columns k, |k| <= K, for the
+    coefficients g_m, |m| <= B: T[l, k] = g_{l-k} (zero for |l - k| > B) and
+    S = lk T.  Their rows |l| <= K are the mass and stiffness matrices."""
+    bandwidth, size = coefficients.size // 2, 2 * order + 1
+    diagonals = np.zeros(2 * size + 2 * bandwidth - 1, complex)
+    diagonals[size - 1 : size + 2 * bandwidth] = coefficients
+    mass = sliding_window_view(diagonals, size)[:, ::-1]
+    rows = np.arange(-order - bandwidth, order + bandwidth + 1.0)
+    # lk as complex, so that the product casts nothing and needs no buffer
+    stiffness = np.multiply.outer(rows, rows[bandwidth : bandwidth + size]).astype(complex)
+    stiffness *= mass
+    return mass, stiffness
+
+
+def _windowed_ritz_pairs(mass: np.ndarray, stiffness: np.ndarray,
+                         limit: float) -> tuple[np.ndarray, np.ndarray]:
+    """The Ritz values rho of A c = rho G c with |rho| <= ``limit``, ascending,
+    and their vectors c, normalized to c^H G c = 1, through G = L L^H.  Its
+    work arrays are conjugated in place and end with it, before the caller
+    forms the residuals."""
+    factor = np.linalg.cholesky(mass)
+    reduced = np.linalg.solve(factor, stiffness)
+    reduced = np.linalg.solve(factor, np.conjugate(reduced, out=reduced).T)
+    values, vectors = np.linalg.eigh(reduced)
+    del reduced
+    windowed = np.abs(values) <= limit
+    return values[windowed], np.linalg.solve(np.conjugate(factor, out=factor).T,
+                                             vectors[:, windowed])
+
+
+def galerkin_read(coefficients: np.ndarray, order: int, window: float) -> LaplacianRead:
+    """The windowed Ritz values of the function Laplacian of the density with
+    ``coefficients`` in the basis e^{ikt}, |k| <= ``order``, and their radii
+    (module docstring).  ValueError when g_low <= 0."""
+    bandwidth, lower = coefficients.size // 2, lower_bound(coefficients)
+    if not lower > 0.0:
+        raise ValueError(
+            f"the Galerkin Laplacian read needs g_0 > 2 sum |g_m| over the density's "
+            f"coefficients: the lower bound g_low = {lower:.3e} is not positive")
+    mass, stiffness = galerkin_matrices(coefficients, order)
+    interior = slice(bandwidth, bandwidth + 2 * order + 1)
+    ritz, c = _windowed_ritz_pairs(mass[interior], stiffness[interior],
+                                   window * window + WINDOW_EDGE_SLACK)
+    mass_c = mass @ c
+    residual = stiffness @ c - mass_c * ritz
+    magnitude = np.abs(stiffness) @ np.abs(c) + (np.abs(mass) @ np.abs(c)) * np.abs(ritz)
+    rounding = math.sqrt(2.0) * _gamma(2 * order + 5) * np.linalg.norm(magnitude, axis=0)
+    norm = np.sum(c.conj() * mass_c[interior], axis=0).real
+    radii = (np.linalg.norm(residual, axis=0) + rounding) / np.sqrt(lower * norm)
+    return LaplacianRead(ritz, radii, order)
+
+
+def galerkin_laplacian(density: LeafVolumeDensity, window: float, tolerance: float,
+                       largest: float) -> LaplacianRead | None:
+    """The Galerkin read of ``density``'s windowed function Laplacian at the
+    first order K <= ``largest`` of the predicted sequence whose radii are
+    all at most ``tolerance``, or None when there is none or g_low <= 0
+    (module docstring)."""
+    coefficients = density_coefficients(density)
+    eta = strip_width(coefficients)
+    if not (eta > 0.0 and lower_bound(coefficients) > 0.0):
+        return None
+    order = math.floor(window + (math.log(1.0 / tolerance) + GALERKIN_MARGIN) / eta) + 1
+    while order <= largest:
+        read = galerkin_read(coefficients, order, window)
+        if read.radius <= tolerance:
+            return read
+        order += max(1, math.ceil(GALERKIN_MARGIN / eta))
+    return None
+
+
+def function_laplacian(density: LeafVolumeDensity, factor: np.ndarray, window: float,
+                       tolerance: float, out=None) -> LaplacianRead:
+    """The pair battery's read of ``density``'s windowed function Laplacian:
+    ``galerkin_laplacian`` at orders with GALERKIN_COST (2K + 1)^3 <= N P^2,
+    P the density's period, else the grid read of ``factor``, its periodic
+    spinor Dirac matrix, along P (module docstring).  ``out`` is
+    ``gram_spectrum``'s."""
+    work = density.n_points * density.period**2 / GALERKIN_COST
+    read = galerkin_laplacian(density, window, tolerance, (work ** (1.0 / 3.0) - 1.0) / 2.0)
+    if read is not None:
+        return read
+    values, shift, distance = gram_spectrum(factor, density.period, out=out)
+    _require_symmetric({laplacian_label(density.n_points): shift})
+    windowed = values[np.abs(values) <= window * window + WINDOW_EDGE_SLACK]
+    radius = distance * (2.0 * math.sqrt(max(float(values[-1]), 0.0)) + distance)
+    return LaplacianRead(windowed, np.full(windowed.size, radius), None)
 
 
 def spectrum_compare(a: SpectrumReport, b: SpectrumReport, window: float) -> float:

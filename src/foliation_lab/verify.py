@@ -10,42 +10,48 @@ Every check is a pure function of the values it is passed, and a check whose
 precondition does not hold returns ``VerificationReport.skipped`` itself.
 The two batteries build those values once and hold them as locals:
 ``run_pair_checks`` builds each profile's leaf-volume density, spinor Dirac
-operator and its ``dirac_spectra`` (with the function Laplacian when the
-contrast runs), and alpha; the conjugation check reads the two operators
-before their reads end them, and the contrast reads the forms bound that the
-invariance report recorded.  ``run_profile_checks`` builds one torus
-geometry.  Every pair report carries the tag of ``pair_metadata``.
+operator and its ``dirac_spectra``, the density's ``function_laplacian``
+when the contrast runs, and alpha; the conjugation check and the
+Laplacian reads read the two operators before their Dirac reads end them,
+and the contrast reads the forms bound that the invariance report
+recorded.  ``run_profile_checks`` builds one torus geometry.  Every pair
+report carries the tag of ``pair_metadata``.
 
-Per command, ``run_pair_checks`` reads each distinct density once: one
-period-1 read per distinct (density bytes, period), and one Gram read per
-such density that a running contrast needs.  Equal bytes assemble a
-bitwise-equal operator, so the reports of the first read are the reports
-of every later one; the period is in the key because the Gram read depends
-on it.  The memo holds reports only and ends with the call.
+Per command, ``run_pair_checks`` reads each distinct density once
+(``_read_once``): one period-1 read per distinct density bytes, and one
+Laplacian read per distinct (bytes, t-bandwidth, period) that a running
+contrast needs.  Equal bytes assemble a bitwise-equal operator, so the
+reports of the first read are the reports of every later one.  The
+Laplacian read also depends on the t-bandwidth, where the Galerkin read
+cuts the DFT, and on the period, which picks the read and along which the
+grid read projects: 2 and 2 + 1e-300 cos t have equal bytes, bandwidths 0
+and 1, and periods 1 and N.  The memos hold reports only and end with the
+call.
 
-``run_pair_checks`` allocates five N x N complex buffers, 0 to 4, once per
+``run_pair_checks`` allocates four N x N complex buffers, 0 to 3, once per
 command with a pair, and writes every N x N complex intermediate into them:
 
 * assembly: dirac_1 in 0, dirac_2 in 1, the conjugation difference in 2;
-* reads of dirac_1, then of dirac_2, each in its buffer: for a contrast that
-  runs, first the Gram read, which leaves that buffer as it is: the
-  gathered block diagonals and then the C_k in 2, the means and then the
-  C_k^H in 3, the C_k C_k^H in 4 (at P = N the one block is the operator's
-  buffer itself, and 2 is not written); then the period-1 read: S over the
-  operator's buffer, S^H in 2, H in 3, then H's gathered diagonals and
-  their DFT in the operator's buffer and their means in 2.  A density read
-  earlier in the call skips its period-1 read, and its Gram read unless
-  this is the first running contrast that needs it; a skipped read writes
-  nothing.
+* for a contrast that runs, the Laplacian reads of dirac_1's density, then
+  of dirac_2's: a Galerkin read needs no N x N array, its matrices are
+  (2K + 1)-dimensional; a grid read leaves the operator's buffer as it is
+  and writes the gathered block diagonals and then the C_k in 2 and the
+  means and then the C_k^H in 3 (at P = N the one block is the operator's
+  buffer itself, and 2 is not written), and allocates the C_k C_k^H, N x P;
+* the period-1 reads of dirac_1, then of dirac_2, each in its buffer: S
+  over the operator's buffer, S^H in 2, H in 3, then H's gathered
+  diagonals and their DFT in the operator's buffer and their means in 2.
 
-The Gram read of dirac_1, with both operators alive, needs all five; an
-operator built on a buffer is valid only until the next phase.
+A density read earlier in the call skips its read, which writes nothing.
+An operator built on a buffer is valid only until the next phase.
 
 Every basic Dirac spectrum is read at period 1, in O(N^2): the paper proves
 invariance by unitary equivalence to a translation-invariant operator.
 ``invariance_check`` computes, once per pair, the spinor and forms bounds
 that ``spectral`` derives for such reads, infinite when a windowed count is
-not certified; ``laplacian_dependence`` scales the forms bound.
+not certified; ``laplacian_dependence`` scales the forms bound, and reads
+the radii of the Laplacian reads, Galerkin reads to
+LAPLACIAN_FORMS_THRESHOLD.
 """
 
 from __future__ import annotations
@@ -73,8 +79,10 @@ from .operators import (
 )
 from .spectral import (
     WINDOW_EDGE_SLACK,
+    LaplacianRead,
     SpectrumReport,
     dirac_spectra,
+    function_laplacian,
     spectrum_compare,
 )
 
@@ -290,39 +298,48 @@ def lichnerowicz_residual(
 
 
 def laplacian_dependence(
-    laplacian_1: SpectrumReport,
-    laplacian_2: SpectrumReport,
+    laplacian_1: LaplacianRead,
+    laplacian_2: LaplacianRead,
     forms_bound: float,
     window: float,
     metadata: dict,
 ) -> VerificationReport:
     """Metric dependence of the basic Laplacian against invariance of the squared Dirac.
 
-    Passes only when (a) the function Laplacian spectra of the two densities
-    differ by more than the gap threshold somewhere in the window, and (b)
-    the squared forms Dirac spectra agree within the forms threshold, by
-    2 (window + WINDOW_EDGE_SLACK) times ``forms_bound``, the forms residual
-    that the pair's ``invariance_check`` recorded, infinite when a window
-    count is not certified.  When (a) fails the residual is infinite and the
-    report flags the metrics as spectrally indistinguishable for the basic
-    Laplacian.
+    Passes only when (a) the windowed function-Laplacian values of the two
+    densities differ somewhere by more than the gap threshold plus both
+    reads' largest radii, and (b) the squared forms Dirac spectra agree
+    within the forms threshold, by 2 (window + WINDOW_EDGE_SLACK) times
+    ``forms_bound``, the forms residual that the pair's ``invariance_check``
+    recorded, infinite when a window count is not certified.  When (a)
+    fails the residual is infinite and the report flags the metrics as
+    spectrally indistinguishable for the basic Laplacian.
+
+    The gap pairs the sorted windowed values by index.  What (a) certifies
+    (``spectral``): for a Galerkin read, each radius places an eigenvalue of
+    the continuous Laplacian near each value, and each value is an upper
+    bound of the eigenvalue of its index; that the eigenvalue near a value
+    is the one of its index is not certified.  For a grid read, the radius
+    bounds each value's distance from the assembled matrix's only.
     """
     # Compare the shared low end of both Laplacian spectra: eigenvalue shifts
     # can move a state across the window edge, so a raw count comparison
     # would spuriously report a structural mismatch.
-    low_1 = laplacian_1.in_window(window * window)
-    low_2 = laplacian_2.in_window(window * window)
+    low_1, low_2 = laplacian_1.values, laplacian_2.values
     shared = min(low_1.size, low_2.size)
     gap = float(np.max(np.abs(low_1[:shared] - low_2[:shared]))) if shared else 0.0
+    radii = [laplacian_1.radius, laplacian_2.radius]
     forms_residual = 2.0 * (window + WINDOW_EDGE_SLACK) * forms_bound
     metadata = {
         **metadata,
         "window": window,
         "laplacian_gap": gap,
         "laplacian_gap_threshold": LAPLACIAN_GAP_THRESHOLD,
+        "laplacian_order": [laplacian_1.order, laplacian_2.order],
+        "laplacian_radius": radii,
         "squared_forms_residual": forms_residual,
     }
-    gap_detected = gap > LAPLACIAN_GAP_THRESHOLD
+    gap_detected = gap - radii[0] - radii[1] > LAPLACIAN_GAP_THRESHOLD
     if not gap_detected:
         metadata["diagnostic"] = (
             "metrics spectrally indistinguishable for the basic Laplacian"
@@ -383,16 +400,12 @@ def contrast_skip_reason(d1: LeafVolumeDensity, d2: LeafVolumeDensity) -> str | 
     return None
 
 
-def _read_spectra(memo: dict, density: LeafVolumeDensity, dirac: WeightedOperator, out: tuple,
-                  laplacian: bool) -> tuple:
-    """``dirac_spectra`` of ``dirac``, with its density's function Laplacian
-    when ``laplacian``, read only where ``memo`` (module docstring) lacks it."""
-    key = (density.g_values.tobytes(), density.period)
-    known = memo.get(key)
-    if known is None or (laplacian and len(known) < 3):
-        known = memo[key] = dirac_spectra(
-            dirac, out=out, period=density.period if laplacian else None, known=known)
-    return known
+def _read_once(memo: dict, key, read, *args):
+    """``read(*args)``, unless ``memo`` holds what it returned for ``key``
+    earlier in the call (module docstring)."""
+    if key not in memo:
+        memo[key] = read(*args)
+    return memo[key]
 
 
 def run_pair_checks(
@@ -406,11 +419,11 @@ def run_pair_checks(
 
     Refuses a window outside the grid's trusted range, then, per pair, builds
     each profile's density and spinor Dirac operator, and alpha, once, runs
-    the conjugation check on them, reads each operator's Dirac spectra, and
-    its function Laplacian when the contrast runs, into the five buffers of
-    the module docstring, once per distinct density of the call
-    (``_read_spectra``), and passes the rest to the other checks; the
-    contrast reads the forms bound of the pair's invariance report.  With
+    the conjugation check on them, reads, when the contrast runs, each
+    density's function Laplacian, then each operator's Dirac spectra, into
+    the four buffers of the module docstring, once per distinct density of
+    the call, and passes the rest to the other checks; the contrast reads the
+    forms bound of the pair's invariance report.  With
     ``skip_indistinct_laplacian`` (for auto-generated pairs) a contrast that
     has a ``contrast_skip_reason`` is recorded as skipped, instead of failing
     by design, and no Laplacian is read.
@@ -419,8 +432,8 @@ def run_pair_checks(
     if not pairs:
         return []
     n = grid.n_points
-    b0, b1, b2, b3, b4 = (np.empty((n, n), np.complex128) for _ in range(5))
-    memo, reports = {}, []
+    b0, b1, b2, b3 = (np.empty((n, n), np.complex128) for _ in range(4))
+    spectra, laplacians, reports = {}, {}, []
     for p1, p2 in pairs:
         d1 = LeafVolumeDensity.from_profile(p1, grid)
         d2 = LeafVolumeDensity.from_profile(p2, grid)
@@ -430,18 +443,24 @@ def run_pair_checks(
         alpha = basic_volume_ratio(p1, p2, grid)
         metadata = pair_metadata(p1, p2, grid)
         conjugation = conjugation_residual(dirac_1, dirac_2, alpha, metadata, out=b2)
+        if not reason:
+            laplacian_1, laplacian_2 = (
+                _read_once(laplacians, (d.g_values.tobytes(), d.t_bandwidth, d.period),
+                           function_laplacian, d, op.matrix, window, LAPLACIAN_FORMS_THRESHOLD,
+                           (b2, b3, None))
+                for d, op in ((d1, dirac_1), (d2, dirac_2)))
         # Each read writes its S over the operator's matrix: the operators end here.
-        spectra_1 = _read_spectra(memo, d1, dirac_1, (b0, b2, b3, b4), not reason)
-        spectra_2 = _read_spectra(memo, d2, dirac_2, (b1, b2, b3, b4), not reason)
+        spectra_1 = _read_once(spectra, d1.g_values.tobytes(), dirac_spectra, dirac_1, (b0, b2, b3))
+        spectra_2 = _read_once(spectra, d2.g_values.tobytes(), dirac_spectra, dirac_2, (b1, b2, b3))
         del dirac_1, dirac_2
-        invariance = invariance_check(spectra_1[:2], spectra_2[:2], window, metadata)
+        invariance = invariance_check(spectra_1, spectra_2, window, metadata)
         reports += [invariance, kappa_transform_residual(d1, d2, alpha, grid, metadata), conjugation]
         if reason:
             reports.append(VerificationReport.skipped(
                 "laplacian_dependence", LAPLACIAN_FORMS_THRESHOLD, reason, metadata))
         else:
             reports.append(laplacian_dependence(
-                spectra_1[2], spectra_2[2], invariance.metadata["forms_residual"], window, metadata))
+                laplacian_1, laplacian_2, invariance.metadata["forms_residual"], window, metadata))
     return reports
 
 

@@ -6,8 +6,8 @@ scaling, symmetrization and solve that the real-view ones reproduce bit for
 bit (each accepts the ``out`` of the function it stands in for), the dense
 solve that every projected Dirac read is checked against, the delta d and
 d delta assembly that every Gram read of a Laplacian is checked against, the
-Laplacian report as the commands read it, and the inputs a pair check reads,
-built as the pair battery builds them."""
+Laplacian report as ``spectrum`` reads it and as the pair battery reads it,
+and the inputs a pair check reads, built as the pair battery builds them."""
 
 import dataclasses
 import json
@@ -28,8 +28,14 @@ from foliation_lab.operators import (
     laplacian_label,
     quadrature_weights,
 )
-from foliation_lab.spectral import SpectrumReport, dirac_spectra, eigenvalues_weighted
-from foliation_lab.verify import basic_volume_ratio, pair_metadata
+from foliation_lab.spectral import (
+    LaplacianRead,
+    SpectrumReport,
+    dirac_spectra,
+    eigenvalues_weighted,
+    function_laplacian,
+)
+from foliation_lab.verify import LAPLACIAN_FORMS_THRESHOLD, basic_volume_ratio, pair_metadata
 
 
 def exp_cos_profile(a: float, k_max: int = 12) -> MetricProfile:
@@ -172,9 +178,9 @@ def fd_laplacian_spectrum(profile: MetricProfile, n_points: int) -> SpectrumRepo
     return eigenvalues_weighted(finite_difference_laplacian(g_nodes, g_mid))
 
 
-def laplacian_first_nonzero_eigenvalue(report: SpectrumReport, zero_tol: float = 1e-6) -> float:
-    """Smallest eigenvalue above the harmonic (constant) mode."""
-    for value in report.eigenvalues:
+def laplacian_first_nonzero_eigenvalue(values: np.ndarray, zero_tol: float = 1e-6) -> float:
+    """Smallest of the ascending Laplacian ``values`` above the harmonic (constant) mode."""
+    for value in values:
         if value > zero_tol:
             return float(value)
     raise ValueError("spectrum contains no nonzero eigenvalue above tolerance")
@@ -190,20 +196,26 @@ def laplacian_read(density: LeafVolumeDensity, grid: GridSpec,
     return dataclasses.replace(report, operator_label=laplacian_label(grid.n_points, degree))
 
 
+def battery_laplacian(density: LeafVolumeDensity, window: float) -> LaplacianRead:
+    """The function Laplacian's read as the pair battery reads it."""
+    factor = assemble_basic_dirac_spinor(density, GridSpec(density.n_points)).matrix
+    return function_laplacian(density, factor, window, LAPLACIAN_FORMS_THRESHOLD)
+
+
 def pair_inputs(p1: MetricProfile, p2: MetricProfile, grid: GridSpec) -> SimpleNamespace:
     """What ``run_pair_checks`` passes to the pair checks, for calling one alone:
     the two ``densities``, spinor Dirac operators ``dirac``, their
-    ``dirac_spectra`` ``spectra``, the function-Laplacian spectra
-    ``laplacians``, ``alpha`` and the pair ``metadata``."""
+    ``dirac_spectra`` ``spectra``, ``alpha``, the pair ``metadata``, and
+    ``laplacians(window)``, the two densities' ``battery_laplacian``."""
     densities = tuple(LeafVolumeDensity.from_profile(p, grid) for p in (p1, p2))
     dirac = tuple(assemble_basic_dirac_spinor(d, grid) for d in densities)
     return SimpleNamespace(
         densities=densities,
         dirac=dirac,
         spectra=tuple(dirac_spectra(op) for op in dirac),
-        laplacians=tuple(laplacian_read(d, grid) for d in densities),
         alpha=basic_volume_ratio(p1, p2, grid),
         metadata=pair_metadata(p1, p2, grid),
+        laplacians=lambda window: tuple(battery_laplacian(d, window) for d in densities),
     )
 
 

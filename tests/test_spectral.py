@@ -1,6 +1,7 @@
 """Weighted eigensolves, window handling, spectrum comparison."""
 
 import dataclasses
+import json
 import math
 import re
 
@@ -31,14 +32,21 @@ from foliation_lab.spectral import (
     eigenvalues_weighted,
     spectrum_compare,
 )
-from foliation_lab.verify import invariance_check, pair_metadata, random_profile
+from foliation_lab.verify import (
+    LAPLACIAN_FORMS_THRESHOLD,
+    invariance_check,
+    pair_metadata,
+    random_profile,
+)
 
 from conftest import (
     block_circulant_spectrum,
     delta_d_laplacian,
+    battery_laplacian,
     dense_spectrum,
     laplacian_read,
     pair_inputs,
+    save_profile,
 )
 
 
@@ -670,6 +678,172 @@ class TestGramRead:
             _spectrum(operator, density, grid64)
         monkeypatch.setattr(cli, "assemble_basic_dirac_spinor", lambda *args: honest)
         _spectrum(operator, density, grid64)
+
+
+def _galerkin_profiles() -> dict:
+    """The cosine, mixed and wavy2 fixtures and the generated profiles of
+    ``verify --seed s``, s = 1 to 5."""
+    profiles = {
+        "cosine": MetricProfile(2.0, (ProfileTerm(0, 1, 1.0),)),
+        "mixed": MetricProfile(2.0, (ProfileTerm(0, 1, 0.6), ProfileTerm(1, 0, 0.4, 0.3),
+                                     ProfileTerm(1, 1, 0.3, 0.0, 0.5))),
+        "wavy2": MetricProfile(2.0, (ProfileTerm(0, 2, 0.6), ProfileTerm(0, -2, 0.3, 0.0, 1.0),
+                                     ProfileTerm(1, 1, 0.4))),
+    }
+    for seed in range(1, 6):
+        rng = np.random.default_rng(seed)
+        for index in range(10):
+            profiles[f"seed{seed}-{index}"] = random_profile(rng)
+    return profiles
+
+
+def _galerkin(density, window=10.0, largest=256):
+    """The density's Galerkin read at the battery's tolerance, with no cap
+    from its period."""
+    return spectral.galerkin_laplacian(density, window, LAPLACIAN_FORMS_THRESHOLD, largest)
+
+
+def _galerkin_matches_grid(galerkin, density, grid, window=10.0) -> bool:
+    """Whether ``galerkin``, the density's Galerkin read at ``window``, meets
+    the battery's tolerance and its windowed values are the grid read's,
+    value by value, within the radius r plus the grid read's bound: d (2
+    sigma + d) with its round-off, ``TestGramRead``'s allowance (a)."""
+    grid_read = laplacian_read(density, grid)
+    factor = assemble_basic_dirac_spinor(density, grid).matrix
+    allowance = galerkin.radii + TestGramRead._gram_allowance(factor, density.period, grid_read)
+    values = grid_read.in_window(window * window)
+    return (galerkin.radius <= LAPLACIAN_FORMS_THRESHOLD
+            and values.size == galerkin.values.size
+            and bool(np.all(np.abs(values - galerkin.values) <= allowance)))
+
+
+def _predicted_order(density, window=10.0) -> int:
+    eta = spectral.strip_width(spectral.density_coefficients(density))
+    margin = math.log(1.0 / LAPLACIAN_FORMS_THRESHOLD) + spectral.GALERKIN_MARGIN
+    return math.floor(window + margin / eta) + 1
+
+
+class TestGalerkinRead:
+    """The pair battery's Galerkin read of the function Laplacian against
+    exact spectra, the grid read that ``spectrum`` keeps, and Rayleigh-Ritz;
+    and the battery's choice between the two reads."""
+
+    @pytest.mark.parametrize("constant", [1.0, 2.0, 3.7])
+    @pytest.mark.parametrize("terms", [(), (ProfileTerm(1, 0, 0.3),), (ProfileTerm(0, 1, 1e-300),)])
+    def test_constant_density_gives_the_squares(self, grid64, constant, terms):
+        """A constant density (a flat theta-average, or a t-term that rounds
+        away) has the spectrum {k^2}: 0 once and every other value twice,
+        each within its radius of the computed value, which is round-off.
+        Its order is the first above the window."""
+        read = _galerkin(_density(MetricProfile(constant, terms), grid64), 8.0)
+        squares = np.sort(np.arange(-8, 9) ** 2).astype(float)
+        assert read.order == 9
+        assert np.all(np.abs(read.values - squares) <= read.radii)
+        assert read.radius < 1e-11
+
+    @pytest.mark.parametrize("n_points", [128, 256])
+    def test_windowed_values_match_the_grid_read(self, n_points):
+        """The first order of the predicted sequence meets the tolerance on
+        every fixture, so each read is one solve."""
+        grid = GridSpec(n_points)
+        for name, profile in _galerkin_profiles().items():
+            density = _density(profile, grid)
+            read = _galerkin(density)
+            assert read.order == _predicted_order(density), name
+            assert _galerkin_matches_grid(read, density, grid), name
+
+    def test_ritz_values_do_not_increase_along_the_orders(self):
+        """Nested trial spaces: the k-th Ritz value at each order is at most
+        the one at the order before, up to the backward error (2K + 1) eps
+        ||L^{-1} A L^{-H}||_2 of each ``eigh``, the norm at most
+        K^2 (g_0 + 2 sum |g_m|) / g_low."""
+        grid = GridSpec(128)
+        for name, profile in _galerkin_profiles().items():
+            coefficients = spectral.density_coefficients(_density(profile, grid))
+            largest = float(np.sum(np.abs(coefficients)))
+            lower = spectral.lower_bound(coefficients)
+            previous = None
+            for order in (16, 24, 32, 48):
+                values = spectral.galerkin_read(coefficients, order, 10.0).values
+                if previous is not None:
+                    shared = min(previous.size, values.size)
+                    allowance = 2 * (2 * order + 1) * EPS * order * order * largest / lower
+                    assert np.all(values[:shared] <= previous[:shared] + allowance), name
+                previous = values
+
+    def test_a_mutant_stiffness_fails_the_grid_comparison(self, grid128, monkeypatch):
+        """j^2 g_{j-k} in place of jk g_{j-k}: the read no longer matches the
+        grid read on any non-constant fixture, and its radius, which the
+        contrast subtracts from the gap, exceeds the gap threshold, so that
+        no order meets the tolerance and the battery takes the grid read."""
+        honest = spectral.galerkin_matrices
+
+        def mutant(coefficients, order):
+            mass, _ = honest(coefficients, order)
+            rows = np.arange(mass.shape[0]) - mass.shape[0] // 2
+            return mass, (rows * rows)[:, None] * mass
+
+        monkeypatch.setattr(spectral, "galerkin_matrices", mutant)
+        profiles = _galerkin_profiles()
+        for name in ("cosine", "mixed", "wavy2"):
+            density = _density(profiles[name], grid128)
+            read = spectral.galerkin_read(spectral.density_coefficients(density),
+                                          _predicted_order(density), 10.0)
+            assert not _galerkin_matches_grid(read, density, grid128), name
+            assert read.radius > 1e-3, name
+            assert _galerkin(density, largest=64) is None, name
+            assert battery_laplacian(density, 10.0).order is None, name
+
+    def test_a_density_without_a_positive_lower_bound_gets_the_grid_read(self, grid128,
+                                                                            tmp_path):
+        """1 + 0.6 cos t + 0.6 cos 2t is positive (its minimum is 0.325), but
+        g_0 - 2 sum |g_m| = -0.2: the Galerkin read is refused, the battery
+        reads the grid, and a command whose contrast reads it decides it."""
+        profile = MetricProfile(1.0, (ProfileTerm(0, 1, 0.6), ProfileTerm(0, 2, 0.6)))
+        density = _density(profile, grid128)
+        coefficients = spectral.density_coefficients(density)
+        assert density.g_values.min() > 0.3
+        assert spectral.strip_width(coefficients) == 0.0
+        with pytest.raises(ValueError, match="g_low"):
+            spectral.galerkin_read(coefficients, 24, 8.0)
+        assert _galerkin(density, 8.0) is None
+        read = battery_laplacian(density, 8.0)
+        assert read.order is None
+        assert np.array_equal(read.values, laplacian_read(density, grid128).in_window(64.0))
+        paths = [tmp_path / "low.json", tmp_path / "wavy.json"]
+        save_profile(profile, paths[0])
+        save_profile(MetricProfile(2.0, (ProfileTerm(0, 1, 1.0),)), paths[1])
+        argv = ["invariance", "--profiles", *map(str, paths), "--grid", "128", "--window",
+                "8", "--output-dir", str(tmp_path)]
+        assert cli.run(argv) == 0
+        bundle = json.loads((tmp_path / "invariance_bundle.json").read_text())
+        contrast = bundle["reports"][-1]
+        assert contrast["check_name"] == "laplacian_dependence" and contrast["passed"]
+        assert contrast["metadata"]["laplacian_order"] == [None, _predicted_order(
+            _density(MetricProfile(2.0, (ProfileTerm(0, 1, 1.0),)), grid128), 8.0)]
+
+    @pytest.mark.parametrize("n_points, galerkin", [(64, False), (128, True), (256, True)])
+    def test_the_battery_reads_galerkin_only_where_it_is_the_cheaper_read(self, n_points,
+                                                                          galerkin):
+        """2 + cos t (period N) at window 8 needs K = 29: the grid read at
+        N = 64, where 6 (2K + 1)^3 > N P^2, and the Galerkin read from
+        N = 128; a constant (period 1) always gets the grid read, and so does
+        the t-bandwidth-8 density of ``tools/parity.py``, whose K is 89 at
+        window 10, up to N = 256."""
+        grid = GridSpec(n_points)
+        cosine = _density(MetricProfile(2.0, (ProfileTerm(0, 1, 1.0),)), grid)
+        assert _predicted_order(cosine, 8.0) == 29
+        assert (6 * 59**3 <= n_points**3) == galerkin
+        read = battery_laplacian(cosine, 8.0)
+        assert read.order == (29 if galerkin else None)
+        if not galerkin:
+            assert np.array_equal(read.values, laplacian_read(cosine, grid).in_window(64.0))
+        flat = _density(MetricProfile(2.0), grid)
+        assert battery_laplacian(flat, 8.0).order is None
+        wavy8 = _density(MetricProfile(2.0, (ProfileTerm(0, 1, 0.5),
+                                             ProfileTerm(0, 8, 0.2, 0.0, 0.7))), grid)
+        assert _predicted_order(wavy8) == 89
+        assert battery_laplacian(wavy8, 10.0).order is None
 
 
 class TestSpectrumCompare:

@@ -43,7 +43,7 @@ def test_tracer_installs_every_span_and_restores_the_originals(tmp_path, tracing
 
 def test_traced_verify_and_spectrum_write_the_untraced_reports(tmp_path, tracing):
     """Traced and untraced runs write the same bytes, also for a ``verify``
-    pair whose contrast runs (the Gram reads inside ``dirac_spectra``) and a
+    pair whose contrast runs (at grid 64 two grid Laplacian reads) and a
     Laplacian ``spectrum``."""
     wavy, wavy2 = tmp_path / "wavy.json", tmp_path / "wavy2.json"
     save_profile(MetricProfile(2.0, (ProfileTerm(0, 1, 1.0),)), wavy)

@@ -62,7 +62,7 @@ def conjugation(p1, p2, grid):
 def contrast(p1, p2, grid, window):
     pair = pair_inputs(p1, p2, grid)
     forms_bound = invariance_check(*pair.spectra, window, pair.metadata).metadata["forms_residual"]
-    return laplacian_dependence(*pair.laplacians, forms_bound, window, pair.metadata)
+    return laplacian_dependence(*pair.laplacians(window), forms_bound, window, pair.metadata)
 
 
 def scal_relation(profile, grid):
@@ -133,7 +133,7 @@ class TestInvarianceCheck:
         assert report.metadata["forms_residual"] == forms_bound
         # sorting minimizes the largest deviation, and +-x pairs with +-y
         assert report.residual == spinor_bound >= forms_bound
-        squared = laplacian_dependence(*pair.laplacians, forms_bound, 10.0, pair.metadata)
+        squared = laplacian_dependence(*pair.laplacians(10.0), forms_bound, 10.0, pair.metadata)
         assert squared.metadata["squared_forms_residual"] == (
             2.0 * (10.0 + WINDOW_EDGE_SLACK) * forms_bound
         )
@@ -320,34 +320,46 @@ def test_property_sweep_over_seeded_pairs(n_points):
 
 
 @pytest.mark.parametrize(
-    "second, skip, shapes",
+    "n_points, second, skip, shapes",
     [
-        # per operator its Laplacian's Gram read, then its Dirac read at P = 1:
-        # the flat density's Gram blocks are 64 of size 1, and 2 + cos t's,
-        # without symmetry, one dense block
-        (MetricProfile(2.0, (ProfileTerm(0, 1, 1.0),)), False,
-         [(64, 1, 1)] * 2 + [(1, 64, 64), (64, 1, 1)]),
+        # per density its Laplacian read, then per operator its Dirac read at
+        # P = 1: at N = 64 both Laplacians are grid reads, the flat density's
+        # Gram blocks 64 of size 1 and 2 + cos t's, without symmetry, one
+        # dense block, as 6 (2K + 1)^3 > N P^2 for its K = 29 at window 8
+        (64, MetricProfile(2.0, (ProfileTerm(0, 1, 1.0),)), False,
+         ([(64, 1, 1), (1, 64, 64)] + [(64, 1, 1)] * 2, [])),
+        # at N = 128, 2 + cos t's is one Galerkin solve of dimension 59, and
+        # no N x N Gram block is solved
+        (128, MetricProfile(2.0, (ProfileTerm(0, 1, 1.0),)), False,
+         ([(128, 1, 1)] * 3, [(59, 59)])),
         # the theta-average of 1 + cos(theta)/2 is flat: the contrast is
         # skipped, and the two equal flat densities are read once
-        (MetricProfile(1.0, (ProfileTerm(1, 0, 0.5),)), True, [(64, 1, 1)]),
+        (64, MetricProfile(1.0, (ProfileTerm(1, 0, 0.5),)), True, ([(64, 1, 1)], [])),
     ],
 )
-def test_pair_battery_solves_each_spectrum_once(flat_profile, grid64, monkeypatch, second, skip,
+def test_pair_battery_solves_each_spectrum_once(flat_profile, monkeypatch, n_points, second, skip,
                                                 shapes):
     """Per battery: two densities, two spinor Dirac assemblies, one alpha, one
     ``eigvalsh`` call per distinct density's Dirac operator, on its N 1 x 1
-    circulant blocks, and, unless the contrast is skipped, one before it for
-    the operator's Laplacian, on the stacked Gram blocks of its density's
-    period, no SVD, and one derivative matrix for the pair's (grid, spin
-    structure)."""
-    eigvalsh_sizes, svd_calls, built = [], [], []
-    eigvalsh, svd = np.linalg.eigvalsh, np.linalg.svd
+    circulant blocks; unless the contrast is skipped, before them one
+    Laplacian read per distinct density: one ``eigvalsh`` call on the
+    stacked Gram blocks of its period, or one ``eigh`` call of dimension
+    2K + 1 for a Galerkin read; no SVD, and one derivative matrix for the
+    pair's (grid, spin structure).  ``shapes`` holds the ``eigvalsh`` and the
+    ``eigh`` shapes."""
+    grid = GridSpec(n_points)
+    eigvalsh_sizes, eigh_sizes, svd_calls, built = [], [], [], []
+    eigvalsh, eigh, svd = np.linalg.eigvalsh, np.linalg.eigh, np.linalg.svd
     from_profile = LeafVolumeDensity.from_profile.__func__
     assemble, ratio = verify.assemble_basic_dirac_spinor, verify.basic_volume_ratio
 
     def counted_eigvalsh(matrix, *args, **kwargs):
         eigvalsh_sizes.append(matrix.shape)
         return eigvalsh(matrix, *args, **kwargs)
+
+    def counted_eigh(matrix, *args, **kwargs):
+        eigh_sizes.append(matrix.shape)
+        return eigh(matrix, *args, **kwargs)
 
     def counted_svd(*args, **kwargs):
         svd_calls.append(1)
@@ -360,6 +372,7 @@ def test_pair_battery_solves_each_spectrum_once(flat_profile, grid64, monkeypatc
         return wrapper
 
     monkeypatch.setattr(np.linalg, "eigvalsh", counted_eigvalsh)
+    monkeypatch.setattr(np.linalg, "eigh", counted_eigh)
     monkeypatch.setattr(np.linalg, "svd", counted_svd)
     # np.linalg.norm(x, 2) reaches svd through the implementation module
     monkeypatch.setattr(np.linalg._linalg, "svd", counted_svd)
@@ -368,16 +381,16 @@ def test_pair_battery_solves_each_spectrum_once(flat_profile, grid64, monkeypatc
     monkeypatch.setattr(verify, "assemble_basic_dirac_spinor", counted("dirac", assemble))
     monkeypatch.setattr(verify, "basic_volume_ratio", counted("alpha", ratio))
     differentiation_matrix.cache_clear()
-    reports = run_pair_checks([(flat_profile, second)], grid64, 8.0,
+    reports = run_pair_checks([(flat_profile, second)], grid, 8.0,
                               skip_indistinct_laplacian=skip)
     assert [report.passed for report in reports] == [True] * 4
     assert [report.metadata.get("skipped", False) for report in reports] == [False] * 3 + [skip]
     # every report, the skipped contrast included, starts from the pair metadata
     for report in reports:
-        for key, value in pair_metadata(flat_profile, second, grid64).items():
+        for key, value in pair_metadata(flat_profile, second, grid).items():
             assert report.metadata[key] == value
     assert built == ["density", "density", "dirac", "dirac", "alpha"]
-    assert eigvalsh_sizes == shapes
+    assert (eigvalsh_sizes, eigh_sizes) == shapes
     assert svd_calls == []
     assert differentiation_matrix.cache_info().misses == 1
 
@@ -407,17 +420,25 @@ def test_pair_battery_compares_each_dirac_spectrum_once(flat_profile, cosine_pro
         )
 
 
-def test_pair_battery_assembles_each_dirac_operator_once(cosine_profile, mixed_profile, grid64,
-                                                         monkeypatch):
+@pytest.mark.parametrize(
+    "n_points, gram_reads, orders",
+    [(64, [("gram", 0, 64), ("gram", 1, 64)], [None, None]), (128, [], [29, 23])],
+)
+def test_pair_battery_assembles_each_dirac_operator_once(cosine_profile, mixed_profile,
+                                                         monkeypatch, n_points, gram_reads,
+                                                         orders):
     """Two spinor Dirac assemblies per battery, each read once by
-    ``dirac_spectra``: the Gram read of its Laplacian, on the operator's
-    matrix along its density's period, then ``hermitian_spectrum`` at
-    period 1.  The conjugation check reads the two operators that were read,
-    not fresh assemblies, and no Laplacian is assembled."""
-    assembled, read, events, conjugated = [], [], [], []
+    ``dirac_spectra``, by ``hermitian_spectrum`` at period 1 and with no Gram
+    read; before them each density's Laplacian is read once by
+    ``function_laplacian``: a Galerkin read capped at 6 (2K + 1)^3 <= N P^2,
+    and where none is made, the Gram read of the operator's matrix along the
+    density's period (here at N = 64, where K = 29 and 23 do not fit).  The
+    conjugation check reads the two operators that were read, not fresh
+    assemblies, and no Laplacian is assembled."""
+    assembled, read, events, conjugated, galerkin = [], [], [], [], []
     assemble, solve = verify.assemble_basic_dirac_spinor, WeightedOperator.hermitian_spectrum
     spectra, gram = verify.dirac_spectra, spectral.gram_spectrum
-    conjugate = verify.conjugation_residual
+    conjugate, galerkin_read = verify.conjugation_residual, spectral.galerkin_laplacian
 
     def counted_assembly(density, grid, out=None):
         op = assemble(density, grid, out=out)
@@ -427,14 +448,19 @@ def test_pair_battery_assembles_each_dirac_operator_once(cosine_profile, mixed_p
     def assembly_index(op):
         return next((i for i, ref in enumerate(assembled) if ref() is op), None)
 
-    def recorded_read(op, out=None, period=None, known=None):
+    def recorded_read(op, out=None, period=None):
         read.append((assembly_index(op), period))
-        return spectra(op, out=out, period=period, known=known)
+        return spectra(op, out=out, period=period)
 
     def recorded_gram(factor, period, out=None):
         index = next(i for i, ref in enumerate(assembled) if ref().matrix is factor)
         events.append(("gram", index, period))
         return gram(factor, period, out=out)
+
+    def recorded_galerkin(density, window, tolerance, largest):
+        report = galerkin_read(density, window, tolerance, largest)
+        galerkin.append((window, tolerance, largest, None if report is None else report.order))
+        return report
 
     def recorded_solve(op, out=None):
         events.append(("solve", assembly_index(op), op.period))
@@ -449,11 +475,16 @@ def test_pair_battery_assembles_each_dirac_operator_once(cosine_profile, mixed_p
     monkeypatch.setattr(spectral, "gram_spectrum", recorded_gram)
     monkeypatch.setattr(WeightedOperator, "hermitian_spectrum", recorded_solve)
     monkeypatch.setattr(verify, "conjugation_residual", recorded_conjugation)
-    reports = run_pair_checks([(cosine_profile, mixed_profile)], grid64, 8.0)
+    monkeypatch.setattr(spectral, "galerkin_laplacian", recorded_galerkin)
+    reports = run_pair_checks([(cosine_profile, mixed_profile)], GridSpec(n_points), 8.0)
     assert [report.passed for report in reports] == [True] * 4
+    assert reports[3].metadata["laplacian_order"] == orders
     assert len(assembled) == 2
-    assert read == [(0, 64), (1, 64)]
-    assert events == [("gram", 0, 64), ("solve", 0, 1), ("gram", 1, 64), ("solve", 1, 1)]
+    assert read == [(0, None), (1, None)]
+    assert events == gram_reads + [("solve", 0, 1), ("solve", 1, 1)]
+    largest = ((n_points**3 / spectral.GALERKIN_COST) ** (1.0 / 3.0) - 1.0) / 2.0
+    assert galerkin == [(8.0, verify.LAPLACIAN_FORMS_THRESHOLD, largest, order)
+                        for order in orders]
     assert conjugated == [0, 1]
     assert not hasattr(verify, "assemble_basic_laplacian")
 
@@ -471,50 +502,71 @@ def _generated_pairs(seed: int, count: int = 5) -> list:
     return [(random_profile(rng), random_profile(rng)) for _ in range(count)]
 
 
+WAVY_TINY_8 = MetricProfile(2.0, (ProfileTerm(0, 1, 1.0), ProfileTerm(0, 8, 1e-300)))
+
+
 @pytest.mark.parametrize(
-    "pairs, generated, reads",
+    "n_points, pairs, generated, reads",
     [
-        *[(_generated_pairs(seed), True, None) for seed in (1, 4, 5, 7041)],
+        *[(64, _generated_pairs(seed), True, None) for seed in (1, 4, 5, 7041)],
+        (128, _generated_pairs(1), True, None),
         # constant 2 read with its contrast skipped, then needed with its
-        # Laplacian: only the Gram read of P = 1 runs on the hit
-        ([(FLAT_2, FLAT_2_SKEW), (WAVY, FLAT_2)], True, [(None, False), (64, False), (1, True)]),
-        # equal bytes, periods 1 and 64: two Gram reads, one period-1 read each
-        ([(FLAT_2, FLAT_2_TINY), (FLAT_2_TINY, WAVY), (FLAT_2, FLAT_2_SKEW)], False,
-         [(1, False), (64, False), (64, False)]),
+        # Laplacian: only its Laplacian read runs on the hit
+        (64, [(FLAT_2, FLAT_2_SKEW), (WAVY, FLAT_2)], True,
+         [("dirac",), ("laplacian", 1, 64, None), ("laplacian", 0, 1, None), ("dirac",)]),
+        # equal bytes, periods 1 and 64, bandwidths 0 and 1: one period-1 read
+        # and two Laplacian reads, the first a grid read at P = 1, the second
+        # a Galerkin read, as the trimmed coefficients are constant
+        (64, [(FLAT_2, FLAT_2_TINY), (FLAT_2_TINY, WAVY), (FLAT_2, FLAT_2_SKEW)], False,
+         [("laplacian", 0, 1, None), ("laplacian", 1, 64, 9), ("dirac",),
+          ("laplacian", 1, 64, None), ("dirac",)]),
+        # equal bytes, bandwidths 1 and 8: one period-1 read and two Galerkin
+        # reads, as the round-off of DFT coefficients 2 to 8 is read
+        (128, [(WAVY, FLAT_2), (WAVY_TINY_8, FLAT_2)], False,
+         [("laplacian", 1, 128, 29), ("laplacian", 0, 1, None), ("dirac",), ("dirac",),
+          ("laplacian", 8, 128, 29)]),
     ],
 )
-def test_pair_memo_changes_no_report(grid64, monkeypatch, pairs, generated, reads):
+def test_pair_memo_changes_no_report(monkeypatch, n_points, pairs, generated, reads):
     """One battery over the pairs gives, field for field and bitwise, the
-    reports of one battery per pair: the memo of ``dirac_spectra`` reads
-    returns what a fresh read computes.  ``reads`` lists the battery's
-    reads as (Laplacian period, whether the period-1 read was a hit)."""
-    recorded, spectra = [], verify.dirac_spectra
+    reports of one battery per pair: the memos of ``dirac_spectra`` and
+    ``function_laplacian`` reads return what a fresh read computes.
+    ``reads`` lists the battery's reads in order, a Laplacian read with its
+    density's t-bandwidth and period and its Galerkin order."""
+    grid = GridSpec(n_points)
+    recorded, spectra, laplacian = [], verify.dirac_spectra, verify.function_laplacian
 
-    def recorded_read(op, out=None, period=None, known=None):
-        recorded.append((period, known is not None))
-        return spectra(op, out=out, period=period, known=known)
+    def recorded_read(op, out=None, period=None):
+        recorded.append(("dirac",))
+        return spectra(op, out=out, period=period)
+
+    def recorded_laplacian(density, *args):
+        report = laplacian(density, *args)
+        recorded.append(("laplacian", density.t_bandwidth, density.period, report.order))
+        return report
 
     monkeypatch.setattr(verify, "dirac_spectra", recorded_read)
-    batched = run_pair_checks(pairs, grid64, 8.0, skip_indistinct_laplacian=generated)
+    monkeypatch.setattr(verify, "function_laplacian", recorded_laplacian)
+    batched = run_pair_checks(pairs, grid, 8.0, skip_indistinct_laplacian=generated)
     if reads is not None:
         assert recorded == reads
     separate = [report for pair in pairs
-                for report in run_pair_checks([pair], grid64, 8.0,
+                for report in run_pair_checks([pair], grid, 8.0,
                                               skip_indistinct_laplacian=generated)]
     assert len(batched) == len(separate) == 4 * len(pairs)
     for one, other in zip(batched, separate):
         assert vars(one) == vars(other)
 
 
-def test_pair_battery_allocates_its_five_buffers_and_little_else(cosine_profile, mixed_profile,
+def test_pair_battery_allocates_its_four_buffers_and_little_else(cosine_profile, mixed_profile,
                                                                  monkeypatch):
     """Allocation budget at N = 128, warm caches: one battery (contrast
-    included) peaks below its five N x N complex buffers plus two more such
+    included) peaks below its four N x N complex buffers plus two more such
     arrays; the 2-D samples of alpha are most of the rest.  With alpha given,
-    it stays below the five buffers plus one array, so no N x N intermediate
-    of the assemblies, the conjugation, the symmetrizations or the Gram reads
-    is a fresh array; three pairs in one call peak no higher, and a call with
-    no pair allocates no buffer.  ``tracemalloc`` counts numpy's data
+    it stays below the four buffers plus one array, so no N x N intermediate
+    of the assemblies, the conjugation or the symmetrizations is a fresh
+    array, and the Galerkin reads (K = 29 and 23) need none; three pairs in
+    one call peak no higher, and a call with no pair allocates no buffer.  ``tracemalloc`` counts numpy's data
     buffers, whatever the allocator and the OS do with them."""
     n_points = 128
     grid = GridSpec(n_points)
@@ -532,16 +584,16 @@ def test_pair_battery_allocates_its_five_buffers_and_little_else(cosine_profile,
     run_pair_checks([pair], grid, 8.0)
     reports, peak = traced_battery([pair])
     assert [report.passed for report in reports] == [True] * 4
-    assert not reports[3].metadata.get("skipped", False)
-    assert peak < (5 + 2) * matrix_bytes
+    assert reports[3].metadata["laplacian_order"] == [29, 23]
+    assert peak < (4 + 2) * matrix_bytes
     alpha = verify.basic_volume_ratio(cosine_profile, mixed_profile, grid)
     monkeypatch.setattr(verify, "basic_volume_ratio", lambda *args: alpha)
     given_alpha, peak = traced_battery([pair])
     assert given_alpha == reports
-    assert peak < (5 + 1) * matrix_bytes
+    assert peak < (4 + 1) * matrix_bytes
     three_pairs, peak = traced_battery([pair] * 3)
     assert three_pairs == reports * 3
-    assert peak < (5 + 1) * matrix_bytes
+    assert peak < (4 + 1) * matrix_bytes
     no_pair, peak = traced_battery([])
     assert no_pair == [] and peak < matrix_bytes
 
@@ -663,20 +715,27 @@ class TestMutations:
             dirac_spectra(mutant)
 
 
+@pytest.mark.parametrize("n_points, orders", [(64, [None, None]), (128, [None, 29])])
 def test_verify_and_invariance_read_dirac_operators_only_at_period_one(
-        flat_profile, cosine_profile, tmp_path, monkeypatch):
-    """Every eigensolve of the ``verify``, ``invariance`` and ``spectrum``
+        flat_profile, cosine_profile, tmp_path, monkeypatch, n_points, orders):
+    """Every grid eigensolve of the ``verify``, ``invariance`` and ``spectrum``
     commands is one ``eigvalsh`` call on the stacked blocks of a period: a
     Dirac operator, on either spin structure, reaches it only as N 1 x 1
     blocks, never dense, and a Laplacian only by the Gram read of its
-    density's periodic spinor Dirac matrix along the density's period.  Per
-    pair: one spinor assembly per density.  Per command: one period-1 read
-    per distinct density, and one Gram read per distinct density that a
-    running contrast reads; a Laplacian ``spectrum`` takes one of each."""
-    events, sizes, assembled = [], [], []
-    solve, gram, eigvalsh = (WeightedOperator.hermitian_spectrum, spectral.gram_spectrum,
-                             np.linalg.eigvalsh)
-    assemble = verify.assemble_basic_dirac_spinor
+    density's periodic spinor Dirac matrix along the density's period.  In
+    ``verify`` and ``invariance`` a Laplacian is first offered to
+    ``galerkin_laplacian``, whose one ``eigh`` call is (2K + 1)-dimensional
+    where it reads, and Gram-read where it does not.  Per pair: one spinor
+    assembly per density.  Per command: one period-1 read per distinct
+    density, and one Laplacian read per distinct (density, t-bandwidth,
+    period) that a running contrast reads; a Laplacian ``spectrum`` takes
+    one Gram and one period-1 read and no Galerkin read.  ``orders`` are the
+    Galerkin orders of the flat density and 2 + cos t at window 8, None for
+    a grid read."""
+    events, sizes, assembled, galerkin, eigh_sizes = [], [], [], [], []
+    solve, gram, eigvalsh, eigh = (WeightedOperator.hermitian_spectrum, spectral.gram_spectrum,
+                                   np.linalg.eigvalsh, np.linalg.eigh)
+    assemble, galerkin_read = verify.assemble_basic_dirac_spinor, spectral.galerkin_laplacian
 
     def recorded_solve(op, out=None):
         events.append((op.label, op.period))
@@ -685,6 +744,15 @@ def test_verify_and_invariance_read_dirac_operators_only_at_period_one(
     def recorded_gram(factor, period, out=None):
         events.append(("gram", period))
         return gram(factor, period, out=out)
+
+    def recorded_galerkin(*args):
+        report = galerkin_read(*args)
+        galerkin.append(None if report is None else report.order)
+        return report
+
+    def counted_eigh(matrix, *args, **kwargs):
+        eigh_sizes.append(matrix.shape)
+        return eigh(matrix, *args, **kwargs)
 
     def counted_assembly(density, grid, out=None):
         assembled.append(grid.spin_structure)
@@ -699,16 +767,20 @@ def test_verify_and_invariance_read_dirac_operators_only_at_period_one(
     monkeypatch.setattr(verify, "assemble_basic_dirac_spinor", counted_assembly)
     monkeypatch.setattr(cli, "assemble_basic_dirac_spinor", counted_assembly)
     monkeypatch.setattr(np.linalg, "eigvalsh", counted_eigvalsh)
+    monkeypatch.setattr(spectral, "galerkin_laplacian", recorded_galerkin)
+    monkeypatch.setattr(np.linalg, "eigh", counted_eigh)
     flat, wavy = str(tmp_path / "flat.json"), str(tmp_path / "wavy.json")
     save_profile(flat_profile, flat)
     save_profile(cosine_profile, wavy)
-    out = ["--grid", "64", "--window", "8", "--output-dir", str(tmp_path / "out")]
-    spinor = "dirac_spinor[trivial,N=64]"
+    out = ["--grid", str(n_points), "--window", "8", "--output-dir", str(tmp_path / "out")]
+    spinor = f"dirac_spinor[trivial,N={n_points}]"
 
     def run(argv):
-        del events[:], assembled[:], sizes[:]
+        del events[:], assembled[:], sizes[:], galerkin[:], eigh_sizes[:]
         assert cli.run([*argv, *out]) in (0, 1)
-        assert sizes == [(64 // period, period, period) for _, period in events]
+        assert sizes == [(n_points // period, period, period) for _, period in events]
+        # one eigh per Galerkin read: its first order meets the tolerance
+        assert eigh_sizes == [(2 * order + 1,) * 2 for order in galerkin if order is not None]
         return list(events), list(assembled)
 
     # five generated pairs: only the contrasts that run read Laplacians
@@ -718,27 +790,32 @@ def test_verify_and_invariance_read_dirac_operators_only_at_period_one(
                   if report["check_name"] == "laplacian_dependence"]
     assert 0 < sum(contrasted) < 5
     assert built == ["trivial"] * 10
-    # the same draws: distinct densities are distinct bytes and period
-    rng, grid = np.random.default_rng(1), GridSpec(64)
+    # the same draws: distinct densities are distinct bytes
+    rng, grid = np.random.default_rng(1), GridSpec(n_points)
     pairs = [[LeafVolumeDensity.from_profile(random_profile(rng), grid) for _ in range(2)]
              for _ in range(5)]
 
     def distinct(densities):
-        return len({(density.g_values.tobytes(), density.period) for density in densities})
+        return {(d.g_values.tobytes(), d.t_bandwidth, d.period) for d in densities}
 
-    n_distinct = distinct([density for pair in pairs for density in pair])
+    n_distinct = len({key[0] for key in distinct([d for pair in pairs for d in pair])})
     assert n_distinct < 10
     assert [event for event in read if event[0] != "gram"] == [(spinor, 1)] * n_distinct
-    assert sum(event[0] == "gram" for event in read) == distinct(
-        [density for pair, ran in zip(pairs, contrasted) if ran for density in pair])
-    # the flat profile has period 1, 2 + cos t none: per density its Gram
-    # read, then its period-1 read
+    contrasted_keys = distinct([d for pair, ran in zip(pairs, contrasted) if ran for d in pair])
+    assert len(galerkin) == len(contrasted_keys)
+    gram_periods = [event[1] for event in read if event[0] == "gram"]
+    assert len(gram_periods) == galerkin.count(None)
+    # the flat profile and 2 + cos t: per density its Laplacian read, then
+    # per operator its period-1 read
     for argv in (["verify", "--profiles", flat, wavy], ["invariance", "--profiles", flat, wavy]):
-        assert run(argv) == ([("gram", 1), (spinor, 1), ("gram", 64), (spinor, 1)],
-                             ["trivial"] * 2)
+        grams = [("gram", 1)] + ([("gram", n_points)] if orders[1] is None else [])
+        assert run(argv) == (grams + [(spinor, 1)] * 2, ["trivial"] * 2)
+        assert galerkin == orders
     for spin in ("trivial", "nontrivial"):
         spectrum = ["spectrum", "--profile", wavy, "--spin", spin, "--operator"]
-        assert run([*spectrum, "dirac-spinor"]) == ([(f"dirac_spinor[{spin},N=64]", 1)], [spin])
+        assert run([*spectrum, "dirac-spinor"]) == (
+            [(f"dirac_spinor[{spin},N={n_points}]", 1)], [spin])
         assert run([*spectrum, "dirac-forms"]) == ([(spinor, 1)], ["trivial"])
         for operator in ("laplacian-functions", "laplacian-one-forms"):
-            assert run([*spectrum, operator]) == ([("gram", 64), (spinor, 1)], ["trivial"])
+            assert run([*spectrum, operator]) == ([("gram", n_points), (spinor, 1)], ["trivial"])
+            assert galerkin == []

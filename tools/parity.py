@@ -14,7 +14,7 @@ trees with
     python3 tools/parity.py parent /tmp/a && python3 tools/parity.py change /tmp/b
     diff -r /tmp/a /tmp/b
 
-The 64 cases run one after another in one process, so state that one call
+The 65 cases run one after another in one process, so state that one call
 left behind would show up as a difference in a later case; the last four
 cases run a grid-256 ``verify`` twice in a row, then an ``invariance`` at
 grid 128 right after a grid-64 ``verify``.  BLAS runs on one thread unless
@@ -43,6 +43,10 @@ PROFILES = {
     "wavy2": {"constant": 2.0, "terms": [{"m": 0, "n": 2, "amp": 0.6},
                                          {"m": 0, "n": -2, "amp": 0.3, "phase_t": 1.0},
                                          {"m": 1, "n": 1, "amp": 0.4}]},
+    # t-bandwidth 8: its Galerkin order, 89 at window 10, is too large for
+    # grid 128, so the pair battery reads it by the grid read
+    "wavy8": {"constant": 2.0, "terms": [{"m": 0, "n": 1, "amp": 0.5},
+                                         {"m": 0, "n": 8, "amp": 0.2, "phase_t": 0.7}]},
 }
 GRIDS = (64, 128, 256)
 SEEDS = (7041, 1, 2, 3, 4, 5)
@@ -84,15 +88,18 @@ def cases() -> dict[str, list[str]]:
     table["verify-wavy2-pairs"] = [
         "verify", "--all", "--profiles", profile("wavy2"), profile("wavy"), profile("flat2"),
         *small]
-    # Gram reads at P = N/2, N and 1 through the pair battery's buffers at
-    # the benchmark's grid.
+    # Contrasts on densities of period N/2, N and 1 through the pair
+    # battery's buffers at the benchmark's grid.
     table["verify-wavy2-pairs-n256"] = [
         "verify", "--all", "--profiles", profile("wavy2"), profile("wavy"), profile("flat2"),
         "--grid", "256", "--window", "10"]
     table["invariance-wavy2-skew"] = [
         "invariance", "--profiles", profile("wavy2"), profile("skew"), "--grid", "128"]
+    # A running contrast on a density of t-bandwidth 8.
+    table["invariance-wavy8-wavy"] = [
+        "invariance", "--profiles", profile("wavy8"), profile("wavy"), "--grid", "128"]
     # Densities that recur within one command: the pair battery reads each
-    # distinct (density, period) once.  A chained run repeats two profiles;
+    # distinct density once.  A chained run repeats two profiles;
     # seed 4's twelve generated pairs read a constant density first with its
     # contrast skipped, later with it run.
     table["verify-chained-repeats-n256"] = [
