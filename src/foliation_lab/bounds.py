@@ -1,11 +1,15 @@
 """Eigenvalue lower bounds for the basic Dirac operator and their sphere-flow values.
 
-``eval_bound`` evaluates four bound families from infimum/supremum data:
+``bound_value`` holds the one formula of each of four bound families, on
+infimum/supremum data given as floats or arrays alike:
 
 * ``esti``     lambda^2 >= q/(4(q-1)) * inf(transverse scalar curvature)
 * ``estmflot`` lambda^2 >= q/(4(q-1)) * inf(Scal_M + |A|^2 + |kappa|^2)  (flows)
 * ``minmax``   lambda^2 >= lambda^2(D_M)/2 - (n/16) * sup(|A|^2)
 * ``collapse`` lambda^2 >= (q+1)/(4q) * inf(Scal_M + |A|^2)
+
+``eval_bound`` checks the kind, the codimension and the quantities one
+scalar evaluation needs, then calls it.
 
 ``s3_bounds`` evaluates all four on the sphere flows, where every quantity is
 a closed-form function of s = |z|^2, at the better end of [0, 1].  No
@@ -14,11 +18,14 @@ of the esti, estmflot, negated minmax (-|A|^2) and collapse integrands are
 -6 r^2 (r^2 - 1) / D^2, -(r^2 - 1)(r^4 s + (1 - s) + 3 r^2) / D^3,
 4 r^2 (r^2 - 1) / D^3 and -4 r^2 (r^2 - 1) / D^3, so each integrand is
 strictly monotone in s for r != 1, constant at r = 1, and extreme at s = 0
-or 1 (``tests/test_bounds.py`` derives this with sympy).  For R flow
-parameters the curvature is evaluated once, on (R, 2) points.  The values
-reproduce the closed piecewise-in-r references of ``piecewise_reference``;
-every row ``s3_bounds`` returns carries its r and its reference, read once
-per r, and the report writers compare the two.
+or 1 (``tests/test_bounds.py`` derives this with sympy).  It first validates
+every r with array predicates, so a refused r leaves nothing evaluated.  For
+R flow parameters the curvature is then evaluated once, on (R, 2) points,
+``piecewise_reference`` once on the r column, and each family's formula
+once, on the column of its extrema.  The result is a ``BoundTable`` of
+columns: r, and per family the value, the closed piecewise-in-r reference,
+arg_s and the extremum.  ``bound_rows_csv`` and ``bound_failures`` format
+rows, r-major, from those columns and compare value with reference.
 """
 
 from __future__ import annotations
@@ -78,17 +85,48 @@ class BoundReport:
     kind: str
     value: float
     inputs: dict = field(default_factory=dict)
-    r: float | None = None
-    reference: float | None = None
 
 
-def eval_bound(kind: str, q: int, n: int, quantities: dict, r=None, arg_s=None,
-               reference=None) -> BoundReport:
-    """Evaluate one bound formula from the extrema it requires; a sphere-flow
-    row also carries its ``r``, the point ``arg_s`` of its extremum and its
-    ``piecewise_reference`` value.
+@dataclass(frozen=True, eq=False)
+class BoundTable:
+    """The sphere-flow bounds as columns.
 
-    Raises ValueError naming the first missing quantity.
+    ``r`` has one entry per flow parameter, shape (R,).  ``value``,
+    ``reference`` (its ``piecewise_reference``), ``arg_s`` (the s of its
+    extremum) and ``extremum`` (the infimum or supremum over s its formula
+    read, named by ``s3_quantities``) have shape (R, 4): row i belongs to
+    ``r[i]`` and column k to family ``BOUND_KINDS[k]``, so the rows of the
+    reports, r-major, are these arrays raveled.
+    """
+
+    r: np.ndarray
+    value: np.ndarray
+    reference: np.ndarray
+    arg_s: np.ndarray
+    extremum: np.ndarray
+
+    def row_labels(self) -> tuple[tuple, list]:
+        """The kind and the r of every row, r-major, r as Python floats."""
+        return BOUND_KINDS * self.r.size, np.repeat(self.r, len(BOUND_KINDS)).tolist()
+
+
+def bound_value(kind: str, q: int, n: int, quantities: dict):
+    """The one formula of family ``kind``, on the extrema in ``quantities``,
+    floats or arrays alike, elementwise; checks nothing (``eval_bound`` does)."""
+    if kind == "esti":
+        return q / (4.0 * (q - 1.0)) * quantities["inf_scal_transverse"]
+    if kind == "estmflot":
+        return q / (4.0 * (q - 1.0)) * quantities["inf_scal_plus_tensors"]
+    if kind == "minmax":
+        return 0.5 * quantities["lambda_dm_sq"] - (n / 16.0) * quantities["sup_a_sq"]
+    return (q + 1.0) / (4.0 * q) * quantities["inf_scal_plus_a_sq"]  # collapse
+
+
+def eval_bound(kind: str, q: int, n: int, quantities: dict) -> BoundReport:
+    """Evaluate one bound formula from the extrema it requires.
+
+    Raises ValueError for an unknown kind, a codimension below 2, or, naming
+    it, the first missing quantity.
     """
     if kind not in BOUND_KINDS:
         raise ValueError(f"unknown bound kind {kind!r}; expected one of {BOUND_KINDS}")
@@ -97,18 +135,18 @@ def eval_bound(kind: str, q: int, n: int, quantities: dict, r=None, arg_s=None,
     for symbol in _REQUIRED_QUANTITIES[kind]:
         if symbol not in quantities:
             raise ValueError(f"bound {kind!r} requires missing quantity {symbol!r}")
-    if kind == "esti":
-        value = q / (4.0 * (q - 1.0)) * quantities["inf_scal_transverse"]
-    elif kind == "estmflot":
-        value = q / (4.0 * (q - 1.0)) * quantities["inf_scal_plus_tensors"]
-    elif kind == "minmax":
-        value = 0.5 * quantities["lambda_dm_sq"] - (n / 16.0) * quantities["sup_a_sq"]
-    else:  # collapse
-        value = (q + 1.0) / (4.0 * q) * quantities["inf_scal_plus_a_sq"]
-    inputs = {**quantities, "q": q, "n": n}
-    if arg_s is not None:
-        inputs["arg_s"] = arg_s
-    return BoundReport(kind, float(value), inputs, r, reference)
+    return BoundReport(kind, float(bound_value(kind, q, n, quantities)),
+                       {**quantities, "q": q, "n": n})
+
+
+def s3_quantities(kind: str, extremum) -> dict:
+    """The quantities the sphere-flow row of ``kind`` reads: its extremum over
+    s, the last quantity ``kind`` requires, as a float or a column, and for
+    minmax lambda_1(D_M)^2 of the round 3-sphere."""
+    quantities = {_REQUIRED_QUANTITIES[kind][-1]: extremum}
+    if kind == "minmax":
+        quantities["lambda_dm_sq"] = FIRST_DIRAC_EIGENVALUE_SQ_S3
+    return quantities
 
 
 def golden_section_min(fn, a, b, tol: float = 1e-10):
@@ -172,7 +210,15 @@ def maximize_on_interval(fn, a: float, b: float):
     return x, -negative
 
 
-def s3_bounds(r) -> list[BoundReport]:
+# What s3_bounds says of the first r that fails each validity condition, in order.
+_R_REFUSALS = (
+    "flow parameter r must be positive and finite, got {}",
+    "flow parameter r = {} is too small: r*r underflows to 0",
+    "flow parameter r = {} is too large: 6*r*r overflows",
+)
+
+
+def s3_bounds(r) -> BoundTable:
     """All four sphere-flow bounds at each flow parameter via numeric extrema in s.
 
     ``r`` is one flow parameter or a nonempty 1-D sequence of them; every r
@@ -180,9 +226,12 @@ def s3_bounds(r) -> list[BoundReport]:
     (the references divide by r^2), with 6 r^2, the transverse scalar
     curvature's largest term, finite, and with references small enough that
     BOUND_REFERENCE_TOLERANCE exceeds REFERENCE_ROUNDOFF_ULPS of them, which
-    keeps r between about 1.53e-5 and 65536; all are checked before any is
-    evaluated.  The extrema of every r come from one endpoint read over all
-    four families.  Reports are r-major: esti, estmflot, minmax, collapse per r.
+    keeps r between about 1.53e-5 and 65536.  All are checked, as array
+    predicates, before any is evaluated: the error names the first r that
+    fails one of the first three conditions and the first it fails, else the
+    first r whose reference is too large.  The extrema of every r come from
+    one endpoint read over all four families, and each family's formula
+    runs once, on the column of its extrema.
     """
     r_values = np.atleast_1d(np.asarray(r, dtype=np.float64))
     if r_values.ndim != 1:
@@ -190,24 +239,30 @@ def s3_bounds(r) -> list[BoundReport]:
                          f"{r_values.shape}")
     if r_values.size == 0:
         raise ValueError("no flow parameters to evaluate")
-    for value in r_values.tolist():
-        if not (np.isfinite(value) and value > 0.0):
-            raise ValueError(f"flow parameter r must be positive and finite, got {value}")
-        if value * value == 0.0:
-            raise ValueError(f"flow parameter r = {value} is too small: r*r underflows to 0")
-        if not np.isfinite(6.0 * value * value):
-            raise ValueError(f"flow parameter r = {value} is too large: 6*r*r overflows")
-    references = [piecewise_reference(value) for value in r_values.tolist()]
-    for value, reference in zip(r_values.tolist(), references):
-        kind = max(reference, key=lambda name: abs(reference[name]))
-        roundoff = REFERENCE_ROUNDOFF_ULPS * float(np.spacing(abs(reference[kind])))
-        if not roundoff <= BOUND_REFERENCE_TOLERANCE:
-            raise ValueError(
-                f"flow parameter r = {value} is out of range: {REFERENCE_ROUNDOFF_ULPS} ulps "
-                f"of its {kind} reference {reference[kind]:.6g} are {roundoff:.3g}, more than "
-                f"the reference tolerance {BOUND_REFERENCE_TOLERANCE:.0e}"
-            )
-    count, r_col = r_values.size, r_values[:, np.newaxis]
+    with np.errstate(over="ignore"):
+        refused = np.stack((~(np.isfinite(r_values) & (r_values > 0.0)),
+                            r_values * r_values == 0.0,
+                            ~np.isfinite(6.0 * r_values * r_values)))
+    if refused.any():
+        i = int(np.argmax(refused.any(axis=0)))
+        raise ValueError(_R_REFUSALS[int(np.argmax(refused[:, i]))].format(float(r_values[i])))
+    references = piecewise_reference(r_values)
+    reference = np.stack([references[kind] for kind in BOUND_KINDS], axis=1)
+    count, rows = r_values.size, np.arange(r_values.size)
+    # The largest reference of each r; a tie names the first family in BOUND_KINDS order.
+    largest = np.argmax(np.abs(reference), axis=1)
+    roundoff = REFERENCE_ROUNDOFF_ULPS * np.spacing(np.abs(reference[rows, largest]))
+    unresolved = ~(roundoff <= BOUND_REFERENCE_TOLERANCE)
+    if unresolved.any():
+        i = int(np.argmax(unresolved))
+        k = largest[i]
+        raise ValueError(
+            f"flow parameter r = {float(r_values[i])} is out of range: {REFERENCE_ROUNDOFF_ULPS} "
+            f"ulps of its {BOUND_KINDS[k]} reference {float(reference[i, k]):.6g} are "
+            f"{float(roundoff[i]):.3g}, more than the reference tolerance "
+            f"{BOUND_REFERENCE_TOLERANCE:.0e}"
+        )
+    r_col = r_values[:, np.newaxis]
 
     def integrands(s):
         """The four family blocks, (R, 2) each at the (1, 2) endpoints, stacked."""
@@ -217,61 +272,51 @@ def s3_bounds(r) -> list[BoundReport]:
                           -a_sq, S3_SCALAR_CURVATURE + a_sq))
 
     args, extremes = minimize_on_interval(integrands, 0.0, 1.0)
-    q, n = S3_FLOW_Q, S3_FLOW_N
-    reports = []
-    for r_i, reference, arg_row, (esti, flot, negative_sup, col) in zip(
-        r_values.tolist(), references, args.reshape(len(BOUND_KINDS), count).T.tolist(),
-        extremes.reshape(len(BOUND_KINDS), count).T.tolist(),
-    ):
-        quantities = ({"inf_scal_transverse": esti}, {"inf_scal_plus_tensors": flot},
-                      {"lambda_dm_sq": FIRST_DIRAC_EIGENVALUE_SQ_S3, "sup_a_sq": -negative_sup},
-                      {"inf_scal_plus_a_sq": col})
-        reports += [eval_bound(kind, q, n, values, r_i, arg_s, reference[kind])
-                    for kind, values, arg_s in zip(BOUND_KINDS, quantities, arg_row)]
-    return reports
+    esti, flot, negative_sup, col = extremes.reshape(len(BOUND_KINDS), count)
+    extremum = np.stack((esti, flot, -negative_sup, col), axis=1)
+    value = np.stack([
+        bound_value(kind, S3_FLOW_Q, S3_FLOW_N, s3_quantities(kind, extremum[:, k]))
+        for k, kind in enumerate(BOUND_KINDS)
+    ], axis=1)
+    return BoundTable(r_values, value, reference, args.reshape(len(BOUND_KINDS), count).T, extremum)
 
 
-def piecewise_reference(r: float) -> dict:
-    """Closed piecewise-in-r reference values for the sphere-flow bounds.
+def piecewise_reference(r) -> dict:
+    """Closed piecewise-in-r reference values for the sphere-flow bounds, each
+    of the shape of ``r``, a float or an array.
 
-    At r = 1 both branches agree and the common limit is returned.
+    At r = 1 both branches agree and the common limit is returned.  Both
+    branches are evaluated everywhere; a value that overflows is inf.
     """
-    if not r > 0.0:
+    r = np.asarray(r, dtype=np.float64)
+    if not np.all(r > 0.0):
         raise ValueError(f"flow parameter r must be positive, got {r}")
-    if r < 1.0:
+    below = r < 1.0
+    with np.errstate(divide="ignore", over="ignore"):
         return {
-            "esti": 1.0 + 3.0 * r * r,
-            "estmflot": r * r + 3.0,
-            "minmax": 9.0 / 8.0 - 1.0 / (4.0 * r * r),
-            "collapse": 3.0 / 8.0 * (6.0 + 2.0 * r * r),
+            "esti": np.where(below, 1.0 + 3.0 * r * r, 4.0),
+            "estmflot": np.where(below, r * r + 3.0, 1.0 / (r * r) + 3.0),
+            "minmax": np.where(below, 9.0 / 8.0 - 1.0 / (4.0 * r * r), 9.0 / 8.0 - r * r / 4.0),
+            "collapse": np.where(below, 3.0 / 8.0 * (6.0 + 2.0 * r * r),
+                                 3.0 / 8.0 * (6.0 + 2.0 / (r * r))),
         }
-    return {
-        "esti": 4.0,
-        "estmflot": 1.0 / (r * r) + 3.0,
-        "minmax": 9.0 / 8.0 - r * r / 4.0,
-        "collapse": 3.0 / 8.0 * (6.0 + 2.0 / (r * r)),
-    }
 
 
-def bound_failures(reports: list[BoundReport]) -> list[str]:
-    """One line per sphere-flow row whose value does not match its reference to
-    within BOUND_REFERENCE_TOLERANCE; a NaN error fails."""
-    failures = []
-    for report in reports:
-        error = abs(report.value - report.reference)
-        if not error <= BOUND_REFERENCE_TOLERANCE:
-            failures.append(
-                f"failed {report.kind} r={report.r:.17g}: abs_error {error:.3e} "
-                f"> threshold {BOUND_REFERENCE_TOLERANCE:.0e}"
-            )
-    return failures
+def bound_failures(table: BoundTable) -> list[str]:
+    """One line per sphere-flow row, r-major, whose value does not match its
+    reference to within BOUND_REFERENCE_TOLERANCE; a NaN error fails."""
+    error = np.abs(table.value - table.reference)
+    return [
+        f"failed {BOUND_KINDS[k]} r={float(table.r[i]):.17g}: abs_error {float(error[i, k]):.3e} "
+        f"> threshold {BOUND_REFERENCE_TOLERANCE:.0e}"
+        for i, k in zip(*np.nonzero(~(error <= BOUND_REFERENCE_TOLERANCE)))
+    ]
 
 
-def bound_rows_csv(reports: list[BoundReport]) -> str:
-    """CSV text of sphere-flow rows: kind, r, value, reference_value, abs_error."""
-    lines = ["kind,r,value,reference_value,abs_error\n"]
-    for report in reports:
-        error = abs(report.value - report.reference)
-        lines.append(f"{report.kind},{report.r:.17g},{report.value:.17g},"
-                     f"{report.reference:.17g},{error:.17g}\n")
-    return "".join(lines)
+def bound_rows_csv(table: BoundTable) -> str:
+    """CSV text of sphere-flow rows, r-major: kind, r, value, reference_value, abs_error."""
+    value, reference = table.value.ravel(), table.reference.ravel()
+    rows = zip(*table.row_labels(), value.tolist(), reference.tolist(),
+               np.abs(value - reference).tolist())
+    return "kind,r,value,reference_value,abs_error\n" + "".join(
+        "%s,%.17g,%.17g,%.17g,%.17g\n" % row for row in rows)

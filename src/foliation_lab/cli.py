@@ -22,7 +22,7 @@ import numpy as np
 
 from . import __version__
 from .basic_calculus import DEGREE_FUNCTION, DEGREE_ONE_FORM, LeafVolumeDensity
-from .bounds import bound_failures, bound_rows_csv, s3_bounds
+from .bounds import S3_FLOW_N, S3_FLOW_Q, bound_failures, bound_rows_csv, s3_bounds, s3_quantities
 from .model_spaces import SPIN_STRUCTURES, GridSpec, MetricProfile, load_profile
 from .operators import assemble_basic_dirac_spinor, laplacian_label
 from .spectral import SpectrumReport, dirac_spectra, eigenvalues_weighted
@@ -149,17 +149,21 @@ def _cmd_spectrum(args) -> int:
     return _emit(args, name, text, [], False)
 
 
-def _write_bounds(reports, args, stem: str) -> int:
-    """Write the bounds report, name each row that misses its reference on
-    stderr, and return the exit code."""
+def _write_bounds(table, args, stem: str) -> int:
+    """Write the bounds report of ``s3_bounds``'s table, name each row that
+    misses its reference on stderr, and return the exit code."""
     if args.format == "csv":
-        text = bound_rows_csv(reports)
+        text = bound_rows_csv(table)
     else:
+        rows = zip(*table.row_labels(), table.value.ravel().tolist(),
+                   table.extremum.ravel().tolist(), table.arg_s.ravel().tolist())
         text = _json_text([
-            {"kind": report.kind, "r": report.r, "value": report.value, "inputs": report.inputs}
-            for report in reports
+            {"kind": kind, "r": r, "value": value,
+             "inputs": {**s3_quantities(kind, extremum), "q": S3_FLOW_Q, "n": S3_FLOW_N,
+                        "arg_s": arg_s}}
+            for kind, r, value, extremum, arg_s in rows
         ])
-    failures = bound_failures(reports)
+    failures = bound_failures(table)
     return _emit(args, f"{stem}.{args.format}", text, failures, bool(failures))
 
 

@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 
 from foliation_lab.basic_calculus import LeafVolumeDensity
-from foliation_lab.bounds import piecewise_reference, s3_bounds
+from foliation_lab.bounds import BOUND_KINDS, piecewise_reference, s3_bounds
 from foliation_lab.model_spaces import GridSpec, MetricProfile, ProfileTerm, torus_geometry
 from foliation_lab.operators import assemble_basic_dirac_spinor
 from foliation_lab.spectral import eigenvalues_weighted
@@ -103,7 +103,7 @@ def test_criterion_3_sphere_flow_bounds():
     ok = True
     worst = 0.0
     for r, targets in expected.items():
-        numeric = {report.kind: report.value for report in s3_bounds(r)}
+        numeric = dict(zip(BOUND_KINDS, s3_bounds(r).value[0].tolist()))
         reference = piecewise_reference(r)
         for kind, target in targets.items():
             worst = max(worst, abs(numeric[kind] - target))
@@ -114,7 +114,7 @@ def test_criterion_3_sphere_flow_bounds():
     for r in np.geomspace(0.1, 10.0, 50):
         if r >= 1.0:
             continue
-        numeric = {report.kind: report.value for report in s3_bounds(r)}
+        numeric = dict(zip(BOUND_KINDS, s3_bounds(r).value[0].tolist()))
         ok = ok and numeric["estmflot"] >= numeric["esti"]
         comparisons += 1
     _report(3, "sphere-flow bounds", ok, f"worst |error|={worst:.2e}, r<1 points={comparisons}")

@@ -10,14 +10,17 @@ from hypothesis import strategies as st
 
 from foliation_lab import bounds
 from foliation_lab.bounds import (
+    BOUND_KINDS,
     bound_failures,
     bound_rows_csv,
+    bound_value,
     eval_bound,
     golden_section_min,
     maximize_on_interval,
     minimize_on_interval,
     piecewise_reference,
     s3_bounds,
+    s3_quantities,
 )
 from foliation_lab.model_spaces import (
     S3_SCALAR_CURVATURE,
@@ -29,8 +32,9 @@ from foliation_lab.model_spaces import (
 from su2_oracle import dirac_spectrum
 
 
-def _by_kind(reports):
-    return {report.kind: report for report in reports}
+def _by_kind(table, column="value", row=0):
+    """Row ``row`` of one (R, 4) column of an ``s3_bounds`` table, keyed by kind."""
+    return dict(zip(BOUND_KINDS, getattr(table, column)[row].tolist()))
 
 
 class TestEvalBound:
@@ -85,6 +89,28 @@ class TestEvalBound:
         for infimum in (-3.0, -0.5, 0.5, 3.0):
             report = eval_bound("esti", 2, 2, {"inf_scal_transverse": infimum})
             assert (report.value > 0) == (infimum > 0)
+
+    @pytest.mark.parametrize("kind", BOUND_KINDS)
+    @given(
+        rows=st.lists(st.tuples(st.floats(allow_nan=False, allow_infinity=False),
+                                st.floats(allow_nan=False, allow_infinity=False)),
+                      min_size=1, max_size=8),
+        q=st.integers(2, 6),
+        n=st.integers(1, 6),
+    )
+    @settings(deadline=None, max_examples=50)
+    def test_array_formula_is_eval_bound_bit_for_bit(self, kind, rows, q, n):
+        """One bound_value call on columns gives, element by element, the
+        bits of eval_bound on the scalars: the same IEEE operations in the
+        same order."""
+        names = tuple(s3_quantities(kind, 0.0))  # every quantity kind requires
+        scalars = [dict(zip(names, row)) for row in rows]
+        columns = {name: np.array([row[name] for row in scalars]) for name in names}
+        values = bound_value(kind, q, n, columns)
+        assert values.shape == (len(rows),)
+        for value, quantities in zip(values.tolist(), scalars):
+            expected = eval_bound(kind, q, n, quantities).value
+            assert np.float64(value).tobytes() == np.float64(expected).tobytes(), quantities
 
 
 class TestScanOptimizers:
@@ -170,30 +196,31 @@ class TestS3Bounds:
         ],
     )
     def test_reference_values(self, r, esti, estmflot, minmax):
-        reports = _by_kind(s3_bounds(r))
-        assert reports["esti"].value == pytest.approx(esti, abs=1e-9)
-        assert reports["estmflot"].value == pytest.approx(estmflot, abs=1e-9)
-        assert reports["minmax"].value == pytest.approx(minmax, abs=1e-9)
+        values = _by_kind(s3_bounds(r))
+        assert values["esti"] == pytest.approx(esti, abs=1e-9)
+        assert values["estmflot"] == pytest.approx(estmflot, abs=1e-9)
+        assert values["minmax"] == pytest.approx(minmax, abs=1e-9)
 
     def test_matches_piecewise_reference_on_log_grid(self):
         for r in np.geomspace(0.1, 10.0, 25):
             if abs(r - 1.0) < 1e-9:
                 continue
-            numeric = _by_kind(s3_bounds(r))
+            table = s3_bounds(r)
+            numeric, carried = _by_kind(table), _by_kind(table, "reference")
             reference = piecewise_reference(r)
             for kind, expected in reference.items():
-                assert numeric[kind].value == pytest.approx(expected, abs=1e-6), (kind, r)
-                assert numeric[kind].reference == expected
+                assert numeric[kind] == pytest.approx(expected, abs=1e-6), (kind, r)
+                assert carried[kind] == expected
 
     def test_estmflot_improves_esti_below_one(self):
         for r in np.geomspace(0.1, 0.99, 20):
-            reports = _by_kind(s3_bounds(r))
-            assert reports["estmflot"].value >= reports["esti"].value
+            values = _by_kind(s3_bounds(r))
+            assert values["estmflot"] >= values["esti"]
 
     def test_collapse_never_beats_estmflot(self):
         for r in np.geomspace(0.1, 10.0, 20):
-            reports = _by_kind(s3_bounds(r))
-            assert reports["collapse"].value <= reports["estmflot"].value + 1e-12
+            values = _by_kind(s3_bounds(r))
+            assert values["collapse"] <= values["estmflot"] + 1e-12
 
     def test_a_norm_convention_reproduces_both_minmax_branches(self):
         # brute-force the supremum of the squared O'Neill norm over s
@@ -210,13 +237,17 @@ class TestS3Bounds:
             s3_bounds(0.0)
 
     def test_sequence_of_r_is_r_major(self):
-        reports = s3_bounds([0.5, 2.0, 1.0])
+        table = s3_bounds([0.5, 2.0, 1.0])
         kinds = ("esti", "estmflot", "minmax", "collapse")
-        assert [(report.r, report.kind) for report in reports] == [
+        assert table.r.tolist() == [0.5, 2.0, 1.0]
+        lines = bound_rows_csv(table).splitlines()[1:]
+        assert [(float(line.split(",")[1]), line.split(",")[0]) for line in lines] == [
             (r, kind) for r in (0.5, 2.0, 1.0) for kind in kinds
         ]
-        assert all(type(report.r) is float for report in reports)
-        assert reports[4:8] == s3_bounds(2.0)
+        assert all(type(r) is float for r in table.r.tolist())
+        alone = s3_bounds(2.0)
+        for column in ("r", "value", "reference", "arg_s", "extremum"):
+            assert getattr(table, column)[1].tobytes() == getattr(alone, column)[0].tobytes()
 
     @pytest.mark.parametrize("bad", [-1.0, 0.0, np.inf, -np.inf, np.nan])
     def test_every_r_is_checked_before_any_work(self, monkeypatch, bad):
@@ -234,7 +265,7 @@ class TestS3Bounds:
 
     @pytest.mark.filterwarnings("error::RuntimeWarning")
     def test_rejects_r_whose_scans_overflow(self, monkeypatch):
-        assert len(s3_bounds(65536.0)) == 4
+        assert s3_bounds(65536.0).value.shape == (1, 4)
 
         def unreachable(*args):
             raise AssertionError("evaluated before every r was checked")
@@ -246,12 +277,30 @@ class TestS3Bounds:
             with pytest.raises(ValueError, match=re.escape(message)):
                 s3_bounds([0.5, big])
 
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    @pytest.mark.parametrize("r_values,message", [
+        ([2.0, -1.0, np.nan], "flow parameter r must be positive and finite, got -1.0"),
+        ([2.0, 1e-200, -1.0], "flow parameter r = 1e-200 is too small: r*r underflows to 0"),
+        ([1e200, 1e-200], "flow parameter r = 1e+200 is too large: 6*r*r overflows"),
+        # Every r passes the first three conditions before any reference is read.
+        ([1e-150, 1e200], "flow parameter r = 1e+200 is too large: 6*r*r overflows"),
+        ([0.5, 1e-160, 1e-150], "flow parameter r = 1e-160 is out of range: 8 ulps of its "
+                                "minmax reference -inf are nan"),
+    ])
+    def test_names_the_first_r_that_fails_and_the_first_condition(self, monkeypatch, r_values,
+                                                                  message):
+        def unreachable(*args):
+            raise AssertionError("evaluated before every r was checked")
+
+        monkeypatch.setattr(bounds, "minimize_on_interval", unreachable)
+        with pytest.raises(ValueError, match=re.escape(message)):
+            s3_bounds(r_values)
 
     @pytest.mark.parametrize("r", [1.5258789054506396e-05, 65536.00003433226])
     def test_largest_references_still_resolved_match_them(self, r):
-        reports = s3_bounds(r)
-        assert bound_failures(reports) == []
-        assert max(abs(report.reference) for report in reports) > 2.0**29
+        table = s3_bounds(r)
+        assert bound_failures(table) == []
+        assert np.max(np.abs(table.reference)) > 2.0**29
 
     @pytest.mark.parametrize("r", [1.5258789054506394e-05, 65536.00003433228, 1e-150, 5e153])
     def test_rejects_r_whose_reference_the_tolerance_cannot_resolve(self, monkeypatch, r):
@@ -405,7 +454,8 @@ def _scalar_integrands(r):
 
 
 def _scalar_s3_bounds(r, resolution):
-    """Per-r oracle for s3_bounds: one scalar scan per family."""
+    """Per-r oracle for s3_bounds: one scalar scan per family, giving each
+    family's (kind, value, arg_s, quantities)."""
     integrands = _scalar_integrands(r)
     s_esti, esti = _scalar_scan_min(integrands["esti"], 0.0, 1.0, resolution)
     s_flot, flot = _scalar_scan_min(integrands["estmflot"], 0.0, 1.0, resolution)
@@ -417,8 +467,19 @@ def _scalar_s3_bounds(r, resolution):
         ("minmax", {"lambda_dm_sq": 2.25, "sup_a_sq": -negative_sup}, s_max),
         ("collapse", {"inf_scal_plus_a_sq": col}, s_col),
     )
-    return [(kind, eval_bound(kind, 2, 2, quantities).value, arg_s)
+    return [(kind, eval_bound(kind, 2, 2, quantities).value, arg_s, quantities)
             for kind, quantities, arg_s in rows]
+
+
+def _rows(table):
+    """An s3_bounds table's rows, r-major, as (r, kind, value, arg_s,
+    quantities) with Python floats, the quantities as the JSON report names them."""
+    return [
+        (r, kind, value, arg_s, s3_quantities(kind, extremum))
+        for r, values, args, extrema in zip(table.r.tolist(), table.value.tolist(),
+                                            table.arg_s.tolist(), table.extremum.tolist())
+        for kind, value, arg_s, extremum in zip(BOUND_KINDS, values, args, extrema)
+    ]
 
 
 class TestArrayScanParity:
@@ -433,13 +494,12 @@ class TestArrayScanParity:
 
     @pytest.mark.parametrize("resolution", [1000, 437, 100])
     def test_matches_scalar_scan(self, resolution):
-        batched = s3_bounds(self.R_VALUES)
+        got = _rows(s3_bounds(self.R_VALUES))
         expected = [
             (float(r), *row) for r in self.R_VALUES for row in _scalar_s3_bounds(r, resolution)
         ]
-        got = [(report.r, report.kind, report.value, report.inputs["arg_s"]) for report in batched]
         assert got == expected
-        assert {report.inputs["arg_s"] for report in batched if report.r == 1.0} == {0.0}
+        assert {arg_s for r, _, _, arg_s, _ in got if r == 1.0} == {0.0}
 
 
 class TestEndpointReadMatchesTheScan:
@@ -455,14 +515,15 @@ class TestEndpointReadMatchesTheScan:
     ])
 
     def test_values_equal_the_scan_and_arg_s_ties_its_minimum(self):
-        reports = s3_bounds(self.R_VALUES)
+        rows = _rows(s3_bounds(self.R_VALUES))
         moved = set()
         for i, r in enumerate(self.R_VALUES.tolist()):
             integrands = _scalar_integrands(r)
-            for report, (kind, value, scan_s) in zip(reports[4 * i:4 * i + 4],
-                                                     _scalar_s3_bounds(r, 1000)):
-                assert (report.r, report.kind, report.value) == (r, kind, value)
-                arg_s = report.inputs["arg_s"]
+            for row, (kind, value, scan_s, quantities) in zip(rows[4 * i:4 * i + 4],
+                                                              _scalar_s3_bounds(r, 1000)):
+                assert row[:3] == (r, kind, value)
+                assert row[4] == quantities
+                arg_s = row[3]
                 assert arg_s in (0.0, 1.0)
                 if arg_s != scan_s:
                     assert integrands[kind](arg_s) == integrands[kind](scan_s), (kind, r)
@@ -490,7 +551,8 @@ class TestPiecewiseReference:
 
     def test_every_sphere_flow_bound_has_a_reference(self):
         for r in (0.3, 1.0, 3.0):
-            assert set(piecewise_reference(r)) == {report.kind for report in s3_bounds(r)}
+            assert set(piecewise_reference(r)) == set(BOUND_KINDS)
+            assert s3_bounds(r).reference.shape == (1, len(BOUND_KINDS))
 
     def test_rejects_nonpositive(self):
         with pytest.raises(ValueError):
@@ -536,3 +598,80 @@ class TestSu2Oracle:
         """lambda_1(D_T)^2 = (2 - T/2)^2, which tends to the basic lambda_b^2 = 4 as T -> 0."""
         values, _ = dirac_spectrum(t, 40)
         assert np.min(values**2) == pytest.approx((2.0 - t / 2.0) ** 2, abs=1e-10)
+
+
+class TestBergerSphereBounds:
+    """The four bound families on the Berger spheres S^3_T, T on a grid over
+    (0, 4]: each S^3_T is a bundle-like metric for the Hopf flow with the
+    transverse metric of S^2(1/2), so every T bounds the same basic spectrum,
+    lambda_b^2 = 4 (ROADMAP item 12).
+
+    The inputs.  The Hopf map S^3_T -> S^2(1/2) is a Riemannian submersion
+    whose fibres, the orbits of the Killing field X_3 of constant length T,
+    are totally geodesic, so kappa = 0.  For one-dimensional geodesic fibres
+    O'Neill's formula loses the fibre's own curvature and the T and N terms
+    and reads Scal_M = Scal_B - |A|^2, with Scal_B = 8, the transverse scalar
+    curvature of the sphere of radius 1/2 (Gauss curvature 4).  On the
+    orthonormal frame e_1 = X_1, e_2 = X_2, e_3 = X_3 / T of ``su2_oracle``,
+    [e_1, e_2] = 2 X_3 = 2T e_3, so A_{e_1} e_2 = V[e_1, e_2] / 2 = T e_3 and
+    |A_T|^2 = |A_{e_1} e_2|^2 + |A_{e_2} e_1|^2 = 2T^2, the convention of
+    ``s3_a_norm_sq``.  Hence Scal_M = 8 - 2T^2.  lambda_1(D_T)^2 is the
+    smallest squared eigenvalue of the exact Peter-Weyl blocks.
+    """
+
+    T_VALUES = np.linspace(0.0, 4.0, 41)[1:]  # 0.1, 0.2, ..., 4
+    ROUND = 9  # T_VALUES[9] == 1.0
+
+    @staticmethod
+    def _first_eigenvalue_sq(t):
+        """lambda_1(D_T)^2 from the blocks n <= 20, converged: the blocks n <= 10 give it too."""
+        coarse, fine = (float(np.min(dirac_spectrum(t, n_max)[0] ** 2)) for n_max in (10, 20))
+        assert fine == pytest.approx(coarse, abs=1e-12), t
+        return fine
+
+    @pytest.fixture(scope="class")
+    def berger(self):
+        """The curvature inputs on the T column, and each family's formula
+        called once on them."""
+        t = self.T_VALUES
+        a_sq = 2.0 * t * t
+        scal_m = 8.0 - a_sq
+        kappa = np.zeros_like(t)
+        quantities = {
+            "esti": {"inf_scal_transverse": np.full_like(t, 8.0)},
+            "estmflot": {"inf_scal_plus_tensors": scal_m + a_sq + kappa * kappa},
+            "minmax": {"lambda_dm_sq": np.array([self._first_eigenvalue_sq(x) for x in t]),
+                       "sup_a_sq": a_sq},
+            "collapse": {"inf_scal_plus_a_sq": scal_m + a_sq},
+        }
+        values = {kind: bound_value(kind, bounds.S3_FLOW_Q, bounds.S3_FLOW_N, quantities[kind])
+                  for kind in BOUND_KINDS}
+        return a_sq, scal_m, values
+
+    def test_curvature_inputs_are_the_round_sphere_at_t_one(self, berger):
+        a_sq, scal_m, _ = berger
+        assert self.T_VALUES[self.ROUND] == 1.0
+        s = np.linspace(0.0, 1.0, 11)
+        np.testing.assert_allclose(s3_a_norm_sq(1.0, s), a_sq[self.ROUND], rtol=0, atol=1e-14)
+        assert scal_m[self.ROUND] == S3_SCALAR_CURVATURE
+
+    def test_round_row_is_the_r_one_row_of_s3_bounds(self, berger):
+        _, _, values = berger
+        sphere_flow = _by_kind(s3_bounds(1.0))
+        for kind in BOUND_KINDS:
+            assert abs(values[kind][self.ROUND] - sphere_flow[kind]) <= 1e-10, kind
+
+    def test_no_family_exceeds_the_basic_eigenvalue(self, berger):
+        """Every family stays at or below lambda_b^2 = 4 at every T: esti and
+        estmflot equal 4 throughout, collapse is 3, and minmax,
+        (2 - T/2)^2 / 2 - T^2 / 4, falls from 1.89875 at T = 0.1 to -4 at T = 4."""
+        _, _, values = berger
+        for kind in BOUND_KINDS:
+            assert np.all(values[kind] <= 4.0), (kind, values[kind].max())
+        supremum = {kind: float(values[kind].max()) for kind in BOUND_KINDS}
+        assert supremum["esti"] == supremum["estmflot"] == 4.0
+        assert supremum["collapse"] == 3.0
+        t = self.T_VALUES
+        np.testing.assert_allclose(values["minmax"], (2.0 - t / 2.0) ** 2 / 2.0 - t * t / 4.0,
+                                   rtol=0, atol=1e-10)
+        assert supremum["minmax"] == pytest.approx(1.89875, abs=1e-10)

@@ -14,7 +14,7 @@ trees with
     python3 tools/parity.py parent /tmp/a && python3 tools/parity.py change /tmp/b
     diff -r /tmp/a /tmp/b
 
-The 65 cases run one after another in one process, so state that one call
+The 75 cases run one after another in one process, so state that one call
 left behind would show up as a difference in a later case; the last four
 cases run a grid-256 ``verify`` twice in a row, then an ``invariance`` at
 grid 128 right after a grid-64 ``verify``.  BLAS runs on one thread unless
@@ -141,6 +141,21 @@ def cases() -> dict[str, list[str]]:
     table["bounds-json-roundoff-flat"] = [
         "bounds", "--r", "1.0000000000000002", "0.9999999999999999", "1.0000000000000437",
         "--format", "json"]
+    # Refused and boundary flow parameters: the error names the first r that
+    # fails and the first condition it fails, and writes nothing.
+    table["bounds-refuse-negative"] = ["bounds", "--r", "0.5", "-1"]
+    table["bounds-refuse-nan"] = ["bounds", "--r", "0.5", "nan"]
+    table["bounds-refuse-underflow"] = ["bounds", "--r", "1e-200"]
+    table["bounds-refuse-overflow"] = ["bounds", "--r", "0.5", "1e200"]
+    table["bounds-refuse-reference-ulps"] = ["bounds", "--r", "0.5", "1e-150"]
+    # A reference that overflows to -inf: its roundoff reads nan.
+    table["bounds-refuse-reference-overflow"] = ["bounds", "--r", "1e-160"]
+    table["bounds-refuse-first-bad-r"] = ["bounds", "--r", "2", "-1", "nan"]
+    table["sweep-refuse-range"] = ["sweep", "--r-min", "2", "--r-max", "1"]
+    # Rows on both sides of r = 1, and the largest references still resolved.
+    table["sweep-across-one"] = ["sweep", "--count", "3", "--r-min", "0.999", "--r-max", "1.001"]
+    table["bounds-json-range-ends"] = [
+        "bounds", "--r", "1.5258789054506396e-05", "65536.00003433226", "--format", "json"]
     # Back-to-back pair batteries: a buffer that one call leaves stale or
     # sized for another grid would change the second call's bytes.
     repeated = ["verify", "--all", "--grid", "256", "--window", "10", "--seed", "3"]
