@@ -8,9 +8,6 @@ infimum/supremum data given as floats or arrays alike:
 * ``minmax``   lambda^2 >= lambda^2(D_M)/2 - (n/16) * sup(|A|^2)
 * ``collapse`` lambda^2 >= (q+1)/(4q) * inf(Scal_M + |A|^2)
 
-``eval_bound`` checks the kind, the codimension and the quantities one
-scalar evaluation needs, then calls it.
-
 ``s3_bounds`` evaluates all four on the sphere flows, where every quantity is
 a closed-form function of s = |z|^2, at the better end of [0, 1].  No
 interior point can do better: with D = r^2 s + 1 - s > 0, the s-derivatives
@@ -30,7 +27,7 @@ rows, r-major, from those columns and compare value with reference.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -78,15 +75,6 @@ REFERENCE_ROUNDOFF_ULPS = 8
 GOLDEN_RATIO = (1.0 + np.sqrt(5.0)) / 2.0
 
 
-@dataclass(frozen=True)
-class BoundReport:
-    """One evaluated lower bound for lambda^2 with its input extrema."""
-
-    kind: str
-    value: float
-    inputs: dict = field(default_factory=dict)
-
-
 @dataclass(frozen=True, eq=False)
 class BoundTable:
     """The sphere-flow bounds as columns.
@@ -112,7 +100,7 @@ class BoundTable:
 
 def bound_value(kind: str, q: int, n: int, quantities: dict):
     """The one formula of family ``kind``, on the extrema in ``quantities``,
-    floats or arrays alike, elementwise; checks nothing (``eval_bound`` does)."""
+    floats or arrays alike, elementwise; checks nothing."""
     if kind == "esti":
         return q / (4.0 * (q - 1.0)) * quantities["inf_scal_transverse"]
     if kind == "estmflot":
@@ -120,23 +108,6 @@ def bound_value(kind: str, q: int, n: int, quantities: dict):
     if kind == "minmax":
         return 0.5 * quantities["lambda_dm_sq"] - (n / 16.0) * quantities["sup_a_sq"]
     return (q + 1.0) / (4.0 * q) * quantities["inf_scal_plus_a_sq"]  # collapse
-
-
-def eval_bound(kind: str, q: int, n: int, quantities: dict) -> BoundReport:
-    """Evaluate one bound formula from the extrema it requires.
-
-    Raises ValueError for an unknown kind, a codimension below 2, or, naming
-    it, the first missing quantity.
-    """
-    if kind not in BOUND_KINDS:
-        raise ValueError(f"unknown bound kind {kind!r}; expected one of {BOUND_KINDS}")
-    if q < 2:
-        raise ValueError(f"codimension q must be >= 2, got {q}")
-    for symbol in _REQUIRED_QUANTITIES[kind]:
-        if symbol not in quantities:
-            raise ValueError(f"bound {kind!r} requires missing quantity {symbol!r}")
-    return BoundReport(kind, float(bound_value(kind, q, n, quantities)),
-                       {**quantities, "q": q, "n": n})
 
 
 def s3_quantities(kind: str, extremum) -> dict:

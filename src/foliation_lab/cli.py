@@ -24,8 +24,10 @@ from . import __version__
 from .basic_calculus import DEGREE_FUNCTION, DEGREE_ONE_FORM, LeafVolumeDensity
 from .bounds import S3_FLOW_N, S3_FLOW_Q, bound_failures, bound_rows_csv, s3_bounds, s3_quantities
 from .model_spaces import SPIN_STRUCTURES, GridSpec, MetricProfile, load_profile
-from .operators import assemble_basic_dirac_spinor, laplacian_label
-from .spectral import SpectrumReport, dirac_spectra, eigenvalues_weighted
+from .operators import laplacian_label
+# No command solves with eigenvalues_weighted; perfbench/tracing.py wraps it
+# here by name (perfbench/tests/test_determinism.py).
+from .spectral import SpectrumReport, dirac_spectra, eigenvalues_weighted  # noqa: F401
 from .verify import random_profile, run_pair_checks, run_profile_checks
 
 DEFAULT_SEED = 7041
@@ -112,13 +114,13 @@ def _load_profiles(paths) -> list[MetricProfile]:
 
 def _spectrum(operator_name: str, density: LeafVolumeDensity, grid: GridSpec):
     if operator_name == "dirac-spinor":
-        return eigenvalues_weighted(assemble_basic_dirac_spinor(density, grid))
+        return dirac_spectra(density, grid)[0]
     # The forms and Laplacians act on periodic sections whatever --spin says.
-    spinor = assemble_basic_dirac_spinor(density, GridSpec(grid.n_points))
+    periodic = GridSpec(grid.n_points)
     if operator_name == "dirac-forms":
-        return dirac_spectra(spinor)[1]
+        return dirac_spectra(density, periodic)[1]
     degree = DEGREE_FUNCTION if operator_name == "laplacian-functions" else DEGREE_ONE_FORM
-    laplacian = dirac_spectra(spinor, period=density.period)[2]
+    laplacian = dirac_spectra(density, periodic, period=density.period)[2]
     return replace(laplacian, operator_label=laplacian_label(grid.n_points, degree))
 
 

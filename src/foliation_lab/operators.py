@@ -19,22 +19,13 @@ That is bitwise numpy's complex (M * w) / w with w promoted to complex,
 except that a zero entry may differ in sign.  Scalings by i or -1 and the
 symmetrization's sums are done in place with unchanged arithmetic.
 
-Every N x N result can be written to caller-owned arrays: ``out`` is one
-array for ``diagonal_conjugate`` and ``assemble_basic_dirac_spinor``, three
-(S, S^H, H) for ``WeightedOperator.symmetrized`` and
-``WeightedOperator.hermitian_spectrum``, whose projection reuses them, and
-three work arrays for ``gram_spectrum``.  S may be written over the
-operator's own matrix, which then ends the operator; a Gram read never
-writes its matrix.  Each step runs the same ufunc on the same operands with
-or without ``out``, so the bits are the same.
-
 Translation symmetry.  The periodic D is circulant, so an operator built
 from it and a density of period P grid points (``LeafVolumeDensity.period``)
 commutes with the cyclic shift by P rows and columns; the Laplacians are
 read along P.  The spinor Dirac matrix records P = 1 on
 either spin structure: its symmetrization is i D_s up to round-off, and
 D_s, the periodic D or D + i/2, is circulant.  The 2N forms matrix claims
-none.  Every read solves the N/P blocks of its projection onto
+none.  Every matrix read solves the N/P blocks of its projection onto
 block-circulant matrices (``block_circulant_projection``) in one stacked
 ``eigvalsh`` call and gates on the projection's distance; at P = N it is
 the dense solve, bit for bit.
@@ -84,37 +75,31 @@ class WeightedOperator:
         if not (self.period >= 1 and size % self.period == 0):
             raise ValueError(f"period {self.period} does not divide the matrix size {size}")
 
-    def symmetrized(self, out=None) -> tuple[np.ndarray, float]:
+    def symmetrized(self) -> tuple[np.ndarray, float]:
         """H = (S + S^H)/2 for S = W^{1/2} M W^{-1/2} (exactly Hermitian) and the
-        asymmetry ||S - S^H||_F.  ``out``, three N x N complex arrays, receives
-        S, S^H and H (overwritten, returned as H); without it each is a new
-        array, and only H stays alive.  S^H is written contiguous, so the sum
-        and the difference read rows of both."""
-        s_out, adjoint_out, hermitian_out = (None,) * 3 if out is None else out
+        asymmetry ||S - S^H||_F.  S^H is written contiguous, so the sum and the
+        difference read rows of both."""
         root = np.sqrt(self.weights)
-        scaled = np.multiply(self.matrix.view(np.float64), root[:, None], out=_real_view(s_out))
+        scaled = self.matrix.view(np.float64) * root[:, None]
         scaled *= np.repeat(1.0 / root, 2)
         sym = scaled.view(np.complex128)
-        adjoint = np.conjugate(sym.T, out=adjoint_out, order="C")
-        hermitian = np.add(sym, adjoint, out=hermitian_out)
+        adjoint = np.conjugate(sym.T, order="C")
+        hermitian = np.add(sym, adjoint)
         hermitian *= 0.5
         sym -= adjoint
         return hermitian, float(np.linalg.norm(sym))
 
-    def hermitian_spectrum(self, out=None) -> tuple[np.ndarray, float, float]:
+    def hermitian_spectrum(self) -> tuple[np.ndarray, float, float]:
         """Ascending eigenvalues of P, the projection of the ``symmetrized`` H
-        along ``period`` (``block_circulant_projection``, in the S and S^H
-        arrays of ``out``); the gate ratio (||S - S^H||_F + 2 d) / max|lambda|;
+        along ``period`` (``block_circulant_projection``); the gate ratio (||S - S^H||_F + 2 d) / max|lambda|;
         and d = ||H - P||_F.  With period = N, P = H and d = 0: the dense
         solve.  The numerator bounds the distance of S and S^H from the matrix
         solved, P.  As max|lambda(P)| <= max|lambda(H)| + d, the ratio is never below
         the dense one, ||S - S^H||_F / max|lambda(H)| >= ||S - S^H||_2 /
         ||S||_2 (as ||H||_2 <= ||S||_2), while that is at most 2: the gate
         only gets stricter, and a period H does not have fails it."""
-        hermitian, asymmetry = self.symmetrized(out=out)
-        blocks, distance = block_circulant_projection(
-            hermitian, self.period, out=None if out is None else out[:2]
-        )
+        hermitian, asymmetry = self.symmetrized()
+        blocks, distance = block_circulant_projection(hermitian, self.period)
         values = np.sort(np.linalg.eigvalsh(blocks), axis=None)
         scale = max(float(np.max(np.abs(values))), np.finfo(float).tiny)
         return values, (asymmetry + 2.0 * distance) / scale, distance
@@ -124,9 +109,7 @@ class WeightedOperator:
         return self.hermitian_spectrum()[1]
 
 
-def block_circulant_projection(
-    matrix: np.ndarray, period: int, out=None
-) -> tuple[np.ndarray, float]:
+def block_circulant_projection(matrix: np.ndarray, period: int) -> tuple[np.ndarray, float]:
     """The blocks C_k, an (N/p, p, p) array, of P(X), the projection of the
     N x N matrix X onto matrices that commute with the cyclic shift by
     ``period`` = p rows and columns, and the distance ||X - P(X)||_F.
@@ -136,18 +119,16 @@ def block_circulant_projection(
     so P is the Frobenius-orthogonal projection.  The unitary block DFT gives
     P(X) = U diag(C_k) U^H, C_k = sum_r B_r e^{-2 pi i r k / m}: the C_k carry
     the eigenvalues of a Hermitian P(X) and the singular values of any.  At
-    p = N, P(X) = X, returned as is: the block is X itself and ``out`` is
-    not written.  Otherwise ``out``, two N x N complex arrays, holds the
-    gathered X (block row a from block a + r, two strided reads, before the
-    block diagonals wrap and after), then X - P(X), then the C_k; and the B_r.
+    p = N, P(X) = X, returned as is: the block is X itself.  Otherwise one
+    N x N array holds the gathered X (block row a from block a + r, two
+    strided reads, before the block diagonals wrap and after), then
+    X - P(X), then the C_k.
     """
     size = matrix.shape[0]
     if period == size:
         return matrix[None], 0.0
     m = size // period
-    gather_out, means_out = (None, None) if out is None else out
-    rolled = np.empty_like(matrix) if gather_out is None else gather_out
-    rolled = rolled.reshape(m, period, m, period)
+    rolled = np.empty_like(matrix).reshape(m, period, m, period)
     flat, item = matrix.reshape(-1), matrix.itemsize
     shape = (m - 1, period, m, period)
     strides = ((size + 1) * period * item, size * item, period * item, item)
@@ -157,47 +138,33 @@ def block_circulant_projection(
     wrapped = np.ascontiguousarray(np.broadcast_to(wrapped[:, None, :, None], shape))
     np.copyto(rolled[1:], as_strided(flat[(size + 1) * period - size :], shape, strides),
               where=wrapped)
-    means = np.mean(rolled, axis=0, out=_leading(means_out, (period, m, period)))
+    means = np.mean(rolled, axis=0)
     rolled -= means
     distance = float(np.linalg.norm(rolled.view(np.float64)))
-    blocks = _leading(rolled, (m, period, period))
+    blocks = rolled.reshape(-1)[: size * period].reshape(m, period, period)
     np.fft.fft(means, axis=1, out=blocks.transpose(1, 0, 2))
     return blocks, distance
 
 
-def gram_spectrum(factor: np.ndarray, period: int, out=None) -> tuple[np.ndarray, float, float]:
+def gram_spectrum(factor: np.ndarray, period: int) -> tuple[np.ndarray, float, float]:
     """Ascending eigenvalues of the blocks C_k C_k^H of the projection P(M) of
     the N x N ``factor`` M along ``period`` (``block_circulant_projection``);
     the shift ratio d (2 sigma + d) / sigma^2, sigma^2 the largest value; and
-    d = ||M - P(M)||_F.  ``out``, three N x N complex arrays, takes the gather
-    and the C_k, the means and the C_k^H, and the C_k C_k^H; M is not written."""
-    work = (None,) * 3 if out is None else out
-    blocks, distance = block_circulant_projection(factor, period, out=work[:2])
-    adjoint = np.conjugate(blocks, out=_leading(work[1], blocks.shape))
-    gram = np.matmul(blocks, adjoint.transpose(0, 2, 1), out=_leading(work[2], blocks.shape))
+    d = ||M - P(M)||_F.  M is not written."""
+    blocks, distance = block_circulant_projection(factor, period)
+    gram = np.matmul(blocks, np.conjugate(blocks).transpose(0, 2, 1))
     values = np.sort(np.linalg.eigvalsh(gram), axis=None)
     scale = max(float(values[-1]), np.finfo(float).tiny)
     return values, distance * (2.0 * math.sqrt(scale) + distance) / scale, distance
 
 
-def _leading(out: np.ndarray | None, shape: tuple) -> np.ndarray | None:
-    """A view of ``shape`` over the first entries of the contiguous ``out``."""
-    return None if out is None else out.reshape(-1)[: math.prod(shape)].reshape(shape)
-
-
-def _real_view(out: np.ndarray | None) -> np.ndarray | None:
-    """The float64 view of a complex ``out`` array; None stays None."""
-    return None if out is None else out.view(np.float64)
-
-
-def diagonal_conjugate(matrix: np.ndarray, w: np.ndarray, out=None) -> np.ndarray:
-    """w^{-1} M w for diagonal w and a C-contiguous complex M, written to ``out``
-    (a C-contiguous complex array of M's shape) or to a new array: with
-    w = g^{1/2} and M = D, the conservative discretization of u' + (g'/2g) u.
+def diagonal_conjugate(matrix: np.ndarray, w: np.ndarray) -> np.ndarray:
+    """w^{-1} M w for diagonal w and a C-contiguous complex M: with w = g^{1/2}
+    and M = D, the conservative discretization of u' + (g'/2g) u.
 
     Scales the float64 view of M by w, then by a precomputed 1/w, which is
     bitwise (M * w[None, :]) / w[:, None] (see the module docstring)."""
-    scaled = np.multiply(matrix.view(np.float64), np.repeat(w, 2), out=_real_view(out))
+    scaled = matrix.view(np.float64) * np.repeat(w, 2)
     scaled *= (1.0 / w)[:, None]
     return scaled.view(np.complex128)
 
@@ -206,34 +173,36 @@ def quadrature_weights(density: LeafVolumeDensity) -> np.ndarray:
     return (TWO_PI / density.n_points) * density.g_values
 
 
+def dirac_factors(density: LeafVolumeDensity) -> tuple[np.ndarray, np.ndarray]:
+    """(w, W): the spinor Dirac operator's factor w = g^{1/2}, of
+    i w^{-1} D_s w, and its quadrature weights W, for the assembly here and
+    for the O(N) read and conjugation bound, which build no matrix."""
+    return np.sqrt(density.g_values), quadrature_weights(density)
+
+
+def spinor_label(grid: GridSpec) -> str:
+    return f"dirac_spinor[{grid.spin_structure},N={grid.n_points}]"
+
+
 def _check_grid(density: LeafVolumeDensity, grid: GridSpec) -> None:
     if density.n_points != grid.n_points:
         raise ValueError("density and grid sizes differ")
 
 
-def assemble_basic_dirac_spinor(
-    density: LeafVolumeDensity, grid: GridSpec, out=None
-) -> WeightedOperator:
+def assemble_basic_dirac_spinor(density: LeafVolumeDensity, grid: GridSpec) -> WeightedOperator:
     """Basic Dirac operator on basic spinors: psi -> i(psi' + (g'/2g) psi).
 
     Clifford multiplication by the unit transverse coframe is multiplication
     by i.  The trivial spin structure uses periodic sections, the nontrivial
     one antiperiodic sections, written by their periodic parts
     (``_spectral_diff``; half-integer spectrum); either claims period 1
-    (module docstring).  The matrix is written to ``out`` when it is given
-    (see ``diagonal_conjugate``).
+    (module docstring).
     """
     _check_grid(density, grid)
-    d_spin = differentiation_matrix(grid.n_points, grid.spin_structure)
-    matrix = diagonal_conjugate(d_spin, np.sqrt(density.g_values), out=out)
+    w, weights = dirac_factors(density)
+    matrix = diagonal_conjugate(differentiation_matrix(grid.n_points, grid.spin_structure), w)
     matrix *= 1j
-    return WeightedOperator(
-        matrix=matrix,
-        weights=quadrature_weights(density),
-        label=f"dirac_spinor[{grid.spin_structure},N={grid.n_points}]",
-        n_points=grid.n_points,
-        period=1,
-    )
+    return WeightedOperator(matrix, weights, spinor_label(grid), grid.n_points, period=1)
 
 
 def twisted_differential(density: LeafVolumeDensity, grid: GridSpec) -> np.ndarray:

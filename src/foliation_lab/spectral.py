@@ -1,31 +1,54 @@
 """Eigenvalue extraction for weighted-Hermitian operators and spectrum comparison.
 
-``eigenvalues_weighted`` solves one operator; ``dirac_spectra`` reads both basic
-Dirac spectra, spinor and forms, from one read of an assembled periodic
-spinor matrix, and for ``spectrum`` the function Laplacian's by a Gram read
-of it.  Both go through ``hermitian_spectrum``, block by block along the
-operator's translation period.  ``function_laplacian`` reads the function
-Laplacian for the pair battery from the density's Fourier coefficients,
-with no grid matrix, where that is the cheaper read, else by the Gram read.
-A ``SpectrumReport`` carries no window: callers pass one that
+``eigenvalues_weighted`` solves one assembled operator.  ``dirac_spectra``
+reads both basic Dirac spectra of a density from the operator's O(N) data,
+and for ``spectrum`` the function Laplacian's by a Gram read of the
+assembled periodic spinor matrix.  ``function_laplacian`` reads it for the
+pair battery from the density's Fourier coefficients where that is the
+cheaper read or the density is constant, else by the Gram read.  A
+``SpectrumReport`` carries no window: callers pass one that
 ``GridSpec.validate_window`` has checked to ``in_window``.
 
 Basic Dirac spectra.  The paper's operator is unitarily equivalent to a
 translation-invariant one, and on a circle the nontrivial spin structure
 only shifts it by -1/2: an antiperiodic section psi = e^{it/2} phi is
 written by its periodic part phi, on which d/dt is D + i/2
-(``_spectral_diff``).  So a spinor Dirac matrix, on either spin structure,
-records period 1 (``operators``): its symmetrization H is iD, or iD - 1/2,
-up to round-off, and its spectrum is read from the circulant projection P
-of H: the means of H along its N wrapped diagonals, whose DFT is the
-spectrum of P, in O(N^2).  With d = ||H - P||_F, the report's ``distance``,
-and eigenvalues in ascending order, Weyl's inequality gives:
+(``_spectral_diff``).  The operator read is the one built from the computed
+weights, M = i w^{-1} C w in the weights W, with (w, W) from
+``operators.dirac_factors`` and C the circulant of D_s's column c =
+ifft(ik), k = ``wavenumbers(N)``, plus i/2 in c_0 on the nontrivial
+structure, made exactly skew-Hermitian by c_m -> (c_m - conj(c_{-m})) / 2,
+which moves it by round-off, so that A = iC is Hermitian.  Its
+symmetrization S = W^{1/2} M W^{-1/2} = diag(q) A diag(q)^{-1}, with
+q = W^{1/2} / w constant in exact arithmetic, and H = (S + S^H) / 2 has the
+entries A_jk h_jk, h_jk = (q_j / q_k + conj(q_k / q_j)) / 2.  A's
+eigenvalues mu = Re fft(ic) are computed once per (N, spin structure)
+(``circulant_spectrum``), with F = ||A||_F = N^{1/2} ||c||_2.
 
-* |lambda_k(H) - mu_k(P)| <= ||H - P||_2 <= d;
-* with the allowance a below, every eigenvalue of H lies within the
-  ``radius`` d + a of the computed mu_k;
-* |lambda_k(H_1) - lambda_k(H_2)| <= d_1 + d_2 + |mu_k(P_1) - mu_k(P_2)| for
-  two profiles on one grid, and the same for the forms spectra +-spec(H).
+The bounds, for real or complex q (a non-constant phase is the wrong-frame
+defect).  With a = |q| and delta = max |q_j - q_k|:
+2 q_k conj(q_j) (h_jk - 1) = |q_j - q_k|^2 - 2i Im((q_k - q_j) conj(q_j)),
+so |h_jk - 1| <= s = delta^2 / (2 a_min^2) + delta / a_min, whose second
+term is 0 for real q: then h_jk - 1 = (q_j - q_k)^2 / (2 q_j q_k), second
+order in q's spread.
+
+* d = F s >= ||H - A||_F >= ||H - A||_2, the report's ``distance``.
+* S - S^H has the entries A_jk (q_j / q_k - conj(q_k / q_j)), of modulus
+  |A_jk| |a_j^2 - a_k^2| / (a_j a_k), so ||S - S^H||_F <= F (a_max^2 -
+  a_min^2) / a_min^2, the asymmetry.  A non-constant phase keeps S
+  Hermitian but moves it from A: d refuses it.
+* ``enclosure`` reads the extremes and delta off the computed q, each entry
+  within a relative t = gamma_8 of the exact one (a square root, a real or
+  complex division, Higham Lemma 3.5, and the modulus): min a >= (1 - t)
+  min |q~|, max a <= (1 + t) max |q~|, and delta is at most the diagonal
+  of the computed entries' bounding box plus 2 t max a.  For real w and W
+  the exact q is real.  ``verify``'s conjugation bound reads it too.
+
+By Weyl's inequality, with eigenvalues in ascending order,
+|lambda_k(H) - mu_k| <= ||H - A||_2 <= d; so every eigenvalue of H lies
+within the ``radius`` d + a of the computed mu_k, a the allowance below,
+and |lambda_k(H_1) - lambda_k(H_2)| <= d_1 + d_2 + |mu_k,1 - mu_k,2| for
+two profiles on one grid, and the same for the forms spectra +-spec(H).
 
 Edge rule: when no computed value lies within the radius of an edge
 +-(window + WINDOW_EDGE_SLACK), every eigenvalue of H lies on its computed
@@ -38,52 +61,42 @@ spectra deviate by at most 2 (window + WINDOW_EDGE_SLACK) times that, since
 computed values' own round-off enters the radius, not the bounds.  When a
 count is not certified the deviation is math.inf.
 
-The allowance.  Let eps be the machine epsilon and gamma_n = n eps /
-(1 - n eps).  The computed values and distance carry these errors:
-
-(i) each diagonal mean is a recursive sum of N entries and a division by
-    N, so it errs by at most (gamma_N / N) sum |h|, and the circulant of
-    these errors has Frobenius norm at most gamma_N ||H||_F (Higham,
-    *Accuracy and Stability of Numerical Algorithms*, Lemma 3.5);
-(ii) the N-point FFT errs normwise by at most phi_N = gamma_{7 log2(N)}
-    relative (Higham, Theorem 24.2, twiddle factors accurate to eps), on a
-    vector of 2-norm ||P||_F <= ||H||_F;
-(iii) ``eigvalsh`` returns the real part of each 1 x 1 block: eps ||H||_2;
-(iv) the computed d is the norm of H minus the computed means: within
-    gamma_N ||H||_F of the exact d by (i), and within gamma_{N^2} d + eps d
-    of its own value, as its 2 N^2 squares sum to within gamma_{2 N^2} and
-    the root halves that and rounds once; eps d <= eps ||H||_F.
-
-So a = (2 gamma_N + phi_N + 2 eps) ||H||_F + gamma_{N^2} d, with ||H||_F <=
-||mu||_2 + d taken at the computed values, a second-order change.  It is
-derived, not fitted.  H is projected as it is formed, with no diagonal
-scaling before the means, so no other rounding enters the read.  At
-N = 256 a is 1.5e-10 (d is 2e-12), and the projected values are within
-3.6e-13 to 6.1e-13 of dense ``eigvalsh`` values on either spin structure.
+The allowance.  With eps the machine epsilon and gamma_n = n eps /
+(1 - n eps), the N-point FFT errs normwise by at most phi_N =
+gamma_{7 log2(N)} relative (Higham, *Accuracy and Stability of Numerical
+Algorithms*, Theorem 24.2, twiddle factors accurate to eps), on ic, whose
+exact transform has 2-norm F: each computed value is within a = phi_N F of
+its mu_k, and real parts and sorting move none farther.  As F <=
+||mu~||_2 / (1 - phi_N), the radius (1 + gamma_{N^2}) d + (2 gamma_N +
+phi_N + 2 eps)(||mu~||_2 + d) of ``SpectrumReport.radius``, kept from the
+earlier read of the assembled matrix, exceeds d + a; the factor on d
+covers the roundings of d's O(N) formula and of F.  It is derived, not
+fitted.  At N = 256 the radius is 1.5e-10 and d about 1e-26; the values
+are within 5.8e-13 of a dense ``eigvalsh`` of the assembled matrix, whose D
+differs from C by round-off (``tests/conftest.py`` keeps that oracle).
 
 Gram reads (``spectrum --operator laplacian-*``, and the pair battery
 where a Galerkin read is not made).  With T = g^{-1/2} D g^{1/2}, the
 twisted differential, the weighted symmetrizations of the basic Laplacians
 delta d and d delta are -T (g^{1/2} D g^{-1/2}) and -(g^{1/2} D g^{-1/2})
 T: T T^H and T^H T when D^H = -D, both with eigenvalues sigma_k(T)^2.
-Before its period-1 read writes over M = iT, the periodic spinor matrix,
-``dirac_spectra`` projects M along the density's period P
-(``operators.gram_spectrum``); the N/P blocks C_k C_k^H carry the
-sigma_k(P(T))^2.  With d = ||M - P(M)||_F, Weyl's inequality for singular
-values gives |sigma_k(T) - sigma_k(P(T))| <= ||T - P(T)||_2 <= d, so
+``dirac_spectra``, given the density's period P, assembles the periodic
+spinor matrix M = iT and projects it along P (``operators.gram_spectrum``);
+the N/P blocks C_k C_k^H carry the sigma_k(P(T))^2.  With
+d = ||M - P(M)||_F, Weyl's inequality for singular values gives
+|sigma_k(T) - sigma_k(P(T))| <= ||T - P(T)||_2 <= d, so
 |sigma_k(T)^2 - sigma_k(P(T))^2| <= d (2 sigma + d), sigma the largest
 computed sigma_k(P(T)): each eigenvalue moves by at most that.  The
 Laplacian report is refused when d (2 sigma + d) / sigma^2, the solved
 matrix's distance from T T^H relative to the largest eigenvalue, exceeds
-SYMMETRIZATION_TOLERANCE, and when M fails the period-1 read's gate: M's
-symmetrization is iD, so that gate measures D + D^H and refuses a wrong
-factor such as g^{1/2} D g^{-1/2}, whose symmetrization i g D g^{-1} is not
-Hermitian.  At P = N, d = 0 and the read is the dense Gram product.
-``spectrum`` keeps this read whatever the density, because its contract is
-the spectrum of the assembled matrix.  The pair battery's grid reads
-(``function_laplacian``) pass the shift gate only: the period-1 read of
-that matrix, or of a bitwise-equal one earlier in the command, passes the
-other.
+SYMMETRIZATION_TOLERANCE, and when the density fails the Dirac read's gate
+above: a wrong factor such as w = g makes q = (2 pi / N)^{1/2} g^{-1/2}
+non-constant, and the assembly takes w from the same ``dirac_factors``.
+At P = N, d = 0 and the read is the dense Gram product.  ``spectrum``
+keeps this read whatever the density, because its contract is the
+spectrum of the assembled matrix.  The pair battery's grid reads
+(``function_laplacian``) pass the shift gate only: the Dirac read of the
+same density passes the other.
 
 Galerkin reads (the pair battery).  The function Laplacian is
 Delta u = -(g u')'/g, self-adjoint in L^2(g dt), and g is a trigonometric
@@ -149,14 +162,17 @@ through G = L L^H as the Hermitian problem of L^{-1} A L^{-H}, c = L^{-H} y.
   factor, three solves and eigenvectors.  The pair battery makes the
   Galerkin read only at orders with GALERKIN_COST (2K + 1)^3 <= N P^2,
   GALERKIN_COST = 6, and otherwise the grid read of iT along P, as
-  ``spectrum`` does, with the radius d (2 sigma + d) of each value from the
-  assembled matrix's.  At the largest such K the two reads cost about the
-  same, and below it the Galerkin read is the faster: measured (2 cores,
-  numpy 2.4 with OpenBLAS) at (N, P, K) = (64, 64, 17), (128, 128, 34),
-  (256, 128, 43), (256, 256, 69) and (512, 512, 140), 0.57, 2.5, 4.9, 11.7
-  and 70 ms against 0.41, 2.3, 5.9, 13.0 and 61 ms.  Constant densities
-  (P = 1) get the grid read, 0.75 ms at N = 256; so does the
-  t-bandwidth-8 density of ``tools/parity.py`` (K = 89 at window 10) up to
+  ``spectrum`` does, assembling iT for it, with the radius d (2 sigma + d)
+  of each value from the assembled matrix's.  At the largest such K the
+  two reads cost about the same, and below it the Galerkin read is the
+  faster: measured (2 cores, numpy 2.4 with OpenBLAS) at (N, P, K) =
+  (64, 64, 17), (128, 128, 34), (256, 128, 43), (256, 256, 69) and
+  (512, 512, 140), 0.57, 2.5, 4.9, 11.7 and 70 ms against 0.41, 2.3, 5.9,
+  13.0 and 61 ms.  A constant density (P = 1, eta infinite) is read at its
+  predicted order floor(window) + 1 whatever the cost: at window 10 its
+  largest radius is 1.7e-12, in 0.24 ms against 1.04 ms for the assembly
+  and grid read at N = 256.  The t-bandwidth-8 density of
+  ``tools/parity.py`` (K = 89 at window 10) gets the grid read up to
   N = 256.
 * What is not certified.  The radius places an eigenvalue of Delta within
   r of each rho_k, and rho_k >= lambda_k, but neither says that the
@@ -174,12 +190,23 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
+from ._spectral_diff import wavenumbers
 from .basic_calculus import LeafVolumeDensity
-from .operators import WeightedOperator, forms_label, gram_spectrum, laplacian_label
+from .model_spaces import GridSpec
+from .operators import (
+    WeightedOperator,
+    assemble_basic_dirac_spinor,
+    dirac_factors,
+    forms_label,
+    gram_spectrum,
+    laplacian_label,
+    spinor_label,
+)
 
 # Relative symmetrization residual above which an eigensolve is refused.
 SYMMETRIZATION_TOLERANCE = 1e-8
@@ -199,8 +226,13 @@ GALERKIN_COST = 6.0
 _EPS = np.finfo(np.float64).eps
 
 
-def _gamma(k: float) -> float:
+def gamma(k: float) -> float:
+    """gamma_k = k eps / (1 - k eps), Higham's rounding-error constant."""
     return k * _EPS / (1.0 - k * _EPS)
+
+
+# t, the relative error of each computed entry that ``enclosure`` allows.
+_ENTRY_ROUNDING = gamma(8)
 
 
 class OperatorSymmetryError(ValueError):
@@ -209,9 +241,10 @@ class OperatorSymmetryError(ValueError):
 
 @dataclass(frozen=True)
 class SpectrumReport:
-    """Sorted real spectrum, its grid provenance, the ``distance`` ||X - P||_F of
-    the projection it was read from (0 if dense), and whether it is a P = 1
-    Hermitian read."""
+    """Sorted real spectrum, its grid provenance, its ``distance``, and whether
+    it is a ``dirac_spectra`` Dirac read, whose radius is derived.  The
+    distance is d >= ||H - A||_F for a Dirac read, and ||X - P(X)||_F of the
+    projection a matrix read solved (0 if dense)."""
 
     eigenvalues: np.ndarray
     grid_size: int
@@ -230,14 +263,14 @@ class SpectrumReport:
 
     @property
     def radius(self) -> float:
-        """Distance plus allowance (module docstring) of a P = 1 Hermitian read:
-        every eigenvalue of H lies within it of its computed value; ValueError on any other."""
+        """Distance plus allowance (module docstring) of a Dirac read: every
+        eigenvalue of H lies within it of its computed value; ValueError on any other."""
         if not self.radius_derived:
             raise ValueError(f"operator {self.operator_label!r} has no derived radius")
         n = self.eigenvalues.size
         norm = float(np.linalg.norm(self.eigenvalues)) + self.distance
-        allowance = (2.0 * _gamma(n) + _gamma(7.0 * math.log2(n)) + 2.0 * _EPS) * norm
-        return (1.0 + _gamma(n * n)) * self.distance + allowance
+        allowance = (2.0 * gamma(n) + gamma(7.0 * math.log2(n)) + 2.0 * _EPS) * norm
+        return (1.0 + gamma(n * n)) * self.distance + allowance
 
     def window_count(self, window: float) -> int | None:
         """Eigenvalues of H with |lambda| <= window + WINDOW_EDGE_SLACK, read off
@@ -266,40 +299,75 @@ def eigenvalues_weighted(op: WeightedOperator) -> SpectrumReport:
     gate ratio of ``WeightedOperator.hermitian_spectrum`` exceeds the tolerance."""
     values, residual, distance = op.hermitian_spectrum()
     _require_symmetric({op.label: residual})
-    return SpectrumReport(values, op.n_points, op.label, distance, op.period == 1)
+    return SpectrumReport(values, op.n_points, op.label, distance)
 
 
-def dirac_spectra(spinor: WeightedOperator, out=None, period: int | None = None) -> tuple:
-    """Spinor and forms basic Dirac spectra from one P = 1 read of ``spinor``,
-    the periodic matrix ``assemble_basic_dirac_spinor(density, GridSpec(N))``,
-    and given the density's ``period`` the function Laplacian's, Gram-read
-    from the matrix first (module docstring).  ``out``, three N x N complex
-    arrays, takes the P = 1 read's S, S^H and H, so S may be the spinor's
-    matrix; the Gram read allocates its own.
+@lru_cache(maxsize=8)
+def circulant_spectrum(n_points: int, spin_structure: str) -> tuple[np.ndarray, float]:
+    """mu, the ascending eigenvalues Re fft(ic) of A = iC, read-only, and
+    F = ||C||_F, for C the circulant of D_s's column c made exactly
+    skew-Hermitian (module docstring).  Callers pass both arguments
+    positionally, so each grid has one cache key."""
+    column = np.fft.ifft(1j * wavenumbers(n_points))
+    if spin_structure == "nontrivial":
+        column[0] += 0.5j
+    column = 0.5 * (column - np.conj(np.roll(column[::-1], 1)))
+    values = np.sort(np.fft.fft(1j * column).real)
+    values.flags.writeable = False
+    return values, math.sqrt(n_points) * float(np.linalg.norm(column))
 
-    That matrix is iT, T the twisted differential (bitwise: both scale the
-    same cached derivative matrix), and the forms operator is
-    [[0, -T], [T, 0]], whose spectrum is +-spec(iT); its projection moves it
-    by the same 2-norm, so both reports carry the spinor's distance.  The 2N
-    matrix's anti-Hermitian part is two copies of that of iT, so sqrt(2)
-    times the spinor's gate ratio is never below the ratio of the 2N solve
-    ``eigenvalues_weighted(assemble_basic_dirac_forms(...))``: the forms gate
-    stays sqrt(2) stricter; the Laplacian's is the larger of the spinor's
-    and the Gram read's shift ratio, and a refusal names every report whose
-    gate fails.  An antiperiodic spinor matrix is iT - 1/2, so its reports
-    are +-spec(iT - 1/2) and no Laplacian (forms are periodic); no command
-    asks.  The forms radius is never below the spinor's.
+
+def enclosure(values: np.ndarray) -> tuple[float, float, float]:
+    """Bounds for an array x whose computed ``values`` err by a relative
+    gamma_8 at most per entry: a lower bound of min |x|, an upper bound of
+    max |x|, and an upper bound of max |x_j - x_k| (module docstring)."""
+    modulus = np.abs(values)
+    low = float(np.min(modulus)) * (1.0 - _ENTRY_ROUNDING)
+    high = float(np.max(modulus)) * (1.0 + _ENTRY_ROUNDING)
+    box = math.hypot(float(np.ptp(values.real)), float(np.ptp(values.imag)))
+    return low, high, box + 2.0 * _ENTRY_ROUNDING * high
+
+
+def factor_bounds(q: np.ndarray, frobenius: float) -> tuple[float, float]:
+    """Upper bounds of ||S - S^H||_F and of d >= ||H - A||_F for the factor
+    q = W^{1/2} / w and F = ``frobenius`` (module docstring)."""
+    low, high, delta = enclosure(q)
+    spread = delta * delta / (2.0 * low * low)
+    if np.iscomplexobj(q):
+        spread += delta / low
+    return frobenius * (high * high - low * low) / (low * low), frobenius * spread
+
+
+def dirac_spectra(density: LeafVolumeDensity, grid: GridSpec, period: int | None = None) -> tuple:
+    """Spinor and forms basic Dirac spectra of ``density`` on ``grid``, read
+    from the operator's O(N) data (module docstring), and given the
+    density's ``period`` the function Laplacian's, by the Gram read of the
+    assembled periodic spinor matrix.
+
+    The forms spectrum is +-spec(iT), so both Dirac reports carry d.  The
+    gate ratio is (||S - S^H||_F + 2 d) / max |mu|, both terms bounded; the
+    forms gate is sqrt(2) times it, as the 2N matrix's anti-Hermitian part
+    is two copies of that of iT; the Laplacian's is the larger of the
+    spinor's and the Gram read's shift ratio, and a refusal names every
+    report whose gate fails.  No command asks the nontrivial structure for
+    a Laplacian (forms are periodic).
     """
-    n, derived = spinor.n_points, spinor.period == 1
-    laplacian = None if period is None else gram_spectrum(spinor.matrix, period)
-    values, residual, distance = spinor.hermitian_spectrum(out=out)
+    n = grid.n_points
+    if density.n_points != n:
+        raise ValueError("density and grid sizes differ")
+    w, weights = dirac_factors(density)
+    values, frobenius = circulant_spectrum(n, grid.spin_structure)
+    asymmetry, distance = factor_bounds(np.sqrt(weights) / w, frobenius)
+    residual = (asymmetry + 2.0 * distance) / max(float(np.max(np.abs(values))),
+                                                  np.finfo(float).tiny)
     reports = (
-        SpectrumReport(values, n, spinor.label, distance, derived),
-        SpectrumReport(np.concatenate([-values, values]), n, forms_label(n), distance, derived),
+        SpectrumReport(values, n, spinor_label(grid), distance, True),
+        SpectrumReport(np.concatenate([-values, values]), n, forms_label(n), distance, True),
     )
-    ratios = {spinor.label: residual, forms_label(n): math.sqrt(2.0) * residual}
-    if laplacian is not None:
-        gram, shift, gram_distance = laplacian
+    ratios = {spinor_label(grid): residual, forms_label(n): math.sqrt(2.0) * residual}
+    if period is not None:
+        gram, shift, gram_distance = gram_spectrum(
+            assemble_basic_dirac_spinor(density, grid).matrix, period)
         reports += (SpectrumReport(gram, n, laplacian_label(n), gram_distance),)
         ratios[laplacian_label(n)] = max(residual, shift)
     _require_symmetric(ratios)
@@ -360,7 +428,7 @@ def lower_bound(coefficients: np.ndarray) -> float:
     bandwidth = coefficients.size // 2
     mean = coefficients[bandwidth].real
     total = 2.0 * float(np.sum(np.abs(coefficients[bandwidth + 1:])))
-    return mean - total - _gamma(bandwidth + 2) * (mean + total)
+    return mean - total - gamma(bandwidth + 2) * (mean + total)
 
 
 def galerkin_matrices(coefficients: np.ndarray, order: int) -> tuple[np.ndarray, np.ndarray]:
@@ -410,7 +478,7 @@ def galerkin_read(coefficients: np.ndarray, order: int, window: float) -> Laplac
     mass_c = mass @ c
     residual = stiffness @ c - mass_c * ritz
     magnitude = np.abs(stiffness) @ np.abs(c) + (np.abs(mass) @ np.abs(c)) * np.abs(ritz)
-    rounding = math.sqrt(2.0) * _gamma(2 * order + 5) * np.linalg.norm(magnitude, axis=0)
+    rounding = math.sqrt(2.0) * gamma(2 * order + 5) * np.linalg.norm(magnitude, axis=0)
     norm = np.sum(c.conj() * mass_c[interior], axis=0).real
     radii = (np.linalg.norm(residual, axis=0) + rounding) / np.sqrt(lower * norm)
     return LaplacianRead(ritz, radii, order)
@@ -435,19 +503,25 @@ def galerkin_laplacian(density: LeafVolumeDensity, window: float, tolerance: flo
     return None
 
 
-def function_laplacian(density: LeafVolumeDensity, factor: np.ndarray, window: float,
-                       tolerance: float, out=None) -> LaplacianRead:
+def function_laplacian(density: LeafVolumeDensity, window: float,
+                       tolerance: float) -> LaplacianRead:
     """The pair battery's read of ``density``'s windowed function Laplacian:
     ``galerkin_laplacian`` at orders with GALERKIN_COST (2K + 1)^3 <= N P^2,
-    P the density's period, else the grid read of ``factor``, its periodic
-    spinor Dirac matrix, along P (module docstring).  ``out`` is
-    ``gram_spectrum``'s."""
-    work = density.n_points * density.period**2 / GALERKIN_COST
-    read = galerkin_laplacian(density, window, tolerance, (work ** (1.0 / 3.0) - 1.0) / 2.0)
+    P the density's period, or for a constant density (P = 1) at its
+    predicted order floor(window) + 1; else the grid read along P of the
+    density's periodic spinor Dirac matrix, assembled here (module
+    docstring)."""
+    n = density.n_points
+    if density.period == 1:
+        largest = math.floor(window) + 1
+    else:
+        largest = ((n * density.period**2 / GALERKIN_COST) ** (1.0 / 3.0) - 1.0) / 2.0
+    read = galerkin_laplacian(density, window, tolerance, largest)
     if read is not None:
         return read
-    values, shift, distance = gram_spectrum(factor, density.period, out=out)
-    _require_symmetric({laplacian_label(density.n_points): shift})
+    factor = assemble_basic_dirac_spinor(density, GridSpec(n)).matrix
+    values, shift, distance = gram_spectrum(factor, density.period)
+    _require_symmetric({laplacian_label(n): shift})
     windowed = values[np.abs(values) <= window * window + WINDOW_EDGE_SLACK]
     radius = distance * (2.0 * math.sqrt(max(float(values[-1]), 0.0)) + distance)
     return LaplacianRead(windowed, np.full(windowed.size, radius), None)

@@ -9,48 +9,31 @@ and a diagnostic in the metadata, never silently.
 Every check is a pure function of the values it is passed, and a check whose
 precondition does not hold returns ``VerificationReport.skipped`` itself.
 The two batteries build those values once and hold them as locals:
-``run_pair_checks`` builds each profile's leaf-volume density, spinor Dirac
-operator and its ``dirac_spectra``, the density's ``function_laplacian``
-when the contrast runs, and alpha; the conjugation check and the
-Laplacian reads read the two operators before their Dirac reads end them,
-and the contrast reads the forms bound that the invariance report
-recorded.  ``run_profile_checks`` builds one torus geometry.  Every pair
-report carries the tag of ``pair_metadata``.
+``run_pair_checks`` builds each profile's leaf-volume density and alpha,
+reads each density's ``dirac_spectra`` from the operator's O(N) data, with
+no N x N matrix, and the density's ``function_laplacian`` when the contrast
+runs; the conjugation check bounds its residual from the same data, and
+the contrast reads the forms bound that the invariance report recorded.
+``run_profile_checks`` builds one torus geometry.  Every pair report
+carries the tag of ``pair_metadata``.
 
-Per command, ``run_pair_checks`` reads each distinct density once
-(``_read_once``): one period-1 read per distinct density bytes, and one
-Laplacian read per distinct (bytes, t-bandwidth, period) that a running
-contrast needs.  Equal bytes assemble a bitwise-equal operator, so the
-reports of the first read are the reports of every later one.  The
-Laplacian read also depends on the t-bandwidth, where the Galerkin read
-cuts the DFT, and on the period, which picks the read and along which the
-grid read projects: 2 and 2 + 1e-300 cos t have equal bytes, bandwidths 0
-and 1, and periods 1 and N.  The memos hold reports only and end with the
-call.
+Per command, ``run_pair_checks`` reads each distinct density's Laplacian
+once (``_read_once``): one read per distinct (density bytes, t-bandwidth,
+period) that a running contrast needs.  The read depends on the
+t-bandwidth, where the Galerkin read cuts the DFT, and on the period,
+which picks the read and along which the grid read projects: 2 and
+2 + 1e-300 cos t have equal bytes, bandwidths 0 and 1, and periods 1 and
+N.  The memo holds reads only and ends with the call.  The Dirac reads
+cost O(N) once the lattice of ``spectral.circulant_spectrum`` is cached,
+and are not memoised.
 
-``run_pair_checks`` allocates four N x N complex buffers, 0 to 3, once per
-command with a pair, and writes every N x N complex intermediate into them:
-
-* assembly: dirac_1 in 0, dirac_2 in 1, the conjugation difference in 2;
-* for a contrast that runs, the Laplacian reads of dirac_1's density, then
-  of dirac_2's: a Galerkin read needs no N x N array, its matrices are
-  (2K + 1)-dimensional; a grid read leaves the operator's buffer as it is
-  and writes the gathered block diagonals and then the C_k in 2 and the
-  means and then the C_k^H in 3 (at P = N the one block is the operator's
-  buffer itself, and 2 is not written), and allocates the C_k C_k^H, N x P;
-* the period-1 reads of dirac_1, then of dirac_2, each in its buffer: S
-  over the operator's buffer, S^H in 2, H in 3, then H's gathered
-  diagonals and their DFT in the operator's buffer and their means in 2.
-
-A density read earlier in the call skips its read, which writes nothing.
-An operator built on a buffer is valid only until the next phase.
-
-Every basic Dirac spectrum is read at period 1, in O(N^2): the paper proves
-invariance by unitary equivalence to a translation-invariant operator.
+Every basic Dirac spectrum is the lattice of the translation-invariant
+operator that the paper's operator is unitarily equivalent to, and the
+grid verdicts measure how far the weight data are from that equivalence:
 ``invariance_check`` computes, once per pair, the spinor and forms bounds
-that ``spectral`` derives for such reads, infinite when a windowed count is
-not certified; ``laplacian_dependence`` scales the forms bound, and reads
-the radii of the Laplacian reads, Galerkin reads to
+that ``spectral`` derives for the Dirac reads, infinite when a windowed
+count is not certified; ``laplacian_dependence`` scales the forms bound,
+and reads the radii of the Laplacian reads, Galerkin reads to
 LAPLACIAN_FORMS_THRESHOLD.
 """
 
@@ -71,18 +54,16 @@ from .model_spaces import (
     torus_geometry,
     torus_metric_sample,
 )
-from .operators import (
-    WeightedOperator,
-    assemble_basic_dirac_spinor,
-    assemble_lichnerowicz_sides,
-    diagonal_conjugate,
-)
+from .operators import assemble_lichnerowicz_sides, dirac_factors
 from .spectral import (
     WINDOW_EDGE_SLACK,
     LaplacianRead,
     SpectrumReport,
+    circulant_spectrum,
     dirac_spectra,
+    enclosure,
     function_laplacian,
+    gamma,
     spectrum_compare,
 )
 
@@ -225,18 +206,26 @@ def kappa_transform_residual(
 
 
 def conjugation_residual(
-    dirac_1: WeightedOperator,
-    dirac_2: WeightedOperator,
+    d1: LeafVolumeDensity,
+    d2: LeafVolumeDensity,
     alpha: np.ndarray,
+    grid: GridSpec,
     metadata: dict,
-    out: np.ndarray | None = None,
 ) -> VerificationReport:
-    """Frobenius distance between D' and alpha^{-1/2} D alpha^{1/2}: it bounds the
-    operator-norm distance, so it is the stricter residual and needs no SVD.
-    The difference is formed in ``out`` when it is given."""
-    difference = diagonal_conjugate(dirac_1.matrix, np.sqrt(alpha), out=out)
-    np.subtract(dirac_2.matrix, difference, out=difference)
-    residual = float(np.linalg.norm(difference))
+    """An upper bound of the Frobenius distance between D' and
+    alpha^{-1/2} D alpha^{1/2}, which bounds their operator-norm distance,
+    from the operators' O(N) data.  With D = i w^{-1} C w, D' = i u^{-1} C u
+    (``spectral``) and r = alpha^{1/2} w / u, the difference has the entries
+    i C_jk (u_k / u_j)(r_j - r_k) / r_j, so its norm is at most
+    F (max |u| / min |u|) max |r_j - r_k| / min |r|, read off the computed u
+    and r by ``spectral.enclosure`` and multiplied by 1 + gamma_{N + 8} for
+    the roundings of F and of the formula."""
+    u = dirac_factors(d2)[0]
+    ratio = np.sqrt(alpha) * dirac_factors(d1)[0] / u
+    u_low, u_high, _ = enclosure(u)
+    r_low, _, spread = enclosure(ratio)
+    frobenius = circulant_spectrum(grid.n_points, grid.spin_structure)[1]
+    residual = frobenius * (u_high / u_low) * (spread / r_low) * (1.0 + gamma(grid.n_points + 8))
     return VerificationReport.from_residual(
         "conjugation", residual, CONJUGATION_THRESHOLD, metadata
     )
@@ -418,49 +407,37 @@ def run_pair_checks(
     transform, conjugation, and the Laplacian-dependence contrast.
 
     Refuses a window outside the grid's trusted range, then, per pair, builds
-    each profile's density and spinor Dirac operator, and alpha, once, runs
-    the conjugation check on them, reads, when the contrast runs, each
-    density's function Laplacian, then each operator's Dirac spectra, into
-    the four buffers of the module docstring, once per distinct density of
-    the call, and passes the rest to the other checks; the contrast reads the
-    forms bound of the pair's invariance report.  With
-    ``skip_indistinct_laplacian`` (for auto-generated pairs) a contrast that
-    has a ``contrast_skip_reason`` is recorded as skipped, instead of failing
-    by design, and no Laplacian is read.
+    each profile's density and alpha once, runs the conjugation check on
+    them, reads each density's Dirac spectra and, when the contrast runs,
+    its function Laplacian, once per distinct density of the call, and
+    passes the rest to the other checks; the contrast reads the forms bound
+    of the pair's invariance report.  With ``skip_indistinct_laplacian``
+    (for auto-generated pairs) a contrast that has a
+    ``contrast_skip_reason`` is recorded as skipped, instead of failing by
+    design, and no Laplacian is read.
     """
     grid.validate_window(window)
-    if not pairs:
-        return []
-    n = grid.n_points
-    b0, b1, b2, b3 = (np.empty((n, n), np.complex128) for _ in range(4))
-    spectra, laplacians, reports = {}, {}, []
+    laplacians, reports = {}, []
     for p1, p2 in pairs:
         d1 = LeafVolumeDensity.from_profile(p1, grid)
         d2 = LeafVolumeDensity.from_profile(p2, grid)
         reason = contrast_skip_reason(d1, d2) if skip_indistinct_laplacian else None
-        dirac_1 = assemble_basic_dirac_spinor(d1, grid, out=b0)
-        dirac_2 = assemble_basic_dirac_spinor(d2, grid, out=b1)
         alpha = basic_volume_ratio(p1, p2, grid)
         metadata = pair_metadata(p1, p2, grid)
-        conjugation = conjugation_residual(dirac_1, dirac_2, alpha, metadata, out=b2)
-        if not reason:
-            laplacian_1, laplacian_2 = (
-                _read_once(laplacians, (d.g_values.tobytes(), d.t_bandwidth, d.period),
-                           function_laplacian, d, op.matrix, window, LAPLACIAN_FORMS_THRESHOLD,
-                           (b2, b3, None))
-                for d, op in ((d1, dirac_1), (d2, dirac_2)))
-        # Each read writes its S over the operator's matrix: the operators end here.
-        spectra_1 = _read_once(spectra, d1.g_values.tobytes(), dirac_spectra, dirac_1, (b0, b2, b3))
-        spectra_2 = _read_once(spectra, d2.g_values.tobytes(), dirac_spectra, dirac_2, (b1, b2, b3))
-        del dirac_1, dirac_2
-        invariance = invariance_check(spectra_1, spectra_2, window, metadata)
+        conjugation = conjugation_residual(d1, d2, alpha, grid, metadata)
+        invariance = invariance_check(dirac_spectra(d1, grid), dirac_spectra(d2, grid),
+                                      window, metadata)
         reports += [invariance, kappa_transform_residual(d1, d2, alpha, grid, metadata), conjugation]
         if reason:
             reports.append(VerificationReport.skipped(
                 "laplacian_dependence", LAPLACIAN_FORMS_THRESHOLD, reason, metadata))
-        else:
-            reports.append(laplacian_dependence(
-                laplacian_1, laplacian_2, invariance.metadata["forms_residual"], window, metadata))
+            continue
+        laplacian_1, laplacian_2 = (
+            _read_once(laplacians, (d.g_values.tobytes(), d.t_bandwidth, d.period),
+                       function_laplacian, d, window, LAPLACIAN_FORMS_THRESHOLD)
+            for d in (d1, d2))
+        reports.append(laplacian_dependence(
+            laplacian_1, laplacian_2, invariance.metadata["forms_residual"], window, metadata))
     return reports
 
 

@@ -3,11 +3,12 @@ metrics, a writer for profile documents, and the reference implementations
 the tests check the library against: a finite-difference Laplacian, the
 weighted inner product on the t-circle, the complex-arithmetic diagonal
 scaling, symmetrization and solve that the real-view ones reproduce bit for
-bit (each accepts the ``out`` of the function it stands in for), the dense
-solve that every projected Dirac read is checked against, the delta d and
-d delta assembly that every Gram read of a Laplacian is checked against, the
-Laplacian report as ``spectrum`` reads it and as the pair battery reads it,
-and the inputs a pair check reads, built as the pair battery builds them."""
+bit, the dense solve of the assembled spinor matrix that every O(N) Dirac
+read is checked against, the delta d and d delta assembly that every Gram
+read of a Laplacian is checked against, the Laplacian report as
+``spectrum`` reads it and as the pair battery reads it, the inputs a pair
+check reads, built as the pair battery builds them, and a patch that puts a
+defective factor function wherever the library looks it up."""
 
 import dataclasses
 import json
@@ -17,6 +18,7 @@ import numpy as np
 import pytest
 from scipy.special import iv
 
+from foliation_lab import operators, spectral, verify
 from foliation_lab._spectral_diff import differentiation_matrix, uniform_nodes
 from foliation_lab.basic_calculus import TWO_PI, LeafVolumeDensity
 from foliation_lab.model_spaces import GridSpec, MetricProfile, ProfileTerm
@@ -73,21 +75,20 @@ def weighted_inner_product(a: np.ndarray, b: np.ndarray, density: LeafVolumeDens
     return complex((TWO_PI / density.n_points) * np.sum(np.conj(a) * b * density.g_values))
 
 
-def complex_diagonal_conjugate(matrix: np.ndarray, w: np.ndarray, out=None) -> np.ndarray:
-    """w^{-1} M w in complex arithmetic, written to ``out`` when it is given: the
-    reference for ``operators.diagonal_conjugate``."""
-    return np.divide(matrix * w[None, :], w[:, None], out=out)
+def complex_diagonal_conjugate(matrix: np.ndarray, w: np.ndarray) -> np.ndarray:
+    """w^{-1} M w in complex arithmetic: the reference for
+    ``operators.diagonal_conjugate``."""
+    return (matrix * w[None, :]) / w[:, None]
 
 
-def complex_symmetrized(op: WeightedOperator, out=None) -> tuple[np.ndarray, float]:
+def complex_symmetrized(op: WeightedOperator) -> tuple[np.ndarray, float]:
     """(S + S^H)/2, S = W^{1/2} M W^{-1/2}, and ||S - S^H||_F in complex
-    arithmetic with a temporary for every step, H written to the last array of
-    ``out`` when it is given: the reference for ``WeightedOperator.symmetrized``."""
+    arithmetic with a temporary for every step: the reference for
+    ``WeightedOperator.symmetrized``."""
     root = np.sqrt(op.weights)
     sym = (root[:, None] * op.matrix) / root[None, :]
     adjoint = sym.conj().T
-    hermitian = np.multiply(0.5, sym + adjoint, out=None if out is None else out[2])
-    return hermitian, float(np.linalg.norm(sym - adjoint))
+    return 0.5 * (sym + adjoint), float(np.linalg.norm(sym - adjoint))
 
 
 def block_circulant_spectrum(hermitian: np.ndarray, period: int) -> tuple[np.ndarray, float]:
@@ -98,13 +99,13 @@ def block_circulant_spectrum(hermitian: np.ndarray, period: int) -> tuple[np.nda
     return np.sort(np.linalg.eigvalsh(blocks), axis=None), distance
 
 
-def complex_hermitian_spectrum(op: WeightedOperator, out=None) -> tuple[np.ndarray, float, float]:
+def complex_hermitian_spectrum(op: WeightedOperator) -> tuple[np.ndarray, float, float]:
     """Eigenvalues of ``complex_symmetrized``'s H, solved dense or, when the
     operator's period is below its size, by ``block_circulant_spectrum`` on
     fresh arrays; the gate ratio (||S - S^H||_F + 2 d) / max|lambda| and the
     projection distance d: the reference for
     ``WeightedOperator.hermitian_spectrum``."""
-    hermitian, asymmetry = complex_symmetrized(op, out)
+    hermitian, asymmetry = complex_symmetrized(op)
     if op.period == hermitian.shape[0]:
         values, distance = np.linalg.eigvalsh(hermitian), 0.0
     else:
@@ -117,6 +118,45 @@ def dense_spectrum(op: WeightedOperator) -> np.ndarray:
     """Ascending eigenvalues of the operator's symmetrized H by one dense
     ``eigvalsh``, whatever period it claims: the oracle for projected reads."""
     return np.linalg.eigvalsh(op.symmetrized()[0])
+
+
+def dense_dirac_read(density: LeafVolumeDensity, grid: GridSpec) -> tuple[np.ndarray, float]:
+    """The assembled spinor Dirac matrix's spectrum by one dense ``eigvalsh`` of
+    its symmetrized H, and the allowance N eps ||H||_2 of that solve plus the
+    matrix's distance from the operator that ``spectral.dirac_spectra``
+    reads: the oracle for the O(N) read.
+
+    ``eigvalsh`` is backward stable, so its values are the exact eigenvalues
+    of H + E with ||E||_2 <= p(N) eps ||H||_2, p a modestly growing function
+    of N (LAPACK's bound for the Hermitian eigenproblem); take p(N) = N.  The
+    assembled H differs from the read's exact operator by the round-off of
+    its D against the read's circulant C, at most N eps N/2 in Frobenius
+    norm (``test_round_off_of_the_derivative_matrix``); C is within
+    phi_N ||H||_F of that exact lattice operator, phi_N = gamma_{7 log2 N}
+    the error of the one inverse FFT that makes its column, which the
+    skew-Hermitian symmetrization does not increase; and the spin shift,
+    the two factor scalings, the two weight scalings and the symmetrization
+    add relative errors of about 10 eps per entry.  So by Weyl's inequality
+    each dense value lies within N eps ||H||_2 + N^2 eps / 2 +
+    (phi_N + 11 eps) ||H||_F of the exact eigenvalue of the read's H.  The
+    allowance is derived, not fitted."""
+    hermitian = assemble_basic_dirac_spinor(density, grid).symmetrized()[0]
+    values = np.linalg.eigvalsh(hermitian)
+    eps, n = np.finfo(np.float64).eps, grid.n_points
+    scale = float(np.max(np.abs(values)))
+    frobenius = float(np.linalg.norm(values))
+    fft = spectral.gamma(7.0 * np.log2(n))
+    return values, eps * (n * scale + n * n / 2.0 + 11.0 * frobenius) + fft * frobenius
+
+
+def patch_factors(monkeypatch, factors) -> None:
+    """Put ``factors`` in place of ``operators.dirac_factors`` in every module
+    that looks it up: the assembly, the Dirac read's gate and the
+    conjugation bound then all see the same (w, W)."""
+    original = operators.dirac_factors
+    for module in (operators, spectral, verify):
+        if module.__dict__.get("dirac_factors") is original:
+            monkeypatch.setattr(module, "dirac_factors", factors)
 
 
 def delta_d_laplacian(density: LeafVolumeDensity, grid: GridSpec, degree: str) -> WeightedOperator:
@@ -189,30 +229,27 @@ def laplacian_first_nonzero_eigenvalue(values: np.ndarray, zero_tol: float = 1e-
 def laplacian_read(density: LeafVolumeDensity, grid: GridSpec,
                    degree: str = "function") -> SpectrumReport:
     """The basic Laplacian's report as ``spectrum`` reads it: the third report
-    of ``dirac_spectra`` on the density's periodic spinor Dirac matrix along
-    the density's period, labelled by degree."""
-    spinor = assemble_basic_dirac_spinor(density, GridSpec(grid.n_points))
-    report = dirac_spectra(spinor, period=density.period)[2]
+    of ``dirac_spectra`` of the density on the periodic structure, the Gram
+    read of its spinor Dirac matrix along the density's period, labelled by
+    degree."""
+    report = dirac_spectra(density, GridSpec(grid.n_points), period=density.period)[2]
     return dataclasses.replace(report, operator_label=laplacian_label(grid.n_points, degree))
 
 
 def battery_laplacian(density: LeafVolumeDensity, window: float) -> LaplacianRead:
     """The function Laplacian's read as the pair battery reads it."""
-    factor = assemble_basic_dirac_spinor(density, GridSpec(density.n_points)).matrix
-    return function_laplacian(density, factor, window, LAPLACIAN_FORMS_THRESHOLD)
+    return function_laplacian(density, window, LAPLACIAN_FORMS_THRESHOLD)
 
 
 def pair_inputs(p1: MetricProfile, p2: MetricProfile, grid: GridSpec) -> SimpleNamespace:
     """What ``run_pair_checks`` passes to the pair checks, for calling one alone:
-    the two ``densities``, spinor Dirac operators ``dirac``, their
-    ``dirac_spectra`` ``spectra``, ``alpha``, the pair ``metadata``, and
-    ``laplacians(window)``, the two densities' ``battery_laplacian``."""
+    the two ``densities``, their ``dirac_spectra`` ``spectra``, ``alpha``, the
+    pair ``metadata``, and ``laplacians(window)``, the two densities'
+    ``battery_laplacian``."""
     densities = tuple(LeafVolumeDensity.from_profile(p, grid) for p in (p1, p2))
-    dirac = tuple(assemble_basic_dirac_spinor(d, grid) for d in densities)
     return SimpleNamespace(
         densities=densities,
-        dirac=dirac,
-        spectra=tuple(dirac_spectra(op) for op in dirac),
+        spectra=tuple(dirac_spectra(d, grid) for d in densities),
         alpha=basic_volume_ratio(p1, p2, grid),
         metadata=pair_metadata(p1, p2, grid),
         laplacians=lambda window: tuple(battery_laplacian(d, window) for d in densities),

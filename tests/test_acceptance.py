@@ -77,7 +77,7 @@ def test_criterion_2_metric_invariance():
     for _ in range(5):
         pair = pair_inputs(random_profile(rng), random_profile(rng), GRID)
         inv = invariance_check(*pair.spectra, WINDOW, pair.metadata)
-        conj = conjugation_residual(*pair.dirac, pair.alpha, pair.metadata)
+        conj = conjugation_residual(*pair.densities, pair.alpha, GRID, pair.metadata)
         kap = kappa_transform_residual(*pair.densities, pair.alpha, GRID, pair.metadata)
         worst["spectrum"] = max(worst["spectrum"], inv.residual)
         worst["conjugation"] = max(worst["conjugation"], conj.residual)

@@ -1,0 +1,135 @@
+"""The O(N) Dirac read's derived allowances against a 30-digit mpmath oracle.
+
+``spectral`` derives three bounds for the operator built from the computed
+weights, and ``verify`` a fourth: the radius of the lattice values mu, the
+distance d >= ||H - A||_F, the asymmetry bound >= ||S - S^H||_F and the
+conjugation residual >= ||D' - alpha^{-1/2} D alpha^{1/2}||_F.  Each test
+computes the true quantity in high precision from the same float inputs
+(the column c, the factor arrays, alpha), which are exact binary numbers,
+and asserts that the computed bound is at least that; the ratios
+bound / true value are recorded in CHANGES.md.  Every sum is O(N^2), so the
+oracle needs no high-precision eigensolve.
+"""
+
+import mpmath
+import numpy as np
+import pytest
+
+from foliation_lab import spectral
+from foliation_lab._spectral_diff import wavenumbers
+from foliation_lab.basic_calculus import LeafVolumeDensity
+from foliation_lab.model_spaces import GridSpec, MetricProfile, ProfileTerm
+from foliation_lab.operators import dirac_factors
+from foliation_lab.spectral import SpectrumReport, circulant_spectrum, factor_bounds
+from foliation_lab.verify import basic_volume_ratio, conjugation_residual, pair_metadata
+
+from conftest import patch_factors
+
+mpmath.mp.dps = 30
+
+COSINE = MetricProfile(2.0, (ProfileTerm(0, 1, 1.0),))
+MIXED = MetricProfile(2.0, (ProfileTerm(0, 1, 0.6), ProfileTerm(1, 0, 0.4, 0.3),
+                            ProfileTerm(1, 1, 0.3, 0.0, 0.5)))
+
+
+def _column(n_points: int, spin: str) -> np.ndarray:
+    """The read's column c, built as ``circulant_spectrum`` builds it."""
+    column = np.fft.ifft(1j * wavenumbers(n_points))
+    if spin == "nontrivial":
+        column[0] += 0.5j
+    return 0.5 * (column - np.conj(np.roll(column[::-1], 1)))
+
+
+def _squared_moduli(column: np.ndarray) -> list:
+    """|c_m|^2 in high precision, m = 0..N-1."""
+    return [mpmath.mpf(z.real) ** 2 + mpmath.mpf(z.imag) ** 2 for z in column.tolist()]
+
+
+def _mp(values: np.ndarray) -> list:
+    return [mpmath.mpc(z.real, z.imag) for z in np.asarray(values, complex).tolist()]
+
+
+@pytest.mark.parametrize("n_points", [32, 64])
+@pytest.mark.parametrize("spin", ["trivial", "nontrivial"])
+def test_lattice_values_lie_within_the_allowance(n_points, spin):
+    """The computed mu against the exact DFT of ic, c the float column: the
+    error is at most the allowance a, the radius at d = 0."""
+    column = _column(n_points, spin)
+    values, frobenius = circulant_spectrum(n_points, spin)
+    assert np.array_equal(np.sort(np.fft.fft(1j * column).real), values)
+    assert frobenius == np.sqrt(n_points) * float(np.linalg.norm(column))
+    ic = [mpmath.mpc(0, 1) * z for z in _mp(column)]
+    exact = sorted(
+        mpmath.re(mpmath.fsum(ic[j] * mpmath.expjpi(-2 * mpmath.mpf(j * m) / n_points)
+                              for j in range(n_points)))
+        for m in range(n_points))
+    error = max(abs(mpmath.mpf(float(mu)) - e) for mu, e in zip(values.tolist(), exact))
+    allowance = SpectrumReport(values, n_points, "lattice", 0.0, True).radius
+    assert error <= allowance
+
+
+def _perturbed_factor(grid: GridSpec, kind: str) -> tuple:
+    """The cosine density's (w, W) with w perturbed by a relative 1e-6 in its
+    modulus or in its phase, and the computed q."""
+    density = LeafVolumeDensity.from_profile(COSINE, grid)
+    w, weights = dirac_factors(density)
+    noise = np.random.default_rng(grid.n_points).uniform(-1.0, 1.0, grid.n_points)
+    w = w * (1.0 + 1e-6 * noise) if kind == "modulus" else w * np.exp(1e-6j * noise)
+    return w, weights, np.sqrt(weights) / w
+
+
+@pytest.mark.parametrize("n_points", [32, 64])
+@pytest.mark.parametrize("spin", ["trivial", "nontrivial"])
+@pytest.mark.parametrize("kind", ["modulus", "phase"])
+def test_factor_bounds_hold_for_a_perturbed_factor(n_points, spin, kind):
+    """||H - A||_F and ||S - S^H||_F of the operator built from the float
+    (w, W), q = W^{1/2} / w exact, are at most d and the asymmetry bound."""
+    grid = GridSpec(n_points, spin)
+    w, weights, computed_q = _perturbed_factor(grid, kind)
+    asymmetry, distance = factor_bounds(computed_q, circulant_spectrum(n_points, spin)[1])
+    q = [mpmath.sqrt(mpmath.mpf(weight)) / wj for weight, wj in zip(weights.tolist(), _mp(w))]
+    moduli = _squared_moduli(_column(n_points, spin))
+    off_hermitian = off_circulant = mpmath.mpf(0)
+    for j in range(n_points):
+        for k in range(n_points):
+            ratio = q[j] / q[k]
+            h = (ratio + mpmath.conj(1 / ratio)) / 2
+            c2 = moduli[(j - k) % n_points]
+            off_circulant += c2 * abs(h - 1) ** 2
+            off_hermitian += c2 * abs(ratio - mpmath.conj(1 / ratio)) ** 2
+    assert mpmath.sqrt(off_circulant) <= distance
+    assert mpmath.sqrt(off_hermitian) <= asymmetry
+
+
+@pytest.mark.parametrize("n_points", [32, 64])
+@pytest.mark.parametrize("spin", ["trivial", "nontrivial"])
+def test_conjugation_bound_holds_for_a_perturbed_alpha(n_points, spin):
+    """||D' - alpha^{-1/2} D alpha^{1/2}||_F of the operators built from the
+    float factors and alpha, with alpha perturbed by a relative 1e-6, is at
+    most the conjugation residual."""
+    grid = GridSpec(n_points, spin)
+    d1, d2 = (LeafVolumeDensity.from_profile(p, grid) for p in (COSINE, MIXED))
+    noise = np.random.default_rng(n_points + 1).uniform(-1.0, 1.0, n_points)
+    alpha = basic_volume_ratio(COSINE, MIXED, grid) * (1.0 + 1e-6 * noise)
+    report = conjugation_residual(d1, d2, alpha, grid, pair_metadata(COSINE, MIXED, grid))
+    u = [mpmath.mpf(x) for x in dirac_factors(d2)[0].tolist()]
+    v = [mpmath.sqrt(mpmath.mpf(a)) * mpmath.mpf(x)
+         for a, x in zip(alpha.tolist(), dirac_factors(d1)[0].tolist())]
+    moduli = _squared_moduli(_column(n_points, spin))
+    total = mpmath.fsum(moduli[(j - k) % n_points] * (u[k] / u[j] - v[k] / v[j]) ** 2
+                        for j in range(n_points) for k in range(n_points))
+    assert mpmath.sqrt(total) <= report.residual
+
+
+def test_a_factor_mutant_reaches_the_bounds(monkeypatch):
+    """The factor the bounds read is ``operators.dirac_factors``: with w = g
+    and W = 1 the conjugation bound fails and d is far from round-off."""
+    grid = GridSpec(32)
+    d1, d2 = (LeafVolumeDensity.from_profile(p, grid) for p in (COSINE, MIXED))
+    alpha = basic_volume_ratio(COSINE, MIXED, grid)
+    metadata = pair_metadata(COSINE, MIXED, grid)
+    assert conjugation_residual(d1, d2, alpha, grid, metadata).passed
+    patch_factors(monkeypatch, lambda d: (d.g_values, np.full(d.n_points, 1.0)))
+    assert not conjugation_residual(d1, d2, alpha, grid, metadata).passed
+    w, weights = spectral.dirac_factors(d1)
+    assert factor_bounds(np.sqrt(weights) / w, circulant_spectrum(32, "trivial")[1])[1] > 1.0

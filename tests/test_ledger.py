@@ -1,0 +1,59 @@
+"""The verdict ledger of tools/ledger.py keeps its format.
+
+The ledger is pasted into change notes and compared with ``diff``, so its
+lines are pinned here on a small command set (seeds 0 to 4 at grid 64);
+the pass counts are not, as a change to the program may move them.
+"""
+
+import importlib
+import re
+from pathlib import Path
+
+import pytest
+
+from foliation_lab import cli
+
+TOOLS = Path(__file__).resolve().parents[1] / "tools"
+
+
+@pytest.fixture
+def ledger(monkeypatch):
+    monkeypatch.syspath_prepend(str(TOOLS))
+    return importlib.import_module("ledger")
+
+
+def test_ledger_format_on_five_seeds(ledger):
+    text = ledger.ledger_text(cli, seeds=range(5), grids=((64, "8"),))
+    lines = text.splitlines()
+    assert text.endswith("\n")
+    assert lines[0] == "# foliation-lab verdict ledger"
+    assert re.fullmatch(r"# python \S+, numpy \S+, blas .+, lapack .+, cpus \d+", lines[1])
+    assert lines[2] == "# verify --all --grid G --window W --seed S for S in 0, 1, 2, 3, 4"
+    assert lines[3:5] == ["", "## grid 64, window 8"]
+    exits = [line for line in lines if line.startswith("exit ")]
+    seeds = []
+    for line in exits:
+        match = re.fullmatch(r"exit ([012]) \((\d+)\): ([\d ]+)", line)
+        assert match, line
+        listed = match.group(3).split()
+        assert int(match.group(2)) == len(listed)
+        seeds += listed
+    assert sorted(seeds, key=int) == ["0", "1", "2", "3", "4"]
+    header = lines.index("check                    run  passed  failed  skipped   min ratio  measures")
+    checks = lines[header + 1 : header + 5]
+    names = [line.split()[0] for line in checks]
+    assert names == ["invariance", "kappa_transform", "conjugation", "laplacian_dependence"]
+    for line in checks:
+        assert re.fullmatch(r"[a-z_]+ +\d+ +\d+ +\d+ +\d+ +\S+  [a-z -]+", line), line
+        run, passed, failed, _ = map(int, line.split()[1:5])
+        assert run == passed + failed
+    assert re.fullmatch(r"laplacian reads: galerkin \d+, grid \d+", lines[header + 5])
+    for line in lines[header + 6 :]:
+        assert re.fullmatch(r"skipped \d+: [a-z_]+: .+", line), line
+
+
+def test_ledger_refuses_an_existing_file(ledger, tmp_path, capsys):
+    out = tmp_path / "ledger.txt"
+    out.write_text("", encoding="utf-8")
+    assert ledger.main([str(TOOLS.parent), str(out)]) == 2
+    assert "exists" in capsys.readouterr().err

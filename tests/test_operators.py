@@ -5,7 +5,7 @@ import dataclasses
 import numpy as np
 import pytest
 
-from foliation_lab import operators, verify
+from foliation_lab import operators
 from foliation_lab._spectral_diff import differentiation_matrix, uniform_nodes, wavenumbers
 from foliation_lab.basic_calculus import LeafVolumeDensity
 from foliation_lab.cli import run
@@ -556,12 +556,11 @@ def _bits(array) -> np.ndarray:
     return np.ascontiguousarray(array).view(np.uint64)
 
 
-def _assert_gram_read_bits(factor, period, out):
-    """A Gram read into ``out`` gives the bits of the read on fresh arrays and
-    leaves its factor as it was."""
+def _assert_gram_read_bits(factor, period):
+    """A Gram read gives the same bits twice and leaves its factor as it was."""
     matrix = factor.copy()
     expected = gram_spectrum(factor, period)
-    values, ratio, distance = gram_spectrum(factor, period, out=out)
+    values, ratio, distance = gram_spectrum(factor, period)
     assert np.array_equal(_bits(values), _bits(expected[0]))
     assert (ratio.hex(), distance.hex()) == (expected[1].hex(), expected[2].hex())
     assert np.array_equal(_bits(factor), _bits(matrix))
@@ -619,25 +618,17 @@ class TestRealViewScalingBitParity:
             hermitian, asymmetry = op.symmetrized()
             assert np.array_equal(_bits(hermitian), _bits(expected))
             assert asymmetry.hex() == float(np.linalg.norm(sym)).hex()
-            out = tuple(np.full((n_points, n_points), np.nan, complex) for _ in range(3))
-            hermitian, asymmetry = op.symmetrized(out=out)
-            assert np.shares_memory(hermitian, out[2])
-            assert np.array_equal(_bits(hermitian), _bits(expected))
-            assert asymmetry.hex() == float(np.linalg.norm(sym)).hex()
 
     @pytest.mark.parametrize("n_points", [64, 256])
     def test_projection_at_the_full_period_is_the_matrix(self, n_points, mixed_profile):
-        """At p = N the projection is X: its one block shares X's memory, the
-        distance is exactly 0.0, and neither array of ``out`` is written."""
+        """At p = N the projection is X: its one block shares X's memory, and
+        the distance is exactly 0.0."""
         grid = GridSpec(n_points)
         matrix = assemble_basic_dirac_spinor(_density(mixed_profile, grid), grid).matrix
-        out = tuple(np.full((n_points, n_points), np.nan, complex) for _ in range(2))
-        for given in (None, out):
-            blocks, distance = block_circulant_projection(matrix, n_points, out=given)
-            assert blocks.shape == (1, n_points, n_points)
-            assert np.shares_memory(blocks, matrix) and np.array_equal(blocks[0], matrix)
-            assert distance == 0.0 and isinstance(distance, float)
-        assert all(np.isnan(array).all() for array in out)
+        blocks, distance = block_circulant_projection(matrix, n_points)
+        assert blocks.shape == (1, n_points, n_points)
+        assert np.shares_memory(blocks, matrix) and np.array_equal(blocks[0], matrix)
+        assert distance == 0.0 and isinstance(distance, float)
 
     @pytest.mark.parametrize("n_points", [64, 256])
     @pytest.mark.parametrize("spin", ["trivial", "nontrivial"])
@@ -654,64 +645,50 @@ class TestRealViewScalingBitParity:
 
     @pytest.mark.parametrize("n_points", [64, 256])
     @pytest.mark.parametrize("spin", ["trivial", "nontrivial"])
-    def test_out_arrays(self, n_points, spin, mixed_profile):
-        """Every ``out=`` path writes the reference's bits into the array it is
-        given, whatever that array held before (NaN here)."""
+    def test_assembly_and_reads_are_the_references(self, n_points, spin, mixed_profile):
+        """The scaling, the assembly on either structure, the Gram read, the
+        symmetrization and the solve give the references' bits."""
         grid = GridSpec(n_points, spin)
         density = _density(mixed_profile, grid)
         root = np.sqrt(density.g_values)
         trivial = differentiation_matrix(n_points, "trivial")
-
-        def stale(count=1):
-            arrays = tuple(np.full((n_points, n_points), np.nan, complex) for _ in range(count))
-            return arrays if count > 1 else arrays[0]
-
-        out = stale()
-        scaled = diagonal_conjugate(differentiation_matrix(n_points, spin), root, out=out)
-        assert np.shares_memory(scaled, out)
+        scaled = diagonal_conjugate(differentiation_matrix(n_points, spin), root)
         expected = complex_diagonal_conjugate(differentiation_matrix(n_points, spin), root)
         assert np.array_equal(_bits(scaled), _bits(expected))
-
-        spinor = assemble_basic_dirac_spinor(density, grid, out=stale())
+        spinor = assemble_basic_dirac_spinor(density, grid)
         assert np.array_equal(_bits(spinor.matrix), _bits(1j * expected))
-        periodic = assemble_basic_dirac_spinor(density, GridSpec(n_points), out=stale())
+        periodic = assemble_basic_dirac_spinor(density, GridSpec(n_points))
         assert np.array_equal(_bits(periodic.matrix),
                               _bits(1j * complex_diagonal_conjugate(trivial, root)))
-        _assert_gram_read_bits(periodic.matrix, density.period, stale(3))
-
+        _assert_gram_read_bits(periodic.matrix, density.period)
         expected_h, expected_asymmetry = complex_symmetrized(spinor)
-        hermitian, asymmetry = spinor.symmetrized(out=stale(3))
+        hermitian, asymmetry = spinor.symmetrized()
         assert np.array_equal(_bits(hermitian), _bits(expected_h))
         assert asymmetry.hex() == expected_asymmetry.hex()
-        values, ratio, distance = spinor.hermitian_spectrum(out=stale(3))
+        values, ratio, distance = spinor.hermitian_spectrum()
         expected_values, expected_ratio, expected_distance = complex_hermitian_spectrum(spinor)
         assert np.array_equal(_bits(values), _bits(expected_values))
         assert ratio.hex() == expected_ratio.hex()
         assert distance.hex() == expected_distance.hex()
-        # S written over the operator's own matrix: the battery's layout
-        consumed = WeightedOperator(spinor.matrix.copy(), spinor.weights, spinor.label, n_points)
-        hermitian, asymmetry = consumed.symmetrized(out=(consumed.matrix, *stale(2)))
-        assert np.array_equal(_bits(hermitian), _bits(expected_h))
-        assert asymmetry.hex() == expected_asymmetry.hex()
 
     @staticmethod
     def _allocating_battery(p1, p2, grid, window):
-        """The pair battery's four checks on inputs built without ``out``."""
+        """The pair battery's four checks, each on inputs built for it alone."""
         pair = pair_inputs(p1, p2, grid)
         invariance = invariance_check(*pair.spectra, window, pair.metadata)
         return [
             invariance,
             kappa_transform_residual(*pair.densities, pair.alpha, grid, pair.metadata),
-            conjugation_residual(*pair.dirac, pair.alpha, pair.metadata),
+            conjugation_residual(*pair.densities, pair.alpha, grid, pair.metadata),
             laplacian_dependence(*pair.laplacians(window), invariance.metadata["forms_residual"],
                                  window, pair.metadata),
         ]
 
-    def test_battery_reuses_its_buffers_across_pairs(self, cosine_profile, mixed_profile,
+    def test_battery_over_pairs_is_the_checks_alone(self, cosine_profile, mixed_profile,
                                                      product_profile, grid64):
-        """Stale-buffer guard: a three-pair call, whose later pairs run on the
-        buffers the earlier ones wrote, gives the reports of three one-pair
-        calls and of the checks run on fresh arrays."""
+        """A three-pair call, whose later pairs may hit the Laplacian memo,
+        gives the reports of three one-pair calls and of the checks run
+        alone."""
         pairs = [(cosine_profile, mixed_profile), (mixed_profile, product_profile),
                  (product_profile, cosine_profile)]
         reports = run_pair_checks(pairs, grid64, 8.0)
@@ -721,19 +698,18 @@ class TestRealViewScalingBitParity:
                            for report in self._allocating_battery(*pair, grid64, 8.0)]
 
     def test_battery_across_grids(self, cosine_profile, mixed_profile):
-        """Stale-buffer guard: consecutive calls on grids 64, 128 and 64 give
-        the reports of the checks run on fresh arrays on every grid."""
+        """Consecutive calls on grids 64, 128 and 64, whose cached lattices and
+        derivative matrices differ, give the reports of the checks run alone
+        on every grid."""
         for n_points in (64, 128, 64):
             grid = GridSpec(n_points)
             reports = run_pair_checks([(cosine_profile, mixed_profile)], grid, 8.0)
             assert reports == self._allocating_battery(cosine_profile, mixed_profile, grid, 8.0)
 
     @pytest.mark.parametrize("n_points", [64, 256])
-    def test_blocked_out_arrays(self, n_points):
-        """The blocked solve writes its work into the S and S^H arrays of
-        ``out`` and gives the bits of the reference on fresh arrays, also with S
-        written over the operator's own matrix (the battery's layout); so do
-        the Gram reads of the Laplacians, into all three arrays."""
+    def test_blocked_reads(self, n_points):
+        """The blocked solve along a density's period gives the bits of the
+        reference, and so does the Gram read of the Laplacians twice."""
         grid = GridSpec(n_points)
         for terms in ((), (ProfileTerm(0, 2, 0.5), ProfileTerm(1, 1, 0.3))):
             density = _density(MetricProfile(2.0, terms), grid)
@@ -741,23 +717,17 @@ class TestRealViewScalingBitParity:
             spinor = assemble_basic_dirac_spinor(density, grid)
             # iT's symmetrization iD commutes with every shift: any period is honest
             along = dataclasses.replace(spinor, period=density.period)
-            stale = tuple(np.full((n_points, n_points), np.nan, complex) for _ in range(3))
-            _assert_gram_read_bits(spinor.matrix, density.period, stale)
+            _assert_gram_read_bits(spinor.matrix, density.period)
             for op in (spinor, along):
                 expected = complex_hermitian_spectrum(op)
-                stale = tuple(np.full((n_points, n_points), np.nan, complex) for _ in range(3))
-                consumed = WeightedOperator(op.matrix.copy(), op.weights, op.label, n_points,
-                                            op.period)
-                for solved, out in ((op, stale), (consumed, (consumed.matrix, *stale[1:]))):
-                    values, ratio, distance = solved.hermitian_spectrum(out=out)
-                    assert np.array_equal(_bits(values), _bits(expected[0]))
-                    assert (ratio.hex(), distance.hex()) == (expected[1].hex(), expected[2].hex())
+                values, ratio, distance = op.hermitian_spectrum()
+                assert np.array_equal(_bits(values), _bits(expected[0]))
+                assert (ratio.hex(), distance.hex()) == (expected[1].hex(), expected[2].hex())
 
     def test_pair_bundle_is_the_bundle_of_the_references(self, tmp_path, monkeypatch):
         args = ["verify", "--all", "--grid", "64", "--window", "8", "--pairs", "2"]
         code = run([*args, "--output-dir", str(tmp_path / "view")])
         monkeypatch.setattr(operators, "diagonal_conjugate", complex_diagonal_conjugate)
-        monkeypatch.setattr(verify, "diagonal_conjugate", complex_diagonal_conjugate)
         monkeypatch.setattr(WeightedOperator, "symmetrized", complex_symmetrized)
         monkeypatch.setattr(WeightedOperator, "hermitian_spectrum", complex_hermitian_spectrum)
         assert run([*args, "--output-dir", str(tmp_path / "complex")]) == code

@@ -74,7 +74,10 @@ def test_traced_verify_and_spectrum_write_the_untraced_reports(tmp_path, tracing
     counts = tracer.span_counts()
     assert counts["verify.random_profile"] == 2
     assert counts["verify.laplacian_dependence"] == 2
-    assert counts["spectral.eigensolve"] > 0
+    # no command reaches ``eigenvalues_weighted`` (the span's only function):
+    # the Dirac reads need no matrix, and the grid Laplacian reads assemble
+    assert counts["spectral.eigensolve"] == 0
+    assert counts["operators.assemble"] > 0
 
 
 def test_traced_sweep_writes_the_untraced_rows_from_one_search(tmp_path, tracing):

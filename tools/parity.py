@@ -88,8 +88,7 @@ def cases() -> dict[str, list[str]]:
     table["verify-wavy2-pairs"] = [
         "verify", "--all", "--profiles", profile("wavy2"), profile("wavy"), profile("flat2"),
         *small]
-    # Contrasts on densities of period N/2, N and 1 through the pair
-    # battery's buffers at the benchmark's grid.
+    # Contrasts on densities of period N/2, N and 1 at the benchmark's grid.
     table["verify-wavy2-pairs-n256"] = [
         "verify", "--all", "--profiles", profile("wavy2"), profile("wavy"), profile("flat2"),
         "--grid", "256", "--window", "10"]
@@ -116,7 +115,7 @@ def cases() -> dict[str, list[str]]:
                 "spectrum", "--profile", profile("wavy2"), "--operator", operator,
                 "--spin", spin, *small]
     # Grid-256 Dirac spectra of a density with period N/2, on both spin
-    # structures: a projected read and a dense solve differ in the last digits.
+    # structures: reads of different operators differ in the last digits.
     for spin in SPINS:
         table[f"spectrum-dirac-spinor-{spin}-wavy2-n256"] = [
             "spectrum", "--profile", profile("wavy2"), "--operator", "dirac-spinor",
@@ -156,8 +155,8 @@ def cases() -> dict[str, list[str]]:
     table["sweep-across-one"] = ["sweep", "--count", "3", "--r-min", "0.999", "--r-max", "1.001"]
     table["bounds-json-range-ends"] = [
         "bounds", "--r", "1.5258789054506396e-05", "65536.00003433226", "--format", "json"]
-    # Back-to-back pair batteries: a buffer that one call leaves stale or
-    # sized for another grid would change the second call's bytes.
+    # Back-to-back pair batteries: state that one call leaves behind, or a
+    # cache keyed on the wrong grid, would change the second call's bytes.
     repeated = ["verify", "--all", "--grid", "256", "--window", "10", "--seed", "3"]
     table["twice-verify-all-n256-seed3-first"] = repeated
     table["twice-verify-all-n256-seed3-second"] = repeated
