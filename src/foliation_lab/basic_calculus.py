@@ -40,8 +40,8 @@ class LeafVolumeDensity:
     N: g(t_{j+P}) = g(t_j) for every node.  From a profile it is exact,
     P = N / gcd(N, n_1, ..., n_k) over the t-frequencies of the
     theta-average (1 for a constant density); densities made from arrays
-    claim none, P = N.  Operators assembled from g commute with the shift by
-    P grid points, which ``WeightedOperator.hermitian_spectrum`` uses.
+    claim none, P = N.  The Laplacians of g commute with the shift by P grid
+    points, which ``spectral.laplacian_spectrum`` uses.
     """
 
     g_values: np.ndarray

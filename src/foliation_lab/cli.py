@@ -27,7 +27,8 @@ from .model_spaces import SPIN_STRUCTURES, GridSpec, MetricProfile, load_profile
 from .operators import laplacian_label
 # No command solves with eigenvalues_weighted; perfbench/tracing.py wraps it
 # here by name (perfbench/tests/test_determinism.py).
-from .spectral import SpectrumReport, dirac_spectra, eigenvalues_weighted  # noqa: F401
+from .spectral import (SpectrumReport, dirac_spectra, eigenvalues_weighted,  # noqa: F401
+                       laplacian_spectrum)
 from .verify import random_profile, run_pair_checks, run_profile_checks
 
 DEFAULT_SEED = 7041
@@ -116,12 +117,11 @@ def _spectrum(operator_name: str, density: LeafVolumeDensity, grid: GridSpec):
     if operator_name == "dirac-spinor":
         return dirac_spectra(density, grid)[0]
     # The forms and Laplacians act on periodic sections whatever --spin says.
-    periodic = GridSpec(grid.n_points)
     if operator_name == "dirac-forms":
-        return dirac_spectra(density, periodic)[1]
+        return dirac_spectra(density, GridSpec(grid.n_points))[1]
     degree = DEGREE_FUNCTION if operator_name == "laplacian-functions" else DEGREE_ONE_FORM
-    laplacian = dirac_spectra(density, periodic, period=density.period)[2]
-    return replace(laplacian, operator_label=laplacian_label(grid.n_points, degree))
+    return replace(laplacian_spectrum(density),
+                   operator_label=laplacian_label(grid.n_points, degree))
 
 
 def _spectrum_text(report: SpectrumReport, fmt: str, window: float) -> str:

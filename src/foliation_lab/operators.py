@@ -9,8 +9,8 @@ matrix D, and the codifferential is D's exact weighted adjoint -g^{-1} D g.
 Both are ``diagonal_conjugate`` scalings w^{-1} D w of the one cached,
 read-only matrix D per (grid, spin structure) of
 ``_spectral_diff.differentiation_matrix``.  The basic Laplacians of both
-degrees are Gram products of T = g^{-1/2} D g^{1/2}: ``gram_spectrum``
-reads T's squared singular values from iT (``spectral`` derives the read).
+degrees are Gram products of T = g^{-1/2} D g^{1/2}, whose squared singular
+values ``spectral.laplacian_spectrum`` reads without assembling T.
 
 Diagonal scalings, here and in ``WeightedOperator.symmetrized``, multiply
 the float64 view of the complex matrix by w and then by a precomputed 1/w.
@@ -18,26 +18,13 @@ That is bitwise numpy's complex (M * w) / w with w promoted to complex,
 (aw - b0) + (a0 + bw)i and then Smith's (a + b0)(1/w) + (b - a0)(1/w)i,
 except that a zero entry may differ in sign.  Scalings by i or -1 and the
 symmetrization's sums are done in place with unchanged arithmetic.
-
-Translation symmetry.  The periodic D is circulant, so an operator built
-from it and a density of period P grid points (``LeafVolumeDensity.period``)
-commutes with the cyclic shift by P rows and columns; the Laplacians are
-read along P.  The spinor Dirac matrix records P = 1 on
-either spin structure: its symmetrization is i D_s up to round-off, and
-D_s, the periodic D or D + i/2, is circulant.  The 2N forms matrix claims
-none.  Every matrix read solves the N/P blocks of its projection onto
-block-circulant matrices (``block_circulant_projection``) in one stacked
-``eigvalsh`` call and gates on the projection's distance; at P = N it is
-the dense solve, bit for bit.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
-from numpy.lib.stride_tricks import as_strided
 
 from ._spectral_diff import differentiation_matrix, fourier_derivative
 from .basic_calculus import DEGREE_FUNCTION, DEGREE_ONE_FORM, TWO_PI, LeafVolumeDensity
@@ -46,19 +33,12 @@ from .model_spaces import GridSpec
 
 @dataclass(frozen=True)
 class WeightedOperator:
-    """Dense matrix plus the positive weights of its symmetry inner product.
-
-    ``period`` P, a divisor of the matrix size, claims that the matrix
-    commutes with the cyclic shift by P rows and columns and the weights
-    repeat after P entries; None claims no symmetry (P = the size).  The
-    claim is checked, not trusted: ``hermitian_spectrum`` gates on the
-    distance it measures from it."""
+    """Dense matrix plus the positive weights of its symmetry inner product."""
 
     matrix: np.ndarray
     weights: np.ndarray
     label: str
     n_points: int
-    period: int | None = None
 
     def __post_init__(self):
         object.__setattr__(
@@ -69,11 +49,6 @@ class WeightedOperator:
             raise ValueError("matrix and weights sizes are inconsistent")
         if not (self.weights > 0.0).all():
             raise ValueError("weights must be strictly positive")
-        size = self.weights.size
-        if self.period is None:
-            object.__setattr__(self, "period", size)
-        if not (self.period >= 1 and size % self.period == 0):
-            raise ValueError(f"period {self.period} does not divide the matrix size {size}")
 
     def symmetrized(self) -> tuple[np.ndarray, float]:
         """H = (S + S^H)/2 for S = W^{1/2} M W^{-1/2} (exactly Hermitian) and the
@@ -89,73 +64,17 @@ class WeightedOperator:
         sym -= adjoint
         return hermitian, float(np.linalg.norm(sym))
 
-    def hermitian_spectrum(self) -> tuple[np.ndarray, float, float]:
-        """Ascending eigenvalues of P, the projection of the ``symmetrized`` H
-        along ``period`` (``block_circulant_projection``); the gate ratio (||S - S^H||_F + 2 d) / max|lambda|;
-        and d = ||H - P||_F.  With period = N, P = H and d = 0: the dense
-        solve.  The numerator bounds the distance of S and S^H from the matrix
-        solved, P.  As max|lambda(P)| <= max|lambda(H)| + d, the ratio is never below
-        the dense one, ||S - S^H||_F / max|lambda(H)| >= ||S - S^H||_2 /
-        ||S||_2 (as ||H||_2 <= ||S||_2), while that is at most 2: the gate
-        only gets stricter, and a period H does not have fails it."""
+    def hermitian_spectrum(self) -> tuple[np.ndarray, float]:
+        """Ascending eigenvalues of the ``symmetrized`` H by one dense
+        ``eigvalsh``, and the gate ratio ||S - S^H||_F / max|lambda|, which is
+        at least ||S - S^H||_2 / ||S||_2 (as ||H||_2 <= ||S||_2)."""
         hermitian, asymmetry = self.symmetrized()
-        blocks, distance = block_circulant_projection(hermitian, self.period)
-        values = np.sort(np.linalg.eigvalsh(blocks), axis=None)
-        scale = max(float(np.max(np.abs(values))), np.finfo(float).tiny)
-        return values, (asymmetry + 2.0 * distance) / scale, distance
+        values = np.linalg.eigvalsh(hermitian)
+        return values, asymmetry / max(float(np.max(np.abs(values))), np.finfo(float).tiny)
 
     def symmetry_residual(self) -> float:
         """Relative deviation of the symmetrized matrix from Hermitian (the gate ratio)."""
         return self.hermitian_spectrum()[1]
-
-
-def block_circulant_projection(matrix: np.ndarray, period: int) -> tuple[np.ndarray, float]:
-    """The blocks C_k, an (N/p, p, p) array, of P(X), the projection of the
-    N x N matrix X onto matrices that commute with the cyclic shift by
-    ``period`` = p rows and columns, and the distance ||X - P(X)||_F.
-
-    In m x m blocks of size p (m = N/p), P(X) is block circulant: block (a, b)
-    is B_{(b - a) mod m} = (1/m) sum_a X_{a, a+r}, the mean over the shifts,
-    so P is the Frobenius-orthogonal projection.  The unitary block DFT gives
-    P(X) = U diag(C_k) U^H, C_k = sum_r B_r e^{-2 pi i r k / m}: the C_k carry
-    the eigenvalues of a Hermitian P(X) and the singular values of any.  At
-    p = N, P(X) = X, returned as is: the block is X itself.  Otherwise one
-    N x N array holds the gathered X (block row a from block a + r, two
-    strided reads, before the block diagonals wrap and after), then
-    X - P(X), then the C_k.
-    """
-    size = matrix.shape[0]
-    if period == size:
-        return matrix[None], 0.0
-    m = size // period
-    rolled = np.empty_like(matrix).reshape(m, period, m, period)
-    flat, item = matrix.reshape(-1), matrix.itemsize
-    shape = (m - 1, period, m, period)
-    strides = ((size + 1) * period * item, size * item, period * item, item)
-    rolled[:-1] = as_strided(flat, shape, strides)
-    rolled[-1, :, 0] = matrix.reshape(m, period, m, period)[-1, :, -1]
-    wrapped = np.greater_equal.outer(np.arange(1, m), m - np.arange(m))
-    wrapped = np.ascontiguousarray(np.broadcast_to(wrapped[:, None, :, None], shape))
-    np.copyto(rolled[1:], as_strided(flat[(size + 1) * period - size :], shape, strides),
-              where=wrapped)
-    means = np.mean(rolled, axis=0)
-    rolled -= means
-    distance = float(np.linalg.norm(rolled.view(np.float64)))
-    blocks = rolled.reshape(-1)[: size * period].reshape(m, period, period)
-    np.fft.fft(means, axis=1, out=blocks.transpose(1, 0, 2))
-    return blocks, distance
-
-
-def gram_spectrum(factor: np.ndarray, period: int) -> tuple[np.ndarray, float, float]:
-    """Ascending eigenvalues of the blocks C_k C_k^H of the projection P(M) of
-    the N x N ``factor`` M along ``period`` (``block_circulant_projection``);
-    the shift ratio d (2 sigma + d) / sigma^2, sigma^2 the largest value; and
-    d = ||M - P(M)||_F.  M is not written."""
-    blocks, distance = block_circulant_projection(factor, period)
-    gram = np.matmul(blocks, np.conjugate(blocks).transpose(0, 2, 1))
-    values = np.sort(np.linalg.eigvalsh(gram), axis=None)
-    scale = max(float(values[-1]), np.finfo(float).tiny)
-    return values, distance * (2.0 * math.sqrt(scale) + distance) / scale, distance
 
 
 def diagonal_conjugate(matrix: np.ndarray, w: np.ndarray) -> np.ndarray:
@@ -195,14 +114,13 @@ def assemble_basic_dirac_spinor(density: LeafVolumeDensity, grid: GridSpec) -> W
     Clifford multiplication by the unit transverse coframe is multiplication
     by i.  The trivial spin structure uses periodic sections, the nontrivial
     one antiperiodic sections, written by their periodic parts
-    (``_spectral_diff``; half-integer spectrum); either claims period 1
-    (module docstring).
+    (``_spectral_diff``; half-integer spectrum).
     """
     _check_grid(density, grid)
     w, weights = dirac_factors(density)
     matrix = diagonal_conjugate(differentiation_matrix(grid.n_points, grid.spin_structure), w)
     matrix *= 1j
-    return WeightedOperator(matrix, weights, spinor_label(grid), grid.n_points, period=1)
+    return WeightedOperator(matrix, weights, spinor_label(grid), grid.n_points)
 
 
 def twisted_differential(density: LeafVolumeDensity, grid: GridSpec) -> np.ndarray:
@@ -254,17 +172,16 @@ def assemble_basic_laplacian(
     density: LeafVolumeDensity, grid: GridSpec, degree: str = DEGREE_FUNCTION
 ) -> WeightedOperator:
     """Basic Laplacian: delta d on functions, u -> -u'' - (g'/g) u', and d delta
-    on 1-form coefficients, as the N^3 product of ``codifferential`` and D,
-    claiming the density's period.  No command assembles it: ``spectrum``
-    reads its spectrum as ``dirac_spectra``'s Gram read of iT, and the pair
-    battery the function Laplacian's by ``function_laplacian`` (``spectral``).
+    on 1-form coefficients, as the N^3 product of ``codifferential`` and D.
+    No command assembles it: ``spectrum`` reads its spectrum by
+    ``laplacian_spectrum``, and the pair battery the function Laplacian's by
+    ``function_laplacian`` (``spectral``).
     """
     label = laplacian_label(grid.n_points, degree)
     d = differentiation_matrix(grid.n_points, "trivial")
     delta = codifferential(density, grid)
     matrix = delta @ d if degree == DEGREE_FUNCTION else d @ delta
-    return WeightedOperator(matrix, quadrature_weights(density), label, grid.n_points,
-                            density.period)
+    return WeightedOperator(matrix, quadrature_weights(density), label, grid.n_points)
 
 
 def connection_laplacian_spinor(

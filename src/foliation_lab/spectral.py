@@ -2,12 +2,13 @@
 
 ``eigenvalues_weighted`` solves one assembled operator.  ``dirac_spectra``
 reads both basic Dirac spectra of a density from the operator's O(N) data,
-and for ``spectrum`` the function Laplacian's by a Gram read of the
-assembled periodic spinor matrix.  ``function_laplacian`` reads it for the
-pair battery from the density's Fourier coefficients where that is the
-cheaper read or the density is constant, else by the Gram read.  A
-``SpectrumReport`` carries no window: callers pass one that
-``GridSpec.validate_window`` has checked to ``in_window``.
+and ``laplacian_spectrum`` the basic Laplacians' from the Bloch blocks of
+the same data along the density's period.  ``function_laplacian`` reads the
+function Laplacian for the pair battery from the density's Fourier
+coefficients where that is the cheaper read or the density is constant,
+else by ``laplacian_spectrum``.  A ``SpectrumReport`` carries no window:
+callers pass one that ``GridSpec.validate_window`` has checked to
+``in_window``.
 
 Basic Dirac spectra.  The paper's operator is unitarily equivalent to a
 translation-invariant one, and on a circle the nontrivial spin structure
@@ -23,7 +24,7 @@ symmetrization S = W^{1/2} M W^{-1/2} = diag(q) A diag(q)^{-1}, with
 q = W^{1/2} / w constant in exact arithmetic, and H = (S + S^H) / 2 has the
 entries A_jk h_jk, h_jk = (q_j / q_k + conj(q_k / q_j)) / 2.  A's
 eigenvalues mu = Re fft(ic) are computed once per (N, spin structure)
-(``circulant_spectrum``), with F = ||A||_F = N^{1/2} ||c||_2.
+(``circulant_spectrum``, which keeps c), with F = ||A||_F = N^{1/2} ||c||_2.
 
 The bounds, for real or complex q (a non-constant phase is the wrong-frame
 defect).  With a = |q| and delta = max |q_j - q_k|:
@@ -75,28 +76,44 @@ fitted.  At N = 256 the radius is 1.5e-10 and d about 1e-26; the values
 are within 5.8e-13 of a dense ``eigvalsh`` of the assembled matrix, whose D
 differs from C by round-off (``tests/conftest.py`` keeps that oracle).
 
-Gram reads (``spectrum --operator laplacian-*``, and the pair battery
-where a Galerkin read is not made).  With T = g^{-1/2} D g^{1/2}, the
-twisted differential, the weighted symmetrizations of the basic Laplacians
-delta d and d delta are -T (g^{1/2} D g^{-1/2}) and -(g^{1/2} D g^{-1/2})
-T: T T^H and T^H T when D^H = -D, both with eigenvalues sigma_k(T)^2.
-``dirac_spectra``, given the density's period P, assembles the periodic
-spinor matrix M = iT and projects it along P (``operators.gram_spectrum``);
-the N/P blocks C_k C_k^H carry the sigma_k(P(T))^2.  With
-d = ||M - P(M)||_F, Weyl's inequality for singular values gives
-|sigma_k(T) - sigma_k(P(T))| <= ||T - P(T)||_2 <= d, so
-|sigma_k(T)^2 - sigma_k(P(T))^2| <= d (2 sigma + d), sigma the largest
-computed sigma_k(P(T)): each eigenvalue moves by at most that.  The
-Laplacian report is refused when d (2 sigma + d) / sigma^2, the solved
-matrix's distance from T T^H relative to the largest eigenvalue, exceeds
-SYMMETRIZATION_TOLERANCE, and when the density fails the Dirac read's gate
-above: a wrong factor such as w = g makes q = (2 pi / N)^{1/2} g^{-1/2}
-non-constant, and the assembly takes w from the same ``dirac_factors``.
-At P = N, d = 0 and the read is the dense Gram product.  ``spectrum``
-keeps this read whatever the density, because its contract is the
-spectrum of the assembled matrix.  The pair battery's grid reads
-(``function_laplacian``) pass the shift gate only: the Dirac read of the
-same density passes the other.
+Grid Laplacian reads (``laplacian_spectrum``: ``spectrum --operator
+laplacian-*``, and the pair battery where a Galerkin read is not made).
+With T = w^{-1} C w, w from ``dirac_factors`` and C the periodic
+structure's circulant, the weighted symmetrizations of the basic Laplacians
+delta d and d delta are T T^H and T^H T (C^H = -C), both with eigenvalues
+sigma_k(T)^2; the read is of the T built from (c, w), as the Dirac read is.
+
+* The blocks.  Let P be the density's period, M = N / P, w_P the periodic
+  extension of w[:P] and T_P = w_P^{-1} C w_P.  In the indices j = aP + s,
+  block (a, b) of T_P is c[((a - b) P + s - t) mod N] w_t / w_s, a function
+  of a - b, so the unitary block DFT makes T_P block diagonal (Davis,
+  *Circulant Matrices*, 1979), with the P x P blocks B_r[s, t] =
+  v[r, s - t] w_t / w_s, r < M, where v[r, delta] = sum_a c[(delta + aP)
+  mod N] e^{-2 pi i r a / M}, delta = -(P - 1)..P - 1: one gather of
+  M (2P - 1) entries of c and one M-point FFT.  The B_r B_r^H carry the
+  sigma_k(T_P)^2, solved in one stacked ``eigvalsh`` call.  At P = N,
+  B_0 = T: the dense Gram product.
+* The distance.  T - T_P has the entries c_{j-l} (w_l / w_j - w_Pl / w_Pj)
+  = c_{j-l} (w_Pl / w_Pj)(r_l - r_j) / r_j, r = w / w_P, so ||T - T_P||_F
+  <= d = F (max w_P / min w_P) max |r_j - r_l| / min r times 1 + gamma_{N+8}
+  for the roundings of F and of the formula, read by ``enclosure``
+  (``conjugation_bound``, the bound of ``verify``'s conjugation check); at
+  P = N, T_P = T and d = 0.  By Weyl's inequality for singular values
+  |sigma_k(T) - sigma_k(T_P)| <= d, so |sigma_k(T)^2 - sigma_k(T_P)^2| <=
+  d (2 sigma + d), sigma the largest computed sigma_k(T_P): each value
+  moves by at most that.
+* The gate.  The read is refused, under the Laplacian label, when the
+  larger of d (2 sigma + d) / sigma^2 and the density's Dirac gate ratio
+  above exceeds SYMMETRIZATION_TOLERANCE: a false period makes d large, and
+  a wrong factor such as w = g makes q = (2 pi / N)^{1/2} g^{-1/2}
+  non-constant.
+* Round-off.  The M-point FFT errs by at most phi_M ||v[:, delta]||_2 for
+  each delta, and the Toeplitz scaling by w_t / w_s maps v's entries onto
+  the blocks' with the same weights, so the computed blocks are those of
+  T_P plus E, ||E||_F <= (phi_M + gamma_2 (1 + phi_M)) ||T_P||_F (the
+  ratio and the product round once each); the Gram products and the block
+  solves add what they add to any Gram read.  The tests derive the
+  resulting allowance; a Laplacian report has no derived ``radius``.
 
 Galerkin reads (the pair battery).  The function Laplacian is
 Delta u = -(g u')'/g, self-adjoint in L^2(g dt), and g is a trigonometric
@@ -105,10 +122,23 @@ over N, B the t-bandwidth less any trailing zero coefficient, with g_0
 real and g_{-m} = conj(g_m) set exactly; higher coefficients are zero, not
 read off the DFT, so none wraps.  The read is of the density
 g~ = sum g_m e^{imt}, which differs from the samples by the DFT's
-round-off.  In the basis e^{ikt}, |k| <= K, the mass matrix G_jk = g_{j-k}
-and the stiffness matrix A_jk = jk g_{j-k} are exact, with no quadrature
-and no aliasing, and Hermitian by construction.  A c = rho G c is solved
-through G = L L^H as the Hermitian problem of L^{-1} A L^{-H}, c = L^{-H} y.
+round-off.  The claimed B is checked, as the period is: if the samples
+are g_j = p(t_j) + e_j for a trigonometric polynomial p of degree B, the
+exact DFT of the samples above B is that of e, whose 2-norm over
+m = B + 1..N/2 is at most rms(e) (Parseval), and the computed DFT adds at
+most (phi_N + eps) rms(g), the N-point FFT and the division by N.
+``density_coefficients`` allows |e_j| <= N eps max g and raises ValueError
+when the computed coefficients above B exceed (phi_N + eps) rms(g) +
+N eps max g in 2-norm: a claim of B = 0 for 2 + 0.6 cos t leaves 0.3
+there.  The allowance is not a theorem about every profile (a profile's
+samples err by at most 39.01 (K + 1) u S, ``model_spaces``, which large
+phases or cancelling terms can put above it); over the generated profiles
+of seeds 0-41 and 7041 and those of ``tools/parity.py`` at N = 64 to 512
+the coefficients above B measure at most 15 eps max g.  In the basis
+e^{ikt}, |k| <= K, the mass matrix G_jk = g_{j-k} and the stiffness matrix
+A_jk = jk g_{j-k} are exact, with no quadrature and no aliasing, and
+Hermitian by construction.  A c = rho G c is solved through G = L L^H as
+the Hermitian problem of L^{-1} A L^{-H}, c = L^{-H} y.
 
 * Rayleigh-Ritz: the trial spaces are nested in K, so the k-th Ritz value
   rho_k is an upper bound of lambda_k(Delta) and does not increase with K.
@@ -157,23 +187,21 @@ through G = L L^H as the Hermitian problem of L^{-1} A L^{-H}, c = L^{-H} y.
   counts as a move; a tighter one changes no verdict the threshold can see
   and costs a larger K.
 * The choice (``function_laplacian``).  A grid read solves N/P Hermitian
-  blocks of dimension P after an N^2 projection, work N P^2; a Galerkin
-  read one generalized problem of dimension 2K + 1, with a Cholesky
-  factor, three solves and eigenvectors.  The pair battery makes the
-  Galerkin read only at orders with GALERKIN_COST (2K + 1)^3 <= N P^2,
-  GALERKIN_COST = 6, and otherwise the grid read of iT along P, as
-  ``spectrum`` does, assembling iT for it, with the radius d (2 sigma + d)
-  of each value from the assembled matrix's.  At the largest such K the
-  two reads cost about the same, and below it the Galerkin read is the
-  faster: measured (2 cores, numpy 2.4 with OpenBLAS) at (N, P, K) =
+  blocks of dimension P, work N P^2; a Galerkin read one generalized
+  problem of dimension 2K + 1, with a Cholesky factor, three solves and
+  eigenvectors.  The pair battery makes the Galerkin read only at orders
+  with GALERKIN_COST (2K + 1)^3 <= N P^2, GALERKIN_COST = 6, and otherwise
+  the grid read of ``spectrum``, with the radius d (2 sigma + d) of each
+  value.  At the largest such K the two reads cost about the same, and
+  below it the Galerkin read is the faster: measured (the least over 7
+  runs of 7 calls, 2 cores, numpy 2.4 with OpenBLAS) at (N, P, K) =
   (64, 64, 17), (128, 128, 34), (256, 128, 43), (256, 256, 69) and
-  (512, 512, 140), 0.57, 2.5, 4.9, 11.7 and 70 ms against 0.41, 2.3, 5.9,
-  13.0 and 61 ms.  A constant density (P = 1, eta infinite) is read at its
-  predicted order floor(window) + 1 whatever the cost: at window 10 its
-  largest radius is 1.7e-12, in 0.24 ms against 1.04 ms for the assembly
-  and grid read at N = 256.  The t-bandwidth-8 density of
-  ``tools/parity.py`` (K = 89 at window 10) gets the grid read up to
-  N = 256.
+  (512, 512, 140), the Galerkin read takes 0.54, 1.9, 3.5, 9.5 and 53 ms
+  and the grid read 0.47, 2.4, 4.7, 12.6 and 57 ms.  A constant density
+  (P = 1, eta infinite) is read at its predicted order floor(window) + 1
+  whatever the cost: at window 10 its largest radius is 1.7e-12.  The
+  t-bandwidth-8 density of ``tools/parity.py`` (K = 89 at window 10) gets
+  the grid read up to N = 256.
 * What is not certified.  The radius places an eigenvalue of Delta within
   r of each rho_k, and rho_k >= lambda_k, but neither says that the
   eigenvalue near rho_k is the k-th: the +-k pairs are near-degenerate
@@ -182,8 +210,8 @@ through G = L L^H as the Hermitian problem of L^{-1} A L^{-H}, c = L^{-H} y.
   lower bounds) is open.  The radii are against Delta of g~: the DFT's
   relative round-off e in g~ moves each eigenvalue by at most a relative
   2e / (1 - e), about 1e-15, by min-max, which no radius includes.  A grid
-  read's radius bounds its values' distance from the assembled matrix's
-  eigenvalues, not from Delta's.
+  read's radius bounds its values' distance from the sigma_k(T)^2 of the T
+  built from (c, w), not from Delta's.
 """
 
 from __future__ import annotations
@@ -198,15 +226,7 @@ from numpy.lib.stride_tricks import sliding_window_view
 from ._spectral_diff import wavenumbers
 from .basic_calculus import LeafVolumeDensity
 from .model_spaces import GridSpec
-from .operators import (
-    WeightedOperator,
-    assemble_basic_dirac_spinor,
-    dirac_factors,
-    forms_label,
-    gram_spectrum,
-    laplacian_label,
-    spinor_label,
-)
+from .operators import WeightedOperator, dirac_factors, forms_label, laplacian_label, spinor_label
 
 # Relative symmetrization residual above which an eigensolve is refused.
 SYMMETRIZATION_TOLERANCE = 1e-8
@@ -243,8 +263,8 @@ class OperatorSymmetryError(ValueError):
 class SpectrumReport:
     """Sorted real spectrum, its grid provenance, its ``distance``, and whether
     it is a ``dirac_spectra`` Dirac read, whose radius is derived.  The
-    distance is d >= ||H - A||_F for a Dirac read, and ||X - P(X)||_F of the
-    projection a matrix read solved (0 if dense)."""
+    distance is d >= ||H - A||_F for a Dirac read, d >= ||T - T_P||_F for a
+    ``laplacian_spectrum`` read, and 0 for a dense solve."""
 
     eigenvalues: np.ndarray
     grid_size: int
@@ -297,24 +317,25 @@ def _require_symmetric(ratios: dict) -> None:
 def eigenvalues_weighted(op: WeightedOperator) -> SpectrumReport:
     """Full real spectrum of a weighted-Hermitian operator, refused when the
     gate ratio of ``WeightedOperator.hermitian_spectrum`` exceeds the tolerance."""
-    values, residual, distance = op.hermitian_spectrum()
+    values, residual = op.hermitian_spectrum()
     _require_symmetric({op.label: residual})
-    return SpectrumReport(values, op.n_points, op.label, distance)
+    return SpectrumReport(values, op.n_points, op.label)
 
 
 @lru_cache(maxsize=8)
-def circulant_spectrum(n_points: int, spin_structure: str) -> tuple[np.ndarray, float]:
-    """mu, the ascending eigenvalues Re fft(ic) of A = iC, read-only, and
-    F = ||C||_F, for C the circulant of D_s's column c made exactly
-    skew-Hermitian (module docstring).  Callers pass both arguments
-    positionally, so each grid has one cache key."""
+def circulant_spectrum(n_points: int,
+                       spin_structure: str) -> tuple[np.ndarray, np.ndarray, float]:
+    """mu, the ascending eigenvalues Re fft(ic) of A = iC, D_s's column c
+    made exactly skew-Hermitian, both read-only, and F = ||C||_F, for C the
+    circulant of c, C_jk = c_{(j - k) mod N} (module docstring).  Callers
+    pass both arguments positionally, so each grid has one cache key."""
     column = np.fft.ifft(1j * wavenumbers(n_points))
     if spin_structure == "nontrivial":
         column[0] += 0.5j
     column = 0.5 * (column - np.conj(np.roll(column[::-1], 1)))
     values = np.sort(np.fft.fft(1j * column).real)
-    values.flags.writeable = False
-    return values, math.sqrt(n_points) * float(np.linalg.norm(column))
+    values.flags.writeable = column.flags.writeable = False
+    return values, column, math.sqrt(n_points) * float(np.linalg.norm(column))
 
 
 def enclosure(values: np.ndarray) -> tuple[float, float, float]:
@@ -338,40 +359,70 @@ def factor_bounds(q: np.ndarray, frobenius: float) -> tuple[float, float]:
     return frobenius * (high * high - low * low) / (low * low), frobenius * spread
 
 
-def dirac_spectra(density: LeafVolumeDensity, grid: GridSpec, period: int | None = None) -> tuple:
-    """Spinor and forms basic Dirac spectra of ``density`` on ``grid``, read
-    from the operator's O(N) data (module docstring), and given the
-    density's ``period`` the function Laplacian's, by the Gram read of the
-    assembled periodic spinor matrix.
+def conjugation_bound(u: np.ndarray, ratio: np.ndarray, frobenius: float) -> float:
+    """An upper bound of ||u^{-1} C u - v^{-1} C v||_F for v = ``ratio`` u and
+    F = ``frobenius`` = ||C||_F: F (max |u| / min |u|) max |r_j - r_k| / min |r|,
+    read off the computed u and r by ``enclosure`` and multiplied by
+    1 + gamma_{N + 8} for the roundings of F and of the formula (module
+    docstring)."""
+    u_low, u_high, _ = enclosure(u)
+    r_low, _, spread = enclosure(ratio)
+    return frobenius * (u_high / u_low) * (spread / r_low) * (1.0 + gamma(u.size + 8))
 
-    The forms spectrum is +-spec(iT), so both Dirac reports carry d.  The
-    gate ratio is (||S - S^H||_F + 2 d) / max |mu|, both terms bounded; the
-    forms gate is sqrt(2) times it, as the 2N matrix's anti-Hermitian part
-    is two copies of that of iT; the Laplacian's is the larger of the
-    spinor's and the Gram read's shift ratio, and a refusal names every
-    report whose gate fails.  No command asks the nontrivial structure for
-    a Laplacian (forms are periodic).
+
+def _dirac_gate(w: np.ndarray, weights: np.ndarray, values: np.ndarray,
+                frobenius: float) -> tuple[float, float]:
+    """d and the Dirac read's gate ratio (||S - S^H||_F + 2 d) / max |mu|, both
+    terms bounded, for the factor (w, W) (module docstring)."""
+    asymmetry, distance = factor_bounds(np.sqrt(weights) / w, frobenius)
+    return distance, (asymmetry + 2.0 * distance) / max(float(np.max(np.abs(values))),
+                                                        np.finfo(float).tiny)
+
+
+def dirac_spectra(density: LeafVolumeDensity, grid: GridSpec) -> tuple:
+    """Spinor and forms basic Dirac spectra of ``density`` on ``grid``, read
+    from the operator's O(N) data (module docstring).
+
+    The forms spectrum is +-spec(iT), so both reports carry d.  The forms
+    gate is sqrt(2) times the spinor's, as the 2N matrix's anti-Hermitian
+    part is two copies of that of iT; a refusal names every report whose
+    gate fails.
     """
     n = grid.n_points
     if density.n_points != n:
         raise ValueError("density and grid sizes differ")
-    w, weights = dirac_factors(density)
-    values, frobenius = circulant_spectrum(n, grid.spin_structure)
-    asymmetry, distance = factor_bounds(np.sqrt(weights) / w, frobenius)
-    residual = (asymmetry + 2.0 * distance) / max(float(np.max(np.abs(values))),
-                                                  np.finfo(float).tiny)
-    reports = (
+    values, _, frobenius = circulant_spectrum(n, grid.spin_structure)
+    distance, residual = _dirac_gate(*dirac_factors(density), values, frobenius)
+    _require_symmetric({spinor_label(grid): residual, forms_label(n): math.sqrt(2.0) * residual})
+    return (
         SpectrumReport(values, n, spinor_label(grid), distance, True),
         SpectrumReport(np.concatenate([-values, values]), n, forms_label(n), distance, True),
     )
-    ratios = {spinor_label(grid): residual, forms_label(n): math.sqrt(2.0) * residual}
-    if period is not None:
-        gram, shift, gram_distance = gram_spectrum(
-            assemble_basic_dirac_spinor(density, grid).matrix, period)
-        reports += (SpectrumReport(gram, n, laplacian_label(n), gram_distance),)
-        ratios[laplacian_label(n)] = max(residual, shift)
-    _require_symmetric(ratios)
-    return reports
+
+
+def laplacian_spectrum(density: LeafVolumeDensity) -> SpectrumReport:
+    """The basic Laplacians' spectrum sigma_k(T)^2, ascending, read from the
+    Bloch blocks of T_P along the density's period, with the distance bound
+    d >= ||T - T_P||_F, labelled as the function Laplacian; refused when the
+    larger of d (2 sigma + d) / sigma^2 and the density's Dirac gate ratio
+    exceeds the tolerance (module docstring)."""
+    n, period = density.n_points, density.period
+    copies = n // period
+    w, weights = dirac_factors(density)
+    lattice, column, frobenius = circulant_spectrum(n, "trivial")
+    offsets = np.arange(1 - period, period) + period * np.arange(copies)[:, None]
+    symbols = np.fft.fft(column[offsets % n], axis=0)
+    first = w[:period]
+    blocks = sliding_window_view(symbols, period, axis=1)[:, :, ::-1] * (first / first[:, None])
+    gram = np.matmul(blocks, np.conjugate(blocks).transpose(0, 2, 1))
+    values = np.sort(np.linalg.eigvalsh(gram), axis=None)
+    periodic = np.tile(first, copies)
+    distance = 0.0 if copies == 1 else conjugation_bound(periodic, w / periodic, frobenius)
+    scale = max(float(values[-1]), np.finfo(float).tiny)
+    shift = distance * (2.0 * math.sqrt(scale) + distance) / scale
+    _require_symmetric({laplacian_label(n): max(_dirac_gate(w, weights, lattice, frobenius)[1],
+                                                shift)})
+    return SpectrumReport(values, n, laplacian_label(n), distance)
 
 
 @dataclass(frozen=True)
@@ -392,8 +443,19 @@ class LaplacianRead:
 
 def density_coefficients(density: LeafVolumeDensity) -> np.ndarray:
     """g_m for m = -B..B, conjugate-symmetric, B the t-bandwidth less any
-    trailing zero coefficient, from the DFT of the samples."""
-    half = np.fft.rfft(density.g_values)[: density.t_bandwidth + 1] / density.n_points
+    trailing zero coefficient, from the DFT of the samples; ValueError when
+    the DFT above the claimed t-bandwidth exceeds its round-off (module
+    docstring)."""
+    g, n, bandwidth = density.g_values, density.n_points, density.t_bandwidth
+    spectrum = np.fft.rfft(g) / n
+    tail = float(np.linalg.norm(spectrum[bandwidth + 1:]))
+    allowance = ((gamma(7.0 * math.log2(n)) + _EPS) * float(np.linalg.norm(g)) / math.sqrt(n)
+                 + n * _EPS * float(np.max(g)))
+    if tail > allowance:
+        raise ValueError(
+            f"the density's DFT above its claimed t-bandwidth {bandwidth} has 2-norm "
+            f"{tail:.3e}, above its round-off {allowance:.3e}")
+    half = spectrum[: bandwidth + 1]
     half = half[: np.flatnonzero(half)[-1] + 1]
     half[0] = half[0].real
     return np.concatenate([np.conj(half[:0:-1]), half])
@@ -508,8 +570,8 @@ def function_laplacian(density: LeafVolumeDensity, window: float,
     """The pair battery's read of ``density``'s windowed function Laplacian:
     ``galerkin_laplacian`` at orders with GALERKIN_COST (2K + 1)^3 <= N P^2,
     P the density's period, or for a constant density (P = 1) at its
-    predicted order floor(window) + 1; else the grid read along P of the
-    density's periodic spinor Dirac matrix, assembled here (module
+    predicted order floor(window) + 1; else the windowed values of
+    ``laplacian_spectrum``, each with the radius d (2 sigma + d) (module
     docstring)."""
     n = density.n_points
     if density.period == 1:
@@ -519,11 +581,9 @@ def function_laplacian(density: LeafVolumeDensity, window: float,
     read = galerkin_laplacian(density, window, tolerance, largest)
     if read is not None:
         return read
-    factor = assemble_basic_dirac_spinor(density, GridSpec(n)).matrix
-    values, shift, distance = gram_spectrum(factor, density.period)
-    _require_symmetric({laplacian_label(n): shift})
-    windowed = values[np.abs(values) <= window * window + WINDOW_EDGE_SLACK]
-    radius = distance * (2.0 * math.sqrt(max(float(values[-1]), 0.0)) + distance)
+    report = laplacian_spectrum(density)
+    windowed, distance = report.in_window(window * window), report.distance
+    radius = distance * (2.0 * math.sqrt(max(float(report.eigenvalues[-1]), 0.0)) + distance)
     return LaplacianRead(windowed, np.full(windowed.size, radius), None)
 
 

@@ -21,7 +21,7 @@ Per command, ``run_pair_checks`` reads each distinct density's Laplacian
 once (``_read_once``): one read per distinct (density bytes, t-bandwidth,
 period) that a running contrast needs.  The read depends on the
 t-bandwidth, where the Galerkin read cuts the DFT, and on the period,
-which picks the read and along which the grid read projects: 2 and
+which picks the read and along which the grid read takes its blocks: 2 and
 2 + 1e-300 cos t have equal bytes, bandwidths 0 and 1, and periods 1 and
 N.  The memo holds reads only and ends with the call.  The Dirac reads
 cost O(N) once the lattice of ``spectral.circulant_spectrum`` is cached,
@@ -60,10 +60,9 @@ from .spectral import (
     LaplacianRead,
     SpectrumReport,
     circulant_spectrum,
+    conjugation_bound,
     dirac_spectra,
-    enclosure,
     function_laplacian,
-    gamma,
     spectrum_compare,
 )
 
@@ -218,14 +217,10 @@ def conjugation_residual(
     (``spectral``) and r = alpha^{1/2} w / u, the difference has the entries
     i C_jk (u_k / u_j)(r_j - r_k) / r_j, so its norm is at most
     F (max |u| / min |u|) max |r_j - r_k| / min |r|, read off the computed u
-    and r by ``spectral.enclosure`` and multiplied by 1 + gamma_{N + 8} for
-    the roundings of F and of the formula."""
+    and r by ``spectral.conjugation_bound``."""
     u = dirac_factors(d2)[0]
-    ratio = np.sqrt(alpha) * dirac_factors(d1)[0] / u
-    u_low, u_high, _ = enclosure(u)
-    r_low, _, spread = enclosure(ratio)
-    frobenius = circulant_spectrum(grid.n_points, grid.spin_structure)[1]
-    residual = frobenius * (u_high / u_low) * (spread / r_low) * (1.0 + gamma(grid.n_points + 8))
+    residual = conjugation_bound(u, np.sqrt(alpha) * dirac_factors(d1)[0] / u,
+                                 circulant_spectrum(grid.n_points, grid.spin_structure)[2])
     return VerificationReport.from_residual(
         "conjugation", residual, CONJUGATION_THRESHOLD, metadata
     )

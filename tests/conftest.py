@@ -4,11 +4,12 @@ the tests check the library against: a finite-difference Laplacian, the
 weighted inner product on the t-circle, the complex-arithmetic diagonal
 scaling, symmetrization and solve that the real-view ones reproduce bit for
 bit, the dense solve of the assembled spinor matrix that every O(N) Dirac
-read is checked against, the delta d and d delta assembly that every Gram
-read of a Laplacian is checked against, the Laplacian report as
-``spectrum`` reads it and as the pair battery reads it, the inputs a pair
-check reads, built as the pair battery builds them, and a patch that puts a
-defective factor function wherever the library looks it up."""
+read is checked against, the delta d and d delta assembly that every grid
+read of a Laplacian is checked against and the allowance of that read,
+the Laplacian report as ``spectrum`` reads it and as the pair battery
+reads it, the inputs a pair check reads, built as the pair battery builds
+them, and a patch that puts a defective factor function wherever the
+library looks it up."""
 
 import dataclasses
 import json
@@ -25,7 +26,6 @@ from foliation_lab.model_spaces import GridSpec, MetricProfile, ProfileTerm
 from foliation_lab.operators import (
     WeightedOperator,
     assemble_basic_dirac_spinor,
-    block_circulant_projection,
     codifferential,
     laplacian_label,
     quadrature_weights,
@@ -36,6 +36,7 @@ from foliation_lab.spectral import (
     dirac_spectra,
     eigenvalues_weighted,
     function_laplacian,
+    laplacian_spectrum,
 )
 from foliation_lab.verify import LAPLACIAN_FORMS_THRESHOLD, basic_volume_ratio, pair_metadata
 
@@ -91,33 +92,62 @@ def complex_symmetrized(op: WeightedOperator) -> tuple[np.ndarray, float]:
     return 0.5 * (sym + adjoint), float(np.linalg.norm(sym - adjoint))
 
 
-def block_circulant_spectrum(hermitian: np.ndarray, period: int) -> tuple[np.ndarray, float]:
-    """Ascending eigenvalues of the block-circulant projection of a Hermitian
-    matrix, its blocks solved in one stacked ``eigvalsh``, and the projection
-    distance, on fresh arrays."""
-    blocks, distance = block_circulant_projection(hermitian, period)
-    return np.sort(np.linalg.eigvalsh(blocks), axis=None), distance
-
-
-def complex_hermitian_spectrum(op: WeightedOperator) -> tuple[np.ndarray, float, float]:
-    """Eigenvalues of ``complex_symmetrized``'s H, solved dense or, when the
-    operator's period is below its size, by ``block_circulant_spectrum`` on
-    fresh arrays; the gate ratio (||S - S^H||_F + 2 d) / max|lambda| and the
-    projection distance d: the reference for
+def complex_hermitian_spectrum(op: WeightedOperator) -> tuple[np.ndarray, float]:
+    """Eigenvalues of ``complex_symmetrized``'s H, solved dense, and the gate
+    ratio ||S - S^H||_F / max|lambda|: the reference for
     ``WeightedOperator.hermitian_spectrum``."""
     hermitian, asymmetry = complex_symmetrized(op)
-    if op.period == hermitian.shape[0]:
-        values, distance = np.linalg.eigvalsh(hermitian), 0.0
-    else:
-        values, distance = block_circulant_spectrum(hermitian, op.period)
-    scale = max(float(np.max(np.abs(values))), np.finfo(float).tiny)
-    return values, (asymmetry + 2.0 * distance) / scale, distance
+    values = np.linalg.eigvalsh(hermitian)
+    return values, asymmetry / max(float(np.max(np.abs(values))), np.finfo(float).tiny)
 
 
 def dense_spectrum(op: WeightedOperator) -> np.ndarray:
     """Ascending eigenvalues of the operator's symmetrized H by one dense
-    ``eigvalsh``, whatever period it claims: the oracle for projected reads."""
+    ``eigvalsh``: the oracle for the grid Laplacian reads."""
     return np.linalg.eigvalsh(op.symmetrized()[0])
+
+
+def bloch_allowance(density: LeafVolumeDensity, report: SpectrumReport) -> float:
+    """How far the values of ``spectral.laplacian_spectrum``, ``report``, may
+    lie from the exact sigma_k(T)^2 of the T built from the read's column c
+    and factor w, both exact binary data.  With eps the machine epsilon,
+    gamma_n = n eps / (1 - n eps), M = N/P blocks of size P, phi_M =
+    gamma_{7 log2 M} (0 at M = 1) and T_P the operator of the periodic
+    extension of w[:P]:
+
+    (a) the blocks.  The computed blocks are those of T_P plus E with
+        ||E||_F <= s = (phi_M + gamma_2 (1 + phi_M)) ||T_P||_F (``spectral``),
+        so by Weyl each singular value of the computed blocks is within s of
+        a sigma_k(T_P).  ||T_P||_F is formed here from the dense T_P, times
+        1 + gamma_{N^2 + 4} for that norm's rounding.
+    (b) the products and solves.  Each B_r B_r^H errs entrywise by at most
+        gamma_{P+2} |B_r| |B_r|^T (complex inner products of length P,
+        Higham section 3.6), in 2-norm by at most G, the largest Frobenius
+        norm of those matrices over r, with |B_r| read from the block DFT of
+        T_P's first block column; each block solve is backward stable, P eps
+        (mu + G) for the largest computed value mu.  With sigma = (mu + G +
+        P eps (mu + G))^{1/2} the values are within
+        e = s (2 sigma + s) + G + P eps (mu + G) of the sigma_k(T_P)^2.
+    (c) the period.  |sigma_k(T)^2 - sigma_k(T_P)^2| <= d (2 sigma' + d),
+        d the report's distance and sigma' = (mu + e)^{1/2} >= the largest
+        sigma_k(T_P).
+
+    The sum e + d (2 sigma' + d) is derived, not fitted."""
+    n, p = density.n_points, density.period
+    m = n // p
+    column = spectral.circulant_spectrum(n, "trivial")[1]
+    periodic = np.tile(operators.dirac_factors(density)[0][:p], m)
+    t_p = column[np.subtract.outer(np.arange(n), np.arange(n)) % n] * periodic / periodic[:, None]
+    blocks = np.abs(np.fft.fft(t_p[:, :p].reshape(m, p, p), axis=0))
+    fft = spectral.gamma(7.0 * np.log2(m))
+    norm = float(np.linalg.norm(t_p)) * (1.0 + spectral.gamma(n * n + 4))
+    spread = (fft + spectral.gamma(2) * (1.0 + fft)) * norm
+    product = spectral.gamma(p + 2) * max(float(np.linalg.norm(b @ b.T)) for b in blocks)
+    top = float(report.eigenvalues[-1])
+    solve = p * np.finfo(np.float64).eps * (top + product)
+    sigma = np.sqrt(top + product + solve)
+    error = spread * (2.0 * sigma + spread) + product + solve
+    return error + report.distance * (2.0 * np.sqrt(top + error) + report.distance)
 
 
 def dense_dirac_read(density: LeafVolumeDensity, grid: GridSpec) -> tuple[np.ndarray, float]:
@@ -163,7 +193,7 @@ def delta_d_laplacian(density: LeafVolumeDensity, grid: GridSpec, degree: str) -
     """The basic Laplacian assembled as a product with the weighted
     codifferential delta = -g^{-1} D g: delta @ D on functions, D @ delta on
     one-form coefficients, claiming no period.  ``dense_spectrum`` of it is
-    the oracle for the Gram reads of ``assemble_basic_laplacian``."""
+    the oracle for the grid Laplacian reads."""
     d = differentiation_matrix(grid.n_points, "trivial")
     delta = codifferential(density, grid)
     return WeightedOperator(
@@ -228,12 +258,10 @@ def laplacian_first_nonzero_eigenvalue(values: np.ndarray, zero_tol: float = 1e-
 
 def laplacian_read(density: LeafVolumeDensity, grid: GridSpec,
                    degree: str = "function") -> SpectrumReport:
-    """The basic Laplacian's report as ``spectrum`` reads it: the third report
-    of ``dirac_spectra`` of the density on the periodic structure, the Gram
-    read of its spinor Dirac matrix along the density's period, labelled by
-    degree."""
-    report = dirac_spectra(density, GridSpec(grid.n_points), period=density.period)[2]
-    return dataclasses.replace(report, operator_label=laplacian_label(grid.n_points, degree))
+    """The basic Laplacian's report as ``spectrum`` reads it: the density's
+    ``laplacian_spectrum``, labelled by degree."""
+    return dataclasses.replace(laplacian_spectrum(density),
+                               operator_label=laplacian_label(grid.n_points, degree))
 
 
 def battery_laplacian(density: LeafVolumeDensity, window: float) -> LaplacianRead:

@@ -1,9 +1,12 @@
 """Weighted eigensolves, window handling, spectrum comparison."""
 
 import dataclasses
+import functools
+import importlib
 import json
 import math
 import re
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -17,10 +20,6 @@ from foliation_lab.operators import (
     WeightedOperator,
     assemble_basic_dirac_forms,
     assemble_basic_dirac_spinor,
-    assemble_basic_laplacian,
-    assemble_lichnerowicz_sides,
-    block_circulant_projection,
-    gram_spectrum,
     quadrature_weights,
     spinor_label,
     twisted_differential,
@@ -32,6 +31,7 @@ from foliation_lab.spectral import (
     circulant_spectrum,
     dirac_spectra,
     eigenvalues_weighted,
+    laplacian_spectrum,
     spectrum_compare,
 )
 from foliation_lab.verify import (
@@ -43,7 +43,7 @@ from foliation_lab.verify import (
 )
 
 from conftest import (
-    block_circulant_spectrum,
+    bloch_allowance,
     delta_d_laplacian,
     battery_laplacian,
     dense_dirac_read,
@@ -332,11 +332,17 @@ class TestDiracRead:
         ["flat_profile", "cosine_profile", "mixed_profile", "product_profile", "skew_profile"],
     )
     def test_gate_ratio_never_below_the_dense_ratio(self, request, profile_name, spin,
-                                                   n_points):
+                                                   n_points, monkeypatch):
+        """The O(N) read's gate ratio, from bounds, is never below the ratio
+        of the dense solve of the assembled matrix, which measures its
+        round-off: the gate only gets stricter."""
         grid = GridSpec(n_points, spin)
-        op = assemble_basic_dirac_spinor(_density(request.getfixturevalue(profile_name), grid), grid)
-        dense = WeightedOperator(op.matrix, op.weights, op.label, op.n_points)
-        assert op.hermitian_spectrum()[1] >= dense.hermitian_spectrum()[1]
+        density = _density(request.getfixturevalue(profile_name), grid)
+        dense = assemble_basic_dirac_spinor(density, grid).hermitian_spectrum()[1]
+        gates = []
+        monkeypatch.setattr(spectral, "_require_symmetric", gates.append)
+        dirac_spectra(density, grid)
+        assert gates[0][spinor_label(grid)] >= dense
 
     def test_window_count_refuses_an_edge_within_the_radius(self, cosine_profile, grid128):
         report = dirac_spectra(_density(cosine_profile, grid128), grid128)[0]
@@ -363,8 +369,8 @@ class TestDiracRead:
             assert report.window_count(10.0) == (n // 256) * {"trivial": 21, "nontrivial": 20}[spin]
 
     def test_radius_is_refused_where_it_is_not_derived(self, cosine_profile):
-        """Only a Dirac read has a derived radius: a Gram read (at P = 1 for a
-        constant density, P = N otherwise), a matrix read at any period and a
+        """Only a Dirac read has a derived radius: a grid Laplacian read (at
+        P = 1 for a constant density, P = N otherwise), a matrix read and a
         dense report refuse ``radius`` and ``window_count``, naming the
         operator."""
         grid = GridSpec(256)
@@ -372,8 +378,7 @@ class TestDiracRead:
         spinor = assemble_basic_dirac_spinor(wavy, grid)
         reports = [laplacian_read(flat2, grid, degree) for degree in ("function", "one_form")]
         reports.append(laplacian_read(wavy, grid))
-        reports += [eigenvalues_weighted(dataclasses.replace(spinor, period=period))
-                    for period in (1, 2, 256)]
+        reports.append(eigenvalues_weighted(spinor))
         reports.append(SpectrumReport(np.arange(-3.0, 4.0), 256, "dense"))
         assert flat2.period == 1
         for report in reports:
@@ -388,222 +393,65 @@ class TestDiracRead:
             dirac_spectra(_density(cosine_profile, GridSpec(64)), GridSpec(128))
 
 
-def _periodic_profile(terms):
-    """2 + the given (n, amplitude, phase_t) cosines in t, plus theta-dependent
-    terms, which leave the theta-average and so the period unchanged."""
-    return MetricProfile(
-        2.0,
-        tuple(ProfileTerm(0, n, amp, 0.0, phase) for n, amp, phase in terms)
-        + (ProfileTerm(1, 3, 0.2, 0.4, 1.1), ProfileTerm(2, 1, -0.15, 0.0, 0.3)),
-    )
-
-
-# t-frequencies and the period they give on N = 64 and 128 points.
-PERIODIC_TERMS = {
-    "flat": ([], lambda n: 1),
-    "half": ([(2, 0.5, 0.3), (-2, 0.2, 1.0)], lambda n: n // 2),
-    "quarter": ([(4, 0.4, 0.0), (8, 0.3, 2.0)], lambda n: n // 4),
-    "eighth": ([(8, 0.6, 0.7)], lambda n: n // 8),
-}
-
-
-def _laplacian_function(density, grid):
-    return laplacian_read(density, grid, "function")
-
-
-def _laplacian_one_form(density, grid):
-    return laplacian_read(density, grid, "one_form")
-
-
-class TestBlockCirculantSolve:
-    """The solve along the density's translation symmetry against the dense
-    solve of the same H.
-
-    Allowance.  Let E = ||H - P(H)||_F.  By Weyl's inequality the k-th exact
-    eigenvalues of H and P(H) differ by at most E.  The computed values carry
-    these further errors, with m = N/p blocks of size p, eps the machine
-    epsilon and gamma_m = m eps / (1 - m eps):
-
-    (a) the dense ``eigvalsh(H)`` is backward stable: its values are exact for
-        H + F with ||F||_2 <= p(N) eps ||H||_2, p(N) a modestly growing
-        function (LAPACK's bound for the Hermitian eigenproblem); take
-        p(N) = N, as ``conftest.dense_dirac_read`` does: N eps ||H||_2;
-    (b) each block mean B_r is a recursive sum of m entries of H and a
-        division by m, so each entry errs by at most (gamma_m / m) sum_a |h_a|
-        <= (gamma_m / sqrt(m)) (sum_a |h_a|^2)^(1/2); over all entries
-        ||dB||_F <= gamma_m ||H||_F / sqrt(m), and the exact DFT of dB has
-        Frobenius norm sqrt(m) ||dB||_F <= gamma_m ||H||_F;
-    (c) a length-m FFT errs normwise by at most log2(m) eta / (1 - log2(m) eta)
-        relative, eta = mu + gamma_4 (sqrt(2) + mu) < 7 eps for twiddle
-        factors accurate to mu <= eps (Higham, *Accuracy and Stability of
-        Numerical Algorithms*, Theorem 24.2); the transforms' total is
-        sum_k ||C_k||_F^2 = ||P(H)||_F^2 <= ||H||_F^2;
-    (d) each p x p block solve is backward stable as in (a), with
-        ||C_k||_2 <= ||P(H)||_2 <= ||H||_2: p eps ||H||_2;
-    (e) the computed E is the norm of H minus the computed means, within
-        sqrt(m) ||dB||_F <= gamma_m ||H||_F of the exact E.
-
-    The perturbations (b)-(d) act on diag(C_k), which is unitarily similar to
-    P(H), and the 2-norm of a block-diagonal perturbation is at most its
-    Frobenius norm over all blocks.  So the sorted blocked and dense values
-    differ index by index by at most E (computed) plus the allowance
-
-        (N + p) eps ||H||_2 + (2 gamma_m + 7 log2(m) eps / (1 - 7 log2(m) eps)) ||H||_F.
-
-    It is derived, not fitted.
-    """
-
-    @staticmethod
-    def _allowance(hermitian, period, norm_2):
-        n = hermitian.shape[0]
-        m = n // period
-        eps = np.finfo(np.float64).eps
-        gamma = m * eps / (1.0 - m * eps)
-        fft = 7.0 * math.log2(m) * eps
-        return (n + period) * eps * norm_2 + (
-            2.0 * gamma + fft / (1.0 - fft)
-        ) * np.linalg.norm(hermitian)
-
-    @pytest.mark.parametrize("n_points", [64, 128])
-    @pytest.mark.parametrize("name", list(PERIODIC_TERMS))
-    @pytest.mark.parametrize("degree", [pytest.param("function", id="_laplacian_function"),
-                                        pytest.param("one_form", id="_laplacian_one_form")])
-    def test_reduced_spectrum_matches_dense(self, n_points, name, degree):
-        terms, period = PERIODIC_TERMS[name]
-        grid = GridSpec(n_points)
-        density = _density(_periodic_profile(terms), grid)
-        op = assemble_basic_laplacian(density, grid, degree)
-        assert density.period == op.period == period(n_points)
-        hermitian, asymmetry = op.symmetrized()
-        dense = np.linalg.eigvalsh(hermitian)
-        blocked, distance = block_circulant_spectrum(hermitian, op.period)
-        norm_2 = float(np.max(np.abs(dense)))
-        bound = distance + self._allowance(hermitian, op.period, norm_2)
-        assert np.max(np.abs(blocked - dense)) <= bound
-        values, ratio, solved_distance = op.hermitian_spectrum()
-        assert np.array_equal(values, blocked) and solved_distance == distance
-        assert ratio == (asymmetry + 2.0 * distance) / float(np.max(np.abs(blocked)))
-        # The stricter gate: never below the dense solve's ratio.
-        assert ratio >= asymmetry / norm_2
-
-    @pytest.mark.parametrize("n_points", [64, 128])
-    @pytest.mark.parametrize("spin", ["trivial", "nontrivial"])
-    def test_full_period_is_bitwise_the_dense_solve(self, n_points, spin, mixed_profile):
-        """A density without symmetry, and every operator that claims none,
-        keep P = N: the values and the ratio are the dense solve's, and a Gram
-        read's values are those of the dense Gram product."""
-        grid = GridSpec(n_points, spin)
-        density = _density(mixed_profile, grid)
-        assert density.period == n_points
-        factor = assemble_basic_dirac_spinor(density, GridSpec(n_points)).matrix
-        gram = np.linalg.eigvalsh(factor @ factor.conj().T)
-        for assemble in (_laplacian_function, _laplacian_one_form):
-            report = assemble(density, grid)
-            assert np.array_equal(report.eigenvalues.view(np.uint64), gram.view(np.uint64))
-            assert report.distance == 0.0
-        ops = [*assemble_lichnerowicz_sides(density, grid)]
-        if spin == "trivial":
-            ops += [delta_d_laplacian(density, grid, degree) for degree in ("function",
-                                                                            "one_form")]
-            ops.append(assemble_basic_dirac_forms(density, grid))
-        for op in ops:
-            assert op.period == op.weights.size
-            hermitian, asymmetry = op.symmetrized()
-            expected = np.linalg.eigvalsh(hermitian)
-            scale = float(np.max(np.abs(expected)))
-            values, ratio, distance = op.hermitian_spectrum()
-            assert np.array_equal(values.view(np.uint64), expected.view(np.uint64))
-            assert ratio.hex() == (asymmetry / scale).hex() and distance == 0.0
-
-    @pytest.mark.parametrize("period", [1, 2, 16, 32])
-    def test_gather_matches_the_average_over_shifts(self, period):
-        """The strided gather against P(H) built as the mean over the m shifts
-        of H by multiples of the period (np.roll): the distance and the
-        eigenvalues agree within the allowance, for a random Hermitian H."""
-        rng = np.random.default_rng(period)
-        n, m = 64, 64 // period
-        hermitian = rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n))
-        hermitian += hermitian.conj().T
-        projection = sum(np.roll(hermitian, (s * period, s * period), axis=(0, 1))
-                         for s in range(m)) / m
-        values, distance = block_circulant_spectrum(hermitian, period)
-        expected = np.linalg.eigvalsh(projection)
-        allowance = self._allowance(hermitian, period, float(np.max(np.abs(expected))))
-        assert abs(distance - np.linalg.norm(hermitian - projection)) <= allowance
-        assert np.max(np.abs(values - expected)) <= allowance
-
-    @pytest.mark.parametrize("assemble", [_laplacian_function, _laplacian_one_form])
-    def test_false_period_is_refused(self, cosine_profile, grid64, assemble):
-        """g = 2 + cos t has no translation symmetry: a density that claims
-        period N/2 yields Laplacian reads whose projection distance fails the
-        gate; the Dirac reports of the same call pass theirs."""
-        true = _density(cosine_profile, grid64)
-        false = LeafVolumeDensity(true.g_values, true.g_dot_values, true.t_bandwidth, period=32)
-        with pytest.raises(OperatorSymmetryError, match="not symmetric") as refusal:
-            assemble(false, grid64)
-        assert "dirac" not in str(refusal.value)
-        assemble(true, grid64)  # the honest claim passes
-
-
-# t-terms of the theta-average giving period 1, N/2 and N on any grid.
+# t-terms of the theta-average giving period 1, N/2, N/4, N/8 and N on any grid.
 GRAM_TERMS = {
     "flat": (),
     "half": (ProfileTerm(0, 2, 0.5, 0.0, 0.3), ProfileTerm(0, -2, 0.2, 0.0, 1.0)),
+    "quarter": (ProfileTerm(0, 4, 0.4), ProfileTerm(0, 8, 0.3, 0.0, 2.0)),
+    "eighth": (ProfileTerm(0, 8, 0.6, 0.0, 0.7),),
     "none": (ProfileTerm(0, 1, 0.6, 0.0, 0.3), ProfileTerm(0, 2, -0.3, 0.0, 1.1)),
 }
+GRAM_PERIODS = {"flat": lambda n: 1, "half": lambda n: n // 2, "quarter": lambda n: n // 4,
+                "eighth": lambda n: n // 8, "none": lambda n: n}
+
+
+def _gram_profile(name):
+    return MetricProfile(2.0, GRAM_TERMS[name] + (ProfileTerm(1, 1, 0.3, 0.2, 0.5),))
 
 
 class TestGramRead:
-    """Each Laplacian is read from the blocks C_k of the projection of its
-    factor M = iT (``spectral`` derives the read); the oracle is the product
-    delta @ D or D @ delta and its dense ``eigvalsh``
-    (``conftest.delta_d_laplacian``).
+    """Each Laplacian is read from the Bloch blocks of T_P, built from the
+    cached column c and the first period of w (``spectral`` derives the
+    read); the oracle is the product delta @ D or D @ delta and its dense
+    ``eigvalsh`` (``conftest.delta_d_laplacian``).
 
-    Allowance.  Both reads approximate the eigenvalues sigma_k(T)^2 of T T^H
-    and T^H T, T = -iM the computed factor.  With eps the machine epsilon,
-    gamma_n = n eps / (1 - n eps), m = N/p blocks of size p and
-    phi_m = gamma_{7 log2(m)}:
-
-    (a) the Gram read.  The computed C_k are the blocks of P(M) plus E with
-        ||E||_F <= (gamma_m + phi_m) ||M||_F, and the computed distance d is
-        within gamma_m ||M||_F of the exact one (``TestBlockCirculantSolve``
-        (b), (c), (e)); so by Weyl each singular value of the computed
-        blocks is within s = d + (2 gamma_m + phi_m) ||M||_F of sigma_k(T).
-        Each product C_k C_k^H errs entrywise by at most gamma_{p+2} |C_k|
-        |C_k|^T (complex inner products of length p, Higham section 3.6),
-        in 2-norm by at most G, the largest Frobenius norm of those
-        matrices over k, and each block solve by p eps ||C_k C_k^H||_2, as
-        in ``TestBlockCirculantSolve`` (d): p eps (mu + G) for the largest
-        computed value mu.  With sigma = (mu + G + p eps (mu + G))^{1/2}
-        bounding the singular values of the computed blocks, the read's
-        values are within s (2 sigma + s) + G + p eps (mu + G) of the
-        sigma_k(T)^2.
-    (b) the oracle.  Its H is the symmetrized product; by Weyl its exact
-        eigenvalues are within ||H - T T^H||_2 of the sigma_k(T)^2 (T^H T on
-        one-forms), and that is at most the computed ||H - fl(T T^H)||_F,
-        times 1 + gamma_{2 N^2 + 2} for the subtraction and the norm, plus
-        gamma_{N+2} || |T| |T|^T ||_F for the product.  The dense
-        ``eigvalsh`` adds N eps ||H||_2 (``conftest.dense_dirac_read``).
-
-    The sum of (a) and (b) is derived, not fitted; it measures about 110 to
-    1100 times the deviation.
+    Allowance.  The read's values lie within ``conftest.bloch_allowance`` of
+    the sigma_k(T_C)^2, T_C = w^{-1} C w the operator built from c; the
+    assembled T_D = w^{-1} D w differs from it by the round-off of D against
+    C (``_transfer_allowance``); and the oracle's values lie within
+    ``_oracle_allowance`` of the sigma_k(T_D)^2: its H is the symmetrized
+    product, so by Weyl its exact eigenvalues are within ||H - T T^H||_2
+    of the sigma_k(T)^2 (T^H T on one-forms), which is at most the computed
+    ||H - fl(T T^H)||_F, times 1 + gamma_{2 N^2 + 2} for the subtraction and
+    the norm, plus gamma_{N+2} || |T| |T|^T ||_F for the product; the dense
+    ``eigvalsh`` adds N eps ||H||_2 (``conftest.dense_dirac_read``).  The
+    sum is derived, not fitted.
     """
 
     @staticmethod
-    def _gram_allowance(factor, p, report):
-        n = factor.shape[0]
-        m = n // p
+    def _transfer_allowance(density, report, allowance):
+        """|sigma_k(T_C)^2 - sigma_k(T_D)^2| for every k.  ||iD - L||_F <=
+        N eps N/2 for the exact lattice operator L
+        (``test_round_off_of_the_derivative_matrix``) and ||iC - L||_F <=
+        phi_N ||L||_F, phi_N = gamma_{7 log2 N}, for the one inverse FFT
+        that makes c; ||L||_F <= F (1 + phi_N) / (1 - phi_N) for the computed
+        F = ||C||_F, which also carries a relative gamma_{N+2} of its own.
+        The entries of T_C - T_D are those of C - D times w_l / w_j, so
+        ||T_C - T_D||_F <= e = (max w / min w) (N^2 eps / 2 + phi_N ||L||_F),
+        times 1 + gamma_2 for the formula; with sigma = (mu + allowance)^{1/2}
+        at least the largest sigma_k(T_C), Weyl gives e (2 sigma + e)."""
+        n = density.n_points
+        w = np.sqrt(density.g_values)
 
         def gamma(k):
             return k * EPS / (1.0 - k * EPS)
 
-        spread = report.distance + (2.0 * gamma(m) + gamma(7.0 * math.log2(m))) * float(
-            np.linalg.norm(factor))
-        blocks = np.abs(block_circulant_projection(factor, p)[0])
-        product = gamma(p + 2) * max(float(np.linalg.norm(b @ b.T)) for b in blocks)
-        solve = p * EPS * (report.eigenvalues[-1] + product)
-        sigma = math.sqrt(report.eigenvalues[-1] + product + solve)
-        return spread * (2.0 * sigma + spread) + product + solve
+        fft = gamma(7.0 * math.log2(n))
+        lattice = circulant_spectrum(n, "trivial")[2] * (1.0 + fft) / (1.0 - fft) / (
+            1.0 - gamma(n + 2))
+        error = (w.max() / w.min()) * (n * n * EPS / 2.0 + fft * lattice) * (1.0 + gamma(2))
+        sigma = math.sqrt(report.eigenvalues[-1] + allowance)
+        return error * (2.0 * sigma + error)
 
     @staticmethod
     def _oracle_allowance(oracle, factor, degree):
@@ -623,54 +471,109 @@ class TestGramRead:
         return distance + n * EPS * float(np.max(np.abs(np.linalg.eigvalsh(hermitian))))
 
     @pytest.mark.parametrize("n_points", [64, 128, 256])
-    @pytest.mark.parametrize("name, period", [("flat", lambda n: 1), ("half", lambda n: n // 2),
-                                              ("none", lambda n: n)])
+    @pytest.mark.parametrize("name", list(GRAM_TERMS))
     @pytest.mark.parametrize("degree", ["function", "one_form"])
-    def test_gram_read_matches_the_delta_d_oracle(self, n_points, name, period, degree,
-                                                  monkeypatch):
+    def test_gram_read_matches_the_delta_d_oracle(self, n_points, name, degree, monkeypatch):
         grid = GridSpec(n_points)
-        profile = MetricProfile(2.0, GRAM_TERMS[name] + (ProfileTerm(1, 1, 0.3, 0.2, 0.5),))
-        density = _density(profile, grid)
-        assert density.period == period(n_points)
+        density = _density(_gram_profile(name), grid)
+        assert density.period == GRAM_PERIODS[name](n_points)
         spinor = assemble_basic_dirac_spinor(density, grid)
         report = laplacian_read(density, grid, degree)
         oracle = delta_d_laplacian(density, grid, degree)
         deviation = np.max(np.abs(report.eigenvalues - dense_spectrum(oracle)))
-        allowance = self._gram_allowance(spinor.matrix, density.period, report)
+        allowance = bloch_allowance(density, report)
+        allowance += self._transfer_allowance(density, report, allowance)
         allowance += self._oracle_allowance(oracle, -1j * spinor.matrix, degree)
         assert deviation <= allowance
-        # the gate: the larger of the Dirac gate ratio of the same density and the shift bound
-        values, shift, distance = gram_spectrum(spinor.matrix, density.period)
-        assert np.array_equal(values, report.eigenvalues) and distance == report.distance
+        # the distance: the conjugation bound of w against its periodic
+        # extension, 0 at P = N
+        w = operators.dirac_factors(density)[0]
+        periodic = np.tile(w[: density.period], n_points // density.period)
+        frobenius = circulant_spectrum(n_points, "trivial")[2]
+        assert report.distance == (0.0 if density.period == n_points else
+                                   spectral.conjugation_bound(periodic, w / periodic, frobenius))
+        # the gate: the larger of the Dirac gate ratio of the same density and
+        # the shift bound, under the Laplacian label only
         largest = report.eigenvalues[-1]
-        assert shift == distance * (2.0 * math.sqrt(largest) + distance) / largest
+        shift = report.distance * (2.0 * math.sqrt(largest) + report.distance) / largest
         gates = []
         monkeypatch.setattr(spectral, "_require_symmetric", gates.append)
-        dirac_spectra(density, grid, period=density.period)
-        dirac_ratio = gates[0][f"dirac_spinor[trivial,N={n_points}]"]
-        assert gates[0][f"laplacian_function[N={n_points}]"] == max(dirac_ratio, shift)
+        laplacian_spectrum(density)
+        dirac_spectra(density, grid)
+        dirac_ratio = gates[1][f"dirac_spinor[trivial,N={n_points}]"]
+        assert gates[0] == {f"laplacian_function[N={n_points}]": max(dirac_ratio, shift)}
+
+    @pytest.mark.parametrize("n_points", [64, 128, 256])
+    def test_constant_density_reads_the_squared_lattice(self, n_points):
+        """A constant density (P = 1) is read from N blocks of size 1, the
+        eigenvalues fft(c) of C: its values are the k^2, k =
+        ``wavenumbers(N)``, within ``conftest.bloch_allowance`` plus
+        e (2 sigma + e), e = phi_N F (1 + phi_N) / (1 - phi_N) the distance of
+        C from the exact lattice operator (one inverse FFT)."""
+        density = _density(MetricProfile(3.0), GridSpec(n_points))
+        assert density.period == 1
+        report = laplacian_spectrum(density)
+        fft = spectral.gamma(7.0 * math.log2(n_points))
+        lattice = fft * circulant_spectrum(n_points, "trivial")[2] * (1.0 + fft) / (1.0 - fft)
+        allowance = bloch_allowance(density, report)
+        sigma = math.sqrt(report.eigenvalues[-1] + allowance)
+        allowance += lattice * (2.0 * sigma + lattice)
+        squares = np.sort(wavenumbers(n_points) ** 2)
+        assert np.max(np.abs(report.eigenvalues - squares)) <= allowance
 
     @pytest.mark.parametrize("n_points", [64, 128, 256])
     def test_density_scale_cancels(self, n_points):
-        """g and 2g have the factor T = g^{-1/2} D g^{1/2} in exact arithmetic, so
-        their Laplacian spectra agree to round-off: by Weyl within
-        e (2 sigma + e), e = ||T_1 - T_2||_F of the computed factors, plus
-        the two reads' allowances (a)."""
+        """g and 2g have the factor T = g^{-1/2} C g^{1/2} in exact arithmetic,
+        so their Laplacian spectra agree to round-off: by Weyl within
+        e (2 sigma + e), e >= ||T_1 - T_2||_F the conjugation bound of the
+        two computed factors, sigma at least the largest singular value of
+        either, plus the two reads' ``bloch_allowance``."""
         grid = GridSpec(n_points)
         terms = GRAM_TERMS["none"]
         scaled = tuple(dataclasses.replace(term, amplitude=2.0 * term.amplitude)
                        for term in terms)
         densities = [_density(profile, grid)
                      for profile in (MetricProfile(2.0, terms), MetricProfile(4.0, scaled))]
-        factors = [assemble_basic_dirac_spinor(density, grid).matrix for density in densities]
         reports = [laplacian_read(density, grid) for density in densities]
-        spread = float(np.linalg.norm(factors[0] - factors[1]))
-        sigma = math.sqrt(max(report.eigenvalues[-1] for report in reports))
-        allowance = spread * (2.0 * sigma + spread) + sum(
-            self._gram_allowance(factor, n_points, report)
-            for factor, report in zip(factors, reports))
+        allowances = [bloch_allowance(d, report) for d, report in zip(densities, reports)]
+        w_1, w_2 = (operators.dirac_factors(density)[0] for density in densities)
+        spread = spectral.conjugation_bound(w_1, w_2 / w_1,
+                                            circulant_spectrum(n_points, "trivial")[2])
+        sigma = math.sqrt(max(report.eigenvalues[-1] + allowance
+                              for report, allowance in zip(reports, allowances)))
+        allowance = spread * (2.0 * sigma + spread) + sum(allowances)
         deviation = np.max(np.abs(reports[0].eigenvalues - reports[1].eigenvalues))
         assert deviation <= allowance
+
+    @pytest.mark.parametrize("degree", ["function", "one_form"])
+    def test_false_period_is_refused(self, cosine_profile, grid64, degree, tmp_path,
+                                     monkeypatch, capsys):
+        """g = 2 + cos t has no translation symmetry: a density that claims
+        period N/2 yields a Laplacian read whose distance bound fails the
+        gate, naming the Laplacian only, and ``spectrum`` exits 2 on it; the
+        honest claim passes."""
+        true = _density(cosine_profile, grid64)
+        false = LeafVolumeDensity(true.g_values, true.g_dot_values, true.t_bandwidth, period=32)
+        with pytest.raises(OperatorSymmetryError, match="not symmetric") as refusal:
+            laplacian_read(false, grid64, degree)
+        assert "dirac" not in str(refusal.value)
+        laplacian_read(true, grid64, degree)
+        path = tmp_path / "wavy.json"
+        save_profile(cosine_profile, path)
+        operator = {"function": "laplacian-functions", "one_form": "laplacian-one-forms"}[degree]
+        argv = ["spectrum", "--profile", str(path), "--grid", "64", "--window", "8",
+                "--operator", operator, "--output-dir", str(tmp_path / "out")]
+        assert cli.run(argv) == 0
+        claim = LeafVolumeDensity.from_profile.__func__
+
+        def false_claim(cls, profile, grid):
+            return dataclasses.replace(claim(cls, profile, grid), period=grid.n_points // 2)
+
+        monkeypatch.setattr(LeafVolumeDensity, "from_profile", classmethod(false_claim))
+        capsys.readouterr()
+        assert cli.run(argv) == 2
+        assert re.search(r"error: operator 'laplacian_function\[N=64\]' is not symmetric",
+                         capsys.readouterr().err)
 
     @pytest.mark.parametrize("degree", ["function", "one_form"])
     @pytest.mark.parametrize("name", ["half", "none"])
@@ -707,6 +610,13 @@ def _galerkin_profiles() -> dict:
     return profiles
 
 
+@functools.cache
+def _generated_profiles() -> tuple:
+    """The ten profiles ``verify --seed s`` draws, s = 0 to 41 and 7041."""
+    return tuple(random_profile(rng) for rng in map(np.random.default_rng, [*range(42), 7041])
+                 for _ in range(10))
+
+
 def _galerkin(density, window=10.0, largest=256):
     """The density's Galerkin read at the battery's tolerance, with no cap
     from its period."""
@@ -716,11 +626,10 @@ def _galerkin(density, window=10.0, largest=256):
 def _galerkin_matches_grid(galerkin, density, grid, window=10.0) -> bool:
     """Whether ``galerkin``, the density's Galerkin read at ``window``, meets
     the battery's tolerance and its windowed values are the grid read's,
-    value by value, within the radius r plus the grid read's bound: d (2
-    sigma + d) with its round-off, ``TestGramRead``'s allowance (a)."""
+    value by value, within the radius r plus the grid read's
+    ``conftest.bloch_allowance``."""
     grid_read = laplacian_read(density, grid)
-    factor = assemble_basic_dirac_spinor(density, grid).matrix
-    allowance = galerkin.radii + TestGramRead._gram_allowance(factor, density.period, grid_read)
+    allowance = galerkin.radii + bloch_allowance(density, grid_read)
     values = grid_read.in_window(window * window)
     return (galerkin.radius <= LAPLACIAN_FORMS_THRESHOLD
             and values.size == galerkin.values.size
@@ -761,6 +670,37 @@ class TestGalerkinRead:
             read = _galerkin(density)
             assert read.order == _predicted_order(density), name
             assert _galerkin_matches_grid(read, density, grid), name
+
+    def test_a_false_bandwidth_claim_is_refused(self):
+        """2 + 0.6 cos t made from arrays keeps the default t-bandwidth 0, and
+        the Galerkin read of that claim would certify the constant's
+        spectrum 0, 1, 1, 4, ...: the DFT above the claim, 0.3 at m = 1,
+        exceeds its round-off, so the coefficients and the battery's read
+        are refused; the true claim reads 0.992, 1.040, 4.012."""
+        t = GridSpec(64).t_nodes
+        false = LeafVolumeDensity(2.0 + 0.6 * np.cos(t), -0.6 * np.sin(t))
+        assert false.t_bandwidth == 0
+        for read in (spectral.density_coefficients,
+                     lambda d: spectral.function_laplacian(d, 6.0, LAPLACIAN_FORMS_THRESHOLD)):
+            with pytest.raises(ValueError, match="claimed t-bandwidth 0 has 2-norm 3.000e-01"):
+                read(false)
+        true = battery_laplacian(dataclasses.replace(false, t_bandwidth=1), 6.0)
+        np.testing.assert_allclose(true.values[:4], [0.0, 0.992, 1.040, 4.012], atol=1e-3)
+
+    @pytest.mark.parametrize("n_points", [64, 128, 256, 512])
+    def test_honest_bandwidth_claims_pass(self, n_points, monkeypatch):
+        """Every profile's density keeps its DFT above its t-bandwidth below
+        15 eps max g, far inside the allowance (``spectral``): the ten
+        generated profiles of seeds 0-41 and 7041 and those of
+        ``tools/parity.py``."""
+        grid = GridSpec(n_points)
+        monkeypatch.syspath_prepend(str(Path(__file__).resolve().parents[1] / "tools"))
+        documents = importlib.import_module("parity").PROFILES.values()
+        for profile in [*_generated_profiles(), *map(MetricProfile.from_dict, documents)]:
+            density = _density(profile, grid)
+            spectral.density_coefficients(density)
+            tail = np.linalg.norm(np.fft.rfft(density.g_values)[density.t_bandwidth + 1:])
+            assert tail / n_points <= 15.0 * EPS * density.g_values.max()
 
     def test_ritz_values_do_not_increase_along_the_orders(self):
         """Nested trial spaces: the k-th Ritz value at each order is at most

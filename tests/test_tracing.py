@@ -44,7 +44,7 @@ def test_tracer_installs_every_span_and_restores_the_originals(tmp_path, tracing
 def test_traced_verify_and_spectrum_write_the_untraced_reports(tmp_path, tracing):
     """Traced and untraced runs write the same bytes, also for a ``verify``
     pair whose contrast runs (at grid 64 two grid Laplacian reads) and a
-    Laplacian ``spectrum``."""
+    Laplacian ``spectrum``; only the Lichnerowicz check assembles."""
     wavy, wavy2 = tmp_path / "wavy.json", tmp_path / "wavy2.json"
     save_profile(MetricProfile(2.0, (ProfileTerm(0, 1, 1.0),)), wavy)
     save_profile(MetricProfile(2.0, (ProfileTerm(0, 2, 0.6), ProfileTerm(1, 1, 0.4))), wavy2)
@@ -74,10 +74,18 @@ def test_traced_verify_and_spectrum_write_the_untraced_reports(tmp_path, tracing
     counts = tracer.span_counts()
     assert counts["verify.random_profile"] == 2
     assert counts["verify.laplacian_dependence"] == 2
-    # no command reaches ``eigenvalues_weighted`` (the span's only function):
-    # the Dirac reads need no matrix, and the grid Laplacian reads assemble
+    # no command reaches ``eigenvalues_weighted`` (the span's only function),
+    # and no Dirac or Laplacian read assembles an operator: every assembly
+    # is the Lichnerowicz check's, under the two profiles of ``verify``
     assert counts["spectral.eigensolve"] == 0
-    assert counts["operators.assemble"] > 0
+    assembled = [span for span in tracer.spans if span[0] == "operators.assemble"]
+    assert assembled
+    for span in assembled:
+        callers = set()
+        while span[3] >= 0:
+            span = tracer.spans[span[3]]
+            callers.add(span[0])
+        assert "verify.lichnerowicz_residual" in callers
 
 
 def test_traced_sweep_writes_the_untraced_rows_from_one_search(tmp_path, tracing):

@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 import sympy as sp
 
-from foliation_lab import cli, operators, spectral, verify
+from foliation_lab import _spectral_diff, cli, operators, spectral, verify
 from foliation_lab._spectral_diff import differentiation_matrix, fourier_derivative
 from foliation_lab.basic_calculus import LeafVolumeDensity
 from foliation_lab.model_spaces import GridSpec, MetricProfile, ProfileTerm, torus_geometry
@@ -340,15 +340,15 @@ def test_pair_battery_solves_each_spectrum_once(flat_profile, monkeypatch, n_poi
     eigensolve and no matrix, from one cached lattice per (grid, spin
     structure); unless the contrast is skipped, one Laplacian read per
     distinct density: one ``eigh`` call of dimension 2K + 1 for a Galerkin
-    read, or the assembly of the density's spinor matrix and one
-    ``eigvalsh`` call on the stacked Gram blocks of its period; no SVD, and
-    a derivative matrix only for a grid read.  ``shapes`` holds the
-    ``eigvalsh`` and the ``eigh`` shapes."""
+    read, or ``laplacian_spectrum``'s one ``eigvalsh`` call on the stacked
+    Bloch blocks of its period; no SVD, no assembly and no derivative
+    matrix.  ``shapes`` holds the ``eigvalsh`` and the ``eigh`` shapes."""
     grid = GridSpec(n_points)
     eigvalsh_sizes, eigh_sizes, svd_calls, built = [], [], [], []
     eigvalsh, eigh, svd = np.linalg.eigvalsh, np.linalg.eigh, np.linalg.svd
     from_profile = LeafVolumeDensity.from_profile.__func__
-    assemble, ratio = spectral.assemble_basic_dirac_spinor, verify.basic_volume_ratio
+    assemble, ratio = operators.assemble_basic_dirac_spinor, verify.basic_volume_ratio
+    grid_read = spectral.laplacian_spectrum
 
     def counted_eigvalsh(matrix, *args, **kwargs):
         eigvalsh_sizes.append(matrix.shape)
@@ -375,7 +375,8 @@ def test_pair_battery_solves_each_spectrum_once(flat_profile, monkeypatch, n_poi
     monkeypatch.setattr(np.linalg._linalg, "svd", counted_svd)
     monkeypatch.setattr(LeafVolumeDensity, "from_profile",
                         classmethod(counted("density", from_profile)))
-    monkeypatch.setattr(spectral, "assemble_basic_dirac_spinor", counted("dirac", assemble))
+    monkeypatch.setattr(operators, "assemble_basic_dirac_spinor", counted("dirac", assemble))
+    monkeypatch.setattr(spectral, "laplacian_spectrum", counted("grid", grid_read))
     monkeypatch.setattr(verify, "basic_volume_ratio", counted("alpha", ratio))
     differentiation_matrix.cache_clear()
     spectral.circulant_spectrum.cache_clear()
@@ -388,10 +389,10 @@ def test_pair_battery_solves_each_spectrum_once(flat_profile, monkeypatch, n_poi
         for key, value in pair_metadata(flat_profile, second, grid).items():
             assert report.metadata[key] == value
     grid_reads = len(shapes[0])
-    assert built == ["density", "density", "alpha"] + ["dirac"] * grid_reads
+    assert built == ["density", "density", "alpha"] + ["grid"] * grid_reads
     assert (eigvalsh_sizes, eigh_sizes) == shapes
     assert svd_calls == []
-    assert differentiation_matrix.cache_info().misses == min(grid_reads, 1)
+    assert differentiation_matrix.cache_info().misses == 0
     assert spectral.circulant_spectrum.cache_info().misses == 1
 
 
@@ -421,31 +422,31 @@ def test_pair_battery_compares_each_dirac_spectrum_once(flat_profile, cosine_pro
 
 
 @pytest.mark.parametrize(
-    "n_points, gram_reads, orders",
-    [(64, [("gram", 64)] * 2, [None, None]), (128, [], [29, 23])],
+    "n_points, grid_reads, orders",
+    [(64, [("grid", 64)] * 2, [None, None]), (128, [], [29, 23])],
 )
 def test_pair_battery_reads_dirac_spectra_from_the_weight_data(cosine_profile, mixed_profile,
-                                                               monkeypatch, n_points, gram_reads,
+                                                               monkeypatch, n_points, grid_reads,
                                                                orders):
-    """No N x N Dirac matrix in the battery: two ``dirac_spectra`` reads of
-    the pair's densities, no ``hermitian_spectrum``, and a conjugation check
-    on the same densities.  Each density's Laplacian is read once by
-    ``function_laplacian``: a Galerkin read capped at 6 (2K + 1)^3 <= N P^2,
-    and where none is made the Gram read of the density's spinor matrix,
-    assembled for it, along the density's period (here at N = 64, where
-    K = 29 and 23 do not fit): the battery's only assemblies."""
-    read, events, conjugated, galerkin, assembled = [], [], [], [], []
-    spectra, gram = verify.dirac_spectra, spectral.gram_spectrum
+    """No N x N matrix in the battery: two ``dirac_spectra`` reads of the
+    pair's densities, no ``hermitian_spectrum``, no assembly, and a
+    conjugation check on the same densities.  Each density's Laplacian is
+    read once by ``function_laplacian``: a Galerkin read capped at
+    6 (2K + 1)^3 <= N P^2, and where none is made ``laplacian_spectrum``
+    along the density's period (here at N = 64, where K = 29 and 23 do not
+    fit)."""
+    read, events, conjugated, galerkin = [], [], [], []
+    spectra, grid_read = verify.dirac_spectra, spectral.laplacian_spectrum
     conjugate, galerkin_read = verify.conjugation_residual, spectral.galerkin_laplacian
-    assemble = spectral.assemble_basic_dirac_spinor
 
-    def recorded_read(density, grid, period=None):
-        read.append((density, period))
-        return spectra(density, grid, period=period)
+    def recorded_read(density, grid):
+        read.append(density)
+        return spectra(density, grid)
 
-    def recorded_gram(factor, period):
-        events.append(("gram", period))
-        return gram(factor, period)
+    def recorded_grid_read(density):
+        events.append(("grid", density.period))
+        assert any(density is dirac_read for dirac_read in read)
+        return grid_read(density)
 
     def recorded_galerkin(density, window, tolerance, largest):
         report = galerkin_read(density, window, tolerance, largest)
@@ -459,27 +460,25 @@ def test_pair_battery_reads_dirac_spectra_from_the_weight_data(cosine_profile, m
         conjugated.extend([d1, d2])
         return conjugate(d1, d2, alpha, grid, metadata)
 
-    def recorded_assembly(density, grid):
-        assembled.append(density)
-        return assemble(density, grid)
+    def refused_assembly(*args):
+        raise AssertionError("the pair battery assembled a spinor matrix")
 
     monkeypatch.setattr(verify, "dirac_spectra", recorded_read)
-    monkeypatch.setattr(spectral, "gram_spectrum", recorded_gram)
+    monkeypatch.setattr(spectral, "laplacian_spectrum", recorded_grid_read)
     monkeypatch.setattr(WeightedOperator, "hermitian_spectrum", recorded_solve)
     monkeypatch.setattr(verify, "conjugation_residual", recorded_conjugation)
     monkeypatch.setattr(spectral, "galerkin_laplacian", recorded_galerkin)
-    monkeypatch.setattr(spectral, "assemble_basic_dirac_spinor", recorded_assembly)
+    monkeypatch.setattr(operators, "assemble_basic_dirac_spinor", refused_assembly)
     reports = run_pair_checks([(cosine_profile, mixed_profile)], GridSpec(n_points), 8.0)
     assert [report.passed for report in reports] == [True] * 4
     assert reports[3].metadata["laplacian_order"] == orders
-    assert [period for _, period in read] == [None, None]
-    assert [density for density, _ in read] == conjugated
-    assert events == gram_reads
-    assert assembled == [density for density, _ in read][: len(gram_reads)]
+    assert read == conjugated
+    assert events == grid_reads
     largest = ((n_points**3 / spectral.GALERKIN_COST) ** (1.0 / 3.0) - 1.0) / 2.0
     assert galerkin == [(8.0, verify.LAPLACIAN_FORMS_THRESHOLD, largest, order)
                         for order in orders]
     assert not hasattr(verify, "assemble_basic_dirac_spinor")
+    assert not hasattr(spectral, "assemble_basic_dirac_spinor")
 
 
 # Three profiles whose densities have the same bytes, constant 2: the second's
@@ -530,9 +529,9 @@ def test_pair_memo_changes_no_report(monkeypatch, n_points, pairs, generated, re
     grid = GridSpec(n_points)
     recorded, spectra, laplacian = [], verify.dirac_spectra, verify.function_laplacian
 
-    def recorded_read(density, grid, period=None):
+    def recorded_read(density, grid):
         recorded.append(("dirac",))
-        return spectra(density, grid, period=period)
+        return spectra(density, grid)
 
     def recorded_laplacian(density, *args):
         report = laplacian(density, *args)
@@ -745,8 +744,7 @@ def test_a_raising_assembly_does_not_stop_the_generated_battery(monkeypatch, tmp
     """``verify --all --grid 256`` with generated pairs builds no spinor
     matrix: with ``assemble_basic_dirac_spinor`` raising, every seed of the
     verdict ledger (0 to 41 and the default) still writes its bundle, with
-    the exit code of the unpatched run (a grid Laplacian read would
-    assemble, and no generated density needs one at grid 256)."""
+    the exit code of the unpatched run."""
     seeds = [*range(42), 7041]
 
     def codes():
@@ -758,10 +756,52 @@ def test_a_raising_assembly_does_not_stop_the_generated_battery(monkeypatch, tmp
     def refuse(*args, **kwargs):
         raise AssertionError("the pair battery assembled a spinor matrix")
 
-    for module in (operators, spectral):
-        monkeypatch.setattr(module, "assemble_basic_dirac_spinor", refuse)
+    monkeypatch.setattr(operators, "assemble_basic_dirac_spinor", refuse)
     assert codes() == expected
     assert set(expected) <= {0, 1}
+
+
+def test_one_grid_read_assembles_nothing(flat_profile, cosine_profile, tmp_path, monkeypatch,
+                                         capsys):
+    """With the spinor assembly and the derivative matrix raising,
+    ``spectrum --operator laplacian-{functions,one-forms}`` and an
+    ``invariance`` pair whose contrast takes the grid fallback (2 + cos t
+    at grid 64 and window 8) exit 0, each grid read one call of
+    ``laplacian_spectrum``; under the w = g factor mutant the
+    ``laplacian-functions`` spectrum exits 2 at its gate."""
+    flat, wavy = tmp_path / "flat.json", tmp_path / "wavy.json"
+    save_profile(flat_profile, flat)
+    save_profile(cosine_profile, wavy)
+    reads, grid_read = [], spectral.laplacian_spectrum
+
+    def recorded(density):
+        reads.append(density.period)
+        return grid_read(density)
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("an N x N operator was built")
+
+    for module in (spectral, cli):
+        monkeypatch.setattr(module, "laplacian_spectrum", recorded)
+    monkeypatch.setattr(operators, "assemble_basic_dirac_spinor", refuse)
+    for module in (_spectral_diff, operators):
+        monkeypatch.setattr(module, "differentiation_matrix", refuse)
+    out = ["--grid", "64", "--window", "8", "--output-dir", str(tmp_path / "out")]
+    spectrum = ["spectrum", "--profile", str(wavy), *out, "--operator"]
+    for operator in ("laplacian-functions", "laplacian-one-forms"):
+        del reads[:]
+        assert cli.run([*spectrum, operator]) == 0
+        assert reads == [64]
+    del reads[:]
+    assert cli.run(["invariance", "--profiles", str(flat), str(wavy), *out]) == 0
+    assert reads == [64]
+    bundle = json.loads((tmp_path / "out" / "invariance_bundle.json").read_text())
+    assert bundle["reports"][-1]["metadata"]["laplacian_order"] == [9, None]
+    patch_factors(monkeypatch, TestMutations.MUTANTS["w_is_g"])
+    capsys.readouterr()
+    assert cli.run([*spectrum, "laplacian-functions"]) == 2
+    assert re.search(r"error: operator 'laplacian_function\[N=64\]' is not symmetric",
+                     capsys.readouterr().err)
 
 
 @pytest.mark.parametrize("n_points, orders", [(64, [9, None]), (128, [9, 29])])
@@ -769,23 +809,23 @@ def test_commands_solve_no_dirac_matrix(flat_profile, cosine_profile, tmp_path, 
                                         n_points, orders):
     """No command solves a Dirac matrix: ``verify``, ``invariance`` and
     ``spectrum --operator dirac-*`` read every Dirac spectrum from the
-    operator's O(N) data, with no assembly and no eigensolve.  Every grid
-    eigensolve is one ``eigvalsh`` call on the stacked Gram blocks of a
-    Laplacian's period, of its density's assembled periodic spinor matrix.
-    In ``verify`` and ``invariance`` a Laplacian is first offered to
-    ``galerkin_laplacian``, whose one ``eigh`` call is (2K + 1)-dimensional
-    where it reads, and Gram-read where it does not; a Laplacian
-    ``spectrum`` takes one Gram read and no Galerkin read.  Per command:
-    one Laplacian read per distinct (density, t-bandwidth, period) that a
-    running contrast reads.  ``orders`` are the Galerkin orders of the flat
-    density and 2 + cos t at window 8, None for a grid read."""
-    events, sizes, assembled, galerkin, eigh_sizes, solved = [], [], [], [], [], []
-    gram, eigvalsh, eigh = spectral.gram_spectrum, np.linalg.eigvalsh, np.linalg.eigh
-    assemble, galerkin_read = spectral.assemble_basic_dirac_spinor, spectral.galerkin_laplacian
+    operator's O(N) data, with no eigensolve.  Every grid eigensolve is
+    ``laplacian_spectrum``'s one ``eigvalsh`` call on the stacked Bloch
+    blocks of a Laplacian's period.  In ``verify`` and ``invariance`` a
+    Laplacian is first offered to ``galerkin_laplacian``, whose one ``eigh``
+    call is (2K + 1)-dimensional where it reads, and read on the grid where
+    it does not; a Laplacian ``spectrum`` takes one grid read and no
+    Galerkin read.  Per command: one Laplacian read per distinct (density,
+    t-bandwidth, period) that a running contrast reads.  ``orders`` are the
+    Galerkin orders of the flat density and 2 + cos t at window 8, None for
+    a grid read."""
+    events, sizes, galerkin, eigh_sizes, solved = [], [], [], [], []
+    grid_read, eigvalsh, eigh = spectral.laplacian_spectrum, np.linalg.eigvalsh, np.linalg.eigh
+    galerkin_read = spectral.galerkin_laplacian
 
-    def recorded_gram(factor, period):
-        events.append(("gram", period))
-        return gram(factor, period)
+    def recorded_grid_read(density):
+        events.append(("grid", density.period))
+        return grid_read(density)
 
     def recorded_galerkin(*args):
         report = galerkin_read(*args)
@@ -796,17 +836,13 @@ def test_commands_solve_no_dirac_matrix(flat_profile, cosine_profile, tmp_path, 
         eigh_sizes.append(matrix.shape)
         return eigh(matrix, *args, **kwargs)
 
-    def counted_assembly(density, grid):
-        assembled.append(grid.spin_structure)
-        return assemble(density, grid)
-
     def counted_eigvalsh(matrix, *args, **kwargs):
         sizes.append(matrix.shape)
         return eigvalsh(matrix, *args, **kwargs)
 
     monkeypatch.setattr(WeightedOperator, "hermitian_spectrum", lambda op: solved.append(op))
-    monkeypatch.setattr(spectral, "gram_spectrum", recorded_gram)
-    monkeypatch.setattr(spectral, "assemble_basic_dirac_spinor", counted_assembly)
+    for module in (spectral, cli):
+        monkeypatch.setattr(module, "laplacian_spectrum", recorded_grid_read)
     monkeypatch.setattr(np.linalg, "eigvalsh", counted_eigvalsh)
     monkeypatch.setattr(spectral, "galerkin_laplacian", recorded_galerkin)
     monkeypatch.setattr(np.linalg, "eigh", counted_eigh)
@@ -816,10 +852,9 @@ def test_commands_solve_no_dirac_matrix(flat_profile, cosine_profile, tmp_path, 
     out = ["--grid", str(n_points), "--window", "8", "--output-dir", str(tmp_path / "out")]
 
     def run(argv):
-        del events[:], assembled[:], sizes[:], galerkin[:], eigh_sizes[:]
+        del events[:], sizes[:], galerkin[:], eigh_sizes[:]
         assert cli.run([*argv, *out]) in (0, 1)
         assert sizes == [(n_points // period, period, period) for _, period in events]
-        assert assembled == ["trivial"] * len(events)
         # one eigh per Galerkin read: its first order meets the tolerance
         assert eigh_sizes == [(2 * order + 1,) * 2 for order in galerkin if order is not None]
         return list(events)
@@ -840,13 +875,13 @@ def test_commands_solve_no_dirac_matrix(flat_profile, cosine_profile, tmp_path, 
     assert len(read) == galerkin.count(None)
     # the flat profile and 2 + cos t: per density its Laplacian read
     for argv in (["verify", "--profiles", flat, wavy], ["invariance", "--profiles", flat, wavy]):
-        assert run(argv) == ([("gram", n_points)] if orders[1] is None else [])
+        assert run(argv) == ([("grid", n_points)] if orders[1] is None else [])
         assert galerkin == orders
     for spin in ("trivial", "nontrivial"):
         spectrum = ["spectrum", "--profile", wavy, "--spin", spin, "--operator"]
         for operator in ("dirac-spinor", "dirac-forms"):
             assert run([*spectrum, operator]) == []
         for operator in ("laplacian-functions", "laplacian-one-forms"):
-            assert run([*spectrum, operator]) == [("gram", n_points)]
+            assert run([*spectrum, operator]) == [("grid", n_points)]
             assert galerkin == []
     assert solved == []

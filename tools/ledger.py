@@ -7,8 +7,10 @@ of two trees compare with ``diff``.
 ``TREE`` is a checkout whose ``src/foliation_lab`` is imported; ``OUT`` is the
 ledger file to write, and must not exist yet.  The command set is
 ``verify --all --seed S`` for S = 0..41 and the default seed 7041, at grid 64
-with window 8 and at grids 128 and 256 with window 10.  Per grid the ledger
-lists the seeds by exit code; per check the runs, passes, failures and skips,
+with window 8 and at grids 128 and 256 with window 10, and the
+``invariance`` cases of ``tools/parity.py`` on its profile documents.  Per
+grid the ledger lists the seeds by exit code, and the invariance cases by
+name; per check the runs, passes, failures and skips,
 the smallest threshold/residual ratio over the runs (inf for a zero
 residual, 0 for an infinite one) and what the residual measures; the
 Laplacian reads of the running contrasts by kind; and the skips by reason.
@@ -29,6 +31,8 @@ import sys
 import tempfile
 from collections import Counter
 from pathlib import Path
+
+import parity
 
 for _variable in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
     os.environ.setdefault(_variable, "1")
@@ -58,13 +62,11 @@ def provenance() -> list[str]:
             f"{', '.join(libraries)}, cpus {os.cpu_count()}"]
 
 
-def run_verify(cli, grid: int, window: str, seed: int, out: Path) -> tuple[int, list]:
-    """One ``verify --all`` run: its exit code and its bundle's reports."""
-    argv = ["verify", "--all", "--grid", str(grid), "--window", window, "--seed", str(seed),
-            "--output-dir", str(out)]
+def run_command(cli, argv: list[str], out: Path) -> tuple[int, list]:
+    """One ``verify`` or ``invariance`` run: its exit code and its bundle's reports."""
     with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
-        code = cli.run(argv)
-    bundle = out / "verify_bundle.json"
+        code = cli.run([*argv, "--output-dir", str(out)])
+    bundle = out / f"{argv[0]}_bundle.json"
     reports = json.loads(bundle.read_text(encoding="utf-8"))["reports"] if code in (0, 1) else []
     bundle.unlink(missing_ok=True)
     return code, reports
@@ -75,11 +77,12 @@ def _ratio(report: dict) -> float:
     return math.inf if residual == 0.0 else float(report["threshold"]) / residual
 
 
-def grid_section(cli, grid: int, window: str, seeds, out: Path) -> list[str]:
-    """The ledger lines of one grid."""
+def section(title: str, runs: dict) -> list[str]:
+    """The ledger lines of one section; ``runs`` maps each command's label to
+    its exit code and reports."""
     codes, rows, reads, skips = {}, {}, Counter(), Counter()
-    for seed in seeds:
-        codes[seed], reports = run_verify(cli, grid, window, seed, out)
+    for label, (code, reports) in runs.items():
+        codes[label] = code
         for report in reports:
             name, metadata = report["check_name"], report["metadata"]
             row = rows.setdefault(name, {"run": 0, "passed": 0, "failed": 0, "skipped": 0,
@@ -93,9 +96,9 @@ def grid_section(cli, grid: int, window: str, seeds, out: Path) -> list[str]:
             row["ratio"] = min(row["ratio"], _ratio(report))
             for order in metadata.get("laplacian_order", []):
                 reads["grid" if order is None else "galerkin"] += 1
-    lines = [f"## grid {grid}, window {window}"]
+    lines = [title]
     for code in sorted(set(codes.values())):
-        chosen = [str(seed) for seed, value in codes.items() if value == code]
+        chosen = [str(label) for label, value in codes.items() if value == code]
         lines.append(f"exit {code} ({len(chosen)}): {' '.join(chosen)}")
     lines.append(f"{'check':<22}{'run':>6}{'passed':>8}{'failed':>8}{'skipped':>9}"
                  f"{'min ratio':>12}  measures")
@@ -108,14 +111,38 @@ def grid_section(cli, grid: int, window: str, seeds, out: Path) -> list[str]:
     return lines
 
 
+def grid_section(cli, grid: int, window: str, seeds, out: Path) -> list[str]:
+    """The ledger lines of one grid."""
+    return section(f"## grid {grid}, window {window}", {
+        seed: run_command(cli, ["verify", "--all", "--grid", str(grid), "--window", window,
+                                "--seed", str(seed)], out)
+        for seed in seeds})
+
+
+def pairs_section(cli, out: Path) -> list[str]:
+    """The ledger lines of the ``invariance`` cases of ``tools/parity.py``, run
+    on its profile documents written to ``out``."""
+    paths = {}
+    for name, document in parity.PROFILES.items():
+        path = out / f"{name}.json"
+        path.write_text(json.dumps(document, sort_keys=True) + "\n", encoding="utf-8")
+        paths[parity.profile(name)] = str(path)
+    return section("## invariance cases of tools/parity.py", {
+        name: run_command(cli, [paths.get(arg, arg) for arg in argv], out)
+        for name, argv in parity.cases().items() if name.startswith("invariance-")})
+
+
 def ledger_text(cli, seeds=SEEDS, grids=GRIDS) -> str:
-    """The whole ledger for ``seeds`` at ``grids``, (grid, window) pairs."""
+    """The whole ledger for ``seeds`` at ``grids``, (grid, window) pairs, and
+    the invariance cases."""
     seed_text = ", ".join(str(seed) for seed in seeds)
     lines = ["# foliation-lab verdict ledger", *provenance(),
-             f"# verify --all --grid G --window W --seed S for S in {seed_text}"]
+             f"# verify --all --grid G --window W --seed S for S in {seed_text}",
+             "# invariance --profiles A B ... for each invariance-* case of tools/parity.py"]
     with tempfile.TemporaryDirectory() as scratch:
         for grid, window in grids:
             lines += ["", *grid_section(cli, grid, window, seeds, Path(scratch))]
+        lines += ["", *pairs_section(cli, Path(scratch))]
     return "\n".join(lines) + "\n"
 
 
