@@ -5,8 +5,11 @@ and are plain arrays on the t-grid; a basic function and the coefficient of a
 basic 1-form share that representation, and the Laplacian takes the degree
 (DEGREE_FUNCTION or DEGREE_ONE_FORM) as a separate argument.  The
 L^2-orthogonal projection onto basic fields is the leaf-volume-weighted
-theta-average; the weight is the metric profile f itself.  The basic mean
-curvature is ``LeafVolumeDensity.mean_curvature_values``.  All quadrature is
+theta-average; the weight is the metric profile f itself.  The leaf-volume
+density is built from the theta-averaged profile's terms, and so are its
+exact Fourier coefficients, which the Galerkin Laplacian read takes
+(``spectral``).  The basic mean curvature is
+``LeafVolumeDensity.mean_curvature_values``.  All quadrature is
 uniform trapezoid on the periodic grid, which is exact for band-limited
 integrands.
 """
@@ -15,10 +18,11 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
-from ._spectral_diff import fourier_derivative
+from ._spectral_diff import fourier_derivative, uniform_nodes
 from .model_spaces import GridSpec, MetricProfile, require_resolved
 
 DEGREE_FUNCTION = "function"
@@ -29,56 +33,63 @@ TWO_PI = 2.0 * np.pi
 
 @dataclass(frozen=True)
 class LeafVolumeDensity:
-    """g(t) = (1/2pi) integral of f(theta, t) dtheta on the t-grid.
+    """g(t) = (1/2pi) integral of f(theta, t) dtheta on the N-point t-grid,
+    a function of the theta-averaged profile and N alone.
 
-    The exact theta-average of a Fourier profile keeps only its m = 0 modes,
-    so g is again a trigonometric polynomial; its derivative g_dot is stored
-    termwise-exactly alongside the values.  t_bandwidth records the largest
-    |n| present; a density whose bandwidth the grid aliases is refused.
-
-    ``period`` is the translation period of g in grid points, a divisor of
-    N: g(t_{j+P}) = g(t_j) for every node.  From a profile it is exact,
-    P = N / gcd(N, n_1, ..., n_k) over the t-frequencies of the
-    theta-average (1 for a constant density); densities made from arrays
-    claim none, P = N.  The Laplacians of g commute with the shift by P grid
-    points, which ``spectral.laplacian_spectrum`` uses.
+    The exact theta-average of a Fourier profile keeps only its m = 0 modes
+    (``MetricProfile.theta_average``), so g = c + sum a_i cos(n_i t + phi_i),
+    and everything else is computed from those terms: the samples and their
+    termwise derivative g_dot; ``t_bandwidth``, the largest |n_i|, which the
+    grid must resolve; the exact Fourier ``coefficients``; and ``period``,
+    the translation period P = N / gcd(N, n_1, ..., n_k) in grid points (1
+    for a constant), g(t_{j+P}) = g(t_j) at every node, along which
+    ``spectral.laplacian_spectrum`` reads.  Equal averages on one grid give
+    equal, hashable densities.
     """
 
-    g_values: np.ndarray
-    g_dot_values: np.ndarray
-    t_bandwidth: int = 0
-    period: int | None = None
+    average: MetricProfile
+    n_points: int
 
     def __post_init__(self):
-        object.__setattr__(self, "g_values", np.asarray(self.g_values, dtype=np.float64))
-        object.__setattr__(
-            self, "g_dot_values", np.asarray(self.g_dot_values, dtype=np.float64)
-        )
-        if not (self.g_values > 0.0).all():
-            raise ValueError("leaf volume density must be strictly positive")
-        if self.g_values.shape != self.g_dot_values.shape:
-            raise ValueError("density and derivative grids differ")
+        if any(term.m or term.phase_theta for term in self.average.terms):
+            raise ValueError("a leaf volume density is built from a theta-averaged profile")
         require_resolved(self.n_points, self.t_bandwidth)
-        if self.period is None:
-            object.__setattr__(self, "period", self.n_points)
-        if not (self.period >= 1 and self.n_points % self.period == 0):
-            raise ValueError(f"period {self.period} does not divide {self.n_points} grid points")
-
-    @property
-    def n_points(self) -> int:
-        return self.g_values.size
+        ts = uniform_nodes(self.n_points)
+        g = self.average.sample_t(ts)
+        if not (g > 0.0).all():
+            raise ValueError("leaf volume density must be strictly positive")
+        g_dot = np.zeros_like(g)
+        for term in self.average.terms:
+            g_dot -= term.amplitude * term.n * np.sin(term.n * ts + term.phase_t)
+        object.__setattr__(self, "g_values", g)
+        object.__setattr__(self, "g_dot_values", g_dot)
 
     @classmethod
     def from_profile(cls, profile: MetricProfile, grid: GridSpec) -> "LeafVolumeDensity":
-        reduced = profile.theta_average()
-        ts = grid.t_nodes
-        g = reduced.sample_t(ts)
-        g_dot = np.zeros_like(g)
-        for term in reduced.terms:
-            g_dot -= term.amplitude * term.n * np.sin(term.n * ts + term.phase_t)
-        n = grid.n_points
-        period = n // math.gcd(n, *(term.n for term in reduced.terms))
-        return cls(g, g_dot, t_bandwidth=reduced.max_t_frequency(), period=period)
+        return cls(profile.theta_average(), grid.n_points)
+
+    @property
+    def t_bandwidth(self) -> int:
+        return self.average.max_t_frequency()
+
+    @property
+    def period(self) -> int:
+        return self.n_points // math.gcd(self.n_points, *(term.n for term in self.average.terms))
+
+    @cached_property
+    def coefficients(self) -> np.ndarray:
+        """g_m for m = -B..B, B = ``t_bandwidth``, read-only: the constant at
+        m = 0, and each term a cos(nt + phi) adds (a/2) e^{i phi} at n and its
+        conjugate at -n, so an n = 0 term adds a cos(phi) at 0."""
+        bandwidth = self.t_bandwidth
+        coefficients = np.zeros(2 * bandwidth + 1, complex)
+        coefficients[bandwidth] = self.average.constant
+        for term in self.average.terms:
+            half = 0.5 * term.amplitude * complex(math.cos(term.phase_t), math.sin(term.phase_t))
+            coefficients[bandwidth + term.n] += half
+            coefficients[bandwidth - term.n] += half.conjugate()
+        coefficients.flags.writeable = False
+        return coefficients
 
     def mean_curvature_values(self) -> np.ndarray:
         """Coefficient of the basic mean-curvature 1-form: -g_dot/g."""

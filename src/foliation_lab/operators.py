@@ -12,12 +12,11 @@ read-only matrix D per (grid, spin structure) of
 degrees are Gram products of T = g^{-1/2} D g^{1/2}, whose squared singular
 values ``spectral.laplacian_spectrum`` reads without assembling T.
 
-Diagonal scalings, here and in ``WeightedOperator.symmetrized``, multiply
-the float64 view of the complex matrix by w and then by a precomputed 1/w.
-That is bitwise numpy's complex (M * w) / w with w promoted to complex,
-(aw - b0) + (a0 + bw)i and then Smith's (a + b0)(1/w) + (b - a0)(1/w)i,
-except that a zero entry may differ in sign.  Scalings by i or -1 and the
-symmetrization's sums are done in place with unchanged arithmetic.
+Diagonal scalings multiply the float64 view of the complex matrix by w and
+then by a precomputed 1/w.  That is bitwise numpy's complex (M * w) / w
+with w promoted to complex, (aw - b0) + (a0 + bw)i and then Smith's
+(a + b0)(1/w) + (b - a0)(1/w)i, except that a zero entry may differ in
+sign.  Scalings by i or -1 are done in place with unchanged arithmetic.
 """
 
 from __future__ import annotations
@@ -52,17 +51,11 @@ class WeightedOperator:
 
     def symmetrized(self) -> tuple[np.ndarray, float]:
         """H = (S + S^H)/2 for S = W^{1/2} M W^{-1/2} (exactly Hermitian) and the
-        asymmetry ||S - S^H||_F.  S^H is written contiguous, so the sum and the
-        difference read rows of both."""
+        asymmetry ||S - S^H||_F."""
         root = np.sqrt(self.weights)
-        scaled = self.matrix.view(np.float64) * root[:, None]
-        scaled *= np.repeat(1.0 / root, 2)
-        sym = scaled.view(np.complex128)
-        adjoint = np.conjugate(sym.T, order="C")
-        hermitian = np.add(sym, adjoint)
-        hermitian *= 0.5
-        sym -= adjoint
-        return hermitian, float(np.linalg.norm(sym))
+        sym = (root[:, None] * self.matrix) / root[None, :]
+        adjoint = sym.conj().T
+        return 0.5 * (sym + adjoint), float(np.linalg.norm(sym - adjoint))
 
     def hermitian_spectrum(self) -> tuple[np.ndarray, float]:
         """Ascending eigenvalues of the ``symmetrized`` H by one dense

@@ -117,24 +117,12 @@ sigma_k(T)^2; the read is of the T built from (c, w), as the Dirac read is.
 
 Galerkin reads (the pair battery).  The function Laplacian is
 Delta u = -(g u')'/g, self-adjoint in L^2(g dt), and g is a trigonometric
-polynomial.  Its coefficients g_m, |m| <= B, are the DFT of the samples
-over N, B the t-bandwidth less any trailing zero coefficient, with g_0
-real and g_{-m} = conj(g_m) set exactly; higher coefficients are zero, not
-read off the DFT, so none wraps.  The read is of the density
-g~ = sum g_m e^{imt}, which differs from the samples by the DFT's
-round-off.  The claimed B is checked, as the period is: if the samples
-are g_j = p(t_j) + e_j for a trigonometric polynomial p of degree B, the
-exact DFT of the samples above B is that of e, whose 2-norm over
-m = B + 1..N/2 is at most rms(e) (Parseval), and the computed DFT adds at
-most (phi_N + eps) rms(g), the N-point FFT and the division by N.
-``density_coefficients`` allows |e_j| <= N eps max g and raises ValueError
-when the computed coefficients above B exceed (phi_N + eps) rms(g) +
-N eps max g in 2-norm: a claim of B = 0 for 2 + 0.6 cos t leaves 0.3
-there.  The allowance is not a theorem about every profile (a profile's
-samples err by at most 39.01 (K + 1) u S, ``model_spaces``, which large
-phases or cancelling terms can put above it); over the generated profiles
-of seeds 0-41 and 7041 and those of ``tools/parity.py`` at N = 64 to 512
-the coefficients above B measure at most 15 eps max g.  In the basis
+polynomial whose coefficients g_m, |m| <= B, are
+``LeafVolumeDensity.coefficients``, taken from the theta-averaged
+profile's terms, not from the samples: each carries only the rounding of
+one cos/sin pair and one product (and of the sum where terms share an
+|n|), with g_0 real and g_{-m} = conj(g_m) exactly.  The read is of the
+density g~ = sum g_m e^{imt} of the computed coefficients.  In the basis
 e^{ikt}, |k| <= K, the mass matrix G_jk = g_{j-k} and the stiffness matrix
 A_jk = jk g_{j-k} are exact, with no quadrature and no aliasing, and
 Hermitian by construction.  A c = rho G c is solved through G = L L^H as
@@ -207,9 +195,10 @@ the Hermitian problem of L^{-1} A L^{-H}, c = L^{-H} y.
   eigenvalue near rho_k is the k-th: the +-k pairs are near-degenerate
   clusters.  ``verify`` pairs the sorted windowed values by index, as the
   grid read does; certifying the index (Lehmann-Goerisch or Kato-Temple
-  lower bounds) is open.  The radii are against Delta of g~: the DFT's
-  relative round-off e in g~ moves each eigenvalue by at most a relative
-  2e / (1 - e), about 1e-15, by min-max, which no radius includes.  A grid
+  lower bounds) is open.  The radii are against Delta of g~: the
+  coefficients' rounding moves g~ from the profile's own g by a relative e
+  pointwise, a few eps (g_0 + 2 sum |g_m|) / g_low, and each eigenvalue by
+  at most a relative 2e / (1 - e) by min-max, which no radius includes.  A grid
   read's radius bounds its values' distance from the sigma_k(T)^2 of the T
   built from (c, w), not from Delta's.
 """
@@ -441,26 +430,6 @@ class LaplacianRead:
         return float(np.max(self.radii))
 
 
-def density_coefficients(density: LeafVolumeDensity) -> np.ndarray:
-    """g_m for m = -B..B, conjugate-symmetric, B the t-bandwidth less any
-    trailing zero coefficient, from the DFT of the samples; ValueError when
-    the DFT above the claimed t-bandwidth exceeds its round-off (module
-    docstring)."""
-    g, n, bandwidth = density.g_values, density.n_points, density.t_bandwidth
-    spectrum = np.fft.rfft(g) / n
-    tail = float(np.linalg.norm(spectrum[bandwidth + 1:]))
-    allowance = ((gamma(7.0 * math.log2(n)) + _EPS) * float(np.linalg.norm(g)) / math.sqrt(n)
-                 + n * _EPS * float(np.max(g)))
-    if tail > allowance:
-        raise ValueError(
-            f"the density's DFT above its claimed t-bandwidth {bandwidth} has 2-norm "
-            f"{tail:.3e}, above its round-off {allowance:.3e}")
-    half = spectrum[: bandwidth + 1]
-    half = half[: np.flatnonzero(half)[-1] + 1]
-    half[0] = half[0].real
-    return np.concatenate([np.conj(half[:0:-1]), half])
-
-
 def strip_width(coefficients: np.ndarray) -> float:
     """eta, the largest y with g_0 > 2 sum_{m >= 1} |g_m| cosh(m y), to a
     relative 2^-30: infinite for a constant, 0 when g_0 <= 2 sum |g_m|."""
@@ -552,7 +521,7 @@ def galerkin_laplacian(density: LeafVolumeDensity, window: float, tolerance: flo
     first order K <= ``largest`` of the predicted sequence whose radii are
     all at most ``tolerance``, or None when there is none or g_low <= 0
     (module docstring)."""
-    coefficients = density_coefficients(density)
+    coefficients = density.coefficients
     eta = strip_width(coefficients)
     if not (eta > 0.0 and lower_bound(coefficients) > 0.0):
         return None

@@ -18,14 +18,9 @@ the contrast reads the forms bound that the invariance report recorded.
 carries the tag of ``pair_metadata``.
 
 Per command, ``run_pair_checks`` reads each distinct density's Laplacian
-once (``_read_once``): one read per distinct (density bytes, t-bandwidth,
-period) that a running contrast needs.  The read depends on the
-t-bandwidth, where the Galerkin read cuts the DFT, and on the period,
-which picks the read and along which the grid read takes its blocks: 2 and
-2 + 1e-300 cos t have equal bytes, bandwidths 0 and 1, and periods 1 and
-N.  The memo holds reads only and ends with the call.  The Dirac reads
-cost O(N) once the lattice of ``spectral.circulant_spectrum`` is cached,
-and are not memoised.
+once, keyed on the density; the memo holds reads only and ends with the
+call.  The Dirac reads cost O(N) once the lattice of
+``spectral.circulant_spectrum`` is cached, and are not memoised.
 
 Every basic Dirac spectrum is the lattice of the translation-invariant
 operator that the paper's operator is unitarily equivalent to, and the
@@ -384,14 +379,6 @@ def contrast_skip_reason(d1: LeafVolumeDensity, d2: LeafVolumeDensity) -> str | 
     return None
 
 
-def _read_once(memo: dict, key, read, *args):
-    """``read(*args)``, unless ``memo`` holds what it returned for ``key``
-    earlier in the call (module docstring)."""
-    if key not in memo:
-        memo[key] = read(*args)
-    return memo[key]
-
-
 def run_pair_checks(
     pairs: list[tuple[MetricProfile, MetricProfile]],
     grid: GridSpec,
@@ -427,12 +414,12 @@ def run_pair_checks(
             reports.append(VerificationReport.skipped(
                 "laplacian_dependence", LAPLACIAN_FORMS_THRESHOLD, reason, metadata))
             continue
-        laplacian_1, laplacian_2 = (
-            _read_once(laplacians, (d.g_values.tobytes(), d.t_bandwidth, d.period),
-                       function_laplacian, d, window, LAPLACIAN_FORMS_THRESHOLD)
-            for d in (d1, d2))
+        for d in (d1, d2):
+            if d not in laplacians:
+                laplacians[d] = function_laplacian(d, window, LAPLACIAN_FORMS_THRESHOLD)
         reports.append(laplacian_dependence(
-            laplacian_1, laplacian_2, invariance.metadata["forms_residual"], window, metadata))
+            laplacians[d1], laplacians[d2], invariance.metadata["forms_residual"], window,
+            metadata))
     return reports
 
 

@@ -2,17 +2,20 @@
 metrics, a writer for profile documents, and the reference implementations
 the tests check the library against: a finite-difference Laplacian, the
 weighted inner product on the t-circle, the complex-arithmetic diagonal
-scaling, symmetrization and solve that the real-view ones reproduce bit for
+scaling, symmetrization and solve that the library's reproduce bit for
 bit, the dense solve of the assembled spinor matrix that every O(N) Dirac
 read is checked against, the delta d and d delta assembly that every grid
 read of a Laplacian is checked against and the allowance of that read,
 the Laplacian report as ``spectrum`` reads it and as the pair battery
-reads it, the inputs a pair check reads, built as the pair battery builds
-them, and a patch that puts a defective factor function wherever the
-library looks it up."""
+reads it, the generated and parity profiles, the inputs a pair check
+reads, built as the pair battery builds them, and a patch that puts a
+defective factor function wherever the library looks it up."""
 
 import dataclasses
+import functools
+import importlib.util
 import json
+from pathlib import Path
 from types import SimpleNamespace
 
 import numpy as np
@@ -39,6 +42,19 @@ from foliation_lab.spectral import (
     laplacian_spectrum,
 )
 from foliation_lab.verify import LAPLACIAN_FORMS_THRESHOLD, basic_volume_ratio, pair_metadata
+
+
+@functools.cache
+def profile_corpus() -> tuple:
+    """The ten profiles ``verify --seed s`` draws, s = 0 to 41 and 7041, and
+    the profile documents of ``tools/parity.py``."""
+    path = Path(__file__).resolve().parents[1] / "tools" / "parity.py"
+    spec = importlib.util.spec_from_file_location("parity", path)
+    parity = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(parity)
+    generated = (verify.random_profile(rng)
+                 for rng in map(np.random.default_rng, [*range(42), 7041]) for _ in range(10))
+    return (*generated, *map(MetricProfile.from_dict, parity.PROFILES.values()))
 
 
 def exp_cos_profile(a: float, k_max: int = 12) -> MetricProfile:

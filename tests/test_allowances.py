@@ -11,7 +11,9 @@ from the same float inputs (the column c, the factor arrays, alpha), which
 are exact binary numbers, and asserts that the computed bound is at least
 that; the ratios bound / true value are recorded in CHANGES.md.  Every sum
 is O(N^2); only the Laplacian values need a high-precision eigensolve, of
-N x N at N <= 64.
+N x N at N <= 64.  The Galerkin read's radii are checked against the
+profile's own density, from its exact coefficients in high precision, by
+Rayleigh quotients of float Ritz vectors, which cost O(K B) each.
 """
 
 import dataclasses
@@ -19,6 +21,7 @@ import dataclasses
 import mpmath
 import numpy as np
 import pytest
+import scipy.linalg
 
 from foliation_lab import spectral
 from foliation_lab._spectral_diff import wavenumbers
@@ -26,7 +29,13 @@ from foliation_lab.basic_calculus import LeafVolumeDensity
 from foliation_lab.model_spaces import GridSpec, MetricProfile, ProfileTerm
 from foliation_lab.operators import dirac_factors
 from foliation_lab.spectral import SpectrumReport, circulant_spectrum, factor_bounds
-from foliation_lab.verify import basic_volume_ratio, conjugation_residual, pair_metadata
+from foliation_lab.verify import (
+    LAPLACIAN_FORMS_THRESHOLD,
+    basic_volume_ratio,
+    conjugation_residual,
+    pair_metadata,
+    random_profile,
+)
 
 from conftest import bloch_allowance, patch_factors
 
@@ -192,3 +201,85 @@ def test_bloch_values_lie_within_the_allowance(n_points, profile):
     exact = sorted(exact[k] for k in range(n_points))
     error = max(abs(mpmath.mpf(x) - e) for x, e in zip(report.eigenvalues.tolist(), exact))
     assert error <= bloch_allowance(density, dataclasses.replace(report, distance=0.0))
+
+
+def _generated(seed: int, draw: int) -> MetricProfile:
+    """The profile ``verify --seed`` draws at index ``draw``."""
+    rng = np.random.default_rng(seed)
+    return [random_profile(rng) for _ in range(draw + 1)][draw]
+
+
+# The Galerkin read's density and draw 3 of ``verify``'s default seed 7041,
+# whose theta-average has terms at n = -2 and n = -1 with phases.
+GALERKIN_AUDITED = {
+    "two-term": MetricProfile(2.0, (ProfileTerm(0, 1, 0.3, 0.0, 0.4),
+                                    ProfileTerm(0, 2, 0.2, 0.0, 1.1))),
+    "seed7041-3": _generated(7041, 3),
+}
+
+
+def _profile_coefficients(profile: MetricProfile) -> dict:
+    """g_m of the profile's exact theta-average, m -> value, from its terms in
+    high precision: an m = 0 term a cos(phi_theta) cos(n t + phi_t) adds
+    (a / 2) cos(phi_theta) e^{i phi_t} at n and its conjugate at -n."""
+    coefficients = {0: mpmath.mpc(profile.constant)}
+    for term in profile.terms:
+        if term.m == 0:
+            half = (mpmath.mpf(term.amplitude) * mpmath.cos(term.phase_theta) / 2
+                    * mpmath.expj(term.phase_t))
+            coefficients[term.n] = coefficients.get(term.n, 0) + half
+            coefficients[-term.n] = coefficients.get(-term.n, 0) + mpmath.conj(half)
+    return coefficients
+
+
+def _rayleigh_pair(g: dict, vector: np.ndarray) -> tuple:
+    """For u = sum c_k e^{ikt}, |k| <= K, c = ``vector``: the Rayleigh quotient
+    rho = c^H A c / c^H G c of the exact g and the Krylov-Bogolyubov bound
+    eps >= ||Delta u - rho u|| / ||u|| in L^2(g dt), both in high precision:
+    with w_l = sum_k (lk - rho) g_{l-k} c_k, |l| <= K + B, eps^2 =
+    sum |w_l|^2 / (g_low c^H G c), g_low = g_0 - 2 sum_{m >= 1} |g_m|
+    (``spectral``).  G and A are banded, so this is O(K B)."""
+    order, bandwidth = vector.size // 2, max(g)
+    c = {k: mpmath.mpc(z.real, z.imag) for k, z in zip(range(-order, order + 1), vector.tolist())}
+    rows = range(-order - bandwidth, order + bandwidth + 1)
+    mass_c, stiff_c = {}, {}
+    for l in rows:
+        terms = [(k, g.get(l - k, 0) * c[k])
+                 for k in range(max(-order, l - bandwidth), min(order, l + bandwidth) + 1)]
+        mass_c[l] = mpmath.fsum(term for _, term in terms)
+        stiff_c[l] = mpmath.fsum(l * k * term for k, term in terms)
+    norm = mpmath.re(mpmath.fsum(mpmath.conj(c[k]) * mass_c[k] for k in c))
+    rho = mpmath.re(mpmath.fsum(mpmath.conj(c[k]) * stiff_c[k] for k in c)) / norm
+    lower = mpmath.re(g[0]) - 2 * mpmath.fsum(abs(g[m]) for m in g if m > 0)
+    residual = mpmath.fsum(abs(stiff_c[l] - rho * mass_c[l]) ** 2 for l in rows)
+    return rho, mpmath.sqrt(residual / (lower * norm))
+
+
+@pytest.mark.parametrize("name", list(GALERKIN_AUDITED))
+def test_galerkin_radii_hold_for_the_profiles_own_density(name):
+    """The battery's Galerkin read at window 3.5 against the eigenvalues of
+    the function Laplacian of the profile's own density g, whose exact
+    coefficients are taken in high precision from the terms.  Each reference
+    value is the exact Rayleigh quotient rho of a float Ritz vector at order
+    K + 16; by Kato-Temple it is within eps^2 / gap of an eigenvalue, gap its
+    distance to the neighbouring references less their eps, which is far
+    below the radii.  The reference values pair with the read's by index, as
+    ``verify`` pairs them (the index is not certified, ``spectral``).  Each
+    radius must bound the read's deviation plus that term."""
+    profile = GALERKIN_AUDITED[name]
+    density = LeafVolumeDensity.from_profile(profile, GridSpec(64))
+    read = spectral.galerkin_laplacian(density, 3.5, LAPLACIAN_FORMS_THRESHOLD, 64)
+    g = _profile_coefficients(profile)
+    order = read.order + 16
+    mass, stiffness = spectral.galerkin_matrices(density.coefficients, order)
+    interior = slice(density.t_bandwidth, density.t_bandwidth + 2 * order + 1)
+    values, vectors = scipy.linalg.eigh(stiffness[interior], mass[interior])
+    count = read.values.size
+    assert values[count] > values[count - 1] + 1.0
+    reference = [_rayleigh_pair(g, vectors[:, j]) for j in range(count + 1)]
+    bounds = [-mpmath.inf, *(rho + eps for rho, eps in reference)]
+    for k in range(count):
+        rho, eps = reference[k]
+        gap = min(rho - bounds[k], reference[k + 1][0] - reference[k + 1][1] - rho)
+        error = abs(mpmath.mpf(float(read.values[k])) - rho) + eps * eps / gap
+        assert error <= read.radii[k], (k, error, read.radii[k])

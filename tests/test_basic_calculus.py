@@ -1,10 +1,14 @@
 """Basic projection, leaf averaging, weighted inner products, spectral derivatives."""
 
+import cmath
+import dataclasses
+import math
+
 import numpy as np
 import pytest
 import sympy as sp
 
-from foliation_lab._spectral_diff import fourier_derivative
+from foliation_lab._spectral_diff import fourier_derivative, uniform_nodes
 from foliation_lab.basic_calculus import LeafVolumeDensity, dlog, project_basic
 from foliation_lab.model_spaces import (
     GridSpec,
@@ -14,9 +18,10 @@ from foliation_lab.model_spaces import (
     torus_metric_sample,
 )
 
-from conftest import exp_sin_profile, weighted_inner_product
+from conftest import exp_sin_profile, profile_corpus, weighted_inner_product
 
 TWO_PI = 2.0 * np.pi
+EPS = np.finfo(np.float64).eps
 
 
 def _rng():
@@ -215,7 +220,64 @@ class TestLeafVolumeDensity:
             atol=1e-13,
         )
 
-    def test_rejects_nonpositive_density(self):
-        g = np.cos(np.arange(16))
+    def test_rejects_nonpositive_density(self, monkeypatch):
+        monkeypatch.setattr(MetricProfile, "sample_t", lambda profile, ts: np.cos(ts))
         with pytest.raises(ValueError, match="strictly positive"):
-            LeafVolumeDensity(g, fourier_derivative(g, order=1))
+            LeafVolumeDensity(MetricProfile(2.0), 16)
+
+    def test_refuses_a_profile_that_is_not_theta_averaged(self, mixed_profile):
+        with pytest.raises(ValueError, match="theta-averaged"):
+            LeafVolumeDensity(mixed_profile, 64)
+        LeafVolumeDensity(mixed_profile.theta_average(), 64)
+
+    @pytest.mark.parametrize("n_points", [64, 128, 256, 512])
+    def test_samples_are_the_average_sampled_termwise(self, n_points):
+        """The samples are the averaged profile's at the nodes, through
+        ``_kernels``, and g_dot its termwise derivative accumulated term by
+        term, bit for bit, on the generated and parity profiles."""
+        grid = GridSpec(n_points)
+        ts = uniform_nodes(n_points)
+        for profile in profile_corpus():
+            density = LeafVolumeDensity.from_profile(profile, grid)
+            average = profile.theta_average()
+            g_dot = np.zeros(n_points)
+            for term in average.terms:
+                g_dot -= term.amplitude * term.n * np.sin(term.n * ts + term.phase_t)
+            assert density.average == average and density.n_points == n_points
+            assert np.array_equal(density.g_values, average.sample_t(ts))
+            assert np.array_equal(density.g_dot_values, g_dot)
+
+    def test_a_density_is_its_average_and_grid(self, mixed_profile, grid64):
+        """The density's fields are the averaged profile and N; t-bandwidth,
+        period and coefficients are computed and cannot be passed, and equal
+        averages on one grid are equal keys."""
+        density = LeafVolumeDensity.from_profile(mixed_profile, grid64)
+        assert [field.name for field in dataclasses.fields(density)] == ["average", "n_points"]
+        assert (density.t_bandwidth, density.period) == (1, 64)
+        for name, value in (("period", 32), ("t_bandwidth", 0), ("coefficients", None)):
+            with pytest.raises(TypeError):
+                dataclasses.replace(density, **{name: value})
+        twin = LeafVolumeDensity.from_profile(mixed_profile, grid64)
+        assert twin == density and {twin: 1}[density] == 1
+        assert LeafVolumeDensity.from_profile(mixed_profile, GridSpec(128)) != density
+
+    def test_cosine_coefficients_are_exact(self):
+        density = LeafVolumeDensity(MetricProfile(2.0, (ProfileTerm(0, 1, 0.6),)), 64)
+        assert np.array_equal(density.coefficients, [0.3, 2.0, 0.3])
+
+    @pytest.mark.parametrize("terms, expected", [
+        # n < 0 with a phase: 0.4 cos(-2t + 0.5) = 0.4 cos(2t - 0.5)
+        ((ProfileTerm(0, -2, 0.4, 0.0, 0.5),),
+         [0.2 * cmath.exp(0.5j), 0.0, 2.0, 0.0, 0.2 * cmath.exp(-0.5j)]),
+        # n = 0 with a phase adds a cos(phi) to the constant
+        ((ProfileTerm(0, 0, 0.4, 0.0, 0.5),), [2.0 + 0.4 * math.cos(0.5)]),
+        # two terms at |n| = 1, the second with n < 0
+        ((ProfileTerm(0, 1, 0.6), ProfileTerm(0, -1, 0.2, 0.0, 0.3)),
+         [0.3 + 0.1 * cmath.exp(0.3j), 2.0, 0.3 + 0.1 * cmath.exp(-0.3j)]),
+        # theta terms average out; cos(phi_theta) scales an m = 0 term
+        ((ProfileTerm(1, 3, 0.4), ProfileTerm(0, 1, 0.6, 0.4)),
+         [0.3 * math.cos(0.4), 2.0, 0.3 * math.cos(0.4)]),
+    ], ids=["negative-n", "zero-n", "shared-n", "theta-average"])
+    def test_exact_coefficients(self, grid64, terms, expected):
+        density = LeafVolumeDensity.from_profile(MetricProfile(2.0, terms), grid64)
+        np.testing.assert_allclose(density.coefficients, expected, rtol=0.0, atol=4.0 * EPS)

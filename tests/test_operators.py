@@ -523,12 +523,6 @@ class TestTranslationPeriod:
         shifted = np.roll(density.g_values, period)
         assert np.max(np.abs(shifted - density.g_values)) <= bound
 
-    def test_array_densities_claim_no_symmetry(self, grid64):
-        g = np.full(64, 2.0)
-        assert LeafVolumeDensity(g, np.zeros(64)).period == 64
-        with pytest.raises(ValueError, match="does not divide"):
-            LeafVolumeDensity(g, np.zeros(64), period=24)
-
     @pytest.mark.parametrize("spin", ["trivial", "nontrivial"])
     def test_assemblers_record_no_period(self, spin):
         grid = GridSpec(64, spin)
@@ -601,28 +595,6 @@ class TestRealViewScalingBitParity:
             expected_values, expected_ratio = complex_hermitian_spectrum(op)
             assert np.array_equal(_bits(values), _bits(expected_values))
             assert ratio.hex() == expected_ratio.hex()
-
-    @pytest.mark.parametrize("n_points", [64, 256])
-    @pytest.mark.parametrize("spin", ["trivial", "nontrivial"])
-    def test_symmetrized_is_the_transposed_view_formula(self, n_points, spin, mixed_profile):
-        """S^H written contiguous gives the bits of the formula that read it as
-        the transposed view conj(S).T: H, the signs of its zeros included,
-        and the asymmetry."""
-        grid = GridSpec(n_points, spin)
-        spinor = assemble_basic_dirac_spinor(_density(mixed_profile, grid), grid)
-        noise = np.random.default_rng(n_points).normal(size=(n_points, n_points, 2))
-        for op in (spinor, dataclasses.replace(spinor, matrix=noise.view(complex)[..., 0])):
-            root = np.sqrt(op.weights)
-            scaled = op.matrix.view(np.float64) * root[:, None]
-            scaled *= np.repeat(1.0 / root, 2)
-            sym = scaled.view(np.complex128)
-            adjoint = np.conjugate(sym).T
-            expected = np.add(sym, adjoint)
-            expected *= 0.5
-            sym -= adjoint
-            hermitian, asymmetry = op.symmetrized()
-            assert np.array_equal(_bits(hermitian), _bits(expected))
-            assert asymmetry.hex() == float(np.linalg.norm(sym)).hex()
 
     @pytest.mark.parametrize("n_points", [64, 256])
     @pytest.mark.parametrize("spin", ["trivial", "nontrivial"])

@@ -1,12 +1,9 @@
 """Weighted eigensolves, window handling, spectrum comparison."""
 
 import dataclasses
-import functools
-import importlib
 import json
 import math
 import re
-from pathlib import Path
 
 import numpy as np
 import pytest
@@ -51,6 +48,7 @@ from conftest import (
     laplacian_read,
     pair_inputs,
     patch_factors,
+    profile_corpus,
     save_profile,
 )
 
@@ -548,28 +546,23 @@ class TestGramRead:
     @pytest.mark.parametrize("degree", ["function", "one_form"])
     def test_false_period_is_refused(self, cosine_profile, grid64, degree, tmp_path,
                                      monkeypatch, capsys):
-        """g = 2 + cos t has no translation symmetry: a density that claims
-        period N/2 yields a Laplacian read whose distance bound fails the
-        gate, naming the Laplacian only, and ``spectrum`` exits 2 on it; the
-        honest claim passes."""
-        true = _density(cosine_profile, grid64)
-        false = LeafVolumeDensity(true.g_values, true.g_dot_values, true.t_bandwidth, period=32)
-        with pytest.raises(OperatorSymmetryError, match="not symmetric") as refusal:
-            laplacian_read(false, grid64, degree)
-        assert "dirac" not in str(refusal.value)
-        laplacian_read(true, grid64, degree)
+        """g = 2 + cos t has no translation symmetry: with ``period`` patched to
+        N/2, the Laplacian read's distance bound fails the gate, naming the
+        Laplacian only, and ``spectrum`` exits 2 on it; the true period
+        passes."""
+        density = _density(cosine_profile, grid64)
+        assert density.period == 64
+        laplacian_read(density, grid64, degree)
         path = tmp_path / "wavy.json"
         save_profile(cosine_profile, path)
         operator = {"function": "laplacian-functions", "one_form": "laplacian-one-forms"}[degree]
         argv = ["spectrum", "--profile", str(path), "--grid", "64", "--window", "8",
                 "--operator", operator, "--output-dir", str(tmp_path / "out")]
         assert cli.run(argv) == 0
-        claim = LeafVolumeDensity.from_profile.__func__
-
-        def false_claim(cls, profile, grid):
-            return dataclasses.replace(claim(cls, profile, grid), period=grid.n_points // 2)
-
-        monkeypatch.setattr(LeafVolumeDensity, "from_profile", classmethod(false_claim))
+        monkeypatch.setattr(LeafVolumeDensity, "period", property(lambda d: d.n_points // 2))
+        with pytest.raises(OperatorSymmetryError, match="not symmetric") as refusal:
+            laplacian_read(density, grid64, degree)
+        assert "dirac" not in str(refusal.value)
         capsys.readouterr()
         assert cli.run(argv) == 2
         assert re.search(r"error: operator 'laplacian_function\[N=64\]' is not symmetric",
@@ -610,13 +603,6 @@ def _galerkin_profiles() -> dict:
     return profiles
 
 
-@functools.cache
-def _generated_profiles() -> tuple:
-    """The ten profiles ``verify --seed s`` draws, s = 0 to 41 and 7041."""
-    return tuple(random_profile(rng) for rng in map(np.random.default_rng, [*range(42), 7041])
-                 for _ in range(10))
-
-
 def _galerkin(density, window=10.0, largest=256):
     """The density's Galerkin read at the battery's tolerance, with no cap
     from its period."""
@@ -637,7 +623,7 @@ def _galerkin_matches_grid(galerkin, density, grid, window=10.0) -> bool:
 
 
 def _predicted_order(density, window=10.0) -> int:
-    eta = spectral.strip_width(spectral.density_coefficients(density))
+    eta = spectral.strip_width(density.coefficients)
     margin = math.log(1.0 / LAPLACIAN_FORMS_THRESHOLD) + spectral.GALERKIN_MARGIN
     return math.floor(window + margin / eta) + 1
 
@@ -671,36 +657,30 @@ class TestGalerkinRead:
             assert read.order == _predicted_order(density), name
             assert _galerkin_matches_grid(read, density, grid), name
 
-    def test_a_false_bandwidth_claim_is_refused(self):
-        """2 + 0.6 cos t made from arrays keeps the default t-bandwidth 0, and
-        the Galerkin read of that claim would certify the constant's
-        spectrum 0, 1, 1, 4, ...: the DFT above the claim, 0.3 at m = 1,
-        exceeds its round-off, so the coefficients and the battery's read
-        are refused; the true claim reads 0.992, 1.040, 4.012."""
-        t = GridSpec(64).t_nodes
-        false = LeafVolumeDensity(2.0 + 0.6 * np.cos(t), -0.6 * np.sin(t))
-        assert false.t_bandwidth == 0
-        for read in (spectral.density_coefficients,
-                     lambda d: spectral.function_laplacian(d, 6.0, LAPLACIAN_FORMS_THRESHOLD)):
-            with pytest.raises(ValueError, match="claimed t-bandwidth 0 has 2-norm 3.000e-01"):
-                read(false)
-        true = battery_laplacian(dataclasses.replace(false, t_bandwidth=1), 6.0)
-        np.testing.assert_allclose(true.values[:4], [0.0, 0.992, 1.040, 4.012], atol=1e-3)
-
     @pytest.mark.parametrize("n_points", [64, 128, 256, 512])
-    def test_honest_bandwidth_claims_pass(self, n_points, monkeypatch):
-        """Every profile's density keeps its DFT above its t-bandwidth below
-        15 eps max g, far inside the allowance (``spectral``): the ten
+    def test_coefficients_are_the_samples_dft(self, n_points):
+        """The exact coefficients against the DFT of the samples, on the ten
         generated profiles of seeds 0-41 and 7041 and those of
-        ``tools/parity.py``."""
+        ``tools/parity.py``: zero-padded to N/2 + 1 terms, they differ from
+        rfft(g) / N by at most (phi_N + eps) rms(g) + N eps max g in 2-norm,
+        the N-point FFT and the division by N on rms(g), and N eps max g for
+        the samples' and the coefficients' own rounding."""
         grid = GridSpec(n_points)
-        monkeypatch.syspath_prepend(str(Path(__file__).resolve().parents[1] / "tools"))
-        documents = importlib.import_module("parity").PROFILES.values()
-        for profile in [*_generated_profiles(), *map(MetricProfile.from_dict, documents)]:
+        fft = spectral.gamma(7.0 * math.log2(n_points))
+        for profile in profile_corpus():
             density = _density(profile, grid)
-            spectral.density_coefficients(density)
-            tail = np.linalg.norm(np.fft.rfft(density.g_values)[density.t_bandwidth + 1:])
-            assert tail / n_points <= 15.0 * EPS * density.g_values.max()
+            g, coefficients = density.g_values, density.coefficients
+            bandwidth = density.t_bandwidth
+            assert coefficients.shape == (2 * bandwidth + 1,) and not coefficients.flags.writeable
+            exact = np.zeros(n_points // 2 + 1, complex)
+            exact[: bandwidth + 1] = coefficients[bandwidth:]
+            assert np.array_equal(coefficients[:bandwidth][::-1], np.conj(exact[1: bandwidth + 1]))
+            dft = np.fft.rfft(g) / n_points
+            allowance = ((fft + EPS) * np.linalg.norm(g) / math.sqrt(n_points)
+                         + n_points * EPS * g.max())
+            assert np.linalg.norm(dft - exact) <= allowance
+            # the samples' DFT above the t-bandwidth, measured at most 15 eps max g
+            assert np.linalg.norm(dft[bandwidth + 1:]) <= 15.0 * EPS * g.max()
 
     def test_ritz_values_do_not_increase_along_the_orders(self):
         """Nested trial spaces: the k-th Ritz value at each order is at most
@@ -709,7 +689,7 @@ class TestGalerkinRead:
         K^2 (g_0 + 2 sum |g_m|) / g_low."""
         grid = GridSpec(128)
         for name, profile in _galerkin_profiles().items():
-            coefficients = spectral.density_coefficients(_density(profile, grid))
+            coefficients = _density(profile, grid).coefficients
             largest = float(np.sum(np.abs(coefficients)))
             lower = spectral.lower_bound(coefficients)
             previous = None
@@ -737,7 +717,7 @@ class TestGalerkinRead:
         profiles = _galerkin_profiles()
         for name in ("cosine", "mixed", "wavy2"):
             density = _density(profiles[name], grid128)
-            read = spectral.galerkin_read(spectral.density_coefficients(density),
+            read = spectral.galerkin_read(density.coefficients,
                                           _predicted_order(density), 10.0)
             assert not _galerkin_matches_grid(read, density, grid128), name
             assert read.radius > 1e-3, name
@@ -762,7 +742,7 @@ class TestGalerkinRead:
         for name in ("cosine", "mixed", "wavy2"):
             density = _density(profiles[name], grid128)
             order = _predicted_order(density, 8.0)
-            coefficients = spectral.density_coefficients(density)
+            coefficients = density.coefficients
             reads = {"honest": spectral.galerkin_read(coefficients, order, 8.0)}
             monkeypatch.setattr(spectral, "galerkin_matrices", mutant)
             reads["mutant"] = spectral.galerkin_read(coefficients, order, 8.0)
@@ -782,7 +762,7 @@ class TestGalerkinRead:
         reads the grid, and a command whose contrast reads it decides it."""
         profile = MetricProfile(1.0, (ProfileTerm(0, 1, 0.6), ProfileTerm(0, 2, 0.6)))
         density = _density(profile, grid128)
-        coefficients = spectral.density_coefficients(density)
+        coefficients = density.coefficients
         assert density.g_values.min() > 0.3
         assert spectral.strip_width(coefficients) == 0.0
         with pytest.raises(ValueError, match="g_low"):
