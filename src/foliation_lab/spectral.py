@@ -5,10 +5,9 @@ reads both basic Dirac spectra of a density from the operator's O(N) data,
 and ``laplacian_spectrum`` the basic Laplacians' from the Bloch blocks of
 the same data along the density's period.  ``function_laplacian`` reads the
 function Laplacian for the pair battery from the density's Fourier
-coefficients where that is the cheaper read or the density is constant,
-else by ``laplacian_spectrum``.  A ``SpectrumReport`` carries no window:
-callers pass one that ``GridSpec.validate_window`` has checked to
-``in_window``.
+coefficients at an order K <= N/2, else by ``laplacian_spectrum``.  A
+``SpectrumReport`` carries no window: callers pass one that
+``GridSpec.validate_window`` has checked to ``in_window``.
 
 Basic Dirac spectra.  The paper's operator is unitarily equivalent to a
 translation-invariant one, and on a circle the nontrivial spin structure
@@ -148,16 +147,19 @@ the Hermitian problem of L^{-1} A L^{-H}, c = L^{-H} y.
   g~, so its eigenvalues are at least g_low.  A Galerkin read needs
   g_low > 0: this is its gate, on the density the matrices are built from,
   since A and G are Hermitian by construction.  A positive density without
-  it, such as e^{cos t} or 1 + 0.6 cos t + 0.6 cos 2t, gets the grid read.
+  it, such as 1 + 0.6 cos t + 0.6 cos 2t (minimum 0.325, g_low = -0.2),
+  gets the grid read.
 * The order.  The eigenfunctions solve (g~ u')' + lambda g~ u = 0, whose
   singular points are the complex zeros of g~.  As |g~(t + iy) - g_0| <=
   2 sum |g_m| cosh(m y), g~ has none in the strip |Im t| < eta, eta the
   root of g_0 = 2 sum |g_m| cosh(m eta) (``strip_width``; infinite for a
   constant), so the eigenfunctions' coefficients decay like e^{-eta |l|}
   and the radius at order K like e^{-eta (K - W)} times a power of K.
-  ``galerkin_laplacian`` solves first at K = floor(W + (ln(1 / tolerance)
+  ``function_laplacian`` solves first at K = floor(W + (ln(1 / tolerance)
   + m) / eta) + 1, m = GALERKIN_MARGIN = 8, then adds ceil(m / eta) until
-  the windowed radii are all at most the tolerance.  Measured at tolerance
+  the windowed radii are all at most the tolerance.  A constant has eta
+  infinite, so its first order is floor(W) + 1 (at window 10 its largest
+  radius is 1.7e-12).  Measured at tolerance
   1e-8 (ln 1e8 = 18.4), over generated densities, cos t with amplitude to
   0.99, and t-bandwidths 3 to 16 with amplitudes to 0.6, at windows 6 to
   32, the smallest sufficient K had (K - W) eta between 13 and 26.6: the
@@ -174,22 +176,20 @@ the Hermitian problem of L^{-1} A L^{-H}, c = L^{-H} y.
   Laplacian value be less certain than a deviation that the Dirac half
   counts as a move; a tighter one changes no verdict the threshold can see
   and costs a larger K.
-* The choice (``function_laplacian``).  A grid read solves N/P Hermitian
-  blocks of dimension P, work N P^2; a Galerkin read one generalized
-  problem of dimension 2K + 1, with a Cholesky factor, three solves and
-  eigenvectors.  The pair battery makes the Galerkin read only at orders
-  with GALERKIN_COST (2K + 1)^3 <= N P^2, GALERKIN_COST = 6, and otherwise
+* The cap (``function_laplacian``).  The orders stop at K = N/2; where
+  none up to it meets the tolerance, or g_low <= 0, the pair battery takes
   the grid read of ``spectrum``, with the radius d (2 sigma + d) of each
-  value.  At the largest such K the two reads cost about the same, and
-  below it the Galerkin read is the faster: measured (the least over 7
-  runs of 7 calls, 2 cores, numpy 2.4 with OpenBLAS) at (N, P, K) =
-  (64, 64, 17), (128, 128, 34), (256, 128, 43), (256, 256, 69) and
-  (512, 512, 140), the Galerkin read takes 0.54, 1.9, 3.5, 9.5 and 53 ms
-  and the grid read 0.47, 2.4, 4.7, 12.6 and 57 ms.  A constant density
-  (P = 1, eta infinite) is read at its predicted order floor(window) + 1
-  whatever the cost: at window 10 its largest radius is 1.7e-12.  The
-  t-bandwidth-8 density of ``tools/parity.py`` (K = 89 at window 10) gets
-  the grid read up to N = 256.
+  value.  The cap limits the cost, not the error: the radius certifies
+  against the continuous operator at any K, and at K = N/2 the basis holds
+  the modes that the N-point grid resolves.  Near the cap a Galerkin read
+  can cost more than the grid read: measured (the least over 9 runs of 5
+  calls, one BLAS thread, 2 cores, numpy 2.4 with OpenBLAS), the
+  t-bandwidth-8 density of ``tools/parity.py`` takes 20 ms at K = 89
+  against 14 ms on the grid at N = 256 and window 10, but 66 ms at K = 143
+  against 81 ms at N = 512 and window 64; 2 + cos t takes 1.5 ms at K = 29
+  against 0.7 ms at N = 64 and window 8.  Generated densities, with eta >=
+  acosh(4) / 2 = 1.03, are first solved at K <= 36 at window 10 and
+  K <= 34 at window 8, so at N = 64 a few exceed the cap.
 * What is not certified.  The radius places an eigenvalue of Delta within
   r of each rho_k, and rho_k >= lambda_k, but neither says that the
   eigenvalue near rho_k is the k-th: the +-k pairs are near-degenerate
@@ -227,10 +227,6 @@ WINDOW_EDGE_SLACK = 1e-6
 # The margin m of the predicted Galerkin orders K = W + (ln(1 / tolerance) +
 # m) / eta + j m / eta, j = 0, 1, ... (module docstring).
 GALERKIN_MARGIN = 8.0
-
-# The pair battery reads a Laplacian by Galerkin at orders K with
-# GALERKIN_COST (2K + 1)^3 <= N P^2 (module docstring).
-GALERKIN_COST = 6.0
 
 _EPS = np.finfo(np.float64).eps
 
@@ -515,41 +511,22 @@ def galerkin_read(coefficients: np.ndarray, order: int, window: float) -> Laplac
     return LaplacianRead(ritz, radii, order)
 
 
-def galerkin_laplacian(density: LeafVolumeDensity, window: float, tolerance: float,
-                       largest: float) -> LaplacianRead | None:
-    """The Galerkin read of ``density``'s windowed function Laplacian at the
-    first order K <= ``largest`` of the predicted sequence whose radii are
-    all at most ``tolerance``, or None when there is none or g_low <= 0
-    (module docstring)."""
-    coefficients = density.coefficients
-    eta = strip_width(coefficients)
-    if not (eta > 0.0 and lower_bound(coefficients) > 0.0):
-        return None
-    order = math.floor(window + (math.log(1.0 / tolerance) + GALERKIN_MARGIN) / eta) + 1
-    while order <= largest:
-        read = galerkin_read(coefficients, order, window)
-        if read.radius <= tolerance:
-            return read
-        order += max(1, math.ceil(GALERKIN_MARGIN / eta))
-    return None
-
-
 def function_laplacian(density: LeafVolumeDensity, window: float,
                        tolerance: float) -> LaplacianRead:
     """The pair battery's read of ``density``'s windowed function Laplacian:
-    ``galerkin_laplacian`` at orders with GALERKIN_COST (2K + 1)^3 <= N P^2,
-    P the density's period, or for a constant density (P = 1) at its
-    predicted order floor(window) + 1; else the windowed values of
-    ``laplacian_spectrum``, each with the radius d (2 sigma + d) (module
-    docstring)."""
-    n = density.n_points
-    if density.period == 1:
-        largest = math.floor(window) + 1
-    else:
-        largest = ((n * density.period**2 / GALERKIN_COST) ** (1.0 / 3.0) - 1.0) / 2.0
-    read = galerkin_laplacian(density, window, tolerance, largest)
-    if read is not None:
-        return read
+    the ``galerkin_read`` at the first order K <= N/2 of the predicted
+    sequence whose radii are all at most ``tolerance``; when there is none,
+    or g_low <= 0, the windowed values of ``laplacian_spectrum``, each with
+    the radius d (2 sigma + d) (module docstring)."""
+    coefficients = density.coefficients
+    eta = strip_width(coefficients)
+    if eta > 0.0 and lower_bound(coefficients) > 0.0:
+        order = math.floor(window + (math.log(1.0 / tolerance) + GALERKIN_MARGIN) / eta) + 1
+        while order <= density.n_points // 2:
+            read = galerkin_read(coefficients, order, window)
+            if read.radius <= tolerance:
+                return read
+            order += max(1, math.ceil(GALERKIN_MARGIN / eta))
     report = laplacian_spectrum(density)
     windowed, distance = report.in_window(window * window), report.distance
     radius = distance * (2.0 * math.sqrt(max(float(report.eigenvalues[-1]), 0.0)) + distance)

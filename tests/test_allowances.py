@@ -209,12 +209,15 @@ def _generated(seed: int, draw: int) -> MetricProfile:
     return [random_profile(rng) for _ in range(draw + 1)][draw]
 
 
-# The Galerkin read's density and draw 3 of ``verify``'s default seed 7041,
-# whose theta-average has terms at n = -2 and n = -1 with phases.
+# The Galerkin read's density, draw 3 of ``verify``'s default seed 7041,
+# whose theta-average has terms at n = -2 and n = -1 with phases, and a
+# density with g_low = 0.1, read at K = 91.
 GALERKIN_AUDITED = {
     "two-term": MetricProfile(2.0, (ProfileTerm(0, 1, 0.3, 0.0, 0.4),
                                     ProfileTerm(0, 2, 0.2, 0.0, 1.1))),
     "seed7041-3": _generated(7041, 3),
+    "near-zero": MetricProfile(1.0, (ProfileTerm(0, 1, 0.5),
+                                     ProfileTerm(0, 2, 0.4, 0.0, 0.3))),
 }
 
 
@@ -257,9 +260,10 @@ def _rayleigh_pair(g: dict, vector: np.ndarray) -> tuple:
 
 @pytest.mark.parametrize("name", list(GALERKIN_AUDITED))
 def test_galerkin_radii_hold_for_the_profiles_own_density(name):
-    """The battery's Galerkin read at window 3.5 against the eigenvalues of
-    the function Laplacian of the profile's own density g, whose exact
-    coefficients are taken in high precision from the terms.  Each reference
+    """The battery's Galerkin read at window 3.5 on grid 256 (K <= 128)
+    against the eigenvalues of the function Laplacian of the profile's own
+    density g, whose exact coefficients are taken in high precision from
+    the terms.  Each reference
     value is the exact Rayleigh quotient rho of a float Ritz vector at order
     K + 16; by Kato-Temple it is within eps^2 / gap of an eigenvalue, gap its
     distance to the neighbouring references less their eps, which is far
@@ -267,8 +271,9 @@ def test_galerkin_radii_hold_for_the_profiles_own_density(name):
     ``verify`` pairs them (the index is not certified, ``spectral``).  Each
     radius must bound the read's deviation plus that term."""
     profile = GALERKIN_AUDITED[name]
-    density = LeafVolumeDensity.from_profile(profile, GridSpec(64))
-    read = spectral.galerkin_laplacian(density, 3.5, LAPLACIAN_FORMS_THRESHOLD, 64)
+    density = LeafVolumeDensity.from_profile(profile, GridSpec(256))
+    read = spectral.function_laplacian(density, 3.5, LAPLACIAN_FORMS_THRESHOLD)
+    assert read.order is not None
     g = _profile_coefficients(profile)
     order = read.order + 16
     mass, stiffness = spectral.galerkin_matrices(density.coefficients, order)

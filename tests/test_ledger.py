@@ -44,7 +44,10 @@ def _section_rows(lines: list[str], label: str) -> list[str]:
         assert re.fullmatch(r"[a-z_]+ +\d+ +\d+ +\d+ +\d+ +\S+  [a-z -]+", line), line
         run, passed, failed, _ = map(int, line.split()[1:5])
         assert run == passed + failed
-    assert re.fullmatch(r"laplacian reads: galerkin \d+, grid \d+", lines[header + 5])
+    match = re.fullmatch(r"laplacian reads: galerkin (\d+) \(largest K (\d+|-)\), grid \d+",
+                         lines[header + 5])
+    assert match, lines[header + 5]
+    assert (match.group(1) == "0") == (match.group(2) == "-")
     for line in lines[header + 6 :]:
         assert re.fullmatch(r"skipped \d+: [a-z_]+: .+", line), line
     return labels

@@ -603,12 +603,6 @@ def _galerkin_profiles() -> dict:
     return profiles
 
 
-def _galerkin(density, window=10.0, largest=256):
-    """The density's Galerkin read at the battery's tolerance, with no cap
-    from its period."""
-    return spectral.galerkin_laplacian(density, window, LAPLACIAN_FORMS_THRESHOLD, largest)
-
-
 def _galerkin_matches_grid(galerkin, density, grid, window=10.0) -> bool:
     """Whether ``galerkin``, the density's Galerkin read at ``window``, meets
     the battery's tolerance and its windowed values are the grid read's,
@@ -640,7 +634,7 @@ class TestGalerkinRead:
         away) has the spectrum {k^2}: 0 once and every other value twice,
         each within its radius of the computed value, which is round-off.
         Its order is the first above the window."""
-        read = _galerkin(_density(MetricProfile(constant, terms), grid64), 8.0)
+        read = battery_laplacian(_density(MetricProfile(constant, terms), grid64), 8.0)
         squares = np.sort(np.arange(-8, 9) ** 2).astype(float)
         assert read.order == 9
         assert np.all(np.abs(read.values - squares) <= read.radii)
@@ -653,7 +647,7 @@ class TestGalerkinRead:
         grid = GridSpec(n_points)
         for name, profile in _galerkin_profiles().items():
             density = _density(profile, grid)
-            read = _galerkin(density)
+            read = battery_laplacian(density, 10.0)
             assert read.order == _predicted_order(density), name
             assert _galerkin_matches_grid(read, density, grid), name
 
@@ -721,7 +715,6 @@ class TestGalerkinRead:
                                           _predicted_order(density), 10.0)
             assert not _galerkin_matches_grid(read, density, grid128), name
             assert read.radius > 1e-3, name
-            assert _galerkin(density, largest=64) is None, name
             assert battery_laplacian(density, 10.0).order is None, name
 
     def test_a_mutant_stiffness_fails_the_contrast_with_a_constant(self, grid128, monkeypatch):
@@ -767,7 +760,6 @@ class TestGalerkinRead:
         assert spectral.strip_width(coefficients) == 0.0
         with pytest.raises(ValueError, match="g_low"):
             spectral.galerkin_read(coefficients, 24, 8.0)
-        assert _galerkin(density, 8.0) is None
         read = battery_laplacian(density, 8.0)
         assert read.order is None
         assert np.array_equal(read.values, laplacian_read(density, grid128).in_window(64.0))
@@ -783,23 +775,18 @@ class TestGalerkinRead:
         assert contrast["metadata"]["laplacian_order"] == [None, _predicted_order(
             _density(MetricProfile(2.0, (ProfileTerm(0, 1, 1.0),)), grid128), 8.0)]
 
-    @pytest.mark.parametrize("n_points, galerkin", [(64, False), (128, True), (256, True)])
-    def test_the_battery_reads_galerkin_only_where_it_is_the_cheaper_read(self, n_points,
-                                                                          galerkin):
-        """2 + cos t (period N) at window 8 needs K = 29: the grid read at
-        N = 64, where 6 (2K + 1)^3 > N P^2, and the Galerkin read from
-        N = 128; a constant (period 1) always gets the Galerkin read at
-        floor(window) + 1, and the t-bandwidth-8 density of
-        ``tools/parity.py``, whose K is 89 at window 10, the grid read up to
-        N = 256."""
+    @pytest.mark.parametrize("n_points, wavy8_order", [(64, None), (128, None), (256, 89)])
+    def test_the_battery_reads_galerkin_up_to_half_the_grid(self, n_points, wavy8_order):
+        """2 + cos t (period N) at window 8 needs K = 29 <= N/2 and gets the
+        Galerkin read at every grid, whatever its cost against the grid
+        read; a constant (eta infinite) gets it at floor(window) + 1; the
+        t-bandwidth-8 density of ``tools/parity.py``, whose K is 89 at
+        window 10, gets the grid read while N/2 < 89."""
         grid = GridSpec(n_points)
         cosine = _density(MetricProfile(2.0, (ProfileTerm(0, 1, 1.0),)), grid)
         assert _predicted_order(cosine, 8.0) == 29
-        assert (6 * 59**3 <= n_points**3) == galerkin
         read = battery_laplacian(cosine, 8.0)
-        assert read.order == (29 if galerkin else None)
-        if not galerkin:
-            assert np.array_equal(read.values, laplacian_read(cosine, grid).in_window(64.0))
+        assert read.order == 29 and read.radius <= LAPLACIAN_FORMS_THRESHOLD
         flat = _density(MetricProfile(2.0), grid)
         flat_read = battery_laplacian(flat, 8.0)
         assert flat_read.order == 9 and flat_read.radius <= LAPLACIAN_FORMS_THRESHOLD
@@ -808,7 +795,24 @@ class TestGalerkinRead:
         wavy8 = _density(MetricProfile(2.0, (ProfileTerm(0, 1, 0.5),
                                              ProfileTerm(0, 8, 0.2, 0.0, 0.7))), grid)
         assert _predicted_order(wavy8) == 89
-        assert battery_laplacian(wavy8, 10.0).order is None
+        wavy8_read = battery_laplacian(wavy8, 10.0)
+        assert wavy8_read.order == wavy8_order
+        if wavy8_order is None:
+            assert np.array_equal(wavy8_read.values,
+                                  laplacian_read(wavy8, grid).in_window(100.0))
+        else:
+            assert _galerkin_matches_grid(wavy8_read, wavy8, grid)
+
+    @pytest.mark.parametrize("n_points, order", [(58, 29), (56, None)])
+    def test_the_cap_is_half_the_grid(self, n_points, order):
+        """2 + cos t at window 8, predicted K = 29: read by Galerkin on a
+        grid with N/2 = 29, and on the grid where N/2 = 28."""
+        grid = GridSpec(n_points)
+        cosine = _density(MetricProfile(2.0, (ProfileTerm(0, 1, 1.0),)), grid)
+        read = battery_laplacian(cosine, 8.0)
+        assert read.order == order
+        if order is None:
+            assert np.array_equal(read.values, laplacian_read(cosine, grid).in_window(64.0))
 
 
 class TestSpectrumCompare:

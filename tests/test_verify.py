@@ -317,21 +317,29 @@ def test_property_sweep_over_seeded_pairs(n_points):
         assert conjugation_residual(*pair.densities, pair.alpha, grid, pair.metadata).passed
 
 
+# The t-bandwidth-8 density of ``tools/parity.py``: its Galerkin order, 87 at
+# window 8, exceeds N/2 at grid 128, so the pair battery reads it on the grid.
+WAVY_8 = MetricProfile(2.0, (ProfileTerm(0, 1, 0.5), ProfileTerm(0, 8, 0.2, 0.0, 0.7)))
+# 1 + 0.6 cos t + 0.6 cos 2t is positive, but g_0 - 2 sum |g_m| = -0.2: the
+# Galerkin read is refused, and the pair battery reads it on the grid.
+NO_LOWER_BOUND = MetricProfile(1.0, (ProfileTerm(0, 1, 0.6), ProfileTerm(0, 2, 0.6)))
+
+
 @pytest.mark.parametrize(
     "n_points, second, skip, shapes",
     [
         # per density its Laplacian read, none of a Dirac operator: at N = 64
-        # the flat density's is one Galerkin solve at K = 9, and 2 + cos t's,
-        # without symmetry, one dense Gram block, as 6 (2K + 1)^3 > N P^2 for
-        # its K = 29 at window 8
-        (64, MetricProfile(2.0, (ProfileTerm(0, 1, 1.0),)), False,
-         ([(1, 64, 64)], [(19, 19)])),
-        # at N = 128, 2 + cos t's is one Galerkin solve of dimension 59, and
-        # no N x N matrix is built or solved
+        # the flat density's is one Galerkin solve at K = 9, and 2 + cos t's
+        # one of dimension 59 (K = 29 <= N/2); no N x N matrix is built or
+        # solved
+        (64, MetricProfile(2.0, (ProfileTerm(0, 1, 1.0),)), False, ([], [(19, 19), (59, 59)])),
         (128, MetricProfile(2.0, (ProfileTerm(0, 1, 1.0),)), False, ([], [(19, 19), (59, 59)])),
         # the theta-average of 1 + cos(theta)/2 is flat: the contrast is
         # skipped, and nothing is solved
         (64, MetricProfile(1.0, (ProfileTerm(1, 0, 0.5),)), True, ([], [])),
+        # at N = 128 the t-bandwidth-8 density's K = 87 exceeds N/2: without
+        # symmetry, one dense Gram block
+        (128, WAVY_8, False, ([(1, 128, 128)], [(19, 19)])),
     ],
 )
 def test_pair_battery_solves_each_spectrum_once(flat_profile, monkeypatch, n_points, second, skip,
@@ -423,7 +431,7 @@ def test_pair_battery_compares_each_dirac_spectrum_once(flat_profile, cosine_pro
 
 @pytest.mark.parametrize(
     "n_points, grid_reads, orders",
-    [(64, [("grid", 64)] * 2, [None, None]), (128, [], [29, 23])],
+    [(64, [], [29, 23]), (128, [], [29, 23]), (128, [("grid", 128)], [None, 23])],
 )
 def test_pair_battery_reads_dirac_spectra_from_the_weight_data(cosine_profile, mixed_profile,
                                                                monkeypatch, n_points, grid_reads,
@@ -431,13 +439,15 @@ def test_pair_battery_reads_dirac_spectra_from_the_weight_data(cosine_profile, m
     """No N x N matrix in the battery: two ``dirac_spectra`` reads of the
     pair's densities, no ``hermitian_spectrum``, no assembly, and a
     conjugation check on the same densities.  Each density's Laplacian is
-    read once by ``function_laplacian``: a Galerkin read capped at
-    6 (2K + 1)^3 <= N P^2, and where none is made ``laplacian_spectrum``
-    along the density's period (here at N = 64, where K = 29 and 23 do not
-    fit)."""
+    read once by ``function_laplacian``: one ``galerkin_read`` at its
+    predicted order where that is at most N/2 (K = 29 and 23 for 2 + cos t
+    and the mixed profile), and ``laplacian_spectrum`` along the density's
+    period where none is made (1 + 0.6 cos t + 0.6 cos 2t in place of
+    2 + cos t, with g_low <= 0)."""
     read, events, conjugated, galerkin = [], [], [], []
     spectra, grid_read = verify.dirac_spectra, spectral.laplacian_spectrum
-    conjugate, galerkin_read = verify.conjugation_residual, spectral.galerkin_laplacian
+    conjugate, galerkin_read = verify.conjugation_residual, spectral.galerkin_read
+    first = cosine_profile if orders[0] is not None else NO_LOWER_BOUND
 
     def recorded_read(density, grid):
         read.append(density)
@@ -448,9 +458,9 @@ def test_pair_battery_reads_dirac_spectra_from_the_weight_data(cosine_profile, m
         assert any(density is dirac_read for dirac_read in read)
         return grid_read(density)
 
-    def recorded_galerkin(density, window, tolerance, largest):
-        report = galerkin_read(density, window, tolerance, largest)
-        galerkin.append((window, tolerance, largest, None if report is None else report.order))
+    def recorded_galerkin(coefficients, order, window):
+        report = galerkin_read(coefficients, order, window)
+        galerkin.append((window, order, report.radius <= verify.LAPLACIAN_FORMS_THRESHOLD))
         return report
 
     def recorded_solve(op):
@@ -467,16 +477,14 @@ def test_pair_battery_reads_dirac_spectra_from_the_weight_data(cosine_profile, m
     monkeypatch.setattr(spectral, "laplacian_spectrum", recorded_grid_read)
     monkeypatch.setattr(WeightedOperator, "hermitian_spectrum", recorded_solve)
     monkeypatch.setattr(verify, "conjugation_residual", recorded_conjugation)
-    monkeypatch.setattr(spectral, "galerkin_laplacian", recorded_galerkin)
+    monkeypatch.setattr(spectral, "galerkin_read", recorded_galerkin)
     monkeypatch.setattr(operators, "assemble_basic_dirac_spinor", refused_assembly)
-    reports = run_pair_checks([(cosine_profile, mixed_profile)], GridSpec(n_points), 8.0)
+    reports = run_pair_checks([(first, mixed_profile)], GridSpec(n_points), 8.0)
     assert [report.passed for report in reports] == [True] * 4
     assert reports[3].metadata["laplacian_order"] == orders
     assert read == conjugated
     assert events == grid_reads
-    largest = ((n_points**3 / spectral.GALERKIN_COST) ** (1.0 / 3.0) - 1.0) / 2.0
-    assert galerkin == [(8.0, verify.LAPLACIAN_FORMS_THRESHOLD, largest, order)
-                        for order in orders]
+    assert galerkin == [(8.0, order, True) for order in orders if order is not None]
     assert not hasattr(verify, "assemble_basic_dirac_spinor")
     assert not hasattr(spectral, "assemble_basic_dirac_spinor")
 
@@ -506,18 +514,20 @@ WAVY_TINY_8 = MetricProfile(2.0, (ProfileTerm(0, 1, 1.0), ProfileTerm(0, 8, 1e-3
         # Laplacian: the Laplacian reads run on the second pair; every pair
         # reads its two Dirac spectra
         (64, [(FLAT_2, FLAT_2_SKEW), (WAVY, FLAT_2)], True,
-         [("dirac",)] * 4 + [("laplacian", 1, 64, None), ("laplacian", 0, 1, 9)]),
+         [("dirac",)] * 4 + [("laplacian", 1, 64, 29), ("laplacian", 0, 1, 9)]),
         # equal bytes, periods 1 and 64, bandwidths 0 and 1: two Laplacian
         # reads, both Galerkin reads at K = 9, the first at the constant's
         # order, the second as the trimmed coefficients are constant
         (64, [(FLAT_2, FLAT_2_TINY), (FLAT_2_TINY, WAVY), (FLAT_2, FLAT_2_SKEW)], False,
          [("dirac",)] * 2 + [("laplacian", 0, 1, 9), ("laplacian", 1, 64, 9)]
-         + [("dirac",)] * 2 + [("laplacian", 1, 64, None)] + [("dirac",)] * 2),
+         + [("dirac",)] * 2 + [("laplacian", 1, 64, 29)] + [("dirac",)] * 2),
         # equal bytes, bandwidths 1 and 8: two Galerkin reads, as the
-        # round-off of DFT coefficients 2 to 8 is read
-        (128, [(WAVY, FLAT_2), (WAVY_TINY_8, FLAT_2)], False,
+        # round-off of DFT coefficients 2 to 8 is read; then one grid read,
+        # as 2 + cos t's read is already made
+        (128, [(WAVY, FLAT_2), (WAVY_TINY_8, FLAT_2), (NO_LOWER_BOUND, WAVY)], False,
          [("dirac",)] * 2 + [("laplacian", 1, 128, 29), ("laplacian", 0, 1, 9)]
-         + [("dirac",)] * 2 + [("laplacian", 8, 128, 29)]),
+         + [("dirac",)] * 2 + [("laplacian", 8, 128, 29)]
+         + [("dirac",)] * 2 + [("laplacian", 2, 128, None)]),
     ],
 )
 def test_pair_memo_changes_no_report(monkeypatch, n_points, pairs, generated, reads):
@@ -768,13 +778,15 @@ def test_one_grid_read_assembles_nothing(flat_profile, cosine_profile, tmp_path,
                                          capsys):
     """With the spinor assembly and the derivative matrix raising,
     ``spectrum --operator laplacian-{functions,one-forms}`` and an
-    ``invariance`` pair whose contrast takes the grid fallback (2 + cos t
-    at grid 64 and window 8) exit 0, each grid read one call of
-    ``laplacian_spectrum``; under the w = g factor mutant the
-    ``laplacian-functions`` spectrum exits 2 at its gate."""
-    flat, wavy = tmp_path / "flat.json", tmp_path / "wavy.json"
+    ``invariance`` pair whose contrast takes the grid fallback
+    (1 + 0.6 cos t + 0.6 cos 2t, with g_low <= 0, at grid 64 and window 8)
+    exit 0, each grid read one call of ``laplacian_spectrum``; under the
+    w = g factor mutant the ``laplacian-functions`` spectrum exits 2 at its
+    gate."""
+    flat, wavy, low = tmp_path / "flat.json", tmp_path / "wavy.json", tmp_path / "low.json"
     save_profile(flat_profile, flat)
     save_profile(cosine_profile, wavy)
+    save_profile(NO_LOWER_BOUND, low)
     reads, grid_read = [], spectral.laplacian_spectrum
 
     def recorded(density):
@@ -796,7 +808,7 @@ def test_one_grid_read_assembles_nothing(flat_profile, cosine_profile, tmp_path,
         assert cli.run([*spectrum, operator]) == 0
         assert reads == [64]
     del reads[:]
-    assert cli.run(["invariance", "--profiles", str(flat), str(wavy), *out]) == 0
+    assert cli.run(["invariance", "--profiles", str(flat), str(low), *out]) == 0
     assert reads == [64]
     bundle = json.loads((tmp_path / "out" / "invariance_bundle.json").read_text())
     assert bundle["reports"][-1]["metadata"]["laplacian_order"] == [9, None]
@@ -807,32 +819,37 @@ def test_one_grid_read_assembles_nothing(flat_profile, cosine_profile, tmp_path,
                      capsys.readouterr().err)
 
 
-@pytest.mark.parametrize("n_points, orders", [(64, [9, None]), (128, [9, 29])])
+@pytest.mark.parametrize("n_points, orders", [(64, [9, 29]), (128, [9, 29]), (128, [9, None])])
 def test_commands_solve_no_dirac_matrix(flat_profile, cosine_profile, tmp_path, monkeypatch,
                                         n_points, orders):
     """No command solves a Dirac matrix: ``verify``, ``invariance`` and
     ``spectrum --operator dirac-*`` read every Dirac spectrum from the
     operator's O(N) data, with no eigensolve.  Every grid eigensolve is
     ``laplacian_spectrum``'s one ``eigvalsh`` call on the stacked Bloch
-    blocks of a Laplacian's period.  In ``verify`` and ``invariance`` a
-    Laplacian is first offered to ``galerkin_laplacian``, whose one ``eigh``
-    call is (2K + 1)-dimensional where it reads, and read on the grid where
-    it does not; a Laplacian ``spectrum`` takes one grid read and no
-    Galerkin read.  Per command: one Laplacian read per distinct (density,
-    t-bandwidth, period) that a running contrast reads.  ``orders`` are the
-    Galerkin orders of the flat density and 2 + cos t at window 8, None for
-    a grid read."""
-    events, sizes, galerkin, eigh_sizes, solved = [], [], [], [], []
+    blocks of a Laplacian's period.  In ``verify`` and ``invariance``
+    ``function_laplacian`` reads a Laplacian by ``galerkin_read``, whose one
+    ``eigh`` call is (2K + 1)-dimensional, where its order is at most N/2,
+    and on the grid where it is not; a Laplacian ``spectrum`` takes one grid
+    read and no Galerkin read.  Per command: one Laplacian read per distinct
+    density that a running contrast reads.  ``orders`` are the Galerkin
+    orders of the flat density and of the second profile at window 8, None
+    for a grid read: 2 + cos t, or the t-bandwidth-8 density (K = 87 > N/2)."""
+    events, sizes, laplacians, galerkin, eigh_sizes, solved = [], [], [], [], [], []
     grid_read, eigvalsh, eigh = spectral.laplacian_spectrum, np.linalg.eigvalsh, np.linalg.eigh
-    galerkin_read = spectral.galerkin_laplacian
+    laplacian, galerkin_read = verify.function_laplacian, spectral.galerkin_read
 
     def recorded_grid_read(density):
         events.append(("grid", density.period))
         return grid_read(density)
 
+    def recorded_laplacian(*args):
+        report = laplacian(*args)
+        laplacians.append(report.order)
+        return report
+
     def recorded_galerkin(*args):
         report = galerkin_read(*args)
-        galerkin.append(None if report is None else report.order)
+        galerkin.append(report.order)
         return report
 
     def counted_eigh(matrix, *args, **kwargs):
@@ -847,19 +864,21 @@ def test_commands_solve_no_dirac_matrix(flat_profile, cosine_profile, tmp_path, 
     for module in (spectral, cli):
         monkeypatch.setattr(module, "laplacian_spectrum", recorded_grid_read)
     monkeypatch.setattr(np.linalg, "eigvalsh", counted_eigvalsh)
-    monkeypatch.setattr(spectral, "galerkin_laplacian", recorded_galerkin)
+    monkeypatch.setattr(verify, "function_laplacian", recorded_laplacian)
+    monkeypatch.setattr(spectral, "galerkin_read", recorded_galerkin)
     monkeypatch.setattr(np.linalg, "eigh", counted_eigh)
     flat, wavy = str(tmp_path / "flat.json"), str(tmp_path / "wavy.json")
     save_profile(flat_profile, flat)
-    save_profile(cosine_profile, wavy)
+    save_profile(cosine_profile if orders[1] is not None else WAVY_8, wavy)
     out = ["--grid", str(n_points), "--window", "8", "--output-dir", str(tmp_path / "out")]
 
     def run(argv):
-        del events[:], sizes[:], galerkin[:], eigh_sizes[:]
+        del events[:], sizes[:], laplacians[:], galerkin[:], eigh_sizes[:]
         assert cli.run([*argv, *out]) in (0, 1)
         assert sizes == [(n_points // period, period, period) for _, period in events]
         # one eigh per Galerkin read: its first order meets the tolerance
-        assert eigh_sizes == [(2 * order + 1,) * 2 for order in galerkin if order is not None]
+        assert galerkin == [order for order in laplacians if order is not None]
+        assert eigh_sizes == [(2 * order + 1,) * 2 for order in galerkin]
         return list(events)
 
     # five generated pairs: only the contrasts that run read Laplacians
@@ -873,17 +892,46 @@ def test_commands_solve_no_dirac_matrix(flat_profile, cosine_profile, tmp_path, 
     pairs = [[LeafVolumeDensity.from_profile(random_profile(rng), grid) for _ in range(2)]
              for _ in range(5)]
     contrasted_keys = {d for pair, ran in zip(pairs, contrasted) if ran for d in pair}
-    assert len(galerkin) == len(contrasted_keys)
-    assert len(read) == galerkin.count(None)
-    # the flat profile and 2 + cos t: per density its Laplacian read
+    assert len(laplacians) == len(contrasted_keys)
+    assert len(read) == laplacians.count(None)
+    # the flat profile and the second: per density its Laplacian read
     for argv in (["verify", "--profiles", flat, wavy], ["invariance", "--profiles", flat, wavy]):
         assert run(argv) == ([("grid", n_points)] if orders[1] is None else [])
-        assert galerkin == orders
+        assert laplacians == orders
     for spin in ("trivial", "nontrivial"):
         spectrum = ["spectrum", "--profile", wavy, "--spin", spin, "--operator"]
         for operator in ("dirac-spinor", "dirac-forms"):
             assert run([*spectrum, operator]) == []
         for operator in ("laplacian-functions", "laplacian-one-forms"):
             assert run([*spectrum, operator]) == [("grid", n_points)]
-            assert galerkin == []
+            assert galerkin == laplacians == []
     assert solved == []
+
+
+@pytest.mark.parametrize("n_points", [128, 256])
+def test_generated_contrasts_rest_on_galerkin_reads(tmp_path, monkeypatch, n_points):
+    """``verify --all`` with its default five generated pairs, for the seeds
+    0 to 41 and the default 7041 at window 10: every running contrast reads
+    both densities by Galerkin (their orders are at most N/2), so none
+    makes a grid read and every recorded ``laplacian_order`` is an int."""
+    grid_reads, grid_read = [], spectral.laplacian_spectrum
+
+    def recorded(density):
+        grid_reads.append(density.period)
+        return grid_read(density)
+
+    monkeypatch.setattr(spectral, "laplacian_spectrum", recorded)
+    contrasts = 0
+    for seed in (*range(42), 7041):
+        argv = ["verify", "--all", "--grid", str(n_points), "--window", "10", "--seed",
+                str(seed), "--output-dir", str(tmp_path)]
+        assert cli.run(argv) in (0, 1)
+        bundle = json.loads((tmp_path / "verify_bundle.json").read_text())
+        for report in bundle["reports"]:
+            metadata = report["metadata"]
+            if report["check_name"] == "laplacian_dependence" and not metadata.get("skipped"):
+                contrasts += 1
+                orders = metadata["laplacian_order"]
+                assert len(orders) == 2 and all(type(order) is int for order in orders), seed
+    assert grid_reads == []
+    assert contrasts > 0

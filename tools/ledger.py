@@ -13,7 +13,8 @@ grid the ledger lists the seeds by exit code, and the invariance cases by
 name; per check the runs, passes, failures and skips,
 the smallest threshold/residual ratio over the runs (inf for a zero
 residual, 0 for an infinite one) and what the residual measures; the
-Laplacian reads of the running contrasts by kind; and the skips by reason.
+Laplacian reads of the running contrasts by kind, with the largest Galerkin
+order K (its headroom below the cap N/2); and the skips by reason.
 A header records the provenance: Python, numpy, its BLAS and LAPACK, and the
 CPU count.  Bundles are written to a temporary directory and removed; BLAS
 runs on one thread unless the environment says otherwise.
@@ -80,7 +81,7 @@ def _ratio(report: dict) -> float:
 def section(title: str, runs: dict) -> list[str]:
     """The ledger lines of one section; ``runs`` maps each command's label to
     its exit code and reports."""
-    codes, rows, reads, skips = {}, {}, Counter(), Counter()
+    codes, rows, orders, skips = {}, {}, [], Counter()
     for label, (code, reports) in runs.items():
         codes[label] = code
         for report in reports:
@@ -94,8 +95,7 @@ def section(title: str, runs: dict) -> list[str]:
             row["run"] += 1
             row["passed" if report["passed"] else "failed"] += 1
             row["ratio"] = min(row["ratio"], _ratio(report))
-            for order in metadata.get("laplacian_order", []):
-                reads["grid" if order is None else "galerkin"] += 1
+            orders += metadata.get("laplacian_order", [])
     lines = [title]
     for code in sorted(set(codes.values())):
         chosen = [str(label) for label, value in codes.items() if value == code]
@@ -105,8 +105,9 @@ def section(title: str, runs: dict) -> list[str]:
     for name, row in rows.items():
         lines.append(f"{name:<22}{row['run']:>6}{row['passed']:>8}{row['failed']:>8}"
                      f"{row['skipped']:>9}{row['ratio']:>12.3g}  {MEASURES.get(name, '?')}")
-    lines.append("laplacian reads: " + ", ".join(
-        f"{kind} {reads[kind]}" for kind in ("galerkin", "grid")))
+    galerkin = [order for order in orders if order is not None]
+    lines.append(f"laplacian reads: galerkin {len(galerkin)} (largest K "
+                 f"{max(galerkin, default='-')}), grid {orders.count(None)}")
     lines += [f"skipped {count}: {reason}" for reason, count in sorted(skips.items())]
     return lines
 

@@ -43,8 +43,9 @@ PROFILES = {
     "wavy2": {"constant": 2.0, "terms": [{"m": 0, "n": 2, "amp": 0.6},
                                          {"m": 0, "n": -2, "amp": 0.3, "phase_t": 1.0},
                                          {"m": 1, "n": 1, "amp": 0.4}]},
-    # t-bandwidth 8: its Galerkin order, 89 at window 10, is too large for
-    # grid 128, so the pair battery reads it by the grid read
+    # t-bandwidth 8: its Galerkin order, 89 at window 10, exceeds N/2 = 64 at
+    # grid 128, the largest order whose modes the grid resolves, so the pair
+    # battery reads it by the grid read
     "wavy8": {"constant": 2.0, "terms": [{"m": 0, "n": 1, "amp": 0.5},
                                          {"m": 0, "n": 8, "amp": 0.2, "phase_t": 0.7}]},
 }
