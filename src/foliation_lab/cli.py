@@ -29,7 +29,7 @@ from .operators import laplacian_label
 # here by name (perfbench/tests/test_determinism.py).
 from .spectral import (SpectrumReport, dirac_spectra, eigenvalues_weighted,  # noqa: F401
                        laplacian_spectrum)
-from .verify import random_profile, run_pair_checks, run_profile_checks
+from .verify import random_pair, run_pair_checks, run_profile_checks
 
 DEFAULT_SEED = 7041
 SEED_ENV_VAR = "FOLIATION_LAB_SEED"
@@ -181,12 +181,11 @@ def _cmd_sweep(args) -> int:
 
 
 def _run_verification(profiles, grid, window, pairs, seed) -> list:
-    generated = len(profiles) < 2
     rng = np.random.default_rng(seed)
     reports = run_pair_checks(
-        [(random_profile(rng), random_profile(rng)) for _ in range(pairs)] if generated
+        [random_pair(rng) for _ in range(pairs)] if len(profiles) < 2
         else list(zip(profiles, profiles[1:])),
-        grid, window, skip_indistinct_laplacian=generated,
+        grid, window,
     )
     for profile in profiles:
         reports.extend(run_profile_checks(profile, grid))

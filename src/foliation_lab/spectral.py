@@ -159,10 +159,10 @@ the Hermitian problem of L^{-1} A L^{-H}, c = L^{-H} y.
   + m) / eta) + 1, m = GALERKIN_MARGIN = 8, then adds ceil(m / eta) until
   the windowed radii are all at most the tolerance.  A constant has eta
   infinite, so its first order is floor(W) + 1 (at window 10 its largest
-  radius is 1.7e-12).  Measured at tolerance
-  1e-8 (ln 1e8 = 18.4), over generated densities, cos t with amplitude to
-  0.99, and t-bandwidths 3 to 16 with amplitudes to 0.6, at windows 6 to
-  32, the smallest sufficient K had (K - W) eta between 13 and 26.6: the
+  radius is 1.7e-12).  Measured at tolerance 1e-8 (ln 1e8 = 18.4), over
+  ``verify.random_profile`` densities, cos t with amplitude to 0.99, and
+  t-bandwidths 3 to 16 with amplitudes to 0.6, at windows 6 to 32, the
+  smallest sufficient K had (K - W) eta between 13 and 26.6: the
   first solve suffices except for densities near zero, and each further
   step cuts the radius by about e^{-8}.
 * The tolerance.  ``verify`` passes LAPLACIAN_FORMS_THRESHOLD = 1e-8, the
@@ -187,9 +187,9 @@ the Hermitian problem of L^{-1} A L^{-H}, c = L^{-H} y.
   t-bandwidth-8 density of ``tools/parity.py`` takes 20 ms at K = 89
   against 14 ms on the grid at N = 256 and window 10, but 66 ms at K = 143
   against 81 ms at N = 512 and window 64; 2 + cos t takes 1.5 ms at K = 29
-  against 0.7 ms at N = 64 and window 8.  Generated densities, with eta >=
-  acosh(4) / 2 = 1.03, are first solved at K <= 36 at window 10 and
-  K <= 34 at window 8, so at N = 64 a few exceed the cap.
+  against 0.7 ms at N = 64 and window 8.  ``verify.random_pair``'s
+  densities, 2 and 2 + a cos(2t + psi) with eta >= acosh(20) / 2 = 1.84, are
+  first solved at K <= W + 15, so none reaches the grid read at N = 64.
 * What is not certified.  The radius places an eigenvalue of Delta within
   r of each rho_k, and rho_k >= lambda_k, but neither says that the
   eigenvalue near rho_k is the k-th: the +-k pairs are near-degenerate

@@ -11,11 +11,14 @@ precondition does not hold returns ``VerificationReport.skipped`` itself.
 The two batteries build those values once and hold them as locals:
 ``run_pair_checks`` builds each profile's leaf-volume density and alpha,
 reads each density's ``dirac_spectra`` from the operator's O(N) data, with
-no N x N matrix, and the density's ``function_laplacian`` when the contrast
-runs; the conjugation check bounds its residual from the same data, and
-the contrast reads the forms bound that the invariance report recorded.
+no N x N matrix, and the density's ``function_laplacian``; the
+conjugation check bounds its residual from the same data, and the contrast
+reads the forms bound that the invariance report recorded.
 ``run_profile_checks`` builds one torus geometry.  Every pair report
 carries the tag of ``pair_metadata``.
+
+Generated pairs (``random_pair``) and given pairs run the same battery,
+and no pair check is skipped.
 
 Per command, ``run_pair_checks`` reads each distinct density's Laplacian
 once, keyed on the density; the memo holds reads only and ends with the
@@ -40,7 +43,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from ._spectral_diff import fourier_derivative
-from .basic_calculus import LeafVolumeDensity, dlog, project_basic
+from .basic_calculus import LeafVolumeDensity, dlog
 from .model_spaces import (
     GridSpec,
     MetricProfile,
@@ -68,9 +71,6 @@ SCAL_RELATION_THRESHOLD = 1e-6
 LICHNEROWICZ_THRESHOLD = 1e-8
 LAPLACIAN_FORMS_THRESHOLD = 1e-8
 LAPLACIAN_GAP_THRESHOLD = 1e-3
-# Least max|g1 - g2| of the theta-averaged densities for which an
-# auto-generated pair runs the Laplacian-dependence contrast.
-DENSITY_MARGIN = 1e-2
 
 # Why a Dirac bound is infinite (``invariance_check``): a window count is not
 # certified (``SpectrumReport.window_count``).
@@ -131,10 +131,11 @@ def _profile_metadata(tag: str, profile: MetricProfile, grid: GridSpec) -> dict:
 
 
 def basic_volume_ratio(p1: MetricProfile, p2: MetricProfile, grid: GridSpec) -> np.ndarray:
-    """alpha = P_b(dvol'/dvol) computed under the first metric's weighting."""
-    f1 = torus_metric_sample(p1, grid)
-    f2 = torus_metric_sample(p2, grid)
-    return project_basic(np.divide(f2, f1, out=f2), f1, grid).real
+    """alpha = P_b(dvol'/dvol) under the first metric's weighting, which by
+    ``project_basic``'s definition is sum_theta f2 / sum_theta f1: read from
+    the samples, not the densities, so that the kappa-transform and
+    conjugation checks see a ``LeafVolumeDensity`` defect."""
+    return torus_metric_sample(p2, grid).sum(axis=0) / torus_metric_sample(p1, grid).sum(axis=0)
 
 
 def invariance_check(
@@ -346,74 +347,73 @@ def random_profile(rng: np.random.Generator) -> MetricProfile:
     scale = 0.5 * rng.uniform(0.5, 1.0) / raw.sum()
     terms = []
     for amplitude in raw * scale:
-        m = int(rng.integers(-2, 3))
-        n = int(rng.integers(-2, 3))
+        m, n = int(rng.integers(-2, 3)), int(rng.integers(-2, 3))
         sign = 1.0 if rng.uniform() < 0.5 else -1.0
-        terms.append(
-            ProfileTerm(
-                m,
-                n,
-                float(sign * amplitude),
-                float(rng.uniform(0.0, 2.0 * np.pi)),
-                float(rng.uniform(0.0, 2.0 * np.pi)),
-            )
-        )
+        phases = [float(rng.uniform(0.0, 2.0 * np.pi)) for _ in range(2)]
+        terms.append(ProfileTerm(m, n, float(sign * amplitude), *phases))
     return MetricProfile(2.0, tuple(terms))
 
 
+def random_pair(rng: np.random.Generator) -> tuple[MetricProfile, MetricProfile]:
+    """Seeded random metric pair whose basic Laplacians differ by a gap
+    certified in closed form.
+
+    Two ``random_profile`` draws lose their m = 0 terms, so both densities
+    are the constant 2; one of them, in random order, gains a cos(2t + psi),
+    a in [0.01, 0.1] and psi uniform: its density is g = 2 + a cos(2t + psi),
+    with g_0 = 2 and |g_2| = a/2.  The total amplitude stays at most 0.6.
+
+    The constant's Laplacian -d^2 has lambda_1 = 1, read to round-off.  For
+    v = cos(t + psi/2), g v has no mean, and g v'^2 and g v^2 have the means
+    (g_0 - |g_2|) / 2 and (g_0 + |g_2|) / 2, so on span{1, v} the Rayleigh
+    quotient <g u', u'> / <g u, u> is at most (2 - a/2) / (2 + a/2).  By
+    min-max so is the index-1 value of every read whose trial space holds
+    span{1, v}: a Galerkin read at any K >= 1 (``spectral``), and the grid
+    read, the values of T T^H, T = g^{-1/2} C g^{1/2}, whose Rayleigh
+    quotient at x = g^{1/2} u is sum g |Du|^2 / sum g |u|^2, D the Fourier
+    derivative, exact on span{1, v}, as are the trapezoid sums of
+    t-bandwidth 4 for N > 4 (the battery reads g on the grid at grid 16, and
+    at grid 32 for a near 0.1, at window N/8).  So at any window >= 1 the
+    contrast's gap is at least a / (2 + a/2) >= 4.98e-3 up to the reads'
+    rounding, about five times LAPLACIAN_GAP_THRESHOLD plus both radii.
+    g's strip width acosh(2/a) / 2 >= 1.84 sets its first order K <= W + 15.
+    """
+    leafwise = [tuple(term for term in random_profile(rng).terms if term.m) for _ in range(2)]
+    density = ProfileTerm(0, 2, float(rng.uniform(0.01, 0.1)), 0.0,
+                          float(rng.uniform(0.0, 2.0 * np.pi)))
+    pair = (MetricProfile(2.0, (*leafwise[0], density)), MetricProfile(2.0, leafwise[1]))
+    return pair if rng.uniform() < 0.5 else pair[::-1]
+
+
 def densities_distinguishable(d1: LeafVolumeDensity, d2: LeafVolumeDensity) -> bool:
-    """Whether the two theta-averaged densities differ by more than
-    DENSITY_MARGIN, enough for the Laplacian-dependence contrast to be
-    meaningful."""
-    return float(np.max(np.abs(d1.g_values - d2.g_values))) > DENSITY_MARGIN
+    """Whether two leaf-volume densities differ.  No command calls it; the
+    benchmark's tracer (``perfbench/tracing.py``) spans it by name."""
+    return d1 != d2
 
 
-def contrast_skip_reason(d1: LeafVolumeDensity, d2: LeafVolumeDensity) -> str | None:
-    """Why the Laplacian contrast of a generated pair cannot pass, or None: the
-    densities are not ``densities_distinguishable``, or both are constant
-    (period 1), so that T = g^{-1/2} D g^{1/2} is D for both."""
-    if not densities_distinguishable(d1, d2):
-        return "theta-averaged densities are not distinct for this pair"
-    if d1.period == d2.period == 1:
-        return "theta-averaged densities are both constant: their basic Laplacians coincide"
-    return None
-
-
-def run_pair_checks(
-    pairs: list[tuple[MetricProfile, MetricProfile]],
-    grid: GridSpec,
-    window: float,
-    skip_indistinct_laplacian: bool = False,
-) -> list[VerificationReport]:
+def run_pair_checks(pairs: list[tuple[MetricProfile, MetricProfile]], grid: GridSpec,
+                    window: float) -> list[VerificationReport]:
     """The full metric-pair battery for each pair in turn: invariance, kappa
     transform, conjugation, and the Laplacian-dependence contrast.
 
     Refuses a window outside the grid's trusted range, then, per pair, builds
     each profile's density and alpha once, runs the conjugation check on
-    them, reads each density's Dirac spectra and, when the contrast runs,
-    its function Laplacian, once per distinct density of the call, and
-    passes the rest to the other checks; the contrast reads the forms bound
-    of the pair's invariance report.  With ``skip_indistinct_laplacian``
-    (for auto-generated pairs) a contrast that has a
-    ``contrast_skip_reason`` is recorded as skipped, instead of failing by
-    design, and no Laplacian is read.
+    them, reads each density's Dirac spectra, and its function Laplacian
+    once per distinct density of the call, and passes the rest to the other
+    checks; the contrast reads the forms bound of the pair's invariance
+    report.
     """
     grid.validate_window(window)
     laplacians, reports = {}, []
     for p1, p2 in pairs:
         d1 = LeafVolumeDensity.from_profile(p1, grid)
         d2 = LeafVolumeDensity.from_profile(p2, grid)
-        reason = contrast_skip_reason(d1, d2) if skip_indistinct_laplacian else None
         alpha = basic_volume_ratio(p1, p2, grid)
         metadata = pair_metadata(p1, p2, grid)
         conjugation = conjugation_residual(d1, d2, alpha, grid, metadata)
         invariance = invariance_check(dirac_spectra(d1, grid), dirac_spectra(d2, grid),
                                       window, metadata)
         reports += [invariance, kappa_transform_residual(d1, d2, alpha, grid, metadata), conjugation]
-        if reason:
-            reports.append(VerificationReport.skipped(
-                "laplacian_dependence", LAPLACIAN_FORMS_THRESHOLD, reason, metadata))
-            continue
         for d in (d1, d2):
             if d not in laplacians:
                 laplacians[d] = function_laplacian(d, window, LAPLACIAN_FORMS_THRESHOLD)

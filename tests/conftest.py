@@ -7,7 +7,7 @@ bit, the dense solve of the assembled spinor matrix that every O(N) Dirac
 read is checked against, the delta d and d delta assembly that every grid
 read of a Laplacian is checked against and the allowance of that read,
 the Laplacian report as ``spectrum`` reads it and as the pair battery
-reads it, the generated and parity profiles, the inputs a pair check
+reads it, the random and parity profiles, the inputs a pair check
 reads, built as the pair battery builds them, and a patch that puts a
 defective factor function wherever the library looks it up."""
 
@@ -46,8 +46,8 @@ from foliation_lab.verify import LAPLACIAN_FORMS_THRESHOLD, basic_volume_ratio, 
 
 @functools.cache
 def profile_corpus() -> tuple:
-    """The ten profiles ``verify --seed s`` draws, s = 0 to 41 and 7041, and
-    the profile documents of ``tools/parity.py``."""
+    """The first ten ``random_profile`` draws of the seeds s = 0 to 41 and
+    7041, and the profile documents of ``tools/parity.py``."""
     path = Path(__file__).resolve().parents[1] / "tools" / "parity.py"
     spec = importlib.util.spec_from_file_location("parity", path)
     parity = importlib.util.module_from_spec(spec)

@@ -35,6 +35,7 @@ from foliation_lab.verify import (
     conjugation_residual,
     pair_metadata,
     random_profile,
+    run_pair_checks,
 )
 
 from conftest import bloch_allowance, patch_factors
@@ -204,12 +205,12 @@ def test_bloch_values_lie_within_the_allowance(n_points, profile):
 
 
 def _generated(seed: int, draw: int) -> MetricProfile:
-    """The profile ``verify --seed`` draws at index ``draw``."""
+    """The profile ``random_profile`` draws at index ``draw`` of ``seed``."""
     rng = np.random.default_rng(seed)
     return [random_profile(rng) for _ in range(draw + 1)][draw]
 
 
-# The Galerkin read's density, draw 3 of ``verify``'s default seed 7041,
+# The Galerkin read's density, draw 3 of ``random_profile`` at seed 7041,
 # whose theta-average has terms at n = -2 and n = -1 with phases, and a
 # density with g_low = 0.1, read at K = 91.
 GALERKIN_AUDITED = {
@@ -288,3 +289,81 @@ def test_galerkin_radii_hold_for_the_profiles_own_density(name):
         gap = min(rho - bounds[k], reference[k + 1][0] - reference[k + 1][1] - rho)
         error = abs(mpmath.mpf(float(read.values[k])) - rho) + eps * eps / gap
         assert error <= read.radii[k], (k, error, read.radii[k])
+
+
+def _operator_distance(density: LeafVolumeDensity, profile: MetricProfile) -> mpmath.mpf:
+    """||T - T_0||_F in high precision: T = w^{-1} C w of the grid Laplacian
+    read, from the float column c and factor w, and T_0 = g^{-1/2} C_0 g^{1/2}
+    of the exact column of the lattice operator, c_j = (1/N) sum_m i k_m
+    e^{2 pi i j m / N}, k = ``wavenumbers(N)``, and the exact samples of
+    the profile's own density g."""
+    n = density.n_points
+    column = _mp(_column(n, "trivial"))
+    ks = wavenumbers(n).tolist()
+    exact_column = [mpmath.fsum(mpmath.mpc(0, k) * mpmath.expjpi(2 * mpmath.mpf(j * m) / n)
+                                for m, k in enumerate(ks)) / n for j in range(n)]
+    w = [mpmath.mpf(x) for x in dirac_factors(density)[0].tolist()]
+    (term,) = profile.theta_average().terms
+    exact_w = [mpmath.sqrt(profile.constant + mpmath.mpf(term.amplitude) * mpmath.cos(
+        term.n * 2 * mpmath.pi * j / n + mpmath.mpf(term.phase_t))) for j in range(n)]
+    return mpmath.sqrt(mpmath.fsum(
+        abs(column[(i - j) % n] * w[j] / w[i]
+            - exact_column[(i - j) % n] * exact_w[j] / exact_w[i]) ** 2
+        for i in range(n) for j in range(n)))
+
+
+def _galerkin_rounding(read, coefficients: np.ndarray) -> float:
+    """The backward error (2K + 1) eps ||L^{-1} A L^{-H}||_2 of a Galerkin
+    read's ``eigh``, the norm at most K^2 (g_0 + 2 sum |g_m|) / g_low, as
+    ``tests/test_spectral.py`` allows it."""
+    order = read.order
+    return ((2 * order + 1) * np.finfo(float).eps * order * order
+            * float(np.sum(np.abs(coefficients))) / spectral.lower_bound(coefficients))
+
+
+@pytest.mark.parametrize("n_points", [16, 32, 64, 256])
+@pytest.mark.parametrize("amplitude", [0.01, 0.1])
+@pytest.mark.parametrize("phase", [0.0, 1.0, 2.5, 4.5])
+def test_random_pair_gap_certificate(n_points, amplitude, phase):
+    """``verify.random_pair``'s closed-form gap, at window N/8, on the Galerkin
+    read and on the grid read, which N = 16, and N = 32 at a = 0.1, reach:
+    there the order of 2 + a cos(2t + psi) exceeds N/2.  The index-1 value
+    of the strong density's read is at most (2 - a/2) / (2 + a/2) plus its
+    rounding, and the contrast's gap at least a / (2 + a/2) less the
+    rounding of both reads; the contrast passes.
+
+    * A Galerkin read is a min-max value of the pencil of the float
+      coefficients g~: at most (g~_0 - |g~_2|) / (g~_0 + |g~_2|), computed
+      here in high precision, up to the ``eigh`` backward error.
+    * A grid read's values lie within ``conftest.bloch_allowance`` of the
+      sigma_k(T)^2 of T built from the float (c, w), and sigma_k(T) within
+      ||T - T_0||_F of sigma_k(T_0), T_0 the exact operator on the exact
+      samples, whose index-1 value is at most (2 - a/2) / (2 + a/2).
+    * The constant 2 is read by Galerkin at K = floor(N/8) + 1, with index-1
+      value 1 up to its ``eigh`` backward error."""
+    strong = MetricProfile(2.0, (ProfileTerm(0, 2, amplitude, 0.0, phase),))
+    grid, window = GridSpec(n_points), n_points / 8
+    densities = [LeafVolumeDensity.from_profile(p, grid) for p in (strong, MetricProfile(2.0))]
+    reads = [spectral.function_laplacian(d, window, LAPLACIAN_FORMS_THRESHOLD) for d in densities]
+    grid_read = n_points == 16 or (n_points == 32 and amplitude == 0.1)
+    assert (reads[0].order is None) == grid_read and reads[1].order is not None
+    half = mpmath.mpf(amplitude) / 2
+    bound = (2 - half) / (2 + half)
+    if reads[0].order is None:
+        report = spectral.laplacian_spectrum(densities[0])
+        distance = _operator_distance(densities[0], strong)
+        rounding = ((mpmath.sqrt(bound) + distance) ** 2 - bound
+                    + bloch_allowance(densities[0], report))
+    else:
+        coefficients = densities[0].coefficients
+        computed = abs(_mp(coefficients)[-1])
+        rounding = (max(0, (2 - computed) / (2 + computed) - bound)
+                    + _galerkin_rounding(reads[0], coefficients))
+    assert reads[0].values[1] <= bound + rounding
+    constant_rounding = _galerkin_rounding(reads[1], densities[1].coefficients)
+    assert abs(reads[1].values[1] - 1.0) <= constant_rounding
+    rounding += constant_rounding
+    for pair in ((strong, MetricProfile(2.0)), (MetricProfile(2.0), strong)):
+        report = run_pair_checks([pair], grid, window)[3]
+        assert report.passed
+        assert report.metadata["laplacian_gap"] >= 2 * half / (2 + half) - rounding

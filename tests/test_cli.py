@@ -8,6 +8,8 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import foliation_lab
 from foliation_lab import bounds
@@ -654,3 +656,17 @@ def test_python_m_runs_the_cli(tmp_path, capsys, flat_path, wavy_path, module, n
     assert (result.returncode, result.stderr) == (code, expected_err)
     bundle = "verify_bundle.json"
     assert (tmp_path / "module" / bundle).read_bytes() == (tmp_path / "run" / bundle).read_bytes()
+
+
+@given(seed=st.integers(0, 2**32 - 1))
+@settings(deadline=None, max_examples=20)
+def test_verify_passes_every_seed(seed, tmp_path_factory):
+    """``verify --grid 64 --window 8`` with its default generated pairs exits 0
+    and skips no check at any seed: each ``random_pair`` passes its
+    Laplacian contrast by construction."""
+    out = tmp_path_factory.mktemp("seed")
+    assert run(["verify", "--grid", "64", "--window", "8", "--seed", str(seed),
+                "--output-dir", str(out)]) == 0
+    bundle = json.loads((out / "verify_bundle.json").read_text())
+    assert len(bundle["reports"]) == 4 * 5
+    assert not any("skipped" in report["metadata"] for report in bundle["reports"])

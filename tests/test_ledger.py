@@ -3,7 +3,8 @@
 The ledger is pasted into change notes and compared with ``diff``, so its
 lines are pinned here on a small command set (seeds 0 to 4 at grid 64, and
 the invariance cases of tools/parity.py); the pass counts are not, as a
-change to the program may move them.
+change to the program may move them, except that every generated seed
+exits 0.
 """
 
 import importlib
@@ -64,6 +65,7 @@ def test_ledger_format_on_five_seeds(ledger):
         "# invariance --profiles A B ... for each invariance-* case of tools/parity.py"]
     assert grid[0] == "## grid 64, window 8"
     assert sorted(_section_rows(grid[1:], r"\d+"), key=int) == ["0", "1", "2", "3", "4"]
+    assert grid[1] == "exit 0 (5): 0 1 2 3 4"
     assert pairs[0] == "## invariance cases of tools/parity.py"
     cases = [name for name in ledger.parity.cases() if name.startswith("invariance-")]
     assert len(cases) == 5

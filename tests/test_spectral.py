@@ -587,8 +587,8 @@ class TestGramRead:
 
 
 def _galerkin_profiles() -> dict:
-    """The cosine, mixed and wavy2 fixtures and the generated profiles of
-    ``verify --seed s``, s = 1 to 5."""
+    """The cosine, mixed and wavy2 fixtures and the first ten
+    ``random_profile`` draws of the seeds s = 1 to 5."""
     profiles = {
         "cosine": MetricProfile(2.0, (ProfileTerm(0, 1, 1.0),)),
         "mixed": MetricProfile(2.0, (ProfileTerm(0, 1, 0.6), ProfileTerm(1, 0, 0.4, 0.3),
@@ -654,7 +654,7 @@ class TestGalerkinRead:
     @pytest.mark.parametrize("n_points", [64, 128, 256, 512])
     def test_coefficients_are_the_samples_dft(self, n_points):
         """The exact coefficients against the DFT of the samples, on the ten
-        generated profiles of seeds 0-41 and 7041 and those of
+        ``random_profile`` draws of seeds 0-41 and 7041 and the profiles of
         ``tools/parity.py``: zero-padded to N/2 + 1 terms, they differ from
         rfft(g) / N by at most (phi_N + eps) rms(g) + N eps max g in 2-norm,
         the N-point FFT and the division by N on rms(g), and N eps max g for

@@ -28,6 +28,9 @@ ALLOWED = {
         "perfbench/tests/test_determinism.py reads cli.eigenvalues_weighted",
     "bounds.golden_section_min": "perfbench/tracing.py spans it as bounds.golden",
     "bounds.maximize_on_interval": "perfbench/tracing.py spans it as bounds.scan",
+    "verify.densities_distinguishable":
+        "perfbench/tracing.py spans it as verify.densities_distinguishable",
+    "basic_calculus.project_basic": "perfbench/tracing.py spans it as basic_calculus.projection",
 }
 
 

@@ -11,8 +11,14 @@ import sympy as sp
 
 from foliation_lab import _spectral_diff, cli, operators, spectral, verify
 from foliation_lab._spectral_diff import differentiation_matrix
-from foliation_lab.basic_calculus import LeafVolumeDensity
-from foliation_lab.model_spaces import GridSpec, MetricProfile, ProfileTerm, torus_geometry
+from foliation_lab.basic_calculus import LeafVolumeDensity, project_basic
+from foliation_lab.model_spaces import (
+    GridSpec,
+    MetricProfile,
+    ProfileTerm,
+    torus_geometry,
+    torus_metric_sample,
+)
 from foliation_lab.operators import (
     WeightedOperator,
     assemble_lichnerowicz_sides,
@@ -272,24 +278,15 @@ class TestLaplacianDependence:
         assert report.metadata["squared_forms_residual"] < 1e-8
         assert not report.passed
 
-    def test_generated_constant_pair_is_skipped_as_coinciding(self, grid64):
-        """Constant theta-averages 1 and 2, distinct by the density margin: T = D
-        for both, so a generated pair's contrast is skipped with its own
-        reason; a user-supplied pair still runs it and fails."""
-        pair = (MetricProfile(1.0), MetricProfile(2.0, (ProfileTerm(1, 0, 0.3),)))
-        densities = [LeafVolumeDensity.from_profile(p, grid64) for p in pair]
-        assert verify.densities_distinguishable(*densities)
-        generated = run_pair_checks([pair], grid64, 8.0, skip_indistinct_laplacian=True)
-        assert generated[3].passed and generated[3].metadata["skipped"]
-        assert generated[3].metadata["reason"] == (
-            "theta-averaged densities are both constant: their basic Laplacians coincide")
-        supplied = run_pair_checks([pair], grid64, 8.0)[3]
-        assert not supplied.passed and "skipped" not in supplied.metadata
-        assert "indistinguishable" in supplied.metadata["diagnostic"]
-        # densities within the margin keep the reason they had
-        close = (MetricProfile(2.0), MetricProfile(2.005))
-        report = run_pair_checks([close], grid64, 8.0, skip_indistinct_laplacian=True)[3]
-        assert report.metadata["reason"] == "theta-averaged densities are not distinct for this pair"
+    def test_constant_pairs_fail_as_coinciding(self, grid64):
+        """Constant theta-averages 1 and 2, and 2 and 2.005: T = D for both
+        densities of each pair, so their basic Laplacians coincide and the
+        contrast fails as indistinguishable; no pair check is skipped."""
+        for pair in ((MetricProfile(1.0), MetricProfile(2.0, (ProfileTerm(1, 0, 0.3),))),
+                     (MetricProfile(2.0), MetricProfile(2.005))):
+            report = run_pair_checks([pair], grid64, 8.0)[3]
+            assert not report.passed and "skipped" not in report.metadata
+            assert "indistinguishable" in report.metadata["diagnostic"]
 
 
 class TestRandomProfiles:
@@ -302,6 +299,49 @@ class TestRandomProfiles:
             assert all(abs(term.m) <= 2 and abs(term.n) <= 2 for term in profile.terms)
             assert total <= 0.5
             assert profile.min_value(128) > 0.0
+
+    def test_random_pair_has_a_constant_and_a_strong_density(self):
+        """Each generated pair keeps its draws' m != 0 terms, and one profile,
+        first or second, gains the density term a cos(2t + psi), a in
+        [0.01, 0.1]: its theta-average is 2 + a cos(2t + psi), the other's
+        the constant 2."""
+        rng = np.random.default_rng(2024)
+        firsts = []
+        for _ in range(25):
+            pair = verify.random_pair(rng)
+            averages = [profile.theta_average() for profile in pair]
+            strong = [index for index, average in enumerate(averages) if average.terms]
+            assert len(strong) == 1
+            firsts.append(strong[0] == 0)
+            (term,) = averages[strong[0]].terms
+            assert (term.m, term.n, term.phase_theta) == (0, 2, 0.0)
+            assert 0.01 <= term.amplitude <= 0.1 and 0.0 <= term.phase_t <= 2.0 * np.pi
+            assert averages[1 - strong[0]] == MetricProfile(2.0)
+            assert pair[strong[0]].terms[-1] == term
+            leafwise = pair[strong[0]].terms[:-1] + pair[1 - strong[0]].terms
+            assert all(t.m for t in leafwise)
+            for profile in pair:
+                assert sum(abs(t.amplitude) for t in profile.terms) <= 0.6
+        assert 0 < sum(firsts) < 25
+
+
+def test_alpha_is_the_projected_volume_ratio(cosine_profile, mixed_profile):
+    """alpha, the ratio of the two theta-sums, is P_b(f2/f1) under f1's
+    weighting as ``project_basic`` computes it, for both orders of the
+    cosine and mixed profiles.  Both divide by the same computed sum of f1.
+    Each (f2/f1) f1 is f2 to a relative gamma_2, and each sum of N positive
+    terms, added in turn, is exact to a relative gamma_{N-1}, so the
+    numerators differ by at most a relative gamma_{2N}, and the quotients,
+    rounded once each, by gamma_{2N+2}.  Measured: at most 7 eps."""
+    for n_points in (64, 128, 256):
+        grid = GridSpec(n_points)
+        allowance = spectral.gamma(2 * n_points + 2)
+        for p1, p2 in ((cosine_profile, mixed_profile), (mixed_profile, cosine_profile)):
+            f1, f2 = torus_metric_sample(p1, grid), torus_metric_sample(p2, grid)
+            projected = project_basic(f2 / f1, f1, grid)
+            alpha = verify.basic_volume_ratio(p1, p2, grid)
+            assert np.max(np.abs(alpha - projected) / projected) <= allowance
+
 
 @pytest.mark.parametrize("n_points", [64, 128, 256])
 def test_property_sweep_over_seeded_pairs(n_points):
@@ -325,32 +365,37 @@ WAVY_8 = MetricProfile(2.0, (ProfileTerm(0, 1, 0.5), ProfileTerm(0, 8, 0.2, 0.0,
 NO_LOWER_BOUND = MetricProfile(1.0, (ProfileTerm(0, 1, 0.6), ProfileTerm(0, 2, 0.6)))
 
 
+# The first pair ``verify`` draws at its default seed 7041: 2 + a cos(2t + psi),
+# a = 0.045, read at K = 20 at window 8, and the constant 2, at K = 9.
+GENERATED_7041 = verify.random_pair(np.random.default_rng(7041))
+
+
 @pytest.mark.parametrize(
-    "n_points, second, skip, shapes",
+    "n_points, pair, shapes",
     [
         # per density its Laplacian read, none of a Dirac operator: at N = 64
         # the flat density's is one Galerkin solve at K = 9, and 2 + cos t's
         # one of dimension 59 (K = 29 <= N/2); no N x N matrix is built or
         # solved
-        (64, MetricProfile(2.0, (ProfileTerm(0, 1, 1.0),)), False, ([], [(19, 19), (59, 59)])),
-        (128, MetricProfile(2.0, (ProfileTerm(0, 1, 1.0),)), False, ([], [(19, 19), (59, 59)])),
-        # the theta-average of 1 + cos(theta)/2 is flat: the contrast is
-        # skipped, and nothing is solved
-        (64, MetricProfile(1.0, (ProfileTerm(1, 0, 0.5),)), True, ([], [])),
+        (64, (MetricProfile(1.0), MetricProfile(2.0, (ProfileTerm(0, 1, 1.0),))),
+         ([], [(19, 19), (59, 59)])),
+        (128, (MetricProfile(1.0), MetricProfile(2.0, (ProfileTerm(0, 1, 1.0),))),
+         ([], [(19, 19), (59, 59)])),
+        # a generated pair: two Galerkin solves
+        (64, GENERATED_7041, ([], [(41, 41), (19, 19)])),
         # at N = 128 the t-bandwidth-8 density's K = 87 exceeds N/2: without
         # symmetry, one dense Gram block
-        (128, WAVY_8, False, ([(1, 128, 128)], [(19, 19)])),
+        (128, (MetricProfile(1.0), WAVY_8), ([(1, 128, 128)], [(19, 19)])),
     ],
 )
-def test_pair_battery_solves_each_spectrum_once(flat_profile, monkeypatch, n_points, second, skip,
-                                                shapes):
+def test_pair_battery_solves_each_spectrum_once(monkeypatch, n_points, pair, shapes):
     """Per battery: two densities and one alpha; two Dirac reads with no
     eigensolve and no matrix, from one cached lattice per (grid, spin
-    structure); unless the contrast is skipped, one Laplacian read per
-    distinct density: one ``eigh`` call of dimension 2K + 1 for a Galerkin
-    read, or ``laplacian_spectrum``'s one ``eigvalsh`` call on the stacked
-    Bloch blocks of its period; no SVD, no assembly and no derivative
-    matrix.  ``shapes`` holds the ``eigvalsh`` and the ``eigh`` shapes."""
+    structure); one Laplacian read per distinct density: one ``eigh`` call
+    of dimension 2K + 1 for a Galerkin read, or ``laplacian_spectrum``'s
+    one ``eigvalsh`` call on the stacked Bloch blocks of its period; no
+    SVD, no assembly and no derivative matrix.  ``shapes`` holds the
+    ``eigvalsh`` and the ``eigh`` shapes."""
     grid = GridSpec(n_points)
     eigvalsh_sizes, eigh_sizes, svd_calls, built = [], [], [], []
     eigvalsh, eigh, svd = np.linalg.eigvalsh, np.linalg.eigh, np.linalg.svd
@@ -388,13 +433,12 @@ def test_pair_battery_solves_each_spectrum_once(flat_profile, monkeypatch, n_poi
     monkeypatch.setattr(verify, "basic_volume_ratio", counted("alpha", ratio))
     differentiation_matrix.cache_clear()
     spectral.circulant_spectrum.cache_clear()
-    reports = run_pair_checks([(flat_profile, second)], grid, 8.0,
-                              skip_indistinct_laplacian=skip)
+    reports = run_pair_checks([pair], grid, 8.0)
     assert [report.passed for report in reports] == [True] * 4
-    assert [report.metadata.get("skipped", False) for report in reports] == [False] * 3 + [skip]
-    # every report, the skipped contrast included, starts from the pair metadata
+    assert not any(report.metadata.get("skipped") for report in reports)
+    # every report starts from the pair metadata
     for report in reports:
-        for key, value in pair_metadata(flat_profile, second, grid).items():
+        for key, value in pair_metadata(*pair, grid).items():
             assert report.metadata[key] == value
     grid_reads = len(shapes[0])
     assert built == ["density", "density", "alpha"] + ["grid"] * grid_reads
@@ -498,39 +542,48 @@ WAVY = MetricProfile(2.0, (ProfileTerm(0, 1, 1.0),))
 
 
 def _generated_pairs(seed: int, count: int = 5) -> list:
+    """The pairs ``verify --seed`` draws."""
     rng = np.random.default_rng(seed)
-    return [(random_profile(rng), random_profile(rng)) for _ in range(count)]
+    return [verify.random_pair(rng) for _ in range(count)]
 
 
 WAVY_TINY_8 = MetricProfile(2.0, (ProfileTerm(0, 1, 1.0), ProfileTerm(0, 8, 1e-300)))
 
 
 @pytest.mark.parametrize(
-    "n_points, pairs, generated, reads",
+    "n_points, pairs, reads",
     [
-        *[(64, _generated_pairs(seed), True, None) for seed in (1, 4, 5, 7041)],
-        (128, _generated_pairs(1), True, None),
-        # constant 2 read with its contrast skipped, then needed with its
-        # Laplacian: the Laplacian reads run on the second pair; every pair
-        # reads its two Dirac spectra
-        (64, [(FLAT_2, FLAT_2_SKEW), (WAVY, FLAT_2)], True,
-         [("dirac",)] * 4 + [("laplacian", 1, 64, 29), ("laplacian", 0, 1, 9)]),
+        *[(64, _generated_pairs(seed), None) for seed in (1, 4, 5)],
+        # the constant 2, shared by every generated pair, is read once: a
+        # Dirac read per density, and a Laplacian read per distinct one
+        (64, _generated_pairs(7041),
+         [("dirac",)] * 2 + [("laplacian", 2, 32, 20), ("laplacian", 0, 1, 9)]
+         + [("dirac",)] * 2 + [("laplacian", 2, 32, 21)]
+         + [("dirac",)] * 2 + [("laplacian", 2, 32, 21)]
+         + [("dirac",)] * 2 + [("laplacian", 2, 32, 20)]
+         + [("dirac",)] * 2 + [("laplacian", 2, 32, 19)]),
+        (128, _generated_pairs(1), None),
+        # constant 2 read for a pair of equal densities, then reused in the
+        # second pair; every pair reads its two Dirac spectra
+        (64, [(FLAT_2, FLAT_2_SKEW), (WAVY, FLAT_2)],
+         [("dirac",)] * 2 + [("laplacian", 0, 1, 9)] + [("dirac",)] * 2
+         + [("laplacian", 1, 64, 29)]),
         # equal bytes, periods 1 and 64, bandwidths 0 and 1: two Laplacian
         # reads, both Galerkin reads at K = 9, the first at the constant's
         # order, the second as the trimmed coefficients are constant
-        (64, [(FLAT_2, FLAT_2_TINY), (FLAT_2_TINY, WAVY), (FLAT_2, FLAT_2_SKEW)], False,
+        (64, [(FLAT_2, FLAT_2_TINY), (FLAT_2_TINY, WAVY), (FLAT_2, FLAT_2_SKEW)],
          [("dirac",)] * 2 + [("laplacian", 0, 1, 9), ("laplacian", 1, 64, 9)]
          + [("dirac",)] * 2 + [("laplacian", 1, 64, 29)] + [("dirac",)] * 2),
         # equal bytes, bandwidths 1 and 8: two Galerkin reads, as the
         # round-off of DFT coefficients 2 to 8 is read; then one grid read,
         # as 2 + cos t's read is already made
-        (128, [(WAVY, FLAT_2), (WAVY_TINY_8, FLAT_2), (NO_LOWER_BOUND, WAVY)], False,
+        (128, [(WAVY, FLAT_2), (WAVY_TINY_8, FLAT_2), (NO_LOWER_BOUND, WAVY)],
          [("dirac",)] * 2 + [("laplacian", 1, 128, 29), ("laplacian", 0, 1, 9)]
          + [("dirac",)] * 2 + [("laplacian", 8, 128, 29)]
          + [("dirac",)] * 2 + [("laplacian", 2, 128, None)]),
     ],
 )
-def test_pair_memo_changes_no_report(monkeypatch, n_points, pairs, generated, reads):
+def test_pair_memo_changes_no_report(monkeypatch, n_points, pairs, reads):
     """One battery over the pairs gives, field for field and bitwise, the
     reports of one battery per pair: the memo of ``function_laplacian``
     reads returns what a fresh read computes.
@@ -550,12 +603,10 @@ def test_pair_memo_changes_no_report(monkeypatch, n_points, pairs, generated, re
 
     monkeypatch.setattr(verify, "dirac_spectra", recorded_read)
     monkeypatch.setattr(verify, "function_laplacian", recorded_laplacian)
-    batched = run_pair_checks(pairs, grid, 8.0, skip_indistinct_laplacian=generated)
+    batched = run_pair_checks(pairs, grid, 8.0)
     if reads is not None:
         assert recorded == reads
-    separate = [report for pair in pairs
-                for report in run_pair_checks([pair], grid, 8.0,
-                                              skip_indistinct_laplacian=generated)]
+    separate = [report for pair in pairs for report in run_pair_checks([pair], grid, 8.0)]
     assert len(batched) == len(separate) == 4 * len(pairs)
     for one, other in zip(batched, separate):
         assert vars(one) == vars(other)
@@ -720,6 +771,24 @@ class TestMutations:
         failed = [report.check_name for report in reports if not report.passed]
         assert failed == ["kappa_transform", "conjugation"]
 
+    @staticmethod
+    def _truncated(cls, profile, grid):
+        """The density without the theta-averaged profile's last term."""
+        average = profile.theta_average()
+        return cls(MetricProfile(average.constant, average.terms[:-1]), grid.n_points)
+
+    def test_truncated_density_fails_kappa_transform_on_a_generated_pair(self, grid64,
+                                                                          monkeypatch):
+        """A density that drops its last m = 0 term reads the generated pair's
+        2 + a cos(2t + psi) as the constant 2; alpha, read from the samples,
+        keeps the density term, so ``kappa_transform`` and ``conjugation``
+        fail, and the contrast fails on the two equal densities."""
+        assert all(report.passed for report in run_pair_checks([GENERATED_7041], grid64, 8.0))
+        monkeypatch.setattr(LeafVolumeDensity, "from_profile", classmethod(self._truncated))
+        reports = run_pair_checks([GENERATED_7041], grid64, 8.0)
+        failed = [report.check_name for report in reports if not report.passed]
+        assert failed == ["kappa_transform", "conjugation", "laplacian_dependence"]
+
     def test_verify_exits_1_naming_kappa_transform_and_conjugation(
         self, cosine_profile, mixed_profile, tmp_path, monkeypatch, capsys
     ):
@@ -771,7 +840,7 @@ def test_a_raising_assembly_does_not_stop_the_generated_battery(monkeypatch, tmp
 
     monkeypatch.setattr(operators, "assemble_basic_dirac_spinor", refuse)
     assert codes() == expected
-    assert set(expected) <= {0, 1}
+    assert set(expected) == {0}
 
 
 def test_one_grid_read_assembles_nothing(flat_profile, cosine_profile, tmp_path, monkeypatch,
@@ -831,7 +900,7 @@ def test_commands_solve_no_dirac_matrix(flat_profile, cosine_profile, tmp_path, 
     ``eigh`` call is (2K + 1)-dimensional, where its order is at most N/2,
     and on the grid where it is not; a Laplacian ``spectrum`` takes one grid
     read and no Galerkin read.  Per command: one Laplacian read per distinct
-    density that a running contrast reads.  ``orders`` are the Galerkin
+    density of its pairs.  ``orders`` are the Galerkin
     orders of the flat density and of the second profile at window 8, None
     for a grid read: 2 + cos t, or the t-bandwidth-8 density (K = 87 > N/2)."""
     events, sizes, laplacians, galerkin, eigh_sizes, solved = [], [], [], [], [], []
@@ -881,19 +950,19 @@ def test_commands_solve_no_dirac_matrix(flat_profile, cosine_profile, tmp_path, 
         assert eigh_sizes == [(2 * order + 1,) * 2 for order in galerkin]
         return list(events)
 
-    # five generated pairs: only the contrasts that run read Laplacians
-    read = run(["verify", "--all", "--pairs", "5", "--seed", "1"])
+    # five generated pairs: every contrast runs, and reads by Galerkin the
+    # constant 2 once and each pair's 2 + a cos(2t + psi)
+    assert run(["verify", "--all", "--pairs", "5", "--seed", "1"]) == []
     bundle = json.loads((tmp_path / "out" / "verify_bundle.json").read_text())
-    contrasted = [not report["metadata"].get("skipped", False) for report in bundle["reports"]
-                  if report["check_name"] == "laplacian_dependence"]
-    assert 0 < sum(contrasted) < 5
+    contrasts = [report for report in bundle["reports"]
+                 if report["check_name"] == "laplacian_dependence"]
+    assert len(contrasts) == 5 and not any("skipped" in report["metadata"] for report in contrasts)
+    assert laplacians == [9, 23, 22, 18, 20, 20]
     # the same draws: distinct densities are distinct keys
     rng, grid = np.random.default_rng(1), GridSpec(n_points)
-    pairs = [[LeafVolumeDensity.from_profile(random_profile(rng), grid) for _ in range(2)]
-             for _ in range(5)]
-    contrasted_keys = {d for pair, ran in zip(pairs, contrasted) if ran for d in pair}
-    assert len(laplacians) == len(contrasted_keys)
-    assert len(read) == laplacians.count(None)
+    keys = {LeafVolumeDensity.from_profile(profile, grid)
+            for _ in range(5) for profile in verify.random_pair(rng)}
+    assert len(laplacians) == len(keys)
     # the flat profile and the second: per density its Laplacian read
     for argv in (["verify", "--profiles", flat, wavy], ["invariance", "--profiles", flat, wavy]):
         assert run(argv) == ([("grid", n_points)] if orders[1] is None else [])
@@ -908,12 +977,13 @@ def test_commands_solve_no_dirac_matrix(flat_profile, cosine_profile, tmp_path, 
     assert solved == []
 
 
-@pytest.mark.parametrize("n_points", [128, 256])
-def test_generated_contrasts_rest_on_galerkin_reads(tmp_path, monkeypatch, n_points):
+@pytest.mark.parametrize("n_points, window", [(64, 8), (128, 10), (256, 10)])
+def test_generated_contrasts_rest_on_galerkin_reads(tmp_path, monkeypatch, n_points, window):
     """``verify --all`` with its default five generated pairs, for the seeds
-    0 to 41 and the default 7041 at window 10: every running contrast reads
-    both densities by Galerkin (their orders are at most N/2), so none
-    makes a grid read and every recorded ``laplacian_order`` is an int."""
+    0 to 41 and the default 7041: every contrast runs and passes, and reads
+    both densities by Galerkin, at orders K <= W + 15 <= N/2
+    (``verify.random_pair``), so none makes a grid read and every recorded
+    ``laplacian_order`` is an int."""
     grid_reads, grid_read = [], spectral.laplacian_spectrum
 
     def recorded(density):
@@ -923,15 +993,17 @@ def test_generated_contrasts_rest_on_galerkin_reads(tmp_path, monkeypatch, n_poi
     monkeypatch.setattr(spectral, "laplacian_spectrum", recorded)
     contrasts = 0
     for seed in (*range(42), 7041):
-        argv = ["verify", "--all", "--grid", str(n_points), "--window", "10", "--seed",
+        argv = ["verify", "--all", "--grid", str(n_points), "--window", str(window), "--seed",
                 str(seed), "--output-dir", str(tmp_path)]
-        assert cli.run(argv) in (0, 1)
+        assert cli.run(argv) == 0, seed
         bundle = json.loads((tmp_path / "verify_bundle.json").read_text())
         for report in bundle["reports"]:
             metadata = report["metadata"]
-            if report["check_name"] == "laplacian_dependence" and not metadata.get("skipped"):
+            if report["check_name"] == "laplacian_dependence":
                 contrasts += 1
+                assert report["passed"] and "skipped" not in metadata, seed
                 orders = metadata["laplacian_order"]
                 assert len(orders) == 2 and all(type(order) is int for order in orders), seed
+                assert max(orders) <= window + 15, seed
     assert grid_reads == []
-    assert contrasts > 0
+    assert contrasts == 5 * 43
