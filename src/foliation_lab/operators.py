@@ -12,6 +12,10 @@ read-only matrix D per (grid, spin structure) of
 degrees are Gram products of T = g^{-1/2} D g^{1/2}, whose squared singular
 values ``spectral.laplacian_spectrum`` reads without assembling T.
 
+No command assembles these matrices: ``spectral`` reads the spectra from the
+O(N) weight data, and ``verify.lichnerowicz_residual`` reads lhs - rhs as its
+diagonal.  They are the tests' oracles, and the benchmark's tracer spans them.
+
 Diagonal scalings multiply the float64 view of the complex matrix by w and
 then by a precomputed 1/w.  That is bitwise numpy's complex (M * w) / w
 with w promoted to complex, (aw - b0) + (a0 + bw)i and then Smith's
@@ -204,6 +208,18 @@ def connection_laplacian_spinor(
     )
 
 
+def require_lichnerowicz_grid(density: LeafVolumeDensity, grid: GridSpec) -> None:
+    """Refuse a grid too coarse for the Lichnerowicz check: quotient
+    quantities such as g'/g need several harmonics of the profile resolved,
+    so n_points >= 8 * bandwidth is required."""
+    _check_grid(density, grid)
+    if density.t_bandwidth > 0 and grid.n_points < 8 * density.t_bandwidth:
+        raise ValueError(
+            f"grid too coarse for density bandwidth {density.t_bandwidth}: "
+            f"need n_points >= {8 * density.t_bandwidth}, got {grid.n_points}"
+        )
+
+
 def assemble_lichnerowicz_sides(
     density: LeafVolumeDensity, grid: GridSpec
 ) -> tuple[WeightedOperator, WeightedOperator]:
@@ -215,16 +231,11 @@ def assemble_lichnerowicz_sides(
     scalar curvature vanishes on this family, and delta kappa is computed by
     applying the exact weighted codifferential to k.
 
-    Rejects grids too coarse to resolve the density bandwidth: quotient
-    quantities such as g'/g need several harmonics of the profile resolved,
-    so n_points >= 8 * bandwidth is required.
+    Rejects grids too coarse to resolve the density bandwidth
+    (``require_lichnerowicz_grid``).  It is the test oracle of
+    ``verify.lichnerowicz_residual``.
     """
-    _check_grid(density, grid)
-    if density.t_bandwidth > 0 and grid.n_points < 8 * density.t_bandwidth:
-        raise ValueError(
-            f"grid too coarse for density bandwidth {density.t_bandwidth}: "
-            f"need n_points >= {8 * density.t_bandwidth}, got {grid.n_points}"
-        )
+    require_lichnerowicz_grid(density, grid)
     dirac = assemble_basic_dirac_spinor(density, grid)
     lhs = WeightedOperator(
         matrix=dirac.matrix @ dirac.matrix,

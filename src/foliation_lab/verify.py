@@ -14,8 +14,10 @@ reads each density's ``dirac_spectra`` from the operator's O(N) data, with
 no N x N matrix, and the density's ``function_laplacian``; the
 conjugation check bounds its residual from the same data, and the contrast
 reads the forms bound that the invariance report recorded.
-``run_profile_checks`` builds one torus geometry.  Every pair report
-carries the tag of ``pair_metadata``.
+``run_profile_checks`` builds one torus geometry; the Lichnerowicz check
+reads lhs - rhs as its diagonal in O(N log N) (``lichnerowicz_residual``),
+so no check assembles an operator.  Every pair report carries the tag of
+``pair_metadata``.
 
 Generated pairs (``random_pair``) and given pairs run the same battery,
 and no pair check is skipped.
@@ -52,7 +54,7 @@ from .model_spaces import (
     torus_geometry,
     torus_metric_sample,
 )
-from .operators import assemble_lichnerowicz_sides, dirac_factors
+from .operators import dirac_factors, require_lichnerowicz_grid
 from .spectral import (
     WINDOW_EDGE_SLACK,
     LaplacianRead,
@@ -61,6 +63,7 @@ from .spectral import (
     conjugation_bound,
     dirac_spectra,
     function_laplacian,
+    gamma,
     spectrum_compare,
 )
 
@@ -245,17 +248,60 @@ def scal_relation_residual(
     )
 
 
+def lichnerowicz_diagonal(density: LeafVolumeDensity) -> tuple[np.ndarray, float]:
+    """c + p = -diag(lhs - rhs) at the nodes, by two real FFT pairs, and the
+    allowance a >= its largest rounding error (``lichnerowicz_residual``)."""
+    g, g_dot, n_points = density.g_values, density.g_dot_values, density.n_points
+    h = g_dot / (2.0 * g)
+    k = density.mean_curvature_values()
+    derivative_h, derivative_g_dot = fourier_derivative(np.stack([h, g_dot]))
+    terms = (derivative_h, h * h, 0.25 * k * k, derivative_g_dot / (-2.0 * g))
+    values = terms[0] + terms[1] + terms[2] + terms[3]
+    moduli = sum(np.abs(term) for term in terms)
+    norms = float(np.linalg.norm(h)) + float(np.linalg.norm(g_dot)) / (2.0 * float(g.min()))
+    fft = 0.5 * n_points * (2.0 * gamma(7.0 * math.log2(n_points)) + gamma(3))
+    allowance = gamma(9) * float(np.max(moduli)) + fft * norms * (1.0 + gamma(n_points + 8))
+    return values, allowance
+
+
 def lichnerowicz_residual(
     profile: MetricProfile, grid: GridSpec, geometry: TorusGeometry
 ) -> VerificationReport:
-    """Residual of the squared-Dirac Lichnerowicz identity D^2 = rhs.
+    """Residual of the squared-Dirac Lichnerowicz identity D^2 = rhs: an
+    upper bound of ||M||_2, M = lhs - rhs, read in O(N log N) with no matrix.
 
-    With M = lhs - rhs the residual is max|diag M| + ||M - diag(diag M)||_F, an
-    upper bound on the operator norm ||M||_2 that needs no SVD.  Only defined
-    for profiles with basic mean curvature, read from the profile's
-    ``torus_geometry``: when kappa's coefficient varies along theta by more
-    than BASIC_KAPPA_TOLERANCE (relative to max(1, max|kappa|)) the report
-    is skipped, with the variation in its reason.
+    Only defined for profiles with basic mean curvature, read from the
+    profile's ``torus_geometry``: when kappa's coefficient varies along theta
+    by more than BASIC_KAPPA_TOLERANCE (relative to max(1, max|kappa|)) the
+    report is skipped, with the variation in its reason.  A grid below 8
+    times the t-bandwidth is refused (``require_lichnerowicz_grid``).
+
+    The sides are those of ``operators.assemble_lichnerowicz_sides``, built
+    from the density's samples g and g'.  With w = g^{1/2}, h = g'/2g,
+    k = -g'/g and F the Fourier derivative of ``fourier_derivative``, in
+    exact arithmetic lhs = (i w^{-1} D_s w)^2 = -w^{-1} D_s^2 w and
+    rhs = -w^{-1} D_s^2 w + diag(c + p), with c = F(h) + h^2 and
+    p = k^2/4 - (delta k)/2, delta k = -F(g k)/g = F(g')/g.  So
+    M = -diag(c + p) on either spin structure, and ||M||_2 = max|c + p|.
+    As g' is band-limited, c + p = F(h) - h': the check measures the
+    aliasing of h's spectral derivative only, as ``scal_relation`` does.
+
+    The residual is the computed max|c + p| plus the allowance a of
+    ``lichnerowicz_diagonal``, so it is at least ||M||_2.  With u = eps/2 and
+    gamma_n = n eps / (1 - n eps): the computed h and k are within a
+    relative u of the exact ones.  An N-point real FFT errs normwise by at
+    most phi_N = gamma_{7 log2 N} relative (Higham, *Accuracy and Stability
+    of Numerical Algorithms*, Theorem 24.2, as in ``spectral``).  F is an
+    rfft, a product by ik (k < N/2) rounding each part once, and an irfft,
+    and ||F||_2 <= N/2, so the computed F(x) is within
+    (N/2)(2 phi_N + u)(1 + phi_N + u)||x||_2 of F(x) at every node.  With
+    h's own error, the derivative of the computed h errs by at most
+    (N/2)(2 phi_N + gamma_3)||h||_2, and that of g' over 2g by the same
+    factor times ||g'||_2 / (2 min g); the squares, the division and the
+    sums round by at most gamma_7 of the sum of the four terms' moduli.  a
+    takes gamma_9 of that sum, covering the final sum too, and the norm
+    terms times 1 + gamma_{N+8}, covering their rounding.  No bound of the
+    dense form's off-diagonal round-off is added: that matrix is not formed.
     """
     metadata = _profile_metadata("schlich", profile, grid)
     kappa = geometry.kappa_coeff
@@ -266,11 +312,9 @@ def lichnerowicz_residual(
                   "product-form profile f = a(theta) c(t)")
         return VerificationReport.skipped("lichnerowicz", LICHNEROWICZ_THRESHOLD, reason, metadata)
     density = LeafVolumeDensity.from_profile(profile, grid)
-    lhs, rhs = assemble_lichnerowicz_sides(density, grid)
-    difference = lhs.matrix - rhs.matrix
-    diagonal = float(np.max(np.abs(np.diagonal(difference))))
-    np.fill_diagonal(difference, 0.0)
-    residual = diagonal + float(np.linalg.norm(difference))
+    require_lichnerowicz_grid(density, grid)
+    values, allowance = lichnerowicz_diagonal(density)
+    residual = float(np.max(np.abs(values))) + allowance
     return VerificationReport.from_residual(
         "lichnerowicz", residual, LICHNEROWICZ_THRESHOLD,
         {**metadata, "kappa_theta_variation": variation},
@@ -396,7 +440,9 @@ def run_pair_checks(pairs: list[tuple[MetricProfile, MetricProfile]], grid: Grid
     """The full metric-pair battery for each pair in turn: invariance, kappa
     transform, conjugation, and the Laplacian-dependence contrast.
 
-    Refuses a window outside the grid's trusted range, then, per pair, builds
+    Refuses a window outside the grid's trusted range, and, given a pair, a
+    window below 1, at which each Laplacian read holds only the zero
+    eigenvalue, so that every contrast would fail.  Then, per pair, builds
     each profile's density and alpha once, runs the conjugation check on
     them, reads each density's Dirac spectra, and its function Laplacian
     once per distinct density of the call, and passes the rest to the other
@@ -404,6 +450,10 @@ def run_pair_checks(pairs: list[tuple[MetricProfile, MetricProfile]], grid: Grid
     report.
     """
     grid.validate_window(window)
+    if pairs and window < 1.0:
+        raise ValueError(f"window must be at least 1 for a metric pair, got {window}: below 1 "
+                         "each basic Laplacian read holds only the zero eigenvalue, so no "
+                         "contrast can tell two metrics apart")
     laplacians, reports = {}, []
     for p1, p2 in pairs:
         d1 = LeafVolumeDensity.from_profile(p1, grid)

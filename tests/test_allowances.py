@@ -14,6 +14,10 @@ is O(N^2); only the Laplacian values need a high-precision eigensolve, of
 N x N at N <= 64.  The Galerkin read's radii are checked against the
 profile's own density, from its exact coefficients in high precision, by
 Rayleigh quotients of float Ritz vectors, which cost O(K B) each.
+``verify.lichnerowicz_diagonal``'s allowance is checked against c + p from
+the float g and g' in high precision, and the dense Lichnerowicz oracle's
+off-diagonal against its a priori rounding bound, which shows that the
+O(N log N) residual drops only rounding.
 """
 
 import dataclasses
@@ -24,21 +28,23 @@ import pytest
 import scipy.linalg
 
 from foliation_lab import spectral
-from foliation_lab._spectral_diff import wavenumbers
+from foliation_lab._spectral_diff import differentiation_matrix, wavenumbers
 from foliation_lab.basic_calculus import LeafVolumeDensity
-from foliation_lab.model_spaces import GridSpec, MetricProfile, ProfileTerm
-from foliation_lab.operators import dirac_factors
+from foliation_lab.model_spaces import GridSpec, MetricProfile, ProfileTerm, torus_geometry
+from foliation_lab.operators import assemble_lichnerowicz_sides, dirac_factors
 from foliation_lab.spectral import SpectrumReport, circulant_spectrum, factor_bounds
 from foliation_lab.verify import (
     LAPLACIAN_FORMS_THRESHOLD,
     basic_volume_ratio,
     conjugation_residual,
+    lichnerowicz_diagonal,
+    lichnerowicz_residual,
     pair_metadata,
     random_profile,
     run_pair_checks,
 )
 
-from conftest import bloch_allowance, patch_factors
+from conftest import bloch_allowance, exp_sin_profile, patch_factors
 
 mpmath.mp.dps = 30
 
@@ -367,3 +373,78 @@ def test_random_pair_gap_certificate(n_points, amplitude, phase):
         report = run_pair_checks([pair], grid, window)[3]
         assert report.passed
         assert report.metadata["laplacian_gap"] >= 2 * half / (2 + half) - rounding
+
+
+# Product profiles f = a(theta) c(t) for the Lichnerowicz audits: their
+# densities are 2 + cos t, e^{sin t / 2} to four harmonics, and a
+# two-harmonic c(t) whose h = g'/2g reaches about 1.9.
+PRODUCTS = {
+    "product": MetricProfile(2.0, (ProfileTerm(0, 1, 1.0), ProfileTerm(1, 0, 1.0),
+                                   ProfileTerm(1, 1, 0.5))),
+    "exp_sin": exp_sin_profile(0.5, k_max=4),
+    "steep": MetricProfile(1.0, (ProfileTerm(0, 1, 0.6), ProfileTerm(0, 3, 0.3, 0.0, 0.4),
+                                 ProfileTerm(2, 0, 0.2), ProfileTerm(2, 1, 0.12),
+                                 ProfileTerm(2, 3, 0.06, 0.0, 0.4))),
+}
+
+
+def _fourier_derivative(values: list, n_points: int) -> list:
+    """The Fourier derivative of ``fourier_derivative`` (extreme mode zeroed)
+    in high precision: the circular convolution with
+    d_q = -(2/N) sum_{0 < k < N/2} k sin(2 pi k q / N)."""
+    angle = 2 * mpmath.pi / n_points
+    kernel = [-2 * mpmath.fsum(k * mpmath.sin(angle * k * q) for k in range(1, n_points // 2))
+              / n_points for q in range(n_points)]
+    return [mpmath.fsum(values[m] * kernel[(j - m) % n_points] for m in range(n_points))
+            for j in range(n_points)]
+
+
+@pytest.mark.parametrize("n_points", [32, 64])
+@pytest.mark.parametrize("name", list(PRODUCTS))
+def test_lichnerowicz_diagonal_lies_within_the_allowance(n_points, name):
+    """c + p = F(h) + 2h^2 - F(g')/2g from the float g and g' in high
+    precision (h = g'/2g, k = -g'/g, so g k = -g' and k^2/4 = h^2): every
+    computed value is within the allowance of it, so the residual bounds
+    ||M||_2 = max|c + p| of the operators as defined."""
+    grid = GridSpec(n_points)
+    density = LeafVolumeDensity.from_profile(PRODUCTS[name], grid)
+    values, allowance = lichnerowicz_diagonal(density)
+    g = [mpmath.mpf(x) for x in density.g_values.tolist()]
+    g_dot = [mpmath.mpf(x) for x in density.g_dot_values.tolist()]
+    h = [gd / (2 * gj) for gd, gj in zip(g_dot, g)]
+    derivative_h = _fourier_derivative(h, n_points)
+    derivative_g_dot = _fourier_derivative(g_dot, n_points)
+    exact = [dh + 2 * hj**2 - dg / (2 * gj)
+             for dh, hj, dg, gj in zip(derivative_h, h, derivative_g_dot, g)]
+    error = max(abs(mpmath.mpf(x) - e) for x, e in zip(values.tolist(), exact))
+    assert error <= allowance
+    residual = lichnerowicz_residual(PRODUCTS[name], grid,
+                                     torus_geometry(PRODUCTS[name], grid)).residual
+    assert max(abs(e) for e in exact) <= residual
+
+
+@pytest.mark.parametrize("n_points", [64, 128, 256])
+@pytest.mark.parametrize("name", ["product", "steep"])
+def test_dense_off_diagonal_is_round_off(n_points, name):
+    """The dense oracle's M = lhs - rhs has an exactly zero off-diagonal, as
+    both sides share -w^{-1} D^2 w: its computed off-diagonal is within
+    b ||w^{-1} |D|^2 w||_F, b = (1 + u)(2 sqrt(2) gamma_{N+2} (1 + gamma_3)^2
+    + 3 gamma_3 + gamma_3^2) for the two complex products (Higham, Section
+    3.6), the entry roundings gamma_3 of the two diagonal scalings and the
+    difference, and 1 + gamma_N for computing the bound's own product; so
+    ``lichnerowicz_residual`` drops only rounding in a matrix it does not
+    form."""
+    grid = GridSpec(n_points)
+    density = LeafVolumeDensity.from_profile(PRODUCTS[name], grid)
+    lhs, rhs = assemble_lichnerowicz_sides(density, grid)
+    difference = lhs.matrix - rhs.matrix
+    np.fill_diagonal(difference, 0.0)
+    w = dirac_factors(density)[0]
+    modulus = np.abs(differentiation_matrix(n_points, "trivial"))
+    scaled = (modulus @ modulus) * w[None, :] / w[:, None]
+    np.fill_diagonal(scaled, 0.0)
+    t = spectral.gamma(3)
+    b = (1.0 + 0.5 * np.finfo(float).eps) * (
+        2.0 * np.sqrt(2.0) * spectral.gamma(n_points + 2) * (1.0 + t) ** 2 + 3.0 * t + t * t)
+    bound = b * np.linalg.norm(scaled) * (1.0 + spectral.gamma(n_points))
+    assert np.linalg.norm(difference) <= bound

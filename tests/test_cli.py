@@ -16,7 +16,7 @@ from foliation_lab import bounds
 from foliation_lab.model_spaces import MetricProfile, ProfileTerm
 from foliation_lab.cli import _json_text, build_parser, run
 
-from conftest import save_profile
+from conftest import exp_sin_profile, save_profile
 
 
 @pytest.fixture
@@ -541,6 +541,46 @@ class TestVerifyCommand:
         )
         assert not out.exists()
         assert run([*argv, "--grid", "128"]) == 0
+
+    def test_lichnerowicz_refuses_a_grid_below_eight_bandwidths(self, tmp_path, capsys):
+        """A product profile of t-bandwidth 12 is resolved at grid 64, but the
+        Lichnerowicz check needs 96 points."""
+        path = tmp_path / "exp_sin.json"
+        save_profile(exp_sin_profile(0.5, k_max=12), path)
+        out = tmp_path / "out"
+        argv = ["verify", "--pairs", "0", "--profiles", str(path), "--window", "4",
+                "--output-dir", str(out)]
+        assert run([*argv, "--grid", "64"]) == 2
+        assert capsys.readouterr() == (
+            "", "error: grid too coarse for density bandwidth 12: need n_points >= 96, got 64\n")
+        assert not out.exists()
+        assert run([*argv, "--grid", "128"]) == 0
+
+    @pytest.mark.parametrize("command", ["generated", "given", "invariance"])
+    def test_window_below_one_is_refused_for_a_pair(self, tmp_path, capsys, flat_path,
+                                                    wavy_path, command):
+        inputs = {
+            "generated": ["verify", "--all", "--pairs", "1"],
+            "given": ["verify", "--profiles", str(flat_path), str(wavy_path)],
+            "invariance": ["invariance", "--profiles", str(flat_path), str(wavy_path)],
+        }[command]
+        out = tmp_path / "out"
+        assert run([*inputs, "--grid", "64", "--window", "0.5", "--output-dir", str(out)]) == 2
+        assert capsys.readouterr() == ("", (
+            "error: window must be at least 1 for a metric pair, got 0.5: below 1 each basic "
+            "Laplacian read holds only the zero eigenvalue, so no contrast can tell two "
+            "metrics apart\n"))
+        assert not out.exists()
+
+    @pytest.mark.parametrize("command", ["spectrum", "verify"])
+    def test_window_below_one_without_a_pair_is_accepted(self, tmp_path, wavy_path, command):
+        inputs = {
+            "spectrum": ["spectrum", "--profile", str(wavy_path)],
+            "verify": ["verify", "--pairs", "0", "--profiles", str(wavy_path)],
+        }[command]
+        out = tmp_path / "out"
+        assert run([*inputs, "--grid", "64", "--window", "0.5", "--output-dir", str(out)]) == 0
+        assert any(out.iterdir())
 
     @pytest.mark.parametrize("pairs", ["0", "-3"])
     def test_zero_check_run_is_refused(self, tmp_path, capsys, pairs):

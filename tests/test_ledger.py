@@ -4,7 +4,8 @@ The ledger is pasted into change notes and compared with ``diff``, so its
 lines are pinned here on a small command set (seeds 0 to 4 at grid 64, and
 the invariance cases of tools/parity.py); the pass counts are not, as a
 change to the program may move them, except that every generated seed
-exits 0.
+exits 0, and the read lines count the Laplacian reads the pair battery
+makes.
 """
 
 import importlib
@@ -13,7 +14,7 @@ from pathlib import Path
 
 import pytest
 
-from foliation_lab import cli
+from foliation_lab import cli, verify
 
 TOOLS = Path(__file__).resolve().parents[1] / "tools"
 
@@ -54,7 +55,22 @@ def _section_rows(lines: list[str], label: str) -> list[str]:
     return labels
 
 
-def test_ledger_format_on_five_seeds(ledger):
+def _read_count(lines: list[str]) -> int:
+    """Galerkin plus grid reads on a section's read line."""
+    line = next(line for line in lines if line.startswith("laplacian reads: "))
+    match = re.fullmatch(r"laplacian reads: galerkin (\d+) \(.*\), grid (\d+)", line)
+    return int(match.group(1)) + int(match.group(2))
+
+
+def test_ledger_format_on_five_seeds(ledger, monkeypatch):
+    reads = []
+    function_laplacian = verify.function_laplacian
+
+    def counted(*args):
+        reads.append(args[0])
+        return function_laplacian(*args)
+
+    monkeypatch.setattr(verify, "function_laplacian", counted)
     text = ledger.ledger_text(cli, seeds=range(5), grids=((64, "8"),))
     assert text.endswith("\n")
     head, grid, pairs = (part.splitlines() for part in text.split("\n\n"))
@@ -70,6 +86,10 @@ def test_ledger_format_on_five_seeds(ledger):
     cases = [name for name in ledger.parity.cases() if name.startswith("invariance-")]
     assert len(cases) == 5
     assert sorted(_section_rows(pairs[1:], r"invariance-[a-z0-9-]+")) == sorted(cases)
+    # one read per command and density: each generated seed reads the
+    # constant 2 once and its five other densities
+    assert _read_count(grid) == 30
+    assert _read_count(grid) + _read_count(pairs) == len(reads)
 
 
 def test_ledger_refuses_an_existing_file(ledger, tmp_path, capsys):

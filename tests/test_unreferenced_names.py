@@ -23,6 +23,8 @@ ALLOWED = {
     "operators.assemble_basic_dirac_forms":
         "perfbench/tracing.py spans it as operators.assemble",
     "operators.assemble_basic_laplacian": "perfbench/tracing.py spans it as operators.assemble",
+    "operators.assemble_lichnerowicz_sides":
+        "the tracer spans it; it goes with items 2 and 22",
     "spectral.eigenvalues_weighted":
         "perfbench/tracing.py spans it as spectral.eigensolve, and "
         "perfbench/tests/test_determinism.py reads cli.eigenvalues_weighted",

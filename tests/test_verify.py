@@ -1,5 +1,6 @@
 """Verification harnesses: invariance battery, residual identities, contrasts."""
 
+import inspect
 import json
 import math
 import re
@@ -36,6 +37,7 @@ from foliation_lab.verify import (
     invariance_check,
     kappa_transform_residual,
     laplacian_dependence,
+    lichnerowicz_diagonal,
     lichnerowicz_residual,
     pair_metadata,
     random_profile,
@@ -241,21 +243,39 @@ class TestLichnerowicz:
             ("product", GridSpec(128)),
             ("exp_sin", GridSpec(128)),
             ("cosine", GridSpec(128, "nontrivial")),
+            ("wavy8", GridSpec(64)),
         ],
     )
-    def test_residual_is_tight_upper_bound_on_operator_norm(
+    def test_residual_is_the_dense_diagonal_within_the_allowance(
         self, name, grid, flat_profile, product_profile, cosine_profile
     ):
+        """The residual is the computed max|c + p| plus its allowance, and the
+        dense oracle's max|diag(lhs - rhs)| lies within that allowance of the
+        computed value, also where aliasing dominates (t-bandwidth 8 at N = 64)."""
         profile = {
             "flat": flat_profile,
             "product": product_profile,
             "exp_sin": exp_sin_profile(0.5),
             "cosine": cosine_profile,
+            "wavy8": MetricProfile(2.0, (ProfileTerm(0, 8, 0.9),)),
         }[name]
-        lhs, rhs = assemble_lichnerowicz_sides(LeafVolumeDensity.from_profile(profile, grid), grid)
-        two_norm = np.linalg.norm(lhs.matrix - rhs.matrix, 2)
-        residual = lichnerowicz(profile, grid).residual
-        assert two_norm <= residual <= two_norm + 1e-10
+        density = LeafVolumeDensity.from_profile(profile, grid)
+        lhs, rhs = assemble_lichnerowicz_sides(density, grid)
+        dense = float(np.max(np.abs(np.diagonal(lhs.matrix - rhs.matrix))))
+        values, allowance = lichnerowicz_diagonal(density)
+        computed = float(np.max(np.abs(values)))
+        assert lichnerowicz(profile, grid).residual == computed + allowance
+        assert abs(dense - computed) <= allowance
+
+    @pytest.mark.parametrize("name, n_points", [("product", 64), ("product", 128),
+                                                 ("exp_sin", 128)])
+    def test_spin_structures_give_the_same_residual(self, name, n_points, product_profile):
+        """M = -diag(c + p) on either spin structure: D_s cancels."""
+        profile = product_profile if name == "product" else exp_sin_profile(0.5)
+        trivial, nontrivial = (lichnerowicz(profile, GridSpec(n_points, spin))
+                               for spin in ("trivial", "nontrivial"))
+        assert trivial.residual == nontrivial.residual
+        assert trivial.metadata == nontrivial.metadata
 
 
 class TestLaplacianDependence:
@@ -707,6 +727,8 @@ class TestMutations:
       of the theta-average.  Each operator is still unitarily equivalent to
       iD, so ``invariance`` passes, but alpha stays the true projection, so on
       a theta-dependent pair ``kappa_transform`` and ``conjugation`` fail.
+    * h = g'/g in place of g'/2g in the Lichnerowicz diagonal: the
+      connection term no longer cancels, and ``lichnerowicz`` fails.
     """
 
     MUTANTS = {
@@ -753,6 +775,20 @@ class TestMutations:
         patch_factors(monkeypatch, self.MUTANTS["w_is_g"])
         assert not conjugation_residual(*pair.densities, pair.alpha, grid64,
                                         pair.metadata).passed
+
+    def test_a_doubled_connection_term_fails_lichnerowicz(self, product_profile, grid128):
+        """``lichnerowicz_diagonal`` built from a copy of ``verify`` whose
+        h is g'/g in place of g'/2g: c + p is then g''/2g + (g'/2g)^2, not
+        aliasing, and the check fails on a product profile it passes."""
+        source = inspect.getsource(verify)
+        honest = "h = g_dot / (2.0 * g)"
+        assert source.count(honest) == 1
+        mutant = {"__name__": verify.__name__, "__package__": verify.__package__}
+        exec(compile(source.replace(honest, "h = g_dot / g"), verify.__file__, "exec"), mutant)
+        geometry = torus_geometry(product_profile, grid128)
+        assert lichnerowicz_residual(product_profile, grid128, geometry).passed
+        report = mutant["lichnerowicz_residual"](product_profile, grid128, geometry)
+        assert not report.passed and report.residual > 0.1
 
     @staticmethod
     def _unprojected(cls, profile, grid):

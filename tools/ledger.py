@@ -14,7 +14,9 @@ name; per check the runs, passes, failures and skips,
 the smallest threshold/residual ratio over the runs (inf for a zero
 residual, 0 for an infinite one) and what the residual measures; the
 Laplacian reads of the running contrasts by kind, with the largest Galerkin
-order K (its headroom below the cap N/2); and the skips by reason.
+order K (its headroom below the cap N/2), one read per command and
+theta-averaged profile, as the pair battery memoises them; and the skips by
+reason.
 A header records the provenance: Python, numpy, its BLAS and LAPACK, and the
 CPU count.  Bundles are written to a temporary directory and removed; BLAS
 runs on one thread unless the environment says otherwise.
@@ -73,6 +75,16 @@ def run_command(cli, argv: list[str], out: Path) -> tuple[int, list]:
     return code, reports
 
 
+def _read_key(label, document: dict) -> tuple:
+    """The pair battery's memo key of a contrast profile's Laplacian read: the
+    command, and the profile's theta-average, which fixes the density on the
+    command's grid."""
+    # imported here: the tree's package is on the path once import_cli ran
+    from foliation_lab.model_spaces import MetricProfile
+
+    return label, MetricProfile.from_dict(document).theta_average()
+
+
 def _ratio(report: dict) -> float:
     residual = float(report["residual"])
     return math.inf if residual == 0.0 else float(report["threshold"]) / residual
@@ -81,7 +93,7 @@ def _ratio(report: dict) -> float:
 def section(title: str, runs: dict) -> list[str]:
     """The ledger lines of one section; ``runs`` maps each command's label to
     its exit code and reports."""
-    codes, rows, orders, skips = {}, {}, [], Counter()
+    codes, rows, reads, skips = {}, {}, {}, Counter()
     for label, (code, reports) in runs.items():
         codes[label] = code
         for report in reports:
@@ -95,7 +107,9 @@ def section(title: str, runs: dict) -> list[str]:
             row["run"] += 1
             row["passed" if report["passed"] else "failed"] += 1
             row["ratio"] = min(row["ratio"], _ratio(report))
-            orders += metadata.get("laplacian_order", [])
+            orders = metadata.get("laplacian_order", [])
+            for key, order in zip(("profile_1", "profile_2"), orders):
+                reads[_read_key(label, metadata[key])] = order
     lines = [title]
     for code in sorted(set(codes.values())):
         chosen = [str(label) for label, value in codes.items() if value == code]
@@ -105,9 +119,9 @@ def section(title: str, runs: dict) -> list[str]:
     for name, row in rows.items():
         lines.append(f"{name:<22}{row['run']:>6}{row['passed']:>8}{row['failed']:>8}"
                      f"{row['skipped']:>9}{row['ratio']:>12.3g}  {MEASURES.get(name, '?')}")
-    galerkin = [order for order in orders if order is not None]
+    galerkin = [order for order in reads.values() if order is not None]
     lines.append(f"laplacian reads: galerkin {len(galerkin)} (largest K "
-                 f"{max(galerkin, default='-')}), grid {orders.count(None)}")
+                 f"{max(galerkin, default='-')}), grid {len(reads) - len(galerkin)}")
     lines += [f"skipped {count}: {reason}" for reason, count in sorted(skips.items())]
     return lines
 
