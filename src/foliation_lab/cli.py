@@ -16,6 +16,7 @@ import math
 import os
 import sys
 from dataclasses import replace
+from json.encoder import encode_basestring_ascii
 from pathlib import Path
 
 import numpy as np
@@ -45,25 +46,48 @@ _RESOLUTION_HELP = ("Accepted for compatibility and ignored: each bound integran
                     "in s, so it is read at s = 0 and s = 1 only")
 
 
-def _json_safe(value):
-    """``value`` with numpy scalars made Python numbers and every non-finite
-    float written as the string "inf", "-inf" or "nan"."""
-    if isinstance(value, dict):
-        return {key: _json_safe(item) for key, item in value.items()}
-    if isinstance(value, (list, tuple)):
-        return [_json_safe(item) for item in value]
-    if isinstance(value, np.integer):
-        return int(value)
-    if isinstance(value, (float, np.floating)):
-        value = float(value)
-        return value if math.isfinite(value) else str(value)
-    return value
-
-
 def _json_text(payload) -> str:
-    """The text of every JSON report: standard JSON (no bare NaN or Infinity),
-    sorted keys, one trailing newline."""
-    return json.dumps(_json_safe(payload), indent=2, sort_keys=True, allow_nan=False) + "\n"
+    """The text of every JSON report, as ``json.dumps(indent=2,
+    sort_keys=True)`` writes it: standard JSON, numpy scalars as Python
+    numbers, every non-finite float as the string "inf", "-inf" or "nan",
+    one trailing newline; TypeError on any other type, or a non-str key."""
+    chunks = []
+    _write_json(payload, chunks, "\n")
+    chunks.append("\n")
+    return "".join(chunks)
+
+
+def _write_json(value, chunks: list, newline: str) -> None:
+    """Append the JSON text of ``value`` to ``chunks``, its nested lines
+    starting with ``newline``."""
+    if isinstance(value, str):
+        chunks.append(encode_basestring_ascii(value))
+    elif value is None or value is True or value is False:
+        chunks.append("null" if value is None else "true" if value else "false")
+    elif isinstance(value, (int, np.integer)):
+        chunks.append(int.__repr__(int(value)))
+    elif isinstance(value, (float, np.floating)):
+        value = float(value)
+        chunks.append(float.__repr__(value) if math.isfinite(value)
+                      else encode_basestring_ascii(str(value)))
+    elif isinstance(value, dict):
+        opener, inner = "{", newline + "  "
+        for key in sorted(value):
+            if not isinstance(key, str):
+                raise TypeError(f"keys must be str, not {type(key).__name__}")
+            chunks.append(f"{opener}{inner}{encode_basestring_ascii(key)}: ")
+            _write_json(value[key], chunks, inner)
+            opener = ","
+        chunks.append("{}" if not value else newline + "}")
+    elif isinstance(value, (list, tuple)):
+        opener, inner = "[", newline + "  "
+        for item in value:
+            chunks.append(opener + inner)
+            _write_json(item, chunks, inner)
+            opener = ","
+        chunks.append("[]" if not value else newline + "]")
+    else:
+        raise TypeError(f"Object of type {type(value).__name__} is not JSON serializable")
 
 
 def _emit(args, name: str, text: str, stderr_lines, failed: bool, summary: str = "") -> int:

@@ -124,11 +124,28 @@ one cos/sin pair and one product (and of the sum where terms share an
 density g~ = sum g_m e^{imt} of the computed coefficients.  In the basis
 e^{ikt}, |k| <= K, the mass matrix G_jk = g_{j-k} and the stiffness matrix
 A_jk = jk g_{j-k} are exact, with no quadrature and no aliasing, and
-Hermitian by construction.  A c = rho G c is solved through G = L L^H as
-the Hermitian problem of L^{-1} A L^{-H}, c = L^{-H} y.
+Hermitian by construction.  A c = rho G c is solved, in the blocks below,
+through G = L L^H as the Hermitian problem of L^{-1} A L^{-H}, c = L^{-H} y.
 
 * Rayleigh-Ritz: the trial spaces are nested in K, so the k-th Ritz value
   rho_k is an upper bound of lambda_k(Delta) and does not increase with K.
+* The blocks.  Let d = gcd{m >= 1 : g_m != 0}, and d = 0 for a constant.
+  g_{j-k} = 0 unless d divides j - k, so G_jk = A_jk = 0 exactly unless
+  j = k (mod d); an absent frequency's coefficient is an exact 0, so this
+  holds for the computed matrices.  Ordered by residue class, G and A are
+  block diagonal, one block per class of k modulo d (each k its own class
+  when d = 0 or d > 2K), and the Ritz pairs of (A, G) are the union of
+  the blocks' pairs, each vector zero outside its class.  The 2K + 1 modes
+  fall into classes of floor((2K + 1) / d) and ceil((2K + 1) / d) modes,
+  so ``galerkin_read`` makes one stacked Cholesky, solve, ``eigh`` and
+  back-solve per class size, at most two, and sorts the merged windowed
+  values.  The split permutes the same problem in the same trial space, so
+  the merged rho_k are the unsplit problem's Ritz values, up to the
+  solves' round-off, and the upper bound and the monotonicity in K hold
+  as stated.  The radius below takes each vector back into the full basis
+  and its residual from the full matrices, rows |l| <= K + B: it rests on
+  the residual alone and not on the split, so a split that drops a
+  coupling leaves it in w, and a radius far above the tolerance.
 * The radius.  For u = sum c_k e^{ikt}, the weak residual
   w = -(g~ u')' - rho g~ u has the coefficients
   w_l = sum_k (lk - rho) g_{l-k} c_k, |l| <= K + B, exactly.  Galerkin
@@ -182,12 +199,9 @@ the Hermitian problem of L^{-1} A L^{-H}, c = L^{-H} y.
   value.  The cap limits the cost, not the error: the radius certifies
   against the continuous operator at any K, and at K = N/2 the basis holds
   the modes that the N-point grid resolves.  Near the cap a Galerkin read
-  can cost more than the grid read: measured (the least over 9 runs of 5
-  calls, one BLAS thread, 2 cores, numpy 2.4 with OpenBLAS), the
-  t-bandwidth-8 density of ``tools/parity.py`` takes 20 ms at K = 89
-  against 14 ms on the grid at N = 256 and window 10, but 66 ms at K = 143
-  against 81 ms at N = 512 and window 64; 2 + cos t takes 1.5 ms at K = 29
-  against 0.7 ms at N = 64 and window 8.  ``verify.random_pair``'s
+  with d = 1 solves one block of 2K + 1, about N, modes, as large as the
+  grid read's Gram blocks at period N, and can cost as much or more.
+  ``verify.random_pair``'s
   densities, 2 and 2 + a cos(2t + psi) with eta >= acosh(20) / 2 = 1.84, are
   first solved at K <= W + 15, so none reaches the grid read at N = 64.
 * What is not certified.  The radius places an eigenvalue of Delta within
@@ -428,17 +442,25 @@ class LaplacianRead:
 
 def strip_width(coefficients: np.ndarray) -> float:
     """eta, the largest y with g_0 > 2 sum_{m >= 1} |g_m| cosh(m y), to a
-    relative 2^-30: infinite for a constant, 0 when g_0 <= 2 sum |g_m|."""
+    relative 2^-30: infinite for a constant, 0 when g_0 <= 2 sum |g_m|.  The
+    bisection runs in Python floats; an overflowing cosh reads as not
+    positive, as numpy's inf (or 0 inf = nan) would."""
     bandwidth = coefficients.size // 2
-    magnitudes = 2.0 * np.abs(coefficients[bandwidth + 1:])
-    frequencies = np.arange(1.0, bandwidth + 1.0)
-
-    def positive(y: float) -> bool:
-        with np.errstate(over="ignore"):
-            return coefficients[bandwidth].real > magnitudes @ np.cosh(frequencies * y)
-
     if bandwidth == 0:
         return math.inf
+    mean = float(coefficients[bandwidth].real)
+    terms = [(float(m), 2.0 * abs(g))
+             for m, g in enumerate(coefficients[bandwidth + 1:].tolist(), 1)]
+
+    def positive(y: float) -> bool:
+        total = 0.0
+        for frequency, magnitude in terms:
+            try:
+                total += magnitude * math.cosh(frequency * y)
+            except OverflowError:
+                return False
+        return mean > total
+
     low, high = 0.0, 1.0
     if not positive(low):
         return 0.0
@@ -473,40 +495,67 @@ def galerkin_matrices(coefficients: np.ndarray, order: int) -> tuple[np.ndarray,
     return mass, stiffness
 
 
+def _residue_classes(period: int, size: int) -> list[np.ndarray]:
+    """The positions 0..size - 1 of the basis e^{ikt}, |k| <= K, size = 2K + 1,
+    split into the residue classes of k modulo ``period`` d (every k its own
+    class for d = 0 or d >= size), grouped by class size: one (classes, n)
+    array of positions per size, at most two (module docstring)."""
+    period = min(period or size, size)
+    count, extra = divmod(size, period)
+    groups = [np.arange(extra, period)[:, None] + period * np.arange(count)]
+    if extra:
+        groups.insert(0, np.arange(extra)[:, None] + period * np.arange(count + 1))
+    return groups
+
+
 def _windowed_ritz_pairs(mass: np.ndarray, stiffness: np.ndarray,
-                         limit: float) -> tuple[np.ndarray, np.ndarray]:
-    """The Ritz values rho of A c = rho G c with |rho| <= ``limit``, ascending,
-    and their vectors c, normalized to c^H G c = 1, through G = L L^H.  Its
-    work arrays are conjugated in place and end with it, before the caller
-    forms the residuals."""
+                         limit: float) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """For a stack of (classes, n, n) problems A c = rho G c, the Ritz values
+    rho with |rho| <= ``limit``, their vectors c as rows, normalized to
+    c^H G c = 1, and the class of each, ordered by class and then ascending,
+    through G = L L^H: one stacked call of each solver.  Its work arrays are
+    conjugated in place and end with it."""
     factor = np.linalg.cholesky(mass)
     reduced = np.linalg.solve(factor, stiffness)
-    reduced = np.linalg.solve(factor, np.conjugate(reduced, out=reduced).T)
+    reduced = np.linalg.solve(factor, np.conjugate(reduced, out=reduced).swapaxes(1, 2))
     values, vectors = np.linalg.eigh(reduced)
     del reduced
-    windowed = np.abs(values) <= limit
-    return values[windowed], np.linalg.solve(np.conjugate(factor, out=factor).T,
-                                             vectors[:, windowed])
+    classes, columns = np.nonzero(np.abs(values) <= limit)
+    # back-solve only the columns up to the last windowed one of any class
+    vectors = np.linalg.solve(np.conjugate(factor, out=factor).swapaxes(1, 2),
+                              vectors[:, :, : columns.max(initial=-1) + 1])
+    return values[classes, columns], vectors[classes, :, columns], classes
 
 
 def galerkin_read(coefficients: np.ndarray, order: int, window: float) -> LaplacianRead:
     """The windowed Ritz values of the function Laplacian of the density with
-    ``coefficients`` in the basis e^{ikt}, |k| <= ``order``, and their radii
-    (module docstring).  ValueError when g_low <= 0."""
+    ``coefficients`` in the basis e^{ikt}, |k| <= ``order``, solved in the
+    residue classes of k modulo d = gcd{m >= 1 : g_m != 0}, and their radii
+    in the full basis (module docstring).  ValueError when g_low <= 0."""
     bandwidth, lower = coefficients.size // 2, lower_bound(coefficients)
     if not lower > 0.0:
         raise ValueError(
             f"the Galerkin Laplacian read needs g_0 > 2 sum |g_m| over the density's "
             f"coefficients: the lower bound g_low = {lower:.3e} is not positive")
     mass, stiffness = galerkin_matrices(coefficients, order)
-    interior = slice(bandwidth, bandwidth + 2 * order + 1)
-    ritz, c = _windowed_ritz_pairs(mass[interior], stiffness[interior],
-                                   window * window + WINDOW_EDGE_SLACK)
+    size, limit = 2 * order + 1, window * window + WINDOW_EDGE_SLACK
+    period = math.gcd(*(np.flatnonzero(coefficients[bandwidth + 1:]) + 1).tolist())
+    ritz, rows = [], []
+    for positions in _residue_classes(period, size):
+        block = (positions[:, :, None] + bandwidth, positions[:, None, :])
+        values, vectors, classes = _windowed_ritz_pairs(mass[block], stiffness[block], limit)
+        full = np.zeros((values.size, size), complex)
+        full[np.arange(values.size)[:, None], positions[classes]] = vectors
+        ritz.append(values)
+        rows.append(full)
+    ritz = np.concatenate(ritz)
+    ascending = np.argsort(ritz, kind="stable")
+    ritz, c = ritz[ascending], np.concatenate(rows)[ascending].T
     mass_c = mass @ c
     residual = stiffness @ c - mass_c * ritz
     magnitude = np.abs(stiffness) @ np.abs(c) + (np.abs(mass) @ np.abs(c)) * np.abs(ritz)
     rounding = math.sqrt(2.0) * gamma(2 * order + 5) * np.linalg.norm(magnitude, axis=0)
-    norm = np.sum(c.conj() * mass_c[interior], axis=0).real
+    norm = np.sum(c.conj() * mass_c[bandwidth : bandwidth + size], axis=0).real
     radii = (np.linalg.norm(residual, axis=0) + rounding) / np.sqrt(lower * norm)
     return LaplacianRead(ritz, radii, order)
 

@@ -285,6 +285,15 @@ def battery_laplacian(density: LeafVolumeDensity, window: float) -> LaplacianRea
     return function_laplacian(density, window, LAPLACIAN_FORMS_THRESHOLD)
 
 
+def galerkin_rounding(read, coefficients: np.ndarray) -> float:
+    """The backward error (2K + 1) eps ||L^{-1} A L^{-H}||_2 of a Galerkin
+    read's ``eigh``, the norm at most K^2 (g_0 + 2 sum |g_m|) / g_low, as
+    ``test_ritz_values_do_not_increase_along_the_orders`` allows it."""
+    order = read.order
+    return ((2 * order + 1) * np.finfo(float).eps * order * order
+            * float(np.sum(np.abs(coefficients))) / spectral.lower_bound(coefficients))
+
+
 def pair_inputs(p1: MetricProfile, p2: MetricProfile, grid: GridSpec) -> SimpleNamespace:
     """What ``run_pair_checks`` passes to the pair checks, for calling one alone:
     the two ``densities``, their ``dirac_spectra`` ``spectra``, ``alpha``, the

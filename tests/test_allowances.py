@@ -44,7 +44,7 @@ from foliation_lab.verify import (
     run_pair_checks,
 )
 
-from conftest import bloch_allowance, exp_sin_profile, patch_factors
+from conftest import bloch_allowance, exp_sin_profile, galerkin_rounding, patch_factors
 
 mpmath.mp.dps = 30
 
@@ -318,15 +318,6 @@ def _operator_distance(density: LeafVolumeDensity, profile: MetricProfile) -> mp
         for i in range(n) for j in range(n)))
 
 
-def _galerkin_rounding(read, coefficients: np.ndarray) -> float:
-    """The backward error (2K + 1) eps ||L^{-1} A L^{-H}||_2 of a Galerkin
-    read's ``eigh``, the norm at most K^2 (g_0 + 2 sum |g_m|) / g_low, as
-    ``tests/test_spectral.py`` allows it."""
-    order = read.order
-    return ((2 * order + 1) * np.finfo(float).eps * order * order
-            * float(np.sum(np.abs(coefficients))) / spectral.lower_bound(coefficients))
-
-
 @pytest.mark.parametrize("n_points", [16, 32, 64, 256])
 @pytest.mark.parametrize("amplitude", [0.01, 0.1])
 @pytest.mark.parametrize("phase", [0.0, 1.0, 2.5, 4.5])
@@ -364,9 +355,9 @@ def test_random_pair_gap_certificate(n_points, amplitude, phase):
         coefficients = densities[0].coefficients
         computed = abs(_mp(coefficients)[-1])
         rounding = (max(0, (2 - computed) / (2 + computed) - bound)
-                    + _galerkin_rounding(reads[0], coefficients))
+                    + galerkin_rounding(reads[0], coefficients))
     assert reads[0].values[1] <= bound + rounding
-    constant_rounding = _galerkin_rounding(reads[1], densities[1].coefficients)
+    constant_rounding = galerkin_rounding(reads[1], densities[1].coefficients)
     assert abs(reads[1].values[1] - 1.0) <= constant_rounding
     rounding += constant_rounding
     for pair in ((strong, MetricProfile(2.0)), (MetricProfile(2.0), strong)):

@@ -650,6 +650,69 @@ def test_json_text_spells_every_non_finite_float():
     assert json.loads(_json_text(payload)) == {"a": ["inf", "-inf"], "b": ["nan", "nan"], "c": 0.5}
 
 
+def _stdlib_json_text(payload) -> str:
+    """The report text through the standard library's encoder: numpy scalars
+    made Python numbers, non-finite floats spelled as strings, then
+    ``json.dumps(indent=2, sort_keys=True, allow_nan=False)``."""
+
+    def safe(value):
+        if isinstance(value, dict):
+            return {key: safe(item) for key, item in value.items()}
+        if isinstance(value, (list, tuple)):
+            return [safe(item) for item in value]
+        if isinstance(value, np.integer):
+            return int(value)
+        if isinstance(value, (float, np.floating)):
+            value = float(value)
+            return value if np.isfinite(value) else str(value)
+        return value
+
+    return json.dumps(safe(payload), indent=2, sort_keys=True, allow_nan=False) + "\n"
+
+
+# Text with non-ASCII, control and escape-needing characters.
+_JSON_STRINGS = st.text(st.sampled_from(['a', 'Z', ' ', '"', '\\', '/', '\n', '\t', '\x00',
+                                         '\x1f', '\x7f', 'é', '\u2028', '\U0001f600']),
+                        max_size=6) | st.text(max_size=6)
+_JSON_SCALARS = (
+    st.none() | st.booleans() | st.integers() | _JSON_STRINGS
+    | st.floats(allow_nan=True, allow_infinity=True)
+    | st.sampled_from([np.inf, -np.inf, np.nan, -0.0, 1e-310, 1e300])
+    | st.floats(allow_nan=True, allow_infinity=True).map(np.float64)
+    | st.floats(width=32).map(np.float32)
+    | st.integers(-2**63, 2**63 - 1).map(np.int64)
+)
+_JSON_PAYLOADS = st.recursive(
+    _JSON_SCALARS,
+    lambda children: (st.lists(children, max_size=4)
+                      | st.lists(children, max_size=4).map(tuple)
+                      | st.dictionaries(_JSON_STRINGS, children, max_size=4)),
+    max_leaves=20,
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(_JSON_PAYLOADS)
+def test_json_text_is_the_stdlib_encoding(payload):
+    assert _json_text(payload) == _stdlib_json_text(payload)
+
+
+@pytest.mark.parametrize("payload", [
+    {"a": np.array([1.0])}, [np.bool_(True)], {"a": object()}, {"a": {1, 2}}, {np.int64(1): 0}])
+def test_json_text_refuses_what_the_stdlib_refuses(payload):
+    with pytest.raises(TypeError):
+        _stdlib_json_text(payload)
+    with pytest.raises(TypeError):
+        _json_text(payload)
+
+
+@pytest.mark.parametrize("key", [1, 0.5, True, None])
+def test_json_text_refuses_a_key_that_is_not_a_string(key):
+    """No report has one; the standard library would write it as a string."""
+    with pytest.raises(TypeError, match="keys must be str"):
+        _json_text({key: 0})
+
+
 def test_one_parser_serves_every_command(tmp_path, capsys, flat_path, wavy_path):
     """The cached parser gives each command the same result whatever ran before it."""
     assert build_parser() is build_parser()

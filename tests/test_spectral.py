@@ -8,7 +8,7 @@ import re
 import numpy as np
 import pytest
 
-from foliation_lab import cli, operators, spectral
+from foliation_lab import cli, operators, spectral, verify
 from foliation_lab._spectral_diff import differentiation_matrix, wavenumbers
 from foliation_lab.basic_calculus import LeafVolumeDensity
 from foliation_lab.cli import _spectrum, _spectrum_text
@@ -41,6 +41,7 @@ from foliation_lab.verify import (
 
 from conftest import (
     bloch_allowance,
+    galerkin_rounding,
     delta_d_laplacian,
     battery_laplacian,
     dense_dirac_read,
@@ -813,6 +814,184 @@ class TestGalerkinRead:
         assert read.order == order
         if order is None:
             assert np.array_equal(read.values, laplacian_read(cosine, grid).in_window(64.0))
+
+
+def _unsplit_read(coefficients, order, window) -> spectral.LaplacianRead:
+    """The Galerkin read solved in the full basis, one dense (2K + 1)-dimensional
+    Ritz problem with no split into residue classes, and its radii as
+    ``galerkin_read`` takes them (``spectral``)."""
+    bandwidth, lower = coefficients.size // 2, spectral.lower_bound(coefficients)
+    mass, stiffness = spectral.galerkin_matrices(coefficients, order)
+    interior = slice(bandwidth, bandwidth + 2 * order + 1)
+    factor = np.linalg.cholesky(mass[interior])
+    reduced = np.linalg.solve(factor, stiffness[interior])
+    values, vectors = np.linalg.eigh(np.linalg.solve(factor, reduced.conj().T))
+    windowed = np.abs(values) <= window * window + spectral.WINDOW_EDGE_SLACK
+    ritz, c = values[windowed], np.linalg.solve(factor.conj().T, vectors[:, windowed])
+    mass_c = mass @ c
+    residual = stiffness @ c - mass_c * ritz
+    magnitude = np.abs(stiffness) @ np.abs(c) + (np.abs(mass) @ np.abs(c)) * np.abs(ritz)
+    rounding = math.sqrt(2.0) * spectral.gamma(2 * order + 5) * np.linalg.norm(magnitude, axis=0)
+    norm = np.sum(c.conj() * mass_c[interior], axis=0).real
+    radii = (np.linalg.norm(residual, axis=0) + rounding) / np.sqrt(lower * norm)
+    return spectral.LaplacianRead(ritz, radii, order)
+
+
+# tools/ledger.py's seeds and its grids with their windows
+LEDGER_SEEDS = (*range(42), 7041)
+LEDGER_GRIDS = ((64, 8.0), (128, 10.0), (256, 10.0))
+
+# Given densities by the gcd d of their frequencies: d = 1 from 2 and 3,
+# without a frequency 1; d = 2 from 2 and 4; d = 3 from 3 and 6; d = 4 from
+# one t-term beside a theta-term that the theta-average drops.
+GIVEN_BY_PERIOD = {
+    1: MetricProfile(2.0, (ProfileTerm(0, 2, 0.3), ProfileTerm(0, 3, 0.2, 0.0, 1.0))),
+    2: MetricProfile(2.0, (ProfileTerm(0, 2, 0.3), ProfileTerm(0, 4, 0.2, 0.0, 0.4))),
+    3: MetricProfile(2.0, (ProfileTerm(0, 3, 0.3), ProfileTerm(0, 6, 0.1, 0.0, 1.0))),
+    4: MetricProfile(2.0, (ProfileTerm(0, 4, 0.3, 0.0, 0.5), ProfileTerm(1, 1, 0.4))),
+}
+
+
+def _ledger_densities(grid) -> list:
+    """The distinct densities of the pairs ``verify --all`` draws for the
+    ledger's seeds: the constant 2 and each pair's 2 + a cos(2t + psi)."""
+    densities = {}
+    for seed in LEDGER_SEEDS:
+        rng = np.random.default_rng(seed)
+        for _ in range(5):
+            for profile in verify.random_pair(rng):
+                density = _density(profile, grid)
+                densities[density.coefficients.tobytes()] = density
+    return list(densities.values())
+
+
+def _numpy_strip_width(coefficients) -> float:
+    """``strip_width``'s bisection with numpy's cosh and dot product."""
+    bandwidth = coefficients.size // 2
+    magnitudes = 2.0 * np.abs(coefficients[bandwidth + 1:])
+    frequencies = np.arange(1.0, bandwidth + 1.0)
+
+    def positive(y):
+        with np.errstate(over="ignore", invalid="ignore"):
+            return coefficients[bandwidth].real > magnitudes @ np.cosh(frequencies * y)
+
+    if bandwidth == 0:
+        return math.inf
+    low, high = 0.0, 1.0
+    if not positive(low):
+        return 0.0
+    while positive(high):
+        low, high = high, 2.0 * high
+    for _ in range(30):
+        middle = 0.5 * (low + high)
+        low, high = (middle, high) if positive(middle) else (low, middle)
+    return low
+
+
+class TestGalerkinBlocks:
+    """The Galerkin read in residue classes against the unsplit solve.  G and
+    A vanish exactly off the classes of k modulo d, so both reads are Ritz
+    values of one problem and differ by the solves' round-off: by at most
+    both reads' radii plus twice ``conftest.galerkin_rounding``."""
+
+    @staticmethod
+    def _assert_agrees(density, window):
+        read = battery_laplacian(density, window)
+        assert read.order is not None
+        oracle = _unsplit_read(density.coefficients, read.order, window)
+        allowance = read.radii + oracle.radii + 2.0 * galerkin_rounding(read,
+                                                                      density.coefficients)
+        assert read.values.size == oracle.values.size
+        assert np.all(np.abs(read.values - oracle.values) <= allowance)
+        assert read.radius <= LAPLACIAN_FORMS_THRESHOLD
+        assert oracle.radius <= LAPLACIAN_FORMS_THRESHOLD
+
+    @pytest.mark.parametrize("n_points, window", LEDGER_GRIDS)
+    def test_generated_densities_agree_with_the_unsplit_read(self, n_points, window):
+        densities = _ledger_densities(GridSpec(n_points))
+        assert len(densities) == 1 + 5 * len(LEDGER_SEEDS)
+        for density in densities:
+            self._assert_agrees(density, window)
+
+    @pytest.mark.parametrize("period", [0, *GIVEN_BY_PERIOD])
+    def test_given_densities_agree_with_the_unsplit_read(self, period):
+        grid = GridSpec(256)
+        density = _density(GIVEN_BY_PERIOD.get(period, MetricProfile(2.0)), grid)
+        coefficients, bandwidth = density.coefficients, density.t_bandwidth
+        frequencies = [m for m in range(1, bandwidth + 1) if coefficients[bandwidth + m] != 0]
+        assert math.gcd(*frequencies) == period
+        self._assert_agrees(density, 10.0)
+
+    def test_a_split_by_two_of_an_odd_frequency_leaves_a_large_radius(self, grid128,
+                                                                      monkeypatch):
+        """Splitting 2 + cos t (d = 1) by d = 2 drops the coupling of even and
+        odd k: the full-basis residual holds it, so the radius exceeds the
+        tolerance and the battery takes the grid read."""
+        honest = spectral._residue_classes
+        density = _density(MetricProfile(2.0, (ProfileTerm(0, 1, 1.0),)), grid128)
+        order = _predicted_order(density, 8.0)
+        assert spectral.galerkin_read(density.coefficients, order, 8.0).radius <= (
+            LAPLACIAN_FORMS_THRESHOLD)
+        monkeypatch.setattr(spectral, "_residue_classes", lambda period, size: honest(2, size))
+        assert spectral.galerkin_read(density.coefficients, order, 8.0).radius > 1e-3
+        assert battery_laplacian(density, 8.0).order is None
+
+    @pytest.mark.parametrize("period, size, shapes", [
+        (0, 19, [(19, 1)]), (1, 59, [(1, 59)]), (2, 41, [(1, 21), (1, 20)]),
+        (2, 43, [(1, 22), (1, 21)]), (3, 41, [(2, 14), (1, 13)]), (4, 40, [(4, 10)]),
+        (50, 41, [(41, 1)])])
+    def test_classes_cover_the_basis_in_at_most_two_sizes(self, period, size, shapes):
+        groups = spectral._residue_classes(period, size)
+        assert [group.shape for group in groups] == shapes
+        positions = np.concatenate([group.ravel() for group in groups])
+        assert np.array_equal(np.sort(positions), np.arange(size))
+        for group in groups:
+            assert np.all(group % max(period, 1) == group[:, :1] % max(period, 1))
+
+
+class TestStripWidth:
+    """``strip_width`` in Python floats is bit for bit the numpy bisection."""
+
+    def test_bit_identical_to_the_numpy_bisection(self):
+        coefficients = [_density(profile, GridSpec(256)).coefficients
+                        for profile in (*_galerkin_profiles().values(),
+                                        *GIVEN_BY_PERIOD.values())]
+        for n_points, _ in LEDGER_GRIDS:
+            coefficients += [density.coefficients
+                             for density in _ledger_densities(GridSpec(n_points))]
+        for c in coefficients:
+            assert spectral.strip_width(c) == _numpy_strip_width(c)
+
+    def test_an_overflowing_cosh_reads_as_not_positive(self, grid64):
+        """2 + 1e-300 cos nt: eta = acosh(2e300) / n = 691.8 / n, so the
+        doubling reaches y = 1024, where cosh(ny) overflows, and the bisection
+        runs above y = 710 / n."""
+        for n in (1, 2):
+            coefficients = _density(MetricProfile(2.0, (ProfileTerm(0, n, 1e-300),)),
+                                    grid64).coefficients
+            eta = spectral.strip_width(coefficients)
+            assert eta == _numpy_strip_width(coefficients)
+            assert 690.0 / n < eta < 693.0 / n
+
+    @pytest.mark.parametrize("coefficients", [
+        np.array([0.5, 1.0, 0.5], complex),
+        np.array([0.3, 0.3, 1.0, 0.3, 0.3], complex),
+        _density(MetricProfile(1.0, (ProfileTerm(0, 1, 0.6), ProfileTerm(0, 2, 0.6))),
+                 GridSpec(64)).coefficients,
+    ])
+    def test_no_positive_lower_bound_gives_zero(self, coefficients):
+        """g_0 <= 2 sum |g_m|: eta = 0 on both bisections."""
+        assert spectral.lower_bound(coefficients) <= 0.0
+        assert spectral.strip_width(coefficients) == _numpy_strip_width(coefficients) == 0.0
+
+    def test_zero_coefficients_stop_where_cosh_overflows(self):
+        """A constant padded with zero coefficients: 0 cosh(m y) stays below
+        g_0 until cosh(2y) overflows, past y = 355, where numpy's 0 inf = nan
+        reads as not positive."""
+        coefficients = np.array([0.0, 0.0, 1.0, 0.0, 0.0], complex)
+        eta = spectral.strip_width(coefficients)
+        assert eta == _numpy_strip_width(coefficients)
+        assert 355.0 < eta < 356.0
 
 
 class TestSpectrumCompare:

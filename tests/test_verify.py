@@ -394,28 +394,32 @@ GENERATED_7041 = verify.random_pair(np.random.default_rng(7041))
     "n_points, pair, shapes",
     [
         # per density its Laplacian read, none of a Dirac operator: at N = 64
-        # the flat density's is one Galerkin solve at K = 9, and 2 + cos t's
-        # one of dimension 59 (K = 29 <= N/2); no N x N matrix is built or
-        # solved
+        # the flat density's is one Galerkin read at K = 9, whose 19 residue
+        # classes (d = 0) are one stacked solve of 1 x 1 blocks, and 2 + cos t's
+        # one class of dimension 59 (d = 1, K = 29 <= N/2); no N x N matrix is
+        # built or solved
         (64, (MetricProfile(1.0), MetricProfile(2.0, (ProfileTerm(0, 1, 1.0),))),
-         ([], [(19, 19), (59, 59)])),
+         ([], [(19, 1, 1), (1, 59, 59)])),
         (128, (MetricProfile(1.0), MetricProfile(2.0, (ProfileTerm(0, 1, 1.0),))),
-         ([], [(19, 19), (59, 59)])),
-        # a generated pair: two Galerkin solves
-        (64, GENERATED_7041, ([], [(41, 41), (19, 19)])),
+         ([], [(19, 1, 1), (1, 59, 59)])),
+        # a generated pair: 2 + a cos(2t + psi) at K = 20 splits (d = 2) into
+        # the 21 even k and the 20 odd k, one stacked solve per class size;
+        # then the constant
+        (64, GENERATED_7041, ([], [(1, 21, 21), (1, 20, 20), (19, 1, 1)])),
         # at N = 128 the t-bandwidth-8 density's K = 87 exceeds N/2: without
         # symmetry, one dense Gram block
-        (128, (MetricProfile(1.0), WAVY_8), ([(1, 128, 128)], [(19, 19)])),
+        (128, (MetricProfile(1.0), WAVY_8), ([(1, 128, 128)], [(19, 1, 1)])),
     ],
 )
 def test_pair_battery_solves_each_spectrum_once(monkeypatch, n_points, pair, shapes):
     """Per battery: two densities and one alpha; two Dirac reads with no
     eigensolve and no matrix, from one cached lattice per (grid, spin
-    structure); one Laplacian read per distinct density: one ``eigh`` call
-    of dimension 2K + 1 for a Galerkin read, or ``laplacian_spectrum``'s
-    one ``eigvalsh`` call on the stacked Bloch blocks of its period; no
-    SVD, no assembly and no derivative matrix.  ``shapes`` holds the
-    ``eigvalsh`` and the ``eigh`` shapes."""
+    structure); one Laplacian read per distinct density: for a Galerkin read
+    one stacked ``eigh`` call per size of the residue classes of its 2K + 1
+    modes, at most two, or ``laplacian_spectrum``'s one ``eigvalsh`` call
+    on the stacked Bloch blocks of its period; no SVD, no assembly and no
+    derivative matrix.  ``shapes`` holds the ``eigvalsh`` and the ``eigh``
+    shapes."""
     grid = GridSpec(n_points)
     eigvalsh_sizes, eigh_sizes, svd_calls, built = [], [], [], []
     eigvalsh, eigh, svd = np.linalg.eigvalsh, np.linalg.eigh, np.linalg.svd
@@ -507,8 +511,11 @@ def test_pair_battery_reads_dirac_spectra_from_the_weight_data(cosine_profile, m
     predicted order where that is at most N/2 (K = 29 and 23 for 2 + cos t
     and the mixed profile), and ``laplacian_spectrum`` along the density's
     period where none is made (1 + 0.6 cos t + 0.6 cos 2t in place of
-    2 + cos t, with g_low <= 0)."""
-    read, events, conjugated, galerkin = [], [], [], []
+    2 + cos t, with g_low <= 0).  Both Galerkin densities have the frequency
+    1 (d = 1), so each read is one stacked ``eigh`` of one class of all
+    2K + 1 modes."""
+    read, events, conjugated, galerkin, eigh_sizes = [], [], [], [], []
+    eigh = np.linalg.eigh
     spectra, grid_read = verify.dirac_spectra, spectral.laplacian_spectrum
     conjugate, galerkin_read = verify.conjugation_residual, spectral.galerkin_read
     first = cosine_profile if orders[0] is not None else NO_LOWER_BOUND
@@ -530,6 +537,10 @@ def test_pair_battery_reads_dirac_spectra_from_the_weight_data(cosine_profile, m
     def recorded_solve(op):
         events.append(("solve", op.label))
 
+    def counted_eigh(matrix, *args, **kwargs):
+        eigh_sizes.append(matrix.shape)
+        return eigh(matrix, *args, **kwargs)
+
     def recorded_conjugation(d1, d2, alpha, grid, metadata):
         conjugated.extend([d1, d2])
         return conjugate(d1, d2, alpha, grid, metadata)
@@ -543,12 +554,14 @@ def test_pair_battery_reads_dirac_spectra_from_the_weight_data(cosine_profile, m
     monkeypatch.setattr(verify, "conjugation_residual", recorded_conjugation)
     monkeypatch.setattr(spectral, "galerkin_read", recorded_galerkin)
     monkeypatch.setattr(operators, "assemble_basic_dirac_spinor", refused_assembly)
+    monkeypatch.setattr(np.linalg, "eigh", counted_eigh)
     reports = run_pair_checks([(first, mixed_profile)], GridSpec(n_points), 8.0)
     assert [report.passed for report in reports] == [True] * 4
     assert reports[3].metadata["laplacian_order"] == orders
     assert read == conjugated
     assert events == grid_reads
     assert galerkin == [(8.0, order, True) for order in orders if order is not None]
+    assert eigh_sizes == [(1, 2 * order + 1, 2 * order + 1) for order in orders if order]
     assert not hasattr(verify, "assemble_basic_dirac_spinor")
     assert not hasattr(spectral, "assemble_basic_dirac_spinor")
 
@@ -924,6 +937,21 @@ def test_one_grid_read_assembles_nothing(flat_profile, cosine_profile, tmp_path,
                      capsys.readouterr().err)
 
 
+def _block_shapes(coefficients: np.ndarray, order: int) -> list[tuple[int, int, int]]:
+    """The stacked ``eigh`` shapes of a Galerkin read at ``order`` K: the
+    modes k, |k| <= K, fall into the residue classes modulo the gcd d of the
+    density's frequencies (each k its own class for a constant), one stack
+    per class size, the larger classes first."""
+    bandwidth = coefficients.size // 2
+    frequencies = [m for m in range(1, bandwidth + 1) if coefficients[bandwidth + m] != 0]
+    period = int(np.gcd.reduce(frequencies)) if frequencies else 2 * order + 1
+    classes = {}
+    for k in range(-order, order + 1):
+        classes[k % period] = classes.get(k % period, 0) + 1
+    sizes = sorted(set(classes.values()), reverse=True)
+    return [(list(classes.values()).count(size), size, size) for size in sizes]
+
+
 @pytest.mark.parametrize("n_points, orders", [(64, [9, 29]), (128, [9, 29]), (128, [9, None])])
 def test_commands_solve_no_dirac_matrix(flat_profile, cosine_profile, tmp_path, monkeypatch,
                                         n_points, orders):
@@ -932,14 +960,15 @@ def test_commands_solve_no_dirac_matrix(flat_profile, cosine_profile, tmp_path, 
     operator's O(N) data, with no eigensolve.  Every grid eigensolve is
     ``laplacian_spectrum``'s one ``eigvalsh`` call on the stacked Bloch
     blocks of a Laplacian's period.  In ``verify`` and ``invariance``
-    ``function_laplacian`` reads a Laplacian by ``galerkin_read``, whose one
-    ``eigh`` call is (2K + 1)-dimensional, where its order is at most N/2,
-    and on the grid where it is not; a Laplacian ``spectrum`` takes one grid
+    ``function_laplacian`` reads a Laplacian by ``galerkin_read``, one
+    stacked ``eigh`` call per size of the residue classes of its 2K + 1
+    modes (``_block_shapes``), where its order is at most N/2, and on the
+    grid where it is not; a Laplacian ``spectrum`` takes one grid
     read and no Galerkin read.  Per command: one Laplacian read per distinct
     density of its pairs.  ``orders`` are the Galerkin
     orders of the flat density and of the second profile at window 8, None
     for a grid read: 2 + cos t, or the t-bandwidth-8 density (K = 87 > N/2)."""
-    events, sizes, laplacians, galerkin, eigh_sizes, solved = [], [], [], [], [], []
+    events, sizes, laplacians, galerkin, eigh_sizes, solved, blocks = [], [], [], [], [], [], []
     grid_read, eigvalsh, eigh = spectral.laplacian_spectrum, np.linalg.eigvalsh, np.linalg.eigh
     laplacian, galerkin_read = verify.function_laplacian, spectral.galerkin_read
 
@@ -952,9 +981,10 @@ def test_commands_solve_no_dirac_matrix(flat_profile, cosine_profile, tmp_path, 
         laplacians.append(report.order)
         return report
 
-    def recorded_galerkin(*args):
-        report = galerkin_read(*args)
+    def recorded_galerkin(coefficients, order, window):
+        report = galerkin_read(coefficients, order, window)
         galerkin.append(report.order)
+        blocks.extend(_block_shapes(coefficients, order))
         return report
 
     def counted_eigh(matrix, *args, **kwargs):
@@ -978,12 +1008,13 @@ def test_commands_solve_no_dirac_matrix(flat_profile, cosine_profile, tmp_path, 
     out = ["--grid", str(n_points), "--window", "8", "--output-dir", str(tmp_path / "out")]
 
     def run(argv):
-        del events[:], sizes[:], laplacians[:], galerkin[:], eigh_sizes[:]
+        del events[:], sizes[:], laplacians[:], galerkin[:], eigh_sizes[:], blocks[:]
         assert cli.run([*argv, *out]) in (0, 1)
         assert sizes == [(n_points // period, period, period) for _, period in events]
-        # one eigh per Galerkin read: its first order meets the tolerance
+        # one Galerkin read per function_laplacian: its first order meets the
+        # tolerance, and it makes one stacked eigh per class size
         assert galerkin == [order for order in laplacians if order is not None]
-        assert eigh_sizes == [(2 * order + 1,) * 2 for order in galerkin]
+        assert eigh_sizes == blocks
         return list(events)
 
     # five generated pairs: every contrast runs, and reads by Galerkin the
