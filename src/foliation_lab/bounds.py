@@ -57,19 +57,18 @@ _REQUIRED_QUANTITIES = {
 # Largest |value - reference| of a sphere-flow bound row that still matches.
 BOUND_REFERENCE_TOLERANCE = 1e-6
 
-# Round-off a row may carry against its reference, in units of
-# np.spacing(|reference|); s3_bounds refuses an r whose reference is so large
-# that this many units exceed BOUND_REFERENCE_TOLERANCE.  Only the minmax
-# reference grows without bound: 9/8 - P/4 for r >= 1 and 9/8 - 1/(4P) for
-# r < 1, with P = fl(r*r) = r^2 (1 + d1).  For r >= 1 the supremum of |A|^2
-# is the endpoint s = 0, where the integrand is 2P, and (2/16) 2P = P/4
-# exactly, so the row is the reference bit for bit.  For r < 1 it is the
-# endpoint s = 1, where the integrand is 2 fl(fl(r/P)^2), so the row's large term
-# fl(fl(r/P)^2)/4 is 1/(4r^2) (1 + d2)^2 (1 + d3) / (1 + d1)^2 against the
-# reference's fl(1/(4P)) = 1/(4r^2) (1 + d4) / (1 + d1), every |d| <= u =
-# eps/2.  The two differ by at most 5u of their size to first order, and
-# subtracting each from 9/8 rounds once more, within u|reference|: under
-# 7u|reference|, which is under 7 spacings; the eighth is a spare.
+# Round-off a row may carry against its reference, in units of np.spacing(L),
+# L the largest |reference| of its r; s3_bounds refuses an r whose L is so
+# large that this many units exceed BOUND_REFERENCE_TOLERANCE.  Only the
+# minmax reference grows without bound: 9/8 - P/4 for r >= 1, bit for bit the
+# row (at s = 0 the integrand is 2P, and (2/16) 2P = P/4 exactly), and
+# 9/8 - B for r < 1, B = fl(1/(4P)), P = fl(r*r).  There the row's large term
+# fl(fl(r/P)^2)/4 (s = 1) is within 5uB of B to first order, u = eps/2, and
+# each subtraction from 9/8 rounds within u|reference|.  The reference itself
+# is no unit: it cancels to 0 near r = sqrt(2)/3, where the error stays
+# about uB.  With B <= L + 9/8 the error is under 7uL + 45u/8, so under 8
+# spacings of L once L >= 4 and under 4e-15 below that; tests/test_allowances.py
+# measures at most 4.
 REFERENCE_ROUNDOFF_ULPS = 8
 
 GOLDEN_RATIO = (1.0 + np.sqrt(5.0)) / 2.0

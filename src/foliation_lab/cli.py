@@ -3,8 +3,10 @@
 Exit codes: 0 when every requested check passes, 1 when any verification
 fails, 2 on usage or configuration errors (malformed profiles, positivity
 violations, out-of-range windows).  Outputs are deterministic: fixed seeds,
-fixed ordering, no timestamps, 17 significant digits.  Every report is built
-as text and written whole by ``_emit``, so a failed command leaves no file.
+fixed ordering, no timestamps; CSV numbers have 17 significant digits
+(``%.17g``), and JSON floats are Python's shortest round-trip ``repr``.
+Every report is built as text and written whole by ``_emit``, so a failed
+command leaves no file.
 """
 
 from __future__ import annotations
@@ -15,8 +17,6 @@ import json
 import math
 import os
 import sys
-from dataclasses import replace
-from json.encoder import encode_basestring_ascii
 from pathlib import Path
 
 import numpy as np
@@ -25,7 +25,6 @@ from . import __version__
 from .basic_calculus import DEGREE_FUNCTION, DEGREE_ONE_FORM, LeafVolumeDensity
 from .bounds import S3_FLOW_N, S3_FLOW_Q, bound_failures, bound_rows_csv, s3_bounds, s3_quantities
 from .model_spaces import SPIN_STRUCTURES, GridSpec, MetricProfile, load_profile
-from .operators import laplacian_label
 # No command solves with eigenvalues_weighted; perfbench/tracing.py wraps it
 # here by name (perfbench/tests/test_determinism.py).
 from .spectral import (SpectrumReport, dirac_spectra, eigenvalues_weighted,  # noqa: F401
@@ -47,47 +46,26 @@ _RESOLUTION_HELP = ("Accepted for compatibility and ignored: each bound integran
 
 
 def _json_text(payload) -> str:
-    """The text of every JSON report, as ``json.dumps(indent=2,
-    sort_keys=True)`` writes it: standard JSON, numpy scalars as Python
-    numbers, every non-finite float as the string "inf", "-inf" or "nan",
-    one trailing newline; TypeError on any other type, or a non-str key."""
-    chunks = []
-    _write_json(payload, chunks, "\n")
-    chunks.append("\n")
-    return "".join(chunks)
+    """The text of every JSON report: ``json.dumps(indent=2, sort_keys=True)``
+    of ``_json_safe(payload)`` and one trailing newline."""
+    return json.dumps(_json_safe(payload), indent=2, sort_keys=True, allow_nan=False) + "\n"
 
 
-def _write_json(value, chunks: list, newline: str) -> None:
-    """Append the JSON text of ``value`` to ``chunks``, its nested lines
-    starting with ``newline``."""
-    if isinstance(value, str):
-        chunks.append(encode_basestring_ascii(value))
-    elif value is None or value is True or value is False:
-        chunks.append("null" if value is None else "true" if value else "false")
-    elif isinstance(value, (int, np.integer)):
-        chunks.append(int.__repr__(int(value)))
-    elif isinstance(value, (float, np.floating)):
+def _json_safe(value):
+    """``value`` with numpy scalars as Python numbers and every non-finite
+    float as the string "inf", "-inf" or "nan"; TypeError on a key that is
+    not a str, which ``json.dumps`` would write as a string."""
+    if isinstance(value, (float, np.floating)):
         value = float(value)
-        chunks.append(float.__repr__(value) if math.isfinite(value)
-                      else encode_basestring_ascii(str(value)))
-    elif isinstance(value, dict):
-        opener, inner = "{", newline + "  "
-        for key in sorted(value):
+        return value if math.isfinite(value) else str(value)
+    if isinstance(value, dict):
+        for key in value:
             if not isinstance(key, str):
                 raise TypeError(f"keys must be str, not {type(key).__name__}")
-            chunks.append(f"{opener}{inner}{encode_basestring_ascii(key)}: ")
-            _write_json(value[key], chunks, inner)
-            opener = ","
-        chunks.append("{}" if not value else newline + "}")
-    elif isinstance(value, (list, tuple)):
-        opener, inner = "[", newline + "  "
-        for item in value:
-            chunks.append(opener + inner)
-            _write_json(item, chunks, inner)
-            opener = ","
-        chunks.append("[]" if not value else newline + "]")
-    else:
-        raise TypeError(f"Object of type {type(value).__name__} is not JSON serializable")
+        return {key: _json_safe(item) for key, item in value.items()}
+    if isinstance(value, (list, tuple)):
+        return [_json_safe(item) for item in value]
+    return int(value) if isinstance(value, np.integer) else value
 
 
 def _emit(args, name: str, text: str, stderr_lines, failed: bool, summary: str = "") -> int:
@@ -144,8 +122,7 @@ def _spectrum(operator_name: str, density: LeafVolumeDensity, grid: GridSpec):
     if operator_name == "dirac-forms":
         return dirac_spectra(density, GridSpec(grid.n_points))[1]
     degree = DEGREE_FUNCTION if operator_name == "laplacian-functions" else DEGREE_ONE_FORM
-    return replace(laplacian_spectrum(density),
-                   operator_label=laplacian_label(grid.n_points, degree))
+    return laplacian_spectrum(density, degree)
 
 
 def _spectrum_text(report: SpectrumReport, fmt: str, window: float) -> str:
@@ -332,7 +309,7 @@ def run(argv) -> int:
         return int(exc.code) if exc.code else 0
     try:
         return args.func(args)
-    except (ValueError, OSError, json.JSONDecodeError) as exc:
+    except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

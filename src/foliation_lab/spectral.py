@@ -227,7 +227,7 @@ import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
 from ._spectral_diff import wavenumbers
-from .basic_calculus import LeafVolumeDensity
+from .basic_calculus import DEGREE_FUNCTION, LeafVolumeDensity
 from .model_spaces import GridSpec
 from .operators import WeightedOperator, dirac_factors, forms_label, laplacian_label, spinor_label
 
@@ -399,12 +399,13 @@ def dirac_spectra(density: LeafVolumeDensity, grid: GridSpec) -> tuple:
     )
 
 
-def laplacian_spectrum(density: LeafVolumeDensity) -> SpectrumReport:
+def laplacian_spectrum(density: LeafVolumeDensity,
+                       degree: str = DEGREE_FUNCTION) -> SpectrumReport:
     """The basic Laplacians' spectrum sigma_k(T)^2, ascending, read from the
     Bloch blocks of T_P along the density's period, with the distance bound
-    d >= ||T - T_P||_F, labelled as the function Laplacian; refused when the
-    larger of d (2 sigma + d) / sigma^2 and the density's Dirac gate ratio
-    exceeds the tolerance (module docstring)."""
+    d >= ||T - T_P||_F, labelled as the Laplacian of ``degree``; refused
+    under that label when the larger of d (2 sigma + d) / sigma^2 and the
+    density's Dirac gate ratio exceeds the tolerance (module docstring)."""
     n, period = density.n_points, density.period
     copies = n // period
     w, weights = dirac_factors(density)
@@ -419,9 +420,9 @@ def laplacian_spectrum(density: LeafVolumeDensity) -> SpectrumReport:
     distance = 0.0 if copies == 1 else conjugation_bound(periodic, w / periodic, frobenius)
     scale = max(float(values[-1]), np.finfo(float).tiny)
     shift = distance * (2.0 * math.sqrt(scale) + distance) / scale
-    _require_symmetric({laplacian_label(n): max(_dirac_gate(w, weights, lattice, frobenius)[1],
-                                                shift)})
-    return SpectrumReport(values, n, laplacian_label(n), distance)
+    label = laplacian_label(n, degree)
+    _require_symmetric({label: max(_dirac_gate(w, weights, lattice, frobenius)[1], shift)})
+    return SpectrumReport(values, n, label, distance)
 
 
 @dataclass(frozen=True)

@@ -11,7 +11,6 @@ reads it, the random and parity profiles, the inputs a pair check
 reads, built as the pair battery builds them, and a patch that puts a
 defective factor function wherever the library looks it up."""
 
-import dataclasses
 import functools
 import importlib.util
 import json
@@ -30,7 +29,6 @@ from foliation_lab.operators import (
     WeightedOperator,
     assemble_basic_dirac_spinor,
     codifferential,
-    laplacian_label,
     quadrature_weights,
 )
 from foliation_lab.spectral import (
@@ -39,7 +37,6 @@ from foliation_lab.spectral import (
     dirac_spectra,
     eigenvalues_weighted,
     function_laplacian,
-    laplacian_spectrum,
 )
 from foliation_lab.verify import LAPLACIAN_FORMS_THRESHOLD, basic_volume_ratio, pair_metadata
 
@@ -270,14 +267,6 @@ def laplacian_first_nonzero_eigenvalue(values: np.ndarray, zero_tol: float = 1e-
         if value > zero_tol:
             return float(value)
     raise ValueError("spectrum contains no nonzero eigenvalue above tolerance")
-
-
-def laplacian_read(density: LeafVolumeDensity, grid: GridSpec,
-                   degree: str = "function") -> SpectrumReport:
-    """The basic Laplacian's report as ``spectrum`` reads it: the density's
-    ``laplacian_spectrum``, labelled by degree."""
-    return dataclasses.replace(laplacian_spectrum(density),
-                               operator_label=laplacian_label(grid.n_points, degree))
 
 
 def battery_laplacian(density: LeafVolumeDensity, window: float) -> LaplacianRead:

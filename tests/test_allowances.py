@@ -17,20 +17,26 @@ Rayleigh quotients of float Ritz vectors, which cost O(K B) each.
 ``verify.lichnerowicz_diagonal``'s allowance is checked against c + p from
 the float g and g' in high precision, and the dense Lichnerowicz oracle's
 off-diagonal against its a priori rounding bound, which shows that the
-O(N log N) residual drops only rounding.
+O(N log N) residual drops only rounding.  Two allowances outside the reads
+close the list: ``bounds.REFERENCE_ROUNDOFF_ULPS`` against the minmax rows
+across the accepted range of r, and the positivity certificate's e against
+``_kernels.sample_profile`` and f at the exact nodes in 50 digits.
 """
 
 import dataclasses
+import math
 
 import mpmath
 import numpy as np
 import pytest
 import scipy.linalg
 
-from foliation_lab import spectral
-from foliation_lab._spectral_diff import differentiation_matrix, wavenumbers
+from foliation_lab import _kernels, spectral
+from foliation_lab._spectral_diff import differentiation_matrix, uniform_nodes, wavenumbers
 from foliation_lab.basic_calculus import LeafVolumeDensity
-from foliation_lab.model_spaces import GridSpec, MetricProfile, ProfileTerm, torus_geometry
+from foliation_lab.bounds import BOUND_KINDS, REFERENCE_ROUNDOFF_ULPS, s3_bounds
+from foliation_lab.model_spaces import (CERTIFICATE_GRID_CAP, VALIDATION_GRID, GridSpec,
+                                        MetricProfile, ProfileTerm, torus_geometry)
 from foliation_lab.operators import assemble_lichnerowicz_sides, dirac_factors
 from foliation_lab.spectral import SpectrumReport, circulant_spectrum, factor_bounds
 from foliation_lab.verify import (
@@ -439,3 +445,75 @@ def test_dense_off_diagonal_is_round_off(n_points, name):
         2.0 * np.sqrt(2.0) * spectral.gamma(n_points + 2) * (1.0 + t) ** 2 + 3.0 * t + t * t)
     bound = b * np.linalg.norm(scaled) * (1.0 + spectral.gamma(n_points))
     assert np.linalg.norm(difference) <= bound
+
+
+def _near_one(count: int) -> np.ndarray:
+    """The ``count`` doubles on each side of 1, 1 itself, and the flow
+    parameters near 1 of ``tools/parity.py``."""
+    above, below = [1.0], [1.0]
+    for _ in range(count):
+        above.append(float(np.nextafter(above[-1], 2.0)))
+        below.append(float(np.nextafter(below[-1], 0.0)))
+    return np.array([*below[::-1], *above[1:], 1.0000000000000437, 0.9995, 0.999, 1.001])
+
+
+def test_minmax_rows_lie_within_the_reference_roundoff():
+    """Every minmax row of ``s3_bounds`` lies within REFERENCE_ROUNDOFF_ULPS - 1
+    = 7 spacings of the largest reference of its r, the unit of the range
+    refusal (``bounds``), across the accepted range and near r = 1.  In units
+    of its own reference it does not: near r = sqrt(2)/3 the reference
+    9/8 - 1/(4 r^2) cancels to 0 while the row's error stays a few u of
+    the terms 9/8 and 1/(4 r^2)."""
+    cancelling = math.sqrt(2.0) / 3.0 * (1.0 + np.linspace(-1e-9, 1e-9, 2001))
+    r_values = np.concatenate([np.geomspace(1.5258789054506396e-05, 65536.00003433226, 20001),
+                               _near_one(200), cancelling])
+    table = s3_bounds(r_values)
+    reference = table.reference[:, BOUND_KINDS.index("minmax")]
+    error = np.abs(table.value[:, BOUND_KINDS.index("minmax")] - reference)
+    largest = np.max(np.abs(table.reference), axis=1)
+    assert np.all(error <= (REFERENCE_ROUNDOFF_ULPS - 1) * np.spacing(largest))
+    assert np.max(error[-cancelling.size:] / np.spacing(np.abs(reference[-cancelling.size:]))) > 7
+
+
+def test_profile_samples_lie_within_the_positivity_allowance():
+    """``_kernels.sample_profile`` at the certificate's nodes 2 pi j / G,
+    G = 512 to CERTIFICATE_GRID_CAP, odd and even j, against f at the exact
+    nodes in 50 digits: every error is within 39.01 (K + 1) u S, which is
+    at most the allowance e = 32 (K + 1) eps S (``MetricProfile``).  Seeded
+    profiles of up to 12 terms, |m| and |n| up to 64, phases up to 100."""
+    rng = np.random.default_rng(20261021)
+    u = np.finfo(float).eps / 2.0
+    with mpmath.workdps(50):
+        for _ in range(24):
+            k = int(rng.integers(1, 13))
+            m, n = (rng.integers(-64, 65, k).astype(float) for _ in range(2))
+            amp = rng.uniform(-2.0, 2.0, k)
+            phase_theta, phase_t = rng.uniform(-100.0, 100.0, (2, k))
+            constant = float(np.sum(np.abs(amp)) + rng.uniform(0.0, 1.0))
+            scale = constant + float(np.sum(np.abs(amp) * (1.0 + np.abs(m) + np.abs(n)
+                                                           + np.abs(phase_theta)
+                                                           + np.abs(phase_t))))
+            bound = 39.01 * (k + 1) * u * scale
+            assert bound <= 32.0 * (k + 1) * np.finfo(float).eps * scale
+            grid_points = VALIDATION_GRID
+            while grid_points <= CERTIFICATE_GRID_CAP:
+                half = grid_points // 2
+                j_theta, j_t = (np.concatenate([2 * rng.choice(half, 10, replace=False),
+                                                2 * rng.choice(half, 10, replace=False) + 1])
+                                for _ in range(2))
+                nodes = uniform_nodes(grid_points)
+                values = _kernels.sample_profile(constant, m, n, amp, phase_theta, phase_t,
+                                                 nodes[j_theta], nodes[j_t])
+                theta_factors = [[mpmath.mpf(a) * mpmath.cos(int(mi) * 2 * mpmath.pi * int(j)
+                                                            / grid_points + mpmath.mpf(ph))
+                                  for j in j_theta]
+                                 for a, mi, ph in zip(amp.tolist(), m, phase_theta.tolist())]
+                t_factors = [[mpmath.cos(int(ni) * 2 * mpmath.pi * int(j) / grid_points
+                                         + mpmath.mpf(ph)) for j in j_t]
+                             for ni, ph in zip(n, phase_t.tolist())]
+                for a, row in enumerate(values.tolist()):
+                    for b, sample in enumerate(row):
+                        exact = constant + mpmath.fsum(theta[a] * t[b] for theta, t
+                                                       in zip(theta_factors, t_factors))
+                        assert abs(mpmath.mpf(sample) - exact) <= bound
+                grid_points *= 2

@@ -39,7 +39,6 @@ from conftest import (
     fd_laplacian_spectrum,
     finite_difference_laplacian,
     laplacian_first_nonzero_eigenvalue,
-    laplacian_read,
     pair_inputs,
     weighted_inner_product,
 )
@@ -363,13 +362,13 @@ class TestFormsDirac:
 
 class TestBasicLaplacian:
     def test_flat_circle_spectrum(self, flat_profile, grid64):
-        head = laplacian_read(_density(flat_profile, grid64), grid64).eigenvalues[:7]
+        head = laplacian_spectrum(_density(flat_profile, grid64)).eigenvalues[:7]
         np.testing.assert_allclose(head, [0, 1, 1, 4, 4, 9, 9], atol=1e-10)
 
     def test_first_eigenvalue_shifts_with_density(self):
         grid = GridSpec(128)
         profile = MetricProfile(1.0, (ProfileTerm(0, 1, 0.5),))
-        spectral = laplacian_read(_density(profile, grid), grid)
+        spectral = laplacian_spectrum(_density(profile, grid))
         lam = laplacian_first_nonzero_eigenvalue(spectral.eigenvalues)
         assert abs(lam - 1.0) > 1e-3
         # independent second discretization agrees on the shifted value
@@ -384,7 +383,7 @@ class TestBasicLaplacian:
         factor = assemble_basic_dirac_spinor(density, grid64).matrix
         image = factor.conj().T @ np.sqrt(density.g_values)
         assert np.max(np.abs(image)) < 1e-10
-        assert abs(laplacian_read(density, grid64).eigenvalues[0]) < 1e-10
+        assert abs(laplacian_spectrum(density).eigenvalues[0]) < 1e-10
 
     def test_reads_the_spectrum_of_its_factor_gram_product(self, mixed_profile):
         """A Laplacian is read from T, the periodic operator whatever the spin
@@ -398,7 +397,7 @@ class TestBasicLaplacian:
             w = np.sqrt(density.g_values)
             factor = column[np.subtract.outer(np.arange(64), np.arange(64)) % 64] * w / w[:, None]
             gram = np.linalg.eigvalsh(factor @ factor.conj().T)
-            reports = [laplacian_read(density, grid, degree) for degree in ("function", "one_form")]
+            reports = [laplacian_spectrum(density, degree) for degree in ("function", "one_form")]
             for degree, report in zip(("function", "one_form"), reports):
                 assert report.operator_label == f"laplacian_{degree}[N=64]"
                 assert np.array_equal(report.eigenvalues, reports[0].eigenvalues)
@@ -428,11 +427,11 @@ class TestBasicLaplacian:
                 report = eigenvalues_weighted(op)
                 assert report.operator_label == op.label
                 np.testing.assert_allclose(
-                    report.eigenvalues, laplacian_read(density, grid64).eigenvalues, atol=1e-9)
+                    report.eigenvalues, laplacian_spectrum(density).eigenvalues, atol=1e-9)
 
     def test_spectra_real_and_nonnegative(self, mixed_profile, grid64):
         for degree in ("function", "one_form"):
-            values = laplacian_read(_density(mixed_profile, grid64), grid64, degree).eigenvalues
+            values = laplacian_spectrum(_density(mixed_profile, grid64), degree).eigenvalues
             assert (values >= -1e-10).all()
 
     def test_rejects_unknown_degree(self, flat_profile, grid64):

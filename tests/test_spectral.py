@@ -46,7 +46,6 @@ from conftest import (
     battery_laplacian,
     dense_dirac_read,
     dense_spectrum,
-    laplacian_read,
     pair_inputs,
     patch_factors,
     profile_corpus,
@@ -72,7 +71,7 @@ class TestEigenvaluesWeighted:
         np.testing.assert_allclose(report.eigenvalues, np.arange(-32, 32), atol=1e-10)
 
     def test_flat_laplacian_head(self, flat_profile, grid64):
-        head = laplacian_read(_density(flat_profile, grid64), grid64).eigenvalues[:7]
+        head = laplacian_spectrum(_density(flat_profile, grid64)).eigenvalues[:7]
         np.testing.assert_allclose(head, [0, 1, 1, 4, 4, 9, 9], atol=1e-10)
 
     def test_refuses_asymmetric_operator(self):
@@ -375,8 +374,8 @@ class TestDiracRead:
         grid = GridSpec(256)
         flat2, wavy = (_density(profile, grid) for profile in (MetricProfile(2.0), cosine_profile))
         spinor = assemble_basic_dirac_spinor(wavy, grid)
-        reports = [laplacian_read(flat2, grid, degree) for degree in ("function", "one_form")]
-        reports.append(laplacian_read(wavy, grid))
+        reports = [laplacian_spectrum(flat2, degree) for degree in ("function", "one_form")]
+        reports.append(laplacian_spectrum(wavy))
         reports.append(eigenvalues_weighted(spinor))
         reports.append(SpectrumReport(np.arange(-3.0, 4.0), 256, "dense"))
         assert flat2.period == 1
@@ -477,7 +476,7 @@ class TestGramRead:
         density = _density(_gram_profile(name), grid)
         assert density.period == GRAM_PERIODS[name](n_points)
         spinor = assemble_basic_dirac_spinor(density, grid)
-        report = laplacian_read(density, grid, degree)
+        report = laplacian_spectrum(density, degree)
         oracle = delta_d_laplacian(density, grid, degree)
         deviation = np.max(np.abs(report.eigenvalues - dense_spectrum(oracle)))
         allowance = bloch_allowance(density, report)
@@ -533,7 +532,7 @@ class TestGramRead:
                        for term in terms)
         densities = [_density(profile, grid)
                      for profile in (MetricProfile(2.0, terms), MetricProfile(4.0, scaled))]
-        reports = [laplacian_read(density, grid) for density in densities]
+        reports = [laplacian_spectrum(density) for density in densities]
         allowances = [bloch_allowance(d, report) for d, report in zip(densities, reports)]
         w_1, w_2 = (operators.dirac_factors(density)[0] for density in densities)
         spread = spectral.conjugation_bound(w_1, w_2 / w_1,
@@ -553,7 +552,7 @@ class TestGramRead:
         passes."""
         density = _density(cosine_profile, grid64)
         assert density.period == 64
-        laplacian_read(density, grid64, degree)
+        laplacian_spectrum(density, degree)
         path = tmp_path / "wavy.json"
         save_profile(cosine_profile, path)
         operator = {"function": "laplacian-functions", "one_form": "laplacian-one-forms"}[degree]
@@ -562,11 +561,11 @@ class TestGramRead:
         assert cli.run(argv) == 0
         monkeypatch.setattr(LeafVolumeDensity, "period", property(lambda d: d.n_points // 2))
         with pytest.raises(OperatorSymmetryError, match="not symmetric") as refusal:
-            laplacian_read(density, grid64, degree)
+            laplacian_spectrum(density, degree)
         assert "dirac" not in str(refusal.value)
         capsys.readouterr()
         assert cli.run(argv) == 2
-        assert re.search(r"error: operator 'laplacian_function\[N=64\]' is not symmetric",
+        assert re.search(rf"error: operator 'laplacian_{degree}\[N=64\]' is not symmetric",
                          capsys.readouterr().err)
 
     @pytest.mark.parametrize("degree", ["function", "one_form"])
@@ -609,7 +608,7 @@ def _galerkin_matches_grid(galerkin, density, grid, window=10.0) -> bool:
     the battery's tolerance and its windowed values are the grid read's,
     value by value, within the radius r plus the grid read's
     ``conftest.bloch_allowance``."""
-    grid_read = laplacian_read(density, grid)
+    grid_read = laplacian_spectrum(density)
     allowance = galerkin.radii + bloch_allowance(density, grid_read)
     values = grid_read.in_window(window * window)
     return (galerkin.radius <= LAPLACIAN_FORMS_THRESHOLD
@@ -763,7 +762,7 @@ class TestGalerkinRead:
             spectral.galerkin_read(coefficients, 24, 8.0)
         read = battery_laplacian(density, 8.0)
         assert read.order is None
-        assert np.array_equal(read.values, laplacian_read(density, grid128).in_window(64.0))
+        assert np.array_equal(read.values, laplacian_spectrum(density).in_window(64.0))
         paths = [tmp_path / "low.json", tmp_path / "wavy.json"]
         save_profile(profile, paths[0])
         save_profile(MetricProfile(2.0, (ProfileTerm(0, 1, 1.0),)), paths[1])
@@ -800,7 +799,7 @@ class TestGalerkinRead:
         assert wavy8_read.order == wavy8_order
         if wavy8_order is None:
             assert np.array_equal(wavy8_read.values,
-                                  laplacian_read(wavy8, grid).in_window(100.0))
+                                  laplacian_spectrum(wavy8).in_window(100.0))
         else:
             assert _galerkin_matches_grid(wavy8_read, wavy8, grid)
 
@@ -813,7 +812,7 @@ class TestGalerkinRead:
         read = battery_laplacian(cosine, 8.0)
         assert read.order == order
         if order is None:
-            assert np.array_equal(read.values, laplacian_read(cosine, grid).in_window(64.0))
+            assert np.array_equal(read.values, laplacian_spectrum(cosine).in_window(64.0))
 
 
 def _unsplit_read(coefficients, order, window) -> spectral.LaplacianRead:
@@ -1010,9 +1009,9 @@ class TestSpectrumCompare:
         assert spectrum_compare(flat, wavy, 10.0) < 1e-8
 
     def test_laplacian_spectra_genuinely_differ(self, grid128):
-        flat = laplacian_read(_density(MetricProfile(1.0), grid128), grid128)
+        flat = laplacian_spectrum(_density(MetricProfile(1.0), grid128))
         wavy_profile = MetricProfile(1.0, (ProfileTerm(0, 1, 0.5),))
-        wavy = laplacian_read(_density(wavy_profile, grid128), grid128)
+        wavy = laplacian_spectrum(_density(wavy_profile, grid128))
         shared = min(flat.in_window(10.0).size, wavy.in_window(10.0).size)
         gap = np.max(np.abs(flat.in_window(10.0)[:shared] - wavy.in_window(10.0)[:shared]))
         assert gap > 1e-3
@@ -1042,8 +1041,8 @@ class TestSimilarityInvariance:
     def test_refinement_stability(self, cosine_profile):
         coarse_grid = GridSpec(64)
         fine_grid = GridSpec(128)
-        coarse = laplacian_read(_density(cosine_profile, coarse_grid), coarse_grid)
-        fine = laplacian_read(_density(cosine_profile, fine_grid), fine_grid)
+        coarse = laplacian_spectrum(_density(cosine_profile, coarse_grid))
+        fine = laplacian_spectrum(_density(cosine_profile, fine_grid))
         window = 8.0
         shared = min(coarse.in_window(window).size, fine.in_window(window).size)
         drift = np.max(np.abs(coarse.in_window(window)[:shared] - fine.in_window(window)[:shared]))

@@ -781,6 +781,20 @@ class TestMutations:
         assert cli.run(argv) == 2
         assert "is not symmetric in its weighted metric" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("operator, label", [("laplacian-functions", "laplacian_function"),
+                                                 ("laplacian-one-forms", "laplacian_one_form")])
+    def test_laplacian_refusal_names_its_degree(self, operator, label, cosine_profile, tmp_path,
+                                                monkeypatch, capsys):
+        """A refused Laplacian ``spectrum`` names the operator it was asked
+        for, the one-forms Laplacian included."""
+        path = tmp_path / "wavy.json"
+        save_profile(cosine_profile, path)
+        patch_factors(monkeypatch, self.MUTANTS["w_is_g"])
+        assert cli.run(["spectrum", "--profile", str(path), "--grid", "64", "--window", "8",
+                        "--operator", operator, "--output-dir", str(tmp_path / "out")]) == 2
+        assert re.search(rf"error: operator '{label}\[N=64\]' is not symmetric",
+                         capsys.readouterr().err)
+
     def test_conjugation_fails_for_the_w_is_g_mutant(self, flat_profile, cosine_profile, grid64,
                                                      monkeypatch):
         pair = pair_inputs(flat_profile, cosine_profile, grid64)
@@ -907,9 +921,9 @@ def test_one_grid_read_assembles_nothing(flat_profile, cosine_profile, tmp_path,
     save_profile(NO_LOWER_BOUND, low)
     reads, grid_read = [], spectral.laplacian_spectrum
 
-    def recorded(density):
+    def recorded(density, *degree):
         reads.append(density.period)
-        return grid_read(density)
+        return grid_read(density, *degree)
 
     def refuse(*args, **kwargs):
         raise AssertionError("an N x N operator was built")
@@ -972,9 +986,9 @@ def test_commands_solve_no_dirac_matrix(flat_profile, cosine_profile, tmp_path, 
     grid_read, eigvalsh, eigh = spectral.laplacian_spectrum, np.linalg.eigvalsh, np.linalg.eigh
     laplacian, galerkin_read = verify.function_laplacian, spectral.galerkin_read
 
-    def recorded_grid_read(density):
+    def recorded_grid_read(density, *degree):
         events.append(("grid", density.period))
-        return grid_read(density)
+        return grid_read(density, *degree)
 
     def recorded_laplacian(*args):
         report = laplacian(*args)

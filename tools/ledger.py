@@ -161,17 +161,6 @@ def ledger_text(cli, seeds=SEEDS, grids=GRIDS) -> str:
     return "\n".join(lines) + "\n"
 
 
-def import_cli(tree: Path):
-    """``foliation_lab.cli`` imported from ``tree/src``, refusing any other copy."""
-    src = (tree / "src").resolve()
-    sys.path.insert(0, str(src))
-    from foliation_lab import cli
-
-    if Path(cli.__file__).resolve() != src / "foliation_lab" / "cli.py":
-        raise SystemExit(f"error: foliation_lab was not imported from {src}")
-    return cli
-
-
 def main(argv=None) -> int:
     argv = sys.argv[1:] if argv is None else argv
     if len(argv) != 2:
@@ -181,7 +170,7 @@ def main(argv=None) -> int:
     if out.exists():
         print(f"error: {out} exists", file=sys.stderr)
         return 2
-    out.write_text(ledger_text(import_cli(tree)), encoding="utf-8")
+    out.write_text(ledger_text(parity.import_cli(tree)), encoding="utf-8")
     print(f"wrote {out}")
     return 0
 

@@ -99,9 +99,9 @@ def cases() -> dict[str, list[str]]:
     table["invariance-wavy8-wavy"] = [
         "invariance", "--profiles", profile("wavy8"), profile("wavy"), "--grid", "128"]
     # Densities that recur within one command: the pair battery reads each
-    # distinct density once.  A chained run repeats two profiles;
-    # seed 4's twelve generated pairs read a constant density first with its
-    # contrast skipped, later with it run.
+    # distinct density once.  A chained run repeats two profiles; each of
+    # seed 4's twelve generated pairs holds the constant density 2, read by
+    # the first pair and reused by the other eleven.
     table["verify-chained-repeats-n256"] = [
         "verify", "--all", "--profiles", profile("wavy"), profile("flat2"), profile("wavy"),
         profile("wavy2"), profile("flat2"), "--grid", "256", "--window", "10"]
