@@ -71,6 +71,10 @@ class MetricProfile:
     So a sample is off by less than 39.01(K + 1)u S, with
     S = constant + sum|amp_i|(1 + |m_i| + |n_i| + |ph_i| + |qh_i|), and
     e = 32(K + 1) eps S leaves room for the rounding of the bound itself.
+
+    It keeps its bound ``min_bound`` > 0: constant - A - e, or (sampled
+    minimum) - (h/2) L - e.  With no theta term every row is the theta = 0
+    row (0 * theta = 0), so only that row is sampled.
     """
 
     constant: float
@@ -90,19 +94,21 @@ class MetricProfile:
                                  f"must be finite, got {float(values[bad[0]])!r}")
         if not self.constant > 0.0:
             raise ValueError(f"profile constant must be positive, got {self.constant}")
-        self._certify_positive(*arrays)
+        object.__setattr__(self, "min_bound", self._certify_positive(*arrays))
 
-    def _certify_positive(self, m, n, amp, ph_theta, ph_t) -> None:
-        """Prove f > 0 everywhere as the class docstring describes, or raise ValueError;
-        the arguments are the ``term_arrays``."""
+    def _certify_positive(self, m, n, amp, ph_theta, ph_t) -> float:
+        """Prove f > 0 everywhere as the class docstring describes and return
+        the certified lower bound of f, or raise ValueError; the arguments are
+        the ``term_arrays``."""
         size = np.abs(amp)
         spread = np.abs(m) + np.abs(n)
         scale = self.constant + float(
             np.sum(size * (1.0 + spread + np.abs(ph_theta) + np.abs(ph_t)))
         )
         allowance = 32.0 * (amp.size + 1) * np.finfo(np.float64).eps * scale
-        if self.constant - float(size.sum()) > allowance:
-            return
+        margin = self.constant - float(size.sum())
+        if margin > allowance:
+            return margin - allowance
         lipschitz = float(np.sum(size * spread))
         profile = (self.constant, m, n, amp, ph_theta, ph_t)
         grid_points = VALIDATION_GRID
@@ -112,16 +118,18 @@ class MetricProfile:
                 raise ValueError(
                     f"profile is not a metric: sampled minimum {minimum:.6g} <= 0"
                 )
-            if minimum - (math.pi / grid_points) * lipschitz > allowance:
-                return
+            margin = minimum - (math.pi / grid_points) * lipschitz
+            if margin > allowance:
+                return margin - allowance
             grid_points *= 2
             if grid_points > CERTIFICATE_GRID_CAP:
                 break
             # The coarser grid's nodes are the even nodes of this one, bit for
             # bit, so only the nodes with an odd theta or t index are new.
             nodes = uniform_nodes(grid_points)
-            minimum = min(minimum, _kernels.profile_min(*profile, nodes[1::2], nodes),
-                          _kernels.profile_min(*profile, nodes[::2], nodes[1::2]))
+            new = ([(nodes[1::2], nodes), (nodes[::2], nodes[1::2])] if m.any()
+                   else [(nodes[:1], nodes[1::2])])
+            minimum = min(minimum, *(_kernels.profile_min(*profile, *grid) for grid in new))
         raise ValueError(
             "profile is not a metric: positivity is not certified on a "
             f"{CERTIFICATE_GRID_CAP}^2 grid (sampled minimum {minimum:.6g}, "
@@ -145,9 +153,12 @@ class MetricProfile:
         return self.sample(np.zeros(1), ts)[0]
 
     def min_value(self, grid_points: int = VALIDATION_GRID) -> float:
-        """Minimum over the grid_points x grid_points node grid."""
+        """Minimum over the grid_points x grid_points node grid, read on the
+        theta = 0 row when no term depends on theta."""
         nodes = uniform_nodes(grid_points)
-        return _kernels.profile_min(self.constant, *self.term_arrays(), nodes, nodes)
+        arrays = self.term_arrays()
+        thetas = nodes if arrays[0].any() else nodes[:1]
+        return _kernels.profile_min(self.constant, *arrays, thetas, nodes)
 
     def theta_average(self) -> "MetricProfile":
         """Exact theta-average: only m = 0 modes survive.

@@ -3,9 +3,9 @@
 ``eigenvalues_weighted`` solves one assembled operator.  ``dirac_spectra``
 reads both basic Dirac spectra of a density from the operator's O(N) data,
 and ``laplacian_spectrum`` the basic Laplacians' from the Bloch blocks of
-the same data along the density's period.  ``function_laplacian`` reads the
-function Laplacian for the pair battery from the density's Fourier
-coefficients at an order K <= N/2, else by ``laplacian_spectrum``.  A
+the same data along the density's period, for ``spectrum``.
+``function_laplacian`` reads the function Laplacian for the pair battery
+from the density's Fourier coefficients, by Galerkin.  A
 ``SpectrumReport`` carries no window: callers pass one that
 ``GridSpec.validate_window`` has checked to ``in_window``.
 
@@ -75,8 +75,8 @@ fitted.  At N = 256 the radius is 1.5e-10 and d about 1e-26; the values
 are within 5.8e-13 of a dense ``eigvalsh`` of the assembled matrix, whose D
 differs from C by round-off (``tests/conftest.py`` keeps that oracle).
 
-Grid Laplacian reads (``laplacian_spectrum``: ``spectrum --operator
-laplacian-*``, and the pair battery where a Galerkin read is not made).
+Grid Laplacian reads (``laplacian_spectrum``, for ``spectrum --operator
+laplacian-*`` only).
 With T = w^{-1} C w, w from ``dirac_factors`` and C the periodic
 structure's circulant, the weighted symmetrizations of the basic Laplacians
 delta d and d delta are T T^H and T^H T (C^H = -C), both with eigenvalues
@@ -159,29 +159,45 @@ through G = L L^H as the Hermitian problem of L^{-1} A L^{-H}, c = L^{-H} y.
   rows of 2K + 1 terms, a scaling and a difference (Higham, section 3.6),
   whose norm the radius adds to that of w.  Radii are computed for the
   Ritz pairs with |rho| <= window^2 + WINDOW_EDGE_SLACK only.
-* g_low = g_0 - 2 sum_{m >= 1} |g_m| <= min g~, less gamma_{B+2} (g_0 +
-  2 sum |g_m|) for the rounding of that sum.  G is the Toeplitz matrix of
-  g~, so its eigenvalues are at least g_low.  A Galerkin read needs
-  g_low > 0: this is its gate, on the density the matrices are built from,
-  since A and G are Hermitian by construction.  A positive density without
-  it, such as 1 + 0.6 cos t + 0.6 cos 2t (minimum 0.325, g_low = -0.2),
-  gets the grid read.
-* The order.  The eigenfunctions solve (g~ u')' + lambda g~ u = 0, whose
-  singular points are the complex zeros of g~.  As |g~(t + iy) - g_0| <=
-  2 sum |g_m| cosh(m y), g~ has none in the strip |Im t| < eta, eta the
-  root of g_0 = 2 sum |g_m| cosh(m eta) (``strip_width``; infinite for a
-  constant), so the eigenfunctions' coefficients decay like e^{-eta |l|}
-  and the radius at order K like e^{-eta (K - W)} times a power of K.
-  ``function_laplacian`` solves first at K = floor(W + (ln(1 / tolerance)
-  + m) / eta) + 1, m = GALERKIN_MARGIN = 8, then adds ceil(m / eta) until
-  the windowed radii are all at most the tolerance.  A constant has eta
-  infinite, so its first order is floor(W) + 1 (at window 10 its largest
-  radius is 1.7e-12).  Measured at tolerance 1e-8 (ln 1e8 = 18.4), over
-  ``verify.random_profile`` densities, cos t with amplitude to 0.99, and
-  t-bandwidths 3 to 16 with amplitudes to 0.6, at windows 6 to 32, the
-  smallest sufficient K had (K - W) eta between 13 and 26.6: the
-  first solve suffices except for densities near zero, and each further
-  step cuts the radius by about e^{-8}.
+* g_low (``galerkin_lower_bound``) is the larger of two lower bounds of
+  min g~, and so of G's eigenvalues: g_0 - 2 sum_{m >= 1} |g_m| less
+  gamma_{B+2} (g_0 + 2 sum |g_m|) (``lower_bound``), and the positive
+  ``min_bound`` that the theta-average's positivity certificate proves of
+  g (``MetricProfile``).  Its e = 32 (K' + 1) eps S, K' terms, exceeds the
+  samples' error by 12.49 (K' + 1) eps S, which covers the bound's own
+  rounding and |g~ - g| <= gamma_{K'+3} (c + sum |a_i|) (each term rounds
+  by gamma_3, each sum by gamma_{K'}): so g_low > 0 on every certified
+  density.  For 1 + 0.6 cos t + 0.6 cos 2t (minimum 0.325) the two are
+  -0.2 and 0.314; generated profiles, certified outright, take the first.
+* The strip.  The eigenfunctions solve (g~ u')' + lambda g~ u = 0, whose
+  singular points are the complex zeros of g~.  With z = e^{it}, g~(t) =
+  z^{-B} p(z), p(z) = sum_j g_{j-B} z^j, and a zero z of p is a zero t of
+  g~ with Im t = -ln |z|; so g~ has none in |Im t| < eta = min |ln |z||
+  (``strip_width``; infinite for a constant), the eigenfunctions'
+  coefficients decay like e^{-eta |l|}, and the radius at order K like
+  e^{-eta (K - W)} times a power of K.  One frequency, g_0 + 2 |g_n|
+  cos(nt + phi), gives eta = acosh(g_0 / (2 |g_n|)) / n.  p is a
+  polynomial in w = z^d, d the gcd of the frequencies: ``strip_width``
+  takes the companion eigenvalues of that polynomial of degree 2B / d.  It
+  leaves out a g_m below eps times the largest coefficient, which moves g~
+  by less than the coefficients' rounding, and whose companion resolves
+  the zeros near the circle only to its backward error: 2 + 1e-300 cos t
+  reads as a constant.  eta only predicts K; the radius certifies.
+* The orders.  ``function_laplacian`` solves first at K = floor(W +
+  (ln(1 / tolerance) + m) / eta) + 1, m = GALERKIN_MARGIN = 8, then adds
+  ceil(m / eta) until the windowed radii are all at most the tolerance, up
+  to the first K whose predicted tail e^{-eta (K - W)} is below the unit
+  round-off u = eps / 2: past it an eigenfunction's coefficients are below
+  the rounding of those within, so a radius still above the tolerance
+  there refuses the density (ValueError, exit 2), naming it, K and the
+  radius.  At tolerance 1e-8 the tails are e^{-26.4}, e^{-34.4} and
+  e^{-42.4} < u = e^{-36.7}: at most three solves.  A constant's only
+  order is floor(W) + 1 (at window 10 its largest radius is 1.7e-12).
+  The first solve suffices on the densities measured ((K - W) eta between
+  13 and 26.6 sufficed), except near zero.  A profile certified outright
+  may come within a few eps of zero: 1 + (1 - 1e-6) cos t has K = 18,691,
+  22 GB of matrices.  So an order above CERTIFICATE_GRID_CAP / 2 = 2048,
+  the modes of the certificate's finest grid, is refused unsolved.
 * The tolerance.  ``verify`` passes LAPLACIAN_FORMS_THRESHOLD = 1e-8, the
   fraction 1e-5 of LAPLACIAN_GAP_THRESHOLD = 1e-3.  The contrast passes
   when gap - r_1 - r_2 exceeds the gap threshold, and requires the squared
@@ -193,32 +209,19 @@ through G = L L^H as the Hermitian problem of L^{-1} A L^{-H}, c = L^{-H} y.
   Laplacian value be less certain than a deviation that the Dirac half
   counts as a move; a tighter one changes no verdict the threshold can see
   and costs a larger K.
-* The cap (``function_laplacian``).  The orders stop at K = N/2; where
-  none up to it meets the tolerance, or g_low <= 0, the pair battery takes
-  the grid read of ``spectrum``, with the radius d (2 sigma + d) of each
-  value.  The cap limits the cost, not the error: the radius certifies
-  against the continuous operator at any K, and at K = N/2 the basis holds
-  the modes that the N-point grid resolves.  Near the cap a Galerkin read
-  with d = 1 solves one block of 2K + 1, about N, modes, as large as the
-  grid read's Gram blocks at period N, and can cost as much or more.
-  ``verify.random_pair``'s
-  densities, 2 and 2 + a cos(2t + psi) with eta >= acosh(20) / 2 = 1.84, are
-  first solved at K <= W + 15, so none reaches the grid read at N = 64.
 * What is not certified.  The radius places an eigenvalue of Delta within
   r of each rho_k, and rho_k >= lambda_k, but neither says that the
   eigenvalue near rho_k is the k-th: the +-k pairs are near-degenerate
-  clusters.  ``verify`` pairs the sorted windowed values by index, as the
-  grid read does; certifying the index (Lehmann-Goerisch or Kato-Temple
-  lower bounds) is open.  The radii are against Delta of g~: the
-  coefficients' rounding moves g~ from the profile's own g by a relative e
-  pointwise, a few eps (g_0 + 2 sum |g_m|) / g_low, and each eigenvalue by
-  at most a relative 2e / (1 - e) by min-max, which no radius includes.  A grid
-  read's radius bounds its values' distance from the sigma_k(T)^2 of the T
-  built from (c, w), not from Delta's.
+  clusters.  ``verify`` pairs the sorted windowed values by index;
+  certifying the index (Lehmann-Goerisch or Kato-Temple lower bounds) is
+  open.  The radii are against Delta of g~, which is within a relative e,
+  a few eps (g_0 + 2 sum |g_m|) / g_low, of g: each eigenvalue moves by at
+  most a relative 2e / (1 - e) by min-max, which no radius includes.
 """
 
 from __future__ import annotations
 
+import json
 import math
 from dataclasses import dataclass
 from functools import lru_cache
@@ -228,7 +231,7 @@ from numpy.lib.stride_tricks import sliding_window_view
 
 from ._spectral_diff import wavenumbers
 from .basic_calculus import DEGREE_FUNCTION, LeafVolumeDensity
-from .model_spaces import GridSpec
+from .model_spaces import CERTIFICATE_GRID_CAP, GridSpec
 from .operators import WeightedOperator, dirac_factors, forms_label, laplacian_label, spinor_label
 
 # Relative symmetrization residual above which an eigensolve is refused.
@@ -428,12 +431,12 @@ def laplacian_spectrum(density: LeafVolumeDensity,
 @dataclass(frozen=True)
 class LaplacianRead:
     """A density's windowed function-Laplacian values for the pair battery,
-    ascending, the radius of each, and the ``order`` K of a Galerkin read,
-    None for a grid read (module docstring)."""
+    ascending, the radius of each, and the ``order`` K of its Galerkin read
+    (module docstring)."""
 
     values: np.ndarray
     radii: np.ndarray
-    order: int | None
+    order: int
 
     @property
     def radius(self) -> float:
@@ -442,43 +445,34 @@ class LaplacianRead:
 
 
 def strip_width(coefficients: np.ndarray) -> float:
-    """eta, the largest y with g_0 > 2 sum_{m >= 1} |g_m| cosh(m y), to a
-    relative 2^-30: infinite for a constant, 0 when g_0 <= 2 sum |g_m|.  The
-    bisection runs in Python floats; an overflowing cosh reads as not
-    positive, as numpy's inf (or 0 inf = nan) would."""
+    """eta = min |ln |z|| over the zeros z of z^B g(z), infinite for a
+    constant, from the companion matrix of that polynomial in w = z^d over
+    the g_m at least eps times the largest coefficient (module docstring)."""
     bandwidth = coefficients.size // 2
-    if bandwidth == 0:
+    poly = coefficients / np.max(np.abs(coefficients))
+    frequencies = (np.flatnonzero(np.abs(poly[bandwidth + 1:]) >= _EPS) + 1).tolist()
+    if not frequencies:
         return math.inf
-    mean = float(coefficients[bandwidth].real)
-    terms = [(float(m), 2.0 * abs(g))
-             for m, g in enumerate(coefficients[bandwidth + 1:].tolist(), 1)]
-
-    def positive(y: float) -> bool:
-        total = 0.0
-        for frequency, magnitude in terms:
-            try:
-                total += magnitude * math.cosh(frequency * y)
-            except OverflowError:
-                return False
-        return mean > total
-
-    low, high = 0.0, 1.0
-    if not positive(low):
-        return 0.0
-    while positive(high):
-        low, high = high, 2.0 * high
-    for _ in range(30):
-        middle = 0.5 * (low + high)
-        low, high = (middle, high) if positive(middle) else (low, middle)
-    return low
+    period, top = math.gcd(*frequencies), frequencies[-1]
+    poly = poly[bandwidth - top : bandwidth + top + 1 : period]  # a_j of w^j
+    companion = np.eye(poly.size - 1, k=-1, dtype=complex)
+    companion[0] = -poly[-2::-1] / poly[-1]
+    logs = np.log(np.abs(np.linalg.eigvals(companion)))
+    return float(np.min(np.abs(logs))) / period
 
 
 def lower_bound(coefficients: np.ndarray) -> float:
-    """g_low = g_0 - 2 sum_{m >= 1} |g_m|, less its rounding (module docstring)."""
+    """g_0 - 2 sum_{m >= 1} |g_m|, less its rounding (module docstring)."""
     bandwidth = coefficients.size // 2
     mean = coefficients[bandwidth].real
     total = 2.0 * float(np.sum(np.abs(coefficients[bandwidth + 1:])))
     return mean - total - gamma(bandwidth + 2) * (mean + total)
+
+
+def galerkin_lower_bound(density: LeafVolumeDensity) -> float:
+    """g_low, the larger of ``lower_bound`` and the theta-averaged profile's
+    certified ``min_bound``, positive (module docstring)."""
+    return max(lower_bound(density.coefficients), density.average.min_bound)
 
 
 def galerkin_matrices(coefficients: np.ndarray, order: int) -> tuple[np.ndarray, np.ndarray]:
@@ -528,16 +522,13 @@ def _windowed_ritz_pairs(mass: np.ndarray, stiffness: np.ndarray,
     return values[classes, columns], vectors[classes, :, columns], classes
 
 
-def galerkin_read(coefficients: np.ndarray, order: int, window: float) -> LaplacianRead:
+def galerkin_read(coefficients: np.ndarray, order: int, window: float,
+                  lower: float) -> LaplacianRead:
     """The windowed Ritz values of the function Laplacian of the density with
     ``coefficients`` in the basis e^{ikt}, |k| <= ``order``, solved in the
     residue classes of k modulo d = gcd{m >= 1 : g_m != 0}, and their radii
-    in the full basis (module docstring).  ValueError when g_low <= 0."""
-    bandwidth, lower = coefficients.size // 2, lower_bound(coefficients)
-    if not lower > 0.0:
-        raise ValueError(
-            f"the Galerkin Laplacian read needs g_0 > 2 sum |g_m| over the density's "
-            f"coefficients: the lower bound g_low = {lower:.3e} is not positive")
+    in the full basis for ``lower`` = g_low > 0 (module docstring)."""
+    bandwidth = coefficients.size // 2
     mass, stiffness = galerkin_matrices(coefficients, order)
     size, limit = 2 * order + 1, window * window + WINDOW_EDGE_SLACK
     period = math.gcd(*(np.flatnonzero(coefficients[bandwidth + 1:]) + 1).tolist())
@@ -564,23 +555,24 @@ def galerkin_read(coefficients: np.ndarray, order: int, window: float) -> Laplac
 def function_laplacian(density: LeafVolumeDensity, window: float,
                        tolerance: float) -> LaplacianRead:
     """The pair battery's read of ``density``'s windowed function Laplacian:
-    the ``galerkin_read`` at the first order K <= N/2 of the predicted
-    sequence whose radii are all at most ``tolerance``; when there is none,
-    or g_low <= 0, the windowed values of ``laplacian_spectrum``, each with
-    the radius d (2 sigma + d) (module docstring)."""
-    coefficients = density.coefficients
+    the ``galerkin_read`` at the first order K of the predicted sequence
+    whose radii are all at most ``tolerance``; where there is none,
+    ValueError naming the density, K and the radius (module docstring)."""
+    coefficients, lower = density.coefficients, galerkin_lower_bound(density)
     eta = strip_width(coefficients)
-    if eta > 0.0 and lower_bound(coefficients) > 0.0:
-        order = math.floor(window + (math.log(1.0 / tolerance) + GALERKIN_MARGIN) / eta) + 1
-        while order <= density.n_points // 2:
-            read = galerkin_read(coefficients, order, window)
-            if read.radius <= tolerance:
-                return read
-            order += max(1, math.ceil(GALERKIN_MARGIN / eta))
-    report = laplacian_spectrum(density)
-    windowed, distance = report.in_window(window * window), report.distance
-    radius = distance * (2.0 * math.sqrt(max(float(report.eigenvalues[-1]), 0.0)) + distance)
-    return LaplacianRead(windowed, np.full(windowed.size, radius), None)
+    order = math.floor(window + (math.log(1.0 / tolerance) + GALERKIN_MARGIN) / eta) + 1
+    refused = (f"the function Laplacian of the density of theta-average "
+               f"{json.dumps(density.average.to_dict())} is not read to {tolerance:.0e}")
+    while order <= CERTIFICATE_GRID_CAP // 2:
+        read = galerkin_read(coefficients, order, window, lower)
+        if read.radius <= tolerance:
+            return read
+        if eta * (order - window) > math.log(2.0 / _EPS):
+            raise ValueError(f"{refused}: at the last predicted Galerkin order K = {order} "
+                             f"the largest radius is {read.radius:.3e}")
+        order += max(1, math.ceil(GALERKIN_MARGIN / eta))
+    raise ValueError(f"{refused}: its Galerkin order K = {order} exceeds "
+                     f"{CERTIFICATE_GRID_CAP // 2}, the largest read (radius not computed)")
 
 
 def spectrum_compare(a: SpectrumReport, b: SpectrumReport, window: float) -> float:

@@ -33,7 +33,7 @@ grid verdicts measure how far the weight data are from that equivalence:
 ``invariance_check`` computes, once per pair, the spinor and forms bounds
 that ``spectral`` derives for the Dirac reads, infinite when a windowed
 count is not certified; ``laplacian_dependence`` scales the forms bound,
-and reads the radii of the Laplacian reads, Galerkin reads to
+and reads the radii of the Galerkin Laplacian reads, each to
 LAPLACIAN_FORMS_THRESHOLD.
 """
 
@@ -340,11 +340,10 @@ def laplacian_dependence(
     spectrally indistinguishable for the basic Laplacian.
 
     The gap pairs the sorted windowed values by index.  What (a) certifies
-    (``spectral``): for a Galerkin read, each radius places an eigenvalue of
-    the continuous Laplacian near each value, and each value is an upper
-    bound of the eigenvalue of its index; that the eigenvalue near a value
-    is the one of its index is not certified.  For a grid read, the radius
-    bounds each value's distance from the assembled matrix's only.
+    (``spectral``): each radius places an eigenvalue of the continuous
+    Laplacian near each value, and each value is an upper bound of the
+    eigenvalue of its index; that the eigenvalue near a value is the one of
+    its index is not certified.
     """
     # Compare the shared low end of both Laplacian spectra: eigenvalue shifts
     # can move a state across the window edge, so a raw count comparison
@@ -411,16 +410,12 @@ def random_pair(rng: np.random.Generator) -> tuple[MetricProfile, MetricProfile]
     v = cos(t + psi/2), g v has no mean, and g v'^2 and g v^2 have the means
     (g_0 - |g_2|) / 2 and (g_0 + |g_2|) / 2, so on span{1, v} the Rayleigh
     quotient <g u', u'> / <g u, u> is at most (2 - a/2) / (2 + a/2).  By
-    min-max so is the index-1 value of every read whose trial space holds
-    span{1, v}: a Galerkin read at any K >= 1 (``spectral``), and the grid
-    read, the values of T T^H, T = g^{-1/2} C g^{1/2}, whose Rayleigh
-    quotient at x = g^{1/2} u is sum g |Du|^2 / sum g |u|^2, D the Fourier
-    derivative, exact on span{1, v}, as are the trapezoid sums of
-    t-bandwidth 4 for N > 4 (the battery reads g on the grid at grid 16, and
-    at grid 32 for a near 0.1, at window N/8).  So at any window >= 1 the
-    contrast's gap is at least a / (2 + a/2) >= 4.98e-3 up to the reads'
-    rounding, about five times LAPLACIAN_GAP_THRESHOLD plus both radii.
-    g's strip width acosh(2/a) / 2 >= 1.84 sets its first order K <= W + 15.
+    min-max so is the index-1 value of the battery's Galerkin read, whose
+    trial space holds span{1, v} at any order K >= 1 (``spectral``), on
+    every grid.  So at any window >= 1 the contrast's gap is at least
+    a / (2 + a/2) >= 4.98e-3 up to the read's rounding, about five times
+    LAPLACIAN_GAP_THRESHOLD plus both radii.  g's strip width
+    acosh(2/a) / 2 >= 1.84 sets its first order K <= W + 15.
     """
     leafwise = [tuple(term for term in random_profile(rng).terms if term.m) for _ in range(2)]
     density = ProfileTerm(0, 2, float(rng.uniform(0.01, 0.1)), 0.0,

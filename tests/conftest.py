@@ -274,13 +274,13 @@ def battery_laplacian(density: LeafVolumeDensity, window: float) -> LaplacianRea
     return function_laplacian(density, window, LAPLACIAN_FORMS_THRESHOLD)
 
 
-def galerkin_rounding(read, coefficients: np.ndarray) -> float:
+def galerkin_rounding(read, density: LeafVolumeDensity) -> float:
     """The backward error (2K + 1) eps ||L^{-1} A L^{-H}||_2 of a Galerkin
-    read's ``eigh``, the norm at most K^2 (g_0 + 2 sum |g_m|) / g_low, as
-    ``test_ritz_values_do_not_increase_along_the_orders`` allows it."""
+    read of ``density``'s ``eigh``, the norm at most K^2 (g_0 + 2 sum |g_m|)
+    / g_low, as ``test_ritz_values_do_not_increase_along_the_orders`` allows it."""
     order = read.order
     return ((2 * order + 1) * np.finfo(float).eps * order * order
-            * float(np.sum(np.abs(coefficients))) / spectral.lower_bound(coefficients))
+            * float(np.sum(np.abs(density.coefficients))) / spectral.galerkin_lower_bound(density))
 
 
 def pair_inputs(p1: MetricProfile, p2: MetricProfile, grid: GridSpec) -> SimpleNamespace:

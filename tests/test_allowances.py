@@ -46,6 +46,7 @@ from foliation_lab.verify import (
     lichnerowicz_diagonal,
     lichnerowicz_residual,
     pair_metadata,
+    random_pair,
     random_profile,
     run_pair_checks,
 )
@@ -223,15 +224,30 @@ def _generated(seed: int, draw: int) -> MetricProfile:
 
 
 # The Galerkin read's density, draw 3 of ``random_profile`` at seed 7041,
-# whose theta-average has terms at n = -2 and n = -1 with phases, and a
-# density with g_low = 0.1, read at K = 91.
+# whose theta-average has terms at n = -2 and n = -1 with phases, a density
+# with g_0 - 2 sum |g_m| = 0.1, read at K = 91, and one where that bound is
+# -0.2 and g_low the certificate's.
 GALERKIN_AUDITED = {
     "two-term": MetricProfile(2.0, (ProfileTerm(0, 1, 0.3, 0.0, 0.4),
                                     ProfileTerm(0, 2, 0.2, 0.0, 1.1))),
     "seed7041-3": _generated(7041, 3),
     "near-zero": MetricProfile(1.0, (ProfileTerm(0, 1, 0.5),
                                      ProfileTerm(0, 2, 0.4, 0.0, 0.3))),
+    "low": MetricProfile(1.0, (ProfileTerm(0, 1, 0.6), ProfileTerm(0, 2, 0.6))),
 }
+
+
+def _true_min(g: dict) -> mpmath.mpf:
+    """min g for g(t) = sum g_m e^{imt}, in high precision: the least of 512
+    samples, refined by Newton's method on g' from it."""
+    def value(t, order=0):
+        return mpmath.re(mpmath.fsum((1j * m) ** order * c * mpmath.expj(m * t)
+                                     for m, c in g.items()))
+
+    nodes = [2 * mpmath.pi * j / 512 for j in range(512)]
+    start = min(nodes, key=value)
+    root = mpmath.findroot(lambda t: value(t, 1), start, df=lambda t: value(t, 2))
+    return min(value(start), value(root))
 
 
 def _profile_coefficients(profile: MetricProfile) -> dict:
@@ -248,13 +264,13 @@ def _profile_coefficients(profile: MetricProfile) -> dict:
     return coefficients
 
 
-def _rayleigh_pair(g: dict, vector: np.ndarray) -> tuple:
+def _rayleigh_pair(g: dict, vector: np.ndarray, lower) -> tuple:
     """For u = sum c_k e^{ikt}, |k| <= K, c = ``vector``: the Rayleigh quotient
     rho = c^H A c / c^H G c of the exact g and the Krylov-Bogolyubov bound
     eps >= ||Delta u - rho u|| / ||u|| in L^2(g dt), both in high precision:
     with w_l = sum_k (lk - rho) g_{l-k} c_k, |l| <= K + B, eps^2 =
-    sum |w_l|^2 / (g_low c^H G c), g_low = g_0 - 2 sum_{m >= 1} |g_m|
-    (``spectral``).  G and A are banded, so this is O(K B)."""
+    sum |w_l|^2 / (g_low c^H G c), g_low = ``lower`` <= min g (``spectral``).
+    G and A are banded, so this is O(K B)."""
     order, bandwidth = vector.size // 2, max(g)
     c = {k: mpmath.mpc(z.real, z.imag) for k, z in zip(range(-order, order + 1), vector.tolist())}
     rows = range(-order - bandwidth, order + bandwidth + 1)
@@ -266,7 +282,6 @@ def _rayleigh_pair(g: dict, vector: np.ndarray) -> tuple:
         stiff_c[l] = mpmath.fsum(l * k * term for k, term in terms)
     norm = mpmath.re(mpmath.fsum(mpmath.conj(c[k]) * mass_c[k] for k in c))
     rho = mpmath.re(mpmath.fsum(mpmath.conj(c[k]) * stiff_c[k] for k in c)) / norm
-    lower = mpmath.re(g[0]) - 2 * mpmath.fsum(abs(g[m]) for m in g if m > 0)
     residual = mpmath.fsum(abs(stiff_c[l] - rho * mass_c[l]) ** 2 for l in rows)
     return rho, mpmath.sqrt(residual / (lower * norm))
 
@@ -286,15 +301,15 @@ def test_galerkin_radii_hold_for_the_profiles_own_density(name):
     profile = GALERKIN_AUDITED[name]
     density = LeafVolumeDensity.from_profile(profile, GridSpec(256))
     read = spectral.function_laplacian(density, 3.5, LAPLACIAN_FORMS_THRESHOLD)
-    assert read.order is not None
     g = _profile_coefficients(profile)
+    lower = _true_min(g)
     order = read.order + 16
     mass, stiffness = spectral.galerkin_matrices(density.coefficients, order)
     interior = slice(density.t_bandwidth, density.t_bandwidth + 2 * order + 1)
     values, vectors = scipy.linalg.eigh(stiffness[interior], mass[interior])
     count = read.values.size
     assert values[count] > values[count - 1] + 1.0
-    reference = [_rayleigh_pair(g, vectors[:, j]) for j in range(count + 1)]
+    reference = [_rayleigh_pair(g, vectors[:, j], lower) for j in range(count + 1)]
     bounds = [-mpmath.inf, *(rho + eps for rho, eps in reference)]
     for k in range(count):
         rho, eps = reference[k]
@@ -303,73 +318,128 @@ def test_galerkin_radii_hold_for_the_profiles_own_density(name):
         assert error <= read.radii[k], (k, error, read.radii[k])
 
 
-def _operator_distance(density: LeafVolumeDensity, profile: MetricProfile) -> mpmath.mpf:
-    """||T - T_0||_F in high precision: T = w^{-1} C w of the grid Laplacian
-    read, from the float column c and factor w, and T_0 = g^{-1/2} C_0 g^{1/2}
-    of the exact column of the lattice operator, c_j = (1/N) sum_m i k_m
-    e^{2 pi i j m / N}, k = ``wavenumbers(N)``, and the exact samples of
-    the profile's own density g."""
-    n = density.n_points
-    column = _mp(_column(n, "trivial"))
-    ks = wavenumbers(n).tolist()
-    exact_column = [mpmath.fsum(mpmath.mpc(0, k) * mpmath.expjpi(2 * mpmath.mpf(j * m) / n)
-                                for m, k in enumerate(ks)) / n for j in range(n)]
-    w = [mpmath.mpf(x) for x in dirac_factors(density)[0].tolist()]
-    (term,) = profile.theta_average().terms
-    exact_w = [mpmath.sqrt(profile.constant + mpmath.mpf(term.amplitude) * mpmath.cos(
-        term.n * 2 * mpmath.pi * j / n + mpmath.mpf(term.phase_t))) for j in range(n)]
-    return mpmath.sqrt(mpmath.fsum(
-        abs(column[(i - j) % n] * w[j] / w[i]
-            - exact_column[(i - j) % n] * exact_w[j] / exact_w[i]) ** 2
-        for i in range(n) for j in range(n)))
-
-
 @pytest.mark.parametrize("n_points", [16, 32, 64, 256])
 @pytest.mark.parametrize("amplitude", [0.01, 0.1])
 @pytest.mark.parametrize("phase", [0.0, 1.0, 2.5, 4.5])
 def test_random_pair_gap_certificate(n_points, amplitude, phase):
     """``verify.random_pair``'s closed-form gap, at window N/8, on the Galerkin
-    read and on the grid read, which N = 16, and N = 32 at a = 0.1, reach:
-    there the order of 2 + a cos(2t + psi) exceeds N/2.  The index-1 value
-    of the strong density's read is at most (2 - a/2) / (2 + a/2) plus its
-    rounding, and the contrast's gap at least a / (2 + a/2) less the
-    rounding of both reads; the contrast passes.
+    reads, also where the order of 2 + a cos(2t + psi) exceeds N/2 (N = 16,
+    and N = 32 at a = 0.1).  The index-1 value of the strong density's read
+    is at most (2 - a/2) / (2 + a/2) plus its rounding, and the contrast's
+    gap at least a / (2 + a/2) less the rounding of both reads; the
+    contrast passes.
 
     * A Galerkin read is a min-max value of the pencil of the float
       coefficients g~: at most (g~_0 - |g~_2|) / (g~_0 + |g~_2|), computed
       here in high precision, up to the ``eigh`` backward error.
-    * A grid read's values lie within ``conftest.bloch_allowance`` of the
-      sigma_k(T)^2 of T built from the float (c, w), and sigma_k(T) within
-      ||T - T_0||_F of sigma_k(T_0), T_0 the exact operator on the exact
-      samples, whose index-1 value is at most (2 - a/2) / (2 + a/2).
-    * The constant 2 is read by Galerkin at K = floor(N/8) + 1, with index-1
-      value 1 up to its ``eigh`` backward error."""
+    * The constant 2 is read at K = floor(N/8) + 1, with index-1 value 1 up
+      to its ``eigh`` backward error."""
     strong = MetricProfile(2.0, (ProfileTerm(0, 2, amplitude, 0.0, phase),))
     grid, window = GridSpec(n_points), n_points / 8
     densities = [LeafVolumeDensity.from_profile(p, grid) for p in (strong, MetricProfile(2.0))]
     reads = [spectral.function_laplacian(d, window, LAPLACIAN_FORMS_THRESHOLD) for d in densities]
-    grid_read = n_points == 16 or (n_points == 32 and amplitude == 0.1)
-    assert (reads[0].order is None) == grid_read and reads[1].order is not None
+    above = n_points == 16 or (n_points == 32 and amplitude == 0.1)
+    assert (reads[0].order > n_points // 2) == above
     half = mpmath.mpf(amplitude) / 2
     bound = (2 - half) / (2 + half)
-    if reads[0].order is None:
-        report = spectral.laplacian_spectrum(densities[0])
-        distance = _operator_distance(densities[0], strong)
-        rounding = ((mpmath.sqrt(bound) + distance) ** 2 - bound
-                    + bloch_allowance(densities[0], report))
-    else:
-        coefficients = densities[0].coefficients
-        computed = abs(_mp(coefficients)[-1])
-        rounding = (max(0, (2 - computed) / (2 + computed) - bound)
-                    + galerkin_rounding(reads[0], coefficients))
+    computed = abs(_mp(densities[0].coefficients)[-1])
+    rounding = (max(0, (2 - computed) / (2 + computed) - bound)
+                + galerkin_rounding(reads[0], densities[0]))
     assert reads[0].values[1] <= bound + rounding
-    constant_rounding = galerkin_rounding(reads[1], densities[1].coefficients)
+    constant_rounding = galerkin_rounding(reads[1], densities[1])
     assert abs(reads[1].values[1] - 1.0) <= constant_rounding
     rounding += constant_rounding
     for pair in ((strong, MetricProfile(2.0)), (MetricProfile(2.0), strong)):
         report = run_pair_checks([pair], grid, window)[3]
         assert report.passed
         assert report.metadata["laplacian_gap"] >= 2 * half / (2 + half) - rounding
+
+
+def _lower_audited() -> dict:
+    """Profiles for the g_low audit: those of ``tools/parity.py``'s pair cases,
+    the Galerkin audit's, the low profile 1 + 0.6 cos t + 0.6 cos 2t, another
+    that the certificate proves by sampling, 1 + 0.99 cos t,
+    and the first ``random_profile`` and ``random_pair`` draws of seeds 0-2."""
+    profiles = {
+        "wavy": COSINE, "mixed": MIXED, "half": HALF, "quarter": QUARTER,
+        "wavy8": MetricProfile(2.0, (ProfileTerm(0, 1, 0.5), ProfileTerm(0, 8, 0.2, 0.0, 0.7))),
+        "sampled": MetricProfile(1.0, (ProfileTerm(0, 1, 0.55), ProfileTerm(0, 2, 0.55, 0.0, 0.4))),
+        "near-one": MetricProfile(1.0, (ProfileTerm(0, 1, 0.99),)),
+        **GALERKIN_AUDITED,
+    }
+    for seed in range(3):
+        rng = np.random.default_rng(seed)
+        profiles[f"seed{seed}"] = random_profile(rng)
+        for index, profile in enumerate(random_pair(rng)):
+            profiles[f"pair{seed}-{index}"] = profile
+    return profiles
+
+
+LOWER_AUDITED = _lower_audited()
+
+
+def _lower_bound_holds(profile: MetricProfile) -> bool:
+    """Whether the Galerkin read's g_low of the profile's density is positive and
+    at most both the true min of the profile's own density g and that of g~,
+    the density of the float coefficients (``spectral``), in high precision."""
+    density = LeafVolumeDensity.from_profile(profile, GridSpec(64))
+    lower = spectral.galerkin_lower_bound(density)
+    bandwidth = density.t_bandwidth
+    computed = {m - bandwidth: z for m, z in enumerate(_mp(density.coefficients))}
+    return 0.0 < lower <= min(_true_min(_profile_coefficients(profile)), _true_min(computed))
+
+
+@pytest.mark.parametrize("name", list(LOWER_AUDITED))
+def test_certified_lower_bound_is_at_most_the_true_minimum(name):
+    """g_low = max(g_0 - 2 sum |g_m| less its rounding, the certificate's
+    ``min_bound``) against min g in 30 digits.  For the low profile the first
+    bound is -0.2 and g_low is the certificate's, within 0.012 of the true
+    minimum 0.325."""
+    profile = LOWER_AUDITED[name]
+    assert _lower_bound_holds(profile)
+    if name == "low":
+        density = LeafVolumeDensity.from_profile(profile, GridSpec(64))
+        assert spectral.lower_bound(density.coefficients) < 0.0
+        assert 0.313 < spectral.galerkin_lower_bound(density) < 0.325
+
+
+def test_a_sampled_lower_bound_fails_the_audit(monkeypatch):
+    """A mutant certificate that keeps the sampled minimum on the 512 grid as
+    its bound, with no cell bound and no allowance: for the low profile it
+    exceeds the true minimum 0.325 (the nodes miss cos t = -1/4), and the
+    audit fails."""
+    monkeypatch.setattr(MetricProfile, "_certify_positive",
+                        lambda self, *arrays: self.min_value(VALIDATION_GRID))
+    profile = MetricProfile(1.0, (ProfileTerm(0, 1, 0.6), ProfileTerm(0, 2, 0.6)))
+    assert not _lower_bound_holds(profile)
+
+
+def _strip_coefficients() -> list:
+    """Density coefficients of one frequency and of several."""
+    single = [LeafVolumeDensity.from_profile(MetricProfile(2.0, (ProfileTerm(0, n, a, 0.0, phase),)),
+                                             GridSpec(64)).coefficients
+              for n in (1, 2, 3, 8) for a in (0.01, 0.1, 1.0, 1.9) for phase in (0.0, 2.5)]
+    several = [LeafVolumeDensity.from_profile(profile, GridSpec(64)).coefficients
+               for profile in LOWER_AUDITED.values()]
+    return single + [c for c in several if np.count_nonzero(c[c.size // 2 + 1:]) > 1]
+
+
+@pytest.mark.parametrize("coefficients", _strip_coefficients())
+def test_strip_width_is_the_distance_of_the_nearest_zero(coefficients):
+    """``strip_width`` against eta in 30 digits, for the float coefficients:
+    acosh(g_0 / (2 |g_n|)) / n for one frequency n, and min |ln |z|| over the
+    ``mpmath.polyroots`` of z^B g(z) otherwise, within a relative 1e-12 (the
+    companion eigenvalues' rounding; measured 2.5e-14 at most)."""
+    bandwidth = coefficients.size // 2
+    g = _mp(coefficients)
+    frequencies = [m for m in range(1, bandwidth + 1) if coefficients[bandwidth + m] != 0]
+    if len(frequencies) == 1:
+        (n,) = frequencies
+        eta = mpmath.acosh(mpmath.re(g[bandwidth]) / (2 * abs(g[bandwidth + n]))) / n
+    else:
+        roots = mpmath.polyroots(g[::-1], maxsteps=200, extraprec=100)
+        eta = min(abs(mpmath.log(abs(root))) for root in roots)
+    assert abs(spectral.strip_width(coefficients) - eta) <= 1e-12 * eta
 
 
 # Product profiles f = a(theta) c(t) for the Lichnerowicz audits: their

@@ -1,7 +1,9 @@
 """Model-family geometry: profile sampling, torus curvature data, sphere flows."""
 
+import importlib.util
 import json
 import re
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -10,9 +12,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from foliation_lab import _kernels
+from foliation_lab._spectral_diff import uniform_nodes
 from foliation_lab.basic_calculus import LeafVolumeDensity
 from foliation_lab.model_spaces import (
+    CERTIFICATE_GRID_CAP,
     S3_SCALAR_CURVATURE,
+    VALIDATION_GRID,
     GridSpec,
     MetricProfile,
     ProfileTerm,
@@ -23,6 +28,8 @@ from foliation_lab.model_spaces import (
     torus_geometry,
     torus_metric_sample,
 )
+
+from foliation_lab.verify import random_pair, random_profile
 
 from conftest import exp_cos_profile, save_profile
 
@@ -137,6 +144,83 @@ class TestMetricProfile:
     def test_amplitude_below_constant_always_positive(self, constant, amp, m, n, phase):
         profile = MetricProfile(constant, (ProfileTerm(m, n, amp * constant, phase),))
         assert profile.min_value(128) > 0.0
+
+
+def _full_grid_certificate(constant: float, terms: tuple) -> tuple:
+    """The positivity certificate of ``MetricProfile(constant, terms)``
+    sampling every G x G grid whole, theta rows included: its bound, None
+    where it refuses, and its allowance e."""
+    m, n, amp, ph_theta, ph_t = (np.array([getattr(term, name) for term in terms], float)
+                                 for name in ("m", "n", "amplitude", "phase_theta", "phase_t"))
+    size, spread = np.abs(amp), np.abs(m) + np.abs(n)
+    scale = constant + float(np.sum(size * (1.0 + spread + np.abs(ph_theta) + np.abs(ph_t))))
+    allowance = 32.0 * (amp.size + 1) * np.finfo(np.float64).eps * scale
+    if constant - float(size.sum()) > allowance:
+        return constant - float(size.sum()) - allowance, allowance
+    grid_points, minimum = VALIDATION_GRID, np.inf
+    while grid_points <= CERTIFICATE_GRID_CAP:
+        nodes = uniform_nodes(grid_points)
+        minimum = min(minimum, _kernels.profile_min(constant, m, n, amp, ph_theta, ph_t,
+                                                    nodes, nodes))
+        if not minimum > 0.0:
+            return None, allowance
+        margin = minimum - (np.pi / grid_points) * float(np.sum(size * spread))
+        if margin > allowance:
+            return margin - allowance, allowance
+        grid_points *= 2
+    return None, allowance
+
+
+def _parity_profiles() -> dict:
+    """The profile documents of ``tools/parity.py``."""
+    spec = importlib.util.spec_from_file_location(
+        "parity", Path(__file__).resolve().parents[1] / "tools" / "parity.py")
+    parity = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(parity)
+    return parity.PROFILES
+
+
+def _theta_free_profiles() -> dict:
+    """The theta-averages of ``tools/parity.py``'s profiles and of the first
+    ``random_profile`` and ``random_pair`` draws of seeds 0 to 9, and three
+    profiles that the certificate proves by sampling."""
+    profiles = {name: MetricProfile.from_dict(document).theta_average()
+                for name, document in _parity_profiles().items()}
+    for seed in range(10):
+        rng = np.random.default_rng(seed)
+        profiles[f"seed{seed}"] = random_profile(rng).theta_average()
+        for index, profile in enumerate(random_pair(rng)):
+            profiles[f"pair{seed}-{index}"] = profile.theta_average()
+    profiles["low"] = MetricProfile(1.0, (ProfileTerm(0, 1, 0.6), ProfileTerm(0, 2, 0.6)))
+    profiles["sampled"] = MetricProfile(1.0, (ProfileTerm(0, 1, 0.55),
+                                              ProfileTerm(0, 2, 0.55, 0.0, 0.4)))
+    # minimum 0.005 at t = pi, below (pi / 512) L: refined to 1024 points
+    profiles["fine"] = MetricProfile(1.0, (ProfileTerm(0, 1, 0.998), ProfileTerm(0, 2, 0.003)))
+    return profiles
+
+
+@pytest.mark.parametrize("name, profile", list(_theta_free_profiles().items()))
+def test_theta_free_certificate_reads_one_row(name, profile):
+    """A profile with no theta term is certified on its theta = 0 row: the
+    verdict is the full-grid path's, and the bound too, up to the order in
+    which the samples' products sum, which the allowance e covers: the two
+    minima are each within the samples' error 39.01 (K + 1) u S < e of the
+    exact minimum over their nodes."""
+    bound, allowance = _full_grid_certificate(profile.constant, profile.terms)
+    assert bound is not None
+    assert abs(profile.min_bound - bound) <= allowance
+    if name in ("low", "sampled", "fine"):
+        assert profile.constant - sum(abs(term.amplitude) for term in profile.terms) <= allowance
+
+
+@pytest.mark.parametrize("terms", [(ProfileTerm(0, 1, 1.0),),
+                                   (ProfileTerm(0, 1, 0.7), ProfileTerm(0, 3, 0.4, 0.0, 0.2))])
+def test_theta_free_refusal_is_the_full_grid_refusal(terms):
+    """1 + cos t, zero at t = pi, and 1 + 0.7 cos t + 0.4 cos(3t + 0.2),
+    negative near t = pi: refused on the row as on the full grid."""
+    assert _full_grid_certificate(1.0, terms)[0] is None
+    with pytest.raises(ValueError, match="profile is not a metric"):
+        MetricProfile(1.0, terms)
 
 
 class TestGridSpec:

@@ -683,12 +683,13 @@ class TestGalerkinRead:
         K^2 (g_0 + 2 sum |g_m|) / g_low."""
         grid = GridSpec(128)
         for name, profile in _galerkin_profiles().items():
-            coefficients = _density(profile, grid).coefficients
+            density = _density(profile, grid)
+            coefficients = density.coefficients
             largest = float(np.sum(np.abs(coefficients)))
-            lower = spectral.lower_bound(coefficients)
+            lower = spectral.galerkin_lower_bound(density)
             previous = None
             for order in (16, 24, 32, 48):
-                values = spectral.galerkin_read(coefficients, order, 10.0).values
+                values = spectral.galerkin_read(coefficients, order, 10.0, lower).values
                 if previous is not None:
                     shared = min(previous.size, values.size)
                     allowance = 2 * (2 * order + 1) * EPS * order * order * largest / lower
@@ -699,7 +700,8 @@ class TestGalerkinRead:
         """j^2 g_{j-k} in place of jk g_{j-k}: the read no longer matches the
         grid read on any non-constant fixture, and its radius, which the
         contrast subtracts from the gap, exceeds the gap threshold, so that
-        no order meets the tolerance and the battery takes the grid read."""
+        no order meets the tolerance and the battery refuses the density,
+        naming its last order and radius."""
         honest = spectral.galerkin_matrices
 
         def mutant(coefficients, order):
@@ -711,11 +713,13 @@ class TestGalerkinRead:
         profiles = _galerkin_profiles()
         for name in ("cosine", "mixed", "wavy2"):
             density = _density(profiles[name], grid128)
-            read = spectral.galerkin_read(density.coefficients,
-                                          _predicted_order(density), 10.0)
+            read = spectral.galerkin_read(density.coefficients, _predicted_order(density), 10.0,
+                                          spectral.galerkin_lower_bound(density))
             assert not _galerkin_matches_grid(read, density, grid128), name
             assert read.radius > 1e-3, name
-            assert battery_laplacian(density, 10.0).order is None, name
+            with pytest.raises(ValueError, match=r"last predicted Galerkin order K = \d+ the "
+                                                 r"largest radius is \d\.\d+e[+-]\d+"):
+                battery_laplacian(density, 10.0)
 
     def test_a_mutant_stiffness_fails_the_contrast_with_a_constant(self, grid128, monkeypatch):
         """j^2 g_{j-k} in place of jk g_{j-k} leaves a constant density's read
@@ -735,10 +739,10 @@ class TestGalerkinRead:
         for name in ("cosine", "mixed", "wavy2"):
             density = _density(profiles[name], grid128)
             order = _predicted_order(density, 8.0)
-            coefficients = density.coefficients
-            reads = {"honest": spectral.galerkin_read(coefficients, order, 8.0)}
+            coefficients, lower = density.coefficients, spectral.galerkin_lower_bound(density)
+            reads = {"honest": spectral.galerkin_read(coefficients, order, 8.0, lower)}
             monkeypatch.setattr(spectral, "galerkin_matrices", mutant)
-            reads["mutant"] = spectral.galerkin_read(coefficients, order, 8.0)
+            reads["mutant"] = spectral.galerkin_read(coefficients, order, 8.0, lower)
             mutant_flat = battery_laplacian(_density(MetricProfile(2.0), grid128), 8.0)
             monkeypatch.setattr(spectral, "galerkin_matrices", honest)
             assert np.array_equal(mutant_flat.values, flat.values), name
@@ -748,21 +752,22 @@ class TestGalerkinRead:
             assert not verdicts["mutant"].passed, name
             assert "indistinguishable" in verdicts["mutant"].metadata["diagnostic"], name
 
-    def test_a_density_without_a_positive_lower_bound_gets_the_grid_read(self, grid128,
-                                                                            tmp_path):
+    def test_a_density_without_a_positive_coefficient_bound_reads_by_galerkin(self, grid128,
+                                                                             tmp_path):
         """1 + 0.6 cos t + 0.6 cos 2t is positive (its minimum is 0.325), but
-        g_0 - 2 sum |g_m| = -0.2: the Galerkin read is refused, the battery
-        reads the grid, and a command whose contrast reads it decides it."""
+        g_0 - 2 sum |g_m| = -0.2: g_low is the certificate's 0.314, eta from
+        the zeros is 0.511, and the first order, K = 60 at window 8, meets
+        the tolerance and matches the grid read; a command whose contrast
+        reads it decides it."""
         profile = MetricProfile(1.0, (ProfileTerm(0, 1, 0.6), ProfileTerm(0, 2, 0.6)))
         density = _density(profile, grid128)
         coefficients = density.coefficients
-        assert density.g_values.min() > 0.3
-        assert spectral.strip_width(coefficients) == 0.0
-        with pytest.raises(ValueError, match="g_low"):
-            spectral.galerkin_read(coefficients, 24, 8.0)
+        assert density.g_values.min() > 0.3 and spectral.lower_bound(coefficients) < -0.19
+        assert 0.31 < spectral.galerkin_lower_bound(density) < 0.325
+        assert 0.51 < spectral.strip_width(coefficients) < 0.512
         read = battery_laplacian(density, 8.0)
-        assert read.order is None
-        assert np.array_equal(read.values, laplacian_spectrum(density).in_window(64.0))
+        assert read.order == _predicted_order(density, 8.0) == 60
+        assert _galerkin_matches_grid(read, density, grid128, 8.0)
         paths = [tmp_path / "low.json", tmp_path / "wavy.json"]
         save_profile(profile, paths[0])
         save_profile(MetricProfile(2.0, (ProfileTerm(0, 1, 1.0),)), paths[1])
@@ -772,16 +777,15 @@ class TestGalerkinRead:
         bundle = json.loads((tmp_path / "invariance_bundle.json").read_text())
         contrast = bundle["reports"][-1]
         assert contrast["check_name"] == "laplacian_dependence" and contrast["passed"]
-        assert contrast["metadata"]["laplacian_order"] == [None, _predicted_order(
-            _density(MetricProfile(2.0, (ProfileTerm(0, 1, 1.0),)), grid128), 8.0)]
+        assert contrast["metadata"]["laplacian_order"] == [60, 29]
 
-    @pytest.mark.parametrize("n_points, wavy8_order", [(64, None), (128, None), (256, 89)])
-    def test_the_battery_reads_galerkin_up_to_half_the_grid(self, n_points, wavy8_order):
-        """2 + cos t (period N) at window 8 needs K = 29 <= N/2 and gets the
-        Galerkin read at every grid, whatever its cost against the grid
-        read; a constant (eta infinite) gets it at floor(window) + 1; the
-        t-bandwidth-8 density of ``tools/parity.py``, whose K is 89 at
-        window 10, gets the grid read while N/2 < 89."""
+    @pytest.mark.parametrize("n_points", [64, 128, 256])
+    def test_the_battery_reads_galerkin_on_every_grid(self, n_points):
+        """2 + cos t at window 8 needs K = 29 and gets it at every grid; a
+        constant (eta infinite) gets floor(window) + 1; the t-bandwidth-8
+        density of ``tools/parity.py`` gets K = 89 at window 10 whatever N,
+        above N/2 at grids 64 and 128, and its read matches the grid read at
+        grid 256."""
         grid = GridSpec(n_points)
         cosine = _density(MetricProfile(2.0, (ProfileTerm(0, 1, 1.0),)), grid)
         assert _predicted_order(cosine, 8.0) == 29
@@ -796,30 +800,35 @@ class TestGalerkinRead:
                                              ProfileTerm(0, 8, 0.2, 0.0, 0.7))), grid)
         assert _predicted_order(wavy8) == 89
         wavy8_read = battery_laplacian(wavy8, 10.0)
-        assert wavy8_read.order == wavy8_order
-        if wavy8_order is None:
-            assert np.array_equal(wavy8_read.values,
-                                  laplacian_spectrum(wavy8).in_window(100.0))
-        else:
+        assert wavy8_read.order == 89 and wavy8_read.radius <= LAPLACIAN_FORMS_THRESHOLD
+        if n_points == 256:
             assert _galerkin_matches_grid(wavy8_read, wavy8, grid)
 
-    @pytest.mark.parametrize("n_points, order", [(58, 29), (56, None)])
-    def test_the_cap_is_half_the_grid(self, n_points, order):
-        """2 + cos t at window 8, predicted K = 29: read by Galerkin on a
-        grid with N/2 = 29, and on the grid where N/2 = 28."""
-        grid = GridSpec(n_points)
-        cosine = _density(MetricProfile(2.0, (ProfileTerm(0, 1, 1.0),)), grid)
-        read = battery_laplacian(cosine, 8.0)
-        assert read.order == order
-        if order is None:
-            assert np.array_equal(read.values, laplacian_spectrum(cosine).in_window(64.0))
+    @pytest.mark.parametrize("n_points", [56, 58])
+    def test_the_order_does_not_depend_on_the_grid(self, n_points):
+        """2 + cos t at window 8, predicted K = 29: read at K = 29 on a grid
+        with N/2 = 29 and on one with N/2 = 28, to the same values."""
+        reads = [battery_laplacian(_density(MetricProfile(2.0, (ProfileTerm(0, 1, 1.0),)),
+                                            GridSpec(n)), 8.0) for n in (n_points, 64)]
+        assert reads[0].order == reads[1].order == 29
+        assert np.array_equal(reads[0].values, reads[1].values)
+
+    def test_a_density_near_zero_is_refused_before_it_is_solved(self, grid64, monkeypatch):
+        """1 + (1 - 1e-6) cos t passes the certificate outright, but its
+        eta = 1.4e-3 predicts K = 18,691 > CERTIFICATE_GRID_CAP / 2: refused,
+        naming the density and K, with no solve."""
+        density = _density(MetricProfile(1.0, (ProfileTerm(0, 1, 1.0 - 1e-6),)), grid64)
+        monkeypatch.setattr(spectral, "galerkin_read", None)
+        with pytest.raises(ValueError, match=r'theta-average \{"constant": 1\.0.* order '
+                                             r'K = 18691 exceeds 2048'):
+            battery_laplacian(density, 8.0)
 
 
-def _unsplit_read(coefficients, order, window) -> spectral.LaplacianRead:
+def _unsplit_read(coefficients, order, window, lower) -> spectral.LaplacianRead:
     """The Galerkin read solved in the full basis, one dense (2K + 1)-dimensional
     Ritz problem with no split into residue classes, and its radii as
-    ``galerkin_read`` takes them (``spectral``)."""
-    bandwidth, lower = coefficients.size // 2, spectral.lower_bound(coefficients)
+    ``galerkin_read`` takes them for g_low = ``lower`` (``spectral``)."""
+    bandwidth = coefficients.size // 2
     mass, stiffness = spectral.galerkin_matrices(coefficients, order)
     interior = slice(bandwidth, bandwidth + 2 * order + 1)
     factor = np.linalg.cholesky(mass[interior])
@@ -864,29 +873,6 @@ def _ledger_densities(grid) -> list:
     return list(densities.values())
 
 
-def _numpy_strip_width(coefficients) -> float:
-    """``strip_width``'s bisection with numpy's cosh and dot product."""
-    bandwidth = coefficients.size // 2
-    magnitudes = 2.0 * np.abs(coefficients[bandwidth + 1:])
-    frequencies = np.arange(1.0, bandwidth + 1.0)
-
-    def positive(y):
-        with np.errstate(over="ignore", invalid="ignore"):
-            return coefficients[bandwidth].real > magnitudes @ np.cosh(frequencies * y)
-
-    if bandwidth == 0:
-        return math.inf
-    low, high = 0.0, 1.0
-    if not positive(low):
-        return 0.0
-    while positive(high):
-        low, high = high, 2.0 * high
-    for _ in range(30):
-        middle = 0.5 * (low + high)
-        low, high = (middle, high) if positive(middle) else (low, middle)
-    return low
-
-
 class TestGalerkinBlocks:
     """The Galerkin read in residue classes against the unsplit solve.  G and
     A vanish exactly off the classes of k modulo d, so both reads are Ritz
@@ -896,10 +882,9 @@ class TestGalerkinBlocks:
     @staticmethod
     def _assert_agrees(density, window):
         read = battery_laplacian(density, window)
-        assert read.order is not None
-        oracle = _unsplit_read(density.coefficients, read.order, window)
-        allowance = read.radii + oracle.radii + 2.0 * galerkin_rounding(read,
-                                                                      density.coefficients)
+        oracle = _unsplit_read(density.coefficients, read.order, window,
+                               spectral.galerkin_lower_bound(density))
+        allowance = read.radii + oracle.radii + 2.0 * galerkin_rounding(read, density)
         assert read.values.size == oracle.values.size
         assert np.all(np.abs(read.values - oracle.values) <= allowance)
         assert read.radius <= LAPLACIAN_FORMS_THRESHOLD
@@ -925,15 +910,16 @@ class TestGalerkinBlocks:
                                                                       monkeypatch):
         """Splitting 2 + cos t (d = 1) by d = 2 drops the coupling of even and
         odd k: the full-basis residual holds it, so the radius exceeds the
-        tolerance and the battery takes the grid read."""
+        tolerance at every order and the battery refuses the density."""
         honest = spectral._residue_classes
         density = _density(MetricProfile(2.0, (ProfileTerm(0, 1, 1.0),)), grid128)
-        order = _predicted_order(density, 8.0)
-        assert spectral.galerkin_read(density.coefficients, order, 8.0).radius <= (
+        order, lower = _predicted_order(density, 8.0), spectral.galerkin_lower_bound(density)
+        assert spectral.galerkin_read(density.coefficients, order, 8.0, lower).radius <= (
             LAPLACIAN_FORMS_THRESHOLD)
         monkeypatch.setattr(spectral, "_residue_classes", lambda period, size: honest(2, size))
-        assert spectral.galerkin_read(density.coefficients, order, 8.0).radius > 1e-3
-        assert battery_laplacian(density, 8.0).order is None
+        assert spectral.galerkin_read(density.coefficients, order, 8.0, lower).radius > 1e-3
+        with pytest.raises(ValueError, match="last predicted Galerkin order"):
+            battery_laplacian(density, 8.0)
 
     @pytest.mark.parametrize("period, size, shapes", [
         (0, 19, [(19, 1)]), (1, 59, [(1, 59)]), (2, 41, [(1, 21), (1, 20)]),
@@ -949,48 +935,37 @@ class TestGalerkinBlocks:
 
 
 class TestStripWidth:
-    """``strip_width`` in Python floats is bit for bit the numpy bisection."""
+    """``strip_width`` on the cases its rule singles out; its values are
+    audited against closed forms and mpmath roots in ``test_allowances``."""
 
-    def test_bit_identical_to_the_numpy_bisection(self):
-        coefficients = [_density(profile, GridSpec(256)).coefficients
-                        for profile in (*_galerkin_profiles().values(),
-                                        *GIVEN_BY_PERIOD.values())]
-        for n_points, _ in LEDGER_GRIDS:
-            coefficients += [density.coefficients
-                             for density in _ledger_densities(GridSpec(n_points))]
-        for c in coefficients:
-            assert spectral.strip_width(c) == _numpy_strip_width(c)
-
-    def test_an_overflowing_cosh_reads_as_not_positive(self, grid64):
-        """2 + 1e-300 cos nt: eta = acosh(2e300) / n = 691.8 / n, so the
-        doubling reaches y = 1024, where cosh(ny) overflows, and the bisection
-        runs above y = 710 / n."""
+    def test_a_coefficient_below_eps_is_left_out(self, grid64):
+        """2 + 1e-300 cos nt reads as a constant, eta infinite, and a tiny
+        top frequency beside cos t leaves cos t's eta, acosh(2) = 1.317."""
         for n in (1, 2):
             coefficients = _density(MetricProfile(2.0, (ProfileTerm(0, n, 1e-300),)),
                                     grid64).coefficients
-            eta = spectral.strip_width(coefficients)
-            assert eta == _numpy_strip_width(coefficients)
-            assert 690.0 / n < eta < 693.0 / n
+            assert spectral.strip_width(coefficients) == math.inf
+        coefficients = _density(MetricProfile(2.0, (ProfileTerm(0, 1, 1.0),
+                                                    ProfileTerm(0, 8, 1e-300))),
+                                grid64).coefficients
+        assert spectral.strip_width(coefficients) == pytest.approx(math.acosh(2.0), rel=1e-12)
 
-    @pytest.mark.parametrize("coefficients", [
-        np.array([0.5, 1.0, 0.5], complex),
-        np.array([0.3, 0.3, 1.0, 0.3, 0.3], complex),
-        _density(MetricProfile(1.0, (ProfileTerm(0, 1, 0.6), ProfileTerm(0, 2, 0.6))),
-                 GridSpec(64)).coefficients,
-    ])
-    def test_no_positive_lower_bound_gives_zero(self, coefficients):
-        """g_0 <= 2 sum |g_m|: eta = 0 on both bisections."""
+    def test_no_positive_coefficient_bound_still_has_a_strip(self, grid64):
+        """1 + 0.6 cos t + 0.6 cos 2t: g_0 <= 2 sum |g_m|, where the cosh
+        bound's strip reads 0, but the zeros give eta = 0.511."""
+        coefficients = _density(MetricProfile(1.0, (ProfileTerm(0, 1, 0.6),
+                                                    ProfileTerm(0, 2, 0.6))), grid64).coefficients
         assert spectral.lower_bound(coefficients) <= 0.0
-        assert spectral.strip_width(coefficients) == _numpy_strip_width(coefficients) == 0.0
+        assert spectral.strip_width(coefficients) == pytest.approx(0.5110, abs=1e-4)
 
-    def test_zero_coefficients_stop_where_cosh_overflows(self):
-        """A constant padded with zero coefficients: 0 cosh(m y) stays below
-        g_0 until cosh(2y) overflows, past y = 355, where numpy's 0 inf = nan
-        reads as not positive."""
+    def test_a_zero_on_the_line_gives_zero(self):
+        """1 + cos t vanishes at t = pi, a double zero on the circle, which
+        the companion resolves to about eps^{1/2}."""
+        assert spectral.strip_width(np.array([0.5, 1.0, 0.5], complex)) < 1e-7
+
+    def test_zero_coefficients_are_a_constant(self):
         coefficients = np.array([0.0, 0.0, 1.0, 0.0, 0.0], complex)
-        eta = spectral.strip_width(coefficients)
-        assert eta == _numpy_strip_width(coefficients)
-        assert 355.0 < eta < 356.0
+        assert spectral.strip_width(coefficients) == math.inf
 
 
 class TestSpectrumCompare:

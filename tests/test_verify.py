@@ -1,10 +1,12 @@
 """Verification harnesses: invariance battery, residual identities, contrasts."""
 
+import importlib
 import inspect
 import json
 import math
 import re
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -33,6 +35,7 @@ from foliation_lab.spectral import (
     spectrum_compare,
 )
 from foliation_lab.verify import (
+    LAPLACIAN_FORMS_THRESHOLD,
     conjugation_residual,
     invariance_check,
     kappa_transform_residual,
@@ -377,11 +380,11 @@ def test_property_sweep_over_seeded_pairs(n_points):
         assert conjugation_residual(*pair.densities, pair.alpha, grid, pair.metadata).passed
 
 
-# The t-bandwidth-8 density of ``tools/parity.py``: its Galerkin order, 87 at
-# window 8, exceeds N/2 at grid 128, so the pair battery reads it on the grid.
+# The t-bandwidth-8 density of ``tools/parity.py``: its Galerkin order is 87
+# at window 8, above N/2 at grid 128.
 WAVY_8 = MetricProfile(2.0, (ProfileTerm(0, 1, 0.5), ProfileTerm(0, 8, 0.2, 0.0, 0.7)))
-# 1 + 0.6 cos t + 0.6 cos 2t is positive, but g_0 - 2 sum |g_m| = -0.2: the
-# Galerkin read is refused, and the pair battery reads it on the grid.
+# 1 + 0.6 cos t + 0.6 cos 2t is positive, but g_0 - 2 sum |g_m| = -0.2: its
+# Galerkin read takes g_low from the positivity certificate, 0.314.
 NO_LOWER_BOUND = MetricProfile(1.0, (ProfileTerm(0, 1, 0.6), ProfileTerm(0, 2, 0.6)))
 
 
@@ -406,9 +409,9 @@ GENERATED_7041 = verify.random_pair(np.random.default_rng(7041))
         # the 21 even k and the 20 odd k, one stacked solve per class size;
         # then the constant
         (64, GENERATED_7041, ([], [(1, 21, 21), (1, 20, 20), (19, 1, 1)])),
-        # at N = 128 the t-bandwidth-8 density's K = 87 exceeds N/2: without
-        # symmetry, one dense Gram block
-        (128, (MetricProfile(1.0), WAVY_8), ([(1, 128, 128)], [(19, 1, 1)])),
+        # at N = 128 the t-bandwidth-8 density's K = 87 exceeds N/2: one
+        # class of all 175 modes (d = 1), as at any grid
+        (128, (MetricProfile(1.0), WAVY_8), ([], [(19, 1, 1), (1, 175, 175)])),
     ],
 )
 def test_pair_battery_solves_each_spectrum_once(monkeypatch, n_points, pair, shapes):
@@ -416,10 +419,9 @@ def test_pair_battery_solves_each_spectrum_once(monkeypatch, n_points, pair, sha
     eigensolve and no matrix, from one cached lattice per (grid, spin
     structure); one Laplacian read per distinct density: for a Galerkin read
     one stacked ``eigh`` call per size of the residue classes of its 2K + 1
-    modes, at most two, or ``laplacian_spectrum``'s one ``eigvalsh`` call
-    on the stacked Bloch blocks of its period; no SVD, no assembly and no
-    derivative matrix.  ``shapes`` holds the ``eigvalsh`` and the ``eigh``
-    shapes."""
+    modes, at most two, and no ``laplacian_spectrum``; no SVD, no assembly
+    and no derivative matrix.  ``shapes`` holds the ``eigvalsh`` and the
+    ``eigh`` shapes."""
     grid = GridSpec(n_points)
     eigvalsh_sizes, eigh_sizes, svd_calls, built = [], [], [], []
     eigvalsh, eigh, svd = np.linalg.eigvalsh, np.linalg.eigh, np.linalg.svd
@@ -464,8 +466,7 @@ def test_pair_battery_solves_each_spectrum_once(monkeypatch, n_points, pair, sha
     for report in reports:
         for key, value in pair_metadata(*pair, grid).items():
             assert report.metadata[key] == value
-    grid_reads = len(shapes[0])
-    assert built == ["density", "density", "alpha"] + ["grid"] * grid_reads
+    assert built == ["density", "density", "alpha"]
     assert (eigvalsh_sizes, eigh_sizes) == shapes
     assert svd_calls == []
     assert differentiation_matrix.cache_info().misses == 0
@@ -498,27 +499,26 @@ def test_pair_battery_compares_each_dirac_spectrum_once(flat_profile, cosine_pro
 
 
 @pytest.mark.parametrize(
-    "n_points, grid_reads, orders",
-    [(64, [], [29, 23]), (128, [], [29, 23]), (128, [("grid", 128)], [None, 23])],
+    "n_points, first, orders",
+    [(64, "cosine", [29, 23]), (128, "cosine", [29, 23]), (128, "low", [60, 23])],
 )
 def test_pair_battery_reads_dirac_spectra_from_the_weight_data(cosine_profile, mixed_profile,
-                                                               monkeypatch, n_points, grid_reads,
+                                                               monkeypatch, n_points, first,
                                                                orders):
     """No N x N matrix in the battery: two ``dirac_spectra`` reads of the
     pair's densities, no ``hermitian_spectrum``, no assembly, and a
     conjugation check on the same densities.  Each density's Laplacian is
     read once by ``function_laplacian``: one ``galerkin_read`` at its
-    predicted order where that is at most N/2 (K = 29 and 23 for 2 + cos t
-    and the mixed profile), and ``laplacian_spectrum`` along the density's
-    period where none is made (1 + 0.6 cos t + 0.6 cos 2t in place of
-    2 + cos t, with g_low <= 0).  Both Galerkin densities have the frequency
-    1 (d = 1), so each read is one stacked ``eigh`` of one class of all
+    predicted order (K = 29 and 23 for 2 + cos t and the mixed profile, and
+    60 for 1 + 0.6 cos t + 0.6 cos 2t, whose g_low is the certificate's),
+    and no ``laplacian_spectrum``.  Every density has the frequency 1
+    (d = 1), so each read is one stacked ``eigh`` of one class of all
     2K + 1 modes."""
     read, events, conjugated, galerkin, eigh_sizes = [], [], [], [], []
     eigh = np.linalg.eigh
-    spectra, grid_read = verify.dirac_spectra, spectral.laplacian_spectrum
+    spectra = verify.dirac_spectra
     conjugate, galerkin_read = verify.conjugation_residual, spectral.galerkin_read
-    first = cosine_profile if orders[0] is not None else NO_LOWER_BOUND
+    first = cosine_profile if first == "cosine" else NO_LOWER_BOUND
 
     def recorded_read(density, grid):
         read.append(density)
@@ -526,11 +526,9 @@ def test_pair_battery_reads_dirac_spectra_from_the_weight_data(cosine_profile, m
 
     def recorded_grid_read(density):
         events.append(("grid", density.period))
-        assert any(density is dirac_read for dirac_read in read)
-        return grid_read(density)
 
-    def recorded_galerkin(coefficients, order, window):
-        report = galerkin_read(coefficients, order, window)
+    def recorded_galerkin(coefficients, order, window, lower):
+        report = galerkin_read(coefficients, order, window, lower)
         galerkin.append((window, order, report.radius <= verify.LAPLACIAN_FORMS_THRESHOLD))
         return report
 
@@ -559,9 +557,9 @@ def test_pair_battery_reads_dirac_spectra_from_the_weight_data(cosine_profile, m
     assert [report.passed for report in reports] == [True] * 4
     assert reports[3].metadata["laplacian_order"] == orders
     assert read == conjugated
-    assert events == grid_reads
-    assert galerkin == [(8.0, order, True) for order in orders if order is not None]
-    assert eigh_sizes == [(1, 2 * order + 1, 2 * order + 1) for order in orders if order]
+    assert events == []
+    assert galerkin == [(8.0, order, True) for order in orders]
+    assert eigh_sizes == [(1, 2 * order + 1, 2 * order + 1) for order in orders]
     assert not hasattr(verify, "assemble_basic_dirac_spinor")
     assert not hasattr(spectral, "assemble_basic_dirac_spinor")
 
@@ -608,12 +606,12 @@ WAVY_TINY_8 = MetricProfile(2.0, (ProfileTerm(0, 1, 1.0), ProfileTerm(0, 8, 1e-3
          [("dirac",)] * 2 + [("laplacian", 0, 1, 9), ("laplacian", 1, 64, 9)]
          + [("dirac",)] * 2 + [("laplacian", 1, 64, 29)] + [("dirac",)] * 2),
         # equal bytes, bandwidths 1 and 8: two Galerkin reads, as the
-        # round-off of DFT coefficients 2 to 8 is read; then one grid read,
-        # as 2 + cos t's read is already made
+        # round-off of DFT coefficients 2 to 8 is read; then one read of
+        # 1 + 0.6 cos t + 0.6 cos 2t, as 2 + cos t's read is already made
         (128, [(WAVY, FLAT_2), (WAVY_TINY_8, FLAT_2), (NO_LOWER_BOUND, WAVY)],
          [("dirac",)] * 2 + [("laplacian", 1, 128, 29), ("laplacian", 0, 1, 9)]
          + [("dirac",)] * 2 + [("laplacian", 8, 128, 29)]
-         + [("dirac",)] * 2 + [("laplacian", 2, 128, None)]),
+         + [("dirac",)] * 2 + [("laplacian", 2, 128, 60)]),
     ],
 )
 def test_pair_memo_changes_no_report(monkeypatch, n_points, pairs, reads):
@@ -909,12 +907,12 @@ def test_a_raising_assembly_does_not_stop_the_generated_battery(monkeypatch, tmp
 def test_one_grid_read_assembles_nothing(flat_profile, cosine_profile, tmp_path, monkeypatch,
                                          capsys):
     """With the spinor assembly and the derivative matrix raising,
-    ``spectrum --operator laplacian-{functions,one-forms}`` and an
-    ``invariance`` pair whose contrast takes the grid fallback
-    (1 + 0.6 cos t + 0.6 cos 2t, with g_low <= 0, at grid 64 and window 8)
-    exit 0, each grid read one call of ``laplacian_spectrum``; under the
-    w = g factor mutant the ``laplacian-functions`` spectrum exits 2 at its
-    gate."""
+    ``spectrum --operator laplacian-{functions,one-forms}`` exits 0, each
+    one call of ``laplacian_spectrum``, and an ``invariance`` pair with
+    1 + 0.6 cos t + 0.6 cos 2t (g_0 - 2 sum |g_m| = -0.2, at grid 64 and
+    window 8) exits 0 with none, its contrast a Galerkin read at K = 60;
+    under the w = g factor mutant the ``laplacian-functions`` spectrum exits
+    2 at its gate."""
     flat, wavy, low = tmp_path / "flat.json", tmp_path / "wavy.json", tmp_path / "low.json"
     save_profile(flat_profile, flat)
     save_profile(cosine_profile, wavy)
@@ -941,9 +939,9 @@ def test_one_grid_read_assembles_nothing(flat_profile, cosine_profile, tmp_path,
         assert reads == [64]
     del reads[:]
     assert cli.run(["invariance", "--profiles", str(flat), str(low), *out]) == 0
-    assert reads == [64]
+    assert reads == []
     bundle = json.loads((tmp_path / "out" / "invariance_bundle.json").read_text())
-    assert bundle["reports"][-1]["metadata"]["laplacian_order"] == [9, None]
+    assert bundle["reports"][-1]["metadata"]["laplacian_order"] == [9, 60]
     patch_factors(monkeypatch, TestMutations.MUTANTS["w_is_g"])
     capsys.readouterr()
     assert cli.run([*spectrum, "laplacian-functions"]) == 2
@@ -966,22 +964,22 @@ def _block_shapes(coefficients: np.ndarray, order: int) -> list[tuple[int, int, 
     return [(list(classes.values()).count(size), size, size) for size in sizes]
 
 
-@pytest.mark.parametrize("n_points, orders", [(64, [9, 29]), (128, [9, 29]), (128, [9, None])])
+@pytest.mark.parametrize("n_points, orders", [(64, [9, 29]), (128, [9, 29]), (128, [9, 87])])
 def test_commands_solve_no_dirac_matrix(flat_profile, cosine_profile, tmp_path, monkeypatch,
                                         n_points, orders):
     """No command solves a Dirac matrix: ``verify``, ``invariance`` and
     ``spectrum --operator dirac-*`` read every Dirac spectrum from the
     operator's O(N) data, with no eigensolve.  Every grid eigensolve is
     ``laplacian_spectrum``'s one ``eigvalsh`` call on the stacked Bloch
-    blocks of a Laplacian's period.  In ``verify`` and ``invariance``
-    ``function_laplacian`` reads a Laplacian by ``galerkin_read``, one
-    stacked ``eigh`` call per size of the residue classes of its 2K + 1
-    modes (``_block_shapes``), where its order is at most N/2, and on the
-    grid where it is not; a Laplacian ``spectrum`` takes one grid
-    read and no Galerkin read.  Per command: one Laplacian read per distinct
-    density of its pairs.  ``orders`` are the Galerkin
-    orders of the flat density and of the second profile at window 8, None
-    for a grid read: 2 + cos t, or the t-bandwidth-8 density (K = 87 > N/2)."""
+    blocks of a Laplacian's period, made by ``spectrum`` only.  In
+    ``verify`` and ``invariance`` ``function_laplacian`` reads every
+    Laplacian by ``galerkin_read``, one stacked ``eigh`` call per size of
+    the residue classes of its 2K + 1 modes (``_block_shapes``); a
+    Laplacian ``spectrum`` takes one grid read and no Galerkin read.  Per
+    command: one Laplacian read per distinct density of its pairs.
+    ``orders`` are the Galerkin orders of the flat density and of the second
+    profile at window 8: 2 + cos t, or the t-bandwidth-8 density (K = 87,
+    above N/2)."""
     events, sizes, laplacians, galerkin, eigh_sizes, solved, blocks = [], [], [], [], [], [], []
     grid_read, eigvalsh, eigh = spectral.laplacian_spectrum, np.linalg.eigvalsh, np.linalg.eigh
     laplacian, galerkin_read = verify.function_laplacian, spectral.galerkin_read
@@ -995,8 +993,8 @@ def test_commands_solve_no_dirac_matrix(flat_profile, cosine_profile, tmp_path, 
         laplacians.append(report.order)
         return report
 
-    def recorded_galerkin(coefficients, order, window):
-        report = galerkin_read(coefficients, order, window)
+    def recorded_galerkin(coefficients, order, window, lower):
+        report = galerkin_read(coefficients, order, window, lower)
         galerkin.append(report.order)
         blocks.extend(_block_shapes(coefficients, order))
         return report
@@ -1018,7 +1016,7 @@ def test_commands_solve_no_dirac_matrix(flat_profile, cosine_profile, tmp_path, 
     monkeypatch.setattr(np.linalg, "eigh", counted_eigh)
     flat, wavy = str(tmp_path / "flat.json"), str(tmp_path / "wavy.json")
     save_profile(flat_profile, flat)
-    save_profile(cosine_profile if orders[1] is not None else WAVY_8, wavy)
+    save_profile(cosine_profile if orders[1] == 29 else WAVY_8, wavy)
     out = ["--grid", str(n_points), "--window", "8", "--output-dir", str(tmp_path / "out")]
 
     def run(argv):
@@ -1027,7 +1025,7 @@ def test_commands_solve_no_dirac_matrix(flat_profile, cosine_profile, tmp_path, 
         assert sizes == [(n_points // period, period, period) for _, period in events]
         # one Galerkin read per function_laplacian: its first order meets the
         # tolerance, and it makes one stacked eigh per class size
-        assert galerkin == [order for order in laplacians if order is not None]
+        assert galerkin == laplacians
         assert eigh_sizes == blocks
         return list(events)
 
@@ -1046,7 +1044,7 @@ def test_commands_solve_no_dirac_matrix(flat_profile, cosine_profile, tmp_path, 
     assert len(laplacians) == len(keys)
     # the flat profile and the second: per density its Laplacian read
     for argv in (["verify", "--profiles", flat, wavy], ["invariance", "--profiles", flat, wavy]):
-        assert run(argv) == ([("grid", n_points)] if orders[1] is None else [])
+        assert run(argv) == []
         assert laplacians == orders
     for spin in ("trivial", "nontrivial"):
         spectrum = ["spectrum", "--profile", wavy, "--spin", spin, "--operator"]
@@ -1062,9 +1060,9 @@ def test_commands_solve_no_dirac_matrix(flat_profile, cosine_profile, tmp_path, 
 def test_generated_contrasts_rest_on_galerkin_reads(tmp_path, monkeypatch, n_points, window):
     """``verify --all`` with its default five generated pairs, for the seeds
     0 to 41 and the default 7041: every contrast runs and passes, and reads
-    both densities by Galerkin, at orders K <= W + 15 <= N/2
-    (``verify.random_pair``), so none makes a grid read and every recorded
-    ``laplacian_order`` is an int."""
+    both densities by Galerkin, at orders K <= W + 15 (``verify.random_pair``),
+    so none makes a grid read, every recorded ``laplacian_order`` is an int
+    and every radius at most LAPLACIAN_FORMS_THRESHOLD."""
     grid_reads, grid_read = [], spectral.laplacian_spectrum
 
     def recorded(density):
@@ -1086,5 +1084,76 @@ def test_generated_contrasts_rest_on_galerkin_reads(tmp_path, monkeypatch, n_poi
                 orders = metadata["laplacian_order"]
                 assert len(orders) == 2 and all(type(order) is int for order in orders), seed
                 assert max(orders) <= window + 15, seed
+                assert max(metadata["laplacian_radius"]) <= LAPLACIAN_FORMS_THRESHOLD, seed
     assert grid_reads == []
     assert contrasts == 5 * 43
+
+
+@pytest.mark.parametrize("n_points, window", [(16, 2), (32, 4), (64, 8), (128, 10), (256, 10)])
+def test_generated_pairs_read_by_galerkin_on_every_grid(monkeypatch, n_points, window):
+    """``run_pair_checks`` on the five generated pairs of each seed of
+    ``tools/ledger.py`` (0 to 41 and 7041), at window N/8 up to 10: every
+    contrast passes on Galerkin reads, at orders above N/2 on grids 16 and
+    32, with no ``laplacian_spectrum`` call, an int ``laplacian_order`` and
+    radii at most LAPLACIAN_FORMS_THRESHOLD."""
+    grid_reads, grid_read = [], spectral.laplacian_spectrum
+
+    def recorded(density):
+        grid_reads.append(density.period)
+        return grid_read(density)
+
+    monkeypatch.setattr(spectral, "laplacian_spectrum", recorded)
+    grid, largest = GridSpec(n_points), 0
+    for seed in (*range(42), 7041):
+        rng = np.random.default_rng(seed)
+        pairs = [verify.random_pair(rng) for _ in range(5)]
+        for report in run_pair_checks(pairs, grid, float(window))[3::4]:
+            metadata = report.metadata
+            assert report.passed, seed
+            assert all(type(order) is int for order in metadata["laplacian_order"]), seed
+            assert max(metadata["laplacian_radius"]) <= LAPLACIAN_FORMS_THRESHOLD, seed
+            largest = max(largest, *metadata["laplacian_order"])
+    assert grid_reads == []
+    assert (largest > n_points // 2) == (n_points <= 32)
+
+
+def test_parity_pair_cases_rest_on_galerkin_reads(tmp_path, monkeypatch):
+    """Every ``verify`` and ``invariance`` case of ``tools/parity.py``, on its
+    profile documents: its exit code is that of the same command with the
+    battery's reads recorded, no contrast calls ``laplacian_spectrum``, and
+    every contrast's ``laplacian_order`` is an int and its radii at most
+    LAPLACIAN_FORMS_THRESHOLD.  The largest order is wavy8's, K = 89 at
+    window 10 on grid 128."""
+    monkeypatch.syspath_prepend(str(Path(__file__).resolve().parents[1] / "tools"))
+    parity = importlib.import_module("parity")
+    paths = {}
+    for name, document in parity.PROFILES.items():
+        path = tmp_path / f"{name}.json"
+        path.write_text(json.dumps(document), encoding="utf-8")
+        paths[parity.profile(name)] = str(path)
+    grid_reads, grid_read = [], spectral.laplacian_spectrum
+
+    def recorded(density):
+        grid_reads.append(density.period)
+        return grid_read(density)
+
+    monkeypatch.setattr(spectral, "laplacian_spectrum", recorded)
+    orders, contrasts = set(), 0
+    for case, argv in parity.cases().items():
+        if argv[0] not in ("verify", "invariance"):
+            continue
+        out = tmp_path / case
+        code = cli.run([*(paths.get(arg, arg) for arg in argv), "--output-dir", str(out)])
+        if code == 2:
+            assert case == "verify-untrusted-window"
+            continue
+        bundle = json.loads((out / f"{argv[0]}_bundle.json").read_text())
+        for report in bundle["reports"]:
+            if report["check_name"] == "laplacian_dependence":
+                contrasts += 1
+                metadata = report["metadata"]
+                assert all(type(order) is int for order in metadata["laplacian_order"]), case
+                assert max(metadata["laplacian_radius"]) <= LAPLACIAN_FORMS_THRESHOLD, case
+                orders.update(metadata["laplacian_order"])
+    assert grid_reads == []
+    assert contrasts > 100 and max(orders) == 89

@@ -13,10 +13,9 @@ grid the ledger lists the seeds by exit code, and the invariance cases by
 name; per check the runs, passes, failures and skips,
 the smallest threshold/residual ratio over the runs (inf for a zero
 residual, 0 for an infinite one) and what the residual measures; the
-Laplacian reads of the running contrasts by kind, with the largest Galerkin
-order K (its headroom below the cap N/2), one read per command and
-theta-averaged profile, as the pair battery memoises them; and the skips by
-reason.
+Galerkin Laplacian reads of the running contrasts, with their largest order
+K, one read per command and theta-averaged profile, as the pair battery
+memoises them; and the skips by reason.
 A header records the provenance: Python, numpy, its BLAS and LAPACK, and the
 CPU count.  Bundles are written to a temporary directory and removed; BLAS
 runs on one thread unless the environment says otherwise.
@@ -43,12 +42,12 @@ for _variable in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
 SEEDS = (*range(42), 7041)
 GRIDS = ((64, "8"), (128, "10"), (256, "10"))
 
-# What each check's residual measures; a Laplacian read is listed by kind.
+# What each check's residual measures.
 MEASURES = {
     "invariance": "round-off",
     "kappa_transform": "aliasing",
     "conjugation": "round-off",
-    "laplacian_dependence": "certified enclosure or matrix",
+    "laplacian_dependence": "certified enclosure",
     "scal_relation": "aliasing",
     "lichnerowicz": "aliasing",
 }
@@ -119,9 +118,8 @@ def section(title: str, runs: dict) -> list[str]:
     for name, row in rows.items():
         lines.append(f"{name:<22}{row['run']:>6}{row['passed']:>8}{row['failed']:>8}"
                      f"{row['skipped']:>9}{row['ratio']:>12.3g}  {MEASURES.get(name, '?')}")
-    galerkin = [order for order in reads.values() if order is not None]
-    lines.append(f"laplacian reads: galerkin {len(galerkin)} (largest K "
-                 f"{max(galerkin, default='-')}), grid {len(reads) - len(galerkin)}")
+    lines.append(f"laplacian reads: galerkin {len(reads)} (largest K "
+                 f"{max(reads.values(), default='-')})")
     lines += [f"skipped {count}: {reason}" for reason, count in sorted(skips.items())]
     return lines
 
