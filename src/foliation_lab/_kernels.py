@@ -35,11 +35,13 @@ def sample_profile(constant, m, n, amp, phase_theta, phase_t, thetas, ts):
 
 
 def profile_min(constant, m, n, amp, phase_theta, phase_t, thetas, ts):
-    """Minimum of the profile over the product grid thetas x ts.
+    """Minimum of the profile over the product grid thetas x ts, forming only
+    the first theta row when no term depends on theta (0 * theta = 0).
 
     The t factors are built once; the values are formed in blocks of theta
     rows, none larger than BLOCK_POINTS.
     """
+    thetas = thetas if np.any(m) else thetas[:1]
     cols, rows = _factors(constant, m, n, amp, phase_theta, phase_t, thetas, ts)
     step = max(1, BLOCK_POINTS // rows.shape[1])
     return min(

@@ -60,7 +60,8 @@ class MetricProfile:
        are the even nodes of the G grid, so only the other three quarters
        are sampled.  A sample <= 0, or reaching the cap, rejects the
        profile.  ``_kernels.profile_min`` forms the values in blocks of
-       theta rows, none larger than _kernels.BLOCK_POINTS = 512 x 512.
+       theta rows, none larger than _kernels.BLOCK_POINTS = 512 x 512, and
+       only the theta = 0 row when no term depends on theta.
 
     The allowance e bounds the round-off of a computed sample.  With unit
     round-off u = eps/2 and K terms: a node 2*pi*j/G is off by less than 19u,
@@ -71,14 +72,11 @@ class MetricProfile:
     So a sample is off by less than 39.01(K + 1)u S, with
     S = constant + sum|amp_i|(1 + |m_i| + |n_i| + |ph_i| + |qh_i|), and
     e = 32(K + 1) eps S leaves room for the rounding of the bound itself.
-
-    It keeps its bound ``min_bound`` > 0: constant - A - e, or (sampled
-    minimum) - (h/2) L - e.  With no theta term every row is the theta = 0
-    row (0 * theta = 0), so only that row is sampled.
     """
 
     constant: float
     terms: tuple[ProfileTerm, ...] = field(default_factory=tuple)
+    min_bound: float = field(init=False, repr=False, compare=False)  # the bound of step 1 or 2
 
     def __post_init__(self):
         object.__setattr__(self, "constant", float(self.constant))
@@ -106,8 +104,7 @@ class MetricProfile:
             np.sum(size * (1.0 + spread + np.abs(ph_theta) + np.abs(ph_t)))
         )
         allowance = 32.0 * (amp.size + 1) * np.finfo(np.float64).eps * scale
-        margin = self.constant - float(size.sum())
-        if margin > allowance:
+        if (margin := self.constant - float(size.sum())) > allowance:
             return margin - allowance
         lipschitz = float(np.sum(size * spread))
         profile = (self.constant, m, n, amp, ph_theta, ph_t)
@@ -118,8 +115,7 @@ class MetricProfile:
                 raise ValueError(
                     f"profile is not a metric: sampled minimum {minimum:.6g} <= 0"
                 )
-            margin = minimum - (math.pi / grid_points) * lipschitz
-            if margin > allowance:
+            if (margin := minimum - (math.pi / grid_points) * lipschitz) > allowance:
                 return margin - allowance
             grid_points *= 2
             if grid_points > CERTIFICATE_GRID_CAP:
@@ -127,9 +123,8 @@ class MetricProfile:
             # The coarser grid's nodes are the even nodes of this one, bit for
             # bit, so only the nodes with an odd theta or t index are new.
             nodes = uniform_nodes(grid_points)
-            new = ([(nodes[1::2], nodes), (nodes[::2], nodes[1::2])] if m.any()
-                   else [(nodes[:1], nodes[1::2])])
-            minimum = min(minimum, *(_kernels.profile_min(*profile, *grid) for grid in new))
+            minimum = min(minimum, _kernels.profile_min(*profile, nodes[1::2], nodes),
+                          _kernels.profile_min(*profile, nodes[::2], nodes[1::2]))
         raise ValueError(
             "profile is not a metric: positivity is not certified on a "
             f"{CERTIFICATE_GRID_CAP}^2 grid (sampled minimum {minimum:.6g}, "
@@ -153,12 +148,9 @@ class MetricProfile:
         return self.sample(np.zeros(1), ts)[0]
 
     def min_value(self, grid_points: int = VALIDATION_GRID) -> float:
-        """Minimum over the grid_points x grid_points node grid, read on the
-        theta = 0 row when no term depends on theta."""
+        """Minimum over the grid_points x grid_points node grid."""
         nodes = uniform_nodes(grid_points)
-        arrays = self.term_arrays()
-        thetas = nodes if arrays[0].any() else nodes[:1]
-        return _kernels.profile_min(self.constant, *arrays, thetas, nodes)
+        return _kernels.profile_min(self.constant, *self.term_arrays(), nodes, nodes)
 
     def theta_average(self) -> "MetricProfile":
         """Exact theta-average: only m = 0 modes survive.
@@ -166,11 +158,9 @@ class MetricProfile:
         For an m = 0 term the average is amp*cos(phase_theta)*cos(n*t + phase_t),
         so the result is again a profile in the same family.
         """
-        reduced = [
-            ProfileTerm(0, term.n, term.amplitude * np.cos(term.phase_theta), 0.0, term.phase_t)
-            for term in self.terms
-            if term.m == 0 and term.amplitude * np.cos(term.phase_theta) != 0.0
-        ]
+        reduced = [ProfileTerm(0, term.n, amplitude, 0.0, term.phase_t) for term in self.terms
+                   if term.m == 0
+                   and (amplitude := float(term.amplitude * np.cos(term.phase_theta))) != 0.0]
         return MetricProfile(self.constant, tuple(reduced))
 
     def max_t_frequency(self) -> int:

@@ -196,8 +196,10 @@ through G = L L^H as the Hermitian problem of L^{-1} A L^{-H}, c = L^{-H} y.
   The first solve suffices on the densities measured ((K - W) eta between
   13 and 26.6 sufficed), except near zero.  A profile certified outright
   may come within a few eps of zero: 1 + (1 - 1e-6) cos t has K = 18,691,
-  22 GB of matrices.  So an order above CERTIFICATE_GRID_CAP / 2 = 2048,
-  the modes of the certificate's finest grid, is refused unsolved.
+  22 GB of matrices.  So an order above GALERKIN_ORDER_CAP = 512 is
+  refused unsolved.  Near zero the radii stop at a floor, the round-off of
+  w, that grows with K: of 1 + a cos t, a = 0.99 to 0.999, none read above
+  K = 455, and those past 512 were refused at their last order anyway.
 * The tolerance.  ``verify`` passes LAPLACIAN_FORMS_THRESHOLD = 1e-8, the
   fraction 1e-5 of LAPLACIAN_GAP_THRESHOLD = 1e-3.  The contrast passes
   when gap - r_1 - r_2 exceeds the gap threshold, and requires the squared
@@ -221,7 +223,6 @@ through G = L L^H as the Hermitian problem of L^{-1} A L^{-H}, c = L^{-H} y.
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass
 from functools import lru_cache
@@ -231,7 +232,7 @@ from numpy.lib.stride_tricks import sliding_window_view
 
 from ._spectral_diff import wavenumbers
 from .basic_calculus import DEGREE_FUNCTION, LeafVolumeDensity
-from .model_spaces import CERTIFICATE_GRID_CAP, GridSpec
+from .model_spaces import GridSpec
 from .operators import WeightedOperator, dirac_factors, forms_label, laplacian_label, spinor_label
 
 # Relative symmetrization residual above which an eigensolve is refused.
@@ -244,6 +245,10 @@ WINDOW_EDGE_SLACK = 1e-6
 # The margin m of the predicted Galerkin orders K = W + (ln(1 / tolerance) +
 # m) / eta + j m / eta, j = 0, 1, ... (module docstring).
 GALERKIN_MARGIN = 8.0
+
+# The largest Galerkin order that ``function_laplacian`` solves, a cost
+# limit: a read at K = 512 (1025 modes) takes 2.4-2.8 s and 150 MB.
+GALERKIN_ORDER_CAP = 512
 
 _EPS = np.finfo(np.float64).eps
 
@@ -555,24 +560,26 @@ def galerkin_read(coefficients: np.ndarray, order: int, window: float,
 def function_laplacian(density: LeafVolumeDensity, window: float,
                        tolerance: float) -> LaplacianRead:
     """The pair battery's read of ``density``'s windowed function Laplacian:
-    the ``galerkin_read`` at the first order K of the predicted sequence
-    whose radii are all at most ``tolerance``; where there is none,
-    ValueError naming the density, K and the radius (module docstring)."""
+    the ``galerkin_read`` at the first order K <= GALERKIN_ORDER_CAP of the
+    predicted sequence whose radii are all at most ``tolerance``; where there
+    is none, ValueError naming the density and K (module docstring)."""
     coefficients, lower = density.coefficients, galerkin_lower_bound(density)
     eta = strip_width(coefficients)
     order = math.floor(window + (math.log(1.0 / tolerance) + GALERKIN_MARGIN) / eta) + 1
-    refused = (f"the function Laplacian of the density of theta-average "
-               f"{json.dumps(density.average.to_dict())} is not read to {tolerance:.0e}")
-    while order <= CERTIFICATE_GRID_CAP // 2:
+    while order <= GALERKIN_ORDER_CAP:
         read = galerkin_read(coefficients, order, window, lower)
         if read.radius <= tolerance:
             return read
         if eta * (order - window) > math.log(2.0 / _EPS):
-            raise ValueError(f"{refused}: at the last predicted Galerkin order K = {order} "
-                             f"the largest radius is {read.radius:.3e}")
+            reason = f"at the last predicted Galerkin order K = {order} the largest radius"
+            reason += f" is {read.radius:.3e}"
+            break
         order += max(1, math.ceil(GALERKIN_MARGIN / eta))
-    raise ValueError(f"{refused}: its Galerkin order K = {order} exceeds "
-                     f"{CERTIFICATE_GRID_CAP // 2}, the largest read (radius not computed)")
+    else:
+        reason = f"its Galerkin order K = {order} exceeds GALERKIN_ORDER_CAP = {GALERKIN_ORDER_CAP}"
+        reason += " (not solved)"
+    raise ValueError(f"the function Laplacian of the density of theta-average "
+                     f"{density.average.to_dict()} is not read to {tolerance:.0e}: {reason}")
 
 
 def spectrum_compare(a: SpectrumReport, b: SpectrumReport, window: float) -> float:

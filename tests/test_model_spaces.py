@@ -160,8 +160,8 @@ def _full_grid_certificate(constant: float, terms: tuple) -> tuple:
     grid_points, minimum = VALIDATION_GRID, np.inf
     while grid_points <= CERTIFICATE_GRID_CAP:
         nodes = uniform_nodes(grid_points)
-        minimum = min(minimum, _kernels.profile_min(constant, m, n, amp, ph_theta, ph_t,
-                                                    nodes, nodes))
+        minimum = min(minimum, float(_kernels.sample_profile(constant, m, n, amp, ph_theta,
+                                                             ph_t, nodes, nodes).min()))
         if not minimum > 0.0:
             return None, allowance
         margin = minimum - (np.pi / grid_points) * float(np.sum(size * spread))
@@ -211,6 +211,25 @@ def test_theta_free_certificate_reads_one_row(name, profile):
     assert abs(profile.min_bound - bound) <= allowance
     if name in ("low", "sampled", "fine"):
         assert profile.constant - sum(abs(term.amplitude) for term in profile.terms) <= allowance
+
+
+def test_a_theta_free_minimum_forms_one_row(monkeypatch):
+    """``profile_min`` of a profile with no theta term forms the theta = 0
+    row alone, and of one with a theta term every row."""
+    profiles = [MetricProfile(1.0, (ProfileTerm(m, 1, 0.6), ProfileTerm(0, 2, 0.6)))
+                for m in (0, 1)]
+    shapes = []
+    factors = _kernels._factors
+
+    def recorded(*args):
+        cols, rows = factors(*args)
+        shapes.append(cols.shape)
+        return cols, rows
+
+    monkeypatch.setattr(_kernels, "_factors", recorded)
+    for profile in profiles:
+        profile.min_value(64)
+    assert shapes == [(3, 1), (3, 64)]
 
 
 @pytest.mark.parametrize("terms", [(ProfileTerm(0, 1, 1.0),),

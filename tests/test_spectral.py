@@ -813,15 +813,45 @@ class TestGalerkinRead:
         assert reads[0].order == reads[1].order == 29
         assert np.array_equal(reads[0].values, reads[1].values)
 
-    def test_a_density_near_zero_is_refused_before_it_is_solved(self, grid64, monkeypatch):
-        """1 + (1 - 1e-6) cos t passes the certificate outright, but its
-        eta = 1.4e-3 predicts K = 18,691 > CERTIFICATE_GRID_CAP / 2: refused,
-        naming the density and K, with no solve."""
-        density = _density(MetricProfile(1.0, (ProfileTerm(0, 1, 1.0 - 1e-6),)), grid64)
+    @pytest.mark.parametrize("amplitude, order", [(1.0 - 1e-6, 18691), (0.999, 599)])
+    def test_a_density_near_zero_is_refused_before_it_is_solved(self, grid64, monkeypatch,
+                                                                  amplitude, order):
+        """1 + (1 - 1e-6) cos t and 1 + 0.999 cos t pass the certificate
+        outright, but their eta = 1.4e-3 and 0.045 predict K = 18,691 and 599
+        > GALERKIN_ORDER_CAP: refused, naming the density and K, with no
+        solve."""
+        density = _density(MetricProfile(1.0, (ProfileTerm(0, 1, amplitude),)), grid64)
         monkeypatch.setattr(spectral, "galerkin_read", None)
-        with pytest.raises(ValueError, match=r'theta-average \{"constant": 1\.0.* order '
-                                             r'K = 18691 exceeds 2048'):
+        with pytest.raises(ValueError, match=rf"theta-average \{{'constant': 1\.0.* order "
+                                             rf"K = {order} exceeds GALERKIN_ORDER_CAP = 512 "
+                                             r"\(not solved\)"):
             battery_laplacian(density, 8.0)
+
+    @pytest.mark.parametrize("radius, window, solved", [(0.0, 12.0, [512]),
+                                                         (1.0, 12.0, [512]),
+                                                         (0.0, 13.0, [])])
+    def test_the_order_cap_is_the_largest_order_solved(self, grid64, monkeypatch, radius,
+                                                       window, solved):
+        """1 + 0.9986 cos t predicts K = 512 = GALERKIN_ORDER_CAP at window 12
+        and K = 513 at window 13.  The read at the cap is solved: it is
+        returned when its radius meets the tolerance, and otherwise the next
+        order, above the cap, refuses the density; K = 513 is refused
+        unsolved."""
+        density = _density(MetricProfile(1.0, (ProfileTerm(0, 1, 0.9986),)), grid64)
+        assert _predicted_order(density, window) == 512 + (window == 13.0)
+        orders = []
+
+        def recorded(coefficients, order, window, lower):
+            orders.append(order)
+            return spectral.LaplacianRead(np.zeros(1), np.full(1, radius), order)
+
+        monkeypatch.setattr(spectral, "galerkin_read", recorded)
+        if radius == 0.0 and solved:
+            assert battery_laplacian(density, window).order == 512
+        else:
+            with pytest.raises(ValueError, match=r"order K = \d+ exceeds GALERKIN_ORDER_CAP"):
+                battery_laplacian(density, window)
+        assert orders == solved
 
 
 def _unsplit_read(coefficients, order, window, lower) -> spectral.LaplacianRead:

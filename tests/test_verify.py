@@ -1056,6 +1056,35 @@ def test_commands_solve_no_dirac_matrix(flat_profile, cosine_profile, tmp_path, 
     assert solved == []
 
 
+def test_a_profile_near_zero_is_read_by_galerkin_or_refused(flat_profile, tmp_path, capsys):
+    """``verify`` of the flat profile against 1 + a cos t at grid 64, window 8.
+    For a = 0.997 the contrast reads K = 349 > N/2 and a certified gap of
+    5.343; the grid read of this density (N = 64 does not resolve its
+    eigenfunctions) gives a gap of 9.652 with radius 0.  For a = 0.999 the
+    predicted K = 599 exceeds GALERKIN_ORDER_CAP: exit 2, no bundle."""
+    flat, near = tmp_path / "flat.json", tmp_path / "near.json"
+    save_profile(flat_profile, flat)
+    argv = ["verify", "--profiles", str(flat), str(near), "--grid", "64", "--window", "8",
+            "--output-dir", str(tmp_path / "out")]
+    save_profile(MetricProfile(1.0, (ProfileTerm(0, 1, 0.997),)), near)
+    assert cli.run(argv) == 1
+    bundle = json.loads((tmp_path / "out" / "verify_bundle.json").read_text())
+    contrast, = (report["metadata"] for report in bundle["reports"]
+                 if report["check_name"] == "laplacian_dependence")
+    assert contrast["laplacian_order"] == [9, 349]
+    assert contrast["laplacian_gap"] == pytest.approx(5.343, abs=1e-3)
+    assert max(contrast["laplacian_radius"]) <= LAPLACIAN_FORMS_THRESHOLD
+    (tmp_path / "out" / "verify_bundle.json").unlink()
+    capsys.readouterr()
+    save_profile(MetricProfile(1.0, (ProfileTerm(0, 1, 0.999),)), near)
+    assert cli.run(argv) == 2
+    assert re.search(r"error: the function Laplacian of the density of theta-average "
+                     r"\{'constant': 1\.0, 'terms': \[\{'m': 0, 'n': 1, 'amp': 0\.999, .* "
+                     r"is not read to 1e-08: its Galerkin order K = 599 exceeds "
+                     r"GALERKIN_ORDER_CAP = 512 \(not solved\)", capsys.readouterr().err)
+    assert not (tmp_path / "out" / "verify_bundle.json").exists()
+
+
 @pytest.mark.parametrize("n_points, window", [(64, 8), (128, 10), (256, 10)])
 def test_generated_contrasts_rest_on_galerkin_reads(tmp_path, monkeypatch, n_points, window):
     """``verify --all`` with its default five generated pairs, for the seeds
