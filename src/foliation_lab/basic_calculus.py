@@ -40,11 +40,8 @@ class LeafVolumeDensity:
     (``MetricProfile.theta_average``), so g = c + sum a_i cos(n_i t + phi_i),
     and everything else is computed from those terms: the samples and their
     termwise derivative g_dot; ``t_bandwidth``, the largest |n_i|, which the
-    grid must resolve; the exact Fourier ``coefficients``; and ``period``,
-    the translation period P = N / gcd(N, n_1, ..., n_k) in grid points (1
-    for a constant), g(t_{j+P}) = g(t_j) at every node, along which
-    ``spectral.laplacian_spectrum`` reads.  Equal averages on one grid give
-    equal, hashable densities.
+    grid must resolve; and the exact Fourier ``coefficients``.  Equal
+    averages on one grid give equal, hashable densities.
     """
 
     average: MetricProfile
@@ -71,10 +68,6 @@ class LeafVolumeDensity:
     @property
     def t_bandwidth(self) -> int:
         return self.average.max_t_frequency()
-
-    @property
-    def period(self) -> int:
-        return self.n_points // math.gcd(self.n_points, *(term.n for term in self.average.terms))
 
     @cached_property
     def coefficients(self) -> np.ndarray:

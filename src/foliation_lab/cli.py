@@ -25,11 +25,12 @@ from . import __version__
 from .basic_calculus import DEGREE_FUNCTION, DEGREE_ONE_FORM, LeafVolumeDensity
 from .bounds import S3_FLOW_N, S3_FLOW_Q, bound_failures, bound_rows_csv, s3_bounds, s3_quantities
 from .model_spaces import SPIN_STRUCTURES, GridSpec, MetricProfile, load_profile
+from .operators import laplacian_label
 # No command solves with eigenvalues_weighted; perfbench/tracing.py wraps it
 # here by name (perfbench/tests/test_determinism.py).
 from .spectral import (SpectrumReport, dirac_spectra, eigenvalues_weighted,  # noqa: F401
-                       laplacian_spectrum)
-from .verify import random_pair, run_pair_checks, run_profile_checks
+                       function_laplacian)
+from .verify import LAPLACIAN_FORMS_THRESHOLD, random_pair, run_pair_checks, run_profile_checks
 
 DEFAULT_SEED = 7041
 SEED_ENV_VAR = "FOLIATION_LAB_SEED"
@@ -115,14 +116,18 @@ def _load_profiles(paths) -> list[MetricProfile]:
     return profiles
 
 
-def _spectrum(operator_name: str, density: LeafVolumeDensity, grid: GridSpec):
+def _spectrum(operator_name: str, density: LeafVolumeDensity, grid: GridSpec, window: float):
     if operator_name == "dirac-spinor":
         return dirac_spectra(density, grid)[0]
     # The forms and Laplacians act on periodic sections whatever --spin says.
     if operator_name == "dirac-forms":
         return dirac_spectra(density, GridSpec(grid.n_points))[1]
     degree = DEGREE_FUNCTION if operator_name == "laplacian-functions" else DEGREE_ONE_FORM
-    return laplacian_spectrum(density, degree)
+    # On the circle delta d on functions and d delta on 1-forms are T T^H and
+    # T^H T for T = g^{-1/2} d/dt g^{1/2}: one spectrum, so one read serves
+    # both degrees.  --window bounds lambda, the read's window its root.
+    read = function_laplacian(density, math.sqrt(window), LAPLACIAN_FORMS_THRESHOLD)
+    return SpectrumReport(read.values, grid.n_points, laplacian_label(grid.n_points, degree))
 
 
 def _spectrum_text(report: SpectrumReport, fmt: str, window: float) -> str:
@@ -147,7 +152,8 @@ def _cmd_spectrum(args) -> int:
     grid.validate_window(args.window)
     profile = _load_profiles([args.profile])[0]
     density = LeafVolumeDensity.from_profile(profile, grid)
-    text = _spectrum_text(_spectrum(args.operator, density, grid), args.format, args.window)
+    report = _spectrum(args.operator, density, grid, args.window)
+    text = _spectrum_text(report, args.format, args.window)
     name = f"spectrum_{args.operator}_{Path(args.profile).stem}.{args.format}"
     return _emit(args, name, text, [], False)
 
@@ -252,7 +258,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p_spec = sub.add_parser("spectrum", help="Eigenvalues of one assembled operator")
+    p_spec = sub.add_parser("spectrum", help="Windowed eigenvalues of one basic operator")
     p_spec.add_argument("--profile", required=True, help="Metric profile JSON file")
     p_spec.add_argument("--grid", type=int, default=128)
     p_spec.add_argument("--window", type=float, default=10.0)

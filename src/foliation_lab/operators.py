@@ -8,12 +8,11 @@ conservative form g^{-1/2} D g^{1/2}, the exact conjugate of the derivative
 matrix D, and the codifferential is D's exact weighted adjoint -g^{-1} D g.
 Both are ``diagonal_conjugate`` scalings w^{-1} D w of the one cached,
 read-only matrix D per (grid, spin structure) of
-``_spectral_diff.differentiation_matrix``.  The basic Laplacians of both
-degrees are Gram products of T = g^{-1/2} D g^{1/2}, whose squared singular
-values ``spectral.laplacian_spectrum`` reads without assembling T.
+``_spectral_diff.differentiation_matrix``.
 
-No command assembles these matrices: ``spectral`` reads the spectra from the
-O(N) weight data, and ``verify.lichnerowicz_residual`` reads lhs - rhs as its
+No command assembles these matrices: ``spectral`` reads the Dirac spectra
+from the O(N) weight data and the Laplacians' from the density's Fourier
+coefficients, and ``verify.lichnerowicz_residual`` reads lhs - rhs as its
 diagonal.  They are the tests' oracles, and the benchmark's tracer spans them.
 
 Diagonal scalings multiply the float64 view of the complex matrix by w and
@@ -170,9 +169,8 @@ def assemble_basic_laplacian(
 ) -> WeightedOperator:
     """Basic Laplacian: delta d on functions, u -> -u'' - (g'/g) u', and d delta
     on 1-form coefficients, as the N^3 product of ``codifferential`` and D.
-    No command assembles it: ``spectrum`` reads its spectrum by
-    ``laplacian_spectrum``, and the pair battery the function Laplacian's by
-    ``function_laplacian`` (``spectral``).
+    No command assembles it: ``spectrum`` and the pair battery read its
+    spectrum by ``spectral.function_laplacian``.
     """
     label = laplacian_label(grid.n_points, degree)
     d = differentiation_matrix(grid.n_points, "trivial")

@@ -1,12 +1,10 @@
 """Eigenvalue extraction for weighted-Hermitian operators and spectrum comparison.
 
 ``eigenvalues_weighted`` solves one assembled operator.  ``dirac_spectra``
-reads both basic Dirac spectra of a density from the operator's O(N) data,
-and ``laplacian_spectrum`` the basic Laplacians' from the Bloch blocks of
-the same data along the density's period, for ``spectrum``.
-``function_laplacian`` reads the function Laplacian for the pair battery
-from the density's Fourier coefficients, by Galerkin.  A
-``SpectrumReport`` carries no window: callers pass one that
+reads both basic Dirac spectra of a density from the operator's O(N) data.
+``function_laplacian`` reads the function Laplacian from the density's
+Fourier coefficients, by Galerkin, for the pair battery and ``spectrum``.
+A ``SpectrumReport`` carries no window: callers pass one that
 ``GridSpec.validate_window`` has checked to ``in_window``.
 
 Basic Dirac spectra.  The paper's operator is unitarily equivalent to a
@@ -75,57 +73,18 @@ fitted.  At N = 256 the radius is 1.5e-10 and d about 1e-26; the values
 are within 5.8e-13 of a dense ``eigvalsh`` of the assembled matrix, whose D
 differs from C by round-off (``tests/conftest.py`` keeps that oracle).
 
-Grid Laplacian reads (``laplacian_spectrum``, for ``spectrum --operator
-laplacian-*`` only).
-With T = w^{-1} C w, w from ``dirac_factors`` and C the periodic
-structure's circulant, the weighted symmetrizations of the basic Laplacians
-delta d and d delta are T T^H and T^H T (C^H = -C), both with eigenvalues
-sigma_k(T)^2; the read is of the T built from (c, w), as the Dirac read is.
-
-* The blocks.  Let P be the density's period, M = N / P, w_P the periodic
-  extension of w[:P] and T_P = w_P^{-1} C w_P.  In the indices j = aP + s,
-  block (a, b) of T_P is c[((a - b) P + s - t) mod N] w_t / w_s, a function
-  of a - b, so the unitary block DFT makes T_P block diagonal (Davis,
-  *Circulant Matrices*, 1979), with the P x P blocks B_r[s, t] =
-  v[r, s - t] w_t / w_s, r < M, where v[r, delta] = sum_a c[(delta + aP)
-  mod N] e^{-2 pi i r a / M}, delta = -(P - 1)..P - 1: one gather of
-  M (2P - 1) entries of c and one M-point FFT.  The B_r B_r^H carry the
-  sigma_k(T_P)^2, solved in one stacked ``eigvalsh`` call.  At P = N,
-  B_0 = T: the dense Gram product.
-* The distance.  T - T_P has the entries c_{j-l} (w_l / w_j - w_Pl / w_Pj)
-  = c_{j-l} (w_Pl / w_Pj)(r_l - r_j) / r_j, r = w / w_P, so ||T - T_P||_F
-  <= d = F (max w_P / min w_P) max |r_j - r_l| / min r times 1 + gamma_{N+8}
-  for the roundings of F and of the formula, read by ``enclosure``
-  (``conjugation_bound``, the bound of ``verify``'s conjugation check); at
-  P = N, T_P = T and d = 0.  By Weyl's inequality for singular values
-  |sigma_k(T) - sigma_k(T_P)| <= d, so |sigma_k(T)^2 - sigma_k(T_P)^2| <=
-  d (2 sigma + d), sigma the largest computed sigma_k(T_P): each value
-  moves by at most that.
-* The gate.  The read is refused, under the Laplacian label, when the
-  larger of d (2 sigma + d) / sigma^2 and the density's Dirac gate ratio
-  above exceeds SYMMETRIZATION_TOLERANCE: a false period makes d large, and
-  a wrong factor such as w = g makes q = (2 pi / N)^{1/2} g^{-1/2}
-  non-constant.
-* Round-off.  The M-point FFT errs by at most phi_M ||v[:, delta]||_2 for
-  each delta, and the Toeplitz scaling by w_t / w_s maps v's entries onto
-  the blocks' with the same weights, so the computed blocks are those of
-  T_P plus E, ||E||_F <= (phi_M + gamma_2 (1 + phi_M)) ||T_P||_F (the
-  ratio and the product round once each); the Gram products and the block
-  solves add what they add to any Gram read.  The tests derive the
-  resulting allowance; a Laplacian report has no derived ``radius``.
-
-Galerkin reads (the pair battery).  The function Laplacian is
-Delta u = -(g u')'/g, self-adjoint in L^2(g dt), and g is a trigonometric
-polynomial whose coefficients g_m, |m| <= B, are
-``LeafVolumeDensity.coefficients``, taken from the theta-averaged
-profile's terms, not from the samples: each carries only the rounding of
-one cos/sin pair and one product (and of the sum where terms share an
-|n|), with g_0 real and g_{-m} = conj(g_m) exactly.  The read is of the
-density g~ = sum g_m e^{imt} of the computed coefficients.  In the basis
-e^{ikt}, |k| <= K, the mass matrix G_jk = g_{j-k} and the stiffness matrix
-A_jk = jk g_{j-k} are exact, with no quadrature and no aliasing, and
-Hermitian by construction.  A c = rho G c is solved, in the blocks below,
-through G = L L^H as the Hermitian problem of L^{-1} A L^{-H}, c = L^{-H} y.
+Galerkin reads.  The function Laplacian is Delta u = -(g u')'/g,
+self-adjoint in L^2(g dt), and g is a trigonometric polynomial whose
+coefficients g_m, |m| <= B, are ``LeafVolumeDensity.coefficients``, taken
+from the theta-averaged profile's terms, not from the samples: each
+carries only the rounding of one cos/sin pair and one product (and of the
+sum where terms share an |n|), with g_0 real and g_{-m} = conj(g_m)
+exactly.  The read is of the density g~ = sum g_m e^{imt} of the computed
+coefficients.  In the basis e^{ikt}, |k| <= K, the mass matrix
+G_jk = g_{j-k} and the stiffness matrix A_jk = jk g_{j-k} are exact, with
+no quadrature and no aliasing, and Hermitian by construction.
+A c = rho G c is solved, in the blocks below, through G = L L^H as the
+Hermitian problem of L^{-1} A L^{-H}, c = L^{-H} y.
 
 * Rayleigh-Ritz: the trial spaces are nested in K, so the k-th Ritz value
   rho_k is an upper bound of lambda_k(Delta) and does not increase with K.
@@ -200,9 +159,10 @@ through G = L L^H as the Hermitian problem of L^{-1} A L^{-H}, c = L^{-H} y.
   refused unsolved.  Near zero the radii stop at a floor, the round-off of
   w, that grows with K: of 1 + a cos t, a = 0.99 to 0.999, none read above
   K = 455, and those past 512 were refused at their last order anyway.
-* The tolerance.  ``verify`` passes LAPLACIAN_FORMS_THRESHOLD = 1e-8, the
-  fraction 1e-5 of LAPLACIAN_GAP_THRESHOLD = 1e-3.  The contrast passes
-  when gap - r_1 - r_2 exceeds the gap threshold, and requires the squared
+* The tolerance.  ``verify`` and ``spectrum`` pass
+  LAPLACIAN_FORMS_THRESHOLD = 1e-8, the fraction 1e-5 of
+  LAPLACIAN_GAP_THRESHOLD = 1e-3.  The contrast passes when
+  gap - r_1 - r_2 exceeds the gap threshold, and requires the squared
   forms spectra to agree within the forms threshold.  A radius and the
   forms bound are both certified errors of second-order eigenvalues, so
   this tolerance reads the Laplacian half at the precision at which the
@@ -231,9 +191,9 @@ import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
 from ._spectral_diff import wavenumbers
-from .basic_calculus import DEGREE_FUNCTION, LeafVolumeDensity
+from .basic_calculus import LeafVolumeDensity
 from .model_spaces import GridSpec
-from .operators import WeightedOperator, dirac_factors, forms_label, laplacian_label, spinor_label
+from .operators import WeightedOperator, dirac_factors, forms_label, spinor_label
 
 # Relative symmetrization residual above which an eigensolve is refused.
 SYMMETRIZATION_TOLERANCE = 1e-8
@@ -270,8 +230,7 @@ class OperatorSymmetryError(ValueError):
 class SpectrumReport:
     """Sorted real spectrum, its grid provenance, its ``distance``, and whether
     it is a ``dirac_spectra`` Dirac read, whose radius is derived.  The
-    distance is d >= ||H - A||_F for a Dirac read, d >= ||T - T_P||_F for a
-    ``laplacian_spectrum`` read, and 0 for a dense solve."""
+    distance is d >= ||H - A||_F for a Dirac read and 0 otherwise."""
 
     eigenvalues: np.ndarray
     grid_size: int
@@ -368,22 +327,14 @@ def factor_bounds(q: np.ndarray, frobenius: float) -> tuple[float, float]:
 
 def conjugation_bound(u: np.ndarray, ratio: np.ndarray, frobenius: float) -> float:
     """An upper bound of ||u^{-1} C u - v^{-1} C v||_F for v = ``ratio`` u and
-    F = ``frobenius`` = ||C||_F: F (max |u| / min |u|) max |r_j - r_k| / min |r|,
-    read off the computed u and r by ``enclosure`` and multiplied by
-    1 + gamma_{N + 8} for the roundings of F and of the formula (module
-    docstring)."""
+    F = ``frobenius`` = ||C||_F.  The difference has the entries
+    C_jk (u_k / u_j)(r_j - r_k) / r_j, so its norm is at most
+    F (max |u| / min |u|) max |r_j - r_k| / min |r|, read off the computed u
+    and r by ``enclosure`` and multiplied by 1 + gamma_{N + 8} for the
+    roundings of F and of the formula."""
     u_low, u_high, _ = enclosure(u)
     r_low, _, spread = enclosure(ratio)
     return frobenius * (u_high / u_low) * (spread / r_low) * (1.0 + gamma(u.size + 8))
-
-
-def _dirac_gate(w: np.ndarray, weights: np.ndarray, values: np.ndarray,
-                frobenius: float) -> tuple[float, float]:
-    """d and the Dirac read's gate ratio (||S - S^H||_F + 2 d) / max |mu|, both
-    terms bounded, for the factor (w, W) (module docstring)."""
-    asymmetry, distance = factor_bounds(np.sqrt(weights) / w, frobenius)
-    return distance, (asymmetry + 2.0 * distance) / max(float(np.max(np.abs(values))),
-                                                        np.finfo(float).tiny)
 
 
 def dirac_spectra(density: LeafVolumeDensity, grid: GridSpec) -> tuple:
@@ -399,7 +350,11 @@ def dirac_spectra(density: LeafVolumeDensity, grid: GridSpec) -> tuple:
     if density.n_points != n:
         raise ValueError("density and grid sizes differ")
     values, _, frobenius = circulant_spectrum(n, grid.spin_structure)
-    distance, residual = _dirac_gate(*dirac_factors(density), values, frobenius)
+    w, weights = dirac_factors(density)
+    asymmetry, distance = factor_bounds(np.sqrt(weights) / w, frobenius)
+    # the gate ratio (||S - S^H||_F + 2 d) / max |mu|, both terms bounded
+    residual = (asymmetry + 2.0 * distance) / max(float(np.max(np.abs(values))),
+                                                  np.finfo(float).tiny)
     _require_symmetric({spinor_label(grid): residual, forms_label(n): math.sqrt(2.0) * residual})
     return (
         SpectrumReport(values, n, spinor_label(grid), distance, True),
@@ -407,37 +362,10 @@ def dirac_spectra(density: LeafVolumeDensity, grid: GridSpec) -> tuple:
     )
 
 
-def laplacian_spectrum(density: LeafVolumeDensity,
-                       degree: str = DEGREE_FUNCTION) -> SpectrumReport:
-    """The basic Laplacians' spectrum sigma_k(T)^2, ascending, read from the
-    Bloch blocks of T_P along the density's period, with the distance bound
-    d >= ||T - T_P||_F, labelled as the Laplacian of ``degree``; refused
-    under that label when the larger of d (2 sigma + d) / sigma^2 and the
-    density's Dirac gate ratio exceeds the tolerance (module docstring)."""
-    n, period = density.n_points, density.period
-    copies = n // period
-    w, weights = dirac_factors(density)
-    lattice, column, frobenius = circulant_spectrum(n, "trivial")
-    offsets = np.arange(1 - period, period) + period * np.arange(copies)[:, None]
-    symbols = np.fft.fft(column[offsets % n], axis=0)
-    first = w[:period]
-    blocks = sliding_window_view(symbols, period, axis=1)[:, :, ::-1] * (first / first[:, None])
-    gram = np.matmul(blocks, np.conjugate(blocks).transpose(0, 2, 1))
-    values = np.sort(np.linalg.eigvalsh(gram), axis=None)
-    periodic = np.tile(first, copies)
-    distance = 0.0 if copies == 1 else conjugation_bound(periodic, w / periodic, frobenius)
-    scale = max(float(values[-1]), np.finfo(float).tiny)
-    shift = distance * (2.0 * math.sqrt(scale) + distance) / scale
-    label = laplacian_label(n, degree)
-    _require_symmetric({label: max(_dirac_gate(w, weights, lattice, frobenius)[1], shift)})
-    return SpectrumReport(values, n, label, distance)
-
-
 @dataclass(frozen=True)
 class LaplacianRead:
-    """A density's windowed function-Laplacian values for the pair battery,
-    ascending, the radius of each, and the ``order`` K of its Galerkin read
-    (module docstring)."""
+    """A density's windowed function-Laplacian values, ascending, the radius
+    of each, and the ``order`` K of its Galerkin read (module docstring)."""
 
     values: np.ndarray
     radii: np.ndarray
@@ -559,7 +487,7 @@ def galerkin_read(coefficients: np.ndarray, order: int, window: float,
 
 def function_laplacian(density: LeafVolumeDensity, window: float,
                        tolerance: float) -> LaplacianRead:
-    """The pair battery's read of ``density``'s windowed function Laplacian:
+    """The read of ``density``'s windowed function Laplacian:
     the ``galerkin_read`` at the first order K <= GALERKIN_ORDER_CAP of the
     predicted sequence whose radii are all at most ``tolerance``; where there
     is none, ValueError naming the density and K (module docstring)."""

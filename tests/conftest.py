@@ -2,14 +2,14 @@
 metrics, a writer for profile documents, and the reference implementations
 the tests check the library against: a finite-difference Laplacian, the
 weighted inner product on the t-circle, the complex-arithmetic diagonal
-scaling, symmetrization and solve that the library's reproduce bit for
-bit, the dense solve of the assembled spinor matrix that every O(N) Dirac
-read is checked against, the delta d and d delta assembly that every grid
-read of a Laplacian is checked against and the allowance of that read,
-the Laplacian report as ``spectrum`` reads it and as the pair battery
-reads it, the random and parity profiles, the inputs a pair check
-reads, built as the pair battery builds them, and a patch that puts a
-defective factor function wherever the library looks it up."""
+scaling that the library's reproduces bit for bit, the dense solve of the
+assembled spinor matrix that every O(N) Dirac read is checked against, the
+delta d and d delta assembly and its dense solve with their allowance,
+which every Galerkin Laplacian read is checked against, the Laplacian read
+as the pair battery and ``spectrum`` make it, the random and parity
+profiles, the inputs a pair check reads, built as the pair battery builds
+them, and a patch that puts a defective factor function wherever the
+library looks it up."""
 
 import functools
 import importlib.util
@@ -30,6 +30,7 @@ from foliation_lab.operators import (
     assemble_basic_dirac_spinor,
     codifferential,
     quadrature_weights,
+    twisted_differential,
 )
 from foliation_lab.spectral import (
     LaplacianRead,
@@ -42,16 +43,22 @@ from foliation_lab.verify import LAPLACIAN_FORMS_THRESHOLD, basic_volume_ratio, 
 
 
 @functools.cache
-def profile_corpus() -> tuple:
-    """The first ten ``random_profile`` draws of the seeds s = 0 to 41 and
-    7041, and the profile documents of ``tools/parity.py``."""
+def profile_documents() -> dict:
+    """The profile documents of ``tools/parity.py``, by name."""
     path = Path(__file__).resolve().parents[1] / "tools" / "parity.py"
     spec = importlib.util.spec_from_file_location("parity", path)
     parity = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(parity)
+    return parity.PROFILES
+
+
+@functools.cache
+def profile_corpus() -> tuple:
+    """The first ten ``random_profile`` draws of the seeds s = 0 to 41 and
+    7041, and the profile documents of ``tools/parity.py``."""
     generated = (verify.random_profile(rng)
                  for rng in map(np.random.default_rng, [*range(42), 7041]) for _ in range(10))
-    return (*generated, *map(MetricProfile.from_dict, parity.PROFILES.values()))
+    return (*generated, *map(MetricProfile.from_dict, profile_documents().values()))
 
 
 def exp_cos_profile(a: float, k_max: int = 12) -> MetricProfile:
@@ -93,74 +100,6 @@ def complex_diagonal_conjugate(matrix: np.ndarray, w: np.ndarray) -> np.ndarray:
     """w^{-1} M w in complex arithmetic: the reference for
     ``operators.diagonal_conjugate``."""
     return (matrix * w[None, :]) / w[:, None]
-
-
-def complex_symmetrized(op: WeightedOperator) -> tuple[np.ndarray, float]:
-    """(S + S^H)/2, S = W^{1/2} M W^{-1/2}, and ||S - S^H||_F in complex
-    arithmetic with a temporary for every step: the reference for
-    ``WeightedOperator.symmetrized``."""
-    root = np.sqrt(op.weights)
-    sym = (root[:, None] * op.matrix) / root[None, :]
-    adjoint = sym.conj().T
-    return 0.5 * (sym + adjoint), float(np.linalg.norm(sym - adjoint))
-
-
-def complex_hermitian_spectrum(op: WeightedOperator) -> tuple[np.ndarray, float]:
-    """Eigenvalues of ``complex_symmetrized``'s H, solved dense, and the gate
-    ratio ||S - S^H||_F / max|lambda|: the reference for
-    ``WeightedOperator.hermitian_spectrum``."""
-    hermitian, asymmetry = complex_symmetrized(op)
-    values = np.linalg.eigvalsh(hermitian)
-    return values, asymmetry / max(float(np.max(np.abs(values))), np.finfo(float).tiny)
-
-
-def dense_spectrum(op: WeightedOperator) -> np.ndarray:
-    """Ascending eigenvalues of the operator's symmetrized H by one dense
-    ``eigvalsh``: the oracle for the grid Laplacian reads."""
-    return np.linalg.eigvalsh(op.symmetrized()[0])
-
-
-def bloch_allowance(density: LeafVolumeDensity, report: SpectrumReport) -> float:
-    """How far the values of ``spectral.laplacian_spectrum``, ``report``, may
-    lie from the exact sigma_k(T)^2 of the T built from the read's column c
-    and factor w, both exact binary data.  With eps the machine epsilon,
-    gamma_n = n eps / (1 - n eps), M = N/P blocks of size P, phi_M =
-    gamma_{7 log2 M} (0 at M = 1) and T_P the operator of the periodic
-    extension of w[:P]:
-
-    (a) the blocks.  The computed blocks are those of T_P plus E with
-        ||E||_F <= s = (phi_M + gamma_2 (1 + phi_M)) ||T_P||_F (``spectral``),
-        so by Weyl each singular value of the computed blocks is within s of
-        a sigma_k(T_P).  ||T_P||_F is formed here from the dense T_P, times
-        1 + gamma_{N^2 + 4} for that norm's rounding.
-    (b) the products and solves.  Each B_r B_r^H errs entrywise by at most
-        gamma_{P+2} |B_r| |B_r|^T (complex inner products of length P,
-        Higham section 3.6), in 2-norm by at most G, the largest Frobenius
-        norm of those matrices over r, with |B_r| read from the block DFT of
-        T_P's first block column; each block solve is backward stable, P eps
-        (mu + G) for the largest computed value mu.  With sigma = (mu + G +
-        P eps (mu + G))^{1/2} the values are within
-        e = s (2 sigma + s) + G + P eps (mu + G) of the sigma_k(T_P)^2.
-    (c) the period.  |sigma_k(T)^2 - sigma_k(T_P)^2| <= d (2 sigma' + d),
-        d the report's distance and sigma' = (mu + e)^{1/2} >= the largest
-        sigma_k(T_P).
-
-    The sum e + d (2 sigma' + d) is derived, not fitted."""
-    n, p = density.n_points, density.period
-    m = n // p
-    column = spectral.circulant_spectrum(n, "trivial")[1]
-    periodic = np.tile(operators.dirac_factors(density)[0][:p], m)
-    t_p = column[np.subtract.outer(np.arange(n), np.arange(n)) % n] * periodic / periodic[:, None]
-    blocks = np.abs(np.fft.fft(t_p[:, :p].reshape(m, p, p), axis=0))
-    fft = spectral.gamma(7.0 * np.log2(m))
-    norm = float(np.linalg.norm(t_p)) * (1.0 + spectral.gamma(n * n + 4))
-    spread = (fft + spectral.gamma(2) * (1.0 + fft)) * norm
-    product = spectral.gamma(p + 2) * max(float(np.linalg.norm(b @ b.T)) for b in blocks)
-    top = float(report.eigenvalues[-1])
-    solve = p * np.finfo(np.float64).eps * (top + product)
-    sigma = np.sqrt(top + product + solve)
-    error = spread * (2.0 * sigma + spread) + product + solve
-    return error + report.distance * (2.0 * np.sqrt(top + error) + report.distance)
 
 
 def dense_dirac_read(density: LeafVolumeDensity, grid: GridSpec) -> tuple[np.ndarray, float]:
@@ -205,8 +144,7 @@ def patch_factors(monkeypatch, factors) -> None:
 def delta_d_laplacian(density: LeafVolumeDensity, grid: GridSpec, degree: str) -> WeightedOperator:
     """The basic Laplacian assembled as a product with the weighted
     codifferential delta = -g^{-1} D g: delta @ D on functions, D @ delta on
-    one-form coefficients, claiming no period.  ``dense_spectrum`` of it is
-    the oracle for the grid Laplacian reads."""
+    one-form coefficients.  ``dense_laplacian_read`` solves it."""
     d = differentiation_matrix(grid.n_points, "trivial")
     delta = codifferential(density, grid)
     return WeightedOperator(
@@ -215,6 +153,54 @@ def delta_d_laplacian(density: LeafVolumeDensity, grid: GridSpec, degree: str) -
         label=f"delta_d_{degree}[N={grid.n_points}]",
         n_points=grid.n_points,
     )
+
+
+def dense_laplacian_read(density: LeafVolumeDensity, grid: GridSpec,
+                         degree: str) -> tuple[np.ndarray, np.ndarray]:
+    """The ascending spectrum of ``delta_d_laplacian``'s symmetrized H, by one
+    dense ``eigvalsh``, and, for each value, how far it may lie from the
+    sigma_k(T_L)^2 (T_L T_L^H on functions, T_L^H T_L on one-forms),
+    T_L = w^{-1} L w for the float w = g^{1/2} and L the exact lattice
+    operator of D: the oracle of the Galerkin Laplacian reads.  With eps the
+    machine epsilon and gamma_n = n eps / (1 - n eps):
+
+    (a) the solve.  H is the symmetrized product, so by Weyl its exact
+        eigenvalues are within ||H - T T^H||_2 of the sigma_k(T)^2, for
+        T = w^{-1} D w the assembled ``twisted_differential``.  That norm
+        is at most the computed ||H - fl(T T^H)||_F, times 1 +
+        gamma_{2 N^2 + 2} for the subtraction and the norm, plus
+        gamma_{N+2} || |T| |T|^T ||_F for the product (complex inner
+        products of length N, Higham section 3.6); the dense ``eigvalsh``
+        adds N eps ||H||_2 (``dense_dirac_read``).  Call the sum a.
+    (b) the derivative matrix.  ||D - L||_F <= N eps N/2
+        (``test_round_off_of_the_derivative_matrix``), so ||T - T_L||_F <=
+        e = (max w / min w) N^2 eps / 2, times 1 + gamma_2 for the formula.
+        By Weyl for singular values |sigma_k(T) - sigma_k(T_L)| <= e, so
+        |sigma_k(T)^2 - sigma_k(T_L)^2| <= e (2 sigma_k + e), with
+        sigma_k = (lambda_k + a)^{1/2} >= sigma_k(T) for the dense value
+        lambda_k.
+
+    The allowance a + e (2 sigma_k + e) is derived, not fitted.  It leaves
+    out how far the N-point collocation T_L T_L^H is from the Laplacian of
+    the density: its aliasing, which decays like e^{-eta (N/2 - W)} for
+    ``spectral.strip_width`` eta and the frequency window W, and the
+    rounding of w against g^{1/2} at the nodes."""
+    hermitian = delta_d_laplacian(density, grid, degree).symmetrized()[0]
+    values = np.linalg.eigvalsh(hermitian)
+    factor = twisted_differential(density, grid)
+    absolute = np.abs(factor)
+    if degree == "function":
+        gram, bound = factor @ factor.conj().T, absolute @ absolute.T
+    else:
+        gram, bound = factor.conj().T @ factor, absolute.T @ absolute
+    n, eps = grid.n_points, np.finfo(np.float64).eps
+    allowance = float(np.linalg.norm(hermitian - gram)) * (1.0 + spectral.gamma(2 * n * n + 2))
+    allowance += spectral.gamma(n + 2) * float(np.linalg.norm(bound))
+    allowance += n * eps * float(np.max(np.abs(values)))
+    w = np.sqrt(density.g_values)
+    error = (w.max() / w.min()) * (n * n * eps / 2.0) * (1.0 + spectral.gamma(2))
+    sigma = np.sqrt(np.maximum(values, 0.0) + allowance)
+    return values, allowance + error * (2.0 * sigma + error)
 
 
 def finite_difference_laplacian(
@@ -270,7 +256,8 @@ def laplacian_first_nonzero_eigenvalue(values: np.ndarray, zero_tol: float = 1e-
 
 
 def battery_laplacian(density: LeafVolumeDensity, window: float) -> LaplacianRead:
-    """The function Laplacian's read as the pair battery reads it."""
+    """The function Laplacian's read as the pair battery reads it, and as
+    ``spectrum`` reads it at the frequency window ``window``."""
     return function_laplacian(density, window, LAPLACIAN_FORMS_THRESHOLD)
 
 

@@ -3,17 +3,14 @@
 ``spectral`` derives three bounds for the Dirac operator built from the
 computed weights, and ``verify`` a fourth: the radius of the lattice values
 mu, the distance d >= ||H - A||_F, the asymmetry bound >= ||S - S^H||_F and
-the conjugation residual >= ||D' - alpha^{-1/2} D alpha^{1/2}||_F.  For the
-grid Laplacian read it derives the period distance d >= ||T - T_P||_F, and
-``conftest.bloch_allowance`` the distance of its values from the
-sigma_k(T_P)^2.  Each test computes the true quantity in high precision
-from the same float inputs (the column c, the factor arrays, alpha), which
-are exact binary numbers, and asserts that the computed bound is at least
-that; the ratios bound / true value are recorded in CHANGES.md.  Every sum
-is O(N^2); only the Laplacian values need a high-precision eigensolve, of
-N x N at N <= 64.  The Galerkin read's radii are checked against the
-profile's own density, from its exact coefficients in high precision, by
-Rayleigh quotients of float Ritz vectors, which cost O(K B) each.
+the conjugation residual >= ||D' - alpha^{-1/2} D alpha^{1/2}||_F.  Each
+test computes the true quantity in high precision from the same float
+inputs (the column c, the factor arrays, alpha), which are exact binary
+numbers, and asserts that the computed bound is at least that; the ratios
+bound / true value are recorded in CHANGES.md.  Every sum is O(N^2).  The
+Galerkin read's radii are checked against the profile's own density, from
+its exact coefficients in high precision, by Rayleigh quotients of float
+Ritz vectors, which cost O(K B) each.
 ``verify.lichnerowicz_diagonal``'s allowance is checked against c + p from
 the float g and g' in high precision, and the dense Lichnerowicz oracle's
 off-diagonal against its a priori rounding bound, which shows that the
@@ -23,7 +20,6 @@ across the accepted range of r, and the positivity certificate's e against
 ``_kernels.sample_profile`` and f at the exact nodes in 50 digits.
 """
 
-import dataclasses
 import math
 
 import mpmath
@@ -51,14 +47,14 @@ from foliation_lab.verify import (
     run_pair_checks,
 )
 
-from conftest import bloch_allowance, exp_sin_profile, galerkin_rounding, patch_factors
+from conftest import exp_sin_profile, galerkin_rounding, patch_factors
 
 mpmath.mp.dps = 30
 
 COSINE = MetricProfile(2.0, (ProfileTerm(0, 1, 1.0),))
 MIXED = MetricProfile(2.0, (ProfileTerm(0, 1, 0.6), ProfileTerm(1, 0, 0.4, 0.3),
                             ProfileTerm(1, 1, 0.3, 0.0, 0.5)))
-# Densities of period N/2 and N/4.
+# Densities of the frequencies 2 and 4, 8.
 HALF = MetricProfile(2.0, (ProfileTerm(0, 2, 0.5, 0.0, 0.3), ProfileTerm(0, -2, 0.2, 0.0, 1.0),
                            ProfileTerm(1, 1, 0.3, 0.2, 0.5)))
 QUARTER = MetricProfile(2.0, (ProfileTerm(0, 4, 0.4), ProfileTerm(0, 8, 0.3, 0.0, 2.0)))
@@ -166,55 +162,6 @@ def test_a_factor_mutant_reaches_the_bounds(monkeypatch):
     assert not conjugation_residual(d1, d2, alpha, grid, metadata).passed
     w, weights = spectral.dirac_factors(d1)
     assert factor_bounds(np.sqrt(weights) / w, circulant_spectrum(32, "trivial")[2])[1] > 1.0
-
-
-def _periodic_factor(density: LeafVolumeDensity) -> np.ndarray:
-    """w_P, the periodic extension of the first period of the read's w."""
-    w = spectral.dirac_factors(density)[0]
-    return np.tile(w[: density.period], density.n_points // density.period)
-
-
-@pytest.mark.parametrize("n_points", [32, 64])
-@pytest.mark.parametrize("profile", [HALF, QUARTER], ids=["half", "quarter"])
-def test_period_distance_holds_for_an_off_period_factor(n_points, profile, monkeypatch):
-    """w moved off its period by a relative 1e-6: ||T - T_P||_F of the
-    operators built from the float c, w and w_P is at most the grid
-    Laplacian read's distance d (its gate, which refuses such a w, is
-    recorded, not applied)."""
-    density = LeafVolumeDensity.from_profile(profile, GridSpec(n_points))
-    assert density.period < n_points
-    noise = np.random.default_rng(n_points + 2).uniform(-1.0, 1.0, n_points)
-    honest = spectral.dirac_factors
-    patch_factors(monkeypatch, lambda d: (honest(d)[0] * (1.0 + 1e-6 * noise), honest(d)[1]))
-    monkeypatch.setattr(spectral, "_require_symmetric", lambda ratios: None)
-    report = spectral.laplacian_spectrum(density)
-    u = [mpmath.mpf(x) for x in _periodic_factor(density).tolist()]
-    v = [mpmath.mpf(x) for x in spectral.dirac_factors(density)[0].tolist()]
-    moduli = _squared_moduli(_column(n_points, "trivial"))
-    total = mpmath.fsum(moduli[(j - k) % n_points] * (v[k] / v[j] - u[k] / u[j]) ** 2
-                        for j in range(n_points) for k in range(n_points))
-    assert mpmath.sqrt(total) <= report.distance
-
-
-@pytest.mark.parametrize("n_points, profile", [(32, HALF), (32, QUARTER), (64, HALF)],
-                         ids=["32-half", "32-quarter", "64-half"])
-def test_bloch_values_lie_within_the_allowance(n_points, profile):
-    """The grid Laplacian read's values against the sigma_k(T_P)^2 of the
-    T_P built from the float c and w_P, by a 30-digit dense eigensolve of
-    T_P T_P^H: within ``conftest.bloch_allowance`` at d = 0, its terms for
-    the blocks, the products and the solves."""
-    density = LeafVolumeDensity.from_profile(profile, GridSpec(n_points))
-    report = spectral.laplacian_spectrum(density)
-    column = _mp(_column(n_points, "trivial"))
-    w = [mpmath.mpf(x) for x in _periodic_factor(density).tolist()]
-    factor = mpmath.matrix(n_points, n_points)
-    for j in range(n_points):
-        for k in range(n_points):
-            factor[j, k] = column[(j - k) % n_points] * w[k] / w[j]
-    exact = mpmath.eighe(factor * factor.transpose_conj(), eigvals_only=True)
-    exact = sorted(exact[k] for k in range(n_points))
-    error = max(abs(mpmath.mpf(x) - e) for x, e in zip(report.eigenvalues.tolist(), exact))
-    assert error <= bloch_allowance(density, dataclasses.replace(report, distance=0.0))
 
 
 def _generated(seed: int, draw: int) -> MetricProfile:

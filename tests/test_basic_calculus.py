@@ -248,13 +248,13 @@ class TestLeafVolumeDensity:
             assert np.array_equal(density.g_dot_values, g_dot)
 
     def test_a_density_is_its_average_and_grid(self, mixed_profile, grid64):
-        """The density's fields are the averaged profile and N; t-bandwidth,
-        period and coefficients are computed and cannot be passed, and equal
+        """The density's fields are the averaged profile and N; t-bandwidth
+        and coefficients are computed and cannot be passed, and equal
         averages on one grid are equal keys."""
         density = LeafVolumeDensity.from_profile(mixed_profile, grid64)
         assert [field.name for field in dataclasses.fields(density)] == ["average", "n_points"]
-        assert (density.t_bandwidth, density.period) == (1, 64)
-        for name, value in (("period", 32), ("t_bandwidth", 0), ("coefficients", None)):
+        assert density.t_bandwidth == 1
+        for name, value in (("t_bandwidth", 0), ("coefficients", None)):
             with pytest.raises(TypeError):
                 dataclasses.replace(density, **{name: value})
         twin = LeafVolumeDensity.from_profile(mixed_profile, grid64)

@@ -1,14 +1,11 @@
 """Operator assembly: spectra, weighted symmetry, adjointness, identities."""
 
-import dataclasses
-
 import numpy as np
 import pytest
+import scipy.linalg
 
-from foliation_lab import operators, spectral
 from foliation_lab._spectral_diff import differentiation_matrix, uniform_nodes, wavenumbers
 from foliation_lab.basic_calculus import LeafVolumeDensity
-from foliation_lab.cli import run
 from foliation_lab.model_spaces import GridSpec, MetricProfile, ProfileTerm
 from foliation_lab.operators import (
     WeightedOperator,
@@ -20,7 +17,7 @@ from foliation_lab.operators import (
     diagonal_conjugate,
     twisted_differential,
 )
-from foliation_lab.spectral import eigenvalues_weighted, laplacian_spectrum, spectrum_compare
+from foliation_lab.spectral import eigenvalues_weighted, spectrum_compare
 from foliation_lab.verify import (
     conjugation_residual,
     invariance_check,
@@ -30,10 +27,8 @@ from foliation_lab.verify import (
 )
 
 from conftest import (
-    bloch_allowance,
+    battery_laplacian,
     complex_diagonal_conjugate,
-    complex_hermitian_spectrum,
-    complex_symmetrized,
     delta_d_laplacian,
     exp_sin_profile,
     fd_laplacian_spectrum,
@@ -362,14 +357,14 @@ class TestFormsDirac:
 
 class TestBasicLaplacian:
     def test_flat_circle_spectrum(self, flat_profile, grid64):
-        head = laplacian_spectrum(_density(flat_profile, grid64)).eigenvalues[:7]
+        head = battery_laplacian(_density(flat_profile, grid64), 3.0).values
         np.testing.assert_allclose(head, [0, 1, 1, 4, 4, 9, 9], atol=1e-10)
 
     def test_first_eigenvalue_shifts_with_density(self):
         grid = GridSpec(128)
         profile = MetricProfile(1.0, (ProfileTerm(0, 1, 0.5),))
-        spectral = laplacian_spectrum(_density(profile, grid))
-        lam = laplacian_first_nonzero_eigenvalue(spectral.eigenvalues)
+        read = battery_laplacian(_density(profile, grid), 10.0)
+        lam = laplacian_first_nonzero_eigenvalue(read.values)
         assert abs(lam - 1.0) > 1e-3
         # independent second discretization agrees on the shifted value
         lam_fd = laplacian_first_nonzero_eigenvalue(
@@ -383,40 +378,13 @@ class TestBasicLaplacian:
         factor = assemble_basic_dirac_spinor(density, grid64).matrix
         image = factor.conj().T @ np.sqrt(density.g_values)
         assert np.max(np.abs(image)) < 1e-10
-        assert abs(laplacian_spectrum(density).eigenvalues[0]) < 1e-10
-
-    def test_reads_the_spectrum_of_its_factor_gram_product(self, mixed_profile):
-        """A Laplacian is read from T, the periodic operator whatever the spin
-        structure, as the spectrum of T T^H, not that of iT: within the
-        read's allowance of the dense Gram product of the T built from the
-        same column and factor; both degrees read the same values."""
-        for spin in ("trivial", "nontrivial"):
-            grid = GridSpec(64, spin)
-            density = _density(mixed_profile, grid)
-            column = spectral.circulant_spectrum(64, "trivial")[1]
-            w = np.sqrt(density.g_values)
-            factor = column[np.subtract.outer(np.arange(64), np.arange(64)) % 64] * w / w[:, None]
-            gram = np.linalg.eigvalsh(factor @ factor.conj().T)
-            reports = [laplacian_spectrum(density, degree) for degree in ("function", "one_form")]
-            for degree, report in zip(("function", "one_form"), reports):
-                assert report.operator_label == f"laplacian_{degree}[N=64]"
-                assert np.array_equal(report.eigenvalues, reports[0].eigenvalues)
-            # the dense read: the factor's two roundings per entry (e), the
-            # product's gamma_{N+2} |T| |T|^T and the solve's N eps
-            absolute = np.abs(factor)
-            error = spectral.gamma(2) * float(np.linalg.norm(factor))
-            product = spectral.gamma(66) * float(np.linalg.norm(absolute @ absolute.T))
-            solve = 64 * EPS * (gram[-1] + product)
-            sigma = np.sqrt(gram[-1] + product + solve)
-            allowance = (bloch_allowance(density, reports[0]) + error * (2.0 * sigma + error)
-                         + product + solve)
-            assert np.max(np.abs(reports[0].eigenvalues - gram)) <= allowance
+        assert abs(battery_laplacian(density, 8.0).values[0]) < 1e-10
 
     def test_assembled_operator_is_the_delta_d_product(self, mixed_profile, cosine_profile,
                                                        grid64):
         """``assemble_basic_laplacian`` forms delta @ D or D @ delta, the product
-        the grid read is checked against: a read of it returns the Laplacian
-        spectrum that its label names."""
+        the Galerkin read is checked against: a read of it returns, in the
+        window, the Laplacian spectrum that its label names."""
         for profile in (mixed_profile, MetricProfile(2.0, (ProfileTerm(0, 2, 0.5),))):
             density = _density(profile, grid64)
             for degree in ("function", "one_form"):
@@ -427,12 +395,13 @@ class TestBasicLaplacian:
                 report = eigenvalues_weighted(op)
                 assert report.operator_label == op.label
                 np.testing.assert_allclose(
-                    report.eigenvalues, laplacian_spectrum(density).eigenvalues, atol=1e-9)
+                    report.in_window(64.0), battery_laplacian(density, 8.0).values, atol=1e-9)
 
     def test_spectra_real_and_nonnegative(self, mixed_profile, grid64):
         for degree in ("function", "one_form"):
-            values = laplacian_spectrum(_density(mixed_profile, grid64), degree).eigenvalues
-            assert (values >= -1e-10).all()
+            values = eigenvalues_weighted(
+                assemble_basic_laplacian(_density(mixed_profile, grid64), grid64, degree))
+            assert (values.eigenvalues >= -1e-10).all()
 
     def test_rejects_unknown_degree(self, flat_profile, grid64):
         with pytest.raises(ValueError):
@@ -464,6 +433,19 @@ class TestLichnerowicz:
             assemble_lichnerowicz_sides(_density(profile, grid), grid)
 
 
+def _assert_solves_the_pencil(op: WeightedOperator) -> None:
+    """``hermitian_spectrum``'s values against ``scipy.linalg.eigh`` of the
+    pencil (A, diag W), A the Hermitian part of W M: W^{-1/2} A W^{-1/2} is
+    the symmetrized H, so the two spectra are one in exact arithmetic, and
+    both solves are backward stable, each value within N eps ||H||_2."""
+    values = op.hermitian_spectrum()[0]
+    weighted = op.weights[:, None] * op.matrix
+    pencil = scipy.linalg.eigh(0.5 * (weighted + weighted.conj().T), np.diag(op.weights),
+                               eigvals_only=True)
+    scale = float(np.max(np.abs(values)))
+    assert np.max(np.abs(values - pencil)) <= op.n_points * EPS * scale
+
+
 class TestWeightedOperatorInvariants:
     def test_every_assembled_operator_is_weighted_hermitian(self, mixed_profile, grid64):
         for op in _all_operators(mixed_profile, grid64):
@@ -480,61 +462,22 @@ class TestWeightedOperatorInvariants:
         right = weighted_inner_product(u, delta @ v, density)
         assert left == pytest.approx(right, abs=1e-12)
 
+    @pytest.mark.parametrize("n_points", [64, 256])
+    @pytest.mark.parametrize("spin", ["trivial", "nontrivial"])
+    def test_hermitian_spectrum_solves_the_weighted_pencil(self, n_points, spin):
+        rng = np.random.default_rng(n_points + 1)
+        g = rng.uniform(0.2, 5.0, n_points)
+        weights = (TWO_PI / n_points) * g
+        dirac = 1j * diagonal_conjugate(differentiation_matrix(n_points, spin), np.sqrt(g))
+        noise = rng.normal(size=(n_points, n_points)) + 1j * rng.normal(size=(n_points, n_points))
+        for matrix in (dirac, noise):
+            _assert_solves_the_pencil(WeightedOperator(matrix, weights, "random", n_points))
+
     def test_rejects_inconsistent_weights(self):
         with pytest.raises(ValueError):
             WeightedOperator(np.eye(4), np.ones(3), "bad", 4)
         with pytest.raises(ValueError):
             WeightedOperator(np.eye(3), np.array([1.0, -1.0, 1.0]), "bad", 3)
-
-
-class TestTranslationPeriod:
-    """Densities record P = N / gcd(N, n_1, ..., n_k) over the t-frequencies of
-    the theta-average, along which the grid Laplacian read takes its Bloch
-    blocks; an assembled operator claims no period."""
-
-    @pytest.mark.parametrize(
-        "terms, period",
-        [
-            ((), 1),
-            ((ProfileTerm(1, 3, 0.4), ProfileTerm(2, 0, 0.3, 0.5)), 1),  # theta terms average out
-            ((ProfileTerm(0, 0, 0.3, 0.2),), 1),
-            ((ProfileTerm(0, 2, 0.5), ProfileTerm(0, -2, 0.2, 0.0, 1.0)), 32),
-            ((ProfileTerm(0, 4, 0.4), ProfileTerm(0, 8, 0.3), ProfileTerm(1, 1, 0.2)), 16),
-            ((ProfileTerm(0, 8, 0.6, 0.0, 0.7),), 8),
-            ((ProfileTerm(0, 2, 0.5), ProfileTerm(0, 3, 0.2)), 64),
-            ((ProfileTerm(0, 1, 1.0),), 64),
-        ],
-    )
-    def test_density_period_from_profile(self, terms, period, grid64):
-        """g repeats after P nodes up to the round-off of its samples: each
-        term a cos(n t_j + phi) errs by at most |a| eps (2 (2 pi |n| + |phi|) + 1)
-        (argument and cosine), and summing k + 1 terms adds (k + 1) eps sum|term|;
-        two samples differ by at most twice that."""
-        profile = MetricProfile(2.0, terms)
-        density = _density(profile, grid64)
-        assert density.period == period
-        reduced = profile.theta_average().terms
-        eps = np.finfo(np.float64).eps
-        sample = sum(abs(t.amplitude) * eps * (2.0 * (TWO_PI * abs(t.n) + abs(t.phase_t)) + 1.0)
-                     for t in reduced)
-        total = 2.0 + sum(abs(t.amplitude) for t in reduced)
-        bound = 2.0 * (sample + (len(reduced) + 1) * eps * total)
-        shifted = np.roll(density.g_values, period)
-        assert np.max(np.abs(shifted - density.g_values)) <= bound
-
-    @pytest.mark.parametrize("spin", ["trivial", "nontrivial"])
-    def test_assemblers_record_no_period(self, spin):
-        grid = GridSpec(64, spin)
-        density = _density(MetricProfile(2.0, (ProfileTerm(0, 4, 0.5), ProfileTerm(1, 1, 0.3))),
-                           grid)
-        assert density.period == 16
-        ops = [assemble_basic_dirac_spinor(density, grid), assemble_basic_dirac_forms(density, grid),
-               *(assemble_basic_laplacian(density, grid, degree)
-                 for degree in ("function", "one_form")),
-               *assemble_lichnerowicz_sides(density, grid)]
-        for op in ops:
-            assert [field.name for field in dataclasses.fields(op)] == [
-                "matrix", "weights", "label", "n_points"]
 
 
 class TestFiniteDifferenceOracle:
@@ -554,17 +497,6 @@ def _bits(array) -> np.ndarray:
     return np.ascontiguousarray(array).view(np.uint64)
 
 
-def _assert_bloch_read_bits(density):
-    """A grid Laplacian read gives the same bits twice and leaves the
-    density's samples as they were."""
-    samples = density.g_values.copy()
-    expected = laplacian_spectrum(density)
-    report = laplacian_spectrum(density)
-    assert np.array_equal(_bits(report.eigenvalues), _bits(expected.eigenvalues))
-    assert report.distance.hex() == expected.distance.hex()
-    assert np.array_equal(_bits(density.g_values), _bits(samples))
-
-
 class TestRealViewScalingBitParity:
     """The real-view scalings and the in-place steps reproduce the bits of the
     complex-arithmetic references in ``conftest``."""
@@ -582,21 +514,6 @@ class TestRealViewScalingBitParity:
 
     @pytest.mark.parametrize("n_points", [64, 256])
     @pytest.mark.parametrize("spin", ["trivial", "nontrivial"])
-    def test_hermitian_spectrum(self, n_points, spin):
-        rng = np.random.default_rng(n_points + 1)
-        g = rng.uniform(0.2, 5.0, n_points)
-        weights = (TWO_PI / n_points) * g
-        dirac = 1j * complex_diagonal_conjugate(differentiation_matrix(n_points, spin), np.sqrt(g))
-        noise = rng.normal(size=(n_points, n_points)) + 1j * rng.normal(size=(n_points, n_points))
-        for matrix in (dirac, noise):
-            op = WeightedOperator(matrix, weights, "random", n_points)
-            values, ratio = op.hermitian_spectrum()
-            expected_values, expected_ratio = complex_hermitian_spectrum(op)
-            assert np.array_equal(_bits(values), _bits(expected_values))
-            assert ratio.hex() == expected_ratio.hex()
-
-    @pytest.mark.parametrize("n_points", [64, 256])
-    @pytest.mark.parametrize("spin", ["trivial", "nontrivial"])
     def test_in_place_scalings(self, n_points, spin, mixed_profile):
         grid = GridSpec(n_points, spin)
         density = _density(mixed_profile, grid)
@@ -611,9 +528,8 @@ class TestRealViewScalingBitParity:
     @pytest.mark.parametrize("n_points", [64, 256])
     @pytest.mark.parametrize("spin", ["trivial", "nontrivial"])
     def test_assembly_and_reads_are_the_references(self, n_points, spin, mixed_profile):
-        """The scaling, the assembly on either structure, the symmetrization
-        and the solve give the references' bits, and the grid Laplacian read
-        the same bits twice."""
+        """The scaling and the assembly on either structure give the
+        references' bits, and the solve the spectrum of the weighted pencil."""
         grid = GridSpec(n_points, spin)
         density = _density(mixed_profile, grid)
         root = np.sqrt(density.g_values)
@@ -626,15 +542,7 @@ class TestRealViewScalingBitParity:
         periodic = assemble_basic_dirac_spinor(density, GridSpec(n_points))
         assert np.array_equal(_bits(periodic.matrix),
                               _bits(1j * complex_diagonal_conjugate(trivial, root)))
-        _assert_bloch_read_bits(density)
-        expected_h, expected_asymmetry = complex_symmetrized(spinor)
-        hermitian, asymmetry = spinor.symmetrized()
-        assert np.array_equal(_bits(hermitian), _bits(expected_h))
-        assert asymmetry.hex() == expected_asymmetry.hex()
-        values, ratio = spinor.hermitian_spectrum()
-        expected_values, expected_ratio = complex_hermitian_spectrum(spinor)
-        assert np.array_equal(_bits(values), _bits(expected_values))
-        assert ratio.hex() == expected_ratio.hex()
+        _assert_solves_the_pencil(spinor)
 
     @staticmethod
     def _allocating_battery(p1, p2, grid, window):
@@ -670,30 +578,3 @@ class TestRealViewScalingBitParity:
             grid = GridSpec(n_points)
             reports = run_pair_checks([(cosine_profile, mixed_profile)], grid, 8.0)
             assert reports == self._allocating_battery(cosine_profile, mixed_profile, grid, 8.0)
-
-    @pytest.mark.parametrize("n_points", [64, 256])
-    def test_blocked_reads(self, n_points):
-        """The grid Laplacian read along a density's period below N gives the
-        same bits twice, and the solve of its spinor matrix the bits of the
-        reference."""
-        grid = GridSpec(n_points)
-        for terms in ((), (ProfileTerm(0, 2, 0.5), ProfileTerm(1, 1, 0.3))):
-            density = _density(MetricProfile(2.0, terms), grid)
-            assert density.period < n_points
-            _assert_bloch_read_bits(density)
-            spinor = assemble_basic_dirac_spinor(density, grid)
-            expected = complex_hermitian_spectrum(spinor)
-            values, ratio = spinor.hermitian_spectrum()
-            assert np.array_equal(_bits(values), _bits(expected[0]))
-            assert ratio.hex() == expected[1].hex()
-
-    def test_pair_bundle_is_the_bundle_of_the_references(self, tmp_path, monkeypatch):
-        args = ["verify", "--all", "--grid", "64", "--window", "8", "--pairs", "2"]
-        code = run([*args, "--output-dir", str(tmp_path / "view")])
-        monkeypatch.setattr(operators, "diagonal_conjugate", complex_diagonal_conjugate)
-        monkeypatch.setattr(WeightedOperator, "symmetrized", complex_symmetrized)
-        monkeypatch.setattr(WeightedOperator, "hermitian_spectrum", complex_hermitian_spectrum)
-        assert run([*args, "--output-dir", str(tmp_path / "complex")]) == code
-        bundle = "verify_bundle.json"
-        view = (tmp_path / "view" / bundle).read_bytes()
-        assert view == (tmp_path / "complex" / bundle).read_bytes()

@@ -1,6 +1,5 @@
 """Weighted eigensolves, window handling, spectrum comparison."""
 
-import dataclasses
 import json
 import math
 import re
@@ -28,7 +27,6 @@ from foliation_lab.spectral import (
     circulant_spectrum,
     dirac_spectra,
     eigenvalues_weighted,
-    laplacian_spectrum,
     spectrum_compare,
 )
 from foliation_lab.verify import (
@@ -40,17 +38,20 @@ from foliation_lab.verify import (
 )
 
 from conftest import (
-    bloch_allowance,
     galerkin_rounding,
-    delta_d_laplacian,
     battery_laplacian,
     dense_dirac_read,
-    dense_spectrum,
+    dense_laplacian_read,
     pair_inputs,
     patch_factors,
     profile_corpus,
+    profile_documents,
     save_profile,
 )
+
+
+# The profile documents of tools/parity.py, by name.
+PARITY_PROFILES = profile_documents()
 
 
 def _density(profile, grid):
@@ -70,8 +71,9 @@ class TestEigenvaluesWeighted:
         report = eigenvalues_weighted(op)
         np.testing.assert_allclose(report.eigenvalues, np.arange(-32, 32), atol=1e-10)
 
-    def test_flat_laplacian_head(self, flat_profile, grid64):
-        head = laplacian_spectrum(_density(flat_profile, grid64)).eigenvalues[:7]
+    def test_flat_laplacian_head(self, flat_profile, grid128):
+        density = _density(flat_profile, grid128)
+        head = _spectrum("laplacian-functions", density, grid128, 9.0).eigenvalues
         np.testing.assert_allclose(head, [0, 1, 1, 4, 4, 9, 9], atol=1e-10)
 
     def test_refuses_asymmetric_operator(self):
@@ -367,18 +369,17 @@ class TestDiracRead:
             assert report.window_count(10.0) == (n // 256) * {"trivial": 21, "nontrivial": 20}[spin]
 
     def test_radius_is_refused_where_it_is_not_derived(self, cosine_profile):
-        """Only a Dirac read has a derived radius: a grid Laplacian read (at
-        P = 1 for a constant density, P = N otherwise), a matrix read and a
-        dense report refuse ``radius`` and ``window_count``, naming the
-        operator."""
+        """Only a Dirac read has a derived radius: a Laplacian ``spectrum``
+        report of either degree, a matrix read and a dense report refuse
+        ``radius`` and ``window_count``, naming the operator."""
         grid = GridSpec(256)
         flat2, wavy = (_density(profile, grid) for profile in (MetricProfile(2.0), cosine_profile))
         spinor = assemble_basic_dirac_spinor(wavy, grid)
-        reports = [laplacian_spectrum(flat2, degree) for degree in ("function", "one_form")]
-        reports.append(laplacian_spectrum(wavy))
+        reports = [_spectrum(operator, flat2, grid, 10.0)
+                   for operator in ("laplacian-functions", "laplacian-one-forms")]
+        reports.append(_spectrum("laplacian-functions", wavy, grid, 10.0))
         reports.append(eigenvalues_weighted(spinor))
         reports.append(SpectrumReport(np.arange(-3.0, 4.0), 256, "dense"))
-        assert flat2.period == 1
         for report in reports:
             label = re.escape(repr(report.operator_label))
             with pytest.raises(ValueError, match=f"operator {label} has no derived radius"):
@@ -389,201 +390,6 @@ class TestDiracRead:
     def test_refuses_a_density_of_another_grid(self, cosine_profile):
         with pytest.raises(ValueError, match="density and grid sizes differ"):
             dirac_spectra(_density(cosine_profile, GridSpec(64)), GridSpec(128))
-
-
-# t-terms of the theta-average giving period 1, N/2, N/4, N/8 and N on any grid.
-GRAM_TERMS = {
-    "flat": (),
-    "half": (ProfileTerm(0, 2, 0.5, 0.0, 0.3), ProfileTerm(0, -2, 0.2, 0.0, 1.0)),
-    "quarter": (ProfileTerm(0, 4, 0.4), ProfileTerm(0, 8, 0.3, 0.0, 2.0)),
-    "eighth": (ProfileTerm(0, 8, 0.6, 0.0, 0.7),),
-    "none": (ProfileTerm(0, 1, 0.6, 0.0, 0.3), ProfileTerm(0, 2, -0.3, 0.0, 1.1)),
-}
-GRAM_PERIODS = {"flat": lambda n: 1, "half": lambda n: n // 2, "quarter": lambda n: n // 4,
-                "eighth": lambda n: n // 8, "none": lambda n: n}
-
-
-def _gram_profile(name):
-    return MetricProfile(2.0, GRAM_TERMS[name] + (ProfileTerm(1, 1, 0.3, 0.2, 0.5),))
-
-
-class TestGramRead:
-    """Each Laplacian is read from the Bloch blocks of T_P, built from the
-    cached column c and the first period of w (``spectral`` derives the
-    read); the oracle is the product delta @ D or D @ delta and its dense
-    ``eigvalsh`` (``conftest.delta_d_laplacian``).
-
-    Allowance.  The read's values lie within ``conftest.bloch_allowance`` of
-    the sigma_k(T_C)^2, T_C = w^{-1} C w the operator built from c; the
-    assembled T_D = w^{-1} D w differs from it by the round-off of D against
-    C (``_transfer_allowance``); and the oracle's values lie within
-    ``_oracle_allowance`` of the sigma_k(T_D)^2: its H is the symmetrized
-    product, so by Weyl its exact eigenvalues are within ||H - T T^H||_2
-    of the sigma_k(T)^2 (T^H T on one-forms), which is at most the computed
-    ||H - fl(T T^H)||_F, times 1 + gamma_{2 N^2 + 2} for the subtraction and
-    the norm, plus gamma_{N+2} || |T| |T|^T ||_F for the product; the dense
-    ``eigvalsh`` adds N eps ||H||_2 (``conftest.dense_dirac_read``).  The
-    sum is derived, not fitted.
-    """
-
-    @staticmethod
-    def _transfer_allowance(density, report, allowance):
-        """|sigma_k(T_C)^2 - sigma_k(T_D)^2| for every k.  ||iD - L||_F <=
-        N eps N/2 for the exact lattice operator L
-        (``test_round_off_of_the_derivative_matrix``) and ||iC - L||_F <=
-        phi_N ||L||_F, phi_N = gamma_{7 log2 N}, for the one inverse FFT
-        that makes c; ||L||_F <= F (1 + phi_N) / (1 - phi_N) for the computed
-        F = ||C||_F, which also carries a relative gamma_{N+2} of its own.
-        The entries of T_C - T_D are those of C - D times w_l / w_j, so
-        ||T_C - T_D||_F <= e = (max w / min w) (N^2 eps / 2 + phi_N ||L||_F),
-        times 1 + gamma_2 for the formula; with sigma = (mu + allowance)^{1/2}
-        at least the largest sigma_k(T_C), Weyl gives e (2 sigma + e)."""
-        n = density.n_points
-        w = np.sqrt(density.g_values)
-
-        def gamma(k):
-            return k * EPS / (1.0 - k * EPS)
-
-        fft = gamma(7.0 * math.log2(n))
-        lattice = circulant_spectrum(n, "trivial")[2] * (1.0 + fft) / (1.0 - fft) / (
-            1.0 - gamma(n + 2))
-        error = (w.max() / w.min()) * (n * n * EPS / 2.0 + fft * lattice) * (1.0 + gamma(2))
-        sigma = math.sqrt(report.eigenvalues[-1] + allowance)
-        return error * (2.0 * sigma + error)
-
-    @staticmethod
-    def _oracle_allowance(oracle, factor, degree):
-        n = oracle.n_points
-
-        def gamma(k):
-            return k * EPS / (1.0 - k * EPS)
-
-        hermitian = oracle.symmetrized()[0]
-        absolute = np.abs(factor)
-        if degree == "function":
-            gram, bound = factor @ factor.conj().T, absolute @ absolute.T
-        else:
-            gram, bound = factor.conj().T @ factor, absolute.T @ absolute
-        distance = float(np.linalg.norm(hermitian - gram)) * (1.0 + gamma(2 * n * n + 2))
-        distance += gamma(n + 2) * float(np.linalg.norm(bound))
-        return distance + n * EPS * float(np.max(np.abs(np.linalg.eigvalsh(hermitian))))
-
-    @pytest.mark.parametrize("n_points", [64, 128, 256])
-    @pytest.mark.parametrize("name", list(GRAM_TERMS))
-    @pytest.mark.parametrize("degree", ["function", "one_form"])
-    def test_gram_read_matches_the_delta_d_oracle(self, n_points, name, degree, monkeypatch):
-        grid = GridSpec(n_points)
-        density = _density(_gram_profile(name), grid)
-        assert density.period == GRAM_PERIODS[name](n_points)
-        spinor = assemble_basic_dirac_spinor(density, grid)
-        report = laplacian_spectrum(density, degree)
-        oracle = delta_d_laplacian(density, grid, degree)
-        deviation = np.max(np.abs(report.eigenvalues - dense_spectrum(oracle)))
-        allowance = bloch_allowance(density, report)
-        allowance += self._transfer_allowance(density, report, allowance)
-        allowance += self._oracle_allowance(oracle, -1j * spinor.matrix, degree)
-        assert deviation <= allowance
-        # the distance: the conjugation bound of w against its periodic
-        # extension, 0 at P = N
-        w = operators.dirac_factors(density)[0]
-        periodic = np.tile(w[: density.period], n_points // density.period)
-        frobenius = circulant_spectrum(n_points, "trivial")[2]
-        assert report.distance == (0.0 if density.period == n_points else
-                                   spectral.conjugation_bound(periodic, w / periodic, frobenius))
-        # the gate: the larger of the Dirac gate ratio of the same density and
-        # the shift bound, under the Laplacian label only
-        largest = report.eigenvalues[-1]
-        shift = report.distance * (2.0 * math.sqrt(largest) + report.distance) / largest
-        gates = []
-        monkeypatch.setattr(spectral, "_require_symmetric", gates.append)
-        laplacian_spectrum(density)
-        dirac_spectra(density, grid)
-        dirac_ratio = gates[1][f"dirac_spinor[trivial,N={n_points}]"]
-        assert gates[0] == {f"laplacian_function[N={n_points}]": max(dirac_ratio, shift)}
-
-    @pytest.mark.parametrize("n_points", [64, 128, 256])
-    def test_constant_density_reads_the_squared_lattice(self, n_points):
-        """A constant density (P = 1) is read from N blocks of size 1, the
-        eigenvalues fft(c) of C: its values are the k^2, k =
-        ``wavenumbers(N)``, within ``conftest.bloch_allowance`` plus
-        e (2 sigma + e), e = phi_N F (1 + phi_N) / (1 - phi_N) the distance of
-        C from the exact lattice operator (one inverse FFT)."""
-        density = _density(MetricProfile(3.0), GridSpec(n_points))
-        assert density.period == 1
-        report = laplacian_spectrum(density)
-        fft = spectral.gamma(7.0 * math.log2(n_points))
-        lattice = fft * circulant_spectrum(n_points, "trivial")[2] * (1.0 + fft) / (1.0 - fft)
-        allowance = bloch_allowance(density, report)
-        sigma = math.sqrt(report.eigenvalues[-1] + allowance)
-        allowance += lattice * (2.0 * sigma + lattice)
-        squares = np.sort(wavenumbers(n_points) ** 2)
-        assert np.max(np.abs(report.eigenvalues - squares)) <= allowance
-
-    @pytest.mark.parametrize("n_points", [64, 128, 256])
-    def test_density_scale_cancels(self, n_points):
-        """g and 2g have the factor T = g^{-1/2} C g^{1/2} in exact arithmetic,
-        so their Laplacian spectra agree to round-off: by Weyl within
-        e (2 sigma + e), e >= ||T_1 - T_2||_F the conjugation bound of the
-        two computed factors, sigma at least the largest singular value of
-        either, plus the two reads' ``bloch_allowance``."""
-        grid = GridSpec(n_points)
-        terms = GRAM_TERMS["none"]
-        scaled = tuple(dataclasses.replace(term, amplitude=2.0 * term.amplitude)
-                       for term in terms)
-        densities = [_density(profile, grid)
-                     for profile in (MetricProfile(2.0, terms), MetricProfile(4.0, scaled))]
-        reports = [laplacian_spectrum(density) for density in densities]
-        allowances = [bloch_allowance(d, report) for d, report in zip(densities, reports)]
-        w_1, w_2 = (operators.dirac_factors(density)[0] for density in densities)
-        spread = spectral.conjugation_bound(w_1, w_2 / w_1,
-                                            circulant_spectrum(n_points, "trivial")[2])
-        sigma = math.sqrt(max(report.eigenvalues[-1] + allowance
-                              for report, allowance in zip(reports, allowances)))
-        allowance = spread * (2.0 * sigma + spread) + sum(allowances)
-        deviation = np.max(np.abs(reports[0].eigenvalues - reports[1].eigenvalues))
-        assert deviation <= allowance
-
-    @pytest.mark.parametrize("degree", ["function", "one_form"])
-    def test_false_period_is_refused(self, cosine_profile, grid64, degree, tmp_path,
-                                     monkeypatch, capsys):
-        """g = 2 + cos t has no translation symmetry: with ``period`` patched to
-        N/2, the Laplacian read's distance bound fails the gate, naming the
-        Laplacian only, and ``spectrum`` exits 2 on it; the true period
-        passes."""
-        density = _density(cosine_profile, grid64)
-        assert density.period == 64
-        laplacian_spectrum(density, degree)
-        path = tmp_path / "wavy.json"
-        save_profile(cosine_profile, path)
-        operator = {"function": "laplacian-functions", "one_form": "laplacian-one-forms"}[degree]
-        argv = ["spectrum", "--profile", str(path), "--grid", "64", "--window", "8",
-                "--operator", operator, "--output-dir", str(tmp_path / "out")]
-        assert cli.run(argv) == 0
-        monkeypatch.setattr(LeafVolumeDensity, "period", property(lambda d: d.n_points // 2))
-        with pytest.raises(OperatorSymmetryError, match="not symmetric") as refusal:
-            laplacian_spectrum(density, degree)
-        assert "dirac" not in str(refusal.value)
-        capsys.readouterr()
-        assert cli.run(argv) == 2
-        assert re.search(rf"error: operator 'laplacian_{degree}\[N=64\]' is not symmetric",
-                         capsys.readouterr().err)
-
-    @pytest.mark.parametrize("degree", ["function", "one_form"])
-    @pytest.mark.parametrize("name", ["half", "none"])
-    def test_mutant_factor_is_refused(self, grid64, degree, name, monkeypatch):
-        """The factor w = g^{-1/2} in place of g^{1/2}, so g^{1/2} D g^{-1/2} in
-        place of g^{-1/2} D g^{1/2}: its weighted symmetrization i g D g^{-1}
-        is not Hermitian, and q = (2 pi / N)^{1/2} g is not constant, so the
-        Dirac gate of the same density refuses the ``spectrum`` command's
-        read (for a constant density the two factors are one)."""
-        density = _density(MetricProfile(2.0, GRAM_TERMS[name]), grid64)
-        operator = {"function": "laplacian-functions", "one_form": "laplacian-one-forms"}[degree]
-        honest = operators.dirac_factors
-        patch_factors(monkeypatch, lambda d: (1.0 / np.sqrt(d.g_values), quadrature_weights(d)))
-        with pytest.raises(OperatorSymmetryError, match=r"laplacian_.*not symmetric"):
-            _spectrum(operator, density, grid64)
-        patch_factors(monkeypatch, honest)
-        _spectrum(operator, density, grid64)
 
 
 def _galerkin_profiles() -> dict:
@@ -603,17 +409,27 @@ def _galerkin_profiles() -> dict:
     return profiles
 
 
-def _galerkin_matches_grid(galerkin, density, grid, window=10.0) -> bool:
+def _galerkin_matches_dense(galerkin, density, grid, window=10.0) -> bool:
     """Whether ``galerkin``, the density's Galerkin read at ``window``, meets
-    the battery's tolerance and its windowed values are the grid read's,
-    value by value, within the radius r plus the grid read's
-    ``conftest.bloch_allowance``."""
-    grid_read = laplacian_spectrum(density)
-    allowance = galerkin.radii + bloch_allowance(density, grid_read)
-    values = grid_read.in_window(window * window)
+    the battery's tolerance and its windowed values are those of the dense
+    delta d solve, value by value, within the radius r plus the solve's
+    ``conftest.dense_laplacian_read`` allowance."""
+    values, allowance = dense_laplacian_read(density, grid, "function")
+    windowed = np.abs(values) <= window * window + spectral.WINDOW_EDGE_SLACK
     return (galerkin.radius <= LAPLACIAN_FORMS_THRESHOLD
-            and values.size == galerkin.values.size
-            and bool(np.all(np.abs(values - galerkin.values) <= allowance)))
+            and np.count_nonzero(windowed) == galerkin.values.size
+            and bool(np.all(np.abs(values[windowed] - galerkin.values)
+                            <= galerkin.radii + allowance[windowed])))
+
+
+_HONEST_MATRICES = spectral.galerkin_matrices
+
+
+def _mutant_matrices(coefficients, order):
+    """``galerkin_matrices`` with the stiffness j^2 g_{j-k} in place of jk g_{j-k}."""
+    mass, _ = _HONEST_MATRICES(coefficients, order)
+    rows = np.arange(mass.shape[0]) - mass.shape[0] // 2
+    return mass, (rows * rows)[:, None] * mass
 
 
 def _predicted_order(density, window=10.0) -> int:
@@ -623,9 +439,8 @@ def _predicted_order(density, window=10.0) -> int:
 
 
 class TestGalerkinRead:
-    """The pair battery's Galerkin read of the function Laplacian against
-    exact spectra, the grid read that ``spectrum`` keeps, and Rayleigh-Ritz;
-    and the battery's choice between the two reads."""
+    """The Galerkin read of the function Laplacian against exact spectra,
+    the dense delta d solve and Rayleigh-Ritz, and its order rule."""
 
     @pytest.mark.parametrize("constant", [1.0, 2.0, 3.7])
     @pytest.mark.parametrize("terms", [(), (ProfileTerm(1, 0, 0.3),), (ProfileTerm(0, 1, 1e-300),)])
@@ -641,7 +456,7 @@ class TestGalerkinRead:
         assert read.radius < 1e-11
 
     @pytest.mark.parametrize("n_points", [128, 256])
-    def test_windowed_values_match_the_grid_read(self, n_points):
+    def test_windowed_values_match_the_dense_oracle(self, n_points):
         """The first order of the predicted sequence meets the tolerance on
         every fixture, so each read is one solve."""
         grid = GridSpec(n_points)
@@ -649,7 +464,7 @@ class TestGalerkinRead:
             density = _density(profile, grid)
             read = battery_laplacian(density, 10.0)
             assert read.order == _predicted_order(density), name
-            assert _galerkin_matches_grid(read, density, grid), name
+            assert _galerkin_matches_dense(read, density, grid), name
 
     @pytest.mark.parametrize("n_points", [64, 128, 256, 512])
     def test_coefficients_are_the_samples_dft(self, n_points):
@@ -676,6 +491,21 @@ class TestGalerkinRead:
             # the samples' DFT above the t-bandwidth, measured at most 15 eps max g
             assert np.linalg.norm(dft[bandwidth + 1:]) <= 15.0 * EPS * g.max()
 
+    def test_density_scale_cancels(self, grid64):
+        """g and 2g have one Laplacian, -(g u')'/g, and the computed
+        coefficients of 2g are those of g doubled, exactly: each read's k-th
+        value is within its radius of an eigenvalue of that one operator, so
+        the two agree within r_1 + r_2, paired by index as the contrast
+        pairs them."""
+        terms = (ProfileTerm(0, 1, 0.6, 0.0, 0.3), ProfileTerm(0, 2, -0.3, 0.0, 1.1))
+        scaled = (ProfileTerm(0, 1, 1.2, 0.0, 0.3), ProfileTerm(0, 2, -0.6, 0.0, 1.1))
+        densities = [_density(profile, grid64)
+                     for profile in (MetricProfile(2.0, terms), MetricProfile(4.0, scaled))]
+        assert np.array_equal(densities[1].coefficients, 2.0 * densities[0].coefficients)
+        first, second = (battery_laplacian(density, 10.0) for density in densities)
+        assert first.values.size == second.values.size
+        assert np.all(np.abs(first.values - second.values) <= first.radii + second.radii)
+
     def test_ritz_values_do_not_increase_along_the_orders(self):
         """Nested trial spaces: the k-th Ritz value at each order is at most
         the one at the order before, up to the backward error (2K + 1) eps
@@ -696,26 +526,19 @@ class TestGalerkinRead:
                     assert np.all(values[:shared] <= previous[:shared] + allowance), name
                 previous = values
 
-    def test_a_mutant_stiffness_fails_the_grid_comparison(self, grid128, monkeypatch):
+    def test_a_mutant_stiffness_fails_the_dense_comparison(self, grid128, monkeypatch):
         """j^2 g_{j-k} in place of jk g_{j-k}: the read no longer matches the
-        grid read on any non-constant fixture, and its radius, which the
+        dense solve on any non-constant fixture, and its radius, which the
         contrast subtracts from the gap, exceeds the gap threshold, so that
         no order meets the tolerance and the battery refuses the density,
         naming its last order and radius."""
-        honest = spectral.galerkin_matrices
-
-        def mutant(coefficients, order):
-            mass, _ = honest(coefficients, order)
-            rows = np.arange(mass.shape[0]) - mass.shape[0] // 2
-            return mass, (rows * rows)[:, None] * mass
-
-        monkeypatch.setattr(spectral, "galerkin_matrices", mutant)
+        monkeypatch.setattr(spectral, "galerkin_matrices", _mutant_matrices)
         profiles = _galerkin_profiles()
         for name in ("cosine", "mixed", "wavy2"):
             density = _density(profiles[name], grid128)
             read = spectral.galerkin_read(density.coefficients, _predicted_order(density), 10.0,
                                           spectral.galerkin_lower_bound(density))
-            assert not _galerkin_matches_grid(read, density, grid128), name
+            assert not _galerkin_matches_dense(read, density, grid128), name
             assert read.radius > 1e-3, name
             with pytest.raises(ValueError, match=r"last predicted Galerkin order K = \d+ the "
                                                  r"largest radius is \d\.\d+e[+-]\d+"):
@@ -727,13 +550,6 @@ class TestGalerkinRead:
         Galerkin read then fails the contrast against it: its values fall on
         the constant's squares and its radius exceeds the gap, where the
         honest read passes."""
-        honest = spectral.galerkin_matrices
-
-        def mutant(coefficients, order):
-            mass, _ = honest(coefficients, order)
-            rows = np.arange(mass.shape[0]) - mass.shape[0] // 2
-            return mass, (rows * rows)[:, None] * mass
-
         flat = battery_laplacian(_density(MetricProfile(2.0), grid128), 8.0)
         profiles = _galerkin_profiles()
         for name in ("cosine", "mixed", "wavy2"):
@@ -741,10 +557,10 @@ class TestGalerkinRead:
             order = _predicted_order(density, 8.0)
             coefficients, lower = density.coefficients, spectral.galerkin_lower_bound(density)
             reads = {"honest": spectral.galerkin_read(coefficients, order, 8.0, lower)}
-            monkeypatch.setattr(spectral, "galerkin_matrices", mutant)
+            monkeypatch.setattr(spectral, "galerkin_matrices", _mutant_matrices)
             reads["mutant"] = spectral.galerkin_read(coefficients, order, 8.0, lower)
             mutant_flat = battery_laplacian(_density(MetricProfile(2.0), grid128), 8.0)
-            monkeypatch.setattr(spectral, "galerkin_matrices", honest)
+            monkeypatch.setattr(spectral, "galerkin_matrices", _HONEST_MATRICES)
             assert np.array_equal(mutant_flat.values, flat.values), name
             verdicts = {key: laplacian_dependence(flat, read, 0.0, 8.0, {})
                         for key, read in reads.items()}
@@ -757,7 +573,7 @@ class TestGalerkinRead:
         """1 + 0.6 cos t + 0.6 cos 2t is positive (its minimum is 0.325), but
         g_0 - 2 sum |g_m| = -0.2: g_low is the certificate's 0.314, eta from
         the zeros is 0.511, and the first order, K = 60 at window 8, meets
-        the tolerance and matches the grid read; a command whose contrast
+        the tolerance and matches the dense solve; a command whose contrast
         reads it decides it."""
         profile = MetricProfile(1.0, (ProfileTerm(0, 1, 0.6), ProfileTerm(0, 2, 0.6)))
         density = _density(profile, grid128)
@@ -767,7 +583,7 @@ class TestGalerkinRead:
         assert 0.51 < spectral.strip_width(coefficients) < 0.512
         read = battery_laplacian(density, 8.0)
         assert read.order == _predicted_order(density, 8.0) == 60
-        assert _galerkin_matches_grid(read, density, grid128, 8.0)
+        assert _galerkin_matches_dense(read, density, grid128, 8.0)
         paths = [tmp_path / "low.json", tmp_path / "wavy.json"]
         save_profile(profile, paths[0])
         save_profile(MetricProfile(2.0, (ProfileTerm(0, 1, 1.0),)), paths[1])
@@ -784,8 +600,8 @@ class TestGalerkinRead:
         """2 + cos t at window 8 needs K = 29 and gets it at every grid; a
         constant (eta infinite) gets floor(window) + 1; the t-bandwidth-8
         density of ``tools/parity.py`` gets K = 89 at window 10 whatever N,
-        above N/2 at grids 64 and 128, and its read matches the grid read at
-        grid 256."""
+        above N/2 at grids 64 and 128, and its read matches the dense solve
+        at grid 256."""
         grid = GridSpec(n_points)
         cosine = _density(MetricProfile(2.0, (ProfileTerm(0, 1, 1.0),)), grid)
         assert _predicted_order(cosine, 8.0) == 29
@@ -802,7 +618,7 @@ class TestGalerkinRead:
         wavy8_read = battery_laplacian(wavy8, 10.0)
         assert wavy8_read.order == 89 and wavy8_read.radius <= LAPLACIAN_FORMS_THRESHOLD
         if n_points == 256:
-            assert _galerkin_matches_grid(wavy8_read, wavy8, grid)
+            assert _galerkin_matches_dense(wavy8_read, wavy8, grid)
 
     @pytest.mark.parametrize("n_points", [56, 58])
     def test_the_order_does_not_depend_on_the_grid(self, n_points):
@@ -852,6 +668,90 @@ class TestGalerkinRead:
             with pytest.raises(ValueError, match=r"order K = \d+ exceeds GALERKIN_ORDER_CAP"):
                 battery_laplacian(density, window)
         assert orders == solved
+
+
+class TestLaplacianSpectrum:
+    """``spectrum --operator laplacian-*`` writes one Galerkin read of the
+    function Laplacian, at the frequency window sqrt(--window), under the
+    label of the degree asked for: on the circle delta d on functions and
+    d delta on one-forms have one spectrum."""
+
+    @staticmethod
+    def _spectrum_argv(path, n_points, window, operator, out):
+        return ["spectrum", "--profile", str(path), "--grid", str(n_points), "--window",
+                str(window), "--operator", operator, "--output-dir", str(out)]
+
+    @pytest.mark.parametrize("n_points", [128, 256])
+    @pytest.mark.parametrize("name", ["flat2", "wavy", "wavy2", "wavy8"])
+    def test_both_degrees_write_the_values_of_the_dense_oracle(self, n_points, name, tmp_path):
+        """At the trusted window N/8 both degrees write the same values, the
+        read's; each lies within its radius plus the allowance of
+        ``conftest.dense_laplacian_read`` of the dense delta d, and of the
+        dense d delta, value of its index."""
+        document = PARITY_PROFILES[name]
+        path = tmp_path / f"{name}.json"
+        path.write_text(json.dumps(document), encoding="utf-8")
+        window = n_points // 8
+        written = {}
+        for degree, operator in (("function", "laplacian-functions"),
+                                 ("one_form", "laplacian-one-forms")):
+            argv = self._spectrum_argv(path, n_points, window, operator, tmp_path)
+            assert cli.run(argv) == 0
+            lines = (tmp_path / f"spectrum_{operator}_{name}.csv").read_text().splitlines()
+            assert lines[0].startswith(f"# operator=laplacian_{degree}[N={n_points}],")
+            written[degree] = lines[2:]
+        assert written["function"] == written["one_form"]
+        values = np.array([float(line) for line in written["function"]])
+        grid = GridSpec(n_points)
+        density = _density(MetricProfile.from_dict(document), grid)
+        read = battery_laplacian(density, math.sqrt(window))
+        assert np.array_equal(values, read.values)
+        for degree in ("function", "one_form"):
+            dense, allowance = dense_laplacian_read(density, grid, degree)
+            windowed = np.abs(dense) <= window + spectral.WINDOW_EDGE_SLACK
+            assert np.count_nonzero(windowed) == values.size
+            assert np.all(np.abs(dense[windowed] - values) <= read.radii + allowance[windowed])
+
+    def test_json_counts_the_windowed_values(self, cosine_profile, tmp_path):
+        save_profile(cosine_profile, tmp_path / "wavy.json")
+        argv = self._spectrum_argv(tmp_path / "wavy.json", 64, 8, "laplacian-one-forms",
+                                   tmp_path)
+        assert cli.run([*argv, "--format", "json"]) == 0
+        payload = json.loads((tmp_path / "spectrum_laplacian-one-forms_wavy.json").read_text())
+        assert payload["operator_label"] == "laplacian_one_form[N=64]"
+        assert payload["n_total"] == len(payload["eigenvalues"]) == 5
+
+    @pytest.mark.parametrize("operator", ["laplacian-functions", "laplacian-one-forms"])
+    def test_a_mutant_stiffness_exits_2(self, cosine_profile, operator, tmp_path, monkeypatch,
+                                        capsys):
+        """j^2 g_{j-k} in place of jk g_{j-k}: ``spectrum`` of 2 + cos t exits
+        2, naming the last predicted Galerkin order and its radius, and
+        writes nothing; the honest read exits 0."""
+        save_profile(cosine_profile, tmp_path / "wavy.json")
+        argv = self._spectrum_argv(tmp_path / "wavy.json", 128, 16, operator, tmp_path / "out")
+        monkeypatch.setattr(spectral, "galerkin_matrices", _mutant_matrices)
+        assert cli.run(argv) == 2
+        assert re.search(r"error: the function Laplacian of the density .* at the last "
+                         r"predicted Galerkin order K = \d+ the largest radius is "
+                         r"\d\.\d+e[+-]\d+", capsys.readouterr().err)
+        assert not (tmp_path / "out").exists()
+        monkeypatch.undo()
+        assert cli.run(argv) == 0
+
+    def test_a_density_near_zero_is_refused_unsolved(self, tmp_path, monkeypatch, capsys):
+        """1 + 0.999 cos t at grid 64 and window 8: its order at the frequency
+        window 8^{1/2} exceeds GALERKIN_ORDER_CAP, so ``spectrum`` exits 2,
+        naming the cap, with no ``galerkin_read`` call and no file."""
+        save_profile(MetricProfile(1.0, (ProfileTerm(0, 1, 0.999),)), tmp_path / "near.json")
+        solved = []
+        monkeypatch.setattr(spectral, "galerkin_read", lambda *args: solved.append(args))
+        argv = self._spectrum_argv(tmp_path / "near.json", 64, 8, "laplacian-functions",
+                                   tmp_path / "out")
+        assert cli.run(argv) == 2
+        assert re.search(r"error: the function Laplacian of the density .* exceeds "
+                         r"GALERKIN_ORDER_CAP = 512 \(not solved\)", capsys.readouterr().err)
+        assert solved == []
+        assert not (tmp_path / "out").exists()
 
 
 def _unsplit_read(coefficients, order, window, lower) -> spectral.LaplacianRead:
@@ -1014,9 +914,10 @@ class TestSpectrumCompare:
         assert spectrum_compare(flat, wavy, 10.0) < 1e-8
 
     def test_laplacian_spectra_genuinely_differ(self, grid128):
-        flat = laplacian_spectrum(_density(MetricProfile(1.0), grid128))
+        flat = _spectrum("laplacian-functions", _density(MetricProfile(1.0), grid128), grid128,
+                         10.0)
         wavy_profile = MetricProfile(1.0, (ProfileTerm(0, 1, 0.5),))
-        wavy = laplacian_spectrum(_density(wavy_profile, grid128))
+        wavy = _spectrum("laplacian-functions", _density(wavy_profile, grid128), grid128, 10.0)
         shared = min(flat.in_window(10.0).size, wavy.in_window(10.0).size)
         gap = np.max(np.abs(flat.in_window(10.0)[:shared] - wavy.in_window(10.0)[:shared]))
         assert gap > 1e-3
@@ -1044,14 +945,12 @@ class TestSimilarityInvariance:
         assert np.max(np.abs(raw - reference)) < 1e-9
 
     def test_refinement_stability(self, cosine_profile):
-        coarse_grid = GridSpec(64)
-        fine_grid = GridSpec(128)
-        coarse = laplacian_spectrum(_density(cosine_profile, coarse_grid))
-        fine = laplacian_spectrum(_density(cosine_profile, fine_grid))
-        window = 8.0
-        shared = min(coarse.in_window(window).size, fine.in_window(window).size)
-        drift = np.max(np.abs(coarse.in_window(window)[:shared] - fine.in_window(window)[:shared]))
-        assert drift < 1e-8
+        """The Laplacian ``spectrum`` reads the density's exact coefficients,
+        which do not depend on the grid: grids 64 and 128 give its values
+        bit for bit."""
+        coarse, fine = (_spectrum("laplacian-functions", _density(cosine_profile, GridSpec(n)),
+                                  GridSpec(n), 8.0) for n in (64, 128))
+        assert np.array_equal(coarse.in_window(8.0), fine.in_window(8.0))
 
 
 class TestSerialization:

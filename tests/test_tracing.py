@@ -43,8 +43,8 @@ def test_tracer_installs_every_span_and_restores_the_originals(tmp_path, tracing
 
 def test_traced_verify_and_spectrum_write_the_untraced_reports(tmp_path, tracing):
     """Traced and untraced runs write the same bytes, also for a ``verify``
-    pair whose contrast runs (at grid 64 two grid Laplacian reads) and a
-    Laplacian ``spectrum``; no command assembles an operator."""
+    pair whose contrast runs (two Galerkin Laplacian reads) and a Laplacian
+    ``spectrum``; no command assembles an operator."""
     wavy, wavy2 = tmp_path / "wavy.json", tmp_path / "wavy2.json"
     save_profile(MetricProfile(2.0, (ProfileTerm(0, 1, 1.0),)), wavy)
     save_profile(MetricProfile(2.0, (ProfileTerm(0, 2, 0.6), ProfileTerm(1, 1, 0.4))), wavy2)

@@ -419,15 +419,13 @@ def test_pair_battery_solves_each_spectrum_once(monkeypatch, n_points, pair, sha
     eigensolve and no matrix, from one cached lattice per (grid, spin
     structure); one Laplacian read per distinct density: for a Galerkin read
     one stacked ``eigh`` call per size of the residue classes of its 2K + 1
-    modes, at most two, and no ``laplacian_spectrum``; no SVD, no assembly
-    and no derivative matrix.  ``shapes`` holds the ``eigvalsh`` and the
-    ``eigh`` shapes."""
+    modes, at most two; no SVD, no assembly and no derivative matrix.
+    ``shapes`` holds the ``eigvalsh`` and the ``eigh`` shapes."""
     grid = GridSpec(n_points)
     eigvalsh_sizes, eigh_sizes, svd_calls, built = [], [], [], []
     eigvalsh, eigh, svd = np.linalg.eigvalsh, np.linalg.eigh, np.linalg.svd
     from_profile = LeafVolumeDensity.from_profile.__func__
     assemble, ratio = operators.assemble_basic_dirac_spinor, verify.basic_volume_ratio
-    grid_read = spectral.laplacian_spectrum
 
     def counted_eigvalsh(matrix, *args, **kwargs):
         eigvalsh_sizes.append(matrix.shape)
@@ -455,7 +453,6 @@ def test_pair_battery_solves_each_spectrum_once(monkeypatch, n_points, pair, sha
     monkeypatch.setattr(LeafVolumeDensity, "from_profile",
                         classmethod(counted("density", from_profile)))
     monkeypatch.setattr(operators, "assemble_basic_dirac_spinor", counted("dirac", assemble))
-    monkeypatch.setattr(spectral, "laplacian_spectrum", counted("grid", grid_read))
     monkeypatch.setattr(verify, "basic_volume_ratio", counted("alpha", ratio))
     differentiation_matrix.cache_clear()
     spectral.circulant_spectrum.cache_clear()
@@ -510,10 +507,9 @@ def test_pair_battery_reads_dirac_spectra_from_the_weight_data(cosine_profile, m
     conjugation check on the same densities.  Each density's Laplacian is
     read once by ``function_laplacian``: one ``galerkin_read`` at its
     predicted order (K = 29 and 23 for 2 + cos t and the mixed profile, and
-    60 for 1 + 0.6 cos t + 0.6 cos 2t, whose g_low is the certificate's),
-    and no ``laplacian_spectrum``.  Every density has the frequency 1
-    (d = 1), so each read is one stacked ``eigh`` of one class of all
-    2K + 1 modes."""
+    60 for 1 + 0.6 cos t + 0.6 cos 2t, whose g_low is the certificate's).
+    Every density has the frequency 1 (d = 1), so each read is one stacked
+    ``eigh`` of one class of all 2K + 1 modes."""
     read, events, conjugated, galerkin, eigh_sizes = [], [], [], [], []
     eigh = np.linalg.eigh
     spectra = verify.dirac_spectra
@@ -523,9 +519,6 @@ def test_pair_battery_reads_dirac_spectra_from_the_weight_data(cosine_profile, m
     def recorded_read(density, grid):
         read.append(density)
         return spectra(density, grid)
-
-    def recorded_grid_read(density):
-        events.append(("grid", density.period))
 
     def recorded_galerkin(coefficients, order, window, lower):
         report = galerkin_read(coefficients, order, window, lower)
@@ -547,7 +540,6 @@ def test_pair_battery_reads_dirac_spectra_from_the_weight_data(cosine_profile, m
         raise AssertionError("the pair battery assembled a spinor matrix")
 
     monkeypatch.setattr(verify, "dirac_spectra", recorded_read)
-    monkeypatch.setattr(spectral, "laplacian_spectrum", recorded_grid_read)
     monkeypatch.setattr(WeightedOperator, "hermitian_spectrum", recorded_solve)
     monkeypatch.setattr(verify, "conjugation_residual", recorded_conjugation)
     monkeypatch.setattr(spectral, "galerkin_read", recorded_galerkin)
@@ -565,7 +557,7 @@ def test_pair_battery_reads_dirac_spectra_from_the_weight_data(cosine_profile, m
 
 
 # Three profiles whose densities have the same bytes, constant 2: the second's
-# theta-average is flat, the third claims no period (2 + 1e-300 cos t rounds to 2).
+# theta-average is flat, the third's is 2 + 1e-300 cos t, which rounds to 2.
 FLAT_2 = MetricProfile(2.0)
 FLAT_2_SKEW = MetricProfile(2.0, (ProfileTerm(1, 0, 0.5),))
 FLAT_2_TINY = MetricProfile(2.0, (ProfileTerm(0, 1, 1e-300),))
@@ -588,30 +580,30 @@ WAVY_TINY_8 = MetricProfile(2.0, (ProfileTerm(0, 1, 1.0), ProfileTerm(0, 8, 1e-3
         # the constant 2, shared by every generated pair, is read once: a
         # Dirac read per density, and a Laplacian read per distinct one
         (64, _generated_pairs(7041),
-         [("dirac",)] * 2 + [("laplacian", 2, 32, 20), ("laplacian", 0, 1, 9)]
-         + [("dirac",)] * 2 + [("laplacian", 2, 32, 21)]
-         + [("dirac",)] * 2 + [("laplacian", 2, 32, 21)]
-         + [("dirac",)] * 2 + [("laplacian", 2, 32, 20)]
-         + [("dirac",)] * 2 + [("laplacian", 2, 32, 19)]),
+         [("dirac",)] * 2 + [("laplacian", 2, 20), ("laplacian", 0, 9)]
+         + [("dirac",)] * 2 + [("laplacian", 2, 21)]
+         + [("dirac",)] * 2 + [("laplacian", 2, 21)]
+         + [("dirac",)] * 2 + [("laplacian", 2, 20)]
+         + [("dirac",)] * 2 + [("laplacian", 2, 19)]),
         (128, _generated_pairs(1), None),
         # constant 2 read for a pair of equal densities, then reused in the
         # second pair; every pair reads its two Dirac spectra
         (64, [(FLAT_2, FLAT_2_SKEW), (WAVY, FLAT_2)],
-         [("dirac",)] * 2 + [("laplacian", 0, 1, 9)] + [("dirac",)] * 2
-         + [("laplacian", 1, 64, 29)]),
-        # equal bytes, periods 1 and 64, bandwidths 0 and 1: two Laplacian
-        # reads, both Galerkin reads at K = 9, the first at the constant's
-        # order, the second as the trimmed coefficients are constant
+         [("dirac",)] * 2 + [("laplacian", 0, 9)] + [("dirac",)] * 2
+         + [("laplacian", 1, 29)]),
+        # equal bytes, bandwidths 0 and 1: two Laplacian reads, both
+        # Galerkin reads at K = 9, the first at the constant's order, the
+        # second as the trimmed coefficients are constant
         (64, [(FLAT_2, FLAT_2_TINY), (FLAT_2_TINY, WAVY), (FLAT_2, FLAT_2_SKEW)],
-         [("dirac",)] * 2 + [("laplacian", 0, 1, 9), ("laplacian", 1, 64, 9)]
-         + [("dirac",)] * 2 + [("laplacian", 1, 64, 29)] + [("dirac",)] * 2),
+         [("dirac",)] * 2 + [("laplacian", 0, 9), ("laplacian", 1, 9)]
+         + [("dirac",)] * 2 + [("laplacian", 1, 29)] + [("dirac",)] * 2),
         # equal bytes, bandwidths 1 and 8: two Galerkin reads, as the
         # round-off of DFT coefficients 2 to 8 is read; then one read of
         # 1 + 0.6 cos t + 0.6 cos 2t, as 2 + cos t's read is already made
         (128, [(WAVY, FLAT_2), (WAVY_TINY_8, FLAT_2), (NO_LOWER_BOUND, WAVY)],
-         [("dirac",)] * 2 + [("laplacian", 1, 128, 29), ("laplacian", 0, 1, 9)]
-         + [("dirac",)] * 2 + [("laplacian", 8, 128, 29)]
-         + [("dirac",)] * 2 + [("laplacian", 2, 128, 60)]),
+         [("dirac",)] * 2 + [("laplacian", 1, 29), ("laplacian", 0, 9)]
+         + [("dirac",)] * 2 + [("laplacian", 8, 29)]
+         + [("dirac",)] * 2 + [("laplacian", 2, 60)]),
     ],
 )
 def test_pair_memo_changes_no_report(monkeypatch, n_points, pairs, reads):
@@ -619,7 +611,7 @@ def test_pair_memo_changes_no_report(monkeypatch, n_points, pairs, reads):
     reports of one battery per pair: the memo of ``function_laplacian``
     reads returns what a fresh read computes.
     ``reads`` lists the battery's reads in order, a Laplacian read with its
-    density's t-bandwidth and period and its Galerkin order."""
+    density's t-bandwidth and its Galerkin order."""
     grid = GridSpec(n_points)
     recorded, spectra, laplacian = [], verify.dirac_spectra, verify.function_laplacian
 
@@ -629,7 +621,7 @@ def test_pair_memo_changes_no_report(monkeypatch, n_points, pairs, reads):
 
     def recorded_laplacian(density, *args):
         report = laplacian(density, *args)
-        recorded.append(("laplacian", density.t_bandwidth, density.period, report.order))
+        recorded.append(("laplacian", density.t_bandwidth, report.order))
         return report
 
     monkeypatch.setattr(verify, "dirac_spectra", recorded_read)
@@ -767,7 +759,7 @@ class TestMutations:
         assert re.search(r"error: operator 'dirac_spinor\[trivial,N=64\]' is not symmetric", stderr)
         assert not (tmp_path / "verify_bundle.json").exists()
 
-    @pytest.mark.parametrize("operator", ["dirac-spinor", "laplacian-functions"])
+    @pytest.mark.parametrize("operator", ["dirac-spinor", "dirac-forms"])
     def test_spectrum_exits_2_for_w_is_g(self, operator, cosine_profile, tmp_path, monkeypatch,
                                           capsys):
         path = tmp_path / "wavy.json"
@@ -778,20 +770,6 @@ class TestMutations:
         patch_factors(monkeypatch, self.MUTANTS["w_is_g"])
         assert cli.run(argv) == 2
         assert "is not symmetric in its weighted metric" in capsys.readouterr().err
-
-    @pytest.mark.parametrize("operator, label", [("laplacian-functions", "laplacian_function"),
-                                                 ("laplacian-one-forms", "laplacian_one_form")])
-    def test_laplacian_refusal_names_its_degree(self, operator, label, cosine_profile, tmp_path,
-                                                monkeypatch, capsys):
-        """A refused Laplacian ``spectrum`` names the operator it was asked
-        for, the one-forms Laplacian included."""
-        path = tmp_path / "wavy.json"
-        save_profile(cosine_profile, path)
-        patch_factors(monkeypatch, self.MUTANTS["w_is_g"])
-        assert cli.run(["spectrum", "--profile", str(path), "--grid", "64", "--window", "8",
-                        "--operator", operator, "--output-dir", str(tmp_path / "out")]) == 2
-        assert re.search(rf"error: operator '{label}\[N=64\]' is not symmetric",
-                         capsys.readouterr().err)
 
     def test_conjugation_fails_for_the_w_is_g_mutant(self, flat_profile, cosine_profile, grid64,
                                                      monkeypatch):
@@ -904,30 +882,27 @@ def test_a_raising_assembly_does_not_stop_the_generated_battery(monkeypatch, tmp
     assert set(expected) == {0}
 
 
-def test_one_grid_read_assembles_nothing(flat_profile, cosine_profile, tmp_path, monkeypatch,
-                                         capsys):
+def test_laplacian_reads_assemble_nothing(flat_profile, cosine_profile, tmp_path, monkeypatch):
     """With the spinor assembly and the derivative matrix raising,
     ``spectrum --operator laplacian-{functions,one-forms}`` exits 0, each
-    one call of ``laplacian_spectrum``, and an ``invariance`` pair with
-    1 + 0.6 cos t + 0.6 cos 2t (g_0 - 2 sum |g_m| = -0.2, at grid 64 and
-    window 8) exits 0 with none, its contrast a Galerkin read at K = 60;
-    under the w = g factor mutant the ``laplacian-functions`` spectrum exits
-    2 at its gate."""
+    with one ``function_laplacian`` read at the frequency window 8^{1/2},
+    and an ``invariance`` pair with 1 + 0.6 cos t + 0.6 cos 2t
+    (g_0 - 2 sum |g_m| = -0.2, at grid 64 and window 8) exits 0, its
+    contrast a Galerkin read at K = 60."""
     flat, wavy, low = tmp_path / "flat.json", tmp_path / "wavy.json", tmp_path / "low.json"
     save_profile(flat_profile, flat)
     save_profile(cosine_profile, wavy)
     save_profile(NO_LOWER_BOUND, low)
-    reads, grid_read = [], spectral.laplacian_spectrum
+    reads, laplacian = [], cli.function_laplacian
 
-    def recorded(density, *degree):
-        reads.append(density.period)
-        return grid_read(density, *degree)
+    def recorded(density, window, tolerance):
+        reads.append(window)
+        return laplacian(density, window, tolerance)
 
     def refuse(*args, **kwargs):
         raise AssertionError("an N x N operator was built")
 
-    for module in (spectral, cli):
-        monkeypatch.setattr(module, "laplacian_spectrum", recorded)
+    monkeypatch.setattr(cli, "function_laplacian", recorded)
     monkeypatch.setattr(operators, "assemble_basic_dirac_spinor", refuse)
     for module in (_spectral_diff, operators):
         monkeypatch.setattr(module, "differentiation_matrix", refuse)
@@ -936,17 +911,10 @@ def test_one_grid_read_assembles_nothing(flat_profile, cosine_profile, tmp_path,
     for operator in ("laplacian-functions", "laplacian-one-forms"):
         del reads[:]
         assert cli.run([*spectrum, operator]) == 0
-        assert reads == [64]
-    del reads[:]
+        assert reads == [math.sqrt(8.0)]
     assert cli.run(["invariance", "--profiles", str(flat), str(low), *out]) == 0
-    assert reads == []
     bundle = json.loads((tmp_path / "out" / "invariance_bundle.json").read_text())
     assert bundle["reports"][-1]["metadata"]["laplacian_order"] == [9, 60]
-    patch_factors(monkeypatch, TestMutations.MUTANTS["w_is_g"])
-    capsys.readouterr()
-    assert cli.run([*spectrum, "laplacian-functions"]) == 2
-    assert re.search(r"error: operator 'laplacian_function\[N=64\]' is not symmetric",
-                     capsys.readouterr().err)
 
 
 def _block_shapes(coefficients: np.ndarray, order: int) -> list[tuple[int, int, int]]:
@@ -967,26 +935,19 @@ def _block_shapes(coefficients: np.ndarray, order: int) -> list[tuple[int, int, 
 @pytest.mark.parametrize("n_points, orders", [(64, [9, 29]), (128, [9, 29]), (128, [9, 87])])
 def test_commands_solve_no_dirac_matrix(flat_profile, cosine_profile, tmp_path, monkeypatch,
                                         n_points, orders):
-    """No command solves a Dirac matrix: ``verify``, ``invariance`` and
+    """No command solves a matrix of the grid: ``verify``, ``invariance`` and
     ``spectrum --operator dirac-*`` read every Dirac spectrum from the
-    operator's O(N) data, with no eigensolve.  Every grid eigensolve is
-    ``laplacian_spectrum``'s one ``eigvalsh`` call on the stacked Bloch
-    blocks of a Laplacian's period, made by ``spectrum`` only.  In
-    ``verify`` and ``invariance`` ``function_laplacian`` reads every
-    Laplacian by ``galerkin_read``, one stacked ``eigh`` call per size of
-    the residue classes of its 2K + 1 modes (``_block_shapes``); a
-    Laplacian ``spectrum`` takes one grid read and no Galerkin read.  Per
-    command: one Laplacian read per distinct density of its pairs.
-    ``orders`` are the Galerkin orders of the flat density and of the second
-    profile at window 8: 2 + cos t, or the t-bandwidth-8 density (K = 87,
-    above N/2)."""
-    events, sizes, laplacians, galerkin, eigh_sizes, solved, blocks = [], [], [], [], [], [], []
-    grid_read, eigvalsh, eigh = spectral.laplacian_spectrum, np.linalg.eigvalsh, np.linalg.eigh
+    operator's O(N) data, with no eigensolve, and no command calls
+    ``eigvalsh``.  ``function_laplacian`` reads every Laplacian by
+    ``galerkin_read``, one stacked ``eigh`` call per size of the residue
+    classes of its 2K + 1 modes (``_block_shapes``): in ``verify`` and
+    ``invariance`` one read per distinct density of its pairs, and in a
+    Laplacian ``spectrum`` one read.  ``orders`` are the Galerkin orders of
+    the flat density and of the second profile at window 8: 2 + cos t, or
+    the t-bandwidth-8 density (K = 87, above N/2)."""
+    sizes, laplacians, galerkin, eigh_sizes, solved, blocks = [], [], [], [], [], []
+    eigvalsh, eigh = np.linalg.eigvalsh, np.linalg.eigh
     laplacian, galerkin_read = verify.function_laplacian, spectral.galerkin_read
-
-    def recorded_grid_read(density, *degree):
-        events.append(("grid", density.period))
-        return grid_read(density, *degree)
 
     def recorded_laplacian(*args):
         report = laplacian(*args)
@@ -1008,8 +969,6 @@ def test_commands_solve_no_dirac_matrix(flat_profile, cosine_profile, tmp_path, 
         return eigvalsh(matrix, *args, **kwargs)
 
     monkeypatch.setattr(WeightedOperator, "hermitian_spectrum", lambda op: solved.append(op))
-    for module in (spectral, cli):
-        monkeypatch.setattr(module, "laplacian_spectrum", recorded_grid_read)
     monkeypatch.setattr(np.linalg, "eigvalsh", counted_eigvalsh)
     monkeypatch.setattr(verify, "function_laplacian", recorded_laplacian)
     monkeypatch.setattr(spectral, "galerkin_read", recorded_galerkin)
@@ -1020,18 +979,17 @@ def test_commands_solve_no_dirac_matrix(flat_profile, cosine_profile, tmp_path, 
     out = ["--grid", str(n_points), "--window", "8", "--output-dir", str(tmp_path / "out")]
 
     def run(argv):
-        del events[:], sizes[:], laplacians[:], galerkin[:], eigh_sizes[:], blocks[:]
+        del sizes[:], laplacians[:], galerkin[:], eigh_sizes[:], blocks[:]
         assert cli.run([*argv, *out]) in (0, 1)
-        assert sizes == [(n_points // period, period, period) for _, period in events]
-        # one Galerkin read per function_laplacian: its first order meets the
-        # tolerance, and it makes one stacked eigh per class size
-        assert galerkin == laplacians
+        assert sizes == []
+        # one stacked eigh per class size of each Galerkin read
         assert eigh_sizes == blocks
-        return list(events)
 
     # five generated pairs: every contrast runs, and reads by Galerkin the
-    # constant 2 once and each pair's 2 + a cos(2t + psi)
-    assert run(["verify", "--all", "--pairs", "5", "--seed", "1"]) == []
+    # constant 2 once and each pair's 2 + a cos(2t + psi); one Galerkin read
+    # per function_laplacian, as its first order meets the tolerance
+    run(["verify", "--all", "--pairs", "5", "--seed", "1"])
+    assert galerkin == laplacians
     bundle = json.loads((tmp_path / "out" / "verify_bundle.json").read_text())
     contrasts = [report for report in bundle["reports"]
                  if report["check_name"] == "laplacian_dependence"]
@@ -1044,15 +1002,16 @@ def test_commands_solve_no_dirac_matrix(flat_profile, cosine_profile, tmp_path, 
     assert len(laplacians) == len(keys)
     # the flat profile and the second: per density its Laplacian read
     for argv in (["verify", "--profiles", flat, wavy], ["invariance", "--profiles", flat, wavy]):
-        assert run(argv) == []
-        assert laplacians == orders
+        run(argv)
+        assert galerkin == laplacians == orders
     for spin in ("trivial", "nontrivial"):
         spectrum = ["spectrum", "--profile", wavy, "--spin", spin, "--operator"]
         for operator in ("dirac-spinor", "dirac-forms"):
-            assert run([*spectrum, operator]) == []
+            run([*spectrum, operator])
+            assert galerkin == []
         for operator in ("laplacian-functions", "laplacian-one-forms"):
-            assert run([*spectrum, operator]) == [("grid", n_points)]
-            assert galerkin == laplacians == []
+            run([*spectrum, operator])
+            assert len(galerkin) == 1 and laplacians == []
     assert solved == []
 
 
@@ -1086,19 +1045,12 @@ def test_a_profile_near_zero_is_read_by_galerkin_or_refused(flat_profile, tmp_pa
 
 
 @pytest.mark.parametrize("n_points, window", [(64, 8), (128, 10), (256, 10)])
-def test_generated_contrasts_rest_on_galerkin_reads(tmp_path, monkeypatch, n_points, window):
+def test_generated_contrasts_rest_on_galerkin_reads(tmp_path, n_points, window):
     """``verify --all`` with its default five generated pairs, for the seeds
     0 to 41 and the default 7041: every contrast runs and passes, and reads
     both densities by Galerkin, at orders K <= W + 15 (``verify.random_pair``),
-    so none makes a grid read, every recorded ``laplacian_order`` is an int
-    and every radius at most LAPLACIAN_FORMS_THRESHOLD."""
-    grid_reads, grid_read = [], spectral.laplacian_spectrum
-
-    def recorded(density):
-        grid_reads.append(density.period)
-        return grid_read(density)
-
-    monkeypatch.setattr(spectral, "laplacian_spectrum", recorded)
+    every recorded ``laplacian_order`` an int and every radius at most
+    LAPLACIAN_FORMS_THRESHOLD."""
     contrasts = 0
     for seed in (*range(42), 7041):
         argv = ["verify", "--all", "--grid", str(n_points), "--window", str(window), "--seed",
@@ -1114,24 +1066,16 @@ def test_generated_contrasts_rest_on_galerkin_reads(tmp_path, monkeypatch, n_poi
                 assert len(orders) == 2 and all(type(order) is int for order in orders), seed
                 assert max(orders) <= window + 15, seed
                 assert max(metadata["laplacian_radius"]) <= LAPLACIAN_FORMS_THRESHOLD, seed
-    assert grid_reads == []
     assert contrasts == 5 * 43
 
 
 @pytest.mark.parametrize("n_points, window", [(16, 2), (32, 4), (64, 8), (128, 10), (256, 10)])
-def test_generated_pairs_read_by_galerkin_on_every_grid(monkeypatch, n_points, window):
+def test_generated_pairs_read_by_galerkin_on_every_grid(n_points, window):
     """``run_pair_checks`` on the five generated pairs of each seed of
     ``tools/ledger.py`` (0 to 41 and 7041), at window N/8 up to 10: every
     contrast passes on Galerkin reads, at orders above N/2 on grids 16 and
-    32, with no ``laplacian_spectrum`` call, an int ``laplacian_order`` and
-    radii at most LAPLACIAN_FORMS_THRESHOLD."""
-    grid_reads, grid_read = [], spectral.laplacian_spectrum
-
-    def recorded(density):
-        grid_reads.append(density.period)
-        return grid_read(density)
-
-    monkeypatch.setattr(spectral, "laplacian_spectrum", recorded)
+    32, with an int ``laplacian_order`` and radii at most
+    LAPLACIAN_FORMS_THRESHOLD."""
     grid, largest = GridSpec(n_points), 0
     for seed in (*range(42), 7041):
         rng = np.random.default_rng(seed)
@@ -1142,16 +1086,13 @@ def test_generated_pairs_read_by_galerkin_on_every_grid(monkeypatch, n_points, w
             assert all(type(order) is int for order in metadata["laplacian_order"]), seed
             assert max(metadata["laplacian_radius"]) <= LAPLACIAN_FORMS_THRESHOLD, seed
             largest = max(largest, *metadata["laplacian_order"])
-    assert grid_reads == []
     assert (largest > n_points // 2) == (n_points <= 32)
 
 
 def test_parity_pair_cases_rest_on_galerkin_reads(tmp_path, monkeypatch):
     """Every ``verify`` and ``invariance`` case of ``tools/parity.py``, on its
-    profile documents: its exit code is that of the same command with the
-    battery's reads recorded, no contrast calls ``laplacian_spectrum``, and
-    every contrast's ``laplacian_order`` is an int and its radii at most
-    LAPLACIAN_FORMS_THRESHOLD.  The largest order is wavy8's, K = 89 at
+    profile documents: every contrast's ``laplacian_order`` is an int and
+    its radii at most LAPLACIAN_FORMS_THRESHOLD.  The largest order is wavy8's, K = 89 at
     window 10 on grid 128."""
     monkeypatch.syspath_prepend(str(Path(__file__).resolve().parents[1] / "tools"))
     parity = importlib.import_module("parity")
@@ -1160,13 +1101,6 @@ def test_parity_pair_cases_rest_on_galerkin_reads(tmp_path, monkeypatch):
         path = tmp_path / f"{name}.json"
         path.write_text(json.dumps(document), encoding="utf-8")
         paths[parity.profile(name)] = str(path)
-    grid_reads, grid_read = [], spectral.laplacian_spectrum
-
-    def recorded(density):
-        grid_reads.append(density.period)
-        return grid_read(density)
-
-    monkeypatch.setattr(spectral, "laplacian_spectrum", recorded)
     orders, contrasts = set(), 0
     for case, argv in parity.cases().items():
         if argv[0] not in ("verify", "invariance"):
@@ -1184,5 +1118,4 @@ def test_parity_pair_cases_rest_on_galerkin_reads(tmp_path, monkeypatch):
                 assert all(type(order) is int for order in metadata["laplacian_order"]), case
                 assert max(metadata["laplacian_radius"]) <= LAPLACIAN_FORMS_THRESHOLD, case
                 orders.update(metadata["laplacian_order"])
-    assert grid_reads == []
     assert contrasts > 100 and max(orders) == 89

@@ -39,7 +39,7 @@ PROFILES = {
     "flat2": {"constant": 2.0, "terms": []},
     "wavy": {"constant": 2.0, "terms": [{"m": 0, "n": 1, "amp": 1.0}]},
     "skew": {"constant": 2.0, "terms": [{"m": 1, "n": 1, "amp": 0.5}]},
-    # theta-average with only n = +-2 terms: translation period N/2
+    # theta-average with only n = +-2 terms: residue classes of k mod 2
     "wavy2": {"constant": 2.0, "terms": [{"m": 0, "n": 2, "amp": 0.6},
                                          {"m": 0, "n": -2, "amp": 0.3, "phase_t": 1.0},
                                          {"m": 1, "n": 1, "amp": 0.4}]},
@@ -120,8 +120,9 @@ def cases() -> dict[str, list[str]]:
         table[f"spectrum-dirac-spinor-{spin}-wavy2-n256"] = [
             "spectrum", "--profile", profile("wavy2"), "--operator", "dirac-spinor",
             "--spin", spin, "--grid", "256", "--window", "10"]
-    # Grid-256 Laplacian spectra of both degrees at P = N, N/2 and 1: they
-    # record the round-off of the Gram read at the benchmark's grid.
+    # Grid-256 Laplacian spectra of both degrees for densities of the
+    # frequencies 1, 2 and none: they record the round-off of the Galerkin
+    # read, which does not depend on the grid.
     for operator in OPERATORS[2:]:
         for name in ("wavy", "wavy2", "flat2"):
             table[f"spectrum-{operator}-{name}-n256"] = [
