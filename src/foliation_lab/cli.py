@@ -126,8 +126,12 @@ def _spectrum(operator_name: str, density: LeafVolumeDensity, grid: GridSpec, wi
     # On the circle delta d on functions and d delta on 1-forms are T T^H and
     # T^H T for T = g^{-1/2} d/dt g^{1/2}: one spectrum, so one read serves
     # both degrees.  --window bounds lambda, the read's window its root.
-    read = function_laplacian(density, math.sqrt(window), LAPLACIAN_FORMS_THRESHOLD)
-    return SpectrumReport(read.values, grid.n_points, laplacian_label(grid.n_points, degree))
+    label = laplacian_label(grid.n_points, degree)
+    try:
+        read = function_laplacian(density, math.sqrt(window), LAPLACIAN_FORMS_THRESHOLD)
+    except ValueError as exc:
+        raise ValueError(f"operator '{label}' is refused: {exc}") from exc
+    return SpectrumReport(read.values, grid.n_points, label)
 
 
 def _spectrum_text(report: SpectrumReport, fmt: str, window: float) -> str:

@@ -1,5 +1,6 @@
 """Weighted eigensolves, window handling, spectrum comparison."""
 
+import dataclasses
 import json
 import math
 import re
@@ -392,6 +393,21 @@ class TestDiracRead:
             dirac_spectra(_density(cosine_profile, GridSpec(64)), GridSpec(128))
 
 
+# t-terms of the theta-average with t-frequencies 1 and 2, 2, 4 and 8, and 8;
+# each profile adds a theta term, which the theta-average drops.
+PERIODIC_TERMS = {
+    "flat": (),
+    "half": (ProfileTerm(0, 2, 0.5, 0.0, 0.3), ProfileTerm(0, -2, 0.2, 0.0, 1.0)),
+    "quarter": (ProfileTerm(0, 4, 0.4), ProfileTerm(0, 8, 0.3, 0.0, 2.0)),
+    "eighth": (ProfileTerm(0, 8, 0.6, 0.0, 0.7),),
+    "none": (ProfileTerm(0, 1, 0.6, 0.0, 0.3), ProfileTerm(0, 2, -0.3, 0.0, 1.1)),
+}
+
+
+def _periodic_profile(name):
+    return MetricProfile(2.0, PERIODIC_TERMS[name] + (ProfileTerm(1, 1, 0.3, 0.2, 0.5),))
+
+
 def _galerkin_profiles() -> dict:
     """The cosine, mixed and wavy2 fixtures and the first ten
     ``random_profile`` draws of the seeds s = 1 to 5."""
@@ -491,16 +507,18 @@ class TestGalerkinRead:
             # the samples' DFT above the t-bandwidth, measured at most 15 eps max g
             assert np.linalg.norm(dft[bandwidth + 1:]) <= 15.0 * EPS * g.max()
 
-    def test_density_scale_cancels(self, grid64):
+    @pytest.mark.parametrize("name", list(PERIODIC_TERMS))
+    def test_density_scale_cancels(self, name, grid64):
         """g and 2g have one Laplacian, -(g u')'/g, and the computed
         coefficients of 2g are those of g doubled, exactly: each read's k-th
         value is within its radius of an eigenvalue of that one operator, so
         the two agree within r_1 + r_2, paired by index as the contrast
         pairs them."""
-        terms = (ProfileTerm(0, 1, 0.6, 0.0, 0.3), ProfileTerm(0, 2, -0.3, 0.0, 1.1))
-        scaled = (ProfileTerm(0, 1, 1.2, 0.0, 0.3), ProfileTerm(0, 2, -0.6, 0.0, 1.1))
-        densities = [_density(profile, grid64)
-                     for profile in (MetricProfile(2.0, terms), MetricProfile(4.0, scaled))]
+        profile = _periodic_profile(name)
+        scaled = MetricProfile(2.0 * profile.constant,
+                               tuple(dataclasses.replace(term, amplitude=2.0 * term.amplitude)
+                                     for term in profile.terms))
+        densities = [_density(profile, grid64), _density(scaled, grid64)]
         assert np.array_equal(densities[1].coefficients, 2.0 * densities[0].coefficients)
         first, second = (battery_laplacian(density, 10.0) for density in densities)
         assert first.values.size == second.values.size
@@ -712,43 +730,114 @@ class TestLaplacianSpectrum:
             assert np.count_nonzero(windowed) == values.size
             assert np.all(np.abs(dense[windowed] - values) <= read.radii + allowance[windowed])
 
-    def test_json_counts_the_windowed_values(self, cosine_profile, tmp_path):
+    @pytest.mark.parametrize("n_points", [64, 128, 256])
+    @pytest.mark.parametrize("name", list(PERIODIC_TERMS))
+    @pytest.mark.parametrize("degree", ["function", "one_form"])
+    def test_each_degree_matches_its_delta_d_oracle(self, n_points, name, degree):
+        """The ``spectrum`` report of each degree at the trusted window N/8,
+        on densities whose theta terms average out, holds the read's values
+        under its own label, and each lies within its radius plus the
+        ``conftest.dense_laplacian_read`` allowance of the dense delta d (or
+        d delta) value of its index.  The oracle is solved at grid 256: its
+        allowance leaves out the aliasing of the N-point collocation, which
+        at grid 64 exceeds it for the t-frequency 8, while the Galerkin read
+        takes the density's exact coefficients at any grid."""
+        operator = {"function": "laplacian-functions", "one_form": "laplacian-one-forms"}[degree]
+        window = n_points // 8
+        profile = _periodic_profile(name)
+        grid = GridSpec(n_points)
+        report = _spectrum(operator, _density(profile, grid), grid, window)
+        assert report.operator_label == f"laplacian_{degree}[N={n_points}]"
+        oracle_grid = GridSpec(256)
+        density = _density(profile, oracle_grid)
+        read = battery_laplacian(density, math.sqrt(window))
+        assert np.array_equal(report.eigenvalues, read.values)
+        dense, allowance = dense_laplacian_read(density, oracle_grid, degree)
+        windowed = np.abs(dense) <= window + spectral.WINDOW_EDGE_SLACK
+        assert np.count_nonzero(windowed) == read.values.size
+        assert np.all(np.abs(dense[windowed] - read.values) <= read.radii + allowance[windowed])
+
+    @pytest.mark.parametrize("n_points", [64, 128, 256])
+    def test_constant_density_reads_the_squared_lattice(self, n_points):
+        """A constant density's Laplacian is -d^2/dt^2 whatever the constant:
+        at the trusted window N/8 its values are the k^2, |k| <= (N/8)^{1/2},
+        each within the read's radius."""
+        grid = GridSpec(n_points)
+        density = _density(MetricProfile(3.0), grid)
+        window = n_points // 8
+        report = _spectrum("laplacian-functions", density, grid, window)
+        read = battery_laplacian(density, math.sqrt(window))
+        top = math.isqrt(window)
+        squares = np.sort(np.arange(-top, top + 1) ** 2.0)
+        assert report.eigenvalues.size == squares.size
+        assert np.all(np.abs(report.eigenvalues - squares) <= read.radii)
+
+    @pytest.mark.parametrize("window", [1, 2, 4, 8, 9, 16])
+    @pytest.mark.parametrize("operator", ["laplacian-functions", "laplacian-one-forms"])
+    def test_the_window_bounds_lambda(self, flat_profile, operator, window, tmp_path):
+        """--window bounds lambda and the read's frequency window is its
+        root: on the flat circle ``spectrum`` writes the k^2 <= window, the
+        squares on the edge included, 2 floor(window^{1/2}) + 1 values."""
+        save_profile(flat_profile, tmp_path / "flat.json")
+        assert cli.run(self._spectrum_argv(tmp_path / "flat.json", 128, window, operator,
+                                           tmp_path)) == 0
+        lines = (tmp_path / f"spectrum_{operator}_flat.csv").read_text().splitlines()
+        values = np.array([float(line) for line in lines[2:]])
+        top = math.isqrt(window)
+        np.testing.assert_allclose(values, np.sort(np.arange(-top, top + 1) ** 2.0), atol=1e-10)
+
+    @pytest.mark.parametrize("operator", ["laplacian-functions", "laplacian-one-forms"])
+    def test_the_spin_structure_changes_nothing(self, cosine_profile, operator, tmp_path):
+        """The Laplacians act on periodic sections whatever --spin says:
+        ``spectrum`` writes the same bytes under either spin structure."""
         save_profile(cosine_profile, tmp_path / "wavy.json")
-        argv = self._spectrum_argv(tmp_path / "wavy.json", 64, 8, "laplacian-one-forms",
-                                   tmp_path)
+        written = []
+        for spin in ("trivial", "nontrivial"):
+            argv = self._spectrum_argv(tmp_path / "wavy.json", 64, 8, operator, tmp_path / spin)
+            assert cli.run([*argv, "--spin", spin]) == 0
+            written.append((tmp_path / spin / f"spectrum_{operator}_wavy.csv").read_bytes())
+        assert written[0] == written[1]
+
+    @pytest.mark.parametrize("operator, label", [("laplacian-functions", "laplacian_function"),
+                                                 ("laplacian-one-forms", "laplacian_one_form")])
+    def test_json_counts_the_windowed_values(self, operator, label, cosine_profile, tmp_path):
+        save_profile(cosine_profile, tmp_path / "wavy.json")
+        argv = self._spectrum_argv(tmp_path / "wavy.json", 64, 8, operator, tmp_path)
         assert cli.run([*argv, "--format", "json"]) == 0
-        payload = json.loads((tmp_path / "spectrum_laplacian-one-forms_wavy.json").read_text())
-        assert payload["operator_label"] == "laplacian_one_form[N=64]"
+        payload = json.loads((tmp_path / f"spectrum_{operator}_wavy.json").read_text())
+        assert payload["operator_label"] == f"{label}[N=64]"
         assert payload["n_total"] == len(payload["eigenvalues"]) == 5
 
     @pytest.mark.parametrize("operator", ["laplacian-functions", "laplacian-one-forms"])
     def test_a_mutant_stiffness_exits_2(self, cosine_profile, operator, tmp_path, monkeypatch,
                                         capsys):
         """j^2 g_{j-k} in place of jk g_{j-k}: ``spectrum`` of 2 + cos t exits
-        2, naming the last predicted Galerkin order and its radius, and
-        writes nothing; the honest read exits 0."""
+        2, naming the operator, the last predicted Galerkin order and its
+        radius, and writes nothing; the honest read exits 0."""
         save_profile(cosine_profile, tmp_path / "wavy.json")
         argv = self._spectrum_argv(tmp_path / "wavy.json", 128, 16, operator, tmp_path / "out")
         monkeypatch.setattr(spectral, "galerkin_matrices", _mutant_matrices)
         assert cli.run(argv) == 2
-        assert re.search(r"error: the function Laplacian of the density .* at the last "
+        assert re.search(r"error: operator 'laplacian_\w+\[N=128\]' is refused: the function "
+                         r"Laplacian of the density .* at the last "
                          r"predicted Galerkin order K = \d+ the largest radius is "
                          r"\d\.\d+e[+-]\d+", capsys.readouterr().err)
         assert not (tmp_path / "out").exists()
         monkeypatch.undo()
         assert cli.run(argv) == 0
 
-    def test_a_density_near_zero_is_refused_unsolved(self, tmp_path, monkeypatch, capsys):
+    @pytest.mark.parametrize("operator", ["laplacian-functions", "laplacian-one-forms"])
+    def test_a_density_near_zero_is_refused_unsolved(self, operator, tmp_path, monkeypatch,
+                                                     capsys):
         """1 + 0.999 cos t at grid 64 and window 8: its order at the frequency
         window 8^{1/2} exceeds GALERKIN_ORDER_CAP, so ``spectrum`` exits 2,
         naming the cap, with no ``galerkin_read`` call and no file."""
         save_profile(MetricProfile(1.0, (ProfileTerm(0, 1, 0.999),)), tmp_path / "near.json")
         solved = []
         monkeypatch.setattr(spectral, "galerkin_read", lambda *args: solved.append(args))
-        argv = self._spectrum_argv(tmp_path / "near.json", 64, 8, "laplacian-functions",
-                                   tmp_path / "out")
+        argv = self._spectrum_argv(tmp_path / "near.json", 64, 8, operator, tmp_path / "out")
         assert cli.run(argv) == 2
-        assert re.search(r"error: the function Laplacian of the density .* exceeds "
+        assert re.search(r"is refused: the function Laplacian of the density .* exceeds "
                          r"GALERKIN_ORDER_CAP = 512 \(not solved\)", capsys.readouterr().err)
         assert solved == []
         assert not (tmp_path / "out").exists()

@@ -771,6 +771,20 @@ class TestMutations:
         assert cli.run(argv) == 2
         assert "is not symmetric in its weighted metric" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("operator, label", [("laplacian-functions", "laplacian_function"),
+                                                 ("laplacian-one-forms", "laplacian_one_form")])
+    def test_laplacian_refusal_names_its_degree(self, operator, label, tmp_path, capsys):
+        """A refused Laplacian ``spectrum`` names the operator it was asked
+        for, the one-forms Laplacian included, though both degrees are one
+        read of the function Laplacian: here 1 + 0.999 cos t, whose Galerkin
+        order exceeds the cap."""
+        path = tmp_path / "near.json"
+        save_profile(MetricProfile(1.0, (ProfileTerm(0, 1, 0.999),)), path)
+        assert cli.run(["spectrum", "--profile", str(path), "--grid", "64", "--window", "8",
+                        "--operator", operator, "--output-dir", str(tmp_path / "out")]) == 2
+        assert re.search(rf"error: operator '{label}\[N=64\]' is refused: the function "
+                         rf"Laplacian of the density", capsys.readouterr().err)
+
     def test_conjugation_fails_for_the_w_is_g_mutant(self, flat_profile, cosine_profile, grid64,
                                                      monkeypatch):
         pair = pair_inputs(flat_profile, cosine_profile, grid64)
