@@ -28,8 +28,8 @@ from .model_spaces import SPIN_STRUCTURES, GridSpec, MetricProfile, load_profile
 from .operators import laplacian_label
 # No command solves with eigenvalues_weighted; perfbench/tracing.py wraps it
 # here by name (perfbench/tests/test_determinism.py).
-from .spectral import (SpectrumReport, dirac_spectra, eigenvalues_weighted,  # noqa: F401
-                       function_laplacian)
+from .spectral import (WINDOW_EDGE_SLACK, SpectrumReport, dirac_spectra,  # noqa: F401
+                       eigenvalues_weighted, function_laplacian)
 from .verify import LAPLACIAN_FORMS_THRESHOLD, random_pair, run_pair_checks, run_profile_checks
 
 DEFAULT_SEED = 7041
@@ -131,29 +131,43 @@ def _spectrum(operator_name: str, density: LeafVolumeDensity, grid: GridSpec, wi
         read = function_laplacian(density, math.sqrt(window), LAPLACIAN_FORMS_THRESHOLD)
     except ValueError as exc:
         raise ValueError(f"operator '{label}' is refused: {exc}") from exc
-    return SpectrumReport(read.values, grid.n_points, label)
+    return SpectrumReport(read.values, grid.n_points, label, radii=read.radii)
 
 
 def _spectrum_text(report: SpectrumReport, fmt: str, window: float) -> str:
-    """The in-window eigenvalues as CSV (a comment header, then one per row) or JSON."""
-    values = report.in_window(window)
+    """The in-window eigenvalues as CSV (a comment header, then one per row) or
+    JSON; a report with radii adds them, the largest to the CSV header and
+    each, aligned with the eigenvalues, to JSON."""
+    inside = np.abs(report.eigenvalues) <= window + WINDOW_EDGE_SLACK
+    values = report.eigenvalues[inside]
+    radii = None if report.radii is None else report.radii[inside]
     if fmt == "csv":
         header = (f"# operator={report.operator_label},grid={report.grid_size},"
-                  f"window={window:.17g},tag=inv\neigenvalue\n")
-        return header + "".join(f"{value:.17g}\n" for value in values)
-    return _json_text({
+                  f"window={window:.17g},tag=inv")
+        if radii is not None:
+            header += f",radius={np.max(radii):.17g}"
+        return header + "\neigenvalue\n" + "".join(f"{value:.17g}\n" for value in values)
+    payload = {
         "operator_label": report.operator_label,
         "grid_size": report.grid_size,
         "window": window,
         "tag": "inv",
         "n_total": report.eigenvalues.size,
         "eigenvalues": values.tolist(),
-    })
+    }
+    if radii is not None:
+        payload["radii"] = radii.tolist()
+    return _json_text(payload)
 
 
 def _cmd_spectrum(args) -> int:
     grid = GridSpec(args.grid, args.spin)
-    grid.validate_window(args.window)
+    # A Laplacian is read by Galerkin whatever N is, so n_points/8 does not
+    # bound its window: GALERKIN_ORDER_CAP refuses the costly ones.
+    if args.operator.startswith("dirac"):
+        grid.validate_window(args.window)
+    elif not 0.0 < args.window < math.inf:
+        raise ValueError(f"window must be positive and finite, got {args.window}")
     profile = _load_profiles([args.profile])[0]
     density = LeafVolumeDensity.from_profile(profile, grid)
     report = _spectrum(args.operator, density, grid, args.window)

@@ -83,8 +83,9 @@ exactly.  The read is of the density g~ = sum g_m e^{imt} of the computed
 coefficients.  In the basis e^{ikt}, |k| <= K, the mass matrix
 G_jk = g_{j-k} and the stiffness matrix A_jk = jk g_{j-k} are exact, with
 no quadrature and no aliasing, and Hermitian by construction.
-A c = rho G c is solved, in the blocks below, through G = L L^H as the
-Hermitian problem of L^{-1} A L^{-H}, c = L^{-H} y.
+A c = rho G c is solved, in the blocks below, through one inverse Cholesky
+factor M = L^{-1}, G = L L^H, per stack, as the Hermitian problem of
+M A M^H, c = M^H y.
 
 * Rayleigh-Ritz: the trial spaces are nested in K, so the k-th Ritz value
   rho_k is an upper bound of lambda_k(Delta) and does not increase with K.
@@ -96,11 +97,11 @@ Hermitian problem of L^{-1} A L^{-H}, c = L^{-H} y.
   when d = 0 or d > 2K), and the Ritz pairs of (A, G) are the union of
   the blocks' pairs, each vector zero outside its class.  The 2K + 1 modes
   fall into classes of floor((2K + 1) / d) and ceil((2K + 1) / d) modes,
-  so ``galerkin_read`` makes one stacked Cholesky, solve, ``eigh`` and
-  back-solve per class size, at most two, and sorts the merged windowed
-  values.  The split permutes the same problem in the same trial space, so
-  the merged rho_k are the unsplit problem's Ritz values, up to the
-  solves' round-off, and the upper bound and the monotonicity in K hold
+  so ``galerkin_read`` makes one stacked Cholesky, inverse and ``eigh``
+  per class size, at most two, and sorts the merged windowed values.  The
+  split permutes the same problem in the same trial space, so the merged
+  rho_k are the unsplit problem's Ritz values, up to the reductions'
+  round-off, and the upper bound and the monotonicity in K hold
   as stated.  The radius below takes each vector back into the full basis
   and its residual from the full matrices, rows |l| <= K + B: it rests on
   the residual alone and not on the split, so a split that drops a
@@ -109,7 +110,7 @@ Hermitian problem of L^{-1} A L^{-H}, c = L^{-H} y.
   w = -(g~ u')' - rho g~ u has the coefficients
   w_l = sum_k (lk - rho) g_{l-k} c_k, |l| <= K + B, exactly.  Galerkin
   orthogonality makes them vanish on |l| <= K; the computed w keeps the
-  solve's round-off there.  As Delta u - rho u = w / g~, its squared
+  reduction's round-off there.  As Delta u - rho u = w / g~, its squared
   g~-norm is (1/2pi) int |w|^2 / g~ <= sum |w_l|^2 / g_low, and
   ||u||^2 = c^H G c.  So Delta has an eigenvalue within
   r = (sum |w_l|^2 / (g_low c^H G c))^{1/2} of rho (Krylov-Bogolyubov;
@@ -118,16 +119,14 @@ Hermitian problem of L^{-1} A L^{-H}, c = L^{-H} y.
   rows of 2K + 1 terms, a scaling and a difference (Higham, section 3.6),
   whose norm the radius adds to that of w.  Radii are computed for the
   Ritz pairs with |rho| <= window^2 + WINDOW_EDGE_SLACK only.
-* g_low (``galerkin_lower_bound``) is the larger of two lower bounds of
-  min g~, and so of G's eigenvalues: g_0 - 2 sum_{m >= 1} |g_m| less
-  gamma_{B+2} (g_0 + 2 sum |g_m|) (``lower_bound``), and the positive
-  ``min_bound`` that the theta-average's positivity certificate proves of
-  g (``MetricProfile``).  Its e = 32 (K' + 1) eps S, K' terms, exceeds the
+* g_low is the positive ``min_bound`` that the theta-average's positivity
+  certificate proves of g (``MetricProfile``), a lower bound of min g~ and
+  so of G's eigenvalues.  Its e = 32 (K' + 1) eps S, K' terms, exceeds the
   samples' error by 12.49 (K' + 1) eps S, which covers the bound's own
   rounding and |g~ - g| <= gamma_{K'+3} (c + sum |a_i|) (each term rounds
-  by gamma_3, each sum by gamma_{K'}): so g_low > 0 on every certified
-  density.  For 1 + 0.6 cos t + 0.6 cos 2t (minimum 0.325) the two are
-  -0.2 and 0.314; generated profiles, certified outright, take the first.
+  by gamma_3, each sum by gamma_{K'}): so 0 < g_low <= min g~ on every
+  certified density.  For 1 + 0.6 cos t + 0.6 cos 2t (minimum 0.325), whose
+  g_0 - 2 sum_{m >= 1} |g_m| is -0.2, it is 0.314.
 * The strip.  The eigenfunctions solve (g~ u')' + lambda g~ u = 0, whose
   singular points are the complex zeros of g~.  With z = e^{it}, g~(t) =
   z^{-B} p(z), p(z) = sum_j g_{j-B} z^j, and a zero z of p is a zero t of
@@ -207,7 +206,7 @@ WINDOW_EDGE_SLACK = 1e-6
 GALERKIN_MARGIN = 8.0
 
 # The largest Galerkin order that ``function_laplacian`` solves, a cost
-# limit: a read at K = 512 (1025 modes) takes 2.4-2.8 s and 150 MB.
+# limit: a read at K = 512 (1025 modes) takes 1.7-1.8 s and a 118 MB traced peak.
 GALERKIN_ORDER_CAP = 512
 
 _EPS = np.finfo(np.float64).eps
@@ -230,13 +229,16 @@ class OperatorSymmetryError(ValueError):
 class SpectrumReport:
     """Sorted real spectrum, its grid provenance, its ``distance``, and whether
     it is a ``dirac_spectra`` Dirac read, whose radius is derived.  The
-    distance is d >= ||H - A||_F for a Dirac read and 0 otherwise."""
+    distance is d >= ||H - A||_F for a Dirac read and 0 otherwise.  A
+    ``function_laplacian`` read, whose values come ascending, carries the
+    radius of each in ``radii``."""
 
     eigenvalues: np.ndarray
     grid_size: int
     operator_label: str
     distance: float = 0.0
     radius_derived: bool = False
+    radii: np.ndarray | None = None
 
     def __post_init__(self):
         object.__setattr__(
@@ -394,20 +396,6 @@ def strip_width(coefficients: np.ndarray) -> float:
     return float(np.min(np.abs(logs))) / period
 
 
-def lower_bound(coefficients: np.ndarray) -> float:
-    """g_0 - 2 sum_{m >= 1} |g_m|, less its rounding (module docstring)."""
-    bandwidth = coefficients.size // 2
-    mean = coefficients[bandwidth].real
-    total = 2.0 * float(np.sum(np.abs(coefficients[bandwidth + 1:])))
-    return mean - total - gamma(bandwidth + 2) * (mean + total)
-
-
-def galerkin_lower_bound(density: LeafVolumeDensity) -> float:
-    """g_low, the larger of ``lower_bound`` and the theta-averaged profile's
-    certified ``min_bound``, positive (module docstring)."""
-    return max(lower_bound(density.coefficients), density.average.min_bound)
-
-
 def galerkin_matrices(coefficients: np.ndarray, order: int) -> tuple[np.ndarray, np.ndarray]:
     """T and S, with rows l, |l| <= K + B, and columns k, |k| <= K, for the
     coefficients g_m, |m| <= B: T[l, k] = g_{l-k} (zero for |l - k| > B) and
@@ -441,17 +429,14 @@ def _windowed_ritz_pairs(mass: np.ndarray, stiffness: np.ndarray,
     """For a stack of (classes, n, n) problems A c = rho G c, the Ritz values
     rho with |rho| <= ``limit``, their vectors c as rows, normalized to
     c^H G c = 1, and the class of each, ordered by class and then ascending,
-    through G = L L^H: one stacked call of each solver.  Its work arrays are
-    conjugated in place and end with it."""
-    factor = np.linalg.cholesky(mass)
-    reduced = np.linalg.solve(factor, stiffness)
-    reduced = np.linalg.solve(factor, np.conjugate(reduced, out=reduced).swapaxes(1, 2))
-    values, vectors = np.linalg.eigh(reduced)
-    del reduced
+    through M = L^{-1}, G = L L^H: the eigenpairs (rho, y) of M A M^H and
+    c = M^H y, one stacked call of each solver."""
+    inverse = np.linalg.inv(np.linalg.cholesky(mass))
+    adjoint = np.conjugate(inverse).swapaxes(1, 2)
+    values, vectors = np.linalg.eigh(inverse @ stiffness @ adjoint)
     classes, columns = np.nonzero(np.abs(values) <= limit)
-    # back-solve only the columns up to the last windowed one of any class
-    vectors = np.linalg.solve(np.conjugate(factor, out=factor).swapaxes(1, 2),
-                              vectors[:, :, : columns.max(initial=-1) + 1])
+    # back-transform only the columns up to the last windowed one of any class
+    vectors = adjoint @ vectors[:, :, : columns.max(initial=-1) + 1]
     return values[classes, columns], vectors[classes, :, columns], classes
 
 
@@ -491,7 +476,7 @@ def function_laplacian(density: LeafVolumeDensity, window: float,
     the ``galerkin_read`` at the first order K <= GALERKIN_ORDER_CAP of the
     predicted sequence whose radii are all at most ``tolerance``; where there
     is none, ValueError naming the density and K (module docstring)."""
-    coefficients, lower = density.coefficients, galerkin_lower_bound(density)
+    coefficients, lower = density.coefficients, density.average.min_bound
     eta = strip_width(coefficients)
     order = math.floor(window + (math.log(1.0 / tolerance) + GALERKIN_MARGIN) / eta) + 1
     while order <= GALERKIN_ORDER_CAP:

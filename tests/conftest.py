@@ -267,7 +267,7 @@ def galerkin_rounding(read, density: LeafVolumeDensity) -> float:
     / g_low, as ``test_ritz_values_do_not_increase_along_the_orders`` allows it."""
     order = read.order
     return ((2 * order + 1) * np.finfo(float).eps * order * order
-            * float(np.sum(np.abs(density.coefficients))) / spectral.galerkin_lower_bound(density))
+            * float(np.sum(np.abs(density.coefficients))) / density.average.min_bound)
 
 
 def pair_inputs(p1: MetricProfile, p2: MetricProfile, grid: GridSpec) -> SimpleNamespace:

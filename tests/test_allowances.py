@@ -326,11 +326,12 @@ LOWER_AUDITED = _lower_audited()
 
 
 def _lower_bound_holds(profile: MetricProfile) -> bool:
-    """Whether the Galerkin read's g_low of the profile's density is positive and
-    at most both the true min of the profile's own density g and that of g~,
-    the density of the float coefficients (``spectral``), in high precision."""
+    """Whether the Galerkin read's g_low of the profile's density, the
+    theta-average's certified ``min_bound``, is positive and at most both the
+    true min of the profile's own density g and that of g~, the density of
+    the float coefficients (``spectral``), in high precision."""
     density = LeafVolumeDensity.from_profile(profile, GridSpec(64))
-    lower = spectral.galerkin_lower_bound(density)
+    lower = density.average.min_bound
     bandwidth = density.t_bandwidth
     computed = {m - bandwidth: z for m, z in enumerate(_mp(density.coefficients))}
     return 0.0 < lower <= min(_true_min(_profile_coefficients(profile)), _true_min(computed))
@@ -338,16 +339,16 @@ def _lower_bound_holds(profile: MetricProfile) -> bool:
 
 @pytest.mark.parametrize("name", list(LOWER_AUDITED))
 def test_certified_lower_bound_is_at_most_the_true_minimum(name):
-    """g_low = max(g_0 - 2 sum |g_m| less its rounding, the certificate's
-    ``min_bound``) against min g in 30 digits.  For the low profile the first
-    bound is -0.2 and g_low is the certificate's, within 0.012 of the true
-    minimum 0.325."""
+    """g_low, the certificate's ``min_bound``, against min g in 30 digits.
+    For the low profile, whose g_0 - 2 sum |g_m| is -0.2, g_low is within
+    0.012 of the true minimum 0.325."""
     profile = LOWER_AUDITED[name]
     assert _lower_bound_holds(profile)
     if name == "low":
         density = LeafVolumeDensity.from_profile(profile, GridSpec(64))
-        assert spectral.lower_bound(density.coefficients) < 0.0
-        assert 0.313 < spectral.galerkin_lower_bound(density) < 0.325
+        mean, tail = density.coefficients.real[2], np.abs(density.coefficients[3:]).sum()
+        assert mean - 2.0 * tail < -0.19
+        assert 0.313 < density.average.min_bound < 0.325
 
 
 def test_a_sampled_lower_bound_fails_the_audit(monkeypatch):

@@ -7,6 +7,7 @@ import re
 
 import numpy as np
 import pytest
+import scipy.linalg
 
 from foliation_lab import cli, operators, spectral, verify
 from foliation_lab._spectral_diff import differentiation_matrix, wavenumbers
@@ -72,9 +73,9 @@ class TestEigenvaluesWeighted:
         report = eigenvalues_weighted(op)
         np.testing.assert_allclose(report.eigenvalues, np.arange(-32, 32), atol=1e-10)
 
-    def test_flat_laplacian_head(self, flat_profile, grid128):
-        density = _density(flat_profile, grid128)
-        head = _spectrum("laplacian-functions", density, grid128, 9.0).eigenvalues
+    def test_flat_laplacian_head(self, flat_profile, grid64):
+        density = _density(flat_profile, grid64)
+        head = _spectrum("laplacian-functions", density, grid64, 9.0).eigenvalues
         np.testing.assert_allclose(head, [0, 1, 1, 4, 4, 9, 9], atol=1e-10)
 
     def test_refuses_asymmetric_operator(self):
@@ -534,7 +535,7 @@ class TestGalerkinRead:
             density = _density(profile, grid)
             coefficients = density.coefficients
             largest = float(np.sum(np.abs(coefficients)))
-            lower = spectral.galerkin_lower_bound(density)
+            lower = density.average.min_bound
             previous = None
             for order in (16, 24, 32, 48):
                 values = spectral.galerkin_read(coefficients, order, 10.0, lower).values
@@ -555,7 +556,7 @@ class TestGalerkinRead:
         for name in ("cosine", "mixed", "wavy2"):
             density = _density(profiles[name], grid128)
             read = spectral.galerkin_read(density.coefficients, _predicted_order(density), 10.0,
-                                          spectral.galerkin_lower_bound(density))
+                                          density.average.min_bound)
             assert not _galerkin_matches_dense(read, density, grid128), name
             assert read.radius > 1e-3, name
             with pytest.raises(ValueError, match=r"last predicted Galerkin order K = \d+ the "
@@ -573,7 +574,7 @@ class TestGalerkinRead:
         for name in ("cosine", "mixed", "wavy2"):
             density = _density(profiles[name], grid128)
             order = _predicted_order(density, 8.0)
-            coefficients, lower = density.coefficients, spectral.galerkin_lower_bound(density)
+            coefficients, lower = density.coefficients, density.average.min_bound
             reads = {"honest": spectral.galerkin_read(coefficients, order, 8.0, lower)}
             monkeypatch.setattr(spectral, "galerkin_matrices", _mutant_matrices)
             reads["mutant"] = spectral.galerkin_read(coefficients, order, 8.0, lower)
@@ -596,8 +597,9 @@ class TestGalerkinRead:
         profile = MetricProfile(1.0, (ProfileTerm(0, 1, 0.6), ProfileTerm(0, 2, 0.6)))
         density = _density(profile, grid128)
         coefficients = density.coefficients
-        assert density.g_values.min() > 0.3 and spectral.lower_bound(coefficients) < -0.19
-        assert 0.31 < spectral.galerkin_lower_bound(density) < 0.325
+        assert density.g_values.min() > 0.3
+        assert coefficients[2].real - 2.0 * np.abs(coefficients[3:]).sum() < -0.19
+        assert 0.31 < density.average.min_bound < 0.325
         assert 0.51 < spectral.strip_width(coefficients) < 0.512
         read = battery_laplacian(density, 8.0)
         assert read.order == _predicted_order(density, 8.0) == 60
@@ -787,6 +789,62 @@ class TestLaplacianSpectrum:
         np.testing.assert_allclose(values, np.sort(np.arange(-top, top + 1) ** 2.0), atol=1e-10)
 
     @pytest.mark.parametrize("operator", ["laplacian-functions", "laplacian-one-forms"])
+    def test_a_window_above_n_over_8_reads_as_on_a_finer_grid(self, flat_profile, operator,
+                                                              tmp_path, capsys):
+        """The Galerkin read does not depend on N, so n_points/8 does not
+        bound a Laplacian's window: on the flat circle at grid 64 and window
+        9 ``spectrum`` exits 0 with the values it writes at grid 128, 9 among
+        them, while both Dirac operators there still exit 2."""
+        save_profile(flat_profile, tmp_path / "flat.json")
+        written = []
+        for n_points in (64, 128):
+            out = tmp_path / str(n_points)
+            argv = self._spectrum_argv(tmp_path / "flat.json", n_points, 9, operator, out)
+            assert cli.run(argv) == 0
+            written.append((out / f"spectrum_{operator}_flat.csv").read_text().splitlines()[2:])
+        assert written[0] == written[1] and abs(float(written[0][-1]) - 9.0) <= 1e-10
+        capsys.readouterr()
+        for dirac in ("dirac-spinor", "dirac-forms"):
+            argv = self._spectrum_argv(tmp_path / "flat.json", 64, 9, dirac, tmp_path / "dirac")
+            assert cli.run(argv) == 2
+            assert capsys.readouterr().err == (
+                "error: window 9.0 exceeds the trusted range n_points/8 = 8.0\n")
+        assert not (tmp_path / "dirac").exists()
+
+    @pytest.mark.parametrize("window", ["-1", "0", "nan", "inf"])
+    @pytest.mark.parametrize("operator", ["laplacian-functions", "laplacian-one-forms"])
+    def test_a_window_that_is_not_positive_and_finite_is_refused(self, cosine_profile,
+                                                                 operator, window, tmp_path,
+                                                                 capsys):
+        save_profile(cosine_profile, tmp_path / "wavy.json")
+        argv = self._spectrum_argv(tmp_path / "wavy.json", 64, window, operator, tmp_path / "out")
+        assert cli.run(argv) == 2
+        assert capsys.readouterr() == (
+            "", f"error: window must be positive and finite, got {float(window)}\n")
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("operator", ["laplacian-functions", "laplacian-one-forms"])
+    def test_the_report_carries_the_radii(self, cosine_profile, operator, tmp_path):
+        """JSON's ``radii`` are the read's, one per eigenvalue, and the CSV
+        header ends with the largest of them; no Dirac report has either."""
+        save_profile(cosine_profile, tmp_path / "wavy.json")
+        read = battery_laplacian(_density(cosine_profile, GridSpec(64)), math.sqrt(8.0))
+        argv = self._spectrum_argv(tmp_path / "wavy.json", 64, 8, operator, tmp_path)
+        assert cli.run(argv) == 0
+        lines = (tmp_path / f"spectrum_{operator}_wavy.csv").read_text().splitlines()
+        assert lines[0].endswith(f",tag=inv,radius={read.radius:.17g}")
+        assert cli.run([*argv, "--format", "json"]) == 0
+        payload = json.loads((tmp_path / f"spectrum_{operator}_wavy.json").read_text())
+        assert payload["eigenvalues"] == read.values.tolist()
+        assert payload["radii"] == read.radii.tolist()
+        for dirac in ("dirac-spinor", "dirac-forms"):
+            argv = self._spectrum_argv(tmp_path / "wavy.json", 64, 8, dirac, tmp_path)
+            assert cli.run(argv) == 0
+            assert "radius" not in (tmp_path / f"spectrum_{dirac}_wavy.csv").read_text()
+            assert cli.run([*argv, "--format", "json"]) == 0
+            assert "radii" not in json.loads((tmp_path / f"spectrum_{dirac}_wavy.json").read_text())
+
+    @pytest.mark.parametrize("operator", ["laplacian-functions", "laplacian-one-forms"])
     def test_the_spin_structure_changes_nothing(self, cosine_profile, operator, tmp_path):
         """The Laplacians act on periodic sections whatever --spin says:
         ``spectrum`` writes the same bytes under either spin structure."""
@@ -902,7 +960,7 @@ class TestGalerkinBlocks:
     def _assert_agrees(density, window):
         read = battery_laplacian(density, window)
         oracle = _unsplit_read(density.coefficients, read.order, window,
-                               spectral.galerkin_lower_bound(density))
+                               density.average.min_bound)
         allowance = read.radii + oracle.radii + 2.0 * galerkin_rounding(read, density)
         assert read.values.size == oracle.values.size
         assert np.all(np.abs(read.values - oracle.values) <= allowance)
@@ -932,7 +990,7 @@ class TestGalerkinBlocks:
         tolerance at every order and the battery refuses the density."""
         honest = spectral._residue_classes
         density = _density(MetricProfile(2.0, (ProfileTerm(0, 1, 1.0),)), grid128)
-        order, lower = _predicted_order(density, 8.0), spectral.galerkin_lower_bound(density)
+        order, lower = _predicted_order(density, 8.0), density.average.min_bound
         assert spectral.galerkin_read(density.coefficients, order, 8.0, lower).radius <= (
             LAPLACIAN_FORMS_THRESHOLD)
         monkeypatch.setattr(spectral, "_residue_classes", lambda period, size: honest(2, size))
@@ -951,6 +1009,152 @@ class TestGalerkinBlocks:
         assert np.array_equal(np.sort(positions), np.arange(size))
         for group in groups:
             assert np.all(group % max(period, 1) == group[:, :1] % max(period, 1))
+
+
+def _transposed_factor_pairs(mass, stiffness, limit):
+    """``spectral._windowed_ritz_pairs`` with M^T in place of M^H, a mutant."""
+    inverse = np.linalg.inv(np.linalg.cholesky(mass))
+    transpose = inverse.swapaxes(1, 2)
+    values, vectors = np.linalg.eigh(inverse @ stiffness @ transpose)
+    classes, columns = np.nonzero(np.abs(values) <= limit)
+    vectors = transpose @ vectors[:, :, : columns.max(initial=-1) + 1]
+    return values[classes, columns], vectors[classes, :, columns], classes
+
+
+class TestWindowedRitzPairs:
+    """``_windowed_ritz_pairs`` against ``scipy.linalg.eigh(A, G)`` on stacks
+    of random Hermitian A and Hermitian positive definite G = Q diag(s) Q^H,
+    cond(G) up to 1e3.  The allowances are derived, with u = eps, t =
+    sqrt(2) gamma_{n+2} the relative error of a complex product of rows of n
+    terms (Higham, section 3.6), so |fl(fl(X Y) Z) - X Y Z| <= (2t + t^2)
+    |X| |Y| |Z|, and eigh's backward error and the orthonormality error of
+    its vectors taken as n eps ||C||_2 and n eps, the convention of
+    ``conftest.galerkin_rounding``.  Every norm and magnitude computed here
+    is multiplied by 1 + gamma_{n^2 + 2n + 2}, which covers its own
+    rounding (Higham, Lemma 3.3).
+
+    * The oracle's values w_k and vectors V, by congruence: lambda_k(A, G) =
+      lambda_k(P, I + F), P = V^H A V, F = V^H G V - I, and with eta =
+      ||F||_2 < 1 Ostrowski's theorem puts lambda_k(A, G) at theta
+      lambda_k(P), theta in [1 / (1 + eta), 1 / (1 - eta)]; Weyl puts
+      lambda_k(P) within ||P - diag(w)||_2 of w_k.  So w_k is within b_k =
+      ||E|| + eta (|w_k| + ||E||) / (1 - eta) of lambda_k(A, G), E = P -
+      diag(w), and |lambda_k(A, G)| <= (|w_k| + ||E||) / (1 - eta).
+    * The read's values, through its own M = inv(cholesky(G)), recorded:
+      the computed C = fl(fl(M A) M^H), of which eigh reads the lower
+      triangle, is within delta = (2t + t^2) || |M| |A| |M^H| ||_F of
+      M A M^H, so rho_k is within n eps ||C||_2 + delta of lambda_k(M A
+      M^H), and by the same congruence, with eta_M = ||M G M^H - I||_2,
+      lambda_k(M A M^H) is within eta_M |lambda_k(A, G)| of lambda_k(A, G).
+      The allowance of |rho_k - w_k| is the sum of the two.
+    * c = fl(M^H y), y a unit vector of C: c^H G c - 1 is y^H y - 1 (at most
+      n eps) plus y^H (M G M^H - I) y (at most eta_M (1 + n eps)) plus the
+      rounding of c, |dc| <= t |M^H| |y|, which moves c^H G c by at most
+      ||G|| t ||M||_F^2 (2 + t)(1 + n eps), plus the rounding of the
+      computed c^H G c, (2t + t^2) |c|^H |G| |c|.
+    """
+
+    SIZES = (1, 12, 24, 60)
+    CONDITIONS = (10.0, 1e2, 1e3)
+
+    @classmethod
+    def _stack(cls, size):
+        """A (3, n, n) stack of Hermitian A and of G of the three conditions."""
+        rng = np.random.default_rng(size)
+        shape = (len(cls.CONDITIONS), size, size)
+        noise = rng.normal(size=shape) + 1j * rng.normal(size=shape)
+        stiffness = noise + np.conjugate(noise).swapaxes(1, 2)
+        unitary = np.linalg.qr(rng.normal(size=shape) + 1j * rng.normal(size=shape))[0]
+        scales = [rng.uniform(0.5, 2.0) * np.geomspace(1.0, condition, size)
+                  for condition in cls.CONDITIONS]
+        mass = (unitary * np.array(scales)[:, None, :]) @ np.conjugate(unitary).swapaxes(1, 2)
+        mass = 0.5 * (mass + np.conjugate(mass).swapaxes(1, 2))
+        return mass, stiffness
+
+    @staticmethod
+    def _congruence(a, g, x, diagonal):
+        """Upper bounds of ||X^H A X - diag||_2 and of ||X^H G X - I||_2."""
+        n = a.shape[0]
+        t = math.sqrt(2.0) * spectral.gamma(n + 2)
+        grow = 1.0 + spectral.gamma(n * n + 2 * n + 2)
+        xh = np.conjugate(x).T
+        bounds = []
+        for matrix, target in ((a, np.diag(diagonal)), (g, np.eye(n))):
+            computed = np.linalg.norm(xh @ (matrix @ x) - target) / (1.0 - EPS)
+            magnitude = np.linalg.norm(np.abs(xh) @ np.abs(matrix) @ np.abs(x))
+            bounds.append(grow * (computed + (2.0 * t + t * t) * magnitude))
+        return bounds
+
+    @classmethod
+    def _failures(cls, pairs_function, mass, stiffness, monkeypatch) -> list:
+        """Run ``pairs_function`` on the stack at a limit between two of the
+        oracle's values, recording its linalg calls, and list every check of
+        the class docstring that it fails."""
+        size = mass.shape[1]
+        oracle = [scipy.linalg.eigh(a, g) for a, g in zip(stiffness, mass)]
+        magnitudes = np.sort(np.abs(np.concatenate([w for w, _ in oracle])))
+        middle = magnitudes.size // 2
+        limit = 0.5 * (magnitudes[middle - 1] + magnitudes[middle])
+        calls = {"cholesky": [], "inv": [], "eigh": []}
+
+        def recording(solver, record):
+            def recorded(*args):
+                record.append(solver(*args))
+                return record[-1]
+            return recorded
+
+        for name, record in calls.items():
+            monkeypatch.setattr(np.linalg, name, recording(getattr(np.linalg, name), record))
+        values, vectors, classes = pairs_function(mass, stiffness, limit)
+        monkeypatch.undo()
+        failures = [name for name, record in calls.items() if len(record) != 1]
+        inverse, n = calls["inv"][-1], size
+        t = math.sqrt(2.0) * spectral.gamma(n + 2)
+        grow = 1.0 + spectral.gamma(n * n + 2 * n + 2)
+        for index, ((w, v), a, g) in enumerate(zip(oracle, stiffness, mass)):
+            error, eta = cls._congruence(a, g, v, w)
+            assert eta < 1.0
+            m = inverse[index]
+            magnitude = np.linalg.norm(np.abs(m) @ np.abs(a) @ np.abs(m.conj().T))
+            eta_m = cls._congruence(a, g, m.conj().T, np.ones(n))[1]
+            assert eta_m < 1.0
+            allowance = (error + eta * (np.abs(w) + error) / (1.0 - eta)
+                         + grow * (n * EPS * (1.0 + 2.0 * t + t * t) + 2.0 * t + t * t) * magnitude
+                         + eta_m * (np.abs(w) + error) / (1.0 - eta))
+            # no oracle value within its allowance of the edge, so the counts agree
+            assert np.all(np.abs(np.abs(w) - limit) > allowance)
+            inside, mine = np.abs(w) <= limit, classes == index
+            if np.count_nonzero(mine) != np.count_nonzero(inside):
+                failures.append(f"count {index}")
+            elif not np.all(np.abs(values[mine] - w[inside]) <= allowance[inside]):
+                failures.append(f"values {index}")
+            c = vectors[mine].T
+            norms = np.sum(np.conjugate(c) * (g @ c), axis=0).real
+            bound = (n * EPS + eta_m * (1.0 + n * EPS)
+                     + grow * np.linalg.norm(g) * t * np.linalg.norm(m) ** 2 * (2.0 + t)
+                     * (1.0 + n * EPS)
+                     + grow * (2.0 * t + t * t)
+                     * np.sum(np.abs(c) * (np.abs(g) @ np.abs(c)), axis=0))
+            if not np.all(np.abs(norms - 1.0) <= bound):
+                failures.append(f"norms {index}")
+        return failures
+
+    @pytest.mark.parametrize("size", SIZES)
+    def test_the_pairs_match_the_generalized_oracle(self, size, monkeypatch):
+        """Windowed values within the derived allowance of scipy's, in order
+        per class, c^H G c = 1 within its bound, and one Cholesky, one
+        inverse and one eigh call for the stack."""
+        mass, stiffness = self._stack(size)
+        assert self._failures(spectral._windowed_ritz_pairs, mass, stiffness, monkeypatch) == []
+
+    @pytest.mark.parametrize("size", SIZES[1:])
+    def test_a_transposed_factor_fails_the_oracle(self, size, monkeypatch):
+        """M^T in place of M^H: a complex M makes M A M^T non-Hermitian, and
+        c^H G c is no longer 1."""
+        mass, stiffness = self._stack(size)
+        failures = self._failures(_transposed_factor_pairs, mass, stiffness, monkeypatch)
+        assert any(failure.startswith(("values", "count")) for failure in failures)
+        assert any(failure.startswith("norms") for failure in failures)
 
 
 class TestStripWidth:
@@ -974,7 +1178,7 @@ class TestStripWidth:
         bound's strip reads 0, but the zeros give eta = 0.511."""
         coefficients = _density(MetricProfile(1.0, (ProfileTerm(0, 1, 0.6),
                                                     ProfileTerm(0, 2, 0.6))), grid64).coefficients
-        assert spectral.lower_bound(coefficients) <= 0.0
+        assert coefficients[2].real - 2.0 * np.abs(coefficients[3:]).sum() <= 0.0
         assert spectral.strip_width(coefficients) == pytest.approx(0.5110, abs=1e-4)
 
     def test_a_zero_on_the_line_gives_zero(self):
