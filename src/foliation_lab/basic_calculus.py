@@ -6,9 +6,9 @@ basic 1-form share that representation, and the Laplacian takes the degree
 (DEGREE_FUNCTION or DEGREE_ONE_FORM) as a separate argument.  The
 L^2-orthogonal projection onto basic fields is the leaf-volume-weighted
 theta-average; the weight is the metric profile f itself.  The leaf-volume
-density is built from the theta-averaged profile's terms, and so are its
-exact Fourier coefficients, which the Galerkin Laplacian read takes
-(``spectral``).  The basic mean curvature is
+density holds the theta-averaged profile and no grid; its exact Fourier
+coefficients, which the Galerkin Laplacian read takes (``spectral``), and
+its per-grid samples come from the profile's terms.  The basic mean curvature is
 ``LeafVolumeDensity.mean_curvature_values``.  All quadrature is
 uniform trapezoid on the periodic grid, which is exact for band-limited
 integrands.
@@ -33,37 +33,44 @@ TWO_PI = 2.0 * np.pi
 
 @dataclass(frozen=True)
 class LeafVolumeDensity:
-    """g(t) = (1/2pi) integral of f(theta, t) dtheta on the N-point t-grid,
-    a function of the theta-averaged profile and N alone.
+    """g(t) = (1/2pi) integral of f(theta, t) dtheta, a function of the
+    theta-averaged profile alone, with no grid.
 
     The exact theta-average of a Fourier profile keeps only its m = 0 modes
     (``MetricProfile.theta_average``), so g = c + sum a_i cos(n_i t + phi_i),
-    and everything else is computed from those terms: the samples and their
-    termwise derivative g_dot; ``t_bandwidth``, the largest |n_i|, which the
-    grid must resolve; and the exact Fourier ``coefficients``.  Equal
-    averages on one grid give equal, hashable densities.
+    and everything else is computed from those terms: the exact Fourier
+    ``coefficients``; ``t_bandwidth``, the largest |n_i|; and the
+    ``samples`` g and g' on a grid, which must resolve it.  Equal averages
+    give equal, hashable densities.
     """
 
     average: MetricProfile
-    n_points: int
 
     def __post_init__(self):
         if any(term.m or term.phase_theta for term in self.average.terms):
             raise ValueError("a leaf volume density is built from a theta-averaged profile")
-        require_resolved(self.n_points, self.t_bandwidth)
-        ts = uniform_nodes(self.n_points)
-        g = self.average.sample_t(ts)
-        if not (g > 0.0).all():
-            raise ValueError("leaf volume density must be strictly positive")
-        g_dot = np.zeros_like(g)
-        for term in self.average.terms:
-            g_dot -= term.amplitude * term.n * np.sin(term.n * ts + term.phase_t)
-        object.__setattr__(self, "g_values", g)
-        object.__setattr__(self, "g_dot_values", g_dot)
+        object.__setattr__(self, "_samples", {})
 
     @classmethod
-    def from_profile(cls, profile: MetricProfile, grid: GridSpec) -> "LeafVolumeDensity":
-        return cls(profile.theta_average(), grid.n_points)
+    def from_profile(cls, profile: MetricProfile) -> "LeafVolumeDensity":
+        return cls(profile.theta_average())
+
+    def samples(self, n_points: int) -> tuple[np.ndarray, np.ndarray]:
+        """(g, g') at the ``n_points`` uniform nodes, read-only and memoised per
+        grid; ValueError on a grid that does not resolve ``t_bandwidth`` or a
+        sample that is not positive."""
+        if n_points not in self._samples:
+            require_resolved(n_points, self.t_bandwidth)
+            ts = uniform_nodes(n_points)
+            g = self.average.sample_t(ts)
+            if not (g > 0.0).all():
+                raise ValueError("leaf volume density must be strictly positive")
+            g_dot = np.zeros_like(g)
+            for term in self.average.terms:
+                g_dot -= term.amplitude * term.n * np.sin(term.n * ts + term.phase_t)
+            g.flags.writeable = g_dot.flags.writeable = False
+            self._samples[n_points] = g, g_dot
+        return self._samples[n_points]
 
     @property
     def t_bandwidth(self) -> int:
@@ -84,9 +91,10 @@ class LeafVolumeDensity:
         coefficients.flags.writeable = False
         return coefficients
 
-    def mean_curvature_values(self) -> np.ndarray:
-        """Coefficient of the basic mean-curvature 1-form: -g_dot/g."""
-        return -self.g_dot_values / self.g_values
+    def mean_curvature_values(self, n_points: int) -> np.ndarray:
+        """Coefficient of the basic mean-curvature 1-form, -g'/g, at the nodes."""
+        g, g_dot = self.samples(n_points)
+        return -g_dot / g
 
 
 def project_basic(field: np.ndarray, f_values: np.ndarray, grid: GridSpec) -> np.ndarray:

@@ -136,14 +136,16 @@ def _spectrum(operator_name: str, density: LeafVolumeDensity, grid: GridSpec, wi
 
 def _spectrum_text(report: SpectrumReport, fmt: str, window: float) -> str:
     """The in-window eigenvalues as CSV (a comment header, then one per row) or
-    JSON; a report with radii adds them, the largest to the CSV header and
-    each, aligned with the eigenvalues, to JSON."""
+    JSON, tagged ``inv`` for a Dirac operator and ``dep`` for a Laplacian, whose
+    spectrum depends on the metric; a report with radii adds them, the largest
+    to the CSV header and each, aligned with the eigenvalues, to JSON."""
+    tag = "inv" if report.operator_label.startswith("dirac") else "dep"
     inside = np.abs(report.eigenvalues) <= window + WINDOW_EDGE_SLACK
     values = report.eigenvalues[inside]
     radii = None if report.radii is None else report.radii[inside]
     if fmt == "csv":
         header = (f"# operator={report.operator_label},grid={report.grid_size},"
-                  f"window={window:.17g},tag=inv")
+                  f"window={window:.17g},tag={tag}")
         if radii is not None:
             header += f",radius={np.max(radii):.17g}"
         return header + "\neigenvalue\n" + "".join(f"{value:.17g}\n" for value in values)
@@ -151,7 +153,7 @@ def _spectrum_text(report: SpectrumReport, fmt: str, window: float) -> str:
         "operator_label": report.operator_label,
         "grid_size": report.grid_size,
         "window": window,
-        "tag": "inv",
+        "tag": tag,
         "n_total": report.eigenvalues.size,
         "eigenvalues": values.tolist(),
     }
@@ -169,7 +171,7 @@ def _cmd_spectrum(args) -> int:
     elif not 0.0 < args.window < math.inf:
         raise ValueError(f"window must be positive and finite, got {args.window}")
     profile = _load_profiles([args.profile])[0]
-    density = LeafVolumeDensity.from_profile(profile, grid)
+    density = LeafVolumeDensity.from_profile(profile)
     report = _spectrum(args.operator, density, grid, args.window)
     text = _spectrum_text(report, args.format, args.window)
     name = f"spectrum_{args.operator}_{Path(args.profile).stem}.{args.format}"
@@ -248,7 +250,6 @@ def _write_bundle(reports, grid: GridSpec, seed, args, name: str) -> int:
 
 def _cmd_verify(args) -> int:
     grid = GridSpec(args.grid, "trivial")
-    grid.validate_window(args.window)
     if not args.profiles and args.pairs < 1:
         raise ValueError(
             f"verify has no checks to run: --pairs {args.pairs} and no --profiles"
@@ -261,7 +262,6 @@ def _cmd_verify(args) -> int:
 
 def _cmd_invariance(args) -> int:
     grid = GridSpec(args.grid, "trivial")
-    grid.validate_window(args.window)
     p1, p2 = _load_profiles(args.profiles)
     reports = run_pair_checks([(p1, p2)], grid, args.window)
     return _write_bundle(reports, grid, None, args, "invariance_bundle.json")

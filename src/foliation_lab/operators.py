@@ -84,24 +84,19 @@ def diagonal_conjugate(matrix: np.ndarray, w: np.ndarray) -> np.ndarray:
     return scaled.view(np.complex128)
 
 
-def quadrature_weights(density: LeafVolumeDensity) -> np.ndarray:
-    return (TWO_PI / density.n_points) * density.g_values
+def quadrature_weights(density: LeafVolumeDensity, n_points: int) -> np.ndarray:
+    return (TWO_PI / n_points) * density.samples(n_points)[0]
 
 
-def dirac_factors(density: LeafVolumeDensity) -> tuple[np.ndarray, np.ndarray]:
-    """(w, W): the spinor Dirac operator's factor w = g^{1/2}, of
-    i w^{-1} D_s w, and its quadrature weights W, for the assembly here and
+def dirac_factors(density: LeafVolumeDensity, n_points: int) -> tuple[np.ndarray, np.ndarray]:
+    """(w, W) on ``n_points`` nodes: the spinor Dirac operator's factor w = g^{1/2},
+    of i w^{-1} D_s w, and its quadrature weights W, for the assembly here and
     for the O(N) read and conjugation bound, which build no matrix."""
-    return np.sqrt(density.g_values), quadrature_weights(density)
+    return np.sqrt(density.samples(n_points)[0]), quadrature_weights(density, n_points)
 
 
 def spinor_label(grid: GridSpec) -> str:
     return f"dirac_spinor[{grid.spin_structure},N={grid.n_points}]"
-
-
-def _check_grid(density: LeafVolumeDensity, grid: GridSpec) -> None:
-    if density.n_points != grid.n_points:
-        raise ValueError("density and grid sizes differ")
 
 
 def assemble_basic_dirac_spinor(density: LeafVolumeDensity, grid: GridSpec) -> WeightedOperator:
@@ -112,8 +107,7 @@ def assemble_basic_dirac_spinor(density: LeafVolumeDensity, grid: GridSpec) -> W
     one antiperiodic sections, written by their periodic parts
     (``_spectral_diff``; half-integer spectrum).
     """
-    _check_grid(density, grid)
-    w, weights = dirac_factors(density)
+    w, weights = dirac_factors(density, grid.n_points)
     matrix = diagonal_conjugate(differentiation_matrix(grid.n_points, grid.spin_structure), w)
     matrix *= 1j
     return WeightedOperator(matrix, weights, spinor_label(grid), grid.n_points)
@@ -121,9 +115,8 @@ def assemble_basic_dirac_spinor(density: LeafVolumeDensity, grid: GridSpec) -> W
 
 def twisted_differential(density: LeafVolumeDensity, grid: GridSpec) -> np.ndarray:
     """Twisted differential on basic functions: u -> (u' - k u / 2) dt, k = -g'/g."""
-    _check_grid(density, grid)
     d = differentiation_matrix(grid.n_points, "trivial")
-    return diagonal_conjugate(d, np.sqrt(density.g_values))
+    return diagonal_conjugate(d, np.sqrt(density.samples(grid.n_points)[0]))
 
 
 def forms_label(n_points: int) -> str:
@@ -144,15 +137,14 @@ def assemble_basic_dirac_forms(
     """
     d_tw = twisted_differential(density, grid)
     matrix = np.block([[np.zeros_like(d_tw), -d_tw], [d_tw, np.zeros_like(d_tw)]])
-    weights = np.concatenate([quadrature_weights(density)] * 2)
+    weights = np.concatenate([quadrature_weights(density, grid.n_points)] * 2)
     return WeightedOperator(matrix, weights, forms_label(grid.n_points), grid.n_points)
 
 
 def codifferential(density: LeafVolumeDensity, grid: GridSpec) -> np.ndarray:
     """Weighted adjoint of the plain differential: v dt -> -(g v)'/g."""
-    _check_grid(density, grid)
     d = differentiation_matrix(grid.n_points, "trivial")
-    delta = diagonal_conjugate(d, density.g_values)
+    delta = diagonal_conjugate(d, density.samples(grid.n_points)[0])
     return np.negative(delta, out=delta)
 
 
@@ -176,7 +168,8 @@ def assemble_basic_laplacian(
     d = differentiation_matrix(grid.n_points, "trivial")
     delta = codifferential(density, grid)
     matrix = delta @ d if degree == DEGREE_FUNCTION else d @ delta
-    return WeightedOperator(matrix, quadrature_weights(density), label, grid.n_points)
+    weights = quadrature_weights(density, grid.n_points)
+    return WeightedOperator(matrix, weights, label, grid.n_points)
 
 
 def connection_laplacian_spinor(
@@ -189,18 +182,18 @@ def connection_laplacian_spinor(
     (g'/2g)' + (g'/2g)^2, so that its high-frequency action is consistent
     with the Dirac square and operator-norm comparisons stay meaningful.
     """
-    _check_grid(density, grid)
+    g, g_dot = density.samples(grid.n_points)
     d_spin = differentiation_matrix(grid.n_points, grid.spin_structure)
-    half_log_derivative = density.g_dot_values / (2.0 * density.g_values)
+    half_log_derivative = g_dot / (2.0 * g)
     correction = (
         fourier_derivative(half_log_derivative, order=1) + half_log_derivative**2
     )
-    matrix = -diagonal_conjugate(d_spin @ d_spin, np.sqrt(density.g_values)) + np.diag(
+    matrix = -diagonal_conjugate(d_spin @ d_spin, np.sqrt(g)) + np.diag(
         correction.astype(np.complex128)
     )
     return WeightedOperator(
         matrix=matrix,
-        weights=quadrature_weights(density),
+        weights=quadrature_weights(density, grid.n_points),
         label=f"connection_laplacian[{grid.spin_structure},N={grid.n_points}]",
         n_points=grid.n_points,
     )
@@ -210,7 +203,6 @@ def require_lichnerowicz_grid(density: LeafVolumeDensity, grid: GridSpec) -> Non
     """Refuse a grid too coarse for the Lichnerowicz check: quotient
     quantities such as g'/g need several harmonics of the profile resolved,
     so n_points >= 8 * bandwidth is required."""
-    _check_grid(density, grid)
     if density.t_bandwidth > 0 and grid.n_points < 8 * density.t_bandwidth:
         raise ValueError(
             f"grid too coarse for density bandwidth {density.t_bandwidth}: "
@@ -242,7 +234,7 @@ def assemble_lichnerowicz_sides(
         n_points=grid.n_points,
     )
     connection = connection_laplacian_spinor(density, grid)
-    k = density.mean_curvature_values()
+    k = density.mean_curvature_values(grid.n_points)
     delta_kappa = (codifferential(density, grid) @ k.astype(np.complex128)).real
     potential = 0.25 * k * k - 0.5 * delta_kappa
     rhs = WeightedOperator(

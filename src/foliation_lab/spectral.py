@@ -4,8 +4,8 @@
 reads both basic Dirac spectra of a density from the operator's O(N) data.
 ``function_laplacian`` reads the function Laplacian from the density's
 Fourier coefficients, by Galerkin, for the pair battery and ``spectrum``.
-A ``SpectrumReport`` carries no window: callers pass one that
-``GridSpec.validate_window`` has checked to ``in_window``.
+A ``SpectrumReport`` carries no window: the pair battery's has passed
+``GridSpec.validate_window``, and a Laplacian ``spectrum``'s is positive and finite.
 
 Basic Dirac spectra.  The paper's operator is unitarily equivalent to a
 translation-invariant one, and on a circle the nontrivial spin structure
@@ -349,10 +349,8 @@ def dirac_spectra(density: LeafVolumeDensity, grid: GridSpec) -> tuple:
     gate fails.
     """
     n = grid.n_points
-    if density.n_points != n:
-        raise ValueError("density and grid sizes differ")
     values, _, frobenius = circulant_spectrum(n, grid.spin_structure)
-    w, weights = dirac_factors(density)
+    w, weights = dirac_factors(density, n)
     asymmetry, distance = factor_bounds(np.sqrt(weights) / w, frobenius)
     # the gate ratio (||S - S^H||_F + 2 d) / max |mu|, both terms bounded
     residual = (asymmetry + 2.0 * distance) / max(float(np.max(np.abs(values))),

@@ -23,8 +23,8 @@ Generated pairs (``random_pair``) and given pairs run the same battery,
 and no pair check is skipped.
 
 Per command, ``run_pair_checks`` reads each distinct density's Laplacian
-once, keyed on the density; the memo holds reads only and ends with the
-call.  The Dirac reads cost O(N) once the lattice of
+once, keyed on the density, which holds no grid; the memo holds reads only
+and ends with the call.  The Dirac reads cost O(N) once the lattice of
 ``spectral.circulant_spectrum`` is cached, and are not memoised.
 
 Every basic Dirac spectrum is the lattice of the translation-invariant
@@ -194,8 +194,8 @@ def kappa_transform_residual(
     (``basic_volume_ratio``); the vanishing of k' - k + dlog(alpha) is the
     endomorphism identity that makes the two Dirac operators conjugate.
     """
-    k1 = d1.mean_curvature_values()
-    k2 = d2.mean_curvature_values()
+    k1 = d1.mean_curvature_values(grid.n_points)
+    k2 = d2.mean_curvature_values(grid.n_points)
     residual = float(np.max(np.abs(k2 - k1 + dlog(alpha, grid))))
     metadata = {**metadata, "alpha_min": float(alpha.min())}
     return VerificationReport.from_residual(
@@ -217,8 +217,8 @@ def conjugation_residual(
     i C_jk (u_k / u_j)(r_j - r_k) / r_j, so its norm is at most
     F (max |u| / min |u|) max |r_j - r_k| / min |r|, read off the computed u
     and r by ``spectral.conjugation_bound``."""
-    u = dirac_factors(d2)[0]
-    residual = conjugation_bound(u, np.sqrt(alpha) * dirac_factors(d1)[0] / u,
+    u = dirac_factors(d2, grid.n_points)[0]
+    residual = conjugation_bound(u, np.sqrt(alpha) * dirac_factors(d1, grid.n_points)[0] / u,
                                  circulant_spectrum(grid.n_points, grid.spin_structure)[2])
     return VerificationReport.from_residual(
         "conjugation", residual, CONJUGATION_THRESHOLD, metadata
@@ -248,12 +248,12 @@ def scal_relation_residual(
     )
 
 
-def lichnerowicz_diagonal(density: LeafVolumeDensity) -> tuple[np.ndarray, float]:
-    """c + p = -diag(lhs - rhs) at the nodes, by two real FFT pairs, and the
-    allowance a >= its largest rounding error (``lichnerowicz_residual``)."""
-    g, g_dot, n_points = density.g_values, density.g_dot_values, density.n_points
+def lichnerowicz_diagonal(density: LeafVolumeDensity, n_points: int) -> tuple[np.ndarray, float]:
+    """c + p = -diag(lhs - rhs) at the ``n_points`` nodes, by two real FFT pairs,
+    and the allowance a >= its largest rounding error (``lichnerowicz_residual``)."""
+    g, g_dot = density.samples(n_points)
     h = g_dot / (2.0 * g)
-    k = density.mean_curvature_values()
+    k = density.mean_curvature_values(n_points)
     derivative_h, derivative_g_dot = fourier_derivative(np.stack([h, g_dot]))
     terms = (derivative_h, h * h, 0.25 * k * k, derivative_g_dot / (-2.0 * g))
     values = terms[0] + terms[1] + terms[2] + terms[3]
@@ -311,9 +311,9 @@ def lichnerowicz_residual(
                   f"{variation:.3e}; the Lichnerowicz identity check requires a "
                   "product-form profile f = a(theta) c(t)")
         return VerificationReport.skipped("lichnerowicz", LICHNEROWICZ_THRESHOLD, reason, metadata)
-    density = LeafVolumeDensity.from_profile(profile, grid)
+    density = LeafVolumeDensity.from_profile(profile)
     require_lichnerowicz_grid(density, grid)
-    values, allowance = lichnerowicz_diagonal(density)
+    values, allowance = lichnerowicz_diagonal(density, grid.n_points)
     residual = float(np.max(np.abs(values))) + allowance
     return VerificationReport.from_residual(
         "lichnerowicz", residual, LICHNEROWICZ_THRESHOLD,
@@ -451,8 +451,8 @@ def run_pair_checks(pairs: list[tuple[MetricProfile, MetricProfile]], grid: Grid
                          "contrast can tell two metrics apart")
     laplacians, reports = {}, []
     for p1, p2 in pairs:
-        d1 = LeafVolumeDensity.from_profile(p1, grid)
-        d2 = LeafVolumeDensity.from_profile(p2, grid)
+        d1 = LeafVolumeDensity.from_profile(p1)
+        d2 = LeafVolumeDensity.from_profile(p2)
         alpha = basic_volume_ratio(p1, p2, grid)
         metadata = pair_metadata(p1, p2, grid)
         conjugation = conjugation_residual(d1, d2, alpha, grid, metadata)

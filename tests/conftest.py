@@ -91,9 +91,10 @@ def weighted_inner_product(a: np.ndarray, b: np.ndarray, density: LeafVolumeDens
     """Trapezoid-rule inner product (2pi/N) sum conj(a) b g on the t-circle."""
     a = np.asarray(a)
     b = np.asarray(b)
-    if a.size != b.size or a.size != density.n_points:
-        raise ValueError("fields and density must share the t-grid")
-    return complex((TWO_PI / density.n_points) * np.sum(np.conj(a) * b * density.g_values))
+    if a.size != b.size:
+        raise ValueError("fields must share the t-grid")
+    g = density.samples(a.size)[0]
+    return complex((TWO_PI / a.size) * np.sum(np.conj(a) * b * g))
 
 
 def complex_diagonal_conjugate(matrix: np.ndarray, w: np.ndarray) -> np.ndarray:
@@ -149,7 +150,7 @@ def delta_d_laplacian(density: LeafVolumeDensity, grid: GridSpec, degree: str) -
     delta = codifferential(density, grid)
     return WeightedOperator(
         matrix=delta @ d if degree == "function" else d @ delta,
-        weights=quadrature_weights(density),
+        weights=quadrature_weights(density, grid.n_points),
         label=f"delta_d_{degree}[N={grid.n_points}]",
         n_points=grid.n_points,
     )
@@ -197,7 +198,7 @@ def dense_laplacian_read(density: LeafVolumeDensity, grid: GridSpec,
     allowance = float(np.linalg.norm(hermitian - gram)) * (1.0 + spectral.gamma(2 * n * n + 2))
     allowance += spectral.gamma(n + 2) * float(np.linalg.norm(bound))
     allowance += n * eps * float(np.max(np.abs(values)))
-    w = np.sqrt(density.g_values)
+    w = np.sqrt(density.samples(n)[0])
     error = (w.max() / w.min()) * (n * n * eps / 2.0) * (1.0 + spectral.gamma(2))
     sigma = np.sqrt(np.maximum(values, 0.0) + allowance)
     return values, allowance + error * (2.0 * sigma + error)
@@ -275,7 +276,7 @@ def pair_inputs(p1: MetricProfile, p2: MetricProfile, grid: GridSpec) -> SimpleN
     the two ``densities``, their ``dirac_spectra`` ``spectra``, ``alpha``, the
     pair ``metadata``, and ``laplacians(window)``, the two densities'
     ``battery_laplacian``."""
-    densities = tuple(LeafVolumeDensity.from_profile(p, grid) for p in (p1, p2))
+    densities = tuple(LeafVolumeDensity.from_profile(p) for p in (p1, p2))
     return SimpleNamespace(
         densities=densities,
         spectra=tuple(dirac_spectra(d, grid) for d in densities),

@@ -54,7 +54,7 @@ def test_criterion_1_integer_spectrum_oracle():
     details = []
     for name, profile in profiles.items():
         start = time.perf_counter()
-        density = LeafVolumeDensity.from_profile(profile, GRID)
+        density = LeafVolumeDensity.from_profile(profile)
         op = assemble_basic_dirac_spinor(density, GRID)
         window = eigenvalues_weighted(op).in_window(WINDOW)
         elapsed = time.perf_counter() - start

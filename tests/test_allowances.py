@@ -100,8 +100,8 @@ def test_lattice_values_lie_within_the_allowance(n_points, spin):
 def _perturbed_factor(grid: GridSpec, kind: str) -> tuple:
     """The cosine density's (w, W) with w perturbed by a relative 1e-6 in its
     modulus or in its phase, and the computed q."""
-    density = LeafVolumeDensity.from_profile(COSINE, grid)
-    w, weights = dirac_factors(density)
+    density = LeafVolumeDensity.from_profile(COSINE)
+    w, weights = dirac_factors(density, grid.n_points)
     noise = np.random.default_rng(grid.n_points).uniform(-1.0, 1.0, grid.n_points)
     w = w * (1.0 + 1e-6 * noise) if kind == "modulus" else w * np.exp(1e-6j * noise)
     return w, weights, np.sqrt(weights) / w
@@ -137,13 +137,13 @@ def test_conjugation_bound_holds_for_a_perturbed_alpha(n_points, spin):
     float factors and alpha, with alpha perturbed by a relative 1e-6, is at
     most the conjugation residual."""
     grid = GridSpec(n_points, spin)
-    d1, d2 = (LeafVolumeDensity.from_profile(p, grid) for p in (COSINE, MIXED))
+    d1, d2 = (LeafVolumeDensity.from_profile(p) for p in (COSINE, MIXED))
     noise = np.random.default_rng(n_points + 1).uniform(-1.0, 1.0, n_points)
     alpha = basic_volume_ratio(COSINE, MIXED, grid) * (1.0 + 1e-6 * noise)
     report = conjugation_residual(d1, d2, alpha, grid, pair_metadata(COSINE, MIXED, grid))
-    u = [mpmath.mpf(x) for x in dirac_factors(d2)[0].tolist()]
+    u = [mpmath.mpf(x) for x in dirac_factors(d2, n_points)[0].tolist()]
     v = [mpmath.sqrt(mpmath.mpf(a)) * mpmath.mpf(x)
-         for a, x in zip(alpha.tolist(), dirac_factors(d1)[0].tolist())]
+         for a, x in zip(alpha.tolist(), dirac_factors(d1, n_points)[0].tolist())]
     moduli = _squared_moduli(_column(n_points, spin))
     total = mpmath.fsum(moduli[(j - k) % n_points] * (u[k] / u[j] - v[k] / v[j]) ** 2
                         for j in range(n_points) for k in range(n_points))
@@ -154,13 +154,13 @@ def test_a_factor_mutant_reaches_the_bounds(monkeypatch):
     """The factor the bounds read is ``operators.dirac_factors``: with w = g
     and W = 1 the conjugation bound fails and d is far from round-off."""
     grid = GridSpec(32)
-    d1, d2 = (LeafVolumeDensity.from_profile(p, grid) for p in (COSINE, MIXED))
+    d1, d2 = (LeafVolumeDensity.from_profile(p) for p in (COSINE, MIXED))
     alpha = basic_volume_ratio(COSINE, MIXED, grid)
     metadata = pair_metadata(COSINE, MIXED, grid)
     assert conjugation_residual(d1, d2, alpha, grid, metadata).passed
-    patch_factors(monkeypatch, lambda d: (d.g_values, np.full(d.n_points, 1.0)))
+    patch_factors(monkeypatch, lambda d, n: (d.samples(n)[0], np.full(n, 1.0)))
     assert not conjugation_residual(d1, d2, alpha, grid, metadata).passed
-    w, weights = spectral.dirac_factors(d1)
+    w, weights = spectral.dirac_factors(d1, 32)
     assert factor_bounds(np.sqrt(weights) / w, circulant_spectrum(32, "trivial")[2])[1] > 1.0
 
 
@@ -246,7 +246,7 @@ def test_galerkin_radii_hold_for_the_profiles_own_density(name):
     ``verify`` pairs them (the index is not certified, ``spectral``).  Each
     radius must bound the read's deviation plus that term."""
     profile = GALERKIN_AUDITED[name]
-    density = LeafVolumeDensity.from_profile(profile, GridSpec(256))
+    density = LeafVolumeDensity.from_profile(profile)
     read = spectral.function_laplacian(density, 3.5, LAPLACIAN_FORMS_THRESHOLD)
     g = _profile_coefficients(profile)
     lower = _true_min(g)
@@ -283,7 +283,7 @@ def test_random_pair_gap_certificate(n_points, amplitude, phase):
       to its ``eigh`` backward error."""
     strong = MetricProfile(2.0, (ProfileTerm(0, 2, amplitude, 0.0, phase),))
     grid, window = GridSpec(n_points), n_points / 8
-    densities = [LeafVolumeDensity.from_profile(p, grid) for p in (strong, MetricProfile(2.0))]
+    densities = [LeafVolumeDensity.from_profile(p) for p in (strong, MetricProfile(2.0))]
     reads = [spectral.function_laplacian(d, window, LAPLACIAN_FORMS_THRESHOLD) for d in densities]
     above = n_points == 16 or (n_points == 32 and amplitude == 0.1)
     assert (reads[0].order > n_points // 2) == above
@@ -330,7 +330,7 @@ def _lower_bound_holds(profile: MetricProfile) -> bool:
     theta-average's certified ``min_bound``, is positive and at most both the
     true min of the profile's own density g and that of g~, the density of
     the float coefficients (``spectral``), in high precision."""
-    density = LeafVolumeDensity.from_profile(profile, GridSpec(64))
+    density = LeafVolumeDensity.from_profile(profile)
     lower = density.average.min_bound
     bandwidth = density.t_bandwidth
     computed = {m - bandwidth: z for m, z in enumerate(_mp(density.coefficients))}
@@ -345,7 +345,7 @@ def test_certified_lower_bound_is_at_most_the_true_minimum(name):
     profile = LOWER_AUDITED[name]
     assert _lower_bound_holds(profile)
     if name == "low":
-        density = LeafVolumeDensity.from_profile(profile, GridSpec(64))
+        density = LeafVolumeDensity.from_profile(profile)
         mean, tail = density.coefficients.real[2], np.abs(density.coefficients[3:]).sum()
         assert mean - 2.0 * tail < -0.19
         assert 0.313 < density.average.min_bound < 0.325
@@ -364,10 +364,10 @@ def test_a_sampled_lower_bound_fails_the_audit(monkeypatch):
 
 def _strip_coefficients() -> list:
     """Density coefficients of one frequency and of several."""
-    single = [LeafVolumeDensity.from_profile(MetricProfile(2.0, (ProfileTerm(0, n, a, 0.0, phase),)),
-                                             GridSpec(64)).coefficients
+    single = [LeafVolumeDensity.from_profile(MetricProfile(2.0, (ProfileTerm(0, n, a, 0.0, phase),)))
+              .coefficients
               for n in (1, 2, 3, 8) for a in (0.01, 0.1, 1.0, 1.9) for phase in (0.0, 2.5)]
-    several = [LeafVolumeDensity.from_profile(profile, GridSpec(64)).coefficients
+    several = [LeafVolumeDensity.from_profile(profile).coefficients
                for profile in LOWER_AUDITED.values()]
     return single + [c for c in several if np.count_nonzero(c[c.size // 2 + 1:]) > 1]
 
@@ -422,10 +422,9 @@ def test_lichnerowicz_diagonal_lies_within_the_allowance(n_points, name):
     computed value is within the allowance of it, so the residual bounds
     ||M||_2 = max|c + p| of the operators as defined."""
     grid = GridSpec(n_points)
-    density = LeafVolumeDensity.from_profile(PRODUCTS[name], grid)
-    values, allowance = lichnerowicz_diagonal(density)
-    g = [mpmath.mpf(x) for x in density.g_values.tolist()]
-    g_dot = [mpmath.mpf(x) for x in density.g_dot_values.tolist()]
+    density = LeafVolumeDensity.from_profile(PRODUCTS[name])
+    values, allowance = lichnerowicz_diagonal(density, n_points)
+    g, g_dot = ([mpmath.mpf(x) for x in samples.tolist()] for samples in density.samples(n_points))
     h = [gd / (2 * gj) for gd, gj in zip(g_dot, g)]
     derivative_h = _fourier_derivative(h, n_points)
     derivative_g_dot = _fourier_derivative(g_dot, n_points)
@@ -450,11 +449,11 @@ def test_dense_off_diagonal_is_round_off(n_points, name):
     ``lichnerowicz_residual`` drops only rounding in a matrix it does not
     form."""
     grid = GridSpec(n_points)
-    density = LeafVolumeDensity.from_profile(PRODUCTS[name], grid)
+    density = LeafVolumeDensity.from_profile(PRODUCTS[name])
     lhs, rhs = assemble_lichnerowicz_sides(density, grid)
     difference = lhs.matrix - rhs.matrix
     np.fill_diagonal(difference, 0.0)
-    w = dirac_factors(density)[0]
+    w = dirac_factors(density, n_points)[0]
     modulus = np.abs(differentiation_matrix(n_points, "trivial"))
     scaled = (modulus @ modulus) * w[None, :] / w[:, None]
     np.fill_diagonal(scaled, 0.0)

@@ -11,7 +11,6 @@ import sympy as sp
 from foliation_lab._spectral_diff import fourier_derivative, uniform_nodes
 from foliation_lab.basic_calculus import LeafVolumeDensity, dlog, project_basic
 from foliation_lab.model_spaces import (
-    GridSpec,
     MetricProfile,
     ProfileTerm,
     torus_geometry,
@@ -29,7 +28,7 @@ def _rng():
 
 
 def _mean_curvature(profile, grid):
-    return LeafVolumeDensity.from_profile(profile, grid).mean_curvature_values()
+    return LeafVolumeDensity.from_profile(profile).mean_curvature_values(grid.n_points)
 
 
 class TestProjectBasic:
@@ -92,11 +91,11 @@ class TestBasicMeanCurvature:
             _mean_curvature(cosine_profile, grid128), oracle(grid128.t_nodes), atol=1e-13
         )
 
-    def test_theta_oscillation_averages_away(self, grid64):
+    def test_theta_oscillation_averages_away(self):
         profile = MetricProfile(2.0, (ProfileTerm(1, 0, 1.0),))
-        density = LeafVolumeDensity.from_profile(profile, grid64)
-        np.testing.assert_allclose(density.g_values, 2.0)
-        np.testing.assert_allclose(density.mean_curvature_values(), 0.0)
+        density = LeafVolumeDensity.from_profile(profile)
+        np.testing.assert_allclose(density.samples(64)[0], 2.0)
+        np.testing.assert_allclose(density.mean_curvature_values(64), 0.0)
 
 
 class TestPeriodicDerivative:
@@ -178,24 +177,24 @@ class TestDlog:
 
 
 class TestWeightedInnerProduct:
-    def test_circle_volume(self, flat_profile, grid64):
-        density = LeafVolumeDensity.from_profile(flat_profile, grid64)
+    def test_circle_volume(self, flat_profile):
+        density = LeafVolumeDensity.from_profile(flat_profile)
         ones = np.ones(64)
         assert weighted_inner_product(ones, ones, density) == pytest.approx(TWO_PI)
 
     def test_fourier_orthogonality(self, flat_profile, grid64):
-        density = LeafVolumeDensity.from_profile(flat_profile, grid64)
+        density = LeafVolumeDensity.from_profile(flat_profile)
         wave = np.exp(1j * grid64.t_nodes)
         value = weighted_inner_product(wave, np.ones(64), density)
         assert abs(value) < 1e-13
 
-    def test_weighted_volume(self, cosine_profile, grid64):
-        density = LeafVolumeDensity.from_profile(cosine_profile, grid64)
+    def test_weighted_volume(self, cosine_profile):
+        density = LeafVolumeDensity.from_profile(cosine_profile)
         ones = np.ones(64)
         assert weighted_inner_product(ones, ones, density) == pytest.approx(2.0 * TWO_PI)
 
-    def test_conjugate_symmetry_and_positivity(self, cosine_profile, grid64):
-        density = LeafVolumeDensity.from_profile(cosine_profile, grid64)
+    def test_conjugate_symmetry_and_positivity(self, cosine_profile):
+        density = LeafVolumeDensity.from_profile(cosine_profile)
         rng = _rng()
         a = rng.normal(size=64) + 1j * rng.normal(size=64)
         b = rng.normal(size=64) + 1j * rng.normal(size=64)
@@ -210,12 +209,10 @@ class TestWeightedInnerProduct:
 class TestLeafVolumeDensity:
     def test_exponential_profile_density(self, grid128):
         profile = exp_sin_profile(0.5)
-        density = LeafVolumeDensity.from_profile(profile, grid128)
+        g, g_dot = LeafVolumeDensity.from_profile(profile).samples(128)
+        np.testing.assert_allclose(g, np.exp(0.5 * np.sin(grid128.t_nodes)), atol=1e-13)
         np.testing.assert_allclose(
-            density.g_values, np.exp(0.5 * np.sin(grid128.t_nodes)), atol=1e-13
-        )
-        np.testing.assert_allclose(
-            density.g_dot_values,
+            g_dot,
             0.5 * np.cos(grid128.t_nodes) * np.exp(0.5 * np.sin(grid128.t_nodes)),
             atol=1e-13,
         )
@@ -223,46 +220,51 @@ class TestLeafVolumeDensity:
     def test_rejects_nonpositive_density(self, monkeypatch):
         monkeypatch.setattr(MetricProfile, "sample_t", lambda profile, ts: np.cos(ts))
         with pytest.raises(ValueError, match="strictly positive"):
-            LeafVolumeDensity(MetricProfile(2.0), 16)
+            LeafVolumeDensity(MetricProfile(2.0)).samples(16)
 
     def test_refuses_a_profile_that_is_not_theta_averaged(self, mixed_profile):
         with pytest.raises(ValueError, match="theta-averaged"):
-            LeafVolumeDensity(mixed_profile, 64)
-        LeafVolumeDensity(mixed_profile.theta_average(), 64)
+            LeafVolumeDensity(mixed_profile)
+        LeafVolumeDensity(mixed_profile.theta_average())
 
     @pytest.mark.parametrize("n_points", [64, 128, 256, 512])
     def test_samples_are_the_average_sampled_termwise(self, n_points):
         """The samples are the averaged profile's at the nodes, through
         ``_kernels``, and g_dot its termwise derivative accumulated term by
-        term, bit for bit, on the generated and parity profiles."""
-        grid = GridSpec(n_points)
+        term, bit for bit, on the generated and parity profiles; they are
+        read-only and taken once per grid."""
         ts = uniform_nodes(n_points)
         for profile in profile_corpus():
-            density = LeafVolumeDensity.from_profile(profile, grid)
+            density = LeafVolumeDensity.from_profile(profile)
             average = profile.theta_average()
             g_dot = np.zeros(n_points)
             for term in average.terms:
                 g_dot -= term.amplitude * term.n * np.sin(term.n * ts + term.phase_t)
-            assert density.average == average and density.n_points == n_points
-            assert np.array_equal(density.g_values, average.sample_t(ts))
-            assert np.array_equal(density.g_dot_values, g_dot)
+            assert density.average == average
+            samples = density.samples(n_points)
+            assert np.array_equal(samples[0], average.sample_t(ts))
+            assert np.array_equal(samples[1], g_dot)
+            assert density.samples(n_points) is samples
+            assert not (samples[0].flags.writeable or samples[1].flags.writeable)
 
-    def test_a_density_is_its_average_and_grid(self, mixed_profile, grid64):
-        """The density's fields are the averaged profile and N; t-bandwidth
-        and coefficients are computed and cannot be passed, and equal
-        averages on one grid are equal keys."""
-        density = LeafVolumeDensity.from_profile(mixed_profile, grid64)
-        assert [field.name for field in dataclasses.fields(density)] == ["average", "n_points"]
+    def test_a_density_is_its_average(self, mixed_profile):
+        """The density's one field is the averaged profile; t-bandwidth and
+        coefficients are computed and cannot be passed, and equal averages
+        are equal keys, whatever grids they were sampled on."""
+        density = LeafVolumeDensity.from_profile(mixed_profile)
+        assert [field.name for field in dataclasses.fields(density)] == ["average"]
         assert density.t_bandwidth == 1
         for name, value in (("t_bandwidth", 0), ("coefficients", None)):
             with pytest.raises(TypeError):
                 dataclasses.replace(density, **{name: value})
-        twin = LeafVolumeDensity.from_profile(mixed_profile, grid64)
+        twin = LeafVolumeDensity.from_profile(mixed_profile)
         assert twin == density and {twin: 1}[density] == 1
-        assert LeafVolumeDensity.from_profile(mixed_profile, GridSpec(128)) != density
+        density.samples(64)
+        twin.samples(128)
+        assert twin == density and hash(twin) == hash(density)
 
     def test_cosine_coefficients_are_exact(self):
-        density = LeafVolumeDensity(MetricProfile(2.0, (ProfileTerm(0, 1, 0.6),)), 64)
+        density = LeafVolumeDensity(MetricProfile(2.0, (ProfileTerm(0, 1, 0.6),)))
         assert np.array_equal(density.coefficients, [0.3, 2.0, 0.3])
 
     @pytest.mark.parametrize("terms, expected", [
@@ -278,6 +280,6 @@ class TestLeafVolumeDensity:
         ((ProfileTerm(1, 3, 0.4), ProfileTerm(0, 1, 0.6, 0.4)),
          [0.3 * math.cos(0.4), 2.0, 0.3 * math.cos(0.4)]),
     ], ids=["negative-n", "zero-n", "shared-n", "theta-average"])
-    def test_exact_coefficients(self, grid64, terms, expected):
-        density = LeafVolumeDensity.from_profile(MetricProfile(2.0, terms), grid64)
+    def test_exact_coefficients(self, terms, expected):
+        density = LeafVolumeDensity.from_profile(MetricProfile(2.0, terms))
         np.testing.assert_allclose(density.coefficients, expected, rtol=0.0, atol=4.0 * EPS)

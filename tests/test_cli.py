@@ -204,6 +204,91 @@ def test_window_that_empties_a_verdict_is_refused(
     assert not out.exists()
 
 
+@pytest.mark.parametrize("command, inputs, message", [
+    ("verify", ["--pairs", "0"], "verify has no checks to run: --pairs 0 and no --profiles"),
+    ("verify", ["--seed", "-1"], "--seed must be a non-negative integer, got '-1'"),
+    ("verify", ["--profiles", "missing.json"], "profile file not found: missing.json"),
+    ("invariance", ["--profiles", "missing.json", "missing.json"],
+     "profile file not found: missing.json"),
+])
+def test_window_is_checked_once_by_the_pair_battery(tmp_path, capsys, command, inputs,
+                                                    message):
+    """``verify`` and ``invariance`` leave the window to the pair battery,
+    which checks it whether or not it has a pair: a run without checks, a
+    bad seed and a missing profile are refused before an untrusted window."""
+    out = tmp_path / "out"
+    argv = [command, *inputs, "--grid", "64", "--window", "16", "--output-dir", str(out)]
+    assert run(argv) == 2
+    assert capsys.readouterr() == ("", f"error: {message}\n")
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("operator, tag", [
+    ("dirac-spinor", "inv"), ("dirac-forms", "inv"),
+    ("laplacian-functions", "dep"), ("laplacian-one-forms", "dep"),
+])
+def test_spectrum_reports_are_tagged_by_operator(tmp_path, wavy_path, operator, tag):
+    """A Dirac spectrum, which does not depend on the metric, is tagged
+    ``inv``, and a Laplacian's, which does, ``dep``: in the CSV header and
+    in JSON."""
+    out = tmp_path / "out"
+    argv = ["spectrum", "--profile", str(wavy_path), "--operator", operator, "--grid", "64",
+            "--window", "8", "--output-dir", str(out)]
+    assert run(argv) == 0 and run([*argv, "--format", "json"]) == 0
+    header = (out / f"spectrum_{operator}_wavy.csv").read_text().splitlines()[0]
+    assert f"tag={tag}" in header.split(",")
+    assert json.loads((out / f"spectrum_{operator}_wavy.json").read_text())["tag"] == tag
+
+
+class TestGridFreeDensity:
+    """The leaf-volume density holds no grid: a read of its coefficients
+    alone refuses no grid, and every read of its samples refuses a grid that
+    does not resolve them."""
+
+    WAVY8 = MetricProfile(2.0, (ProfileTerm(0, 1, 0.5), ProfileTerm(0, 8, 0.2, 0.0, 0.7)))
+
+    @pytest.mark.parametrize("operator", ["laplacian-functions", "laplacian-one-forms"])
+    def test_a_laplacian_spectrum_takes_any_grid(self, tmp_path, operator):
+        """t-bandwidth 8 at grid 8, which its samples would alias: the
+        Laplacian ``spectrum`` exits 0 with the values and radius of grid 128."""
+        save_profile(self.WAVY8, tmp_path / "wavy8.json")
+        written = []
+        for n_points in (8, 128):
+            out = tmp_path / str(n_points)
+            assert run(["spectrum", "--profile", str(tmp_path / "wavy8.json"), "--operator",
+                        operator, "--grid", str(n_points), "--output-dir", str(out)]) == 0
+            lines = (out / f"spectrum_{operator}_wavy8.csv").read_text().splitlines()
+            written.append((lines[0].split(",tag=dep,")[1], lines[2:]))
+        assert written[0] == written[1] and len(written[0][1]) > 1
+
+    @pytest.mark.parametrize("operator", ["dirac-spinor", "dirac-forms"])
+    def test_a_dirac_spectrum_refuses_an_unresolved_grid(self, tmp_path, capsys, operator):
+        save_profile(self.WAVY8, tmp_path / "wavy8.json")
+        out = tmp_path / "out"
+        assert run(["spectrum", "--profile", str(tmp_path / "wavy8.json"), "--operator",
+                    operator, "--grid", "8", "--window", "1", "--output-dir", str(out)]) == 2
+        assert capsys.readouterr() == ("", "error: t-frequency 8 is not resolved on 8 points "
+                                           "per circle: need 2*|frequency| < 8\n")
+        assert not out.exists()
+
+    @pytest.mark.parametrize("command", ["verify", "invariance"])
+    def test_the_pair_battery_refuses_an_unresolved_pair_where_it_samples(
+        self, tmp_path, capsys, command
+    ):
+        """The first sampling of a pair is its volume ratio's, which checks the
+        second profile first, theta before t: of a t-frequency 40 and a
+        theta-frequency 40 profile at grid 64, the theta-frequency is named."""
+        paths = [tmp_path / "t_fast.json", tmp_path / "theta_fast.json"]
+        save_profile(MetricProfile(2.0, (ProfileTerm(0, 40, 0.5),)), paths[0])
+        save_profile(MetricProfile(2.0, (ProfileTerm(40, 1, 0.5),)), paths[1])
+        out = tmp_path / "out"
+        assert run([command, "--profiles", *map(str, paths), "--grid", "64", "--window", "4",
+                    "--output-dir", str(out)]) == 2
+        assert capsys.readouterr() == ("", "error: theta-frequency 40 is not resolved on 64 "
+                                           "points per circle: need 2*|frequency| < 64\n")
+        assert not out.exists()
+
+
 BAD_R = "flow parameter r must be positive and finite, got"
 BAD_RANGE = "need 0 < r-min < r-max < inf"
 TINY_R = "flow parameter r = 1e-200 is too small: r*r underflows to 0"

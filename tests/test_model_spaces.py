@@ -260,13 +260,14 @@ class TestGridSpec:
         t_fast = MetricProfile(2.0, (ProfileTerm(0, 32, 0.5),))
         theta_fast = MetricProfile(2.0, (ProfileTerm(32, 1, 0.5),))
         with pytest.raises(ValueError, match="t-frequency 32 is not resolved on 64 points"):
-            LeafVolumeDensity.from_profile(t_fast, grid)
+            LeafVolumeDensity.from_profile(t_fast).samples(64)
         with pytest.raises(ValueError, match="t-frequency 32 is not resolved on 64 points"):
             torus_metric_sample(t_fast, grid)
         with pytest.raises(ValueError, match="theta-frequency 32 is not resolved"):
             torus_geometry(theta_fast, grid)
         # the density of theta_fast keeps only m = 0 modes, so it is resolved
-        assert LeafVolumeDensity.from_profile(theta_fast, grid).t_bandwidth == 0
+        density = LeafVolumeDensity.from_profile(theta_fast)
+        assert density.t_bandwidth == 0 and density.samples(64)[0].shape == (64,)
         assert torus_metric_sample(t_fast, GridSpec(66)).shape == (66, 66)
 
 

@@ -42,12 +42,12 @@ TWO_PI = 2.0 * np.pi
 EPS = np.finfo(np.float64).eps
 
 
-def _density(profile, grid):
-    return LeafVolumeDensity.from_profile(profile, grid)
+def _density(profile):
+    return LeafVolumeDensity.from_profile(profile)
 
 
 def _all_operators(profile, grid):
-    density = _density(profile, grid)
+    density = _density(profile)
     ops = [
         assemble_basic_dirac_spinor(density, grid),
         assemble_basic_dirac_forms(density, grid),
@@ -82,7 +82,7 @@ class TestDifferentiationMatrix:
         so with s_j the reference the entries agree within 4 eps (1/2 + |s_j|),
         a few ulps."""
         trivial, nontrivial = (
-            assemble_basic_dirac_spinor(_density(cosine_profile, grid), grid).matrix
+            assemble_basic_dirac_spinor(_density(cosine_profile), grid).matrix
             for grid in (GridSpec(n_points), GridSpec(n_points, "nontrivial"))
         )
         off = ~np.eye(n_points, dtype=bool)
@@ -93,23 +93,23 @@ class TestDifferentiationMatrix:
 
 class TestSpinorDirac:
     def test_flat_metric_exact_integer_lattice(self, flat_profile, grid64):
-        op = assemble_basic_dirac_spinor(_density(flat_profile, grid64), grid64)
+        op = assemble_basic_dirac_spinor(_density(flat_profile), grid64)
         report = eigenvalues_weighted(op)
         np.testing.assert_allclose(report.eigenvalues, np.arange(-32, 32), atol=1e-10)
 
     def test_weights_are_scaled_density(self, cosine_profile, grid64):
-        density = _density(cosine_profile, grid64)
+        density = _density(cosine_profile)
         op = assemble_basic_dirac_spinor(density, grid64)
-        np.testing.assert_allclose(op.weights, (TWO_PI / 64) * density.g_values)
+        np.testing.assert_allclose(op.weights, (TWO_PI / 64) * density.samples(64)[0])
 
     def test_wavy_metric_integer_spectrum_in_window(self, cosine_profile, grid128):
-        op = assemble_basic_dirac_spinor(_density(cosine_profile, grid128), grid128)
+        op = assemble_basic_dirac_spinor(_density(cosine_profile), grid128)
         window = eigenvalues_weighted(op).in_window(10.0)
         np.testing.assert_allclose(window, np.arange(-10, 11), atol=1e-8)
 
     def test_nontrivial_spin_structure_half_integers(self, flat_profile):
         grid = GridSpec(64, "nontrivial")
-        op = assemble_basic_dirac_spinor(_density(flat_profile, grid), grid)
+        op = assemble_basic_dirac_spinor(_density(flat_profile), grid)
         window = eigenvalues_weighted(op).in_window(8.0)
         expected = np.arange(-7.5, 8.0, 1.0)
         np.testing.assert_allclose(window, expected, atol=1e-8)
@@ -117,17 +117,17 @@ class TestSpinorDirac:
     def test_nontrivial_spectrum_independent_of_density(self, cosine_profile):
         grid = GridSpec(64, "nontrivial")
         flat = eigenvalues_weighted(
-            assemble_basic_dirac_spinor(_density(MetricProfile(1.0), grid), grid)
+            assemble_basic_dirac_spinor(_density(MetricProfile(1.0)), grid)
         )
         wavy = eigenvalues_weighted(
-            assemble_basic_dirac_spinor(_density(cosine_profile, grid), grid)
+            assemble_basic_dirac_spinor(_density(cosine_profile), grid)
         )
         assert spectrum_compare(flat, wavy, 8.0) < 1e-9
 
     def test_unitary_equivalence_to_spectral_derivative(self, cosine_profile, grid128):
-        density = _density(cosine_profile, grid128)
+        density = _density(cosine_profile)
         op = assemble_basic_dirac_spinor(density, grid128)
-        root = np.sqrt(density.g_values)
+        root = np.sqrt(density.samples(128)[0])
         conjugated = (root[:, None] * op.matrix) / root[None, :]
         target = 1j * differentiation_matrix(grid128.n_points, "trivial")
         assert np.linalg.norm(conjugated - target, 2) < 1e-10
@@ -135,8 +135,8 @@ class TestSpinorDirac:
 
 class TestConsistency:
     """The assembled first-order matrices applied to phi = e^{ikt}, |k| <= N/8,
-    against the continuous operators at the nodes, with g' from the exact
-    ``g_dot_values``: the spinor Dirac matrix against i(phi' + (g'/2g) phi) on
+    against the continuous operators at the nodes, with g' from the density's
+    termwise ``samples``: the spinor Dirac matrix against i(phi' + (g'/2g) phi) on
     the trivial structure and i(phi' + i phi/2 + (g'/2g) phi) on the
     nontrivial one (phi the periodic part of the section e^{it/2} phi), and
     the twisted differential against u' - kappa u/2, kappa = -g'/g.  This
@@ -243,14 +243,14 @@ class TestConsistency:
         ks = np.arange(-(n_points // 8), n_points // 8 + 1)
         for spin, shift in (("trivial", 0.0), ("nontrivial", 0.5j)):
             grid = GridSpec(n_points, spin)
-            density = _density(MetricProfile(c, (ProfileTerm(0, 1, a),)), grid)
-            g, g_dot = density.g_values, density.g_dot_values
+            density = _density(MetricProfile(c, (ProfileTerm(0, 1, a),)))
+            g, g_dot = density.samples(n_points)
             phi = np.exp(1j * np.outer(grid.t_nodes, ks))
             first_order = 1j * ks + (g_dot / (2 * g))[:, None]
             cases = [(assemble_basic_dirac_spinor(density, grid).matrix,
                       1j * (first_order + shift) * phi)]
             if spin == "trivial":
-                kappa = density.mean_curvature_values()
+                kappa = density.mean_curvature_values(n_points)
                 cases.append((twisted_differential(density, grid),
                               (1j * ks - kappa[:, None] / 2) * phi))
             for matrix, expected in cases:
@@ -262,8 +262,8 @@ class TestConsistency:
     def test_codifferential_applies_its_continuous_operator(self, n_points, c, a):
         ks = np.arange(-(n_points // 8), n_points // 8 + 1)
         grid = GridSpec(n_points)
-        density = _density(MetricProfile(c, (ProfileTerm(0, 1, a),)), grid)
-        g, g_dot = density.g_values, density.g_dot_values
+        density = _density(MetricProfile(c, (ProfileTerm(0, 1, a),)))
+        g, g_dot = density.samples(n_points)
         lam = float(np.max(np.abs(g_dot / g)))
         s = n_points + 16 + 12 * np.pi * (np.abs(ks) + lam + lam**2 + a / np.min(g))
         phi = np.exp(1j * np.outer(grid.t_nodes, ks))
@@ -289,8 +289,8 @@ class TestConsistency:
     def test_laplacians_apply_their_continuous_operators(self, n_points, c, a):
         ks = np.arange(-(n_points // 8), n_points // 8 + 1)
         grid = GridSpec(n_points)
-        density = _density(MetricProfile(c, (ProfileTerm(0, 1, a),)), grid)
-        g, g_dot = density.g_values, density.g_dot_values
+        density = _density(MetricProfile(c, (ProfileTerm(0, 1, a),)))
+        g, g_dot = density.samples(n_points)
         log_dot, g_ddot = g_dot / g, (c - g) / g  # g'' = -a cos t = c - g
         lam = float(np.max(np.abs(log_dot)))
         s = n_points + 16 + 12 * np.pi * (np.abs(ks) + lam + lam**2 + a / np.min(g))
@@ -326,27 +326,27 @@ class TestConsistency:
 
 class TestFormsDirac:
     def test_flat_metric_spectrum_multiplicities(self, flat_profile, grid64):
-        op = assemble_basic_dirac_forms(_density(flat_profile, grid64), grid64)
+        op = assemble_basic_dirac_forms(_density(flat_profile), grid64)
         window = eigenvalues_weighted(op).in_window(8.0)
         expected = np.sort(np.concatenate([np.arange(-8, 9), np.arange(-8, 9)]))
         np.testing.assert_allclose(window, expected, atol=1e-10)
 
     def test_spectrum_matches_flat_oracle(self, cosine_profile, grid128):
         flat = eigenvalues_weighted(
-            assemble_basic_dirac_forms(_density(MetricProfile(1.0), grid128), grid128)
+            assemble_basic_dirac_forms(_density(MetricProfile(1.0)), grid128)
         )
         wavy = eigenvalues_weighted(
-            assemble_basic_dirac_forms(_density(cosine_profile, grid128), grid128)
+            assemble_basic_dirac_forms(_density(cosine_profile), grid128)
         )
         assert spectrum_compare(flat, wavy, 10.0) < 1e-8
 
     def test_spectrum_symmetric_about_zero(self, mixed_profile, grid64):
-        op = assemble_basic_dirac_forms(_density(mixed_profile, grid64), grid64)
+        op = assemble_basic_dirac_forms(_density(mixed_profile), grid64)
         values = eigenvalues_weighted(op).eigenvalues
         np.testing.assert_allclose(values, -values[::-1], atol=1e-9)
 
     def test_squared_matrix_spectral_mapping(self, cosine_profile, grid64):
-        op = assemble_basic_dirac_forms(_density(cosine_profile, grid64), grid64)
+        op = assemble_basic_dirac_forms(_density(cosine_profile), grid64)
         squared = WeightedOperator(
             op.matrix @ op.matrix, op.weights, "forms_squared", op.n_points
         )
@@ -356,14 +356,13 @@ class TestFormsDirac:
 
 
 class TestBasicLaplacian:
-    def test_flat_circle_spectrum(self, flat_profile, grid64):
-        head = battery_laplacian(_density(flat_profile, grid64), 3.0).values
+    def test_flat_circle_spectrum(self, flat_profile):
+        head = battery_laplacian(_density(flat_profile), 3.0).values
         np.testing.assert_allclose(head, [0, 1, 1, 4, 4, 9, 9], atol=1e-10)
 
     def test_first_eigenvalue_shifts_with_density(self):
-        grid = GridSpec(128)
         profile = MetricProfile(1.0, (ProfileTerm(0, 1, 0.5),))
-        read = battery_laplacian(_density(profile, grid), 10.0)
+        read = battery_laplacian(_density(profile), 10.0)
         lam = laplacian_first_nonzero_eigenvalue(read.values)
         assert abs(lam - 1.0) > 1e-3
         # independent second discretization agrees on the shifted value
@@ -374,9 +373,9 @@ class TestBasicLaplacian:
     def test_constants_are_harmonic_for_any_density(self, mixed_profile, grid64):
         """The constants are g^{1/2} in the symmetrized frame, and T^H, so also
         T T^H, annihilates g^{1/2}: T^H g^{1/2} = -g^{1/2} D 1."""
-        density = _density(mixed_profile, grid64)
+        density = _density(mixed_profile)
         factor = assemble_basic_dirac_spinor(density, grid64).matrix
-        image = factor.conj().T @ np.sqrt(density.g_values)
+        image = factor.conj().T @ np.sqrt(density.samples(64)[0])
         assert np.max(np.abs(image)) < 1e-10
         assert abs(battery_laplacian(density, 8.0).values[0]) < 1e-10
 
@@ -386,7 +385,7 @@ class TestBasicLaplacian:
         the Galerkin read is checked against: a read of it returns, in the
         window, the Laplacian spectrum that its label names."""
         for profile in (mixed_profile, MetricProfile(2.0, (ProfileTerm(0, 2, 0.5),))):
-            density = _density(profile, grid64)
+            density = _density(profile)
             for degree in ("function", "one_form"):
                 op = assemble_basic_laplacian(density, grid64, degree)
                 oracle = delta_d_laplacian(density, grid64, degree)
@@ -400,17 +399,17 @@ class TestBasicLaplacian:
     def test_spectra_real_and_nonnegative(self, mixed_profile, grid64):
         for degree in ("function", "one_form"):
             values = eigenvalues_weighted(
-                assemble_basic_laplacian(_density(mixed_profile, grid64), grid64, degree))
+                assemble_basic_laplacian(_density(mixed_profile), grid64, degree))
             assert (values.eigenvalues >= -1e-10).all()
 
     def test_rejects_unknown_degree(self, flat_profile, grid64):
         with pytest.raises(ValueError):
-            assemble_basic_laplacian(_density(flat_profile, grid64), grid64, "two_form")
+            assemble_basic_laplacian(_density(flat_profile), grid64, "two_form")
 
 
 class TestLichnerowicz:
     def test_flat_metric_sides_are_second_derivative(self, flat_profile, grid64):
-        lhs, rhs = assemble_lichnerowicz_sides(_density(flat_profile, grid64), grid64)
+        lhs, rhs = assemble_lichnerowicz_sides(_density(flat_profile), grid64)
         d = differentiation_matrix(grid64.n_points, "trivial")
         np.testing.assert_allclose(lhs.matrix, -(d @ d), atol=1e-10)
         assert np.linalg.norm(lhs.matrix - rhs.matrix, 2) < 1e-10
@@ -418,19 +417,19 @@ class TestLichnerowicz:
     @pytest.mark.parametrize("profile_name", ["cosine", "exp_sin"])
     def test_identity_residual_small(self, profile_name, cosine_profile, grid128):
         profile = cosine_profile if profile_name == "cosine" else exp_sin_profile(0.5)
-        lhs, rhs = assemble_lichnerowicz_sides(_density(profile, grid128), grid128)
+        lhs, rhs = assemble_lichnerowicz_sides(_density(profile), grid128)
         assert np.linalg.norm(lhs.matrix - rhs.matrix, 2) < 1e-8
 
     def test_identity_holds_for_nontrivial_spin_structure(self, cosine_profile):
         grid = GridSpec(128, "nontrivial")
-        lhs, rhs = assemble_lichnerowicz_sides(_density(cosine_profile, grid), grid)
+        lhs, rhs = assemble_lichnerowicz_sides(_density(cosine_profile), grid)
         assert np.linalg.norm(lhs.matrix - rhs.matrix, 2) < 1e-8
 
     def test_rejects_underresolved_grid(self):
         profile = exp_sin_profile(0.5, k_max=12)
         grid = GridSpec(64)
         with pytest.raises(ValueError, match="too coarse"):
-            assemble_lichnerowicz_sides(_density(profile, grid), grid)
+            assemble_lichnerowicz_sides(_density(profile), grid)
 
 
 def _assert_solves_the_pencil(op: WeightedOperator) -> None:
@@ -452,7 +451,7 @@ class TestWeightedOperatorInvariants:
             assert op.symmetry_residual() < 1e-12, op.label
 
     def test_discrete_adjointness_is_exact(self, cosine_profile, grid64):
-        density = _density(cosine_profile, grid64)
+        density = _density(cosine_profile)
         d = differentiation_matrix(grid64.n_points, "trivial")
         delta = codifferential(density, grid64)
         rng = np.random.default_rng(7)
@@ -516,13 +515,13 @@ class TestRealViewScalingBitParity:
     @pytest.mark.parametrize("spin", ["trivial", "nontrivial"])
     def test_in_place_scalings(self, n_points, spin, mixed_profile):
         grid = GridSpec(n_points, spin)
-        density = _density(mixed_profile, grid)
-        root = np.sqrt(density.g_values)
+        density = _density(mixed_profile)
+        root = np.sqrt(density.samples(n_points)[0])
         spinor = assemble_basic_dirac_spinor(density, grid)
         expected = 1j * complex_diagonal_conjugate(differentiation_matrix(n_points, spin), root)
         assert np.array_equal(_bits(spinor.matrix), _bits(expected))
         trivial = differentiation_matrix(n_points, "trivial")
-        expected = -complex_diagonal_conjugate(trivial, density.g_values)
+        expected = -complex_diagonal_conjugate(trivial, density.samples(n_points)[0])
         assert np.array_equal(_bits(codifferential(density, grid)), _bits(expected))
 
     @pytest.mark.parametrize("n_points", [64, 256])
@@ -531,8 +530,8 @@ class TestRealViewScalingBitParity:
         """The scaling and the assembly on either structure give the
         references' bits, and the solve the spectrum of the weighted pencil."""
         grid = GridSpec(n_points, spin)
-        density = _density(mixed_profile, grid)
-        root = np.sqrt(density.g_values)
+        density = _density(mixed_profile)
+        root = np.sqrt(density.samples(n_points)[0])
         trivial = differentiation_matrix(n_points, "trivial")
         scaled = diagonal_conjugate(differentiation_matrix(n_points, spin), root)
         expected = complex_diagonal_conjugate(differentiation_matrix(n_points, spin), root)

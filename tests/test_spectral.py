@@ -56,8 +56,8 @@ from conftest import (
 PARITY_PROFILES = profile_documents()
 
 
-def _density(profile, grid):
-    return LeafVolumeDensity.from_profile(profile, grid)
+def _density(profile):
+    return LeafVolumeDensity.from_profile(profile)
 
 
 class TestEigenvaluesWeighted:
@@ -69,12 +69,12 @@ class TestEigenvaluesWeighted:
         assert report.operator_label == "diag"
 
     def test_flat_spinor_lattice(self, flat_profile, grid64):
-        op = assemble_basic_dirac_spinor(_density(flat_profile, grid64), grid64)
+        op = assemble_basic_dirac_spinor(_density(flat_profile), grid64)
         report = eigenvalues_weighted(op)
         np.testing.assert_allclose(report.eigenvalues, np.arange(-32, 32), atol=1e-10)
 
     def test_flat_laplacian_head(self, flat_profile, grid64):
-        density = _density(flat_profile, grid64)
+        density = _density(flat_profile)
         head = _spectrum("laplacian-functions", density, grid64, 9.0).eigenvalues
         np.testing.assert_allclose(head, [0, 1, 1, 4, 4, 9, 9], atol=1e-10)
 
@@ -110,7 +110,7 @@ class TestFormsDiracSpectrum:
         assembled matrix's, and that within the distance of
         ``conftest.dense_dirac_read`` of the read's."""
         grid = GridSpec(n_points)
-        density = _density(request.getfixturevalue(profile_name), grid)
+        density = _density(request.getfixturevalue(profile_name))
         oracle = eigenvalues_weighted(assemble_basic_dirac_forms(density, grid))
         spinor, report = dirac_spectra(density, grid)
         assert report.operator_label == oracle.operator_label
@@ -127,10 +127,10 @@ class TestFormsDiracSpectrum:
         self, request, profile_name, n_points
     ):
         grid = GridSpec(n_points)
-        density = _density(request.getfixturevalue(profile_name), grid)
+        density = _density(request.getfixturevalue(profile_name))
         spinor = assemble_basic_dirac_spinor(density, grid)
         assert np.array_equal(spinor.matrix, 1j * twisted_differential(density, grid))
-        assert np.array_equal(spinor.weights, quadrature_weights(density))
+        assert np.array_equal(spinor.weights, quadrature_weights(density, n_points))
 
     @pytest.mark.parametrize("spin", ["trivial", "nontrivial"])
     @pytest.mark.parametrize("profile_name", ["flat_profile", "cosine_profile", "mixed_profile"])
@@ -139,7 +139,7 @@ class TestFormsDiracSpectrum:
         (grid, spin structure), bit for bit, and the forms values +-mu; only
         the distance depends on the density."""
         grid = GridSpec(128, spin)
-        density = _density(request.getfixturevalue(profile_name), grid)
+        density = _density(request.getfixturevalue(profile_name))
         spinor, forms = dirac_spectra(density, grid)
         lattice = circulant_spectrum(128, spin)[0]
         assert spinor.operator_label == f"dirac_spinor[{spin},N=128]"
@@ -151,9 +151,9 @@ class TestFormsDiracSpectrum:
 
     def test_gate_ratio_equals_block_ratio(self, mixed_profile, grid64):
         rng = np.random.default_rng(5)
-        density = _density(mixed_profile, grid64)
+        density = _density(mixed_profile)
         broken = twisted_differential(density, grid64) + 1e-6 * rng.normal(size=(64, 64))
-        weights = quadrature_weights(density)
+        weights = quadrature_weights(density, 64)
         half = WeightedOperator(1j * broken, weights, "half", 64)
         zero = np.zeros_like(broken)
         block = WeightedOperator(
@@ -173,8 +173,8 @@ class TestFormsDiracSpectrum:
         honest = operators.dirac_factors
 
         def ratios(eps):
-            patch_factors(monkeypatch, lambda d: (honest(d)[0] * (1.0 + eps * bump),
-                                                  quadrature_weights(d)))
+            patch_factors(monkeypatch, lambda d, n: (honest(d, n)[0] * (1.0 + eps * bump),
+                                                     quadrature_weights(d, n)))
             recorded = []
             monkeypatch.setattr(spectral, "_require_symmetric", recorded.append)
             dirac_spectra(density, grid)
@@ -186,7 +186,7 @@ class TestFormsDiracSpectrum:
 
     def test_refuses_broken_twisted_differential(self, cosine_profile, grid64, monkeypatch):
         """Above the tolerance the spinor gate, checked first, refuses the read."""
-        density = _density(cosine_profile, grid64)
+        density = _density(cosine_profile)
         _, ratio = self._gate_ratios(density, grid64, 100.0, monkeypatch)
         assert ratio > spectral.SYMMETRIZATION_TOLERANCE
         with pytest.raises(OperatorSymmetryError, match=r"dirac_spinor\[trivial"):
@@ -194,7 +194,7 @@ class TestFormsDiracSpectrum:
 
     def test_forms_gate_is_sqrt2_stricter(self, cosine_profile, grid64, monkeypatch):
         """Between tol/sqrt(2) and tol the spinor passes and the forms gate refuses."""
-        density = _density(cosine_profile, grid64)
+        density = _density(cosine_profile)
         _, ratio = self._gate_ratios(density, grid64, 0.85, monkeypatch)
         tol = spectral.SYMMETRIZATION_TOLERANCE
         assert tol / math.sqrt(2.0) < ratio <= tol
@@ -242,7 +242,7 @@ class TestDiracRead:
         N = 512, from 83 to 2900 times within the allowance."""
         grid = GridSpec(n_points, spin)
         for profile in _wavy_profiles():
-            density = _density(profile, grid)
+            density = _density(profile)
             report = dirac_spectra(density, grid)[0]
             dense, allowance = dense_dirac_read(density, grid)
             deviation = np.max(np.abs(report.eigenvalues - dense))
@@ -339,7 +339,7 @@ class TestDiracRead:
         of the dense solve of the assembled matrix, which measures its
         round-off: the gate only gets stricter."""
         grid = GridSpec(n_points, spin)
-        density = _density(request.getfixturevalue(profile_name), grid)
+        density = _density(request.getfixturevalue(profile_name))
         dense = assemble_basic_dirac_spinor(density, grid).hermitian_spectrum()[1]
         gates = []
         monkeypatch.setattr(spectral, "_require_symmetric", gates.append)
@@ -347,7 +347,7 @@ class TestDiracRead:
         assert gates[0][spinor_label(grid)] >= dense
 
     def test_window_count_refuses_an_edge_within_the_radius(self, cosine_profile, grid128):
-        report = dirac_spectra(_density(cosine_profile, grid128), grid128)[0]
+        report = dirac_spectra(_density(cosine_profile), grid128)[0]
         assert report.window_count(10.0) == 21
         assert report.window_count(10.0 - spectral.WINDOW_EDGE_SLACK) is None
         assert report.window_count(10.0 - spectral.WINDOW_EDGE_SLACK + 2.0 * report.radius) == 21
@@ -357,7 +357,7 @@ class TestDiracRead:
         """Every Dirac report, spinor or forms, has the radius of the module
         docstring's formula, bit for bit."""
         grid = GridSpec(256, spin)
-        density = _density(cosine_profile, grid)
+        density = _density(cosine_profile)
 
         def gamma(k):
             return k * EPS / (1.0 - k * EPS)
@@ -375,7 +375,7 @@ class TestDiracRead:
         report of either degree, a matrix read and a dense report refuse
         ``radius`` and ``window_count``, naming the operator."""
         grid = GridSpec(256)
-        flat2, wavy = (_density(profile, grid) for profile in (MetricProfile(2.0), cosine_profile))
+        flat2, wavy = (_density(profile) for profile in (MetricProfile(2.0), cosine_profile))
         spinor = assemble_basic_dirac_spinor(wavy, grid)
         reports = [_spectrum(operator, flat2, grid, 10.0)
                    for operator in ("laplacian-functions", "laplacian-one-forms")]
@@ -389,9 +389,16 @@ class TestDiracRead:
             with pytest.raises(ValueError, match=f"operator {label} has no derived radius"):
                 report.window_count(10.0)
 
-    def test_refuses_a_density_of_another_grid(self, cosine_profile):
-        with pytest.raises(ValueError, match="density and grid sizes differ"):
-            dirac_spectra(_density(cosine_profile, GridSpec(64)), GridSpec(128))
+    def test_a_density_sampled_on_one_grid_reads_on_another(self, cosine_profile):
+        """A density carries no grid: sampled at grid 64, it reads at grid 128
+        the reports of a density never sampled before."""
+        density = _density(cosine_profile)
+        dirac_spectra(density, GridSpec(64))
+        fresh = dirac_spectra(_density(cosine_profile), GridSpec(128))
+        for report, other in zip(dirac_spectra(density, GridSpec(128)), fresh):
+            assert report.operator_label == other.operator_label
+            assert np.array_equal(report.eigenvalues, other.eigenvalues)
+            assert report.distance == other.distance
 
 
 # t-terms of the theta-average with t-frequencies 1 and 2, 2, 4 and 8, and 8;
@@ -461,12 +468,12 @@ class TestGalerkinRead:
 
     @pytest.mark.parametrize("constant", [1.0, 2.0, 3.7])
     @pytest.mark.parametrize("terms", [(), (ProfileTerm(1, 0, 0.3),), (ProfileTerm(0, 1, 1e-300),)])
-    def test_constant_density_gives_the_squares(self, grid64, constant, terms):
+    def test_constant_density_gives_the_squares(self, constant, terms):
         """A constant density (a flat theta-average, or a t-term that rounds
         away) has the spectrum {k^2}: 0 once and every other value twice,
         each within its radius of the computed value, which is round-off.
         Its order is the first above the window."""
-        read = battery_laplacian(_density(MetricProfile(constant, terms), grid64), 8.0)
+        read = battery_laplacian(_density(MetricProfile(constant, terms)), 8.0)
         squares = np.sort(np.arange(-8, 9) ** 2).astype(float)
         assert read.order == 9
         assert np.all(np.abs(read.values - squares) <= read.radii)
@@ -478,7 +485,7 @@ class TestGalerkinRead:
         every fixture, so each read is one solve."""
         grid = GridSpec(n_points)
         for name, profile in _galerkin_profiles().items():
-            density = _density(profile, grid)
+            density = _density(profile)
             read = battery_laplacian(density, 10.0)
             assert read.order == _predicted_order(density), name
             assert _galerkin_matches_dense(read, density, grid), name
@@ -491,11 +498,10 @@ class TestGalerkinRead:
         rfft(g) / N by at most (phi_N + eps) rms(g) + N eps max g in 2-norm,
         the N-point FFT and the division by N on rms(g), and N eps max g for
         the samples' and the coefficients' own rounding."""
-        grid = GridSpec(n_points)
         fft = spectral.gamma(7.0 * math.log2(n_points))
         for profile in profile_corpus():
-            density = _density(profile, grid)
-            g, coefficients = density.g_values, density.coefficients
+            density = _density(profile)
+            g, coefficients = density.samples(n_points)[0], density.coefficients
             bandwidth = density.t_bandwidth
             assert coefficients.shape == (2 * bandwidth + 1,) and not coefficients.flags.writeable
             exact = np.zeros(n_points // 2 + 1, complex)
@@ -509,7 +515,7 @@ class TestGalerkinRead:
             assert np.linalg.norm(dft[bandwidth + 1:]) <= 15.0 * EPS * g.max()
 
     @pytest.mark.parametrize("name", list(PERIODIC_TERMS))
-    def test_density_scale_cancels(self, name, grid64):
+    def test_density_scale_cancels(self, name):
         """g and 2g have one Laplacian, -(g u')'/g, and the computed
         coefficients of 2g are those of g doubled, exactly: each read's k-th
         value is within its radius of an eigenvalue of that one operator, so
@@ -519,7 +525,7 @@ class TestGalerkinRead:
         scaled = MetricProfile(2.0 * profile.constant,
                                tuple(dataclasses.replace(term, amplitude=2.0 * term.amplitude)
                                      for term in profile.terms))
-        densities = [_density(profile, grid64), _density(scaled, grid64)]
+        densities = [_density(profile), _density(scaled)]
         assert np.array_equal(densities[1].coefficients, 2.0 * densities[0].coefficients)
         first, second = (battery_laplacian(density, 10.0) for density in densities)
         assert first.values.size == second.values.size
@@ -530,9 +536,8 @@ class TestGalerkinRead:
         the one at the order before, up to the backward error (2K + 1) eps
         ||L^{-1} A L^{-H}||_2 of each ``eigh``, the norm at most
         K^2 (g_0 + 2 sum |g_m|) / g_low."""
-        grid = GridSpec(128)
         for name, profile in _galerkin_profiles().items():
-            density = _density(profile, grid)
+            density = _density(profile)
             coefficients = density.coefficients
             largest = float(np.sum(np.abs(coefficients)))
             lower = density.average.min_bound
@@ -554,7 +559,7 @@ class TestGalerkinRead:
         monkeypatch.setattr(spectral, "galerkin_matrices", _mutant_matrices)
         profiles = _galerkin_profiles()
         for name in ("cosine", "mixed", "wavy2"):
-            density = _density(profiles[name], grid128)
+            density = _density(profiles[name])
             read = spectral.galerkin_read(density.coefficients, _predicted_order(density), 10.0,
                                           density.average.min_bound)
             assert not _galerkin_matches_dense(read, density, grid128), name
@@ -563,22 +568,22 @@ class TestGalerkinRead:
                                                  r"largest radius is \d\.\d+e[+-]\d+"):
                 battery_laplacian(density, 10.0)
 
-    def test_a_mutant_stiffness_fails_the_contrast_with_a_constant(self, grid128, monkeypatch):
+    def test_a_mutant_stiffness_fails_the_contrast_with_a_constant(self, monkeypatch):
         """j^2 g_{j-k} in place of jk g_{j-k} leaves a constant density's read
         as it is (the two agree on the diagonal), but a varying density's
         Galerkin read then fails the contrast against it: its values fall on
         the constant's squares and its radius exceeds the gap, where the
         honest read passes."""
-        flat = battery_laplacian(_density(MetricProfile(2.0), grid128), 8.0)
+        flat = battery_laplacian(_density(MetricProfile(2.0)), 8.0)
         profiles = _galerkin_profiles()
         for name in ("cosine", "mixed", "wavy2"):
-            density = _density(profiles[name], grid128)
+            density = _density(profiles[name])
             order = _predicted_order(density, 8.0)
             coefficients, lower = density.coefficients, density.average.min_bound
             reads = {"honest": spectral.galerkin_read(coefficients, order, 8.0, lower)}
             monkeypatch.setattr(spectral, "galerkin_matrices", _mutant_matrices)
             reads["mutant"] = spectral.galerkin_read(coefficients, order, 8.0, lower)
-            mutant_flat = battery_laplacian(_density(MetricProfile(2.0), grid128), 8.0)
+            mutant_flat = battery_laplacian(_density(MetricProfile(2.0)), 8.0)
             monkeypatch.setattr(spectral, "galerkin_matrices", _HONEST_MATRICES)
             assert np.array_equal(mutant_flat.values, flat.values), name
             verdicts = {key: laplacian_dependence(flat, read, 0.0, 8.0, {})
@@ -595,9 +600,9 @@ class TestGalerkinRead:
         the tolerance and matches the dense solve; a command whose contrast
         reads it decides it."""
         profile = MetricProfile(1.0, (ProfileTerm(0, 1, 0.6), ProfileTerm(0, 2, 0.6)))
-        density = _density(profile, grid128)
+        density = _density(profile)
         coefficients = density.coefficients
-        assert density.g_values.min() > 0.3
+        assert density.samples(128)[0].min() > 0.3
         assert coefficients[2].real - 2.0 * np.abs(coefficients[3:]).sum() < -0.19
         assert 0.31 < density.average.min_bound < 0.325
         assert 0.51 < spectral.strip_width(coefficients) < 0.512
@@ -623,17 +628,17 @@ class TestGalerkinRead:
         above N/2 at grids 64 and 128, and its read matches the dense solve
         at grid 256."""
         grid = GridSpec(n_points)
-        cosine = _density(MetricProfile(2.0, (ProfileTerm(0, 1, 1.0),)), grid)
+        cosine = _density(MetricProfile(2.0, (ProfileTerm(0, 1, 1.0),)))
         assert _predicted_order(cosine, 8.0) == 29
         read = battery_laplacian(cosine, 8.0)
         assert read.order == 29 and read.radius <= LAPLACIAN_FORMS_THRESHOLD
-        flat = _density(MetricProfile(2.0), grid)
+        flat = _density(MetricProfile(2.0))
         flat_read = battery_laplacian(flat, 8.0)
         assert flat_read.order == 9 and flat_read.radius <= LAPLACIAN_FORMS_THRESHOLD
         np.testing.assert_allclose(flat_read.values, np.sort(np.arange(-8.0, 9.0) ** 2),
                                    rtol=0.0, atol=flat_read.radius)
         wavy8 = _density(MetricProfile(2.0, (ProfileTerm(0, 1, 0.5),
-                                             ProfileTerm(0, 8, 0.2, 0.0, 0.7))), grid)
+                                             ProfileTerm(0, 8, 0.2, 0.0, 0.7))))
         assert _predicted_order(wavy8) == 89
         wavy8_read = battery_laplacian(wavy8, 10.0)
         assert wavy8_read.order == 89 and wavy8_read.radius <= LAPLACIAN_FORMS_THRESHOLD
@@ -642,21 +647,23 @@ class TestGalerkinRead:
 
     @pytest.mark.parametrize("n_points", [56, 58])
     def test_the_order_does_not_depend_on_the_grid(self, n_points):
-        """2 + cos t at window 8, predicted K = 29: read at K = 29 on a grid
-        with N/2 = 29 and on one with N/2 = 28, to the same values."""
-        reads = [battery_laplacian(_density(MetricProfile(2.0, (ProfileTerm(0, 1, 1.0),)),
-                                            GridSpec(n)), 8.0) for n in (n_points, 64)]
-        assert reads[0].order == reads[1].order == 29
-        assert np.array_equal(reads[0].values, reads[1].values)
+        """2 + cos t at window 8, predicted K = 29: read at K = 29, and
+        ``spectrum`` writes the same values on a grid with N/2 = 29 or 28 as
+        on grid 64."""
+        profile = MetricProfile(2.0, (ProfileTerm(0, 1, 1.0),))
+        assert battery_laplacian(_density(profile), 8.0).order == 29
+        reports = [_spectrum("laplacian-functions", _density(profile), GridSpec(n), 64.0)
+                   for n in (n_points, 64)]
+        assert np.array_equal(reports[0].eigenvalues, reports[1].eigenvalues)
 
     @pytest.mark.parametrize("amplitude, order", [(1.0 - 1e-6, 18691), (0.999, 599)])
-    def test_a_density_near_zero_is_refused_before_it_is_solved(self, grid64, monkeypatch,
-                                                                  amplitude, order):
+    def test_a_density_near_zero_is_refused_before_it_is_solved(self, monkeypatch, amplitude,
+                                                                  order):
         """1 + (1 - 1e-6) cos t and 1 + 0.999 cos t pass the certificate
         outright, but their eta = 1.4e-3 and 0.045 predict K = 18,691 and 599
         > GALERKIN_ORDER_CAP: refused, naming the density and K, with no
         solve."""
-        density = _density(MetricProfile(1.0, (ProfileTerm(0, 1, amplitude),)), grid64)
+        density = _density(MetricProfile(1.0, (ProfileTerm(0, 1, amplitude),)))
         monkeypatch.setattr(spectral, "galerkin_read", None)
         with pytest.raises(ValueError, match=rf"theta-average \{{'constant': 1\.0.* order "
                                              rf"K = {order} exceeds GALERKIN_ORDER_CAP = 512 "
@@ -666,14 +673,14 @@ class TestGalerkinRead:
     @pytest.mark.parametrize("radius, window, solved", [(0.0, 12.0, [512]),
                                                          (1.0, 12.0, [512]),
                                                          (0.0, 13.0, [])])
-    def test_the_order_cap_is_the_largest_order_solved(self, grid64, monkeypatch, radius,
-                                                       window, solved):
+    def test_the_order_cap_is_the_largest_order_solved(self, monkeypatch, radius, window,
+                                                       solved):
         """1 + 0.9986 cos t predicts K = 512 = GALERKIN_ORDER_CAP at window 12
         and K = 513 at window 13.  The read at the cap is solved: it is
         returned when its radius meets the tolerance, and otherwise the next
         order, above the cap, refuses the density; K = 513 is refused
         unsolved."""
-        density = _density(MetricProfile(1.0, (ProfileTerm(0, 1, 0.9986),)), grid64)
+        density = _density(MetricProfile(1.0, (ProfileTerm(0, 1, 0.9986),)))
         assert _predicted_order(density, window) == 512 + (window == 13.0)
         orders = []
 
@@ -723,7 +730,7 @@ class TestLaplacianSpectrum:
         assert written["function"] == written["one_form"]
         values = np.array([float(line) for line in written["function"]])
         grid = GridSpec(n_points)
-        density = _density(MetricProfile.from_dict(document), grid)
+        density = _density(MetricProfile.from_dict(document))
         read = battery_laplacian(density, math.sqrt(window))
         assert np.array_equal(values, read.values)
         for degree in ("function", "one_form"):
@@ -748,10 +755,10 @@ class TestLaplacianSpectrum:
         window = n_points // 8
         profile = _periodic_profile(name)
         grid = GridSpec(n_points)
-        report = _spectrum(operator, _density(profile, grid), grid, window)
+        report = _spectrum(operator, _density(profile), grid, window)
         assert report.operator_label == f"laplacian_{degree}[N={n_points}]"
         oracle_grid = GridSpec(256)
-        density = _density(profile, oracle_grid)
+        density = _density(profile)
         read = battery_laplacian(density, math.sqrt(window))
         assert np.array_equal(report.eigenvalues, read.values)
         dense, allowance = dense_laplacian_read(density, oracle_grid, degree)
@@ -765,7 +772,7 @@ class TestLaplacianSpectrum:
         at the trusted window N/8 its values are the k^2, |k| <= (N/8)^{1/2},
         each within the read's radius."""
         grid = GridSpec(n_points)
-        density = _density(MetricProfile(3.0), grid)
+        density = _density(MetricProfile(3.0))
         window = n_points // 8
         report = _spectrum("laplacian-functions", density, grid, window)
         read = battery_laplacian(density, math.sqrt(window))
@@ -828,11 +835,11 @@ class TestLaplacianSpectrum:
         """JSON's ``radii`` are the read's, one per eigenvalue, and the CSV
         header ends with the largest of them; no Dirac report has either."""
         save_profile(cosine_profile, tmp_path / "wavy.json")
-        read = battery_laplacian(_density(cosine_profile, GridSpec(64)), math.sqrt(8.0))
+        read = battery_laplacian(_density(cosine_profile), math.sqrt(8.0))
         argv = self._spectrum_argv(tmp_path / "wavy.json", 64, 8, operator, tmp_path)
         assert cli.run(argv) == 0
         lines = (tmp_path / f"spectrum_{operator}_wavy.csv").read_text().splitlines()
-        assert lines[0].endswith(f",tag=inv,radius={read.radius:.17g}")
+        assert lines[0].endswith(f",tag=dep,radius={read.radius:.17g}")
         assert cli.run([*argv, "--format", "json"]) == 0
         payload = json.loads((tmp_path / f"spectrum_{operator}_wavy.json").read_text())
         assert payload["eigenvalues"] == read.values.tolist()
@@ -937,7 +944,7 @@ GIVEN_BY_PERIOD = {
 }
 
 
-def _ledger_densities(grid) -> list:
+def _ledger_densities() -> list:
     """The distinct densities of the pairs ``verify --all`` draws for the
     ledger's seeds: the constant 2 and each pair's 2 + a cos(2t + psi)."""
     densities = {}
@@ -945,7 +952,7 @@ def _ledger_densities(grid) -> list:
         rng = np.random.default_rng(seed)
         for _ in range(5):
             for profile in verify.random_pair(rng):
-                density = _density(profile, grid)
+                density = _density(profile)
                 densities[density.coefficients.tobytes()] = density
     return list(densities.values())
 
@@ -969,27 +976,27 @@ class TestGalerkinBlocks:
 
     @pytest.mark.parametrize("n_points, window", LEDGER_GRIDS)
     def test_generated_densities_agree_with_the_unsplit_read(self, n_points, window):
-        densities = _ledger_densities(GridSpec(n_points))
+        """At each window of the ledger; ``n_points`` names the ledger's grid,
+        which the read does not take."""
+        densities = _ledger_densities()
         assert len(densities) == 1 + 5 * len(LEDGER_SEEDS)
         for density in densities:
             self._assert_agrees(density, window)
 
     @pytest.mark.parametrize("period", [0, *GIVEN_BY_PERIOD])
     def test_given_densities_agree_with_the_unsplit_read(self, period):
-        grid = GridSpec(256)
-        density = _density(GIVEN_BY_PERIOD.get(period, MetricProfile(2.0)), grid)
+        density = _density(GIVEN_BY_PERIOD.get(period, MetricProfile(2.0)))
         coefficients, bandwidth = density.coefficients, density.t_bandwidth
         frequencies = [m for m in range(1, bandwidth + 1) if coefficients[bandwidth + m] != 0]
         assert math.gcd(*frequencies) == period
         self._assert_agrees(density, 10.0)
 
-    def test_a_split_by_two_of_an_odd_frequency_leaves_a_large_radius(self, grid128,
-                                                                      monkeypatch):
+    def test_a_split_by_two_of_an_odd_frequency_leaves_a_large_radius(self, monkeypatch):
         """Splitting 2 + cos t (d = 1) by d = 2 drops the coupling of even and
         odd k: the full-basis residual holds it, so the radius exceeds the
         tolerance at every order and the battery refuses the density."""
         honest = spectral._residue_classes
-        density = _density(MetricProfile(2.0, (ProfileTerm(0, 1, 1.0),)), grid128)
+        density = _density(MetricProfile(2.0, (ProfileTerm(0, 1, 1.0),)))
         order, lower = _predicted_order(density, 8.0), density.average.min_bound
         assert spectral.galerkin_read(density.coefficients, order, 8.0, lower).radius <= (
             LAPLACIAN_FORMS_THRESHOLD)
@@ -1161,23 +1168,21 @@ class TestStripWidth:
     """``strip_width`` on the cases its rule singles out; its values are
     audited against closed forms and mpmath roots in ``test_allowances``."""
 
-    def test_a_coefficient_below_eps_is_left_out(self, grid64):
+    def test_a_coefficient_below_eps_is_left_out(self):
         """2 + 1e-300 cos nt reads as a constant, eta infinite, and a tiny
         top frequency beside cos t leaves cos t's eta, acosh(2) = 1.317."""
         for n in (1, 2):
-            coefficients = _density(MetricProfile(2.0, (ProfileTerm(0, n, 1e-300),)),
-                                    grid64).coefficients
+            coefficients = _density(MetricProfile(2.0, (ProfileTerm(0, n, 1e-300),))).coefficients
             assert spectral.strip_width(coefficients) == math.inf
         coefficients = _density(MetricProfile(2.0, (ProfileTerm(0, 1, 1.0),
-                                                    ProfileTerm(0, 8, 1e-300))),
-                                grid64).coefficients
+                                                    ProfileTerm(0, 8, 1e-300)))).coefficients
         assert spectral.strip_width(coefficients) == pytest.approx(math.acosh(2.0), rel=1e-12)
 
-    def test_no_positive_coefficient_bound_still_has_a_strip(self, grid64):
+    def test_no_positive_coefficient_bound_still_has_a_strip(self):
         """1 + 0.6 cos t + 0.6 cos 2t: g_0 <= 2 sum |g_m|, where the cosh
         bound's strip reads 0, but the zeros give eta = 0.511."""
         coefficients = _density(MetricProfile(1.0, (ProfileTerm(0, 1, 0.6),
-                                                    ProfileTerm(0, 2, 0.6))), grid64).coefficients
+                                                    ProfileTerm(0, 2, 0.6)))).coefficients
         assert coefficients[2].real - 2.0 * np.abs(coefficients[3:]).sum() <= 0.0
         assert spectral.strip_width(coefficients) == pytest.approx(0.5110, abs=1e-4)
 
@@ -1193,24 +1198,24 @@ class TestStripWidth:
 
 class TestSpectrumCompare:
     def test_identical_reports(self, cosine_profile, grid64):
-        op = assemble_basic_dirac_spinor(_density(cosine_profile, grid64), grid64)
+        op = assemble_basic_dirac_spinor(_density(cosine_profile), grid64)
         report = eigenvalues_weighted(op)
         assert spectrum_compare(report, report, 8.0) == 0.0
 
     def test_metric_invariance_within_window(self, cosine_profile, grid128):
         flat = eigenvalues_weighted(
-            assemble_basic_dirac_spinor(_density(MetricProfile(1.0), grid128), grid128)
+            assemble_basic_dirac_spinor(_density(MetricProfile(1.0)), grid128)
         )
         wavy = eigenvalues_weighted(
-            assemble_basic_dirac_spinor(_density(cosine_profile, grid128), grid128)
+            assemble_basic_dirac_spinor(_density(cosine_profile), grid128)
         )
         assert spectrum_compare(flat, wavy, 10.0) < 1e-8
 
     def test_laplacian_spectra_genuinely_differ(self, grid128):
-        flat = _spectrum("laplacian-functions", _density(MetricProfile(1.0), grid128), grid128,
+        flat = _spectrum("laplacian-functions", _density(MetricProfile(1.0)), grid128,
                          10.0)
         wavy_profile = MetricProfile(1.0, (ProfileTerm(0, 1, 0.5),))
-        wavy = _spectrum("laplacian-functions", _density(wavy_profile, grid128), grid128, 10.0)
+        wavy = _spectrum("laplacian-functions", _density(wavy_profile), grid128, 10.0)
         shared = min(flat.in_window(10.0).size, wavy.in_window(10.0).size)
         gap = np.max(np.abs(flat.in_window(10.0)[:shared] - wavy.in_window(10.0)[:shared]))
         assert gap > 1e-3
@@ -1228,7 +1233,7 @@ class TestSpectrumCompare:
 
 class TestSimilarityInvariance:
     def test_conjugation_preserves_spectrum(self, cosine_profile, grid64):
-        op = assemble_basic_dirac_spinor(_density(cosine_profile, grid64), grid64)
+        op = assemble_basic_dirac_spinor(_density(cosine_profile), grid64)
         rng = np.random.default_rng(11)
         alpha = 1.5 + 0.4 * np.cos(grid64.t_nodes + rng.uniform(0, 2 * np.pi))
         root = np.sqrt(alpha)
@@ -1241,14 +1246,14 @@ class TestSimilarityInvariance:
         """The Laplacian ``spectrum`` reads the density's exact coefficients,
         which do not depend on the grid: grids 64 and 128 give its values
         bit for bit."""
-        coarse, fine = (_spectrum("laplacian-functions", _density(cosine_profile, GridSpec(n)),
+        coarse, fine = (_spectrum("laplacian-functions", _density(cosine_profile),
                                   GridSpec(n), 8.0) for n in (64, 128))
         assert np.array_equal(coarse.in_window(8.0), fine.in_window(8.0))
 
 
 class TestSerialization:
     def test_csv_one_eigenvalue_per_row(self, cosine_profile, grid64):
-        op = assemble_basic_dirac_spinor(_density(cosine_profile, grid64), grid64)
+        op = assemble_basic_dirac_spinor(_density(cosine_profile), grid64)
         report = eigenvalues_weighted(op)
         lines = _spectrum_text(report, "csv", 8.0).strip().split("\n")
         assert lines[0].startswith("#")
@@ -1259,7 +1264,7 @@ class TestSerialization:
     def test_json_metadata(self, cosine_profile, grid64):
         import json
 
-        op = assemble_basic_dirac_spinor(_density(cosine_profile, grid64), grid64)
+        op = assemble_basic_dirac_spinor(_density(cosine_profile), grid64)
         report = eigenvalues_weighted(op)
         payload = json.loads(_spectrum_text(report, "json", 8.0))
         assert payload["grid_size"] == 64

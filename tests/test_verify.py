@@ -262,10 +262,10 @@ class TestLichnerowicz:
             "cosine": cosine_profile,
             "wavy8": MetricProfile(2.0, (ProfileTerm(0, 8, 0.9),)),
         }[name]
-        density = LeafVolumeDensity.from_profile(profile, grid)
+        density = LeafVolumeDensity.from_profile(profile)
         lhs, rhs = assemble_lichnerowicz_sides(density, grid)
         dense = float(np.max(np.abs(np.diagonal(lhs.matrix - rhs.matrix))))
-        values, allowance = lichnerowicz_diagonal(density)
+        values, allowance = lichnerowicz_diagonal(density, grid.n_points)
         computed = float(np.max(np.abs(values)))
         assert lichnerowicz(profile, grid).residual == computed + allowance
         assert abs(dense - computed) <= allowance
@@ -635,6 +635,48 @@ def test_pair_memo_changes_no_report(monkeypatch, n_points, pairs, reads):
         assert vars(one) == vars(other)
 
 
+def test_one_profile_is_one_density_on_every_grid(flat_profile, cosine_profile, tmp_path,
+                                                  monkeypatch):
+    """The density holds no grid: ``verify --profiles`` at grids 64 and 256
+    builds, per profile, equal and equally hashed densities, one memo key
+    across both commands; reads their Laplacians bit for bit in values,
+    radii and order; and writes the same contrast gap, radii and orders."""
+    built, reads = [], []
+    from_profile, laplacian = LeafVolumeDensity.from_profile.__func__, verify.function_laplacian
+
+    def recorded_density(cls, profile):
+        built.append(from_profile(cls, profile))
+        return built[-1]
+
+    def recorded_laplacian(density, *args):
+        reads.append(laplacian(density, *args))
+        return reads[-1]
+
+    monkeypatch.setattr(LeafVolumeDensity, "from_profile", classmethod(recorded_density))
+    monkeypatch.setattr(verify, "function_laplacian", recorded_laplacian)
+    paths = [tmp_path / "flat.json", tmp_path / "cosine.json"]
+    for profile, path in zip((flat_profile, cosine_profile), paths):
+        save_profile(profile, path)
+    contrasts = []
+    for n_points in (64, 256):
+        out = tmp_path / str(n_points)
+        assert cli.run(["verify", "--profiles", *map(str, paths), "--grid", str(n_points),
+                        "--window", "8", "--output-dir", str(out)]) == 0
+        bundle = json.loads((out / "verify_bundle.json").read_text())
+        contrasts.append([report["metadata"] for report in bundle["reports"]
+                          if report["check_name"] == "laplacian_dependence"])
+    half = len(built) // 2
+    assert half == 4 and built[:half] == built[half:] and len(set(built)) == 2
+    assert [hash(d) for d in built[:half]] == [hash(d) for d in built[half:]]
+    assert len(reads) == 4
+    for first, second in zip(reads[:2], reads[2:]):
+        assert np.array_equal(first.values, second.values)
+        assert np.array_equal(first.radii, second.radii) and first.order == second.order
+    keys = ("laplacian_gap", "laplacian_radius", "laplacian_order")
+    assert [[metadata[key] for key in keys] for metadata in contrasts[0]] == (
+        [[metadata[key] for key in keys] for metadata in contrasts[1]])
+
+
 def test_pair_battery_allocates_no_matrix(cosine_profile, mixed_profile, monkeypatch):
     """Allocation budget at N = 256, warm caches: one battery (contrast
     included) peaks below two N x N complex arrays, nearly all of it the
@@ -735,11 +777,10 @@ class TestMutations:
     """
 
     MUTANTS = {
-        "w_is_g": lambda d: (d.g_values, quadrature_weights(d)),
-        "unweighted": lambda d: (np.sqrt(d.g_values),
-                                 np.full(d.n_points, 2.0 * np.pi / d.n_points)),
-        "wrong_frame": lambda d: (np.sqrt(d.g_values) * np.exp(
-            0.5j * GridSpec(d.n_points).t_nodes), quadrature_weights(d)),
+        "w_is_g": lambda d, n: (d.samples(n)[0], quadrature_weights(d, n)),
+        "unweighted": lambda d, n: (np.sqrt(d.samples(n)[0]), np.full(n, 2.0 * np.pi / n)),
+        "wrong_frame": lambda d, n: (np.sqrt(d.samples(n)[0]) * np.exp(
+            0.5j * GridSpec(n).t_nodes), quadrature_weights(d, n)),
     }
 
     @pytest.mark.parametrize("mutant", list(MUTANTS))
@@ -808,13 +849,13 @@ class TestMutations:
         assert not report.passed and report.residual > 0.1
 
     @staticmethod
-    def _unprojected(cls, profile, grid):
+    def _unprojected(cls, profile):
         """The theta = 0 slice in place of the theta-average, as an averaged
         profile: each term a cos(m theta + phi_theta) cos(n t + phi_t) is
         a cos(phi_theta) cos(n t + phi_t) there."""
         terms = tuple(ProfileTerm(0, term.n, term.amplitude * math.cos(term.phase_theta), 0.0,
                                   term.phase_t) for term in profile.terms)
-        return cls(MetricProfile(profile.constant, terms), grid.n_points)
+        return cls(MetricProfile(profile.constant, terms))
 
     def test_unprojected_kappa_fails_kappa_transform_and_conjugation(
         self, cosine_profile, mixed_profile, grid64, monkeypatch
@@ -825,10 +866,10 @@ class TestMutations:
         assert failed == ["kappa_transform", "conjugation"]
 
     @staticmethod
-    def _truncated(cls, profile, grid):
+    def _truncated(cls, profile):
         """The density without the theta-averaged profile's last term."""
         average = profile.theta_average()
-        return cls(MetricProfile(average.constant, average.terms[:-1]), grid.n_points)
+        return cls(MetricProfile(average.constant, average.terms[:-1]))
 
     def test_truncated_density_fails_kappa_transform_on_a_generated_pair(self, grid64,
                                                                           monkeypatch):
@@ -861,7 +902,7 @@ class TestMutations:
         """On the nontrivial structure: the honest read's d is round-off, the
         wrong frame's exceeds N / 8 and the gate ratio 1."""
         antiperiodic = GridSpec(n_points, "nontrivial")
-        density = LeafVolumeDensity.from_profile(cosine_profile, antiperiodic)
+        density = LeafVolumeDensity.from_profile(cosine_profile)
         assert dirac_spectra(density, antiperiodic)[0].distance < 1e-20
         patch_factors(monkeypatch, self.MUTANTS["wrong_frame"])
         gates = []
@@ -1010,8 +1051,8 @@ def test_commands_solve_no_dirac_matrix(flat_profile, cosine_profile, tmp_path, 
     assert len(contrasts) == 5 and not any("skipped" in report["metadata"] for report in contrasts)
     assert laplacians == [9, 23, 22, 18, 20, 20]
     # the same draws: distinct densities are distinct keys
-    rng, grid = np.random.default_rng(1), GridSpec(n_points)
-    keys = {LeafVolumeDensity.from_profile(profile, grid)
+    rng = np.random.default_rng(1)
+    keys = {LeafVolumeDensity.from_profile(profile)
             for _ in range(5) for profile in verify.random_pair(rng)}
     assert len(laplacians) == len(keys)
     # the flat profile and the second: per density its Laplacian read

@@ -76,8 +76,7 @@ def run_command(cli, argv: list[str], out: Path) -> tuple[int, list]:
 
 def _read_key(label, document: dict) -> tuple:
     """The pair battery's memo key of a contrast profile's Laplacian read: the
-    command, and the profile's theta-average, which fixes the density on the
-    command's grid."""
+    command, and the profile's theta-average, which fixes the density."""
     # imported here: the tree's package is on the path once import_cli ran
     from foliation_lab.model_spaces import MetricProfile
 
